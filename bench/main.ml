@@ -459,54 +459,11 @@ int main(void) {
 (* E10 - parallel analysis: the two job axes of lib/parallel           *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] in a forked child and return its printed string.  The OCaml
-   5 runtime refuses Unix.fork in any process that has ever spawned a
-   domain, so every domains-backend measurement runs in a child: this
-   process stays fork-capable for the batch pools and E15's daemon. *)
-let in_child (f : unit -> string) : string =
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      let code =
-        match f () with
-        | s ->
-            let oc = Unix.out_channel_of_descr w in
-            output_string oc s;
-            flush oc;
-            0
-        | exception e ->
-            prerr_endline ("bench child: " ^ Printexc.to_string e);
-            1
-      in
-      Unix._exit code
-  | pid ->
-      Unix.close w;
-      let ic = Unix.in_channel_of_descr r in
-      let buf = Buffer.create 256 in
-      (try
-         let chunk = Bytes.create 4096 in
-         let rec drain () =
-           let n = input ic chunk 0 (Bytes.length chunk) in
-           if n > 0 then begin
-             Buffer.add_subbytes buf chunk 0 n;
-             drain ()
-           end
-         in
-         drain ()
-       with End_of_file -> ());
-      close_in ic;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, _ -> failwith "bench child failed");
-      Buffer.contents buf
-
 let e10 ~quick () =
   section
-    "E10: parallel analysis (-j n), fork + domains backends\n\
-     claim checked: every (-j n, backend) fingerprint equals the -j 1\n\
-     fingerprint; domains-backend speedup is reported against the\n\
-     machine's actual core count (gated in CI only when >= 4 cores)";
+    "E10: parallel analysis (-j n), process pool + deterministic merge\n\
+     claim checked: every -j n fingerprint equals the -j 1 fingerprint;\n\
+     speedup is reported against the machine's actual core count";
   let cores = P.Scheduler.default_jobs () in
   Fmt.pr "cores available: %d@." cores;
   (* axis (b): whole-program batch jobs — a domain-refinement ladder
@@ -531,58 +488,29 @@ let e10 ~quick () =
           (P.Scheduler.Bs_sources [ ("member.c", g.G.Generator.source) ]))
       ladder
   in
-  let job_counts = if quick then [ 2; 4 ] else [ 2; 4; 8 ] in
   let fingerprints rs = List.map (fun (_, r) -> P.Merge.fingerprint r) rs in
   let seq, t1 = time (fun () -> P.Scheduler.analyze_batch ~jobs:1 items) in
   let fp1 = fingerprints seq in
-  (* one measurement = (jobs, seconds, fingerprints identical).  Fork
-     rows run here; domains rows run in one forked child per axis (see
-     [in_child]), which inherits the baseline fingerprints by fork and
-     ships "jobs time identical" lines back. *)
-  let parse_rows out =
-    String.split_on_char '\n' out
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.map (fun l ->
-           Scanf.sscanf l "%d %f %b" (fun j dt ok -> (j, dt, ok)))
-  in
-  let batch_domains () =
-    String.concat ""
-      (List.map
-         (fun jobs ->
-           let rs, dt =
-             time (fun () ->
-                 P.Scheduler.analyze_batch ~jobs ~backend:`Domains items)
-           in
-           Printf.sprintf "%d %.6f %b\n" jobs dt (fingerprints rs = fp1))
-         job_counts)
+  (* one row = (jobs, seconds, fingerprints identical to -j 1) *)
+  let print_rows t_seq rows =
+    Fmt.pr "%6s %10s %9s %10s@." "jobs" "time(s)" "speedup" "identical";
+    Fmt.pr "%6d %10.2f %9s %10s@." 1 t_seq "1.00x" "-";
+    List.iter
+      (fun (jobs, dt, ok) ->
+        Fmt.pr "%6d %10.2f %8.2fx %10b@." jobs dt (t_seq /. dt) ok)
+      rows
   in
   let batch_rows =
-    [
-      ( "fork",
-        List.map
-          (fun jobs ->
-            let rs, dt =
-              time (fun () ->
-                  P.Scheduler.analyze_batch ~jobs ~backend:`Fork items)
-            in
-            (jobs, dt, fingerprints rs = fp1))
-          job_counts );
-      ("domains", parse_rows (in_child batch_domains));
-    ]
+    List.map
+      (fun jobs ->
+        let rs, dt = time (fun () -> P.Scheduler.analyze_batch ~jobs items) in
+        (jobs, dt, fingerprints rs = fp1))
+      (if quick then [ 2; 4 ] else [ 2; 4; 8 ])
   in
   Fmt.pr "@.batch axis: %d-rung refinement ladder on a %.1f kLOC member@."
     (List.length ladder)
     (float_of_int g.G.Generator.n_lines /. 1000.);
-  Fmt.pr "%8s %6s %10s %9s %10s@." "backend" "jobs" "time(s)" "speedup"
-    "identical";
-  Fmt.pr "%8s %6d %10.2f %9s %10s@." "-" 1 t1 "1.00x" "-";
-  List.iter
-    (fun (be, rows) ->
-      List.iter
-        (fun (jobs, dt, ok) ->
-          Fmt.pr "%8s %6d %10.2f %8.2fx %10b@." be jobs dt (t1 /. dt) ok)
-        rows)
-    batch_rows;
+  print_rows t1 batch_rows;
   (* axis (a): intra-program disjunct jobs on the same member, with the
      production job-size gate (small disjuncts stay in-process) *)
   let p, _ = C.Analysis.compile [ ("member.c", g.G.Generator.source) ] in
@@ -590,73 +518,22 @@ let e10 ~quick () =
     time (fun () -> C.Analysis.analyze ~cfg:{ base with C.Config.jobs = 1 } p)
   in
   let f1 = P.Merge.fingerprint r1 in
-  let disj_counts = [ 2; 4 ] in
-  let run_disj backend jobs =
-    let r, dt =
-      time (fun () ->
-          P.Scheduler.analyze
-            ~cfg:{ base with C.Config.jobs = jobs; par_backend = backend }
-            p)
-    in
-    (jobs, dt, P.Merge.fingerprint r = f1)
-  in
-  let disj_domains () =
-    String.concat ""
-      (List.map
-         (fun jobs ->
-           let j, dt, ok = run_disj `Domains jobs in
-           Printf.sprintf "%d %.6f %b\n" j dt ok)
-         disj_counts)
-  in
   let disj_rows =
-    [
-      ("fork", List.map (run_disj `Fork) disj_counts);
-      ("domains", parse_rows (in_child disj_domains));
-    ]
+    List.map
+      (fun jobs ->
+        let r, dt =
+          time (fun () ->
+              P.Scheduler.analyze ~cfg:{ base with C.Config.jobs = jobs } p)
+        in
+        (jobs, dt, P.Merge.fingerprint r = f1))
+      [ 2; 4 ]
   in
   Fmt.pr "@.disjunct axis: same member, branch/partition jobs@.";
-  Fmt.pr "%8s %6s %10s %9s %10s@." "backend" "jobs" "time(s)" "speedup"
-    "identical";
-  Fmt.pr "%8s %6d %10.2f %9s %10s@." "-" 1 s1 "1.00x" "-";
-  List.iter
-    (fun (be, rows) ->
-      List.iter
-        (fun (jobs, dt, ok) ->
-          Fmt.pr "%8s %6d %10.2f %8.2fx %10b@." be jobs dt (s1 /. dt) ok)
-        rows)
-    disj_rows;
-  (* claims: all fingerprints identical everywhere; on a >= 4-core
-     machine the domains backend must reach 3x on the embarrassingly
-     parallel batch axis at -j 4 and beat sequential on the disjunct
-     axis (1-core CI records the numbers without enforcing them) *)
+  print_rows s1 disj_rows;
   let all_identical =
-    List.for_all
-      (fun (_, rows) -> List.for_all (fun (_, _, ok) -> ok) rows)
-      (batch_rows @ disj_rows)
+    List.for_all (fun (_, _, ok) -> ok) (batch_rows @ disj_rows)
   in
-  let speedup_of rows jobs =
-    List.filter_map
-      (fun (j, dt, _) -> if j = jobs then Some dt else None)
-      rows
-    |> function
-    | dt :: _ -> Some dt
-    | [] -> None
-  in
-  let dom_batch = List.assoc "domains" batch_rows in
-  let dom_disj = List.assoc "domains" disj_rows in
-  let batch_3x =
-    match speedup_of dom_batch 4 with
-    | Some dt -> t1 /. dt >= 3.0
-    | None -> false
-  in
-  let disj_1x =
-    List.exists (fun (_, dt, _) -> s1 /. dt > 1.0) dom_disj
-  in
-  let enforce = cores >= 4 in
-  Fmt.pr
-    "@.fingerprints identical everywhere: %b@.domains batch -j4 >= 3x: %b \
-     (enforced: %b)@.domains disjunct > 1x: %b (enforced: %b)@."
-    all_identical batch_3x enforce disj_1x enforce;
+  Fmt.pr "@.fingerprints identical everywhere: %b@." all_identical;
   let rows_json rows =
     String.concat ", "
       (List.map
@@ -668,20 +545,10 @@ let e10 ~quick () =
   json_record "e10"
     (Printf.sprintf
        "{\"quick\": %b, \"cores\": %d, \"t_batch_j1\": %.6f, \
-        \"t_disjunct_j1\": %.6f, \"backends\": [%s], \
-        \"fingerprints_identical\": %b, \"speedup_gates_enforced\": %b, \
-        \"batch_speedup_ge_3x\": %b, \"disjunct_speedup_gt_1x\": %b}"
-       quick cores t1 s1
-       (String.concat ", "
-          (List.map
-             (fun be ->
-               Printf.sprintf
-                 "{\"backend\": \"%s\", \"batch\": [%s], \"disjunct\": [%s]}"
-                 be
-                 (rows_json (List.assoc be batch_rows))
-                 (rows_json (List.assoc be disj_rows)))
-             [ "fork"; "domains" ]))
-       all_identical enforce batch_3x disj_1x)
+        \"t_disjunct_j1\": %.6f, \"batch\": [%s], \"disjunct\": [%s], \
+        \"fingerprints_identical\": %b}"
+       quick cores t1 s1 (rows_json batch_rows) (rows_json disj_rows)
+       all_identical)
 
 (* ------------------------------------------------------------------ *)
 (* E11 - incremental analysis: the summary cache of lib/incremental    *)
@@ -2112,11 +1979,6 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* the driver itself must stay fork-capable across experiments (batch
-     pools, E15's daemon): OCaml 5 forbids fork once a domain has ever
-     been spawned, so in-process `Auto dispatches stay on fork and the
-     domains backend is measured in forked children (E10) *)
-  P.Scheduler.auto_backend := `Fork;
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
   let quick = List.mem "--quick" args in

@@ -30,8 +30,8 @@ let print_json ?metrics ?interference (r : C.Analysis.result) : unit =
   print_string (Srv.Report.render ?metrics ?interference r ^ "\n")
 
 let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
-    unroll partitioned max_dt_bools useful_packs jobs par_backend cache_dir
-    cache_mem no_cache timeout max_mem connect retries no_fallback format
+    unroll partitioned max_dt_bools useful_packs jobs cache_dir cache_mem
+    no_cache timeout max_mem connect retries no_fallback format
     dump_invariants dump_census slice_alarms profile trace_file metrics_file
     explain verbose =
   if files = [] then `Error (false, "no input files")
@@ -67,7 +67,6 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
           o_max_dtree_bools = max_dt_bools;
           o_useful_packs = useful_packs;
           o_jobs = jobs;
-          o_backend = par_backend;
           o_timeout = (if timeout > 0. then timeout else 0.);
           o_max_mem = max 0 max_mem;
           o_cache =
@@ -293,8 +292,7 @@ let cmd =
         $ Arg.(value & opt (list string) [] & info [ "partition" ] ~doc:"Functions analyzed with trace partitioning (Sect. 7.1.5)")
         $ Arg.(value & opt int 3 & info [ "max-dtree-bools" ] ~doc:"Booleans per decision-tree pack (Sect. 7.2.3)")
         $ Arg.(value & opt (list int) [] & info [ "useful-packs" ] ~doc:"Octagon pack ids to keep (Sect. 7.2.2)")
-        $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Workers for the parallel analysis (1 = sequential, 0 = one per core)")
-        $ Arg.(value & opt (enum [ ("fork", `Fork); ("domains", `Domains); ("auto", `Auto) ]) `Auto & info [ "par-backend" ] ~docv:"BACKEND" ~doc:"Worker backend for $(b,-j): $(b,fork) (process isolation, per-job timeouts, fault injection), $(b,domains) (OCaml 5 shared memory, no serialization), or $(b,auto) (domains unless fault injection or a resource budget is armed). Results are identical either way")
+        $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Worker processes for the parallel analysis (1 = sequential, 0 = one per core)")
         $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc:"Persist function summaries in $(docv), reusing them across runs (results are unaffected)")
         $ flag "cache-mem" "In-memory function-summary cache for this run only"
         $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache) and $(b,--cache-mem)"

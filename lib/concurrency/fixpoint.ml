@@ -142,7 +142,7 @@ let run_round ~(cfg : C.Config.t) ~pool (p : F.Tast.program)
               r
           | Error _ -> run_job ~cfg p shared j)
         jobs
-        (P.Scheduler.pool_map pool jobs)
+        (P.Pool.map pool jobs)
 
 (* Join the per-task contexts' bookkeeping into the combined context:
    loop invariants join point-wise (ids align by construction), useful
@@ -172,16 +172,12 @@ let analyze ?(cfg = C.Config.default) ~(tasks : string list)
   (* shared variables leave the relational packs in every run, the
      combined context included, so states stay comparable *)
   let cfg = { cfg with C.Config.conc_shared = shared_names } in
-  (* per-task runs dispatch through the backend-agnostic pool: the
-     worker function builds a fresh per-task session/actx per job, so
-     it is the same on both backends *)
   let pool =
     if cfg.C.Config.jobs > 1 && List.compare_length_with tasks 1 > 0 then
       Some
-        (P.Scheduler.create_pool
+        (P.Pool.create
            ~jobs:(min cfg.C.Config.jobs (List.length tasks))
-           ~backend:cfg.C.Config.par_backend
-           (fun () -> run_job_delta ~cfg p shared))
+           (run_job_delta ~cfg p shared))
     else None
   in
   let round_of ~round (writes : Interference.map list) :
@@ -275,7 +271,7 @@ let analyze ?(cfg = C.Config.default) ~(tasks : string list)
   in
   Fun.protect
     ~finally:(fun () ->
-      match pool with Some pl -> P.Scheduler.shutdown_pool pl | None -> ())
+      match pool with Some pl -> P.Pool.shutdown pl | None -> ())
     (fun () ->
       match shared with
       | [] ->

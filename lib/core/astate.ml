@@ -78,10 +78,6 @@ let equal (a : t) (b : t) : bool =
      && Relstate.equal a.rel b.rel
      && D.Itv.equal a.clock b.clock)
 
-(* Only [rel] carries mutable values (octagons); env/clock are pure. *)
-let unshare (s : t) : t =
-  if s.bot then s else { s with rel = Relstate.unshare s.rel }
-
 (** The floating iteration perturbation F-hat of Sect. 7.1.4: enlarge
     every float interval bound by a relative epsilon before the widening
     step, so that abstract rounding noise does not prevent the

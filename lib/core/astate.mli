@@ -21,11 +21,6 @@ val narrow : t -> t -> t
 val subset : t -> t -> bool
 val equal : t -> t -> bool
 
-(** Break physical sharing of mutable pack values (octagons) so the
-    state can be handed to a concurrently running OCaml 5 domain; see
-    {!Relstate.unshare}.  Semantically the identity. *)
-val unshare : t -> t
-
 (** The floating iteration perturbation F-hat of Sect. 7.1.4: enlarge
     every float interval bound by a relative epsilon. *)
 val perturb : float -> t -> t

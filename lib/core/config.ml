@@ -63,15 +63,6 @@ type t = {
           sequential, [n > 1] dispatches independent jobs (trace
           partitions, dispatch branches, whole-program batch items) to a
           fork-based pool whose results are merged deterministically *)
-  par_backend : backend;
-      (** which worker pool serves parallel jobs.  [`Fork]: process
-          workers over marshalling pipes (isolation, per-job timeouts,
-          fault injection).  [`Domains]: OCaml 5 shared-memory domains
-          (jobs and replies pass by reference, Ptmap sharing survives).
-          [`Auto] (the default) picks domains, degrading to fork when
-          fault injection or a resource budget is armed.  Never affects
-          analysis results — fingerprints are byte-identical across
-          backends — hence excluded from the config fingerprint *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
       (** function-summary memoization: identical (callee fingerprint,
@@ -113,18 +104,6 @@ type t = {
 }
 
 and cache = Cache_off | Cache_mem | Cache_dir of string
-and backend = [ `Fork | `Domains | `Auto ]
-
-let backend_to_string = function
-  | `Fork -> "fork"
-  | `Domains -> "domains"
-  | `Auto -> "auto"
-
-let backend_of_string = function
-  | "fork" -> Some `Fork
-  | "domains" -> Some `Domains
-  | "auto" -> Some `Auto
-  | _ -> None
 
 let default : t =
   {
@@ -151,7 +130,6 @@ let default : t =
     expand_array_max = 64;
     naive_environments = false;
     jobs = 1;
-    par_backend = `Auto;
     summary_cache = Cache_off;
     timeout = 0.;
     max_mem_mb = 0;

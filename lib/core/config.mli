@@ -50,11 +50,6 @@ type t = {
   (* ---- parallel analysis (Astree_parallel) ------------------------- *)
   jobs : int;
       (** worker processes for the parallel subsystem; [1] = sequential *)
-  par_backend : backend;
-      (** worker pool flavour: [`Fork] processes, [`Domains] OCaml 5
-          shared-memory domains, [`Auto] (default) domains degrading to
-          fork when fault injection or a budget is armed.  Never
-          affects results *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
       (** function-summary memoization: [Cache_mem] within one run,
@@ -78,10 +73,6 @@ type t = {
 }
 
 and cache = Cache_off | Cache_mem | Cache_dir of string
-and backend = [ `Fork | `Domains | `Auto ]
-
-val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
 
 (** All domains and strategies on — the fully refined analyzer. *)
 val default : t

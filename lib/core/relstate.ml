@@ -41,11 +41,6 @@ let top (packs : Packing.t) : t =
 
 let empty : t = { octs = Ptmap.empty; ells = Ptmap.empty; dts = Ptmap.empty }
 
-(* Octagons are the only mutable pack values (in-place lazy closure);
-   ellipsoids and decision trees are immutable, so breaking sharing for
-   a shared-memory worker only needs to copy the octagon side. *)
-let unshare (r : t) : t = { r with octs = Ptmap.map D.Octagon.unshare r.octs }
-
 (* ------------------------------------------------------------------ *)
 (* Lattice operations (pack-wise with sharing short-cuts)              *)
 (* ------------------------------------------------------------------ *)

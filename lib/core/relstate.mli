@@ -16,12 +16,6 @@ val top : Packing.t -> t
 
 val empty : t
 
-(** Copy every octagon so no pack value is physically shared with the
-    original (ellipsoids and decision trees are immutable and stay
-    shared).  Required before two OCaml 5 domains may touch sibling
-    states concurrently: the octagon closure cache mutates in place. *)
-val unshare : t -> t
-
 (** {1 Lattice operations} (pack-wise with sharing short-cuts) *)
 
 val join : t -> t -> t

@@ -270,24 +270,6 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     join_count = 0;
   }
 
-(* Per-domain view of a context for shared-memory workers: the
-   read-only structure (program, config, packs, lookup indexes, cell
-   interner — frozen by [prefill_cells] before any dispatch) is shared,
-   while every piece of mutable bookkeeping (session, alarm collector,
-   usefulness/invariant tables, join counter) is fresh so concurrently
-   running domains never write to a common table.  The fresh session
-   carries no memo and no hooks: memoization is observationally
-   transparent, so job replies — and fingerprints — are unchanged. *)
-let worker_actx (a : actx) : actx =
-  {
-    a with
-    session = new_session ();
-    alarms = Alarm.make_collector ();
-    oct_useful = Hashtbl.create 16;
-    invariants = Hashtbl.create 16;
-    join_count = 0;
-  }
-
 let oct_packs_of (a : actx) (v : var) : Packing.oct_pack list =
   Option.value (Hashtbl.find_opt a.oct_index v.v_id) ~default:[]
 

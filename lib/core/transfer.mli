@@ -169,14 +169,6 @@ val new_session : unit -> session
 
 val make_actx : ?session:session -> Config.t -> F.Tast.program -> actx
 
-(** A per-domain view of [actx] for OCaml 5 shared-memory workers:
-    shares the read-only structure (program, config, packs, lookup
-    indexes, and the cell interner — which {!prefill_cells} freezes
-    before any parallel dispatch) but carries a fresh session (no memo,
-    no hooks), a fresh alarm collector and fresh bookkeeping tables, so
-    concurrently running domains never write to a shared table. *)
-val worker_actx : actx -> actx
-
 (** {1 Pack lookups (indexed)} *)
 
 val oct_packs_of : actx -> F.Tast.var -> Packing.oct_pack list

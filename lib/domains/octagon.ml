@@ -75,13 +75,6 @@ let is_bot o = o.bot
 
 let copy o = { o with m = Array.copy o.m }
 
-(* Physically-shared octagons are a hazard only under shared-memory
-   parallelism: the lazy closure cache mutates [m] and [closure] in
-   place, so two domains closing the same octagon race.  Unsharing is
-   just a copy — the fresh record carries its own matrix and flags while
-   still sharing the immutable [pack] and [index]. *)
-let unshare = copy
-
 let var_index (o : t) (v : F.Tast.var) : int option =
   Hashtbl.find_opt o.index v.F.Tast.v_id
 

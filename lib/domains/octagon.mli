@@ -42,14 +42,6 @@ val top : Astree_frontend.Tast.var array -> t
 val bottom : Astree_frontend.Tast.var array -> t
 val is_bot : t -> bool
 val copy : t -> t
-
-(** Break physical sharing before handing an octagon to another domain
-    (OCaml 5 shared-memory worker): the closure machinery mutates the
-    matrix and closure flag in place, so two domains lazily closing the
-    same octagon would race.  Semantically the identity (a fresh matrix
-    with equal bounds); the immutable pack/index stay shared. *)
-val unshare : t -> t
-
 val mem_var : t -> Astree_frontend.Tast.var -> bool
 
 (** {1 Closure} *)

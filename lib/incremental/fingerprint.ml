@@ -170,10 +170,10 @@ and add_block buf calls (b : F.Tast.block) =
 (* Configuration digest                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Digest of every result-affecting configuration field.  [jobs],
-    [par_backend] and [summary_cache] are excluded — all three are
-    result-neutral by construction, so a [-j 1] warm run may reuse a
-    [-j 4] store (from either worker backend) and vice versa.  [timeout] and [max_mem_mb] are likewise excluded: the
+(** Digest of every result-affecting configuration field.  [jobs] and
+    [summary_cache] are excluded — both are result-neutral by
+    construction, so a [-j 1] warm run may reuse a [-j 4] store and
+    vice versa.  [timeout] and [max_mem_mb] are likewise excluded: the
     budget never changes a run that completes, only whether a coarser
     configuration (whose own fingerprint differs via
     [shed_packs_above]) is tried instead.  Written as one explicit

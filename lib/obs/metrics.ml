@@ -1,21 +1,11 @@
 (* Unified metrics registry: named counters / timers / gauges / log2
    histograms.  See metrics.mli for the cost and determinism contract.
 
-   The registry is per-domain (Domain.DLS): each OCaml 5 domain owns a
-   flat table keyed by name, so shared-memory workers record into
-   private stores with no synchronization on the hot path and ship
-   [diff]s back exactly like fork workers do.  A fresh domain starts
-   with an empty store, so [snapshot]/[diff] naturally produce
-   per-domain deltas.  Handles ([counter], [timer], ...) are small
-   immutable descriptors interned once globally; resolving a handle in
-   a domain is one DLS read plus an array index, with a slow path that
-   interns the entry into that domain's store on first touch.
-
-   Entries are mutable records so the hot operations (incr, add, stop)
-   touch a single field and never re-hash the name.  Everything
-   observable is exported through [snapshot] (pure, marshallable — the
-   parallel delta format) and [render_json] (the --metrics file
-   format). *)
+   One flat table keyed by name; entries are mutable records so the hot
+   operations (incr, add, stop) touch a single field and never re-hash
+   the name.  Everything observable is exported through [snapshot]
+   (pure, marshallable — the parallel delta format) and [render_json]
+   (the --metrics file format). *)
 
 type kind = Kcounter | Ktimer | Kgauge | Khist
 
@@ -30,134 +20,62 @@ type entry = {
 }
 
 let timing = ref false
+let registry : (string, entry) Hashtbl.t = Hashtbl.create 64
 
-(* ---- handles ----------------------------------------------------- *)
-
-(* A handle names a metric independently of any domain's store.  Handles
-   are interned globally (same name -> same handle, stable id) under a
-   mutex; creation is cold-path by contract. *)
-type handle = { h_name : string; h_kind : kind; h_id : int }
-
-let handles_mu = Mutex.create ()
-let handles : (string, handle) Hashtbl.t = Hashtbl.create 64
-let next_id = ref 0
-
-let handle (name : string) (kind : kind) : handle =
-  Mutex.protect handles_mu (fun () ->
-      match Hashtbl.find_opt handles name with
-      | Some h ->
-          if h.h_kind <> kind then
-            invalid_arg ("Metrics: " ^ name ^ " registered with another kind");
-          h
-      | None ->
-          let h = { h_name = name; h_kind = kind; h_id = !next_id } in
-          Stdlib.incr next_id;
-          Hashtbl.add handles name h;
-          h)
-
-(* ---- per-domain stores ------------------------------------------- *)
-
-type store = {
-  s_tbl : (string, entry) Hashtbl.t;
-  mutable s_slots : entry array;  (* handle id -> entry, dummy = absent *)
-}
-
-(* Placeholder marking empty slots; never mutated, compared physically. *)
-let dummy_entry =
-  { e_name = ""; e_kind = Kcounter; e_n = 0; e_t = 0.; e_buckets = [||] }
-
-let store_key : store Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { s_tbl = Hashtbl.create 64; s_slots = [||] })
-
-let new_entry (name : string) (kind : kind) : entry =
-  {
-    e_name = name;
-    e_kind = kind;
-    e_n = 0;
-    e_t = 0.;
-    e_buckets = (if kind = Khist then Array.make n_buckets 0 else [||]);
-  }
-
-let find_or_add (st : store) (name : string) (kind : kind) : entry =
-  match Hashtbl.find_opt st.s_tbl name with
+let find_or_add (name : string) (kind : kind) : entry =
+  match Hashtbl.find_opt registry name with
   | Some e ->
       if e.e_kind <> kind then
         invalid_arg ("Metrics: " ^ name ^ " registered with another kind");
       e
   | None ->
-      let e = new_entry name kind in
-      Hashtbl.add st.s_tbl name e;
+      let e =
+        {
+          e_name = name;
+          e_kind = kind;
+          e_n = 0;
+          e_t = 0.;
+          e_buckets = (if kind = Khist then Array.make n_buckets 0 else [||]);
+        }
+      in
+      Hashtbl.add registry name e;
       e
-
-let resolve_slow (st : store) (h : handle) : entry =
-  let e = find_or_add st h.h_name h.h_kind in
-  let len = Array.length st.s_slots in
-  if h.h_id >= len then begin
-    let slots = Array.make (max 16 (2 * (h.h_id + 1))) dummy_entry in
-    Array.blit st.s_slots 0 slots 0 len;
-    st.s_slots <- slots
-  end;
-  st.s_slots.(h.h_id) <- e;
-  e
-
-let resolve (h : handle) : entry =
-  let st = Domain.DLS.get store_key in
-  let slots = st.s_slots in
-  if h.h_id < Array.length slots then begin
-    let e = Array.unsafe_get slots h.h_id in
-    if e != dummy_entry then e else resolve_slow st h
-  end
-  else resolve_slow st h
 
 (* ---- counters ---------------------------------------------------- *)
 
-type counter = handle
+type counter = entry
 
-let counter name = handle name Kcounter
-
-let incr (c : counter) =
-  let e = resolve c in
-  e.e_n <- e.e_n + 1
-
-let add (c : counter) n =
-  let e = resolve c in
-  e.e_n <- e.e_n + n
-
-let value (c : counter) = (resolve c).e_n
+let counter name = find_or_add name Kcounter
+let incr (c : counter) = c.e_n <- c.e_n + 1
+let add (c : counter) n = c.e_n <- c.e_n + n
+let value (c : counter) = c.e_n
 
 (* ---- timers ------------------------------------------------------ *)
 
-type timer = handle
+type timer = entry
 
-let timer name = handle name Ktimer
+let timer name = find_or_add name Ktimer
 let start () = if !timing then Unix.gettimeofday () else 0.
 
 let stop (t : timer) (t0 : float) =
-  if !timing then begin
-    let e = resolve t in
-    e.e_t <- e.e_t +. (Unix.gettimeofday () -. t0)
-  end
+  if !timing then t.e_t <- t.e_t +. (Unix.gettimeofday () -. t0)
 
-let timer_value (t : timer) = (resolve t).e_t
+let timer_value (t : timer) = t.e_t
 
 (* ---- gauges ------------------------------------------------------ *)
 
-let set_gauge name v =
-  let st = Domain.DLS.get store_key in
-  (find_or_add st name Kgauge).e_n <- v
+let set_gauge name v = (find_or_add name Kgauge).e_n <- v
 
 let gauge_value name =
-  let st = Domain.DLS.get store_key in
-  match Hashtbl.find_opt st.s_tbl name with
+  match Hashtbl.find_opt registry name with
   | Some e when e.e_kind = Kgauge -> Some e.e_n
   | _ -> None
 
 (* ---- histograms -------------------------------------------------- *)
 
-type histogram = handle
+type histogram = entry
 
-let histogram name = handle name Khist
+let histogram name = find_or_add name Khist
 
 let bucket_of (v : int) : int =
   (* bucket i holds v with 2^i <= v+1 < 2^(i+1); clamp the tail *)
@@ -166,7 +84,7 @@ let bucket_of (v : int) : int =
   go 0 (v + 1)
 
 let observe (h : histogram) (v : int) =
-  let b = (resolve h).e_buckets in
+  let b = h.e_buckets in
   let i = bucket_of v in
   b.(i) <- b.(i) + 1
 
@@ -192,8 +110,7 @@ let sample_of (e : entry) : sample =
   }
 
 let snapshot () : snapshot =
-  let st = Domain.DLS.get store_key in
-  Hashtbl.fold (fun _ e acc -> sample_of e :: acc) st.s_tbl []
+  Hashtbl.fold (fun _ e acc -> sample_of e :: acc) registry []
   |> List.sort (fun a b -> String.compare a.s_name b.s_name)
 
 (* Registry-now minus [earlier]; entries created since the snapshot
@@ -225,10 +142,9 @@ let diff (earlier : snapshot) : snapshot =
            if all_zero d then None else Some d)
 
 let absorb (delta : snapshot) : unit =
-  let st = Domain.DLS.get store_key in
   List.iter
     (fun (s : sample) ->
-      let e = find_or_add st s.s_name s.s_kind in
+      let e = find_or_add s.s_name s.s_kind in
       match s.s_kind with
       | Kgauge -> e.e_n <- s.s_n
       | Kcounter -> e.e_n <- e.e_n + s.s_n
@@ -333,12 +249,9 @@ let reset_entry (e : entry) =
   e.e_t <- 0.;
   Array.fill e.e_buckets 0 (Array.length e.e_buckets) 0
 
-let reset () =
-  let st = Domain.DLS.get store_key in
-  Hashtbl.iter (fun _ e -> reset_entry e) st.s_tbl
+let reset () = Hashtbl.iter (fun _ e -> reset_entry e) registry
 
 let reset_named name =
-  let st = Domain.DLS.get store_key in
-  match Hashtbl.find_opt st.s_tbl name with
+  match Hashtbl.find_opt registry name with
   | Some e -> reset_entry e
   | None -> ()

@@ -13,16 +13,6 @@
     [timer], ...) hashes the name — create once at module init or in a
     cold path, never per event.
 
-    {b Domains.}  The registry is per-domain: every OCaml 5 domain owns
-    a private store (domain-local storage), so shared-memory workers
-    record with no cross-domain synchronization and ship {!diff}s back
-    exactly like fork workers do.  Handles ([counter], [timer], ...)
-    are immutable descriptors valid in any domain; a fresh domain
-    starts empty, so a worker's {!snapshot}/{!diff} pair is naturally a
-    per-domain delta.  All by-name operations ([set_gauge], [snapshot],
-    [absorb], [reset], [render_json]) act on the calling domain's
-    store.
-
     {b Determinism.}  Counters of semantic analysis events (transfer
     applications, widenings, threshold hits, loops, inlined calls, cache
     traffic), gauges and histograms are functions of the analysis

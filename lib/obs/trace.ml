@@ -5,15 +5,7 @@
    span begin/end pairs stay balanced in the file); without one it is a
    ring keeping the last !capacity events for in-process consumers
    (tests, worker capture sections).  Ring eviction is suspended while a
-   capture is open so a worker's job delta is never truncated.
-
-   All buffer state (buffer, ring head, sink, capture count, epoch) is
-   per-domain (Domain.DLS): a freshly spawned domain starts with an
-   empty ring and no sink, which is exactly the fork-worker discipline
-   ([in_worker]) — its events stay local and travel back inside job
-   deltas.  The [enabled]/[with_time]/[capacity] switches stay plain
-   global refs: they are set by the coordinator before any worker
-   dispatch and only read afterwards. *)
+   capture is open so a worker's job delta is never truncated. *)
 
 type arg = S of string | I of int | F of float | B of bool
 
@@ -37,30 +29,22 @@ let capacity = ref 65536
    on the analysis — outside the determinism contract. *)
 let m_dropped = Metrics.counter "trace.dropped"
 
-type state = {
-  (* growable buffer; [start] is the ring head (index of oldest event) *)
-  mutable buf : event array;
-  mutable start : int;
-  mutable len : int;
-  mutable total_pushed : int;      (* events ever buffered; capture marks *)
-  mutable sink : out_channel option;
-  mutable captures : int;          (* open capture sections *)
-  mutable t0 : float;              (* trace epoch, set lazily *)
-}
+(* growable buffer; [start] is the ring head (index of oldest event) *)
+let buf : event array ref = ref [||]
+let start = ref 0
+let len = ref 0
+let total_pushed = ref 0         (* events ever buffered; capture marks *)
 
-let state_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { buf = [||]; start = 0; len = 0; total_pushed = 0; sink = None;
-        captures = 0; t0 = 0. })
-
-let st () = Domain.DLS.get state_key
+let sink : out_channel option ref = ref None
+let captures = ref 0             (* open capture sections *)
+let t0 = ref 0.                  (* trace epoch, set lazily *)
 
 let flush_chunk = 512            (* events buffered before a sink write *)
 
 let dummy =
   { ev_kind = ""; ev_phase = Ppoint; ev_loc = ""; ev_args = []; ev_t = 0. }
 
-let nth (s : state) i = s.buf.((s.start + i) mod Array.length s.buf)
+let nth i = !buf.((!start + i) mod Array.length !buf)
 
 (* ---- serialization ----------------------------------------------- *)
 
@@ -115,66 +99,63 @@ let to_json (e : event) : string =
 
 (* ---- buffer machinery -------------------------------------------- *)
 
-let write_out (s : state) oc n =
+let write_out oc n =
   (* write the n oldest events and advance the ring head *)
   for i = 0 to n - 1 do
-    output_string oc (to_json (nth s i));
+    output_string oc (to_json (nth i));
     output_char oc '\n'
   done;
-  s.start <- (s.start + n) mod Array.length s.buf;
-  s.len <- s.len - n
+  start := (!start + n) mod Array.length !buf;
+  len := !len - n
 
 let flush () =
-  let s = st () in
-  match s.sink with
-  | Some oc when s.len > 0 ->
-      write_out s oc s.len;
+  match !sink with
+  | Some oc when !len > 0 ->
+      write_out oc !len;
       Stdlib.flush oc
   | _ -> ()
 
-let push (s : state) (e : event) =
-  s.total_pushed <- s.total_pushed + 1;
+let push (e : event) =
+  incr total_pushed;
   (* ring mode (no sink, no open capture): at capacity, evict the oldest
      event instead of growing — keyed on !capacity, not the array size,
      so shrinking the capacity between runs takes effect immediately *)
-  if s.sink = None && s.captures = 0 && s.len > 0 && s.len >= !capacity
-  then begin
-    s.start <- (s.start + 1) mod Array.length s.buf;
-    s.len <- s.len - 1;
+  if !sink = None && !captures = 0 && !len > 0 && !len >= !capacity then begin
+    start := (!start + 1) mod Array.length !buf;
+    decr len;
     Metrics.incr m_dropped
   end;
-  let cap = Array.length s.buf in
-  if s.len = cap then
+  let cap = Array.length !buf in
+  if !len = cap then
     if cap = 0 then begin
-      s.buf <- Array.make 16 dummy;
-      s.start <- 0
+      buf := Array.make 16 dummy;
+      start := 0
     end
     else begin
       let nbuf = Array.make (cap * 2) dummy in
-      for i = 0 to s.len - 1 do
-        nbuf.(i) <- nth s i
+      for i = 0 to !len - 1 do
+        nbuf.(i) <- nth i
       done;
-      s.buf <- nbuf;
-      s.start <- 0
+      buf := nbuf;
+      start := 0
     end;
-  s.buf.((s.start + s.len) mod Array.length s.buf) <- e;
-  s.len <- s.len + 1;
-  if s.sink <> None && s.len >= flush_chunk then
-    match s.sink with Some oc -> write_out s oc s.len | None -> ()
+  !buf.((!start + !len) mod Array.length !buf) <- e;
+  incr len;
+  if !sink <> None && !len >= flush_chunk then
+    match !sink with Some oc -> write_out oc !len | None -> ()
 
-let now (s : state) =
+let now () =
   if not !with_time then 0.
   else begin
     let t = Unix.gettimeofday () in
-    if s.t0 = 0. then s.t0 <- t;
-    t -. s.t0
+    if !t0 = 0. then t0 := t;
+    t -. !t0
   end
 
 let mk phase ?(loc = "") ?(args = []) kind =
-  let s = st () in
-  push s
+  push
     { ev_kind = kind; ev_phase = phase; ev_loc = loc; ev_args = args;
-      ev_t = now s }
+      ev_t = now () }
 
 let emit ?loc ?args kind = if !enabled then mk Ppoint ?loc ?args kind
 let span_begin ?loc ?args kind = if !enabled then mk Pbegin ?loc ?args kind
@@ -182,13 +163,13 @@ let span_end ?loc ?args kind = if !enabled then mk Pend ?loc ?args kind
 
 (* ---- sink -------------------------------------------------------- *)
 
-let set_sink oc = (st ()).sink <- Some oc
+let set_sink oc = sink := Some oc
 
 let close () =
   flush ();
-  (st ()).sink <- None
+  sink := None
 
-let in_worker () = (st ()).sink <- None
+let in_worker () = sink := None
 
 (* ---- capture / absorb -------------------------------------------- *)
 
@@ -196,38 +177,28 @@ let in_worker () = (st ()).sink <- None
    flushes move the buffer head but never change how many events exist
    past the mark, so the job's events are always the newest
    (total_pushed - mark) buffered ones.  Workers detach their sink
-   first, so nothing past the mark is ever flushed away.  (A domain
-   worker's state is born detached and empty, so its marks count only
-   its own events.) *)
+   first, so nothing past the mark is ever flushed away. *)
 
 let capture_begin () =
-  let s = st () in
-  s.captures <- s.captures + 1;
-  s.total_pushed
+  incr captures;
+  !total_pushed
 
 let capture_end (mark : int) : event list =
-  let s = st () in
-  s.captures <- s.captures - 1;
+  decr captures;
   if not !enabled then []
   else begin
-    let n = min (s.total_pushed - mark) s.len in
-    let off = s.len - n in
-    List.init n (fun i -> nth s (off + i))
+    let n = min (!total_pushed - mark) !len in
+    let off = !len - n in
+    List.init n (fun i -> nth (off + i))
   end
 
 let absorb (evs : event list) : unit =
-  if !enabled then begin
-    let s = st () in
-    List.iter (push s) evs
-  end
+  if !enabled then List.iter push evs
 
-let events () =
-  let s = st () in
-  List.init s.len (nth s)
+let events () = List.init !len nth
 
 let clear () =
-  let s = st () in
-  s.start <- 0;
-  s.len <- 0;
-  s.total_pushed <- 0;
-  s.t0 <- 0.
+  start := 0;
+  len := 0;
+  total_pushed := 0;
+  t0 := 0.

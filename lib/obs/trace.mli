@@ -19,15 +19,7 @@
     dropped, so every [`B] (begin) line has a matching [`E] (end) line —
     the CI trace-smoke step checks exactly this.  Ring-mode dropping is
     suspended while a capture section is open, so worker deltas are
-    never truncated.
-
-    {b Domains.}  Buffer, sink, captures and epoch are per-domain
-    (domain-local storage): a freshly spawned domain starts with an
-    empty ring and no sink — the {!in_worker} discipline, automatically
-    — so shared-memory workers capture into private rings and ship
-    their events back inside job deltas exactly like fork workers.
-    Only {!enabled}, {!with_time} and {!capacity} are process-global;
-    the coordinator sets them before dispatching workers. *)
+    never truncated. *)
 
 type arg = S of string | I of int | F of float | B of bool
 

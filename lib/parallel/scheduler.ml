@@ -12,88 +12,33 @@
 
     {b Axis (b) — batch.}  Whole-program analyses (a family sweep, a
     parameter-refinement ladder) are embarrassingly parallel: each
-    worker runs one full analysis and ships the result back.
+    worker runs one full analysis and marshals the result back.
 
-    {b Backends.}  Two interchangeable pools serve both axes: the fork
-    {!Pool} (process isolation, Marshal over pipes, per-job timeouts,
-    fault injection) and the OCaml 5 shared-memory {!Dompool} (jobs and
-    replies by reference, work stealing — no serialization cost, Ptmap
-    sharing survives the worker boundary).  {!effective_backend}
-    resolves [Config.par_backend]: [`Auto] picks domains, degrading to
-    fork whenever fault injection or a resource budget is armed — both
-    are built on process-global state and per-job kills that only fork
-    workers provide.  The deterministic merge contract is
-    backend-independent: same job order, same replies, byte-identical
-    fingerprints at every [-j] on either backend.
-
-    {b Fault policy.}  A failed job (crashed or timed-out fork worker;
-    raised exception in a domain worker) is retried once; if that also
-    fails, the job is recomputed in-process — [-j n] can lose speed,
-    never soundness or results. *)
+    {b Fault policy.}  A crashed or timed-out worker is respawned and
+    its job retried once on the fresh worker; if that also fails, the
+    job is recomputed in-process — [-j n] can lose speed, never
+    soundness or results. *)
 
 module C = Astree_core
 module F = Astree_frontend
 module Metrics = Astree_obs.Metrics
 module Trace = Astree_obs.Trace
-module Budget = Astree_robust.Budget
-module Faultsim = Astree_robust.Faultsim
 
 (** Default worker count: the machine's available cores. *)
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(** Per-job wall-clock budgets (seconds) before a fork worker is
-    presumed hung, killed and its job retried (the domains backend has
-    no job kills; see {!Dompool}). *)
+(** Per-job wall-clock budgets (seconds) before a worker is presumed
+    hung, killed and its job retried. *)
 let intra_job_timeout = ref 600.
 
 let batch_job_timeout = ref 3600.
 
-(* ------------------------------------------------------------------ *)
-(* Backend resolution                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** What [`Auto] resolves to when nothing forces fork.  [`Domains] by
-    default — the fast backend.  The OCaml 5 runtime forbids
-    [Unix.fork] once any domain has {e ever} been spawned in the
-    process (even after [Domain.join]), so a process that must stay
-    fork-capable (the test harness and the bench driver, which
-    interleave fork-based chaos/daemon scenarios with parallel runs)
-    pins this to [`Fork] and exercises the domains backend in forked
-    subprocess children instead. *)
-let auto_backend : [ `Fork | `Domains ] ref = ref `Domains
-
-(** Resolve the configured backend to a concrete pool flavour.
-    [`Auto] and [`Domains] both degrade to fork while fault injection
-    ([ASTREE_FAULTS] / chaos) or a resource budget is armed: injection
-    points and budget enforcement live in process-global state that
-    only fork workers inherit and honor. *)
-let effective_backend (b : C.Config.backend) : [ `Fork | `Domains ] =
-  if Dompool.ever_spawned () then
-    (* the one-way door is shut: this process can no longer fork, so
-       every dispatch — even an explicit [`Fork], even with faults or a
-       budget armed — stays on domains (kills and injection points are
-       lost; correctness is not) *)
-    `Domains
-  else
-    match b with
-    | `Fork -> `Fork
-    | (`Domains | `Auto) as b ->
-        if Faultsim.armed () || Budget.armed () then `Fork
-        else if b = `Domains then `Domains
-        else !auto_backend
-
-(* The backend actually used by the last dispatch, as a gauge
-   (0 = fork, 1 = domains) so reports record which pool served them. *)
-let note_backend (be : [ `Fork | `Domains ]) : unit =
-  Metrics.set_gauge "par.backend" (match be with `Fork -> 0 | `Domains -> 1)
-
 (** Map with the retry-once policy: every [Error] slot of the first
-    round is resubmitted once; persistent failures come back as [None]
-    and the caller recomputes in-process.  [pmap] is whichever pool's
-    map serves this dispatch. *)
-let map_retry (pmap : 'a list -> ('b, string) result list) (jobs : 'a list) :
+    round is resubmitted once (to a respawned worker); persistent
+    failures come back as [None] and the caller recomputes in-process. *)
+let map_retry (pool : ('a, 'b) Pool.t) ~(timeout : float) (jobs : 'a list) :
     'b option list =
-  let first = pmap jobs in
+  let first = Pool.map ~timeout pool jobs in
   let failed =
     List.map2 (fun j r -> (j, r)) jobs first
     |> List.mapi (fun i (j, r) -> (i, j, r))
@@ -103,7 +48,7 @@ let map_retry (pmap : 'a list -> ('b, string) result list) (jobs : 'a list) :
   if failed = [] then
     List.map (function Ok v -> Some v | Error _ -> None) first
   else begin
-    let retry = pmap (List.map snd failed) in
+    let retry = Pool.map ~timeout pool (List.map snd failed) in
     let patched = Hashtbl.create 8 in
     List.iter2 (fun (i, _) r -> Hashtbl.replace patched i r) failed retry;
     List.mapi
@@ -116,58 +61,13 @@ let map_retry (pmap : 'a list -> ('b, string) result list) (jobs : 'a list) :
   end
 
 (* ------------------------------------------------------------------ *)
-(* Backend-agnostic pool handles                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** A pool of either flavour, for callers whose worker function is the
-    same on both backends (the batch axis, the multi-task interference
-    fixpoint).  [init] is evaluated in the parent for a fork pool (the
-    workers inherit its result by copy-on-write) and once inside each
-    fresh domain for a domains pool. *)
-type ('a, 'b) anypool =
-  | Ap_fork of ('a, 'b) Pool.t
-  | Ap_domains of ('a, 'b) Dompool.t
-
-let create_pool ~(jobs : int) ~(backend : C.Config.backend)
-    (init : unit -> 'a -> 'b) : ('a, 'b) anypool =
-  let be = effective_backend backend in
-  note_backend be;
-  match be with
-  | `Fork -> Ap_fork (Pool.create ~jobs (init ()))
-  | `Domains -> Ap_domains (Dompool.create ~jobs init)
-
-let pool_map ?timeout (p : ('a, 'b) anypool) (jobs : 'a list) :
-    ('b, string) result list =
-  match p with
-  | Ap_fork pl -> Pool.map ?timeout pl jobs
-  | Ap_domains pl -> Dompool.map ?timeout pl jobs
-
-let shutdown_pool (p : ('a, 'b) anypool) : unit =
-  match p with
-  | Ap_fork pl -> Pool.shutdown pl
-  | Ap_domains pl -> Dompool.shutdown pl
-
-let pool_backend (p : ('a, 'b) anypool) : [ `Fork | `Domains ] =
-  match p with Ap_fork _ -> `Fork | Ap_domains _ -> `Domains
-
-(* ------------------------------------------------------------------ *)
 (* Axis (a): intra-program disjunct jobs                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared-memory jobs must not share mutable pack values with their
-   siblings or with the coordinator's live states: the octagon closure
-   cache mutates in place, and two domains lazily closing one
-   physically-shared octagon race (on weak memory the closure flag
-   could be observed before the matrix writes).  Unshare the job's
-   state at dispatch — the fork backend needs none of this, Marshal
-   deep-copies (and that is exactly its cost). *)
-let unshare_job (pj : C.Iterator.par_job) : C.Iterator.par_job =
-  { pj with C.Transfer.pj_state = C.Astate.unshare pj.C.Transfer.pj_state }
-
-(** Analyze [p] with [cfg.jobs] workers on the configured backend.  The
-    context is built and every cell interned {e before} any dispatch,
-    so coordinator and workers share one frozen cell numbering and
-    shipped states mean the same thing on both sides. *)
+(** Analyze [p] with [cfg.jobs] worker processes.  The context is built
+    and every cell interned {e before} forking, so parent and workers
+    share one frozen cell numbering and marshalled states mean the same
+    thing on both sides. *)
 let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
     C.Analysis.result =
   let ses =
@@ -179,38 +79,18 @@ let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
   else begin
     let actx = C.Transfer.make_actx ~session:ses cfg p in
     C.Transfer.prefill_cells actx;
-    (* drain buffered trace events to the sink before dispatching: fork
-       workers would otherwise inherit (and possibly re-write) the
-       buffered bytes; domain workers are born with empty buffers. *)
+    (* drain buffered trace events to the sink before forking: workers
+       would otherwise inherit (and possibly re-write) the buffered
+       bytes.  Workers additionally detach the sink in [par_run_job]. *)
     Trace.flush ();
-    let with_dispatch dispatch =
-      ses.C.Transfer.ses_par_hook <- Some dispatch;
-      Fun.protect
-        ~finally:(fun () -> ses.C.Transfer.ses_par_hook <- None)
-        (fun () -> C.Analysis.analyze_prepared actx p)
-    in
-    let be = effective_backend cfg.C.Config.par_backend in
-    note_backend be;
-    match be with
-    | `Fork ->
-        (* workers inherit the prepared context (including any summary
-           memo) by copy-on-write *)
-        Pool.with_pool ~jobs
-          (fun job -> C.Iterator.par_run_job actx job)
-          (fun pool ->
-            with_dispatch (fun pjobs ->
-                map_retry (Pool.map ~timeout:!intra_job_timeout pool) pjobs))
-    | `Domains ->
-        (* each domain builds its own context view: fresh session (no
-           memo — memoization is observationally transparent), fresh
-           bookkeeping, shared read-only structure *)
-        Dompool.with_pool ~jobs
-          (fun () ->
-            let wa = C.Transfer.worker_actx actx in
-            fun job -> C.Iterator.par_run_job wa job)
-          (fun pool ->
-            with_dispatch (fun pjobs ->
-                map_retry (Dompool.map pool) (List.map unshare_job pjobs)))
+    Pool.with_pool ~jobs
+      (fun job -> C.Iterator.par_run_job actx job)
+      (fun pool ->
+        ses.C.Transfer.ses_par_hook <-
+          Some (fun pjobs -> map_retry pool ~timeout:!intra_job_timeout pjobs);
+        Fun.protect
+          ~finally:(fun () -> ses.C.Transfer.ses_par_hook <- None)
+          (fun () -> C.Analysis.analyze_prepared actx p))
   end
 
 (** Install the parallel driver: after this, [Analysis.analyze] with
@@ -246,9 +126,8 @@ let run_batch_job (bj : batch_job) : C.Analysis.result =
   | Bs_sources srcs -> C.Analysis.analyze_sources ~cfg ~main:bj.bj_main srcs
 
 (* Worker-side wrapper for the batch axis: detach any inherited trace
-   sink (a no-op in a fresh domain, whose tracer is born detached) and
-   ship the job's registry delta back with the result, so profile
-   probes and iterator counters cover batch runs too. *)
+   sink and ship the job's registry delta back with the result, so
+   profile probes and iterator counters cover batch runs too. *)
 let run_batch_job_delta (bj : batch_job) :
     C.Analysis.result * Metrics.snapshot =
   Trace.in_worker ();
@@ -259,24 +138,18 @@ let run_batch_job_delta (bj : batch_job) :
 (** Run a batch of whole-program analyses on [jobs] workers, results in
     job order.  Failed jobs are retried once, then recomputed
     in-process.  Worker registry deltas (metrics, profile probes) are
-    absorbed in item order, so batch reports merge deterministically
-    whatever the backend and interleaving. *)
-let analyze_batch ?(jobs = default_jobs ()) ?(backend : C.Config.backend = `Auto)
-    (items : batch_job list) : (string * C.Analysis.result) list =
+    absorbed in item order, so batch reports merge deterministically. *)
+let analyze_batch ?(jobs = default_jobs ()) (items : batch_job list) :
+    (string * C.Analysis.result) list =
   if jobs <= 1 || List.compare_length_with items 2 < 0 then
     List.map (fun bj -> (bj.bj_label, run_batch_job bj)) items
   else begin
     Trace.flush ();
-    let pool =
-      create_pool ~jobs:(min jobs (List.length items)) ~backend (fun () ->
-          run_batch_job_delta)
-    in
-    Fun.protect
-      ~finally:(fun () -> shutdown_pool pool)
-      (fun () ->
-        let rs =
-          map_retry (pool_map ~timeout:!batch_job_timeout pool) items
-        in
+    Pool.with_pool
+      ~jobs:(min jobs (List.length items))
+      run_batch_job_delta
+      (fun pool ->
+        let rs = map_retry pool ~timeout:!batch_job_timeout items in
         List.map2
           (fun bj r ->
             ( bj.bj_label,

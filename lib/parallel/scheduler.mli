@@ -1,7 +1,6 @@
 (** Parallel scheduler: intra-program disjunct jobs (axis a) and
-    whole-program batch jobs (axis b), served by either the fork pool
-    or the OCaml 5 shared-memory domains pool, with deterministic merge
-    and a retry-once-then-sequential fault policy. *)
+    whole-program batch jobs (axis b), with deterministic merge and a
+    retry-once-then-sequential fault policy. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -9,63 +8,16 @@ module F = Astree_frontend
 (** Worker count matching the machine's available cores. *)
 val default_jobs : unit -> int
 
-(** Per-job wall-clock budgets (seconds) before a fork worker is
-    presumed hung and its job retried.  The domains backend cannot kill
-    a job; it relies on jobs being analysis fragments that terminate. *)
+(** Per-job wall-clock budgets (seconds) before a worker is presumed
+    hung and its job retried. *)
 val intra_job_timeout : float ref
 
 val batch_job_timeout : float ref
 
-(** What [`Auto] resolves to when nothing forces fork ([`Domains] by
-    default).  The OCaml 5 runtime forbids [Unix.fork] once any domain
-    has ever been spawned in the process, so a process that must stay
-    fork-capable (the test harness, the bench driver) pins this to
-    [`Fork] and exercises the domains backend in forked subprocess
-    children. *)
-val auto_backend : [ `Fork | `Domains ] ref
-
-(** Resolve a configured backend to the pool flavour that will actually
-    serve: [`Auto] and [`Domains] degrade to [`Fork] while fault
-    injection ([ASTREE_FAULTS]/chaos) or a resource budget is armed —
-    injection points and budget kills only exist in fork workers. *)
-val effective_backend : C.Config.backend -> [ `Fork | `Domains ]
-
-(** {1 Backend-agnostic pools}
-
-    For callers whose worker function is identical on both backends
-    (the batch axis, the multi-task interference fixpoint). *)
-
-type ('a, 'b) anypool
-
-(** [create_pool ~jobs ~backend init] resolves the backend (setting the
-    [par.backend] gauge) and builds the pool.  [init] is evaluated in
-    the parent for a fork pool (workers inherit its result by
-    copy-on-write) and once inside each fresh domain otherwise. *)
-val create_pool :
-  jobs:int -> backend:C.Config.backend -> (unit -> 'a -> 'b) ->
-  ('a, 'b) anypool
-
-(** Run jobs, results in job order.  [timeout] bounds each job on the
-    fork backend; ignored by the domains backend. *)
-val pool_map :
-  ?timeout:float -> ('a, 'b) anypool -> 'a list -> ('b, string) result list
-
-val shutdown_pool : ('a, 'b) anypool -> unit
-
-(** Which flavour actually serves this pool. *)
-val pool_backend : ('a, 'b) anypool -> [ `Fork | `Domains ]
-
-(** Retry-once map: [Error] slots of the first round are resubmitted
-    once; persistent failures come back as [None] and the caller
-    recomputes in-process. *)
-val map_retry :
-  ('a list -> ('b, string) result list) -> 'a list -> 'b option list
-
-(** Analyze with [cfg.jobs] workers on the configured backend;
-    identical results to the sequential analysis.  [cfg.jobs <= 1] runs
-    sequentially.  [?session] threads an existing analysis session
-    through (the dispatch hook is installed in it for the duration of
-    the run). *)
+(** Analyze with [cfg.jobs] worker processes; identical results to the
+    sequential analysis.  [cfg.jobs <= 1] runs sequentially.
+    [?session] threads an existing analysis session through (the
+    dispatch hook is installed in it for the duration of the run). *)
 val analyze :
   ?session:C.Transfer.session ->
   ?cfg:C.Config.t ->
@@ -93,9 +45,8 @@ val batch_job :
 (** Run one batch job sequentially in-process. *)
 val run_batch_job : batch_job -> C.Analysis.result
 
-(** Run whole-program analyses on a worker pool of the given backend
-    (default [`Auto]); returns (label, result) pairs in job order.
-    Failed jobs are retried once, then recomputed in-process. *)
+(** Run whole-program analyses on a worker pool; returns
+    (label, result) pairs in job order.  Failed jobs are retried once,
+    then recomputed in-process. *)
 val analyze_batch :
-  ?jobs:int -> ?backend:C.Config.backend -> batch_job list ->
-  (string * C.Analysis.result) list
+  ?jobs:int -> batch_job list -> (string * C.Analysis.result) list

@@ -75,12 +75,6 @@ let disarm () =
     honors the budget. *)
 let armed_deadline () = !deadline
 
-(** Whether any budget (deadline or memory) is armed.  The parallel
-    scheduler consults this to pick the fork backend: budget state is
-    process-global refs, inherited by forked workers but invisible to
-    the shared-memory backend's job-boundary polling. *)
-let armed () = !deadline < infinity || !mem_limit_words <> max_int
-
 (* ------------------------------------------------------------------ *)
 (* The check                                                            *)
 (* ------------------------------------------------------------------ *)

@@ -20,12 +20,6 @@ val disarm : unit -> unit
     select loop bounds its sleep by it. *)
 val armed_deadline : unit -> float
 
-(** Whether any budget (deadline or memory watermark) is armed.  The
-    parallel scheduler degrades to the fork backend when it is: budget
-    enforcement is built on process-global state and per-job kills,
-    which only the fork pool provides. *)
-val armed : unit -> bool
-
 (** Raise {!Tripped} if a budget is exhausted or an interrupt is
     pending; three flag reads when nothing is armed.  Installed as
     [Iterator.tick_hook] and called from the pool's dispatch loop. *)

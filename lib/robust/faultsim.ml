@@ -162,12 +162,6 @@ let with_suppressed (k : unit -> 'a) : 'a =
   incr suppress_depth;
   Fun.protect ~finally:(fun () -> decr suppress_depth) k
 
-(** Whether any injection point can currently fire.  The parallel
-    scheduler consults this when resolving the worker backend: fault
-    points only exist in fork workers, so an armed (unsuppressed) spec
-    forces the fork pool. *)
-let armed () : bool = !suppress_depth = 0 && active () <> None
-
 (* ------------------------------------------------------------------ *)
 (* Firing decisions                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -44,12 +44,6 @@ val clear : unit -> unit
     under a global chaos run. *)
 val with_suppressed : (unit -> 'a) -> 'a
 
-(** Whether any injection point can currently fire (a spec is armed and
-    suppression is off).  The parallel scheduler degrades the domains
-    backend to fork when this holds: fault points only exist in fork
-    workers. *)
-val armed : unit -> bool
-
 (** How often a point actually fired in this process (test assertions). *)
 val fire_count : point -> int
 

@@ -32,7 +32,6 @@ type config = {
   d_checkpoint_s : float;
   d_config_file : string option;
   d_default_jobs : int;
-  d_default_backend : C.Config.backend;
   d_restarts : int;
   d_supervised : bool;
   d_sup_started : float;
@@ -59,7 +58,6 @@ let default : config =
     d_checkpoint_s = 5.;
     d_config_file = None;
     d_default_jobs = 0;
-    d_default_backend = `Auto;
     d_restarts = 0;
     d_supervised = false;
     d_sup_started = 0.;
@@ -89,12 +87,6 @@ let overlay_config (cfg : config) (j : Json.t) : config =
     d_max_mem = int "max_mem" cfg.d_max_mem;
     d_client_quota = int "client_quota" cfg.d_client_quota;
     d_default_jobs = int "jobs" cfg.d_default_jobs;
-    d_default_backend =
-      (match Json.to_str (Json.member "backend" j) with
-      | Some s ->
-          Option.value ~default:cfg.d_default_backend
-            (C.Config.backend_of_string s)
-      | None -> cfg.d_default_backend);
     d_checkpoint_s = num "checkpoint_period" cfg.d_checkpoint_s;
     d_breaker_n = int "breaker_crashes" cfg.d_breaker_n;
     d_breaker_cooldown = num "breaker_cooldown" cfg.d_breaker_cooldown;
@@ -279,8 +271,7 @@ let status_json st ~now =
   let opened, half_open = breaker_counts st ~now in
   Printf.sprintf
     "{\"pid\": %d, \
-     \"uptime_s\": %.3f, \"workers\": %d, \"backend\": \"fork\", \
-     \"inflight\": %d, \
+     \"uptime_s\": %.3f, \"workers\": %d, \"inflight\": %d, \
      \"queued\": %d, \"served\": %d, \"shed\": %d, \"errors\": %d, \
      \"programs\": %d, \"draining\": %b, \"supervised\": %b, \
      \"restarts\": %d, \"supervisor_uptime_s\": %.3f, \
@@ -289,9 +280,6 @@ let status_json st ~now =
      \"recovered\": %d, \"checkpoints\": %d, \"checkpoint_age_s\": %.3f, \
      \"breakers\": {\"open\": %d, \"half_open\": %d}, \"latency\": %s}"
     (Unix.getpid ()) (now -. st.st_started)
-    (* the daemon's own request pool is always the fork pool — workers
-       must be killable and respawnable under foot; the analysis inside
-       a worker picks its backend per request (see Service.config_of) *)
     (Pool.size st.st_pool)
     (Hashtbl.length st.st_inflight)
     st.st_queued st.st_served st.st_shed st.st_errors
@@ -652,9 +640,6 @@ let handle_analyze st conn ~rid id (j : Json.t) ~now =
           o_jobs =
             (if o.Service.o_jobs > 0 then o.Service.o_jobs
              else st.st_cfg.d_default_jobs);
-          o_backend =
-            (if o.Service.o_backend <> `Auto then o.Service.o_backend
-             else st.st_cfg.d_default_backend);
         }
       in
       let digest = Service.source_digest ~main sources in

@@ -36,7 +36,7 @@
 
     {b Hot reload.}  SIGHUP rereads [d_config_file] (when given) and
     swaps the admission-time knobs — queue depth, grace, per-request
-    budget, client quota, default jobs/backend, breaker and checkpoint
+    budget, client quota, default jobs, breaker and checkpoint
     parameters — without touching in-flight requests; [status] reports
     the config generation.
 
@@ -80,8 +80,6 @@ type config = {
   d_default_jobs : int;      (** default [-j] applied when a request
                                  brings none; [0] = leave the request's
                                  per-core default *)
-  d_default_backend : Astree_core.Config.backend;
-      (** default worker backend when a request says [`Auto] *)
   d_restarts : int;          (** supervisor restart count, surfaced in
                                  [status] (set via [ASTREED_RESTARTS]) *)
   d_supervised : bool;       (** running under [astreed --supervise] *)
@@ -105,7 +103,7 @@ val default : config
 val load_config_file : config -> string -> (config, string) result
 (** Overlay the admission-time knobs from a JSON file
     ([queue_depth], [grace], [timeout], [max_mem], [client_quota],
-    [jobs], [backend], [checkpoint_period], [breaker_crashes],
+    [jobs], [checkpoint_period], [breaker_crashes],
     [breaker_cooldown]) onto [config].  Unknown members are ignored;
     unreadable or unparsable files are an [Error].  Used for the
     initial [--config] load and by the SIGHUP reload. *)

@@ -19,7 +19,6 @@ type options = {
   o_max_dtree_bools : int;
   o_useful_packs : int list;
   o_jobs : int;
-  o_backend : C.Config.backend;
   o_timeout : float;
   o_max_mem : int;
   o_cache : [ `Default | `Off | `Mem | `Dir of string ];
@@ -38,7 +37,6 @@ let default_options : options =
     o_max_dtree_bools = 3;
     o_useful_packs = [];
     o_jobs = 1;
-    o_backend = `Auto;
     o_timeout = 0.;
     o_max_mem = 0;
     o_cache = `Default;
@@ -65,8 +63,6 @@ let options_to_json (o : options) : Json.t =
     put "useful_packs"
       (Json.List (List.map (fun i -> Json.Num (float_of_int i)) o.o_useful_packs));
   if o.o_jobs <> d.o_jobs then put "jobs" (Json.Num (float_of_int o.o_jobs));
-  if o.o_backend <> d.o_backend then
-    put "backend" (Json.Str (C.Config.backend_to_string o.o_backend));
   if o.o_timeout <> d.o_timeout then put "timeout" (Json.Num o.o_timeout);
   if o.o_max_mem <> d.o_max_mem then
     put "max_mem" (Json.Num (float_of_int o.o_max_mem));
@@ -114,10 +110,6 @@ let options_of_json (j : Json.t) : options =
     o_max_dtree_bools = int_m "max_dtree_bools" d.o_max_dtree_bools;
     o_useful_packs = ints "useful_packs";
     o_jobs = int_m "jobs" d.o_jobs;
-    o_backend =
-      (match Json.to_str (Json.member "backend" j) with
-      | Some s -> Option.value ~default:d.o_backend (C.Config.backend_of_string s)
-      | None -> d.o_backend);
     o_timeout = num_m "timeout" d.o_timeout;
     o_max_mem = int_m "max_mem" d.o_max_mem;
     o_cache = cache;
@@ -139,7 +131,6 @@ let config_of (o : options) ~(sources : (string * string) list) : C.Config.t =
       C.Config.jobs =
         (if o.o_jobs = 0 then Astree_parallel.Scheduler.default_jobs ()
          else max 1 o.o_jobs);
-      par_backend = o.o_backend;
       summary_cache;
       timeout = (if o.o_timeout > 0. then o.o_timeout else 0.);
       max_mem_mb = max 0 o.o_max_mem;

@@ -28,7 +28,6 @@ type options = {
   o_max_dtree_bools : int;
   o_useful_packs : int list;
   o_jobs : int;  (** [0] = one worker per core, resolved server-side *)
-  o_backend : C.Config.backend;
   o_timeout : float;
   o_max_mem : int;
   o_cache : [ `Default | `Off | `Mem | `Dir of string ];

@@ -1,12 +1,6 @@
 (* Test runner: all suites. *)
 
 let () =
-  (* The OCaml 5 runtime forbids Unix.fork once any domain has ever
-     been spawned in the process, and this binary interleaves
-     fork-based tests (pool, chaos, robust, daemon) with parallel
-     analyses.  Pin [`Auto] to the fork backend here; domains-backend
-     coverage in Test_parallel runs inside forked child processes. *)
-  Astree_parallel.Scheduler.auto_backend := `Fork;
   Alcotest.run "astree"
     [
       ("float-utils", Test_float_utils.suite);

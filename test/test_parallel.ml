@@ -290,52 +290,7 @@ let test_batch_equiv () =
         (P.Merge.fingerprint s) (P.Merge.fingerprint r))
     seq par
 
-(* ---------------- domains backend ---------------- *)
-
-(* The OCaml 5 runtime forbids Unix.fork once any domain has {e ever}
-   been spawned in the process (even after Domain.join), and this test
-   binary still has fork-based suites to run (robust, server).  So
-   every test that exercises the domains backend runs it inside a
-   forked child — fork first, spawn domains second is the one legal
-   order — and ships its observations back over a pipe. *)
-let in_subprocess (f : unit -> string) : string =
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      let code =
-        match f () with
-        | s ->
-            let oc = Unix.out_channel_of_descr w in
-            output_string oc s;
-            flush oc;
-            0
-        | exception e ->
-            prerr_endline ("domains subprocess: " ^ Printexc.to_string e);
-            1
-      in
-      Unix._exit code
-  | pid ->
-      Unix.close w;
-      let ic = Unix.in_channel_of_descr r in
-      let buf = Buffer.create 256 in
-      (try
-         let chunk = Bytes.create 4096 in
-         let rec drain () =
-           let n = input ic chunk 0 (Bytes.length chunk) in
-           if n > 0 then begin
-             Buffer.add_subbytes buf chunk 0 n;
-             drain ()
-           end
-         in
-         drain ()
-       with End_of_file -> ());
-      close_in ic;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, Unix.WEXITED n -> Alcotest.failf "domains subprocess exited %d" n
-      | _, _ -> Alcotest.fail "domains subprocess killed");
-      Buffer.contents buf
+(* ---------------- example matrix ---------------- *)
 
 let read_example name =
   let rec find dir depth =
@@ -352,10 +307,9 @@ let read_example name =
       close_in ic;
       Some s
 
-(* Fork-vs-domains matrix: on every example program and at every -j,
-   both backends reproduce the sequential fingerprint exactly.  Fork
-   runs in-process; domains runs in a child (see above). *)
-let test_backend_matrix () =
+(* Example matrix: on every example program and at every -j, the
+   fork pool reproduces the sequential fingerprint exactly. *)
+let test_example_matrix () =
   with_min_stmts 1 @@ fun () ->
   no_faults @@ fun () ->
   List.iter
@@ -373,27 +327,12 @@ let test_backend_matrix () =
           in
           List.iter
             (fun j ->
-              let run backend =
-                {
-                  cfg with
-                  C.Config.jobs = j;
-                  par_backend = backend;
-                }
-              in
-              let fk =
-                P.Merge.fingerprint (P.Scheduler.analyze ~cfg:(run `Fork) p)
-              in
               Alcotest.(check string)
-                (Fmt.str "%s -j%d fork = seq" name j)
-                seq fk;
-              let dm =
-                in_subprocess (fun () ->
-                    P.Merge.fingerprint
-                      (P.Scheduler.analyze ~cfg:(run `Domains) p))
-              in
-              Alcotest.(check string)
-                (Fmt.str "%s -j%d domains = seq" name j)
-                seq dm)
+                (Fmt.str "%s -j%d = seq" name j)
+                seq
+                (P.Merge.fingerprint
+                   (P.Scheduler.analyze
+                      ~cfg:{ cfg with C.Config.jobs = j } p)))
             [ 1; 2; 4 ])
     [
       ("mini_fbw.c", [ "select_gain" ]);
@@ -401,119 +340,25 @@ let test_backend_matrix () =
       ("buggy_demo.c", []);
     ]
 
-(* Work stealing must not be observable in results: with pathologically
-   uneven job sizes (one long job dealt to worker 0 whose queued
-   siblings get stolen), the result order is the job order, twice in a
-   row on the same pool. *)
-let test_dompool_stealing () =
-  let out =
-    in_subprocess (fun () ->
-        let spin n =
-          let acc = ref 0 in
-          for i = 1 to n do
-            acc := (!acc + i) land 0xffff
-          done;
-          !acc
-        in
-        let work x =
-          (* job 0 is ~1000x the others: worker 0 sits on it while its
-             queue is drained by thieves *)
-          ignore (spin (if x = 0 then 40_000_000 else 40_000));
-          x * 10
-        in
-        let jobs = List.init 24 Fun.id in
-        P.Dompool.with_pool ~jobs:4
-          (fun () -> work)
-          (fun pool ->
-            let show rs =
-              String.concat ","
-                (List.map
-                   (function Ok v -> string_of_int v | Error e -> "!" ^ e)
-                   rs)
-            in
-            let r1 = show (P.Dompool.map pool jobs) in
-            let r2 = show (P.Dompool.map pool jobs) in
-            let steals =
-              Astree_obs.Metrics.value (Astree_obs.Metrics.counter "par.steals")
-            in
-            Fmt.str "%s|%s|%d" r1 r2 steals))
+(* A parallel analysis under the default configuration must leave the
+   process able to fork: the scheduler, the multi-task fixpoint and the
+   daemon all build fresh fork pools after earlier [-j] runs. *)
+let test_fork_after_parallel () =
+  with_min_stmts 1 @@ fun () ->
+  no_faults @@ fun () ->
+  let g =
+    G.Generator.generate
+      { G.Generator.default with G.Generator.seed = 5; target_lines = 200 }
   in
-  match String.split_on_char '|' out with
-  | [ r1; r2; steals ] ->
-      let expect =
-        String.concat "," (List.init 24 (fun i -> string_of_int (i * 10)))
-      in
-      Alcotest.(check string) "run 1 in job order" expect r1;
-      Alcotest.(check string) "run 2 in job order" expect r2;
-      Alcotest.(check bool) "thieves did steal" true (int_of_string steals > 0)
-  | _ -> Alcotest.failf "unexpected subprocess output: %s" out
-
-(* A raising job comes back as Error without wedging the pool; an
-   abandoned epoch's stragglers never corrupt the next map. *)
-let test_dompool_errors () =
-  let out =
-    in_subprocess (fun () ->
-        P.Dompool.with_pool ~jobs:3
-          (fun () x -> if x = 2 then failwith "boom" else x + 1)
-          (fun pool ->
-            let rs = P.Dompool.map pool [ 1; 2; 3; 4 ] in
-            let again = P.Dompool.map pool [ 5; 6 ] in
-            Fmt.str "%s|%s"
-              (String.concat ","
-                 (List.map
-                    (function Ok v -> string_of_int v | Error _ -> "E")
-                    rs))
-              (String.concat ","
-                 (List.map
-                    (function Ok v -> string_of_int v | Error _ -> "E")
-                    again))))
-  in
-  Alcotest.(check string) "errors isolated, pool reusable" "2,E,4,5|6,7" out
-
-(* The batch axis on the domains backend also reproduces sequential
-   results, label order preserved. *)
-let test_batch_domains () =
-  let mk (seed, label) =
-    let g =
-      G.Generator.generate
-        { G.Generator.default with G.Generator.seed; target_lines = 150 }
-    in
-    P.Scheduler.batch_job ~label
-      (P.Scheduler.Bs_sources [ (label ^ ".c", g.G.Generator.source) ])
-  in
-  let items = List.map mk [ (31, "x"); (32, "y"); (33, "z") ] in
-  let seq =
-    List.map
-      (fun bj -> P.Merge.fingerprint (P.Scheduler.run_batch_job bj))
-      items
-  in
-  let out =
-    in_subprocess (fun () ->
-        let par = P.Scheduler.analyze_batch ~jobs:3 ~backend:`Domains items in
-        String.concat "|"
-          (List.map (fun (l, r) -> l ^ ":" ^ P.Merge.fingerprint r) par))
-  in
-  Alcotest.(check string)
-    "domains batch = sequential"
-    (String.concat "|"
-       (List.map2 (fun bj fp -> bj.P.Scheduler.bj_label ^ ":" ^ fp) items seq))
-    out
-
-(* Backend resolution: chaos/fault injection and budgets pin dispatch
-   to the fork pool whatever was requested — injection points and job
-   kills only exist in fork workers. *)
-let test_backend_resolution () =
-  no_faults (fun () ->
-      Alcotest.(check bool) "explicit fork stays fork" true
-        (P.Scheduler.effective_backend `Fork = `Fork);
-      Alcotest.(check bool) "explicit domains stays domains" true
-        (P.Scheduler.effective_backend `Domains = `Domains));
-  with_chaos (fun () ->
-      List.iter
-        (fun b ->
-          Alcotest.(check bool) "chaos forces fork" true
-            (P.Scheduler.effective_backend b = `Fork))
-        [ `Fork; `Domains; `Auto ])
+  let _, p = compile_member g in
+  ignore
+    (P.Scheduler.analyze ~cfg:{ C.Config.default with C.Config.jobs = 2 } p);
+  P.Pool.with_pool ~jobs:2
+    (fun x -> x + 1)
+    (fun pool ->
+      Alcotest.(check (list int))
+        "fork pool maps after -j 2" [ 2; 3; 4 ]
+        (List.map ok_exn (P.Pool.map pool [ 1; 2; 3 ])))
 
 let test_batch_chaos_fallback () =
   let items =
@@ -551,12 +396,7 @@ let suite =
     Alcotest.test_case "equiv: killed workers" `Quick test_equiv_under_chaos;
     Alcotest.test_case "batch: -j3 equivalence" `Slow test_batch_equiv;
     Alcotest.test_case "batch: chaos fallback" `Quick test_batch_chaos_fallback;
-    Alcotest.test_case "backends: resolution rules" `Quick
-      test_backend_resolution;
-    Alcotest.test_case "backends: fork/domains matrix" `Slow
-      test_backend_matrix;
-    Alcotest.test_case "dompool: work stealing invisible" `Quick
-      test_dompool_stealing;
-    Alcotest.test_case "dompool: errors + reuse" `Quick test_dompool_errors;
-    Alcotest.test_case "batch: domains backend" `Slow test_batch_domains;
+    Alcotest.test_case "equiv: examples -j 1/2/4" `Slow test_example_matrix;
+    Alcotest.test_case "pool: fork after -j 2 analysis" `Quick
+      test_fork_after_parallel;
   ]

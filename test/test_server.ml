@@ -80,10 +80,11 @@ let wait_for_daemon sock =
 let no_faults = [ (R.Faultsim.Worker_crash, 0.0) ]
 
 (* Fork a daemon on a private socket; [faults] are armed in the child
-   before it starts (inherited by its pool workers).  The body gets the
-   socket path and the daemon pid (to signal it); the daemon is
-   SIGTERMed and reaped afterwards. *)
-let with_daemon_ex ?(workers = 2) ?(queue = 8) ?(grace = 10.)
+   before it starts (inherited by its pool workers).  [base] is the
+   configuration the named parameters override, as [astreed --config]
+   builds it.  The body gets the socket path and the daemon pid (to
+   signal it); the daemon is SIGTERMed and reaped afterwards. *)
+let with_daemon_ex ?(base = Srv.Daemon.default) ?(workers = 2) ?(queue = 8) ?(grace = 10.)
     ?faults ?(hang = 3600.) ?(seed = 42) ?config_file ?checkpoint
     ?(checkpoint_s = 0.) ?http_port ?access_log
     ?(sock = fresh_socket ()) (k : string -> int -> unit) : unit =
@@ -99,7 +100,7 @@ let with_daemon_ex ?(workers = 2) ?(queue = 8) ?(grace = 10.)
         try
           Srv.Daemon.run
             {
-              Srv.Daemon.default with
+              base with
               Srv.Daemon.d_socket = sock;
               d_workers = workers;
               d_queue_depth = queue;
@@ -855,6 +856,53 @@ let test_sighup_reload () =
               Alcotest.(check string) "in-flight request survived reload"
                 "ok" r.Srv.Client.r_status)))
 
+(* ---- removed configuration keys ---------------------------------- *)
+
+(* Configs and requests written for older daemons may still carry a
+   "backend" key.  Both the --config overlay and the wire options ignore
+   it: the daemon starts, answers ok, and renders the same report as
+   for the request without the key. *)
+let test_backend_key_ignored () =
+  let cfg_file = Filename.temp_file "astreed-conf" ".json" in
+  let oc = open_out cfg_file in
+  output_string oc "{\"backend\": \"domains\", \"queue_depth\": 6}";
+  close_out oc;
+  let base =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove cfg_file)
+      (fun () ->
+        match Srv.Daemon.load_config_file Srv.Daemon.default cfg_file with
+        | Ok cfg -> cfg
+        | Error e -> Alcotest.failf "overlay with backend refused: %s" e)
+  in
+  Alcotest.(check int) "other overlay keys still apply" 6
+    base.Srv.Daemon.d_queue_depth;
+  let sources = [ ("calls.c", prog_calls) ] in
+  let with_backend =
+    match analyze_json sources with
+    | Srv.Json.Obj fields ->
+        Srv.Json.Obj
+          (List.map
+             (function
+               | "options", Srv.Json.Obj o ->
+                   ( "options",
+                     Srv.Json.Obj (("backend", Srv.Json.Str "domains") :: o) )
+               | kv -> kv)
+             fields)
+    | _ -> Alcotest.fail "analyze request is not an object"
+  in
+  with_daemon_ex ~base (fun sock _pid ->
+      let report req =
+        let r = ok_exn (Srv.Client.request sock req) in
+        Alcotest.(check string) "ok reply" "ok" r.Srv.Client.r_status;
+        match r.Srv.Client.r_report with
+        | Some s -> scrub_time s
+        | None -> Alcotest.fail "reply without report"
+      in
+      let keyed = report with_backend in
+      Alcotest.(check string) "report identical without the key"
+        (report (analyze_json sources)) keyed)
+
 (* ---- crash-recovered warm state ---------------------------------- *)
 
 let test_checkpoint_recovery () =
@@ -1394,4 +1442,6 @@ let suite =
       test_access_log_wire;
     Alcotest.test_case "multi-task requests are refused" `Quick
       test_multi_task_refused;
+    Alcotest.test_case "removed backend key is ignored" `Quick
+      test_backend_key_ignored;
   ]
