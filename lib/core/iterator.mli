@@ -52,9 +52,11 @@ type summary = Transfer.summary = {
 }
 
 (** Cache key: callee content fingerprint (covers the analysis
-    configuration), digest of the abstract entry state with the
-    by-reference bindings, and the alarm-collector mode — iteration-mode
-    and checking-mode results are never conflated. *)
+    configuration) folded with the source locations of the callee and
+    its transitive callees, digest of the abstract entry state with the
+    by-reference bindings and their locations, and the alarm-collector
+    mode — iteration-mode and checking-mode results are never
+    conflated. *)
 type summary_key = Transfer.summary_key = {
   sk_fn : string;
   sk_entry : string;

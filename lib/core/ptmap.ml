@@ -15,8 +15,15 @@
 type 'a t =
   | Empty
   | Leaf of int * 'a
-  | Branch of int * int * 'a t * 'a t
-      (** [(prefix, branching_bit, subtree-with-bit-0, subtree-with-bit-1)] *)
+  | Branch of {
+      p : int;  (** prefix: the key bits below the branching bit *)
+      m : int;  (** branching bit *)
+      l : 'a t;  (** subtree with the bit 0 *)
+      r : 'a t;  (** subtree with the bit 1 *)
+      mutable dg : string;
+          (** cached {!digest} of this subtree, [""] until computed; only
+              ever filled on subtrees of at least {!digest_min_bytes} *)
+    }
 
 let empty = Empty
 
@@ -31,10 +38,14 @@ let mask k m = k land (m - 1)
 let match_prefix k p m = mask k m = p
 let branching_bit p0 p1 = lowest_bit (p0 lxor p1)
 
+(* every branch is built here, so a rebuilt node never inherits the
+   cached digest of the node it replaces *)
+let mk p m l r = Branch { p; m; l; r; dg = "" }
+
 let rec find_opt k = function
   | Empty -> None
   | Leaf (j, v) -> if j = k then Some v else None
-  | Branch (p, m, l, r) ->
+  | Branch { p; m; l; r; _ } ->
       if not (match_prefix k p m) then None
       else if zero_bit k m then find_opt k l
       else find_opt k r
@@ -43,31 +54,31 @@ let mem k t = find_opt k t <> None
 
 let join p0 t0 p1 t1 =
   let m = branching_bit p0 p1 in
-  if zero_bit p0 m then Branch (mask p0 m, m, t0, t1)
-  else Branch (mask p0 m, m, t1, t0)
+  if zero_bit p0 m then mk (mask p0 m) m t0 t1
+  else mk (mask p0 m) m t1 t0
 
 let rec add k v = function
   | Empty -> Leaf (k, v)
   | Leaf (j, old) as t ->
       if j = k then if old == v then t else Leaf (k, v)
       else join k (Leaf (k, v)) j t
-  | Branch (p, m, l, r) as t ->
+  | Branch { p; m; l; r; _ } as t ->
       if match_prefix k p m then
         if zero_bit k m then
           let l' = add k v l in
-          if l' == l then t else Branch (p, m, l', r)
+          if l' == l then t else mk p m l' r
         else
           let r' = add k v r in
-          if r' == r then t else Branch (p, m, l, r')
+          if r' == r then t else mk p m l r'
       else join k (Leaf (k, v)) p t
 
 let branch p m l r =
-  match (l, r) with Empty, t | t, Empty -> t | _ -> Branch (p, m, l, r)
+  match (l, r) with Empty, t | t, Empty -> t | _ -> mk p m l r
 
 let rec remove k = function
   | Empty -> Empty
   | Leaf (j, _) as t -> if j = k then Empty else t
-  | Branch (p, m, l, r) as t ->
+  | Branch { p; m; l; r; _ } as t ->
       if match_prefix k p m then
         if zero_bit k m then
           let l' = remove k l in
@@ -80,12 +91,12 @@ let rec remove k = function
 let rec cardinal = function
   | Empty -> 0
   | Leaf _ -> 1
-  | Branch (_, _, l, r) -> cardinal l + cardinal r
+  | Branch { l; r; _ } -> cardinal l + cardinal r
 
 let rec iter f = function
   | Empty -> ()
   | Leaf (k, v) -> f k v
-  | Branch (_, _, l, r) ->
+  | Branch { l; r; _ } ->
       iter f l;
       iter f r
 
@@ -93,34 +104,34 @@ let rec fold f t acc =
   match t with
   | Empty -> acc
   | Leaf (k, v) -> f k v acc
-  | Branch (_, _, l, r) -> fold f r (fold f l acc)
+  | Branch { l; r; _ } -> fold f r (fold f l acc)
 
 let rec map f = function
   | Empty -> Empty
   | Leaf (k, v) -> Leaf (k, f v)
-  | Branch (p, m, l, r) -> Branch (p, m, map f l, map f r)
+  | Branch { p; m; l; r; _ } -> mk p m (map f l) (map f r)
 
 let rec mapi f = function
   | Empty -> Empty
   | Leaf (k, v) -> Leaf (k, f k v)
-  | Branch (p, m, l, r) -> Branch (p, m, mapi f l, mapi f r)
+  | Branch { p; m; l; r; _ } -> mk p m (mapi f l) (mapi f r)
 
 let rec filter_map f = function
   | Empty -> Empty
   | Leaf (k, v) -> ( match f k v with Some v' -> Leaf (k, v') | None -> Empty)
-  | Branch (p, m, l, r) -> branch p m (filter_map f l) (filter_map f r)
+  | Branch { p; m; l; r; _ } -> branch p m (filter_map f l) (filter_map f r)
 
 let bindings t = fold (fun k v acc -> (k, v) :: acc) t []
 
 let rec for_all p = function
   | Empty -> true
   | Leaf (k, v) -> p k v
-  | Branch (_, _, l, r) -> for_all p l && for_all p r
+  | Branch { l; r; _ } -> for_all p l && for_all p r
 
 let rec exists p = function
   | Empty -> false
   | Leaf (k, v) -> p k v
-  | Branch (_, _, l, r) -> exists p l || exists p r
+  | Branch { l; r; _ } -> exists p l || exists p r
 
 (* ------------------------------------------------------------------ *)
 (* Binary operations with physical-equality short-cuts                 *)
@@ -149,27 +160,28 @@ let rec union_idem (f : int -> 'a -> 'a -> 'a) (s : 'a t) (t : 'a t) : 'a t =
             let u = f k v w in
             if u == v then s else add k u s
         | None -> add k w s)
-    | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+    | Branch { p; m; l = s0; r = s1; _ }, Branch { p = q; m = n; l = t0; r = t1; _ }
+      ->
         if m = n && p = q then begin
           let l = union_idem f s0 t0 and r = union_idem f s1 t1 in
           if l == s0 && r == s1 then s
           else if l == t0 && r == t1 then t
-          else Branch (p, m, l, r)
+          else mk p m l r
         end
         else if m < n && match_prefix q p m then
           if zero_bit q m then
             let l = union_idem f s0 t in
-            if l == s0 then s else Branch (p, m, l, s1)
+            if l == s0 then s else mk p m l s1
           else
             let r = union_idem f s1 t in
-            if r == s1 then s else Branch (p, m, s0, r)
+            if r == s1 then s else mk p m s0 r
         else if m > n && match_prefix p q n then
           if zero_bit p n then
             let l = union_idem f s t0 in
-            if l == t0 then t else Branch (q, n, l, t1)
+            if l == t0 then t else mk q n l t1
           else
             let r = union_idem f s t1 in
-            if r == t1 then t else Branch (q, n, t0, r)
+            if r == t1 then t else mk q n t0 r
         else join p s q t
 
 (** [inter_keys f a b]: keys present in BOTH maps, combined with [f].
@@ -188,7 +200,8 @@ let rec inter_keys (f : int -> 'a -> 'a -> 'a option) (s : 'a t) (t : 'a t) :
         match find_opt k s with
         | Some v -> ( match f k v w with Some u -> Leaf (k, u) | None -> Empty)
         | None -> Empty)
-    | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+    | Branch { p; m; l = s0; r = s1; _ }, Branch { p = q; m = n; l = t0; r = t1; _ }
+      ->
         if m = n && p = q then begin
           let l = inter_keys f s0 t0 and r = inter_keys f s1 t1 in
           if l == s0 && r == s1 then s else branch p m l r
@@ -214,7 +227,8 @@ let rec subset_by (le : 'a -> 'a -> bool) (s : 'a t) (t : 'a t) : bool =
         for_all (fun j w -> j = k && le v w) t
     | s, Leaf (k, w) -> (
         match find_opt k s with Some v -> le v w | None -> false)
-    | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+    | Branch { p; m; l = s0; r = s1; _ }, Branch { p = q; m = n; l = t0; r = t1; _ }
+      ->
         if m = n && p = q then subset_by le s0 t0 && subset_by le s1 t1
         else if m < n && match_prefix q p m then
           subset_by le (if zero_bit q m then s0 else s1) t
@@ -229,6 +243,67 @@ let rec equal_by (eq : 'a -> 'a -> bool) (s : 'a t) (t : 'a t) : bool =
   match (s, t) with
   | Empty, Empty -> true
   | Leaf (k, v), Leaf (j, w) -> k = j && eq v w
-  | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+  | Branch { p; m; l = s0; r = s1; _ }, Branch { p = q; m = n; l = t0; r = t1; _ } ->
       p = q && m = n && equal_by eq s0 t0 && equal_by eq s1 t1
   | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Merkle digests                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(** Subtrees whose canonical form (below) is at least this many bytes
+    keep their digest once computed; smaller ones are rewritten inline
+    on every call.  The threshold is in bytes rather than leaves
+    because leaves differ in weight by two orders of magnitude: a cell
+    value takes ~60 bytes, an octagon from ~600 bytes to a few KB.  It
+    trades memory for time: a cached digest is a 16-byte string that
+    lives as long as its branch, and a digest call re-reads up to about
+    this many bytes per changed binding.  At 512 bytes every octagon
+    pair keeps a digest, and a resident daemon's peak RSS grew ~10%
+    more than at 4096 for no measurable wall-clock gain (DESIGN.md §8). *)
+let digest_min_bytes = 4096
+
+(* Append the form of [t] to [buf] and return its expanded size: the
+   length of the form with every subtree written inline.  The form is
+   'E' | 'L' key value | 'B' left right | 'D' md5, where a subtree is
+   written as 'D' md5-of-its-form exactly when its expanded size is at
+   least [digest_min_bytes].  Expanded size only grows towards the root
+   and depends on the subtree alone, so the bytes written do not depend
+   on which digests happen to be cached (a fresh copy writes the same)
+   and a cached subtree may report [digest_min_bytes] as its size.
+   Patricia shape is a function of the key set, so prefixes and
+   branching bits need not be written. *)
+let rec write leaf buf t =
+  match t with
+  | Empty ->
+      Buffer.add_char buf 'E';
+      1
+  | Leaf (k, v) ->
+      let start = Buffer.length buf in
+      Buffer.add_char buf 'L';
+      Buffer.add_int64_le buf (Int64.of_int k);
+      leaf buf v;
+      Buffer.length buf - start
+  | Branch b when b.dg <> "" ->
+      Buffer.add_char buf 'D';
+      Buffer.add_string buf b.dg;
+      digest_min_bytes
+  | Branch b ->
+      let start = Buffer.length buf in
+      Buffer.add_char buf 'B';
+      let n = 1 + write leaf buf b.l + write leaf buf b.r in
+      if n >= digest_min_bytes then begin
+        let d =
+          Digest.string (Buffer.sub buf start (Buffer.length buf - start))
+        in
+        b.dg <- d;
+        Buffer.truncate buf start;
+        Buffer.add_char buf 'D';
+        Buffer.add_string buf d
+      end;
+      n
+
+let digest (leaf : Buffer.t -> 'a -> unit) (t : 'a t) : Digest.t =
+  let buf = Buffer.create 256 in
+  ignore (write leaf buf t);
+  Digest.string (Buffer.contents buf)

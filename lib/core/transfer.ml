@@ -91,9 +91,11 @@ type summary = {
 }
 
 (** Cache key: callee content fingerprint (covers the analysis
-    configuration), digest of the abstract entry state together with
-    the by-reference parameter bindings, and the alarm-collector mode —
-    iteration-mode and checking-mode results are never conflated. *)
+    configuration) folded with the source locations of the callee and
+    its transitive callees (replayed alarms carry them), digest of the
+    abstract entry state together with the by-reference parameter
+    bindings, and the alarm-collector mode — iteration-mode and
+    checking-mode results are never conflated. *)
 type summary_key = {
   sk_fn : string;
   sk_entry : string;

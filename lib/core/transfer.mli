@@ -72,8 +72,10 @@ type summary = {
   sm_delta : capture_delta;
 }
 
-(** Cache key: callee content fingerprint, digest of the abstract entry
-    state + by-reference bindings, and the alarm-collector mode. *)
+(** Cache key: callee fingerprint with the source locations of its
+    code (replayed alarms carry them), digest of the abstract entry
+    state + by-reference bindings with their locations, and the
+    alarm-collector mode. *)
 type summary_key = {
   sk_fn : string;
   sk_entry : string;

@@ -36,7 +36,11 @@ type t = {
 
 (** {1 Construction}
 
-    Octagons are mutable; the analyzer copies before updating. *)
+    Octagons are mutable; the analyzer copies before updating.  This is
+    a contract, not a convention: once an octagon sits in a pack map,
+    summary keys may have cached a digest of it
+    ([Astree_core.Ptmap.digest]), and an in-place update would leave
+    that digest stale. *)
 
 val top : Astree_frontend.Tast.var array -> t
 val bottom : Astree_frontend.Tast.var array -> t

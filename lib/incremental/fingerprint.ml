@@ -9,7 +9,16 @@
     [v_id]s are deliberately excluded, so edits that only move code
     around (whitespace, comments) keep every fingerprint, while any
     body edit changes the edited function and all its transitive
-    callers, and nothing else. *)
+    callers, and nothing else.
+
+    Moves keep fingerprints but not summaries: a summary replays alarms,
+    and alarms carry source locations.  {!summary_fn} therefore folds a
+    second, location-only closure digest — file, line and column of
+    every statement, expression, lvalue and loop of the function and of
+    its transitive callees — into the fingerprint a summary is keyed
+    by.  The store file stays named by the location-free {!program}
+    fingerprint, so a moved program still finds its store, and the
+    callees whose code did not move still hit. *)
 
 module F = Astree_frontend
 module C = Astree_core
@@ -167,6 +176,80 @@ and add_block buf calls (b : F.Tast.block) =
   List.iter (add_stmt buf calls) b
 
 (* ------------------------------------------------------------------ *)
+(* Source locations                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every location a replayed alarm may carry, in traversal order.  The
+   structure is pinned by the content fingerprint, so a bare sequence
+   of positions is unambiguous; the file name is written only when it
+   changes ('F' cannot start a decimal token). *)
+let loc_writer buf : F.Loc.t -> unit =
+  let file = ref "" in
+  fun l ->
+    if l.F.Loc.file <> !file then begin
+      file := l.F.Loc.file;
+      Buffer.add_char buf 'F';
+      add_tok buf l.F.Loc.file
+    end;
+    add_int buf l.F.Loc.line;
+    add_int buf l.F.Loc.col
+
+let rec lval_locs loc (lv : F.Tast.lval) =
+  loc lv.F.Tast.lloc;
+  match lv.F.Tast.ldesc with
+  | F.Tast.Lvar _ | F.Tast.Lderef _ -> ()
+  | F.Tast.Lindex (a, i) ->
+      lval_locs loc a;
+      expr_locs loc i
+  | F.Tast.Lfield (a, _) -> lval_locs loc a
+
+and expr_locs loc (e : F.Tast.expr) =
+  loc e.F.Tast.eloc;
+  match e.F.Tast.edesc with
+  | F.Tast.Eint _ | F.Tast.Efloat _ -> ()
+  | F.Tast.Elval lv -> lval_locs loc lv
+  | F.Tast.Eunop (_, a) | F.Tast.Ecast (_, a) -> expr_locs loc a
+  | F.Tast.Ebinop (_, a, b) ->
+      expr_locs loc a;
+      expr_locs loc b
+
+let add_lval_locs buf lv = lval_locs (loc_writer buf) lv
+
+let local_locations (fd : F.Tast.fundef) : string =
+  let buf = Buffer.create 1024 in
+  let loc = loc_writer buf in
+  let lval = lval_locs loc and expr = expr_locs loc in
+  let arg = function F.Tast.Aval e -> expr e | F.Tast.Aref lv -> lval lv in
+  let rec stmt (s : F.Tast.stmt) =
+    loc s.F.Tast.sloc;
+    match s.F.Tast.sdesc with
+    | F.Tast.Sassign (lv, e) ->
+        lval lv;
+        expr e
+    | F.Tast.Scall (_, _, args) -> List.iter arg args
+    | F.Tast.Sif (c, a, b) ->
+        expr c;
+        List.iter stmt a;
+        List.iter stmt b
+    | F.Tast.Swhile (li, c, b) ->
+        loc li.F.Tast.loop_loc;
+        expr c;
+        List.iter stmt b
+    | F.Tast.Sreturn (Some e) | F.Tast.Sassert e | F.Tast.Sassume e -> expr e
+    | F.Tast.Slocal (v, init) ->
+        (* a local's initializer is assigned at the declaration's
+           location *)
+        loc v.F.Tast.v_loc;
+        Option.iter expr init
+    | F.Tast.Sreturn None | F.Tast.Sbreak | F.Tast.Scontinue | F.Tast.Swait
+    | F.Tast.Sskip ->
+        ()
+  in
+  loc fd.F.Tast.fd_loc;
+  List.iter stmt fd.F.Tast.fd_body;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* ------------------------------------------------------------------ *)
 (* Configuration digest                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -265,20 +348,32 @@ let context_digest (a : C.Transfer.actx) : string =
 (* Function and program fingerprints                                    *)
 (* ------------------------------------------------------------------ *)
 
+type fn_fp = {
+  ff_content : string;  (** location-free: what {!fn} returns *)
+  ff_locs : string;     (** location closure digest *)
+  ff_summary : string;  (** both together: what {!summary_fn} returns *)
+}
+
 type t = {
   fp_context : string;
-  fp_funs : (string, string option) Hashtbl.t;
-      (** per-function fingerprint; [None] = not cacheable (recursive) *)
+  fp_funs : (string, fn_fp option) Hashtbl.t;
+      (** per-function fingerprints; [None] = not cacheable (recursive) *)
   fp_program : string;
 }
 
 let context (fps : t) : string = fps.fp_context
 let program (fps : t) : string = fps.fp_program
 
-let fn (fps : t) (fname : string) : string option =
+let find (fps : t) (fname : string) : fn_fp option =
   match Hashtbl.find_opt fps.fp_funs fname with
   | Some r -> r
   | None -> None
+
+let fn (fps : t) (fname : string) : string option =
+  Option.map (fun f -> f.ff_content) (find fps fname)
+
+let summary_fn (fps : t) (fname : string) : string option =
+  Option.map (fun f -> f.ff_summary) (find fps fname)
 
 (** Local digest of one function — its own structure only — and its
     callee names. *)
@@ -311,10 +406,12 @@ let of_actx (a : C.Transfer.actx) : t =
   let ctx = context_digest a in
   let locals = Hashtbl.create 64 in
   List.iter
-    (fun (fname, fd) -> Hashtbl.replace locals fname (local_digest fd))
+    (fun (fname, fd) ->
+      Hashtbl.replace locals fname (local_digest fd, local_locations fd))
     p.F.Tast.p_funs;
   let fp_funs = Hashtbl.create 64 in
-  let rec fp (visiting : string list) (fname : string) : string option =
+  let hash parts = Digest.to_hex (Digest.string (String.concat "\x00" parts)) in
+  let rec fp (visiting : string list) (fname : string) : fn_fp option =
     match Hashtbl.find_opt fp_funs fname with
     | Some r -> r
     | None ->
@@ -323,15 +420,23 @@ let of_actx (a : C.Transfer.actx) : t =
           let r =
             match Hashtbl.find_opt locals fname with
             | None -> None (* call to an unknown function *)
-            | Some (local, callees) ->
+            | Some ((local, callees), locs) ->
                 let subs = List.map (fp (fname :: visiting)) callees in
                 if List.exists Option.is_none subs then None
                 else
+                  let subs = List.filter_map Fun.id subs in
+                  let content =
+                    hash (ctx :: local :: List.map (fun s -> s.ff_content) subs)
+                  in
+                  let locs =
+                    hash (locs :: List.map (fun s -> s.ff_locs) subs)
+                  in
                   Some
-                    (Digest.to_hex
-                       (Digest.string
-                          (String.concat "\x00"
-                             (ctx :: local :: List.filter_map Fun.id subs))))
+                    {
+                      ff_content = content;
+                      ff_locs = locs;
+                      ff_summary = hash [ content; locs ];
+                    }
           in
           Hashtbl.replace fp_funs fname r;
           r
@@ -344,9 +449,11 @@ let of_actx (a : C.Transfer.actx) : t =
       add_tok pbuf fname;
       (* the local digest always contributes, so the program fingerprint
          distinguishes programs even through uncacheable functions *)
-      add_tok pbuf (fst (Hashtbl.find locals fname));
+      add_tok pbuf (fst (fst (Hashtbl.find locals fname)));
       add_tok pbuf
-        (match Hashtbl.find fp_funs fname with Some h -> h | None -> "-"))
+        (match Hashtbl.find fp_funs fname with
+        | Some f -> f.ff_content
+        | None -> "-"))
     p.F.Tast.p_funs;
   {
     fp_context = ctx;

@@ -17,11 +17,13 @@
 module C = Astree_core
 module Faultsim = Astree_robust.Faultsim
 
-(* v3: Alarm.t gained the provenance field (ISSUE 5); v4:
-   capture_delta gained cd_itf_writes (multi-task interference).  Both
-   changed the Marshal layout of stored summaries — older stores must
-   read as foreign and degrade to cold, not crash. *)
-let magic = "astree-summary-store v4\n"
+(* v3: Alarm.t gained the provenance field; v4: capture_delta gained
+   cd_itf_writes (multi-task interference); v5: Ptmap branches gained
+   the digest cache, and summary keys the source-location closure and
+   the canonical entry digest.  Each changed the Marshal layout or the
+   meaning of stored summaries — older stores must read as foreign and
+   degrade to cold, not crash. *)
+let magic = "astree-summary-store v5\n"
 
 type entries = (C.Iterator.summary_key * C.Iterator.summary) array
 
@@ -130,9 +132,10 @@ let save ~(dir : string) ~(key : string)
              raise (Sys_error (tmp ^ ": fault injection: no space left"));
            (* sharing-preserving marshal: summary exit states share most
               of their structure (packs, trees), and expanding it would
-              blow the file up by orders of magnitude.  Only
-              [entry_digest] needs the canonical No_sharing form; the
-              store blob does not. *)
+              blow the file up by orders of magnitude.  Keys never come
+              from the Marshal image ([Summary.entry_digest] writes its
+              own canonical form), so sharing here is harmless; the
+              maps' cached digests travel along and stay valid. *)
            let payload =
              Marshal.to_string
                (Sys.ocaml_version, key, (Array.of_list entries : entries))

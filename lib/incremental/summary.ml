@@ -2,39 +2,176 @@
     implementation.
 
     A summary is reused only for the exact key it was computed under —
-    callee content fingerprint (which folds the whole analysis context,
-    {!Fingerprint}), a digest of the exact abstract entry state together
-    with the by-reference bindings, and the alarm-collector mode.  There
+    the callee's {!Fingerprint.summary_fn} (content fingerprint, which
+    folds the whole analysis context, together with the source
+    locations of the callee and its transitive callees, which replayed
+    alarms carry), a digest of the exact abstract entry state together
+    with the by-reference bindings and their locations (caller code the
+    callee evaluates), and the alarm-collector mode.  There
     is no entailment shortcut: a weaker-entry hit could change the
     computed invariants, so equality of keys is the proof that a hit is
     equivalent to re-analysis.
+
+    The entry digest is a Merkle digest (DESIGN.md §8): environments and
+    pack maps are {!Astree_core.Ptmap}s whose large subtrees cache their
+    MD5, and consecutive call states share most subtrees physically, so
+    a key costs time proportional to what changed since the last one.
 
     The driver installs the table in the run's session
     ({!Astree_core.Transfer.session.ses_memo}) before running the
     wrapped analysis, so the parallel scheduler's forked workers
     inherit both the table and the pre-loaded store; workers
     ship fresh summaries back in their job deltas and the parent absorbs
-    them in job order (keep-first, deterministic). *)
+    them in job order (keep-first, deterministic).  The store is
+    rewritten only when the table gained a key the loaded store lacks:
+    a fully warm run writes nothing. *)
 
 module F = Astree_frontend
 module C = Astree_core
+module D = Astree_domains
+
+(* ------------------------------------------------------------------ *)
+(* Entry-state digests                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A canonical, location-free binary form of abstract values: fixed-width
+   integers, floats by their bits, strings length-prefixed, one tag byte
+   per variant — self-delimiting, so concatenations cannot collide.
+   Variables are written by their unique name, never by a record that
+   carries a source location.  Every record is taken apart with an
+   exhaustive pattern, so a field added later breaks the build here
+   (warning 9) until it is written or explicitly skipped: a field left
+   out of the key would let two different states share it. *)
+
+let add_i64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
+let add_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
+
+let add_str buf s =
+  add_i64 buf (String.length s);
+  Buffer.add_string buf s
+
+let add_name buf (v : F.Tast.var) = add_str buf v.F.Tast.v_name
+let add_names buf vs =
+  add_i64 buf (Array.length vs);
+  Array.iter (add_name buf) vs
+
+let add_itv buf : D.Itv.t -> unit = function
+  | D.Itv.Bot -> Buffer.add_char buf 'b'
+  | D.Itv.Int (lo, hi) ->
+      Buffer.add_char buf 'i';
+      add_i64 buf lo;
+      add_i64 buf hi
+  | D.Itv.Float (lo, hi) ->
+      Buffer.add_char buf 'f';
+      add_float buf lo;
+      add_float buf hi
+
+let add_avalue buf (c : C.Avalue.t) =
+  let { D.Clocked.v; vminus; vplus } = c in
+  add_itv buf v;
+  add_itv buf vminus;
+  add_itv buf vplus
+
+(* the pack index is derived from the pack, so it is not written *)
+let add_octagon buf (o : D.Octagon.t) =
+  let { D.Octagon.pack; bot; n2; m; closure; index = _ } = o in
+  add_names buf pack;
+  Buffer.add_char buf (if bot then '1' else '0');
+  (match closure with
+  | D.Octagon.Closed -> Buffer.add_char buf 'C'
+  | D.Octagon.Unclosed -> Buffer.add_char buf 'U'
+  | D.Octagon.Dirty mask ->
+      Buffer.add_char buf 'D';
+      add_i64 buf mask);
+  add_i64 buf n2;
+  Array.iter (add_float buf) m
+
+let add_ellipsoid buf (e : D.Ellipsoid.t) =
+  let { D.Ellipsoid.a; b; fkind; vars; k } = e in
+  add_float buf a;
+  add_float buf b;
+  Buffer.add_char buf
+    (match fkind with F.Ctypes.Fsingle -> 's' | Fdouble -> 'd');
+  add_names buf vars;
+  add_i64 buf (D.Ellipsoid.PairMap.cardinal k);
+  D.Ellipsoid.PairMap.iter
+    (fun (x, y) kxy ->
+      add_i64 buf x;
+      add_i64 buf y;
+      add_float buf kxy)
+    k
+
+let add_dtree buf (d : D.Decision_tree.t) =
+  let { D.Decision_tree.bools; nums; tree = root } = d in
+  add_names buf bools;
+  add_names buf nums;
+  let rec tree = function
+    | D.Decision_tree.Leaf None -> Buffer.add_char buf 'n'
+    | D.Decision_tree.Leaf (Some m) ->
+        Buffer.add_char buf 'l';
+        add_i64 buf (F.Tast.VarMap.cardinal m);
+        F.Tast.VarMap.iter
+          (fun v i ->
+            add_name buf v;
+            add_itv buf i)
+          m
+    | D.Decision_tree.Node (v, f, t) ->
+        Buffer.add_char buf 'N';
+        add_name buf v;
+        tree f;
+        tree t
+  in
+  tree root
+
+let add_env buf : C.Env.t -> unit = function
+  | C.Env.Shared m ->
+      Buffer.add_char buf 'S';
+      Buffer.add_string buf (C.Ptmap.digest add_avalue m)
+  | C.Env.Naive a ->
+      Buffer.add_char buf 'N';
+      add_i64 buf (Array.length a);
+      Array.iter
+        (function
+          | None -> Buffer.add_char buf '-'
+          | Some v ->
+              Buffer.add_char buf '+';
+              add_avalue buf v)
+        a
 
 (** Digest of the exact abstract entry state of a call, after parameter
-    binding, together with the by-reference bindings.  Marshalling with
-    [No_sharing] is purely structural, and the environment's Patricia
-    trees are shape-canonical per key set, so equal states give equal
-    digests across processes and runs. *)
+    binding, together with the by-reference bindings and their source
+    locations — a bound lvalue is the caller's own expression, and an
+    alarm raised while the callee evaluates it (an out-of-bounds index
+    in [f(&a[i])]) is reported at the caller's location, which the
+    callee's {!Fingerprint.summary_fn} does not cover.  Canonical: the
+    environment and pack maps are Patricia trees, whose shape is a
+    function of the key set, and [Map]s are written in key order, so
+    equal states give equal digests across processes and runs.  Every
+    Merkle node is an MD5 over an unambiguous encoding, so key equality
+    is as strong as an MD5 of the whole state. *)
 let entry_digest (st : C.Astate.t) (binds : C.Transfer.binds) : string =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (st, F.Tast.VarMap.bindings binds)
-          [ Marshal.No_sharing ]))
+  let { C.Astate.bot; env; rel; clock } = st in
+  let { C.Relstate.octs; ells; dts } = rel in
+  let buf = Buffer.create 256 in
+  Buffer.add_char buf (if bot then '1' else '0');
+  add_itv buf clock;
+  add_env buf env;
+  Buffer.add_string buf (C.Ptmap.digest add_octagon octs);
+  Buffer.add_string buf (C.Ptmap.digest add_ellipsoid ells);
+  Buffer.add_string buf (C.Ptmap.digest add_dtree dts);
+  add_i64 buf (F.Tast.VarMap.cardinal binds);
+  F.Tast.VarMap.iter
+    (fun v lv ->
+      Fingerprint.add_var buf v;
+      Fingerprint.add_lval buf lv;
+      Fingerprint.add_lval_locs buf lv)
+    binds;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let key_fn (fps : Fingerprint.t) ~(fname : string) ~(checking : bool)
     (st : C.Astate.t) (binds : C.Transfer.binds) :
     C.Iterator.summary_key option =
-  match Fingerprint.fn fps fname with
+  match Fingerprint.summary_fn fps fname with
   | None -> None
   | Some fp ->
       Some
@@ -88,6 +225,8 @@ type session = {
   ss_tbl : (C.Iterator.summary_key, C.Iterator.summary) Hashtbl.t;
   ss_memo : C.Iterator.call_memo;
   ss_loaded : int;
+      (** entries read from the store: distinct keys (merge-on-save
+          writes each once), all of them in the table *)
   ss_load_time : float;
 }
 
@@ -156,10 +295,12 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
   }
 
 (** Uninstall the table; under [Cache_dir] and [save:true], persist it
-    first.  When the analysis session asked for it
-    ([ses_collect_tables]), the final table is also recorded in
-    [ses_tables] so a resident server can absorb it.  Returns the cache
-    counters for the run. *)
+    first — but only if it holds a key the loaded store lacks: a run
+    that added nothing leaves the store file untouched (same inode,
+    mtime and bytes) and reports a [save_time] of 0.  When the analysis
+    session asked for it ([ses_collect_tables]), the final table is also
+    recorded in [ses_tables] so a resident server can absorb it.
+    Returns the cache counters for the run. *)
 let detach ?(save = true) (cfg : C.Config.t) (ss : session) :
     C.Analysis.cache_stats =
   ss.ss_ses.C.Transfer.ses_memo <- None;
@@ -170,7 +311,8 @@ let detach ?(save = true) (cfg : C.Config.t) (ss : session) :
       :: ss.ss_ses.C.Transfer.ses_tables;
   let save_time =
     match cfg.C.Config.summary_cache with
-    | C.Config.Cache_dir dir when save ->
+    | C.Config.Cache_dir dir
+      when save && Hashtbl.length ss.ss_tbl > ss.ss_loaded ->
         let t0 = Unix.gettimeofday () in
         Store.save ~dir
           ~key:(Fingerprint.program ss.ss_fps)

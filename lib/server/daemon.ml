@@ -355,8 +355,10 @@ let flush_store st =
 
 (* ---- warm-state checkpoint --------------------------------------- *)
 
-(* v1: (digest * (store_key * entries) list) list, in insertion order *)
-let ckpt_magic = "astree-daemon-ckpt v1\n"
+(* (digest * (store_key * entries) list) list, in insertion order.
+   v2: the entries' layout and keys changed with summary-store v5, so v1
+   checkpoints must read as foreign and start the daemon cold *)
+let ckpt_magic = "astree-daemon-ckpt v2\n"
 
 type ckpt = (string * (string * entries) list) list
 

@@ -215,6 +215,19 @@ let with_cache_driver k =
          green under a global ASTREE_FAULTS chaos run *)
       Astree_robust.Faultsim.with_suppressed k)
 
+let with_private_dir k =
+  let dir = Filename.temp_file "astree-cache" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> k dir)
+
 let with_tmpdir k =
   match Sys.getenv_opt "ASTREE_TEST_CACHE" with
   | Some dir when dir <> "" ->
@@ -223,18 +236,7 @@ let with_tmpdir k =
          every assertion below holds on a pre-populated store, and
          nothing is cleaned up *)
       k dir
-  | _ ->
-      let dir = Filename.temp_file "astree-cache" "" in
-      Sys.remove dir;
-      Fun.protect
-        ~finally:(fun () ->
-          if Sys.file_exists dir then begin
-            Array.iter
-              (fun f -> Sys.remove (Filename.concat dir f))
-              (Sys.readdir dir);
-            Sys.rmdir dir
-          end)
-        (fun () -> k dir)
+  | _ -> with_private_dir k
 
 let cache_stats_exn (r : C.Analysis.result) =
   match r.C.Analysis.r_stats.C.Analysis.s_cache with
@@ -424,7 +426,7 @@ let test_store_corruption () =
    no interleaving may ever publish a torn file, and merge-on-save must
    converge to the union of both writers' entries rather than letting
    the last rename drop the other writer's work *)
-let store_magic = "astree-summary-store v4\n"
+let store_magic = "astree-summary-store v5\n"
 
 (* the store format contract: magic header, then the MD5 of the payload,
    then the payload.  Any complete file satisfies it; a torn or partial
@@ -665,6 +667,406 @@ let test_blob_torn_write () =
             "torn blob reads as None" None
             (I.Store.load_blob ~file ~magic:blob_magic)))
 
+(* ---------------- Merkle entry-state keys ---------------- *)
+
+(* the same value with no cached digest anywhere: what a from-scratch
+   digest sees *)
+let fresh_copy (st : C.Astate.t) : C.Astate.t =
+  let cp m = C.Ptmap.map Fun.id m in
+  let rel = st.C.Astate.rel in
+  {
+    st with
+    C.Astate.env =
+      (match st.C.Astate.env with
+      | C.Env.Shared m -> C.Env.Shared (cp m)
+      | e -> e);
+    rel =
+      {
+        C.Relstate.octs = cp rel.C.Relstate.octs;
+        ells = cp rel.C.Relstate.ells;
+        dts = cp rel.C.Relstate.dts;
+      };
+  }
+
+let check_canonical name st binds =
+  let d = I.Summary.entry_digest st binds in
+  Alcotest.(check string)
+    (name ^ ": cached digest = from-scratch digest")
+    (I.Summary.entry_digest (fresh_copy st) binds)
+    d;
+  Alcotest.(check string)
+    (name ^ ": digest is stable")
+    d
+    (I.Summary.entry_digest st binds)
+
+(* run [p] with a Cache_mem summary cache and return every
+   (key, entry state, bindings) the run computed a key for *)
+let recorded_keys (cfg : C.Config.t) (p : F.Tast.program) =
+  let seen = ref [] in
+  with_cache_driver (fun () ->
+      C.Analysis.cache_driver :=
+        Some
+          (fun ses cfg p core ->
+            I.Summary.driver ses cfg p (fun () ->
+                (match ses.C.Transfer.ses_memo with
+                | Some m ->
+                    let cm_key ~fname ~checking st binds =
+                      let k = m.C.Iterator.cm_key ~fname ~checking st binds in
+                      Option.iter (fun k -> seen := (k, st, binds) :: !seen) k;
+                      k
+                    in
+                    ses.C.Transfer.ses_memo <-
+                      Some { m with C.Iterator.cm_key }
+                | None -> ());
+                core ()));
+      let r =
+        C.Analysis.analyze
+          ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
+          p
+      in
+      (r, List.rev !seen))
+
+(* a digest that is cached on a map goes stale if a value is mutated
+   after it was hashed: recomputing every key of a run after the run,
+   cached and from scratch, catches any such mutation *)
+let test_merkle_matches_scratch () =
+  List.iter
+    (fun name ->
+      match read_example name with
+      | None -> ()
+      | Some src ->
+          let p, _ = C.Analysis.compile [ (name, src) ] in
+          let r = C.Analysis.analyze ~cfg:C.Config.default p in
+          check_canonical (name ^ " final") r.C.Analysis.r_final
+            F.Tast.VarMap.empty;
+          Hashtbl.iter
+            (fun id st ->
+              check_canonical
+                (Printf.sprintf "%s invariant %d" name id)
+                st F.Tast.VarMap.empty)
+            r.C.Analysis.r_actx.C.Transfer.invariants)
+    [ "mini_fbw.c"; "filter_bank.c"; "buggy_demo.c" ];
+  let cfg, p = member_program () in
+  let _, keys = recorded_keys cfg p in
+  Alcotest.(check bool) "the run took keys" true (keys <> []);
+  Alcotest.(check bool)
+    "keyed states carry octagons" true
+    (List.exists
+       (fun (_, st, _) ->
+         not (C.Ptmap.is_empty st.C.Astate.rel.C.Relstate.octs))
+       keys);
+  List.iteri
+    (fun i (k, st, binds) ->
+      let name = Printf.sprintf "key %d (%s)" i k.C.Iterator.sk_fn in
+      Alcotest.(check string)
+        (name ^ ": recomputed after the run")
+        k.C.Iterator.sk_entry
+        (I.Summary.entry_digest st binds);
+      Alcotest.(check string)
+        (name ^ ": from scratch after the run")
+        k.C.Iterator.sk_entry
+        (I.Summary.entry_digest (fresh_copy st) binds))
+    keys
+
+let keyed_state_with_octagons () =
+  let cfg, p = member_program () in
+  let _, keys = recorded_keys cfg p in
+  match
+    List.find_opt
+      (fun (_, st, _) ->
+        (not (C.Ptmap.is_empty st.C.Astate.rel.C.Relstate.octs))
+        && C.Env.cardinal st.C.Astate.env > 0)
+      keys
+  with
+  | Some (_, st, binds) -> (st, binds)
+  | None -> Alcotest.fail "no keyed state with octagons"
+
+let test_merkle_sensitive () =
+  let st, binds = keyed_state_with_octagons () in
+  let d0 = I.Summary.entry_digest st binds in
+  (* one cell bound *)
+  let id, v =
+    match C.Env.fold (fun id v acc -> (id, v) :: acc) st.C.Astate.env [] with
+    | b :: _ -> b
+    | [] -> Alcotest.fail "empty environment"
+  in
+  let bumped : Astree_domains.Itv.t =
+    match C.Avalue.itv v with
+    | Astree_domains.Itv.Int (lo, hi) -> Astree_domains.Itv.Int (lo - 1, hi)
+    | Astree_domains.Itv.Float (lo, hi) ->
+        Astree_domains.Itv.Float (Float.pred lo, hi)
+    | Astree_domains.Itv.Bot -> Astree_domains.Itv.Int (0, 0)
+  in
+  let st_cell =
+    {
+      st with
+      C.Astate.env = C.Env.set st.C.Astate.env id (C.Avalue.with_itv v bumped);
+    }
+  in
+  (* one octagon entry, and one closure flag, each on a copy *)
+  let octs = st.C.Astate.rel.C.Relstate.octs in
+  let pid, o =
+    match C.Ptmap.bindings octs with
+    | b :: _ -> b
+    | [] -> Alcotest.fail "no octagon"
+  in
+  let with_oct o' =
+    {
+      st with
+      C.Astate.rel =
+        { st.C.Astate.rel with C.Relstate.octs = C.Ptmap.add pid o' octs };
+    }
+  in
+  let o_entry = Astree_domains.Octagon.copy o in
+  let m = o_entry.Astree_domains.Octagon.m in
+  m.(1) <- (if m.(1) = Float.infinity then 1.0 else Float.infinity);
+  let o_flag = Astree_domains.Octagon.copy o in
+  o_flag.Astree_domains.Octagon.closure <-
+    (match o.Astree_domains.Octagon.closure with
+    | Astree_domains.Octagon.Closed -> Astree_domains.Octagon.Unclosed
+    | _ -> Astree_domains.Octagon.Closed);
+  let variants =
+    [
+      ("cell bound", st_cell);
+      ("octagon entry", with_oct o_entry);
+      ("closure flag", with_oct o_flag);
+    ]
+  in
+  let digests =
+    List.map
+      (fun (name, st') ->
+        let d = I.Summary.entry_digest st' binds in
+        Alcotest.(check bool) (name ^ " changes the key") true (d <> d0);
+        Alcotest.(check string)
+          (name ^ ": canonical")
+          (I.Summary.entry_digest (fresh_copy st') binds)
+          d;
+        d)
+      variants
+  in
+  Alcotest.(check int)
+    "the three keys are distinct" 3
+    (List.length (List.sort_uniq String.compare digests));
+  Alcotest.(check string)
+    "the original key is untouched" d0
+    (I.Summary.entry_digest st binds)
+
+let test_merkle_marshal () =
+  let cfg, p = member_program () in
+  let _, keys = recorded_keys cfg p in
+  List.iteri
+    (fun i ((k : C.Iterator.summary_key), st, binds) ->
+      let st', binds' =
+        (Marshal.from_string (Marshal.to_string (st, binds) []) 0
+          : C.Astate.t * C.Transfer.binds)
+      in
+      let name = Printf.sprintf "key %d" i in
+      Alcotest.(check string)
+        (name ^ ": survives Marshal")
+        k.C.Iterator.sk_entry
+        (I.Summary.entry_digest st' binds');
+      Alcotest.(check string)
+        (name ^ ": survives Marshal, from scratch")
+        k.C.Iterator.sk_entry
+        (I.Summary.entry_digest (fresh_copy st') binds'))
+    keys
+
+(* ---------------- moved code and the no-write rule ---------------- *)
+
+(* a fused member with injected defects: its alarms sit inside memoized
+   stage functions, so a stale summary would replay stale locations *)
+let buggy_fused_src () =
+  (G.Generator.generate
+     {
+       G.Generator.default with
+       G.Generator.seed = 5;
+       target_lines = 400;
+       bug_ratio = 0.3;
+       fuse = 16;
+     })
+    .G.Generator.source
+
+let no_relational =
+  {
+    C.Config.default with
+    C.Config.use_octagons = false;
+    use_ellipsoids = false;
+    use_decision_trees = false;
+  }
+
+(* a copy of the program moved three lines down under another file name
+   keeps every function fingerprint, so it reuses the store file — but
+   none of the moved summaries may replay the old locations *)
+let test_moved_copy_warm_equals_off () =
+  let src = buggy_fused_src () in
+  let p, _ = C.Analysis.compile [ ("fb.c", src) ] in
+  let q, _ = C.Analysis.compile [ ("fbm.c", "\n\n\n" ^ src) ] in
+  List.iter
+    (fun (cname, cfg) ->
+      let off_p = C.Analysis.analyze ~cfg p in
+      let off_q = C.Analysis.analyze ~cfg q in
+      Alcotest.(check bool)
+        (cname ^ ": the program raises alarms") true
+        (C.Analysis.n_alarms off_q > 0);
+      Alcotest.(check bool)
+        (cname ^ ": the move shows in the result") true
+        (P.Merge.fingerprint off_p <> P.Merge.fingerprint off_q);
+      Alcotest.(check string)
+        (cname ^ ": same store file")
+        (I.Fingerprint.program (I.Fingerprint.make cfg p))
+        (I.Fingerprint.program (I.Fingerprint.make cfg q));
+      with_tmpdir (fun dir ->
+          with_cache_driver (fun () ->
+              let ccfg =
+                { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
+              in
+              ignore (C.Analysis.analyze ~cfg:ccfg p);
+              let warm_q = C.Analysis.analyze ~cfg:ccfg q in
+              Alcotest.(check string)
+                (cname ^ ": moved copy warm = off")
+                (P.Merge.fingerprint off_q)
+                (P.Merge.fingerprint warm_q);
+              let warm_p = C.Analysis.analyze ~cfg:ccfg p in
+              Alcotest.(check string)
+                (cname ^ ": original warm = off")
+                (P.Merge.fingerprint off_p)
+                (P.Merge.fingerprint warm_p))))
+    [ ("default", C.Config.default); ("no relational", no_relational) ]
+
+(* [store] evaluates the caller's lvalue [table[k]] it is bound to by
+   reference: the out-of-bounds alarm on [k] sits in [main], outside
+   the callee's own locations *)
+let by_ref_src ~pad =
+  Printf.sprintf
+    {|
+volatile int channel;
+int table[4];
+
+void store(int *p) {
+  *p = 1;
+  *p = *p + 1;
+}
+%s
+int main(void) {
+  int k;
+  __astree_input_range(channel, 0.0, 8.0);
+  while (1) {
+    k = channel;
+    store(&table[k]);
+    __astree_wait_for_clock();
+  }
+  return 0;
+}
+|}
+    pad
+
+(* moving only the caller keeps the callee's summary key unless the key
+   pins the locations of the bound lvalue, whose alarm would replay at
+   the caller's old line *)
+let test_moved_caller_by_ref_warm_equals_off () =
+  let p, _ = C.Analysis.compile [ ("r.c", by_ref_src ~pad:"") ] in
+  let q, _ = C.Analysis.compile [ ("r.c", by_ref_src ~pad:"\n\n\n") ] in
+  let cfg = C.Config.default in
+  let off_p = C.Analysis.analyze ~cfg p in
+  let off_q = C.Analysis.analyze ~cfg q in
+  Alcotest.(check bool) "the program raises alarms" true
+    (C.Analysis.n_alarms off_q > 0);
+  Alcotest.(check bool) "the move shows in the result" true
+    (P.Merge.fingerprint off_p <> P.Merge.fingerprint off_q);
+  let fps_p = I.Fingerprint.make cfg p and fps_q = I.Fingerprint.make cfg q in
+  Alcotest.(check (option string)) "the callee did not move"
+    (I.Fingerprint.summary_fn fps_p "store")
+    (I.Fingerprint.summary_fn fps_q "store");
+  with_private_dir (fun dir ->
+      with_cache_driver (fun () ->
+          let ccfg =
+            { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
+          in
+          ignore (C.Analysis.analyze ~cfg:ccfg p);
+          let warm_q = C.Analysis.analyze ~cfg:ccfg q in
+          Alcotest.(check string) "moved caller warm = off"
+            (P.Merge.fingerprint off_q)
+            (P.Merge.fingerprint warm_q)))
+
+let file_state file =
+  let s = Unix.stat file in
+  ( s.Unix.st_ino,
+    s.Unix.st_mtime,
+    In_channel.with_open_bin file In_channel.input_all )
+
+let test_noop_warm_run_does_not_write () =
+  let src = buggy_fused_src () in
+  let p, _ = C.Analysis.compile [ ("fb.c", src) ] in
+  let q, _ = C.Analysis.compile [ ("fbm.c", "\n\n\n" ^ src) ] in
+  let cfg = C.Config.default in
+  with_private_dir (fun dir ->
+      with_cache_driver (fun () ->
+          let ccfg =
+            { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
+          in
+          let run prog = cache_stats_exn (C.Analysis.analyze ~cfg:ccfg prog) in
+          let file = store_file dir ccfg p in
+          let cold = run p in
+          Alcotest.(check bool) "cold run wrote" true (Sys.file_exists file);
+          let ino0, mtime0, bytes0 = file_state file in
+          let warm = run p in
+          Alcotest.(check int) "warm run misses" 0 warm.C.Analysis.c_misses;
+          Alcotest.(check (float 0.)) "warm save_time" 0.
+            warm.C.Analysis.c_save_time;
+          let ino1, mtime1, bytes1 = file_state file in
+          Alcotest.(check int) "inode unchanged" ino0 ino1;
+          Alcotest.(check (float 0.)) "mtime unchanged" mtime0 mtime1;
+          Alcotest.(check bool) "bytes unchanged" true (bytes0 = bytes1);
+          (* the moved copy shares the store file but adds keys: it
+             writes, and what it writes is the union *)
+          let moved = run q in
+          Alcotest.(check bool) "moved copy misses" true
+            (moved.C.Analysis.c_misses > 0);
+          Alcotest.(check bool) "moved copy saved" true
+            (moved.C.Analysis.c_save_time > 0.);
+          let ino2, _, _ = file_state file in
+          Alcotest.(check bool) "store rewritten" true (ino2 <> ino0);
+          let key = I.Fingerprint.program (I.Fingerprint.make ccfg p) in
+          Alcotest.(check int) "store holds the union"
+            moved.C.Analysis.c_entries
+            (List.length (I.Store.load ~dir ~key));
+          Alcotest.(check bool) "union is larger" true
+            (moved.C.Analysis.c_entries > cold.C.Analysis.c_entries);
+          Alcotest.(check int) "original still all hits" 0
+            (run p).C.Analysis.c_misses;
+          Alcotest.(check int) "moved copy now all hits" 0
+            (run q).C.Analysis.c_misses))
+
+(* a store written before the key change must read as foreign: the
+   run degrades to cold, is exact, and replaces the file *)
+let test_old_store_is_foreign () =
+  with_mini_fbw (fun src ->
+      let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
+      let cfg = C.Config.default in
+      let off = C.Analysis.analyze ~cfg p in
+      with_private_dir (fun dir ->
+          with_cache_driver (fun () ->
+              let ccfg =
+                { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
+              in
+              let file = store_file dir ccfg p in
+              let key = I.Fingerprint.program (I.Fingerprint.make ccfg p) in
+              let payload =
+                Marshal.to_string
+                  (Sys.ocaml_version, key, ([||] : (int * int) array))
+                  []
+              in
+              Unix.mkdir dir 0o755;
+              write_file file
+                ("astree-summary-store v4\n" ^ Digest.string payload ^ payload);
+              let r = C.Analysis.analyze ~cfg:ccfg p in
+              Alcotest.(check string)
+                "result identical" (P.Merge.fingerprint off)
+                (P.Merge.fingerprint r);
+              Alcotest.(check int) "nothing loaded" 0
+                (cache_stats_exn r).C.Analysis.c_loaded;
+              check_file_intact file)))
+
 let suite =
   [
     Alcotest.test_case "fingerprint: deterministic" `Quick
@@ -699,4 +1101,18 @@ let suite =
       test_blob_corrupt;
     Alcotest.test_case "blob: torn write rejected by digest" `Quick
       test_blob_torn_write;
+    Alcotest.test_case "summary key: Merkle digest = from scratch" `Quick
+      test_merkle_matches_scratch;
+    Alcotest.test_case "summary key: bound, entry, flag change it" `Quick
+      test_merkle_sensitive;
+    Alcotest.test_case "summary key: survives Marshal" `Quick
+      test_merkle_marshal;
+    Alcotest.test_case "summary key: moved copy warm = off" `Quick
+      test_moved_copy_warm_equals_off;
+    Alcotest.test_case "summary key: moved caller, by-ref bind warm = off"
+      `Quick test_moved_caller_by_ref_warm_equals_off;
+    Alcotest.test_case "store: no-op warm run does not write" `Quick
+      test_noop_warm_run_does_not_write;
+    Alcotest.test_case "store: v4 store reads as foreign" `Quick
+      test_old_store_is_foreign;
   ]
