@@ -456,7 +456,7 @@ int main(void) {
     (!worst <= !proven)
 
 (* ------------------------------------------------------------------ *)
-(* E10 - parallel analysis: the two job axes of lib/parallel           *)
+(* E10 - parallel analysis: whole-program batch jobs on lib/parallel   *)
 (* ------------------------------------------------------------------ *)
 
 let e10 ~quick () =
@@ -466,8 +466,8 @@ let e10 ~quick () =
      speedup is reported against the machine's actual core count";
   let cores = P.Scheduler.default_jobs () in
   Fmt.pr "cores available: %d@." cores;
-  (* axis (b): whole-program batch jobs — a domain-refinement ladder
-     over one family member, one full analysis per rung *)
+  (* whole-program batch jobs — a domain-refinement ladder over one
+     family member, one full analysis per rung *)
   let g = G.Generator.member ~kloc:(if quick then 0.5 else 2.0) () in
   let base = cfg_with_partitions g in
   let ladder =
@@ -507,32 +507,11 @@ let e10 ~quick () =
         (jobs, dt, fingerprints rs = fp1))
       (if quick then [ 2; 4 ] else [ 2; 4; 8 ])
   in
-  Fmt.pr "@.batch axis: %d-rung refinement ladder on a %.1f kLOC member@."
+  Fmt.pr "@.batch: %d-rung refinement ladder on a %.1f kLOC member@."
     (List.length ladder)
     (float_of_int g.G.Generator.n_lines /. 1000.);
   print_rows t1 batch_rows;
-  (* axis (a): intra-program disjunct jobs on the same member, with the
-     production job-size gate (small disjuncts stay in-process) *)
-  let p, _ = C.Analysis.compile [ ("member.c", g.G.Generator.source) ] in
-  let r1, s1 =
-    time (fun () -> C.Analysis.analyze ~cfg:{ base with C.Config.jobs = 1 } p)
-  in
-  let f1 = P.Merge.fingerprint r1 in
-  let disj_rows =
-    List.map
-      (fun jobs ->
-        let r, dt =
-          time (fun () ->
-              P.Scheduler.analyze ~cfg:{ base with C.Config.jobs = jobs } p)
-        in
-        (jobs, dt, P.Merge.fingerprint r = f1))
-      [ 2; 4 ]
-  in
-  Fmt.pr "@.disjunct axis: same member, branch/partition jobs@.";
-  print_rows s1 disj_rows;
-  let all_identical =
-    List.for_all (fun (_, _, ok) -> ok) (batch_rows @ disj_rows)
-  in
+  let all_identical = List.for_all (fun (_, _, ok) -> ok) batch_rows in
   Fmt.pr "@.fingerprints identical everywhere: %b@." all_identical;
   let rows_json rows =
     String.concat ", "
@@ -545,10 +524,8 @@ let e10 ~quick () =
   json_record "e10"
     (Printf.sprintf
        "{\"quick\": %b, \"cores\": %d, \"t_batch_j1\": %.6f, \
-        \"t_disjunct_j1\": %.6f, \"batch\": [%s], \"disjunct\": [%s], \
-        \"fingerprints_identical\": %b}"
-       quick cores t1 s1 (rows_json batch_rows) (rows_json disj_rows)
-       all_identical)
+        \"batch\": [%s], \"fingerprints_identical\": %b}"
+       quick cores t1 (rows_json batch_rows) all_identical)
 
 (* ------------------------------------------------------------------ *)
 (* E11 - incremental analysis: the summary cache of lib/incremental    *)
@@ -779,9 +756,7 @@ let e12 ~quick () =
   (* determinism matrix: -j 4 and cache cold/warm must reproduce the
      -j 1 cache-off fingerprint bit for bit *)
   let f1 = P.Merge.fingerprint r_incr in
-  let r_j4 =
-    P.Scheduler.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p
-  in
+  let r_j4 = C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p in
   let j4_same = P.Merge.fingerprint r_j4 = f1 in
   Fmt.pr "-j 4 fingerprint identical to -j 1: %b@." j4_same;
   I.Summary.register ();

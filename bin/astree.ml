@@ -94,7 +94,6 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
       in
       let multi_task = List.compare_length_with tasks 1 > 0 in
       let in_process () =
-        if jobs > 1 then Astree_parallel.Scheduler.register ();
         let cfg = Srv.Service.config_of options ~sources in
         if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
         let p, _stats = C.Analysis.compile ~main sources in
@@ -263,6 +262,14 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
       | F.Preproc.Error (m, l) ->
           `Error (false, Fmt.str "%a: preprocessor: %s" F.Loc.pp l m)
       | C.Iterator.Analysis_error m -> `Error (false, m)
+      | Astree_robust.Budget.Tripped Astree_robust.Budget.Interrupted ->
+          (* only the multi-task fixpoint lets a trip escape (a single
+             analysis degrades to a partial result); its worker pool is
+             already torn down by the time the trip reaches here *)
+          prerr_endline
+            "astree: interrupted; a multi-task analysis has no partial \
+             result";
+          `Ok 130
       | Sys_error msg -> `Error (false, msg)
       | e -> raise e)
 
@@ -292,7 +299,7 @@ let cmd =
         $ Arg.(value & opt (list string) [] & info [ "partition" ] ~doc:"Functions analyzed with trace partitioning (Sect. 7.1.5)")
         $ Arg.(value & opt int 3 & info [ "max-dtree-bools" ] ~doc:"Booleans per decision-tree pack (Sect. 7.2.3)")
         $ Arg.(value & opt (list int) [] & info [ "useful-packs" ] ~doc:"Octagon pack ids to keep (Sect. 7.2.2)")
-        $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Worker processes for the parallel analysis (1 = sequential, 0 = one per core)")
+        $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Worker processes for the per-task runs of a multi-task program (0 = one per core); a single-task program is analyzed sequentially")
         $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc:"Persist function summaries in $(docv), reusing them across runs (results are unaffected)")
         $ flag "cache-mem" "In-memory function-summary cache for this run only"
         $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache) and $(b,--cache-mem)"
@@ -306,7 +313,7 @@ let cmd =
         $ flag "census" "Print the main-loop invariant census (Sect. 9.4.1)"
         $ flag "slice" "Print a backward slice for each alarm (Sect. 3.3)"
         $ flag "profile" "Print per-domain cumulative timings and counters on stderr at exit (merged across workers)"
-        $ Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Write a structured event trace (one JSON object per line: phase spans, per-loop fixpoint records, call inlining, parallel dispatch, cache traffic, degradation) to $(docv)")
+        $ Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Write a structured event trace (one JSON object per line: phase spans, per-loop fixpoint records, call inlining, multi-task rounds, cache traffic, degradation) to $(docv)")
         $ Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc:"Write the unified metrics registry (counters, gauges, histograms, timers) as JSON to $(docv); with $(b,--format json) the registry is also embedded in the report")
         $ flag "explain" "After the report, print each alarm with its provenance: the inlining call chain, the abstract domain that raised it, and the abstract operand values"
         $ flag "verbose" "Print extra statistics"))

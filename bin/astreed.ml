@@ -158,7 +158,7 @@ let cmd =
           & info [ "config" ] ~docv:"FILE"
               ~doc:
                 "JSON config overlay (queue_depth, grace, timeout, \
-                 max_mem, client_quota, jobs, checkpoint_period, \
+                 max_mem, client_quota, checkpoint_period, \
                  breaker_crashes, breaker_cooldown) \
                  loaded at startup and reread on SIGHUP without \
                  dropping in-flight requests")

@@ -106,15 +106,12 @@ let to_list (c : collector) : t list =
 
 let count (c : collector) : int = Hashtbl.length c.alarms
 
-(** Drop every recorded alarm (the enabled flag and chain are kept).
-    Used by parallel workers to isolate the alarms of each job. *)
-let reset (c : collector) : unit = c.alarms <- Hashtbl.create 64
-
-(** Merge alarms produced elsewhere (a worker process) into [c],
-    irrespective of [c.enabled]: the emitting job already ran under the
-    right checking mode.  Keeps the first alarm per (kind, location), so
-    merging job deltas in job order reproduces the sequential
-    deduplication exactly — including which provenance survives. *)
+(** Merge alarms recorded elsewhere (a replayed summary, a released
+    capture) into [c], irrespective of [c.enabled]: the recording run
+    already ran under the right checking mode.  Keeps the first alarm
+    per (kind, location), so merging in computation order reproduces
+    the sequential deduplication exactly — including which provenance
+    survives. *)
 let absorb (c : collector) (delta : t list) : unit =
   List.iter
     (fun (a : t) ->

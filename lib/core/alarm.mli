@@ -71,12 +71,8 @@ val report :
 val to_list : collector -> t list
 val count : collector -> int
 
-(** Drop every recorded alarm, keeping the enabled flag.  Used by
-    parallel workers to isolate the alarms of each job. *)
-val reset : collector -> unit
-
-(** Merge alarms recorded elsewhere (a worker process) into the
-    collector, first-in wins per (kind, location), irrespective of the
+(** Merge alarms recorded elsewhere (a replayed summary, a released
+    capture) into the collector, first-in wins per (kind, location), irrespective of the
     enabled flag. *)
 val absorb : collector -> t list -> unit
 

@@ -70,21 +70,12 @@ let useful_octagon_packs (r : result) : int list =
   Hashtbl.fold (fun id () acc -> id :: acc) r.r_actx.Transfer.oct_useful []
   |> List.sort Int.compare
 
-(** Installed by [Astree_parallel.Scheduler.register]: analyses with
-    [Config.jobs > 1] are routed through the parallel subsystem.  A hook
-    rather than a direct call so the core library does not depend on the
-    process-pool machinery.  The driver receives the run's session and
-    must build its context with it. *)
-let parallel_driver :
-    (Transfer.session -> Config.t -> F.Tast.program -> result) option ref =
-  ref None
-
 (** Installed by [Astree_incremental.Summary.register]: when
     [Config.cache_enabled cfg], the driver fingerprints the program,
     attaches the summary table to the session (loading the on-disk store
-    if configured), runs the wrapped analysis and fills [s_cache].  Same
-    hook pattern as [parallel_driver], and composable with it: the
-    cache driver wraps whichever execution path the inner thunk picks. *)
+    if configured), runs the wrapped analysis and fills [s_cache].  A
+    hook rather than a direct call so the core library does not depend
+    on the incremental subsystem. *)
 let cache_driver :
     (Transfer.session -> Config.t -> F.Tast.program -> (unit -> result) ->
     result)
@@ -93,8 +84,9 @@ let cache_driver :
   ref None
 
 (** Analyze a typed program against an already-prepared context (the
-    parallel scheduler builds and pre-fills the context before forking
-    its workers, then runs the iterator through this entry point). *)
+    multi-task driver builds and pre-fills each per-task context and
+    installs its interference context, then runs the iterator through
+    this entry point). *)
 let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
   let t0 = Unix.gettimeofday () in
   actx.Transfer.session.Transfer.ses_live <- Some actx;
@@ -134,12 +126,11 @@ let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
       };
   }
 
-(** Analyze a typed program, dispatching to the parallel subsystem when
-    [cfg.jobs > 1] and a driver is registered, and wrapping the run in
-    the summary-cache driver when caching is enabled.  With the cache
-    on, cells are pre-filled in program order even sequentially, so the
-    cell numbering (which summary keys depend on) is identical across
-    sequential, parallel, cold and warm runs.  [?session] threads an
+(** Analyze a typed program sequentially ([cfg.jobs] does not apply to
+    a single analysis), wrapping the run in the summary-cache driver
+    when caching is enabled.  With the cache on, cells are pre-filled in
+    program order, so the cell numbering (which summary keys depend on)
+    is identical across cold and warm runs.  [?session] threads an
     existing session through (the daemon passes one per request); a
     fresh one is created otherwise, so concurrent analyses never share
     hooks. *)
@@ -148,14 +139,10 @@ let analyze ?session ?(cfg = Config.default) (p : F.Tast.program) : result =
     match session with Some s -> s | None -> Transfer.new_session ()
   in
   let core () =
-    match !parallel_driver with
-    | Some driver when cfg.Config.jobs > 1 -> driver session cfg p
-    | _ ->
-        let actx = Transfer.make_actx ~session cfg p in
-        if Config.cache_enabled cfg || Option.is_some session.Transfer.ses_memo
-        then
-          Transfer.prefill_cells actx;
-        analyze_prepared actx p
+    let actx = Transfer.make_actx ~session cfg p in
+    if Config.cache_enabled cfg || Option.is_some session.Transfer.ses_memo
+    then Transfer.prefill_cells actx;
+    analyze_prepared actx p
   in
   in_span "phase.analyze" (fun () ->
       match !cache_driver with

@@ -51,34 +51,25 @@ val n_alarms : result -> int
     [Config.useful_packs_only] (Sect. 7.2.2). *)
 val useful_octagon_packs : result -> int list
 
-(** Analyze an already-compiled program.  When [cfg.jobs > 1] and the
-    parallel subsystem has registered itself, the analysis is dispatched
-    to its process pool (results are identical to the sequential run).
-    [?session] threads an existing {!Transfer.session} through (the
-    analysis server passes one per request); a fresh session is created
-    otherwise, so concurrent analyses in one process never share
-    hooks. *)
+(** Analyze an already-compiled program, sequentially at every
+    [cfg.jobs].  [?session] threads an existing {!Transfer.session}
+    through (the analysis server passes one per request); a fresh
+    session is created otherwise, so concurrent analyses in one process
+    never share hooks. *)
 val analyze :
   ?session:Transfer.session ->
   ?cfg:Config.t ->
   Astree_frontend.Tast.program ->
   result
 
-(** Analyze against an already-prepared context (used by the parallel
-    scheduler, which pre-fills the context before forking workers). *)
+(** Analyze against an already-prepared context (used by the multi-task
+    driver, which pre-fills each per-task context and installs its
+    interference context first). *)
 val analyze_prepared : Transfer.actx -> Astree_frontend.Tast.program -> result
-
-(** Parallel-analysis driver hook, installed by
-    [Astree_parallel.Scheduler.register].  Receives the run's session
-    and must build its context with it. *)
-val parallel_driver :
-  (Transfer.session -> Config.t -> Astree_frontend.Tast.program -> result)
-  option
-  ref
 
 (** Summary-cache driver hook, installed by
     [Astree_incremental.Summary.register].  Wraps the analysis thunk
-    when [Config.cache_enabled]; composes with [parallel_driver]. *)
+    when [Config.cache_enabled]. *)
 val cache_driver :
   (Transfer.session ->
   Config.t ->

@@ -57,12 +57,12 @@ type t = {
   naive_environments : bool;
       (** use the naive array-based environments instead of sharable
           functional maps — only for the E5 ablation *)
-  (* ---- parallel analysis (Astree_parallel, Monniaux 05 direction) -- *)
+  (* ---- parallel analysis (Astree_parallel) ------------------------- *)
   jobs : int;
-      (** number of worker processes; [1] keeps the analysis strictly
-          sequential, [n > 1] dispatches independent jobs (trace
-          partitions, dispatch branches, whole-program batch items) to a
-          fork-based pool whose results are merged deterministically *)
+      (** number of worker processes for whole analyses: [n > 1] runs
+          the per-task analyses of a multi-task program on a fork-based
+          pool whose results are merged deterministically.  A
+          single-task analysis is sequential at every value *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
       (** function-summary memoization: identical (callee fingerprint,

@@ -49,7 +49,8 @@ type t = {
       (** naive array environments, for the E5 ablation only *)
   (* ---- parallel analysis (Astree_parallel) ------------------------- *)
   jobs : int;
-      (** worker processes for the parallel subsystem; [1] = sequential *)
+      (** worker processes for the per-task runs of a multi-task
+          program; a single-task analysis is sequential at every value *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
       (** function-summary memoization: [Cache_mem] within one run,

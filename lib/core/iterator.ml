@@ -25,8 +25,6 @@ let c_cache_hits = Metrics.counter "cache.hits"
 let c_cache_misses = Metrics.counter "cache.misses"
 let c_calls_inlined = Metrics.counter "iter.calls_inlined"
 let c_loops = Metrics.counter "iter.loops"
-let c_par_jobs = Metrics.counter "par.jobs_dispatched"
-let c_par_deltas = Metrics.counter "par.deltas_applied"
 let h_loop_iters = Metrics.histogram "loop.iters"
 
 (* Same entry as the one bumped inside Itv.widen: read around a loop's
@@ -78,24 +76,6 @@ let cap_partitions (a : Transfer.actx) (sts : Astate.t list) : Astate.t list =
     keep @ [ join_states over ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel dispatch hook (Astree_parallel, after Monniaux 05)          *)
-(* ------------------------------------------------------------------ *)
-
-(* The analysis parallelizes along the disjunctions it already
-   manipulates: the trace-partition disjuncts flowing into a call and
-   the two branches of a conditional are analyzed independently from
-   their own entry states and merged by abstract join — exactly the
-   joins the sequential iterator performs, in the same order, so the
-   parallel result is identical by construction.
-
-   The iterator stays process-agnostic: when the session's par hook is
-   installed (by Astree_parallel.Scheduler in the parent process)
-   eligible disjunct maps are handed to it as self-contained jobs; a [None]
-   reply means the job was lost (crashed or timed-out worker, already
-   retried) and the iterator recomputes it in-process, so parallel
-   analysis can neither hang nor lose soundness. *)
-
-(* ------------------------------------------------------------------ *)
 (* Function-summary cache hook (Astree_incremental)                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -111,8 +91,8 @@ let cap_partitions (a : Transfer.actx) (sts : Astate.t list) : Astate.t list =
 
 (** Everything one analyzed call produced: the state at the return
     point, the merged return value, and the side effects on the
-    context's bookkeeping.  Pure data — marshalled into parallel deltas
-    and into the on-disk store. *)
+    context's bookkeeping.  Pure data — marshalled into the on-disk
+    store. *)
 type summary = Transfer.summary = {
   sm_exit : Astate.t;  (** state after the return-point trace merge *)
   sm_retv : D.Itv.t;   (** return value (Bot for void / no return) *)
@@ -138,10 +118,6 @@ type call_memo = Transfer.call_memo = {
       (** [None]: this call is not cacheable (unknown fingerprint) *)
   cm_find : summary_key -> summary option;
   cm_add : summary_key -> summary -> unit;
-  cm_fresh : (summary_key * summary) list ref;
-      (** summaries computed by this process since the last drain, in
-          computation order — parallel workers ship them back in their
-          job deltas *)
   cm_hits : int ref;
   cm_misses : int ref;
   cm_want : string -> bool;
@@ -162,117 +138,13 @@ type call_memo = Transfer.call_memo = {
     deserve a summary. *)
 let memo_min_stmts = ref 30
 
-(** A unit of work shipped to a worker: pure data, marshalled. *)
-type par_work = Transfer.par_work =
-  | Pw_block of block  (** execute a block (a conditional branch) *)
-  | Pw_call of { dst : var option; fname : string; args : arg list }
-
-type par_job = Transfer.par_job = {
-  pj_work : par_work;
-  pj_binds : Transfer.binds;
-  pj_stack : string list;
-  pj_part : bool;
-  pj_state : Astate.t;  (** the single entry state of the job *)
-  pj_checking : bool;   (** alarm-collector mode at the dispatch point *)
-}
-
-(** Side effects of a job on the analysis context, replayed by the
-    parent in job order so that merged results are deterministic. *)
-type par_delta = Transfer.par_delta = {
-  pd_alarms : Alarm.t list;
-  pd_invariants : (int * Astate.t) list;  (** loop id -> head invariant *)
-  pd_joins : int;
-  pd_oct_useful : int list;
-  pd_summaries : (summary_key * summary) list;
-      (** summaries freshly computed while running the job, shipped back
-          so the parent (and later jobs) reuse them *)
-  pd_cache_hits : int;
-  pd_cache_misses : int;
-  pd_metrics : Metrics.snapshot;
-      (** registry delta accumulated while running the job (profile
-          probes included), absorbed by the parent at merge so [-j n]
-          reports are as complete as sequential ones *)
-  pd_events : Trace.event list;
-      (** trace events emitted while running the job, re-emitted by the
-          parent in job order *)
-}
-
-type par_reply = Transfer.par_reply = {
-  pr_out : outcome;
-  pr_delta : par_delta;
-}
-
-(** Minimal statement count of a block before it is worth shipping to a
-    worker (marshalling an abstract state is not free). *)
-let par_min_stmts = ref 24
-
-(* block sizes are memoized by the location of the block's first
-   statement (loops revisit the same blocks many times): gating only, a
-   collision can at worst mis-route a job *)
-let size_memo : (F.Loc.t, int) Hashtbl.t = Hashtbl.create 256
-
-let par_block_size (b : block) : int =
-  match b with
-  | [] -> 0
-  | s0 :: _ -> (
-      match Hashtbl.find_opt size_memo s0.sloc with
-      | Some n -> n
-      | None ->
-          let n = block_size b in
-          Hashtbl.replace size_memo s0.sloc n;
-          n)
-
-let apply_delta (a : Transfer.actx) (d : par_delta) : unit =
-  Metrics.incr c_par_deltas;
-  Metrics.absorb d.pd_metrics;
-  if !Trace.enabled then begin
-    Trace.absorb d.pd_events;
-    Trace.emit "par.apply"
-      ~args:
-        [
-          ("alarms", Trace.I (List.length d.pd_alarms));
-          ("joins", Trace.I d.pd_joins);
-          ("summaries", Trace.I (List.length d.pd_summaries));
-        ]
-  end;
-  Alarm.absorb a.Transfer.alarms d.pd_alarms;
-  List.iter
-    (fun (id, st) -> Hashtbl.replace a.Transfer.invariants id st)
-    d.pd_invariants;
-  List.iter
-    (fun id -> Hashtbl.replace a.Transfer.oct_useful id ())
-    d.pd_oct_useful;
-  a.Transfer.join_count <- a.Transfer.join_count + d.pd_joins;
-  (* summaries computed by the worker become available to the parent and
-     to later jobs; [cm_add] keeps the first entry per key, and the same
-     key always maps to an identical summary, so replay order cannot
-     change results *)
-  match a.Transfer.session.Transfer.ses_memo with
-  | None -> ()
-  | Some m ->
-      List.iter (fun (k, s) -> m.cm_add k s) d.pd_summaries;
-      m.cm_hits := !(m.cm_hits) + d.pd_cache_hits;
-      m.cm_misses := !(m.cm_misses) + d.pd_cache_misses
-
-let mk_job (a : Transfer.actx) ~(binds : Transfer.binds)
-    ~(stack : string list) ~(part : bool) (work : par_work) (st : Astate.t) :
-    par_job =
-  {
-    pj_work = work;
-    pj_binds = binds;
-    pj_stack = stack;
-    pj_part = part;
-    pj_state = st;
-    pj_checking = a.Transfer.alarms.Alarm.enabled;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Statement tick                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The resource governor (Astree_robust.Budget) needs a periodic check
    point inside the fixpoint engine without the core depending on it, so
-   — like the parallel and memo hooks — it installs a session hook.  The
+   — like the memo hook — it installs a session hook.  The
    hook is only consulted every 256 abstract statements: the common path
    is one increment, one land and one branch. *)
 
@@ -356,8 +228,7 @@ let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
           { no_flow with o_ret = join_states sts; o_retv = retv }
       | Sif (c, tb, fb) ->
           (* both branches are analyzed independently from their guarded
-             entry states and merged by join: the disjunction the
-             parallel subsystem splits along (axis (a)) *)
+             entry states and merged by join *)
           let run_both st =
             let st_t = Transfer.guard a st binds c true in
             let st_f = Transfer.guard a st binds c false in
@@ -365,61 +236,7 @@ let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
             let of_ = exec_block a ~part ~stack binds [ st_f ] fb in
             (ot, of_)
           in
-          let pairs =
-            match a.Transfer.session.Transfer.ses_par_hook with
-            | Some dispatch
-              when par_block_size tb >= !par_min_stmts
-                   && par_block_size fb >= !par_min_stmts ->
-                let guarded =
-                  List.map
-                    (fun st ->
-                      ( Transfer.guard a st binds c true,
-                        Transfer.guard a st binds c false ))
-                    sts
-                in
-                let jobs =
-                  List.concat_map
-                    (fun (st_t, st_f) ->
-                      [
-                        mk_job a ~binds ~stack ~part (Pw_block tb) st_t;
-                        mk_job a ~binds ~stack ~part (Pw_block fb) st_f;
-                      ])
-                    guarded
-                in
-                Metrics.add c_par_jobs (List.length jobs);
-                if !Trace.enabled then
-                  Trace.emit "par.dispatch"
-                    ~loc:(Fmt.str "%a" F.Loc.pp s.sloc)
-                    ~args:
-                      [
-                        ("work", Trace.S "if-branches");
-                        ("jobs", Trace.I (List.length jobs));
-                      ];
-                let replies = dispatch jobs in
-                let rec pair_up gs rs =
-                  match (gs, rs) with
-                  | [], [] -> []
-                  | (st_t, st_f) :: gs', rt :: rf :: rs' ->
-                      let ot =
-                        match rt with
-                        | Some r ->
-                            apply_delta a r.pr_delta;
-                            r.pr_out
-                        | None -> exec_block a ~part ~stack binds [ st_t ] tb
-                      in
-                      let of_ =
-                        match rf with
-                        | Some r ->
-                            apply_delta a r.pr_delta;
-                            r.pr_out
-                        | None -> exec_block a ~part ~stack binds [ st_f ] fb
-                      in
-                      (ot, of_) :: pair_up gs' rs'
-                  | _ -> invalid_arg "Iterator.par_hook: reply arity mismatch"
-                in
-                pair_up guarded replies
-            | _ -> List.map run_both sts
-          in
+          let pairs = List.map run_both sts in
           let outs =
             List.map
               (fun (ot, of_) ->
@@ -451,7 +268,7 @@ let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
           (* partitions are merged at loop heads *)
           let st = join_states sts in
           exec_while a ~stack binds st (li, c, body)
-      | Scall (dst, fname, args) -> exec_call a ~stack binds sts s dst fname args)
+      | Scall (dst, fname, args) -> exec_call a ~stack binds sts dst fname args)
 
 and exec_block (a : Transfer.actx) ~(part : bool) ~(stack : string list)
     (binds : Transfer.binds) (sts : Astate.t list) (b : block) : outcome =
@@ -671,8 +488,8 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
 (* ------------------------------------------------------------------ *)
 
 and exec_call (a : Transfer.actx) ~(stack : string list)
-    (binds : Transfer.binds) (sts : Astate.t list) (s : stmt)
-    (dst : var option) (fname : string) (args : arg list) : outcome =
+    (binds : Transfer.binds) (sts : Astate.t list) (dst : var option)
+    (fname : string) (args : arg list) : outcome =
   match find_fun a.Transfer.prog fname with
   | None ->
       raise (Analysis_error (Fmt.str "call to unknown function %s" fname))
@@ -682,54 +499,13 @@ and exec_call (a : Transfer.actx) ~(stack : string list)
           (Analysis_error
              (Fmt.str "recursion detected through %s (not in the subset)"
                 fname));
-      ignore s;
-      let sts = live sts in
       let run st = exec_call_one a ~stack binds st dst fname fd args in
-      (* trace-partition disjuncts flowing into a call are analyzed
-         through the callee independently: the prime intra-program
-         parallel axis (each worker runs one disjunct) *)
-      (match a.Transfer.session.Transfer.ses_par_hook with
-      | Some dispatch
-        when List.compare_length_with sts 2 >= 0
-             && par_block_size fd.fd_body >= !par_min_stmts ->
-          let jobs =
-            List.map
-              (fun st ->
-                mk_job a ~binds ~stack ~part:false
-                  (Pw_call { dst; fname; args })
-                  st)
-              sts
-          in
-          Metrics.add c_par_jobs (List.length jobs);
-          if !Trace.enabled then
-            Trace.emit "par.dispatch"
-              ~loc:(Fmt.str "%a" F.Loc.pp s.sloc)
-              ~args:
-                [
-                  ("work", Trace.S fname);
-                  ("jobs", Trace.I (List.length jobs));
-                ];
-          let replies = dispatch jobs in
-          let states =
-            List.map2
-              (fun st reply ->
-                match reply with
-                | Some r -> (
-                    apply_delta a r.pr_delta;
-                    match r.pr_out.o_norm with
-                    | [ st' ] -> st'
-                    | sts' -> join_states sts')
-                | None -> run st)
-              sts replies
-          in
-          { no_flow with o_norm = states }
-      | _ -> { no_flow with o_norm = List.map run sts })
+      { no_flow with o_norm = List.map run (live sts) }
 
 (** Polyvariant analysis of one call from one entry state: bind the
     parameters, analyze the callee body (with trace partitioning if the
     function is selected), merge the traces at the return point and
-    write the return value into [dst].  Also the worker-side entry for
-    [Pw_call] jobs. *)
+    write the return value into [dst]. *)
 and exec_call_one (a : Transfer.actx) ~(stack : string list)
     (binds : Transfer.binds) (st : Astate.t) (dst : var option)
     (fname : string) (fd : fundef) (args : arg list) : Astate.t =
@@ -836,7 +612,6 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list)
               let delta = Transfer.capture_end a cap in
               let s = { sm_exit = exit_env; sm_retv = retv; sm_delta = delta } in
               m.cm_add key s;
-              m.cm_fresh := (key, s) :: !(m.cm_fresh);
               (exit_env, retv)))
   | _ -> compute ()
 
@@ -862,82 +637,3 @@ let run (a : Transfer.actx) : Astate.t =
           VarMap.empty [ st0 ] fd.fd_body
       in
       Astate.join (join_states o.o_norm) o.o_ret
-
-(* ------------------------------------------------------------------ *)
-(* Worker-side job execution                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Execute one parallel job against (a forked copy of) the analysis
-    context and package the outcome with the context side effects.  The
-    collector, invariant table and useful-pack table are reset first so
-    the delta contains exactly this job's contribution; the parent
-    replays deltas in job order, which reproduces the sequential
-    bookkeeping exactly. *)
-let par_run_job (a : Transfer.actx) (job : par_job) : par_reply =
-  (* workers are strictly sequential: no re-dispatch from a forked copy *)
-  a.Transfer.session.Transfer.ses_par_hook <- None;
-  (* the coordinator owns the trace file: detach the sink inherited over
-     fork (without flushing — the parent already flushed before forking)
-     and capture this job's events to ship them back in the delta *)
-  Trace.in_worker ();
-  let metrics0 = Metrics.snapshot () in
-  let cap_mark = Trace.capture_begin () in
-  a.Transfer.alarms.Alarm.enabled <- job.pj_checking;
-  Alarm.reset a.Transfer.alarms;
-  Hashtbl.reset a.Transfer.invariants;
-  Hashtbl.reset a.Transfer.oct_useful;
-  let joins0 = a.Transfer.join_count in
-  let hits0, misses0 =
-    match a.Transfer.session.Transfer.ses_memo with
-    | Some m ->
-        m.cm_fresh := [];
-        (!(m.cm_hits), !(m.cm_misses))
-    | None -> (0, 0)
-  in
-  let out =
-    match job.pj_work with
-    | Pw_block b ->
-        exec_block a ~part:job.pj_part ~stack:job.pj_stack job.pj_binds
-          [ job.pj_state ] b
-    | Pw_call { dst; fname; args } -> (
-        match find_fun a.Transfer.prog fname with
-        | None ->
-            raise (Analysis_error (Fmt.str "call to unknown function %s" fname))
-        | Some fd ->
-            let st' =
-              exec_call_one a ~stack:job.pj_stack job.pj_binds job.pj_state
-                dst fname fd args
-            in
-            { no_flow with o_norm = [ st' ] })
-  in
-  let invariants =
-    Hashtbl.fold (fun id st acc -> (id, st) :: acc) a.Transfer.invariants []
-    |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
-  in
-  let useful =
-    Hashtbl.fold (fun id () acc -> id :: acc) a.Transfer.oct_useful []
-    |> List.sort Int.compare
-  in
-  let summaries, hits, misses =
-    match a.Transfer.session.Transfer.ses_memo with
-    | Some m ->
-        ( List.rev !(m.cm_fresh),
-          !(m.cm_hits) - hits0,
-          !(m.cm_misses) - misses0 )
-    | None -> ([], 0, 0)
-  in
-  {
-    pr_out = out;
-    pr_delta =
-      {
-        pd_alarms = Alarm.to_list a.Transfer.alarms;
-        pd_invariants = invariants;
-        pd_joins = a.Transfer.join_count - joins0;
-        pd_oct_useful = useful;
-        pd_summaries = summaries;
-        pd_cache_hits = hits;
-        pd_cache_misses = misses;
-        pd_metrics = Metrics.diff metrics0;
-        pd_events = Trace.capture_end cap_mark;
-      };
-  }

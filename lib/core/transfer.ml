@@ -21,11 +21,10 @@ type binds = lval VarMap.t
 (* Session types (reentrancy seam, ISSUE 6)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The iterator's extension hooks — the parallel dispatcher, the
-   function-summary memo and the resource-governor tick — used to be
-   module-global refs, which made [Analysis] a process, not a value:
-   two concurrent analyses with different options would clobber each
-   other's hooks.  They now live in a per-analysis {!session} record
+(* The iterator's extension hooks — the function-summary memo and the
+   resource-governor tick — used to be module-global refs, which made
+   [Analysis] a process, not a value: two concurrent analyses with
+   different options would clobber each other's hooks.  They now live in a per-analysis {!session} record
    carried by the context, so a resident server can run requests with
    different configurations without any shared mutable state.  The
    types below are pure data over [Astate]/[Alarm] and are re-exported
@@ -82,8 +81,8 @@ type outcome = {
 
 (** Everything one analyzed call produced: the state at the return
     point, the merged return value, and the side effects on the
-    context's bookkeeping.  Pure data — marshalled into parallel deltas
-    and into the on-disk store. *)
+    context's bookkeeping.  Pure data — marshalled into the on-disk
+    store. *)
 type summary = {
   sm_exit : Astate.t;  (** state after the return-point trace merge *)
   sm_retv : D.Itv.t;   (** return value (Bot for void / no return) *)
@@ -109,10 +108,6 @@ type call_memo = {
       (** [None]: this call is not cacheable (unknown fingerprint) *)
   cm_find : summary_key -> summary option;
   cm_add : summary_key -> summary -> unit;
-  cm_fresh : (summary_key * summary) list ref;
-      (** summaries computed by this process since the last drain, in
-          computation order — parallel workers ship them back in their
-          job deltas *)
   cm_hits : int ref;
   cm_misses : int ref;
   cm_want : string -> bool;
@@ -120,43 +115,6 @@ type call_memo = {
           per session from the transitive inlined size of each function
           against [Iterator.memo_min_stmts] *)
 }
-
-(** A unit of work shipped to a worker: pure data, marshalled. *)
-type par_work =
-  | Pw_block of block  (** execute a block (a conditional branch) *)
-  | Pw_call of { dst : var option; fname : string; args : arg list }
-
-type par_job = {
-  pj_work : par_work;
-  pj_binds : binds;
-  pj_stack : string list;
-  pj_part : bool;
-  pj_state : Astate.t;  (** the single entry state of the job *)
-  pj_checking : bool;   (** alarm-collector mode at the dispatch point *)
-}
-
-(** Side effects of a job on the analysis context, replayed by the
-    parent in job order so that merged results are deterministic. *)
-type par_delta = {
-  pd_alarms : Alarm.t list;
-  pd_invariants : (int * Astate.t) list;  (** loop id -> head invariant *)
-  pd_joins : int;
-  pd_oct_useful : int list;
-  pd_summaries : (summary_key * summary) list;
-      (** summaries freshly computed while running the job, shipped back
-          so the parent (and later jobs) reuse them *)
-  pd_cache_hits : int;
-  pd_cache_misses : int;
-  pd_metrics : Astree_obs.Metrics.snapshot;
-      (** registry delta accumulated while running the job (profile
-          probes included), absorbed by the parent at merge so [-j n]
-          reports are as complete as sequential ones *)
-  pd_events : Astree_obs.Trace.event list;
-      (** trace events emitted while running the job, re-emitted by the
-          parent in job order *)
-}
-
-type par_reply = { pr_out : outcome; pr_delta : par_delta }
 
 (** Per-analysis session: every hook and piece of cross-cutting mutable
     state one analysis run needs, bundled so that concurrent analyses
@@ -166,8 +124,6 @@ type par_reply = { pr_out : outcome; pr_delta : par_delta }
 type session = {
   mutable ses_memo : call_memo option;
       (** function-summary memo, installed by [Astree_incremental] *)
-  mutable ses_par_hook : (par_job list -> par_reply option list) option;
-      (** parallel dispatch, installed by [Astree_parallel.Scheduler] *)
   mutable ses_tick_hook : (unit -> unit) option;
       (** consulted every 256 abstract statements (resource governor) *)
   mutable ses_ticks : int;
@@ -212,7 +168,6 @@ and actx = {
 let new_session () : session =
   {
     ses_memo = None;
-    ses_par_hook = None;
     ses_tick_hook = None;
     ses_ticks = 0;
     ses_preload = [];
@@ -1874,14 +1829,15 @@ let initial_state (a : actx) : Astate.t =
   Astate.make ~env:!env ~rel:(Relstate.top a.packs) ~clock
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-analysis support                                            *)
+(* Frozen cell numbering                                                *)
 (* ------------------------------------------------------------------ *)
 
 (** Intern every cell the analysis could ever touch, in deterministic
-    program order.  The parallel subsystem calls this before forking its
-    worker pool so that parent and workers share one complete, frozen
-    cell numbering: abstract states marshalled between processes then
-    agree on cell ids by construction. *)
+    program order, so the numbering does not depend on the order the
+    iterator first reaches cells.  Summary keys rely on it (cold and
+    warm runs must agree), and so do multi-task runs, whose per-task
+    contexts — built in forked workers or in-process — are merged by
+    cell id. *)
 let prefill_cells (a : actx) : unit =
   let intern_var (v : var) =
     List.iter

@@ -17,9 +17,9 @@ type binds = F.Tast.lval F.Tast.VarMap.t
 
 (** {1 Session types (reentrancy seam)}
 
-    The iterator's extension hooks — parallel dispatch, function-summary
-    memo, resource-governor tick — live in a per-analysis {!session}
-    record rather than module-global refs, so concurrent analyses in one
+    The iterator's extension hooks — function-summary memo and
+    resource-governor tick — live in a per-analysis {!session} record
+    rather than module-global refs, so concurrent analyses in one
     process (the [astreed] daemon) cannot corrupt each other.  The data
     types are re-exported with equations by [Iterator], their historical
     home. *)
@@ -65,7 +65,7 @@ type outcome = {
 }
 
 (** Everything one analyzed call produced — pure data, marshalled into
-    parallel deltas and the on-disk store. *)
+    the on-disk store. *)
 type summary = {
   sm_exit : Astate.t;
   sm_retv : D.Itv.t;
@@ -88,51 +88,16 @@ type call_memo = {
     summary_key option;
   cm_find : summary_key -> summary option;
   cm_add : summary_key -> summary -> unit;
-  cm_fresh : (summary_key * summary) list ref;
   cm_hits : int ref;
   cm_misses : int ref;
   cm_want : string -> bool;
 }
-
-(** A unit of work shipped to a worker: pure data, marshalled. *)
-type par_work =
-  | Pw_block of F.Tast.block
-  | Pw_call of {
-      dst : F.Tast.var option;
-      fname : string;
-      args : F.Tast.arg list;
-    }
-
-type par_job = {
-  pj_work : par_work;
-  pj_binds : binds;
-  pj_stack : string list;
-  pj_part : bool;
-  pj_state : Astate.t;
-  pj_checking : bool;
-}
-
-(** Side effects of a job, replayed by the parent in job order. *)
-type par_delta = {
-  pd_alarms : Alarm.t list;
-  pd_invariants : (int * Astate.t) list;
-  pd_joins : int;
-  pd_oct_useful : int list;
-  pd_summaries : (summary_key * summary) list;
-  pd_cache_hits : int;
-  pd_cache_misses : int;
-  pd_metrics : Astree_obs.Metrics.snapshot;
-  pd_events : Astree_obs.Trace.event list;
-}
-
-type par_reply = { pr_out : outcome; pr_delta : par_delta }
 
 (** Per-analysis session: the hooks and cross-cutting mutable state of
     one analysis run.  Sessions make [Analysis] reentrant: the daemon
     creates one per request. *)
 type session = {
   mutable ses_memo : call_memo option;
-  mutable ses_par_hook : (par_job list -> par_reply option list) option;
   mutable ses_tick_hook : (unit -> unit) option;
   mutable ses_ticks : int;
   mutable ses_preload : (summary_key * summary) list;
@@ -257,8 +222,9 @@ val wait : actx -> Astate.t -> Astate.t
 val initial_state : actx -> Astate.t
 
 (** Intern every cell the analysis could ever touch, in deterministic
-    program order.  Called by the parallel subsystem before forking
-    workers, so all processes share one frozen cell numbering. *)
+    program order, so every context of a program — cold or warm cache
+    run, per-task run in a worker or in-process — shares one frozen
+    cell numbering. *)
 val prefill_cells : actx -> unit
 
 (** {1 Incremental-analysis support}

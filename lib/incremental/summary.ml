@@ -19,11 +19,7 @@
 
     The driver installs the table in the run's session
     ({!Astree_core.Transfer.session.ses_memo}) before running the
-    wrapped analysis, so the parallel scheduler's forked workers
-    inherit both the table and the pre-loaded store; workers
-    ship fresh summaries back in their job deltas and the parent absorbs
-    them in job order (keep-first, deterministic).  The store is
-    rewritten only when the table gained a key the loaded store lacks:
+    wrapped analysis.  The store is rewritten only when the table gained a key the loaded store lacks:
     a fully warm run writes nothing. *)
 
 module F = Astree_frontend
@@ -233,8 +229,7 @@ type session = {
 (** Fingerprint the program, build the summary table (populated from
     [ses.ses_preload] first — the daemon's resident entries — then from
     the on-disk store under [Cache_dir], keep-first) and install it in
-    the analysis session.  Call before the analysis — and before the
-    parallel pool forks, so workers inherit the hot table. *)
+    the analysis session.  Call before the analysis. *)
 let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     : session =
   let fps = Fingerprint.make cfg p in
@@ -268,11 +263,10 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     {
       C.Iterator.cm_key = key_fn fps;
       cm_find = Hashtbl.find_opt tbl;
-      (* keep-first: a key determines its summary, so re-adding (e.g.
-         replaying worker deltas) can never change an entry *)
+      (* keep-first: a key determines its summary, so re-adding can
+         never change an entry *)
       cm_add =
         (fun k s -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k s);
-      cm_fresh = ref [];
       cm_hits = ref 0;
       cm_misses = ref 0;
       cm_want =

@@ -16,19 +16,19 @@
     {b Determinism.}  Counters of semantic analysis events (transfer
     applications, widenings, threshold hits, loops, inlined calls, cache
     traffic), gauges and histograms are functions of the analysis
-    performed: a [-j n] run with delta shipping reports exactly the
-    sequential values and {!render_json} with [~timers:false] is
-    byte-stable across equivalent runs.  The multi-task interference
-    fixpoint reports under [conc.*]: the [conc.rounds] counter (outer
-    rounds run) and the [conc.tasks] / [conc.interference_vars] gauges
-    (task and shared-variable count of the last multi-task run); its
-    per-round trace spans are named [conc.round].  Two exceptions sit outside that
-    contract: scheduling counters ([par.*] — a sequential run dispatches
-    nothing) and work counters on sharing-elided paths ([oct.join]
-    counts {e performed} pack joins, most of which the sequential run
-    skips through the Ptmap physical-sharing short-cut that [Marshal]
-    destroys for worker replies).  Timer values are wall-clock and never
-    deterministic. *)
+    performed, and {!render_json} with [~timers:false] is byte-stable
+    across equivalent runs.  A single analysis runs sequentially at
+    every [-j], so its registry is exactly the [-j 1] one.  The
+    multi-task interference fixpoint reports under [conc.*]: the
+    [conc.rounds] counter (outer rounds run) and the [conc.tasks] /
+    [conc.interference_vars] gauges (task and shared-variable count of
+    the last multi-task run); its per-round trace spans are named
+    [conc.round].  One exception sits outside the contract, and only
+    where results come back from pool workers (batch and multi-task
+    runs): [oct.join] counts {e performed} pack joins, and the merge of
+    marshalled results cannot skip the joins that the Ptmap
+    physical-sharing short-cut elides in-process.  Timer values are
+    wall-clock and never deterministic. *)
 
 (** {1 Global switches} *)
 

@@ -5,7 +5,7 @@
    span begin/end pairs stay balanced in the file); without one it is a
    ring keeping the last !capacity events for in-process consumers
    (tests, worker capture sections).  Ring eviction is suspended while a
-   capture is open so a worker's job delta is never truncated. *)
+   capture is open so a worker's reply is never truncated. *)
 
 type arg = S of string | I of int | F of float | B of bool
 
@@ -25,8 +25,8 @@ let capacity = ref 65536
 
 (* Ring evictions were silent before this counter existed: an operator
    reading a truncated ring had no way to tell "quiet run" from "ring
-   too small".  Like [par.*], the count depends on buffer sizing, not
-   on the analysis — outside the determinism contract. *)
+   too small".  The count depends on buffer sizing, not on the
+   analysis — outside the determinism contract. *)
 let m_dropped = Metrics.counter "trace.dropped"
 
 (* growable buffer; [start] is the ring head (index of oldest event) *)

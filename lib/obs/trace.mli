@@ -9,10 +9,10 @@
     {!capacity} events.
 
     {b Determinism.}  The event {e set} is a function of the analysis
-    performed: a [-j n] run ships worker events back inside job deltas
-    ({!capture_begin}/{!capture_end}, re-emitted by {!absorb} in job
-    order), so sorting events by (loc, kind, args) yields the same list
-    as the sequential run.  Timestamps ([ev_t]) are wall-clock and
+    performed: a single analysis runs sequentially at every [-j], so
+    sorting events by (loc, kind, args) yields the same list at [-j n]
+    as at [-j 1].  Daemon workers ship their events back inside their
+    replies ({!capture_begin}/{!capture_end}, re-emitted by {!absorb}).  Timestamps ([ev_t]) are wall-clock and
     excluded from that guarantee; {!with_time} turns them off entirely.
 
     {b Span balance.}  In file mode the buffer is flushed, never
@@ -46,8 +46,8 @@ val with_time : bool ref
 val capacity : int ref
 (** Most recent events retained in ring mode (no sink); default 65536.
     Each eviction bumps the [trace.dropped] metrics counter so capacity
-    loss is visible to operators; like [par.*], that counter depends on
-    buffer sizing and sits outside the determinism contract. *)
+    loss is visible to operators; that counter depends on buffer sizing
+    and sits outside the determinism contract. *)
 
 (** {1 Emission} *)
 
@@ -74,9 +74,10 @@ val close : unit -> unit
 val in_worker : unit -> unit
 (** Called by pool workers after the fork: detaches the inherited sink
     without flushing (the coordinator owns the file) — worker events
-    stay in the ring and travel back inside job deltas. *)
+    stay in the ring, and daemon workers ship theirs back in their
+    replies. *)
 
-(** {1 In-memory access (tests, worker deltas)} *)
+(** {1 In-memory access (tests, daemon worker replies)} *)
 
 val events : unit -> event list
 (** The buffered events, oldest first. *)
@@ -87,7 +88,7 @@ val capture_end : int -> event list
     emitted; ring dropping is suspended while any capture is open. *)
 
 val absorb : event list -> unit
-(** Re-emit events recorded in another process (a worker delta), in
+(** Re-emit events recorded in another process (a worker reply), in
     order, through the local buffer/sink.  No-op when tracing is off. *)
 
 val to_json : event -> string

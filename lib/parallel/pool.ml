@@ -99,8 +99,8 @@ let spawn (f : 'a -> 'b) (foreign : Unix.file_descr list) : worker =
           at_child_fork := None;
           (try hook () with _ -> ())
       | None -> ());
-      (* re-dispatch from a forked child is prevented in the worker fn
-         itself ([Iterator.par_run_job] clears its session's par hook) *)
+      (* a worker runs one whole sequential analysis per job and never
+         opens a pool of its own *)
       let ic = Unix.in_channel_of_descr job_r in
       let oc = Unix.out_channel_of_descr res_w in
       (try worker_loop f ic oc with _ -> ());

@@ -1,18 +1,10 @@
-(** The parallel scheduler: splits an analysis into pool jobs along two
-    axes and merges the replies deterministically.
+(** The parallel scheduler: whole-program batch jobs.
 
-    {b Axis (a) — intra-program.}  The iterator already analyzes some
-    program fragments from several independent entry states and joins
-    the outcomes: the two branches of a dispatch conditional, and the
-    trace-partition disjuncts flowing into a call (Sect. 7.1.5).  The
-    scheduler ships each disjunct to a worker ([Iterator.par_job]) and
-    the parent replays the workers' deltas in job order, performing the
-    very joins the sequential iterator would — results are identical to
-    [-j 1] by construction.
-
-    {b Axis (b) — batch.}  Whole-program analyses (a family sweep, a
-    parameter-refinement ladder) are embarrassingly parallel: each
-    worker runs one full analysis and marshals the result back.
+    Whole-program analyses (a family sweep, a parameter-refinement
+    ladder) are embarrassingly parallel: each worker runs one full
+    analysis and marshals the result back.  A single analysis runs
+    sequentially, as in the paper; multi-task programs parallelize over
+    their tasks in [Astree_conc.Fixpoint], on the same [Pool].
 
     {b Fault policy.}  A crashed or timed-out worker is respawned and
     its job retried once on the fresh worker; if that also fails, the
@@ -27,10 +19,8 @@ module Trace = Astree_obs.Trace
 (** Default worker count: the machine's available cores. *)
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(** Per-job wall-clock budgets (seconds) before a worker is presumed
+(** Per-job wall-clock budget (seconds) before a worker is presumed
     hung, killed and its job retried. *)
-let intra_job_timeout = ref 600.
-
 let batch_job_timeout = ref 3600.
 
 (** Map with the retry-once policy: every [Error] slot of the first
@@ -60,47 +50,11 @@ let map_retry (pool : ('a, 'b) Pool.t) ~(timeout : float) (jobs : 'a list) :
       first
   end
 
-(* ------------------------------------------------------------------ *)
-(* Axis (a): intra-program disjunct jobs                               *)
-(* ------------------------------------------------------------------ *)
-
-(** Analyze [p] with [cfg.jobs] worker processes.  The context is built
-    and every cell interned {e before} forking, so parent and workers
-    share one frozen cell numbering and marshalled states mean the same
-    thing on both sides. *)
-let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
-    C.Analysis.result =
-  let ses =
-    match session with Some s -> s | None -> C.Transfer.new_session ()
-  in
-  let jobs = cfg.C.Config.jobs in
-  if jobs <= 1 then
-    C.Analysis.analyze ~session:ses ~cfg:{ cfg with C.Config.jobs = 1 } p
-  else begin
-    let actx = C.Transfer.make_actx ~session:ses cfg p in
-    C.Transfer.prefill_cells actx;
-    (* drain buffered trace events to the sink before forking: workers
-       would otherwise inherit (and possibly re-write) the buffered
-       bytes.  Workers additionally detach the sink in [par_run_job]. *)
-    Trace.flush ();
-    Pool.with_pool ~jobs
-      (fun job -> C.Iterator.par_run_job actx job)
-      (fun pool ->
-        ses.C.Transfer.ses_par_hook <-
-          Some (fun pjobs -> map_retry pool ~timeout:!intra_job_timeout pjobs);
-        Fun.protect
-          ~finally:(fun () -> ses.C.Transfer.ses_par_hook <- None)
-          (fun () -> C.Analysis.analyze_prepared actx p))
-  end
-
-(** Install the parallel driver: after this, [Analysis.analyze] with
-    [cfg.jobs > 1] routes through [analyze] above. *)
-let register () =
-  C.Analysis.parallel_driver :=
-    Some (fun ses cfg p -> analyze ~session:ses ~cfg p)
+(** Alias of [Analysis.analyze], kept for existing callers. *)
+let analyze = C.Analysis.analyze
 
 (* ------------------------------------------------------------------ *)
-(* Axis (b): whole-program batch jobs                                  *)
+(* Whole-program batch jobs                                            *)
 (* ------------------------------------------------------------------ *)
 
 type batch_source =
@@ -125,9 +79,9 @@ let run_batch_job (bj : batch_job) : C.Analysis.result =
   | Bs_program p -> C.Analysis.analyze ~cfg p
   | Bs_sources srcs -> C.Analysis.analyze_sources ~cfg ~main:bj.bj_main srcs
 
-(* Worker-side wrapper for the batch axis: detach any inherited trace
-   sink and ship the job's registry delta back with the result, so
-   profile probes and iterator counters cover batch runs too. *)
+(* Worker-side wrapper: detach any inherited trace sink and ship the
+   job's registry delta back with the result, so profile probes and
+   iterator counters cover batch runs too. *)
 let run_batch_job_delta (bj : batch_job) :
     C.Analysis.result * Metrics.snapshot =
   Trace.in_worker ();

@@ -1,6 +1,5 @@
-(** Parallel scheduler: intra-program disjunct jobs (axis a) and
-    whole-program batch jobs (axis b), with deterministic merge and a
-    retry-once-then-sequential fault policy. *)
+(** Parallel scheduler: whole-program batch jobs on a worker pool, with
+    deterministic merge and a retry-once-then-sequential fault policy. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -8,25 +7,18 @@ module F = Astree_frontend
 (** Worker count matching the machine's available cores. *)
 val default_jobs : unit -> int
 
-(** Per-job wall-clock budgets (seconds) before a worker is presumed
+(** Per-job wall-clock budget (seconds) before a worker is presumed
     hung and its job retried. *)
-val intra_job_timeout : float ref
-
 val batch_job_timeout : float ref
 
-(** Analyze with [cfg.jobs] worker processes; identical results to the
-    sequential analysis.  [cfg.jobs <= 1] runs sequentially.
-    [?session] threads an existing analysis session through (the
-    dispatch hook is installed in it for the duration of the run). *)
+(** Alias of {!Astree_core.Analysis.analyze}: one program is analyzed
+    sequentially at every [cfg.jobs].  Kept for existing callers (the
+    layer benchmark uses it); new code should call [Analysis.analyze]. *)
 val analyze :
   ?session:C.Transfer.session ->
   ?cfg:C.Config.t ->
   F.Tast.program ->
   C.Analysis.result
-
-(** Install the driver: [Analysis.analyze] with [cfg.jobs > 1] then
-    routes through this module. *)
-val register : unit -> unit
 
 type batch_source =
   | Bs_program of F.Tast.program  (** already compiled *)

@@ -31,7 +31,6 @@ type config = {
   d_checkpoint : string option;
   d_checkpoint_s : float;
   d_config_file : string option;
-  d_default_jobs : int;
   d_restarts : int;
   d_supervised : bool;
   d_sup_started : float;
@@ -57,7 +56,6 @@ let default : config =
     d_checkpoint = None;
     d_checkpoint_s = 5.;
     d_config_file = None;
-    d_default_jobs = 0;
     d_restarts = 0;
     d_supervised = false;
     d_sup_started = 0.;
@@ -86,7 +84,6 @@ let overlay_config (cfg : config) (j : Json.t) : config =
     d_timeout = num "timeout" cfg.d_timeout;
     d_max_mem = int "max_mem" cfg.d_max_mem;
     d_client_quota = int "client_quota" cfg.d_client_quota;
-    d_default_jobs = int "jobs" cfg.d_default_jobs;
     d_checkpoint_s = num "checkpoint_period" cfg.d_checkpoint_s;
     d_breaker_n = int "breaker_crashes" cfg.d_breaker_n;
     d_breaker_cooldown = num "breaker_cooldown" cfg.d_breaker_cooldown;
@@ -639,9 +636,6 @@ let handle_analyze st conn ~rid id (j : Json.t) ~now =
           o_max_mem =
             (if o.Service.o_max_mem > 0 then o.Service.o_max_mem
              else st.st_cfg.d_max_mem);
-          o_jobs =
-            (if o.Service.o_jobs > 0 then o.Service.o_jobs
-             else st.st_cfg.d_default_jobs);
         }
       in
       let digest = Service.source_digest ~main sources in

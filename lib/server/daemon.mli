@@ -36,9 +36,9 @@
 
     {b Hot reload.}  SIGHUP rereads [d_config_file] (when given) and
     swaps the admission-time knobs — queue depth, grace, per-request
-    budget, client quota, default jobs, breaker and checkpoint
-    parameters — without touching in-flight requests; [status] reports
-    the config generation.
+    budget, client quota, breaker and checkpoint parameters — without
+    touching in-flight requests; [status] reports the config
+    generation.
 
     {b Shutdown.}  SIGINT, SIGTERM and the [shutdown] verb all route
     through the budget subsystem's interrupt flag: the daemon stops
@@ -77,9 +77,6 @@ type config = {
                                  with dirty state) *)
   d_config_file : string option;
       (** JSON config overlay reread on SIGHUP *)
-  d_default_jobs : int;      (** default [-j] applied when a request
-                                 brings none; [0] = leave the request's
-                                 per-core default *)
   d_restarts : int;          (** supervisor restart count, surfaced in
                                  [status] (set via [ASTREED_RESTARTS]) *)
   d_supervised : bool;       (** running under [astreed --supervise] *)
@@ -103,8 +100,8 @@ val default : config
 val load_config_file : config -> string -> (config, string) result
 (** Overlay the admission-time knobs from a JSON file
     ([queue_depth], [grace], [timeout], [max_mem], [client_quota],
-    [jobs], [checkpoint_period], [breaker_crashes],
-    [breaker_cooldown]) onto [config].  Unknown members are ignored;
+    [checkpoint_period], [breaker_crashes], [breaker_cooldown]) onto
+    [config].  Unknown members are ignored;
     unreadable or unparsable files are an [Error].  Used for the
     initial [--config] load and by the SIGHUP reload. *)
 

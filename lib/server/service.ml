@@ -250,7 +250,6 @@ let serve (w : work) : outcome =
                 (String.concat " " t))));
     let p = compile_cached ~main:w.w_main w.w_sources in
     let cfg = config_of w.w_options ~sources:w.w_sources in
-    if cfg.C.Config.jobs > 1 then Astree_parallel.Scheduler.register ();
     if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
     let ses = C.Transfer.new_session () in
     ses.C.Transfer.ses_preload <- w.w_preload;

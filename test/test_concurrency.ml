@@ -7,6 +7,7 @@ module D = Astree_domains
 module F = Astree_frontend
 module G = Astree_gen
 module P = Astree_parallel
+module R = Astree_robust
 module Conc = Astree_conc
 
 let compile src =
@@ -206,7 +207,7 @@ let test_differential_families () =
     (!concrete_hits > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel dispatch parity                                            *)
+(* Per-task runs on the worker pool                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_jobs_parity () =
@@ -228,6 +229,28 @@ let test_jobs_parity () =
     (P.Merge.fingerprint r4.Conc.Fixpoint.c_result);
   Alcotest.(check int) "same round count" r1.Conc.Fixpoint.c_rounds
     r4.Conc.Fixpoint.c_rounds
+
+(* An interrupt during a pooled run (the flag preset: the pool's first
+   budget poll sees it, the same path a SIGINT mid-run takes) escapes
+   as [Tripped Interrupted] — there is no partial multi-task result —
+   after the pool forked its two workers, and leaves no worker behind:
+   afterwards this process has no child, running or zombie. *)
+let test_interrupt_reaps_workers () =
+  let p = compile src_two_tasks in
+  R.Budget.interrupt ();
+  Fun.protect ~finally:R.Budget.clear_interrupt (fun () ->
+      match
+        Conc.Fixpoint.analyze
+          ~cfg:{ C.Config.default with C.Config.jobs = 2 }
+          ~tasks:[ "t1"; "t2" ] p
+      with
+      | _ -> Alcotest.fail "expected Tripped Interrupted"
+      | exception R.Budget.Tripped R.Budget.Interrupted -> ());
+  Alcotest.(check bool)
+    "every worker reaped" true
+    (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Generator: determinism and markers                                  *)
@@ -265,6 +288,8 @@ let suite =
     Alcotest.test_case "differential oracle over families" `Slow
       test_differential_families;
     Alcotest.test_case "-j1 / -j4 parity" `Slow test_jobs_parity;
+    Alcotest.test_case "interrupt at -j 2 reaps every worker" `Quick
+      test_interrupt_reaps_workers;
     Alcotest.test_case "generator determinism + markers" `Quick
       test_generator_deterministic;
   ]

@@ -317,10 +317,7 @@ let test_warm_mini_fbw_par () =
           partitioned_functions = [ "select_gain" ];
         }
       in
-      P.Scheduler.register ();
-      Fun.protect
-        ~finally:(fun () -> C.Analysis.parallel_driver := None)
-        (fun () -> check_warm_equals_cold ~name:"mini_fbw -j4" cfg p))
+      check_warm_equals_cold ~name:"mini_fbw -j4" cfg p)
 
 let member_program () =
   let g =
@@ -340,13 +337,7 @@ let test_warm_member_seq () =
 
 let test_warm_member_par () =
   let cfg, p = member_program () in
-  P.Scheduler.register ();
-  Fun.protect
-    ~finally:(fun () -> C.Analysis.parallel_driver := None)
-    (fun () ->
-      check_warm_equals_cold ~name:"member -j4"
-        { cfg with C.Config.jobs = 4 }
-        p)
+  check_warm_equals_cold ~name:"member -j4" { cfg with C.Config.jobs = 4 } p
 
 let test_mem_cache_equiv () =
   with_mini_fbw (fun src ->

@@ -180,12 +180,6 @@ let test_span_balance () =
 
 (* ---------------- determinism: -j1 = -j4, warm = warm ------------- *)
 
-(* force dispatch on the small test programs *)
-let with_min_stmts n k =
-  let saved = !C.Iterator.par_min_stmts in
-  C.Iterator.par_min_stmts := n;
-  Fun.protect ~finally:(fun () -> C.Iterator.par_min_stmts := saved) k
-
 let read_example name =
   let rec find dir depth =
     let cand = Filename.concat dir (Filename.concat "examples/data" name) in
@@ -207,11 +201,10 @@ let with_mini_fbw k =
   | Some src -> k src
 
 (* run [f] under tracing and return (result, sorted canonical event
-   lines, metrics render).  Kinds in [drop_kinds] are scheduling or
-   wall-clock artifacts and excluded from the event comparison; counter
-   names in [zero] are zeroed before rendering for the same reason
-   (everything else must then compare byte-for-byte). *)
-let observe ?(drop_kinds = []) ?(zero = []) (f : unit -> C.Analysis.result) =
+   lines, metrics render).  Kinds in [drop_kinds] are wall-clock
+   artifacts and excluded from the event comparison (everything else
+   must then compare byte-for-byte). *)
+let observe ?(drop_kinds = []) (f : unit -> C.Analysis.result) =
   M.reset ();
   T.clear ();
   T.enabled := true;
@@ -226,18 +219,15 @@ let observe ?(drop_kinds = []) ?(zero = []) (f : unit -> C.Analysis.result) =
     |> List.filter (fun e -> not (dropped e.T.ev_kind))
     |> List.map T.to_json |> List.sort String.compare
   in
-  List.iter M.reset_named zero;
   let metrics = M.render_json ~timers:false () in
   (r, lines, metrics)
 
-(* -j4 with worker delta shipping must report exactly the sequential
-   run's counters, histograms and gauges, and — after dropping the
-   par.dispatch/par.apply scheduling events — the same event multiset
+(* -j4 must report exactly the sequential run's counters, histograms
+   and gauges, with no exclusion list, and the same event multiset
    sorted by canonical line (kind, loc and args included). *)
 let test_determinism_jobs () =
   with_mini_fbw @@ fun src ->
   fresh @@ fun () ->
-  with_min_stmts 1 @@ fun () ->
   let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
   let cfg =
     {
@@ -245,26 +235,11 @@ let test_determinism_jobs () =
       C.Config.partitioned_functions = [ "select_gain" ];
     }
   in
-  let drop_kinds = [ "par.dispatch"; "par.apply" ] in
-  (* par.* count scheduling, not analysis.  oct.join counts *performed*
-     pack joins: the sequential run elides most of them through the
-     Ptmap physical-sharing short-cut (Sect. 6.1.2), which Marshal
-     destroys for worker replies — it is a work counter, not a semantic
-     event counter, and is documented as outside the parity contract. *)
-  let zero = [ "par.jobs_dispatched"; "par.deltas_applied"; "oct.join" ] in
   let r1, ev1, m1 =
-    observe ~drop_kinds ~zero (fun () ->
-        C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 1 } p)
+    observe (fun () -> C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 1 } p)
   in
-  (* route -j4 through the registered driver, as the CLI does, so both
-     runs emit the same phase spans *)
-  P.Scheduler.register ();
   let r4, ev4, m4 =
-    Fun.protect
-      ~finally:(fun () -> C.Analysis.parallel_driver := None)
-      (fun () ->
-        observe ~drop_kinds ~zero (fun () ->
-            C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p))
+    observe (fun () -> C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p)
   in
   Alcotest.(check string)
     "same result" (P.Merge.fingerprint r1) (P.Merge.fingerprint r4);

@@ -344,22 +344,47 @@ let test_inject_reply_truncate () =
               Alcotest.(check string) "short read = crash" "worker crashed" e
           | _ -> Alcotest.fail "expected the truncated reply to fail"))
 
-(* injected faults or none, -j must still match the sequential result *)
+(* injected faults or none, a batch on the pool must still match the
+   sequential results: crashed workers and truncated replies end in a
+   retry or an in-process recompute, never in a different result.
+   Every worker is forked with the coordinator's (reset) fault counters,
+   so each worker lifetime replays one schedule: under fault seed 1 it
+   crashes on its second job, under fault seed 6 it truncates its
+   second reply — with four items on two workers, both fire. *)
 let test_equiv_under_injection () =
-  let saved = !C.Iterator.par_min_stmts in
-  C.Iterator.par_min_stmts := 1;
-  Fun.protect
-    ~finally:(fun () -> C.Iterator.par_min_stmts := saved)
-    (fun () ->
-      let cfg, p = member_program () in
-      let seq = C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 1 } p in
-      with_faults ~seed:9
+  let items =
+    List.map
+      (fun seed ->
+        let g =
+          G.Generator.generate
+            { G.Generator.default with G.Generator.seed; target_lines = 200 }
+        in
+        let label = Fmt.str "m%d" seed in
+        P.Scheduler.batch_job ~label
+          ~cfg:
+            {
+              C.Config.default with
+              C.Config.partitioned_functions = g.G.Generator.partition_fns;
+            }
+          (P.Scheduler.Bs_sources [ (label ^ ".c", g.G.Generator.source) ]))
+      [ 31; 32; 33; 34 ]
+  in
+  let seq = List.map P.Scheduler.run_batch_job items in
+  List.iter
+    (fun fault_seed ->
+      with_faults ~seed:fault_seed
         [ (R.Faultsim.Worker_crash, 0.3); (R.Faultsim.Reply_truncate, 0.2) ]
         (fun () ->
-          let par = P.Scheduler.analyze ~cfg:{ cfg with C.Config.jobs = 2 } p in
-          Alcotest.(check string)
-            "identical despite injected crashes and truncations"
-            (P.Merge.fingerprint seq) (P.Merge.fingerprint par)))
+          R.Faultsim.reset_counters ();
+          let par = P.Scheduler.analyze_batch ~jobs:2 items in
+          List.iter2
+            (fun s (label, r) ->
+              Alcotest.(check string)
+                (Fmt.str "%s, fault seed %d: identical despite the injected \
+                          fault" label fault_seed)
+                (P.Merge.fingerprint s) (P.Merge.fingerprint r))
+            seq par))
+    [ 1; 6 ]
 
 (* ---------------- faultsim: store injection points ---------------- *)
 

@@ -859,13 +859,15 @@ let test_sighup_reload () =
 (* ---- removed configuration keys ---------------------------------- *)
 
 (* Configs and requests written for older daemons may still carry a
-   "backend" key.  Both the --config overlay and the wire options ignore
-   it: the daemon starts, answers ok, and renders the same report as
-   for the request without the key. *)
+   "backend" key, and configs a "jobs" key.  The --config overlay
+   ignores both, and the wire options ignore "backend": the daemon
+   starts, answers ok, and renders the same report as for the request
+   without the key. *)
 let test_backend_key_ignored () =
   let cfg_file = Filename.temp_file "astreed-conf" ".json" in
   let oc = open_out cfg_file in
-  output_string oc "{\"backend\": \"domains\", \"queue_depth\": 6}";
+  output_string oc
+    "{\"backend\": \"domains\", \"jobs\": 4, \"queue_depth\": 6}";
   close_out oc;
   let base =
     Fun.protect
@@ -873,7 +875,7 @@ let test_backend_key_ignored () =
       (fun () ->
         match Srv.Daemon.load_config_file Srv.Daemon.default cfg_file with
         | Ok cfg -> cfg
-        | Error e -> Alcotest.failf "overlay with backend refused: %s" e)
+        | Error e -> Alcotest.failf "overlay with removed keys refused: %s" e)
   in
   Alcotest.(check int) "other overlay keys still apply" 6
     base.Srv.Daemon.d_queue_depth;
