@@ -31,4 +31,5 @@ let () =
       ("robust", Test_robust.suite);
       ("server", Test_server.suite);
       ("telemetry", Test_telemetry.suite);
+      ("golden", Test_golden.suite);
     ]
