@@ -83,6 +83,24 @@ let cache_driver :
     ref =
   ref None
 
+(** Program and pack measures of a context; no time, cache or
+    degradation recorded. *)
+let context_stats (actx : Transfer.actx) (p : F.Tast.program) : stats =
+  let pk = actx.Transfer.packs in
+  {
+    s_globals_before = List.length p.F.Tast.p_globals;
+    s_globals_after = List.length p.F.Tast.p_globals;
+    s_cells = Cell.count actx.Transfer.intern;
+    s_stmts = F.Tast.program_size p;
+    s_oct_packs = List.length pk.Packing.octs;
+    s_oct_useful = Hashtbl.length actx.Transfer.oct_useful;
+    s_ell_packs = List.length pk.Packing.ells;
+    s_dt_packs = List.length pk.Packing.dts;
+    s_time = 0.;
+    s_cache = None;
+    s_degraded = None;
+  }
+
 (** Analyze a typed program against an already-prepared context (the
     multi-task driver builds and pre-fills each per-task context and
     installs its interference context, then runs the iterator through
@@ -95,35 +113,19 @@ let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
   let alarms = Alarm.to_list actx.Transfer.alarms in
   (* point-in-time program/result measures for the --metrics report
      (gauges: coordinator-set, excluded from worker deltas) *)
-  Metrics.set_gauge "analysis.cells" (Cell.count actx.Transfer.intern);
-  Metrics.set_gauge "analysis.stmts" (F.Tast.program_size p);
-  Metrics.set_gauge "analysis.oct_packs"
-    (List.length actx.Transfer.packs.Packing.octs);
-  Metrics.set_gauge "analysis.oct_useful"
-    (Hashtbl.length actx.Transfer.oct_useful);
-  Metrics.set_gauge "analysis.ell_packs"
-    (List.length actx.Transfer.packs.Packing.ells);
-  Metrics.set_gauge "analysis.dt_packs"
-    (List.length actx.Transfer.packs.Packing.dts);
+  let s = context_stats actx p in
+  Metrics.set_gauge "analysis.cells" s.s_cells;
+  Metrics.set_gauge "analysis.stmts" s.s_stmts;
+  Metrics.set_gauge "analysis.oct_packs" s.s_oct_packs;
+  Metrics.set_gauge "analysis.oct_useful" s.s_oct_useful;
+  Metrics.set_gauge "analysis.ell_packs" s.s_ell_packs;
+  Metrics.set_gauge "analysis.dt_packs" s.s_dt_packs;
   Metrics.set_gauge "analysis.alarms" (List.length alarms);
   {
     r_alarms = alarms;
     r_final = final;
     r_actx = actx;
-    r_stats =
-      {
-        s_globals_before = List.length p.F.Tast.p_globals;
-        s_globals_after = List.length p.F.Tast.p_globals;
-        s_cells = Cell.count actx.Transfer.intern;
-        s_stmts = F.Tast.program_size p;
-        s_oct_packs = List.length actx.Transfer.packs.Packing.octs;
-        s_oct_useful = Hashtbl.length actx.Transfer.oct_useful;
-        s_ell_packs = List.length actx.Transfer.packs.Packing.ells;
-        s_dt_packs = List.length actx.Transfer.packs.Packing.dts;
-        s_time = t1 -. t0;
-        s_cache = None;
-        s_degraded = None;
-      };
+    r_stats = { s with s_time = t1 -. t0 };
   }
 
 (** Analyze a typed program sequentially ([cfg.jobs] does not apply to

@@ -47,6 +47,10 @@ type result = {
 
 val n_alarms : result -> int
 
+(** Program and pack measures of a context, with no time, cache or
+    degradation recorded. *)
+val context_stats : Transfer.actx -> Astree_frontend.Tast.program -> stats
+
 (** The ids of the octagon packs that improved precision, reusable via
     [Config.useful_packs_only] (Sect. 7.2.2). *)
 val useful_octagon_packs : result -> int list

@@ -69,26 +69,18 @@ let census (a : Transfer.actx) (st : Astate.t) : t =
         note_itv av.D.Clocked.vplus
       end)
     st.Astate.env;
-  let rel = Relstate.census st.Astate.rel in
-  Ptmap.iter
-    (fun _ o ->
-      Array.iter
-        (fun v ->
-          match D.Octagon.get_bounds o v with
-          | Some (lo, hi) ->
-              note_float lo;
-              note_float hi
-          | None -> ())
-        o.D.Octagon.pack)
-    st.Astate.rel.Relstate.octs;
+  let rel = Relstate.census ~note:note_float st.Astate.rel in
+  let count k =
+    List.fold_left (fun n (k', m) -> if k = k' then n + m else n) 0 rel
+  in
   {
     c_bool_assertions = !bools;
     c_interval_assertions = !itvs;
     c_clock_assertions = !clocks;
-    c_oct_additive = rel.Relstate.oct_sum_constraints;
-    c_oct_subtractive = rel.Relstate.oct_diff_constraints;
-    c_decision_trees = rel.Relstate.dtree_assertions;
-    c_ellipsoid_assertions = rel.Relstate.ellipsoid_constraints;
+    c_oct_additive = count "oct_additive";
+    c_oct_subtractive = count "oct_subtractive";
+    c_decision_trees = count "decision_trees";
+    c_ellipsoid_assertions = count "ellipsoid";
     c_float_constants = Hashtbl.length floats;
   }
 

@@ -33,24 +33,8 @@ let dump_state (a : Transfer.actx) ppf (st : Astate.t) : unit =
           Fmt.pf ppf "%a + clock in %a@." Cell.pp c D.Itv.pp av.D.Clocked.vplus)
       cells;
     Fmt.pf ppf "clock in %a@." D.Itv.pp st.Astate.clock;
-    (* octagonal assertions *)
-    Ptmap.iter
-      (fun pid o ->
-        if D.Octagon.has_relational_info o then
-          Fmt.pf ppf "octagon #%d: %a@." pid D.Octagon.pp o)
-      st.Astate.rel.Relstate.octs;
-    (* ellipsoidal assertions *)
-    Ptmap.iter
-      (fun pid e ->
-        if not (D.Ellipsoid.is_top e) then
-          Fmt.pf ppf "ellipsoid #%d: %a@." pid D.Ellipsoid.pp e)
-      st.Astate.rel.Relstate.ells;
-    (* decision trees *)
-    Ptmap.iter
-      (fun pid d ->
-        if D.Decision_tree.size d > 1 then
-          Fmt.pf ppf "decision tree #%d:@.%a@." pid D.Decision_tree.pp d)
-      st.Astate.rel.Relstate.dts
+    (* relational assertions: octagons, ellipsoids, decision trees *)
+    Relstate.pp ppf st.Astate.rel
   end
 
 (** Dump every recorded loop invariant to a string. *)

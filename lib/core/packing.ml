@@ -45,13 +45,42 @@ type ell_pack = {
 
 type dt_pack = { dp_id : int; dp_bools : var array; dp_nums : var array }
 
+type 'p index = (int, 'p list) Hashtbl.t
+
 type t = {
   octs : oct_pack list;
   ells : ell_pack list;
   dts : dt_pack list;
+  oct_index : oct_pack index;
+  ell_index : ell_pack index;
+  dt_index : dt_pack index;
 }
 
-let empty = { octs = []; ells = []; dts = [] }
+(* variable id -> the packs containing it, later packs first *)
+let index (vars : 'p -> var array) (packs : 'p list) : 'p index =
+  let idx = Hashtbl.create 64 in
+  List.iter
+    (fun p ->
+      Array.iter
+        (fun v ->
+          Hashtbl.replace idx v.v_id
+            (p :: Option.value (Hashtbl.find_opt idx v.v_id) ~default:[]))
+        (vars p))
+    packs;
+  idx
+
+let packs_of (idx : 'p index) (v : var) : 'p list =
+  Option.value (Hashtbl.find_opt idx v.v_id) ~default:[]
+
+let make octs ells dts =
+  {
+    octs;
+    ells;
+    dts;
+    oct_index = index (fun op -> op.op_vars) octs;
+    ell_index = index (fun ep -> ep.ep_vars) ells;
+    dt_index = index (fun dp -> Array.append dp.dp_bools dp.dp_nums) dts;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic linear forms (constant coefficients)                      *)
@@ -430,16 +459,14 @@ let compute (cfg : Config.t) (p : program) : t =
      soundness — relational invariants are a refinement of the interval
      environment, which is always maintained *)
   match cfg.Config.shed_packs_above with
-  | None -> { octs; ells; dts }
+  | None -> make octs ells dts
   | Some k ->
-      {
-        octs = List.filter (fun op -> Array.length op.op_vars <= k) octs;
-        ells = List.filter (fun ep -> Array.length ep.ep_vars <= k) ells;
-        dts =
-          List.filter
-            (fun dp -> Array.length dp.dp_bools + Array.length dp.dp_nums <= k)
-            dts;
-      }
+      make
+        (List.filter (fun op -> Array.length op.op_vars <= k) octs)
+        (List.filter (fun ep -> Array.length ep.ep_vars <= k) ells)
+        (List.filter
+           (fun dp -> Array.length dp.dp_bools + Array.length dp.dp_nums <= k)
+           dts)
 
 let stats (t : t) : string =
   Fmt.str "octagon packs: %d, ellipsoid packs: %d, decision-tree packs: %d"

@@ -37,13 +37,19 @@ type dt_pack = {
     boolean/numeric interactions, kept when confirmed by a use of the
     numerical variable under a branch depending on the boolean. *)
 
+(** Variable id -> the packs containing it. *)
+type 'p index = (int, 'p list) Hashtbl.t
+
 type t = {
   octs : oct_pack list;
   ells : ell_pack list;
   dts : dt_pack list;
+  oct_index : oct_pack index;
+  ell_index : ell_pack index;
+  dt_index : dt_pack index;
 }
 
-val empty : t
+val packs_of : 'p index -> Astree_frontend.Tast.var -> 'p list
 
 (** Syntactic linear form with exact constant coefficients;
     [None] when the expression is not linear. *)

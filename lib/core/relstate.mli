@@ -1,15 +1,22 @@
-(** The relational component of the abstract state: one octagon per
-    octagon pack, one ellipsoid element per filter pack, one decision
-    tree per boolean pack, keyed by pack id in sharable functional maps
-    so that unmodified packs are shared across joins (Sect. 7.2.1). *)
+(** The relational component of the abstract state: the pack-wise
+    product of the relational domains, one element per pack keyed by
+    pack id in sharable functional maps so that unmodified packs are
+    shared across joins (Sect. 7.2.1).  Every operation is one fold over
+    {!domains}. *)
 
 module D = Astree_domains
 
-type t = {
+type t = Reldom.rel = {
   octs : D.Octagon.t Ptmap.t;
   ells : D.Ellipsoid.t Ptmap.t;
   dts : D.Decision_tree.t Ptmap.t;
 }
+
+(** The relational domains in product order — octagons, ellipsoids,
+    decision trees.  Every fold over the product (lattice, transfer,
+    census, digest, dump) follows this order; a configuration enables a
+    subset through each domain's [enabled]. *)
+val domains : (module Reldom.S) list
 
 (** All packs at top. *)
 val top : Packing.t -> t
@@ -25,20 +32,17 @@ val narrow : t -> t -> t
 val subset : t -> t -> bool
 val equal : t -> t -> bool
 
-(** {1 Pack lookups} (linear scans; prefer the indexed lookups of
-    {!Transfer}) *)
+(** {1 Accounting} *)
 
-val oct_packs_of : Packing.t -> Astree_frontend.Tast.var -> Packing.oct_pack list
-val ell_packs_of : Packing.t -> Astree_frontend.Tast.var -> Packing.ell_pack list
-val dt_packs_of : Packing.t -> Astree_frontend.Tast.var -> Packing.dt_pack list
+(** Named assertion counts of every pack (Sect. 9.4.1), one entry per
+    pack and name — sum them by name; [note] sees the constants the
+    counted assertions involve. *)
+val census : ?note:(float -> unit) -> t -> (string * int) list
 
-(** {1 Invariant census (Sect. 9.4.1)} *)
+(** Canonical digest of every domain's map, in product order (summary
+    keys, DESIGN.md §8). *)
+val digest : Buffer.t -> t -> unit
 
-type census = {
-  oct_sum_constraints : int;   (** a <= x + y <= b assertions *)
-  oct_diff_constraints : int;  (** a <= x - y <= b assertions *)
-  ellipsoid_constraints : int;
-  dtree_assertions : int;
-}
-
-val census : t -> census
+(** Every informative pack's assertions, in product order (invariant
+    dumps). *)
+val pp : Format.formatter -> t -> unit

@@ -156,10 +156,6 @@ and actx = {
   alarms : Alarm.collector;
   oct_useful : (int, unit) Hashtbl.t;
       (** octagon packs that improved precision (Sect. 7.2.2) *)
-  oct_index : (int, Packing.oct_pack list) Hashtbl.t;
-      (** variable id -> octagon packs containing it *)
-  ell_index : (int, Packing.ell_pack list) Hashtbl.t;
-  dt_index : (int, Packing.dt_pack list) Hashtbl.t;
   invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> head invariant *)
   input_specs : (int, float * float) Hashtbl.t;  (** volatile input ranges *)
   mutable join_count : int;  (** statistics *)
@@ -184,33 +180,6 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     (fun (spec : input_spec) ->
       Hashtbl.replace input_specs spec.in_var.v_id (spec.in_lo, spec.in_hi))
     p.p_inputs;
-  let oct_index = Hashtbl.create 64 in
-  List.iter
-    (fun (op : Packing.oct_pack) ->
-      Array.iter
-        (fun v ->
-          Hashtbl.replace oct_index v.v_id
-            (op :: Option.value (Hashtbl.find_opt oct_index v.v_id) ~default:[]))
-        op.op_vars)
-    packs.Packing.octs;
-  let ell_index = Hashtbl.create 64 in
-  List.iter
-    (fun (ep : Packing.ell_pack) ->
-      Array.iter
-        (fun v ->
-          Hashtbl.replace ell_index v.v_id
-            (ep :: Option.value (Hashtbl.find_opt ell_index v.v_id) ~default:[]))
-        ep.ep_vars)
-    packs.Packing.ells;
-  let dt_index = Hashtbl.create 64 in
-  List.iter
-    (fun (dp : Packing.dt_pack) ->
-      Array.iter
-        (fun v ->
-          Hashtbl.replace dt_index v.v_id
-            (dp :: Option.value (Hashtbl.find_opt dt_index v.v_id) ~default:[]))
-        (Array.append dp.dp_bools dp.dp_nums))
-    packs.Packing.dts;
   {
     prog = p;
     cfg;
@@ -219,23 +188,10 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     intern = Cell.make_interner ();
     alarms = Alarm.make_collector ();
     oct_useful = Hashtbl.create 16;
-    oct_index;
-    ell_index;
-    dt_index;
     invariants = Hashtbl.create 16;
     input_specs;
     join_count = 0;
   }
-
-let oct_packs_of (a : actx) (v : var) : Packing.oct_pack list =
-  Option.value (Hashtbl.find_opt a.oct_index v.v_id) ~default:[]
-
-let ell_packs_of (a : actx) (v : var) : Packing.ell_pack list =
-  Option.value (Hashtbl.find_opt a.ell_index v.v_id) ~default:[]
-
-let dt_packs_of (a : actx) (v : var) : Packing.dt_pack list =
-  Option.value (Hashtbl.find_opt a.dt_index v.v_id) ~default:[]
-
 
 (* ------------------------------------------------------------------ *)
 (* Cells                                                               *)
@@ -310,17 +266,6 @@ let cell_itv (a : actx) (st : Astate.t) (id : int) : D.Itv.t =
 let var_itv (a : actx) (st : Astate.t) (v : var) : D.Itv.t =
   cell_itv a st (var_cell a v)
 
-(** Oracle for the linearizer and relational domains: float hull of a
-    scalar variable. *)
-let oracle (a : actx) (st : Astate.t) : var -> float * float =
- fun v ->
-  match v.v_ty with
-  | F.Ctypes.Tscalar _ -> (
-      match D.Itv.float_hull (var_itv a st v) with
-      | Some h -> h
-      | None -> (Float.nan, Float.nan) (* unreachable value *))
-  | _ -> (Float.neg_infinity, Float.infinity)
-
 (* ------------------------------------------------------------------ *)
 (* Lvalue resolution                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -362,26 +307,15 @@ let report ?domain ?operands a (err : bool ref) kind loc msg =
    evaluations, so allocating strings and walking packs is fine. *)
 
 (* Which abstract domain carries the sharpest information about the
-   variables of [e]?  Two variables sharing an octagon pack means the
-   check ran under octagon constraints; a single packed variable points
-   at its ellipsoid / decision tree; a variable whose clocked components
-   carry information was bounded by the clock; everything else is the
-   plain interval evaluation. *)
+   variables of [e]?  The first relational domain, in product order,
+   that relates them (two variables sharing an octagon pack; a variable
+   in an ellipsoid or decision-tree pack); else the clock when a
+   variable's clocked components carry information; else the plain
+   interval evaluation. *)
 let value_domain (a : actx) (st : Astate.t) (binds : binds) (e : expr) :
     string =
   let vars =
     VarSet.elements (F.Tast.expr_vars (resolve_expr binds e) VarSet.empty)
-  in
-  let in_pack (op : Packing.oct_pack) v =
-    Array.exists (fun (w : var) -> w.v_id = v.v_id) op.Packing.op_vars
-  in
-  let shares_oct =
-    match vars with
-    | [] | [ _ ] -> false
-    | vs ->
-        List.exists
-          (fun op -> List.length (List.filter (in_pack op) vs) >= 2)
-          (List.concat_map (oct_packs_of a) vs)
   in
   let clocked v =
     match v.v_ty with
@@ -393,12 +327,17 @@ let value_domain (a : actx) (st : Astate.t) (binds : binds) (e : expr) :
         | None -> false)
     | _ -> false
   in
-  if shares_oct then "octagon"
-  else if List.exists (fun v -> ell_packs_of a v <> []) vars then "ellipsoid"
-  else if List.exists (fun v -> dt_packs_of a v <> []) vars then
-    "decision-tree"
-  else if List.exists clocked vars then "clocked"
-  else "interval"
+  match
+    List.find_opt
+      (fun d ->
+        let module M = (val d : Reldom.S) in
+        M.enabled a.cfg && M.relates a.packs vars)
+      Relstate.domains
+  with
+  | Some d ->
+      let module M = (val d : Reldom.S) in
+      M.name
+  | None -> if List.exists clocked vars then "clocked" else "interval"
 
 (* (expression, abstract value) pair for an alarm's operand list. *)
 let operand (e : expr) (i : D.Itv.t) : string * string =
@@ -434,19 +373,21 @@ let round_float_result (k : F.Ctypes.fkind) (i : D.Itv.t) : D.Itv.t =
   | F.Ctypes.Fsingle -> ( match i with D.Itv.Float _ -> D.Itv.to_single i | i -> i)
   | F.Ctypes.Fdouble -> i
 
-(* Truth interval of a scalar interval: (can_be_zero, can_be_nonzero). *)
-let truthiness (i : D.Itv.t) : bool * bool =
-  match i with
-  | D.Itv.Bot -> (false, false)
-  | D.Itv.Int (lo, hi) -> (lo <= 0 && hi >= 0, not (lo = 0 && hi = 0))
-  | D.Itv.Float (lo, hi) -> (lo <= 0.0 && hi >= 0.0, not (lo = 0.0 && hi = 0.0))
+(* Run [f] with the alarm collector muted: evaluations made only to
+   refine a state must not report. *)
+let quietly (a : actx) (f : unit -> 'r) : 'r =
+  let saved = a.alarms.Alarm.enabled in
+  a.alarms.Alarm.enabled <- false;
+  let r = f () in
+  a.alarms.Alarm.enabled <- saved;
+  r
 
-let bool_itv (can_f, can_t) : D.Itv.t =
-  match (can_f, can_t) with
-  | false, false -> D.Itv.Bot
-  | true, false -> D.Itv.int_const 0
-  | false, true -> D.Itv.int_const 1
-  | true, true -> D.Itv.int_range 0 1
+(* The values of a scalar for which it tests true ([truth]) or false. *)
+let refine_truth (i : D.Itv.t) (truth : bool) : D.Itv.t =
+  let zero =
+    match i with D.Itv.Float _ -> D.Itv.float_const 0.0 | _ -> D.Itv.int_const 0
+  in
+  if truth then D.Itv.refine_ne i zero else D.Itv.meet i zero
 
 (** Evaluate an expression to an interval, reporting alarms (in checking
     mode) and recording error possibility in [err].  [var_hook] lets
@@ -470,9 +411,9 @@ let rec eval ?(var_hook : (var -> D.Itv.t option) option) (a : actx)
               clamp_float a err loc k (round_float_result k r))
       | Bnot -> clamp_int a err loc e.ety (D.Itv.bnot ix)
       | Lnot ->
-          let can_f, can_t = truthiness ix in
+          let can_f, can_t = D.Itv.truth ix in
           (* !x is true when x is zero *)
-          bool_itv (can_t, can_f)
+          D.Itv.of_truth (can_t, can_f)
       | Fabs -> D.Itv.abs ix
       | Sqrt -> (
           match ix with
@@ -489,51 +430,31 @@ let rec eval ?(var_hook : (var -> D.Itv.t option) option) (a : actx)
           (* short-circuit: the rhs is only evaluated (and can only
              err) when the lhs may be true, and then under the lhs's
              refinement — so that z != 0 && k / z raises no alarm *)
-          let tx = truthiness (ev x) in
-          if not (snd tx) then bool_itv (fst tx, false)
+          let tx = D.Itv.truth (ev x) in
+          if not (snd tx) then D.Itv.of_truth (fst tx, false)
           else
             let hook = combine_hooks var_hook (cond_hook a st binds x true) in
             let ty =
-              truthiness (eval ?var_hook:hook a st binds err y)
+              D.Itv.truth (eval ?var_hook:hook a st binds err y)
             in
-            bool_itv (fst tx || ((snd tx) && fst ty), snd tx && snd ty)
+            D.Itv.of_truth (fst tx || ((snd tx) && fst ty), snd tx && snd ty)
       | Lor ->
-          let tx = truthiness (ev x) in
-          if not (fst tx) then bool_itv (false, snd tx)
+          let tx = D.Itv.truth (ev x) in
+          if not (fst tx) then D.Itv.of_truth (false, snd tx)
           else
             let hook = combine_hooks var_hook (cond_hook a st binds x false) in
             let ty =
-              truthiness (eval ?var_hook:hook a st binds err y)
+              D.Itv.truth (eval ?var_hook:hook a st binds err y)
             in
-            bool_itv (fst tx && fst ty, snd tx || ((fst tx) && snd ty))
+            D.Itv.of_truth (fst tx && fst ty, snd tx || ((fst tx) && snd ty))
       | Lt | Gt | Le | Ge | Eq | Ne -> (
           let ix = ev x and iy = ev y in
           if D.Itv.is_bot ix || D.Itv.is_bot iy then D.Itv.Bot
           else
             (* decide from the refinements *)
-            let can_t =
-              not
-                (D.Itv.is_bot
-                   (match op with
-                   | Lt -> D.Itv.refine_lt ix iy
-                   | Gt -> D.Itv.refine_gt ix iy
-                   | Le -> D.Itv.refine_le ix iy
-                   | Ge -> D.Itv.refine_ge ix iy
-                   | Eq -> D.Itv.refine_eq ix iy
-                   | Ne -> D.Itv.refine_ne ix iy
-                   | _ -> assert false))
-            in
+            let can_t = not (D.Itv.is_bot (Reldom.refine_cmp op ix iy)) in
             let can_f =
-              not
-                (D.Itv.is_bot
-                   (match op with
-                   | Lt -> D.Itv.refine_ge ix iy
-                   | Gt -> D.Itv.refine_le ix iy
-                   | Le -> D.Itv.refine_gt ix iy
-                   | Ge -> D.Itv.refine_lt ix iy
-                   | Eq -> D.Itv.refine_ne ix iy
-                   | Ne -> D.Itv.refine_eq ix iy
-                   | _ -> assert false))
+              not (D.Itv.is_bot (Reldom.refine_cmp (Reldom.negate_cmp op) ix iy))
             in
             (* Ne/Eq refinements are weak; make the comparison exact on
                disjoint / singleton intervals *)
@@ -553,7 +474,7 @@ let rec eval ?(var_hook : (var -> D.Itv.t option) option) (a : actx)
                   | _ -> (can_t, can_f))
               | _ -> (can_t, can_f)
             in
-            bool_itv (can_f, can_t))
+            D.Itv.of_truth (can_f, can_t))
       | Add | Sub | Mul -> (
           let ix = ev x and iy = ev y in
           let r =
@@ -643,29 +564,10 @@ let rec eval ?(var_hook : (var -> D.Itv.t option) option) (a : actx)
 and cond_hook (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
     (truth : bool) : (var -> D.Itv.t option) option =
   let refined_for (v : var) (op : binop) (other : expr) (x_on_left : bool) =
-    let err = ref false in
-    let saved = a.alarms.Alarm.enabled in
-    a.alarms.Alarm.enabled <- false;
-    let io = eval a st binds err other in
-    a.alarms.Alarm.enabled <- saved;
-    let base = var_itv a st v in
-    let op = if x_on_left then op
-      else match op with
-        | Lt -> Gt | Gt -> Lt | Le -> Ge | Ge -> Le | o -> o
-    in
-    let op = if truth then op
-      else match op with
-        | Lt -> Ge | Ge -> Lt | Gt -> Le | Le -> Gt | Eq -> Ne | Ne -> Eq
-        | o -> o
-    in
-    match op with
-    | Lt -> D.Itv.refine_lt base io
-    | Gt -> D.Itv.refine_gt base io
-    | Le -> D.Itv.refine_le base io
-    | Ge -> D.Itv.refine_ge base io
-    | Eq -> D.Itv.refine_eq base io
-    | Ne -> D.Itv.refine_ne base io
-    | _ -> base
+    let io = quietly a (fun () -> eval a st binds (ref false) other) in
+    let op = if x_on_left then op else Reldom.swap_cmp op in
+    let op = if truth then op else Reldom.negate_cmp op in
+    Reldom.refine_cmp op (var_itv a st v) io
   in
   match cond.edesc with
   | Eunop (Lnot, inner) -> cond_hook a st binds inner (not truth)
@@ -679,19 +581,7 @@ and cond_hook (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
           Some (fun w -> if Var.equal w v then Some i else None)
       | _ -> None)
   | Elval { ldesc = Lvar v; _ } when not v.v_volatile ->
-      let base = var_itv a st v in
-      let i =
-        if truth then
-          D.Itv.refine_ne base
-            (match base with
-            | D.Itv.Float _ -> D.Itv.float_const 0.0
-            | _ -> D.Itv.int_const 0)
-        else
-          D.Itv.meet base
-            (match base with
-            | D.Itv.Float _ -> D.Itv.float_const 0.0
-            | _ -> D.Itv.int_const 0)
-      in
+      let i = refine_truth (var_itv a st v) truth in
       Some (fun w -> if Var.equal w v then Some i else None)
   | _ -> None
 
@@ -706,9 +596,7 @@ and combine_hooks (outer : (var -> D.Itv.t option) option)
       Some
         (fun v ->
           match (f v, g v) with
-          | Some a, Some b ->
-              let m = D.Itv.meet a b in
-              Some m
+          | Some a, Some b -> Some (D.Itv.meet a b)
           | Some a, None -> Some a
           | None, Some b -> Some b
           | None, None -> None)
@@ -720,8 +608,7 @@ and read_lval ?var_hook (a : actx) (st : Astate.t) (binds : binds)
   (match lv.ldesc with
   | Lvar v -> (
       match (var_hook, v.v_ty) with
-      | Some hook, F.Ctypes.Tscalar _ -> (
-          match hook v with Some i -> Some i | None -> None)
+      | Some hook, F.Ctypes.Tscalar _ -> hook v
       | _ -> None)
   | _ -> None)
   |> function
@@ -756,21 +643,18 @@ and cells_of_lval (a : actx) (st : Astate.t) (binds : binds) (err : bool ref)
         let bases = go b in
         match b.lty with
         | F.Ctypes.Tarray (_, n) ->
-            if n <= a.cfg.Config.expand_array_max then begin
-              let ii = eval a st binds err idx in
-              let rng = D.Itv.int_range 0 (n - 1) in
-              let ii =
-                if not (D.Itv.subset ii rng) then begin
-                  report
-                    ~domain:(value_domain a st binds idx)
-                    ~operands:[ operand idx ii ]
-                    a err Alarm.Out_of_bounds idx.eloc
-                    (Fmt.str "index %a outside [0,%d]" D.Itv.pp ii (n - 1));
-                  D.Itv.meet ii rng
-                end
-                else ii
-              in
-              match ii with
+            (* the subscript is bound-checked, expanded array or not *)
+            let ii = eval a st binds err idx in
+            let rng = D.Itv.int_range 0 (n - 1) in
+            let inside = D.Itv.subset ii rng in
+            if not inside then
+              report
+                ~domain:(value_domain a st binds idx)
+                ~operands:[ operand idx ii ]
+                a err Alarm.Out_of_bounds idx.eloc
+                (Fmt.str "index %a outside [0,%d]" D.Itv.pp ii (n - 1));
+            if n <= a.cfg.Config.expand_array_max then
+              match if inside then ii else D.Itv.meet ii rng with
               | D.Itv.Int (lo, hi) ->
                   if hi > lo then weak_multi := true;
                   List.concat_map
@@ -779,18 +663,8 @@ and cells_of_lval (a : actx) (st : Astate.t) (binds : binds) (err : bool ref)
                           (v, p @ [ Cell.Selem (lo + k) ])))
                     bases
               | _ -> []
-            end
             else begin
-              (* shrunk array: single weak cell; the subscript is still
-                 bound-checked *)
-              let ii = eval a st binds err idx in
-              let rng = D.Itv.int_range 0 (n - 1) in
-              if not (D.Itv.subset ii rng) then
-                report
-                  ~domain:(value_domain a st binds idx)
-                  ~operands:[ operand idx ii ]
-                  a err Alarm.Out_of_bounds idx.eloc
-                  (Fmt.str "index %a outside [0,%d]" D.Itv.pp ii (n - 1));
+              (* shrunk array: single weak cell *)
               weak_multi := true;
               List.map (fun (v, p) -> (v, p @ [ Cell.Sall ])) bases
             end
@@ -820,12 +694,11 @@ and refine_linear ?var_hook (a : actx) (st : Astate.t) (err : bool ref)
   if (not a.cfg.Config.use_linearization) || !err then plain
   else
     let orc v =
-      let base =
-        match var_hook with
-        | Some hook -> ( match hook v with Some i -> Some i | None -> None)
-        | None -> None
+      let i =
+        match Option.bind var_hook (fun hook -> hook v) with
+        | Some i -> i
+        | None -> var_itv a st v
       in
-      let i = match base with Some i -> i | None -> var_itv a st v in
       match D.Itv.float_hull i with
       | Some h -> h
       | None -> (Float.nan, Float.nan)
@@ -876,362 +749,56 @@ let refine_var_env (a : actx) (st : Astate.t) (v : var) (i : D.Itv.t) :
           { st with Astate.env = Env.set st.Astate.env id (Avalue.with_itv old refined) }
     | _ -> st
 
-(** Pull interval bounds out of the octagons for [vars] and meet them
-    into the environment, tracking pack usefulness (Sect. 7.2.2). *)
-let writeback_octagons (a : actx) (st : Astate.t) (vars : var list) : Astate.t =
-  if not a.cfg.Config.use_octagons then st
-  else
-    List.fold_left
-      (fun st v ->
-        List.fold_left
-          (fun st (op : Packing.oct_pack) ->
-            match Ptmap.find_opt op.op_id st.Astate.rel.Relstate.octs with
-            | None -> st
-            | Some o -> (
-                if D.Octagon.is_bot o then Astate.bottom
-                else
-                  match D.Octagon.get_bounds o v with
-                  | Some (lo, hi)
-                    when lo > Float.neg_infinity || hi < Float.infinity -> (
-                      let cur = var_itv a st v in
-                      let bound =
-                        match cur with
-                        | D.Itv.Int _ ->
-                            D.Itv.int_range
-                              (if lo = Float.neg_infinity then min_int
-                               else int_of_float (Float.floor lo))
-                              (if hi = Float.infinity then max_int
-                               else int_of_float (Float.ceil hi))
-                        | D.Itv.Float _ -> D.Itv.float_range lo hi
-                        | D.Itv.Bot -> D.Itv.Bot
-                      in
-                      match bound with
-                      | D.Itv.Bot -> st
-                      | bound ->
-                          let refined = D.Itv.meet cur bound in
-                          if
-                            (not (D.Itv.equal refined cur))
-                            && not (D.Itv.is_bot refined)
-                          then begin
-                            Hashtbl.replace a.oct_useful op.op_id ();
-                            refine_var_env a st v refined
-                          end
-                          else st)
-                  | _ -> st))
-          st
-          (oct_packs_of a v))
-      st vars
-
-(** Pull bounds out of the decision trees for [v]. *)
-let writeback_dtrees (a : actx) (st : Astate.t) (v : var) : Astate.t =
-  if not a.cfg.Config.use_decision_trees then st
-  else
-    List.fold_left
-      (fun st (dp : Packing.dt_pack) ->
-        match Ptmap.find_opt dp.dp_id st.Astate.rel.Relstate.dts with
-        | None -> st
-        | Some d -> (
-            if D.Decision_tree.is_bot d then Astate.bottom
-            else
-              match D.Decision_tree.get_num d v with
-              | Some i -> refine_var_env a st v i
-              | None -> (
-                  if Array.exists (Var.equal v) dp.dp_bools then
-                    let can_f, can_t = D.Decision_tree.get_bool d v in
-                    refine_var_env a st v (bool_itv (can_f, can_t))
-                  else st)))
-      st
-      (dt_packs_of a v)
-
-(** Pull a magnitude bound out of the ellipsoids for [v] (the paper's
-    |X'| <= 2 sqrt(b . r / (4b - a^2)) reduction). *)
-let writeback_ellipsoids (a : actx) (st : Astate.t) (v : var) : Astate.t =
-  if not a.cfg.Config.use_ellipsoids then st
-  else
-    List.fold_left
-      (fun st (ep : Packing.ell_pack) ->
-        match Ptmap.find_opt ep.ep_id st.Astate.rel.Relstate.ells with
-        | None -> st
-        | Some el -> (
-            match D.Ellipsoid.best_bound el v with
-            | Some m -> refine_var_env a st v (D.Itv.float_range (-.m) m)
-            | None -> st))
-      st
-      (ell_packs_of a v)
-
 (* ------------------------------------------------------------------ *)
-(* Decision-tree helpers                                               *)
+(* Relational domains (Reldom): the reduction channel and the folds    *)
 (* ------------------------------------------------------------------ *)
 
-(* Evaluate an expression with a leaf-local variable hook. *)
-let eval_in_leaf (a : actx) (st : Astate.t) (binds : binds)
-    (dp : Packing.dt_pack) (path : (int * bool) list)
-    (leaf : D.Itv.t VarMap.t) (e : expr) : D.Itv.t =
-  let hook (v : var) : D.Itv.t option =
-    match List.assoc_opt v.v_id path with
-    | Some b -> Some (D.Itv.int_const (if b then 1 else 0))
-    | None -> (
-        match VarMap.find_opt v leaf with
-        | Some i -> Some (D.Itv.meet i (var_itv a st v))
-        | None ->
-            if Array.exists (Var.equal v) dp.dp_nums then
-              Some (var_itv a st v)
-            else None)
-  in
-  let err = ref false in
-  let saved = a.alarms.Alarm.enabled in
-  a.alarms.Alarm.enabled <- false;  (* leaf-local evaluation never alarms *)
-  let r = eval ~var_hook:hook a st binds err e in
-  a.alarms.Alarm.enabled <- saved;
-  r
+(* Interval evaluation for the relational domains: never alarms. *)
+let quiet_eval (a : actx) (st : Astate.t) (binds : binds) hook (e : expr) :
+    D.Itv.t =
+  quietly a (fun () -> eval ~var_hook:hook a st binds (ref false) e)
 
-(* Integer casts of truth-valued expressions (0/1) are value-preserving;
-   strip them so condition shapes are recognized. *)
-let rec strip_bool_casts (e : expr) : expr =
-  match e.edesc with
-  | Ecast
-      ( F.Ctypes.Tint _,
-        ({ edesc = Ebinop ((Lt | Gt | Le | Ge | Eq | Ne | Land | Lor), _, _); _ }
-         as inner) ) ->
-      strip_bool_casts inner
-  | Ecast (F.Ctypes.Tint _, ({ edesc = Eunop (Lnot, _); _ } as inner)) ->
-      strip_bool_casts inner
-  | _ -> e
+let chan : (actx, Astate.t) Reldom.chan =
+  {
+    Reldom.packing = (fun a -> a.packs);
+    rel = (fun st -> st.Astate.rel);
+    with_rel = (fun st rel -> { st with Astate.rel });
+    bottom = Astate.bottom;
+    var_itv;
+    refine = refine_var_env;
+    eval = quiet_eval;
+    resolve = resolve_expr;
+    useful = (fun a pid -> Hashtbl.replace a.oct_useful pid ());
+  }
 
-(* Refine a leaf under [cond = truth] by backward interval refinement on
-   pack numerical variables occurring in simple comparisons. *)
-let refine_leaf (a : actx) (st : Astate.t) (binds : binds)
-    (dp : Packing.dt_pack) (path : (int * bool) list) (cond : expr)
-    (truth : bool) (leaf : D.Itv.t VarMap.t) : D.Itv.t VarMap.t option =
-  let cond = strip_bool_casts cond in
-  (* quick unsatisfiability check *)
-  let i = eval_in_leaf a st binds dp path leaf cond in
-  let can_f, can_t = truthiness i in
-  if (truth && not can_t) || ((not truth) && not can_f) then None
-  else
-    (* refine x for conditions (x cmp e) / (e cmp x) with x a pack num *)
-    let refine_one (x : var) (op : binop) (other : expr) (x_on_left : bool)
-        (leaf : D.Itv.t VarMap.t) : D.Itv.t VarMap.t option =
-      if not (Array.exists (Var.equal x) dp.dp_nums) then Some leaf
-      else begin
-        let base =
-          match VarMap.find_opt x leaf with
-          | Some i -> D.Itv.meet i (var_itv a st x)
-          | None -> var_itv a st x
-        in
-        let io = eval_in_leaf a st binds dp path leaf other in
-        let op = if x_on_left then op else (
-          match op with
-          | Lt -> Gt | Gt -> Lt | Le -> Ge | Ge -> Le | o -> o)
-        in
-        let op = if truth then op else (
-          match op with
-          | Lt -> Ge | Ge -> Lt | Gt -> Le | Le -> Gt | Eq -> Ne | Ne -> Eq
-          | o -> o)
-        in
-        let refined =
-          match op with
-          | Lt -> D.Itv.refine_lt base io
-          | Gt -> D.Itv.refine_gt base io
-          | Le -> D.Itv.refine_le base io
-          | Ge -> D.Itv.refine_ge base io
-          | Eq -> D.Itv.refine_eq base io
-          | Ne -> D.Itv.refine_ne base io
-          | _ -> base
-        in
-        if D.Itv.is_bot refined then None
-        else Some (VarMap.add x refined leaf)
-      end
-    in
-    match cond.edesc with
-    | Ebinop ((Lt | Gt | Le | Ge | Eq | Ne) as op, l, r) -> (
-        let leaf' =
-          match l.edesc with
-          | Elval { ldesc = Lvar x; _ } -> refine_one x op r true leaf
-          | Ecast (_, { edesc = Elval { ldesc = Lvar x; _ }; _ }) ->
-              refine_one x op r true leaf
-          | _ -> Some leaf
-        in
-        match leaf' with
-        | None -> None
-        | Some leaf' -> (
-            match r.edesc with
-            | Elval { ldesc = Lvar x; _ } -> refine_one x op l false leaf'
-            | Ecast (_, { edesc = Elval { ldesc = Lvar x; _ }; _ }) ->
-                refine_one x op l false leaf'
-            | _ -> Some leaf'))
-    | _ -> Some leaf
+(* The folds below run the domains of [Relstate.domains] that the
+   configuration enables, in product order; a domain stops seeing the
+   state once it is bottom.  Plain recursion: no closure per statement. *)
+
+let rec guard_rel a st binds cond truth = function
+  | [] -> st
+  | d :: ds ->
+      let module M = (val d : Reldom.S) in
+      let st =
+        if Astate.is_bot st || not (M.enabled a.cfg) then st
+        else M.guard chan a st binds cond truth
+      in
+      guard_rel a st binds cond truth ds
+
+let rec assign_rel a st binds x rhs rhs_itv = function
+  | [] -> st
+  | d :: ds ->
+      let module M = (val d : Reldom.S) in
+      let st =
+        if Astate.is_bot st || not (M.enabled a.cfg) then st
+        else M.assign chan a st binds x rhs rhs_itv
+      in
+      assign_rel a st binds x rhs rhs_itv ds
 
 (* ------------------------------------------------------------------ *)
 (* Guards (Sect. 5.4: guard# on atomic conditions; compound ones by     *)
 (* structural induction)                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* Is the condition a (possibly negated) boolean variable test?  After
-   elaboration these have the shape (b != 0), (b == 0) or !(...). *)
-let rec as_bool_var_test (e : expr) : (var * bool) option =
-  match e.edesc with
-  | Elval { ldesc = Lvar b; _ } when F.Ctypes.is_bool b.v_ty -> Some (b, true)
-  | Ebinop (Ne, { edesc = Elval { ldesc = Lvar b; _ }; _ }, { edesc = Eint 0; _ })
-    when F.Ctypes.is_bool b.v_ty ->
-      Some (b, true)
-  | Ebinop (Eq, { edesc = Elval { ldesc = Lvar b; _ }; _ }, { edesc = Eint 0; _ })
-    when F.Ctypes.is_bool b.v_ty ->
-      Some (b, false)
-  | Eunop (Lnot, inner) ->
-      Option.map (fun (b, v) -> (b, not v)) (as_bool_var_test inner)
-  | _ -> None
-
-let negate_cmp : binop -> binop = function
-  | Lt -> Ge | Ge -> Lt | Gt -> Le | Le -> Gt | Eq -> Ne | Ne -> Eq
-  | op -> op
-
-(* Guard the octagons with (l cmp r) [truth], through linear forms. *)
-let guard_octagons (a : actx) (st : Astate.t) (binds : binds) (op : binop)
-    (l : expr) (r : expr) (truth : bool) : Astate.t =
-  if (not a.cfg.Config.use_octagons) || Ptmap.is_empty st.Astate.rel.Relstate.octs
-  then st
-  else begin
-    let op = if truth then op else negate_cmp op in
-    let orc v =
-      match D.Itv.float_hull (var_itv a st v) with
-      | Some h -> h
-      | None -> (Float.nan, Float.nan)
-    in
-    let l = resolve_expr binds l and r = resolve_expr binds r in
-    match (D.Linearize.linearize orc l, D.Linearize.linearize orc r) with
-    | Some fl, Some fr ->
-        (* all forms are applied to ONE copy of each touched pack
-           octagon ([guard_le_zero] restores closure incrementally
-           between them), so an equality — two opposite inequalities —
-           costs one copy per pack instead of a copy-close-copy chain *)
-        let apply_le_zero st forms =
-          let vars =
-            List.concat_map D.Linear_form.vars forms
-            |> List.sort_uniq Var.compare
-          in
-          let touched =
-            List.concat_map (fun v -> oct_packs_of a v) vars
-            |> List.sort_uniq (fun (x : Packing.oct_pack) y ->
-                   Int.compare x.op_id y.op_id)
-          in
-          let octs =
-            List.fold_left
-              (fun octs (op_ : Packing.oct_pack) ->
-                match Ptmap.find_opt op_.op_id octs with
-                | None -> octs
-                | Some o ->
-                    let o' = D.Octagon.copy o in
-                    List.iter (fun f -> D.Octagon.guard_le_zero o' orc f) forms;
-                    Ptmap.add op_.op_id o' octs)
-              st.Astate.rel.Relstate.octs touched
-          in
-          { st with Astate.rel = { st.Astate.rel with Relstate.octs } }
-        in
-        (* over the integers a < b is a - b + 1 <= 0: recover the unit
-           the real-field octagon would lose on strict comparisons *)
-        let both_int =
-          F.Ctypes.is_integer (F.Ctypes.Tscalar l.ety)
-          && F.Ctypes.is_integer (F.Ctypes.Tscalar r.ety)
-        in
-        let one = D.Linear_form.of_interval 1.0 1.0 in
-        let strictify f = if both_int then D.Linear_form.add f one else f in
-        let st =
-          match op with
-          | Le -> apply_le_zero st [ D.Linear_form.sub fl fr ]
-          | Lt -> apply_le_zero st [ strictify (D.Linear_form.sub fl fr) ]
-          | Ge -> apply_le_zero st [ D.Linear_form.sub fr fl ]
-          | Gt -> apply_le_zero st [ strictify (D.Linear_form.sub fr fl) ]
-          | Eq ->
-              apply_le_zero st
-                [ D.Linear_form.sub fl fr; D.Linear_form.sub fr fl ]
-          | _ -> st
-        in
-        (* pull refined bounds back into the environment, for every
-           variable of the touched packs: the closure typically improves
-           other pack members than those occurring in the condition (the
-           paper's rate-limiter example bounds L from the guard on R) *)
-        let guard_vars = D.Linear_form.vars fl @ D.Linear_form.vars fr in
-        let pack_vars =
-          List.concat_map
-            (fun v ->
-              List.concat_map
-                (fun (op_ : Packing.oct_pack) -> Array.to_list op_.op_vars)
-                (oct_packs_of a v))
-            guard_vars
-        in
-        let vars = List.sort_uniq Var.compare (guard_vars @ pack_vars) in
-        writeback_octagons a st vars
-    | _ -> st
-  end
-
-(* Guard the decision trees. *)
-let guard_dtrees (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
-    (truth : bool) : Astate.t =
-  if not a.cfg.Config.use_decision_trees then st
-  else
-    match as_bool_var_test cond with
-    | Some (b, pos) ->
-        let value = if truth then pos else not pos in
-        let dts = ref st.Astate.rel.Relstate.dts in
-        let changed = ref [] in
-        List.iter
-          (fun (dp : Packing.dt_pack) ->
-            match Ptmap.find_opt dp.dp_id !dts with
-            | None -> ()
-            | Some d ->
-                let d' = D.Decision_tree.guard_bool d b value in
-                dts := Ptmap.add dp.dp_id d' !dts;
-                changed := dp :: !changed)
-          (dt_packs_of a b);
-        let st =
-          { st with Astate.rel = { st.Astate.rel with Relstate.dts = !dts } }
-        in
-        (* write back bounds for the numerical variables of changed packs *)
-        List.fold_left
-          (fun st (dp : Packing.dt_pack) ->
-            Array.fold_left (fun st v -> writeback_dtrees a st v) st dp.dp_nums)
-          st !changed
-    | None -> (
-        match cond.edesc with
-        | Ebinop ((Lt | Gt | Le | Ge | Eq | Ne), _, _) ->
-            let vars =
-              VarSet.elements (expr_vars cond VarSet.empty)
-              |> List.filter (fun v -> F.Ctypes.is_scalar v.v_ty)
-            in
-            let touched =
-              List.concat_map (fun v -> dt_packs_of a v) vars
-              |> List.sort_uniq (fun (x : Packing.dt_pack) y ->
-                     Int.compare x.dp_id y.dp_id)
-            in
-            List.fold_left
-              (fun st (dp : Packing.dt_pack) ->
-                match Ptmap.find_opt dp.dp_id st.Astate.rel.Relstate.dts with
-                | None -> st
-                | Some d ->
-                    let d' =
-                      D.Decision_tree.guard_num d (fun path leaf ->
-                          match leaf with
-                          | None -> None
-                          | Some m ->
-                              refine_leaf a st binds dp path cond truth m)
-                    in
-                    let st =
-                      {
-                        st with
-                        Astate.rel =
-                          {
-                            st.Astate.rel with
-                            Relstate.dts =
-                              Ptmap.add dp.dp_id d' st.Astate.rel.Relstate.dts;
-                          };
-                      }
-                    in
-                    Array.fold_left
-                      (fun st v -> writeback_dtrees a st v)
-                      st dp.dp_nums)
-              st touched
-        | _ -> st)
 
 (** guard#(E, c): refine the state under condition [cond] = [truth]. *)
 let rec guard (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
@@ -1259,27 +826,9 @@ let rec guard (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
         let ir = eval a st binds err r in
         if D.Itv.is_bot il || D.Itv.is_bot ir then Astate.bottom
         else begin
-          let op' = if truth then op else negate_cmp op in
-          let rl =
-            match op' with
-            | Lt -> D.Itv.refine_lt il ir
-            | Gt -> D.Itv.refine_gt il ir
-            | Le -> D.Itv.refine_le il ir
-            | Ge -> D.Itv.refine_ge il ir
-            | Eq -> D.Itv.refine_eq il ir
-            | Ne -> D.Itv.refine_ne il ir
-            | _ -> il
-          in
-          let rr =
-            match op' with
-            | Lt -> D.Itv.refine_gt ir il
-            | Gt -> D.Itv.refine_lt ir il
-            | Le -> D.Itv.refine_ge ir il
-            | Ge -> D.Itv.refine_le ir il
-            | Eq -> D.Itv.refine_eq ir il
-            | Ne -> D.Itv.refine_ne ir il
-            | _ -> ir
-          in
+          let op' = if truth then op else Reldom.negate_cmp op in
+          let rl = Reldom.refine_cmp op' il ir in
+          let rr = Reldom.refine_cmp (Reldom.swap_cmp op') ir il in
           if D.Itv.is_bot rl || D.Itv.is_bot rr then Astate.bottom
           else begin
             (* environment refinement on lvalues that resolve to exactly
@@ -1290,14 +839,10 @@ let rec guard (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
               match (resolve_expr binds e).edesc with
               | Elval ({ ldesc = Lvar v; _ }) -> refine_var_env a st v refined
               | Elval lv -> (
-                  let err2 = ref false in
-                  let saved = a.alarms.Alarm.enabled in
-                  a.alarms.Alarm.enabled <- false;
-                  let cells, exact = cells_of_lval a st binds err2 lv in
-                  a.alarms.Alarm.enabled <- saved;
-                  match cells with
-                  | [ id ] when exact && not (Cell.of_id a.intern id).Cell.weak
-                    -> (
+                  match
+                    quietly a (fun () -> cells_of_lval a st binds (ref false) lv)
+                  with
+                  | [ id ], true -> (
                       match Env.find st.Astate.env id with
                       | Some av ->
                           let cur = Avalue.itv av in
@@ -1315,253 +860,25 @@ let rec guard (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
             in
             let st = refine_side st l rl in
             let st = refine_side st r rr in
-            if Astate.is_bot st then st
-            else
-              let st = guard_octagons a st binds op l r truth in
-              if Astate.is_bot st then st
-              else guard_dtrees a st binds cond truth
+            guard_rel a st binds cond truth Relstate.domains
           end
         end
     | _ ->
         (* scalar used as truth value, e.g. after simplification *)
         let err = ref false in
         let i = eval a st binds err cond in
-        let can_f, can_t = truthiness i in
+        let can_f, can_t = D.Itv.truth i in
         if truth && not can_t then Astate.bottom
         else if (not truth) && not can_f then Astate.bottom
         else begin
           let st =
             match (resolve_expr binds cond).edesc with
             | Elval { ldesc = Lvar v; _ } ->
-                let refined =
-                  if truth then
-                    D.Itv.refine_ne i
-                      (match i with
-                      | D.Itv.Float _ -> D.Itv.float_const 0.0
-                      | _ -> D.Itv.int_const 0)
-                  else
-                    D.Itv.meet i
-                      (match i with
-                      | D.Itv.Float _ -> D.Itv.float_const 0.0
-                      | _ -> D.Itv.int_const 0)
-                in
-                refine_var_env a st v refined
+                refine_var_env a st v (refine_truth i truth)
             | _ -> st
           in
-          guard_dtrees a st binds cond truth
+          guard_rel a st binds cond truth Relstate.domains
         end
-
-(* ------------------------------------------------------------------ *)
-(* Relational assignment updates                                        *)
-(* ------------------------------------------------------------------ *)
-
-let assign_octagons (a : actx) (st : Astate.t) (x : var) (rhs : expr)
-    (rhs_itv : D.Itv.t) : Astate.t =
-  if not a.cfg.Config.use_octagons then st
-  else begin
-    let packs = oct_packs_of a x in
-    if packs = [] then st
-    else begin
-      let orc v =
-        match D.Itv.float_hull (var_itv a st v) with
-        | Some h -> h
-        | None -> (Float.nan, Float.nan)
-      in
-      let form = D.Linearize.linearize orc rhs in
-      let octs =
-        List.fold_left
-          (fun octs (op_ : Packing.oct_pack) ->
-            match Ptmap.find_opt op_.op_id octs with
-            | None -> octs
-            | Some o ->
-                let o' = D.Octagon.copy o in
-                (match form with
-                | Some form -> D.Octagon.assign o' orc x form
-                | None -> (
-                    D.Octagon.forget o' x;
-                    match D.Itv.float_hull rhs_itv with
-                    | Some (lo, hi) -> D.Octagon.set_bounds o' x (lo, hi)
-                    | None -> ()));
-                Ptmap.add op_.op_id o' octs)
-          st.Astate.rel.Relstate.octs packs
-      in
-      let st = { st with Astate.rel = { st.Astate.rel with Relstate.octs } } in
-      writeback_octagons a st [ x ]
-    end
-  end
-
-let assign_ellipsoids (a : actx) (st : Astate.t) (x : var) (rhs : expr) :
-    Astate.t =
-  if not a.cfg.Config.use_ellipsoids then st
-  else begin
-    let packs = ell_packs_of a x in
-    if packs = [] then st
-    else begin
-      let lin = Packing.syntactic_linear rhs in
-      let ells = ref st.Astate.rel.Relstate.ells in
-      List.iter
-        (fun (ep : Packing.ell_pack) ->
-          match Ptmap.find_opt ep.ep_id !ells with
-          | None -> ()
-          | Some el ->
-              let el' =
-                match rhs.edesc with
-                (* case 1: straight copy x := y *)
-                | Elval { ldesc = Lvar y; _ } when D.Ellipsoid.mem_var el y ->
-                    D.Ellipsoid.assign_copy el x y
-                | Ecast (_, { edesc = Elval { ldesc = Lvar y; _ }; _ })
-                  when D.Ellipsoid.mem_var el y ->
-                    D.Ellipsoid.assign_copy el x y
-                | _ -> (
-                    (* case 2: the filter update x := a.y - b.z + t *)
-                    match lin with
-                    | Some (terms, _c)
-                      when Var.equal x ep.ep_x
-                           && List.exists
-                                (fun (v, k) -> Var.equal v ep.ep_y && k = ep.ep_a)
-                                terms
-                           && List.exists
-                                (fun (v, k) ->
-                                  Var.equal v ep.ep_z && k = -.ep.ep_b)
-                                terms ->
-                        (* bound the residual t with the intervals *)
-                        let err = ref false in
-                        let saved = a.alarms.Alarm.enabled in
-                        a.alarms.Alarm.enabled <- false;
-                        let t_itv =
-                          let rest =
-                            List.filter
-                              (fun (v, _) ->
-                                not
-                                  (Var.equal v ep.ep_y || Var.equal v ep.ep_z))
-                              terms
-                          in
-                          let base = eval a st VarMap.empty err rhs in
-                          ignore base;
-                          (* conservative: evaluate rhs - a.y + b.z via
-                             intervals of the residual terms *)
-                          List.fold_left
-                            (fun acc (v, k) ->
-                              let vi = var_itv a st v in
-                              let term =
-                                D.Itv.mul (D.Itv.float_const k)
-                                  (D.Itv.int_to_float vi)
-                              in
-                              match (acc, term) with
-                              | D.Itv.Bot, t -> t
-                              | acc, t -> D.Itv.add acc t)
-                            (D.Itv.float_const
-                               (match lin with Some (_, c) -> c | None -> 0.0))
-                            rest
-                        in
-                        a.alarms.Alarm.enabled <- saved;
-                        let t_max =
-                          match D.Itv.float_hull t_itv with
-                          | Some (lo, hi) ->
-                              Float.max (Float.abs lo) (Float.abs hi)
-                          | None -> 0.0
-                        in
-                        (* pre-assignment reduction of r(y, z) from the
-                           intervals (the paper's third reduction step) *)
-                        let orc v =
-                          match D.Itv.float_hull (var_itv a st v) with
-                          | Some h -> h
-                          | None -> (Float.nan, Float.nan)
-                        in
-                        let el =
-                          D.Ellipsoid.reduce_from_intervals orc el ep.ep_y
-                            ep.ep_z
-                        in
-                        D.Ellipsoid.assign_filter el x ep.ep_y ep.ep_z ~t_max
-                    | _ -> D.Ellipsoid.assign_other el x)
-              in
-              (* reduction with the interval domain, run eagerly after
-                 every pack-variable assignment; this is what seeds the
-                 ellipsoid after a reinitialization iteration (the paper
-                 stresses these reduction steps are "especially useful in
-                 handling a reinitialization iteration") *)
-              let orc v =
-                match D.Itv.float_hull (var_itv a st v) with
-                | Some h -> h
-                | None -> (Float.nan, Float.nan)
-              in
-              (* equality of two pack variables is established through the
-                 octagons *)
-              let equal_vars u w =
-                Var.equal u w
-                || List.exists
-                  (fun (op_ : Packing.oct_pack) ->
-                    match
-                      Ptmap.find_opt op_.op_id st.Astate.rel.Relstate.octs
-                    with
-                    | Some o -> (
-                        match D.Octagon.get_diff_bounds o u w with
-                        | Some (lo, hi) -> lo = 0.0 && hi = 0.0
-                        | None -> false)
-                    | None -> false)
-                  (oct_packs_of a u)
-              in
-              let el' =
-                Array.fold_left
-                  (fun el u ->
-                    Array.fold_left
-                      (fun el w ->
-                        D.Ellipsoid.reduce_from_intervals ~equal_vars orc el u
-                          w)
-                      el ep.ep_vars)
-                  el' ep.ep_vars
-              in
-              ells := Ptmap.add ep.ep_id el' !ells)
-        packs;
-      let st =
-        { st with Astate.rel = { st.Astate.rel with Relstate.ells = !ells } }
-      in
-      writeback_ellipsoids a st x
-    end
-  end
-
-let assign_dtrees (a : actx) (st : Astate.t) (binds : binds) (x : var)
-    (rhs : expr) : Astate.t =
-  if not a.cfg.Config.use_decision_trees then st
-  else begin
-    let packs = dt_packs_of a x in
-    if packs = [] then st
-    else begin
-      let dts = ref st.Astate.rel.Relstate.dts in
-      List.iter
-        (fun (dp : Packing.dt_pack) ->
-          match Ptmap.find_opt dp.dp_id !dts with
-          | None -> ()
-          | Some d ->
-              let d' =
-                if Array.exists (Var.equal x) dp.dp_bools then
-                  (* boolean assignment: split each leaf on the truth of
-                     the rhs *)
-                  D.Decision_tree.assign_bool_split d x (fun path leaf ->
-                      match leaf with
-                      | None -> (None, None)
-                      | Some m ->
-                          let lt =
-                            refine_leaf a st binds dp path rhs true m
-                          in
-                          let lf =
-                            refine_leaf a st binds dp path rhs false m
-                          in
-                          (lt, lf))
-                else
-                  D.Decision_tree.assign_num d x (fun path leaf ->
-                      match leaf with
-                      | None -> D.Itv.Bot
-                      | Some m -> eval_in_leaf a st binds dp path m rhs)
-              in
-              dts := Ptmap.add dp.dp_id d' !dts)
-        packs;
-      let st =
-        { st with Astate.rel = { st.Astate.rel with Relstate.dts = !dts } }
-      in
-      writeback_dtrees a st x
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Assignment                                                          *)
@@ -1589,8 +906,8 @@ let assign (a : actx) (st : Astate.t) (binds : binds) (lv : lval) (rhs : expr)
         | D.Itv.Float _, F.Ctypes.Tfloat _ -> true
         | _ -> false
       in
-      let new_av_for (id : int) : Avalue.t =
-        let generic () = Avalue.of_itv ~use_clocked ~clock rhs_itv in
+      let generic () = Avalue.of_itv ~use_clocked ~clock rhs_itv in
+      let nv : Avalue.t =
         if not use_clocked then generic ()
         else
           (* the copy and x := y + c fast paths below meet the SOURCE
@@ -1615,29 +932,7 @@ let assign (a : actx) (st : Astate.t) (binds : binds) (lv : lval) (rhs : expr)
               | Some ([ (y, 1.0) ], c)
                 when F.Ctypes.equal (F.Ctypes.Tscalar rhs.ety) y.v_ty -> (
                   (* x := y + c *)
-                  let ycell = var_cell a y in
-                  match Env.find st.Astate.env ycell with
-                  | Some av
-                    when (not y.v_volatile) && ycell = id
-                         && (not (itf_tracked_var a y))
-                         && same_kind (Avalue.itv av) rhs.ety ->
-                      (* self-update x := x + c *)
-                      let k =
-                        match rhs.ety with
-                        | F.Ctypes.Tint _ ->
-                            if Float.is_integer c then
-                              D.Itv.int_const (int_of_float c)
-                            else D.Itv.int_range
-                                   (int_of_float (Float.floor c))
-                                   (int_of_float (Float.ceil c))
-                        | F.Ctypes.Tfloat _ -> D.Itv.float_const c
-                      in
-                      let shifted = Avalue.add_const k av in
-                      let meet_v =
-                        D.Itv.meet (Avalue.itv shifted) rhs_itv
-                      in
-                      if D.Itv.is_bot meet_v then generic ()
-                      else Avalue.with_itv shifted meet_v
+                  match Env.find st.Astate.env (var_cell a y) with
                   | Some av
                     when (not y.v_volatile)
                          && (not (itf_tracked_var a y))
@@ -1662,7 +957,6 @@ let assign (a : actx) (st : Astate.t) (binds : binds) (lv : lval) (rhs : expr)
       let env =
         List.fold_left
           (fun env id ->
-            let nv = new_av_for id in
             if exact then Env.set env id nv
             else
               (* weak update: old value or new value (Sect. 6.1.3) *)
@@ -1692,9 +986,7 @@ let assign (a : actx) (st : Astate.t) (binds : binds) (lv : lval) (rhs : expr)
       (* relational updates only for exact scalar-variable assignments *)
       match lv.ldesc with
       | Lvar x when exact && F.Ctypes.is_scalar x.v_ty ->
-          let st = assign_octagons a st x rhs rhs_itv in
-          let st = assign_ellipsoids a st x rhs in
-          assign_dtrees a st binds x rhs
+          assign_rel a st binds x rhs rhs_itv Relstate.domains
       | _ -> st
     end
   end

@@ -123,9 +123,6 @@ and actx = {
   alarms : Alarm.collector;
   oct_useful : (int, unit) Hashtbl.t;
       (** octagon packs that improved precision (Sect. 7.2.2) *)
-  oct_index : (int, Packing.oct_pack list) Hashtbl.t;
-  ell_index : (int, Packing.ell_pack list) Hashtbl.t;
-  dt_index : (int, Packing.dt_pack list) Hashtbl.t;
   invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> head invariant *)
   input_specs : (int, float * float) Hashtbl.t;
   mutable join_count : int;
@@ -136,41 +133,23 @@ val new_session : unit -> session
 
 val make_actx : ?session:session -> Config.t -> F.Tast.program -> actx
 
-(** {1 Pack lookups (indexed)} *)
-
-val oct_packs_of : actx -> F.Tast.var -> Packing.oct_pack list
-val ell_packs_of : actx -> F.Tast.var -> Packing.ell_pack list
-val dt_packs_of : actx -> F.Tast.var -> Packing.dt_pack list
-
 (** {1 Cells and values} *)
 
 (** Interned cell id of a scalar variable. *)
 val var_cell : actx -> F.Tast.var -> int
-
-(** Interval of every value of a scalar type on the target. *)
-val type_range : actx -> F.Ctypes.scalar -> D.Itv.t
-
-(** Range of a volatile input read (Sect. 4 environment specs). *)
-val input_itv : actx -> F.Tast.var -> F.Ctypes.scalar -> D.Itv.t
 
 (** Clock-reduced interval of a cell.  Under an interference context,
     reads of shared cells join the rely set — this is the single read
     funnel every consumer of an abstract value goes through. *)
 val cell_itv : actx -> Astate.t -> int -> D.Itv.t
 
-(** Is [v] a shared variable of a multi-task run?  [false] whenever no
-    interference context is installed. *)
-val itf_tracked_var : actx -> F.Tast.var -> bool
-
-(** Join a write into an interference guarantee collector (exposed for
-    the fixpoint driver's replay paths and tests). *)
-val itf_record : itf -> itf_key -> D.Itv.t -> unit
-
 (** Clock-reduced interval of a scalar variable. *)
 val var_itv : actx -> Astate.t -> F.Tast.var -> D.Itv.t
 
-(** Float-hull oracle over the state, for the relational domains. *)
-val oracle : actx -> Astate.t -> F.Tast.var -> float * float
+(** The reduction channel the relational domains see: the packing, the
+    state's relational part, interval reads and refinements, alarm-free
+    evaluation, parameter resolution and the useful-pack mark. *)
+val chan : (actx, Astate.t) Reldom.chan
 
 (** {1 Lvalues and expressions} *)
 
@@ -187,12 +166,13 @@ val eval :
   ?var_hook:(F.Tast.var -> D.Itv.t option) ->
   actx -> Astate.t -> binds -> bool ref -> F.Tast.expr -> D.Itv.t
 
-(** Raising-domain attribution for alarm provenance (ISSUE 5): the
-    abstract domain carrying the sharpest information about the
-    variables of [e] — "octagon" when two of them share an octagon
-    pack, "ellipsoid" / "decision-tree" when one is packed there,
-    "clocked" when a clocked component is informative, "interval"
-    otherwise.  Cold path (called when building an alarm). *)
+(** Raising-domain attribution for alarm provenance: the abstract
+    domain carrying the sharpest information about the variables of
+    [e] — the [name] of the first enabled relational domain that
+    relates them ("octagon" when two share an octagon pack,
+    "ellipsoid" / "decision-tree" when one is packed there), else
+    "clocked" when a clocked component is informative, else
+    "interval".  Cold path (called when building an alarm). *)
 val value_domain :
   actx -> Astate.t -> binds -> F.Tast.expr -> string
 
@@ -200,13 +180,15 @@ val value_domain :
 
 (** guard#(E, c): refine the state under [cond = truth] (Sect. 5.4);
     compound conditions are handled by structural induction, atomic
-    comparisons refine the intervals, the octagons (through linear
-    forms) and the decision trees. *)
+    conditions refine the intervals, then every enabled relational
+    domain in product order ({!Relstate.domains}, each through
+    {!Reldom.S.guard}), until the state is bottom. *)
 val guard : actx -> Astate.t -> binds -> F.Tast.expr -> bool -> Astate.t
 
 (** Abstract assignment lvalue := e (Sect. 6.1.3): strong or weak cell
-    updates, then relational updates (octagons, ellipsoids, decision
-    trees) with their interval write-backs. *)
+    updates, then, for an exact scalar variable, every enabled
+    relational domain in product order ({!Reldom.S.assign}), each with
+    its interval write-back. *)
 val assign : actx -> Astate.t -> binds -> F.Tast.lval -> F.Tast.expr -> Astate.t
 
 (** Local-variable creation (stack cells are created on the fly,

@@ -175,10 +175,6 @@ let tick (c : t) : t =
     in
     { c with vminus = shift c.vminus one; vplus = shift_up c.vplus }
 
-(** Pointwise lifting of a unary interval operation. *)
-let lift1_loose (f : Itv.t -> Itv.t) (clock : Itv.t) (c : t) : t =
-  of_itv (f c.v) clock
-
 (** Addition of a constant preserves the clock offsets exactly
     (x + k - clock = (x - clock) + k). *)
 let add_const (k : Itv.t) (c : t) : t =
@@ -189,14 +185,3 @@ let add_const (k : Itv.t) (c : t) : t =
       vminus = (if Itv.is_bot c.vminus then Itv.Bot else Itv.add c.vminus k);
       vplus = (if Itv.is_bot c.vplus then Itv.Bot else Itv.add c.vplus k);
     }
-
-(** Generic binary operation: compute on the value component and rebuild
-    the triple from the clock. *)
-let lift2_loose (f : Itv.t -> Itv.t -> Itv.t) (clock : Itv.t) (a : t) (b : t) : t
-    =
-  if is_bot a || is_bot b then bot else of_itv (f a.v b.v) clock
-
-(** Incrementation by at most one per cycle (the counter pattern): when
-    the analyzer sees [x := x + k] with k in [0, 1], the v- component is
-    stable under a subsequent tick, which is what bounds the counter. *)
-let incr_bounded (k : Itv.t) (c : t) : t = add_const k c

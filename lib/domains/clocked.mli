@@ -55,13 +55,4 @@ val tick : t -> t
     [x - clock] non-increasing). *)
 val add_const : Itv.t -> t -> t
 
-(** Pointwise lifting of a unary interval operation (loses clock info). *)
-val lift1_loose : (Itv.t -> Itv.t) -> Itv.t -> t -> t
-
-(** Generic binary operation on value components (loses clock info). *)
-val lift2_loose : (Itv.t -> Itv.t -> Itv.t) -> Itv.t -> t -> t -> t
-
-(** Alias of {!add_const} kept for the counter idiom. *)
-val incr_bounded : Itv.t -> t -> t
-
 val pp : Format.formatter -> t -> unit

@@ -274,37 +274,6 @@ let assign_bool_const (d : t) (v : F.Tast.var) (value : bool) : t =
     }
   end
 
-(** Assignment [b := expr] where [expr]'s truth value may depend on the
-    path: [eval path leaf] must return [Some true/false] when decided on
-    that path, [None] when unknown.  Each leaf is re-routed to the
-    corresponding branch of b. *)
-let assign_bool (d : t) (v : F.Tast.var)
-    (eval : (int * bool) list -> leaf -> bool option) : t =
-  if not (mem_bool d v) then d
-  else begin
-    let rank w = bool_rank d w in
-    (* first forget b (so paths do not mention the stale value),
-       remembering for each residual path what eval says *)
-    let rec forget_b = function
-      | Node (w, fb, tb) when F.Tast.Var.equal w v -> tree_map2 leaf_join fb tb
-      | Node (w, fb, tb) -> mk_node w (forget_b fb) (forget_b tb)
-      | Leaf _ as l -> l
-    in
-    let merged = forget_b d.tree in
-    let rec route path = function
-      | Node (w, fb, tb) ->
-          mk_node w
-            (route ((w.F.Tast.v_id, false) :: path) fb)
-            (route ((w.F.Tast.v_id, true) :: path) tb)
-      | Leaf l as leaf -> (
-          match eval (List.rev path) l with
-          | Some true -> tree_branch rank v (fun _ -> Leaf None) (fun t -> t) leaf
-          | Some false -> tree_branch rank v (fun t -> t) (fun _ -> Leaf None) leaf
-          | None -> leaf)
-    in
-    { d with tree = route [] merged }
-  end
-
 (** Assignment [b := cond] where the truth of [cond] may *split* a leaf:
     [split path leaf] returns the pair (leaf restricted to cond true,
     leaf restricted to cond false); each part is routed to the matching

@@ -51,14 +51,6 @@ val guard_bool : t -> Astree_frontend.Tast.var -> bool -> t
 (** Assign a known truth value to a pack boolean. *)
 val assign_bool_const : t -> Astree_frontend.Tast.var -> bool -> t
 
-(** [assign_bool d b eval]: per-path boolean assignment; [eval]
-    returns the rhs truth value when decided on that path. *)
-val assign_bool :
-  t ->
-  Astree_frontend.Tast.var ->
-  ((int * bool) list -> leaf -> bool option) ->
-  t
-
 (** [assign_bool_split d b split]: boolean assignment that may split a
     leaf — [split] returns the leaf restricted to rhs-true and rhs-false
     respectively; each part is routed to the matching branch of [b].

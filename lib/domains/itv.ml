@@ -521,3 +521,16 @@ let float_hull = function
         ((if a = Sat.neg_inf then Float.neg_infinity else float_of_int a),
          if b = Sat.pos_inf then Float.infinity else float_of_int b)
   | Float (a, b) -> Some (a, b)
+
+(** Truth values of a scalar: (can be zero, can be nonzero). *)
+let truth = function
+  | Bot -> (false, false)
+  | Int (lo, hi) -> (lo <= 0 && hi >= 0, not (lo = 0 && hi = 0))
+  | Float (lo, hi) -> (lo <= 0.0 && hi >= 0.0, not (lo = 0.0 && hi = 0.0))
+
+(** The 0/1 interval of a (can be false, can be true) pair. *)
+let of_truth = function
+  | false, false -> Bot
+  | true, false -> int_const 0
+  | false, true -> int_const 1
+  | true, true -> int_range 0 1

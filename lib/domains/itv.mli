@@ -129,3 +129,9 @@ val refine_ne : t -> t -> t
 
 (** Remove zero when it sits at a bound (for division guards). *)
 val exclude_zero : t -> t
+
+(** Truth values of a scalar: (can be zero, can be nonzero). *)
+val truth : t -> bool * bool
+
+(** The 0/1 interval of a (can be false, can be true) pair. *)
+val of_truth : bool * bool -> t

@@ -30,94 +30,14 @@ module D = Astree_domains
 (* Entry-state digests                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A canonical, location-free binary form of abstract values: fixed-width
-   integers, floats by their bits, strings length-prefixed, one tag byte
-   per variant — self-delimiting, so concatenations cannot collide.
-   Variables are written by their unique name, never by a record that
-   carries a source location.  Every record is taken apart with an
-   exhaustive pattern, so a field added later breaks the build here
-   (warning 9) until it is written or explicitly skipped: a field left
-   out of the key would let two different states share it. *)
-
-let add_i64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
-let add_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let add_str buf s =
-  add_i64 buf (String.length s);
-  Buffer.add_string buf s
-
-let add_name buf (v : F.Tast.var) = add_str buf v.F.Tast.v_name
-let add_names buf vs =
-  add_i64 buf (Array.length vs);
-  Array.iter (add_name buf) vs
-
-let add_itv buf : D.Itv.t -> unit = function
-  | D.Itv.Bot -> Buffer.add_char buf 'b'
-  | D.Itv.Int (lo, hi) ->
-      Buffer.add_char buf 'i';
-      add_i64 buf lo;
-      add_i64 buf hi
-  | D.Itv.Float (lo, hi) ->
-      Buffer.add_char buf 'f';
-      add_float buf lo;
-      add_float buf hi
+(* Entry states are written in the canonical encoding of {!C.Reldom}:
+   the environment here, the relational packs by {!C.Relstate.digest}. *)
 
 let add_avalue buf (c : C.Avalue.t) =
   let { D.Clocked.v; vminus; vplus } = c in
-  add_itv buf v;
-  add_itv buf vminus;
-  add_itv buf vplus
-
-(* the pack index is derived from the pack, so it is not written *)
-let add_octagon buf (o : D.Octagon.t) =
-  let { D.Octagon.pack; bot; n2; m; closure; index = _ } = o in
-  add_names buf pack;
-  Buffer.add_char buf (if bot then '1' else '0');
-  (match closure with
-  | D.Octagon.Closed -> Buffer.add_char buf 'C'
-  | D.Octagon.Unclosed -> Buffer.add_char buf 'U'
-  | D.Octagon.Dirty mask ->
-      Buffer.add_char buf 'D';
-      add_i64 buf mask);
-  add_i64 buf n2;
-  Array.iter (add_float buf) m
-
-let add_ellipsoid buf (e : D.Ellipsoid.t) =
-  let { D.Ellipsoid.a; b; fkind; vars; k } = e in
-  add_float buf a;
-  add_float buf b;
-  Buffer.add_char buf
-    (match fkind with F.Ctypes.Fsingle -> 's' | Fdouble -> 'd');
-  add_names buf vars;
-  add_i64 buf (D.Ellipsoid.PairMap.cardinal k);
-  D.Ellipsoid.PairMap.iter
-    (fun (x, y) kxy ->
-      add_i64 buf x;
-      add_i64 buf y;
-      add_float buf kxy)
-    k
-
-let add_dtree buf (d : D.Decision_tree.t) =
-  let { D.Decision_tree.bools; nums; tree = root } = d in
-  add_names buf bools;
-  add_names buf nums;
-  let rec tree = function
-    | D.Decision_tree.Leaf None -> Buffer.add_char buf 'n'
-    | D.Decision_tree.Leaf (Some m) ->
-        Buffer.add_char buf 'l';
-        add_i64 buf (F.Tast.VarMap.cardinal m);
-        F.Tast.VarMap.iter
-          (fun v i ->
-            add_name buf v;
-            add_itv buf i)
-          m
-    | D.Decision_tree.Node (v, f, t) ->
-        Buffer.add_char buf 'N';
-        add_name buf v;
-        tree f;
-        tree t
-  in
-  tree root
+  C.Reldom.add_itv buf v;
+  C.Reldom.add_itv buf vminus;
+  C.Reldom.add_itv buf vplus
 
 let add_env buf : C.Env.t -> unit = function
   | C.Env.Shared m ->
@@ -125,7 +45,7 @@ let add_env buf : C.Env.t -> unit = function
       Buffer.add_string buf (C.Ptmap.digest add_avalue m)
   | C.Env.Naive a ->
       Buffer.add_char buf 'N';
-      add_i64 buf (Array.length a);
+      C.Reldom.add_i64 buf (Array.length a);
       Array.iter
         (function
           | None -> Buffer.add_char buf '-'
@@ -147,15 +67,12 @@ let add_env buf : C.Env.t -> unit = function
     is as strong as an MD5 of the whole state. *)
 let entry_digest (st : C.Astate.t) (binds : C.Transfer.binds) : string =
   let { C.Astate.bot; env; rel; clock } = st in
-  let { C.Relstate.octs; ells; dts } = rel in
   let buf = Buffer.create 256 in
   Buffer.add_char buf (if bot then '1' else '0');
-  add_itv buf clock;
+  C.Reldom.add_itv buf clock;
   add_env buf env;
-  Buffer.add_string buf (C.Ptmap.digest add_octagon octs);
-  Buffer.add_string buf (C.Ptmap.digest add_ellipsoid ells);
-  Buffer.add_string buf (C.Ptmap.digest add_dtree dts);
-  add_i64 buf (F.Tast.VarMap.cardinal binds);
+  C.Relstate.digest buf rel;
+  C.Reldom.add_i64 buf (F.Tast.VarMap.cardinal binds);
   F.Tast.VarMap.iter
     (fun v lv ->
       Fingerprint.add_var buf v;
