@@ -30,6 +30,7 @@ module D = Astree_domains
 module F = Astree_frontend
 module I = Astree_incremental
 module P = Astree_parallel
+module R = Astree_robust
 module Metrics = Astree_obs.Metrics
 module Trace = Astree_obs.Trace
 
@@ -70,8 +71,10 @@ let top_rely (cfg : C.Config.t) (p : F.Tast.program)
    context.  The config digests the rely, so summary-cache keys
    self-identify the interference environment; cells are pre-filled in
    program order, so ids (hence states and invariants) align across
-   tasks and with the combined context. *)
-let run_job ~(cfg : C.Config.t) (p : F.Tast.program)
+   tasks and with the combined context.  [tick] is the governed run's
+   budget poll; it is uninstalled before the result (which carries the
+   session) is returned, so a worker's reply still marshals. *)
+let run_job ~(cfg : C.Config.t) ~tick (p : F.Tast.program)
     (shared : F.Tast.var list) (j : job) :
     C.Analysis.result * Interference.map =
   let cfg =
@@ -94,6 +97,7 @@ let run_job ~(cfg : C.Config.t) (p : F.Tast.program)
     }
   in
   ses.C.Transfer.ses_itf <- Some it;
+  ses.C.Transfer.ses_tick_hook <- tick;
   let p_t = { p with F.Tast.p_main = j.j_task } in
   let cache =
     if C.Config.cache_enabled cfg then Some (I.Summary.attach ses cfg p_t)
@@ -102,6 +106,7 @@ let run_job ~(cfg : C.Config.t) (p : F.Tast.program)
   let actx = C.Transfer.make_actx ~session:ses cfg p_t in
   C.Transfer.prefill_cells actx;
   let r = C.Analysis.analyze_prepared actx p_t in
+  ses.C.Transfer.ses_tick_hook <- None;
   let r =
     match cache with
     | None -> r
@@ -118,29 +123,29 @@ let run_job ~(cfg : C.Config.t) (p : F.Tast.program)
 (* Worker-side wrapper (the batch-axis discipline): detach any
    inherited trace sink, ship the registry delta back with the
    reply. *)
-let run_job_delta ~cfg p shared (j : job) :
+let run_job_delta ~cfg ~tick p shared (j : job) :
     (C.Analysis.result * Interference.map) * Metrics.snapshot =
   Trace.in_worker ();
   let m0 = Metrics.snapshot () in
-  let r = run_job ~cfg p shared j in
+  let r = run_job ~cfg ~tick p shared j in
   (r, Metrics.diff m0)
 
 (* Run one round: every task under its rely, in task order.  The pool
    path falls back to in-process recomputation for failed jobs, so a
    crashed worker degrades to the sequential result, never to a
    missing task. *)
-let run_round ~(cfg : C.Config.t) ~pool (p : F.Tast.program)
+let run_round ~(cfg : C.Config.t) ~tick ~pool (p : F.Tast.program)
     (shared : F.Tast.var list) (jobs : job list) :
     (C.Analysis.result * Interference.map) list =
   match pool with
-  | None -> List.map (run_job ~cfg p shared) jobs
+  | None -> List.map (run_job ~cfg ~tick p shared) jobs
   | Some pool ->
       List.map2
         (fun j -> function
           | Ok (r, delta) ->
               Metrics.absorb delta;
               r
-          | Error _ -> run_job ~cfg p shared j)
+          | Error _ -> run_job ~cfg ~tick p shared j)
         jobs
         (P.Pool.map pool jobs)
 
@@ -161,7 +166,7 @@ let absorb_actx (dst : C.Transfer.actx) (src : C.Transfer.actx) : unit =
   dst.C.Transfer.join_count <-
     dst.C.Transfer.join_count + src.C.Transfer.join_count
 
-let analyze ?(cfg = C.Config.default) ~(tasks : string list)
+let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
     (p : F.Tast.program) : t =
   let t0 = Unix.gettimeofday () in
   let tm = Taskmodel.build p tasks in
@@ -177,7 +182,7 @@ let analyze ?(cfg = C.Config.default) ~(tasks : string list)
       Some
         (P.Pool.create
            ~jobs:(min cfg.C.Config.jobs (List.length tasks))
-           (run_job_delta ~cfg p shared))
+           (run_job_delta ~cfg ~tick p shared))
     else None
   in
   let round_of ~round (writes : Interference.map list) :
@@ -196,7 +201,7 @@ let analyze ?(cfg = C.Config.default) ~(tasks : string list)
           { j_task = task; j_rely = rely })
         tasks
     in
-    let rs = run_round ~cfg ~pool p shared jobs in
+    let rs = run_round ~cfg ~tick ~pool p shared jobs in
     if !Trace.enabled then
       Trace.span_end "conc.round"
         ~args:
@@ -280,3 +285,18 @@ let analyze ?(cfg = C.Config.default) ~(tasks : string list)
           let results = round_of ~round:1 (List.map (fun _ -> []) tasks) in
           finish results ~rounds:1 ~stabilized:true
       | _ -> iterate ~round:1 (List.map (fun _ -> Interference.empty) tasks))
+
+(** The fixpoint under the resource budget of [cfg], like a single-task
+    analysis ([Degrade.analyze]): every per-task run polls the budget (and
+    the pool polls it while it waits), a timeout or memory trip restarts
+    the whole fixpoint one degradation step down and marks the result,
+    and an interrupt escapes as [Budget.Tripped Interrupted] — a
+    multi-task run has no partial result. *)
+let analyze ?(cfg = C.Config.default) ~(tasks : string list)
+    (p : F.Tast.program) : t =
+  if not (R.Degrade.watching cfg) then fixpoint ~tick:None cfg ~tasks p
+  else
+    R.Degrade.govern cfg p
+      ~attempt:(fun acfg -> fixpoint ~tick:(Some R.Budget.poll) acfg ~tasks p)
+      ~mark:(fun t dg -> { t with c_result = R.Degrade.mark t.c_result dg })
+      ~interrupted:(fun _ -> raise (R.Budget.Tripped R.Budget.Interrupted))

@@ -30,7 +30,11 @@ type t = {
     [cfg.jobs > 1] dispatches per-task runs to a process pool; results
     are identical to the sequential run.  The summary cache, when
     enabled, is attached per task run with the rely digest folded into
-    its keys.
+    its keys.  Under a budget ([cfg.timeout], [cfg.max_mem_mb], signal
+    handlers) it is governed like a single-task analysis: a timeout or
+    memory trip reruns the fixpoint one {!Astree_robust.Degrade} step
+    down and sets [stats.s_degraded].
     @raise Invalid_argument on fewer than two tasks, unknown task
-    names, or tasks taking parameters. *)
+    names, or tasks taking parameters.
+    @raise Astree_robust.Budget.Tripped [Interrupted] on an interrupt. *)
 val analyze : ?cfg:C.Config.t -> tasks:string list -> F.Tast.program -> t

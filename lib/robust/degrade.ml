@@ -118,17 +118,8 @@ let interrupted_result (ses : C.Transfer.session) (cfg : C.Config.t)
     r_actx = actx;
     r_stats =
       {
-        C.Analysis.s_globals_before = List.length p.F.Tast.p_globals;
-        s_globals_after = List.length p.F.Tast.p_globals;
-        s_cells = C.Cell.count actx.C.Transfer.intern;
-        s_stmts = F.Tast.program_size p;
-        s_oct_packs = List.length actx.C.Transfer.packs.C.Packing.octs;
-        s_oct_useful = Hashtbl.length actx.C.Transfer.oct_useful;
-        s_ell_packs = List.length actx.C.Transfer.packs.C.Packing.ells;
-        s_dt_packs = List.length actx.C.Transfer.packs.C.Packing.dts;
-        s_time = 0.;
-        s_cache = None;
-        s_degraded =
+        (C.Analysis.context_stats actx p) with
+        C.Analysis.s_degraded =
           Some
             {
               C.Analysis.dg_reason = "interrupted";
@@ -146,6 +137,82 @@ let interrupted_result (ses : C.Transfer.session) (cfg : C.Config.t)
 (* The governed analysis                                                *)
 (* ------------------------------------------------------------------ *)
 
+(** Must an analysis under [cfg] poll the budget? *)
+let watching (cfg : C.Config.t) : bool =
+  cfg.C.Config.timeout > 0.
+  || cfg.C.Config.max_mem_mb > 0
+  || Budget.handlers_active ()
+  || Budget.interrupt_pending ()
+
+(** Run [attempt] under the budget of [cfg], walking the ladder on
+    trips: [attempt] gets the configuration of each step and must poll
+    {!Budget.poll} while it runs; [mark] records the degradation on a
+    degraded step's result; an interrupt is answered by [interrupted]
+    with the configuration of the interrupted step. *)
+let govern ~(attempt : C.Config.t -> 'a)
+    ~(mark : 'a -> C.Analysis.degraded -> 'a)
+    ~(interrupted : C.Config.t -> 'a) (cfg : C.Config.t) (p : F.Tast.program)
+    : 'a =
+  Fun.protect ~finally:Budget.disarm (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let timeout = cfg.C.Config.timeout in
+      let hard = if timeout > 0. then t0 +. (2.0 *. timeout) else infinity in
+      (* deadline for the attempt at [level]: the full run gets the
+         budget itself; degraded retries split what is left of the 2x
+         envelope so the last step always has time to finish *)
+      let deadline_at level =
+        if timeout <= 0. then infinity
+        else if level = 0 then t0 +. timeout
+        else begin
+          let now = Unix.gettimeofday () in
+          let left = max 0.05 (hard -. now) in
+          match level with
+          | 1 -> now +. (0.35 *. left)
+          | 2 -> now +. (0.5 *. left)
+          | _ -> hard
+        end
+      in
+      let last_reason = ref Budget.Timeout in
+      let rec run level =
+        Budget.arm ~deadline:(deadline_at level)
+          ~max_mem_mb:cfg.C.Config.max_mem_mb ();
+        let acfg = config_at ~level cfg in
+        match attempt acfg with
+        | r ->
+            if level = 0 then r
+            else mark r (degraded_record cfg p ~reason:!last_reason ~level)
+        | exception Budget.Tripped Budget.Interrupted ->
+            if !Astree_obs.Trace.enabled then
+              Astree_obs.Trace.emit "budget.interrupt"
+                ~args:[ ("level", Astree_obs.Trace.I level) ];
+            interrupted acfg
+        | exception Budget.Tripped reason ->
+            last_reason := reason;
+            if !Astree_obs.Trace.enabled then
+              Astree_obs.Trace.emit "degrade.trip"
+                ~args:
+                  [
+                    ("reason", Astree_obs.Trace.S
+                                 (Budget.reason_to_string reason));
+                    ("level", Astree_obs.Trace.I level);
+                    ("next_level", Astree_obs.Trace.I (min (level + 1) max_level));
+                  ];
+            Astree_obs.Metrics.incr
+              (Astree_obs.Metrics.counter "degrade.trips");
+            if reason = Budget.Memory then Gc.compact ();
+            if level >= max_level then begin
+              (* even the interval-speed step blew the envelope: run it
+                 once more unbudgeted so the user still gets a sound
+                 (if coarse) result rather than nothing *)
+              Budget.disarm ();
+              mark
+                (attempt (config_at ~level:max_level cfg))
+                (degraded_record cfg p ~reason ~level:max_level)
+            end
+            else run (level + 1)
+      in
+      run 0)
+
 (** Analyze [p] under the resource budget of [cfg].  Without a budget
     and without signal handlers this is exactly [Analysis.analyze];
     otherwise the iterator tick polls the budget, and a trip walks the
@@ -157,78 +224,13 @@ let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
   let ses =
     match session with Some s -> s | None -> C.Transfer.new_session ()
   in
-  let watching =
-    cfg.C.Config.timeout > 0.
-    || cfg.C.Config.max_mem_mb > 0
-    || Budget.handlers_active ()
-    || Budget.interrupt_pending ()
-  in
-  if not watching then C.Analysis.analyze ~session:ses ~cfg p
+  if not (watching cfg) then C.Analysis.analyze ~session:ses ~cfg p
   else begin
     ses.C.Transfer.ses_tick_hook <- Some Budget.poll;
     Fun.protect
-      ~finally:(fun () ->
-        ses.C.Transfer.ses_tick_hook <- None;
-        Budget.disarm ())
+      ~finally:(fun () -> ses.C.Transfer.ses_tick_hook <- None)
       (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let timeout = cfg.C.Config.timeout in
-        let hard = if timeout > 0. then t0 +. (2.0 *. timeout) else infinity in
-        (* deadline for the attempt at [level]: the full run gets the
-           budget itself; degraded retries split what is left of the 2x
-           envelope so the last step always has time to finish *)
-        let deadline_at level =
-          if timeout <= 0. then infinity
-          else if level = 0 then t0 +. timeout
-          else begin
-            let now = Unix.gettimeofday () in
-            let left = max 0.05 (hard -. now) in
-            match level with
-            | 1 -> now +. (0.35 *. left)
-            | 2 -> now +. (0.5 *. left)
-            | _ -> hard
-          end
-        in
-        let last_reason = ref Budget.Timeout in
-        let rec attempt level =
-          Budget.arm ~deadline:(deadline_at level)
-            ~max_mem_mb:cfg.C.Config.max_mem_mb ();
-          let acfg = config_at ~level cfg in
-          match C.Analysis.analyze ~session:ses ~cfg:acfg p with
-          | r ->
-              if level = 0 then r
-              else mark r (degraded_record cfg p ~reason:!last_reason ~level)
-          | exception Budget.Tripped Budget.Interrupted ->
-              if !Astree_obs.Trace.enabled then
-                Astree_obs.Trace.emit "budget.interrupt"
-                  ~args:[ ("level", Astree_obs.Trace.I level) ];
-              interrupted_result ses acfg p
-          | exception Budget.Tripped reason ->
-              last_reason := reason;
-              if !Astree_obs.Trace.enabled then
-                Astree_obs.Trace.emit "degrade.trip"
-                  ~args:
-                    [
-                      ("reason", Astree_obs.Trace.S
-                                   (Budget.reason_to_string reason));
-                      ("level", Astree_obs.Trace.I level);
-                      ("next_level", Astree_obs.Trace.I (min (level + 1) max_level));
-                    ];
-              Astree_obs.Metrics.incr
-                (Astree_obs.Metrics.counter "degrade.trips");
-              if reason = Budget.Memory then Gc.compact ();
-              if level >= max_level then begin
-                (* even the interval-speed step blew the envelope: run it
-                   once more unbudgeted so the user still gets a sound
-                   (if coarse) result rather than nothing *)
-                Budget.disarm ();
-                mark
-                  (C.Analysis.analyze ~session:ses
-                     ~cfg:(config_at ~level:max_level cfg)
-                     p)
-                  (degraded_record cfg p ~reason ~level:max_level)
-              end
-              else attempt (level + 1)
-        in
-        attempt 0)
+        govern cfg p ~mark
+          ~attempt:(fun acfg -> C.Analysis.analyze ~session:ses ~cfg:acfg p)
+          ~interrupted:(fun acfg -> interrupted_result ses acfg p))
   end

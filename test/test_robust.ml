@@ -6,6 +6,7 @@
    cache write-failure — exercises its recovery path. *)
 
 module C = Astree_core
+module Conc = Astree_conc
 module F = Astree_frontend
 module G = Astree_gen
 module I = Astree_incremental
@@ -550,6 +551,44 @@ let test_backoff_cap () =
       <= p.R.Backoff.b_max *. (1. +. p.R.Backoff.b_jitter) +. 1e-9)
   done
 
+(* ---------------- multi-task runs under the budget ---------------- *)
+
+let tasks_member () =
+  let g =
+    G.Generator.generate_tasks
+      { G.Generator.default with seed = 5; target_lines = 300; bug_ratio = 0.5 }
+      ~tasks:3
+  in
+  (fst (C.Analysis.compile [ ("mt.c", g.G.Generator.source) ]),
+   g.G.Generator.task_fns)
+
+(* A multi-task run honours --timeout like a single-task one: the
+   fixpoint is rerun down the ladder and the result is marked degraded,
+   which the CLI reports as exit 3.  Its alarms still cover the full
+   run's. *)
+let test_multitask_timeout () =
+  let p, tasks = tasks_member () in
+  let full = Conc.Fixpoint.analyze ~tasks p in
+  let cfg = { C.Config.default with C.Config.timeout = 1e-4 } in
+  let r = (Conc.Fixpoint.analyze ~cfg ~tasks p).Conc.Fixpoint.c_result in
+  let d = degraded_exn r in
+  Alcotest.(check string) "timeout recorded" "timeout" d.C.Analysis.dg_reason;
+  Alcotest.(check int) "exit 3" 3 (Astree_server.Report.exit_code r);
+  Alcotest.(check bool) "alarms cover the full run" true
+    (is_superset ~big:(alarm_keys r)
+       ~small:(alarm_keys full.Conc.Fixpoint.c_result))
+
+(* An interrupt at -j 1 (no pool to poll it) reaches the per-task
+   iterator tick and escapes as [Tripped Interrupted], which the CLI
+   turns into exit 130. *)
+let test_multitask_interrupt () =
+  let p, tasks = tasks_member () in
+  R.Budget.interrupt ();
+  Fun.protect ~finally:R.Budget.clear_interrupt (fun () ->
+      match Conc.Fixpoint.analyze ~tasks p with
+      | _ -> Alcotest.fail "expected Tripped Interrupted"
+      | exception R.Budget.Tripped R.Budget.Interrupted -> ())
+
 let suite =
   [
     Alcotest.test_case "budget: poll trips and clears" `Quick test_budget_poll;
@@ -591,4 +630,8 @@ let suite =
     Alcotest.test_case "backoff: delays grow up the ladder" `Quick
       test_backoff_growth;
     Alcotest.test_case "backoff: capped at b_max" `Quick test_backoff_cap;
+    Alcotest.test_case "multi-task: timeout degrades, exit 3" `Quick
+      test_multitask_timeout;
+    Alcotest.test_case "multi-task: interrupt at -j 1 escapes" `Quick
+      test_multitask_interrupt;
   ]
