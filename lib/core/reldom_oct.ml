@@ -207,19 +207,23 @@ let census note (o : t) =
   let sums, diffs = O.count_constraints o in
   [ ("oct_additive", sums); ("oct_subtractive", diffs) ]
 
-(* the pack index is derived from the pack, so it is not written *)
+(* The pack index is derived from the pack, so it is not written; nor
+   is anything else of an empty octagon, whose matrix and closure state
+   are leftovers that [equal] ignores. *)
 let digest buf (o : t) =
   let { O.pack; bot; n2; m; closure; index = _ } = o in
   add_names buf pack;
   Buffer.add_char buf (if bot then '1' else '0');
-  (match closure with
-  | O.Closed -> Buffer.add_char buf 'C'
-  | O.Unclosed -> Buffer.add_char buf 'U'
-  | O.Dirty mask ->
-      Buffer.add_char buf 'D';
-      add_i64 buf mask);
-  add_i64 buf n2;
-  Array.iter (add_float buf) m
+  if not bot then begin
+    (match closure with
+    | O.Closed -> Buffer.add_char buf 'C'
+    | O.Unclosed -> Buffer.add_char buf 'U'
+    | O.Dirty mask ->
+        Buffer.add_char buf 'D';
+        add_i64 buf mask);
+    add_i64 buf n2;
+    Array.iter (add_float buf) m
+  end
 
 let pp ppf pid o =
   if O.has_relational_info o then Fmt.pf ppf "octagon #%d: %a@." pid O.pp o

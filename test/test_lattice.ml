@@ -1,11 +1,50 @@
 (* Systematic lattice-law property tests across all abstract domains:
-   join is an upper bound and commutative, meet is a lower bound,
-   subset is reflexive and transitive, widening dominates both sides,
-   and iterated widening terminates.  These are the soundness
-   obligations of Sect. 5.5 and [8, 11]. *)
+   subset is reflexive, join is a commutative upper bound, meet is a
+   lower bound, widening dominates both sides, and equal elements have
+   equal summary-key digests.  These are the soundness obligations of
+   Sect. 5.5 and [8, 11].  The relational domains are checked by one
+   functor over their common signature ([Reldom.S]), instantiated once
+   per domain with a generator of its elements. *)
 
+module C = Astree_core
 module F = Astree_frontend
 module D = Astree_domains
+
+(* The laws every relational domain must satisfy. *)
+module Laws (M : C.Reldom.S) (G : sig
+  val name : string
+  val arb : M.t QCheck.arbitrary
+end) =
+struct
+  let digest x =
+    let buf = Buffer.create 256 in
+    M.digest buf x;
+    Buffer.contents buf
+
+  let same_digest_if_equal x y = (not (M.equal x y)) || digest x = digest y
+  let law name arb f = QCheck.Test.make ~name:(G.name ^ ": " ^ name) arb f
+  let pair = QCheck.pair G.arb G.arb
+
+  let props =
+    [
+      law "subset reflexive" G.arb (fun a -> M.subset a a);
+      law "join upper bound" pair (fun (a, b) ->
+          let j = M.join a b in
+          M.subset a j && M.subset b j);
+      law "join commutative" pair (fun (a, b) ->
+          M.equal (M.join a b) (M.join b a));
+      law "meet lower bound" pair (fun (a, b) ->
+          let m = M.meet a b in
+          M.subset m a && M.subset m b);
+      law "widen dominates" pair (fun (a, b) ->
+          let w = M.widen ~thresholds:D.Thresholds.default a b in
+          M.subset a w && M.subset b w);
+      law "equal implies same digest" pair (fun (a, b) ->
+          same_digest_if_equal a b
+          && same_digest_if_equal (M.join a b) (M.join b a)
+          && same_digest_if_equal a (M.join a a));
+    ]
+end
 
 let mkvar =
   let next = ref 7000 in
@@ -68,31 +107,16 @@ let arb_oct =
     ~print:(fun r -> Fmt.str "%d boxes" (List.length r.boxes))
     gen_oct_recipe
 
+let arb_oct_elt =
+  QCheck.make ~print:(Fmt.str "%a" D.Octagon.pp) (QCheck.Gen.map build_oct gen_oct_recipe)
+
+module Oct_laws =
+  Laws (C.Reldom_oct) (struct let name = "octagon" let arb = arb_oct_elt end)
+
 let oct_props =
   let module O = D.Octagon in
-  [
-    QCheck.Test.make ~name:"octagon: subset reflexive" arb_oct (fun r ->
-        let o = build_oct r in
-        O.subset o o);
-    QCheck.Test.make ~name:"octagon: join upper bound"
-      (QCheck.pair arb_oct arb_oct) (fun (r1, r2) ->
-        let a = build_oct r1 and b = build_oct r2 in
-        let j = O.join a b in
-        O.subset a j && O.subset b j);
-    QCheck.Test.make ~name:"octagon: join commutative"
-      (QCheck.pair arb_oct arb_oct) (fun (r1, r2) ->
-        let a = build_oct r1 and b = build_oct r2 in
-        O.equal (O.join a b) (O.join b a));
-    QCheck.Test.make ~name:"octagon: meet lower bound"
-      (QCheck.pair arb_oct arb_oct) (fun (r1, r2) ->
-        let a = build_oct r1 and b = build_oct r2 in
-        let m = O.meet a b in
-        O.subset m a && O.subset m b);
-    QCheck.Test.make ~name:"octagon: widen dominates"
-      (QCheck.pair arb_oct arb_oct) (fun (r1, r2) ->
-        let a = build_oct r1 and b = build_oct r2 in
-        let w = O.widen ~thresholds:D.Thresholds.default a b in
-        O.subset a w && O.subset b w);
+  Oct_laws.props
+  @ [
     QCheck.Test.make ~name:"octagon: closure reductive, idempotent to 1 ulp"
       arb_oct (fun r ->
         let o = build_oct r in
@@ -143,27 +167,17 @@ let arb_ell =
       list_size (int_range 0 4)
         (triple (int_range 0 2) (int_range 0 2) (float_range 0.0 100.0)))
 
+let arb_ell_elt =
+  QCheck.make ~print:(Fmt.str "%a" D.Ellipsoid.pp)
+    (QCheck.Gen.map build_ell (QCheck.gen arb_ell))
+
+module Ell_laws =
+  Laws (C.Reldom_ell) (struct let name = "ellipsoid" let arb = arb_ell_elt end)
+
 let ell_props =
   let module E = D.Ellipsoid in
-  [
-    QCheck.Test.make ~name:"ellipsoid: subset reflexive" arb_ell (fun l ->
-        let e = build_ell l in
-        E.subset e e);
-    QCheck.Test.make ~name:"ellipsoid: join upper bound"
-      (QCheck.pair arb_ell arb_ell) (fun (l1, l2) ->
-        let a = build_ell l1 and b = build_ell l2 in
-        let j = E.join a b in
-        E.subset a j && E.subset b j);
-    QCheck.Test.make ~name:"ellipsoid: meet lower bound"
-      (QCheck.pair arb_ell arb_ell) (fun (l1, l2) ->
-        let a = build_ell l1 and b = build_ell l2 in
-        let m = E.meet a b in
-        E.subset m a && E.subset m b);
-    QCheck.Test.make ~name:"ellipsoid: widen dominates"
-      (QCheck.pair arb_ell arb_ell) (fun (l1, l2) ->
-        let a = build_ell l1 and b = build_ell l2 in
-        let w = E.widen ~thresholds:D.Thresholds.default a b in
-        E.subset a w && E.subset b w);
+  Ell_laws.props
+  @ [
     QCheck.Test.make ~name:"ellipsoid: delta monotone"
       (QCheck.pair (QCheck.float_range 0.0 100.0) (QCheck.float_range 0.0 100.0))
       (fun (k1, k2) ->
@@ -217,25 +231,13 @@ let gen_dt : D.Decision_tree.t QCheck.Gen.t =
 
 let arb_dt = QCheck.make ~print:(fun d -> Fmt.str "tree/%d" (D.Decision_tree.size d)) gen_dt
 
+module Dt_laws =
+  Laws (C.Reldom_dt) (struct let name = "dtree" let arb = arb_dt end)
+
 let dt_props =
   let module T = D.Decision_tree in
-  [
-    QCheck.Test.make ~name:"dtree: subset reflexive" arb_dt (fun d -> T.subset d d);
-    QCheck.Test.make ~name:"dtree: join upper bound" (QCheck.pair arb_dt arb_dt)
-      (fun (a, b) ->
-        let j = T.join a b in
-        T.subset a j && T.subset b j);
-    QCheck.Test.make ~name:"dtree: join commutative-ish"
-      (QCheck.pair arb_dt arb_dt) (fun (a, b) ->
-        T.equal (T.join a b) (T.join b a));
-    QCheck.Test.make ~name:"dtree: meet lower bound" (QCheck.pair arb_dt arb_dt)
-      (fun (a, b) ->
-        let m = T.meet a b in
-        T.subset m a && T.subset m b);
-    QCheck.Test.make ~name:"dtree: widen dominates" (QCheck.pair arb_dt arb_dt)
-      (fun (a, b) ->
-        let w = T.widen ~thresholds:D.Thresholds.default a b in
-        T.subset a w && T.subset b w);
+  Dt_laws.props
+  @ [
     QCheck.Test.make ~name:"dtree: guard refines" (QCheck.pair arb_dt QCheck.bool)
       (fun (d, v) ->
         let g = T.guard_bool d dt_bools.(0) v in
