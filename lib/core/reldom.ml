@@ -50,6 +50,13 @@ type ('ctx, 'st) chan = {
       (** record that an octagon pack refined an interval (Sect. 7.2.2) *)
 }
 
+(** Float hull of a variable's interval, the oracle of linear forms;
+    NaN bounds for an unreachable value. *)
+let oracle c ctx st v =
+  match D.Itv.float_hull (c.var_itv ctx st v) with
+  | Some h -> h
+  | None -> (Float.nan, Float.nan)
+
 module type S = sig
   type t  (** the abstract element of one pack *)
 

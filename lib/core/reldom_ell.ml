@@ -70,7 +70,7 @@ let assign_filter c ctx st (ep : pack) el x terms const =
   (* pre-assignment reduction of r(y, z) from the intervals (the
      paper's third reduction step) *)
   let el =
-    E.reduce_from_intervals (Reldom_oct.oracle c ctx st) el ep.Packing.ep_y
+    E.reduce_from_intervals (oracle c ctx st) el ep.Packing.ep_y
       ep.Packing.ep_z
   in
   E.assign_filter el x ep.Packing.ep_y ep.Packing.ep_z ~t_max
@@ -80,7 +80,7 @@ let assign c ctx st _binds x (rhs : expr) _rhs_itv =
   | [] -> st
   | packs ->
       let lin = Packing.syntactic_linear rhs in
-      let orc = Reldom_oct.oracle c ctx st in
+      let orc = oracle c ctx st in
       (* equality of two pack variables is established through the
          octagons *)
       let equal_vars u w =

@@ -26,11 +26,6 @@ let narrow = O.narrow
 let subset = O.subset
 let equal = O.equal
 
-let oracle c ctx st v =
-  match D.Itv.float_hull (c.var_itv ctx st v) with
-  | Some h -> h
-  | None -> (Float.nan, Float.nan)
-
 let writeback c ctx st (vars : var list) =
   List.fold_left
     (fun st v ->

@@ -653,7 +653,7 @@ and cells_of_lval (a : actx) (st : Astate.t) (binds : binds) (err : bool ref)
                 ~operands:[ operand idx ii ]
                 a err Alarm.Out_of_bounds idx.eloc
                 (Fmt.str "index %a outside [0,%d]" D.Itv.pp ii (n - 1));
-            if n <= a.cfg.Config.expand_array_max then
+            if n <= a.cfg.Config.expand_array_max then (
               match if inside then ii else D.Itv.meet ii rng with
               | D.Itv.Int (lo, hi) ->
                   if hi > lo then weak_multi := true;
@@ -662,7 +662,7 @@ and cells_of_lval (a : actx) (st : Astate.t) (binds : binds) (err : bool ref)
                       List.init (hi - lo + 1) (fun k ->
                           (v, p @ [ Cell.Selem (lo + k) ])))
                     bases
-              | _ -> []
+              | _ -> [])
             else begin
               (* shrunk array: single weak cell *)
               weak_multi := true;

@@ -6,7 +6,15 @@
     rounded outward per kind with overflow and invalid-operation alarms,
     divisors are checked for zero, array subscripts for bounds.  When
     the plain interval evaluation incurs no possible error, float
-    expressions are refined through the linear forms of Sect. 6.3. *)
+    expressions are refined through the linear forms of Sect. 6.3.
+
+    The relational domains ({!Relstate.domains}) are run by two folds,
+    one for assignments and one for guards, over the domains the
+    configuration enables.  They reach the intervals only through one
+    static {!Reldom.chan} built here: the packing, the state's
+    relational part, interval reads ({!var_itv}) and refinements,
+    alarm-free evaluation, parameter resolution and the useful-pack
+    mark. *)
 
 module F = Astree_frontend
 module D = Astree_domains
@@ -146,10 +154,6 @@ val cell_itv : actx -> Astate.t -> int -> D.Itv.t
 (** Clock-reduced interval of a scalar variable. *)
 val var_itv : actx -> Astate.t -> F.Tast.var -> D.Itv.t
 
-(** The reduction channel the relational domains see: the packing, the
-    state's relational part, interval reads and refinements, alarm-free
-    evaluation, parameter resolution and the useful-pack mark. *)
-val chan : (actx, Astate.t) Reldom.chan
 
 (** {1 Lvalues and expressions} *)
 
