@@ -45,68 +45,7 @@ let validate (p : F.Tast.program) (tasks : string list) : unit =
               (Printf.sprintf "Taskmodel: task %S takes parameters" t))
     tasks
 
-(* Functions reachable from [entry] through direct calls. *)
-let reachable (p : F.Tast.program) (entry : string) : string list =
-  let seen = Hashtbl.create 16 in
-  let rec visit name =
-    if not (Hashtbl.mem seen name) then begin
-      Hashtbl.replace seen name ();
-      match F.Tast.find_fun p name with
-      | None -> ()
-      | Some fd ->
-          F.Tast.iter_stmts
-            (fun s ->
-              match s.F.Tast.sdesc with
-              | F.Tast.Scall (_, callee, _) -> visit callee
-              | _ -> ())
-            fd.F.Tast.fd_body
-    end
-  in
-  visit entry;
-  Hashtbl.fold (fun name () acc -> name :: acc) seen []
-
-(* Reads and writes of non-volatile globals across one function body.
-   By-reference arguments are conservatively both read and written:
-   the callee may do either through the reference. *)
-let fun_accesses (globals : (int, unit) Hashtbl.t) (fd : F.Tast.fundef) :
-    F.Tast.VarSet.t * F.Tast.VarSet.t =
-  let reads = ref F.Tast.VarSet.empty and writes = ref F.Tast.VarSet.empty in
-  let is_global (v : F.Tast.var) = Hashtbl.mem globals v.F.Tast.v_id in
-  let add_set acc s =
-    acc := F.Tast.VarSet.union (F.Tast.VarSet.filter is_global s) !acc
-  in
-  let read_expr e = add_set reads (F.Tast.expr_vars e F.Tast.VarSet.empty) in
-  let read_lval lv = add_set reads (F.Tast.lval_vars lv F.Tast.VarSet.empty) in
-  let write_lval lv =
-    let root = F.Tast.lval_root lv in
-    if is_global root then writes := F.Tast.VarSet.add root !writes;
-    (* subscript expressions inside the written lvalue are reads *)
-    read_lval lv
-  in
-  F.Tast.iter_stmts
-    (fun s ->
-      match s.F.Tast.sdesc with
-      | F.Tast.Sassign (lv, e) ->
-          write_lval lv;
-          read_expr e
-      | F.Tast.Scall (_, _, args) ->
-          List.iter
-            (function
-              | F.Tast.Aval e -> read_expr e
-              | F.Tast.Aref lv ->
-                  write_lval lv;
-                  read_lval lv)
-            args
-      | F.Tast.Sif (c, _, _) | F.Tast.Swhile (_, c, _) -> read_expr c
-      | F.Tast.Sreturn (Some e) | F.Tast.Sassert e | F.Tast.Sassume e ->
-          read_expr e
-      | F.Tast.Slocal (_, Some e) -> read_expr e
-      | F.Tast.Sreturn None | F.Tast.Sbreak | F.Tast.Scontinue
-      | F.Tast.Swait | F.Tast.Sskip
-      | F.Tast.Slocal (_, None) ->
-          ())
-    fd.F.Tast.fd_body;
-  (!reads, !writes)
+let reachable = F.Footprint.reachable
 
 let task_accesses (p : F.Tast.program) (globals : (int, unit) Hashtbl.t)
     (entry : string) : F.Tast.VarSet.t * F.Tast.VarSet.t =
@@ -115,7 +54,11 @@ let task_accesses (p : F.Tast.program) (globals : (int, unit) Hashtbl.t)
       match F.Tast.find_fun p name with
       | None -> (r, w)
       | Some fd ->
-          let fr, fw = fun_accesses globals fd in
+          let fr, fw =
+            F.Footprint.of_fundef
+              ~keep:(fun v -> Hashtbl.mem globals v.F.Tast.v_id)
+              fd
+          in
           (F.Tast.VarSet.union fr r, F.Tast.VarSet.union fw w))
     (F.Tast.VarSet.empty, F.Tast.VarSet.empty)
     (reachable p entry)

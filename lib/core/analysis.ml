@@ -131,8 +131,8 @@ let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
 (** Analyze a typed program sequentially ([cfg.jobs] does not apply to
     a single analysis), wrapping the run in the summary-cache driver
     when caching is enabled.  With the cache on, cells are pre-filled in
-    program order, so the cell numbering (which summary keys depend on)
-    is identical across cold and warm runs.  [?session] threads an
+    program order, so the numbering does not depend on when the cache
+    builds its frames.  [?session] threads an
     existing session through (the daemon passes one per request); a
     fresh one is created otherwise, so concurrent analyses never share
     hooks. *)

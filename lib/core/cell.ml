@@ -110,4 +110,7 @@ let intern (it : interner) (c : t) : int =
 
 let of_id (it : interner) (id : int) : t = it.rev.(id)
 
+let find (it : interner) (root_id : int) (path : step list) : int option =
+  Hashtbl.find_opt it.tbl (root_id, path)
+
 let count (it : interner) : int = it.next

@@ -38,4 +38,7 @@ type interner
 val make_interner : unit -> interner
 val intern : interner -> t -> int
 val of_id : interner -> int -> t
+
+(** The id of an already interned cell, by root variable id and path. *)
+val find : interner -> int -> step list -> int option
 val count : interner -> int

@@ -21,8 +21,6 @@ exception Analysis_error of string
 
 (* Registry entries owned by the iterator (created once at module init;
    bumping one is a single field increment). *)
-let c_cache_hits = Metrics.counter "cache.hits"
-let c_cache_misses = Metrics.counter "cache.misses"
 let c_calls_inlined = Metrics.counter "iter.calls_inlined"
 let c_loops = Metrics.counter "iter.loops"
 let h_loop_iters = Metrics.histogram "loop.iters"
@@ -81,30 +79,22 @@ let cap_partitions (a : Transfer.actx) (sts : Astate.t list) : Astate.t list =
 
 (* Context-sensitive polyvariant inlining (Sect. 5.4) re-analyzes a
    callee for every call context; the summary cache pays for each
-   distinct (callee, abstract entry state) pair once.  The iterator
-   stays storage-agnostic: the incremental subsystem installs the
-   session's memo, whose key function folds the callee's content
-   fingerprint (structure, types, transitive callee hashes, config) and
-   source locations with a digest of the exact abstract entry state —
-   no entailment shortcut, so a hit is equivalent to re-analysis by
-   construction. *)
+   distinct (callee, entry state restricted to the callee's frame) pair
+   once.  The iterator stays storage-agnostic: the incremental
+   subsystem installs the session's memo, which wraps the analysis of
+   a call body — no entailment shortcut, so a hit is equivalent to
+   re-analysis by construction. *)
 
-(** Everything one analyzed call produced: the state at the return
-    point, the merged return value, and the side effects on the
-    context's bookkeeping.  Pure data — marshalled into the on-disk
-    store. *)
 type summary = Transfer.summary = {
-  sm_exit : Astate.t;  (** state after the return-point trace merge *)
-  sm_retv : D.Itv.t;   (** return value (Bot for void / no return) *)
-  sm_delta : Transfer.capture_delta;
+  sm_exit : Astate.t;
+  sm_retv : D.Itv.t;
+  sm_alarms : (string * Alarm.t) list;
+  sm_invariants : (int * Astate.t) list;
+  sm_oct_useful : int list;
+  sm_joins : int;
+  sm_itf_writes : (int * D.Itv.t) list;
 }
 
-(** Cache key: callee content fingerprint (covers the analysis
-    configuration) folded with the source locations of the callee and
-    its transitive callees, digest of the abstract entry state together
-    with the by-reference parameter bindings, and the alarm-collector
-    mode — iteration-mode and checking-mode results are never
-    conflated. *)
 type summary_key = Transfer.summary_key = {
   sk_fn : string;
   sk_entry : string;
@@ -112,30 +102,22 @@ type summary_key = Transfer.summary_key = {
 }
 
 type call_memo = Transfer.call_memo = {
-  cm_key :
-    fname:string -> checking:bool -> Astate.t -> Transfer.binds ->
-    summary_key option;
-      (** [None]: this call is not cacheable (unknown fingerprint) *)
-  cm_find : summary_key -> summary option;
-  cm_add : summary_key -> summary -> unit;
-  cm_hits : int ref;
-  cm_misses : int ref;
   cm_want : string -> bool;
-      (** gate: is this callee worth memoizing at all?  Computed once
-          per session from the transitive inlined size of each function
-          against {!memo_min_stmts} *)
+  cm_call :
+    Transfer.actx ->
+    fname:string ->
+    Transfer.binds ->
+    Astate.t ->
+    (unit -> Astate.t * D.Itv.t) ->
+    Astate.t * D.Itv.t;
 }
 
 (** Minimal transitive inlined statement count of a callee before
-    memoization is worth the entry-state digest.  The digest is a
-    Merkle digest over the shared maps, so it costs time in what
-    changed since the last keyed state — on a fused 2 kLOC member,
-    0.07–0.09 ms per key warm and ~0.5 ms cold, against ~0.6 ms for
-    hashing the whole 130 KB state (DESIGN.md §8) — plus the lookup
-    and, on a miss, the capture.
-    Memoizing tiny helpers is still a net loss; only callees whose
-    re-analysis (including everything they inline) dwarfs that cost
-    deserve a summary. *)
+    memoization is worth a key: the digest of the entry state
+    restricted to the callee's frame, the lookup and, on a miss, the
+    capture (DESIGN.md §8).  Memoizing tiny helpers is a net loss; only
+    callees whose re-analysis (including everything they inline)
+    dwarfs that cost deserve a summary. *)
 let memo_min_stmts = ref 30
 
 (* ------------------------------------------------------------------ *)
@@ -554,9 +536,10 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list)
     traces at the return point.  This is the memoized region: the entry
     state and the by-reference bindings determine the result completely
     (the destination write-back happens in the caller's scope, outside).
-    On a cache hit the recorded side effects — alarms, loop invariants,
-    useful octagon packs, join count — are replayed, so a hit is
-    observationally identical to re-analysis. *)
+    On a cache hit the frame part of the recorded exit state is laid
+    over the entry state and the recorded side effects — alarms, loop
+    invariants, useful octagon packs, join count — are replayed, so a
+    hit is observationally identical to re-analysis. *)
 and exec_call_body (a : Transfer.actx) ~(stack : string list)
     ~(partitioned : bool) (callee_binds : Transfer.binds) (st : Astate.t)
     (fname : string) (fd : fundef) : Astate.t * D.Itv.t =
@@ -582,37 +565,7 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list)
     (exit_env, retv)
   in
   match a.Transfer.session.Transfer.ses_memo with
-  | Some m when m.cm_want fname -> (
-      match
-        m.cm_key ~fname ~checking:a.Transfer.alarms.Alarm.enabled st
-          callee_binds
-      with
-      | None -> compute ()
-      | Some key -> (
-          match m.cm_find key with
-          | Some s ->
-              incr m.cm_hits;
-              Metrics.incr c_cache_hits;
-              if !Trace.enabled then
-                Trace.emit "cache.hit" ~args:[ ("fn", Trace.S fname) ];
-              Transfer.capture_replay a s.sm_delta;
-              (s.sm_exit, s.sm_retv)
-          | None ->
-              incr m.cm_misses;
-              Metrics.incr c_cache_misses;
-              if !Trace.enabled then
-                Trace.emit "cache.miss" ~args:[ ("fn", Trace.S fname) ];
-              let cap = Transfer.capture_begin a in
-              let exit_env, retv =
-                try compute ()
-                with e ->
-                  Transfer.capture_abort a cap;
-                  raise e
-              in
-              let delta = Transfer.capture_end a cap in
-              let s = { sm_exit = exit_env; sm_retv = retv; sm_delta = delta } in
-              m.cm_add key s;
-              (exit_env, retv)))
+  | Some m when m.cm_want fname -> m.cm_call a ~fname callee_binds st compute
   | _ -> compute ()
 
 (* ------------------------------------------------------------------ *)

@@ -24,27 +24,23 @@ type outcome = Transfer.outcome = {
 
     Context-sensitive polyvariant inlining (Sect. 5.4) re-analyzes a
     callee for every call context; the summary cache pays for each
-    distinct (callee fingerprint, abstract entry state) pair once.  The
-    iterator is storage-agnostic: the incremental subsystem installs
-    {!Transfer.session.ses_memo}; a hit replays the recorded side
-    effects and is observationally identical to re-analysis. *)
+    distinct (callee fingerprint, entry state restricted to the callee's
+    frame) pair once.  The iterator is storage-agnostic: the incremental
+    subsystem installs {!Transfer.session.ses_memo}, which wraps the
+    analysis of each wanted call body; a hit replays the recorded
+    effects and is observationally identical to re-analysis.  The types
+    are defined in [Transfer] and re-exported here. *)
 
-(** Everything one analyzed call produced: the state at the return
-    point, the merged return value, and the side effects on the
-    context's bookkeeping.  Pure data — marshalled into the on-disk
-    store. *)
 type summary = Transfer.summary = {
   sm_exit : Astate.t;
   sm_retv : Astree_domains.Itv.t;
-  sm_delta : Transfer.capture_delta;
+  sm_alarms : (string * Alarm.t) list;
+  sm_invariants : (int * Astate.t) list;
+  sm_oct_useful : int list;
+  sm_joins : int;
+  sm_itf_writes : (int * Astree_domains.Itv.t) list;
 }
 
-(** Cache key: callee content fingerprint (covers the analysis
-    configuration) folded with the source locations of the callee and
-    its transitive callees, digest of the abstract entry state with the
-    by-reference bindings and their locations, and the alarm-collector
-    mode — iteration-mode and checking-mode results are never
-    conflated. *)
 type summary_key = Transfer.summary_key = {
   sk_fn : string;
   sk_entry : string;
@@ -52,25 +48,18 @@ type summary_key = Transfer.summary_key = {
 }
 
 type call_memo = Transfer.call_memo = {
-  cm_key :
-    fname:string ->
-    checking:bool ->
-    Astate.t ->
-    Transfer.binds ->
-    summary_key option;
-      (** [None]: this call is not cacheable (no fingerprint) *)
-  cm_find : summary_key -> summary option;
-  cm_add : summary_key -> summary -> unit;
-  cm_hits : int ref;
-  cm_misses : int ref;
   cm_want : string -> bool;
-      (** gate: is this callee worth memoizing at all?  Computed once
-          per session from the transitive inlined size of each function
-          against {!memo_min_stmts} *)
+  cm_call :
+    Transfer.actx ->
+    fname:string ->
+    Transfer.binds ->
+    Astate.t ->
+    (unit -> Astate.t * Astree_domains.Itv.t) ->
+    Astate.t * Astree_domains.Itv.t;
 }
 
 (** Minimal transitive inlined statement count of a callee before
-    memoization is worth the entry-state digest. *)
+    memoization is worth a key. *)
 val memo_min_stmts : int ref
 
 val exec_stmt :

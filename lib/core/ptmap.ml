@@ -20,9 +20,6 @@ type 'a t =
       m : int;  (** branching bit *)
       l : 'a t;  (** subtree with the bit 0 *)
       r : 'a t;  (** subtree with the bit 1 *)
-      mutable dg : string;
-          (** cached {!digest} of this subtree, [""] until computed; only
-              ever filled on subtrees of at least {!digest_min_bytes} *)
     }
 
 let empty = Empty
@@ -38,9 +35,7 @@ let mask k m = k land (m - 1)
 let match_prefix k p m = mask k m = p
 let branching_bit p0 p1 = lowest_bit (p0 lxor p1)
 
-(* every branch is built here, so a rebuilt node never inherits the
-   cached digest of the node it replaces *)
-let mk p m l r = Branch { p; m; l; r; dg = "" }
+let mk p m l r = Branch { p; m; l; r }
 
 let rec find_opt k = function
   | Empty -> None
@@ -246,64 +241,3 @@ let rec equal_by (eq : 'a -> 'a -> bool) (s : 'a t) (t : 'a t) : bool =
   | Branch { p; m; l = s0; r = s1; _ }, Branch { p = q; m = n; l = t0; r = t1; _ } ->
       p = q && m = n && equal_by eq s0 t0 && equal_by eq s1 t1
   | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Merkle digests                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** Subtrees whose canonical form (below) is at least this many bytes
-    keep their digest once computed; smaller ones are rewritten inline
-    on every call.  The threshold is in bytes rather than leaves
-    because leaves differ in weight by two orders of magnitude: a cell
-    value takes ~60 bytes, an octagon from ~600 bytes to a few KB.  It
-    trades memory for time: a cached digest is a 16-byte string that
-    lives as long as its branch, and a digest call re-reads up to about
-    this many bytes per changed binding.  At 512 bytes every octagon
-    pair keeps a digest, and a resident daemon's peak RSS grew ~10%
-    more than at 4096 for no measurable wall-clock gain (DESIGN.md §8). *)
-let digest_min_bytes = 4096
-
-(* Append the form of [t] to [buf] and return its expanded size: the
-   length of the form with every subtree written inline.  The form is
-   'E' | 'L' key value | 'B' left right | 'D' md5, where a subtree is
-   written as 'D' md5-of-its-form exactly when its expanded size is at
-   least [digest_min_bytes].  Expanded size only grows towards the root
-   and depends on the subtree alone, so the bytes written do not depend
-   on which digests happen to be cached (a fresh copy writes the same)
-   and a cached subtree may report [digest_min_bytes] as its size.
-   Patricia shape is a function of the key set, so prefixes and
-   branching bits need not be written. *)
-let rec write leaf buf t =
-  match t with
-  | Empty ->
-      Buffer.add_char buf 'E';
-      1
-  | Leaf (k, v) ->
-      let start = Buffer.length buf in
-      Buffer.add_char buf 'L';
-      Buffer.add_int64_le buf (Int64.of_int k);
-      leaf buf v;
-      Buffer.length buf - start
-  | Branch b when b.dg <> "" ->
-      Buffer.add_char buf 'D';
-      Buffer.add_string buf b.dg;
-      digest_min_bytes
-  | Branch b ->
-      let start = Buffer.length buf in
-      Buffer.add_char buf 'B';
-      let n = 1 + write leaf buf b.l + write leaf buf b.r in
-      if n >= digest_min_bytes then begin
-        let d =
-          Digest.string (Buffer.sub buf start (Buffer.length buf - start))
-        in
-        b.dg <- d;
-        Buffer.truncate buf start;
-        Buffer.add_char buf 'D';
-        Buffer.add_string buf d
-      end;
-      n
-
-let digest (leaf : Buffer.t -> 'a -> unit) (t : 'a t) : Digest.t =
-  let buf = Buffer.create 256 in
-  ignore (write leaf buf t);
-  Digest.string (Buffer.contents buf)

@@ -4,9 +4,8 @@
     that differ on a few cells run in time proportional to the number of
     differing cells. *)
 
-(** Abstract: branches carry a mutable digest cache, so polymorphic
-    [=], [compare] and [Hashtbl.hash] on maps are meaningless — use
-    {!equal_by} and {!digest}. *)
+(** Abstract: two maps with the same bindings may differ in sharing, so
+    compare them with {!equal_by}. *)
 type 'a t
 
 val empty : 'a t
@@ -44,17 +43,3 @@ val inter_keys : (int -> 'a -> 'a -> 'a option) -> 'a t -> 'a t -> 'a t
 val subset_by : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 
 val equal_by : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
-
-(** [digest leaf t]: MD5 of a canonical form of [t], where [leaf buf v]
-    appends a self-delimiting, location-free encoding of [v].  Equal
-    bindings give equal digests whatever the history of the two maps.
-    Subtrees whose encoding takes at least 4 KB are Merkle nodes: their
-    own MD5 is cached on the branch, so a map that
-    shares most subtrees with an already-digested one costs time
-    proportional to the bindings that differ.
-
-    SOUNDNESS: the cache is valid only if no value is mutated after it
-    was inserted into a map (octagons are copied before every in-place
-    transfer), and only if every call on a given map passes the same
-    [leaf]. *)
-val digest : (Buffer.t -> 'a -> unit) -> 'a t -> Digest.t

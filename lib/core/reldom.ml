@@ -70,6 +70,19 @@ module type S = sig
   val packs : Packing.t -> pack list
   val pack_id : pack -> int
   val packs_of : Packing.t -> var -> pack list
+
+  val pack_vars : pack -> var array
+  (** the pack's variables, in the order its element indexes them *)
+
+  val add_pack : (var -> string) -> Buffer.t -> pack -> unit
+  (** identity of a pack across programs: its variables under the given
+      names, in element order, and whatever else fixes the meaning of
+      its element (summary frames, DESIGN.md §8) *)
+
+  val rename : pack -> t -> t
+  (** an element computed over another program's copy of [pack] (same
+      {!add_pack} identity), re-expressed over [pack]'s own variables *)
+
   val top : pack -> t
 
   val get : rel -> t Ptmap.t
@@ -111,7 +124,8 @@ module type S = sig
       sees the constants the census counts *)
 
   val digest : Buffer.t -> t -> unit
-  (** canonical, location-free encoding (summary keys) *)
+  (** canonical encoding (summary keys): location-free and name-free,
+      variables written by their position in the pack *)
 
   val pp : Format.formatter -> int -> t -> unit
   (** the assertions of pack [id], nothing when it carries none *)
@@ -148,8 +162,10 @@ let refine_cmp (op : binop) (x : D.Itv.t) (y : D.Itv.t) : D.Itv.t =
 (* A canonical, location-free binary form of abstract values: fixed-width
    integers, floats by their bits, strings length-prefixed, one tag byte
    per variant — self-delimiting, so concatenations cannot collide.
-   Variables are written by their unique name, never by a record that
-   carries a source location.  Every record is taken apart with an
+   Variables are written by their position in the pack, never by name
+   or id: the pack's identity (its variables' program-stable names) is
+   written once by the summary frame, so an element keys the same in
+   every program that has the pack.  Every record is taken apart with an
    exhaustive pattern, so a field added later breaks the build (warning
    9) until it is written or explicitly skipped: a field left out of the
    key would let two different states share it. *)
@@ -161,11 +177,31 @@ let add_str buf s =
   add_i64 buf (String.length s);
   Buffer.add_string buf s
 
-let add_name buf (v : var) = add_str buf v.v_name
+(* Position of a pack variable in its element's variable array. *)
+let add_pos buf (vs : var array) (v : var) =
+  let rec find i =
+    if i = Array.length vs then add_i64 buf (-1)
+    else if vs.(i).v_id = v.v_id then add_i64 buf i
+    else find (i + 1)
+  in
+  find 0
 
-let add_names buf vs =
-  add_i64 buf (Array.length vs);
-  Array.iter (add_name buf) vs
+(* [vs] with every variable replaced by the one at the same position of
+   [by]; [vs] itself when they already are the same variables. *)
+let rename_vars ~(by : var array) (vs : var array) : var array =
+  if Array.length vs = Array.length by
+     && Array.for_all2 (fun a b -> a.v_id = b.v_id) vs by
+  then vs
+  else by
+
+(* The renaming of one variable id between two such arrays. *)
+let rename_id ~(from : var array) ~(by : var array) (id : int) : int =
+  let rec find i =
+    if i = Array.length from then id
+    else if from.(i).v_id = id then by.(i).v_id
+    else find (i + 1)
+  in
+  find 0
 
 let add_itv buf : D.Itv.t -> unit = function
   | D.Itv.Bot -> Buffer.add_char buf 'b'

@@ -16,6 +16,40 @@ let enabled (cfg : Config.t) = cfg.Config.use_decision_trees
 let packs (pk : Packing.t) = pk.Packing.dts
 let pack_id (dp : pack) = dp.Packing.dp_id
 let packs_of (pk : Packing.t) v = Packing.packs_of pk.Packing.dt_index v
+let pack_vars (dp : pack) = Array.append dp.Packing.dp_bools dp.Packing.dp_nums
+
+let add_pack name buf (dp : pack) =
+  let names vs =
+    add_i64 buf (Array.length vs);
+    Array.iter (fun v -> add_str buf (name v)) vs
+  in
+  names dp.Packing.dp_bools;
+  names dp.Packing.dp_nums
+
+let rename (dp : pack) (d : t) =
+  let top = T.top dp.Packing.dp_bools dp.Packing.dp_nums in
+  let bools = rename_vars ~by:top.T.bools d.T.bools
+  and nums = rename_vars ~by:top.T.nums d.T.nums in
+  if bools == d.T.bools && nums == d.T.nums then d
+  else
+    let var (v : var) =
+      let rec find (from : var array) (by : var array) i =
+        if i = Array.length from then None
+        else if from.(i).v_id = v.v_id then Some by.(i)
+        else find from by (i + 1)
+      in
+      match find d.T.bools bools 0 with
+      | Some v' -> v'
+      | None -> Option.value ~default:v (find d.T.nums nums 0)
+    in
+    let rec tree = function
+      | T.Leaf None -> T.Leaf None
+      | T.Leaf (Some m) ->
+          T.Leaf
+            (Some (VarMap.fold (fun v i acc -> VarMap.add (var v) i acc) m VarMap.empty))
+      | T.Node (v, f, t) -> T.Node (var v, tree f, tree t)
+    in
+    { T.bools; nums; tree = tree d.T.tree }
 let top (dp : pack) = T.top dp.Packing.dp_bools dp.Packing.dp_nums
 let get (r : rel) = r.dts
 let set (r : rel) dts = { r with dts }
@@ -220,8 +254,8 @@ let census _ (d : t) = [ ("decision_trees", T.count_assertions d) ]
 
 let digest buf (d : t) =
   let { T.bools; nums; tree = root } = d in
-  add_names buf bools;
-  add_names buf nums;
+  add_i64 buf (Array.length bools);
+  add_i64 buf (Array.length nums);
   let rec tree = function
     | T.Leaf None -> Buffer.add_char buf 'n'
     | T.Leaf (Some m) ->
@@ -229,12 +263,12 @@ let digest buf (d : t) =
         add_i64 buf (VarMap.cardinal m);
         VarMap.iter
           (fun v i ->
-            add_name buf v;
+            add_pos buf nums v;
             add_itv buf i)
           m
     | T.Node (v, f, t) ->
         Buffer.add_char buf 'N';
-        add_name buf v;
+        add_pos buf bools v;
         tree f;
         tree t
   in

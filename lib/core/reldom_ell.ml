@@ -16,6 +16,32 @@ let enabled (cfg : Config.t) = cfg.Config.use_ellipsoids
 let packs (pk : Packing.t) = pk.Packing.ells
 let pack_id (ep : pack) = ep.Packing.ep_id
 let packs_of (pk : Packing.t) v = Packing.packs_of pk.Packing.ell_index v
+let pack_vars (ep : pack) = ep.Packing.ep_vars
+
+let add_pack name buf (ep : pack) =
+  add_float buf ep.Packing.ep_a;
+  add_float buf ep.Packing.ep_b;
+  Buffer.add_char buf
+    (match ep.Packing.ep_fkind with F.Ctypes.Fsingle -> 's' | Fdouble -> 'd');
+  add_i64 buf (Array.length ep.Packing.ep_vars);
+  List.iter
+    (fun v -> add_str buf (name v))
+    (Array.to_list ep.Packing.ep_vars
+    @ [ ep.Packing.ep_x; ep.Packing.ep_y; ep.Packing.ep_z ])
+
+let rename (ep : pack) (e : t) =
+  let by = ep.Packing.ep_vars in
+  if rename_vars ~by e.E.vars == e.E.vars then e
+  else
+    let id = rename_id ~from:e.E.vars ~by in
+    {
+      e with
+      E.vars = by;
+      k =
+        E.PairMap.fold
+          (fun (x, y) kxy acc -> E.PairMap.add (id x, id y) kxy acc)
+          e.E.k E.PairMap.empty;
+    }
 
 let top (ep : pack) =
   E.make ~a:ep.Packing.ep_a ~b:ep.Packing.ep_b ~fkind:ep.Packing.ep_fkind
@@ -151,14 +177,27 @@ let digest buf (e : t) =
   add_float buf b;
   Buffer.add_char buf
     (match fkind with F.Ctypes.Fsingle -> 's' | Fdouble -> 'd');
-  add_names buf vars;
-  add_i64 buf (E.PairMap.cardinal k);
-  E.PairMap.iter
-    (fun (x, y) kxy ->
+  add_i64 buf (Array.length vars);
+  (* constraints by pack positions, in position order *)
+  let pos id =
+    let rec find i =
+      if i = Array.length vars then -1
+      else if vars.(i).v_id = id then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let cs =
+    E.PairMap.fold (fun (x, y) kxy acc -> ((pos x, pos y), kxy) :: acc) k []
+    |> List.sort compare
+  in
+  add_i64 buf (List.length cs);
+  List.iter
+    (fun ((x, y), kxy) ->
       add_i64 buf x;
       add_i64 buf y;
       add_float buf kxy)
-    k
+    cs
 
 let pp ppf pid e =
   if not (E.is_top e) then Fmt.pf ppf "ellipsoid #%d: %a@." pid E.pp e

@@ -16,6 +16,18 @@ let enabled (cfg : Config.t) = cfg.Config.use_octagons
 let packs (pk : Packing.t) = pk.Packing.octs
 let pack_id (op : pack) = op.Packing.op_id
 let packs_of (pk : Packing.t) v = Packing.packs_of pk.Packing.oct_index v
+let pack_vars (op : pack) = op.Packing.op_vars
+
+let add_pack name buf (op : pack) =
+  add_i64 buf (Array.length op.Packing.op_vars);
+  Array.iter (fun v -> add_str buf (name v)) op.Packing.op_vars
+
+(* the pack index maps variable ids to positions, exactly as the
+   octagon's own index does *)
+let rename (op : pack) (o : t) =
+  if rename_vars ~by:op.Packing.op_vars o.O.pack == o.O.pack then o
+  else { o with O.pack = op.Packing.op_vars; index = op.Packing.op_index }
+
 let top (op : pack) = O.top op.Packing.op_vars
 let get (r : rel) = r.octs
 let set (r : rel) octs = { r with octs }
@@ -207,7 +219,7 @@ let census note (o : t) =
    are leftovers that [equal] ignores. *)
 let digest buf (o : t) =
   let { O.pack; bot; n2; m; closure; index = _ } = o in
-  add_names buf pack;
+  add_i64 buf (Array.length pack);
   Buffer.add_char buf (if bot then '1' else '0');
   if not bot then begin
     (match closure with

@@ -79,15 +79,6 @@ let census ?(note = ignore) (r : t) : (string * int) list =
       Ptmap.fold (fun _ x acc -> M.census note x @ acc) (M.get r) [])
     domains
 
-let digest (buf : Buffer.t) (r : t) : unit =
-  (* exhaustive on purpose: a new field fails the build here (warning 9)
-     until its domain joins [domains], so no map escapes the key *)
-  let { octs = _; ells = _; dts = _ } = r in
-  List.iter
-    (fun (module M : Reldom.S) ->
-      Buffer.add_string buf (Ptmap.digest M.digest (M.get r)))
-    domains
-
 let pp ppf (r : t) : unit =
   List.iter
     (fun (module M : Reldom.S) -> Ptmap.iter (M.pp ppf) (M.get r))

@@ -14,7 +14,7 @@ type t = Reldom.rel = {
 
 (** The relational domains in product order — octagons, ellipsoids,
     decision trees.  Every fold over the product (lattice, transfer,
-    census, digest, dump) follows this order; a configuration enables a
+    census, dump) follows this order; a configuration enables a
     subset through each domain's [enabled]. *)
 val domains : (module Reldom.S) list
 
@@ -38,10 +38,6 @@ val equal : t -> t -> bool
     pack and name — sum them by name; [note] sees the constants the
     counted assertions involve. *)
 val census : ?note:(float -> unit) -> t -> (string * int) list
-
-(** Canonical digest of every domain's map, in product order (summary
-    keys, DESIGN.md §8). *)
-val digest : Buffer.t -> t -> unit
 
 (** Every informative pack's assertions, in product order (invariant
     dumps). *)

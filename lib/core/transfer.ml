@@ -18,7 +18,7 @@ type binds = lval VarMap.t
     inlining, Sect. 5.4) *)
 
 (* ------------------------------------------------------------------ *)
-(* Session types (reentrancy seam, ISSUE 6)                            *)
+(* Session types (reentrancy seam)                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The iterator's extension hooks — the function-summary memo and the
@@ -49,11 +49,13 @@ type itf_key = int * Cell.step list
       (copying a shared source's own-flow value would silently drop the
       rely).
     - [itf_writes]: the guarantee collector — every abstract write to a
-      shared cell joins its value here, keyed position-independently. *)
+      shared cell joins its value here, keyed position-independently.
+      A capture section swaps in a fresh table, so a call's own writes
+      are recorded apart and joined back when it ends. *)
 type itf = {
   itf_rely : (itf_key, D.Itv.t) Hashtbl.t;
   itf_shared : (int, unit) Hashtbl.t;
-  itf_writes : (itf_key, D.Itv.t) Hashtbl.t;
+  mutable itf_writes : (itf_key, D.Itv.t) Hashtbl.t;
 }
 
 (** The side effects of one captured call, in replayable form (the
@@ -64,8 +66,8 @@ type capture_delta = {
   cd_oct_useful : int list;               (** sorted *)
   cd_joins : int;
   cd_itf_writes : (itf_key * D.Itv.t) list;
-      (** shared-cell writes recorded during the call (sorted by key),
-          so summary replay keeps the interference guarantee complete *)
+      (** the call's own shared-cell writes (sorted by key), so summary
+          replay keeps the interference guarantee complete *)
 }
 
 (** Flow-separated analysis outcome of a statement or block.  [o_norm]
@@ -79,20 +81,32 @@ type outcome = {
   o_retv : D.Itv.t;
 }
 
-(** Everything one analyzed call produced: the state at the return
-    point, the merged return value, and the side effects on the
-    context's bookkeeping.  Pure data — marshalled into the on-disk
-    store. *)
+(** A call's summary, stored in the coordinates of the call's frame
+    (the cells, packs and loops the callee can touch, in a
+    program-stable order; [Astree_incremental.Frame]) so that it can be
+    replayed in any program that has the same frame.  Pure data —
+    marshalled into the on-disk store. *)
 type summary = {
-  sm_exit : Astate.t;  (** state after the return-point trace merge *)
-  sm_retv : D.Itv.t;   (** return value (Bot for void / no return) *)
-  sm_delta : capture_delta;
+  sm_exit : Astate.t;
+      (** frame part of the state after the return-point trace merge:
+          cells keyed by frame cell position, packs by frame pack
+          position; bottom when no flow returns *)
+  sm_retv : D.Itv.t;  (** return value (Bot for void / no return) *)
+  sm_alarms : (string * Alarm.t) list;
+      (** each alarm with the function its location is relative to
+          (line offset from that function's definition; [""] when the
+          location is absolute) *)
+  sm_invariants : (int * Astate.t) list;
+      (** frame loop position, frame part of the loop's invariant *)
+  sm_oct_useful : int list;  (** frame octagon-pack positions *)
+  sm_joins : int;
+  sm_itf_writes : (int * D.Itv.t) list;
+      (** shared-cell writes of the call, by frame cell position *)
 }
 
-(** Cache key: callee content fingerprint (covers the analysis
-    configuration) folded with the source locations of the callee and
-    its transitive callees (replayed alarms carry them), digest of the
-    abstract entry state together with the by-reference parameter
+(** Cache key: callee fingerprint with the position-relative locations
+    of its code (replayed alarms carry them), digest of the
+    frame-restricted entry state together with the by-reference
     bindings, and the alarm-collector mode — iteration-mode and
     checking-mode results are never conflated. *)
 type summary_key = {
@@ -101,19 +115,23 @@ type summary_key = {
   sk_checking : bool;
 }
 
+(** The summary cache as the iterator sees it: a gate, and a wrapper
+    around the analysis of one call body that either replays a summary
+    or runs the body (and records one). *)
 type call_memo = {
-  cm_key :
-    fname:string -> checking:bool -> Astate.t -> binds ->
-    summary_key option;
-      (** [None]: this call is not cacheable (unknown fingerprint) *)
-  cm_find : summary_key -> summary option;
-  cm_add : summary_key -> summary -> unit;
-  cm_hits : int ref;
-  cm_misses : int ref;
   cm_want : string -> bool;
       (** gate: is this callee worth memoizing at all?  Computed once
           per session from the transitive inlined size of each function
           against [Iterator.memo_min_stmts] *)
+  cm_call :
+    actx ->
+    fname:string ->
+    binds ->
+    Astate.t ->
+    (unit -> Astate.t * D.Itv.t) ->
+    Astate.t * D.Itv.t;
+      (** [cm_call a ~fname binds entry body]: the result of [body ()]
+          from the bound entry state, with its side effects on [a] *)
 }
 
 (** Per-analysis session: every hook and piece of cross-cutting mutable
@@ -121,7 +139,7 @@ type call_memo = {
     in one process (the [astreed] daemon, nested drivers) cannot
     corrupt each other.  Created by [new_session] (or implicitly by
     [Analysis.analyze]) and carried by the context. *)
-type session = {
+and session = {
   mutable ses_memo : call_memo option;
       (** function-summary memo, installed by [Astree_incremental] *)
   mutable ses_tick_hook : (unit -> unit) option;
@@ -1126,10 +1144,10 @@ let initial_state (a : actx) : Astate.t =
 
 (** Intern every cell the analysis could ever touch, in deterministic
     program order, so the numbering does not depend on the order the
-    iterator first reaches cells.  Summary keys rely on it (cold and
-    warm runs must agree), and so do multi-task runs, whose per-task
-    contexts — built in forked workers or in-process — are merged by
-    cell id. *)
+    iterator — or the summary cache building a call's frame — first
+    reaches cells.  Multi-task runs rely on it: their per-task contexts,
+    built in forked workers or in-process, are merged by cell id.
+    Summary keys do not: they name cells. *)
 let prefill_cells (a : actx) : unit =
   let intern_var (v : var) =
     List.iter
@@ -1167,9 +1185,9 @@ type capture = {
   cap_oct_useful : (int, unit) Hashtbl.t;      (** copy at entry *)
   cap_joins : int;
   cap_itf : (itf_key, D.Itv.t) Hashtbl.t option;
-      (** copy of the interference guarantee collector at entry (shared
-          cells are few, so the copy is cheap); [None] outside
-          multi-task runs *)
+      (** the guarantee collector in force at entry, set aside while the
+          call's own writes go to a fresh one; [None] outside multi-task
+          runs *)
 }
 
 let capture_begin (a : actx) : capture =
@@ -1180,9 +1198,27 @@ let capture_begin (a : actx) : capture =
     cap_joins = a.join_count;
     cap_itf =
       Option.map
-        (fun it -> Hashtbl.copy it.itf_writes)
+        (fun it ->
+          let saved = it.itf_writes in
+          it.itf_writes <- Hashtbl.create 16;
+          saved)
         a.session.ses_itf;
   }
+
+(* Put the entry collector back and join the call's writes into it:
+   the guarantee is a union, so the collector ends as if the writes had
+   gone to it directly.  Returns the call's writes, sorted by key. *)
+let itf_release (a : actx) (c : capture) : (itf_key * D.Itv.t) list =
+  match (a.session.ses_itf, c.cap_itf) with
+  | Some it, Some saved ->
+      let own = it.itf_writes in
+      it.itf_writes <- saved;
+      Hashtbl.fold (fun key v acc -> (key, v) :: acc) own []
+      |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
+      |> List.map (fun (key, v) ->
+             itf_record it key v;
+             (key, v))
+  | _ -> []
 
 (** Close a capture section: restore the alarm collector (absorbing the
     captured alarms, so the surrounding analysis is unaffected) and diff
@@ -1208,35 +1244,20 @@ let capture_end (a : actx) (c : capture) : capture_delta =
       a.oct_useful []
     |> List.sort Int.compare
   in
-  let itf_writes =
-    match (a.session.ses_itf, c.cap_itf) with
-    | Some it, Some snap ->
-        (* keys whose joined value moved during the call, with their
-           full current value: a superset of the call's own writes
-           (sound — the guarantee is a per-run union anyway) and a
-           subset of this run's writes (so replay never invents one) *)
-        Hashtbl.fold
-          (fun key v acc ->
-            match Hashtbl.find_opt snap key with
-            | Some old when D.Itv.equal old v -> acc
-            | _ -> (key, v) :: acc)
-          it.itf_writes []
-        |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
-    | _ -> []
-  in
   {
     cd_alarms = alarms;
     cd_invariants = invariants;
     cd_oct_useful = oct_useful;
     cd_joins = a.join_count - c.cap_joins;
-    cd_itf_writes = itf_writes;
+    cd_itf_writes = itf_release a c;
   }
 
-(** Abandon a capture section on an exceptional exit: the alarm table is
-    restored (captured alarms are absorbed, not lost) and no delta is
-    produced. *)
+(** Abandon a capture section on an exceptional exit: the alarm table
+    and the guarantee collector are restored (captured alarms and
+    writes are absorbed, not lost) and no delta is produced. *)
 let capture_abort (a : actx) (c : capture) : unit =
-  ignore (Alarm.release a.alarms c.cap_alarms)
+  ignore (Alarm.release a.alarms c.cap_alarms);
+  ignore (itf_release a c)
 
 (** Replay a captured delta against the context — the cache-hit path.
     By construction this performs exactly the bookkeeping updates the

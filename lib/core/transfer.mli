@@ -48,7 +48,8 @@ type itf_key = int * Cell.step list
 type itf = {
   itf_rely : (itf_key, D.Itv.t) Hashtbl.t;
   itf_shared : (int, unit) Hashtbl.t;
-  itf_writes : (itf_key, D.Itv.t) Hashtbl.t;
+  mutable itf_writes : (itf_key, D.Itv.t) Hashtbl.t;
+      (** swapped for a fresh table inside a capture section *)
 }
 
 (** Replayable side effects of one captured call (see the capture
@@ -59,8 +60,8 @@ type capture_delta = {
   cd_oct_useful : int list;               (** sorted *)
   cd_joins : int;
   cd_itf_writes : (itf_key * D.Itv.t) list;
-      (** shared-cell writes of the call (sorted by key), replayed into
-          the guarantee collector on a cache hit *)
+      (** the call's own shared-cell writes (sorted by key), replayed
+          into the guarantee collector on a cache hit *)
 }
 
 (** Flow-separated analysis outcome of a statement or block. *)
@@ -72,17 +73,31 @@ type outcome = {
   o_retv : D.Itv.t;
 }
 
-(** Everything one analyzed call produced — pure data, marshalled into
-    the on-disk store. *)
+(** A call's summary in the coordinates of its frame (the cells, packs
+    and loops the callee can touch, in a program-stable order), so that
+    it replays in any program with the same frame.  Pure data —
+    marshalled into the on-disk store. *)
 type summary = {
   sm_exit : Astate.t;
+      (** frame part of the exit state: cells keyed by frame cell
+          position, packs by frame pack position; bottom when no flow
+          returns *)
   sm_retv : D.Itv.t;
-  sm_delta : capture_delta;
+  sm_alarms : (string * Alarm.t) list;
+      (** each alarm with the function its location is relative to
+          (line offset from that function's definition; [""] when the
+          location is absolute) *)
+  sm_invariants : (int * Astate.t) list;
+      (** frame loop position, frame part of the loop's invariant *)
+  sm_oct_useful : int list;  (** frame octagon-pack positions *)
+  sm_joins : int;
+  sm_itf_writes : (int * D.Itv.t) list;
+      (** shared-cell writes of the call, by frame cell position *)
 }
 
-(** Cache key: callee fingerprint with the source locations of its
-    code (replayed alarms carry them), digest of the abstract entry
-    state + by-reference bindings with their locations, and the
+(** Cache key: callee fingerprint with the position-relative locations
+    of its code (replayed alarms carry them), digest of the
+    frame-restricted entry state + by-reference bindings, and the
     alarm-collector mode. *)
 type summary_key = {
   sk_fn : string;
@@ -90,21 +105,26 @@ type summary_key = {
   sk_checking : bool;
 }
 
+(** The summary cache as the iterator sees it. *)
 type call_memo = {
-  cm_key :
-    fname:string -> checking:bool -> Astate.t -> binds ->
-    summary_key option;
-  cm_find : summary_key -> summary option;
-  cm_add : summary_key -> summary -> unit;
-  cm_hits : int ref;
-  cm_misses : int ref;
   cm_want : string -> bool;
+      (** is this callee worth memoizing at all? *)
+  cm_call :
+    actx ->
+    fname:string ->
+    binds ->
+    Astate.t ->
+    (unit -> Astate.t * D.Itv.t) ->
+    Astate.t * D.Itv.t;
+      (** [cm_call a ~fname binds entry body]: the result of [body ()]
+          from the bound entry state, with its side effects on [a] —
+          replayed from a summary or computed (and recorded) *)
 }
 
 (** Per-analysis session: the hooks and cross-cutting mutable state of
     one analysis run.  Sessions make [Analysis] reentrant: the daemon
     creates one per request. *)
-type session = {
+and session = {
   mutable ses_memo : call_memo option;
   mutable ses_tick_hook : (unit -> unit) option;
   mutable ses_ticks : int;
@@ -208,9 +228,9 @@ val wait : actx -> Astate.t -> Astate.t
 val initial_state : actx -> Astate.t
 
 (** Intern every cell the analysis could ever touch, in deterministic
-    program order, so every context of a program — cold or warm cache
-    run, per-task run in a worker or in-process — shares one frozen
-    cell numbering. *)
+    program order, so every context of a program — per-task run in a
+    worker or in-process, with or without summary frames built — shares
+    one cell numbering. *)
 val prefill_cells : actx -> unit
 
 (** {1 Incremental-analysis support}
@@ -225,7 +245,8 @@ type capture
 val capture_begin : actx -> capture
 val capture_end : actx -> capture -> capture_delta
 
-(** Abandon a section on an exceptional exit (alarms are preserved). *)
+(** Abandon a section on an exceptional exit (alarms and shared-cell
+    writes are preserved). *)
 val capture_abort : actx -> capture -> unit
 
 (** Replay a delta against the context — the cache-hit path. *)

@@ -38,9 +38,8 @@ type t = {
 
     Octagons are mutable; the analyzer copies before updating.  This is
     a contract, not a convention: once an octagon sits in a pack map,
-    summary keys may have cached a digest of it
-    ([Astree_core.Ptmap.digest]), and an in-place update would leave
-    that digest stale. *)
+    a recorded function summary may hold it, and an in-place update
+    would change that summary behind its key. *)
 
 val top : Astree_frontend.Tast.var array -> t
 val bottom : Astree_frontend.Tast.var array -> t

@@ -1,24 +1,26 @@
-(** Content-addressed fingerprints of the typed IR.
+(** Content-addressed fingerprints of the typed IR, and the
+    program-stable names summaries are keyed by.
 
     A function's fingerprint is a stable hash of everything that can
     influence its analysis: its own structure and types, the transitive
     fingerprints of its callees (polyvariant inlining re-analyzes them
     in place, Sect. 5.4), and the analysis context — configuration,
-    target, struct layouts, volatile-input ranges and the frozen cell
-    numbering that summaries embed.  Source locations and the dense
-    [v_id]s are deliberately excluded, so edits that only move code
-    around (whitespace, comments) keep every fingerprint, while any
-    body edit changes the edited function and all its transitive
-    callers, and nothing else.
+    target, struct layouts, volatile-input ranges and entry point.
+    Variables, loops and temporaries are written by per-function names
+    ({!var_name}, {!loop_name}), never by the dense ids or the
+    program-wide [__tmpN] counter, and source locations are excluded:
+    whitespace and comment edits keep every fingerprint, and a body
+    edit changes the edited function and its transitive callers, and
+    nothing else.
 
-    Moves keep fingerprints but not summaries: a summary replays alarms,
-    and alarms carry source locations.  {!summary_fn} therefore folds a
-    second, location-only closure digest — file, line and column of
-    every statement, expression, lvalue and loop of the function and of
-    its transitive callees — into the fingerprint a summary is keyed
-    by.  The store file stays named by the location-free {!program}
-    fingerprint, so a moved program still finds its store, and the
-    callees whose code did not move still hit. *)
+    Summaries also replay alarms, and alarms carry locations.
+    {!summary_fn} therefore folds a second closure digest: the location
+    of every statement, expression, lvalue and loop of the function and
+    of its transitive callees, each written relative to the definition
+    of the function it lies in ({!relative}).  A copy of the program
+    under another file name, or with its functions shifted, keeps every
+    summary key, and {!rebase} puts a replayed alarm back at the copy's
+    own location. *)
 
 module F = Astree_frontend
 module C = Astree_core
@@ -40,19 +42,129 @@ let add_bool buf b = add_tok buf (if b then "1" else "0")
 let add_ty buf ty = add_tok buf (F.Ctypes.to_string ty)
 let add_scalar buf s = add_ty buf (F.Ctypes.Tscalar s)
 
-(* the unique name, not the id: ids are dense allocation order and shift
-   when unrelated declarations appear, names only when the source does *)
-let add_var buf (v : F.Tast.var) =
-  add_tok buf v.F.Tast.v_name;
+(* ------------------------------------------------------------------ *)
+(* Program-stable names                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type names = {
+  nm_vars : (int, string) Hashtbl.t;  (** variable id -> name *)
+  nm_loops : (int, string) Hashtbl.t;  (** loop id -> name *)
+  nm_defs : (string, F.Loc.t) Hashtbl.t;  (** function -> definition *)
+  nm_owners : (string, (int * string) array) Hashtbl.t;
+      (** file -> (definition line, function), sorted by line *)
+}
+
+(* Globals and statics are named by their unique source name; every
+   other variable by its function, its source name ("<tmp>" for an
+   elaboration temporary) and its rank among the function's variables
+   of that name, in traversal order.  Loops are named by function and
+   rank.  Only an edit of the function itself can change these. *)
+let names_of (p : F.Tast.program) : names =
+  let vars = Hashtbl.create 256 and loops = Hashtbl.create 16 in
+  let taken = Hashtbl.create 256 in
+  let fresh base =
+    let k = Option.value ~default:0 (Hashtbl.find_opt taken base) in
+    Hashtbl.replace taken base (k + 1);
+    if k = 0 then base else Printf.sprintf "%s#%d" base k
+  in
+  List.iter
+    (fun ((v : F.Tast.var), _) ->
+      let tag = match v.F.Tast.v_kind with F.Tast.Kstatic _ -> "s:" | _ -> "g:" in
+      Hashtbl.replace vars v.F.Tast.v_id (fresh (tag ^ v.F.Tast.v_name)))
+    p.F.Tast.p_globals;
+  List.iter
+    (fun (fname, (fd : F.Tast.fundef)) ->
+      let name (v : F.Tast.var) =
+        if not (Hashtbl.mem vars v.F.Tast.v_id) then
+          Hashtbl.replace vars v.F.Tast.v_id
+            (fresh
+               (match v.F.Tast.v_kind with
+               | F.Tast.Kglobal | F.Tast.Kstatic _ -> "g:" ^ v.F.Tast.v_name
+               | F.Tast.Kparam _ -> "p:" ^ v.F.Tast.v_name
+               | F.Tast.Klocal _ | F.Tast.Ktmp ->
+                   Printf.sprintf "l:%s:%s" fname v.F.Tast.v_orig))
+      in
+      let names_in set = F.Tast.VarSet.iter name set in
+      List.iter (function F.Tast.Pval v | F.Tast.Pref v -> name v) fd.F.Tast.fd_params;
+      let loop = ref 0 in
+      F.Tast.iter_stmts
+        (fun s ->
+          match s.F.Tast.sdesc with
+          | F.Tast.Slocal (v, init) ->
+              name v;
+              Option.iter (fun e -> names_in (F.Tast.expr_vars e F.Tast.VarSet.empty)) init
+          | F.Tast.Scall (dst, _, args) ->
+              Option.iter name dst;
+              List.iter
+                (function
+                  | F.Tast.Aval e -> names_in (F.Tast.expr_vars e F.Tast.VarSet.empty)
+                  | F.Tast.Aref lv -> names_in (F.Tast.lval_vars lv F.Tast.VarSet.empty))
+                args
+          | F.Tast.Sassign (lv, e) ->
+              names_in (F.Tast.lval_vars lv F.Tast.VarSet.empty);
+              names_in (F.Tast.expr_vars e F.Tast.VarSet.empty)
+          | F.Tast.Swhile (li, c, _) ->
+              Hashtbl.replace loops li.F.Tast.loop_id
+                (Printf.sprintf "%s:%d" fname !loop);
+              incr loop;
+              names_in (F.Tast.expr_vars c F.Tast.VarSet.empty)
+          | F.Tast.Sif (c, _, _) | F.Tast.Sreturn (Some c) | F.Tast.Sassert c
+          | F.Tast.Sassume c ->
+              names_in (F.Tast.expr_vars c F.Tast.VarSet.empty)
+          | F.Tast.Sreturn None | F.Tast.Sbreak | F.Tast.Scontinue
+          | F.Tast.Swait | F.Tast.Sskip ->
+              ())
+        fd.F.Tast.fd_body)
+    p.F.Tast.p_funs;
+  let defs = Hashtbl.create 64 and by_file = Hashtbl.create 4 in
+  List.iter
+    (fun (fname, (fd : F.Tast.fundef)) ->
+      let l = fd.F.Tast.fd_loc in
+      Hashtbl.replace defs fname l;
+      Hashtbl.replace by_file l.F.Loc.file
+        ((l.F.Loc.line, fname)
+        :: Option.value ~default:[] (Hashtbl.find_opt by_file l.F.Loc.file)))
+    p.F.Tast.p_funs;
+  let owners = Hashtbl.create 4 in
+  Hashtbl.iter
+    (fun file defs ->
+      Hashtbl.replace owners file (Array.of_list (List.sort compare defs)))
+    by_file;
+  { nm_vars = vars; nm_loops = loops; nm_defs = defs; nm_owners = owners }
+
+let var_name_in (nm : names) (v : F.Tast.var) : string =
+  match Hashtbl.find_opt nm.nm_vars v.F.Tast.v_id with
+  | Some n -> n
+  | None -> "?" ^ v.F.Tast.v_name
+
+(* The function a location lies in: the last one defined at or before
+   it in its file; [None] before the first definition. *)
+let owner (nm : names) (l : F.Loc.t) : (int * string) option =
+  match Hashtbl.find_opt nm.nm_owners l.F.Loc.file with
+  | None -> None
+  | Some defs ->
+      let rec search lo hi best =
+        if lo > hi then best
+        else
+          let mid = (lo + hi) / 2 in
+          let line, _ = defs.(mid) in
+          if line <= l.F.Loc.line then search (mid + 1) hi (Some defs.(mid))
+          else search lo (mid - 1) best
+      in
+      if F.Loc.is_dummy l then None else search 0 (Array.length defs - 1) None
+
+let relative_in (nm : names) (l : F.Loc.t) : string * F.Loc.t =
+  match owner nm l with
+  | None -> ("", l)
+  | Some (line, fname) ->
+      (fname, { F.Loc.file = ""; line = l.F.Loc.line - line; col = l.F.Loc.col })
+
+(* The variable's name, then what the name does not fix: its type and
+   qualifier. *)
+let add_var nm buf (v : F.Tast.var) =
+  add_tok buf (var_name_in nm v);
   add_ty buf v.F.Tast.v_ty;
-  add_bool buf v.F.Tast.v_volatile;
-  add_tok buf
-    (match v.F.Tast.v_kind with
-    | F.Tast.Kglobal -> "g"
-    | F.Tast.Kstatic f -> "s" ^ f
-    | F.Tast.Klocal f -> "l" ^ f
-    | F.Tast.Kparam f -> "p" ^ f
-    | F.Tast.Ktmp -> "t")
+  add_bool buf v.F.Tast.v_volatile
 
 let unop_tag : F.Tast.unop -> string = function
   | F.Tast.Neg -> "neg"
@@ -70,25 +182,25 @@ let binop_tag : F.Tast.binop -> string = function
   | F.Tast.Lt -> "lt" | F.Tast.Gt -> "gt" | F.Tast.Le -> "le"
   | F.Tast.Ge -> "ge" | F.Tast.Eq -> "eq" | F.Tast.Ne -> "ne"
 
-let rec add_lval buf (lv : F.Tast.lval) =
+let rec add_lval nm buf (lv : F.Tast.lval) =
   add_ty buf lv.F.Tast.lty;
   match lv.F.Tast.ldesc with
   | F.Tast.Lvar v ->
       add_tok buf "Lv";
-      add_var buf v
+      add_var nm buf v
   | F.Tast.Lindex (a, i) ->
       add_tok buf "Li";
-      add_lval buf a;
-      add_expr buf i
+      add_lval nm buf a;
+      add_expr nm buf i
   | F.Tast.Lfield (a, f) ->
       add_tok buf "Lf";
-      add_lval buf a;
+      add_lval nm buf a;
       add_tok buf f
   | F.Tast.Lderef v ->
       add_tok buf "Ld";
-      add_var buf v
+      add_var nm buf v
 
-and add_expr buf (e : F.Tast.expr) =
+and add_expr nm buf (e : F.Tast.expr) =
   add_scalar buf e.F.Tast.ety;
   match e.F.Tast.edesc with
   | F.Tast.Eint n ->
@@ -99,100 +211,106 @@ and add_expr buf (e : F.Tast.expr) =
       add_float buf x
   | F.Tast.Elval lv ->
       add_tok buf "El";
-      add_lval buf lv
+      add_lval nm buf lv
   | F.Tast.Eunop (op, a) ->
       add_tok buf "Eu";
       add_tok buf (unop_tag op);
-      add_expr buf a
+      add_expr nm buf a
   | F.Tast.Ebinop (op, a, b) ->
       add_tok buf "Eb";
       add_tok buf (binop_tag op);
-      add_expr buf a;
-      add_expr buf b
+      add_expr nm buf a;
+      add_expr nm buf b
   | F.Tast.Ecast (s, a) ->
       add_tok buf "Ec";
       add_scalar buf s;
-      add_expr buf a
+      add_expr nm buf a
 
-let add_arg buf = function
+let add_arg nm buf = function
   | F.Tast.Aval e ->
       add_tok buf "Av";
-      add_expr buf e
+      add_expr nm buf e
   | F.Tast.Aref lv ->
       add_tok buf "Ar";
-      add_lval buf lv
+      add_lval nm buf lv
 
-(* [calls] collects callee names for the closure fold; [loop_id] is part
-   of the structure because per-loop parameters (unrolling overrides)
-   and the invariant table are keyed by it *)
-let rec add_stmt buf calls (s : F.Tast.stmt) =
+(* [calls] collects callee names for the closure fold.  A loop is
+   written by its per-function name and its resolved unrolling, so an
+   unrolling override keyed by a dense loop id can never move to
+   another loop without this fingerprint changing. *)
+let rec add_stmt nm cfg buf calls (s : F.Tast.stmt) =
+  let block = add_block nm cfg buf calls in
   match s.F.Tast.sdesc with
   | F.Tast.Sassign (lv, e) ->
       add_tok buf "Sa";
-      add_lval buf lv;
-      add_expr buf e
+      add_lval nm buf lv;
+      add_expr nm buf e
   | F.Tast.Scall (dst, fname, args) ->
       add_tok buf "Sc";
       (match dst with
       | None -> add_tok buf "-"
-      | Some v -> add_var buf v);
+      | Some v -> add_var nm buf v);
       add_tok buf fname;
       calls := fname :: !calls;
-      List.iter (add_arg buf) args
+      List.iter (add_arg nm buf) args
   | F.Tast.Sif (c, a, b) ->
       add_tok buf "Si";
-      add_expr buf c;
-      add_block buf calls a;
+      add_expr nm buf c;
+      block a;
       add_tok buf "/";
-      add_block buf calls b
+      block b
   | F.Tast.Swhile (li, c, b) ->
       add_tok buf "Sw";
-      add_int buf li.F.Tast.loop_id;
-      add_expr buf c;
-      add_block buf calls b
+      add_tok buf
+        (Option.value ~default:"?"
+           (Hashtbl.find_opt nm.nm_loops li.F.Tast.loop_id));
+      add_int buf (C.Config.unroll_for cfg li.F.Tast.loop_id);
+      add_expr nm buf c;
+      block b
   | F.Tast.Sreturn None -> add_tok buf "Sr-"
   | F.Tast.Sreturn (Some e) ->
       add_tok buf "Sr";
-      add_expr buf e
+      add_expr nm buf e
   | F.Tast.Sbreak -> add_tok buf "Sb"
   | F.Tast.Scontinue -> add_tok buf "Sk"
   | F.Tast.Swait -> add_tok buf "Sg"
   | F.Tast.Sassert e ->
       add_tok buf "St";
-      add_expr buf e
+      add_expr nm buf e
   | F.Tast.Sassume e ->
       add_tok buf "Su";
-      add_expr buf e
+      add_expr nm buf e
   | F.Tast.Sskip -> add_tok buf "Ss"
   | F.Tast.Slocal (v, init) -> (
       add_tok buf "Sl";
-      add_var buf v;
+      add_var nm buf v;
       match init with
       | None -> add_tok buf "-"
-      | Some e -> add_expr buf e)
+      | Some e -> add_expr nm buf e)
 
-and add_block buf calls (b : F.Tast.block) =
+and add_block nm cfg buf calls (b : F.Tast.block) =
   add_int buf (List.length b);
-  List.iter (add_stmt buf calls) b
+  List.iter (add_stmt nm cfg buf calls) b
 
 (* ------------------------------------------------------------------ *)
 (* Source locations                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Every location a replayed alarm may carry, in traversal order.  The
-   structure is pinned by the content fingerprint, so a bare sequence
-   of positions is unambiguous; the file name is written only when it
-   changes ('F' cannot start a decimal token). *)
-let loc_writer buf : F.Loc.t -> unit =
-  let file = ref "" in
-  fun l ->
-    if l.F.Loc.file <> !file then begin
-      file := l.F.Loc.file;
-      Buffer.add_char buf 'F';
-      add_tok buf l.F.Loc.file
-    end;
-    add_int buf l.F.Loc.line;
-    add_int buf l.F.Loc.col
+(* Every location a replayed alarm may carry, in traversal order, each
+   relative to the function it lies in (or absolute, 'A', before the
+   first definition of its file).  The structure is pinned by the
+   content fingerprint, so the bare sequence is unambiguous. *)
+let add_loc nm buf (l : F.Loc.t) =
+  match relative_in nm l with
+  | "", l ->
+      add_tok buf "A";
+      add_tok buf l.F.Loc.file;
+      add_int buf l.F.Loc.line;
+      add_int buf l.F.Loc.col
+  | fname, l ->
+      add_tok buf fname;
+      add_int buf l.F.Loc.line;
+      add_int buf l.F.Loc.col
 
 let rec lval_locs loc (lv : F.Tast.lval) =
   loc lv.F.Tast.lloc;
@@ -213,11 +331,9 @@ and expr_locs loc (e : F.Tast.expr) =
       expr_locs loc a;
       expr_locs loc b
 
-let add_lval_locs buf lv = lval_locs (loc_writer buf) lv
-
-let local_locations (fd : F.Tast.fundef) : string =
+let local_locations nm (fd : F.Tast.fundef) : string =
   let buf = Buffer.create 1024 in
-  let loc = loc_writer buf in
+  let loc = add_loc nm buf in
   let lval = lval_locs loc and expr = expr_locs loc in
   let arg = function F.Tast.Aval e -> expr e | F.Tast.Aref lv -> lval lv in
   let rec stmt (s : F.Tast.stmt) =
@@ -256,7 +372,10 @@ let local_locations (fd : F.Tast.fundef) : string =
 (** Digest of every result-affecting configuration field.  [jobs] and
     [summary_cache] are excluded — both are result-neutral by
     construction, so a [-j 1] warm run may reuse a [-j 4] store and
-    vice versa.  [timeout] and [max_mem_mb] are likewise excluded: the
+    vice versa.  [loop_unroll_overrides] is keyed by dense loop ids,
+    which shift when an earlier function gains a loop: each loop's
+    resolved unrolling is folded into its own function's fingerprint
+    instead.  [timeout] and [max_mem_mb] are likewise excluded: the
     budget never changes a run that completes, only whether a coarser
     configuration (whose own fingerprint differs via
     [shed_packs_above]) is tried instead.  Written as one explicit
@@ -274,7 +393,6 @@ let config_digest (cfg : C.Config.t) : string =
         cfg.delay_widening,
         cfg.widening_fairness,
         cfg.loop_unroll,
-        cfg.loop_unroll_overrides,
         cfg.narrowing_iterations,
         cfg.float_iteration_epsilon,
         cfg.partitioned_functions,
@@ -301,15 +419,12 @@ let config_digest (cfg : C.Config.t) : string =
 
 (** Digest of the analysis context a summary implicitly depends on:
     configuration, target machine, struct layouts, volatile-input
-    ranges, entry point, and the frozen cell numbering.  Summaries embed
-    dense cell ids (in environments and relational packs), so two runs
-    may only exchange summaries when id [n] denotes the same cell of the
-    same variable in both — which is exactly what hashing the pre-filled
-    interner in id order pins down. *)
-let context_digest (a : C.Transfer.actx) : string =
-  let p = a.C.Transfer.prog in
+    ranges and entry point.  Nothing in it numbers cells or variables:
+    summaries name them ({!var_name}), so adding a variable anywhere
+    leaves every other function's fingerprint alone. *)
+let context_digest (cfg : C.Config.t) (p : F.Tast.program) : string =
   let buf = Buffer.create 4096 in
-  add_tok buf (config_digest a.C.Transfer.cfg);
+  add_tok buf (config_digest cfg);
   let t = p.F.Tast.p_target in
   add_int buf t.F.Ctypes.size_char;
   add_int buf t.F.Ctypes.size_short;
@@ -333,15 +448,6 @@ let context_digest (a : C.Transfer.actx) : string =
       add_float buf is.F.Tast.in_hi)
     p.F.Tast.p_inputs;
   add_tok buf p.F.Tast.p_main;
-  let n = C.Cell.count a.C.Transfer.intern in
-  add_int buf n;
-  for id = 0 to n - 1 do
-    let c = C.Cell.of_id a.C.Transfer.intern id in
-    add_int buf c.C.Cell.root.F.Tast.v_id;
-    add_tok buf (C.Cell.to_string c);
-    add_scalar buf c.C.Cell.cty;
-    add_bool buf c.C.Cell.weak
-  done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)
@@ -350,19 +456,32 @@ let context_digest (a : C.Transfer.actx) : string =
 
 type fn_fp = {
   ff_content : string;  (** location-free: what {!fn} returns *)
-  ff_locs : string;     (** location closure digest *)
+  ff_locs : string;     (** relative-location closure digest *)
   ff_summary : string;  (** both together: what {!summary_fn} returns *)
 }
 
 type t = {
-  fp_context : string;
+  fp_names : names;
   fp_funs : (string, fn_fp option) Hashtbl.t;
       (** per-function fingerprints; [None] = not cacheable (recursive) *)
   fp_program : string;
 }
 
-let context (fps : t) : string = fps.fp_context
 let program (fps : t) : string = fps.fp_program
+let var_name (fps : t) = var_name_in fps.fp_names
+
+let loop_name (fps : t) (loop_id : int) : string =
+  Option.value ~default:"?" (Hashtbl.find_opt fps.fp_names.nm_loops loop_id)
+
+let relative (fps : t) = relative_in fps.fp_names
+
+let rebase (fps : t) ((fname, l) : string * F.Loc.t) : F.Loc.t =
+  match Hashtbl.find_opt fps.fp_names.nm_defs fname with
+  | None -> l
+  | Some d -> { d with F.Loc.line = d.F.Loc.line + l.F.Loc.line; col = l.F.Loc.col }
+
+let add_lval (fps : t) = add_lval fps.fp_names
+let add_lval_locs (fps : t) buf lv = lval_locs (add_loc fps.fp_names buf) lv
 
 let find (fps : t) (fname : string) : fn_fp option =
   match Hashtbl.find_opt fps.fp_funs fname with
@@ -377,7 +496,7 @@ let summary_fn (fps : t) (fname : string) : string option =
 
 (** Local digest of one function — its own structure only — and its
     callee names. *)
-let local_digest (fd : F.Tast.fundef) : string * string list =
+let local_digest nm cfg (fd : F.Tast.fundef) : string * string list =
   let buf = Buffer.create 1024 in
   let calls = ref [] in
   add_tok buf fd.F.Tast.fd_name;
@@ -387,27 +506,27 @@ let local_digest (fd : F.Tast.fundef) : string * string list =
       match p with
       | F.Tast.Pval v ->
           add_tok buf "Pv";
-          add_var buf v
+          add_var nm buf v
       | F.Tast.Pref v ->
           add_tok buf "Pr";
-          add_var buf v)
+          add_var nm buf v)
     fd.F.Tast.fd_params;
-  add_block buf calls fd.F.Tast.fd_body;
+  add_block nm cfg buf calls fd.F.Tast.fd_body;
   ( Digest.to_hex (Digest.string (Buffer.contents buf)),
     List.sort_uniq String.compare !calls )
 
-(** Fingerprint every function of a pre-filled context.  The closure
-    fold makes any body edit propagate to all transitive callers: a
-    caller's fingerprint folds its callees' fingerprints, recursively.
-    Functions on a call cycle get [None] (the analyzer rejects recursion
-    anyway, Sect. 4). *)
-let of_actx (a : C.Transfer.actx) : t =
-  let p = a.C.Transfer.prog in
-  let ctx = context_digest a in
+(** Fingerprint every function of a program under a configuration.  The
+    closure fold makes any body edit propagate to all transitive
+    callers: a caller's fingerprint folds its callees' fingerprints,
+    recursively.  Functions on a call cycle get [None] (the analyzer
+    rejects recursion anyway, Sect. 4). *)
+let make (cfg : C.Config.t) (p : F.Tast.program) : t =
+  let nm = names_of p in
+  let ctx = context_digest cfg p in
   let locals = Hashtbl.create 64 in
   List.iter
     (fun (fname, fd) ->
-      Hashtbl.replace locals fname (local_digest fd, local_locations fd))
+      Hashtbl.replace locals fname (local_digest nm cfg fd, local_locations nm fd))
     p.F.Tast.p_funs;
   let fp_funs = Hashtbl.create 64 in
   let hash parts = Digest.to_hex (Digest.string (String.concat "\x00" parts)) in
@@ -456,15 +575,7 @@ let of_actx (a : C.Transfer.actx) : t =
         | None -> "-"))
     p.F.Tast.p_funs;
   {
-    fp_context = ctx;
+    fp_names = nm;
     fp_funs;
     fp_program = Digest.to_hex (Digest.string (Buffer.contents pbuf));
   }
-
-(** Fingerprint a program under a configuration: builds a throwaway
-    context and pre-fills its cells in program order — the same frozen
-    numbering every cache-enabled analysis uses. *)
-let make (cfg : C.Config.t) (p : F.Tast.program) : t =
-  let a = C.Transfer.make_actx cfg p in
-  C.Transfer.prefill_cells a;
-  of_actx a

@@ -1,34 +1,39 @@
-(** On-disk summary store: one file per program fingerprint.
+(** On-disk summary store: one content-addressed directory shared by
+    every program and revision, keyed by summary key.
 
-    Each file is a versioned magic header, an MD5 digest of the
-    payload, and then the [Marshal]ed payload tagged with the OCaml
-    version (marshalling is not stable across compiler versions) and
-    the program fingerprint it was saved under.  The digest matters:
-    [Marshal] has no internal checksum, so without it a flipped bit in
-    a stored summary could deserialize into a *different valid*
-    summary and silently poison a warm run.  Writes go through a
-    temporary file and an atomic rename, so
-    concurrent batch workers and interrupted runs can never leave a
-    half-written store.  Loading is strictly best-effort: a missing,
-    truncated, corrupt, stale or foreign file yields an empty summary
-    list and a warning on stderr — the cache degrades to cold, it never
-    fails an analysis. *)
+    A run publishes at most one file, holding only the summaries whose
+    keys no file in the directory had.  A file is a versioned magic
+    header, the [Marshal]ed summaries one after the other, an index,
+    and a footer with the index's length and MD5.  The index lists each
+    summary's key, offset, length and MD5, and is tagged with the OCaml
+    version (marshalling is not stable across compiler versions).
+    Opening the store reads only the footers and indexes; a summary's
+    bytes are read, checked against their MD5 and unmarshalled when a
+    run looks its key up.  The digests matter: [Marshal] has no
+    internal checksum, so a flipped bit could deserialize into a
+    *different valid* summary and silently poison a warm run.
+
+    Writes go through a temporary file, fsync and an atomic rename to a
+    name derived from the index, so concurrent batch workers and
+    interrupted runs never leave a half-written file.  Reading is
+    strictly best-effort: a missing, truncated, corrupt or foreign file
+    is skipped, and a summary whose bytes do not match its digest is a
+    miss, with a warning on stderr — the cache degrades to cold, it
+    never fails an analysis. *)
 
 module C = Astree_core
 module Faultsim = Astree_robust.Faultsim
 
-(* v3: Alarm.t gained the provenance field; v4: capture_delta gained
-   cd_itf_writes (multi-task interference); v5: Ptmap branches gained
-   the digest cache, and summary keys the source-location closure and
-   the canonical entry digest.  Each changed the Marshal layout or the
-   meaning of stored summaries — older stores must read as foreign and
-   degrade to cold, not crash. *)
-let magic = "astree-summary-store v5\n"
+(* v6: one content-addressed directory of indexed files, summaries in
+   frame coordinates.  Files of earlier versions read as foreign. *)
+let magic = "astree-summary-store v6\n"
+let suffix = ".sums"
 
-type entries = (C.Iterator.summary_key * C.Iterator.summary) array
+type key = C.Iterator.summary_key
+type entries = (key * C.Iterator.summary) list
 
-let file_of ~(dir : string) ~(key : string) : string =
-  Filename.concat dir (key ^ ".summaries")
+(* key, offset, length, MD5 of the marshalled summary *)
+type slot = key * int * int * Digest.t
 
 let warn fmt =
   Format.kasprintf (fun s -> prerr_endline ("astree: warning: " ^ s)) fmt
@@ -40,119 +45,195 @@ let rec mkdir_p (dir : string) : unit =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let read_store ~(quiet : bool) ~(dir : string) ~(key : string) :
-    (C.Iterator.summary_key * C.Iterator.summary) list =
+let footer_len = 8 + 16
+
+(* The index of one file; [None] (with a warning unless [quiet]) when
+   the file is not a complete store file of this version. *)
+let read_index ~(quiet : bool) (file : string) : slot array option =
   let warn fmt =
     if quiet then Format.ikfprintf (fun _ -> ()) Format.err_formatter fmt
     else warn fmt
   in
-  let file = file_of ~dir ~key in
-  if not (Sys.file_exists file) then []
-  else
-    try
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let hdr = really_input_string ic (String.length magic) in
-          if hdr <> magic then begin
-            warn "summary store %s: bad magic, ignored" file;
-            []
+  try
+    let ic = open_in_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let size = in_channel_length ic in
+        if size < String.length magic + footer_len then
+          failwith "truncated";
+        if really_input_string ic (String.length magic) <> magic then begin
+          warn "summary store file %s: bad magic, ignored" file;
+          None
+        end
+        else begin
+          (* fault injection: behave exactly as a corrupt file.  The
+             quiet path (the pre-save scan) skips the injection point
+             so armed fault schedules keep their call numbering *)
+          if (not quiet) && Faultsim.fires Faultsim.Cache_corrupt then
+            failwith "fault injection: corrupt store read";
+          seek_in ic (size - footer_len);
+          let len = Int64.to_int (String.get_int64_le (really_input_string ic 8) 0) in
+          let digest = really_input_string ic 16 in
+          if len < 0 || len > size - footer_len - String.length magic then
+            failwith "bad index length";
+          seek_in ic (size - footer_len - len);
+          let index = really_input_string ic len in
+          if Digest.string index <> digest then failwith "index digest mismatch";
+          let ver, (slots : slot array) =
+            (Marshal.from_string index 0 : string * slot array)
+          in
+          if ver <> Sys.ocaml_version then begin
+            warn "summary store file %s: written by OCaml %s, ignored" file ver;
+            None
           end
-          else begin
-            (* fault injection: behave exactly as a corrupt payload.
-               The quiet path (the pre-save merge read) skips the
-               injection point so armed fault schedules keep their call
-               numbering *)
-            if (not quiet) && Faultsim.fires Faultsim.Cache_corrupt then
-              failwith "fault injection: corrupt store read";
-            let stored_digest =
-              really_input_string ic 16 (* Digest.string length *)
-            in
-            let payload = In_channel.input_all ic in
-            if Digest.string payload <> stored_digest then
-              failwith "payload digest mismatch";
-            let ver, stored_key, (entries : entries) =
-              (Marshal.from_string payload 0
-                : string * string * entries)
-            in
-            if ver <> Sys.ocaml_version then begin
-              warn "summary store %s: written by OCaml %s, ignored" file ver;
-              []
-            end
-            else if stored_key <> key then begin
-              warn "summary store %s: stale program fingerprint, ignored" file;
-              []
-            end
-            else Array.to_list entries
-          end)
-    with
-    | Sys_error msg ->
-        warn "summary store %s: %s, ignored" file msg;
-        []
-    | End_of_file | Failure _ ->
-        warn "summary store %s: truncated or corrupt, ignored" file;
-        []
+          else Some slots
+        end)
+  with
+  | Sys_error msg ->
+      warn "summary store file %s: %s, ignored" file msg;
+      None
+  | End_of_file | Failure _ | Invalid_argument _ ->
+      warn "summary store file %s: truncated or corrupt, ignored" file;
+      None
 
-let load ~(dir : string) ~(key : string) :
-    (C.Iterator.summary_key * C.Iterator.summary) list =
-  read_store ~quiet:false ~dir ~key
+let store_files (dir : string) : string list =
+  match Sys.readdir dir with
+  | names ->
+      Array.to_list names
+      |> List.filter (fun f -> Filename.check_suffix f suffix)
+      |> List.sort String.compare
+      |> List.map (Filename.concat dir)
+  | exception Sys_error _ -> []
 
-let save ~(dir : string) ~(key : string)
-    (entries : (C.Iterator.summary_key * C.Iterator.summary) list) : unit =
+(* ------------------------------------------------------------------ *)
+(* Reading                                                              *)
+(* ------------------------------------------------------------------ *)
+
+type t = {
+  st_index : (key, string * int * int * Digest.t) Hashtbl.t;
+      (** key -> file, offset, length, MD5; first file wins *)
+  st_open : (string, in_channel) Hashtbl.t;  (** files read from so far *)
+  mutable st_loaded : int;
+}
+
+let scan ~(quiet : bool) (dir : string) : t =
+  let index = Hashtbl.create 1024 in
+  List.iter
+    (fun file ->
+      match read_index ~quiet file with
+      | None -> ()
+      | Some slots ->
+          Array.iter
+            (fun (k, off, len, md5) ->
+              if not (Hashtbl.mem index k) then
+                Hashtbl.add index k (file, off, len, md5))
+            slots)
+    (store_files dir);
+  { st_index = index; st_open = Hashtbl.create 4; st_loaded = 0 }
+
+let open_ ~(dir : string) : t = scan ~quiet:false dir
+let mem (st : t) (k : key) = Hashtbl.mem st.st_index k
+let loaded (st : t) = st.st_loaded
+let keys (st : t) = Hashtbl.fold (fun k _ acc -> k :: acc) st.st_index []
+
+let find (st : t) (k : key) : C.Iterator.summary option =
+  match Hashtbl.find_opt st.st_index k with
+  | None -> None
+  | Some (file, off, len, md5) -> (
+      try
+        let ic =
+          match Hashtbl.find_opt st.st_open file with
+          | Some ic -> ic
+          | None ->
+              let ic = open_in_bin file in
+              Hashtbl.replace st.st_open file ic;
+              ic
+        in
+        seek_in ic off;
+        let bytes = really_input_string ic len in
+        if Digest.string bytes <> md5 then failwith "digest mismatch";
+        let s = (Marshal.from_string bytes 0 : C.Iterator.summary) in
+        st.st_loaded <- st.st_loaded + 1;
+        Some s
+      with Sys_error _ | End_of_file | Failure _ | Invalid_argument _ ->
+        (* one bad summary is one miss; forget the key so the run
+           recomputes it and may publish it again *)
+        warn "summary store file %s: corrupt summary, ignored" file;
+        Hashtbl.remove st.st_index k;
+        None)
+
+let close (st : t) : unit =
+  Hashtbl.iter (fun _ ic -> close_in_noerr ic) st.st_open;
+  Hashtbl.reset st.st_open
+
+(* ------------------------------------------------------------------ *)
+(* Writing                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let save ~(dir : string) (entries : entries) : unit =
   try
     mkdir_p dir;
-    (* merge-on-save: union with whatever is already published under
-       this key, keep-ours on collisions (a key pins the exact entry
-       state and configuration, so colliding summaries are equal).
-       Concurrent writers — daemon workers, batch runs sharing a cache
-       directory — then converge toward the union instead of the last
-       rename silently dropping the other writer's entries.  The read
-       is best-effort and silent: a corrupt incumbent is simply
-       replaced. *)
+    (* only what no published file holds: a concurrent writer's file
+       published since this run opened the store is honoured too *)
+    let present = (scan ~quiet:true dir).st_index in
+    let seen = Hashtbl.create 64 in
     let entries =
-      match read_store ~quiet:true ~dir ~key with
-      | [] -> entries
-      | existing ->
-          let seen = Hashtbl.create (List.length entries) in
-          List.iter (fun (k, _) -> Hashtbl.replace seen k ()) entries;
-          entries
-          @ List.filter (fun (k, _) -> not (Hashtbl.mem seen k)) existing
+      List.filter
+        (fun (k, _) ->
+          if Hashtbl.mem present k || Hashtbl.mem seen k then false
+          else begin
+            Hashtbl.replace seen k ();
+            true
+          end)
+        entries
     in
-    let tmp = Filename.temp_file ~temp_dir:dir "summaries" ".tmp" in
-    (* any failure between here and the rename (a full disk, an injected
-       ENOSPC) must not leave the temporary behind: remove it before
-       reporting the write as failed *)
-    (try
-       let oc = open_out_bin tmp in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-           if Faultsim.fires Faultsim.Cache_write then
-             raise (Sys_error (tmp ^ ": fault injection: no space left"));
-           (* sharing-preserving marshal: summary exit states share most
-              of their structure (packs, trees), and expanding it would
-              blow the file up by orders of magnitude.  Keys never come
-              from the Marshal image ([Summary.entry_digest] writes its
-              own canonical form), so sharing here is harmless; the
-              maps' cached digests travel along and stay valid. *)
-           let payload =
-             Marshal.to_string
-               (Sys.ocaml_version, key, (Array.of_list entries : entries))
-               []
-           in
-           output_string oc magic;
-           output_string oc (Digest.string payload);
-           output_string oc payload;
-           (* the rename publishes atomically; fsync first so a crash
-              right after it cannot leave the published name pointing at
-              data the kernel never wrote back *)
-           flush oc;
-           Unix.fsync (Unix.descr_of_out_channel oc));
-       Sys.rename tmp (file_of ~dir ~key)
-     with e ->
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e)
+    if entries <> [] then begin
+      let body = Buffer.create 65536 in
+      Buffer.add_string body magic;
+      let slots =
+        List.map
+          (fun (k, (s : C.Iterator.summary)) ->
+            (* sharing-preserving marshal: a summary's states share
+               structure, and expanding it would blow the file up *)
+            let bytes = Marshal.to_string s [] in
+            let off = Buffer.length body in
+            Buffer.add_string body bytes;
+            (k, off, String.length bytes, Digest.string bytes))
+          entries
+      in
+      let index =
+        Marshal.to_string
+          (Sys.ocaml_version, (Array.of_list slots : slot array))
+          [ Marshal.No_sharing ]
+      in
+      let name = Digest.to_hex (Digest.string index) ^ suffix in
+      let tmp = Filename.temp_file ~temp_dir:dir "summaries" ".tmp" in
+      (* any failure between here and the rename (a full disk, an
+         injected ENOSPC) must not leave the temporary behind *)
+      try
+        let oc = open_out_bin tmp in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            if Faultsim.fires Faultsim.Cache_write then
+              raise (Sys_error (tmp ^ ": fault injection: no space left"));
+            Buffer.output_buffer oc body;
+            output_string oc index;
+            let len = Bytes.create 8 in
+            Bytes.set_int64_le len 0 (Int64.of_int (String.length index));
+            output_bytes oc len;
+            output_string oc (Digest.string index);
+            (* the rename publishes atomically; fsync first so a crash
+               right after it cannot leave the published name pointing
+               at data the kernel never wrote back *)
+            flush oc;
+            Unix.fsync (Unix.descr_of_out_channel oc));
+        Sys.rename tmp (Filename.concat dir name)
+      with e ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        raise e
+    end
   with Sys_error msg | Unix.Unix_error (_, msg, _) ->
     warn "summary store not saved in %s: %s" dir msg
 

@@ -3,96 +3,35 @@
 
     A summary is reused only for the exact key it was computed under —
     the callee's {!Fingerprint.summary_fn} (content fingerprint, which
-    folds the whole analysis context, together with the source
+    folds the analysis context, together with the position-relative
     locations of the callee and its transitive callees, which replayed
-    alarms carry), a digest of the exact abstract entry state together
-    with the by-reference bindings and their locations (caller code the
-    callee evaluates), and the alarm-collector mode.  There
-    is no entailment shortcut: a weaker-entry hit could change the
-    computed invariants, so equality of keys is the proof that a hit is
-    equivalent to re-analysis.
+    alarms carry), a digest of the entry state restricted to the call's
+    {!Frame} together with the by-reference bindings, and the
+    alarm-collector mode.  There is no entailment shortcut: a
+    weaker-entry hit could change the computed invariants, so equality
+    of keys is the proof that a hit is equivalent to re-analysis.
 
-    The entry digest is a Merkle digest (DESIGN.md §8): environments and
-    pack maps are {!Astree_core.Ptmap}s whose large subtrees cache their
-    MD5, and consecutive call states share most subtrees physically, so
-    a key costs time proportional to what changed since the last one.
+    A summary holds the frame part of the exit state and of the
+    in-callee loop invariants, and the call's side effects, all in frame
+    coordinates.  Replay lays them over the caller's state and maps
+    them back to the current run's cell, pack and loop ids, and alarm
+    locations back onto the current program's functions (DESIGN.md §8).
+    Nothing in a key or a summary names a dense id, so a summary
+    computed for one program hits in every revision where the callee
+    and its frame are unchanged.
 
-    The driver installs the table in the run's session
+    The driver installs the memo in the run's session
     ({!Astree_core.Transfer.session.ses_memo}) before running the
-    wrapped analysis.  The store is rewritten only when the table gained a key the loaded store lacks:
-    a fully warm run writes nothing. *)
+    wrapped analysis.  The store is written only when the run computed
+    a summary it did not have: a fully warm run writes nothing. *)
 
 module F = Astree_frontend
 module C = Astree_core
-module D = Astree_domains
+module Metrics = Astree_obs.Metrics
+module Trace = Astree_obs.Trace
 
-(* ------------------------------------------------------------------ *)
-(* Entry-state digests                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Entry states are written in the canonical encoding of {!C.Reldom}:
-   the environment here, the relational packs by {!C.Relstate.digest}. *)
-
-let add_avalue buf (c : C.Avalue.t) =
-  let { D.Clocked.v; vminus; vplus } = c in
-  C.Reldom.add_itv buf v;
-  C.Reldom.add_itv buf vminus;
-  C.Reldom.add_itv buf vplus
-
-let add_env buf : C.Env.t -> unit = function
-  | C.Env.Shared m ->
-      Buffer.add_char buf 'S';
-      Buffer.add_string buf (C.Ptmap.digest add_avalue m)
-  | C.Env.Naive a ->
-      Buffer.add_char buf 'N';
-      C.Reldom.add_i64 buf (Array.length a);
-      Array.iter
-        (function
-          | None -> Buffer.add_char buf '-'
-          | Some v ->
-              Buffer.add_char buf '+';
-              add_avalue buf v)
-        a
-
-(** Digest of the exact abstract entry state of a call, after parameter
-    binding, together with the by-reference bindings and their source
-    locations — a bound lvalue is the caller's own expression, and an
-    alarm raised while the callee evaluates it (an out-of-bounds index
-    in [f(&a[i])]) is reported at the caller's location, which the
-    callee's {!Fingerprint.summary_fn} does not cover.  Canonical: the
-    environment and pack maps are Patricia trees, whose shape is a
-    function of the key set, and [Map]s are written in key order, so
-    equal states give equal digests across processes and runs.  Every
-    Merkle node is an MD5 over an unambiguous encoding, so key equality
-    is as strong as an MD5 of the whole state. *)
-let entry_digest (st : C.Astate.t) (binds : C.Transfer.binds) : string =
-  let { C.Astate.bot; env; rel; clock } = st in
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf (if bot then '1' else '0');
-  C.Reldom.add_itv buf clock;
-  add_env buf env;
-  C.Relstate.digest buf rel;
-  C.Reldom.add_i64 buf (F.Tast.VarMap.cardinal binds);
-  F.Tast.VarMap.iter
-    (fun v lv ->
-      Fingerprint.add_var buf v;
-      Fingerprint.add_lval buf lv;
-      Fingerprint.add_lval_locs buf lv)
-    binds;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let key_fn (fps : Fingerprint.t) ~(fname : string) ~(checking : bool)
-    (st : C.Astate.t) (binds : C.Transfer.binds) :
-    C.Iterator.summary_key option =
-  match Fingerprint.summary_fn fps fname with
-  | None -> None
-  | Some fp ->
-      Some
-        {
-          C.Iterator.sk_fn = fp;
-          sk_entry = entry_digest st binds;
-          sk_checking = checking;
-        }
+let c_hits = Metrics.counter "cache.hits"
+let c_misses = Metrics.counter "cache.misses"
 
 (** Transitive inlined size of each function: own statements plus the
     inlined statements of every (acyclic) callee.  This, not the local
@@ -129,6 +68,80 @@ let inlined_sizes (p : F.Tast.program) : (string, int) Hashtbl.t =
   sizes
 
 (* ------------------------------------------------------------------ *)
+(* Summaries in frame coordinates                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** The summary of a computed call: the exit state and the captured
+    side effects, in the coordinates of [fr].  [None] when an effect
+    falls outside the frame, which the frame's construction rules out;
+    such a call is simply not memoized. *)
+let record (fps : Fingerprint.t) (a : C.Transfer.actx) (fr : Frame.t)
+    ~(entry : C.Astate.t) ((exit_, retv) : C.Astate.t * Astree_domains.Itv.t)
+    (d : C.Transfer.capture_delta) : C.Iterator.summary option =
+  let get = function Some i -> i | None -> raise Exit in
+  try
+    Some
+      {
+        C.Iterator.sm_exit = Frame.restrict fr ~entry exit_;
+        sm_retv = retv;
+        sm_alarms =
+          List.map
+            (fun (al : C.Alarm.t) ->
+              let owner, l = Fingerprint.relative fps al.C.Alarm.a_loc in
+              (owner, { al with C.Alarm.a_loc = l }))
+            d.C.Transfer.cd_alarms;
+        sm_invariants =
+          List.map
+            (fun (id, inv) ->
+              (get (Frame.loop_pos fr id), Frame.restrict fr ~entry inv))
+            d.C.Transfer.cd_invariants;
+        sm_oct_useful =
+          List.map (fun id -> get (Frame.oct_pos fr id)) d.C.Transfer.cd_oct_useful;
+        sm_joins = d.C.Transfer.cd_joins;
+        sm_itf_writes =
+          List.map
+            (fun ((root, path), v) ->
+              ( get (Option.bind (C.Cell.find a.C.Transfer.intern root path)
+                       (Frame.cell_pos fr)),
+                v ))
+            d.C.Transfer.cd_itf_writes;
+      }
+  with Exit -> None
+
+(** Replay a summary against the bound entry state [entry]: the exit
+    state, with every recorded side effect applied to the context. *)
+let replay (fps : Fingerprint.t) (a : C.Transfer.actx) (fr : Frame.t)
+    ~(entry : C.Astate.t) (s : C.Iterator.summary) :
+    C.Astate.t * Astree_domains.Itv.t =
+  C.Transfer.capture_replay a
+    {
+      C.Transfer.cd_alarms =
+        List.map
+          (fun (owner, (al : C.Alarm.t)) ->
+            { al with C.Alarm.a_loc = Fingerprint.rebase fps (owner, al.C.Alarm.a_loc) })
+          s.C.Iterator.sm_alarms;
+      cd_invariants =
+        List.map
+          (fun (i, inv) -> (Frame.loop_at fr i, Frame.overlay fr inv entry))
+          s.C.Iterator.sm_invariants;
+      cd_oct_useful = List.map (Frame.oct_at fr) s.C.Iterator.sm_oct_useful;
+      cd_joins = s.C.Iterator.sm_joins;
+      cd_itf_writes =
+        List.map
+          (fun (i, v) ->
+            let c = C.Cell.of_id a.C.Transfer.intern (Frame.cell_at fr i) in
+            ((c.C.Cell.root.F.Tast.v_id, c.C.Cell.path), v))
+          s.C.Iterator.sm_itf_writes;
+    };
+  (Frame.overlay fr s.C.Iterator.sm_exit entry, s.C.Iterator.sm_retv)
+
+(** Digest of a whole abstract state in the key encoding: every cell and
+    pack of the program, by name and frame position. *)
+let entry_digest (a : C.Transfer.actx) (st : C.Astate.t) : string =
+  let cx = Frame.ctx (Fingerprint.make a.C.Transfer.cfg a.C.Transfer.prog) a in
+  Frame.entry_digest cx (Frame.whole cx) st F.Tast.VarMap.empty
+
+(* ------------------------------------------------------------------ *)
 (* Session                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -136,85 +149,145 @@ type session = {
   ss_ses : C.Transfer.session;  (** the analysis session the memo lives in *)
   ss_fps : Fingerprint.t;
   ss_tbl : (C.Iterator.summary_key, C.Iterator.summary) Hashtbl.t;
-  ss_memo : C.Iterator.call_memo;
-  ss_loaded : int;
-      (** entries read from the store: distinct keys (merge-on-save
-          writes each once), all of them in the table *)
-  ss_load_time : float;
+      (** preloaded, read from the store or computed this run *)
+  mutable ss_new : (C.Iterator.summary_key * C.Iterator.summary) list;
+      (** computed this run, newest first: what a save publishes *)
+  ss_store : Store.t option;
+  mutable ss_frames : (C.Transfer.actx * Frame.ctx) option;
+      (** frames of the context being analyzed *)
+  mutable ss_hits : int;
+  mutable ss_misses : int;
+  mutable ss_load_time : float;
 }
 
-(** Fingerprint the program, build the summary table (populated from
-    [ses.ses_preload] first — the daemon's resident entries — then from
-    the on-disk store under [Cache_dir], keep-first) and install it in
-    the analysis session.  Call before the analysis. *)
+let frames (ss : session) (a : C.Transfer.actx) : Frame.ctx =
+  match ss.ss_frames with
+  | Some (a', cx) when a' == a -> cx
+  | _ ->
+      let cx = Frame.ctx ss.ss_fps a in
+      ss.ss_frames <- Some (a, cx);
+      cx
+
+let lookup (ss : session) (key : C.Iterator.summary_key) :
+    C.Iterator.summary option =
+  match Hashtbl.find_opt ss.ss_tbl key with
+  | Some _ as r -> r
+  | None -> (
+      match ss.ss_store with
+      | Some st when Store.mem st key ->
+          let t0 = Unix.gettimeofday () in
+          let r = Store.find st key in
+          ss.ss_load_time <- ss.ss_load_time +. (Unix.gettimeofday () -. t0);
+          Option.iter (Hashtbl.replace ss.ss_tbl key) r;
+          r
+      | _ -> None)
+
+(* The memo's call wrapper: key the call, then replay or compute and
+   record. *)
+let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
+    (binds : C.Transfer.binds) (entry : C.Astate.t)
+    (body : unit -> C.Astate.t * Astree_domains.Itv.t) :
+    C.Astate.t * Astree_domains.Itv.t =
+  match Fingerprint.summary_fn ss.ss_fps fname with
+  | None -> body ()
+  | Some fp -> (
+      let cx = frames ss a in
+      let fr = Frame.of_call cx ~fname binds in
+      let key =
+        {
+          C.Iterator.sk_fn = fp;
+          sk_entry = Frame.entry_digest cx fr entry binds;
+          sk_checking = a.C.Transfer.alarms.C.Alarm.enabled;
+        }
+      in
+      match lookup ss key with
+      | Some s ->
+          ss.ss_hits <- ss.ss_hits + 1;
+          Metrics.incr c_hits;
+          if !Trace.enabled then Trace.emit "cache.hit" ~args:[ ("fn", Trace.S fname) ];
+          replay ss.ss_fps a fr ~entry s
+      | None ->
+          ss.ss_misses <- ss.ss_misses + 1;
+          Metrics.incr c_misses;
+          if !Trace.enabled then Trace.emit "cache.miss" ~args:[ ("fn", Trace.S fname) ];
+          let cap = C.Transfer.capture_begin a in
+          let r =
+            try body ()
+            with e ->
+              C.Transfer.capture_abort a cap;
+              raise e
+          in
+          let delta = C.Transfer.capture_end a cap in
+          (match record ss.ss_fps a fr ~entry r delta with
+          | Some s ->
+              (* keep-first: a key determines its summary *)
+              if not (Hashtbl.mem ss.ss_tbl key) then begin
+                Hashtbl.add ss.ss_tbl key s;
+                ss.ss_new <- (key, s) :: ss.ss_new
+              end
+          | None -> ());
+          r)
+
+(** Fingerprint the program, seed the table with the analysis session's
+    [ses_preload] (the daemon's resident entries), open the store under
+    [Cache_dir] (its indexes only) and install the memo in the session.
+    Call before the analysis. *)
 let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     : session =
   let fps = Fingerprint.make cfg p in
   let tbl = Hashtbl.create 1024 in
-  (* resident entries first: keys self-identify their configuration (the
-     fingerprint folds the config digest), so entries computed under a
-     different config — e.g. a degraded retry — simply never match *)
+  (* keys self-identify their configuration (the fingerprint folds the
+     config digest), so entries computed under a different config —
+     e.g. a degraded retry — simply never match *)
   List.iter
     (fun (k, s) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k s)
     ses.C.Transfer.ses_preload;
-  let loaded, load_time =
+  let store, load_time =
     match cfg.C.Config.summary_cache with
     | C.Config.Cache_dir dir ->
         let t0 = Unix.gettimeofday () in
-        let entries = Store.load ~dir ~key:(Fingerprint.program fps) in
-        List.iter
-          (fun (k, s) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k s)
-          entries;
+        let st = Store.open_ ~dir in
         let dt = Unix.gettimeofday () -. t0 in
-        if !Astree_obs.Trace.enabled then
-          Astree_obs.Trace.emit "cache.load"
-            ~args:
-              [
-                ("entries", Astree_obs.Trace.I (List.length entries));
-                ("seconds", Astree_obs.Trace.F dt);
-              ];
-        (List.length entries, dt)
-    | _ -> (0, 0.)
+        if !Trace.enabled then
+          Trace.emit "cache.load" ~args:[ ("seconds", Trace.F dt) ];
+        (Some st, dt)
+    | _ -> (None, 0.)
   in
-  let memo =
+  let ss =
     {
-      C.Iterator.cm_key = key_fn fps;
-      cm_find = Hashtbl.find_opt tbl;
-      (* keep-first: a key determines its summary, so re-adding can
-         never change an entry *)
-      cm_add =
-        (fun k s -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k s);
-      cm_hits = ref 0;
-      cm_misses = ref 0;
-      cm_want =
-        (let sizes = inlined_sizes p in
-         let min_stmts = !C.Iterator.memo_min_stmts in
-         fun fn ->
-           match Hashtbl.find_opt sizes fn with
-           | Some n -> n >= min_stmts
-           | None -> false);
+      ss_ses = ses;
+      ss_fps = fps;
+      ss_tbl = tbl;
+      ss_new = [];
+      ss_store = store;
+      ss_frames = None;
+      ss_hits = 0;
+      ss_misses = 0;
+      ss_load_time = load_time;
     }
   in
-  ses.C.Transfer.ses_memo <- Some memo;
-  {
-    ss_ses = ses;
-    ss_fps = fps;
-    ss_tbl = tbl;
-    ss_memo = memo;
-    ss_loaded = loaded;
-    ss_load_time = load_time;
-  }
+  let want =
+    let sizes = inlined_sizes p in
+    let min_stmts = !C.Iterator.memo_min_stmts in
+    fun fn ->
+      match Hashtbl.find_opt sizes fn with
+      | Some n -> n >= min_stmts
+      | None -> false
+  in
+  ses.C.Transfer.ses_memo <-
+    Some { C.Iterator.cm_want = want; cm_call = call ss };
+  ss
 
-(** Uninstall the table; under [Cache_dir] and [save:true], persist it
-    first — but only if it holds a key the loaded store lacks: a run
-    that added nothing leaves the store file untouched (same inode,
-    mtime and bytes) and reports a [save_time] of 0.  When the analysis
-    session asked for it ([ses_collect_tables]), the final table is also
+(** Uninstall the memo; under [Cache_dir] and [save:true], first publish
+    the summaries this run computed — a run that computed none writes
+    nothing and reports a [save_time] of 0.  When the analysis session
+    asked for it ([ses_collect_tables]), the final table is also
     recorded in [ses_tables] so a resident server can absorb it.
     Returns the cache counters for the run. *)
 let detach ?(save = true) (cfg : C.Config.t) (ss : session) :
     C.Analysis.cache_stats =
   ss.ss_ses.C.Transfer.ses_memo <- None;
+  Option.iter Store.close ss.ss_store;
   if ss.ss_ses.C.Transfer.ses_collect_tables then
     ss.ss_ses.C.Transfer.ses_tables <-
       ( Fingerprint.program ss.ss_fps,
@@ -222,28 +295,25 @@ let detach ?(save = true) (cfg : C.Config.t) (ss : session) :
       :: ss.ss_ses.C.Transfer.ses_tables;
   let save_time =
     match cfg.C.Config.summary_cache with
-    | C.Config.Cache_dir dir
-      when save && Hashtbl.length ss.ss_tbl > ss.ss_loaded ->
+    | C.Config.Cache_dir dir when save && ss.ss_new <> [] ->
         let t0 = Unix.gettimeofday () in
-        Store.save ~dir
-          ~key:(Fingerprint.program ss.ss_fps)
-          (Hashtbl.fold (fun k s acc -> (k, s) :: acc) ss.ss_tbl []);
+        Store.save ~dir (List.rev ss.ss_new);
         let dt = Unix.gettimeofday () -. t0 in
-        if !Astree_obs.Trace.enabled then
-          Astree_obs.Trace.emit "cache.save"
+        if !Trace.enabled then
+          Trace.emit "cache.save"
             ~args:
               [
-                ("entries", Astree_obs.Trace.I (Hashtbl.length ss.ss_tbl));
-                ("seconds", Astree_obs.Trace.F dt);
+                ("entries", Trace.I (List.length ss.ss_new));
+                ("seconds", Trace.F dt);
               ];
         dt
     | _ -> 0.
   in
   {
-    C.Analysis.c_hits = !(ss.ss_memo.C.Iterator.cm_hits);
-    c_misses = !(ss.ss_memo.C.Iterator.cm_misses);
+    C.Analysis.c_hits = ss.ss_hits;
+    c_misses = ss.ss_misses;
     c_entries = Hashtbl.length ss.ss_tbl;
-    c_loaded = ss.ss_loaded;
+    c_loaded = Option.fold ~none:0 ~some:Store.loaded ss.ss_store;
     c_load_time = ss.ss_load_time;
     c_save_time = save_time;
   }
@@ -261,8 +331,8 @@ let driver (ses : C.Transfer.session) (cfg : C.Config.t)
     with
     | Astree_robust.Budget.Tripped _ as e ->
         (* a budget trip or an interrupt is not a failed analysis: every
-           summary computed so far is valid, so flush the table (the
-           store write is atomic) before unwinding — the next run starts
+           summary computed so far is valid, so publish them (the store
+           write is atomic) before unwinding — the next run starts
            warm, and a SIGINT loses no work *)
         ignore (detach ~save:true cfg ss);
         raise e

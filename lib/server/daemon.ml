@@ -338,24 +338,25 @@ let absorb_tables st digest (tables : (string * entries) list) =
     st.st_ckpt_dirty <- true
   end
 
+(* one content-addressed store for every resident program: a single
+   save publishes whatever entries the directory lacks, as one file *)
 let flush_store st =
   match st.st_cfg.d_cache_dir with
   | None -> ()
   | Some dir ->
-      Hashtbl.iter
-        (fun _ tables ->
-          List.iter
-            (fun (key, entries) ->
-              if entries <> [] then Store.save ~dir ~key entries)
-            !tables)
-        st.st_tables
+      Store.save ~dir
+        (Hashtbl.fold
+           (fun _ tables acc ->
+             List.fold_left (fun acc (_, entries) -> entries @ acc) acc !tables)
+           st.st_tables [])
 
 (* ---- warm-state checkpoint --------------------------------------- *)
 
 (* (digest * (store_key * entries) list) list, in insertion order.
-   v2: the entries' layout and keys changed with summary-store v5, so v1
-   checkpoints must read as foreign and start the daemon cold *)
-let ckpt_magic = "astree-daemon-ckpt v2\n"
+   v3: summaries moved to frame coordinates and keys to framed,
+   name-stable digests with summary-store v6, so v2 checkpoints must
+   read as foreign and start the daemon cold *)
+let ckpt_magic = "astree-daemon-ckpt v3\n"
 
 type ckpt = (string * (string * entries) list) list
 

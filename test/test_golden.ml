@@ -188,7 +188,7 @@ let actual_digests () =
   List.concat_map
     (fun (row, src, _) ->
       let r = analyze C.Config.default src in
-      let digest st = I.Summary.entry_digest st F.Tast.VarMap.empty in
+      let digest st = I.Summary.entry_digest r.C.Analysis.r_actx st in
       Hashtbl.fold
         (fun id st acc -> (id, st) :: acc)
         r.C.Analysis.r_actx.C.Transfer.invariants []

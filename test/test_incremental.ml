@@ -1,7 +1,8 @@
 (* Incremental-subsystem tests: fingerprints are stable under
-   whitespace/comment edits and invalidate through the callee closure;
-   warm runs (in-memory and on-disk, sequential and parallel) reproduce
-   the cold result exactly; corrupt stores degrade to cold, never
+   whitespace/comment edits and invalidate through the callee closure
+   only; warm runs (in-memory and on-disk, sequential and parallel, on
+   the same program and on edited copies over one store) reproduce the
+   cache-off result exactly; corrupt stores degrade to cold, never
    fail. *)
 
 module C = Astree_core
@@ -366,12 +367,15 @@ let test_mem_cache_equiv () =
 
 (* ---------------- store robustness ---------------- *)
 
-(* the store file of [p] under [cfg]: one file per program fingerprint,
-   so a shared ASTREE_TEST_CACHE directory holding other programs'
-   stores does not confuse the test *)
-let store_file dir cfg p =
-  let fps = I.Fingerprint.make cfg p in
-  Filename.concat dir (I.Fingerprint.program fps ^ ".summaries")
+(* the store files of a directory: one content-addressed directory for
+   every program, one file per run that computed new summaries *)
+let store_files dir =
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".sums")
+    |> List.sort String.compare
+    |> List.map (Filename.concat dir)
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -383,7 +387,7 @@ let test_store_corruption () =
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
       let cfg = C.Config.default in
       let off = C.Analysis.analyze ~cfg p in
-      with_tmpdir (fun dir ->
+      with_private_dir (fun dir ->
           with_cache_driver (fun () ->
               let ccfg =
                 { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
@@ -398,92 +402,80 @@ let test_store_corruption () =
                   0
                   (cache_stats_exn r).C.Analysis.c_loaded
               in
+              (* a degraded run publishes a good file again: damage every
+                 file of the directory before each check *)
+              let damage f =
+                List.iter
+                  (fun file ->
+                    let full = In_channel.with_open_bin file In_channel.input_all in
+                    write_file file (f full))
+                  (store_files dir)
+              in
+              ignore (C.Analysis.analyze ~cfg:ccfg p);
+              Alcotest.(check bool) "the cold run published" true
+                (store_files dir <> []);
               (* garbage in place of a store file *)
-              ignore (C.Analysis.analyze ~cfg:ccfg p);
-              let file = store_file dir ccfg p in
-              write_file file "not a summary store at all";
+              damage (fun _ -> "not a summary store at all");
               check_degraded "garbage";
-              (* truncated store: valid magic, payload cut short *)
-              ignore (C.Analysis.analyze ~cfg:ccfg p);
-              let full = In_channel.with_open_bin file In_channel.input_all in
-              write_file file (String.sub full 0 (String.length full / 3));
+              (* truncated store: valid magic, the index footer cut off *)
+              damage (fun full -> String.sub full 0 (String.length full / 3));
               check_degraded "truncated";
               (* empty file *)
-              write_file file "";
+              damage (fun _ -> "");
               check_degraded "empty")))
 
 (* concurrent multi-process writers (daemon pool workers, batch runs
-   sharing one cache directory) racing [Store.save] on the same key:
-   no interleaving may ever publish a torn file, and merge-on-save must
-   converge to the union of both writers' entries rather than letting
-   the last rename drop the other writer's work *)
-let store_magic = "astree-summary-store v5\n"
+   sharing one cache directory) racing [Store.save] on one directory:
+   no interleaving may ever publish a torn file, and the directory must
+   end up holding the union of both writers' entries *)
+let store_magic = "astree-summary-store v6\n"
 
-(* the store format contract: magic header, then the MD5 of the payload,
-   then the payload.  Any complete file satisfies it; a torn or partial
-   publish cannot. *)
+(* the file format contract: magic header, summaries, index, then a
+   footer with the index length and the index's MD5.  Any complete file
+   satisfies it; a torn or partial publish cannot. *)
 let check_file_intact file =
   if Sys.file_exists file then
     try
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let hdr = really_input_string ic (String.length store_magic) in
-          Alcotest.(check string) "store magic intact" store_magic hdr;
-          let digest = really_input_string ic 16 in
-          let payload = In_channel.input_all ic in
-          Alcotest.(check bool)
-            "store digest covers payload" true
-            (Digest.string payload = digest))
-    with End_of_file -> Alcotest.fail "torn store file published"
+      let s = In_channel.with_open_bin file In_channel.input_all in
+      let n = String.length s in
+      Alcotest.(check bool) "store file holds a footer" true
+        (n >= String.length store_magic + 24);
+      Alcotest.(check string) "store magic intact" store_magic
+        (String.sub s 0 (String.length store_magic));
+      let len = Int64.to_int (String.get_int64_le s (n - 24)) in
+      Alcotest.(check bool)
+        "store footer digest covers the index" true
+        (Digest.string (String.sub s (n - 24 - len) len) = String.sub s (n - 16) 16)
+    with Sys_error _ ->
+      (* replaced by a concurrent rename between listing and reading *)
+      ()
+
+(* every summary a Cache_mem run of [p] computes *)
+let harvest cfg p =
+  with_cache_driver (fun () ->
+      let ses = C.Transfer.new_session () in
+      ses.C.Transfer.ses_collect_tables <- true;
+      ignore
+        (C.Analysis.analyze ~session:ses
+           ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
+           p);
+      List.concat_map snd ses.C.Transfer.ses_tables)
+
+let stored_keys dir =
+  Astree_robust.Faultsim.with_suppressed (fun () ->
+      let st = I.Store.open_ ~dir in
+      List.sort compare (I.Store.keys st))
 
 let test_store_racing_writers () =
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
-      let cfg = C.Config.default in
-      (* harvest real summaries to race with: one cold cached run *)
-      let dir0 = Filename.temp_file "astree-race-seed" "" in
-      Sys.remove dir0;
-      let key = I.Fingerprint.program (I.Fingerprint.make cfg p) in
-      let entries =
-        Fun.protect
-          ~finally:(fun () ->
-            if Sys.file_exists dir0 then begin
-              Array.iter
-                (fun f -> Sys.remove (Filename.concat dir0 f))
-                (Sys.readdir dir0);
-              Sys.rmdir dir0
-            end)
-          (fun () ->
-            with_cache_driver (fun () ->
-                ignore
-                  (C.Analysis.analyze
-                     ~cfg:
-                       {
-                         cfg with
-                         C.Config.summary_cache = C.Config.Cache_dir dir0;
-                       }
-                     p);
-                I.Store.load ~dir:dir0 ~key))
-      in
+      let entries = harvest C.Config.default p in
       if List.length entries < 2 then Alcotest.skip ();
       (* split into two overlapping halves, one per writer process *)
       let n = List.length entries in
       let half_a = List.filteri (fun i _ -> i <= n / 2) entries in
       let half_b = List.filteri (fun i _ -> i >= n / 2) entries in
-      let dir = Filename.temp_file "astree-race" "" in
-      Sys.remove dir;
-      let file = Filename.concat dir (key ^ ".summaries") in
-      Fun.protect
-        ~finally:(fun () ->
-          if Sys.file_exists dir then begin
-            Array.iter
-              (fun f -> Sys.remove (Filename.concat dir f))
-              (Sys.readdir dir);
-            Sys.rmdir dir
-          end)
-        (fun () ->
+      with_private_dir (fun dir ->
           let writer half =
             flush stdout;
             flush stderr;
@@ -493,7 +485,7 @@ let test_store_racing_writers () =
                   try
                     Astree_robust.Faultsim.with_suppressed (fun () ->
                         for _ = 1 to 40 do
-                          I.Store.save ~dir ~key half
+                          I.Store.save ~dir half
                         done);
                     0
                   with _ -> 1
@@ -503,11 +495,11 @@ let test_store_racing_writers () =
           in
           let pid_a = writer half_a in
           let pid_b = writer half_b in
-          (* watch the published file while the two writers race *)
+          (* watch the published files while the two writers race *)
           let running = ref [ pid_a; pid_b ] in
           let statuses = ref [] in
           while !running <> [] do
-            check_file_intact file;
+            List.iter check_file_intact (store_files dir);
             running :=
               List.filter
                 (fun pid ->
@@ -525,36 +517,21 @@ let test_store_racing_writers () =
                 "writer exited cleanly" true
                 (st = Unix.WEXITED 0))
             !statuses;
-          check_file_intact file;
-          let keys_of es = List.sort compare (List.map fst es) in
-          let union =
-            List.sort_uniq compare (List.map fst (half_a @ half_b))
-          in
-          (* whatever the race left behind is a coherent subset of the
-             union — never torn, never foreign.  The oracle's own reads
-             and saves run fault-suppressed: this test is about the
-             writers racing, not about the chaos env corrupting the
-             verification pass itself *)
-          let after_race =
-            Astree_robust.Faultsim.with_suppressed (fun () ->
-                keys_of (I.Store.load ~dir ~key))
-          in
-          Alcotest.(check bool)
-            "race result within the union" true
-            (List.for_all (fun k -> List.mem k union) after_race);
-          Alcotest.(check bool) "race result non-empty" true
-            (after_race <> []);
-          (* one sequential save of each half must now converge to the
-             exact union, whichever writer won the race *)
-          let converged =
-            Astree_robust.Faultsim.with_suppressed (fun () ->
-                I.Store.save ~dir ~key half_a;
-                I.Store.save ~dir ~key half_b;
-                keys_of (I.Store.load ~dir ~key))
-          in
-          Alcotest.(check bool)
-            "merge-on-save converges to the union" true
-            (converged = union)))
+          List.iter check_file_intact (store_files dir);
+          let union = List.sort_uniq compare (List.map fst (half_a @ half_b)) in
+          (* each writer publishes its half once, however the race went:
+             the directory holds exactly the union, in at most two files *)
+          Alcotest.(check bool) "race result is the union" true
+            (List.sort_uniq compare (stored_keys dir) = union);
+          Alcotest.(check bool) "one file per writer at most" true
+            (List.length (store_files dir) <= 2);
+          (* a later save of both halves publishes nothing *)
+          let before = store_files dir in
+          Astree_robust.Faultsim.with_suppressed (fun () ->
+              I.Store.save ~dir half_a;
+              I.Store.save ~dir half_b);
+          Alcotest.(check (list string)) "nothing left to publish" before
+            (store_files dir)))
 
 (* every example in the repository: warm, cold and cache-less runs must
    agree on the result fingerprint (alarms + census + final state) *)
@@ -658,149 +635,114 @@ let test_blob_torn_write () =
             "torn blob reads as None" None
             (I.Store.load_blob ~file ~magic:blob_magic)))
 
-(* ---------------- Merkle entry-state keys ---------------- *)
+(* ---------------- framed entry-state keys ---------------- *)
 
-(* the same value with no cached digest anywhere: what a from-scratch
-   digest sees *)
-let fresh_copy (st : C.Astate.t) : C.Astate.t =
-  let cp m = C.Ptmap.map Fun.id m in
-  let rel = st.C.Astate.rel in
-  {
-    st with
-    C.Astate.env =
-      (match st.C.Astate.env with
-      | C.Env.Shared m -> C.Env.Shared (cp m)
-      | e -> e);
-    rel =
-      {
-        C.Relstate.octs = cp rel.C.Relstate.octs;
-        ells = cp rel.C.Relstate.ells;
-        dts = cp rel.C.Relstate.dts;
-      };
-  }
-
-let check_canonical name st binds =
-  let d = I.Summary.entry_digest st binds in
-  Alcotest.(check string)
-    (name ^ ": cached digest = from-scratch digest")
-    (I.Summary.entry_digest (fresh_copy st) binds)
-    d;
-  Alcotest.(check string)
-    (name ^ ": digest is stable")
-    d
-    (I.Summary.entry_digest st binds)
-
-(* run [p] with a Cache_mem summary cache and return every
-   (key, entry state, bindings) the run computed a key for *)
-let recorded_keys (cfg : C.Config.t) (p : F.Tast.program) =
+(* run [p] with a Cache_mem summary cache; return the result, the keys
+   of the final table and every (context, callee, entry state, bindings)
+   the run keyed *)
+let recorded_calls (cfg : C.Config.t) (p : F.Tast.program) =
   let seen = ref [] in
   with_cache_driver (fun () ->
+      let ses = C.Transfer.new_session () in
+      ses.C.Transfer.ses_collect_tables <- true;
       C.Analysis.cache_driver :=
         Some
           (fun ses cfg p core ->
             I.Summary.driver ses cfg p (fun () ->
                 (match ses.C.Transfer.ses_memo with
                 | Some m ->
-                    let cm_key ~fname ~checking st binds =
-                      let k = m.C.Iterator.cm_key ~fname ~checking st binds in
-                      Option.iter (fun k -> seen := (k, st, binds) :: !seen) k;
-                      k
+                    let cm_call a ~fname binds st body =
+                      seen := (a, fname, st, binds) :: !seen;
+                      m.C.Iterator.cm_call a ~fname binds st body
                     in
                     ses.C.Transfer.ses_memo <-
-                      Some { m with C.Iterator.cm_key }
+                      Some { m with C.Iterator.cm_call }
                 | None -> ());
                 core ()));
       let r =
-        C.Analysis.analyze
+        C.Analysis.analyze ~session:ses
           ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
           p
       in
-      (r, List.rev !seen))
+      let keys =
+        List.concat_map
+          (fun (_, tbl) -> List.map (fun (k, _) -> k.C.Iterator.sk_entry) tbl)
+          ses.C.Transfer.ses_tables
+      in
+      (r, keys, List.rev !seen))
 
-(* a digest that is cached on a map goes stale if a value is mutated
-   after it was hashed: recomputing every key of a run after the run,
-   cached and from scratch, catches any such mutation *)
-let test_merkle_matches_scratch () =
-  List.iter
-    (fun name ->
-      match read_example name with
-      | None -> ()
-      | Some src ->
-          let p, _ = C.Analysis.compile [ (name, src) ] in
-          let r = C.Analysis.analyze ~cfg:C.Config.default p in
-          check_canonical (name ^ " final") r.C.Analysis.r_final
-            F.Tast.VarMap.empty;
-          Hashtbl.iter
-            (fun id st ->
-              check_canonical
-                (Printf.sprintf "%s invariant %d" name id)
-                st F.Tast.VarMap.empty)
-            r.C.Analysis.r_actx.C.Transfer.invariants)
-    [ "mini_fbw.c"; "filter_bank.c"; "buggy_demo.c" ];
+(* the entry digest of one recorded call, from a fresh frame context *)
+let key_of cfg p (a, fname, st, binds) =
+  let cx = I.Frame.ctx (I.Fingerprint.make cfg p) a in
+  let fr = I.Frame.of_call cx ~fname binds in
+  (fr, I.Frame.entry_digest cx fr st binds)
+
+(* a state mutated after it was keyed would make the run's key stale:
+   recomputing every key after the run, from scratch, catches it *)
+let test_key_matches_scratch () =
   let cfg, p = member_program () in
-  let _, keys = recorded_keys cfg p in
-  Alcotest.(check bool) "the run took keys" true (keys <> []);
+  let _, keys, calls = recorded_calls cfg p in
+  Alcotest.(check bool) "the run took keys" true (calls <> []);
   Alcotest.(check bool)
     "keyed states carry octagons" true
     (List.exists
-       (fun (_, st, _) ->
+       (fun (_, _, st, _) ->
          not (C.Ptmap.is_empty st.C.Astate.rel.C.Relstate.octs))
-       keys);
+       calls);
   List.iteri
-    (fun i (k, st, binds) ->
-      let name = Printf.sprintf "key %d (%s)" i k.C.Iterator.sk_fn in
+    (fun i call ->
+      let _, d = key_of cfg p call in
+      Alcotest.(check bool)
+        (Printf.sprintf "call %d: recomputed key is in the table" i)
+        true (List.mem d keys);
       Alcotest.(check string)
-        (name ^ ": recomputed after the run")
-        k.C.Iterator.sk_entry
-        (I.Summary.entry_digest st binds);
-      Alcotest.(check string)
-        (name ^ ": from scratch after the run")
-        k.C.Iterator.sk_entry
-        (I.Summary.entry_digest (fresh_copy st) binds))
-    keys
+        (Printf.sprintf "call %d: stable" i)
+        d (snd (key_of cfg p call)))
+    calls
 
-let keyed_state_with_octagons () =
+(* a keyed call whose frame has an octagon pack, a cell, and whose entry
+   state has a cell outside the frame *)
+let keyed_call_with_octagons () =
   let cfg, p = member_program () in
-  let _, keys = recorded_keys cfg p in
-  match
-    List.find_opt
-      (fun (_, st, _) ->
-        (not (C.Ptmap.is_empty st.C.Astate.rel.C.Relstate.octs))
-        && C.Env.cardinal st.C.Astate.env > 0)
-      keys
-  with
-  | Some (_, st, binds) -> (st, binds)
-  | None -> Alcotest.fail "no keyed state with octagons"
-
-let test_merkle_sensitive () =
-  let st, binds = keyed_state_with_octagons () in
-  let d0 = I.Summary.entry_digest st binds in
-  (* one cell bound *)
-  let id, v =
-    match C.Env.fold (fun id v acc -> (id, v) :: acc) st.C.Astate.env [] with
-    | b :: _ -> b
-    | [] -> Alcotest.fail "empty environment"
+  let _, _, calls = recorded_calls cfg p in
+  let pick (a, fname, st, binds) =
+    let fr, _ = key_of cfg p (a, fname, st, binds) in
+    let octs = st.C.Astate.rel.C.Relstate.octs in
+    let pack =
+      List.find_opt
+        (fun (pid, _) -> I.Frame.oct_pos fr pid <> None)
+        (C.Ptmap.bindings octs)
+    in
+    let cells = C.Env.fold (fun id v acc -> (id, v) :: acc) st.C.Astate.env [] in
+    let inside = List.find_opt (fun (id, _) -> I.Frame.cell_pos fr id <> None) cells in
+    let outside = List.find_opt (fun (id, _) -> I.Frame.cell_pos fr id = None) cells in
+    match (pack, inside, outside) with
+    | Some pack, Some inside, Some outside ->
+        Some ((a, fname, st, binds), pack, inside, outside)
+    | _ -> None
   in
-  let bumped : Astree_domains.Itv.t =
-    match C.Avalue.itv v with
+  match List.find_map pick calls with
+  | Some c -> (cfg, p, c)
+  | None -> Alcotest.fail "no keyed call with an octagon and an outside cell"
+
+let bump (v : C.Avalue.t) : C.Avalue.t =
+  C.Avalue.with_itv v
+    (match C.Avalue.itv v with
     | Astree_domains.Itv.Int (lo, hi) -> Astree_domains.Itv.Int (lo - 1, hi)
     | Astree_domains.Itv.Float (lo, hi) ->
         Astree_domains.Itv.Float (Float.pred lo, hi)
-    | Astree_domains.Itv.Bot -> Astree_domains.Itv.Int (0, 0)
+    | Astree_domains.Itv.Bot -> Astree_domains.Itv.Int (0, 0))
+
+let test_key_sensitive () =
+  let cfg, p, ((a, fname, st, binds), (pid, o), (id_in, v_in), (id_out, v_out)) =
+    keyed_call_with_octagons ()
   in
-  let st_cell =
-    {
-      st with
-      C.Astate.env = C.Env.set st.C.Astate.env id (C.Avalue.with_itv v bumped);
-    }
+  let digest st' = snd (key_of cfg p (a, fname, st', binds)) in
+  let d0 = digest st in
+  let with_cell id v =
+    { st with C.Astate.env = C.Env.set st.C.Astate.env id (bump v) }
   in
-  (* one octagon entry, and one closure flag, each on a copy *)
   let octs = st.C.Astate.rel.C.Relstate.octs in
-  let pid, o =
-    match C.Ptmap.bindings octs with
-    | b :: _ -> b
-    | [] -> Alcotest.fail "no octagon"
-  in
   let with_oct o' =
     {
       st with
@@ -808,6 +750,7 @@ let test_merkle_sensitive () =
         { st.C.Astate.rel with C.Relstate.octs = C.Ptmap.add pid o' octs };
     }
   in
+  (* one octagon entry, and one closure flag, each on a copy *)
   let o_entry = Astree_domains.Octagon.copy o in
   let m = o_entry.Astree_domains.Octagon.m in
   m.(1) <- (if m.(1) = Float.infinity then 1.0 else Float.infinity);
@@ -818,7 +761,7 @@ let test_merkle_sensitive () =
     | _ -> Astree_domains.Octagon.Closed);
   let variants =
     [
-      ("cell bound", st_cell);
+      ("frame cell bound", with_cell id_in v_in);
       ("octagon entry", with_oct o_entry);
       ("closure flag", with_oct o_flag);
     ]
@@ -826,12 +769,8 @@ let test_merkle_sensitive () =
   let digests =
     List.map
       (fun (name, st') ->
-        let d = I.Summary.entry_digest st' binds in
+        let d = digest st' in
         Alcotest.(check bool) (name ^ " changes the key") true (d <> d0);
-        Alcotest.(check string)
-          (name ^ ": canonical")
-          (I.Summary.entry_digest (fresh_copy st') binds)
-          d;
         d)
       variants
   in
@@ -839,28 +778,24 @@ let test_merkle_sensitive () =
     "the three keys are distinct" 3
     (List.length (List.sort_uniq String.compare digests));
   Alcotest.(check string)
-    "the original key is untouched" d0
-    (I.Summary.entry_digest st binds)
+    "a change outside the frame keeps the key" d0
+    (digest (with_cell id_out v_out));
+  Alcotest.(check string) "the original key is untouched" d0 (digest st)
 
-let test_merkle_marshal () =
+let test_key_marshal () =
   let cfg, p = member_program () in
-  let _, keys = recorded_keys cfg p in
+  let _, _, calls = recorded_calls cfg p in
   List.iteri
-    (fun i ((k : C.Iterator.summary_key), st, binds) ->
+    (fun i ((a, fname, st, binds) as call) ->
       let st', binds' =
         (Marshal.from_string (Marshal.to_string (st, binds) []) 0
           : C.Astate.t * C.Transfer.binds)
       in
-      let name = Printf.sprintf "key %d" i in
       Alcotest.(check string)
-        (name ^ ": survives Marshal")
-        k.C.Iterator.sk_entry
-        (I.Summary.entry_digest st' binds');
-      Alcotest.(check string)
-        (name ^ ": survives Marshal, from scratch")
-        k.C.Iterator.sk_entry
-        (I.Summary.entry_digest (fresh_copy st') binds'))
-    keys
+        (Printf.sprintf "call %d: survives Marshal" i)
+        (snd (key_of cfg p call))
+        (snd (key_of cfg p (a, fname, st', binds'))))
+    calls
 
 (* ---------------- moved code and the no-write rule ---------------- *)
 
@@ -979,16 +914,44 @@ let test_moved_caller_by_ref_warm_equals_off () =
             (P.Merge.fingerprint off_q)
             (P.Merge.fingerprint warm_q)))
 
-let file_state file =
-  let s = Unix.stat file in
-  ( s.Unix.st_ino,
-    s.Unix.st_mtime,
-    In_channel.with_open_bin file In_channel.input_all )
+(* every store file of a directory with its inode, mtime and bytes *)
+let dir_state dir =
+  List.map
+    (fun file ->
+      let s = Unix.stat file in
+      ( file,
+        s.Unix.st_ino,
+        s.Unix.st_mtime,
+        In_channel.with_open_bin file In_channel.input_all ))
+    (store_files dir)
+
+(* where the definition of the void function [fn] starts in [src] *)
+let def_of ~fn src =
+  let hdr = "void " ^ fn ^ "(void) {" in
+  let rec find i =
+    if i + String.length hdr > String.length src then
+      Alcotest.failf "no function %s" fn
+    else if String.sub src i (String.length hdr) = hdr then i
+    else find (i + 1)
+  in
+  (find 0, String.length hdr)
+
+let splice src at text =
+  String.sub src 0 at ^ text ^ String.sub src at (String.length src - at)
+
+(* insert [text] right after the opening brace of [fn] *)
+let insert_in ~fn text src =
+  let i, n = def_of ~fn src in
+  splice src (i + n) text
+
+(* the dead block perfbench's edited requests add *)
+let dead_block src = insert_in ~fn:"stage_5" "\n  { int pb_edit; pb_edit = 6; }" src
 
 let test_noop_warm_run_does_not_write () =
   let src = buggy_fused_src () in
   let p, _ = C.Analysis.compile [ ("fb.c", src) ] in
   let q, _ = C.Analysis.compile [ ("fbm.c", "\n\n\n" ^ src) ] in
+  let e, _ = C.Analysis.compile [ ("fbe.c", insert_in ~fn:"stage_0" "\n  { int pb_edit; pb_edit = 6; }" src) ] in
   let cfg = C.Config.default in
   with_private_dir (fun dir ->
       with_cache_driver (fun () ->
@@ -996,40 +959,42 @@ let test_noop_warm_run_does_not_write () =
             { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
           in
           let run prog = cache_stats_exn (C.Analysis.analyze ~cfg:ccfg prog) in
-          let file = store_file dir ccfg p in
           let cold = run p in
-          Alcotest.(check bool) "cold run wrote" true (Sys.file_exists file);
-          let ino0, mtime0, bytes0 = file_state file in
+          Alcotest.(check int) "cold run wrote one file" 1
+            (List.length (store_files dir));
+          let s0 = dir_state dir in
           let warm = run p in
           Alcotest.(check int) "warm run misses" 0 warm.C.Analysis.c_misses;
           Alcotest.(check (float 0.)) "warm save_time" 0.
             warm.C.Analysis.c_save_time;
-          let ino1, mtime1, bytes1 = file_state file in
-          Alcotest.(check int) "inode unchanged" ino0 ino1;
-          Alcotest.(check (float 0.)) "mtime unchanged" mtime0 mtime1;
-          Alcotest.(check bool) "bytes unchanged" true (bytes0 = bytes1);
-          (* the moved copy shares the store file but adds keys: it
-             writes, and what it writes is the union *)
+          Alcotest.(check bool) "store untouched: inodes, mtimes, bytes" true
+            (dir_state dir = s0);
+          (* the shifted, renamed copy is a no-op warm run too *)
           let moved = run q in
-          Alcotest.(check bool) "moved copy misses" true
-            (moved.C.Analysis.c_misses > 0);
-          Alcotest.(check bool) "moved copy saved" true
-            (moved.C.Analysis.c_save_time > 0.);
-          let ino2, _, _ = file_state file in
-          Alcotest.(check bool) "store rewritten" true (ino2 <> ino0);
-          let key = I.Fingerprint.program (I.Fingerprint.make ccfg p) in
-          Alcotest.(check int) "store holds the union"
-            moved.C.Analysis.c_entries
-            (List.length (I.Store.load ~dir ~key));
-          Alcotest.(check bool) "union is larger" true
-            (moved.C.Analysis.c_entries > cold.C.Analysis.c_entries);
+          Alcotest.(check int) "moved copy misses" 0 moved.C.Analysis.c_misses;
+          Alcotest.(check bool) "moved copy wrote nothing" true
+            (dir_state dir = s0);
+          (* an edited copy publishes one new file with its new keys only,
+             and leaves the published one alone *)
+          let edited = run e in
+          Alcotest.(check bool) "edited copy misses" true
+            (edited.C.Analysis.c_misses > 0);
+          Alcotest.(check bool) "edited copy saved" true
+            (edited.C.Analysis.c_save_time > 0.);
+          let s1 = dir_state dir in
+          Alcotest.(check int) "one new file" 2 (List.length s1);
+          Alcotest.(check bool) "the first file is untouched" true
+            (List.for_all (fun f -> List.mem f s1) s0);
+          Alcotest.(check int) "the store holds both runs' keys"
+            (cold.C.Analysis.c_entries + edited.C.Analysis.c_misses)
+            (List.length (stored_keys dir));
           Alcotest.(check int) "original still all hits" 0
             (run p).C.Analysis.c_misses;
-          Alcotest.(check int) "moved copy now all hits" 0
-            (run q).C.Analysis.c_misses))
+          Alcotest.(check int) "edited copy now all hits" 0
+            (run e).C.Analysis.c_misses))
 
-(* a store written before the key change must read as foreign: the
-   run degrades to cold, is exact, and replaces the file *)
+(* a store file written before the key change must read as foreign: the
+   run degrades to cold, is exact, and publishes a file of its own *)
 let test_old_store_is_foreign () =
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
@@ -1040,23 +1005,392 @@ let test_old_store_is_foreign () =
               let ccfg =
                 { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
               in
-              let file = store_file dir ccfg p in
-              let key = I.Fingerprint.program (I.Fingerprint.make ccfg p) in
               let payload =
                 Marshal.to_string
-                  (Sys.ocaml_version, key, ([||] : (int * int) array))
+                  (Sys.ocaml_version, "key", ([||] : (int * int) array))
                   []
               in
               Unix.mkdir dir 0o755;
-              write_file file
-                ("astree-summary-store v4\n" ^ Digest.string payload ^ payload);
+              let old = Filename.concat dir "old.sums" in
+              write_file old
+                ("astree-summary-store v5\n" ^ Digest.string payload ^ payload);
               let r = C.Analysis.analyze ~cfg:ccfg p in
               Alcotest.(check string)
                 "result identical" (P.Merge.fingerprint off)
                 (P.Merge.fingerprint r);
               Alcotest.(check int) "nothing loaded" 0
                 (cache_stats_exn r).C.Analysis.c_loaded;
-              check_file_intact file)))
+              let fresh = List.filter (( <> ) old) (store_files dir) in
+              Alcotest.(check int) "a file of its own" 1 (List.length fresh);
+              List.iter check_file_intact fresh)))
+
+(* ---------------- edit-warm: summaries that survive an edit ---------------- *)
+
+(* [base] cold into a fresh store, then [edit] warm over it: the warm
+   edit must equal its cache-off result; returns its cache counters *)
+let check_edit_warm ~name ?(cfg = C.Config.default) (base : string * string)
+    (edit : string * string) =
+  let p, _ = C.Analysis.compile [ base ] in
+  let q, _ = C.Analysis.compile [ edit ] in
+  let off_p = C.Analysis.analyze ~cfg p in
+  let off_q = C.Analysis.analyze ~cfg q in
+  with_private_dir (fun dir ->
+      let ccfg = { cfg with C.Config.summary_cache = C.Config.Cache_dir dir } in
+      let cold = C.Analysis.analyze ~cfg:ccfg p in
+      Alcotest.(check string) (name ^ ": base cold = off")
+        (P.Merge.fingerprint off_p) (P.Merge.fingerprint cold);
+      let warm = C.Analysis.analyze ~cfg:ccfg q in
+      Alcotest.(check string) (name ^ ": edit warm = off")
+        (P.Merge.fingerprint off_q) (P.Merge.fingerprint warm);
+      let again = C.Analysis.analyze ~cfg:ccfg p in
+      Alcotest.(check string) (name ^ ": base warm again = off")
+        (P.Merge.fingerprint off_p) (P.Merge.fingerprint again);
+      cache_stats_exn warm)
+
+let fused_member () =
+  (G.Generator.generate
+     { G.Generator.default with G.Generator.seed = 4; target_lines = 2000; fuse = 16 })
+    .G.Generator.source
+
+(* the first float literal after the header of [fn], multiplied by 2 *)
+let change_float_in ~fn src =
+  let start, _ = def_of ~fn src in
+  let is_digit c = c >= '0' && c <= '9' in
+  let rec lit i =
+    if src.[i] = '.' && is_digit src.[i - 1] && is_digit src.[i + 1] then begin
+      let b = ref (i - 1) in
+      while is_digit src.[!b - 1] do decr b done;
+      let e = ref (i + 1) in
+      while is_digit src.[!e] do incr e done;
+      (!b, !e)
+    end
+    else lit (i + 1)
+  in
+  let b, e = lit start in
+  let v = float_of_string (String.sub src b (e - b)) in
+  String.sub src 0 b ^ Printf.sprintf "%.6f" (2. *. v +. 0.5)
+  ^ String.sub src e (String.length src - e)
+
+let test_edit_warm_dead_block () =
+  let src = fused_member () in
+  let cs =
+    with_cache_driver (fun () ->
+        C.Iterator.memo_min_stmts := 30;
+        check_edit_warm ~name:"dead block, new file name" ("m.c", src)
+          ("e0_005.c", dead_block src))
+  in
+  let looked = cs.C.Analysis.c_hits + cs.C.Analysis.c_misses in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 85%% of lookups hit (%d of %d)"
+       cs.C.Analysis.c_hits looked)
+    true
+    (looked > 0 && 100 * cs.C.Analysis.c_hits >= 85 * looked)
+
+let test_edit_warm_kinds () =
+  let src = fused_member () in
+  with_cache_driver (fun () ->
+      C.Iterator.memo_min_stmts := 30;
+      List.iter
+        (fun (name, edit) ->
+          ignore (check_edit_warm ~name ("m.c", src) ("m.c", edit src)))
+        [
+          ("float constant in shape_90", change_float_in ~fn:"shape_90");
+          ("global added at the top", fun s -> "int pb_new_global;\n" ^ s);
+          ( "loop added to an earlier function",
+            insert_in ~fn:"stage_1"
+              "\n  { int pb_i; pb_i = 0; while (pb_i < 3) { pb_i = pb_i + 1; } }" );
+          ( "function moved down 3 lines",
+            fun s -> splice s (fst (def_of ~fn:"stage_3" s)) "\n\n\n" );
+        ])
+
+(* ---------------- frame locality ---------------- *)
+
+(* each program's memoized callee has a frame smaller than the state in
+   one of the ways the frame must account for (array cells stay out of
+   octagon packs, so no pack pulls the read-only one in), and an
+   assertion after
+   the call makes a wrongly replayed state show as an alarm; a pad
+   global added at the top gives the edit-warm run a second program *)
+let frame_programs =
+  [
+    ( "callee waits for the clock",
+      {|
+volatile int go;
+float x;
+int cnt;
+void other(void) { if (go) { cnt = cnt + 1; } }
+void step(void) {
+  x = 0.5f * x + 1.0f;
+  __astree_wait_for_clock();
+}
+int main(void) {
+  x = 0.0f; cnt = 0;
+  while (1) { other(); step(); __astree_assert(cnt < 1000); }
+  return 0;
+}
+|} );
+    ( "callee exit is bottom",
+      {|
+volatile int sel;
+int v;
+float z;
+void stop(void) { v = 1; __astree_assume(v == 2); }
+void work(void) { z = z + 1.0f; if (z > 100.0f) { z = 0.0f; } }
+int main(void) {
+  v = 0; z = 0.0f;
+  while (1) {
+    work();
+    if (sel) { stop(); }
+    __astree_assert(v == 0);
+    __astree_wait_for_clock();
+  }
+  return 0;
+}
+|} );
+    ( "callee with a by-ref param",
+      {|
+volatile int channel;
+int table[4];
+float acc;
+void store(int *p) { *p = 1; *p = *p + 1; }
+void bump(void) { acc = acc + 1.0f; if (acc > 50.0f) { acc = 0.0f; } }
+int main(void) {
+  int k;
+  __astree_input_range(channel, 0.0, 3.0);
+  acc = 0.0f;
+  while (1) {
+    k = channel;
+    store(&table[k]);
+    bump();
+    __astree_assert(table[0] <= 1);
+    __astree_wait_for_clock();
+  }
+  return 0;
+}
+|} );
+    ( "callee reads a global the caller changes",
+      {|
+float gains[2];
+float out;
+void apply(void) { out = gains[0] * gains[1]; }
+int main(void) {
+  gains[0] = 1.0f;
+  gains[1] = 1.0f;
+  out = 0.0f;
+  apply();
+  __astree_assert(out <= 2.0f);
+  gains[0] = 3.0f;
+  out = 0.0f;
+  apply();
+  __astree_assert(out <= 2.0f);
+  return 0;
+}
+|} );
+    ( "callee shares an octagon pack with an untouched global",
+      {|
+volatile int in;
+int x;
+int g;
+int k;
+int tab[9];
+void f(void) { __astree_assume(x >= 4); x = x + 0; }
+int main(void) {
+  __astree_input_range(in, 0.0, 10.0);
+  g = in;
+  x = g + 2;
+  f();
+  k = tab[g - 2];
+  return 0;
+}
+|} );
+  ]
+
+let test_frame_locality () =
+  List.iter
+    (fun (name, src) ->
+      let cs =
+        with_cache_driver (fun () ->
+            check_edit_warm ~name ("f.c", src) ("f.c", "int pad_global;\n" ^ src))
+      in
+      Alcotest.(check bool) (name ^ ": the edit hits") true (cs.C.Analysis.c_hits > 0);
+      let p, _ = C.Analysis.compile [ ("f.c", src) ] in
+      check_warm_equals_cold ~name C.Config.default p)
+    frame_programs
+
+(* The frame's soundness, checked semantically on every call a run
+   keys: re-analyzing the callee body from the recorded entry state
+   changes nothing outside the frame, and changing every cell outside
+   the frame changes nothing of the result inside it. *)
+let check_frame_oracle ~name cfg p =
+  let _, _, calls = recorded_calls cfg p in
+  let fps = I.Fingerprint.make cfg p in
+  let cx = ref None in
+  let frames a =
+    match !cx with
+    | Some (a', c) when a' == a -> c
+    | _ ->
+        let c = I.Frame.ctx fps a in
+        cx := Some (a, c);
+        c
+  in
+  List.iteri
+    (fun i (a, fname, st, binds) ->
+      let fr = I.Frame.of_call (frames a) ~fname binds in
+      let fd =
+        match F.Tast.find_fun a.C.Transfer.prog fname with
+        | Some fd -> fd
+        | None -> Alcotest.failf "no function %s" fname
+      in
+      let body st =
+        a.C.Transfer.alarms.C.Alarm.enabled <- false;
+        let o =
+          C.Iterator.exec_block a
+            ~part:(List.mem fname cfg.C.Config.partitioned_functions)
+            ~stack:[ fname ] binds [ st ] fd.F.Tast.fd_body
+        in
+        C.Astate.join
+          (List.fold_left C.Astate.join C.Astate.bottom o.C.Iterator.o_norm)
+          o.C.Iterator.o_ret
+      in
+      let what = Printf.sprintf "%s: call %d (%s)" name i fname in
+      let inside id = I.Frame.cell_pos fr id <> None in
+      let exit_ = body st in
+      if not exit_.C.Astate.bot then begin
+        C.Env.iter
+          (fun id v ->
+            if not (inside id) then
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: cell %d outside the frame unchanged" what id)
+                true
+                (C.Env.find st.C.Astate.env id = Some v))
+          exit_.C.Astate.env;
+        C.Ptmap.iter
+          (fun pid o ->
+            if I.Frame.oct_pos fr pid = None then
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: octagon %d outside the frame unchanged" what pid)
+                true
+                (C.Ptmap.find_opt pid st.C.Astate.rel.C.Relstate.octs == Some o
+                || Option.fold ~none:false
+                     ~some:(Astree_domains.Octagon.equal o)
+                     (C.Ptmap.find_opt pid st.C.Astate.rel.C.Relstate.octs)))
+          exit_.C.Astate.rel.C.Relstate.octs
+      end;
+      let st' =
+        {
+          st with
+          C.Astate.env =
+            C.Env.fold
+              (fun id v env -> if inside id then env else C.Env.set env id (bump v))
+              st.C.Astate.env st.C.Astate.env;
+        }
+      in
+      let exit' = body st' in
+      Alcotest.(check bool) (what ^ ": same reachability") exit_.C.Astate.bot
+        exit'.C.Astate.bot;
+      if not exit_.C.Astate.bot then begin
+        Array.iter
+          (fun id ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: frame cell %d independent of the outside" what id)
+              true
+              (C.Env.find exit_.C.Astate.env id = C.Env.find exit'.C.Astate.env id))
+          (I.Frame.cells fr);
+        C.Ptmap.iter
+          (fun pid o ->
+            if I.Frame.oct_pos fr pid <> None then
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: frame octagon %d independent of the outside" what pid)
+                true
+                (Option.fold ~none:false
+                   ~some:(Astree_domains.Octagon.equal o)
+                   (C.Ptmap.find_opt pid exit'.C.Astate.rel.C.Relstate.octs)))
+          exit_.C.Astate.rel.C.Relstate.octs
+      end)
+    calls;
+  List.length calls
+
+let test_frame_oracle () =
+  List.iter
+    (fun (name, src) ->
+      let p, _ = C.Analysis.compile [ ("f.c", src) ] in
+      ignore (check_frame_oracle ~name C.Config.default p))
+    frame_programs;
+  List.iter
+    (fun name ->
+      match read_example name with
+      | None -> ()
+      | Some src ->
+          let p, _ = C.Analysis.compile [ (name, src) ] in
+          ignore (check_frame_oracle ~name C.Config.default p))
+    [ "mini_fbw.c"; "filter_bank.c"; "buggy_demo.c" ];
+  let cfg, p = member_program () in
+  Alcotest.(check bool) "the member keyed calls" true
+    (check_frame_oracle ~name:"member" cfg p > 0)
+
+(* ---------------- fingerprints stay local ---------------- *)
+
+let local_src ~f_extra =
+  Printf.sprintf
+    {|
+float h(float x) { return x * 2.0f; }
+float f(float x) {
+  float y;
+  y = x + 1.0f;%s
+  return y;
+}
+float g(float x) {
+  float r;
+  int i;
+  r = h(x);
+  i = 0;
+  while (i < 3) { r = r + 1.0f; i = i + 1; }
+  return r;
+}
+int main(void) {
+  float a;
+  a = f(1.0f);
+  a = g(a);
+  return 0;
+}
+|}
+    f_extra
+
+let test_fp_edit_stays_local () =
+  let a = fps_of (local_src ~f_extra:"") in
+  List.iter
+    (fun (what, extra) ->
+      let b = fps_of (local_src ~f_extra:extra) in
+      Alcotest.(check bool) (what ^ ": f changed") true
+        (fn_exn a "f" <> fn_exn b "f");
+      Alcotest.(check string) (what ^ ": g unchanged") (fn_exn a "g") (fn_exn b "g"))
+    [
+      ("a loop added to f", "\n  { int j; j = 0; while (j < 2) { j = j + 1; } }");
+      ("a call returning a value added to f", "\n  y = h(y);");
+    ];
+  (* an unrolling override keyed by g's dense loop id reaches g's
+     fingerprint, and only g's *)
+  let p, _ = C.Analysis.compile [ ("t.c", local_src ~f_extra:"") ] in
+  let loop_id =
+    match F.Tast.find_fun p "g" with
+    | None -> Alcotest.fail "no g"
+    | Some fd ->
+        let id = ref (-1) in
+        F.Tast.iter_stmts
+          (fun s ->
+            match s.F.Tast.sdesc with
+            | F.Tast.Swhile (li, _, _) -> id := li.F.Tast.loop_id
+            | _ -> ())
+          fd.F.Tast.fd_body;
+        !id
+  in
+  let o =
+    I.Fingerprint.make
+      { C.Config.default with C.Config.loop_unroll_overrides = [ (loop_id, 5) ] }
+      p
+  in
+  Alcotest.(check bool) "override changes g" true (fn_exn a "g" <> fn_exn o "g");
+  Alcotest.(check string) "override leaves f" (fn_exn a "f") (fn_exn o "f")
 
 let suite =
   [
@@ -1092,18 +1426,28 @@ let suite =
       test_blob_corrupt;
     Alcotest.test_case "blob: torn write rejected by digest" `Quick
       test_blob_torn_write;
-    Alcotest.test_case "summary key: Merkle digest = from scratch" `Quick
-      test_merkle_matches_scratch;
+    Alcotest.test_case "summary key: framed digest = from scratch" `Quick
+      test_key_matches_scratch;
     Alcotest.test_case "summary key: bound, entry, flag change it" `Quick
-      test_merkle_sensitive;
+      test_key_sensitive;
     Alcotest.test_case "summary key: survives Marshal" `Quick
-      test_merkle_marshal;
+      test_key_marshal;
     Alcotest.test_case "summary key: moved copy warm = off" `Quick
       test_moved_copy_warm_equals_off;
     Alcotest.test_case "summary key: moved caller, by-ref bind warm = off"
       `Quick test_moved_caller_by_ref_warm_equals_off;
     Alcotest.test_case "store: no-op warm run does not write" `Quick
       test_noop_warm_run_does_not_write;
-    Alcotest.test_case "store: v4 store reads as foreign" `Quick
+    Alcotest.test_case "store: v5 store reads as foreign" `Quick
       test_old_store_is_foreign;
+    Alcotest.test_case "fingerprint: a local edit stays local" `Quick
+      test_fp_edit_stays_local;
+    Alcotest.test_case "edit-warm: dead block hits >= 85%" `Slow
+      test_edit_warm_dead_block;
+    Alcotest.test_case "edit-warm: every edit kind warm = off" `Slow
+      test_edit_warm_kinds;
+    Alcotest.test_case "frame locality: warm = off" `Quick
+      test_frame_locality;
+    Alcotest.test_case "frame oracle: the outside is neither read nor written"
+      `Quick test_frame_oracle;
   ]

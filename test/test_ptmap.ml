@@ -72,25 +72,6 @@ let prop_subset =
       in
       P.subset_by ( <= ) p1 p2 = expected)
 
-(* Merkle digests: a function of the bindings alone — not of insertion
-   order, and not of which subtrees already had their digest cached
-   when an updated map was digested *)
-let int_leaf buf v = Buffer.add_int64_le buf (Int64.of_int v)
-
-let prop_digest_canonical =
-  QCheck.Test.make ~name:"digest: canonical and cache-independent"
-    (QCheck.triple arb_ops (QCheck.int_range 0 200) QCheck.small_nat)
-    (fun (ops, k, v) ->
-      let p, m = build_both ops in
-      let q = M.fold P.add m P.empty in
-      let d = P.digest int_leaf p in
-      let p' = P.add k v p in
-      let d' = P.digest int_leaf p' in
-      d = P.digest int_leaf q
-      && d = P.digest int_leaf p
-      && d' = P.digest int_leaf (P.map Fun.id p')
-      && (d' = d) = (M.find_opt k m = Some v))
-
 let test_sharing_shortcut () =
   (* union of a map with itself must return it physically *)
   let p = List.fold_left (fun p k -> P.add k k p) P.empty [ 1; 5; 9; 42; 77 ] in
@@ -132,5 +113,5 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_model_find; prop_model_remove; prop_union_model;
-        prop_inter_model; prop_subset; prop_digest_canonical;
+        prop_inter_model; prop_subset;
       ]

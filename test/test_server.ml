@@ -987,7 +987,7 @@ let test_checkpoint_torn () =
             (scrub_time (Option.get r.Srv.Client.r_report))))
 
 let test_checkpoint_old_version () =
-  (* a checkpoint written before the summary-key change (magic v1)
+  (* a checkpoint written before the summary-key change (magic v2)
      holds entries under keys no current request produces: the daemon
      must read it as foreign, start cold and answer correctly *)
   let ckpt = Filename.temp_file "astreed-ckpt" ".bin" in
@@ -998,11 +998,11 @@ let test_checkpoint_old_version () =
     ~finally:(fun () -> if Sys.file_exists ckpt then Sys.remove ckpt)
     (fun () ->
       Astree_incremental.Store.save_blob ~file:ckpt
-        ~magic:"astree-daemon-ckpt v1\n"
+        ~magic:"astree-daemon-ckpt v2\n"
         ([ ("digest", []) ] : (string * (string * int list) list) list);
       with_daemon_ex ~faults:no_faults ~checkpoint:ckpt (fun sock _pid ->
           let server = server_status sock in
-          Alcotest.(check int) "nothing recovered from a v1 file" 0
+          Alcotest.(check int) "nothing recovered from a v2 file" 0
             (server_int "recovered" server);
           let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
           Alcotest.(check string) "cold but serving" "ok"
@@ -1472,6 +1472,6 @@ let suite =
       test_multi_task_refused;
     Alcotest.test_case "removed backend key is ignored" `Quick
       test_backend_key_ignored;
-    Alcotest.test_case "v1 checkpoint starts cold" `Quick
+    Alcotest.test_case "v2 checkpoint starts cold" `Quick
       test_checkpoint_old_version;
   ]
