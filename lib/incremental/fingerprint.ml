@@ -84,7 +84,8 @@ let names_of (p : F.Tast.program) : names =
                | F.Tast.Klocal _ | F.Tast.Ktmp ->
                    Printf.sprintf "l:%s:%s" fname v.F.Tast.v_orig))
       in
-      let names_in set = F.Tast.VarSet.iter name set in
+      let expr e = F.Tast.VarSet.iter name (F.Tast.expr_vars e F.Tast.VarSet.empty)
+      and lval lv = F.Tast.VarSet.iter name (F.Tast.lval_vars lv F.Tast.VarSet.empty) in
       List.iter (function F.Tast.Pval v | F.Tast.Pref v -> name v) fd.F.Tast.fd_params;
       let loop = ref 0 in
       F.Tast.iter_stmts
@@ -92,25 +93,21 @@ let names_of (p : F.Tast.program) : names =
           match s.F.Tast.sdesc with
           | F.Tast.Slocal (v, init) ->
               name v;
-              Option.iter (fun e -> names_in (F.Tast.expr_vars e F.Tast.VarSet.empty)) init
+              Option.iter expr init
           | F.Tast.Scall (dst, _, args) ->
               Option.iter name dst;
-              List.iter
-                (function
-                  | F.Tast.Aval e -> names_in (F.Tast.expr_vars e F.Tast.VarSet.empty)
-                  | F.Tast.Aref lv -> names_in (F.Tast.lval_vars lv F.Tast.VarSet.empty))
-                args
+              List.iter (function F.Tast.Aval e -> expr e | F.Tast.Aref lv -> lval lv) args
           | F.Tast.Sassign (lv, e) ->
-              names_in (F.Tast.lval_vars lv F.Tast.VarSet.empty);
-              names_in (F.Tast.expr_vars e F.Tast.VarSet.empty)
+              lval lv;
+              expr e
           | F.Tast.Swhile (li, c, _) ->
               Hashtbl.replace loops li.F.Tast.loop_id
                 (Printf.sprintf "%s:%d" fname !loop);
               incr loop;
-              names_in (F.Tast.expr_vars c F.Tast.VarSet.empty)
+              expr c
           | F.Tast.Sif (c, _, _) | F.Tast.Sreturn (Some c) | F.Tast.Sassert c
           | F.Tast.Sassume c ->
-              names_in (F.Tast.expr_vars c F.Tast.VarSet.empty)
+              expr c
           | F.Tast.Sreturn None | F.Tast.Sbreak | F.Tast.Scontinue
           | F.Tast.Swait | F.Tast.Sskip ->
               ())

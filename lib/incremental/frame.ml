@@ -2,7 +2,7 @@
     memoized call can read or write.
 
     The frame of a call to [f] holds the cells of every variable the
-    transitive body of [f] reads, writes or tests ({!Footprint}: its
+    transitive body of [f] reads, writes or tests ({!F.Footprint}: its
     locals, parameters and call destinations included) and of the
     variables of its by-reference bindings, closed under relational
     pack membership: a pack with one frame variable is in the frame,
@@ -125,6 +125,9 @@ let path_string (path : C.Cell.step list) : string =
          | C.Cell.Sall -> "[*]")
        path)
 
+(* [x] is physically the bound value *)
+let is_phys x = function Some y -> y == x | None -> false
+
 (* The frame's relational part for one domain: the packs with a frame
    variable, sorted by identity, whose identities go into [id]. *)
 let rel_part (cx : ctx) (vars : VarSet.t) (id : Buffer.t)
@@ -182,8 +185,7 @@ let rel_part (cx : ctx) (vars : VarSet.t) (id : Buffer.t)
           Array.iteri
             (fun i pid ->
               match C.Ptmap.find_opt pid m with
-              | Some x when not (Option.fold ~none:false ~some:(( == ) x) (C.Ptmap.find_opt pid m0))
-                ->
+              | Some x when not (is_phys x (C.Ptmap.find_opt pid m0)) ->
                   out := C.Ptmap.add i x !out
               | _ -> ())
             ids;
@@ -356,10 +358,7 @@ let restrict (fr : t) ~(entry : C.Astate.t) (st : C.Astate.t) : C.Astate.t =
         Array.iteri
           (fun i cid ->
             match C.Env.find st.C.Astate.env cid with
-            | Some v
-              when not
-                     (Option.fold ~none:false ~some:(( == ) v)
-                        (C.Env.find entry.C.Astate.env cid)) ->
+            | Some v when not (is_phys v (C.Env.find entry.C.Astate.env cid)) ->
                 m := C.Ptmap.add i v !m
             | _ -> ())
           fr.fr_cells;
