@@ -1293,19 +1293,19 @@ let e16 ~quick () =
        (speedup >= 1.5) (fp1 = fp4))
 
 (* ------------------------------------------------------------------ *)
-(* E17: crash recovery - supervised restart with a warm checkpoint      *)
+(* E17: crash recovery - supervised restart on a warm summary store     *)
 (* ------------------------------------------------------------------ *)
 
 let e17 ~quick () =
   section
     "E17: self-healing service - supervised restart, recovered warm state\n\
      claims checked: after kill -9, the supervisor restarts the daemon\n\
-     and the checkpoint-recovered instance answers its first request\n\
+     and the instance restarted on SOCKET.store answers its first request\n\
      >= 1.5x faster than a cold daemon's first request; restart-to-ready\n\
      stays under 2s; cold, warm and recovered replies all carry the\n\
      one-shot fingerprint";
   (* same cascade shape as E15: width 16 keeps every stage above
-     [memo_min_stmts], so the checkpoint actually carries summaries *)
+     [memo_min_stmts], so the store actually carries summaries *)
   let stages, width = if quick then (4, 16) else (8, 16) in
   let src = cascade_source ~stages ~width in
   let sources = [ ("e17.c", src) ] in
@@ -1345,10 +1345,15 @@ let e17 ~quick () =
         done;
         if !j = i then -1 else int_of_string (String.sub line i (!j - i))
   in
-  let ckpt = Filename.temp_file "astree-e17" ".ckpt" in
-  Sys.remove ckpt;
   let sock = Filename.temp_file "astree-e17" ".sock" in
   Sys.remove sock;
+  (* a supervised daemon's summary store, kept across restarts *)
+  let store = sock ^ ".store" in
+  let store_files () =
+    match Sys.readdir store with
+    | names -> List.filter (fun f -> Filename.check_suffix f ".sums") (Array.to_list names)
+    | exception Sys_error _ -> []
+  in
   flush stdout;
   flush stderr;
   (* supervisor + daemon in one forked subtree, exactly the shape
@@ -1378,8 +1383,6 @@ let e17 ~quick () =
                     Srv.Daemon.d_socket = sock;
                     d_workers = 2;
                     d_queue_depth = 16;
-                    d_checkpoint = Some ckpt;
-                    d_checkpoint_s = 0.;
                     d_restarts = restarts;
                     d_supervised = true;
                     d_sup_started = sup_started;
@@ -1394,7 +1397,9 @@ let e17 ~quick () =
       (try Unix.kill sup_pid Sys.sigterm with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] sup_pid);
       if Sys.file_exists sock then Sys.remove sock;
-      if Sys.file_exists ckpt then Sys.remove ckpt)
+      List.iter (fun f -> Sys.remove (Filename.concat store f))
+        (Array.to_list (try Sys.readdir store with Sys_error _ -> [||]));
+      if Sys.file_exists store then Sys.rmdir store)
     (fun () ->
       let rec wait_up n =
         if n = 0 then failwith "daemon did not come up"
@@ -1452,19 +1457,9 @@ let e17 ~quick () =
             pid
         | None -> failwith "status request failed"
       in
-      (* the checkpoint lands on the next loop pass after the absorb;
-         wait for a non-empty file before pulling the rug *)
-      let rec wait_ckpt n =
-        if n = 0 then failwith "no checkpoint written"
-        else if
-          Sys.file_exists ckpt
-          && (Unix.stat ckpt).Unix.st_size > 0
-        then ()
-        else (
-          Unix.sleepf 0.05;
-          wait_ckpt (n - 1))
-      in
-      wait_ckpt 100;
+      (* the cold request's worker published its summaries before it
+         replied: nothing to wait for before pulling the rug *)
+      if store_files () = [] then failwith "no store file published";
       Unix.kill daemon_pid Sys.sigkill;
       let killed_at = Unix.gettimeofday () in
       (* ready = a fresh daemon process answers status on the re-bound
@@ -1497,7 +1492,7 @@ let e17 ~quick () =
       Fmt.pr "%-38s %10.3f@." "recovered daemon, first request" t_recovered;
       Fmt.pr
         "restart-to-ready: %.3fs (< 2s: %b)   restarts: %d   recovered \
-         programs: %d   preloaded summaries: %d@."
+         store keys: %d   preloaded summaries: %d@."
         restart_s (restart_s < 2.) restarts recovered preloaded;
       Fmt.pr
         "recovered/cold speedup: %.2fx   >= 1.5x: %b   fingerprints \
@@ -1507,7 +1502,7 @@ let e17 ~quick () =
         (Printf.sprintf
            "{\"quick\": %b, \"t_cold\": %.4f, \"t_warm\": %.4f, \
             \"t_recovered\": %.4f, \"restart_s\": %.4f, \"restarts\": %d, \
-            \"recovered_programs\": %d, \"preloaded\": %d, \"speedup\": \
+            \"recovered_keys\": %d, \"preloaded\": %d, \"speedup\": \
             %.3f, \"recovered_speedup_ge_1_5x\": %b, \"restart_lt_2s\": \
             %b, \"fingerprints_identical\": %b, \"recovered_warm\": %b}"
            quick t_cold t_warm t_recovered restart_s restarts recovered

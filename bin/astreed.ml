@@ -10,11 +10,13 @@
                    [--trace FILE] [--verbose]
 
    Serves newline-delimited JSON requests (analyze / status / metrics /
-   shutdown) over a Unix-domain socket, keeping the typed-IR and
-   function-summary caches resident across requests.  With --supervise
-   the serving process runs as a child under a restarting supervisor;
-   with a checkpoint file the resident summary store survives crashes.
-   See DESIGN.md sections 12 and 15 and README "Server mode". *)
+   shutdown) over a Unix-domain socket.  Workers keep the typed IR
+   resident across requests and share function summaries through one
+   store directory: --cache DIR, SOCKET.store under --supervise (so a
+   restarted daemon is warm), else a private directory under $TMPDIR
+   removed at clean shutdown.  --checkpoint and --checkpoint-period are
+   accepted for older scripts and ignored.  See DESIGN.md sections 12
+   and 15 and README "Server mode". *)
 
 module Srv = Astree_server
 open Cmdliner
@@ -28,18 +30,10 @@ let run socket workers queue_depth timeout max_mem cache_dir checkpoint
   | Some f ->
       Astree_obs.Trace.enabled := true;
       Astree_obs.Trace.set_sink (open_out f));
-  (* checkpoint file resolution: an explicit path wins; a cache
-     directory hosts one; a supervised daemon always checkpoints (a
-     supervisor without recovered warm state is only half the story),
-     next to its socket *)
-  let checkpoint =
-    match checkpoint with
-    | Some _ as c -> c
-    | None -> (
-        match cache_dir with
-        | Some dir -> Some (Filename.concat dir "daemon.ckpt")
-        | None -> if supervise then Some (socket ^ ".ckpt") else None)
-  in
+  if checkpoint <> None || checkpoint_period <> None then
+    prerr_endline
+      "astreed: note: --checkpoint and --checkpoint-period are ignored: \
+       every request publishes its summaries to the store";
   let cfg =
     {
       Srv.Daemon.default with
@@ -53,8 +47,6 @@ let run socket workers queue_depth timeout max_mem cache_dir checkpoint
       d_client_quota = max 0 client_quota;
       d_breaker_n = max 0 breaker_crashes;
       d_breaker_cooldown = Float.max 0. breaker_cooldown;
-      d_checkpoint = checkpoint;
-      d_checkpoint_s = Float.max 0. checkpoint_period;
       d_config_file = config_file;
       d_http_port = http_port;
       d_access_log = access_log;
@@ -133,33 +125,33 @@ let cmd =
           & opt (some string) None
           & info [ "cache" ] ~docv:"DIR"
               ~doc:
-                "Persist the resident summary store in $(docv) at \
-                 shutdown and reuse it across daemon restarts")
+                "Summary store directory the workers share: each \
+                 request reads the summaries it hits from $(docv) and \
+                 publishes the ones it computed, so they survive \
+                 daemon restarts and serve astree $(b,--cache) runs \
+                 too (default: $(i,SOCKET)$(b,.store) under \
+                 $(b,--supervise), else a private directory under \
+                 $(b,TMPDIR) removed at clean shutdown)")
       $ Arg.(
           value
           & opt (some string) None
           & info [ "checkpoint" ] ~docv:"FILE"
               ~doc:
-                "Periodically checkpoint the resident summary store to \
-                 $(docv) and reload it at startup, so a restarted \
-                 daemon is warm (default: $(b,daemon.ckpt) under \
-                 $(b,--cache), or $(i,SOCKET)$(b,.ckpt) under \
-                 $(b,--supervise))")
+                "Ignored (with a note on stderr): every request \
+                 publishes its summaries to the store")
       $ Arg.(
           value
-          & opt float Srv.Daemon.default.Srv.Daemon.d_checkpoint_s
+          & opt (some float) None
           & info [ "checkpoint-period" ] ~docv:"SECS"
-              ~doc:
-                "Seconds between periodic checkpoint saves (0 = save \
-                 whenever the resident store changed)")
+              ~doc:"Ignored, like $(b,--checkpoint)")
       $ Arg.(
           value
           & opt (some string) None
           & info [ "config" ] ~docv:"FILE"
               ~doc:
                 "JSON config overlay (queue_depth, grace, timeout, \
-                 max_mem, client_quota, checkpoint_period, \
-                 breaker_crashes, breaker_cooldown) \
+                 max_mem, client_quota, breaker_crashes, \
+                 breaker_cooldown) \
                  loaded at startup and reread on SIGHUP without \
                  dropping in-flight requests")
       $ Arg.(
@@ -188,8 +180,9 @@ let cmd =
           & info [ "supervise" ]
               ~doc:
                 "Run the daemon as a supervised child, restarted with \
-                 capped exponential backoff when it crashes; implies a \
-                 checkpoint file so restarts come back warm")
+                 capped exponential backoff when it crashes; without \
+                 $(b,--cache) the store is $(i,SOCKET)$(b,.store), kept \
+                 across restarts so they come back warm")
       $ Arg.(
           value & opt int 0
           & info [ "max-restarts" ] ~docv:"N"
@@ -214,7 +207,7 @@ let cmd =
               ~doc:
                 "Append one JSONL record per request (rid, verb, \
                  digest, outcome, queue/service seconds, cache hits) \
-                 plus start/drain/checkpoint/restart events to $(docv)")
+                 plus start/drain/restart events to $(docv)")
       $ Arg.(
           value
           & opt int (8 * 1024 * 1024)

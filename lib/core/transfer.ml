@@ -145,15 +145,6 @@ and session = {
   mutable ses_tick_hook : (unit -> unit) option;
       (** consulted every 256 abstract statements (resource governor) *)
   mutable ses_ticks : int;
-  mutable ses_preload : (summary_key * summary) list;
-      (** summaries seeded into the memo table before any store load —
-          the daemon ships its resident entries here *)
-  mutable ses_collect_tables : bool;
-      (** when set, [Summary.detach] records the final table below *)
-  mutable ses_tables : (string * (summary_key * summary) list) list;
-      (** (store key, entries) per cache attach of the run, newest
-          first — the daemon absorbs these back into its resident
-          store *)
   mutable ses_live : actx option;
       (** the context currently being analyzed under this session, set
           by [Analysis.analyze_prepared]; the robust subsystem reads it
@@ -184,9 +175,6 @@ let new_session () : session =
     ses_memo = None;
     ses_tick_hook = None;
     ses_ticks = 0;
-    ses_preload = [];
-    ses_collect_tables = false;
-    ses_tables = [];
     ses_live = None;
     ses_itf = None;
   }

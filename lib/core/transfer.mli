@@ -128,12 +128,6 @@ and session = {
   mutable ses_memo : call_memo option;
   mutable ses_tick_hook : (unit -> unit) option;
   mutable ses_ticks : int;
-  mutable ses_preload : (summary_key * summary) list;
-      (** summaries seeded into the memo before any store load *)
-  mutable ses_collect_tables : bool;
-      (** when set, [Summary.detach] records the final table below *)
-  mutable ses_tables : (string * (summary_key * summary) list) list;
-      (** (store key, entries) per cache attach, newest first *)
   mutable ses_live : actx option;
       (** context currently analyzed under this session *)
   mutable ses_itf : itf option;

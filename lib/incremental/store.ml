@@ -133,6 +133,7 @@ let scan ~(quiet : bool) (dir : string) : t =
   { st_index = index; st_open = Hashtbl.create 4; st_loaded = 0 }
 
 let open_ ~(dir : string) : t = scan ~quiet:false dir
+let count ~(dir : string) : int = Hashtbl.length (scan ~quiet:true dir).st_index
 let mem (st : t) (k : key) = Hashtbl.mem st.st_index k
 let loaded (st : t) = st.st_loaded
 let keys (st : t) = Hashtbl.fold (fun k _ acc -> k :: acc) st.st_index []
@@ -236,77 +237,3 @@ let save ~(dir : string) (entries : entries) : unit =
     end
   with Sys_error msg | Unix.Unix_error (_, msg, _) ->
     warn "summary store not saved in %s: %s" dir msg
-
-(* ------------------------------------------------------------------ *)
-(* Generic versioned blobs (daemon checkpoints)                        *)
-(* ------------------------------------------------------------------ *)
-
-let save_blob ~(file : string) ~(magic : string) (v : 'a) : unit =
-  try
-    mkdir_p (Filename.dirname file);
-    let payload = Marshal.to_string (Sys.ocaml_version, v) [] in
-    if Faultsim.fires Faultsim.Checkpoint_torn then begin
-      (* a torn write: the final name receives the header and only half
-         of the payload, with no rename to protect it — exactly what a
-         crash inside a non-atomic writer would leave behind.  The
-         loader must reject it by digest. *)
-      let oc = open_out_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc magic;
-          output_string oc (Digest.string payload);
-          output_string oc
-            (String.sub payload 0 (String.length payload / 2)))
-    end
-    else begin
-      let tmp =
-        Filename.temp_file ~temp_dir:(Filename.dirname file)
-          (Filename.basename file) ".tmp"
-      in
-      try
-        let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc magic;
-            output_string oc (Digest.string payload);
-            output_string oc payload;
-            flush oc;
-            Unix.fsync (Unix.descr_of_out_channel oc));
-        Sys.rename tmp file
-      with e ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        raise e
-    end
-  with Sys_error msg | Unix.Unix_error (_, msg, _) ->
-    warn "blob %s not saved: %s" file msg
-
-let load_blob ~(file : string) ~(magic : string) : 'a option =
-  if not (Sys.file_exists file) then None
-  else
-    try
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let hdr = really_input_string ic (String.length magic) in
-          if hdr <> magic then failwith "bad magic"
-          else begin
-            let stored_digest = really_input_string ic 16 in
-            let payload = In_channel.input_all ic in
-            if Digest.string payload <> stored_digest then
-              failwith "payload digest mismatch";
-            let ver, (v : 'a) =
-              (Marshal.from_string payload 0 : string * 'a)
-            in
-            if ver <> Sys.ocaml_version then failwith "foreign OCaml version"
-            else Some v
-          end)
-    with
-    | Sys_error msg ->
-        warn "blob %s: %s, ignored" file msg;
-        None
-    | End_of_file | Failure _ ->
-        warn "blob %s: truncated or corrupt, ignored" file;
-        None

@@ -13,6 +13,10 @@ type t
     not exist). *)
 val open_ : dir:string -> t
 
+(** Keys the readable files of [dir] hold, read silently: what a
+    later {!open_} would index. *)
+val count : dir:string -> int
+
 val mem : t -> Astree_core.Iterator.summary_key -> bool
 
 (** The summary stored under a key, read from its file now; [None] when
@@ -39,23 +43,3 @@ val save :
   dir:string ->
   (Astree_core.Iterator.summary_key * Astree_core.Iterator.summary) list ->
   unit
-
-(** {1 Generic versioned blobs}
-
-    The same integrity envelope (magic header, MD5 payload digest,
-    OCaml-version pinning, fsync + atomic rename) over an arbitrary
-    marshallable value, for single-file state such as the daemon's
-    warm-state checkpoint.  Writes honor the [Checkpoint_torn] fault
-    injection point: an armed spec makes the published file tear
-    mid-payload, which {!load_blob} must (and does) reject. *)
-
-(** Atomically write [v] to [file] under [magic].  Failures warn on
-    stderr and leave any previous file intact; a torn-write fault
-    deliberately publishes a truncated file instead. *)
-val save_blob : file:string -> magic:string -> 'a -> unit
-
-(** Read back a {!save_blob} file.  [None] — silently — when the file
-    is missing; [None] with a stderr warning when it is truncated,
-    corrupt, has the wrong magic or was written by another OCaml
-    version.  Never raises: callers degrade to cold state. *)
-val load_blob : file:string -> magic:string -> 'a option

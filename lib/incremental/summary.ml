@@ -149,7 +149,7 @@ type session = {
   ss_ses : C.Transfer.session;  (** the analysis session the memo lives in *)
   ss_fps : Fingerprint.t;
   ss_tbl : (C.Iterator.summary_key, C.Iterator.summary) Hashtbl.t;
-      (** preloaded, read from the store or computed this run *)
+      (** read from the store or computed this run *)
   mutable ss_new : (C.Iterator.summary_key * C.Iterator.summary) list;
       (** computed this run, newest first: what a save publishes *)
   ss_store : Store.t option;
@@ -228,20 +228,12 @@ let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
           | None -> ());
           r)
 
-(** Fingerprint the program, seed the table with the analysis session's
-    [ses_preload] (the daemon's resident entries), open the store under
-    [Cache_dir] (its indexes only) and install the memo in the session.
-    Call before the analysis. *)
+(** Fingerprint the program, open the store under [Cache_dir] (its
+    indexes only) and install the memo in the session.  Call before the
+    analysis. *)
 let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     : session =
   let fps = Fingerprint.make cfg p in
-  let tbl = Hashtbl.create 1024 in
-  (* keys self-identify their configuration (the fingerprint folds the
-     config digest), so entries computed under a different config —
-     e.g. a degraded retry — simply never match *)
-  List.iter
-    (fun (k, s) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k s)
-    ses.C.Transfer.ses_preload;
   let store, load_time =
     match cfg.C.Config.summary_cache with
     | C.Config.Cache_dir dir ->
@@ -257,7 +249,7 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     {
       ss_ses = ses;
       ss_fps = fps;
-      ss_tbl = tbl;
+      ss_tbl = Hashtbl.create 1024;
       ss_new = [];
       ss_store = store;
       ss_frames = None;
@@ -280,19 +272,12 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
 
 (** Uninstall the memo; under [Cache_dir] and [save:true], first publish
     the summaries this run computed — a run that computed none writes
-    nothing and reports a [save_time] of 0.  When the analysis session
-    asked for it ([ses_collect_tables]), the final table is also
-    recorded in [ses_tables] so a resident server can absorb it.
-    Returns the cache counters for the run. *)
+    nothing and reports a [save_time] of 0.  Returns the cache counters
+    for the run. *)
 let detach ?(save = true) (cfg : C.Config.t) (ss : session) :
     C.Analysis.cache_stats =
   ss.ss_ses.C.Transfer.ses_memo <- None;
   Option.iter Store.close ss.ss_store;
-  if ss.ss_ses.C.Transfer.ses_collect_tables then
-    ss.ss_ses.C.Transfer.ses_tables <-
-      ( Fingerprint.program ss.ss_fps,
-        Hashtbl.fold (fun k s acc -> (k, s) :: acc) ss.ss_tbl [] )
-      :: ss.ss_ses.C.Transfer.ses_tables;
   let save_time =
     match cfg.C.Config.summary_cache with
     | C.Config.Cache_dir dir when save && ss.ss_new <> [] ->

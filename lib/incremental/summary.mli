@@ -19,18 +19,15 @@ val entry_digest : C.Transfer.actx -> C.Astate.t -> string
     and the run's counters. *)
 type session
 
-(** Fingerprint the program, seed the table from the analysis session's
-    [ses_preload], open the on-disk store under [Cache_dir] (indexes
-    only: a summary is read when its key is looked up) and install the
-    memo via the session's [ses_memo]. *)
+(** Fingerprint the program, open the on-disk store under [Cache_dir]
+    (indexes only: a summary is read when its key is looked up) and
+    install the memo via the session's [ses_memo]. *)
 val attach :
   C.Transfer.session -> C.Config.t -> F.Tast.program -> session
 
 (** Uninstall the memo, publishing the summaries the run computed under
     [Cache_dir] unless [save:false] — a run that computed none writes
-    nothing; when the analysis session has [ses_collect_tables] set,
-    also records the final table in its [ses_tables].  Returns the
-    run's cache counters. *)
+    nothing.  Returns the run's cache counters. *)
 val detach : ?save:bool -> C.Config.t -> session -> C.Analysis.cache_stats
 
 (** The [Analysis.cache_driver] implementation: attach, run, detach,

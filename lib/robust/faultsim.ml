@@ -31,12 +31,11 @@ type point =
   | Conn_drop        (** daemon drops a client connection before replying *)
   | Reply_partial    (** daemon writes half a reply line, then drops *)
   | Daemon_crash     (** daemon process dies abruptly at admission *)
-  | Checkpoint_torn  (** daemon checkpoint write tears mid-payload *)
 
 let all_points =
   [
     Worker_crash; Worker_hang; Reply_truncate; Cache_corrupt; Cache_write;
-    Conn_drop; Reply_partial; Daemon_crash; Checkpoint_torn;
+    Conn_drop; Reply_partial; Daemon_crash;
   ]
 
 let point_name = function
@@ -48,7 +47,6 @@ let point_name = function
   | Conn_drop -> "conn_drop"
   | Reply_partial -> "reply_partial"
   | Daemon_crash -> "daemon_crash"
-  | Checkpoint_torn -> "checkpoint_torn"
 
 let point_of_name s =
   List.find_opt (fun p -> point_name p = s) all_points
@@ -182,13 +180,12 @@ let point_tag = function
   | Conn_drop -> 6
   | Reply_partial -> 7
   | Daemon_crash -> 8
-  | Checkpoint_torn -> 9
 
 (* per-point call counters; forked workers inherit the state at fork
    time, so each process draws a reproducible stream *)
-let counters = Array.make 10 0
+let counters = Array.make 9 0
 
-let fired = Array.make 10 0
+let fired = Array.make 9 0
 (** how often each point actually fired, for test assertions *)
 
 let fire_count (p : point) : int = fired.(point_tag p)

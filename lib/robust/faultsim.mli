@@ -19,8 +19,6 @@ type point =
                          connection — a torn wire write *)
   | Daemon_crash     (** daemon process dies abruptly at admission (the
                          supervisor's restart path) *)
-  | Checkpoint_torn  (** daemon checkpoint write tears mid-payload — the
-                         recovered daemon must degrade to cold *)
 
 val point_name : point -> string
 

@@ -3,11 +3,11 @@
    See daemon.mli for the protocol and shutdown contract.
 
    Single-threaded by construction: every state mutation happens in the
-   event loop, so admission control, delta absorption, checkpointing
-   and shutdown need no locking.  The analyses themselves run in forked
-   pool workers, one request per worker at a time. *)
+   event loop, so admission control, delta absorption and shutdown need
+   no locking.  The analyses themselves run in forked pool workers, one
+   request per worker at a time; the workers share function summaries
+   through one store directory, never through the daemon. *)
 
-module C = Astree_core
 module Pool = Astree_parallel.Pool
 module Store = Astree_incremental.Store
 module Budget = Astree_robust.Budget
@@ -22,14 +22,11 @@ type config = {
   d_timeout : float;
   d_max_mem : int;
   d_cache_dir : string option;
-  d_max_programs : int;
   d_grace : float;
   d_verbose : bool;
   d_client_quota : int;
   d_breaker_n : int;
   d_breaker_cooldown : float;
-  d_checkpoint : string option;
-  d_checkpoint_s : float;
   d_config_file : string option;
   d_restarts : int;
   d_supervised : bool;
@@ -47,14 +44,11 @@ let default : config =
     d_timeout = 0.;
     d_max_mem = 0;
     d_cache_dir = None;
-    d_max_programs = 32;
     d_grace = 60.;
     d_verbose = false;
     d_client_quota = 0;
     d_breaker_n = 3;
     d_breaker_cooldown = 30.;
-    d_checkpoint = None;
-    d_checkpoint_s = 5.;
     d_config_file = None;
     d_restarts = 0;
     d_supervised = false;
@@ -73,8 +67,12 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* only admission-time knobs are reloadable: the socket, worker count
-   and checkpoint file identify the daemon instance and stay fixed *)
+   and store directory identify the daemon instance and stay fixed *)
 let overlay_config (cfg : config) (j : Json.t) : config =
+  if Json.member "checkpoint_period" j <> Json.Null then
+    prerr_endline
+      "astreed: note: checkpoint_period is ignored: every request \
+       publishes its summaries to the store";
   let num key dflt = Option.value ~default:dflt (Json.to_num (Json.member key j)) in
   let int key dflt = Option.value ~default:dflt (Json.to_int (Json.member key j)) in
   {
@@ -84,7 +82,6 @@ let overlay_config (cfg : config) (j : Json.t) : config =
     d_timeout = num "timeout" cfg.d_timeout;
     d_max_mem = int "max_mem" cfg.d_max_mem;
     d_client_quota = int "client_quota" cfg.d_client_quota;
-    d_checkpoint_s = num "checkpoint_period" cfg.d_checkpoint_s;
     d_breaker_n = int "breaker_crashes" cfg.d_breaker_n;
     d_breaker_cooldown = num "breaker_cooldown" cfg.d_breaker_cooldown;
   }
@@ -103,11 +100,8 @@ let m_requests = Metrics.counter "srv.requests"
 let m_shed = Metrics.counter "srv.shed"
 let m_dedup = Metrics.counter "srv.dedup_hits"
 let m_breaker = Metrics.counter "srv.breaker_open"
-let m_ckpt_saves = Metrics.counter "srv.checkpoint.saves"
 
 (* ---- connections and requests ------------------------------------ *)
-
-type entries = (C.Iterator.summary_key * C.Iterator.summary) list
 
 type conn = {
   c_fd : Unix.file_descr;
@@ -128,7 +122,7 @@ and waiter = {
 
 and pending = {
   p_work : Service.work;
-  p_digest : string;         (* source digest, keys the resident store *)
+  p_digest : string;         (* source digest: breaker and access log *)
   p_key : string;            (* digest + wire options: the dedup key *)
   mutable p_waiters : waiter list;  (* newest first *)
 }
@@ -147,11 +141,7 @@ type state = {
                                 present at most once, iff its queue may
                                 be nonempty *)
   mutable st_queued : int;   (* total requests across all conn queues *)
-  (* resident summary store: source digest -> per-store-key tables,
-     merged keep-first (keys self-identify config and entry state, so
-     colliding entries are equal) *)
-  st_tables : (string, (string * entries) list ref) Hashtbl.t;
-  st_order : string Queue.t;                    (* digest insertion order *)
+  st_store : string;         (* the summary store directory *)
   (* circuit breaker: digest -> (consecutive crashes, last crash time) *)
   st_breaker : (string, int * float) Hashtbl.t;
   st_lat : float array;      (* ring of recent analysis times (p50) *)
@@ -164,10 +154,7 @@ type state = {
   mutable st_errors : int;
   mutable st_dedup : int;
   mutable st_breaker_rejects : int;
-  mutable st_recovered : int;       (* programs warm from a checkpoint *)
-  mutable st_ckpt_saves : int;
-  mutable st_ckpt_dirty : bool;
-  mutable st_ckpt_t : float;
+  st_recovered : int;        (* store keys indexed at startup *)
 }
 
 let log st fmt =
@@ -237,13 +224,13 @@ let shutting_down_reply ~rid id =
 
 (* the report is spliced in verbatim and kept last, so clients can
    extract the exact bytes without reserializing *)
-let ok_reply ~rid ~id ~received ~preloaded (sv : Service.served) ~now =
+let ok_reply ~rid ~id ~received (sv : Service.served) ~now =
   let wait = Float.max 0. (now -. received -. sv.Service.sv_time) in
   Printf.sprintf
     "{\"id\": %s, \"rid\": %s, \"status\": \"ok\", \"exit\": %d, \"server\": \
      {\"wait_s\": %.6f, \"analysis_s\": %.6f, \"preloaded\": %d, \
      \"events\": %d, \"metrics\": %s}, \"report\": %s}"
-    id (Report.json_str rid) sv.sv_exit wait sv.sv_time preloaded
+    id (Report.json_str rid) sv.sv_exit wait sv.sv_time sv.sv_loaded
     (List.length sv.sv_events)
     (Metrics.render_snapshot_json ~timers:false sv.sv_metrics)
     sv.sv_report
@@ -270,24 +257,23 @@ let status_json st ~now =
     "{\"pid\": %d, \
      \"uptime_s\": %.3f, \"workers\": %d, \"inflight\": %d, \
      \"queued\": %d, \"served\": %d, \"shed\": %d, \"errors\": %d, \
-     \"programs\": %d, \"draining\": %b, \"supervised\": %b, \
+     \"draining\": %b, \"supervised\": %b, \
      \"restarts\": %d, \"supervisor_uptime_s\": %.3f, \
      \"config_generation\": %d, \"queue_depth\": %d, \
      \"dedup_hits\": %d, \"breaker_open\": %d, \"breaker_rejects\": %d, \
-     \"recovered\": %d, \"checkpoints\": %d, \"checkpoint_age_s\": %.3f, \
+     \"recovered\": %d, \"store_entries\": %d, \"heap_words\": %d, \
      \"breakers\": {\"open\": %d, \"half_open\": %d}, \"latency\": %s}"
     (Unix.getpid ()) (now -. st.st_started)
     (Pool.size st.st_pool)
     (Hashtbl.length st.st_inflight)
-    st.st_queued st.st_served st.st_shed st.st_errors
-    (Hashtbl.length st.st_tables) st.st_draining
+    st.st_queued st.st_served st.st_shed st.st_errors st.st_draining
     st.st_cfg.d_supervised st.st_cfg.d_restarts
     (if st.st_cfg.d_sup_started > 0. then now -. st.st_cfg.d_sup_started
      else 0.)
     st.st_gen st.st_cfg.d_queue_depth st.st_dedup opened
-    st.st_breaker_rejects st.st_recovered st.st_ckpt_saves
-    (if st.st_ckpt_saves > 0 then now -. st.st_ckpt_t else -1.)
-    opened half_open
+    st.st_breaker_rejects st.st_recovered
+    (Store.count ~dir:st.st_store)
+    (Gc.quick_stat ()).Gc.heap_words opened half_open
     (Telemetry.quantiles_json st.st_tele)
 
 let status_reply st ~rid id ~now =
@@ -298,123 +284,6 @@ let metrics_reply ~rid id =
   Printf.sprintf "{\"id\": %s, \"rid\": %s, \"status\": \"ok\", \"metrics\": %s}"
     id (Report.json_str rid)
     (Metrics.render_json ~timers:false ())
-
-(* ---- resident summary store -------------------------------------- *)
-
-let resident_preload st digest : entries =
-  match Hashtbl.find_opt st.st_tables digest with
-  | None -> []
-  | Some tables -> List.concat_map snd !tables
-
-let absorb_tables st digest (tables : (string * entries) list) =
-  if tables <> [] then begin
-    let slot =
-      match Hashtbl.find_opt st.st_tables digest with
-      | Some r -> r
-      | None ->
-          if Hashtbl.length st.st_tables >= st.st_cfg.d_max_programs then begin
-            match Queue.take_opt st.st_order with
-            | Some old -> Hashtbl.remove st.st_tables old
-            | None -> ()
-          end;
-          Queue.push digest st.st_order;
-          let r = ref [] in
-          Hashtbl.add st.st_tables digest r;
-          r
-    in
-    List.iter
-      (fun (key, entries) ->
-        let existing =
-          Option.value ~default:[] (List.assoc_opt key !slot)
-        in
-        let seen = Hashtbl.create (List.length existing + 1) in
-        List.iter (fun (k, _) -> Hashtbl.replace seen k ()) existing;
-        let fresh =
-          List.filter (fun (k, _) -> not (Hashtbl.mem seen k)) entries
-        in
-        if fresh <> [] || existing = [] then
-          slot := (key, existing @ fresh) :: List.remove_assoc key !slot)
-      tables;
-    st.st_ckpt_dirty <- true
-  end
-
-(* one content-addressed store for every resident program: a single
-   save publishes whatever entries the directory lacks, as one file *)
-let flush_store st =
-  match st.st_cfg.d_cache_dir with
-  | None -> ()
-  | Some dir ->
-      Store.save ~dir
-        (Hashtbl.fold
-           (fun _ tables acc ->
-             List.fold_left (fun acc (_, entries) -> entries @ acc) acc !tables)
-           st.st_tables [])
-
-(* ---- warm-state checkpoint --------------------------------------- *)
-
-(* (digest * (store_key * entries) list) list, in insertion order.
-   v3: summaries moved to frame coordinates and keys to framed,
-   name-stable digests with summary-store v6, so v2 checkpoints must
-   read as foreign and start the daemon cold *)
-let ckpt_magic = "astree-daemon-ckpt v3\n"
-
-type ckpt = (string * (string * entries) list) list
-
-let save_checkpoint st ~now ~force =
-  match st.st_cfg.d_checkpoint with
-  | None -> ()
-  | Some file ->
-      if
-        st.st_ckpt_dirty
-        && (force || now -. st.st_ckpt_t >= st.st_cfg.d_checkpoint_s)
-      then begin
-        if !Trace.enabled then Trace.span_begin "srv.checkpoint";
-        let data : ckpt =
-          Queue.fold
-            (fun acc digest ->
-              match Hashtbl.find_opt st.st_tables digest with
-              | Some tables -> (digest, !tables) :: acc
-              | None -> acc)
-            [] st.st_order
-          |> List.rev
-        in
-        Store.save_blob ~file ~magic:ckpt_magic data;
-        st.st_ckpt_saves <- st.st_ckpt_saves + 1;
-        st.st_ckpt_dirty <- false;
-        st.st_ckpt_t <- now;
-        Metrics.incr m_ckpt_saves;
-        Metrics.set_gauge "srv.checkpoint.entries" (List.length data);
-        if !Trace.enabled then Trace.span_end "srv.checkpoint";
-        Telemetry.event st.st_tele ~now "checkpoint_save"
-          [
-            ("file", Json.Str file);
-            ("programs", Json.Num (float_of_int (List.length data)));
-          ];
-        log st "checkpointed %d program(s) to %s" (List.length data) file
-      end
-
-let load_checkpoint st =
-  match st.st_cfg.d_checkpoint with
-  | None -> ()
-  | Some file -> (
-      match (Store.load_blob ~file ~magic:ckpt_magic : ckpt option) with
-      | None -> ()
-      | Some data ->
-          List.iter
-            (fun (digest, tables) -> absorb_tables st digest tables)
-            data;
-          (* the recovered state is exactly what the file said: nothing
-             to write back until a request changes it *)
-          st.st_recovered <- Hashtbl.length st.st_tables;
-          st.st_ckpt_dirty <- false;
-          Metrics.set_gauge "srv.checkpoint.entries" st.st_recovered;
-          Telemetry.event st.st_tele ~now:(Unix.gettimeofday ())
-            "checkpoint_load"
-            [
-              ("file", Json.Str file);
-              ("programs", Json.Num (float_of_int st.st_recovered));
-            ];
-          log st "recovered %d warm program(s) from %s" st.st_recovered file)
 
 (* ---- admission --------------------------------------------------- *)
 
@@ -660,28 +529,22 @@ let handle_analyze st conn ~rid id (j : Json.t) ~now =
                   n
                   (st.st_cfg.d_breaker_cooldown -. (now -. t))))
       | _ ->
-          (* requests that did not pick a cache run against the resident
-             store (plus the on-disk one when the daemon persists), with
-             the counters stripped from the report for parity with a
-             cache-less one-shot run.  An explicit cache choice is
-             honored verbatim — including no preload — so the reply
-             matches the equivalent one-shot exactly. *)
-          let o, strip, preload =
+          (* requests that did not pick a cache run against the
+             daemon's store, with the counters stripped from the report
+             for parity with a cache-less one-shot run.  An explicit
+             cache choice is honored verbatim, so the reply matches the
+             equivalent one-shot exactly. *)
+          let o, strip =
             if o.Service.o_cache = `Default then
-              let c =
-                match st.st_cfg.d_cache_dir with
-                | Some dir -> `Dir dir
-                | None -> `Mem
-              in
-              ({ o with Service.o_cache = c }, true, resident_preload st digest)
-            else (o, false, [])
+              ({ o with Service.o_cache = `Dir st.st_store }, true)
+            else (o, false)
           in
           let work =
             {
               Service.w_sources = sources;
               w_main = main;
               w_options = o;
-              w_preload = preload;
+              w_preload = [];
               w_strip_cache = strip;
             }
           in
@@ -795,10 +658,8 @@ let finish st slot ~now =
             Trace.absorb sv.Service.sv_events;
             Trace.span_end "srv.request" ~args:[ ("rid", Trace.S head_rid) ]
           end;
-          absorb_tables st pend.p_digest sv.Service.sv_tables;
           record_latency st sv.Service.sv_time;
           Hashtbl.remove st.st_breaker pend.p_digest;
-          let preloaded = List.length pend.p_work.Service.w_preload in
           let cache_hits =
             Option.value ~default:0
               (Metrics.find_int sv.Service.sv_metrics "cache.hits")
@@ -816,7 +677,7 @@ let finish st slot ~now =
                 w.wt_rid;
               reply st w.wt_conn
                 (ok_reply ~rid:w.wt_rid ~id:w.wt_id ~received:w.wt_received
-                   ~preloaded sv ~now))
+                   sv ~now))
             waiters
       | Ok (Service.Refused msg) ->
           (* a request-level refusal is not a crash: the worker lived *)
@@ -998,6 +859,27 @@ let bind_socket (path : string) : Unix.file_descr =
   Unix.listen fd 64;
   fd
 
+(* ---- the store directory ---------------------------------------- *)
+
+(* The one summary store every worker reads and publishes to: the
+   --cache directory; SOCKET.store under supervision, so a restarted
+   daemon comes back warm; else a directory private to this daemon
+   under $TMPDIR (the [bool]), removed at clean shutdown. *)
+let store_dir (dc : config) : string * bool =
+  match dc.d_cache_dir with
+  | Some dir -> (dir, false)
+  | None when dc.d_supervised -> (dc.d_socket ^ ".store", false)
+  | None -> (Filename.temp_dir "astreed-" "", true)
+
+let remove_dir (dir : string) : unit =
+  (match Sys.readdir dir with
+  | names ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        names
+  | exception Sys_error _ -> ());
+  try Sys.rmdir dir with Sys_error _ -> ()
+
 (* ---- the event loop ---------------------------------------------- *)
 
 let run (dc : config) : int =
@@ -1015,9 +897,16 @@ let run (dc : config) : int =
       1
   | listen_fd -> (
       match
-        match dc.d_http_port with
-        | None -> Ok None
-        | Some p -> Result.map Option.some (Http.create ~port:p)
+        Result.bind
+          (match dc.d_http_port with
+          | None -> Ok None
+          | Some p -> Result.map Option.some (Http.create ~port:p))
+          (fun http ->
+            match store_dir dc with
+            | dir -> Ok (http, dir)
+            | exception Sys_error msg ->
+                Option.iter Http.close http;
+                Error ("cannot create the summary store: " ^ msg))
       with
       | Error msg ->
           (try Unix.close listen_fd with Unix.Unix_error _ -> ());
@@ -1025,7 +914,14 @@ let run (dc : config) : int =
            with Unix.Unix_error _ | Sys_error _ -> ());
           prerr_endline ("astreed: " ^ msg);
           1
-      | Ok http ->
+      | Ok (http, (store, private_)) ->
+      (* pool workers are forks of this process: only the daemon itself
+         may remove its private store *)
+      let owner = Unix.getpid () in
+      Fun.protect
+        ~finally:(fun () ->
+          if private_ && Unix.getpid () = owner then remove_dir store)
+      @@ fun () ->
       let st =
         {
           st_cfg = dc;
@@ -1042,8 +938,7 @@ let run (dc : config) : int =
           st_keys = Hashtbl.create 16;
           st_rr = Queue.create ();
           st_queued = 0;
-          st_tables = Hashtbl.create 16;
-          st_order = Queue.create ();
+          st_store = store;
           st_breaker = Hashtbl.create 16;
           st_lat = Array.make 32 0.;
           st_lat_n = 0;
@@ -1055,10 +950,7 @@ let run (dc : config) : int =
           st_errors = 0;
           st_dedup = 0;
           st_breaker_rejects = 0;
-          st_recovered = 0;
-          st_ckpt_saves = 0;
-          st_ckpt_dirty = false;
-          st_ckpt_t = Unix.gettimeofday ();
+          st_recovered = Store.count ~dir:store;
         }
       in
       (* a freshly forked (or respawned) worker must not inherit the
@@ -1085,9 +977,6 @@ let run (dc : config) : int =
               (fun c ->
                 try Unix.close c.c_fd with Unix.Unix_error _ -> ())
               st.st_conns);
-      (* warm state from the previous life, if a checkpoint survives;
-         a torn or corrupt file degrades to a cold start *)
-      load_checkpoint st;
       if dc.d_restarts > 0 then
         Metrics.set_gauge "srv.restarts" dc.d_restarts;
       Telemetry.event st.st_tele ~now:(Unix.gettimeofday ()) "start"
@@ -1095,6 +984,7 @@ let run (dc : config) : int =
            ("pid", Json.Num (float_of_int (Unix.getpid ())));
            ("socket", Json.Str dc.d_socket);
            ("restarts", Json.Num (float_of_int dc.d_restarts));
+           ("store", Json.Str store);
            ("recovered", Json.Num (float_of_int st.st_recovered));
          ]
         @
@@ -1104,7 +994,7 @@ let run (dc : config) : int =
       log st "listening on %s (%d worker(s), queue depth %d%s%s)" dc.d_socket
         (Pool.size st.st_pool) dc.d_queue_depth
         (if st.st_recovered > 0 then
-           Printf.sprintf ", %d program(s) warm" st.st_recovered
+           Printf.sprintf ", %d summaries in %s" st.st_recovered store
          else "")
         (match st.st_http with
         | Some h -> Printf.sprintf ", http 127.0.0.1:%d" (Http.port h)
@@ -1172,14 +1062,11 @@ let run (dc : config) : int =
                 | _ -> ()));
             let now = Unix.gettimeofday () in
             cancel_expired st ~now;
-            save_checkpoint st ~now ~force:false;
             loop ()
           end
         end
       in
       loop ();
-      save_checkpoint st ~now:(Unix.gettimeofday ()) ~force:true;
-      flush_store st;
       List.iter (fun conn -> close_conn st conn) st.st_conns;
       Pool.shutdown st.st_pool;
       (match st.st_listen with

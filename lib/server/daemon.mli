@@ -4,10 +4,12 @@
     One process owns the listening socket and a [select] event loop;
     requests are dispatched to long-lived pool workers (which keep the
     typed-IR cache warm), and finished requests ship back their report
-    plus summary-table, metrics and trace deltas.  The daemon absorbs
-    the deltas: summaries accumulate in a resident per-program store
-    that seeds later requests ([ses_preload]), metrics accumulate in
-    the registry served by the [metrics] verb.
+    plus metrics and trace deltas, which the daemon absorbs into the
+    registry served by the [metrics] verb.  Function summaries never
+    cross the worker pipe: every worker reads the ones its keys hit
+    from one content-addressed summary store directory and publishes
+    the ones it computed there, exactly as an [astree --cache] run
+    does, so an edited copy of a program hits its base's summaries.
 
     {b Protocol} (newline-delimited JSON, one object per line):
     requests carry a [verb] ([analyze], [status], [metrics],
@@ -28,15 +30,17 @@
     a row is refused by a circuit breaker until [d_breaker_cooldown]
     elapses, then probed half-open.
 
-    {b Warm-state checkpoint.}  With [d_checkpoint] set, the resident
-    summary store is periodically (and at shutdown) written through the
-    atomic blob store, and reloaded at startup: a daemon restarted
-    after a crash is warm within one request.  A torn or corrupt
-    checkpoint degrades to a cold start, never an error.
+    {b Shared store.}  The store directory is [d_cache_dir] when set;
+    [SOCKET.store] under supervision; otherwise a directory private to
+    the daemon under [$TMPDIR], removed at clean shutdown.  Each request
+    publishes its new summaries as one fsynced file renamed into place
+    before its reply, so a daemon restarted after a crash on the same
+    directory is warm from its first request.  A torn, corrupt or
+    foreign store file is skipped: the request runs cold, never fails.
 
     {b Hot reload.}  SIGHUP rereads [d_config_file] (when given) and
     swaps the admission-time knobs — queue depth, grace, per-request
-    budget, client quota, breaker and checkpoint parameters — without
+    budget, client quota and breaker parameters — without
     touching in-flight requests; [status] reports the config
     generation.
 
@@ -44,7 +48,7 @@
     through the budget subsystem's interrupt flag: the daemon stops
     accepting, unlinks the socket, tells queued clients
     [shutting_down], drains in-flight requests (bounded by [d_grace]),
-    checkpoints and flushes the resident store and exits. *)
+    removes its private store directory, if any, and exits. *)
 
 type config = {
   d_socket : string;         (** path of the listening socket *)
@@ -55,9 +59,9 @@ type config = {
                                  [0.] = none *)
   d_max_mem : int;           (** default per-request heap watermark *)
   d_cache_dir : string option;
-      (** persist the resident summary store here at shutdown, and use
-          it as the workers' summary cache directory *)
-  d_max_programs : int;      (** resident-store program cap (LRU-ish) *)
+      (** the summary store directory every worker shares; [None] =
+          [SOCKET.store] when [d_supervised], else a private directory
+          under [$TMPDIR] removed at clean shutdown *)
   d_grace : float;           (** drain bound: in-flight requests still
                                  running this many seconds after
                                  shutdown started are canceled *)
@@ -70,11 +74,6 @@ type config = {
   d_breaker_cooldown : float;
       (** seconds an open breaker refuses a program before letting one
           half-open probe through *)
-  d_checkpoint : string option;
-      (** warm-state checkpoint file; [None] = no checkpointing *)
-  d_checkpoint_s : float;    (** seconds between periodic checkpoint
-                                 saves ([0.] = every loop iteration
-                                 with dirty state) *)
   d_config_file : string option;
       (** JSON config overlay reread on SIGHUP *)
   d_restarts : int;          (** supervisor restart count, surfaced in
@@ -88,7 +87,7 @@ type config = {
           picks a free port, [None] (default) disables the listener *)
   d_access_log : string option;
       (** JSONL access log: one line per request lifecycle record plus
-          start/drain/checkpoint/exit events; [None] = no log *)
+          start/drain/exit events; [None] = no log *)
   d_access_log_max : int;
       (** access-log rotation threshold in bytes: when the next line
           would exceed it the file is atomically renamed to [FILE.1]
@@ -100,8 +99,9 @@ val default : config
 val load_config_file : config -> string -> (config, string) result
 (** Overlay the admission-time knobs from a JSON file
     ([queue_depth], [grace], [timeout], [max_mem], [client_quota],
-    [checkpoint_period], [breaker_crashes], [breaker_cooldown]) onto
-    [config].  Unknown members are ignored;
+    [breaker_crashes], [breaker_cooldown]) onto [config].  Unknown
+    members are ignored; a [checkpoint_period] member, which earlier
+    daemons read, is ignored with a note on stderr;
     unreadable or unparsable files are an [Error].  Used for the
     initial [--config] load and by the SIGHUP reload. *)
 

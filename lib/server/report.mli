@@ -32,8 +32,8 @@ val render :
 
 val strip_cache : C.Analysis.result -> C.Analysis.result
 (** Drop the cache counters from the result's statistics.  The daemon
-    keeps a resident summary cache even for requests that did not ask
-    for one; stripping makes such replies byte-comparable with a
+    runs requests that did not ask for a cache against its summary
+    store; stripping makes such replies byte-comparable with a
     cache-less one-shot run. *)
 
 val exit_code : C.Analysis.result -> int

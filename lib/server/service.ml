@@ -200,11 +200,13 @@ let compile_cached ~(main : string) (sources : (string * string) list) :
 
 (* ---- worker jobs ------------------------------------------------- *)
 
+type never = |
+
 type work = {
   w_sources : (string * string) list;
   w_main : string;
   w_options : options;
-  w_preload : (C.Iterator.summary_key * C.Iterator.summary) list;
+  w_preload : never list;
   w_strip_cache : bool;
 }
 
@@ -214,7 +216,7 @@ type served = {
   sv_alarms : int;
   sv_fingerprint : string;
   sv_degraded : bool;
-  sv_tables : (string * (C.Iterator.summary_key * C.Iterator.summary) list) list;
+  sv_loaded : int;
   sv_metrics : Astree_obs.Metrics.snapshot;
   sv_events : Astree_obs.Trace.event list;
   sv_time : float;
@@ -251,10 +253,12 @@ let serve (w : work) : outcome =
     let p = compile_cached ~main:w.w_main w.w_sources in
     let cfg = config_of w.w_options ~sources:w.w_sources in
     if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
-    let ses = C.Transfer.new_session () in
-    ses.C.Transfer.ses_preload <- w.w_preload;
-    ses.C.Transfer.ses_collect_tables <- true;
-    let r = Astree_robust.Degrade.analyze ~session:ses ~cfg p in
+    let r = Astree_robust.Degrade.analyze ~cfg p in
+    let loaded =
+      Option.fold ~none:0
+        ~some:(fun c -> c.C.Analysis.c_loaded)
+        r.C.Analysis.r_stats.C.Analysis.s_cache
+    in
     let r = if w.w_strip_cache then Report.strip_cache r else r in
     Served
       {
@@ -264,7 +268,7 @@ let serve (w : work) : outcome =
         sv_fingerprint = Astree_parallel.Merge.fingerprint r;
         sv_degraded =
           Option.is_some r.C.Analysis.r_stats.C.Analysis.s_degraded;
-        sv_tables = ses.C.Transfer.ses_tables;
+        sv_loaded = loaded;
         sv_metrics = Astree_obs.Metrics.diff m0;
         sv_events = Astree_obs.Trace.capture_end cmark;
         sv_time = Unix.gettimeofday () -. t0;

@@ -15,7 +15,7 @@ module F = Astree_frontend
 (** Mirror of the [astree] analysis flags (domain toggles, iteration
     parameters, budget, cache selection).  [`Default] cache means "the
     caller did not say": the one-shot CLI resolves it to [Cache_off],
-    the daemon to its resident cache policy. *)
+    the daemon to its summary store directory. *)
 type options = {
   o_no_oct : bool;
   o_no_ell : bool;
@@ -55,7 +55,8 @@ exception Request_error of string
 
 val source_digest : main:string -> (string * string) list -> string
 (** Hex digest identifying a compiled program (sources + entry point);
-    keys the daemon's resident caches. *)
+    keys the workers' typed-IR cache and the daemon's dedup and
+    circuit breaker. *)
 
 val compile_cached : main:string -> (string * string) list -> F.Tast.program
 (** Compile, memoized on {!source_digest} — the typed-IR cache that
@@ -64,27 +65,33 @@ val compile_cached : main:string -> (string * string) list -> F.Tast.program
 
 (** {1 Worker jobs} *)
 
-(** One analyze request, marshalled to a pool worker. *)
+(** The empty type: a [never list] can only be [[]]. *)
+type never = |
+
+(** One analyze request, marshalled to a pool worker.  No summary
+    travels with it: the worker reads them from the store directory
+    named by [w_options]. *)
 type work = {
   w_sources : (string * string) list;
   w_main : string;
   w_options : options;
-  w_preload : (C.Iterator.summary_key * C.Iterator.summary) list;
-      (** daemon-resident summaries seeded into the request's session *)
+  w_preload : never list;
+      (** always [[]]; kept so existing constructions of the record
+          compile *)
   w_strip_cache : bool;
-      (** the request did not ask for a cache: run with the resident
-          one but strip its counters from the report (byte parity) *)
+      (** the request did not ask for a cache: run with the daemon's
+          store but strip its counters from the report (byte parity) *)
 }
 
 (** The reply: a rendered report plus the deltas the daemon absorbs
-    (summary tables, metrics, trace events). *)
+    (metrics, trace events). *)
 type served = {
   sv_report : string;  (** JSON report object, no trailing newline *)
   sv_exit : int;
   sv_alarms : int;
   sv_fingerprint : string;
   sv_degraded : bool;
-  sv_tables : (string * (C.Iterator.summary_key * C.Iterator.summary) list) list;
+  sv_loaded : int;  (** summaries the run read from the store *)
   sv_metrics : Astree_obs.Metrics.snapshot;
   sv_events : Astree_obs.Trace.event list;
   sv_time : float;  (** seconds spent serving, compile included *)
@@ -94,7 +101,9 @@ type outcome = Served of served | Refused of string
 
 val serve : work -> outcome
 (** Run one request (in a pool worker): compile through the typed-IR
-    cache, analyze under the degradation governor with a fresh session
-    seeded from [w_preload], and package the report with its deltas.
+    cache, analyze under the degradation governor — under a [`Dir]
+    cache, reading the summaries its keys hit from the store and
+    publishing the ones it computed — and package the report with its
+    deltas.
     Request-level failures come back as [Refused]; anything else
     escapes and kills the worker (the pool reports a crash). *)

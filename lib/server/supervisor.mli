@@ -4,9 +4,9 @@
 
     The supervisor owns no sockets and no analysis state; it only
     forks, waits and restarts, so it cannot be taken down by anything
-    the daemon does.  Combined with the daemon's warm-state checkpoint
-    (see {!Daemon}), a crashed daemon comes back within the backoff
-    delay and is warm again after one request.
+    the daemon does.  Combined with the daemon's summary store, which
+    outlives it (see {!Daemon}), a crashed daemon comes back within the
+    backoff delay and is warm from its first request.
 
     {b Lifecycle.}  A clean child exit (code 0 — the [shutdown] verb,
     or a drained SIGTERM/SIGINT) ends the supervisor with code 0.  Exit

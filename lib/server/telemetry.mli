@@ -64,8 +64,8 @@ val observe : t -> now:float -> record -> unit
 
 val event : t -> now:float -> string -> (string * Json.t) list -> unit
 (** Append a non-request lifecycle line
-    [{"t": .., "event": KIND, ...fields}] — checkpoint saves/loads,
-    drain begin, startup. *)
+    [{"t": .., "event": KIND, ...fields}] — startup, drain begin,
+    exit. *)
 
 val append_event :
   path:string -> now:float -> string -> (string * Json.t) list -> unit

@@ -450,21 +450,27 @@ let check_file_intact file =
       (* replaced by a concurrent rename between listing and reading *)
       ()
 
-(* every summary a Cache_mem run of [p] computes *)
-let harvest cfg p =
-  with_cache_driver (fun () ->
-      let ses = C.Transfer.new_session () in
-      ses.C.Transfer.ses_collect_tables <- true;
-      ignore
-        (C.Analysis.analyze ~session:ses
-           ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
-           p);
-      List.concat_map snd ses.C.Transfer.ses_tables)
-
 let stored_keys dir =
   Astree_robust.Faultsim.with_suppressed (fun () ->
       let st = I.Store.open_ ~dir in
       List.sort compare (I.Store.keys st))
+
+(* every summary a cold run of [p] computes: what it publishes to an
+   empty store *)
+let harvest cfg p =
+  with_private_dir (fun dir ->
+      with_cache_driver (fun () ->
+          ignore
+            (C.Analysis.analyze
+               ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
+               p);
+          let st = I.Store.open_ ~dir in
+          Fun.protect
+            ~finally:(fun () -> I.Store.close st)
+            (fun () ->
+              List.filter_map
+                (fun k -> Option.map (fun s -> (k, s)) (I.Store.find st k))
+                (I.Store.keys st))))
 
 let test_store_racing_writers () =
   with_mini_fbw (fun src ->
@@ -562,89 +568,15 @@ let test_warm_all_examples () =
                     (P.Merge.fingerprint off) (P.Merge.fingerprint warm))))
     [ "mini_fbw.c"; "filter_bank.c"; "buggy_demo.c" ]
 
-(* ---------------- versioned blobs (daemon checkpoints) ---------------- *)
-
-let blob_magic = "astree-test-blob v1\n"
-
-let with_blob_file k =
-  let file = Filename.temp_file "astree-blob" ".bin" in
-  Sys.remove file;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
-    (fun () -> k file)
-
-let test_blob_roundtrip () =
-  with_blob_file (fun file ->
-      let v = [ ("alpha", [ 1; 2; 3 ]); ("beta", [ 4 ]) ] in
-      I.Store.save_blob ~file ~magic:blob_magic v;
-      Alcotest.(check (option (list (pair string (list int)))))
-        "round-trips" (Some v)
-        (I.Store.load_blob ~file ~magic:blob_magic);
-      (* a second save atomically replaces the first *)
-      I.Store.save_blob ~file ~magic:blob_magic [ ("gamma", [ 9 ]) ];
-      Alcotest.(check (option (list (pair string (list int)))))
-        "overwrites atomically"
-        (Some [ ("gamma", [ 9 ]) ])
-        (I.Store.load_blob ~file ~magic:blob_magic))
-
-let test_blob_missing_and_magic () =
-  with_blob_file (fun file ->
-      Alcotest.(check (option (list int)))
-        "missing file reads as None" None
-        (I.Store.load_blob ~file ~magic:blob_magic);
-      I.Store.save_blob ~file ~magic:blob_magic [ 1; 2 ];
-      Alcotest.(check (option (list int)))
-        "foreign magic rejected" None
-        (I.Store.load_blob ~file ~magic:"astree-test-blob v2\n"))
-
-let test_blob_corrupt () =
-  with_blob_file (fun file ->
-      I.Store.save_blob ~file ~magic:blob_magic [ 1; 2; 3; 4; 5 ];
-      let blob = In_channel.with_open_bin file In_channel.input_all in
-      (* bit rot mid-payload *)
-      let rotten = Bytes.of_string blob in
-      let mid = Bytes.length rotten - 4 in
-      Bytes.set rotten mid
-        (Char.chr (Char.code (Bytes.get rotten mid) lxor 0xFF));
-      Out_channel.with_open_bin file (fun oc ->
-          Out_channel.output_bytes oc rotten);
-      Alcotest.(check (option (list int)))
-        "corrupt blob reads as None" None
-        (I.Store.load_blob ~file ~magic:blob_magic);
-      (* a write that stopped halfway *)
-      Out_channel.with_open_bin file (fun oc ->
-          Out_channel.output_string oc
-            (String.sub blob 0 (String.length blob / 2)));
-      Alcotest.(check (option (list int)))
-        "truncated blob reads as None" None
-        (I.Store.load_blob ~file ~magic:blob_magic))
-
-let test_blob_torn_write () =
-  with_blob_file (fun file ->
-      (* with the fault armed the writer tears mid-payload on the final
-         name — the digest check must reject the file, silently *)
-      Astree_robust.Faultsim.install ~seed:5
-        [ (Astree_robust.Faultsim.Checkpoint_torn, 1.0) ];
-      Fun.protect
-        ~finally:(fun () -> Astree_robust.Faultsim.clear ())
-        (fun () ->
-          I.Store.save_blob ~file ~magic:blob_magic [ 42 ];
-          Alcotest.(check bool) "torn file was published" true
-            (Sys.file_exists file);
-          Alcotest.(check (option (list int)))
-            "torn blob reads as None" None
-            (I.Store.load_blob ~file ~magic:blob_magic)))
-
 (* ---------------- framed entry-state keys ---------------- *)
 
-(* run [p] with a Cache_mem summary cache; return the result, the keys
-   of the final table and every (context, callee, entry state, bindings)
-   the run keyed *)
+(* run [p] cold against an empty store; return the result, the entry
+   digests of the keys it published and every (context, callee, entry
+   state, bindings) the run keyed *)
 let recorded_calls (cfg : C.Config.t) (p : F.Tast.program) =
   let seen = ref [] in
+  with_private_dir @@ fun dir ->
   with_cache_driver (fun () ->
-      let ses = C.Transfer.new_session () in
-      ses.C.Transfer.ses_collect_tables <- true;
       C.Analysis.cache_driver :=
         Some
           (fun ses cfg p core ->
@@ -660,14 +592,12 @@ let recorded_calls (cfg : C.Config.t) (p : F.Tast.program) =
                 | None -> ());
                 core ()));
       let r =
-        C.Analysis.analyze ~session:ses
-          ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
+        C.Analysis.analyze
+          ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
           p
       in
       let keys =
-        List.concat_map
-          (fun (_, tbl) -> List.map (fun (k, _) -> k.C.Iterator.sk_entry) tbl)
-          ses.C.Transfer.ses_tables
+        List.map (fun k -> k.C.Iterator.sk_entry) (stored_keys dir)
       in
       (r, keys, List.rev !seen))
 
@@ -1418,14 +1348,6 @@ let suite =
       test_store_corruption;
     Alcotest.test_case "store: racing writers never tear" `Quick
       test_store_racing_writers;
-    Alcotest.test_case "blob: round-trip and atomic replace" `Quick
-      test_blob_roundtrip;
-    Alcotest.test_case "blob: missing file and foreign magic" `Quick
-      test_blob_missing_and_magic;
-    Alcotest.test_case "blob: corrupt + truncated read as None" `Quick
-      test_blob_corrupt;
-    Alcotest.test_case "blob: torn write rejected by digest" `Quick
-      test_blob_torn_write;
     Alcotest.test_case "summary key: framed digest = from scratch" `Quick
       test_key_matches_scratch;
     Alcotest.test_case "summary key: bound, entry, flag change it" `Quick

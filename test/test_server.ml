@@ -8,6 +8,7 @@
 
 module C = Astree_core
 module F = Astree_frontend
+module G = Astree_gen
 module R = Astree_robust
 module Srv = Astree_server
 
@@ -82,11 +83,13 @@ let no_faults = [ (R.Faultsim.Worker_crash, 0.0) ]
 (* Fork a daemon on a private socket; [faults] are armed in the child
    before it starts (inherited by its pool workers).  [base] is the
    configuration the named parameters override, as [astreed --config]
-   builds it.  The body gets the socket path and the daemon pid (to
+   builds it; [store] is its summary store directory ([--cache]) and
+   [tmpdir] the temporary directory its private store goes under
+   otherwise.  The body gets the socket path and the daemon pid (to
    signal it); the daemon is SIGTERMed and reaped afterwards. *)
 let with_daemon_ex ?(base = Srv.Daemon.default) ?(workers = 2) ?(queue = 8) ?(grace = 10.)
-    ?faults ?(hang = 3600.) ?(seed = 42) ?config_file ?checkpoint
-    ?(checkpoint_s = 0.) ?http_port ?access_log
+    ?faults ?(hang = 3600.) ?(seed = 42) ?config_file ?store ?tmpdir
+    ?http_port ?access_log
     ?(sock = fresh_socket ()) (k : string -> int -> unit) : unit =
   let faults = Option.value ~default:no_faults faults in
   flush stdout;
@@ -96,6 +99,7 @@ let with_daemon_ex ?(base = Srv.Daemon.default) ?(workers = 2) ?(queue = 8) ?(gr
       (* daemon process: never return into the test runner *)
       R.Faultsim.hang_seconds := hang;
       if faults <> [] then R.Faultsim.install ~seed faults;
+      Option.iter Filename.set_temp_dir_name tmpdir;
       let code =
         try
           Srv.Daemon.run
@@ -106,8 +110,7 @@ let with_daemon_ex ?(base = Srv.Daemon.default) ?(workers = 2) ?(queue = 8) ?(gr
               d_queue_depth = queue;
               d_grace = grace;
               d_config_file = config_file;
-              d_checkpoint = checkpoint;
-              d_checkpoint_s = checkpoint_s;
+              d_cache_dir = store;
               d_http_port = http_port;
               d_access_log = access_log;
             }
@@ -199,15 +202,47 @@ let server_status sock : Srv.Json.t =
 let server_int field (j : Srv.Json.t) : int =
   Option.value ~default:(-1) (Srv.Json.to_int (Srv.Json.member field j))
 
-(* the "preloaded" count of an ok analyze reply: how many resident
-   summaries seeded the request — the daemon's warmth signal *)
-let reply_preloaded (r : Srv.Client.reply) : int =
+(* the "server" member of an analyze reply *)
+let reply_server (r : Srv.Client.reply) : Srv.Json.t =
   match Srv.Json.parse r.Srv.Client.r_line with
-  | Ok j ->
-      Option.value ~default:0
-        (Srv.Json.to_int
-           (Srv.Json.member "preloaded" (Srv.Json.member "server" j)))
-  | Error _ -> 0
+  | Ok j -> Srv.Json.member "server" j
+  | Error _ -> Srv.Json.Null
+
+(* the "preloaded" count of an ok analyze reply: how many summaries the
+   request read from the store — the daemon's warmth signal *)
+let reply_preloaded (r : Srv.Client.reply) : int =
+  Option.value ~default:0
+    (Srv.Json.to_int (Srv.Json.member "preloaded" (reply_server r)))
+
+(* a counter the request's worker bumped, e.g. "cache.hits" *)
+let reply_counter name (r : Srv.Client.reply) : int =
+  Option.value ~default:0
+    (Srv.Json.to_int
+       (Srv.Json.member name
+          (Srv.Json.member "counters" (Srv.Json.member "metrics" (reply_server r)))))
+
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* a fresh directory, removed with its files afterwards *)
+let with_dir k =
+  let dir = Filename.temp_dir "astreed-test-dir" "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> k dir)
+
+let store_files dir =
+  match Sys.readdir dir with
+  | names ->
+      Array.to_list names
+      |> List.filter (fun f -> Filename.check_suffix f ".sums")
+      |> List.map (Filename.concat dir)
+  | exception Sys_error _ -> []
 
 (* A two-stage filter cascade whose stage functions sit above
    [Iterator.memo_min_stmts], so the analysis actually produces
@@ -859,15 +894,17 @@ let test_sighup_reload () =
 (* ---- removed configuration keys ---------------------------------- *)
 
 (* Configs and requests written for older daemons may still carry a
-   "backend" key, and configs a "jobs" key.  The --config overlay
-   ignores both, and the wire options ignore "backend": the daemon
+   "backend" key, and configs a "jobs" or "checkpoint_period" key.  The
+   --config overlay ignores them, and the wire options ignore
+   "backend": the daemon
    starts, answers ok, and renders the same report as for the request
    without the key. *)
 let test_backend_key_ignored () =
   let cfg_file = Filename.temp_file "astreed-conf" ".json" in
   let oc = open_out cfg_file in
   output_string oc
-    "{\"backend\": \"domains\", \"jobs\": 4, \"queue_depth\": 6}";
+    "{\"backend\": \"domains\", \"jobs\": 4, \"checkpoint_period\": 0, \
+     \"queue_depth\": 6}";
   close_out oc;
   let base =
     Fun.protect
@@ -907,110 +944,265 @@ let test_backend_key_ignored () =
 
 (* ---- crash-recovered warm state ---------------------------------- *)
 
+(* a first daemon life on [store] serves [sources] once, cold — its
+   worker publishes the summaries before replying — then dies by
+   SIGKILL: no shutdown path runs *)
+let serve_then_kill ~store sources ~baseline =
+  with_daemon_ex ~faults:no_faults ~store (fun sock pid ->
+      let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
+      Alcotest.(check string) "cold serve ok" "ok" r.Srv.Client.r_status;
+      Alcotest.(check int) "cold run reads nothing" 0 (reply_preloaded r);
+      Alcotest.(check string) "cold report correct" (scrub_time baseline)
+        (scrub_time (Option.get r.Srv.Client.r_report));
+      Alcotest.(check bool) "summaries published before the reply" true
+        (store_files store <> []);
+      Unix.kill pid Sys.sigkill)
+
+(* a second life on [store]: the first request runs cold and still
+   answers exactly *)
+let check_restart_cold ~store sources ~baseline ~why =
+  with_daemon_ex ~faults:no_faults ~store (fun sock _pid ->
+      let server = server_status sock in
+      Alcotest.(check int) ("nothing recovered from " ^ why) 0
+        (server_int "recovered" server);
+      let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
+      Alcotest.(check string) "cold but serving" "ok" r.Srv.Client.r_status;
+      Alcotest.(check int) "cold: nothing read" 0 (reply_preloaded r);
+      Alcotest.(check string) "cold report byte-identical"
+        (scrub_time baseline)
+        (scrub_time (Option.get r.Srv.Client.r_report)))
+
 let test_checkpoint_recovery () =
-  (* first daemon life: serve once (cold), checkpoint, die by SIGKILL
-     — no shutdown path runs.  Second life on the same checkpoint:
-     warm within one request, report byte-identical. *)
-  let ckpt = Filename.temp_file "astreed-ckpt" ".bin" in
-  Sys.remove ckpt;
+  (* the second life on the same store is warm from its first request,
+     and its report is byte-identical *)
   let sources = [ ("cascade.c", prog_cascade) ] in
   let baseline, _ = in_process_report sources in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists ckpt then Sys.remove ckpt)
-    (fun () ->
-      with_daemon_ex ~faults:no_faults ~checkpoint:ckpt (fun sock pid ->
-          let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
-          Alcotest.(check string) "cold serve ok" "ok" r.Srv.Client.r_status;
-          Alcotest.(check int) "cold run not preloaded" 0 (reply_preloaded r);
-          Alcotest.(check string) "cold report correct" (scrub_time baseline)
-            (scrub_time (Option.get r.Srv.Client.r_report));
-          (* the checkpoint lands on the loop pass after the reply *)
-          let rec wait n =
-            if (not (Sys.file_exists ckpt)) && n > 0 then begin
-              Unix.sleepf 0.05;
-              wait (n - 1)
-            end
-          in
-          wait 100;
-          Alcotest.(check bool) "checkpoint written" true
-            (Sys.file_exists ckpt);
-          Unix.kill pid Sys.sigkill);
-      with_daemon_ex ~faults:no_faults ~checkpoint:ckpt (fun sock _pid ->
+  with_dir (fun store ->
+      serve_then_kill ~store sources ~baseline;
+      with_daemon_ex ~faults:no_faults ~store (fun sock _pid ->
           let server = server_status sock in
-          Alcotest.(check bool) "programs recovered" true
+          Alcotest.(check bool) "store keys recovered" true
             (server_int "recovered" server > 0);
           let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
           Alcotest.(check string) "recovered serve ok" "ok"
             r.Srv.Client.r_status;
           Alcotest.(check bool) "recovered daemon is warm" true
-            (reply_preloaded r > 0);
+            (reply_preloaded r > 0 && reply_counter "cache.hits" r > 0);
           Alcotest.(check string) "recovered report byte-identical"
             (scrub_time baseline)
             (scrub_time (Option.get r.Srv.Client.r_report))))
 
 let test_checkpoint_torn () =
-  (* every checkpoint write tears mid-payload: the recovered daemon
-     must reject the file, start cold — and still answer correctly *)
-  let ckpt = Filename.temp_file "astreed-ckpt" ".bin" in
-  Sys.remove ckpt;
+  (* the published store file is torn after the fact — half of it, the
+     way a write that stopped midway without the atomic rename would
+     leave it: the restarted daemon must skip it and answer cold *)
   let sources = [ ("cascade.c", prog_cascade) ] in
   let baseline, _ = in_process_report sources in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists ckpt then Sys.remove ckpt)
-    (fun () ->
-      with_daemon_ex
-        ~faults:[ (R.Faultsim.Checkpoint_torn, 1.0) ]
-        ~checkpoint:ckpt
-        (fun sock pid ->
-          let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
-          Alcotest.(check string) "serve ok" "ok" r.Srv.Client.r_status;
-          let rec wait n =
-            if (not (Sys.file_exists ckpt)) && n > 0 then begin
+  with_dir (fun store ->
+      serve_then_kill ~store sources ~baseline;
+      List.iter
+        (fun f ->
+          let s = In_channel.with_open_bin f In_channel.input_all in
+          Out_channel.with_open_bin f (fun oc ->
+              Out_channel.output_string oc
+                (String.sub s 0 (String.length s / 2))))
+        (store_files store);
+      check_restart_cold ~store sources ~baseline ~why:"a torn file")
+
+let test_store_foreign_version () =
+  (* a store file written before the framed keys (magic v5) holds
+     summaries no current request can use: the daemon must read it as
+     foreign, start cold and answer correctly *)
+  let sources = [ ("cascade.c", prog_cascade) ] in
+  let baseline, _ = in_process_report sources in
+  with_dir (fun store ->
+      let payload =
+        Marshal.to_string
+          (Sys.ocaml_version, "key", ([||] : (int * int) array))
+          []
+      in
+      Out_channel.with_open_bin (Filename.concat store "old.sums") (fun oc ->
+          Out_channel.output_string oc
+            ("astree-summary-store v5\n" ^ Digest.string payload ^ payload));
+      check_restart_cold ~store sources ~baseline ~why:"a v5 file")
+
+(* ---- one shared summary store ------------------------------------ *)
+
+let fused_member ?(seed = 4) ?(lines = 2000) () =
+  (G.Generator.generate
+     { G.Generator.default with G.Generator.seed; target_lines = lines; fuse = 16 })
+    .G.Generator.source
+
+(* perfbench's edit: a dead block with a new local at the top of
+   [stage_5]'s body *)
+let dead_block src =
+  let hdr = "void stage_5(void) {" in
+  let rec find i =
+    if i + String.length hdr > String.length src then
+      Alcotest.fail "no stage_5 in the member"
+    else if String.sub src i (String.length hdr) = hdr then
+      i + String.length hdr
+    else find (i + 1)
+  in
+  let at = find 0 in
+  String.sub src 0 at ^ "\n  { int pb_edit; pb_edit = 6; }"
+  ^ String.sub src at (String.length src - at)
+
+(* an analyze reply must be ok and render the cache-off one-shot's
+   report; [what] names the request *)
+let check_parity ~what sources (r : Srv.Client.reply) =
+  let expected, _ = in_process_report sources in
+  Alcotest.(check string) (what ^ " ok") "ok" r.Srv.Client.r_status;
+  Alcotest.(check string)
+    (what ^ " = cache-off one-shot")
+    (scrub_time expected)
+    (scrub_time (Option.get r.Srv.Client.r_report))
+
+let check_mostly_hits ~what (r : Srv.Client.reply) =
+  let hits = reply_counter "cache.hits" r
+  and misses = reply_counter "cache.misses" r in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: hits exceed misses (%d hits, %d misses)" what hits
+       misses)
+    true (hits > misses)
+
+let test_edited_request_hits () =
+  (* the edited copy, under another file name, hits the summaries its
+     base's request published *)
+  let src = fused_member () in
+  let base = [ ("m.c", src) ] and edited = [ ("e0_005.c", dead_block src) ] in
+  with_daemon_ex ~workers:1 (fun sock _pid ->
+      let request sources =
+        ok_exn (Srv.Client.request sock (analyze_json sources))
+      in
+      check_parity ~what:"base" base (request base);
+      let r = request edited in
+      check_parity ~what:"edited copy" edited r;
+      check_mostly_hits ~what:"edited copy" r)
+
+let test_workers_share_the_store () =
+  (* worker A serves the base; while A is busy with a slow request,
+     the edited copy goes to worker B — the pool hands a job to its
+     lowest idle slot, so B has served nothing before and holds no
+     summary of its own: its hits are A's published keys *)
+  let src = fused_member () in
+  let base = [ ("m.c", src) ] and edited = [ ("e0_005.c", dead_block src) ] in
+  let slow = [ ("slow.c", fused_member ~seed:5 ()) ] in
+  with_daemon_ex ~workers:2 (fun sock _pid ->
+      check_parity ~what:"base on worker A" base
+        (ok_exn (Srv.Client.request sock (analyze_json base)));
+      let fd = Option.get (Srv.Client.try_connect sock) in
+      Fun.protect
+        ~finally:(fun () -> Srv.Client.close fd)
+        (fun () ->
+          send_analyze
+            ~options:{ Srv.Service.default_options with Srv.Service.o_cache = `Off }
+            ~sources:slow fd;
+          let rec busy n =
+            if server_int "inflight" (server_status sock) = 1 then ()
+            else if n = 0 then Alcotest.fail "slow request never started"
+            else (
+              Unix.sleepf 0.01;
+              busy (n - 1))
+          in
+          busy 200;
+          let r = ok_exn (Srv.Client.request sock (analyze_json edited)) in
+          check_parity ~what:"edited copy on worker B" edited r;
+          check_mostly_hits ~what:"edited copy on worker B" r;
+          let line = ok_exn (Srv.Client.read_reply (Srv.Client.reader fd)) in
+          Alcotest.(check string) "slow request ok" "ok"
+            (Srv.Client.decode line).Srv.Client.r_status))
+
+let test_daemon_heap_flat () =
+  (* forty distinct programs: the daemon holds none of their summaries,
+     so its own major heap does not grow with what the workers publish *)
+  let programs =
+    List.init 40 (fun i ->
+        [ (Printf.sprintf "p%02d.c" i, fused_member ~seed:(100 + i) ~lines:500 ()) ])
+  in
+  with_dir (fun store ->
+      with_daemon_ex ~workers:2 ~store (fun sock _pid ->
+          let serve batch =
+            (* two clients at a time, one per worker *)
+            let rec go = function
+              | a :: b :: rest ->
+                  let fa = Option.get (Srv.Client.try_connect sock)
+                  and fb = Option.get (Srv.Client.try_connect sock) in
+                  send_analyze ~sources:a fa;
+                  send_analyze ~sources:b fb;
+                  List.iter
+                    (fun fd ->
+                      let line =
+                        ok_exn (Srv.Client.read_reply (Srv.Client.reader fd))
+                      in
+                      Srv.Client.close fd;
+                      Alcotest.(check string) "served" "ok"
+                        (Srv.Client.decode line).Srv.Client.r_status)
+                    [ fa; fb ];
+                  go rest
+              | [ a ] ->
+                  Alcotest.(check string) "served" "ok"
+                    (ok_exn (Srv.Client.request sock (analyze_json a)))
+                      .Srv.Client.r_status
+              | [] -> ()
+            in
+            go batch
+          in
+          let store_bytes () =
+            List.fold_left
+              (fun acc f -> acc + (Unix.stat f).Unix.st_size)
+              0 (store_files store)
+          in
+          let heap () = server_int "heap_words" (server_status sock) * (Sys.word_size / 8) in
+          serve (List.filteri (fun i _ -> i < 10) programs);
+          let heap0 = heap () and bytes0 = store_bytes () in
+          serve (List.filteri (fun i _ -> i >= 10) programs);
+          let grown = heap () - heap0 and published = store_bytes () - bytes0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "the workers published summaries (%d bytes)" published)
+            true (published > 1_000_000);
+          Alcotest.(check bool)
+            (Printf.sprintf
+               "daemon heap grew %d bytes while %d bytes were published"
+               grown published)
+            true
+            (grown * 4 < published)))
+
+let astreed_dirs tmp =
+  Array.to_list (Sys.readdir tmp)
+  |> List.filter (fun f -> String.starts_with ~prefix:"astreed-" f)
+
+let test_private_store_lifecycle () =
+  (* without --cache the store is private to the daemon: present while
+     it serves, removed by a SIGTERM drain and by the shutdown verb *)
+  let sources = [ ("cascade.c", prog_cascade) ] in
+  with_dir (fun tmp ->
+      with_daemon_ex ~tmpdir:tmp (fun sock _pid ->
+          ignore (ok_exn (Srv.Client.request sock (analyze_json sources)));
+          match astreed_dirs tmp with
+          | [ d ] ->
+              Alcotest.(check bool) "the private store holds the summaries"
+                true
+                (store_files (Filename.concat tmp d) <> [])
+          | ds -> Alcotest.failf "%d private stores" (List.length ds));
+      Alcotest.(check (list string)) "removed after SIGTERM" []
+        (astreed_dirs tmp);
+      with_daemon_ex ~tmpdir:tmp (fun sock _pid ->
+          ignore (ok_exn (Srv.Client.request sock (analyze_json sources)));
+          ignore
+            (ok_exn
+               (Srv.Client.request sock
+                  (Srv.Json.Obj [ ("verb", Srv.Json.Str "shutdown") ])));
+          (* before the harness's own SIGTERM *)
+          let rec gone n =
+            if astreed_dirs tmp <> [] && n > 0 then begin
               Unix.sleepf 0.05;
-              wait (n - 1)
+              gone (n - 1)
             end
           in
-          wait 100;
-          Alcotest.(check bool) "torn checkpoint exists" true
-            (Sys.file_exists ckpt);
-          Unix.kill pid Sys.sigkill);
-      with_daemon_ex ~faults:no_faults ~checkpoint:ckpt (fun sock _pid ->
-          let server = server_status sock in
-          Alcotest.(check int) "nothing recovered from the torn file" 0
-            (server_int "recovered" server);
-          let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
-          Alcotest.(check string) "cold but serving" "ok"
-            r.Srv.Client.r_status;
-          Alcotest.(check int) "cold: no preload" 0 (reply_preloaded r);
-          Alcotest.(check string) "cold report still byte-identical"
-            (scrub_time baseline)
-            (scrub_time (Option.get r.Srv.Client.r_report))))
-
-let test_checkpoint_old_version () =
-  (* a checkpoint written before the summary-key change (magic v2)
-     holds entries under keys no current request produces: the daemon
-     must read it as foreign, start cold and answer correctly *)
-  let ckpt = Filename.temp_file "astreed-ckpt" ".bin" in
-  Sys.remove ckpt;
-  let sources = [ ("cascade.c", prog_cascade) ] in
-  let baseline, _ = in_process_report sources in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists ckpt then Sys.remove ckpt)
-    (fun () ->
-      Astree_incremental.Store.save_blob ~file:ckpt
-        ~magic:"astree-daemon-ckpt v2\n"
-        ([ ("digest", []) ] : (string * (string * int list) list) list);
-      with_daemon_ex ~faults:no_faults ~checkpoint:ckpt (fun sock _pid ->
-          let server = server_status sock in
-          Alcotest.(check int) "nothing recovered from a v2 file" 0
-            (server_int "recovered" server);
-          let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
-          Alcotest.(check string) "cold but serving" "ok"
-            r.Srv.Client.r_status;
-          Alcotest.(check int) "cold: no preload" 0 (reply_preloaded r);
-          Alcotest.(check string) "cold report byte-identical"
-            (scrub_time baseline)
-            (scrub_time (Option.get r.Srv.Client.r_report))))
+          gone 200;
+          Alcotest.(check (list string)) "removed after the shutdown verb" []
+            (astreed_dirs tmp)))
 
 (* ---- supervision ------------------------------------------------- *)
 
@@ -1018,7 +1210,7 @@ let test_checkpoint_old_version () =
    the socket and the SUPERVISOR pid.  A fast backoff ladder keeps the
    test snappy. *)
 let with_supervised ?(workers = 2) ?(faults = no_faults) ?(seed = 42)
-    ?checkpoint (k : string -> int -> unit) : unit =
+    (k : string -> int -> unit) : unit =
   let sock = fresh_socket () in
   flush stdout;
   flush stderr;
@@ -1044,8 +1236,6 @@ let with_supervised ?(workers = 2) ?(faults = no_faults) ?(seed = 42)
                   Srv.Daemon.default with
                   Srv.Daemon.d_socket = sock;
                   d_workers = workers;
-                  d_checkpoint = checkpoint;
-                  d_checkpoint_s = 0.;
                   d_restarts = restarts;
                   d_supervised = true;
                   d_sup_started = sup_started;
@@ -1058,7 +1248,8 @@ let with_supervised ?(workers = 2) ?(faults = no_faults) ?(seed = 42)
         ~finally:(fun () ->
           (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
           ignore (Unix.waitpid [] pid);
-          if Sys.file_exists sock then Sys.remove sock)
+          if Sys.file_exists sock then Sys.remove sock;
+          remove_tree (sock ^ ".store"))
         (fun () ->
           wait_for_daemon sock;
           k sock pid)
@@ -1083,6 +1274,12 @@ let test_supervisor_restart () =
         (Option.value ~default:false
            (Srv.Json.to_bool (Srv.Json.member "supervised" server)));
       Alcotest.(check int) "no restarts yet" 0 (server_int "restarts" server);
+      let sources = [ ("cascade.c", prog_cascade) ] in
+      let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
+      Alcotest.(check string) "first life serves" "ok" r.Srv.Client.r_status;
+      let published = store_files (sock ^ ".store") in
+      Alcotest.(check bool) "SOCKET.store holds the summaries" true
+        (published <> []);
       (* the hard way down: no drain, no unlink, nothing *)
       Unix.kill pid1 Sys.sigkill;
       Unix.sleepf 0.1;
@@ -1092,9 +1289,14 @@ let test_supervisor_restart () =
         (server_int "restarts" server);
       Alcotest.(check bool) "a fresh process" true
         (server_int "pid" server <> pid1);
-      let r = ok_exn (Srv.Client.request sock (analyze_json [ ("t.c", prog_simple) ])) in
+      Alcotest.(check bool) "SOCKET.store survived the restart" true
+        (List.for_all Sys.file_exists published
+        && server_int "recovered" server > 0);
+      let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
       Alcotest.(check string) "restarted daemon serves" "ok"
-        r.Srv.Client.r_status)
+        r.Srv.Client.r_status;
+      Alcotest.(check bool) "restarted daemon is warm" true
+        (reply_preloaded r > 0))
 
 (* ---- chaos soak -------------------------------------------------- *)
 
@@ -1328,8 +1530,8 @@ let test_http_endpoints () =
       | Ok j ->
           Alcotest.(check bool) "status has uptime" true
             (Srv.Json.to_num (Srv.Json.member "uptime_s" j) <> None);
-          Alcotest.(check bool) "status has checkpoint age" true
-            (Srv.Json.to_num (Srv.Json.member "checkpoint_age_s" j) <> None);
+          Alcotest.(check bool) "status counts the store's entries" true
+            (Srv.Json.to_int (Srv.Json.member "store_entries" j) <> None);
           Alcotest.(check bool) "status summarizes breakers" true
             (Srv.Json.member "breakers" j <> Srv.Json.Null);
           Alcotest.(check bool) "status carries latency quantiles" true
@@ -1472,6 +1674,14 @@ let suite =
       test_multi_task_refused;
     Alcotest.test_case "removed backend key is ignored" `Quick
       test_backend_key_ignored;
-    Alcotest.test_case "v2 checkpoint starts cold" `Quick
-      test_checkpoint_old_version;
+    Alcotest.test_case "foreign-version store file reads cold" `Quick
+      test_store_foreign_version;
+    Alcotest.test_case "edited request hits its base's summaries" `Slow
+      test_edited_request_hits;
+    Alcotest.test_case "worker B hits keys worker A published" `Slow
+      test_workers_share_the_store;
+    Alcotest.test_case "daemon heap flat over 40 programs" `Slow
+      test_daemon_heap_flat;
+    Alcotest.test_case "private store removed at clean stop" `Quick
+      test_private_store_lifecycle;
   ]
