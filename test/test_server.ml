@@ -1674,7 +1674,7 @@ let suite =
       test_multi_task_refused;
     Alcotest.test_case "removed backend key is ignored" `Quick
       test_backend_key_ignored;
-    Alcotest.test_case "foreign-version store file reads cold" `Quick
+    Alcotest.test_case "foreign-version store reads cold" `Quick
       test_store_foreign_version;
     Alcotest.test_case "edited request hits its base's summaries" `Slow
       test_edited_request_hits;
