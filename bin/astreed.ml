@@ -3,8 +3,6 @@
    Usage:  astreed --socket PATH [--max-inflight N] [--queue-depth N]
                    [--timeout SECS] [--max-mem MB] [--cache DIR]
                    [--checkpoint FILE] [--checkpoint-period SECS]
-                   [--config FILE] [--client-quota N]
-                   [--breaker-crashes N] [--breaker-cooldown SECS]
                    [--supervise] [--max-restarts N]
                    [--http PORT] [--access-log FILE] [--access-log-max BYTES]
                    [--trace FILE] [--verbose]
@@ -15,15 +13,15 @@
    store directory: --cache DIR, SOCKET.store under --supervise (so a
    restarted daemon is warm), else a private directory under $TMPDIR
    removed at clean shutdown.  --checkpoint and --checkpoint-period are
-   accepted for older scripts and ignored.  See DESIGN.md sections 12
-   and 15 and README "Server mode". *)
+   accepted for older scripts and ignored.  Requests wait in one FIFO
+   queue; SIGHUP is ignored.  See DESIGN.md sections 12 and 15 and
+   README "Server mode". *)
 
 module Srv = Astree_server
 open Cmdliner
 
 let run socket workers queue_depth timeout max_mem cache_dir checkpoint
-    checkpoint_period config_file client_quota breaker_crashes
-    breaker_cooldown supervise max_restarts http_port access_log
+    checkpoint_period supervise max_restarts http_port access_log
     access_log_max trace_file verbose =
   (match trace_file with
   | None -> ()
@@ -44,43 +42,30 @@ let run socket workers queue_depth timeout max_mem cache_dir checkpoint
       d_max_mem = max 0 max_mem;
       d_cache_dir = cache_dir;
       d_verbose = verbose;
-      d_client_quota = max 0 client_quota;
-      d_breaker_n = max 0 breaker_crashes;
-      d_breaker_cooldown = Float.max 0. breaker_cooldown;
-      d_config_file = config_file;
       d_http_port = http_port;
       d_access_log = access_log;
       d_access_log_max = max 4096 access_log_max;
     }
   in
   let code =
-    match
-      match config_file with
-      | None -> Ok cfg
-      | Some f -> Srv.Daemon.load_config_file cfg f
-    with
-    | Error msg ->
-        prerr_endline ("astreed: cannot load --config: " ^ msg);
-        1
-    | Ok cfg ->
-        if supervise then
-          Srv.Supervisor.run
-            ~config:
-              {
-                Srv.Supervisor.default with
-                Srv.Supervisor.s_max_restarts = max 0 max_restarts;
-                s_verbose = verbose;
-                s_access_log = access_log;
-              }
-            (fun ~restarts ~sup_started ->
-              Srv.Daemon.run
-                {
-                  cfg with
-                  Srv.Daemon.d_restarts = restarts;
-                  d_supervised = true;
-                  d_sup_started = sup_started;
-                })
-        else Srv.Daemon.run cfg
+    if supervise then
+      Srv.Supervisor.run
+        ~config:
+          {
+            Srv.Supervisor.default with
+            Srv.Supervisor.s_max_restarts = max 0 max_restarts;
+            s_verbose = verbose;
+            s_access_log = access_log;
+          }
+        (fun ~restarts ~sup_started ->
+          Srv.Daemon.run
+            {
+              cfg with
+              Srv.Daemon.d_restarts = restarts;
+              d_supervised = true;
+              d_sup_started = sup_started;
+            })
+    else Srv.Daemon.run cfg
   in
   Astree_obs.Trace.close ();
   code
@@ -145,37 +130,6 @@ let cmd =
           & info [ "checkpoint-period" ] ~docv:"SECS"
               ~doc:"Ignored, like $(b,--checkpoint)")
       $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "config" ] ~docv:"FILE"
-              ~doc:
-                "JSON config overlay (queue_depth, grace, timeout, \
-                 max_mem, client_quota, breaker_crashes, \
-                 breaker_cooldown) \
-                 loaded at startup and reread on SIGHUP without \
-                 dropping in-flight requests")
-      $ Arg.(
-          value
-          & opt int Srv.Daemon.default.Srv.Daemon.d_client_quota
-          & info [ "client-quota" ] ~docv:"N"
-              ~doc:
-                "Queued requests allowed per client connection before \
-                 shedding (0 = half the queue depth)")
-      $ Arg.(
-          value
-          & opt int Srv.Daemon.default.Srv.Daemon.d_breaker_n
-          & info [ "breaker-crashes" ] ~docv:"N"
-              ~doc:
-                "Consecutive worker crashes on one program that open \
-                 its circuit breaker (0 = no breaker)")
-      $ Arg.(
-          value
-          & opt float Srv.Daemon.default.Srv.Daemon.d_breaker_cooldown
-          & info [ "breaker-cooldown" ] ~docv:"SECS"
-              ~doc:
-                "Seconds an open breaker refuses a program before \
-                 letting one probe request through")
-      $ Arg.(
           value & flag
           & info [ "supervise" ]
               ~doc:
@@ -197,7 +151,7 @@ let cmd =
                 "Serve telemetry over HTTP on 127.0.0.1:$(docv): \
                  $(b,/metrics) (Prometheus text exposition), \
                  $(b,/healthz) (liveness), $(b,/readyz) (503 while \
-                 draining, saturated or all breakers open) and \
+                 draining or while the queue is full) and \
                  $(b,/status) (the status-verb JSON); 0 picks a free \
                  port")
       $ Arg.(

@@ -24,10 +24,6 @@ type config = {
   d_cache_dir : string option;
   d_grace : float;
   d_verbose : bool;
-  d_client_quota : int;
-  d_breaker_n : int;
-  d_breaker_cooldown : float;
-  d_config_file : string option;
   d_restarts : int;
   d_supervised : bool;
   d_sup_started : float;
@@ -46,10 +42,6 @@ let default : config =
     d_cache_dir = None;
     d_grace = 60.;
     d_verbose = false;
-    d_client_quota = 0;
-    d_breaker_n = 3;
-    d_breaker_cooldown = 30.;
-    d_config_file = None;
     d_restarts = 0;
     d_supervised = false;
     d_sup_started = 0.;
@@ -58,48 +50,11 @@ let default : config =
     d_access_log_max = 8 * 1024 * 1024;
   }
 
-(* ---- hot-reloadable configuration -------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* only admission-time knobs are reloadable: the socket, worker count
-   and store directory identify the daemon instance and stay fixed *)
-let overlay_config (cfg : config) (j : Json.t) : config =
-  if Json.member "checkpoint_period" j <> Json.Null then
-    prerr_endline
-      "astreed: note: checkpoint_period is ignored: every request \
-       publishes its summaries to the store";
-  let num key dflt = Option.value ~default:dflt (Json.to_num (Json.member key j)) in
-  let int key dflt = Option.value ~default:dflt (Json.to_int (Json.member key j)) in
-  {
-    cfg with
-    d_queue_depth = int "queue_depth" cfg.d_queue_depth;
-    d_grace = num "grace" cfg.d_grace;
-    d_timeout = num "timeout" cfg.d_timeout;
-    d_max_mem = int "max_mem" cfg.d_max_mem;
-    d_client_quota = int "client_quota" cfg.d_client_quota;
-    d_breaker_n = int "breaker_crashes" cfg.d_breaker_n;
-    d_breaker_cooldown = num "breaker_cooldown" cfg.d_breaker_cooldown;
-  }
-
-let load_config_file (cfg : config) (file : string) : (config, string) result =
-  match read_file file with
-  | exception Sys_error msg -> Error msg
-  | s -> (
-      match Json.parse s with
-      | Error msg -> Error (file ^ ": " ^ msg)
-      | Ok j -> Ok (overlay_config cfg j))
-
 (* ---- metrics ------------------------------------------------------ *)
 
 let m_requests = Metrics.counter "srv.requests"
 let m_shed = Metrics.counter "srv.shed"
 let m_dedup = Metrics.counter "srv.dedup_hits"
-let m_breaker = Metrics.counter "srv.breaker_open"
 
 (* ---- connections and requests ------------------------------------ *)
 
@@ -107,12 +62,11 @@ type conn = {
   c_fd : Unix.file_descr;
   c_buf : Buffer.t;          (* bytes read, not yet line-terminated *)
   mutable c_alive : bool;
-  c_queue : pending Queue.t; (* this client's admitted-but-waiting jobs *)
 }
 
 (* a client waiting for one job's reply; several waiters share a
    pending when identical requests were deduplicated onto one worker *)
-and waiter = {
+type waiter = {
   wt_conn : conn;
   wt_id : string;            (* the protocol id, already rendered *)
   wt_rid : string;           (* the request id (tracing/access log) *)
@@ -120,16 +74,15 @@ and waiter = {
   wt_attached : bool;        (* true: joined an in-flight job (dedup) *)
 }
 
-and pending = {
+type pending = {
   p_work : Service.work;
-  p_digest : string;         (* source digest: breaker and access log *)
+  p_digest : string;         (* source digest: trace span and access log *)
   p_key : string;            (* digest + wire options: the dedup key *)
   mutable p_waiters : waiter list;  (* newest first *)
 }
 
 type state = {
-  mutable st_cfg : config;
-  mutable st_gen : int;      (* config generation, bumped by SIGHUP *)
+  st_cfg : config;
   st_pool : (Service.work, Service.outcome) Pool.t;
   st_tele : Telemetry.t;
   st_http : Http.t option;
@@ -137,13 +90,8 @@ type state = {
   mutable st_conns : conn list;
   st_inflight : (int, pending) Hashtbl.t;       (* pool slot -> request *)
   st_keys : (string, int) Hashtbl.t;            (* dedup key -> pool slot *)
-  st_rr : conn Queue.t;      (* round-robin dispatch order; a conn is
-                                present at most once, iff its queue may
-                                be nonempty *)
-  mutable st_queued : int;   (* total requests across all conn queues *)
+  st_pending : pending Queue.t;  (* admitted, waiting for a worker *)
   st_store : string;         (* the summary store directory *)
-  (* circuit breaker: digest -> (consecutive crashes, last crash time) *)
-  st_breaker : (string, int * float) Hashtbl.t;
   st_lat : float array;      (* ring of recent analysis times (p50) *)
   mutable st_lat_n : int;
   st_started : float;
@@ -153,7 +101,6 @@ type state = {
   mutable st_shed : int;
   mutable st_errors : int;
   mutable st_dedup : int;
-  mutable st_breaker_rejects : int;
   st_recovered : int;        (* store keys indexed at startup *)
 }
 
@@ -176,10 +123,16 @@ let close_conn st conn =
     conn.c_alive <- false;
     (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
     st.st_conns <- List.filter (fun c -> c != conn) st.st_conns;
-    (* queued work of a dead client is dropped; any st_rr entry for the
-       conn becomes a no-op the dispatcher skips *)
-    st.st_queued <- st.st_queued - Queue.length conn.c_queue;
-    Queue.clear conn.c_queue
+    (* queued work of a dead client is dropped, so [queued] and /readyz
+       count only requests someone still waits for *)
+    let waited_for pend =
+      List.exists (fun w -> w.wt_conn.c_alive) pend.p_waiters
+    in
+    let kept =
+      Queue.of_seq (Seq.filter waited_for (Queue.to_seq st.st_pending))
+    in
+    Queue.clear st.st_pending;
+    Queue.transfer kept st.st_pending
   end
 
 let reply st conn (line : string) =
@@ -212,11 +165,11 @@ let error_reply ?(rid = "") id msg =
                   \"error\": %s}"
     id (Report.json_str rid) (Report.json_str msg)
 
-let shed_reply ?(error = "queue full") ~rid id ~retry_after =
+let shed_reply ~rid id ~retry_after =
   Printf.sprintf
-    "{\"id\": %s, \"rid\": %s, \"status\": \"shed\", \"error\": %s, \
-     \"retry_after_s\": %.3f}"
-    id (Report.json_str rid) (Report.json_str error) retry_after
+    "{\"id\": %s, \"rid\": %s, \"status\": \"shed\", \
+     \"error\": \"queue full\", \"retry_after_s\": %.3f}"
+    id (Report.json_str rid) retry_after
 
 let shutting_down_reply ~rid id =
   Printf.sprintf "{\"id\": %s, \"rid\": %s, \"status\": \"shutting_down\"}" id
@@ -235,45 +188,28 @@ let ok_reply ~rid ~id ~received (sv : Service.served) ~now =
     (Metrics.render_snapshot_json ~timers:false sv.sv_metrics)
     sv.sv_report
 
-(* breaker states: open (tripped, inside the cooldown), half-open
-   (tripped, cooldown elapsed — the next request is the probe) *)
-let breaker_counts st ~now =
-  if st.st_cfg.d_breaker_n <= 0 then (0, 0)
-  else
-    Hashtbl.fold
-      (fun _ (n, t) (opened, half) ->
-        if n >= st.st_cfg.d_breaker_n then
-          if now -. t < st.st_cfg.d_breaker_cooldown then (opened + 1, half)
-          else (opened, half + 1)
-        else (opened, half))
-      st.st_breaker (0, 0)
-
-let open_breakers st ~now = fst (breaker_counts st ~now)
-
 (* the status body, shared between the status verb and GET /status *)
 let status_json st ~now =
-  let opened, half_open = breaker_counts st ~now in
   Printf.sprintf
     "{\"pid\": %d, \
      \"uptime_s\": %.3f, \"workers\": %d, \"inflight\": %d, \
      \"queued\": %d, \"served\": %d, \"shed\": %d, \"errors\": %d, \
      \"draining\": %b, \"supervised\": %b, \
      \"restarts\": %d, \"supervisor_uptime_s\": %.3f, \
-     \"config_generation\": %d, \"queue_depth\": %d, \
-     \"dedup_hits\": %d, \"breaker_open\": %d, \"breaker_rejects\": %d, \
+     \"queue_depth\": %d, \"dedup_hits\": %d, \
      \"recovered\": %d, \"store_entries\": %d, \"heap_words\": %d, \
-     \"breakers\": {\"open\": %d, \"half_open\": %d}, \"latency\": %s}"
+     \"latency\": %s}"
     (Unix.getpid ()) (now -. st.st_started)
     (Pool.size st.st_pool)
     (Hashtbl.length st.st_inflight)
-    st.st_queued st.st_served st.st_shed st.st_errors st.st_draining
+    (Queue.length st.st_pending)
+    st.st_served st.st_shed st.st_errors st.st_draining
     st.st_cfg.d_supervised st.st_cfg.d_restarts
     (if st.st_cfg.d_sup_started > 0. then now -. st.st_cfg.d_sup_started
      else 0.)
-    st.st_gen st.st_cfg.d_queue_depth st.st_dedup opened
-    st.st_breaker_rejects st.st_recovered
+    st.st_cfg.d_queue_depth st.st_dedup st.st_recovered
     (Store.count ~dir:st.st_store)
-    (Gc.quick_stat ()).Gc.heap_words opened half_open
+    (Gc.quick_stat ()).Gc.heap_words
     (Telemetry.quantiles_json st.st_tele)
 
 let status_reply st ~rid id ~now =
@@ -286,10 +222,6 @@ let metrics_reply ~rid id =
     (Metrics.render_json ~timers:false ())
 
 (* ---- admission --------------------------------------------------- *)
-
-let quota st =
-  if st.st_cfg.d_client_quota > 0 then st.st_cfg.d_client_quota
-  else max 1 (st.st_cfg.d_queue_depth / 2)
 
 (* estimated time until a worker frees up: how much work is ahead of a
    retrying client, paced by the recent median analysis time.  Clamped
@@ -304,7 +236,9 @@ let retry_after st =
       a.(n / 2)
     end
   in
-  let ahead = st.st_queued + Hashtbl.length st.st_inflight + 1 in
+  let ahead =
+    Queue.length st.st_pending + Hashtbl.length st.st_inflight + 1
+  in
   let est =
     float_of_int ahead *. p50
     /. float_of_int (max 1 (Pool.size st.st_pool))
@@ -367,43 +301,26 @@ let attach st slot pend =
       Metrics.add m_dedup n;
       log st "dedup: %d request(s) attached to in-flight job" n
 
-let requeue_front conn pend =
-  let rest = Queue.create () in
-  Queue.transfer conn.c_queue rest;
-  Queue.push pend conn.c_queue;
-  Queue.transfer rest conn.c_queue
-
-(* round-robin dispatch: one queued job per client per turn, so a
-   client that batched fifty requests cannot starve the one that sent
-   one.  Dedup is re-checked at dispatch: an identical job may have
-   been submitted while this one waited. *)
+(* FIFO dispatch.  Dedup is re-checked at dispatch: an identical job
+   may have been submitted while this one waited.  A job no worker
+   takes stays at the head of the queue. *)
 let rec drain_queue st =
-  if st.st_queued > 0 && Pool.idle_slots st.st_pool > 0 then
-    match Queue.take_opt st.st_rr with
-    | None -> ()  (* only dead conns held queued work; accounting reset *)
-    | Some conn ->
-        if (not conn.c_alive) || Queue.is_empty conn.c_queue then
-          drain_queue st
-        else begin
-          let pend = Queue.pop conn.c_queue in
-          st.st_queued <- st.st_queued - 1;
-          let requeued_conn = not (Queue.is_empty conn.c_queue) in
-          if requeued_conn then Queue.push conn st.st_rr;
-          match Hashtbl.find_opt st.st_keys pend.p_key with
-          | Some slot when Hashtbl.mem st.st_inflight slot ->
-              attach st slot pend;
+  if Pool.idle_slots st.st_pool > 0 then
+    match Queue.peek_opt st.st_pending with
+    | None -> ()
+    | Some pend -> (
+        match Hashtbl.find_opt st.st_keys pend.p_key with
+        | Some slot when Hashtbl.mem st.st_inflight slot ->
+            ignore (Queue.pop st.st_pending);
+            attach st slot pend;
+            drain_queue st
+        | _ ->
+            if try_submit st pend then begin
+              ignore (Queue.pop st.st_pending);
               drain_queue st
-          | _ ->
-              if try_submit st pend then drain_queue st
-              else begin
-                (* no worker took it after all: put it back in front *)
-                requeue_front conn pend;
-                st.st_queued <- st.st_queued + 1;
-                if not requeued_conn then Queue.push conn st.st_rr
-              end
-        end
+            end)
 
-let admit st conn pend ~now =
+let admit st pend ~now =
   if st.st_draining then
     List.iter
       (fun w ->
@@ -418,7 +335,8 @@ let admit st conn pend ~now =
         attach st slot pend
     | _ ->
         if try_submit st pend then ()
-        else if st.st_queued >= st.st_cfg.d_queue_depth then begin
+        else if Queue.length st.st_pending >= st.st_cfg.d_queue_depth
+        then begin
           st.st_shed <- st.st_shed + 1;
           Metrics.incr m_shed;
           let retry_after = retry_after st in
@@ -431,28 +349,15 @@ let admit st conn pend ~now =
                 (shed_reply ~rid:w.wt_rid w.wt_id ~retry_after))
             pend.p_waiters
         end
-        else if Queue.length conn.c_queue >= quota st then begin
-          (* fairness: this client already holds its share of the queue *)
-          st.st_shed <- st.st_shed + 1;
-          Metrics.incr m_shed;
-          let retry_after = retry_after st in
-          List.iter
-            (fun w ->
-              log st "shed request %s (client quota)" w.wt_id;
-              tele_record st ~now ~digest:pend.p_digest ~verb:"analyze"
-                ~outcome:`Shed w.wt_rid;
-              reply st w.wt_conn
-                (shed_reply ~error:"client quota exceeded" ~rid:w.wt_rid
-                   w.wt_id ~retry_after))
-            pend.p_waiters
-        end
-        else begin
-          Queue.push pend conn.c_queue;
-          st.st_queued <- st.st_queued + 1;
-          if Queue.length conn.c_queue = 1 then Queue.push conn st.st_rr
-        end
+        else Queue.push pend st.st_pending
 
 (* ---- request handling -------------------------------------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let request_sources (j : Json.t) : ((string * string) list, string) result =
   match Json.to_list (Json.member "files" j) with
@@ -509,63 +414,42 @@ let handle_analyze st conn ~rid id (j : Json.t) ~now =
         }
       in
       let digest = Service.source_digest ~main sources in
-      (* circuit breaker: a program whose analysis crashed the worker
-         [d_breaker_n] times in a row is refused with a clean error
-         instead of burning another respawn; after the cooldown one
-         probe request is let through (half-open) *)
-      match Hashtbl.find_opt st.st_breaker digest with
-      | Some (n, t)
-        when st.st_cfg.d_breaker_n > 0
-             && n >= st.st_cfg.d_breaker_n
-             && now -. t < st.st_cfg.d_breaker_cooldown ->
-          st.st_breaker_rejects <- st.st_breaker_rejects + 1;
-          tele_record st ~now ~digest ~verb:"analyze" ~outcome:`Breaker_open
-            rid;
-          reply st conn
-            (error_reply ~rid id
-               (Printf.sprintf
-                  "circuit breaker open: analysis crashed %d times in a \
-                   row for this program; retrying in %.0fs"
-                  n
-                  (st.st_cfg.d_breaker_cooldown -. (now -. t))))
-      | _ ->
-          (* requests that did not pick a cache run against the
-             daemon's store, with the counters stripped from the report
-             for parity with a cache-less one-shot run.  An explicit
-             cache choice is honored verbatim, so the reply matches the
-             equivalent one-shot exactly. *)
-          let o, strip =
-            if o.Service.o_cache = `Default then
-              ({ o with Service.o_cache = `Dir st.st_store }, true)
-            else (o, false)
-          in
-          let work =
-            {
-              Service.w_sources = sources;
-              w_main = main;
-              w_options = o;
-              w_preload = [];
-              w_strip_cache = strip;
-            }
-          in
-          admit st conn
-            {
-              p_work = work;
-              p_digest = digest;
-              p_key =
-                digest ^ "|" ^ Json.to_string (Service.options_to_json o);
-              p_waiters =
-                [
-                  {
-                    wt_conn = conn;
-                    wt_id = id;
-                    wt_rid = rid;
-                    wt_received = now;
-                    wt_attached = false;
-                  };
-                ];
-            }
-            ~now)
+      (* requests that did not pick a cache run against the daemon's
+         store, with the counters stripped from the report for parity
+         with a cache-less one-shot run.  An explicit cache choice is
+         honored verbatim, so the reply matches the equivalent one-shot
+         exactly. *)
+      let o, strip =
+        if o.Service.o_cache = `Default then
+          ({ o with Service.o_cache = `Dir st.st_store }, true)
+        else (o, false)
+      in
+      let work =
+        {
+          Service.w_sources = sources;
+          w_main = main;
+          w_options = o;
+          w_preload = [];
+          w_strip_cache = strip;
+        }
+      in
+      admit st
+        {
+          p_work = work;
+          p_digest = digest;
+          p_key = digest ^ "|" ^ Json.to_string (Service.options_to_json o);
+          p_waiters =
+            [
+              {
+                wt_conn = conn;
+                wt_id = id;
+                wt_rid = rid;
+                wt_received = now;
+                wt_attached = false;
+              };
+            ];
+        }
+        ~now)
 
 let handle_line st conn (line : string) ~now =
   match Json.parse line with
@@ -659,7 +543,6 @@ let finish st slot ~now =
             Trace.span_end "srv.request" ~args:[ ("rid", Trace.S head_rid) ]
           end;
           record_latency st sv.Service.sv_time;
-          Hashtbl.remove st.st_breaker pend.p_digest;
           let cache_hits =
             Option.value ~default:0
               (Metrics.find_int sv.Service.sv_metrics "cache.hits")
@@ -681,7 +564,6 @@ let finish st slot ~now =
             waiters
       | Ok (Service.Refused msg) ->
           (* a request-level refusal is not a crash: the worker lived *)
-          Hashtbl.remove st.st_breaker pend.p_digest;
           List.iter
             (fun w ->
               st.st_errors <- st.st_errors + 1;
@@ -691,18 +573,6 @@ let finish st slot ~now =
               reply st w.wt_conn (error_reply ~rid:w.wt_rid w.wt_id msg))
             waiters
       | Error msg ->
-          if msg = "worker crashed" && st.st_cfg.d_breaker_n > 0 then begin
-            let n =
-              match Hashtbl.find_opt st.st_breaker pend.p_digest with
-              | Some (n, _) -> n + 1
-              | None -> 1
-            in
-            Hashtbl.replace st.st_breaker pend.p_digest (n, now);
-            if n = st.st_cfg.d_breaker_n then begin
-              Metrics.incr m_breaker;
-              log st "circuit breaker opened: %d consecutive crashes" n
-            end
-          end;
           List.iter
             (fun w ->
               st.st_errors <- st.st_errors + 1;
@@ -748,21 +618,19 @@ let begin_drain st ~now =
       (try Unix.unlink st.st_cfg.d_socket
        with Unix.Unix_error _ | Sys_error _ -> ())
   | None -> ());
-  List.iter
-    (fun conn ->
-      Queue.iter
-        (fun pend ->
-          List.iter
-            (fun w ->
-              tele_record st ~now ~digest:pend.p_digest ~verb:"analyze"
-                ~outcome:`Shutting_down w.wt_rid;
-              reply st w.wt_conn (shutting_down_reply ~rid:w.wt_rid w.wt_id))
-            (List.rev pend.p_waiters))
-        conn.c_queue;
-      Queue.clear conn.c_queue)
-    st.st_conns;
-  st.st_queued <- 0;
-  Queue.clear st.st_rr;
+  (* emptied before the replies: a reply that fails closes its
+     connection, which filters [st_pending] *)
+  let queued = Queue.create () in
+  Queue.transfer st.st_pending queued;
+  Queue.iter
+    (fun pend ->
+      List.iter
+        (fun w ->
+          tele_record st ~now ~digest:pend.p_digest ~verb:"analyze"
+            ~outcome:`Shutting_down w.wt_rid;
+          reply st w.wt_conn (shutting_down_reply ~rid:w.wt_rid w.wt_id))
+        (List.rev pend.p_waiters))
+    queued;
   Telemetry.event st.st_tele ~now "drain_begin"
     [ ("inflight", Json.Num (float_of_int (Hashtbl.length st.st_inflight))) ];
   log st "shutting down: %d in-flight request(s) draining"
@@ -784,39 +652,16 @@ let force_cancel_inflight st ~now =
   Hashtbl.reset st.st_inflight;
   Hashtbl.reset st.st_keys
 
-(* ---- SIGHUP hot reload ------------------------------------------- *)
-
-let hup_pending = ref false
-
-let reload st =
-  match st.st_cfg.d_config_file with
-  | None -> log st "SIGHUP: no --config file to reload, ignored"
-  | Some file -> (
-      match load_config_file st.st_cfg file with
-      | Error msg ->
-          prerr_endline
-            ("astreed: warning: SIGHUP reload failed, keeping config: " ^ msg)
-      | Ok cfg ->
-          (* in-flight requests already carry their resolved options;
-             only future admissions see the new knobs *)
-          st.st_cfg <- cfg;
-          st.st_gen <- st.st_gen + 1;
-          log st "config reloaded from %s (generation %d)" file st.st_gen)
-
 (* ---- telemetry HTTP endpoints ------------------------------------ *)
 
 (* readiness: able to accept an analyze request right now.  Distinct
    from liveness — a draining or saturated daemon is alive but a load
    balancer should stop routing to it. *)
-let readiness st ~now : (unit, string) result =
+let readiness st : (unit, string) result =
   if st.st_draining then Error "draining"
-  else if st.st_queued >= st.st_cfg.d_queue_depth then Error "queue full"
-  else begin
-    let opened = open_breakers st ~now in
-    if opened > 0 && opened = Hashtbl.length st.st_breaker then
-      Error "all circuit breakers open"
-    else Ok ()
-  end
+  else if Queue.length st.st_pending >= st.st_cfg.d_queue_depth then
+    Error "queue full"
+  else Ok ()
 
 let http_handle st (path : string) : int * string * string =
   let now = Unix.gettimeofday () in
@@ -827,7 +672,7 @@ let http_handle st (path : string) : int * string * string =
         Telemetry.render_prometheus st.st_tele ~now (Metrics.snapshot ()) )
   | "/healthz" -> (200, "text/plain", "ok\n")
   | "/readyz" -> (
-      match readiness st ~now with
+      match readiness st with
       | Ok () -> (200, "text/plain", "ready\n")
       | Error why -> (503, "text/plain", "not ready: " ^ why ^ "\n"))
   | "/status" -> (200, "application/json", status_json st ~now ^ "\n")
@@ -884,8 +729,9 @@ let remove_dir (dir : string) : unit =
 
 let run (dc : config) : int =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Sys.set_signal Sys.sighup
-    (Sys.Signal_handle (fun _ -> hup_pending := true));
+  (* nothing is reloadable: a leftover [kill -HUP] must neither kill
+     nor drain the daemon *)
+  Sys.set_signal Sys.sighup Sys.Signal_ignore;
   Budget.install_signal_handlers ();
   match bind_socket dc.d_socket with
   | exception Failure msg ->
@@ -925,7 +771,6 @@ let run (dc : config) : int =
       let st =
         {
           st_cfg = dc;
-          st_gen = 0;
           st_pool = Pool.create ~jobs:(max 1 dc.d_workers) Service.serve;
           st_tele =
             Telemetry.create ?access_log:dc.d_access_log
@@ -936,10 +781,8 @@ let run (dc : config) : int =
           st_conns = [];
           st_inflight = Hashtbl.create 16;
           st_keys = Hashtbl.create 16;
-          st_rr = Queue.create ();
-          st_queued = 0;
+          st_pending = Queue.create ();
           st_store = store;
-          st_breaker = Hashtbl.create 16;
           st_lat = Array.make 32 0.;
           st_lat_n = 0;
           st_started = Unix.gettimeofday ();
@@ -949,7 +792,6 @@ let run (dc : config) : int =
           st_shed = 0;
           st_errors = 0;
           st_dedup = 0;
-          st_breaker_rejects = 0;
           st_recovered = Store.count ~dir:store;
         }
       in
@@ -1001,10 +843,6 @@ let run (dc : config) : int =
         | None -> "");
       let rec loop () =
         let now = Unix.gettimeofday () in
-        if !hup_pending then begin
-          hup_pending := false;
-          reload st
-        end;
         if Budget.interrupt_pending () && not st.st_draining then
           begin_drain st ~now;
         if st.st_draining && Hashtbl.length st.st_inflight = 0 then ()
@@ -1055,7 +893,7 @@ let run (dc : config) : int =
                     | cfd, _ ->
                         st.st_conns <-
                           { c_fd = cfd; c_buf = Buffer.create 256;
-                            c_alive = true; c_queue = Queue.create () }
+                            c_alive = true }
                           :: st.st_conns;
                         log st "client connected (%d total)"
                           (List.length st.st_conns))

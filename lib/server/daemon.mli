@@ -14,21 +14,21 @@
     {b Protocol} (newline-delimited JSON, one object per line):
     requests carry a [verb] ([analyze], [status], [metrics],
     [shutdown]) and an optional [id] echoed in the reply; replies carry
-    a [status] of [ok], [error], [shed] (admission refused: queue full
-    or per-client quota, with a [retry_after_s] pacing hint) or
+    a [status] of [ok], [error], [shed] (admission refused: queue full,
+    with a [retry_after_s] pacing hint) or
     [shutting_down].  Every reply also echoes a request id [rid]
     (client-minted, or assigned on arrival) that stamps the request's
     trace span and access-log line — the join key across client,
     daemon and telemetry.  See DESIGN.md section 12 for the full
     grammar.
 
-    {b Admission and fairness.}  Identical concurrent requests (same
-    source digest and resolved options) share one worker job and each
-    receive the full reply.  Queued work is held per client connection
-    and dispatched round-robin, bounded per client by [d_client_quota];
-    a program whose analysis crashed its worker [d_breaker_n] times in
-    a row is refused by a circuit breaker until [d_breaker_cooldown]
-    elapses, then probed half-open.
+    {b Admission.}  Identical concurrent requests (same source digest
+    and resolved options) share one worker job and each receive the
+    full reply.  A request no idle worker takes waits in one FIFO queue
+    of at most [d_queue_depth] requests, and is shed when that queue is
+    full; the queued requests of a client that disconnects are dropped.
+    A worker crash fails the requests it was serving with an error
+    reply; the pool respawns the worker.
 
     {b Shared store.}  The store directory is [d_cache_dir] when set;
     [SOCKET.store] under supervision; otherwise a directory private to
@@ -38,17 +38,12 @@
     directory is warm from its first request.  A torn, corrupt or
     foreign store file is skipped: the request runs cold, never fails.
 
-    {b Hot reload.}  SIGHUP rereads [d_config_file] (when given) and
-    swaps the admission-time knobs — queue depth, grace, per-request
-    budget, client quota and breaker parameters — without
-    touching in-flight requests; [status] reports the config
-    generation.
-
     {b Shutdown.}  SIGINT, SIGTERM and the [shutdown] verb all route
     through the budget subsystem's interrupt flag: the daemon stops
     accepting, unlinks the socket, tells queued clients
     [shutting_down], drains in-flight requests (bounded by [d_grace]),
-    removes its private store directory, if any, and exits. *)
+    removes its private store directory, if any, and exits.  SIGHUP is
+    ignored: nothing is reloadable. *)
 
 type config = {
   d_socket : string;         (** path of the listening socket *)
@@ -66,16 +61,6 @@ type config = {
                                  running this many seconds after
                                  shutdown started are canceled *)
   d_verbose : bool;          (** log connections and requests on stderr *)
-  d_client_quota : int;      (** queued requests allowed per connection;
-                                 [0] = auto ([queue_depth / 2], min 1) *)
-  d_breaker_n : int;         (** consecutive worker crashes on one
-                                 program that open its circuit breaker;
-                                 [0] disables the breaker *)
-  d_breaker_cooldown : float;
-      (** seconds an open breaker refuses a program before letting one
-          half-open probe through *)
-  d_config_file : string option;
-      (** JSON config overlay reread on SIGHUP *)
   d_restarts : int;          (** supervisor restart count, surfaced in
                                  [status] (set via [ASTREED_RESTARTS]) *)
   d_supervised : bool;       (** running under [astreed --supervise] *)
@@ -95,15 +80,6 @@ type config = {
 }
 
 val default : config
-
-val load_config_file : config -> string -> (config, string) result
-(** Overlay the admission-time knobs from a JSON file
-    ([queue_depth], [grace], [timeout], [max_mem], [client_quota],
-    [breaker_crashes], [breaker_cooldown]) onto [config].  Unknown
-    members are ignored; a [checkpoint_period] member, which earlier
-    daemons read, is ignored with a note on stderr;
-    unreadable or unparsable files are an [Error].  Used for the
-    initial [--config] load and by the SIGHUP reload. *)
 
 val run : config -> int
 (** Serve until interrupted; returns the process exit code ([0] after a

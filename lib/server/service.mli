@@ -55,8 +55,7 @@ exception Request_error of string
 
 val source_digest : main:string -> (string * string) list -> string
 (** Hex digest identifying a compiled program (sources + entry point);
-    keys the workers' typed-IR cache and the daemon's dedup and
-    circuit breaker. *)
+    keys the workers' typed-IR cache and the daemon's dedup. *)
 
 val compile_cached : main:string -> (string * string) list -> F.Tast.program
 (** Compile, memoized on {!source_digest} — the typed-IR cache that

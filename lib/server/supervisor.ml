@@ -49,20 +49,21 @@ let run ?(config = default)
   let sup_started = Unix.gettimeofday () in
   let child_pid = ref 0 in
   let stopping = ref false in
-  (* signals are forwarded, not handled: the child owns the drain
-     protocol.  SIGTERM/SIGINT additionally mark the supervisor as
-     stopping so the child's death is treated as the end, not a crash. *)
-  let forward stop signo =
+  (* SIGTERM/SIGINT are forwarded, not handled: the child owns the
+     drain protocol.  They also mark the supervisor as stopping so the
+     child's death is treated as the end, not a crash.  SIGHUP is
+     ignored, here and (inherited) in the child. *)
+  let forward signo =
     Sys.set_signal signo
       (Sys.Signal_handle
          (fun _ ->
-           if stop then stopping := true;
+           stopping := true;
            if !child_pid > 0 then
              try Unix.kill !child_pid signo with Unix.Unix_error _ -> ()))
   in
-  forward true Sys.sigterm;
-  forward true Sys.sigint;
-  forward false Sys.sighup;
+  forward Sys.sigterm;
+  forward Sys.sigint;
+  Sys.set_signal Sys.sighup Sys.Signal_ignore;
   let seed = Unix.getpid () in
   let rec loop ~restarts ~attempt =
     let launched = Unix.gettimeofday () in
@@ -76,7 +77,6 @@ let run ?(config = default)
            daemon's own handlers install cleanly over them *)
         Sys.set_signal Sys.sigterm Sys.Signal_default;
         Sys.set_signal Sys.sigint Sys.Signal_default;
-        Sys.set_signal Sys.sighup Sys.Signal_default;
         Unix._exit (child ~restarts ~sup_started)
     | pid -> (
         child_pid := pid;

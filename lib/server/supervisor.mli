@@ -14,9 +14,10 @@
     (socket already owned, bad path) and fails fast instead of
     restarting forever.  Everything else restarts: the backoff attempt
     climbs on rapid crash loops and resets after [s_reset_after]
-    seconds of stable uptime.  SIGTERM, SIGINT and SIGHUP received by
-    the supervisor are forwarded to the child (SIGHUP preserving the
-    hot-reload path through the supervisor's pid). *)
+    seconds of stable uptime.  SIGTERM and SIGINT received by the
+    supervisor are forwarded to the child, which drains; SIGHUP is
+    ignored by both, so a stray [kill -HUP] neither stops nor restarts
+    the daemon. *)
 
 type config = {
   s_policy : Astree_robust.Backoff.policy;

@@ -28,14 +28,13 @@ let gen_id () =
 (* ---- outcomes ----------------------------------------------------- *)
 
 type outcome =
-  [ `Ok | `Error | `Shed | `Dedup | `Breaker_open | `Shutting_down | `Timeout ]
+  [ `Ok | `Error | `Shed | `Dedup | `Shutting_down | `Timeout ]
 
 let outcome_string : outcome -> string = function
   | `Ok -> "ok"
   | `Error -> "error"
   | `Shed -> "shed"
   | `Dedup -> "dedup"
-  | `Breaker_open -> "breaker_open"
   | `Shutting_down -> "shutting_down"
   | `Timeout -> "timeout"
 

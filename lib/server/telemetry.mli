@@ -31,7 +31,12 @@ val gen_id : unit -> string
 (** {1 Lifecycle records} *)
 
 type outcome =
-  [ `Ok | `Error | `Shed | `Dedup | `Breaker_open | `Shutting_down | `Timeout ]
+  [ `Ok | `Error | `Shed | `Dedup | `Shutting_down | `Timeout ]
+(** How a request ended: served ([`Ok]), served by an identical
+    in-flight job it attached to ([`Dedup]), refused because the queue
+    was full ([`Shed]), refused because the daemon is draining
+    ([`Shutting_down]), canceled at its hard deadline ([`Timeout]), or
+    failed ([`Error], a worker crash included). *)
 
 val outcome_string : outcome -> string
 

@@ -81,14 +81,13 @@ let wait_for_daemon sock =
 let no_faults = [ (R.Faultsim.Worker_crash, 0.0) ]
 
 (* Fork a daemon on a private socket; [faults] are armed in the child
-   before it starts (inherited by its pool workers).  [base] is the
-   configuration the named parameters override, as [astreed --config]
-   builds it; [store] is its summary store directory ([--cache]) and
-   [tmpdir] the temporary directory its private store goes under
-   otherwise.  The body gets the socket path and the daemon pid (to
-   signal it); the daemon is SIGTERMed and reaped afterwards. *)
-let with_daemon_ex ?(base = Srv.Daemon.default) ?(workers = 2) ?(queue = 8) ?(grace = 10.)
-    ?faults ?(hang = 3600.) ?(seed = 42) ?config_file ?store ?tmpdir
+   before it starts (inherited by its pool workers).  [store] is its
+   summary store directory ([--cache]) and [tmpdir] the temporary
+   directory its private store goes under otherwise.  The body gets the
+   socket path and the daemon pid (to signal it); the daemon is
+   SIGTERMed and reaped afterwards. *)
+let with_daemon_ex ?(workers = 2) ?(queue = 8) ?(grace = 10.)
+    ?faults ?(hang = 3600.) ?(seed = 42) ?store ?tmpdir
     ?http_port ?access_log
     ?(sock = fresh_socket ()) (k : string -> int -> unit) : unit =
   let faults = Option.value ~default:no_faults faults in
@@ -104,12 +103,11 @@ let with_daemon_ex ?(base = Srv.Daemon.default) ?(workers = 2) ?(queue = 8) ?(gr
         try
           Srv.Daemon.run
             {
-              base with
+              Srv.Daemon.default with
               Srv.Daemon.d_socket = sock;
               d_workers = workers;
               d_queue_depth = queue;
               d_grace = grace;
-              d_config_file = config_file;
               d_cache_dir = store;
               d_http_port = http_port;
               d_access_log = access_log;
@@ -807,115 +805,76 @@ let test_dedup () =
       Alcotest.(check int) "both counted as served" 2
         (server_int "served" server))
 
-(* ---- circuit breaker --------------------------------------------- *)
+(* ---- closed clients --------------------------------------------- *)
 
-let test_circuit_breaker () =
-  (* every worker crashes: after three consecutive crashes on one
-     program its breaker opens and the fourth request is refused
-     without burning a worker; a different program is unaffected *)
-  with_daemon ~workers:1 ~faults:[ (R.Faultsim.Worker_crash, 1.0) ]
+let test_closed_client_dropped () =
+  (* the single worker hangs on client A's request; client B queues a
+     different program, then hangs up.  B's queued request must leave
+     the queue at once and never reach a worker. *)
+  with_daemon ~workers:1 ~hang:0.8
+    ~faults:[ (R.Faultsim.Worker_hang, 1.0) ]
     (fun sock ->
-      for i = 1 to 3 do
-        let r = ok_exn (Srv.Client.request sock (analyze_json [ ("t.c", prog_simple) ])) in
-        Alcotest.(check string)
-          (Printf.sprintf "crash %d is an error" i)
-          "error" r.Srv.Client.r_status;
-        Alcotest.(check bool)
-          (Printf.sprintf "crash %d names the crash" i)
-          true
-          (has_sub (Option.value ~default:"" r.Srv.Client.r_error) "crash")
-      done;
-      let r = ok_exn (Srv.Client.request sock (analyze_json [ ("t.c", prog_simple) ])) in
-      Alcotest.(check string) "breaker rejects cleanly" "error"
-        r.Srv.Client.r_status;
-      Alcotest.(check bool) "error names the breaker" true
-        (has_sub
-           (Option.value ~default:"" r.Srv.Client.r_error)
-           "circuit breaker");
-      (* another program has its own (closed) breaker *)
-      let r2 = ok_exn (Srv.Client.request sock (analyze_json [ ("a.c", prog_alarm) ])) in
-      Alcotest.(check bool) "other program not broken" true
-        (match r2.Srv.Client.r_error with
-        | Some m -> not (has_sub m "circuit breaker")
-        | None -> false);
+      let fd_a = Option.get (Srv.Client.try_connect sock) in
+      Fun.protect
+        ~finally:(fun () -> Srv.Client.close fd_a)
+        (fun () ->
+          send_analyze ~id:1 fd_a;
+          Unix.sleepf 0.2;
+          let fd_b = Option.get (Srv.Client.try_connect sock) in
+          send_analyze ~id:2 ~sources:[ ("a.c", prog_alarm) ] fd_b;
+          Unix.sleepf 0.1;
+          Alcotest.(check int) "B's request queued" 1
+            (server_int "queued" (server_status sock));
+          Srv.Client.close fd_b;
+          Unix.sleepf 0.1;
+          Alcotest.(check int) "closing B empties the queue" 0
+            (server_int "queued" (server_status sock));
+          let r =
+            Srv.Client.decode
+              (ok_exn (Srv.Client.read_reply (Srv.Client.reader fd_a)))
+          in
+          Alcotest.(check string) "A served" "ok" r.Srv.Client.r_status);
+      (* A's completion frees the worker; nothing is left to dispatch *)
       let server = server_status sock in
-      Alcotest.(check int) "one breaker open" 1
-        (server_int "breaker_open" server);
-      Alcotest.(check int) "one breaker reject" 1
-        (server_int "breaker_rejects" server))
+      Alcotest.(check int) "no job started for B" 0
+        (server_int "inflight" server);
+      Alcotest.(check int) "served counts only A" 1
+        (server_int "served" server))
 
-(* ---- SIGHUP hot reload ------------------------------------------- *)
+(* ---- SIGHUP ------------------------------------------------------ *)
 
-let test_sighup_reload () =
-  let cfg_file = Filename.temp_file "astreed-conf" ".json" in
-  let write s =
-    let oc = open_out cfg_file in
-    output_string oc s;
-    close_out oc
-  in
-  write "{\"queue_depth\": 8}";
-  Fun.protect
-    ~finally:(fun () -> Sys.remove cfg_file)
-    (fun () ->
-      with_daemon_ex ~workers:1 ~hang:0.8
-        ~faults:[ (R.Faultsim.Worker_hang, 1.0) ]
-        ~config_file:cfg_file
-        (fun sock pid ->
-          let fd = Option.get (Srv.Client.try_connect sock) in
-          Fun.protect
-            ~finally:(fun () -> Srv.Client.close fd)
-            (fun () ->
-              (* an in-flight request rides across the reload *)
-              send_analyze ~id:1 fd;
-              Unix.sleepf 0.2;
-              write "{\"queue_depth\": 5, \"grace\": 3}";
-              Unix.kill pid Sys.sighup;
-              let rec wait n =
-                if n = 0 then
-                  Alcotest.fail "config generation never bumped"
-                else
-                  let server = server_status sock in
-                  if server_int "config_generation" server = 1 then server
-                  else begin
-                    Unix.sleepf 0.1;
-                    wait (n - 1)
-                  end
-              in
-              let server = wait 50 in
-              Alcotest.(check int) "queue depth swapped" 5
-                (server_int "queue_depth" server);
-              let r =
-                Srv.Client.decode
-                  (ok_exn (Srv.Client.read_reply (Srv.Client.reader fd)))
-              in
-              Alcotest.(check string) "in-flight request survived reload"
-                "ok" r.Srv.Client.r_status)))
+let test_sighup_ignored () =
+  (* nothing is reloadable: a SIGHUP during a hung in-flight request
+     neither kills nor drains the daemon *)
+  with_daemon_ex ~workers:1 ~hang:0.8
+    ~faults:[ (R.Faultsim.Worker_hang, 1.0) ]
+    (fun sock pid ->
+      let fd = Option.get (Srv.Client.try_connect sock) in
+      Fun.protect
+        ~finally:(fun () -> Srv.Client.close fd)
+        (fun () ->
+          send_analyze ~id:1 fd;
+          Unix.sleepf 0.2;
+          Unix.kill pid Sys.sighup;
+          let r =
+            Srv.Client.decode
+              (ok_exn (Srv.Client.read_reply (Srv.Client.reader fd)))
+          in
+          Alcotest.(check string) "in-flight request served" "ok"
+            r.Srv.Client.r_status);
+      let server = server_status sock in
+      Alcotest.(check int) "status answers from the same daemon" pid
+        (server_int "pid" server);
+      Alcotest.(check bool) "not draining" false
+        (Option.value ~default:true
+           (Srv.Json.to_bool (Srv.Json.member "draining" server))))
 
-(* ---- removed configuration keys ---------------------------------- *)
+(* ---- removed request keys ---------------------------------------- *)
 
-(* Configs and requests written for older daemons may still carry a
-   "backend" key, and configs a "jobs" or "checkpoint_period" key.  The
-   --config overlay ignores them, and the wire options ignore
-   "backend": the daemon
-   starts, answers ok, and renders the same report as for the request
-   without the key. *)
+(* Requests written for older daemons may still carry a "backend"
+   option.  The wire options ignore it: the daemon answers ok and
+   renders the same report as for the request without the key. *)
 let test_backend_key_ignored () =
-  let cfg_file = Filename.temp_file "astreed-conf" ".json" in
-  let oc = open_out cfg_file in
-  output_string oc
-    "{\"backend\": \"domains\", \"jobs\": 4, \"checkpoint_period\": 0, \
-     \"queue_depth\": 6}";
-  close_out oc;
-  let base =
-    Fun.protect
-      ~finally:(fun () -> Sys.remove cfg_file)
-      (fun () ->
-        match Srv.Daemon.load_config_file Srv.Daemon.default cfg_file with
-        | Ok cfg -> cfg
-        | Error e -> Alcotest.failf "overlay with removed keys refused: %s" e)
-  in
-  Alcotest.(check int) "other overlay keys still apply" 6
-    base.Srv.Daemon.d_queue_depth;
   let sources = [ ("calls.c", prog_calls) ] in
   let with_backend =
     match analyze_json sources with
@@ -930,7 +889,7 @@ let test_backend_key_ignored () =
              fields)
     | _ -> Alcotest.fail "analyze request is not an object"
   in
-  with_daemon_ex ~base (fun sock _pid ->
+  with_daemon (fun sock ->
       let report req =
         let r = ok_exn (Srv.Client.request sock req) in
         Alcotest.(check string) "ok reply" "ok" r.Srv.Client.r_status;
@@ -1267,12 +1226,18 @@ let wait_for_revival sock =
   go 100
 
 let test_supervisor_restart () =
-  with_supervised (fun sock _sup_pid ->
+  with_supervised (fun sock sup_pid ->
       let server = server_status sock in
       let pid1 = server_int "pid" server in
       Alcotest.(check bool) "reports supervised" true
         (Option.value ~default:false
            (Srv.Json.to_bool (Srv.Json.member "supervised" server)));
+      (* the supervisor ignores SIGHUP and does not pass it on *)
+      Unix.kill sup_pid Sys.sighup;
+      Unix.sleepf 0.1;
+      let server = server_status sock in
+      Alcotest.(check int) "SIGHUP leaves the daemon be" pid1
+        (server_int "pid" server);
       Alcotest.(check int) "no restarts yet" 0 (server_int "restarts" server);
       let sources = [ ("cascade.c", prog_cascade) ] in
       let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
@@ -1532,16 +1497,16 @@ let test_http_endpoints () =
             (Srv.Json.to_num (Srv.Json.member "uptime_s" j) <> None);
           Alcotest.(check bool) "status counts the store's entries" true
             (Srv.Json.to_int (Srv.Json.member "store_entries" j) <> None);
-          Alcotest.(check bool) "status summarizes breakers" true
-            (Srv.Json.member "breakers" j <> Srv.Json.Null);
+          Alcotest.(check bool) "status counts dedup hits" true
+            (Srv.Json.to_int (Srv.Json.member "dedup_hits" j) <> None);
           Alcotest.(check bool) "status carries latency quantiles" true
             (Srv.Json.member "latency" j <> Srv.Json.Null));
       let code, _ = http_get_retry port "/nothing-here" in
       Alcotest.(check int) "unknown path 404" 404 code;
       (* the socket protocol's status verb reports the same enrichment *)
       let server = server_status sock in
-      Alcotest.(check bool) "verb status has breakers too" true
-        (Srv.Json.member "breakers" server <> Srv.Json.Null))
+      Alcotest.(check bool) "verb status has latency too" true
+        (Srv.Json.member "latency" server <> Srv.Json.Null))
 
 let test_readyz_drain () =
   (* a hung worker keeps one request in flight; SIGTERM starts the
@@ -1653,9 +1618,10 @@ let suite =
     Alcotest.test_case "client retries through dropped connections" `Slow
       test_request_retry_conn_drop;
     Alcotest.test_case "identical in-flight requests dedup" `Slow test_dedup;
-    Alcotest.test_case "circuit breaker opens per program" `Quick
-      test_circuit_breaker;
-    Alcotest.test_case "SIGHUP hot-reloads config" `Slow test_sighup_reload;
+    Alcotest.test_case "closed client's queued work dropped" `Quick
+      test_closed_client_dropped;
+    Alcotest.test_case "SIGHUP leaves the daemon serving" `Slow
+      test_sighup_ignored;
     Alcotest.test_case "checkpoint recovers warm state" `Slow
       test_checkpoint_recovery;
     Alcotest.test_case "torn checkpoint degrades to cold" `Slow
