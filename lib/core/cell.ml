@@ -82,35 +82,67 @@ let cells_of_var ~(structs : (string * F.Ctypes.struct_def) list)
 (* ------------------------------------------------------------------ *)
 
 (** Cells are interned to dense integer ids so that environments can be
-    Patricia trees (Sect. 6.1.2). *)
+    Patricia trees (Sect. 6.1.2).  A scalar variable's cell ([path = []],
+    by far the most frequent lookup) is found by indexing an array with
+    the root variable id; field and element cells, and variables whose
+    id lies beyond the array, go through the [(root id, path)] table. *)
 type interner = {
+  scalars : int array;  (** root var id -> id of its [path = []] cell, or -1 *)
   tbl : (int * step list, int) Hashtbl.t;  (** (root id, path) -> cell id *)
   mutable rev : t array;                   (** cell id -> cell *)
   mutable next : int;
 }
 
-let make_interner () = { tbl = Hashtbl.create 1024; rev = [||]; next = 0 }
+let make_interner ~(vars : int) : interner =
+  {
+    scalars = Array.make (max 0 vars) (-1);
+    tbl = Hashtbl.create 1024;
+    rev = [||];
+    next = 0;
+  }
+
+let fresh (it : interner) (c : t) : int =
+  let id = it.next in
+  it.next <- id + 1;
+  if id >= Array.length it.rev then begin
+    let n = max 64 (2 * Array.length it.rev) in
+    let a = Array.make n c in
+    Array.blit it.rev 0 a 0 (Array.length it.rev);
+    it.rev <- a
+  end;
+  it.rev.(id) <- c;
+  id
+
+let in_scalars (it : interner) (root_id : int) =
+  root_id >= 0 && root_id < Array.length it.scalars
 
 let intern (it : interner) (c : t) : int =
-  let key = (c.root.F.Tast.v_id, c.path) in
-  match Hashtbl.find_opt it.tbl key with
-  | Some id -> id
-  | None ->
-      let id = it.next in
-      it.next <- id + 1;
-      Hashtbl.replace it.tbl key id;
-      if id >= Array.length it.rev then begin
-        let n = max 64 (2 * Array.length it.rev) in
-        let a = Array.make n c in
-        Array.blit it.rev 0 a 0 (Array.length it.rev);
-        it.rev <- a
-      end;
-      it.rev.(id) <- c;
-      id
+  let root_id = c.root.F.Tast.v_id in
+  match c.path with
+  | [] when in_scalars it root_id ->
+      let id = Array.unsafe_get it.scalars root_id in
+      if id >= 0 then id
+      else begin
+        let id = fresh it c in
+        it.scalars.(root_id) <- id;
+        id
+      end
+  | path -> (
+      let key = (root_id, path) in
+      match Hashtbl.find_opt it.tbl key with
+      | Some id -> id
+      | None ->
+          let id = fresh it c in
+          Hashtbl.replace it.tbl key id;
+          id)
 
 let of_id (it : interner) (id : int) : t = it.rev.(id)
 
 let find (it : interner) (root_id : int) (path : step list) : int option =
-  Hashtbl.find_opt it.tbl (root_id, path)
+  match path with
+  | [] when in_scalars it root_id ->
+      let id = Array.unsafe_get it.scalars root_id in
+      if id >= 0 then Some id else None
+  | _ -> Hashtbl.find_opt it.tbl (root_id, path)
 
 let count (it : interner) : int = it.next

@@ -31,11 +31,14 @@ val cells_of_var :
 (** {1 Interning}
 
     Cells are interned to dense integer ids so that environments can be
-    Patricia trees (Sect. 6.1.2). *)
+    Patricia trees (Sect. 6.1.2).  Scalar variable cells are looked up
+    in an array indexed by variable id, every other cell in a table. *)
 
 type interner
 
-val make_interner : unit -> interner
+(** An empty interner whose scalar-cell array covers variable ids
+    [0 .. vars - 1]; larger ids still intern, through the table. *)
+val make_interner : vars:int -> interner
 val intern : interner -> t -> int
 val of_id : interner -> int -> t
 

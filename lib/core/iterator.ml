@@ -472,7 +472,7 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
 and exec_call (a : Transfer.actx) ~(stack : string list)
     (binds : Transfer.binds) (sts : Astate.t list) (dst : var option)
     (fname : string) (args : arg list) : outcome =
-  match find_fun a.Transfer.prog fname with
+  match Hashtbl.find_opt a.Transfer.funs fname with
   | None ->
       raise (Analysis_error (Fmt.str "call to unknown function %s" fname))
   | Some fd ->
@@ -576,7 +576,7 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list)
     checking mode (loops internally recompute their invariants in
     iteration mode first, Sect. 5.4). *)
 let run (a : Transfer.actx) : Astate.t =
-  match find_fun a.Transfer.prog a.Transfer.prog.p_main with
+  match Hashtbl.find_opt a.Transfer.funs a.Transfer.prog.p_main with
   | None ->
       raise
         (Analysis_error

@@ -158,6 +158,9 @@ and session = {
 (** Analysis context shared by all transfer functions. *)
 and actx = {
   prog : program;
+  funs : (string, fundef) Hashtbl.t;
+      (** [prog]'s functions by name; the first definition wins, as in
+          [F.Tast.find_fun] *)
   cfg : Config.t;
   session : session;  (** hooks and cross-cutting per-run state *)
   packs : Packing.t;
@@ -186,12 +189,18 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     (fun (spec : input_spec) ->
       Hashtbl.replace input_specs spec.in_var.v_id (spec.in_lo, spec.in_hi))
     p.p_inputs;
+  let funs = Hashtbl.create 64 in
+  List.iter
+    (fun (name, fd) ->
+      if not (Hashtbl.mem funs name) then Hashtbl.replace funs name fd)
+    p.p_funs;
   {
     prog = p;
+    funs;
     cfg;
     session = (match session with Some s -> s | None -> new_session ());
     packs;
-    intern = Cell.make_interner ();
+    intern = Cell.make_interner ~vars:(F.Tast.var_id_bound p);
     alarms = Alarm.make_collector ();
     oct_useful = Hashtbl.create 16;
     invariants = Hashtbl.create 16;

@@ -138,6 +138,8 @@ and session = {
 (** Analysis context shared by all transfer functions. *)
 and actx = {
   prog : F.Tast.program;
+  funs : (string, F.Tast.fundef) Hashtbl.t;
+      (** [prog]'s functions by name, first definition first *)
   cfg : Config.t;
   session : session;
   packs : Packing.t;

@@ -84,7 +84,51 @@ let mem_var o (v : F.Tast.var) = Hashtbl.mem o.index v.F.Tast.v_id
 (* Strong closure                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let add_up = Float_utils.add_up
+(* The closure kernels below touch every matrix cell, so their rounding
+   helpers are copies of [Float_utils.fsucc] and [Float_utils.add_up]
+   kept inside this module: [@inline] then compiles them into the loops
+   with unboxed floats even under [-opaque], where a call into another
+   module boxes its float result.  A property test pins these copies
+   bit for bit against [Float_utils]. *)
+
+let[@inline] fsucc (x : float) : float =
+  if Float.is_nan x then x
+  else if x = Float.infinity then x
+  else if x = 0.0 then Float.min_float *. epsilon_float
+  else
+    let bits = Int64.bits_of_float x in
+    if x > 0.0 then Int64.float_of_bits (Int64.add bits 1L)
+    else Int64.float_of_bits (Int64.sub bits 1L)
+
+let[@inline] add_up (a : float) (b : float) : float =
+  let r = a +. b in
+  if Float.is_nan r then r
+  else if r = Float.infinity then r
+  else if r = Float.neg_infinity then
+    if Float.abs a < Float.infinity && Float.abs b < Float.infinity then
+      -.max_float
+    else r
+  else
+    let e = (a -. (r -. b)) +. (b -. (r -. a)) in
+    if Float.is_nan e then fsucc r else if e > 0.0 then fsucc r else r
+
+(* One relaxation m[idx] <- min(m[idx], c), where c is [add_up a b], or
+   [round_up (add_up a b /. 2)] when [half] (strengthening; [round_up]
+   is [fsucc]).  The round-to-nearest value [a +. b] (halved) is tested
+   first, and the directed rounding is computed only when it beats the
+   current entry.  This cannot change a result: [a +. b <= add_up a b],
+   halving is monotone and [fsucc x >= x], so c is never below the
+   tested value and a rejected candidate could never have won.  NaN
+   fails both tests alike; an overflow to -inf passes the first and
+   meets the exact test. *)
+let[@inline] relax (m : float array) (idx : int) ~half (a : float) (b : float)
+    : unit =
+  let cur = Array.unsafe_get m idx in
+  let near = if half then (a +. b) /. 2.0 else a +. b in
+  if near < cur then begin
+    let c = if half then fsucc (add_up a b /. 2.0) else add_up a b in
+    if c < cur then Array.unsafe_set m idx c
+  end
 
 (* One Floyd-Warshall pivot: m[i][j] <- min(m[i][j], m[i][k] + m[k][j]).
    All indices are in range by construction, hence the unsafe accesses. *)
@@ -95,9 +139,7 @@ let fw_pivot (m : float array) (n2 : int) (k : int) : unit =
     let mik = Array.unsafe_get m (irow + k) in
     if mik < Float.infinity then
       for j = 0 to n2 - 1 do
-        let via = add_up mik (Array.unsafe_get m (krow + j)) in
-        if via < Array.unsafe_get m (irow + j) then
-          Array.unsafe_set m (irow + j) via
+        relax m (irow + j) ~half:false mik (Array.unsafe_get m (krow + j))
       done
   done
 
@@ -107,15 +149,9 @@ let strengthen_pass (m : float array) (n2 : int) : unit =
   for i = 0 to n2 - 1 do
     let irow = i * n2 in
     for j = 0 to n2 - 1 do
-      let s =
-        add_up
-          (Array.unsafe_get m (irow + (i lxor 1)))
-          (Array.unsafe_get m (((j lxor 1) * n2) + j))
-        /. 2.0
-      in
-      let s = Float_utils.round_up s in
-      if s < Array.unsafe_get m (irow + j) then
-        Array.unsafe_set m (irow + j) s
+      relax m (irow + j) ~half:true
+        (Array.unsafe_get m (irow + (i lxor 1)))
+        (Array.unsafe_get m (((j lxor 1) * n2) + j))
     done
   done
 
@@ -183,17 +219,14 @@ let close_incremental_set (o : t) (dirty : int) : unit =
             let mpk = Array.unsafe_get m (prow + k) in
             if mpk < Float.infinity then
               for j = 0 to n2 - 1 do
-                let via = add_up mpk (Array.unsafe_get m (krow + j)) in
-                if via < Array.unsafe_get m (prow + j) then
-                  Array.unsafe_set m (prow + j) via
+                relax m (prow + j) ~half:false mpk (Array.unsafe_get m (krow + j))
               done;
             (* column: m[i][p] <- min(m[i][p], m[i][k] + m[k][p]) *)
             let mkp = Array.unsafe_get m (krow + p) in
             if mkp < Float.infinity then
               for i = 0 to n2 - 1 do
-                let via = add_up (Array.unsafe_get m ((i * n2) + k)) mkp in
-                if via < Array.unsafe_get m ((i * n2) + p) then
-                  Array.unsafe_set m ((i * n2) + p) via
+                relax m ((i * n2) + p) ~half:false
+                  (Array.unsafe_get m ((i * n2) + k)) mkp
               done
           end
         done

@@ -209,6 +209,24 @@ let rec iter_stmts (f : stmt -> unit) (b : block) : unit =
       | _ -> ())
     b
 
+(** One more than the largest id among the variables the program
+    declares: globals, parameters, locals and call destinations. *)
+let var_id_bound (p : program) : int =
+  let bound = ref 0 in
+  let see v = if v.v_id >= !bound then bound := v.v_id + 1 in
+  List.iter (fun (v, _) -> see v) p.p_globals;
+  List.iter
+    (fun (_, fd) ->
+      List.iter (function Pval v | Pref v -> see v) fd.fd_params;
+      iter_stmts
+        (fun s ->
+          match s.sdesc with
+          | Slocal (v, _) | Scall (Some v, _, _) -> see v
+          | _ -> ())
+        fd.fd_body)
+    p.p_funs;
+  !bound
+
 (** Constant integer view of an expression, if syntactically constant. *)
 let rec as_const_int (e : expr) : int option =
   match e.edesc with

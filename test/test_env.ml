@@ -99,10 +99,56 @@ let test_set_find_remove () =
   let e = C.Env.remove e 42 in
   Alcotest.(check bool) "removed" true (C.Env.find e 42 = None)
 
+(* The interner finds a scalar variable's cell through its array and
+   every other cell through its table; both must hand out the same ids
+   whatever the interning order, and ids past the array still work. *)
+let test_interner_lookup () =
+  let module F = Astree_frontend in
+  let var id ty =
+    {
+      F.Tast.v_id = id;
+      v_name = Fmt.str "v%d" id;
+      v_orig = Fmt.str "v%d" id;
+      v_ty = ty;
+      v_kind = F.Tast.Kglobal;
+      v_volatile = false;
+      v_loc = F.Loc.dummy;
+    }
+  in
+  let int_s = F.Ctypes.Tint (F.Ctypes.Int, F.Ctypes.Signed) in
+  let cell root path = { C.Cell.root; path; cty = int_s; weak = false } in
+  let x = var 3 F.Ctypes.t_int and s = var 5 F.Ctypes.t_int
+  and far = var 40 F.Ctypes.t_int in
+  let it = C.Cell.make_interner ~vars:8 in
+  let field = cell s [ C.Cell.Sfield "a" ] in
+  let elem = cell s [ C.Cell.Selem 2 ] in
+  let id_x = C.Cell.intern it (cell x []) in
+  let id_field = C.Cell.intern it field in
+  let id_elem = C.Cell.intern it elem in
+  let id_far = C.Cell.intern it (cell far []) in
+  let id_s = C.Cell.intern it (cell s []) in
+  let check = Alcotest.(check (option int)) in
+  Alcotest.(check int) "x again" id_x (C.Cell.intern it (cell x []));
+  Alcotest.(check int) "field again" id_field (C.Cell.intern it field);
+  Alcotest.(check int) "far again" id_far (C.Cell.intern it (cell far []));
+  check "find x" (Some id_x) (C.Cell.find it 3 []);
+  check "find s" (Some id_s) (C.Cell.find it 5 []);
+  check "find field" (Some id_field) (C.Cell.find it 5 [ C.Cell.Sfield "a" ]);
+  check "find elem" (Some id_elem) (C.Cell.find it 5 [ C.Cell.Selem 2 ]);
+  check "find far" (Some id_far) (C.Cell.find it 40 []);
+  check "absent scalar" None (C.Cell.find it 4 []);
+  check "absent field" None (C.Cell.find it 3 [ C.Cell.Sfield "a" ]);
+  Alcotest.(check (list int)) "dense ids in order" [ 0; 1; 2; 3; 4 ]
+    [ id_x; id_field; id_elem; id_far; id_s ];
+  Alcotest.(check int) "count" 5 (C.Cell.count it);
+  Alcotest.(check bool) "of_id" true
+    (C.Cell.equal (C.Cell.of_id it id_field) field)
+
 let suite =
   [
     Alcotest.test_case "map_all / tick" `Quick test_map_all_tick;
     Alcotest.test_case "set/find/remove" `Quick test_set_find_remove;
+    Alcotest.test_case "interner lookups" `Quick test_interner_lookup;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -397,6 +397,40 @@ int main(void) {
 }
 |}
 
+(* Calls resolve through the context's function table: an undefined
+   callee and recursion are still rejected, and when a name is bound
+   twice the first definition is the one analyzed. *)
+let test_call_resolution () =
+  let compile src = fst (C.Analysis.compile [ ("calls.c", src) ]) in
+  let analyze p = C.Analysis.n_alarms (C.Analysis.analyze p) in
+  let error p =
+    match analyze p with
+    | _ -> Alcotest.fail "analysis accepted the program"
+    | exception C.Iterator.Analysis_error msg -> msg
+  in
+  let p =
+    compile
+      "int g(void) { return 1; }\n\
+       int main(void) { int r; r = g(); __astree_assert(r == 1); return 0; }"
+  in
+  let funs = p.F.Tast.p_funs in
+  Alcotest.(check int) "clean" 0 (analyze p);
+  Alcotest.(check string) "unknown callee" "call to unknown function g"
+    (error { p with F.Tast.p_funs = List.remove_assoc "g" funs });
+  (* a second, body-less [g] returns no value: analyzing it instead of
+     the first would leave [r] at its type range and alarm *)
+  let g = List.assoc "g" funs in
+  let shadowed = funs @ [ ("g", { g with F.Tast.fd_body = [] }) ] in
+  Alcotest.(check int) "first definition wins" 0
+    (analyze { p with F.Tast.p_funs = shadowed });
+  let rec_p =
+    compile
+      "int f(int n) { if (n > 0) { return f(n - 1); } return 0; }\n\
+       int main(void) { int r; r = f(3); return r; }"
+  in
+  Alcotest.(check string) "recursion"
+    "recursion detected through f (not in the subset)" (error rec_p)
+
 let suite =
   [
     Alcotest.test_case "break" `Quick test_break;
@@ -415,4 +449,5 @@ let suite =
     Alcotest.test_case "loop exit refinement" `Quick test_loop_guard_exit_refinement;
     Alcotest.test_case "per-loop unroll override" `Quick test_unroll_override;
     Alcotest.test_case "checking pass covers loop bodies" `Quick test_checking_mode_covers_loop_body;
+    Alcotest.test_case "call resolution" `Quick test_call_resolution;
   ]

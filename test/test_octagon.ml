@@ -276,6 +276,163 @@ let prop_incremental_equiv =
       O.is_bot a = O.is_bot b
       && (O.is_bot a || (a.O.m = b.O.m && a.O.closure = O.Closed)))
 
+(* Reference closures: the kernels as plain loops over
+   [Float_utils.add_up] and [Float_utils.round_up], with no
+   round-to-nearest pre-test.  [O.close] and [O.close_incremental] must
+   reproduce them bit for bit on any matrix, closed or not, which pins
+   both the octagon module's private rounding copies and its pre-test. *)
+module Ref = struct
+  let add_up = D.Float_utils.add_up
+
+  let pivot m n2 k =
+    for i = 0 to n2 - 1 do
+      let mik = m.((i * n2) + k) in
+      if mik < Float.infinity then
+        for j = 0 to n2 - 1 do
+          let via = add_up mik m.((k * n2) + j) in
+          if via < m.((i * n2) + j) then m.((i * n2) + j) <- via
+        done
+    done
+
+  let strengthen m n2 =
+    for i = 0 to n2 - 1 do
+      for j = 0 to n2 - 1 do
+        let s =
+          D.Float_utils.round_up
+            (add_up m.((i * n2) + (i lxor 1)) m.(((j lxor 1) * n2) + j) /. 2.0)
+        in
+        if s < m.((i * n2) + j) then m.((i * n2) + j) <- s
+      done
+    done
+
+  (* returns the bottom verdict *)
+  let check_empty m n2 =
+    let empty = ref false in
+    for i = 0 to n2 - 1 do
+      if m.((i * n2) + i) < 0.0 then empty := true else m.((i * n2) + i) <- 0.0
+    done;
+    !empty
+
+  let close m n2 =
+    for v = 0 to (n2 / 2) - 1 do
+      pivot m n2 (2 * v);
+      pivot m n2 ((2 * v) + 1);
+      strengthen m n2
+    done;
+    check_empty m n2
+
+  let close_set m n2 dirty =
+    let dirty_var v = dirty land (1 lsl v) <> 0 in
+    for v = 0 to (n2 / 2) - 1 do
+      if dirty_var v then
+        for p = 2 * v to (2 * v) + 1 do
+          for k = 0 to n2 - 1 do
+            if k <> p then begin
+              let mpk = m.((p * n2) + k) in
+              if mpk < Float.infinity then
+                for j = 0 to n2 - 1 do
+                  let via = add_up mpk m.((k * n2) + j) in
+                  if via < m.((p * n2) + j) then m.((p * n2) + j) <- via
+                done;
+              let mkp = m.((k * n2) + p) in
+              if mkp < Float.infinity then
+                for i = 0 to n2 - 1 do
+                  let via = add_up m.((i * n2) + k) mkp in
+                  if via < m.((i * n2) + p) then m.((i * n2) + p) <- via
+                done
+            end
+          done
+        done
+    done;
+    for v = 0 to (n2 / 2) - 1 do
+      if dirty_var v then begin
+        pivot m n2 (2 * v);
+        pivot m n2 ((2 * v) + 1)
+      end
+    done;
+    strengthen m n2;
+    check_empty m n2
+end
+
+(* Matrix entries that make the rounding matter: non-dyadic ratios,
+   signed zeros, infinities, subnormals, values near +-max_float (two of
+   which overflow to -inf and round to -max_float), arbitrary doubles. *)
+let gen_entry =
+  let tiny = Float.min_float *. epsilon_float in
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map
+            (fun (a, b) -> float_of_int a /. float_of_int b)
+            (pair (int_range (-2000) 2000) (int_range 1 97)) );
+        (3, return Float.infinity);
+        ( 2,
+          oneofl
+            [
+              0.0; -0.0; Float.neg_infinity; tiny; -.tiny; Float.min_float;
+              Float.min_float /. 3.0; -.Float.min_float /. 7.0; max_float;
+              -.max_float; max_float /. 1.5; -.max_float /. 1.5;
+              Float.pred max_float; -.Float.pred max_float;
+            ] );
+        (1, map (fun k -> float_of_int k *. tiny) (int_range (-1000) 1000));
+        (1, map (fun x -> x *. 1e307) (float_range (-17.9) 17.9));
+        (1, float);
+      ])
+
+(* A random matrix over 1..6 variables, mostly zero on the diagonal, and
+   a nonempty dirty set. *)
+let gen_dbm =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n ->
+    let n2 = 2 * n in
+    array_repeat (n2 * n2) gen_entry >>= fun m ->
+    array_repeat n2 (int_bound 3) >>= fun diag ->
+    int_range 1 ((1 lsl n) - 1) >>= fun dirty ->
+    Array.iteri (fun i z -> if z > 0 then m.((i * n2) + i) <- 0.0) diag;
+    return (n, m, dirty))
+
+let print_dbm (n, m, dirty) =
+  Printf.sprintf "n=%d dirty=%#x [%s]" n dirty
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") m)))
+
+let bits_equal a b =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    a b
+
+let popcount s =
+  let rec go acc s = if s = 0 then acc else go (acc + (s land 1)) (s lsr 1) in
+  go 0 s
+
+let prop_kernels_bitwise =
+  QCheck.Test.make ~count:1000
+    ~name:"kernels match reference bitwise"
+    (QCheck.make ~print:print_dbm gen_dbm)
+    (fun (n, m, dirty) ->
+      let pack = Array.init n (fun i -> mkvar (Printf.sprintf "b%d" i)) in
+      let n2 = 2 * n in
+      let load closure =
+        let o = O.top pack in
+        Array.blit m 0 o.O.m 0 (n2 * n2);
+        o.O.closure <- closure;
+        o
+      in
+      let full = load O.Unclosed and incr = load (O.Dirty dirty) in
+      O.close full;
+      O.close_incremental incr;
+      let rfull = Array.copy m and rincr = Array.copy m in
+      let rfull_bot = Ref.close rfull n2 in
+      (* close_incremental falls back to the full pass on large sets *)
+      let rincr_bot =
+        if 2 * popcount dirty >= n then Ref.close rincr n2
+        else Ref.close_set rincr n2 dirty
+      in
+      bits_equal full.O.m rfull
+      && O.is_bot full = rfull_bot
+      && bits_equal incr.O.m rincr
+      && O.is_bot incr = rincr_bot)
+
 (* Deterministic instance pinning the genuinely incremental path (one
    dirty variable out of four, below the full-closure fallback
    threshold). *)
@@ -371,4 +528,5 @@ let suite =
   @ [
       QCheck_alcotest.to_alcotest prop_closure_sound;
       QCheck_alcotest.to_alcotest prop_incremental_equiv;
+      QCheck_alcotest.to_alcotest prop_kernels_bitwise;
     ]
