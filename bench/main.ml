@@ -697,9 +697,9 @@ let e12 ~quick () =
   section
     "E12: octagon hot path - flat DBMs, closure-state tracking and\n\
      incremental strong closure\n\
-     claims checked: >= 2x total-analysis speedup on an octagon-heavy\n\
-     workload vs the pre-overhaul cost model (every closure request\n\
-     re-runs the full cubic pass), with identical alarms; -j 4 and\n\
+     measured: total-analysis speedup on an octagon-heavy workload vs\n\
+     the pre-overhaul cost model (every closure request re-runs the\n\
+     full cubic pass); claims checked: identical alarms; -j 4 and\n\
      cache cold/warm fingerprints identical to the -j 1 baseline";
   (* deep relational workload: per stage function, a cascade of
      rate-limited first-order lags.  Every tap is linearly coupled to
@@ -751,8 +751,8 @@ let e12 ~quick () =
     "1.00x" ff fi fs;
   Fmt.pr "%-22s %10.2f %8.2fx   %d / %d / %d@." "incremental" t_incr speedup
     nf ni ns;
-  Fmt.pr "identical alarms: %b   >= 2x faster: %b@." alarms_same
-    (speedup >= 2.0);
+  Fmt.pr "identical alarms: %b   incremental speedup: %.2fx@." alarms_same
+    speedup;
   (* determinism matrix: -j 4 and cache cold/warm must reproduce the
      -j 1 cache-off fingerprint bit for bit *)
   let f1 = P.Merge.fingerprint r_incr in
@@ -786,7 +786,7 @@ let e12 ~quick () =
     (Printf.sprintf
        "{\"quick\": %b, \"lines\": %d, \"octagon_packs\": %d, \
         \"alarms\": %d, \"t_full_close\": %.6f, \"t_incremental\": %.6f, \
-        \"speedup\": %.3f, \"speedup_ge_2x\": %b, \
+        \"speedup\": %.3f, \
         \"alarms_identical\": %b, \"j4_identical\": %b, \
         \"cache_cold_identical\": %b, \"cache_warm_identical\": %b, \
         \"closures_full\": %d, \"closures_incremental\": %d, \
@@ -794,7 +794,7 @@ let e12 ~quick () =
        quick n_lines
        r_incr.C.Analysis.r_stats.C.Analysis.s_oct_packs
        (C.Analysis.n_alarms r_incr)
-       t_full t_incr speedup (speedup >= 2.0) alarms_same j4_same cold_same
+       t_full t_incr speedup alarms_same j4_same cold_same
        warm_same nf ni ns)
 
 (* ------------------------------------------------------------------ *)

@@ -131,8 +131,15 @@ let capture (c : collector) : capture =
   c.alarms <- Hashtbl.create 16;
   saved
 
-let release (c : collector) (saved : capture) : t list =
+(** [drop] ends a capture section without absorbing: the saved table
+    is put back and the alarms recorded meanwhile are returned, set
+    aside for the caller to {!absorb} later or to ignore. *)
+let drop (c : collector) (saved : capture) : t list =
   let fresh = to_list c in
   c.alarms <- saved;
+  fresh
+
+let release (c : collector) (saved : capture) : t list =
+  let fresh = drop c saved in
   absorb c fresh;
   fresh

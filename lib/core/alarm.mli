@@ -84,3 +84,7 @@ type capture
 
 val capture : collector -> capture
 val release : collector -> capture -> t list
+
+(** Like {!release}, but the diverted alarms are only returned, not
+    absorbed: the caller {!absorb}s them later or drops them. *)
+val drop : collector -> capture -> t list

@@ -23,6 +23,8 @@ exception Analysis_error of string
    bumping one is a single field increment). *)
 let c_calls_inlined = Metrics.counter "iter.calls_inlined"
 let c_loops = Metrics.counter "iter.loops"
+let c_body_passes = Metrics.counter "iter.body_passes"
+let c_passes_reused = Metrics.counter "iter.passes_reused"
 let h_loop_iters = Metrics.histogram "loop.iters"
 
 (* Same entry as the one bumped inside Itv.widen: read around a loop's
@@ -139,6 +141,20 @@ let tick (a : Transfer.actx) =
 (* ------------------------------------------------------------------ *)
 (* Statements                                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* One loop-body pass as [exec_while] keeps it for reuse: its physical
+   input, the state after the body (normal and [continue] flows joined,
+   so [o_norm]/[o_cont] are not kept), the flows that leave the loop,
+   and, for a pass run in checking mode inside an alarm capture, the
+   alarms it raised, set aside. *)
+type pass = {
+  p_in : Astate.t;
+  p_after : Astate.t;
+  p_brk : Astate.t;
+  p_ret : Astate.t;
+  p_retv : D.Itv.t;
+  p_alarms : Alarm.t list option;
+}
 
 (* Metered widening for the fixpoint loop below: one probe around the
    whole [Astate.widen] (env + all relational packs) so --profile can
@@ -279,26 +295,68 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     ((li, c, body) : loop_info * expr * block) : outcome =
   let cfg = a.Transfer.cfg in
   let thresholds = cfg.Config.widening_thresholds in
-  (* one pass over the loop body from [st]; returns (after-body state,
-     outcome for break/return accounting) *)
-  let body_pass st =
-    let body_in = Transfer.guard a st binds c true in
-    let o = exec_block a ~part:false ~stack binds [ body_in ] body in
-    let after = Astate.join (join_states o.o_norm) o.o_cont in
-    (after, o)
+  let alarms = a.Transfer.alarms in
+  (* Pass reuse (DESIGN.md §6): the analysis of the body is a function
+     of its input state, so a pass from physically the same input as
+     the latest one is that pass again and is reused, not recomputed.
+     Only the latest pass is kept, and it is released before the next
+     one is computed.  [~aside:true] marks a narrowing pass: in checking
+     mode its alarms are captured and set aside, and they count only
+     when the checking pass reuses it.  A checking pass reuses only a
+     pass whose alarms were set aside. *)
+  let last = ref None in
+  let body_pass ?(aside = false) st =
+    let checking = alarms.Alarm.enabled in
+    match !last with
+    | Some p
+      when p.p_in == st && (aside || (not checking) || p.p_alarms <> None) ->
+        Metrics.incr c_passes_reused;
+        if checking && not aside then
+          Option.iter (Alarm.absorb alarms) p.p_alarms;
+        p
+    | _ ->
+        last := None;
+        Metrics.incr c_body_passes;
+        let run () =
+          let body_in = Transfer.guard a st binds c true in
+          exec_block a ~part:false ~stack binds [ body_in ] body
+        in
+        let o, set_aside =
+          if checking && aside then begin
+            let saved = Alarm.capture alarms in
+            match run () with
+            | o -> (o, Some (Alarm.drop alarms saved))
+            | exception e ->
+                ignore (Alarm.drop alarms saved);
+                raise e
+          end
+          else (run (), None)
+        in
+        let p =
+          {
+            p_in = st;
+            p_after = Astate.join (join_states o.o_norm) o.o_cont;
+            p_brk = o.o_brk;
+            p_ret = o.o_ret;
+            p_retv = o.o_retv;
+            p_alarms = set_aside;
+          }
+        in
+        last := Some p;
+        p
   in
   (* ---- semantic unrolling (Sect. 7.1.1) ---- *)
   let unroll = Config.unroll_for cfg li.loop_id in
   let rec do_unroll k st exits rets retv =
     if k = 0 || Astate.is_bot st then (st, exits, rets, retv)
     else begin
-      let after, o = body_pass st in
+      let p = body_pass st in
       let exits =
         Astate.join exits
-          (Astate.join (Transfer.guard a st binds c false) o.o_brk)
+          (Astate.join (Transfer.guard a st binds c false) p.p_brk)
       in
-      do_unroll (k - 1) after exits (Astate.join rets o.o_ret)
-        (join_itv retv o.o_retv)
+      do_unroll (k - 1) p.p_after exits (Astate.join rets p.p_ret)
+        (join_itv retv p.p_retv)
     end
   in
   let st0, exits0, rets0, retv0 =
@@ -311,8 +369,8 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     Metrics.incr c_loops;
     let n_widens = ref 0 and n_narrows = ref 0 and n_iters = ref 0 in
     let thr_hits0 = Metrics.value c_threshold_hits in
-    let saved_mode = a.Transfer.alarms.Alarm.enabled in
-    a.Transfer.alarms.Alarm.enabled <- false;
+    let saved_mode = alarms.Alarm.enabled in
+    alarms.Alarm.enabled <- false;
     let count_unstable (old_ : Astate.t) (next : Astate.t) : int =
       if Astate.is_bot next then 0
       else if Astate.is_bot old_ then max_int
@@ -342,8 +400,7 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     in
     let rec iterate i fairness prev_unstable (inv : Astate.t) : Astate.t =
       n_iters := i;
-      let after, _o = body_pass inv in
-      let next = Astate.join st0 after in
+      let next = Astate.join st0 (body_pass inv).p_after in
       trace_state (Fmt.str "iter %d" i) next;
       if trace && not (Astate.is_bot inv) && not (Astate.is_bot next) then begin
         Env.iter
@@ -370,7 +427,7 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
           if unstable > 4 || eps <= 0.0 then None
           else begin
             let inv_hat = Astate.perturb eps (Astate.join inv next) in
-            let after_hat, _ = body_pass inv_hat in
+            let after_hat = (body_pass inv_hat).p_after in
             if Astate.subset (Astate.join st0 after_hat) inv_hat then
               Some inv_hat
             else None
@@ -411,14 +468,14 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
        post-fixpoint, which is re-verified before adopting it.  This
        recovers from widening overshoots (finite thresholds above the
        real bound), which the classical infinite-bounds-only narrowing
-       cannot. *)
+       cannot.  The passes run in the loop's own mode, alarms set aside:
+       the last one doubles as the checking pass below. *)
     let rec narrow k inv =
       if k = 0 then inv
       else begin
-        let after, _ = body_pass inv in
-        let next = Astate.join st0 after in
+        let next = Astate.join st0 (body_pass ~aside:true inv).p_after in
         if Astate.subset next inv && not (Astate.equal next inv) then begin
-          let check, _ = body_pass next in
+          let check = (body_pass ~aside:true next).p_after in
           if Astate.subset (Astate.join st0 check) next then begin
             incr n_narrows;
             narrow (k - 1) next
@@ -426,7 +483,7 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
           else
             (* fall back to the classical narrowing on infinite bounds *)
             let narrowed = Astate.narrow inv next in
-            let check, _ = body_pass narrowed in
+            let check = (body_pass ~aside:true narrowed).p_after in
             if Astate.subset (Astate.join st0 check) narrowed then begin
               incr n_narrows;
               narrowed
@@ -436,8 +493,8 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
         else inv
       end
     in
+    alarms.Alarm.enabled <- saved_mode;
     let inv = narrow cfg.Config.narrowing_iterations inv in
-    a.Transfer.alarms.Alarm.enabled <- saved_mode;
     Metrics.observe h_loop_iters !n_iters;
     if !Trace.enabled then
       Trace.emit "loop.fixpoint"
@@ -454,14 +511,15 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
           ];
     (* save the loop invariant for examination (Sect. 5.3) *)
     Hashtbl.replace a.Transfer.invariants li.loop_id inv;
-    (* ---- extra pass, in checking mode if enabled (Sect. 5.4) ---- *)
-    let _, o_final = body_pass inv in
+    (* ---- extra pass, in checking mode if enabled (Sect. 5.4); the
+       narrowing pass on [inv], when it is the latest ---- *)
+    let p = body_pass inv in
     let exit_ = Transfer.guard a inv binds c false in
     {
       no_flow with
-      o_norm = [ Astate.join exits0 (Astate.join exit_ o_final.o_brk) ];
-      o_ret = Astate.join rets0 o_final.o_ret;
-      o_retv = join_itv retv0 o_final.o_retv;
+      o_norm = [ Astate.join exits0 (Astate.join exit_ p.p_brk) ];
+      o_ret = Astate.join rets0 p.p_ret;
+      o_retv = join_itv retv0 p.p_retv;
     }
   end
 

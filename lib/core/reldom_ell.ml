@@ -148,18 +148,11 @@ let assign c ctx st _binds x (rhs : expr) _rhs_itv =
                    every pack-variable assignment; this is what seeds the
                    ellipsoid after a reinitialization iteration (the paper
                    stresses these reduction steps are "especially useful
-                   in handling a reinitialization iteration") *)
-                let vars = ep.Packing.ep_vars in
-                let el' =
-                  Array.fold_left
-                    (fun el u ->
-                      Array.fold_left
-                        (fun el w ->
-                          E.reduce_from_intervals ~equal_vars orc el u w)
-                        el vars)
-                    el' vars
-                in
-                Ptmap.add ep.Packing.ep_id el' ells)
+                   in handling a reinitialization iteration"); on every
+                   ordered pair of the pack's variables *)
+                Ptmap.add ep.Packing.ep_id
+                  (E.reduce_all ~equal_vars orc el')
+                  ells)
           (c.rel st).ells packs
       in
       writeback c ctx (c.with_rel st (set (c.rel st) ells)) [ x ]

@@ -270,6 +270,59 @@ let reduce_from_intervals ?(equal_vars = fun _ _ -> false) (oracle : oracle)
   in
   if candidate < cur then set e x y candidate else e
 
+(** [reduce_from_intervals ~equal_vars oracle] folded over every ordered
+    pair of the pack's variables, bit for bit, reading each hull once.
+    Each pair's step touches only its own entry, so every step sees its
+    entry as it was before the fold.  Per variable: the magnitude [m] and the
+    equal-variables candidate [(1 - a + b) m^2], computed once; per
+    pair: the general candidate.  [equal_vars] only picks which
+    candidate applies, so it is asked only when one of the two beats
+    the entry: when neither does, the step leaves it as it is either
+    way.  A NaN hull gives NaN candidates, which beat nothing; an
+    infinite bound gives [+infinity], likewise. *)
+let reduce_all ?(equal_vars = fun _ _ -> false) (oracle : oracle) (e : t) :
+    t =
+  let vars = e.vars in
+  let n = Array.length vars in
+  let inf = Array.make n false in
+  let mag = Array.make n 0.0 in
+  let sq = Array.make n 0.0 in
+  let bsq = Array.make n 0.0 in
+  let eqc = Array.make n 0.0 in
+  let coef = up (1.0 -. e.a +. e.b) in
+  let abs_a = Float.abs e.a in
+  for i = 0 to n - 1 do
+    let lo, hi = oracle vars.(i) in
+    inf.(i) <- Float.abs lo = Float.infinity || Float.abs hi = Float.infinity;
+    let m = Float.max (Float.abs lo) (Float.abs hi) in
+    mag.(i) <- m;
+    sq.(i) <- up (m *. m);
+    bsq.(i) <- up (e.b *. sq.(i));
+    eqc.(i) <- (if inf.(i) then Float.infinity else up (coef *. sq.(i)))
+  done;
+  let k = ref e.k in
+  for i = 0 to n - 1 do
+    let u = vars.(i) in
+    for j = 0 to n - 1 do
+      let w = vars.(j) in
+      let key = (u.F.Tast.v_id, w.F.Tast.v_id) in
+      let cur =
+        match PairMap.find_opt key !k with Some c -> c | None -> Float.infinity
+      in
+      let general =
+        if inf.(i) || inf.(j) then Float.infinity
+        else
+          (* X^2 - aXY + bY^2 <= mx^2 + |a| mx my + b my^2 *)
+          up (sq.(i) +. up (abs_a *. up (mag.(i) *. mag.(j))) +. bsq.(j))
+      in
+      if eqc.(i) < cur || general < cur then begin
+        let candidate = if equal_vars u w then eqc.(i) else general in
+        if candidate < cur then k := PairMap.add key candidate !k
+      end
+    done
+  done;
+  if !k == e.k then e else { e with k = !k }
+
 (** Bound extraction (paper): after X' := aX - bY + t, use
     |X'| <= 2 sqrt(b) sqrt(r'(X', X)) / sqrt(4b - a^2) to tighten the
     interval of X'. *)

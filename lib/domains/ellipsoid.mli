@@ -99,6 +99,17 @@ val reduce_from_intervals :
   Astree_frontend.Tast.var ->
   t
 
+(** {!reduce_from_intervals} folded over every ordered pair [(u, w)] of
+    the pack's variables (rows in pack order, [u = w] included), with
+    the same result bit for bit.  Reads each variable's interval once
+    and asks [equal_vars u w] only when its answer can change the
+    entry. *)
+val reduce_all :
+  ?equal_vars:(Astree_frontend.Tast.var -> Astree_frontend.Tast.var -> bool) ->
+  oracle ->
+  t ->
+  t
+
 (** The paper's bound extraction
     [|X'| <= 2 sqrt(b . r/(4b - a^2))], for the pair (x, y). *)
 val extract_bound :

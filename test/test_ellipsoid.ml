@@ -174,6 +174,96 @@ let prop_filter_bound_sound =
       done;
       !worst <= bound +. 1e-6)
 
+(* [reduce_all] against the pairwise fold it replaces, bit for bit, on
+   random packs, hulls (NaN, infinite, signed zero, huge), entries and
+   equality answers; and it never asks [equal_vars] about a pair that
+   neither candidate could tighten. *)
+let prop_reduce_all_bitwise =
+  let open QCheck.Gen in
+  let bound =
+    frequency
+      [
+        (1, return Float.nan);
+        (1, return Float.infinity);
+        (1, return Float.neg_infinity);
+        (1, return 0.0);
+        (1, return (-0.0));
+        (1, return 1e300);
+        (1, return (-1e300));
+        (1, return Float.max_float);
+        (6, float_range (-100.0) 100.0);
+      ]
+  in
+  let hull =
+    frequency
+      [
+        (1, return (Float.nan, Float.nan));
+        (6, pair bound bound);
+      ]
+  in
+  let entry =
+    frequency
+      [
+        (3, return None);
+        (1, return (Some 0.0));
+        (1, return (Some 1e300));
+        (4, map Option.some (float_range 0.0 1e5));
+      ]
+  in
+  let case =
+    int_range 1 5 >>= fun n ->
+    quad
+      (oneofl [ (1.5, 0.7); (-0.5, 0.3); (0.0, 0.9) ])
+      (array_repeat n hull)
+      (array_repeat (n * n) entry)
+      (array_repeat (n * n) bool)
+  in
+  QCheck.Test.make ~name:"reduce_all = pairwise fold, bitwise" ~count:500
+    (QCheck.make case) (fun ((a, b), hulls, entries, eqs) ->
+      let n = Array.length hulls in
+      let vars = Array.init n (fun i -> mkvar (Printf.sprintf "v%d" i)) in
+      let pos (v : F.Tast.var) =
+        let rec go i = if vars.(i) == v then i else go (i + 1) in
+        go 0
+      in
+      let e0 = ref (E.make ~a ~b ~fkind:F.Ctypes.Fdouble vars) in
+      Array.iteri
+        (fun i -> function
+          | Some k -> e0 := E.set !e0 vars.(i / n) vars.(i mod n) k
+          | None -> ())
+        entries;
+      let e0 = !e0 in
+      let oracle v = hulls.(pos v) in
+      let equal_vars u w = eqs.((pos u * n) + pos w) in
+      let reference =
+        Array.fold_left
+          (fun e u ->
+            Array.fold_left
+              (fun e w -> E.reduce_from_intervals ~equal_vars oracle e u w)
+              e vars)
+          e0 vars
+      in
+      let asked = ref [] in
+      let spying u w =
+        asked := (u, w) :: !asked;
+        equal_vars u w
+      in
+      let fast = E.reduce_all ~equal_vars:spying oracle e0 in
+      let bits e =
+        E.PairMap.bindings e.E.k
+        |> List.map (fun (key, k) -> (key, Int64.bits_of_float k))
+      in
+      (* a pair may be asked only if one candidate beats its entry *)
+      let may_change u w =
+        let beats eq =
+          let e = E.reduce_from_intervals ~equal_vars:(fun _ _ -> eq) oracle e0 u w in
+          E.find e u w < E.find e0 u w
+        in
+        beats true || beats false
+      in
+      bits fast = bits reference
+      && List.for_all (fun (u, w) -> may_change u w) !asked)
+
 let suite =
   [
     Alcotest.test_case "valid coefficients" `Quick test_valid_coeffs;
@@ -187,4 +277,5 @@ let suite =
     Alcotest.test_case "bound extraction" `Quick test_extract_bound;
     Alcotest.test_case "interval reduction" `Quick test_reduce_from_intervals;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_filter_bound_sound ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_filter_bound_sound; prop_reduce_all_bitwise ]

@@ -341,6 +341,7 @@ let test_warm_member_par () =
   check_warm_equals_cold ~name:"member -j4" { cfg with C.Config.jobs = 4 } p
 
 let test_mem_cache_equiv () =
+  let shipped_min_stmts = !C.Iterator.memo_min_stmts in
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
       let cfg =
@@ -359,8 +360,40 @@ let test_mem_cache_equiv () =
           Alcotest.(check string)
             "in-memory cache result identical"
             (P.Merge.fingerprint off) (P.Merge.fingerprint r);
-          (* the main loop revisits the same call contexts while
-             iterating: even one run hits *)
+          (* Calls whose framed entry really repeats within one run
+             hit.  The iterator reuses a loop pass on an input it has
+             already analyzed, so mini_fbw, whose repeats all came from
+             such passes, has none.  This fused member's stage
+             functions see the same context on distinct iterates (3
+             hits at the shipped memoization threshold). *)
+          C.Iterator.memo_min_stmts := shipped_min_stmts;
+          let g =
+            G.Generator.generate
+              {
+                G.Generator.default with
+                G.Generator.seed = 6;
+                target_lines = 2000;
+                fuse = 16;
+              }
+          in
+          let p, _ =
+            C.Analysis.compile [ ("fused6.c", g.G.Generator.source) ]
+          in
+          let cfg =
+            {
+              C.Config.default with
+              C.Config.partitioned_functions = g.G.Generator.partition_fns;
+            }
+          in
+          let r =
+            C.Analysis.analyze
+              ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
+              p
+          in
+          Alcotest.(check string)
+            "fused member: in-memory cache result identical"
+            (P.Merge.fingerprint (C.Analysis.analyze ~cfg p))
+            (P.Merge.fingerprint r);
           Alcotest.(check bool)
             "intra-run hits" true
             ((cache_stats_exn r).C.Analysis.c_hits > 0)))

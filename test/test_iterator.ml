@@ -4,6 +4,8 @@
 
 module C = Astree_core
 module F = Astree_frontend
+module G = Astree_gen
+module Metrics = Astree_obs.Metrics
 
 let alarms ?(cfg = C.Config.default) src =
   C.Analysis.n_alarms (C.Analysis.analyze_string ~cfg src)
@@ -431,6 +433,60 @@ let test_call_resolution () =
   Alcotest.(check string) "recursion"
     "recursion detected through f (not in the subset)" (error rec_p)
 
+(* Pass reuse (DESIGN.md §6).  [passes f] runs [f] and returns the body
+   passes it computed and reused. *)
+let passes f =
+  let before = Metrics.snapshot () in
+  let r = f () in
+  let d = Metrics.diff before in
+  let get name = Option.value ~default:0 (Metrics.find_int d name) in
+  (r, (get "iter.body_passes", get "iter.passes_reused"))
+
+(* On a 2-task generator member, 122 passes are computed and 12 reused.
+   Before passes were reused the iterator computed 134 = 122 + 12 on
+   this member: reuse changes which passes run, never how many the
+   iterator asks for.  Workers ship their counters back, so -j 2 counts
+   what -j 1 counts. *)
+let test_pass_reuse_counters () =
+  let g =
+    G.Generator.generate_tasks
+      { G.Generator.default with seed = 5; target_lines = 300 }
+      ~tasks:2
+  in
+  let p, _ = C.Analysis.compile [ ("tasks.c", g.G.Generator.source) ] in
+  let run jobs =
+    snd
+      (passes (fun () ->
+           Astree_conc.Fixpoint.analyze
+             ~cfg:{ C.Config.default with C.Config.jobs }
+             ~tasks:g.G.Generator.task_fns p))
+  in
+  let ((computed, reused) as j1) = run 1 in
+  Alcotest.(check (pair int int)) "computed, reused" (122, 12) j1;
+  Alcotest.(check int) "computed + reused = passes without reuse" 134
+    (computed + reused);
+  Alcotest.(check (pair int int)) "-j 2 = -j 1" j1 (run 2)
+
+(* The checking pass reused from narrowing keeps every alarm's
+   provenance: the MD5 of the --explain rendering of a bug-injected
+   member is the one the iterator gave when it always recomputed the
+   checking pass (the fingerprint ignores provenance). *)
+let test_reused_checking_pass_explain () =
+  let g =
+    G.Generator.generate
+      { G.Generator.default with seed = 3; target_lines = 800; bug_ratio = 0.3 }
+  in
+  let p, _ = C.Analysis.compile [ ("bugs.c", g.G.Generator.source) ] in
+  let r, counts = passes (fun () -> C.Analysis.analyze p) in
+  Alcotest.(check (pair int int)) "computed, reused" (50, 3) counts;
+  Alcotest.(check int) "alarms" 37 (C.Analysis.n_alarms r);
+  let text =
+    String.concat "\n"
+      (List.map (Fmt.str "%a" C.Alarm.pp_explain) r.C.Analysis.r_alarms)
+  in
+  Alcotest.(check string) "explain md5" "b607b85ee246430b20196f4bee8af17e"
+    (Digest.to_hex (Digest.string text))
+
 let suite =
   [
     Alcotest.test_case "break" `Quick test_break;
@@ -450,4 +506,7 @@ let suite =
     Alcotest.test_case "per-loop unroll override" `Quick test_unroll_override;
     Alcotest.test_case "checking pass covers loop bodies" `Quick test_checking_mode_covers_loop_body;
     Alcotest.test_case "call resolution" `Quick test_call_resolution;
+    Alcotest.test_case "pass reuse counters" `Quick test_pass_reuse_counters;
+    Alcotest.test_case "reused checking pass: explain" `Quick
+      test_reused_checking_pass_explain;
   ]
