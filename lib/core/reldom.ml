@@ -103,9 +103,12 @@ module type S = sig
       and reduces the packs it changed to interval bounds. *)
 
   val assign :
-    ('c, 's) chan -> 'c -> 's -> binds -> var -> expr -> D.Itv.t -> 's
-  (** [x := rhs] on the packs of [x]; [rhs] is resolved and evaluates to
-      the given interval *)
+    ('c, 's) chan -> 'c -> pre:'s -> 's -> binds -> var -> expr -> D.Itv.t -> 's
+  (** [assign c ctx ~pre st binds x rhs i]: [x := rhs] on the packs of
+      [x].  [rhs] is resolved and evaluates to [i]; it is read in [pre],
+      the state before the write, while [st], the state after it, is
+      the one updated.  Reading [rhs] in [st] would see the new value of
+      [x] where the old one is meant. *)
 
   val guard : ('c, 's) chan -> 'c -> 's -> binds -> expr -> bool -> 's
   (** refine under [cond = truth]; conditions the domain cannot use

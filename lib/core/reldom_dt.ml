@@ -216,7 +216,10 @@ let guard c ctx st binds (cond : expr) truth =
                st
       | _ -> st)
 
-let assign c ctx st binds x rhs _rhs_itv =
+(* The leaves evaluate [rhs] in [pre], the state before the write: the
+   leaf value of [x] is the old one, and so must be the interval it is
+   met with. *)
+let assign c ctx ~pre st binds x rhs _rhs_itv =
   match packs_of (c.packing ctx) x with
   | [] -> st
   | packs ->
@@ -234,13 +237,13 @@ let assign c ctx st binds x rhs _rhs_itv =
                         match leaf with
                         | None -> (None, None)
                         | Some m ->
-                            ( refine_leaf c ctx st binds dp path rhs true m,
-                              refine_leaf c ctx st binds dp path rhs false m ))
+                            ( refine_leaf c ctx pre binds dp path rhs true m,
+                              refine_leaf c ctx pre binds dp path rhs false m ))
                   else
                     T.assign_num d x (fun path leaf ->
                         match leaf with
                         | None -> D.Itv.Bot
-                        | Some m -> eval_in_leaf c ctx st binds dp path m rhs)
+                        | Some m -> eval_in_leaf c ctx pre binds dp path m rhs)
                 in
                 Ptmap.add dp.Packing.dp_id d' dts)
           (c.rel st).dts packs

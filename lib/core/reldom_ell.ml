@@ -74,8 +74,8 @@ let writeback c ctx st (vars : var list) =
     st vars
 
 (* The filter update x := a.y - b.z + t of pack [ep], with the residual
-   t bounded by the intervals. *)
-let assign_filter c ctx st (ep : pack) el x terms const =
+   t bounded by the intervals of [pre], the state before the write. *)
+let assign_filter c ctx pre (ep : pack) el x terms const =
   let t_itv =
     List.fold_left
       (fun acc (v, k) ->
@@ -83,7 +83,7 @@ let assign_filter c ctx st (ep : pack) el x terms const =
         else
           let term =
             D.Itv.mul (D.Itv.float_const k)
-              (D.Itv.int_to_float (c.var_itv ctx st v))
+              (D.Itv.int_to_float (c.var_itv ctx pre v))
           in
           match acc with D.Itv.Bot -> term | acc -> D.Itv.add acc term)
       (D.Itv.float_const const) terms
@@ -96,12 +96,12 @@ let assign_filter c ctx st (ep : pack) el x terms const =
   (* pre-assignment reduction of r(y, z) from the intervals (the
      paper's third reduction step) *)
   let el =
-    E.reduce_from_intervals (oracle c ctx st) el ep.Packing.ep_y
+    E.reduce_from_intervals (oracle c ctx pre) el ep.Packing.ep_y
       ep.Packing.ep_z
   in
   E.assign_filter el x ep.Packing.ep_y ep.Packing.ep_z ~t_max
 
-let assign c ctx st _binds x (rhs : expr) _rhs_itv =
+let assign c ctx ~pre st _binds x (rhs : expr) _rhs_itv =
   match packs_of (c.packing ctx) x with
   | [] -> st
   | packs ->
@@ -141,7 +141,7 @@ let assign c ctx st _binds x (rhs : expr) _rhs_itv =
                                     Var.equal v ep.Packing.ep_z
                                     && k = -.ep.Packing.ep_b)
                                   terms ->
-                          assign_filter c ctx st ep el x terms const
+                          assign_filter c ctx pre ep el x terms const
                       | _ -> E.assign_other el x)
                 in
                 (* reduction with the interval domain, run eagerly after

@@ -80,11 +80,14 @@ let writeback c ctx st (vars : var list) =
         (packs_of (c.packing ctx) v))
     st vars
 
-let assign c ctx st _binds x rhs rhs_itv =
+let assign c ctx ~pre st _binds x rhs rhs_itv =
   match packs_of (c.packing ctx) x with
   | [] -> st
   | packs ->
-      let orc = oracle c ctx st in
+      (* the right-hand side is linearized and evaluated before the
+         write: [O.assign] meets the octagon's bounds on [x], which are
+         still the old ones, with the oracle's *)
+      let orc = oracle c ctx pre in
       let form = D.Linearize.linearize orc rhs in
       let octs =
         List.fold_left

@@ -800,15 +800,15 @@ let rec guard_rel a st binds cond truth = function
       in
       guard_rel a st binds cond truth ds
 
-let rec assign_rel a st binds x rhs rhs_itv = function
+let rec assign_rel a ~pre st binds x rhs rhs_itv = function
   | [] -> st
   | d :: ds ->
       let module M = (val d : Reldom.S) in
       let st =
         if Astate.is_bot st || not (M.enabled a.cfg) then st
-        else M.assign chan a st binds x rhs rhs_itv
+        else M.assign chan a ~pre st binds x rhs rhs_itv
       in
-      assign_rel a st binds x rhs rhs_itv ds
+      assign_rel a ~pre st binds x rhs rhs_itv ds
 
 (* ------------------------------------------------------------------ *)
 (* Guards (Sect. 5.4: guard# on atomic conditions; compound ones by     *)
@@ -985,6 +985,7 @@ let assign (a : actx) (st : Astate.t) (binds : binds) (lv : lval) (rhs : expr)
               Env.set env id (Avalue.join old nv))
           st.Astate.env cells
       in
+      let pre = st in
       let st = { st with Astate.env = env } in
       (* interference guarantee: every abstract write to a shared cell
          records its value (rhs_itv over-approximates the stored value
@@ -1001,7 +1002,7 @@ let assign (a : actx) (st : Astate.t) (binds : binds) (lv : lval) (rhs : expr)
       (* relational updates only for exact scalar-variable assignments *)
       match lv.ldesc with
       | Lvar x when exact && F.Ctypes.is_scalar x.v_ty ->
-          assign_rel a st binds x rhs rhs_itv Relstate.domains
+          assign_rel a ~pre st binds x rhs rhs_itv Relstate.domains
       | _ -> st
     end
   end

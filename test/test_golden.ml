@@ -96,16 +96,16 @@ let expected_results : (string * string * string * int) list =
   ("buggy_demo.c", "e2-intervals", "d8ff98600a1210edd3f1da4a4498cf5c", 4);
   ("buggy_demo.c", "e2-baseline", "eeb82a9106e38db68c0824d9dc4498a4", 4);
   ("buggy_demo.c", "e2-lin", "eeb82a9106e38db68c0824d9dc4498a4", 4);
-  ("buggy_demo.c", "e2-oct", "443bbe86b42bcb8d199f969ff58b2792", 4);
-  ("buggy_demo.c", "e2-ell", "443bbe86b42bcb8d199f969ff58b2792", 4);
-  ("buggy_demo.c", "e2-dt", "443bbe86b42bcb8d199f969ff58b2792", 4);
-  ("buggy_demo.c", "e2-part", "443bbe86b42bcb8d199f969ff58b2792", 4);
-  ("buggy_demo.c", "degrade-1", "443bbe86b42bcb8d199f969ff58b2792", 4);
-  ("buggy_demo.c", "degrade-2", "443bbe86b42bcb8d199f969ff58b2792", 4);
+  ("buggy_demo.c", "e2-oct", "e807e490fb9258b2ee8a9c140218585a", 4);
+  ("buggy_demo.c", "e2-ell", "e807e490fb9258b2ee8a9c140218585a", 4);
+  ("buggy_demo.c", "e2-dt", "e807e490fb9258b2ee8a9c140218585a", 4);
+  ("buggy_demo.c", "e2-part", "e807e490fb9258b2ee8a9c140218585a", 4);
+  ("buggy_demo.c", "degrade-1", "e807e490fb9258b2ee8a9c140218585a", 4);
+  ("buggy_demo.c", "degrade-2", "e807e490fb9258b2ee8a9c140218585a", 4);
   ("buggy_demo.c", "degrade-3", "1ac40b935e4490f03b7c50ba9efcaa64", 4);
   ("buggy_demo.c", "no-oct", "eeb82a9106e38db68c0824d9dc4498a4", 4);
-  ("buggy_demo.c", "no-ell", "443bbe86b42bcb8d199f969ff58b2792", 4);
-  ("buggy_demo.c", "no-dt", "443bbe86b42bcb8d199f969ff58b2792", 4);
+  ("buggy_demo.c", "no-ell", "e807e490fb9258b2ee8a9c140218585a", 4);
+  ("buggy_demo.c", "no-dt", "e807e490fb9258b2ee8a9c140218585a", 4);
   ("filter_bank.c", "e2-intervals", "317f08d3a54bed8d8fc222009a7f8da1", 10);
   ("filter_bank.c", "e2-baseline", "eba41a491c26adab0cb631886a6ec905", 10);
   ("filter_bank.c", "e2-lin", "eba41a491c26adab0cb631886a6ec905", 10);
@@ -122,42 +122,42 @@ let expected_results : (string * string * string * int) list =
   ("mini_fbw.c", "e2-intervals", "814598856d902b5bb5164880b5c1a556", 14);
   ("mini_fbw.c", "e2-baseline", "ec45c9e266e79cc9b48f4cfd383dcb40", 13);
   ("mini_fbw.c", "e2-lin", "ec45c9e266e79cc9b48f4cfd383dcb40", 13);
-  ("mini_fbw.c", "e2-oct", "8a34e75449714f24e42d82bc391411e8", 11);
-  ("mini_fbw.c", "e2-ell", "2b997c4ac25808d1489e0091a58d4aa4", 8);
-  ("mini_fbw.c", "e2-dt", "0bfd8f0ade707fc2af08694321206b57", 7);
-  ("mini_fbw.c", "e2-part", "6bf540de6656fdf7937c6d161785e382", 0);
-  ("mini_fbw.c", "degrade-1", "7799bbbf259e46023d087e6d923b745b", 9);
-  ("mini_fbw.c", "degrade-2", "7799bbbf259e46023d087e6d923b745b", 9);
-  ("mini_fbw.c", "degrade-3", "7fb6df8feed1d2d0a4fa4995b3019bff", 12);
+  ("mini_fbw.c", "e2-oct", "7423e0a89733cd370b6ec07a97712ca6", 11);
+  ("mini_fbw.c", "e2-ell", "411aadcf0ba795d0c50aefe51de92220", 8);
+  ("mini_fbw.c", "e2-dt", "08dcdef7b118cbd13f3e0000220eddf2", 7);
+  ("mini_fbw.c", "e2-part", "322e7c3f1319a413e7a9e3718d04e9e1", 0);
+  ("mini_fbw.c", "degrade-1", "0be23234c1a08f7c94832067ca20cae8", 9);
+  ("mini_fbw.c", "degrade-2", "0be23234c1a08f7c94832067ca20cae8", 9);
+  ("mini_fbw.c", "degrade-3", "075fa557371381238bb199464fa145ce", 12);
   ("mini_fbw.c", "no-oct", "86960744fa2a6e53a05727f720264369", 9);
-  ("mini_fbw.c", "no-ell", "89fead6e110d0fb00cdb3a4cb7b2219f", 10);
-  ("mini_fbw.c", "no-dt", "2b997c4ac25808d1489e0091a58d4aa4", 8);
+  ("mini_fbw.c", "no-ell", "ce37abffcbd12ba1e4659120c99319d1", 10);
+  ("mini_fbw.c", "no-dt", "411aadcf0ba795d0c50aefe51de92220", 8);
   ("gen-s11", "e2-intervals", "c6c0a2b7a9d7f5928fe78d8c240a6f54", 55);
   ("gen-s11", "e2-baseline", "ff70143b8c943150b765874d37a7f7fb", 52);
   ("gen-s11", "e2-lin", "c9e88b1dc7ec44f0f9b9a0e48002174a", 40);
-  ("gen-s11", "e2-oct", "f014fa8899bd7e2f8902e75f33bb5a8b", 24);
-  ("gen-s11", "e2-ell", "8a27900e6a0441a944d4744e84013f59", 14);
-  ("gen-s11", "e2-dt", "87e896aa2cdb4978ff106f0a8dadecc8", 6);
-  ("gen-s11", "e2-part", "503063e5b84aa9efb61b24f4e33f7617", 0);
-  ("gen-s11", "degrade-1", "fca0e0424552ad166677d7d9899f38e0", 22);
-  ("gen-s11", "degrade-2", "fca0e0424552ad166677d7d9899f38e0", 22);
-  ("gen-s11", "degrade-3", "d0520c4dc715c5358d9835d4feae51a6", 38);
+  ("gen-s11", "e2-oct", "8584f627ad30934174fb6dde96b3f221", 24);
+  ("gen-s11", "e2-ell", "686425e28103eddf7872f40bedf5ae72", 14);
+  ("gen-s11", "e2-dt", "fc35efc7088eae319b77e191de457f12", 6);
+  ("gen-s11", "e2-part", "e2170d17a7a250f55736db7c52ab63b9", 0);
+  ("gen-s11", "degrade-1", "09295a39003425869a9cc7be90a354f0", 22);
+  ("gen-s11", "degrade-2", "09295a39003425869a9cc7be90a354f0", 22);
+  ("gen-s11", "degrade-3", "3a34281fd09febf3066908d58ae04b18", 38);
   ("gen-s11", "no-oct", "a3dc204516d0e9c43e5395a446e4eb02", 22);
-  ("gen-s11", "no-ell", "c946e7a0dbeccfd4ab5f2e3d7ff7344c", 16);
-  ("gen-s11", "no-dt", "8a27900e6a0441a944d4744e84013f59", 14);
+  ("gen-s11", "no-ell", "3b1eb5529db1cc753038fa36fcc8e883", 16);
+  ("gen-s11", "no-dt", "686425e28103eddf7872f40bedf5ae72", 14);
   ("gen-s12-bugs", "e2-intervals", "e643571306640ed2a76cdb65cb4c11d1", 87);
   ("gen-s12-bugs", "e2-baseline", "93f36f37cd33d89e9f744018c72c8229", 85);
   ("gen-s12-bugs", "e2-lin", "cea4f09b84464617c620d517f402d8f2", 77);
-  ("gen-s12-bugs", "e2-oct", "ade5f921fd67479ede92fac7ab3d7ba5", 65);
-  ("gen-s12-bugs", "e2-ell", "131a308f5822e51c04bff9ae3fb4a646", 63);
-  ("gen-s12-bugs", "e2-dt", "4e7f127fcddc010d10a344129e77066a", 57);
-  ("gen-s12-bugs", "e2-part", "a4b9b478588a263f80fe3ff8ba6bc82c", 55);
-  ("gen-s12-bugs", "degrade-1", "395dc0b9ddfecf43ff657cf7fa86be1e", 69);
-  ("gen-s12-bugs", "degrade-2", "395dc0b9ddfecf43ff657cf7fa86be1e", 69);
-  ("gen-s12-bugs", "degrade-3", "6a0faeedf590187d943462e2ff4ad2be", 75);
+  ("gen-s12-bugs", "e2-oct", "2effb98e6799d62cfcf8fc71f5f85cc4", 65);
+  ("gen-s12-bugs", "e2-ell", "b2f759b67c9388bc27633b9fff4f9eed", 63);
+  ("gen-s12-bugs", "e2-dt", "a374aaf4fc5d3e067253e9af9ffe9868", 57);
+  ("gen-s12-bugs", "e2-part", "93e478f7bcb9cf29dc5ead59d931d0d2", 55);
+  ("gen-s12-bugs", "degrade-1", "a955bd29d29aea48318eb2333a6ce334", 69);
+  ("gen-s12-bugs", "degrade-2", "a955bd29d29aea48318eb2333a6ce334", 69);
+  ("gen-s12-bugs", "degrade-3", "34b4a3dceaa6961e1501bec3856f3144", 75);
   ("gen-s12-bugs", "no-oct", "a44dda9c1581e9cf21849eca7b3b3a78", 69);
-  ("gen-s12-bugs", "no-ell", "13dabee64df9ed8a84148442a8a504f2", 59);
-  ("gen-s12-bugs", "no-dt", "131a308f5822e51c04bff9ae3fb4a646", 63)
+  ("gen-s12-bugs", "no-ell", "b83acb59e91c37f671c11ab4fe6f12a6", 59);
+  ("gen-s12-bugs", "no-dt", "b2f759b67c9388bc27633b9fff4f9eed", 63)
   ]
 
 (* (row, state, entry digest) under the default configuration: the
@@ -167,12 +167,12 @@ let expected_results : (string * string * string * int) list =
    digests and the MD5 of their sorted list *)
 let expected_digests : (string * string * string) list =
   [
-  ("buggy_demo.c", "main-loop", "4eac6ddf4924a66e2b4c034b25d4584b");
+  ("buggy_demo.c", "main-loop", "526a6435b2eff2a3720175ec3ef7075a");
   ("filter_bank.c", "main-loop", "d6f3a7397dcb804c0a8e7807685b1d3d");
-  ("mini_fbw.c", "main-loop", "3bf4e6fb617826980a3576a163b95cdd");
-  ("gen-s11", "main-loop", "7daa573b28abb943fca0f9c10c1777b2");
-  ("gen-s12-bugs", "main-loop", "34f364ebbcd4694034990cb87f97ccd9");
-  ("gen-s4-fused", "call entries: 291", "e75c3f1c3ba9affa21abec708bebed9b")
+  ("mini_fbw.c", "main-loop", "e1d56eddfa6ab9fb18d597d59ada9bbc");
+  ("gen-s11", "main-loop", "0258e16d9ad2bb2990b6ce53e1ef195e");
+  ("gen-s12-bugs", "main-loop", "4bef2710be41876b6a6911a22d5c4b29");
+  ("gen-s4-fused", "call entries: 291", "5dfd47355e36781a66fa08273c12a860")
   ]
 
 let actual_results () =

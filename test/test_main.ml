@@ -17,6 +17,7 @@ let () =
       ("semantics", Test_semantics.suite);
       ("packing", Test_packing.suite);
       ("transfer", Test_transfer.suite);
+      ("prewrite", Test_transfer.prewrite_suite);
       ("iterator", Test_iterator.suite);
       ("analysis", Test_analysis.suite);
       ("generator", Test_gen.suite);

@@ -402,3 +402,60 @@ let suite =
     Alcotest.test_case "clocked counters" `Quick test_clock_bounds_counter_sum;
     Alcotest.test_case "volatile reads distinct" `Quick test_volatile_reads_not_cached;
   ]
+
+(* assignments read their right-hand side before the write --------- *)
+
+(* The octagon of [x] still holds x's old bounds while [x := 0.5 * x]
+   is transferred: read in the state after the write, the oracle gives
+   x's new range, and their meet bounds the new value by half the old
+   upper bound twice over.  [x <= 50] is all that holds, and [in = 100]
+   reaches the overflow concretely. *)
+let halving ~tail =
+  Fmt.str
+    {|volatile float in; float x; float y; short s;
+int main(void) { __astree_input_range(in, 0.0, 100.0);
+  x = in; y = x + 1.0f; x = 0.5f * x; %s return 0; }
+|}
+    tail
+
+let halving_overflow = halving ~tail:"s = (short)(x * 1000.0f);"
+
+let analyze_halving ?(cfg = C.Config.default) src =
+  C.Analysis.analyze_string ~cfg ~file:"u4.c" src
+
+let test_prewrite_overflow () =
+  let r = analyze_halving halving_overflow in
+  let noct =
+    analyze_halving
+      ~cfg:{ C.Config.default with C.Config.use_octagons = false }
+      halving_overflow
+  in
+  Alcotest.(check int) "alarms with octagons" 1 (C.Analysis.n_alarms r);
+  Alcotest.(check (list string))
+    "same alarm as without octagons"
+    (List.map (Fmt.str "%a" C.Alarm.pp) noct.C.Analysis.r_alarms)
+    (List.map (Fmt.str "%a" C.Alarm.pp) r.C.Analysis.r_alarms)
+
+let test_prewrite_assert () =
+  refutes (halving ~tail:"__astree_assert(x <= 49.0f);");
+  proves (halving ~tail:"__astree_assert(x <= 50.0f);")
+
+let test_prewrite_concrete () =
+  let p, _ = C.Analysis.compile [ ("u4.c", halving_overflow) ] in
+  match
+    Astree_frontend.Interp.run ~input:(fun _ -> 100.0) p
+  with
+  | Astree_frontend.Interp.Error (Astree_frontend.Interp.Int_overflow, l) ->
+      Alcotest.(check int) "overflow line" 3 l.Astree_frontend.Loc.line
+  | Astree_frontend.Interp.Error (k, _) ->
+      Alcotest.failf "unexpected error %a" Astree_frontend.Interp.pp_error_kind
+        k
+  | Astree_frontend.Interp.Finished -> Alcotest.fail "no overflow reached"
+
+let prewrite_suite =
+  [
+    Alcotest.test_case "octagon assign: overflow" `Quick test_prewrite_overflow;
+    Alcotest.test_case "octagon assign: assert" `Quick test_prewrite_assert;
+    Alcotest.test_case "octagon assign: concrete run" `Quick
+      test_prewrite_concrete;
+  ]
