@@ -234,6 +234,39 @@ let actual_digests () =
       Digest.to_hex (Digest.string (String.concat "," entries)) );
   ]
 
+(* The bug-injected 2 kLOC member of the one-shot benchmark (generator
+   seed 3, one shape per function, bug ratio 0.05): its main loop runs 78
+   body passes, most of them after the clock has settled, while a few
+   overflowing cells climb the threshold ladder.  (fingerprint, alarms,
+   iter.body_passes) under the default configuration with the member's
+   partition markers, as the command line reads them. *)
+let expected_ladder = ("5eb179d35c376173e453b1c0f7b9a0a4", 10, 78)
+
+let actual_ladder () =
+  let g =
+    G.Generator.generate
+      {
+        G.Generator.seed = 3;
+        target_lines = 2000;
+        mix = G.Shapes.all_safe_kinds;
+        bug_ratio = 0.05;
+        fuse = 1;
+      }
+  in
+  let passes = Astree_obs.Metrics.counter "iter.body_passes" in
+  let before = Astree_obs.Metrics.value passes in
+  let src = g.G.Generator.source in
+  let cfg =
+    {
+      C.Config.default with
+      C.Config.partitioned_functions = F.Preproc.partition_markers src;
+    }
+  in
+  let r = analyze cfg src in
+  ( P.Merge.fingerprint r,
+    C.Analysis.n_alarms r,
+    Astree_obs.Metrics.value passes - before )
+
 let check_table ~what pp expected actual =
   if expected <> actual then
     Alcotest.failf "%s differ from the golden table; recomputed:@.[@.%a]" what
@@ -251,9 +284,15 @@ let test_digests () =
     (fun ppf (row, st, d) -> Fmt.pf ppf "  (%S, %S, %S);" row st d)
     expected_digests (actual_digests ())
 
+let test_ladder () =
+  let fp, n, passes = actual_ladder () in
+  Alcotest.(check (triple string int int))
+    "fingerprint, alarms, body passes" expected_ladder (fp, n, passes)
+
 let suite =
   [
     Alcotest.test_case "fingerprints and alarms per configuration" `Slow
       test_results;
     Alcotest.test_case "summary entry digests" `Quick test_digests;
+    Alcotest.test_case "threshold-ladder member" `Slow test_ladder;
   ]
