@@ -25,6 +25,7 @@ let c_calls_inlined = Metrics.counter "iter.calls_inlined"
 let c_loops = Metrics.counter "iter.loops"
 let c_body_passes = Metrics.counter "iter.body_passes"
 let c_passes_reused = Metrics.counter "iter.passes_reused"
+let c_calls_replayed = Metrics.counter "iter.calls_replayed"
 let h_loop_iters = Metrics.histogram "loop.iters"
 
 (* Same entry as the one bumped inside Itv.widen: read around a loop's
@@ -104,6 +105,7 @@ type summary_key = Transfer.summary_key = {
 }
 
 type call_memo = Transfer.call_memo = {
+  cm_names : Frame.names;
   cm_want : string -> bool;
   cm_call :
     Transfer.actx ->
@@ -266,7 +268,8 @@ let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
           (* partitions are merged at loop heads *)
           let st = join_states sts in
           exec_while a ~stack binds st (li, c, body)
-      | Scall (dst, fname, args) -> exec_call a ~stack binds sts dst fname args)
+      | Scall (dst, fname, args) ->
+          exec_call a ~stack ~site:s binds sts dst fname args)
 
 and exec_block (a : Transfer.actx) ~(part : bool) ~(stack : string list)
     (binds : Transfer.binds) (sts : Astate.t list) (b : block) : outcome =
@@ -291,6 +294,21 @@ and exec_block (a : Transfer.actx) ~(part : bool) ~(stack : string list)
 (* ------------------------------------------------------------------ *)
 
 and exec_while (a : Transfer.actx) ~(stack : string list)
+    (binds : Transfer.binds) (entry : Astate.t)
+    ((li, c, body) : loop_info * expr * block) : outcome =
+  (* the call sites of this loop's body, for its lifetime (differential
+     iteration, [exec_call_slots]) *)
+  let outer = a.Transfer.sites in
+  a.Transfer.sites <- Some (Lazy.from_val (Transfer.Stmt_tbl.create 64));
+  match exec_loop a ~stack binds entry (li, c, body) with
+  | o ->
+      a.Transfer.sites <- outer;
+      o
+  | exception e ->
+      a.Transfer.sites <- outer;
+      raise e
+
+and exec_loop (a : Transfer.actx) ~(stack : string list)
     (binds : Transfer.binds) (entry : Astate.t)
     ((li, c, body) : loop_info * expr * block) : outcome =
   let cfg = a.Transfer.cfg in
@@ -369,6 +387,7 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     Metrics.incr c_loops;
     let n_widens = ref 0 and n_narrows = ref 0 and n_iters = ref 0 in
     let thr_hits0 = Metrics.value c_threshold_hits in
+    let replayed0 = Metrics.value c_calls_replayed in
     let saved_mode = alarms.Alarm.enabled in
     alarms.Alarm.enabled <- false;
     let count_unstable (old_ : Astate.t) (next : Astate.t) : int =
@@ -386,39 +405,30 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
       end
     in
     let eps = cfg.Config.float_iteration_epsilon in
-    let trace = Sys.getenv_opt "ASTREE_ITER_TRACE" <> None in
-    let trace_state tag (st : Astate.t) =
-      if trace then begin
-        Fmt.epr "[loop %d] %s:" li.loop_id tag;
-        List.iter
-          (fun (v, _) ->
-            if F.Ctypes.is_scalar v.v_ty then
-              Fmt.epr " %s=%a" v.v_name D.Itv.pp (Transfer.var_itv a st v))
-          a.Transfer.prog.p_globals;
-        Fmt.epr "@."
-      end
+    (* one [loop.iterate] event per iterate under --trace: how many cells
+       are still climbing *)
+    let trace_iterate i unstable replayed =
+      if !Trace.enabled then
+        Trace.emit "loop.iterate"
+          ~args:
+            [
+              ("loop", Trace.I li.loop_id);
+              ("iter", Trace.I i);
+              ("unstable", Trace.I unstable);
+              ("replayed", Trace.I (Metrics.value c_calls_replayed - replayed));
+            ]
     in
     let rec iterate i fairness prev_unstable (inv : Astate.t) : Astate.t =
       n_iters := i;
+      let replayed = Metrics.value c_calls_replayed in
       let next = Astate.join st0 (body_pass inv).p_after in
-      trace_state (Fmt.str "iter %d" i) next;
-      if trace && not (Astate.is_bot inv) && not (Astate.is_bot next) then begin
-        Env.iter
-          (fun id nv ->
-            match Env.find inv.Astate.env id with
-            | Some ov when not (Avalue.subset nv ov) ->
-                Fmt.epr "[loop %d]   unstable cell %a: %a vs %a@." li.loop_id
-                  Cell.pp
-                  (Cell.of_id a.Transfer.intern id)
-                  Avalue.pp nv Avalue.pp ov
-            | _ -> ())
-          next.Astate.env;
-        if not (Relstate.subset next.Astate.rel inv.Astate.rel) then
-          Fmt.epr "[loop %d]   relational part unstable@." li.loop_id
-      end;
-      if Astate.subset next inv then inv
+      if Astate.subset next inv then begin
+        trace_iterate i 0 replayed;
+        inv
+      end
       else begin
         let unstable = count_unstable inv next in
+        trace_iterate i unstable replayed;
         (* floating iteration perturbation (Sect. 7.1.4): when the iterate
            is almost stable (abstract rounding noise only), try the
            epsilon-enlarged candidate F-hat before widening any further;
@@ -508,9 +518,10 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
             ("stabilized_at", Trace.I !n_iters);
             ( "threshold_hits",
               Trace.I (Metrics.value c_threshold_hits - thr_hits0) );
+            ("replayed", Trace.I (Metrics.value c_calls_replayed - replayed0));
           ];
     (* save the loop invariant for examination (Sect. 5.3) *)
-    Hashtbl.replace a.Transfer.invariants li.loop_id inv;
+    Transfer.set_invariant a li.loop_id inv;
     (* ---- extra pass, in checking mode if enabled (Sect. 5.4); the
        narrowing pass on [inv], when it is the latest ---- *)
     let p = body_pass inv in
@@ -527,7 +538,7 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
 (* Function calls (Sect. 5.4)                                          *)
 (* ------------------------------------------------------------------ *)
 
-and exec_call (a : Transfer.actx) ~(stack : string list)
+and exec_call (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     (binds : Transfer.binds) (sts : Astate.t list) (dst : var option)
     (fname : string) (args : arg list) : outcome =
   match Hashtbl.find_opt a.Transfer.funs fname with
@@ -539,14 +550,14 @@ and exec_call (a : Transfer.actx) ~(stack : string list)
           (Analysis_error
              (Fmt.str "recursion detected through %s (not in the subset)"
                 fname));
-      let run st = exec_call_one a ~stack binds st dst fname fd args in
+      let run st = exec_call_one a ~stack ~site binds st dst fname fd args in
       { no_flow with o_norm = List.map run (live sts) }
 
 (** Polyvariant analysis of one call from one entry state: bind the
     parameters, analyze the callee body (with trace partitioning if the
     function is selected), merge the traces at the return point and
     write the return value into [dst]. *)
-and exec_call_one (a : Transfer.actx) ~(stack : string list)
+and exec_call_one (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     (binds : Transfer.binds) (st : Astate.t) (dst : var option)
     (fname : string) (fd : fundef) (args : arg list) : Astate.t =
   Metrics.incr c_calls_inlined;
@@ -573,7 +584,7 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list)
       (st, VarMap.empty) fd.fd_params args
   in
   let exit_env, retv =
-    exec_call_body a ~stack ~partitioned callee_binds st fname fd
+    exec_call_body a ~stack ~site ~partitioned callee_binds st fname fd
   in
   match (dst, retv) with
   | Some d, retv when not (D.Itv.is_bot retv) ->
@@ -591,14 +602,16 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list)
   | None, _ -> exit_env
 
 (** Analyze the callee body from a fully bound entry state and merge the
-    traces at the return point.  This is the memoized region: the entry
-    state and the by-reference bindings determine the result completely
-    (the destination write-back happens in the caller's scope, outside).
-    On a cache hit the frame part of the recorded exit state is laid
-    over the entry state and the recorded side effects — alarms, loop
-    invariants, useful octagon packs, join count — are replayed, so a
-    hit is observationally identical to re-analysis. *)
-and exec_call_body (a : Transfer.actx) ~(stack : string list)
+    traces at the return point.  This is the replayed region: the
+    framed entry state, the by-reference bindings and the alarm mode
+    determine the result completely (the destination write-back happens
+    in the caller's scope, outside).  On a replay — from the enclosing
+    loop's slot for this call site, or from the summary cache — the
+    frame part of the recorded exit state is laid over the entry state
+    and the recorded side effects — alarms, loop invariants, useful
+    octagon packs, join count — are replayed, so a replay is
+    observationally identical to re-analysis. *)
+and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     ~(partitioned : bool) (callee_binds : Transfer.binds) (st : Astate.t)
     (fname : string) (fd : fundef) : Astate.t * D.Itv.t =
   let compute () =
@@ -622,9 +635,126 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list)
     in
     (exit_env, retv)
   in
-  match a.Transfer.session.Transfer.ses_memo with
-  | Some m when m.cm_want fname -> m.cm_call a ~fname callee_binds st compute
-  | _ -> compute ()
+  let memoized () =
+    match a.Transfer.session.Transfer.ses_memo with
+    | Some m when m.cm_want fname -> m.cm_call a ~fname callee_binds st compute
+    | _ -> compute ()
+  in
+  match a.Transfer.sites with
+  | None -> memoized ()
+  | Some sites -> exec_call_slots a sites ~site ~fname callee_binds st memoized
+
+(* Differential iteration (DESIGN.md §6): a call under a loop whose
+   framed entry is exactly that of one of the last two calls recorded at
+   this call site — same frame cells and packs bit for bit, same clock,
+   bindings and alarm mode — replays it, through the same record and
+   replay path as the summary cache.  The clock is an input of every
+   call and moves at almost every iterate until it settles, so the site
+   first compares the clock and mode with its previous call's: when
+   they differ, the slots are dropped and the call is computed without
+   a record, at the cost of that comparison.  A call is recorded (in a
+   capture section, over the older slot) only once the two calls before
+   it at the site had its clock and mode: a loop whose clock settles at
+   its last iterate records nothing.  Either way its callee's call
+   sites are the current ones.  The slots die with the loop. *)
+and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
+    ~(site : stmt) ~(fname : string) (binds : Transfer.binds) (st : Astate.t)
+    (compute : unit -> Astate.t * D.Itv.t) : Astate.t * D.Itv.t =
+  let clock = st.Astate.clock in
+  let sites = Lazy.force outer in
+  let cs =
+    match Transfer.Stmt_tbl.find_opt sites site with
+    | Some cs -> cs
+    | None ->
+        let cs =
+          {
+            Transfer.cs_clock = D.Itv.Bot;
+            cs_checking = false;
+            cs_repeats = 0;
+            cs_new = None;
+            cs_old = None;
+            cs_inner = lazy (Transfer.Stmt_tbl.create 8);
+          }
+        in
+        Transfer.Stmt_tbl.add sites site cs;
+        cs
+  in
+  let inside f =
+    a.Transfer.sites <- Some cs.Transfer.cs_inner;
+    match f () with
+    | r ->
+        a.Transfer.sites <- Some outer;
+        r
+    | exception e ->
+        a.Transfer.sites <- Some outer;
+        raise e
+  in
+  let checking = a.Transfer.alarms.Alarm.enabled in
+  if
+    not
+      (Reldom.same_itv clock cs.Transfer.cs_clock
+      && checking = cs.Transfer.cs_checking)
+  then begin
+    cs.Transfer.cs_clock <- clock;
+    cs.Transfer.cs_checking <- checking;
+    cs.Transfer.cs_repeats <- 0;
+    cs.Transfer.cs_new <- None;
+    cs.Transfer.cs_old <- None;
+    inside compute
+  end
+  else if cs.Transfer.cs_repeats < 1 then begin
+    cs.Transfer.cs_repeats <- cs.Transfer.cs_repeats + 1;
+    inside compute
+  end
+  else begin
+    let fr = Frame.of_call a.Transfer.frames ~fname binds in
+    let matches = function
+      | Some (sl : Transfer.call_slot) ->
+          (sl.Transfer.sl_binds == binds
+             || VarMap.equal (fun x y -> x == y || x = y) sl.Transfer.sl_binds binds)
+          && Frame.same_entry fr sl.Transfer.sl_entry st
+      | None -> false
+    in
+    let replay (sl : Transfer.call_slot) =
+      Metrics.incr c_calls_replayed;
+      let r = Transfer.replay ~loc:snd a fr ~entry:st sl.Transfer.sl_summary in
+      a.Transfer.alarms.Alarm.chain <- sl.Transfer.sl_chain;
+      r
+    in
+    let newer = cs.Transfer.cs_new and older = cs.Transfer.cs_old in
+    if matches newer then replay (Option.get newer)
+    else if matches older then begin
+      (* the older slot is now the newer: the other one goes next *)
+      cs.Transfer.cs_old <- newer;
+      cs.Transfer.cs_new <- older;
+      replay (Option.get older)
+    end
+    else begin
+      let cap = Transfer.capture_begin a in
+      let r =
+        try inside compute
+        with e ->
+          Transfer.capture_abort a cap;
+          raise e
+      in
+      let delta = Transfer.capture_end a cap in
+      (* the frame again: the call may have numbered cells of its own *)
+      let fr = Frame.of_call a.Transfer.frames ~fname binds in
+      (match Transfer.record ~loc:(fun l -> ("", l)) a fr ~entry:st r delta with
+      | Some summary ->
+          cs.Transfer.cs_old <- newer;
+          cs.Transfer.cs_new <-
+            Some
+              {
+                Transfer.sl_entry = Frame.entry fr st;
+                sl_binds = binds;
+                sl_summary = summary;
+                sl_chain = a.Transfer.alarms.Alarm.chain;
+              }
+      | None -> ());
+      r
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program analysis                                              *)

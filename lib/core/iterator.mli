@@ -48,6 +48,7 @@ type summary_key = Transfer.summary_key = {
 }
 
 type call_memo = Transfer.call_memo = {
+  cm_names : Frame.names;
   cm_want : string -> bool;
   cm_call :
     Transfer.actx ->

@@ -97,6 +97,12 @@ module type S = sig
   val subset : t -> t -> bool
   val equal : t -> t -> bool
 
+  val same : t -> t -> bool
+  (** exact identity: every field {!digest} encodes is equal, floats
+      bit for bit ([-0.0] is not [+0.0], a NaN is itself) and the
+      octagon closure state included — the test behind replaying a
+      call whose framed input did not change.  [equal] is coarser. *)
+
   (** {1 Transfer functions}
 
       Each reads and writes its own map through [chan.rel]/[with_rel]
@@ -205,6 +211,27 @@ let rename_id ~(from : var array) ~(by : var array) (id : int) : int =
     else find (i + 1)
   in
   find 0
+
+(* Exact identity of the values the encoding writes, compared instead
+   of encoded: floats by their bits. *)
+let same_float (x : float) (y : float) =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_floats (x : float array) (y : float array) =
+  x == y
+  || Array.length x = Array.length y
+     &&
+     let rec go i = i < 0 || (same_float x.(i) y.(i) && go (i - 1)) in
+     go (Array.length x - 1)
+
+let same_itv (x : D.Itv.t) (y : D.Itv.t) =
+  x == y
+  ||
+  match (x, y) with
+  | D.Itv.Bot, D.Itv.Bot -> true
+  | D.Itv.Int (a, b), D.Itv.Int (c, d) -> a = c && b = d
+  | D.Itv.Float (a, b), D.Itv.Float (c, d) -> same_float a c && same_float b d
+  | _ -> false
 
 let add_itv buf : D.Itv.t -> unit = function
   | D.Itv.Bot -> Buffer.add_char buf 'b'

@@ -277,5 +277,22 @@ let digest buf (d : t) =
   in
   tree root
 
+let same (x : t) (y : t) =
+  let rec tree t u =
+    t == u
+    ||
+    match (t, u) with
+    | T.Leaf None, T.Leaf None -> true
+    | T.Leaf (Some m), T.Leaf (Some n) -> VarMap.equal same_itv m n
+    | T.Node (v, f, t), T.Node (w, g, u) -> Var.equal v w && tree f g && tree t u
+    | _ -> false
+  in
+  x == y
+  ||
+  let { T.bools; nums; tree = root } = x in
+  Array.length bools = Array.length y.T.bools
+  && Array.length nums = Array.length y.T.nums
+  && tree root y.T.tree
+
 let pp ppf pid d =
   if T.size d > 1 then Fmt.pf ppf "decision tree #%d:@.%a@." pid T.pp d

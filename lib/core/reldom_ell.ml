@@ -192,5 +192,13 @@ let digest buf (e : t) =
       add_float buf kxy)
     cs
 
+let same (x : t) (y : t) =
+  x == y
+  ||
+  let { E.a; b; fkind; vars; k } = x in
+  same_float a y.E.a && same_float b y.E.b && fkind = y.E.fkind
+  && Array.length vars = Array.length y.E.vars
+  && E.PairMap.equal same_float k y.E.k
+
 let pp ppf pid e =
   if not (E.is_top e) then Fmt.pf ppf "ellipsoid #%d: %a@." pid E.pp e

@@ -235,5 +235,18 @@ let digest buf (o : t) =
     Array.iter (add_float buf) m
   end
 
+let same (x : t) (y : t) =
+  x == y
+  ||
+  let { O.pack; bot; n2; m; closure; index = _ } = x in
+  Array.length pack = Array.length y.O.pack
+  && bot = y.O.bot
+  && (bot
+     || (match (closure, y.O.closure) with
+        | O.Closed, O.Closed | O.Unclosed, O.Unclosed -> true
+        | O.Dirty a, O.Dirty b -> a = b
+        | _ -> false)
+        && n2 = y.O.n2 && same_floats m y.O.m)
+
 let pp ppf pid o =
   if O.has_relational_info o then Fmt.pf ppf "octagon #%d: %a@." pid O.pp o

@@ -17,6 +17,14 @@ type binds = lval VarMap.t
 (** bindings of by-reference parameters to actual lvalues (function
     inlining, Sect. 5.4) *)
 
+(** Tables keyed by a statement itself, not by its contents. *)
+module Stmt_tbl = Hashtbl.Make (struct
+  type t = stmt
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 (* ------------------------------------------------------------------ *)
 (* Session types (reentrancy seam)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -119,6 +127,9 @@ type summary_key = {
     around the analysis of one call body that either replays a summary
     or runs the body (and records one). *)
 type call_memo = {
+  cm_names : Frame.names;
+      (** the program-stable names the context's frames are built with,
+          so that the loops' call slots and the store share frames *)
   cm_want : string -> bool;
       (** gate: is this callee worth memoizing at all?  Computed once
           per session from the transitive inlined size of each function
@@ -155,6 +166,36 @@ and session = {
           every transfer function on its single-task path *)
 }
 
+(** A write to the context's bookkeeping tables made while a capture
+    section is open: the previous invariant of a loop, or a pack that
+    became useful.  {!capture_end} reads its section's writes back. *)
+and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
+
+(** One computed call as a loop's call site keeps it (DESIGN.md §6):
+    its framed entry, the by-reference bindings, its summary, and the
+    alarm call chain it left.  Its clock and alarm mode are the site's. *)
+and call_slot = {
+  sl_entry : Frame.entry;
+  sl_binds : binds;
+  sl_summary : summary;
+  sl_chain : string list;
+}
+
+(** A call statement under one loop and one inlining stack: the clock
+    and alarm mode of its latest call, how many calls in a row before it
+    had them too, its last two recorded calls under them, the newer
+    first, and the call statements of its callee's body. *)
+and call_site = {
+  mutable cs_clock : D.Itv.t;
+  mutable cs_checking : bool;
+  mutable cs_repeats : int;
+  mutable cs_new : call_slot option;
+  mutable cs_old : call_slot option;
+  cs_inner : call_sites Lazy.t;
+}
+
+and call_sites = call_site Stmt_tbl.t
+
 (** Analysis context shared by all transfer functions. *)
 and actx = {
   prog : program;
@@ -171,6 +212,14 @@ and actx = {
   invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> head invariant *)
   input_specs : (int, float * float) Hashtbl.t;  (** volatile input ranges *)
   mutable join_count : int;  (** statistics *)
+  frames : Frame.ctx;  (** the call frames of this context *)
+  mutable journal : journal_entry list;
+      (** writes to [invariants] and [oct_useful] under an open capture
+          section, newest first; emptied when the last one closes *)
+  mutable journal_len : int;
+  mutable captures : int;  (** open capture sections *)
+  mutable sites : call_sites Lazy.t option;
+      (** the call sites of the innermost loop body being analyzed *)
 }
 
 let new_session () : session =
@@ -194,18 +243,26 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     (fun (name, fd) ->
       if not (Hashtbl.mem funs name) then Hashtbl.replace funs name fd)
     p.p_funs;
+  let session = match session with Some s -> s | None -> new_session () in
+  let names = Option.map (fun m -> m.cm_names) session.ses_memo in
+  let intern = Cell.make_interner ~vars:(F.Tast.var_id_bound p) in
   {
     prog = p;
     funs;
     cfg;
-    session = (match session with Some s -> s | None -> new_session ());
+    session;
     packs;
-    intern = Cell.make_interner ~vars:(F.Tast.var_id_bound p);
+    intern;
     alarms = Alarm.make_collector ();
     oct_useful = Hashtbl.create 16;
     invariants = Hashtbl.create 16;
     input_specs;
     join_count = 0;
+    frames = Frame.ctx ?names p cfg packs intern;
+    journal = [];
+    journal_len = 0;
+    captures = 0;
+    sites = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -282,10 +339,37 @@ let var_itv (a : actx) (st : Astate.t) (v : var) : D.Itv.t =
   cell_itv a st (var_cell a v)
 
 (* ------------------------------------------------------------------ *)
+(* Bookkeeping tables                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Writes to [invariants] and [oct_useful] go through these two, which
+   journal them while a capture section is open. *)
+let journal (a : actx) (e : journal_entry) =
+  if a.captures > 0 then begin
+    a.journal <- e :: a.journal;
+    a.journal_len <- a.journal_len + 1
+  end
+
+(** Record a loop's head invariant. *)
+let set_invariant (a : actx) (loop_id : int) (inv : Astate.t) : unit =
+  journal a (Jinvariant (loop_id, Hashtbl.find_opt a.invariants loop_id));
+  Hashtbl.replace a.invariants loop_id inv
+
+(** Record that an octagon pack improved precision (Sect. 7.2.2). *)
+let mark_useful (a : actx) (pid : int) : unit =
+  if not (Hashtbl.mem a.oct_useful pid) then begin
+    journal a (Juseful pid);
+    Hashtbl.replace a.oct_useful pid ()
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Lvalue resolution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** Substitute by-reference parameter bindings away. *)
+(** Substitute by-reference parameter bindings away.  A node with
+    nothing to substitute below it is returned as it is, not rebuilt:
+    resolution allocates only along substituted paths, and expression
+    nodes stay physically stable from one pass to the next. *)
 let rec resolve_lval (binds : binds) (lv : lval) : lval =
   match lv.ldesc with
   | Lvar _ -> lv
@@ -294,17 +378,27 @@ let rec resolve_lval (binds : binds) (lv : lval) : lval =
       | Some actual -> actual
       | None -> lv)
   | Lindex (b, i) ->
-      { lv with ldesc = Lindex (resolve_lval binds b, resolve_expr binds i) }
-  | Lfield (b, f) -> { lv with ldesc = Lfield (resolve_lval binds b, f) }
+      let b' = resolve_lval binds b and i' = resolve_expr binds i in
+      if b' == b && i' == i then lv else { lv with ldesc = Lindex (b', i') }
+  | Lfield (b, f) ->
+      let b' = resolve_lval binds b in
+      if b' == b then lv else { lv with ldesc = Lfield (b', f) }
 
 and resolve_expr (binds : binds) (e : expr) : expr =
   match e.edesc with
   | Eint _ | Efloat _ -> e
-  | Elval lv -> { e with edesc = Elval (resolve_lval binds lv) }
-  | Eunop (op, x) -> { e with edesc = Eunop (op, resolve_expr binds x) }
+  | Elval lv ->
+      let lv' = resolve_lval binds lv in
+      if lv' == lv then e else { e with edesc = Elval lv' }
+  | Eunop (op, x) ->
+      let x' = resolve_expr binds x in
+      if x' == x then e else { e with edesc = Eunop (op, x') }
   | Ebinop (op, x, y) ->
-      { e with edesc = Ebinop (op, resolve_expr binds x, resolve_expr binds y) }
-  | Ecast (s, x) -> { e with edesc = Ecast (s, resolve_expr binds x) }
+      let x' = resolve_expr binds x and y' = resolve_expr binds y in
+      if x' == x && y' == y then e else { e with edesc = Ebinop (op, x', y') }
+  | Ecast (s, x) ->
+      let x' = resolve_expr binds x in
+      if x' == x then e else { e with edesc = Ecast (s, x') }
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -783,7 +877,7 @@ let chan : (actx, Astate.t) Reldom.chan =
     refine = refine_var_env;
     eval = quiet_eval;
     resolve = resolve_expr;
-    useful = (fun a pid -> Hashtbl.replace a.oct_useful pid ());
+    useful = mark_useful;
   }
 
 (* The folds below run the domains of [Relstate.domains] that the
@@ -1172,15 +1266,15 @@ let prefill_cells (a : actx) : unit =
 (* Incremental-analysis support                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Snapshot of the context's mutable bookkeeping, taken by the summary
-    cache at the entry of a memoized call so that the call's exact
-    contribution — alarms, loop invariants, useful octagon packs, join
-    count — can be extracted afterwards and replayed verbatim on a cache
-    hit. *)
+(** An open capture section, taken at the entry of a call so that the
+    call's exact contribution — alarms, loop invariants, useful octagon
+    packs, join count, shared-cell writes — can be extracted afterwards
+    and replayed verbatim.  Opening one is O(1): the bookkeeping tables
+    are not copied, their writes are journaled while a section is open
+    ([journal]) and the section reads its own back. *)
 type capture = {
   cap_alarms : Alarm.capture;
-  cap_invariants : (int, Astate.t) Hashtbl.t;  (** copy at entry *)
-  cap_oct_useful : (int, unit) Hashtbl.t;      (** copy at entry *)
+  cap_journal : int;  (** journal length at entry *)
   cap_joins : int;
   cap_itf : (itf_key, D.Itv.t) Hashtbl.t option;
       (** the guarantee collector in force at entry, set aside while the
@@ -1189,10 +1283,10 @@ type capture = {
 }
 
 let capture_begin (a : actx) : capture =
+  a.captures <- a.captures + 1;
   {
     cap_alarms = Alarm.capture a.alarms;
-    cap_invariants = Hashtbl.copy a.invariants;
-    cap_oct_useful = Hashtbl.copy a.oct_useful;
+    cap_journal = a.journal_len;
     cap_joins = a.join_count;
     cap_itf =
       Option.map
@@ -1218,34 +1312,47 @@ let itf_release (a : actx) (c : capture) : (itf_key * D.Itv.t) list =
              (key, v))
   | _ -> []
 
+(* Close a section's journal: the section's writes, oldest first; the
+   journal is emptied once no section is open. *)
+let journal_close (a : actx) (c : capture) : journal_entry list =
+  let rec take n l acc =
+    match l with x :: l when n > 0 -> take (n - 1) l (x :: acc) | _ -> acc
+  in
+  let own = take (a.journal_len - c.cap_journal) a.journal [] in
+  a.captures <- a.captures - 1;
+  if a.captures = 0 then begin
+    a.journal <- [];
+    a.journal_len <- 0
+  end;
+  own
+
 (** Close a capture section: restore the alarm collector (absorbing the
-    captured alarms, so the surrounding analysis is unaffected) and diff
-    the invariant/pack tables against the entry snapshot.  The diff is
-    by physical equality: an entry is part of the delta iff the call
-    (re)wrote it, which replay reproduces with [Hashtbl.replace] in the
-    sequential order. *)
+    captured alarms, so the surrounding analysis is unaffected) and read
+    the section's writes to the invariant and pack tables back.  An
+    invariant is part of the delta iff the call left it physically
+    different from what it was at entry (the oldest journaled previous
+    value), which replay reproduces with [Hashtbl.replace] in loop-id
+    order; a pack is part of it iff the call made it useful. *)
 let capture_end (a : actx) (c : capture) : capture_delta =
   let alarms = Alarm.release a.alarms c.cap_alarms in
-  let invariants =
-    Hashtbl.fold
-      (fun id st acc ->
-        match Hashtbl.find_opt c.cap_invariants id with
-        | Some old when old == st -> acc
-        | _ -> (id, st) :: acc)
-      a.invariants []
-    |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
-  in
-  let oct_useful =
-    Hashtbl.fold
-      (fun id () acc ->
-        if Hashtbl.mem c.cap_oct_useful id then acc else id :: acc)
-      a.oct_useful []
-    |> List.sort Int.compare
+  let own = journal_close a c in
+  let invariants, oct_useful, _ =
+    List.fold_left
+      (fun (invs, octs, seen) -> function
+        | Jinvariant (id, _) when List.mem id seen -> (invs, octs, seen)
+        | Jinvariant (id, prev) -> (
+            let seen = id :: seen in
+            match (prev, Hashtbl.find_opt a.invariants id) with
+            | Some old, Some st when old == st -> (invs, octs, seen)
+            | _, Some st -> ((id, st) :: invs, octs, seen)
+            | _, None -> (invs, octs, seen))
+        | Juseful id -> (invs, id :: octs, seen))
+      ([], [], []) own
   in
   {
     cd_alarms = alarms;
-    cd_invariants = invariants;
-    cd_oct_useful = oct_useful;
+    cd_invariants = List.sort (fun (x, _) (y, _) -> Int.compare x y) invariants;
+    cd_oct_useful = List.sort Int.compare oct_useful;
     cd_joins = a.join_count - c.cap_joins;
     cd_itf_writes = itf_release a c;
   }
@@ -1255,6 +1362,7 @@ let capture_end (a : actx) (c : capture) : capture_delta =
     writes are absorbed, not lost) and no delta is produced. *)
 let capture_abort (a : actx) (c : capture) : unit =
   ignore (Alarm.release a.alarms c.cap_alarms);
+  ignore (journal_close a c);
   ignore (itf_release a c)
 
 (** Replay a captured delta against the context — the cache-hit path.
@@ -1262,12 +1370,76 @@ let capture_abort (a : actx) (c : capture) : unit =
     skipped re-analysis would have performed. *)
 let capture_replay (a : actx) (d : capture_delta) : unit =
   Alarm.absorb a.alarms d.cd_alarms;
-  List.iter
-    (fun (id, st) -> Hashtbl.replace a.invariants id st)
-    d.cd_invariants;
-  List.iter (fun id -> Hashtbl.replace a.oct_useful id ()) d.cd_oct_useful;
+  List.iter (fun (id, st) -> set_invariant a id st) d.cd_invariants;
+  List.iter (mark_useful a) d.cd_oct_useful;
   a.join_count <- a.join_count + d.cd_joins;
   match a.session.ses_itf with
   | None -> ()
   | Some it ->
       List.iter (fun (key, v) -> itf_record it key v) d.cd_itf_writes
+
+(* ------------------------------------------------------------------ *)
+(* Summaries in frame coordinates                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** The summary of a computed call: the exit state and the captured
+    side effects, in the coordinates of [fr]; alarm locations mapped by
+    [loc].  [None] when an effect falls outside the frame, which the
+    frame's construction rules out; such a call is simply not
+    replayed. *)
+let record ~(loc : F.Loc.t -> string * F.Loc.t) (a : actx) (fr : Frame.t)
+    ~(entry : Astate.t) ((exit_, retv) : Astate.t * D.Itv.t)
+    (d : capture_delta) : summary option =
+  let get = function Some i -> i | None -> raise Exit in
+  try
+    Some
+      {
+        sm_exit = Frame.restrict fr ~entry exit_;
+        sm_retv = retv;
+        sm_alarms =
+          List.map
+            (fun (al : Alarm.t) ->
+              let owner, l = loc al.Alarm.a_loc in
+              (owner, { al with Alarm.a_loc = l }))
+            d.cd_alarms;
+        sm_invariants =
+          List.map
+            (fun (id, inv) ->
+              (get (Frame.loop_pos fr id), Frame.restrict fr ~entry inv))
+            d.cd_invariants;
+        sm_oct_useful =
+          List.map (fun id -> get (Frame.oct_pos fr id)) d.cd_oct_useful;
+        sm_joins = d.cd_joins;
+        sm_itf_writes =
+          List.map
+            (fun ((root, path), v) ->
+              (get (Option.bind (Cell.find a.intern root path) (Frame.cell_pos fr)), v))
+            d.cd_itf_writes;
+      }
+  with Exit -> None
+
+(** Replay a summary against the bound entry state [entry]: the exit
+    state, with every recorded side effect applied to the context. *)
+let replay ~(loc : string * F.Loc.t -> F.Loc.t) (a : actx) (fr : Frame.t)
+    ~(entry : Astate.t) (s : summary) : Astate.t * D.Itv.t =
+  capture_replay a
+    {
+      cd_alarms =
+        List.map
+          (fun (owner, (al : Alarm.t)) ->
+            { al with Alarm.a_loc = loc (owner, al.Alarm.a_loc) })
+          s.sm_alarms;
+      cd_invariants =
+        List.map
+          (fun (i, inv) -> (Frame.loop_at fr i, Frame.overlay fr inv entry))
+          s.sm_invariants;
+      cd_oct_useful = List.map (Frame.oct_at fr) s.sm_oct_useful;
+      cd_joins = s.sm_joins;
+      cd_itf_writes =
+        List.map
+          (fun (i, v) ->
+            let c = Cell.of_id a.intern (Frame.cell_at fr i) in
+            ((c.Cell.root.v_id, c.Cell.path), v))
+          s.sm_itf_writes;
+    };
+  (Frame.overlay fr s.sm_exit entry, s.sm_retv)

@@ -23,6 +23,10 @@ module D = Astree_domains
     inlining, Sect. 5.4). *)
 type binds = F.Tast.lval F.Tast.VarMap.t
 
+(** Tables keyed by a statement itself (physical equality), not by its
+    contents. *)
+module Stmt_tbl : Hashtbl.S with type key = F.Tast.stmt
+
 (** {1 Session types (reentrancy seam)}
 
     The iterator's extension hooks — function-summary memo and
@@ -107,6 +111,9 @@ type summary_key = {
 
 (** The summary cache as the iterator sees it. *)
 type call_memo = {
+  cm_names : Frame.names;
+      (** the program-stable names the context's frames are built with,
+          so that the loops' call slots and the store share frames *)
   cm_want : string -> bool;
       (** is this callee worth memoizing at all? *)
   cm_call :
@@ -135,6 +142,37 @@ and session = {
           keeps every transfer function on its single-task path *)
 }
 
+(** A write to [invariants] or [oct_useful] made while a capture
+    section is open: a loop's previous invariant, or a pack that became
+    useful. *)
+and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
+
+(** One computed call as a loop's call site keeps it ([Iterator],
+    DESIGN.md §6): its framed entry, by-reference bindings, summary, and
+    the alarm call chain it left.  Its clock and alarm mode are the
+    site's. *)
+and call_slot = {
+  sl_entry : Frame.entry;
+  sl_binds : binds;
+  sl_summary : summary;
+  sl_chain : string list;
+}
+
+(** A call statement under one loop and one inlining stack: the clock
+    and alarm mode of its latest call, how many calls in a row before it
+    had them too, its last two recorded calls under them, the newer
+    first, and the call statements of its callee's body. *)
+and call_site = {
+  mutable cs_clock : D.Itv.t;
+  mutable cs_checking : bool;
+  mutable cs_repeats : int;
+  mutable cs_new : call_slot option;
+  mutable cs_old : call_slot option;
+  cs_inner : call_sites Lazy.t;
+}
+
+and call_sites = call_site Stmt_tbl.t
+
 (** Analysis context shared by all transfer functions. *)
 and actx = {
   prog : F.Tast.program;
@@ -150,6 +188,14 @@ and actx = {
   invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> head invariant *)
   input_specs : (int, float * float) Hashtbl.t;
   mutable join_count : int;
+  frames : Frame.ctx;  (** the call frames of this context *)
+  mutable journal : journal_entry list;
+      (** writes to [invariants] and [oct_useful] under an open capture
+          section, newest first; emptied when the last one closes *)
+  mutable journal_len : int;
+  mutable captures : int;  (** open capture sections *)
+  mutable sites : call_sites Lazy.t option;
+      (** the call sites of the innermost loop body being analyzed *)
 }
 
 (** Fresh session with no hooks installed. *)
@@ -171,9 +217,16 @@ val cell_itv : actx -> Astate.t -> int -> D.Itv.t
 val var_itv : actx -> Astate.t -> F.Tast.var -> D.Itv.t
 
 
+(** {1 Bookkeeping} through which every write to [invariants] and
+    [oct_useful] goes, so that capture sections see them *)
+
+val set_invariant : actx -> int -> Astate.t -> unit
+val mark_useful : actx -> int -> unit
+
 (** {1 Lvalues and expressions} *)
 
-(** Substitute by-reference parameter bindings away. *)
+(** Substitute by-reference parameter bindings away; a node with nothing
+    to substitute below it is returned itself. *)
 val resolve_lval : binds -> F.Tast.lval -> F.Tast.lval
 
 val resolve_expr : binds -> F.Tast.expr -> F.Tast.expr
@@ -238,7 +291,10 @@ val prefill_cells : actx -> unit
 
 type capture
 
+(** Open a section: O(1), the bookkeeping tables are journaled, not
+    copied. *)
 val capture_begin : actx -> capture
+
 val capture_end : actx -> capture -> capture_delta
 
 (** Abandon a section on an exceptional exit (alarms and shared-cell
@@ -247,3 +303,28 @@ val capture_abort : actx -> capture -> unit
 
 (** Replay a delta against the context — the cache-hit path. *)
 val capture_replay : actx -> capture_delta -> unit
+
+(** The summary of a computed call from [entry]: its result and side
+    effects in the coordinates of the call's frame, each alarm location
+    mapped by [loc] to the function it is relative to and the relative
+    location.  [None] when an effect falls outside the frame, which the
+    frame's construction rules out. *)
+val record :
+  loc:(F.Loc.t -> string * F.Loc.t) ->
+  actx ->
+  Frame.t ->
+  entry:Astate.t ->
+  Astate.t * D.Itv.t ->
+  capture_delta ->
+  summary option
+
+(** Replay a summary from the bound entry state [entry]: the exit state
+    and return value, with every recorded side effect applied to the
+    context; [loc] maps alarm locations back. *)
+val replay :
+  loc:(string * F.Loc.t -> F.Loc.t) ->
+  actx ->
+  Frame.t ->
+  entry:Astate.t ->
+  summary ->
+  Astate.t * D.Itv.t

@@ -1,24 +1,28 @@
-(** Summary frames: the part of the abstract state one memoized call can
-    read or write — the cells of its transitive read/write footprint
-    and of its by-reference bindings, closed under relational pack
-    membership; the whole state when the callee can reach the clock
-    tick, and every float cell too when it has a loop (the floating
-    perturbation of Sect. 7.1.4 enlarges them all).  Cells, packs and
-    loops are listed in a program-stable order, so a summary stored by
-    frame position replays in any program whose frame has the same
-    identity.  DESIGN.md §8. *)
+(** Summary frames: {!Astree_core.Frame} built with program-stable names
+    ({!Fingerprint.var_name}, {!Fingerprint.loop_name}), so that cells,
+    packs and loops are listed in a program-stable order and a summary
+    stored by frame position replays in any program whose frame has the
+    same identity — and the entry digest that keys the store.
+    DESIGN.md §8. *)
 
-type t
+type t = Astree_core.Frame.t
 
-(** Frames of one analysis context, computed on demand and kept. *)
+(** Frames of one analysis context, with the fingerprints their keys
+    are written with. *)
 type ctx
 
+(** The names frames are ordered and identified by. *)
+val names : Fingerprint.t -> Astree_core.Frame.names
+
+(** A fresh named frame context of [a]. *)
 val ctx : Fingerprint.t -> Astree_core.Transfer.actx -> ctx
 
-(** The frame of a call to [fname] with these by-reference bindings. *)
-val of_call : ctx -> fname:string -> Astree_core.Transfer.binds -> t
+(** The frames of [a] itself when they carry names — the summary memo
+    was installed before [a] was made, so the loops' call slots and the
+    store share them — else a fresh named frame context. *)
+val of_actx : Fingerprint.t -> Astree_core.Transfer.actx -> ctx
 
-(** The frame of every cell and pack of the program (and no loop). *)
+val of_call : ctx -> fname:string -> Astree_core.Transfer.binds -> t
 val whole : ctx -> t
 
 (** Digest of the entry state restricted to the frame, with the frame's
@@ -27,15 +31,9 @@ val whole : ctx -> t
 val entry_digest :
   ctx -> t -> Astree_core.Astate.t -> Astree_core.Transfer.binds -> string
 
-(** [restrict fr ~entry st]: the frame part of [st] that is not
-    physically [entry]'s, keyed by frame position (cells and packs),
-    with [st]'s bottom flag and clock. *)
 val restrict :
   t -> entry:Astree_core.Astate.t -> Astree_core.Astate.t -> Astree_core.Astate.t
 
-(** [overlay fr framed entry]: [entry] with a {!restrict}ed state laid
-    over it, packs renamed to this program's variables; bottom when
-    [framed] is. *)
 val overlay :
   t -> Astree_core.Astate.t -> Astree_core.Astate.t -> Astree_core.Astate.t
 

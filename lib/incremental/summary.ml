@@ -71,69 +71,15 @@ let inlined_sizes (p : F.Tast.program) : (string, int) Hashtbl.t =
 (* Summaries in frame coordinates                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** The summary of a computed call: the exit state and the captured
-    side effects, in the coordinates of [fr].  [None] when an effect
-    falls outside the frame, which the frame's construction rules out;
-    such a call is simply not memoized. *)
-let record (fps : Fingerprint.t) (a : C.Transfer.actx) (fr : Frame.t)
-    ~(entry : C.Astate.t) ((exit_, retv) : C.Astate.t * Astree_domains.Itv.t)
-    (d : C.Transfer.capture_delta) : C.Iterator.summary option =
-  let get = function Some i -> i | None -> raise Exit in
-  try
-    Some
-      {
-        C.Iterator.sm_exit = Frame.restrict fr ~entry exit_;
-        sm_retv = retv;
-        sm_alarms =
-          List.map
-            (fun (al : C.Alarm.t) ->
-              let owner, l = Fingerprint.relative fps al.C.Alarm.a_loc in
-              (owner, { al with C.Alarm.a_loc = l }))
-            d.C.Transfer.cd_alarms;
-        sm_invariants =
-          List.map
-            (fun (id, inv) ->
-              (get (Frame.loop_pos fr id), Frame.restrict fr ~entry inv))
-            d.C.Transfer.cd_invariants;
-        sm_oct_useful =
-          List.map (fun id -> get (Frame.oct_pos fr id)) d.C.Transfer.cd_oct_useful;
-        sm_joins = d.C.Transfer.cd_joins;
-        sm_itf_writes =
-          List.map
-            (fun ((root, path), v) ->
-              ( get (Option.bind (C.Cell.find a.C.Transfer.intern root path)
-                       (Frame.cell_pos fr)),
-                v ))
-            d.C.Transfer.cd_itf_writes;
-      }
-  with Exit -> None
+(** The summary of a computed call ({!C.Transfer.record}), alarm
+    locations relative to their functions, so that it replays in any
+    program whose frame has the same identity. *)
+let record (fps : Fingerprint.t) =
+  C.Transfer.record ~loc:(Fingerprint.relative fps)
 
-(** Replay a summary against the bound entry state [entry]: the exit
-    state, with every recorded side effect applied to the context. *)
-let replay (fps : Fingerprint.t) (a : C.Transfer.actx) (fr : Frame.t)
-    ~(entry : C.Astate.t) (s : C.Iterator.summary) :
-    C.Astate.t * Astree_domains.Itv.t =
-  C.Transfer.capture_replay a
-    {
-      C.Transfer.cd_alarms =
-        List.map
-          (fun (owner, (al : C.Alarm.t)) ->
-            { al with C.Alarm.a_loc = Fingerprint.rebase fps (owner, al.C.Alarm.a_loc) })
-          s.C.Iterator.sm_alarms;
-      cd_invariants =
-        List.map
-          (fun (i, inv) -> (Frame.loop_at fr i, Frame.overlay fr inv entry))
-          s.C.Iterator.sm_invariants;
-      cd_oct_useful = List.map (Frame.oct_at fr) s.C.Iterator.sm_oct_useful;
-      cd_joins = s.C.Iterator.sm_joins;
-      cd_itf_writes =
-        List.map
-          (fun (i, v) ->
-            let c = C.Cell.of_id a.C.Transfer.intern (Frame.cell_at fr i) in
-            ((c.C.Cell.root.F.Tast.v_id, c.C.Cell.path), v))
-          s.C.Iterator.sm_itf_writes;
-    };
-  (Frame.overlay fr s.C.Iterator.sm_exit entry, s.C.Iterator.sm_retv)
+(** Replay a summary against the bound entry state ({!C.Transfer.replay}),
+    alarm locations laid back onto this program's functions. *)
+let replay (fps : Fingerprint.t) = C.Transfer.replay ~loc:(Fingerprint.rebase fps)
 
 (** Digest of a whole abstract state in the key encoding: every cell and
     pack of the program, by name and frame position. *)
@@ -164,7 +110,7 @@ let frames (ss : session) (a : C.Transfer.actx) : Frame.ctx =
   match ss.ss_frames with
   | Some (a', cx) when a' == a -> cx
   | _ ->
-      let cx = Frame.ctx ss.ss_fps a in
+      let cx = Frame.of_actx ss.ss_fps a in
       ss.ss_frames <- Some (a, cx);
       cx
 
@@ -267,7 +213,12 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
       | None -> false
   in
   ses.C.Transfer.ses_memo <-
-    Some { C.Iterator.cm_want = want; cm_call = call ss };
+    Some
+      {
+        C.Iterator.cm_names = Frame.names fps;
+        cm_want = want;
+        cm_call = call ss;
+      };
   ss
 
 (** Uninstall the memo; under [Cache_dir] and [save:true], first publish

@@ -487,6 +487,103 @@ let test_reused_checking_pass_explain () =
   Alcotest.(check string) "explain md5" "b607b85ee246430b20196f4bee8af17e"
     (Digest.to_hex (Digest.string text))
 
+(* Differential iteration: a loop-body call whose framed input did not
+   change since the previous iterate replays that iterate's result — here
+   a callee with its own loop (the replay restores its invariant), one
+   that may overflow, and one bound by reference, while [big] climbs the
+   threshold ladder.  The alarms with their provenance and the invariant
+   dump are those the iterator gave when it recomputed every call (MD5
+   pinned before calls were replayed). *)
+let replay_src =
+  {|volatile int in;
+int acc;
+int big;
+short s;
+int k;
+int t;
+void settle(int n) {
+  int i;
+  i = 0;
+  while (i < n) { i = i + 1; }
+  acc = i + k;
+}
+void bump(int *c) {
+  *c = *c + 1000;
+  s = (short) *c;
+}
+void probe(void) {
+  t = k * 1000000000;
+}
+int main(void) {
+  __astree_input_range(in, 0.0, 10.0);
+  big = 0;
+  while (1) {
+    k = in;
+    settle(5);
+    probe();
+    bump(&big);
+  }
+  return 0;
+}
+|}
+
+let test_call_replay () =
+  let before = Metrics.snapshot () in
+  let r = C.Analysis.analyze_string ~file:"replay.c" replay_src in
+  let d = Metrics.diff before in
+  let replayed = Option.value ~default:0 (Metrics.find_int d "iter.calls_replayed") in
+  Alcotest.(check bool) "calls replayed" true (replayed > 0);
+  Alcotest.(check int) "alarms" 3 (C.Analysis.n_alarms r);
+  let text =
+    String.concat "\n"
+      (List.map (Fmt.str "%a" C.Alarm.pp_explain) r.C.Analysis.r_alarms)
+    ^ C.Invariant_dump.to_string r
+  in
+  Alcotest.(check string) "explain and dump md5" "3b87f89710790d510076006f644da6ce"
+    (Digest.to_hex (Digest.string text))
+
+(* The framed comparison behind a replay is exact, down to what a summary
+   key encodes: a copy with the same contents is the same entry; an
+   octagon whose diagonal holds -0.0 for 0.0 (equal as floats), one whose
+   closure state differs, or another clock is not. *)
+let test_framed_entry_exact () =
+  let module O = Astree_domains.Octagon in
+  let r = C.Analysis.analyze_string ~file:"replay.c" replay_src in
+  let a = r.C.Analysis.r_actx in
+  let inv =
+    Hashtbl.fold
+      (fun _ st acc ->
+        if C.Ptmap.is_empty st.C.Astate.rel.C.Relstate.octs then acc else Some st)
+      a.C.Transfer.invariants None
+    |> Option.get
+  in
+  let fr = C.Frame.whole a.C.Transfer.frames in
+  let e = C.Frame.entry fr inv in
+  let same st = C.Frame.same_entry fr e st in
+  let pid, o = List.hd (C.Ptmap.bindings inv.C.Astate.rel.C.Relstate.octs) in
+  let with_oct o' =
+    {
+      inv with
+      C.Astate.rel =
+        {
+          inv.C.Astate.rel with
+          C.Relstate.octs = C.Ptmap.add pid o' inv.C.Astate.rel.C.Relstate.octs;
+        };
+    }
+  in
+  Alcotest.(check bool) "itself" true (same inv);
+  Alcotest.(check bool) "a copy" true (same (with_oct (O.copy o)));
+  let neg_zero = O.copy o in
+  neg_zero.O.m.(0) <- -0.0;
+  Alcotest.(check bool) "-0.0 is equal" true (O.equal o neg_zero);
+  Alcotest.(check bool) "-0.0 is not the same" false (same (with_oct neg_zero));
+  let other_closure = O.copy o in
+  other_closure.O.closure <-
+    (match o.O.closure with O.Unclosed -> O.Closed | _ -> O.Unclosed);
+  Alcotest.(check bool) "closure state" false (same (with_oct other_closure));
+  Alcotest.(check bool) "clock" false
+    (same { inv with C.Astate.clock = Astree_domains.Itv.int_range 0 7 })
+
 let suite =
   [
     Alcotest.test_case "break" `Quick test_break;
@@ -507,6 +604,9 @@ let suite =
     Alcotest.test_case "checking pass covers loop bodies" `Quick test_checking_mode_covers_loop_body;
     Alcotest.test_case "call resolution" `Quick test_call_resolution;
     Alcotest.test_case "pass reuse counters" `Quick test_pass_reuse_counters;
+    Alcotest.test_case "loop-body call replay" `Quick test_call_replay;
+    Alcotest.test_case "framed entries compare exactly" `Quick
+      test_framed_entry_exact;
     Alcotest.test_case "reused checking pass: explain" `Quick
       test_reused_checking_pass_explain;
   ]

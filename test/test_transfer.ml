@@ -379,6 +379,41 @@ int main(void) {
 }
 |}
 
+(* capture sections ------------------------------------------------- *)
+
+(* A capture section reads the bookkeeping writes made while it was
+   open back from the journal: the loop invariants the call left
+   physically different from what they were at entry, the packs it made
+   useful, nested sections each their own, and nothing once the last
+   one closes. *)
+let test_capture_journal () =
+  let p, _ = C.Analysis.compile [ ("cap.c", "int main(void) { return 0; }") ] in
+  let a = C.Transfer.make_actx C.Config.default p in
+  let st = C.Transfer.initial_state a in
+  let st' = { st with C.Astate.clock = D.Itv.int_range 0 1 } in
+  C.Transfer.set_invariant a 1 st;
+  C.Transfer.mark_useful a 4;
+  let outer = C.Transfer.capture_begin a in
+  C.Transfer.set_invariant a 1 st';
+  C.Transfer.set_invariant a 2 st;
+  let inner = C.Transfer.capture_begin a in
+  C.Transfer.set_invariant a 2 st;
+  C.Transfer.mark_useful a 4;
+  C.Transfer.mark_useful a 7;
+  let d_in = C.Transfer.capture_end a inner in
+  C.Transfer.set_invariant a 1 st;
+  let d_out = C.Transfer.capture_end a outer in
+  let ids d = List.map fst d.C.Transfer.cd_invariants in
+  Alcotest.(check (list int)) "inner: invariant rewritten, same state" [] (ids d_in);
+  Alcotest.(check (list int)) "inner: useful packs" [ 7 ] d_in.C.Transfer.cd_oct_useful;
+  Alcotest.(check (list int)) "outer: back to its entry value, new loop" [ 2 ] (ids d_out);
+  Alcotest.(check (list int)) "outer: useful packs" [ 7 ] d_out.C.Transfer.cd_oct_useful;
+  Alcotest.(check int) "journal emptied" 0 a.C.Transfer.journal_len;
+  let again = C.Transfer.capture_begin a in
+  C.Transfer.set_invariant a 1 st';
+  Alcotest.(check (list int)) "a later section" [ 1 ]
+    (ids (C.Transfer.capture_end a again))
+
 let suite =
   [
     Alcotest.test_case "comparison guards" `Quick test_guard_comparisons;
@@ -401,6 +436,7 @@ let suite =
     Alcotest.test_case "polyvariant calls" `Quick test_polyvariant_calls;
     Alcotest.test_case "clocked counters" `Quick test_clock_bounds_counter_sum;
     Alcotest.test_case "volatile reads distinct" `Quick test_volatile_reads_not_cached;
+    Alcotest.test_case "capture journal" `Quick test_capture_journal;
   ]
 
 (* assignments read their right-hand side before the write --------- *)
