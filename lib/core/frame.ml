@@ -30,27 +30,18 @@ open F.Tast
 
 type names = { var_name : var -> string; loop_name : int -> string }
 
-(* One relational domain's part of a frame, over the whole [rel]
-   record so that the domains' differing element types stay inside. *)
-type rel_part = {
-  rp_domain : string;  (** the domain's [Reldom.S.name] *)
-  rp_ids : int array;  (** pack ids, frame order *)
-  rp_same : Relstate.t -> Relstate.t -> bool;
-      (** do two states carry the same element ([Reldom.S.same]) in
-          every frame pack? *)
-  rp_keep : Relstate.t -> Relstate.t -> Relstate.t;
-      (** [rp_keep st acc]: the frame packs of [st], by pack id, added
-          to [acc] *)
-  rp_digest : Buffer.t -> Relstate.t -> unit;
-      (** the MD5 of each frame pack's element, in frame order *)
-  rp_restrict : entry:Relstate.t -> Relstate.t -> Relstate.t -> Relstate.t;
-      (** [rp_restrict ~entry st acc]: the packs of [st] that are not
-          physically those of [entry], by frame position, added to
-          [acc] *)
-  rp_overlay : Relstate.t -> Relstate.t -> Relstate.t;
-      (** [rp_overlay framed st]: [st] with the framed packs laid over
-          it, renamed to this program's variables *)
-}
+(* One relational domain's part of a frame: the domain, and its frame
+   packs in frame order.  Plain data (no closures), so a frame stays
+   small; [last] keeps the MD5 of the last element digested at each
+   position, allocated on the first digest (keys only). *)
+type rel_part =
+  | Rel : {
+      dom : (module Reldom.S with type t = 'e and type pack = 'p);
+      ids : int array;  (** pack ids *)
+      packs : 'p array;
+      mutable last : ('e * string) option array;
+    }
+      -> rel_part
 
 type t = {
   fr_id : string option;  (** digest of the frame's identity, with names *)
@@ -184,81 +175,99 @@ let rel_part (cx : ctx) (vars : VarSet.t) (id : Buffer.t option)
         List.sort (fun x y -> Int.compare (M.pack_id x) (M.pack_id y)) packs
   in
   let packs = Array.of_list packs in
-  let ids = Array.map M.pack_id packs in
-  (* the MD5 of each pack's element, kept for the last element digested
-     at that position: consecutive calls mostly pass the same, unchanged
-     packs (elements are never mutated once in a map, Octagon.copy) *)
-  let last = lazy (Array.make (Array.length ids) None) in
-  let elt_digest i x =
-    let last = Lazy.force last in
-    match last.(i) with
-    | Some (y, d) when y == x -> d
-    | _ ->
-        let b = Buffer.create 1024 in
-        M.digest b x;
-        let d = Digest.string (Buffer.contents b) in
-        last.(i) <- Some (x, d);
-        d
-  in
-  {
-    rp_domain = M.name;
-    rp_ids = ids;
-    rp_same =
-      (fun r0 r1 ->
-        let m0 = M.get r0 and m1 = M.get r1 in
-        m0 == m1
-        || Array.for_all
-             (fun pid ->
-               match (Ptmap.find_opt pid m0, Ptmap.find_opt pid m1) with
-               | None, None -> true
-               | Some x, Some y -> M.same x y
-               | _ -> false)
-             ids);
-    rp_keep =
-      (fun rel acc ->
-        let m = M.get rel in
-        M.set acc
-          (Array.fold_left
-             (fun out pid ->
-               match Ptmap.find_opt pid m with
-               | Some x -> Ptmap.add pid x out
-               | None -> out)
-             Ptmap.empty ids));
-    rp_digest =
-      (fun buf rel ->
-        let m = M.get rel in
-        Array.iteri
-          (fun i pid ->
-            match Ptmap.find_opt pid m with
-            | None -> Buffer.add_char buf '-'
-            | Some x ->
-                Buffer.add_char buf '+';
-                Buffer.add_string buf (elt_digest i x))
-          ids);
-    rp_restrict =
-      (fun ~entry rel acc ->
-        let m0 = M.get entry and m = M.get rel in
-        if m == m0 then acc
-        else
-          let out = ref (M.get acc) in
-          Array.iteri
-            (fun i pid ->
-              match Ptmap.find_opt pid m with
-              | Some x when not (is_phys x (Ptmap.find_opt pid m0)) ->
-                  out := Ptmap.add i x !out
-              | _ -> ())
-            ids;
-          M.set acc !out);
-    rp_overlay =
-      (fun framed rel ->
-        let fm = M.get framed in
-        if Ptmap.is_empty fm then rel
-        else
-          M.set rel
-            (Ptmap.fold
-               (fun i x m -> Ptmap.add ids.(i) (M.rename packs.(i) x) m)
-               fm (M.get rel)));
-  }
+  Rel
+    {
+      dom = (module M : Reldom.S with type t = M.t and type pack = M.pack);
+      ids = Array.map M.pack_id packs;
+      packs;
+      last = [||];
+    }
+
+let rel_ids (Rel r) = r.ids
+
+(* Do two states carry the same element ([Reldom.S.same]) in every frame
+   pack? *)
+let rel_same (Rel r) (r0 : Relstate.t) (r1 : Relstate.t) : bool =
+  let module M = (val r.dom) in
+  let m0 = M.get r0 and m1 = M.get r1 in
+  m0 == m1
+  || Array.for_all
+       (fun pid ->
+         match (Ptmap.find_opt pid m0, Ptmap.find_opt pid m1) with
+         | None, None -> true
+         | Some x, Some y -> M.same x y
+         | _ -> false)
+       r.ids
+
+(* The frame packs of [rel], by pack id, added to [acc]. *)
+let rel_keep (Rel r) (rel : Relstate.t) (acc : Relstate.t) : Relstate.t =
+  let module M = (val r.dom) in
+  let m = M.get rel in
+  M.set acc
+    (Array.fold_left
+       (fun out pid ->
+         match Ptmap.find_opt pid m with
+         | Some x -> Ptmap.add pid x out
+         | None -> out)
+       Ptmap.empty r.ids)
+
+(* The MD5 of each frame pack's element, in frame order, kept for the
+   last element digested at that position: consecutive calls mostly pass
+   the same, unchanged packs (elements are never mutated once in a map,
+   Octagon.copy). *)
+let rel_digest (Rel r) (buf : Buffer.t) (rel : Relstate.t) : unit =
+  let module M = (val r.dom) in
+  if Array.length r.last <> Array.length r.ids then
+    r.last <- Array.make (Array.length r.ids) None;
+  let m = M.get rel in
+  Array.iteri
+    (fun i pid ->
+      match Ptmap.find_opt pid m with
+      | None -> Buffer.add_char buf '-'
+      | Some x ->
+          Buffer.add_char buf '+';
+          let d =
+            match r.last.(i) with
+            | Some (y, d) when y == x -> d
+            | _ ->
+                let b = Buffer.create 1024 in
+                M.digest b x;
+                let d = Digest.string (Buffer.contents b) in
+                r.last.(i) <- Some (x, d);
+                d
+          in
+          Buffer.add_string buf d)
+    r.ids
+
+(* [rel_restrict ~entry rel acc]: the frame packs of [rel] that are not
+   physically those of [entry], by frame position, added to [acc]. *)
+let rel_restrict (Rel r) ~(entry : Relstate.t) (rel : Relstate.t)
+    (acc : Relstate.t) : Relstate.t =
+  let module M = (val r.dom) in
+  let m0 = M.get entry and m = M.get rel in
+  if m == m0 then acc
+  else
+    let out = ref (M.get acc) in
+    Array.iteri
+      (fun i pid ->
+        match Ptmap.find_opt pid m with
+        | Some x when not (is_phys x (Ptmap.find_opt pid m0)) ->
+            out := Ptmap.add i x !out
+        | _ -> ())
+      r.ids;
+    M.set acc !out
+
+(* [rel_overlay framed rel]: [rel] with the framed packs laid over it,
+   renamed to this program's variables. *)
+let rel_overlay (Rel r) (framed : Relstate.t) (rel : Relstate.t) : Relstate.t =
+  let module M = (val r.dom) in
+  let fm = M.get framed in
+  if Ptmap.is_empty fm then rel
+  else
+    M.set rel
+      (Ptmap.fold
+         (fun i x m -> Ptmap.add r.ids.(i) (M.rename r.packs.(i) x) m)
+         fm (M.get rel))
 
 (* Close [vars] under pack membership in every domain. *)
 let rec close (packs : Packing.t) (vars : VarSet.t) : VarSet.t =
@@ -355,7 +364,12 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
          h);
     fr_rel;
     fr_octs =
-      (List.find (fun rp -> rp.rp_domain = Reldom_oct.name) fr_rel).rp_ids;
+      rel_ids
+        (List.find
+           (fun (Rel r) ->
+             let module M = (val r.dom) in
+             M.name = Reldom_oct.name)
+           fr_rel);
     fr_loops = Array.of_list loops;
     fr_interned = interned;
   }
@@ -416,7 +430,7 @@ let entry (fr : t) (st : Astate.t) : entry =
           match Env.find st.Astate.env cid with Some v -> v | None -> absent)
         fr.fr_cells;
     fe_rel =
-      List.fold_left (fun acc rp -> rp.rp_keep st.Astate.rel acc) Relstate.empty fr.fr_rel;
+      List.fold_left (fun acc rp -> rel_keep rp st.Astate.rel acc) Relstate.empty fr.fr_rel;
   }
 
 let same_entry (fr : t) (e : entry) (st : Astate.t) : bool =
@@ -432,7 +446,7 @@ let same_entry (fr : t) (e : entry) (st : Astate.t) : bool =
            && go (i - 1)
       in
       go (Array.length cells - 1))
-  && List.for_all (fun rp -> rp.rp_same e.fe_rel st.Astate.rel) fr.fr_rel
+  && List.for_all (fun rp -> rel_same rp e.fe_rel st.Astate.rel) fr.fr_rel
 
 (* ------------------------------------------------------------------ *)
 (* Framed states                                                        *)
@@ -462,7 +476,7 @@ let restrict (fr : t) ~(entry : Astate.t) (st : Astate.t) : Astate.t =
     Astate.make ~env:(Env.Shared env)
       ~rel:
         (List.fold_left
-           (fun acc rp -> rp.rp_restrict ~entry:entry.Astate.rel st.Astate.rel acc)
+           (fun acc rp -> rel_restrict rp ~entry:entry.Astate.rel st.Astate.rel acc)
            Relstate.empty fr.fr_rel)
       ~clock:st.Astate.clock
 
@@ -483,7 +497,7 @@ let overlay (fr : t) (framed : Astate.t) (entry : Astate.t) : Astate.t =
     Astate.make ~env
       ~rel:
         (List.fold_left
-           (fun rel rp -> rp.rp_overlay framed.Astate.rel rel)
+           (fun rel rp -> rel_overlay rp framed.Astate.rel rel)
            entry.Astate.rel fr.fr_rel)
       ~clock:framed.Astate.clock
 
@@ -497,7 +511,7 @@ let id (fr : t) =
   | None -> invalid_arg "Frame.id: a frame built without names"
 
 let add_packs buf (fr : t) (st : Astate.t) =
-  List.iter (fun rp -> rp.rp_digest buf st.Astate.rel) fr.fr_rel
+  List.iter (fun rp -> rel_digest rp buf st.Astate.rel) fr.fr_rel
 
 let position (a : int array) (x : int) : int option =
   let rec find i =

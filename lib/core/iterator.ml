@@ -652,11 +652,11 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
    call and moves at almost every iterate until it settles, so the site
    first compares the clock and mode with its previous call's: when
    they differ, the slots are dropped and the call is computed without
-   a record, at the cost of that comparison.  A call is recorded (in a
-   capture section, over the older slot) only once the two calls before
-   it at the site had its clock and mode: a loop whose clock settles at
-   its last iterate records nothing.  Either way its callee's call
-   sites are the current ones.  The slots die with the loop. *)
+   a record, at the cost of that comparison; when they are the same,
+   the call is compared with the slots and, on a miss, computed in a
+   capture section and recorded over the older slot.  Either way its
+   callee's call sites are the current ones.  The slots die with the
+   loop. *)
 and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
     ~(site : stmt) ~(fname : string) (binds : Transfer.binds) (st : Astate.t)
     (compute : unit -> Astate.t * D.Itv.t) : Astate.t * D.Itv.t =
@@ -670,7 +670,6 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
           {
             Transfer.cs_clock = D.Itv.Bot;
             cs_checking = false;
-            cs_repeats = 0;
             cs_new = None;
             cs_old = None;
             cs_inner = lazy (Transfer.Stmt_tbl.create 8);
@@ -697,13 +696,8 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
   then begin
     cs.Transfer.cs_clock <- clock;
     cs.Transfer.cs_checking <- checking;
-    cs.Transfer.cs_repeats <- 0;
     cs.Transfer.cs_new <- None;
     cs.Transfer.cs_old <- None;
-    inside compute
-  end
-  else if cs.Transfer.cs_repeats < 1 then begin
-    cs.Transfer.cs_repeats <- cs.Transfer.cs_repeats + 1;
     inside compute
   end
   else begin

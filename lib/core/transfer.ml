@@ -182,13 +182,12 @@ and call_slot = {
 }
 
 (** A call statement under one loop and one inlining stack: the clock
-    and alarm mode of its latest call, how many calls in a row before it
-    had them too, its last two recorded calls under them, the newer
-    first, and the call statements of its callee's body. *)
+    and alarm mode of its latest call, its last two recorded calls
+    under them, the newer first, and the call statements of its
+    callee's body. *)
 and call_site = {
   mutable cs_clock : D.Itv.t;
   mutable cs_checking : bool;
-  mutable cs_repeats : int;
   mutable cs_new : call_slot option;
   mutable cs_old : call_slot option;
   cs_inner : call_sites Lazy.t;
