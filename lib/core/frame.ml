@@ -61,6 +61,8 @@ type reach = { r_vars : VarSet.t; r_wait : bool; r_loops : int list }
 type ctx = {
   cx_names : names option;
   cx_prog : program;
+  cx_funs : (string, fundef) Hashtbl.t;
+      (** the program's functions by name, first definition first *)
   cx_cfg : Config.t;
   cx_packs : Packing.t;
   cx_intern : Cell.interner;
@@ -81,34 +83,50 @@ let local_facts (fd : fundef) : reach =
     fd.fd_body;
   { r_vars = VarSet.union reads writes; r_wait = !wait; r_loops = !loops }
 
+(* The facts of [fname]'s transitive body: every function reachable
+   from it through calls, each once. *)
 let reach (cx : ctx) (fname : string) : reach =
   match Hashtbl.find_opt cx.cx_reach fname with
   | Some r -> r
   | None ->
-      let p = cx.cx_prog in
-      let r =
-        List.fold_left
-          (fun acc g ->
-            match find_fun p g with
-            | None -> acc
-            | Some fd ->
-                let l = local_facts fd in
+      let seen = Hashtbl.create 8 in
+      let rec visit acc g =
+        if Hashtbl.mem seen g then acc
+        else begin
+          Hashtbl.replace seen g ();
+          match Hashtbl.find_opt cx.cx_funs g with
+          | None -> acc
+          | Some fd ->
+              let l = local_facts fd in
+              let acc =
                 {
                   r_vars = VarSet.union l.r_vars acc.r_vars;
                   r_wait = l.r_wait || acc.r_wait;
                   r_loops = l.r_loops @ acc.r_loops;
-                })
-          { r_vars = VarSet.empty; r_wait = false; r_loops = [] }
-          (F.Footprint.reachable p fname)
+                }
+              in
+              let acc = ref acc in
+              iter_stmts
+                (fun s ->
+                  match s.sdesc with
+                  | Scall (_, callee, _) -> acc := visit !acc callee
+                  | _ -> ())
+                fd.fd_body;
+              !acc
+        end
+      in
+      let r =
+        visit { r_vars = VarSet.empty; r_wait = false; r_loops = [] } fname
       in
       Hashtbl.replace cx.cx_reach fname r;
       r
 
-let ctx ?names (p : program) (cfg : Config.t) (packs : Packing.t)
-    (intern : Cell.interner) : ctx =
+let ctx ?names (p : program) (funs : (string, fundef) Hashtbl.t)
+    (cfg : Config.t) (packs : Packing.t) (intern : Cell.interner) : ctx =
   {
     cx_names = names;
     cx_prog = p;
+    cx_funs = funs;
     cx_cfg = cfg;
     cx_packs = packs;
     cx_intern = intern;

@@ -22,9 +22,12 @@ type t
 (** Frames of one analysis context, computed on demand and kept. *)
 type ctx
 
+(** [ctx ?names p funs cfg packs intern]: [funs] are [p]'s functions by
+    name, the first definition first. *)
 val ctx :
   ?names:names ->
   Astree_frontend.Tast.program ->
+  (string, Astree_frontend.Tast.fundef) Hashtbl.t ->
   Config.t ->
   Packing.t ->
   Cell.interner ->

@@ -257,7 +257,7 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     invariants = Hashtbl.create 16;
     input_specs;
     join_count = 0;
-    frames = Frame.ctx ?names p cfg packs intern;
+    frames = Frame.ctx ?names p funs cfg packs intern;
     journal = [];
     journal_len = 0;
     captures = 0;

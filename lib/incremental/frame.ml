@@ -17,8 +17,8 @@ let names (fps : Fingerprint.t) : C.Frame.names =
 let ctx (fps : Fingerprint.t) (a : C.Transfer.actx) : ctx =
   {
     cx_frames =
-      C.Frame.ctx ~names:(names fps) a.C.Transfer.prog a.C.Transfer.cfg
-        a.C.Transfer.packs a.C.Transfer.intern;
+      C.Frame.ctx ~names:(names fps) a.C.Transfer.prog a.C.Transfer.funs
+        a.C.Transfer.cfg a.C.Transfer.packs a.C.Transfer.intern;
     cx_fps = fps;
   }
 
