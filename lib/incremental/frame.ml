@@ -65,13 +65,3 @@ let entry_digest (cx : ctx) (fr : t) (st : C.Astate.t)
       Fingerprint.add_lval_locs fps buf lv)
     binds;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let restrict = C.Frame.restrict
-let overlay = C.Frame.overlay
-let cells = C.Frame.cells
-let cell_pos = C.Frame.cell_pos
-let cell_at = C.Frame.cell_at
-let loop_pos = C.Frame.loop_pos
-let loop_at = C.Frame.loop_at
-let oct_pos = C.Frame.oct_pos
-let oct_at = C.Frame.oct_at

@@ -30,19 +30,3 @@ val whole : ctx -> t
     variable name, with their relative locations). *)
 val entry_digest :
   ctx -> t -> Astree_core.Astate.t -> Astree_core.Transfer.binds -> string
-
-val restrict :
-  t -> entry:Astree_core.Astate.t -> Astree_core.Astate.t -> Astree_core.Astate.t
-
-val overlay :
-  t -> Astree_core.Astate.t -> Astree_core.Astate.t -> Astree_core.Astate.t
-
-(** {1 Positions} of cells, loops and octagon packs in the frame *)
-
-val cells : t -> int array
-val cell_pos : t -> int -> int option
-val cell_at : t -> int -> int
-val loop_pos : t -> int -> int option
-val loop_at : t -> int -> int
-val oct_pos : t -> int -> int option
-val oct_at : t -> int -> int

@@ -67,20 +67,6 @@ let inlined_sizes (p : F.Tast.program) : (string, int) Hashtbl.t =
   List.iter (fun (fn, _) -> ignore (size [] fn)) p.F.Tast.p_funs;
   sizes
 
-(* ------------------------------------------------------------------ *)
-(* Summaries in frame coordinates                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** The summary of a computed call ({!C.Transfer.record}), alarm
-    locations relative to their functions, so that it replays in any
-    program whose frame has the same identity. *)
-let record (fps : Fingerprint.t) =
-  C.Transfer.record ~loc:(Fingerprint.relative fps)
-
-(** Replay a summary against the bound entry state ({!C.Transfer.replay}),
-    alarm locations laid back onto this program's functions. *)
-let replay (fps : Fingerprint.t) = C.Transfer.replay ~loc:(Fingerprint.rebase fps)
-
 (** Digest of a whole abstract state in the key encoding: every cell and
     pack of the program, by name and frame position. *)
 let entry_digest (a : C.Transfer.actx) (st : C.Astate.t) : string =
@@ -151,7 +137,7 @@ let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
           ss.ss_hits <- ss.ss_hits + 1;
           Metrics.incr c_hits;
           if !Trace.enabled then Trace.emit "cache.hit" ~args:[ ("fn", Trace.S fname) ];
-          replay ss.ss_fps a fr ~entry s
+          C.Transfer.replay ~loc:(Fingerprint.rebase ss.ss_fps) a fr ~entry s
       | None ->
           ss.ss_misses <- ss.ss_misses + 1;
           Metrics.incr c_misses;
@@ -164,7 +150,10 @@ let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
               raise e
           in
           let delta = C.Transfer.capture_end a cap in
-          (match record ss.ss_fps a fr ~entry r delta with
+          (match
+             C.Transfer.record ~loc:(Fingerprint.relative ss.ss_fps) a fr
+               ~entry r delta
+           with
           | Some s ->
               (* keep-first: a key determines its summary *)
               if not (Hashtbl.mem ss.ss_tbl key) then begin

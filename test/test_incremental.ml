@@ -673,12 +673,12 @@ let keyed_call_with_octagons () =
     let octs = st.C.Astate.rel.C.Relstate.octs in
     let pack =
       List.find_opt
-        (fun (pid, _) -> I.Frame.oct_pos fr pid <> None)
+        (fun (pid, _) -> C.Frame.oct_pos fr pid <> None)
         (C.Ptmap.bindings octs)
     in
     let cells = C.Env.fold (fun id v acc -> (id, v) :: acc) st.C.Astate.env [] in
-    let inside = List.find_opt (fun (id, _) -> I.Frame.cell_pos fr id <> None) cells in
-    let outside = List.find_opt (fun (id, _) -> I.Frame.cell_pos fr id = None) cells in
+    let inside = List.find_opt (fun (id, _) -> C.Frame.cell_pos fr id <> None) cells in
+    let outside = List.find_opt (fun (id, _) -> C.Frame.cell_pos fr id = None) cells in
     match (pack, inside, outside) with
     | Some pack, Some inside, Some outside ->
         Some ((a, fname, st, binds), pack, inside, outside)
@@ -1216,7 +1216,7 @@ let check_frame_oracle ~name cfg p =
           o.C.Iterator.o_ret
       in
       let what = Printf.sprintf "%s: call %d (%s)" name i fname in
-      let inside id = I.Frame.cell_pos fr id <> None in
+      let inside id = C.Frame.cell_pos fr id <> None in
       let exit_ = body st in
       if not exit_.C.Astate.bot then begin
         C.Env.iter
@@ -1229,7 +1229,7 @@ let check_frame_oracle ~name cfg p =
           exit_.C.Astate.env;
         C.Ptmap.iter
           (fun pid o ->
-            if I.Frame.oct_pos fr pid = None then
+            if C.Frame.oct_pos fr pid = None then
               Alcotest.(check bool)
                 (Printf.sprintf "%s: octagon %d outside the frame unchanged" what pid)
                 true
@@ -1258,10 +1258,10 @@ let check_frame_oracle ~name cfg p =
               (Printf.sprintf "%s: frame cell %d independent of the outside" what id)
               true
               (C.Env.find exit_.C.Astate.env id = C.Env.find exit'.C.Astate.env id))
-          (I.Frame.cells fr);
+          (C.Frame.cells fr);
         C.Ptmap.iter
           (fun pid o ->
-            if I.Frame.oct_pos fr pid <> None then
+            if C.Frame.oct_pos fr pid <> None then
               Alcotest.(check bool)
                 (Printf.sprintf "%s: frame octagon %d independent of the outside" what pid)
                 true
