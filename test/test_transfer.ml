@@ -488,10 +488,45 @@ let test_prewrite_concrete () =
         k
   | Astree_frontend.Interp.Finished -> Alcotest.fail "no overflow reached"
 
+(* The same mistake in the decision-tree domain: under [b] the leaf
+   holds x's old value, and met with x's new range it is empty, which
+   made the branch dead and dropped the overflow; [in = 10] reaches it. *)
+let dtree_src =
+  {|volatile int in;
+_Bool b;
+int x;
+short s;
+int main(void) {
+  __astree_input_range(in, 0.0, 10.0);
+  while (1) {
+    b = (in > 5);
+    x = b * 10 + in;
+    if (b) {
+      x = x + 40000;
+      s = (short) x;
+    }
+    __astree_wait_for_clock();
+  }
+  return 0;
+}|}
+
+let test_prewrite_dtree () =
+  let n cfg = C.Analysis.n_alarms (analyze_halving ~cfg dtree_src) in
+  Alcotest.(check int) "default" 1 (n C.Config.default);
+  Alcotest.(check int) "decision trees alone" 1
+    (n { C.Config.default with C.Config.use_octagons = false });
+  let p, _ = C.Analysis.compile [ ("dt.c", dtree_src) ] in
+  match Astree_frontend.Interp.run ~max_ticks:2 ~input:(fun _ -> 10.0) p with
+  | Astree_frontend.Interp.Error (Astree_frontend.Interp.Int_overflow, l) ->
+      Alcotest.(check int) "overflow line" 12 l.Astree_frontend.Loc.line
+  | _ -> Alcotest.fail "the overflow is not reached"
+
 let prewrite_suite =
   [
     Alcotest.test_case "octagon assign: overflow" `Quick test_prewrite_overflow;
     Alcotest.test_case "octagon assign: assert" `Quick test_prewrite_assert;
     Alcotest.test_case "octagon assign: concrete run" `Quick
       test_prewrite_concrete;
+    Alcotest.test_case "decision-tree assign: overflow" `Quick
+      test_prewrite_dtree;
   ]
