@@ -724,20 +724,23 @@ let e12 ~quick () =
    Fmt.pr "pack widths (count x width): %a@."
      Fmt.(list ~sep:sp (pair ~sep:(any "x") int int))
      (List.sort compare (List.map (fun (w, n) -> (n, w)) l)));
+  let count k = O.Metrics.value (O.Metrics.counter k) in
   let counters () =
-    ( D.Profile.counter D.Profile.oct_close_full,
-      D.Profile.counter D.Profile.oct_close_incr,
-      D.Profile.counter D.Profile.oct_close_skip )
+    (count "oct.close.full", count "oct.close.incr", count "oct.close.skip")
+  in
+  let reset () =
+    List.iter O.Metrics.reset_named
+      [ "oct.close.full"; "oct.close.incr"; "oct.close.skip" ]
   in
   (* A/B inside one binary: [force_full_close] restores the pre-overhaul
      cost model (the algorithms are equivalent, see test_octagon.ml, so
      only the work per closure request changes) *)
   D.Octagon.force_full_close := true;
-  D.Profile.reset ();
+  reset ();
   let r_full, t_full = time (fun () -> C.Analysis.analyze ~cfg p) in
   let ff, fi, fs = counters () in
   D.Octagon.force_full_close := false;
-  D.Profile.reset ();
+  reset ();
   let r_incr, t_incr = time (fun () -> C.Analysis.analyze ~cfg p) in
   let nf, ni, ns = counters () in
   let speedup = t_full /. Float.max t_incr 1e-9 in

@@ -37,7 +37,6 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
   if files = [] then `Error (false, "no input files")
   else
     try
-      if profile then Astree_domains.Profile.enabled := true;
       (* the trace sink is opened before any analysis work so frontend
          phase spans land in the file too; [Trace.close] at the end
          flushes whatever the ring still holds *)
@@ -46,7 +45,8 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
       | Some f ->
           Astree_obs.Trace.enabled := true;
           Astree_obs.Trace.set_sink (open_out f));
-      if metrics_file <> None then Astree_obs.Metrics.timing := true;
+      if metrics_file <> None || profile then
+        Astree_obs.Metrics.timing := true;
       (* a SIGINT/SIGTERM mid-analysis tears down the worker pool,
          flushes the summary cache and prints the partial result *)
       Astree_robust.Budget.install_signal_handlers ();
@@ -156,9 +156,9 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
         end;
         if dump_invariants then
           print_string (C.Invariant_dump.to_string r);
-        (* per-domain cumulative timings and counters, on stderr so the
-           regular (text or JSON) output stays byte-identical *)
-        if profile then Astree_domains.Profile.report Format.err_formatter;
+        (* the registry's timers with their call counts, on stderr so
+           the regular (text or JSON) output stays byte-identical *)
+        if profile then prerr_string (Astree_obs.Metrics.render_profile ());
         if slice_alarms && r.C.Analysis.r_alarms <> [] then begin
           let g = S.Depgraph.build p in
           List.iter

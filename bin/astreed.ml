@@ -2,7 +2,6 @@
 
    Usage:  astreed --socket PATH [--max-inflight N] [--queue-depth N]
                    [--timeout SECS] [--max-mem MB] [--cache DIR]
-                   [--checkpoint FILE] [--checkpoint-period SECS]
                    [--supervise] [--max-restarts N]
                    [--http PORT] [--access-log FILE] [--access-log-max BYTES]
                    [--trace FILE] [--verbose]
@@ -12,26 +11,20 @@
    resident across requests and share function summaries through one
    store directory: --cache DIR, SOCKET.store under --supervise (so a
    restarted daemon is warm), else a private directory under $TMPDIR
-   removed at clean shutdown.  --checkpoint and --checkpoint-period are
-   accepted for older scripts and ignored.  Requests wait in one FIFO
-   queue; SIGHUP is ignored.  See DESIGN.md sections 12 and 15 and
+   removed at clean shutdown.  Requests wait in one FIFO queue; SIGHUP
+   is ignored.  See DESIGN.md sections 12 and 15 and
    README "Server mode". *)
 
 module Srv = Astree_server
 open Cmdliner
 
-let run socket workers queue_depth timeout max_mem cache_dir checkpoint
-    checkpoint_period supervise max_restarts http_port access_log
-    access_log_max trace_file verbose =
+let run socket workers queue_depth timeout max_mem cache_dir supervise
+    max_restarts http_port access_log access_log_max trace_file verbose =
   (match trace_file with
   | None -> ()
   | Some f ->
       Astree_obs.Trace.enabled := true;
       Astree_obs.Trace.set_sink (open_out f));
-  if checkpoint <> None || checkpoint_period <> None then
-    prerr_endline
-      "astreed: note: --checkpoint and --checkpoint-period are ignored: \
-       every request publishes its summaries to the store";
   let cfg =
     {
       Srv.Daemon.default with
@@ -117,18 +110,6 @@ let cmd =
                  too (default: $(i,SOCKET)$(b,.store) under \
                  $(b,--supervise), else a private directory under \
                  $(b,TMPDIR) removed at clean shutdown)")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "checkpoint" ] ~docv:"FILE"
-              ~doc:
-                "Ignored (with a note on stderr): every request \
-                 publishes its summaries to the store")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "checkpoint-period" ] ~docv:"SECS"
-              ~doc:"Ignored, like $(b,--checkpoint)")
       $ Arg.(
           value & flag
           & info [ "supervise" ]

@@ -47,11 +47,12 @@ let validate (p : F.Tast.program) (tasks : string list) : unit =
 
 let reachable = F.Footprint.reachable
 
-let task_accesses (p : F.Tast.program) (globals : (int, unit) Hashtbl.t)
-    (entry : string) : F.Tast.VarSet.t * F.Tast.VarSet.t =
+let task_accesses (funs : (string, F.Tast.fundef) Hashtbl.t)
+    (globals : (int, unit) Hashtbl.t) (entry : string) :
+    F.Tast.VarSet.t * F.Tast.VarSet.t =
   List.fold_left
     (fun (r, w) name ->
-      match F.Tast.find_fun p name with
+      match Hashtbl.find_opt funs name with
       | None -> (r, w)
       | Some fd ->
           let fr, fw =
@@ -61,12 +62,13 @@ let task_accesses (p : F.Tast.program) (globals : (int, unit) Hashtbl.t)
           in
           (F.Tast.VarSet.union fr r, F.Tast.VarSet.union fw w))
     (F.Tast.VarSet.empty, F.Tast.VarSet.empty)
-    (reachable p entry)
+    (reachable funs entry)
 
 let build (p : F.Tast.program) (tasks : string list) : t =
   validate p tasks;
   let globals = is_global_tbl p in
-  let acc = List.map (fun t -> (t, task_accesses p globals t)) tasks in
+  let funs = F.Tast.fun_table p in
+  let acc = List.map (fun t -> (t, task_accesses funs globals t)) tasks in
   let reads = List.map (fun (t, (r, _)) -> (t, r)) acc in
   let writes = List.map (fun (t, (_, w)) -> (t, w)) acc in
   (* shared: written by some task, read or written by a different one *)

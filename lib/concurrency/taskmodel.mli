@@ -20,8 +20,10 @@ type t = {
 val validate : F.Tast.program -> string list -> unit
 
 (** Function names reachable from [entry] through direct calls
-    (including [entry] itself), in no particular order. *)
-val reachable : F.Tast.program -> string -> string list
+    (including [entry] itself), in no particular order, resolving names
+    in a program's {!F.Tast.fun_table}. *)
+val reachable :
+  (string, F.Tast.fundef) Hashtbl.t -> string -> string list
 
 (** Build the task model.  Runs {!validate} first. *)
 val build : F.Tast.program -> string list -> t

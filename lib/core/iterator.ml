@@ -158,15 +158,18 @@ type pass = {
   p_alarms : Alarm.t list option;
 }
 
+let c_widen = Metrics.counter "widen.total"
+let t_widen = Metrics.timer "widen.total.time"
+
 (* Metered widening for the fixpoint loop below: one probe around the
    whole [Astate.widen] (env + all relational packs) so --profile can
    attribute iteration cost to extrapolation separately from the
    per-domain octagon widening probe. *)
 let widen_state ~thresholds (inv : Astate.t) (next : Astate.t) : Astate.t =
-  D.Profile.count D.Profile.widen_total;
-  let t0 = D.Profile.start () in
+  Metrics.incr c_widen;
+  let t0 = Metrics.start () in
   let r = Astate.widen ~thresholds inv next in
-  D.Profile.stop D.Profile.widen_total t0;
+  Metrics.stop t_widen t0;
   r
 
 let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)

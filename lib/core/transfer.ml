@@ -11,6 +11,7 @@
 
 module F = Astree_frontend
 module D = Astree_domains
+module Metrics = Astree_obs.Metrics
 open F.Tast
 
 type binds = lval VarMap.t
@@ -199,8 +200,7 @@ and call_sites = call_site Stmt_tbl.t
 and actx = {
   prog : program;
   funs : (string, fundef) Hashtbl.t;
-      (** [prog]'s functions by name; the first definition wins, as in
-          [F.Tast.find_fun] *)
+      (** [prog]'s functions by name ([F.Tast.fun_table]) *)
   cfg : Config.t;
   session : session;  (** hooks and cross-cutting per-run state *)
   packs : Packing.t;
@@ -237,11 +237,7 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     (fun (spec : input_spec) ->
       Hashtbl.replace input_specs spec.in_var.v_id (spec.in_lo, spec.in_hi))
     p.p_inputs;
-  let funs = Hashtbl.create 64 in
-  List.iter
-    (fun (name, fd) ->
-      if not (Hashtbl.mem funs name) then Hashtbl.replace funs name fd)
-    p.p_funs;
+  let funs = F.Tast.fun_table p in
   let session = match session with Some s -> s | None -> new_session () in
   let names = Option.map (fun m -> m.cm_names) session.ses_memo in
   let intern = Cell.make_interner ~vars:(F.Tast.var_id_bound p) in
@@ -813,6 +809,9 @@ and refine_linear ?var_hook (a : actx) (st : Astate.t) (err : bool ref)
     in
     D.Linearize.refine_eval orc e plain
 
+let c_itv_transfer = Metrics.counter "itv.transfer"
+let t_itv_transfer = Metrics.timer "itv.transfer.time"
+
 (* Timed entry point for the recursive evaluator above: later callers
    (guards, assignments, the iterator) go through this shadowing
    wrapper while the internal recursion stays on the raw [eval], so the
@@ -820,14 +819,14 @@ and refine_linear ?var_hook (a : actx) (st : Astate.t) (err : bool ref)
    once. *)
 let eval ?var_hook (a : actx) (st : Astate.t) (binds : binds)
     (err : bool ref) (e : expr) : D.Itv.t =
-  D.Profile.count D.Profile.itv_transfer;
-  let t0 = D.Profile.start () in
+  Metrics.incr c_itv_transfer;
+  let t0 = Metrics.start () in
   match eval ?var_hook a st binds err e with
   | r ->
-      D.Profile.stop D.Profile.itv_transfer t0;
+      Metrics.stop t_itv_transfer t0;
       r
   | exception exn ->
-      D.Profile.stop D.Profile.itv_transfer t0;
+      Metrics.stop t_itv_transfer t0;
       raise exn
 
 (* ------------------------------------------------------------------ *)

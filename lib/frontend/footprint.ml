@@ -2,12 +2,13 @@
 
 open Tast
 
-let reachable (p : program) (entry : string) : string list =
+let reachable (funs : (string, fundef) Hashtbl.t) (entry : string) :
+    string list =
   let seen = Hashtbl.create 16 in
   let rec visit name =
     if not (Hashtbl.mem seen name) then begin
       Hashtbl.replace seen name ();
-      match find_fun p name with
+      match Hashtbl.find_opt funs name with
       | None -> ()
       | Some fd ->
           iter_stmts

@@ -6,8 +6,9 @@
     globals; the summary cache uses all of them to frame a call. *)
 
 (** Function names reachable from [entry] through direct calls
-    (including [entry] itself), in no particular order. *)
-val reachable : Tast.program -> string -> string list
+    (including [entry] itself), in no particular order, resolving names
+    in a program's {!Tast.fun_table}. *)
+val reachable : (string, Tast.fundef) Hashtbl.t -> string -> string list
 
 (** [(reads, writes)] of one body, restricted to the variables [keep]
     accepts.  By-reference arguments are both read and written: the

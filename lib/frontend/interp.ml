@@ -100,6 +100,7 @@ let rec value_of_init structs (t : Ctypes.t) (i : init) : value =
 
 type state = {
   prog : program;
+  funs : (string, fundef) Hashtbl.t;  (** [prog]'s {!Tast.fun_table} *)
   store : (int, value ref) Hashtbl.t;  (** var id -> storage *)
   mutable frames : (int, value ref) Hashtbl.t list;
   input : input_spec -> float;  (** volatile input oracle *)
@@ -387,7 +388,7 @@ let rec exec_stmt st (s : stmt) : unit =
          a violated assumption as a stop rather than an error *)
       if not (truth (eval_expr st e)) then raise Stop_execution
   | Scall (ret, fname, args) -> (
-      match find_fun st.prog fname with
+      match Hashtbl.find_opt st.funs fname with
       | None -> raise (Runtime_error (Invalid_op, s.sloc))
       | Some fd ->
           (* evaluate arguments in target order *)
@@ -433,9 +434,11 @@ type outcome =
 let run ?(max_ticks = 1000) ?on_tick
     ?(input = fun spec -> (spec.in_lo +. spec.in_hi) /. 2.0) (p : program) :
     outcome =
+  let funs = fun_table p in
   let st =
     {
       prog = p;
+      funs;
       store = Hashtbl.create 256;
       frames = [ Hashtbl.create 8 ];
       input;
@@ -452,7 +455,7 @@ let run ?(max_ticks = 1000) ?on_tick
       Hashtbl.replace st.store v.v_id
         (ref (value_of_init p.p_structs v.v_ty init)))
     p.p_globals;
-  match find_fun p p.p_main with
+  match Hashtbl.find_opt funs p.p_main with
   | None -> Error (Invalid_op, Loc.dummy)
   | Some fd -> (
       try
@@ -494,13 +497,15 @@ let run_interleaved ?(max_ticks = 1000)
     p.p_globals;
   (* one interpreter state per task: shared global store, private call
      frames and a private tick counter *)
+  let funs = fun_table p in
   let mk_task name =
-    match find_fun p name with
+    match Hashtbl.find_opt funs name with
     | None -> invalid_arg ("run_interleaved: no such task: " ^ name)
     | Some fd ->
         let st =
           {
             prog = p;
+            funs;
             store;
             frames = [ Hashtbl.create 8 ];
             input;

@@ -156,6 +156,16 @@ type program = {
 
 let find_fun p name = List.assoc_opt name p.p_funs
 
+(* [find_fun] as a table, for callers resolving many names: built once
+   per program, the first definition of a name wins as in [find_fun] *)
+let fun_table p : (string, fundef) Hashtbl.t =
+  let funs = Hashtbl.create 64 in
+  List.iter
+    (fun (name, fd) ->
+      if not (Hashtbl.mem funs name) then Hashtbl.add funs name fd)
+    p.p_funs;
+  funs
+
 let find_struct p name = List.assoc_opt name p.p_structs
 
 (* ------------------------------------------------------------------ *)

@@ -1,11 +1,15 @@
 (** Unified metrics registry: named counters, wall-clock timers, gauges
     and log2 histograms, shared by every subsystem of the analyzer.
 
-    This is the one place analysis-wide measurements live.  The
-    per-domain [Profile] probes are thin wrappers over entries here, the
-    iterator and the caches register their own counters, and the
-    parallel subsystem ships worker-side {!snapshot} deltas back in job
-    replies so a [-j n] report is as complete as a sequential one.
+    This is the one place analysis-wide measurements live, and the one
+    module that knows how an entry is rendered: the [--metrics] file
+    ({!render_json}), the [--profile] table ({!render_profile}) and the
+    daemon's [/metrics] body ({!render_prometheus}) all read the
+    registry.  The domains, the iterator and the caches register their
+    own entries (a probe [NAME] is a counter [NAME] plus a timer
+    [NAME.time]), and the parallel subsystem ships worker-side
+    {!snapshot} deltas back in job replies so a [-j n] report is as
+    complete as a sequential one.
 
     {b Cost model.}  Bumping a counter is one record-field increment;
     timers only read the clock when {!timing} is set, so the default
@@ -103,29 +107,11 @@ val absorb : snapshot -> unit
 
 val names : snapshot -> string list
 
-(** {1 Export} *)
-
-(** One registry entry as plain data — the seam external renderers (the
-    Prometheus exposition in [lib/server/telemetry.ml]) consume without
-    depending on the registry internals.  For counters and gauges the
-    value is [x_int]; for timers, [x_time] (accumulated seconds); for
-    histograms, [x_buckets] (log2 buckets: bucket [i] counts
-    observations [v] with [2^i <= v+1 < 2^(i+1)]). *)
-type export = {
-  x_name : string;
-  x_kind : [ `Counter | `Timer | `Gauge | `Hist ];
-  x_int : int;
-  x_time : float;
-  x_buckets : int array;
-}
-
-val export : snapshot -> export list
-(** The snapshot's entries as {!export} records, in snapshot (name)
-    order. *)
-
 val find_int : snapshot -> string -> int option
 (** Value of the named counter or gauge in the snapshot, if present —
     e.g. pulling [cache.hits] out of a worker delta. *)
+
+(** {1 Rendering} *)
 
 val render_json : ?timers:bool -> unit -> string
 (** The whole registry as one JSON object
@@ -140,9 +126,42 @@ val render_snapshot_json : ?timers:bool -> snapshot -> string
     typically a {!diff}, giving a per-interval (e.g. per-request)
     metrics object. *)
 
+val render_profile : unit -> string
+(** The [--profile] table: a header line, then one row per registered
+    timer, sorted by name, giving the timer's name, the value of the
+    counter of the same stem (timer [NAME.time] pairs with counter
+    [NAME]; 0 when there is none) and the timer's seconds. *)
+
+(** {1 Prometheus text exposition} *)
+
+val prom_name : string -> string
+(** Sanitize to the Prometheus metric-name charset: every character
+    outside [[a-zA-Z0-9_:]] becomes [_], a leading digit is prefixed
+    with [_], the empty name is [_]. *)
+
+val prom_label : string -> string
+(** Escape a label value (backslash, double quote, newline). *)
+
+val prom_float : float -> string
+(** A sample value: integral floats without a fraction, others with 9
+    significant digits. *)
+
+type family
+(** One rendered metric family: its [# TYPE] line and sample lines. *)
+
+val prom_family : string -> string -> string list -> family
+(** [prom_family name typ lines]: the family [name] of Prometheus type
+    [typ] (["counter"], ["gauge"], ...) with the given sample lines. *)
+
+val render_prometheus : families:family list -> snapshot -> string
+(** The snapshot under the [astree_] prefix (counters as [NAME_total],
+    timers as [NAME_seconds_total], gauges as [NAME], log2 histograms
+    with [le] bound [2^(i+1)-2] for bucket [i], trailing empty buckets
+    elided) merged with the caller's [families].  Families are sorted
+    by name, so equal inputs render byte-identically. *)
+
 val reset : unit -> unit
 (** Zero every entry (registrations survive). *)
 
 val reset_named : string -> unit
-(** Zero one entry by name (no-op if unregistered).  Used by wrappers
-    such as [Profile.reset] that own a known slice of the registry. *)
+(** Zero one entry by name (no-op if unregistered). *)

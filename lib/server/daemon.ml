@@ -52,6 +52,9 @@ let default : config =
 
 (* ---- metrics ------------------------------------------------------ *)
 
+(* [srv.shed] and [srv.dedup_hits] are also the status verb's [shed] and
+   [dedup_hits]: only [admit] and [attach] bump them, and a daemon runs
+   in a process of its own, so they start at 0 with [run] *)
 let m_requests = Metrics.counter "srv.requests"
 let m_shed = Metrics.counter "srv.shed"
 let m_dedup = Metrics.counter "srv.dedup_hits"
@@ -98,9 +101,7 @@ type state = {
   mutable st_draining : bool;
   mutable st_drain_t : float;
   mutable st_served : int;
-  mutable st_shed : int;
   mutable st_errors : int;
-  mutable st_dedup : int;
   st_recovered : int;        (* store keys indexed at startup *)
 }
 
@@ -203,11 +204,11 @@ let status_json st ~now =
     (Pool.size st.st_pool)
     (Hashtbl.length st.st_inflight)
     (Queue.length st.st_pending)
-    st.st_served st.st_shed st.st_errors st.st_draining
+    st.st_served (Metrics.value m_shed) st.st_errors st.st_draining
     st.st_cfg.d_supervised st.st_cfg.d_restarts
     (if st.st_cfg.d_sup_started > 0. then now -. st.st_cfg.d_sup_started
      else 0.)
-    st.st_cfg.d_queue_depth st.st_dedup st.st_recovered
+    st.st_cfg.d_queue_depth (Metrics.value m_dedup) st.st_recovered
     (Store.count ~dir:st.st_store)
     (Gc.quick_stat ()).Gc.heap_words
     (Telemetry.quantiles_json st.st_tele)
@@ -297,7 +298,6 @@ let attach st slot pend =
       head.p_waiters <-
         List.map (fun w -> { w with wt_attached = true }) pend.p_waiters
         @ head.p_waiters;
-      st.st_dedup <- st.st_dedup + n;
       Metrics.add m_dedup n;
       log st "dedup: %d request(s) attached to in-flight job" n
 
@@ -337,7 +337,6 @@ let admit st pend ~now =
         if try_submit st pend then ()
         else if Queue.length st.st_pending >= st.st_cfg.d_queue_depth
         then begin
-          st.st_shed <- st.st_shed + 1;
           Metrics.incr m_shed;
           let retry_after = retry_after st in
           List.iter
@@ -789,9 +788,7 @@ let run (dc : config) : int =
           st_draining = false;
           st_drain_t = 0.;
           st_served = 0;
-          st_shed = 0;
           st_errors = 0;
-          st_dedup = 0;
           st_recovered = Store.count ~dir:store;
         }
       in
@@ -917,10 +914,10 @@ let run (dc : config) : int =
       Telemetry.event st.st_tele ~now:(Unix.gettimeofday ()) "exit"
         [
           ("served", Json.Num (float_of_int st.st_served));
-          ("shed", Json.Num (float_of_int st.st_shed));
+          ("shed", Json.Num (float_of_int (Metrics.value m_shed)));
           ("errors", Json.Num (float_of_int st.st_errors));
         ];
       Telemetry.close st.st_tele;
       log st "exited cleanly (%d served, %d shed, %d errors)" st.st_served
-        st.st_shed st.st_errors;
+        (Metrics.value m_shed) st.st_errors;
       0)

@@ -254,86 +254,13 @@ let quantiles_json t : string =
 
 (* ---- Prometheus text exposition ----------------------------------- *)
 
-let prom_name (s : string) : string =
-  let b = Buffer.create (String.length s + 1) in
-  String.iteri
-    (fun i c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> Buffer.add_char b c
-      | '0' .. '9' ->
-          if i = 0 then Buffer.add_char b '_';
-          Buffer.add_char b c
-      | _ -> Buffer.add_char b '_')
-    s;
-  if Buffer.length b = 0 then "_" else Buffer.contents b
-
-let prom_label (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let fnum (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-(* Families render sorted by family name and deterministically within a
-   family (buckets by ascending [le], labelled series by sorted label
-   values), so equal inputs yield byte-identical expositions. *)
+(* The daemon's own families (request latency, outcome counts, up and
+   uptime), merged with the registry's by [Metrics.render_prometheus]. *)
 let render_prometheus t ~now (ms : Metrics.snapshot) : string =
-  let families : (string * string) list ref = ref [] in
+  let families = ref [] in
   let family name typ lines =
-    if lines <> [] then
-      families :=
-        ( name,
-          Printf.sprintf "# TYPE %s %s\n" name typ
-          ^ String.concat "" (List.map (fun l -> l ^ "\n") lines) )
-        :: !families
+    families := Metrics.prom_family name typ lines :: !families
   in
-  (* registry entries under the astree_ prefix *)
-  List.iter
-    (fun (x : Metrics.export) ->
-      let base = "astree_" ^ prom_name x.Metrics.x_name in
-      match x.Metrics.x_kind with
-      | `Counter ->
-          family (base ^ "_total") "counter"
-            [ Printf.sprintf "%s_total %d" base x.Metrics.x_int ]
-      | `Gauge ->
-          family base "gauge" [ Printf.sprintf "%s %d" base x.Metrics.x_int ]
-      | `Timer ->
-          family (base ^ "_seconds_total") "counter"
-            [ Printf.sprintf "%s_seconds_total %s" base (fnum x.Metrics.x_time) ]
-      | `Hist ->
-          (* log2 buckets: bucket i counts v with 2^i <= v+1 < 2^(i+1),
-             i.e. v <= 2^(i+1)-2 — that difference is the [le] bound.
-             Trailing empty buckets are elided; +Inf carries the total.
-             No _sum: the registry does not track one. *)
-          let last = ref (-1) in
-          Array.iteri
-            (fun i v -> if v <> 0 then last := i)
-            x.Metrics.x_buckets;
-          let cum = ref 0 in
-          let lines = ref [] in
-          for i = 0 to !last do
-            cum := !cum + x.Metrics.x_buckets.(i);
-            lines :=
-              Printf.sprintf "%s_bucket{le=\"%d\"} %d" base
-                ((1 lsl (i + 1)) - 2)
-                !cum
-              :: !lines
-          done;
-          lines :=
-            Printf.sprintf "%s_count %d" base !cum
-            :: Printf.sprintf "%s_bucket{le=\"+Inf\"} %d" base !cum
-            :: !lines;
-          family base "histogram" (List.rev !lines))
-    (Metrics.export ms);
   (* per-verb request latency: a histogram family over fixed bounds and
      a summary family carrying the rolling p50/p90/p99 *)
   let verbs =
@@ -344,7 +271,7 @@ let render_prometheus t ~now (ms : Metrics.snapshot) : string =
     let hist_lines =
       List.concat_map
         (fun (verb, v) ->
-          let lv = prom_label verb in
+          let lv = Metrics.prom_label verb in
           let cum = ref 0 in
           let buckets =
             List.init (Array.length bounds) (fun i ->
@@ -362,7 +289,7 @@ let render_prometheus t ~now (ms : Metrics.snapshot) : string =
                 lv v.v_count;
               Printf.sprintf
                 "astreed_request_duration_seconds_sum{verb=\"%s\"} %s" lv
-                (fnum v.v_sum);
+                (Metrics.prom_float v.v_sum);
               Printf.sprintf
                 "astreed_request_duration_seconds_count{verb=\"%s\"} %d" lv
                 v.v_count;
@@ -373,7 +300,7 @@ let render_prometheus t ~now (ms : Metrics.snapshot) : string =
     let sum_lines =
       List.concat_map
         (fun (verb, v) ->
-          let lv = prom_label verb in
+          let lv = Metrics.prom_label verb in
           let q p =
             match quantile t ~verb p with Some x -> x | None -> 0.
           in
@@ -381,17 +308,17 @@ let render_prometheus t ~now (ms : Metrics.snapshot) : string =
             Printf.sprintf
               "astreed_request_latency_seconds{quantile=\"0.5\",\
                verb=\"%s\"} %s"
-              lv (fnum (q 0.5));
+              lv (Metrics.prom_float (q 0.5));
             Printf.sprintf
               "astreed_request_latency_seconds{quantile=\"0.9\",\
                verb=\"%s\"} %s"
-              lv (fnum (q 0.9));
+              lv (Metrics.prom_float (q 0.9));
             Printf.sprintf
               "astreed_request_latency_seconds{quantile=\"0.99\",\
                verb=\"%s\"} %s"
-              lv (fnum (q 0.99));
+              lv (Metrics.prom_float (q 0.99));
             Printf.sprintf "astreed_request_latency_seconds_sum{verb=\"%s\"} %s"
-              lv (fnum v.v_sum);
+              lv (Metrics.prom_float v.v_sum);
             Printf.sprintf
               "astreed_request_latency_seconds_count{verb=\"%s\"} %d" lv
               v.v_count;
@@ -410,14 +337,12 @@ let render_prometheus t ~now (ms : Metrics.snapshot) : string =
       (List.map
          (fun (verb, oc, n) ->
            Printf.sprintf "astreed_requests_total{outcome=\"%s\",verb=\"%s\"} %d"
-             (prom_label oc) (prom_label verb) n)
+             (Metrics.prom_label oc) (Metrics.prom_label verb) n)
          outcomes);
   family "astreed_up" "gauge" [ "astreed_up 1" ];
   family "astreed_uptime_seconds" "gauge"
     [
       Printf.sprintf "astreed_uptime_seconds %s"
-        (fnum (Float.max 0. (now -. t.tl_started)));
+        (Metrics.prom_float (Float.max 0. (now -. t.tl_started)));
     ];
-  !families
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map snd |> String.concat ""
+  Metrics.render_prometheus ~families:!families ms

@@ -15,10 +15,9 @@
     (histogram buckets by ascending [le], labelled series by sorted
     label values), so equal registry/telemetry contents yield
     byte-identical expositions — the scrape tests diff them directly.
-    Metric names pass through {!prom_name} (every character outside
-    [[a-zA-Z0-9_:]] becomes [_], a leading digit is prefixed) and label
-    values through {!prom_label} (backslash, double quote and newline
-    escaped). *)
+    The registry's families and the name and label hygiene belong to
+    [Astree_obs.Metrics]; this module adds the labelled request
+    families. *)
 
 (** {1 Request ids} *)
 
@@ -96,15 +95,9 @@ val quantiles_json : t -> string
 
 (** {1 Prometheus text exposition} *)
 
-val prom_name : string -> string
-(** Sanitize to the Prometheus metric-name charset. *)
-
-val prom_label : string -> string
-(** Escape a label value (backslash, double quote, newline). *)
-
 val render_prometheus : t -> now:float -> Astree_obs.Metrics.snapshot -> string
-(** The [/metrics] body: the registry snapshot under the [astree_]
-    prefix (counters as [_total], timers as [_seconds_total], log2
-    histograms with power-of-two [le] bounds), the per-verb request
-    duration histogram and latency summary, per-(verb, outcome) request
-    counts, and [astreed_up]/[astreed_uptime_seconds]. *)
+(** The [/metrics] body: the per-verb request duration histogram and
+    latency summary, per-(verb, outcome) request counts and
+    [astreed_up]/[astreed_uptime_seconds], merged by family name with
+    the snapshot's families
+    ({!Astree_obs.Metrics.render_prometheus}). *)

@@ -8,8 +8,11 @@
 
 module C = Astree_core
 module F = Astree_frontend
+module G = Astree_gen
 module I = Astree_incremental
 module P = Astree_parallel
+module Conc = Astree_conc
+module Json = Astree_server.Json
 module M = Astree_obs.Metrics
 module T = Astree_obs.Trace
 
@@ -254,6 +257,72 @@ let test_determinism_jobs () =
   Alcotest.(check (list string)) "same event set" ev1 ev4;
   Alcotest.(check string) "same metrics, byte for byte" m1 m4
 
+(* ---------------- --profile ---------------- *)
+
+(* (timer, calls) of each row of the --profile table *)
+let profile_rows () =
+  match String.split_on_char '\n' (M.render_profile ()) with
+  | [] -> Alcotest.fail "empty profile"
+  | _header :: rows ->
+      List.filter_map
+        (fun l ->
+          match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+          | [] -> None
+          | [ name; calls; "calls"; _secs; "s" ] ->
+              Some (name, int_of_string calls)
+          | _ -> Alcotest.failf "malformed profile row %S" l)
+        rows
+
+(* The table has one row per registered timer, in the --metrics file's
+   order, counting the counter of the timer's stem; a multi-task run
+   counts the same calls at -j 2 as at -j 1. *)
+let test_profile () =
+  with_mini_fbw @@ fun src ->
+  fresh @@ fun () ->
+  let timing0 = !M.timing in
+  Fun.protect ~finally:(fun () -> M.timing := timing0) @@ fun () ->
+  M.timing := true;
+  let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
+  ignore (C.Analysis.analyze p);
+  let timers =
+    match Json.parse (M.render_json ()) with
+    | Ok (Json.Obj fields) -> (
+        match List.assoc_opt "timers" fields with
+        | Some (Json.Obj ts) -> List.map fst ts
+        | _ -> Alcotest.fail "no timers object")
+    | _ -> Alcotest.fail "render_json unparsable"
+  in
+  let rows = profile_rows () in
+  Alcotest.(check (list string))
+    "one row per registry timer" timers (List.map fst rows);
+  Alcotest.(check bool) "octagon closures are probed" true
+    (List.mem "oct.close.full.time" timers);
+  List.iter
+    (fun (name, calls) ->
+      let stem = String.sub name 0 (String.length name - 5) (* ".time" *) in
+      Alcotest.(check int) (name ^ " counts " ^ stem)
+        (M.value (M.counter stem)) calls)
+    rows;
+  let g =
+    G.Generator.generate_tasks
+      { G.Generator.default with seed = 5; target_lines = 150; bug_ratio = 0.5 }
+      ~tasks:3
+  in
+  let p, _ = C.Analysis.compile [ ("tasks.c", g.G.Generator.source) ] in
+  let calls jobs =
+    M.reset ();
+    ignore
+      (Conc.Fixpoint.analyze
+         ~cfg:{ C.Config.default with C.Config.jobs }
+         ~tasks:g.G.Generator.task_fns p);
+    profile_rows ()
+  in
+  let j1 = calls 1 in
+  Alcotest.(check bool) "the multi-task run is probed" true
+    (List.exists (fun (_, n) -> n > 0) j1);
+  Alcotest.(check (list (pair string int))) "-j 2 counts = -j 1 counts" j1
+    (calls 2)
+
 let with_cache_driver k =
   I.Summary.register ();
   let min0 = !C.Iterator.memo_min_stmts in
@@ -396,6 +465,7 @@ let suite =
     Alcotest.test_case "metrics: render stability" `Quick
       test_render_json_stable;
     Alcotest.test_case "metrics: reset_named" `Quick test_reset_named;
+    Alcotest.test_case "metrics: --profile table" `Quick test_profile;
     Alcotest.test_case "trace: ring eviction" `Quick test_ring_eviction;
     Alcotest.test_case "trace: eviction bumps trace.dropped" `Quick
       test_eviction_counter;

@@ -4,6 +4,11 @@ module F = Astree_frontend
 module D = Astree_domains
 module O = D.Octagon
 module LF = D.Linear_form
+module Metrics = Astree_obs.Metrics
+
+(* the octagon's closure probes, read from the registry by name *)
+let close_full = Metrics.counter "oct.close.full"
+let close_incr = Metrics.counter "oct.close.incr"
 
 let mkvar =
   let next = ref 1000 in
@@ -446,11 +451,11 @@ let test_incremental_path () =
   let a = O.copy o and b = O.copy o in
   O.add_diff_le a pack.(2) pack.(0) 1.0;
   O.add_diff_le b pack.(2) pack.(0) 1.0;
-  let incr0 = D.Profile.counter D.Profile.oct_close_incr in
+  let incr0 = Metrics.value close_incr in
   O.close_incremental a;
   Alcotest.(check int)
     "incremental algorithm used" (incr0 + 1)
-    (D.Profile.counter D.Profile.oct_close_incr);
+    (Metrics.value close_incr);
   O.close b;
   Alcotest.(check bool) "same bottom" (O.is_bot a) (O.is_bot b);
   Alcotest.(check bool) "same matrix" true (a.O.m = b.O.m)
@@ -470,20 +475,20 @@ let test_join_zero_closure_work () =
   O.close b;
   Alcotest.(check bool) "a closed" true (a.O.closure = O.Closed);
   Alcotest.(check bool) "b closed" true (b.O.closure = O.Closed);
-  let full0 = D.Profile.counter D.Profile.oct_close_full in
-  let incr0 = D.Profile.counter D.Profile.oct_close_incr in
+  let full0 = Metrics.value close_full in
+  let incr0 = Metrics.value close_incr in
   let j = O.join a b in
   Alcotest.(check int) "join: no full closure" full0
-    (D.Profile.counter D.Profile.oct_close_full);
+    (Metrics.value close_full);
   Alcotest.(check int) "join: no incremental closure" incr0
-    (D.Profile.counter D.Profile.oct_close_incr);
+    (Metrics.value close_incr);
   Alcotest.(check bool) "join of closed is closed" true
     (j.O.closure = O.Closed);
   O.close_incremental j;
   Alcotest.(check int) "re-closing the join is free" full0
-    (D.Profile.counter D.Profile.oct_close_full);
+    (Metrics.value close_full);
   Alcotest.(check int) "re-closing the join is free (incr)" incr0
-    (D.Profile.counter D.Profile.oct_close_incr)
+    (Metrics.value close_incr)
 
 (* Widening results must stay unclosed (the classical termination
    condition), and the next closure request falls back to the full
@@ -498,10 +503,10 @@ let test_widen_unclosed () =
   let w = O.widen ~thresholds:D.Thresholds.default a b in
   Alcotest.(check bool) "widen result unclosed" true
     (w.O.closure = O.Unclosed);
-  let full0 = D.Profile.counter D.Profile.oct_close_full in
+  let full0 = Metrics.value close_full in
   O.close_incremental w;
   Alcotest.(check int) "unclosed falls back to full closure" (full0 + 1)
-    (D.Profile.counter D.Profile.oct_close_full);
+    (Metrics.value close_full);
   Alcotest.(check bool) "then closed" true (w.O.closure = O.Closed)
 
 let suite =

@@ -565,7 +565,10 @@ let test_queue_full_shed () =
               Alcotest.(check bool) "positive pacing hint" true (t > 0.)
           | None -> Alcotest.fail "shed reply carries retry_after_s");
           Alcotest.(check string) "request 1 still served" "ok"
-            second.Srv.Client.r_status))
+            second.Srv.Client.r_status);
+      let server = server_status sock in
+      Alcotest.(check int) "status counts the shed request" 1
+        (server_int "shed" server))
 
 (* ---- fault injection --------------------------------------------- *)
 

@@ -37,7 +37,8 @@ let test_gen_id () =
 let test_prom_name () =
   List.iter
     (fun (raw, want) ->
-      Alcotest.(check string) ("sanitize " ^ raw) want (T.prom_name raw))
+      Alcotest.(check string) ("sanitize " ^ raw) want
+        (Metrics.prom_name raw))
     [
       ("cache.hits", "cache_hits");
       ("srv.client.retries", "srv_client_retries");
@@ -52,7 +53,7 @@ let test_prom_label () =
   List.iter
     (fun (raw, want) ->
       Alcotest.(check string) ("escape " ^ String.escaped raw) want
-        (T.prom_label raw))
+        (Metrics.prom_label raw))
     [
       ("plain", "plain");
       ("back\\slash", "back\\\\slash");
@@ -141,7 +142,7 @@ let test_render_content () =
                in
                Alcotest.(check string)
                  ("metric name charset: " ^ name)
-                 name (T.prom_name name))
+                 name (Metrics.prom_name name))
 
 let test_registry_export () =
   (* registry entries surface under the astree_ prefix with the kind
