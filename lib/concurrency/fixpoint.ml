@@ -22,13 +22,12 @@
     Per-task runs are plain sequential analyses against a fresh
     session, so they compose with the summary cache (the per-task
     config digests the rely: summaries never leak across interference
-    environments) and dispatch to the parallel pool as pure-data
-    jobs. *)
+    environments) and dispatch to the parallel scheduler's workers as
+    pure-data jobs with pure-data replies. *)
 
 module C = Astree_core
 module D = Astree_domains
 module F = Astree_frontend
-module I = Astree_incremental
 module P = Astree_parallel
 module R = Astree_robust
 module Metrics = Astree_obs.Metrics
@@ -71,18 +70,13 @@ let top_rely (cfg : C.Config.t) (p : F.Tast.program)
    context.  The config digests the rely, so summary-cache keys
    self-identify the interference environment; cells are pre-filled in
    program order, so ids (hence states and invariants) align across
-   tasks and with the combined context.  [tick] is the governed run's
-   budget poll; it is uninstalled before the result (which carries the
-   session) is returned, so a worker's reply still marshals. *)
+   tasks and with the combined context, to which [finish] attaches the
+   task's reply.  [tick] is the governed run's budget poll. *)
 let run_job ~(cfg : C.Config.t) ~tick (p : F.Tast.program)
     (shared : F.Tast.var list) (j : job) :
-    C.Analysis.result * Interference.map =
+    C.Analysis.Reply.t * Interference.map =
   let cfg =
-    {
-      cfg with
-      C.Config.jobs = 1;
-      conc_rely_digest = Interference.digest j.j_rely;
-    }
+    { cfg with C.Config.conc_rely_digest = Interference.digest j.j_rely }
   in
   let ses = C.Transfer.new_session () in
   let shared_ids = Hashtbl.create 16 in
@@ -98,73 +92,11 @@ let run_job ~(cfg : C.Config.t) ~tick (p : F.Tast.program)
   in
   ses.C.Transfer.ses_itf <- Some it;
   ses.C.Transfer.ses_tick_hook <- tick;
-  let p_t = { p with F.Tast.p_main = j.j_task } in
-  let cache =
-    if C.Config.cache_enabled cfg then Some (I.Summary.attach ses cfg p_t)
-    else None
-  in
-  let actx = C.Transfer.make_actx ~session:ses cfg p_t in
-  C.Transfer.prefill_cells actx;
-  let r = C.Analysis.analyze_prepared actx p_t in
-  ses.C.Transfer.ses_tick_hook <- None;
   let r =
-    match cache with
-    | None -> r
-    | Some ss ->
-        let cs = I.Summary.detach cfg ss in
-        {
-          r with
-          C.Analysis.r_stats =
-            { r.C.Analysis.r_stats with C.Analysis.s_cache = Some cs };
-        }
+    C.Analysis.analyze ~session:ses ~prefill:true ~cfg
+      { p with F.Tast.p_main = j.j_task }
   in
-  (r, Interference.of_table it.C.Transfer.itf_writes)
-
-(* Worker-side wrapper (the batch-axis discipline): detach any
-   inherited trace sink, ship the registry delta back with the
-   reply. *)
-let run_job_delta ~cfg ~tick p shared (j : job) :
-    (C.Analysis.result * Interference.map) * Metrics.snapshot =
-  Trace.in_worker ();
-  let m0 = Metrics.snapshot () in
-  let r = run_job ~cfg ~tick p shared j in
-  (r, Metrics.diff m0)
-
-(* Run one round: every task under its rely, in task order.  The pool
-   path falls back to in-process recomputation for failed jobs, so a
-   crashed worker degrades to the sequential result, never to a
-   missing task. *)
-let run_round ~(cfg : C.Config.t) ~tick ~pool (p : F.Tast.program)
-    (shared : F.Tast.var list) (jobs : job list) :
-    (C.Analysis.result * Interference.map) list =
-  match pool with
-  | None -> List.map (run_job ~cfg ~tick p shared) jobs
-  | Some pool ->
-      List.map2
-        (fun j -> function
-          | Ok (r, delta) ->
-              Metrics.absorb delta;
-              r
-          | Error _ -> run_job ~cfg ~tick p shared j)
-        jobs
-        (P.Pool.map pool jobs)
-
-(* Join the per-task contexts' bookkeeping into the combined context:
-   loop invariants join point-wise (ids align by construction), useful
-   octagon packs union. *)
-let absorb_actx (dst : C.Transfer.actx) (src : C.Transfer.actx) : unit =
-  Hashtbl.iter
-    (fun id st ->
-      match Hashtbl.find_opt dst.C.Transfer.invariants id with
-      | None -> Hashtbl.replace dst.C.Transfer.invariants id st
-      | Some st0 ->
-          Hashtbl.replace dst.C.Transfer.invariants id (C.Astate.join st0 st))
-    src.C.Transfer.invariants;
-  Hashtbl.iter
-    (fun id () -> Hashtbl.replace dst.C.Transfer.oct_useful id ())
-    src.C.Transfer.oct_useful;
-  dst.C.Transfer.join_count <-
-    dst.C.Transfer.join_count + src.C.Transfer.join_count
+  (C.Analysis.Reply.detach r, Interference.of_table it.C.Transfer.itf_writes)
 
 let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
     (p : F.Tast.program) : t =
@@ -177,16 +109,13 @@ let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
   (* shared variables leave the relational packs in every run, the
      combined context included, so states stay comparable *)
   let cfg = { cfg with C.Config.conc_shared = shared_names } in
-  let pool =
-    if cfg.C.Config.jobs > 1 && List.compare_length_with tasks 1 > 0 then
-      Some
-        (P.Pool.create
-           ~jobs:(min cfg.C.Config.jobs (List.length tasks))
-           (run_job_delta ~cfg ~tick p shared))
-    else None
+  let workers =
+    P.Scheduler.workers
+      ~jobs:(min cfg.C.Config.jobs (List.length tasks))
+      (run_job ~cfg ~tick p shared)
   in
   let round_of ~round (writes : Interference.map list) :
-      (C.Analysis.result * Interference.map) list =
+      (C.Analysis.Reply.t * Interference.map) list =
     Metrics.incr rounds_counter;
     if !Trace.enabled then
       Trace.span_begin "conc.round" ~args:[ ("round", Trace.I round) ];
@@ -201,7 +130,7 @@ let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
           { j_task = task; j_rely = rely })
         tasks
     in
-    let rs = run_round ~cfg ~tick ~pool p shared jobs in
+    let rs = P.Scheduler.map workers jobs in
     if !Trace.enabled then
       Trace.span_end "conc.round"
         ~args:
@@ -214,26 +143,27 @@ let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
           ];
     rs
   in
-  let finish (results : (C.Analysis.result * Interference.map) list)
+  let finish (results : (C.Analysis.Reply.t * Interference.map) list)
       ~(rounds : int) ~(stabilized : bool) : t =
     let per_task = List.map fst results in
     let alarms =
-      P.Merge.alarms (List.map (fun r -> r.C.Analysis.r_alarms) per_task)
+      P.Merge.alarms
+        (List.map (fun rp -> rp.C.Analysis.Reply.rp_alarms) per_task)
     in
     let final =
-      P.Merge.join_states (List.map (fun r -> r.C.Analysis.r_final) per_task)
+      P.Merge.join_states
+        (List.map (fun rp -> rp.C.Analysis.Reply.rp_final) per_task)
     in
     (* combined context: same cell numbering as every per-task run
-       (pre-fill covers all functions), merged invariants and pack
-       usefulness *)
+       (pre-fill covers all functions), with every task's reply
+       attached *)
     let actx = C.Transfer.make_actx cfg p in
     C.Transfer.prefill_cells actx;
-    List.iter
-      (fun r -> absorb_actx actx r.C.Analysis.r_actx)
-      per_task;
+    List.iter (C.Analysis.Reply.attach actx) per_task;
     let stats =
       let s =
-        P.Merge.sum_stats (List.map (fun r -> r.C.Analysis.r_stats) per_task)
+        P.Merge.sum_stats
+          (List.map (fun rp -> rp.C.Analysis.Reply.rp_stats) per_task)
       in
       { s with C.Analysis.s_time = Unix.gettimeofday () -. t0 }
     in
@@ -275,8 +205,7 @@ let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
       iterate ~round:(round + 1) writes''
   in
   Fun.protect
-    ~finally:(fun () ->
-      match pool with Some pl -> P.Pool.shutdown pl | None -> ())
+    ~finally:(fun () -> P.Scheduler.shutdown workers)
     (fun () ->
       match shared with
       | [] ->

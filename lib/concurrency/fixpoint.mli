@@ -28,12 +28,14 @@ type t = {
 
 (** Analyze [p] as a multi-task program with the given entry points.
     [cfg.jobs > 1] dispatches per-task runs to a process pool; results
-    are identical to the sequential run.  The summary cache, when
-    enabled, is attached per task run with the rely digest folded into
-    its keys.  Under a budget ([cfg.timeout], [cfg.max_mem_mb], signal
-    handlers) it is governed like a single-task analysis: a timeout or
-    memory trip reruns the fixpoint one {!Astree_robust.Degrade} step
-    down and sets [stats.s_degraded].
+    are identical to the sequential run.  Each per-task run is an
+    {!Astree_core.Analysis.analyze}, so the summary cache, when enabled
+    and registered, is attached per task run with the rely digest
+    folded into its keys.  Under a budget ([cfg.timeout],
+    [cfg.max_mem_mb], signal handlers) it is governed like a
+    single-task analysis: a timeout or memory trip reruns the fixpoint
+    one {!Astree_robust.Degrade} step down and sets
+    [stats.s_degraded].
     @raise Invalid_argument on fewer than two tasks, unknown task
     names, or tasks taking parameters.
     @raise Astree_robust.Budget.Tripped [Interrupted] on an interrupt. *)

@@ -101,10 +101,7 @@ let context_stats (actx : Transfer.actx) (p : F.Tast.program) : stats =
     s_degraded = None;
   }
 
-(** Analyze a typed program against an already-prepared context (the
-    multi-task driver builds and pre-fills each per-task context and
-    installs its interference context, then runs the iterator through
-    this entry point). *)
+(* Run the iterator on a prepared context and collect the result. *)
 let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
   let t0 = Unix.gettimeofday () in
   actx.Transfer.session.Transfer.ses_live <- Some actx;
@@ -128,21 +125,59 @@ let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
     r_stats = { s with s_time = t1 -. t0 };
   }
 
+module Reply = struct
+  type t = {
+    rp_alarms : Alarm.t list;
+    rp_final : Astate.t;
+    rp_stats : stats;
+    rp_invariants : (int, Astate.t) Hashtbl.t;
+    rp_oct_useful : (int, unit) Hashtbl.t;
+    rp_joins : int;
+  }
+
+  let detach (r : result) : t =
+    let a = r.r_actx in
+    {
+      rp_alarms = r.r_alarms;
+      rp_final = r.r_final;
+      rp_stats = r.r_stats;
+      rp_invariants = a.Transfer.invariants;
+      rp_oct_useful = a.Transfer.oct_useful;
+      rp_joins = a.Transfer.join_count;
+    }
+
+  let attach (a : Transfer.actx) (rp : t) : unit =
+    if Cell.count a.Transfer.intern <> rp.rp_stats.s_cells then
+      invalid_arg "Analysis.Reply.attach: cell numberings differ";
+    Hashtbl.iter
+      (fun id st ->
+        Hashtbl.replace a.Transfer.invariants id
+          (match Hashtbl.find_opt a.Transfer.invariants id with
+          | None -> st
+          | Some st0 -> Astate.join st0 st))
+      rp.rp_invariants;
+    Hashtbl.iter (Hashtbl.replace a.Transfer.oct_useful) rp.rp_oct_useful;
+    a.Transfer.join_count <- a.Transfer.join_count + rp.rp_joins
+end
+
 (** Analyze a typed program sequentially ([cfg.jobs] does not apply to
     a single analysis), wrapping the run in the summary-cache driver
-    when caching is enabled.  With the cache on, cells are pre-filled in
-    program order, so the numbering does not depend on when the cache
-    builds its frames.  [?session] threads an
+    when caching is enabled.  With the cache on (or [prefill]), cells
+    are pre-filled in program order, so the numbering does not depend
+    on when the cache builds its frames.  [?session] threads an
     existing session through (the daemon passes one per request); a
     fresh one is created otherwise, so concurrent analyses never share
     hooks. *)
-let analyze ?session ?(cfg = Config.default) (p : F.Tast.program) : result =
+let analyze ?session ?(prefill = false) ?(cfg = Config.default)
+    (p : F.Tast.program) : result =
   let session =
     match session with Some s -> s | None -> Transfer.new_session ()
   in
   let core () =
     let actx = Transfer.make_actx ~session cfg p in
-    if Config.cache_enabled cfg || Option.is_some session.Transfer.ses_memo
+    if
+      prefill || Config.cache_enabled cfg
+      || Option.is_some session.Transfer.ses_memo
     then Transfer.prefill_cells actx;
     analyze_prepared actx p
   in

@@ -59,17 +59,38 @@ val useful_octagon_packs : result -> int list
     [cfg.jobs].  [?session] threads an existing {!Transfer.session}
     through (the analysis server passes one per request); a fresh
     session is created otherwise, so concurrent analyses in one process
-    never share hooks. *)
+    never share hooks.  [~prefill:true] pre-fills the cells, as a
+    cache-enabled run does, so that the {!Reply} can be attached. *)
 val analyze :
   ?session:Transfer.session ->
+  ?prefill:bool ->
   ?cfg:Config.t ->
   Astree_frontend.Tast.program ->
   result
 
-(** Analyze against an already-prepared context (used by the multi-task
-    driver, which pre-fills each per-task context and installs its
-    interference context first). *)
-val analyze_prepared : Transfer.actx -> Astree_frontend.Tast.program -> result
+(** The plain-data part of a result: what a pool worker ships instead
+    of the result, whose context holds lazies, first-class modules and
+    session hooks. *)
+module Reply : sig
+  type t = {
+    rp_alarms : Alarm.t list;
+    rp_final : Astate.t;
+    rp_stats : stats;
+    rp_invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> invariant *)
+    rp_oct_useful : (int, unit) Hashtbl.t;
+    rp_joins : int;
+  }
+
+  val detach : result -> t
+
+  (** Absorb a reply into a context the receiver built with
+      {!Transfer.make_actx} and {!Transfer.prefill_cells}: invariants
+      join point-wise, useful packs union, join counts add.  Pre-filled
+      cell ids depend only on the program, so the sender's states mean
+      the same here.
+      @raise Invalid_argument if the sender interned other cells. *)
+  val attach : Transfer.actx -> t -> unit
+end
 
 (** Summary-cache driver hook, installed by
     [Astree_incremental.Summary.register].  Wraps the analysis thunk

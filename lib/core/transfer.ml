@@ -159,7 +159,7 @@ and session = {
   mutable ses_ticks : int;
   mutable ses_live : actx option;
       (** the context currently being analyzed under this session, set
-          by [Analysis.analyze_prepared]; the robust subsystem reads it
+          by [Analysis.analyze]; the robust subsystem reads it
           to assemble a partial result on interrupt *)
   mutable ses_itf : itf option;
       (** interference context of a multi-task per-task run, installed

@@ -8,7 +8,8 @@
 
     Jobs and replies must be pure data: marshalling uses the default
     (closure-free) flags, so an accidentally captured closure fails the
-    job instead of silently shipping stale code.
+    job instead of silently shipping stale code: the reply becomes
+    [Error "reply does not marshal: ..."] and the worker serves on.
 
     Robustness: a worker that crashes (EOF on its pipe) or overruns the
     per-job timeout is killed and respawned transparently; its job is
@@ -38,8 +39,7 @@ let size (p : ('a, 'b) t) = Array.length p.p_workers
 
 (* Fault injection (Astree_robust.Faultsim): the crash / hang /
    truncated-reply recovery paths are exercised by seed-driven injection
-   points here.  The historical ASTREE_PAR_CHAOS variable is honoured by
-   Faultsim as an alias for "every worker crashes on every job". *)
+   points here. *)
 module Faultsim = Astree_robust.Faultsim
 
 let worker_loop (f : 'a -> 'b) (ic : in_channel) (oc : out_channel) : unit =
@@ -65,7 +65,14 @@ let worker_loop (f : 'a -> 'b) (ic : in_channel) (oc : out_channel) : unit =
           Unix._exit 3
         end
         else begin
-          Marshal.to_channel oc reply [];
+          (* Marshal refuses a closure before it writes a byte, so the
+             error reply goes out on a clean channel *)
+          (try Marshal.to_channel oc reply []
+           with Invalid_argument _ as e ->
+             Marshal.to_channel oc
+               (Error ("reply does not marshal: " ^ Printexc.to_string e)
+                 : ('b, string) result)
+               []);
           flush oc
         end;
         loop ()

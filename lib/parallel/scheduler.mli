@@ -1,15 +1,11 @@
-(** Parallel scheduler: whole-program batch jobs on a worker pool, with
-    deterministic merge and a retry-once-then-sequential fault policy. *)
+(** Parallel scheduler: the one job path of [-j] (worker wrapper and
+    fault policy) and whole-program batch jobs on it. *)
 
 module C = Astree_core
 module F = Astree_frontend
 
 (** Worker count matching the machine's available cores. *)
 val default_jobs : unit -> int
-
-(** Per-job wall-clock budget (seconds) before a worker is presumed
-    hung and its job retried. *)
-val batch_job_timeout : float ref
 
 (** Alias of {!Astree_core.Analysis.analyze}: one program is analyzed
     sequentially at every [cfg.jobs].  Kept for existing callers (the
@@ -20,25 +16,33 @@ val analyze :
   F.Tast.program ->
   C.Analysis.result
 
-type batch_source =
-  | Bs_program of F.Tast.program  (** already compiled *)
-  | Bs_sources of (string * string) list  (** (filename, contents) pairs *)
+(** Forked workers running one job function, whose replies must be
+    plain data (an analysis ships a {!C.Analysis.Reply.t}); with
+    [jobs <= 1], jobs run in-process and nothing is forked. *)
+type ('a, 'b) workers
+
+val workers : jobs:int -> ('a -> 'b) -> ('a, 'b) workers
+
+(** Results in job order; worker registry deltas are absorbed in job
+    order.  A job whose worker crashed, hung or sent a reply that does
+    not marshal is retried once, then recomputed in-process, bumping
+    the [par.recomputed] counter. *)
+val map : ('a, 'b) workers -> 'a list -> 'b list
+
+val shutdown : ('a, 'b) workers -> unit
 
 type batch_job = {
   bj_label : string;
-  bj_main : string;
   bj_cfg : C.Config.t;
-  bj_source : batch_source;
+  bj_program : F.Tast.program;
 }
 
-val batch_job :
-  ?label:string -> ?main:string -> ?cfg:C.Config.t -> batch_source -> batch_job
+val batch_job : ?label:string -> ?cfg:C.Config.t -> F.Tast.program -> batch_job
 
 (** Run one batch job sequentially in-process. *)
 val run_batch_job : batch_job -> C.Analysis.result
 
-(** Run whole-program analyses on a worker pool; returns
-    (label, result) pairs in job order.  Failed jobs are retried once,
-    then recomputed in-process. *)
+(** Run whole-program analyses on [jobs] workers; returns
+    (label, result) pairs in job order. *)
 val analyze_batch :
   ?jobs:int -> batch_job list -> (string * C.Analysis.result) list

@@ -11,10 +11,7 @@
 
     The specification comes from the [ASTREE_FAULTS] environment
     variable ([seed:point=prob,point,...], probability defaulting to 1)
-    or from a programmatic {!install}.  The historical
-    [ASTREE_PAR_CHAOS] variable is kept as an alias for
-    [0:worker_crash=1] and is overridden by [ASTREE_FAULTS] when both
-    are set.
+    or from a programmatic {!install}.
 
     [with_suppressed] masks all points for the duration of a callback:
     tests that assert exact pool or cache counters use it so the whole
@@ -119,24 +116,17 @@ let parse (s : string) : spec option =
 let installed : spec option ref = ref None
 let have_install = ref false
 
-(* env parse cache, keyed on the raw variable values so tests that
+(* env parse cache, keyed on the raw variable value so tests that
    [putenv] mid-run are picked up without reparsing on every call *)
-let env_cache : (string * string * spec option) option ref = ref None
+let env_cache : (string * spec option) option ref = ref None
 
 let env_spec () : spec option =
   let faults = Option.value (Sys.getenv_opt "ASTREE_FAULTS") ~default:"" in
-  let chaos = Option.value (Sys.getenv_opt "ASTREE_PAR_CHAOS") ~default:"" in
   match !env_cache with
-  | Some (f, c, sp) when f = faults && c = chaos -> sp
+  | Some (f, sp) when f = faults -> sp
   | _ ->
-      let sp =
-        if faults <> "" then parse faults
-        else if chaos <> "" then
-          (* legacy alias: every worker crashes on every job *)
-          Some { sp_seed = 0; sp_probs = [ (Worker_crash, 1.0) ] }
-        else None
-      in
-      env_cache := Some (faults, chaos, sp);
+      let sp = if faults <> "" then parse faults else None in
+      env_cache := Some (faults, sp);
       sp
 
 let active () : spec option =

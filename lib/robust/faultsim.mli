@@ -1,12 +1,11 @@
 (** Deterministic, seed-driven fault injection.
 
-    A fault specification ([ASTREE_FAULTS=seed:point=prob,...], the
-    [ASTREE_PAR_CHAOS] legacy alias, or a programmatic {!install}) arms
-    named injection points in the worker pool and the summary store.
-    Firing decisions are drawn from a counter-based stream seeded by
-    (seed, point, call number): the same spec replays the same fault
-    schedule, so every degradation and recovery path is exercisable
-    deterministically in tests and CI. *)
+    A fault specification ([ASTREE_FAULTS=seed:point=prob,...] or a
+    programmatic {!install}) arms named injection points in the worker
+    pool and the summary store.  Firing decisions are drawn from a
+    counter-based stream seeded by (seed, point, call number): the same
+    spec replays the same fault schedule, so every degradation and
+    recovery path is exercisable deterministically in tests and CI. *)
 
 type point =
   | Worker_crash     (** pool worker self-kills before running a job *)

@@ -219,11 +219,17 @@ let test_jobs_parity () =
   let p = compile g.G.Generator.source in
   let tasks = g.G.Generator.task_fns in
   let r1 = Conc.Fixpoint.analyze ~cfg:C.Config.default ~tasks p in
+  let recomputed = Astree_obs.Metrics.counter "par.recomputed" in
+  let v0 = Astree_obs.Metrics.value recomputed in
   let r4 =
     Conc.Fixpoint.analyze
       ~cfg:{ C.Config.default with C.Config.jobs = 4 }
       ~tasks p
   in
+  (* on a healthy run every per-task reply comes back from a worker *)
+  if R.Faultsim.describe () = "faults: off" then
+    Alcotest.(check int) "no per-task run recomputed in-process" 0
+      (Astree_obs.Metrics.value recomputed - v0);
   Alcotest.(check string) "-j1 and -j4 fingerprints agree"
     (P.Merge.fingerprint r1.Conc.Fixpoint.c_result)
     (P.Merge.fingerprint r4.Conc.Fixpoint.c_result);

@@ -16,9 +16,22 @@ module R = Astree_robust
    tests keep the faults live — those must hold whatever is injected. *)
 let no_faults = R.Faultsim.with_suppressed
 
+(* every forked worker dies on every job *)
 let with_chaos k =
-  Unix.putenv "ASTREE_PAR_CHAOS" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "ASTREE_PAR_CHAOS" "") k
+  R.Faultsim.install ~seed:0 [ (R.Faultsim.Worker_crash, 1.0) ];
+  Fun.protect
+    ~finally:(fun () ->
+      R.Faultsim.clear ();
+      R.Faultsim.reset_counters ())
+    k
+
+(* jobs recomputed in-process by the scheduler's fallback while [k]
+   runs *)
+let recomputed_by k =
+  let c = Astree_obs.Metrics.counter "par.recomputed" in
+  let v0 = Astree_obs.Metrics.value c in
+  let r = k () in
+  (r, Astree_obs.Metrics.value c - v0)
 
 (* ---------------- pool ---------------- *)
 
@@ -76,6 +89,25 @@ let test_pool_timeout () =
             (e = "worker timed out")
       | _ -> Alcotest.fail "expected only job 2 to time out")
 
+(* A reply that does not marshal comes back as an [Error] naming the
+   cause, and the worker that produced it stays alive for the next
+   job. *)
+type reply = Pid of int | Fn of (int -> int)
+
+let test_pool_unmarshallable_reply () =
+  no_faults @@ fun () ->
+  P.Pool.with_pool ~jobs:1
+    (fun x -> if x = 0 then Fn succ else Pid (Unix.getpid ()))
+    (fun pool ->
+      let pid = ok_exn (List.hd (P.Pool.map pool [ 1 ])) in
+      (match P.Pool.map pool [ 0 ] with
+      | [ Error e ] ->
+          Alcotest.(check bool) "names the cause" true
+            (String.starts_with ~prefix:"reply does not marshal: " e)
+      | _ -> Alcotest.fail "expected the closure reply to fail");
+      Alcotest.(check bool) "the same worker serves the next job" true
+        (P.Pool.map pool [ 1 ] = [ Ok pid ]))
+
 (* ---------------- merge ---------------- *)
 
 let loc line = F.Loc.make ~file:"t.c" ~line ~col:1
@@ -107,6 +139,10 @@ let test_merge_states () =
 
 (* ---------------- batch ---------------- *)
 
+let member_job ?cfg ~label source =
+  let p, _ = C.Analysis.compile [ (label ^ ".c", source) ] in
+  P.Scheduler.batch_job ~label ?cfg p
+
 let test_batch_equiv () =
   let items =
     List.map
@@ -121,12 +157,15 @@ let test_batch_equiv () =
             C.Config.partitioned_functions = g.G.Generator.partition_fns;
           }
         in
-        P.Scheduler.batch_job ~label ~cfg
-          (P.Scheduler.Bs_sources [ (label ^ ".c", g.G.Generator.source) ]))
+        member_job ~cfg ~label g.G.Generator.source)
       [ (11, 200, "m11"); (12, 250, "m12"); (13, 300, "m13") ]
   in
   let seq = List.map (fun bj -> P.Scheduler.run_batch_job bj) items in
-  let par = P.Scheduler.analyze_batch ~jobs:3 items in
+  let par, recomputed =
+    recomputed_by (fun () -> P.Scheduler.analyze_batch ~jobs:3 items)
+  in
+  if R.Faultsim.describe () = "faults: off" then
+    Alcotest.(check int) "no job recomputed in-process" 0 recomputed;
   Alcotest.(check (list string))
     "labels in job order" [ "m11"; "m12"; "m13" ] (List.map fst par);
   List.iter2
@@ -144,12 +183,16 @@ let test_batch_chaos_fallback () =
           G.Generator.generate
             { G.Generator.default with G.Generator.seed; target_lines = 150 }
         in
-        P.Scheduler.batch_job ~label
-          (P.Scheduler.Bs_sources [ (label ^ ".c", g.G.Generator.source) ]))
+        member_job ~label g.G.Generator.source)
       [ (21, "a"); (22, "b") ]
   in
   let seq = List.map (fun bj -> P.Scheduler.run_batch_job bj) items in
-  let par = with_chaos (fun () -> P.Scheduler.analyze_batch ~jobs:2 items) in
+  let par, recomputed =
+    with_chaos (fun () ->
+        recomputed_by (fun () -> P.Scheduler.analyze_batch ~jobs:2 items))
+  in
+  Alcotest.(check int) "every job recomputed in-process, counted" 2
+    recomputed;
   List.iter2
     (fun s (label, r) ->
       Alcotest.(check string)
@@ -167,4 +210,6 @@ let suite =
     Alcotest.test_case "merge: state join" `Quick test_merge_states;
     Alcotest.test_case "batch: -j3 equivalence" `Slow test_batch_equiv;
     Alcotest.test_case "batch: chaos fallback" `Quick test_batch_chaos_fallback;
+    Alcotest.test_case "pool: closure reply -> Error" `Quick
+      test_pool_unmarshallable_reply;
   ]

@@ -225,22 +225,21 @@ let test_shed_filter () =
         (Array.length op.C.Packing.op_vars <= 3))
     shed.C.Packing.octs
 
-(* ---------------- faultsim: spec, determinism, alias ---------------- *)
+(* ---------------- faultsim: spec, determinism ---------------- *)
 
 let test_faultsim_spec () =
-  with_env "ASTREE_PAR_CHAOS" "" (fun () ->
-      with_env "ASTREE_FAULTS" "5:worker_crash=0.5,cache_corrupt" (fun () ->
-          R.Faultsim.reset_counters ();
-          let d = R.Faultsim.describe () in
-          Alcotest.(check bool) "seed parsed" true
-            (String.length d > 0 && d <> "faults: off");
-          Alcotest.(check bool) "prob-1 point always fires" true
-            (R.Faultsim.fires R.Faultsim.Cache_corrupt);
-          Alcotest.(check bool) "unarmed point never fires" false
-            (R.Faultsim.fires R.Faultsim.Worker_hang));
-      with_env "ASTREE_FAULTS" "not-a-spec" (fun () ->
-          Alcotest.(check bool) "malformed spec disables injection" false
-            (R.Faultsim.fires R.Faultsim.Worker_crash)))
+  with_env "ASTREE_FAULTS" "5:worker_crash=0.5,cache_corrupt" (fun () ->
+      R.Faultsim.reset_counters ();
+      let d = R.Faultsim.describe () in
+      Alcotest.(check bool) "seed parsed" true
+        (String.length d > 0 && d <> "faults: off");
+      Alcotest.(check bool) "prob-1 point always fires" true
+        (R.Faultsim.fires R.Faultsim.Cache_corrupt);
+      Alcotest.(check bool) "unarmed point never fires" false
+        (R.Faultsim.fires R.Faultsim.Worker_hang));
+  with_env "ASTREE_FAULTS" "not-a-spec" (fun () ->
+      Alcotest.(check bool) "malformed spec disables injection" false
+        (R.Faultsim.fires R.Faultsim.Worker_crash))
 
 let fire_pattern n p =
   R.Faultsim.reset_counters ();
@@ -276,16 +275,6 @@ let test_faultsim_suppression () =
             (R.Faultsim.fires R.Faultsim.Worker_crash));
       Alcotest.(check bool) "armed again" true
         (R.Faultsim.fires R.Faultsim.Worker_crash))
-
-let test_par_chaos_alias () =
-  (* an empty ASTREE_FAULTS means unset: the legacy variable applies *)
-  with_env "ASTREE_FAULTS" "" (fun () ->
-      with_env "ASTREE_PAR_CHAOS" "1" (fun () ->
-          R.Faultsim.reset_counters ();
-          Alcotest.(check bool) "alias arms worker crashes" true
-            (R.Faultsim.fires R.Faultsim.Worker_crash);
-          Alcotest.(check bool) "alias arms nothing else" false
-            (R.Faultsim.fires R.Faultsim.Cache_corrupt)))
 
 (* ---------------- faultsim: pool injection points ---------------- *)
 
@@ -371,7 +360,7 @@ let test_equiv_under_injection () =
               C.Config.default with
               C.Config.partitioned_functions = g.G.Generator.partition_fns;
             }
-          (P.Scheduler.Bs_sources [ (label ^ ".c", g.G.Generator.source) ]))
+          (fst (C.Analysis.compile [ (label ^ ".c", g.G.Generator.source) ])))
       [ 31; 32; 33; 34 ]
   in
   let seq = List.map P.Scheduler.run_batch_job items in
@@ -601,6 +590,28 @@ let test_multitask_timeout () =
     (is_superset ~big:(alarm_keys r)
        ~small:(alarm_keys full.Conc.Fixpoint.c_result))
 
+(* Multi-task rounds take the scheduler's fault policy: with every
+   worker dying on every job, each per-task run is retried once, then
+   recomputed in-process and counted — the result is the -j 1 one. *)
+let test_multitask_worker_crash () =
+  let p, tasks = tasks_member () in
+  let fp r = P.Merge.fingerprint r.Conc.Fixpoint.c_result in
+  let seq = Conc.Fixpoint.analyze ~tasks p in
+  let recomputed = Astree_obs.Metrics.counter "par.recomputed" in
+  let v0 = Astree_obs.Metrics.value recomputed in
+  let par =
+    with_faults ~seed:0
+      [ (R.Faultsim.Worker_crash, 1.0) ]
+      (fun () ->
+        Conc.Fixpoint.analyze
+          ~cfg:{ C.Config.default with C.Config.jobs = 2 }
+          ~tasks p)
+  in
+  Alcotest.(check string) "identical to -j 1" (fp seq) (fp par);
+  Alcotest.(check int) "every per-task run recomputed, counted"
+    (List.length tasks * par.Conc.Fixpoint.c_rounds)
+    (Astree_obs.Metrics.value recomputed - v0)
+
 (* An interrupt at -j 1 (no pool to poll it) reaches the per-task
    iterator tick and escapes as [Tripped Interrupted], which the CLI
    turns into exit 130. *)
@@ -632,8 +643,8 @@ let suite =
       test_faultsim_deterministic;
     Alcotest.test_case "faultsim: suppression masks points" `Quick
       test_faultsim_suppression;
-    Alcotest.test_case "faultsim: ASTREE_PAR_CHAOS alias" `Quick
-      test_par_chaos_alias;
+    Alcotest.test_case "inject: multi-task worker crash" `Quick
+      test_multitask_worker_crash;
     Alcotest.test_case "inject: worker crash" `Quick test_inject_worker_crash;
     Alcotest.test_case "inject: worker hang" `Quick test_inject_worker_hang;
     Alcotest.test_case "inject: truncated reply" `Quick
