@@ -17,20 +17,11 @@
 module F = Astree_frontend
 open F.Tast
 
-type oct_pack = {
-  op_id : int;
-  op_vars : var array;
-  op_index : (int, int) Hashtbl.t;
-      (** variable id -> position in [op_vars], built once at pack
-          creation so membership checks are O(1) instead of scans *)
-}
+type oct_pack = { op_id : int; op_vars : var array }
 
-let mk_oct_pack ~id (vars : var array) : oct_pack =
-  let index = Hashtbl.create (max 1 (Array.length vars)) in
-  Array.iteri (fun k v -> Hashtbl.replace index v.v_id k) vars;
-  { op_id = id; op_vars = vars; op_index = index }
-
-let op_mem (op : oct_pack) (v : var) : bool = Hashtbl.mem op.op_index v.v_id
+(* a scan: a pack holds at most [max_octagon_pack] variables *)
+let op_mem (op : oct_pack) (v : var) : bool =
+  Array.exists (fun w -> w.v_id = v.v_id) op.op_vars
 
 type ell_pack = {
   ep_id : int;
@@ -45,7 +36,7 @@ type ell_pack = {
 
 type dt_pack = { dp_id : int; dp_bools : var array; dp_nums : var array }
 
-type 'p index = (int, 'p list) Hashtbl.t
+type 'p index = 'p list array
 
 type t = {
   octs : oct_pack list;
@@ -56,21 +47,23 @@ type t = {
   dt_index : dt_pack index;
 }
 
-(* variable id -> the packs containing it, later packs first *)
+(* variable id (never negative) -> the packs containing it, later packs
+   first; the array ends at the largest id of a pack variable *)
 let index (vars : 'p -> var array) (packs : 'p list) : 'p index =
-  let idx = Hashtbl.create 64 in
+  let bound =
+    List.fold_left
+      (fun b p -> Array.fold_left (fun b v -> max b (v.v_id + 1)) b (vars p))
+      0 packs
+  in
+  let idx = Array.make bound [] in
   List.iter
-    (fun p ->
-      Array.iter
-        (fun v ->
-          Hashtbl.replace idx v.v_id
-            (p :: Option.value (Hashtbl.find_opt idx v.v_id) ~default:[]))
-        (vars p))
+    (fun p -> Array.iter (fun v -> idx.(v.v_id) <- p :: idx.(v.v_id)) (vars p))
     packs;
   idx
 
 let packs_of (idx : 'p index) (v : var) : 'p list =
-  Option.value (Hashtbl.find_opt idx v.v_id) ~default:[]
+  let id = v.v_id in
+  if id >= 0 && id < Array.length idx then Array.unsafe_get idx id else []
 
 let make octs ells dts =
   {
@@ -85,6 +78,15 @@ let make octs ells dts =
 (* ------------------------------------------------------------------ *)
 (* Syntactic linear forms (constant coefficients)                      *)
 (* ------------------------------------------------------------------ *)
+
+(* The table [syntactic_linear] merges duplicate variables in, reused
+   across calls: it runs on every clock-aware and every ellipsoid-pack
+   assignment.  [Hashtbl.reset] restores the initial size, so the fold
+   order, which [Reldom_ell.assign_filter] sums the terms in with outward
+   rounding, is that of a fresh table.  One global table is safe because
+   no analysis runs on a second domain or thread: parallel runs fork
+   worker processes. *)
+let merge_tbl : (int, var * float) Hashtbl.t = Hashtbl.create 8
 
 (** [syntactic_linear e] returns [Some (terms, const_bound)] when [e] is
     a +,-,* combination of scalar variables and constants; coefficients
@@ -132,7 +134,8 @@ let syntactic_linear (e : expr) : ((var * float) list * float) option =
   match go e with
   | Some (terms, c) ->
       (* merge duplicate variables *)
-      let tbl = Hashtbl.create 8 in
+      let tbl = merge_tbl in
+      Hashtbl.reset tbl;
       List.iter
         (fun (v, k) ->
           let cur = Option.value (Hashtbl.find_opt tbl v.v_id) ~default:(v, 0.0) in
@@ -181,7 +184,7 @@ let octagon_packs ~(max_pack : int) (p : program) : oct_pack list =
           !packs
       in
       if not dup then begin
-        packs := mk_oct_pack ~id:!next arr :: !packs;
+        packs := { op_id = !next; op_vars = arr } :: !packs;
         incr next
       end
     end

@@ -2,18 +2,12 @@
     before the analysis starts, of the small variable packs on which the
     relational domains operate. *)
 
-type oct_pack = {
-  op_id : int;
-  op_vars : Astree_frontend.Tast.var array;
-  op_index : (int, int) Hashtbl.t;
-      (** variable id -> position in [op_vars]; built once at pack
-          creation, never mutated *)
-}
+type oct_pack = { op_id : int; op_vars : Astree_frontend.Tast.var array }
 (** An octagon pack (Sect. 7.2.1): the numerical variables appearing in
     linear assignments or tests of one syntactic block. *)
 
 val op_mem : oct_pack -> Astree_frontend.Tast.var -> bool
-(** O(1) pack-membership test via [op_index]. *)
+(** Pack membership, by a scan of [op_vars]. *)
 
 type ell_pack = {
   ep_id : int;
@@ -37,8 +31,9 @@ type dt_pack = {
     boolean/numeric interactions, kept when confirmed by a use of the
     numerical variable under a branch depending on the boolean. *)
 
-(** Variable id -> the packs containing it. *)
-type 'p index = (int, 'p list) Hashtbl.t
+(** Variable id -> the packs containing it (an array indexed by id;
+    ids past its end are in no pack). *)
+type 'p index = 'p list array
 
 type t = {
   octs : oct_pack list;

@@ -22,11 +22,9 @@ let add_pack name buf (op : pack) =
   add_i64 buf (Array.length op.Packing.op_vars);
   Array.iter (fun v -> add_str buf (name v)) op.Packing.op_vars
 
-(* the pack index maps variable ids to positions, exactly as the
-   octagon's own index does *)
 let rename (op : pack) (o : t) =
   if rename_vars ~by:op.Packing.op_vars o.O.pack == o.O.pack then o
-  else { o with O.pack = op.Packing.op_vars; index = op.Packing.op_index }
+  else { o with O.pack = op.Packing.op_vars }
 
 let top (op : pack) = O.top op.Packing.op_vars
 let get (r : rel) = r.octs
@@ -45,37 +43,38 @@ let writeback c ctx st (vars : var list) =
         (fun st (op : pack) ->
           match Ptmap.find_opt op.Packing.op_id (c.rel st).octs with
           | None -> st
-          | Some o -> (
+          | Some o ->
               if O.is_bot o then c.bottom
               else
-                match O.get_bounds o v with
-                | Some (lo, hi)
-                  when lo > Float.neg_infinity || hi < Float.infinity -> (
-                    let cur = c.var_itv ctx st v in
-                    let bound =
-                      match cur with
-                      | D.Itv.Int _ ->
-                          D.Itv.int_range
-                            (if lo = Float.neg_infinity then min_int
-                             else int_of_float (Float.floor lo))
-                            (if hi = Float.infinity then max_int
-                             else int_of_float (Float.ceil hi))
-                      | D.Itv.Float _ -> D.Itv.float_range lo hi
-                      | D.Itv.Bot -> D.Itv.Bot
-                    in
-                    match bound with
-                    | D.Itv.Bot -> st
-                    | bound ->
-                        let refined = D.Itv.meet cur bound in
-                        if
-                          (not (D.Itv.equal refined cur))
-                          && not (D.Itv.is_bot refined)
-                        then begin
-                          c.useful ctx op.Packing.op_id;
-                          c.refine ctx st v refined
-                        end
-                        else st)
-                | _ -> st))
+                let k = O.pos o v in
+                let lo = if k < 0 then Float.neg_infinity else O.lower o k in
+                let hi = if k < 0 then Float.infinity else O.upper o k in
+                if not (lo > Float.neg_infinity || hi < Float.infinity) then st
+                else
+                  let cur = c.var_itv ctx st v in
+                  let bound =
+                    match cur with
+                    | D.Itv.Int _ ->
+                        D.Itv.int_range
+                          (if lo = Float.neg_infinity then min_int
+                           else int_of_float (Float.floor lo))
+                          (if hi = Float.infinity then max_int
+                           else int_of_float (Float.ceil hi))
+                    | D.Itv.Float _ -> D.Itv.float_range lo hi
+                    | D.Itv.Bot -> D.Itv.Bot
+                  in
+                  match bound with
+                  | D.Itv.Bot -> st
+                  | bound ->
+                      let refined = D.Itv.meet cur bound in
+                      if
+                        (not (D.Itv.equal refined cur))
+                        && not (D.Itv.is_bot refined)
+                      then begin
+                        c.useful ctx op.Packing.op_id;
+                        c.refine ctx st v refined
+                      end
+                      else st)
         st
         (packs_of (c.packing ctx) v))
     st vars
@@ -217,11 +216,10 @@ let census note (o : t) =
   let sums, diffs = O.count_constraints o in
   [ ("oct_additive", sums); ("oct_subtractive", diffs) ]
 
-(* The pack index is derived from the pack, so it is not written; nor
-   is anything else of an empty octagon, whose matrix and closure state
-   are leftovers that [equal] ignores. *)
+(* Nothing of an empty octagon but its size is written: its matrix and
+   closure state are leftovers that [equal] ignores. *)
 let digest buf (o : t) =
-  let { O.pack; bot; n2; m; closure; index = _ } = o in
+  let { O.pack; bot; n2; m; closure } = o in
   add_i64 buf (Array.length pack);
   Buffer.add_char buf (if bot then '1' else '0');
   if not bot then begin
@@ -238,7 +236,7 @@ let digest buf (o : t) =
 let same (x : t) (y : t) =
   x == y
   ||
-  let { O.pack; bot; n2; m; closure; index = _ } = x in
+  let { O.pack; bot; n2; m; closure } = x in
   Array.length pack = Array.length y.O.pack
   && bot = y.O.bot
   && (bot

@@ -878,27 +878,73 @@ let chan : (actx, Astate.t) Reldom.chan =
     useful = mark_useful;
   }
 
-(* The folds below run the domains of [Relstate.domains] that the
-   configuration enables, in product order; a domain stops seeing the
-   state once it is bottom.  Plain recursion: no closure per statement. *)
+(* One domain of [Relstate.domains] with its --profile probes: counter
+   [rel.assign.NAME] and timer [rel.assign.NAME.time] around each of its
+   [assign] calls, the same under [rel.guard.NAME] for [guard]. *)
+type rel_domain = {
+  dom : (module Reldom.S);
+  c_assign : Metrics.counter;
+  t_assign : Metrics.timer;
+  c_guard : Metrics.counter;
+  t_guard : Metrics.timer;
+}
+
+let rel_domains : rel_domain list =
+  List.map
+    (fun d ->
+      let module M = (val d : Reldom.S) in
+      let name verb = "rel." ^ verb ^ "." ^ M.name in
+      {
+        dom = d;
+        c_assign = Metrics.counter (name "assign");
+        t_assign = Metrics.timer (name "assign" ^ ".time");
+        c_guard = Metrics.counter (name "guard");
+        t_guard = Metrics.timer (name "guard" ^ ".time");
+      })
+    Relstate.domains
+
+(* The folds below run the domains that the configuration enables, in
+   product order; a domain stops seeing the state once it is bottom.
+   Plain recursion, the probes inlined: no closure per statement.  A
+   probe's clock also stops when the call raises. *)
 
 let rec guard_rel a st binds cond truth = function
   | [] -> st
   | d :: ds ->
-      let module M = (val d : Reldom.S) in
+      let module M = (val d.dom : Reldom.S) in
       let st =
         if Astate.is_bot st || not (M.enabled a.cfg) then st
-        else M.guard chan a st binds cond truth
+        else begin
+          Metrics.incr d.c_guard;
+          let t0 = Metrics.start () in
+          match M.guard chan a st binds cond truth with
+          | st ->
+              Metrics.stop d.t_guard t0;
+              st
+          | exception exn ->
+              Metrics.stop d.t_guard t0;
+              raise exn
+        end
       in
       guard_rel a st binds cond truth ds
 
 let rec assign_rel a ~pre st binds x rhs rhs_itv = function
   | [] -> st
   | d :: ds ->
-      let module M = (val d : Reldom.S) in
+      let module M = (val d.dom : Reldom.S) in
       let st =
         if Astate.is_bot st || not (M.enabled a.cfg) then st
-        else M.assign chan a ~pre st binds x rhs rhs_itv
+        else begin
+          Metrics.incr d.c_assign;
+          let t0 = Metrics.start () in
+          match M.assign chan a ~pre st binds x rhs rhs_itv with
+          | st ->
+              Metrics.stop d.t_assign t0;
+              st
+          | exception exn ->
+              Metrics.stop d.t_assign t0;
+              raise exn
+        end
       in
       assign_rel a ~pre st binds x rhs rhs_itv ds
 
@@ -967,7 +1013,7 @@ let rec guard (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
             in
             let st = refine_side st l rl in
             let st = refine_side st r rr in
-            guard_rel a st binds cond truth Relstate.domains
+            guard_rel a st binds cond truth rel_domains
           end
         end
     | _ ->
@@ -984,7 +1030,7 @@ let rec guard (a : actx) (st : Astate.t) (binds : binds) (cond : expr)
                 refine_var_env a st v (refine_truth i truth)
             | _ -> st
           in
-          guard_rel a st binds cond truth Relstate.domains
+          guard_rel a st binds cond truth rel_domains
         end
 
 (* ------------------------------------------------------------------ *)
@@ -1094,7 +1140,7 @@ let assign (a : actx) (st : Astate.t) (binds : binds) (lv : lval) (rhs : expr)
       (* relational updates only for exact scalar-variable assignments *)
       match lv.ldesc with
       | Lvar x when exact && F.Ctypes.is_scalar x.v_ty ->
-          assign_rel a ~pre st binds x rhs rhs_itv Relstate.domains
+          assign_rel a ~pre st binds x rhs rhs_itv rel_domains
       | _ -> st
     end
   end

@@ -9,7 +9,7 @@
     bounds) yields a correct directed-rounding over-approximation. *)
 
 (** Next representable double above [x] ([+infinity] is a fixpoint). *)
-let fsucc (x : float) : float =
+let[@inline] fsucc (x : float) : float =
   if Float.is_nan x then x
   else if x = Float.infinity then x
   else if x = 0.0 then Float.min_float *. epsilon_float (* smallest denormal *)
@@ -19,7 +19,7 @@ let fsucc (x : float) : float =
     else Int64.float_of_bits (Int64.sub bits 1L)
 
 (** Next representable double below [x] ([-infinity] is a fixpoint). *)
-let fpred (x : float) : float = -.fsucc (-.x)
+let[@inline] fpred (x : float) : float = -.fsucc (-.x)
 
 (** Round a bound computed in round-to-nearest upward (sound upper bound,
     conservative by one ulp). *)
@@ -66,10 +66,12 @@ let sub_down a b = add_down a (-.b)
    zero bound with an infinite bound is 0 *)
 let mul_zero_aware a b = if a = 0.0 || b = 0.0 then 0.0 else a *. b
 
+(* the directed products test for a zero factor first, as
+   [mul_zero_aware] does, and multiply plainly after it *)
 let mul_up a b =
   if a = 0.0 || b = 0.0 then 0.0
   else
-  let r = mul_zero_aware a b in
+  let r = a *. b in
   if Float.is_nan r then r
   else if r = Float.infinity then r
   else if r = Float.neg_infinity then
@@ -81,7 +83,7 @@ let mul_up a b =
 let mul_down a b =
   if a = 0.0 || b = 0.0 then 0.0
   else
-  let r = mul_zero_aware a b in
+  let r = a *. b in
   if Float.is_nan r then r
   else if r = Float.neg_infinity then r
   else if r = Float.infinity then if finite2 a b then max_float else r

@@ -29,6 +29,16 @@ let float_range lo hi =
 let int_const n = Int (n, n)
 let float_const f = if Float.is_nan f then Bot else Float (f, f)
 
+(* Typed [min]/[max] with Stdlib's definitions ([if a <= b then a else
+   b]), so NaN and signed zeros behave exactly as with the polymorphic
+   ones, but compiled to one float or int comparison instead of a
+   [compare_val] call.  Not [Float.min]/[Float.max]: those return NaN
+   for a NaN on either side and order -0. below +0. *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
+let[@inline] imin (a : int) b = if a <= b then a else b
+let[@inline] imax (a : int) b = if a >= b then a else b
+
 let top_int = Int (Sat.neg_inf, Sat.pos_inf)
 let top_float = Float (Float.neg_infinity, Float.infinity)
 
@@ -89,15 +99,15 @@ let subset a b =
 let join a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
-  | Int (x, y), Int (x', y') -> Int (min x x', max y y')
-  | Float (x, y), Float (x', y') -> Float (min x x', max y y')
+  | Int (x, y), Int (x', y') -> Int (imin x x', imax y y')
+  | Float (x, y), Float (x', y') -> Float (fmin x x', fmax y y')
   | Int _, Float _ | Float _, Int _ -> invalid_arg "Itv.join: kind mismatch"
 
 let meet a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | Int (x, y), Int (x', y') -> int_range (max x x') (min y y')
-  | Float (x, y), Float (x', y') -> float_range (max x x') (min y y')
+  | Int (x, y), Int (x', y') -> int_range (imax x x') (imin y y')
+  | Float (x, y), Float (x', y') -> float_range (fmax x x') (fmin y y')
   | Int _, Float _ | Float _, Int _ -> invalid_arg "Itv.meet: kind mismatch"
 
 (* Counts unstable bounds caught by a finite threshold instead of
@@ -207,19 +217,32 @@ let mul x y =
   | Int (a, b), Int (c, d) ->
       let p1 = Sat.mul a c and p2 = Sat.mul a d in
       let p3 = Sat.mul b c and p4 = Sat.mul b d in
-      Int (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4))
+      Int (imin (imin p1 p2) (imin p3 p4), imax (imax p1 p2) (imax p3 p4))
   | Float (a, b), Float (c, d) ->
-      let lo =
-        min
-          (min (Float_utils.mul_down a c) (Float_utils.mul_down a d))
-          (min (Float_utils.mul_down b c) (Float_utils.mul_down b d))
-      in
-      let hi =
-        max
-          (max (Float_utils.mul_up a c) (Float_utils.mul_up a d))
-          (max (Float_utils.mul_up b c) (Float_utils.mul_up b d))
-      in
-      float_range lo hi
+      (* a point factor repeats two of the four products ([mul_down] and
+         [mul_up] give 0.0 for a zero of either sign), and the min or
+         max of a value with itself is that value: two products per
+         direction give the same bits *)
+      if a = b then
+        float_range
+          (fmin (Float_utils.mul_down a c) (Float_utils.mul_down a d))
+          (fmax (Float_utils.mul_up a c) (Float_utils.mul_up a d))
+      else if c = d then
+        float_range
+          (fmin (Float_utils.mul_down a c) (Float_utils.mul_down b c))
+          (fmax (Float_utils.mul_up a c) (Float_utils.mul_up b c))
+      else
+        let lo =
+          fmin
+            (fmin (Float_utils.mul_down a c) (Float_utils.mul_down a d))
+            (fmin (Float_utils.mul_down b c) (Float_utils.mul_down b d))
+        in
+        let hi =
+          fmax
+            (fmax (Float_utils.mul_up a c) (Float_utils.mul_up a d))
+            (fmax (Float_utils.mul_up b c) (Float_utils.mul_up b d))
+        in
+        float_range lo hi
   | _ -> invalid_arg "Itv.mul: kind mismatch"
 
 (* Division excluding 0 from the divisor (the caller reports the
@@ -230,18 +253,18 @@ let div x y =
   | Bot, _ | _, Bot -> Bot
   | Int (a, b), Int (c, d) ->
       (* split the divisor at 0 *)
-      let pos = if d >= 1 then Some (max c 1, d) else None in
-      let neg = if c <= -1 then Some (c, min d (-1)) else None in
+      let pos = if d >= 1 then Some (imax c 1, d) else None in
+      let neg = if c <= -1 then Some (c, imin d (-1)) else None in
       let quot (c, d) =
         let q1 = Sat.div a c and q2 = Sat.div a d in
         let q3 = Sat.div b c and q4 = Sat.div b d in
-        (min (min q1 q2) (min q3 q4), max (max q1 q2) (max q3 q4))
+        (imin (imin q1 q2) (imin q3 q4), imax (imax q1 q2) (imax q3 q4))
       in
       let r1 = Option.map quot pos and r2 = Option.map quot neg in
       (match (r1, r2) with
       | None, None -> Bot
       | Some (l, h), None | None, Some (l, h) -> Int (l, h)
-      | Some (l1, h1), Some (l2, h2) -> Int (min l1 l2, max h1 h2))
+      | Some (l1, h1), Some (l2, h2) -> Int (imin l1 l2, imax h1 h2))
   | Float (a, b), Float (c, d) ->
       (* directed division on possibly-infinite bounds; conservative on
          inf/inf (the result bound escapes to the rounding direction) *)
@@ -261,14 +284,14 @@ let div x y =
       in
       let strictly_pos c d =
         (* divisor in [c, d], c > 0 *)
-        let lo = min (sdiv_down a c) (sdiv_down a d) in
-        let hi = max (sdiv_up b c) (sdiv_up b d) in
+        let lo = fmin (sdiv_down a c) (sdiv_down a d) in
+        let hi = fmax (sdiv_up b c) (sdiv_up b d) in
         float_range lo hi
       in
       let strictly_neg c d =
         (* divisor in [c, d], d < 0 *)
-        let lo = min (sdiv_down b c) (sdiv_down b d) in
-        let hi = max (sdiv_up a c) (sdiv_up a d) in
+        let lo = fmin (sdiv_down b c) (sdiv_down b d) in
+        let hi = fmax (sdiv_up a c) (sdiv_up a d) in
         float_range lo hi
       in
       if c > 0.0 then strictly_pos c d
@@ -305,14 +328,14 @@ let rem x y =
         (* |x mod y| < |y|, same sign as x *)
         Int ((if a < 0 then Sat.neg_inf else 0), if b > 0 then Sat.pos_inf else 0)
       else
-        let m = max (abs c) (abs d) in
+        let m = imax (abs c) (abs d) in
         if m = 0 then Bot
         else
           let lo = if a < 0 then -(m - 1) else 0 in
           let hi = if b > 0 then m - 1 else 0 in
           (* tighten using the dividend's magnitude *)
-          let lo = if not (Sat.is_inf a) then max lo a else lo in
-          let hi = if not (Sat.is_inf b) then min hi b else hi in
+          let lo = if not (Sat.is_inf a) then imax lo a else lo in
+          let hi = if not (Sat.is_inf b) then imin hi b else hi in
           int_range lo hi
   | _ -> invalid_arg "Itv.rem: integer only"
 
@@ -321,7 +344,7 @@ let abs = function
   | Int (a, b) ->
       if a >= 0 then Int (a, b)
       else if b <= 0 then Int (Sat.neg b, Sat.neg a)
-      else Int (0, max (Sat.neg a) b)
+      else Int (0, imax (Sat.neg a) b)
   | Float (a, b) ->
       if a >= 0.0 then Float (a, b)
       else if b <= 0.0 then Float (-.b, -.a)
@@ -370,7 +393,7 @@ let bitop op x y =
       (* all three bitwise ops on [0,b]x[0,d] stay within [0, 2^k-1] where
          2^k-1 >= max b d *)
       let rec pow2m1 v acc = if acc >= v then acc else pow2m1 v ((acc * 2) + 1) in
-      Int (0, pow2m1 (max b d) 1)
+      Int (0, pow2m1 (imax b d) 1)
   | Int _, Int _ -> top_int
   | _ -> invalid_arg "Itv.bitop: integer only"
 
@@ -449,14 +472,14 @@ let of_float_kind k =
 let refine_le x y =
   match (x, y) with
   | Bot, _ | _, Bot -> Bot
-  | Int (a, b), Int (_, d) -> int_range a (min b d)
+  | Int (a, b), Int (_, d) -> int_range a (imin b d)
   | Float (a, b), Float (_, d) -> float_range a (Float.min b d)
   | _ -> x
 
 let refine_ge x y =
   match (x, y) with
   | Bot, _ | _, Bot -> Bot
-  | Int (a, b), Int (c, _) -> int_range (max a c) b
+  | Int (a, b), Int (c, _) -> int_range (imax a c) b
   | Float (a, b), Float (c, _) -> float_range (Float.max a c) b
   | _ -> x
 
@@ -465,7 +488,7 @@ let refine_lt x y =
   match (x, y) with
   | Bot, _ | _, Bot -> Bot
   | Int (a, b), Int (_, d) ->
-      int_range a (min b (if Sat.is_inf d then d else d - 1))
+      int_range a (imin b (if Sat.is_inf d then d else d - 1))
   | Float (a, b), Float (_, d) ->
       (* strict bound: the largest float below d *)
       float_range a (Float.min b (if Float.abs d = Float.infinity then d else Float_utils.fpred d))
@@ -475,7 +498,7 @@ let refine_gt x y =
   match (x, y) with
   | Bot, _ | _, Bot -> Bot
   | Int (a, b), Int (c, _) ->
-      int_range (max a (if Sat.is_inf c then c else c + 1)) b
+      int_range (imax a (if Sat.is_inf c then c else c + 1)) b
   | Float (a, b), Float (c, _) ->
       float_range (Float.max a (if Float.abs c = Float.infinity then c else Float_utils.fsucc c)) b
   | _ -> x

@@ -38,19 +38,40 @@ let coeff_neg a = { lo = -.a.hi; hi = -.a.lo }
 
 let coeff_sub a b = coeff_add a (coeff_neg b)
 
+(* Typed [min]/[max] with Stdlib's definitions, as in [Itv]: NaN and
+   signed zeros behave as with the polymorphic ones (not [Float.min]). *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
+(* A point factor repeats two of the four products ([mul_down] and
+   [mul_up] give 0.0 for a zero of either sign), and the min or max of a
+   value with itself is that value: for a point, two products per
+   direction give the same bits as four. *)
 let coeff_mul a b =
-  let p1l = Float_utils.mul_down a.lo b.lo
-  and p2l = Float_utils.mul_down a.lo b.hi
-  and p3l = Float_utils.mul_down a.hi b.lo
-  and p4l = Float_utils.mul_down a.hi b.hi in
-  let p1u = Float_utils.mul_up a.lo b.lo
-  and p2u = Float_utils.mul_up a.lo b.hi
-  and p3u = Float_utils.mul_up a.hi b.lo
-  and p4u = Float_utils.mul_up a.hi b.hi in
-  {
-    lo = min (min p1l p2l) (min p3l p4l);
-    hi = max (max p1u p2u) (max p3u p4u);
-  }
+  let module U = Float_utils in
+  if a.lo = a.hi then
+    {
+      lo = fmin (U.mul_down a.lo b.lo) (U.mul_down a.lo b.hi);
+      hi = fmax (U.mul_up a.lo b.lo) (U.mul_up a.lo b.hi);
+    }
+  else if b.lo = b.hi then
+    {
+      lo = fmin (U.mul_down a.lo b.lo) (U.mul_down a.hi b.lo);
+      hi = fmax (U.mul_up a.lo b.lo) (U.mul_up a.hi b.lo);
+    }
+  else
+    let p1l = U.mul_down a.lo b.lo
+    and p2l = U.mul_down a.lo b.hi
+    and p3l = U.mul_down a.hi b.lo
+    and p4l = U.mul_down a.hi b.hi in
+    let p1u = U.mul_up a.lo b.lo
+    and p2u = U.mul_up a.lo b.hi
+    and p3u = U.mul_up a.hi b.lo
+    and p4u = U.mul_up a.hi b.hi in
+    {
+      lo = fmin (fmin p1l p2l) (fmin p3l p4l);
+      hi = fmax (fmax p1u p2u) (fmax p3u p4u);
+    }
 
 (* division by an interval not containing zero *)
 let coeff_div a b =
@@ -66,8 +87,8 @@ let coeff_div a b =
     and q4u = Float_utils.div_up a.hi b.hi in
     Some
       {
-        lo = min (min q1l q2l) (min q3l q4l);
-        hi = max (max q1u q2u) (max q3u q4u);
+        lo = fmin (fmin q1l q2l) (fmin q3l q4l);
+        hi = fmax (fmax q1u q2u) (fmax q3u q4u);
       }
 
 let coeff_abs_max c = Float.max (Float.abs c.lo) (Float.abs c.hi)
@@ -156,14 +177,20 @@ let vars (a : t) : F.Tast.var list = List.map fst (VarMap.bindings a.terms)
 
 (** Evaluate the form to an interval, given an oracle for variable
     ranges.  All computations use outward rounding. *)
+type acc = { mutable alo : float; mutable ahi : float }
+
 let eval (oracle : F.Tast.var -> float * float) (a : t) : float * float =
-  VarMap.fold
-    (fun v k (lo, hi) ->
+  (* an all-float record holds the running bounds unboxed: no tuple per
+     term *)
+  let acc = { alo = a.const.lo; ahi = a.const.hi } in
+  VarMap.iter
+    (fun v k ->
       let vlo, vhi = oracle v in
       let p = coeff_mul k { lo = vlo; hi = vhi } in
-      (Float_utils.add_down lo p.lo, Float_utils.add_up hi p.hi))
-    a.terms
-    (a.const.lo, a.const.hi)
+      acc.alo <- Float_utils.add_down acc.alo p.lo;
+      acc.ahi <- Float_utils.add_up acc.ahi p.hi)
+    a.terms;
+  (acc.alo, acc.ahi)
 
 (** Evaluate to an interval coefficient. *)
 let eval_coeff oracle a : coeff =

@@ -47,9 +47,6 @@ type t = {
   m : float array;            (** flat 2n x 2n row-major bound matrix;
                                   entry (i,j) at [i*n2 + j]; +inf = top *)
   mutable closure : closure_state;
-  index : (int, int) Hashtbl.t;
-      (** variable id -> pack position; built once per pack at creation
-          and shared by every copy (never mutated afterwards) *)
 }
 
 let bar i = i lxor 1
@@ -77,9 +74,7 @@ let top (pack : F.Tast.var array) : t =
   for i = 0 to n2 - 1 do
     m.((i * n2) + i) <- 0.0
   done;
-  let index = Hashtbl.create (max 1 n) in
-  Array.iteri (fun k v -> Hashtbl.replace index v.F.Tast.v_id k) pack;
-  { pack; bot = false; n2; m; closure = Closed; index }
+  { pack; bot = false; n2; m; closure = Closed }
 
 let bottom (pack : F.Tast.var array) : t = { (top pack) with bot = true }
 
@@ -87,10 +82,20 @@ let is_bot o = o.bot
 
 let copy o = { o with m = Array.copy o.m }
 
-let var_index (o : t) (v : F.Tast.var) : int option =
-  Hashtbl.find_opt o.index v.F.Tast.v_id
+(* Position of [v] in the pack, -1 when it is not there.  A scan: a
+   pack holds at most [max_octagon_pack] variables (6 by default), and
+   comparing that many ids beats hashing one. *)
+let pos (o : t) (v : F.Tast.var) : int =
+  let pack = o.pack and id = v.F.Tast.v_id in
+  let n = Array.length pack in
+  let rec go k =
+    if k = n then -1
+    else if (Array.unsafe_get pack k).F.Tast.v_id = id then k
+    else go (k + 1)
+  in
+  go 0
 
-let mem_var o (v : F.Tast.var) = Hashtbl.mem o.index v.F.Tast.v_id
+let mem_var o (v : F.Tast.var) = pos o v >= 0
 
 (* ------------------------------------------------------------------ *)
 (* Strong closure                                                      *)
@@ -123,6 +128,29 @@ let[@inline] add_up (a : float) (b : float) : float =
   else
     let e = (a -. (r -. b)) +. (b -. (r -. a)) in
     if Float.is_nan e then fsucc r else if e > 0.0 then fsucc r else r
+
+(* The transfer functions' rounding helpers, copies of
+   [Float_utils.fpred], [add_down], [round_up] and [round_down] for the
+   same reason; the property test pins them too. *)
+let[@inline] fpred (x : float) : float = -.fsucc (-.x)
+
+let[@inline] add_down (a : float) (b : float) : float =
+  let r = a +. b in
+  if Float.is_nan r then r
+  else if r = Float.neg_infinity then r
+  else if r = Float.infinity then
+    if Float.abs a < Float.infinity && Float.abs b < Float.infinity then
+      max_float
+    else r
+  else
+    let e = (a -. (r -. b)) +. (b -. (r -. a)) in
+    if Float.is_nan e then fpred r else if e < 0.0 then fpred r else r
+
+let[@inline] round_up (x : float) : float =
+  if Float.is_nan x then x else fsucc x
+
+let[@inline] round_down (x : float) : float =
+  if Float.is_nan x then x else fpred x
 
 (* One relaxation m[idx] <- min(m[idx], c), where c is [add_up a b], or
    [round_up (add_up a b /. 2)] when [half] (strengthening; [round_up]
@@ -376,87 +404,94 @@ let equal (a : t) (b : t) : bool =
 (* Interval extraction and injection                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** Hull of variable k: [-m[2k][2k+1]/2, m[2k+1][2k]/2]. *)
+(** Hull of the variable at position k: [-m[2k][2k+1]/2, m[2k+1][2k]/2]. *)
+let lower (o : t) (k : int) : float =
+  let i = 2 * k in
+  round_down (-.(o.m.((i * o.n2) + bar i) /. 2.0))
+
+let upper (o : t) (k : int) : float =
+  let i = 2 * k in
+  round_up (o.m.((bar i * o.n2) + i) /. 2.0)
+
 let get_bounds (o : t) (v : F.Tast.var) : (float * float) option =
   if o.bot then Some (1.0, -1.0)
   else
-    match var_index o v with
-    | None -> None
-    | Some k ->
-        let n2 = o.n2 in
-        let i = 2 * k in
-        let hi = Float_utils.round_up (o.m.((bar i * n2) + i) /. 2.0) in
-        let lo = Float_utils.round_down (-.(o.m.((i * n2) + bar i) /. 2.0)) in
-        Some (lo, hi)
+    let k = pos o v in
+    if k < 0 then None else Some (lower o k, upper o k)
+
+(* Meet the variable at position k with [lo, hi]. *)
+let set_bounds_at (o : t) (k : int) (lo : float) (hi : float) : unit =
+  let n2 = o.n2 in
+  let i = 2 * k in
+  let up = (bar i * n2) + i and dn = (i * n2) + bar i in
+  if hi < Float.infinity then begin
+    let c = Float_utils.mul_up 2.0 hi in
+    if c < o.m.(up) then begin
+      o.m.(up) <- c;
+      mark_dirty o k
+    end
+  end;
+  if lo > Float.neg_infinity then begin
+    let c = Float_utils.mul_up (-2.0) lo in
+    if c < o.m.(dn) then begin
+      o.m.(dn) <- c;
+      mark_dirty o k
+    end
+  end
 
 (** Constrain v to [lo, hi] (meet). *)
 let set_bounds (o : t) (v : F.Tast.var) ((lo, hi) : float * float) : unit =
   if not o.bot then
-    match var_index o v with
-    | None -> ()
-    | Some k ->
-        let n2 = o.n2 in
-        let i = 2 * k in
-        let up = (bar i * n2) + i and dn = (i * n2) + bar i in
-        if hi < Float.infinity then begin
-          let c = Float_utils.mul_up 2.0 hi in
-          if c < o.m.(up) then begin
-            o.m.(up) <- c;
-            mark_dirty o k
-          end
-        end;
-        if lo > Float.neg_infinity then begin
-          let c = Float_utils.mul_up (-2.0) lo in
-          if c < o.m.(dn) then begin
-            o.m.(dn) <- c;
-            mark_dirty o k
-          end
-        end
+    let k = pos o v in
+    if k >= 0 then set_bounds_at o k lo hi
 
 (** Bounds on the difference x - y, when both are in the pack. *)
 let get_diff_bounds (o : t) (x : F.Tast.var) (y : F.Tast.var) :
     (float * float) option =
   if o.bot then None
   else
-    match (var_index o x, var_index o y) with
-    | Some kx, Some ky when kx <> ky ->
-        (* x - y <= m[2ky][2kx]; y - x <= m[2kx][2ky] *)
-        let n2 = o.n2 in
-        let hi = o.m.((2 * ky * n2) + (2 * kx)) in
-        let lo = -.o.m.((2 * kx * n2) + (2 * ky)) in
-        if lo > Float.neg_infinity || hi < Float.infinity then Some (lo, hi)
-        else None
-    | _ -> None
+    let kx = pos o x and ky = pos o y in
+    if kx < 0 || ky < 0 || kx = ky then None
+    else
+      (* x - y <= m[2ky][2kx]; y - x <= m[2kx][2ky] *)
+      let n2 = o.n2 in
+      let hi = o.m.((2 * ky * n2) + (2 * kx)) in
+      let lo = -.o.m.((2 * kx * n2) + (2 * ky)) in
+      if lo > Float.neg_infinity || hi < Float.infinity then Some (lo, hi)
+      else None
 
-(** Remove every constraint involving v (projection).  A projection of a
-    strongly closed matrix is still strongly closed, so forgetting never
-    dirties the octagon — it can only remove v from the dirty set. *)
+(* Remove every constraint involving the variable at position k
+   (projection).  A projection of a strongly closed matrix is still
+   strongly closed, so forgetting never dirties the octagon — it can
+   only remove the variable from the dirty set. *)
+let forget_at (o : t) (k : int) : unit =
+  let n2 = o.n2 in
+  let i0 = 2 * k and i1 = (2 * k) + 1 in
+  for j = 0 to n2 - 1 do
+    if j <> i0 then begin
+      o.m.((i0 * n2) + j) <- Float.infinity;
+      o.m.((j * n2) + i0) <- Float.infinity
+    end;
+    if j <> i1 then begin
+      o.m.((i1 * n2) + j) <- Float.infinity;
+      o.m.((j * n2) + i1) <- Float.infinity
+    end
+  done;
+  o.m.((i0 * n2) + i0) <- 0.0;
+  o.m.((i1 * n2) + i1) <- 0.0;
+  if k < dirty_width then begin
+    match o.closure with
+    | Dirty s ->
+        let s' = s land lnot (1 lsl k) in
+        o.closure <- (if s' = 0 then Closed else Dirty s')
+    | Closed | Unclosed -> ()
+  end
+
+(** Remove every constraint involving v (projection). *)
 let forget (o : t) (v : F.Tast.var) : unit =
   if not o.bot then
-    match var_index o v with
-    | None -> ()
-    | Some k ->
-        let n2 = o.n2 in
-        let i0 = 2 * k and i1 = (2 * k) + 1 in
-        for j = 0 to n2 - 1 do
-          if j <> i0 then begin
-            o.m.((i0 * n2) + j) <- Float.infinity;
-            o.m.((j * n2) + i0) <- Float.infinity
-          end;
-          if j <> i1 then begin
-            o.m.((i1 * n2) + j) <- Float.infinity;
-            o.m.((j * n2) + i1) <- Float.infinity
-          end
-        done;
-        o.m.((i0 * n2) + i0) <- 0.0;
-        o.m.((i1 * n2) + i1) <- 0.0;
-        if k < dirty_width then begin
-          match o.closure with
-          | Dirty s ->
-              let s' = s land lnot (1 lsl k) in
-              o.closure <- (if s' = 0 then Closed else Dirty s')
-          | Closed | Unclosed -> ()
-        end
+    let k = pos o v in
+    if k >= 0 then forget_at o k
 
 (* Add constraint V_j - V_i <= c, maintaining coherence.  Every touched
    entry lies in the rows/columns of variable j/2, so marking that one
@@ -474,30 +509,27 @@ let add_constraint (o : t) i j c =
 (** Constrain x - y <= c  (x, y in the pack). *)
 let add_diff_le (o : t) (x : F.Tast.var) (y : F.Tast.var) (c : float) : unit =
   if not o.bot then
-    match (var_index o x, var_index o y) with
-    | Some kx, Some ky when kx <> ky ->
-        (* x - y = V_{2kx} - V_{2ky} <= c *)
-        add_constraint o (2 * ky) (2 * kx) c
-    | _ -> ()
+    let kx = pos o x and ky = pos o y in
+    if kx >= 0 && ky >= 0 && kx <> ky then
+      (* x - y = V_{2kx} - V_{2ky} <= c *)
+      add_constraint o (2 * ky) (2 * kx) c
 
 (** Constrain x + y <= c. *)
 let add_sum_le (o : t) (x : F.Tast.var) (y : F.Tast.var) (c : float) : unit =
   if not o.bot then
-    match (var_index o x, var_index o y) with
-    | Some kx, Some ky when kx <> ky ->
-        (* x + y = V_{2kx} - V_{2ky+1} <= c *)
-        add_constraint o ((2 * ky) + 1) (2 * kx) c
-    | _ -> ()
+    let kx = pos o x and ky = pos o y in
+    if kx >= 0 && ky >= 0 && kx <> ky then
+      (* x + y = V_{2kx} - V_{2ky+1} <= c *)
+      add_constraint o ((2 * ky) + 1) (2 * kx) c
 
 (** Constrain -x - y <= c. *)
 let add_neg_sum_le (o : t) (x : F.Tast.var) (y : F.Tast.var) (c : float) : unit
     =
   if not o.bot then
-    match (var_index o x, var_index o y) with
-    | Some kx, Some ky when kx <> ky ->
-        (* -x - y = V_{2kx+1} - V_{2ky} <= c *)
-        add_constraint o (2 * ky) ((2 * kx) + 1) c
-    | _ -> ()
+    let kx = pos o x and ky = pos o y in
+    if kx >= 0 && ky >= 0 && kx <> ky then
+      (* -x - y = V_{2kx+1} - V_{2ky} <= c *)
+      add_constraint o (2 * ky) ((2 * kx) + 1) c
 
 (* ------------------------------------------------------------------ *)
 (* Transfer functions                                                  *)
@@ -506,23 +538,17 @@ let add_neg_sum_le (o : t) (x : F.Tast.var) (y : F.Tast.var) (c : float) : unit
 (* An oracle gives float hulls for variables outside the pack. *)
 type oracle = F.Tast.var -> float * float
 
-let eval_form (o : t) (oracle : oracle) (form : Linear_form.t) : float * float =
-  let var_hull v =
-    match get_bounds o v with
-    | Some (lo, hi) -> (
-        (* the octagon's own bounds may be tighter than the oracle's *)
-        let olo, ohi = oracle v in
-        (Float.max lo olo, Float.min hi ohi))
-    | None -> oracle v
-  in
-  Linear_form.eval var_hull form
+(* The hull of [v] in a non-bottom octagon: its pack bounds, which may
+   be tighter than the oracle's, met with the oracle's; the oracle's
+   alone outside the pack. *)
+let hull (o : t) (oracle : oracle) (v : F.Tast.var) : Linear_form.coeff =
+  let k = pos o v in
+  let olo, ohi = oracle v in
+  if k < 0 then { Linear_form.lo = olo; hi = ohi }
+  else
+    { Linear_form.lo = Float.max (lower o k) olo;
+      hi = Float.min (upper o k) ohi }
 
-(** Abstract assignment [x := form].  The transfer function is the
-    paper's "smart" one: for every unit-coefficient variable y of the
-    form, the rest of the form is evaluated to an interval [c, d] and the
-    relational constraints c <= x -+ y <= d are synthesized; other
-    variables only contribute their interval.  This is what proves
-    L <= X in the paper's rate-limiter example. *)
 (* Exact self-update x := x + [c, d]: every constraint involving x
    shifts by the increment, preserving all relational information
    (what keeps loop counters related to their accumulators). *)
@@ -548,153 +574,163 @@ let shift_var (o : t) (k : int) (c : float) (d : float) : unit =
   o.m.((i1 * n2) + i0) <- au o.m.((i1 * n2) + i0) (Float_utils.mul_up 2.0 d);
   mark_dirty o k
 
+(* 1 for the coefficient [1, 1], -1 for [-1, -1], else 0 *)
+let unit_sign (k : Linear_form.coeff) : int =
+  if k.lo = 1.0 && k.hi = 1.0 then 1
+  else if k.lo = -1.0 && k.hi = -1.0 then -1
+  else 0
+
+(* Term i of the form in the pre-state: bounds of the product of its
+   coefficient with its variable's hull, at [2i] and [2i+1]. *)
+let products (o : t) (oracle : oracle) (vs : F.Tast.var array)
+    (ks : Linear_form.coeff array) : float array =
+  let n = Array.length vs in
+  let p = Array.create_float (2 * n) in
+  for i = 0 to n - 1 do
+    let q = Linear_form.coeff_mul ks.(i) (hull o oracle vs.(i)) in
+    p.(2 * i) <- q.Linear_form.lo;
+    p.((2 * i) + 1) <- q.Linear_form.hi
+  done;
+  p
+
+(** Abstract assignment [x := form].  The transfer function is the
+    paper's "smart" one: for every unit-coefficient variable y of the
+    form, the rest of the form is evaluated to an interval [c, d] and the
+    relational constraints c <= x -+ y <= d are synthesized; other
+    variables only contribute their interval.  This is what proves
+    L <= X in the paper's rate-limiter example. *)
 let assign (o : t) (oracle : oracle) (x : F.Tast.var) (form : Linear_form.t) :
     unit =
-  if not o.bot then begin
-    match var_index o x with
-    | None -> ()
-    | Some kx
-      when (match Linear_form.as_single_var form with
-           | Some (y, k, _) ->
-               F.Tast.Var.equal y x
-               && k.Linear_form.lo = 1.0 && k.Linear_form.hi = 1.0
-           | None -> false) ->
-        (* x := x + [c, d] *)
-        let c, d =
-          match Linear_form.as_single_var form with
-          | Some (_, _, cst) -> (cst.Linear_form.lo, cst.Linear_form.hi)
-          | None -> (0.0, 0.0)
+  let kx = if o.bot then -1 else pos o x in
+  if kx >= 0 then begin
+    let terms = form.Linear_form.terms and cst = form.Linear_form.const in
+    let n = Linear_form.VarMap.cardinal terms in
+    let vs = Array.make n x and ks = Array.make n Linear_form.coeff_zero in
+    ignore
+      (Linear_form.VarMap.fold
+         (fun v k i ->
+           vs.(i) <- v;
+           ks.(i) <- k;
+           i + 1)
+         terms 0);
+    if n = 1 && vs.(0).F.Tast.v_id = x.F.Tast.v_id && unit_sign ks.(0) = 1
+    then (* x := x + [c, d] *)
+      shift_var o kx cst.lo cst.hi
+    else begin
+      (* every term is read in the pre-state, before x is forgotten:
+         x may occur in the form *)
+      let p = products o oracle vs ks in
+      let vlo = ref cst.lo and vhi = ref cst.hi in
+      for i = 0 to n - 1 do
+        vlo := add_down !vlo p.(2 * i);
+        vhi := add_up !vhi p.((2 * i) + 1)
+      done;
+      forget_at o kx;
+      set_bounds_at o kx !vlo !vhi;
+      for j = 0 to n - 1 do
+        let y = vs.(j) in
+        let sign = unit_sign ks.(j) in
+        let ky =
+          if sign = 0 || y.F.Tast.v_id = x.F.Tast.v_id then -1 else pos o y
         in
-        shift_var o kx c d;
-        close_incremental o
-    | Some _ ->
-        (* value hull computed before forgetting x (x may occur in form) *)
-        let vlo, vhi = eval_form o oracle form in
-        (* detect x := x + [c,d] - like self-updates: substitute via a
-           temporary approach: compute relational info w.r.t. other vars
-           from the pre-state *)
-        let unit_terms =
-          Linear_form.vars form
-          |> List.filter_map (fun y ->
-                 if F.Tast.Var.equal y x then None
-                 else if not (mem_var o y) then None
-                 else
-                   let coeffs =
-                     Linear_form.(
-                       match VarMap.find_opt y form.terms with
-                       | Some c -> c
-                       | None -> coeff_zero)
-                   in
-                   if coeffs.Linear_form.lo = 1.0 && coeffs.Linear_form.hi = 1.0
-                   then Some (y, `Plus)
-                   else if
-                     coeffs.Linear_form.lo = -1.0
-                     && coeffs.Linear_form.hi = -1.0
-                   then Some (y, `Minus)
-                   else None)
-        in
-        (* rest intervals are computed in the pre-state *)
-        let rests =
-          List.map
-            (fun (y, sign) ->
-              let ly = Linear_form.of_var y in
-              let rest =
-                match sign with
-                | `Plus -> Linear_form.sub form ly
-                | `Minus -> Linear_form.add form ly
-              in
-              let c, d = eval_form o oracle rest in
-              (y, sign, c, d))
-            unit_terms
-        in
-        forget o x;
-        set_bounds o x (vlo, vhi);
-        List.iter
-          (fun (y, sign, c, d) ->
-            match sign with
-            | `Plus ->
-                (* x = y + rest, rest in [c,d]: c <= x - y <= d *)
-                if d < Float.infinity then add_diff_le o x y d;
-                if c > Float.neg_infinity then add_diff_le o y x (-.c)
-            | `Minus ->
-                (* x = -y + rest: c <= x + y <= d *)
-                if d < Float.infinity then add_sum_le o x y d;
-                if c > Float.neg_infinity then add_neg_sum_le o x y (-.c))
-          rests;
-        close_incremental o
+        if ky >= 0 then begin
+          (* the rest [form -+ y] in [c, d], evaluated in place: the
+             form's other non-zero terms (a coefficient plus 0 has the
+             same products), and the constant plus [-0.] for +y, plus
+             [0.] for -y, as [Linear_form.sub]/[add] would compute it *)
+          let z = if sign > 0 then -0.0 else 0.0 in
+          let c = ref (add_down cst.lo z) and d = ref (add_up cst.hi z) in
+          for i = 0 to n - 1 do
+            if i <> j && not (Linear_form.coeff_is_zero ks.(i)) then begin
+              c := add_down !c p.(2 * i);
+              d := add_up !d p.((2 * i) + 1)
+            end
+          done;
+          let c = !c and d = !d in
+          if sign > 0 then begin
+            (* x = y + rest: c <= x - y <= d *)
+            if d < Float.infinity then add_constraint o (2 * ky) (2 * kx) d;
+            if c > Float.neg_infinity then
+              add_constraint o (2 * kx) (2 * ky) (-.c)
+          end
+          else begin
+            (* x = -y + rest: c <= x + y <= d *)
+            if d < Float.infinity then
+              add_constraint o ((2 * ky) + 1) (2 * kx) d;
+            if c > Float.neg_infinity then
+              add_constraint o (2 * ky) ((2 * kx) + 1) (-.c)
+          end
+        end
+      done
+    end;
+    close_incremental o
   end
+
+(* Lower bound of the form without its terms on the variable ids [skip1]
+   and [skip2], from the lower constant [lo]: the rest of a guard form
+   after [Linear_form.sub]/[add] of its unit pack terms, evaluated in
+   place. *)
+type acc = { mutable acc : float }
+
+let rest_lo (o : t) (oracle : oracle) (form : Linear_form.t) ~skip1 ~skip2
+    (lo : float) : float =
+  let r = { acc = lo } in
+  Linear_form.VarMap.iter
+    (fun v k ->
+      let id = v.F.Tast.v_id in
+      if id <> skip1 && id <> skip2 && not (Linear_form.coeff_is_zero k) then
+        r.acc <-
+          add_down r.acc (Linear_form.coeff_mul k (hull o oracle v)).lo)
+    form.Linear_form.terms;
+  r.acc
 
 (** Abstract guard [form <= 0].  Octagonal constraints are extracted when
     the form involves one or two pack variables with unit coefficients;
     otherwise only interval information is used. *)
 let guard_le_zero (o : t) (oracle : oracle) (form : Linear_form.t) : unit =
   if not o.bot then begin
-    let in_pack = List.filter (mem_var o) (Linear_form.vars form) in
-    let unit_coeff v =
-      match Linear_form.VarMap.find_opt v form.Linear_form.terms with
-      | Some c when c.Linear_form.lo = 1.0 && c.Linear_form.hi = 1.0 ->
-          Some `Plus
-      | Some c when c.Linear_form.lo = -1.0 && c.Linear_form.hi = -1.0 ->
-          Some `Minus
-      | _ -> None
+    (* the pack terms of the form, in its order: (id, position, sign) *)
+    let in_pack =
+      Linear_form.VarMap.fold
+        (fun v k acc ->
+          let kv = pos o v in
+          if kv < 0 then acc else (v.F.Tast.v_id, kv, unit_sign k) :: acc)
+        form.Linear_form.terms []
     in
+    (* the rest's constant: plus [-0.] per +x removed, [0.] per -x *)
+    let lo = form.Linear_form.const.lo in
+    let shift sign lo = add_down lo (if sign > 0 then -0.0 else 0.0) in
     (match in_pack with
-    | [ x ] -> (
-        match unit_coeff x with
-        | Some sign ->
-            let lx = Linear_form.of_var x in
-            let rest =
-              match sign with
-              | `Plus -> Linear_form.sub form lx
-              | `Minus -> Linear_form.add form lx
-            in
-            let c, d = eval_form o oracle rest in
-            ignore c;
-            (* +x + rest <= 0  ==>  x <= -rest_lo is wrong; x <= -c with
-               c the lower bound of rest *)
-            (match sign with
-            | `Plus ->
-                (* x <= -rest, so x <= -(lower bound of rest) *)
-                let _, cur_hi =
-                  Option.value (get_bounds o x)
-                    ~default:(Float.neg_infinity, Float.infinity)
-                in
-                let new_hi = Float_utils.round_up (-.c) in
-                if new_hi < cur_hi then
-                  set_bounds o x (Float.neg_infinity, new_hi)
-            | `Minus ->
-                (* -x + rest <= 0: x >= rest_lo *)
-                let new_lo = Float_utils.round_down c in
-                if new_lo > Float.neg_infinity then
-                  set_bounds o x (new_lo, Float.infinity));
-            ignore d
-        | None -> ())
-    | [ x; y ] -> (
-        match (unit_coeff x, unit_coeff y) with
-        | Some sx, Some sy ->
-            let form' =
-              let lx = Linear_form.of_var x and ly = Linear_form.of_var y in
-              let f = form in
-              let f =
-                match sx with
-                | `Plus -> Linear_form.sub f lx
-                | `Minus -> Linear_form.add f lx
-              in
-              match sy with
-              | `Plus -> Linear_form.sub f ly
-              | `Minus -> Linear_form.add f ly
-            in
-            let c, _d = eval_form o oracle form' in
-            (* sx.x + sy.y + rest <= 0 ==> sx.x + sy.y <= -c *)
-            let bound = Float_utils.round_up (-.c) in
-            if bound < Float.infinity then begin
-              match (sx, sy) with
-              | `Plus, `Plus -> add_sum_le o x y bound
-              | `Plus, `Minus -> add_diff_le o x y bound
-              | `Minus, `Plus -> add_diff_le o y x bound
-              | `Minus, `Minus -> add_neg_sum_le o x y bound
-            end
-        | _ -> ())
+    | [ (x, kx, sx) ] when sx <> 0 ->
+        let c = rest_lo o oracle form ~skip1:x ~skip2:(-1) (shift sx lo) in
+        if sx > 0 then begin
+          (* x + rest <= 0: x <= -(lower bound of rest) *)
+          let new_hi = round_up (-.c) in
+          if new_hi < upper o kx then
+            set_bounds_at o kx Float.neg_infinity new_hi
+        end
+        else begin
+          (* -x + rest <= 0: x >= lower bound of rest *)
+          let new_lo = round_down c in
+          if new_lo > Float.neg_infinity then
+            set_bounds_at o kx new_lo Float.infinity
+        end
+    | [ (y, ky, sy); (x, kx, sx) ] when sx <> 0 && sy <> 0 ->
+        (* (the fold conses: the form's first pack variable, x, comes
+           last) sx.x + sy.y + rest <= 0 ==> sx.x + sy.y <= -c *)
+        let c =
+          rest_lo o oracle form ~skip1:x ~skip2:y (shift sy (shift sx lo))
+        in
+        let bound = round_up (-.c) in
+        if bound < Float.infinity then
+          if sx > 0 && sy > 0 then (* x + y *)
+            add_constraint o ((2 * ky) + 1) (2 * kx) bound
+          else if sx > 0 then (* x - y *)
+            add_constraint o (2 * ky) (2 * kx) bound
+          else if sy > 0 then (* y - x *)
+            add_constraint o (2 * kx) (2 * ky) bound
+          else (* -x - y *)
+            add_constraint o (2 * ky) ((2 * kx) + 1) bound
     | _ -> ());
     close_incremental o
   end

@@ -30,8 +30,6 @@ type t = {
   m : float array;
       (** flat 2n x 2n row-major bound matrix; +infinity = top *)
   mutable closure : closure_state;
-  index : (int, int) Hashtbl.t;
-      (** variable id -> pack position; shared by copies, never mutated *)
 }
 
 (** {1 Construction}
@@ -46,6 +44,9 @@ val bottom : Astree_frontend.Tast.var array -> t
 val is_bot : t -> bool
 val copy : t -> t
 val mem_var : t -> Astree_frontend.Tast.var -> bool
+
+(** Position of a variable in the pack, [-1] when it is not there. *)
+val pos : t -> Astree_frontend.Tast.var -> int
 
 (** {1 Closure} *)
 
@@ -85,6 +86,11 @@ val equal : t -> t -> bool
 
 (** {1 Interval view} *)
 
+(** Lower and upper bound of the variable at a pack position (the
+    octagon is not bottom), rounded outward from the matrix's halves. *)
+val lower : t -> int -> float
+val upper : t -> int -> float
+
 (** Hull of a pack variable; [None] when not in the pack. *)
 val get_bounds : t -> Astree_frontend.Tast.var -> (float * float) option
 
@@ -114,10 +120,6 @@ val add_neg_sum_le : t -> Astree_frontend.Tast.var -> Astree_frontend.Tast.var -
 
 (** Float hulls for variables outside the pack. *)
 type oracle = Astree_frontend.Tast.var -> float * float
-
-(** Interval value of a linear form using the octagon's own bounds met
-    with the oracle's. *)
-val eval_form : t -> oracle -> Linear_form.t -> float * float
 
 (** Exact self-update of variable k by [c, d]: all constraints shift. *)
 val shift_var : t -> int -> float -> float -> unit

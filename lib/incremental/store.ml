@@ -24,9 +24,12 @@
 module C = Astree_core
 module Faultsim = Astree_robust.Faultsim
 
-(* v6: one content-addressed directory of indexed files, summaries in
-   frame coordinates.  Files of earlier versions read as foreign. *)
-let magic = "astree-summary-store v6\n"
+(* v7: one content-addressed directory of indexed files, summaries in
+   frame coordinates, octagons without a variable index (they find a
+   variable by scanning their pack).  Files of earlier versions read as
+   foreign: unmarshalling a v6 octagon as a v7 one would not fail, it
+   would misread the record. *)
+let magic = "astree-summary-store v7\n"
 let suffix = ".sums"
 
 type key = C.Iterator.summary_key

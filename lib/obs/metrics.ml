@@ -231,7 +231,7 @@ let render_profile () : string =
       | Some e when e.e_kind = Kcounter -> e.e_n
       | _ -> 0
     in
-    Printf.sprintf "%-24s %10d calls %12.6f s\n" s.s_name calls s.s_t
+    Printf.sprintf "%-30s %10d calls %12.6f s\n" s.s_name calls s.s_t
   in
   "--- profile (cumulative, merged across workers) ---\n"
   ^ String.concat ""

@@ -461,7 +461,7 @@ let test_store_corruption () =
    sharing one cache directory) racing [Store.save] on one directory:
    no interleaving may ever publish a torn file, and the directory must
    end up holding the union of both writers' entries *)
-let store_magic = "astree-summary-store v6\n"
+let store_magic = "astree-summary-store v7\n"
 
 (* the file format contract: magic header, summaries, index, then a
    footer with the index length and the index's MD5.  Any complete file
@@ -956,8 +956,32 @@ let test_noop_warm_run_does_not_write () =
           Alcotest.(check int) "edited copy now all hits" 0
             (run e).C.Analysis.c_misses))
 
-(* a store file written before the key change must read as foreign: the
-   run degrades to cold, is exact, and publishes a file of its own *)
+(* Run [k] with stderr sent to a file; returns its result and what it
+   printed there. *)
+let with_stderr_captured k =
+  let file = Filename.temp_file "astree-stderr" "" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      k
+  in
+  let err = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (r, err)
+
+(* a store file of the previous version, v6 (octagons still carrying
+   their variable index), must read as foreign: the run warns, degrades
+   to cold, is exact, and publishes a file of its own that the next run
+   loads.  The v6 file is a complete one of this version relabelled, so
+   only the magic keeps it from being unmarshalled *)
 let test_old_store_is_foreign () =
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
@@ -968,24 +992,43 @@ let test_old_store_is_foreign () =
               let ccfg =
                 { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
               in
-              let payload =
-                Marshal.to_string
-                  (Sys.ocaml_version, "key", ([||] : (int * int) array))
-                  []
+              ignore (C.Analysis.analyze ~cfg:ccfg p);
+              let old = store_files dir in
+              Alcotest.(check int) "the cold run published a file" 1
+                (List.length old);
+              List.iter
+                (fun f ->
+                  let s = In_channel.with_open_bin f In_channel.input_all in
+                  let n = String.length store_magic in
+                  write_file f
+                    ("astree-summary-store v6\n" ^ String.sub s n (String.length s - n)))
+                old;
+              let r, err =
+                with_stderr_captured (fun () -> C.Analysis.analyze ~cfg:ccfg p)
               in
-              Unix.mkdir dir 0o755;
-              let old = Filename.concat dir "old.sums" in
-              write_file old
-                ("astree-summary-store v5\n" ^ Digest.string payload ^ payload);
-              let r = C.Analysis.analyze ~cfg:ccfg p in
               Alcotest.(check string)
                 "result identical" (P.Merge.fingerprint off)
                 (P.Merge.fingerprint r);
               Alcotest.(check int) "nothing loaded" 0
                 (cache_stats_exn r).C.Analysis.c_loaded;
-              let fresh = List.filter (( <> ) old) (store_files dir) in
-              Alcotest.(check int) "a file of its own" 1 (List.length fresh);
-              List.iter check_file_intact fresh)))
+              let contains sub s =
+                let n = String.length sub in
+                let rec go i =
+                  i + n <= String.length s
+                  && (String.sub s i n = sub || go (i + 1))
+                in
+                go 0
+              in
+              Alcotest.(check bool) "a bad-magic warning" true
+                (contains "bad magic, ignored" err);
+              (* the republished file has the same index, hence the
+                 same name: it replaces the foreign one *)
+              let now = store_files dir in
+              Alcotest.(check bool) "a file of its own" true (now <> []);
+              List.iter check_file_intact now;
+              Alcotest.(check bool) "the next run loads it" true
+                ((cache_stats_exn (C.Analysis.analyze ~cfg:ccfg p))
+                   .C.Analysis.c_loaded > 0))))
 
 (* ---------------- edit-warm: summaries that survive an edit ---------------- *)
 
@@ -1393,7 +1436,7 @@ let suite =
       `Quick test_moved_caller_by_ref_warm_equals_off;
     Alcotest.test_case "store: no-op warm run does not write" `Quick
       test_noop_warm_run_does_not_write;
-    Alcotest.test_case "store: v5 store reads as foreign" `Quick
+    Alcotest.test_case "store: v6 store reads as foreign" `Quick
       test_old_store_is_foreign;
     Alcotest.test_case "fingerprint: a local edit stays local" `Quick
       test_fp_edit_stays_local;

@@ -289,6 +289,116 @@ let unit_tests =
     Alcotest.test_case "bitops range" `Quick test_bitops_range;
   ]
 
+(* The lattice operations and the product as they were with Stdlib's
+   polymorphic [min]/[max] and four products per direction: the typed
+   comparisons and the point shortcut must give the same bits on any
+   bounds, NaN, signed zeros and infinities included (the constructors
+   are applied raw, so the intervals need not be ordered or NaN-free). *)
+module Ref_itv = struct
+  module Sat = D.Float_utils.Sat
+  module U = D.Float_utils
+
+  let join a b =
+    match (a, b) with
+    | I.Bot, x | x, I.Bot -> x
+    | I.Int (x, y), I.Int (x', y') -> I.Int (min x x', max y y')
+    | I.Float (x, y), I.Float (x', y') -> I.Float (min x x', max y y')
+    | _ -> invalid_arg "kind mismatch"
+
+  let meet a b =
+    match (a, b) with
+    | I.Bot, _ | _, I.Bot -> I.Bot
+    | I.Int (x, y), I.Int (x', y') -> I.int_range (max x x') (min y y')
+    | I.Float (x, y), I.Float (x', y') -> I.float_range (max x x') (min y y')
+    | _ -> invalid_arg "kind mismatch"
+
+  let mul x y =
+    match (x, y) with
+    | I.Bot, _ | _, I.Bot -> I.Bot
+    | I.Int (a, b), I.Int (c, d) ->
+        let p1 = Sat.mul a c and p2 = Sat.mul a d in
+        let p3 = Sat.mul b c and p4 = Sat.mul b d in
+        I.Int (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4))
+    | I.Float (a, b), I.Float (c, d) ->
+        let lo =
+          min
+            (min (U.mul_down a c) (U.mul_down a d))
+            (min (U.mul_down b c) (U.mul_down b d))
+        in
+        let hi =
+          max (max (U.mul_up a c) (U.mul_up a d)) (max (U.mul_up b c) (U.mul_up b d))
+        in
+        I.float_range lo hi
+    | _ -> invalid_arg "kind mismatch"
+end
+
+let same_itv a b =
+  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | I.Bot, I.Bot -> true
+  | I.Int (a, b), I.Int (c, d) -> a = c && b = d
+  | I.Float (a, b), I.Float (c, d) -> bits a c && bits b d
+  | _ -> false
+
+let gen_edge_bound =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 1.0;
+              -1.0; max_float; -.max_float; 1e-310 ] );
+        ( 2,
+          map
+            (fun (a, b) -> float_of_int a /. float_of_int b)
+            (pair (int_range (-20) 20) (int_range 1 7)) );
+        (1, float);
+      ])
+
+let gen_edge_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, oneofl [ 0; 1; -1; D.Float_utils.Sat.neg_inf; D.Float_utils.Sat.pos_inf ]);
+        (3, int_range (-50) 50);
+      ])
+
+(* float or int pairs of one kind, a point on either side now and then *)
+let gen_edge_pair =
+  QCheck.Gen.(
+    let itv g mk =
+      frequency
+        [ (3, map2 mk g g); (1, map (fun a -> mk a a) g) ]
+    in
+    frequency
+      [
+        ( 3,
+          pair
+            (itv gen_edge_bound (fun a b -> I.Float (a, b)))
+            (itv gen_edge_bound (fun a b -> I.Float (a, b))) );
+        ( 1,
+          pair
+            (itv gen_edge_int (fun a b -> I.Int (a, b)))
+            (itv gen_edge_int (fun a b -> I.Int (a, b))) );
+      ])
+
+let print_edge (a, b) =
+  let p = function
+    | I.Bot -> "bot"
+    | I.Int (x, y) -> Printf.sprintf "Int(%d,%d)" x y
+    | I.Float (x, y) -> Printf.sprintf "Float(%h,%h)" x y
+  in
+  p a ^ " " ^ p b
+
+let prop_typed_minmax =
+  QCheck.Test.make ~count:2000
+    ~name:"join/meet/mul match polymorphic min/max bitwise"
+    (QCheck.make ~print:print_edge gen_edge_pair)
+    (fun (a, b) ->
+      same_itv (I.join a b) (Ref_itv.join a b)
+      && same_itv (I.meet a b) (Ref_itv.meet a b)
+      && same_itv (I.mul a b) (Ref_itv.mul a b))
+
 let prop_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -301,6 +411,7 @@ let prop_tests =
       prop_widen_upper;
       prop_widen_terminates;
       prop_narrow_between;
+      prop_typed_minmax;
     ]
 
 let suite = unit_tests @ prop_tests

@@ -131,6 +131,100 @@ let prop_linearize_sound =
           let concrete = r32 (r32 (c1 *. xv) +. r32 (yv -. c2)) in
           lo <= concrete && concrete <= hi)
 
+(* [coeff_mul] and [eval] as they were with Stdlib's polymorphic
+   [min]/[max], four products per direction and a tuple per term: the
+   typed comparisons, the point shortcut and the unboxed accumulator must
+   give the same bits on any bounds, NaN, signed zeros and infinities
+   included. *)
+module Ref_lf = struct
+  module U = D.Float_utils
+
+  let coeff_mul (a : LF.coeff) (b : LF.coeff) : LF.coeff =
+    let p1l = U.mul_down a.lo b.lo and p2l = U.mul_down a.lo b.hi
+    and p3l = U.mul_down a.hi b.lo and p4l = U.mul_down a.hi b.hi in
+    let p1u = U.mul_up a.lo b.lo and p2u = U.mul_up a.lo b.hi
+    and p3u = U.mul_up a.hi b.lo and p4u = U.mul_up a.hi b.hi in
+    { lo = min (min p1l p2l) (min p3l p4l); hi = max (max p1u p2u) (max p3u p4u) }
+
+  let eval oracle (a : LF.t) =
+    LF.VarMap.fold
+      (fun v k (lo, hi) ->
+        let vlo, vhi = oracle v in
+        let p = coeff_mul k { lo = vlo; hi = vhi } in
+        (U.add_down lo p.lo, U.add_up hi p.hi))
+      a.terms (a.const.lo, a.const.hi)
+end
+
+let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let gen_edge_bound =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 1.0;
+              -1.0; max_float; -.max_float; 1e-310 ] );
+        ( 2,
+          map
+            (fun (a, b) -> float_of_int a /. float_of_int b)
+            (pair (int_range (-20) 20) (int_range 1 7)) );
+        (1, float);
+      ])
+
+(* unordered bounds, a point now and then *)
+let gen_edge_coeff : LF.coeff QCheck.Gen.t =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun lo hi -> { LF.lo; hi }) gen_edge_bound gen_edge_bound);
+        (1, map LF.coeff_const gen_edge_bound);
+      ])
+
+let edge_vars = Array.init 4 (fun i -> mkvar (Printf.sprintf "e%d" i))
+
+let print_coeff (c : LF.coeff) = Printf.sprintf "[%h,%h]" c.lo c.hi
+
+let prop_coeff_mul_bitwise =
+  QCheck.Test.make ~count:2000
+    ~name:"coeff_mul matches polymorphic min/max bitwise"
+    (QCheck.make
+       ~print:(fun (a, b) -> print_coeff a ^ " * " ^ print_coeff b)
+       QCheck.Gen.(pair gen_edge_coeff gen_edge_coeff))
+    (fun (a, b) ->
+      let r = LF.coeff_mul a b and e = Ref_lf.coeff_mul a b in
+      bits r.lo e.lo && bits r.hi e.hi)
+
+let prop_eval_bitwise =
+  QCheck.Test.make ~count:2000 ~name:"eval matches reference bitwise"
+    (QCheck.make
+       ~print:(fun (terms, c, hulls) ->
+         String.concat " + "
+           (List.map (fun (i, k) -> print_coeff k ^ "*e" ^ string_of_int i) terms)
+         ^ " + " ^ print_coeff c ^ " | "
+         ^ String.concat " " (Array.to_list (Array.map print_coeff hulls)))
+       QCheck.Gen.(
+         triple
+           (list_size (int_bound 4) (pair (int_bound 3) gen_edge_coeff))
+           gen_edge_coeff
+           (array_repeat 4 gen_edge_coeff)))
+    (fun (terms, const, hulls) ->
+      let form =
+        {
+          LF.terms =
+            List.fold_left
+              (fun m (i, k) -> LF.VarMap.add edge_vars.(i) k m)
+              LF.VarMap.empty terms;
+          const;
+        }
+      in
+      let oracle (v : F.Tast.var) =
+        let h = hulls.(v.F.Tast.v_id - edge_vars.(0).F.Tast.v_id) in
+        (h.LF.lo, h.LF.hi)
+      in
+      let lo, hi = LF.eval oracle form and elo, ehi = Ref_lf.eval oracle form in
+      bits lo elo && bits hi ehi)
+
 let suite =
   [
     Alcotest.test_case "exact coefficients" `Quick test_exact_coefficients;
@@ -141,4 +235,5 @@ let suite =
     Alcotest.test_case "linearize paper example" `Quick test_linearize_paper_example;
     Alcotest.test_case "non-linear handling" `Quick test_linearize_nonlinear_gives_up;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_linearize_sound ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_linearize_sound; prop_coeff_mul_bitwise; prop_eval_bitwise ]

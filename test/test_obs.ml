@@ -323,6 +323,48 @@ let test_profile () =
   Alcotest.(check (list (pair string int))) "-j 2 counts = -j 1 counts" j1
     (calls 2)
 
+(* The relational probes: --profile has one rel.assign.NAME and one
+   rel.guard.NAME row per relational domain, and a multi-task run counts
+   the same domain calls at -j 2 as at -j 1. *)
+let test_rel_probes () =
+  fresh @@ fun () ->
+  let timing0 = !M.timing in
+  Fun.protect ~finally:(fun () -> M.timing := timing0) @@ fun () ->
+  M.timing := true;
+  let g =
+    G.Generator.generate_tasks
+      { G.Generator.default with seed = 5; target_lines = 150; bug_ratio = 0.5 }
+      ~tasks:3
+  in
+  let p, _ = C.Analysis.compile [ ("tasks.c", g.G.Generator.source) ] in
+  let rel_rows jobs =
+    M.reset ();
+    ignore
+      (Conc.Fixpoint.analyze
+         ~cfg:{ C.Config.default with C.Config.jobs }
+         ~tasks:g.G.Generator.task_fns p);
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"rel." name)
+      (profile_rows ())
+  in
+  let j1 = rel_rows 1 in
+  let expected =
+    List.concat_map
+      (fun verb ->
+        List.map
+          (fun d -> Printf.sprintf "rel.%s.%s.time" verb d)
+          [ "decision-tree"; "ellipsoid"; "octagon" ])
+      [ "assign"; "guard" ]
+  in
+  Alcotest.(check (list string))
+    "one assign and one guard row per domain" expected (List.map fst j1);
+  Alcotest.(check bool) "octagon assignments are counted" true
+    (List.assoc "rel.assign.octagon.time" j1 > 0);
+  Alcotest.(check bool) "octagon guards are counted" true
+    (List.assoc "rel.guard.octagon.time" j1 > 0);
+  Alcotest.(check (list (pair string int))) "-j 2 counts = -j 1 counts" j1
+    (rel_rows 2)
+
 let with_cache_driver k =
   I.Summary.register ();
   let min0 = !C.Iterator.memo_min_stmts in
@@ -466,6 +508,8 @@ let suite =
       test_render_json_stable;
     Alcotest.test_case "metrics: reset_named" `Quick test_reset_named;
     Alcotest.test_case "metrics: --profile table" `Quick test_profile;
+    Alcotest.test_case "metrics: relational probes per domain" `Quick
+      test_rel_probes;
     Alcotest.test_case "trace: ring eviction" `Quick test_ring_eviction;
     Alcotest.test_case "trace: eviction bumps trace.dropped" `Quick
       test_eviction_counter;

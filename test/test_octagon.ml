@@ -438,6 +438,298 @@ let prop_kernels_bitwise =
       && bits_equal incr.O.m rincr
       && O.is_bot incr = rincr_bot)
 
+(* The assignment and guard transfer functions as they were before they
+   read bounds by pack position and evaluated rest forms in place: a
+   hashed variable index, [Linear_form.sub]/[add] maps for every rest,
+   and the evaluator with four products per coefficient, polymorphic
+   min/max and a tuple per term.  [O.assign] and [O.guard_le_zero] must
+   reproduce them bit for bit. *)
+module Ref_transfer = struct
+  let coeff_mul (a : LF.coeff) (b : LF.coeff) : LF.coeff =
+    let module U = D.Float_utils in
+    let p1l = U.mul_down a.lo b.lo and p2l = U.mul_down a.lo b.hi
+    and p3l = U.mul_down a.hi b.lo and p4l = U.mul_down a.hi b.hi in
+    let p1u = U.mul_up a.lo b.lo and p2u = U.mul_up a.lo b.hi
+    and p3u = U.mul_up a.hi b.lo and p4u = U.mul_up a.hi b.hi in
+    { lo = min (min p1l p2l) (min p3l p4l); hi = max (max p1u p2u) (max p3u p4u) }
+
+  let eval oracle (a : LF.t) =
+    LF.VarMap.fold
+      (fun v k (lo, hi) ->
+        let vlo, vhi = oracle v in
+        let p = coeff_mul k { lo = vlo; hi = vhi } in
+        (D.Float_utils.add_down lo p.lo, D.Float_utils.add_up hi p.hi))
+      a.terms (a.const.lo, a.const.hi)
+
+  let var_index (o : O.t) (v : F.Tast.var) =
+    let index = Hashtbl.create 8 in
+    Array.iteri (fun k w -> Hashtbl.replace index w.F.Tast.v_id k) o.O.pack;
+    Hashtbl.find_opt index v.F.Tast.v_id
+
+  let get_bounds (o : O.t) v =
+    match var_index o v with
+    | None -> None
+    | Some k ->
+        let n2 = o.O.n2 and i = 2 * k in
+        let hi = D.Float_utils.round_up (o.O.m.(((i lxor 1) * n2) + i) /. 2.0) in
+        let lo =
+          D.Float_utils.round_down (-.(o.O.m.((i * n2) + (i lxor 1)) /. 2.0))
+        in
+        Some (lo, hi)
+
+  let eval_form o oracle form =
+    let var_hull v =
+      match get_bounds o v with
+      | Some (lo, hi) ->
+          let olo, ohi = oracle v in
+          (Float.max lo olo, Float.min hi ohi)
+      | None -> oracle v
+    in
+    eval var_hull form
+
+  let mem_var o v = var_index o v <> None
+
+  let assign (o : O.t) oracle (x : F.Tast.var) (form : LF.t) =
+    if not (O.is_bot o) then begin
+      match var_index o x with
+      | None -> ()
+      | Some kx
+        when match LF.as_single_var form with
+             | Some (y, k, _) ->
+                 F.Tast.Var.equal y x && k.LF.lo = 1.0 && k.LF.hi = 1.0
+             | None -> false ->
+          let c, d =
+            match LF.as_single_var form with
+            | Some (_, _, cst) -> (cst.LF.lo, cst.LF.hi)
+            | None -> (0.0, 0.0)
+          in
+          O.shift_var o kx c d;
+          O.close_incremental o
+      | Some _ ->
+          let vlo, vhi = eval_form o oracle form in
+          let unit_terms =
+            LF.vars form
+            |> List.filter_map (fun y ->
+                   if F.Tast.Var.equal y x || not (mem_var o y) then None
+                   else
+                     let k = LF.VarMap.find y form.LF.terms in
+                     if k.LF.lo = 1.0 && k.LF.hi = 1.0 then Some (y, `Plus)
+                     else if k.LF.lo = -1.0 && k.LF.hi = -1.0 then
+                       Some (y, `Minus)
+                     else None)
+          in
+          let rests =
+            List.map
+              (fun (y, sign) ->
+                let ly = LF.of_var y in
+                let rest =
+                  match sign with
+                  | `Plus -> LF.sub form ly
+                  | `Minus -> LF.add form ly
+                in
+                let c, d = eval_form o oracle rest in
+                (y, sign, c, d))
+              unit_terms
+          in
+          O.forget o x;
+          O.set_bounds o x (vlo, vhi);
+          List.iter
+            (fun (y, sign, c, d) ->
+              match sign with
+              | `Plus ->
+                  if d < Float.infinity then O.add_diff_le o x y d;
+                  if c > Float.neg_infinity then O.add_diff_le o y x (-.c)
+              | `Minus ->
+                  if d < Float.infinity then O.add_sum_le o x y d;
+                  if c > Float.neg_infinity then O.add_neg_sum_le o x y (-.c))
+            rests;
+          O.close_incremental o
+    end
+
+  let guard_le_zero (o : O.t) oracle (form : LF.t) =
+    if not (O.is_bot o) then begin
+      let in_pack = List.filter (mem_var o) (LF.vars form) in
+      let unit_coeff v =
+        match LF.VarMap.find_opt v form.LF.terms with
+        | Some c when c.LF.lo = 1.0 && c.LF.hi = 1.0 -> Some `Plus
+        | Some c when c.LF.lo = -1.0 && c.LF.hi = -1.0 -> Some `Minus
+        | _ -> None
+      in
+      let remove sign f lx =
+        match sign with `Plus -> LF.sub f lx | `Minus -> LF.add f lx
+      in
+      (match in_pack with
+      | [ x ] -> (
+          match unit_coeff x with
+          | Some sign -> (
+              let c, _ = eval_form o oracle (remove sign form (LF.of_var x)) in
+              match sign with
+              | `Plus ->
+                  let _, cur_hi =
+                    Option.value (get_bounds o x)
+                      ~default:(Float.neg_infinity, Float.infinity)
+                  in
+                  let new_hi = D.Float_utils.round_up (-.c) in
+                  if new_hi < cur_hi then
+                    O.set_bounds o x (Float.neg_infinity, new_hi)
+              | `Minus ->
+                  let new_lo = D.Float_utils.round_down c in
+                  if new_lo > Float.neg_infinity then
+                    O.set_bounds o x (new_lo, Float.infinity))
+          | None -> ())
+      | [ x; y ] -> (
+          match (unit_coeff x, unit_coeff y) with
+          | Some sx, Some sy ->
+              let f = remove sx form (LF.of_var x) in
+              let f = remove sy f (LF.of_var y) in
+              let c, _ = eval_form o oracle f in
+              let bound = D.Float_utils.round_up (-.c) in
+              if bound < Float.infinity then begin
+                match (sx, sy) with
+                | `Plus, `Plus -> O.add_sum_le o x y bound
+                | `Plus, `Minus -> O.add_diff_le o x y bound
+                | `Minus, `Plus -> O.add_diff_le o y x bound
+                | `Minus, `Minus -> O.add_neg_sum_le o x y bound
+              end
+          | _ -> ())
+      | _ -> ());
+      O.close_incremental o
+    end
+end
+
+(* Bounds where the transfer's float operations differ: signed zeros,
+   infinities, NaN, units, non-dyadic ratios. *)
+let gen_bound =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map
+            (fun (a, b) -> float_of_int a /. float_of_int b)
+            (pair (int_range (-50) 50) (int_range 1 7)) );
+        (1, oneofl [ 0.0; -0.0 ]);
+        ( 2,
+          oneofl
+            [ 0.0; -0.0; 1.0; -1.0; Float.infinity; Float.neg_infinity;
+              Float.nan; max_float; -.max_float; 1e-310 ] );
+        (1, float);
+      ])
+
+let gen_coeff : LF.coeff QCheck.Gen.t =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, oneofl [ LF.coeff_const 1.0; LF.coeff_const (-1.0) ]);
+        (1, oneofl [ LF.coeff_zero; { LF.lo = -0.0; hi = -0.0 } ]);
+        ( 2,
+          oneofl
+            [ { LF.lo = -0.0; hi = -0.0 }; { LF.lo = -0.0; hi = 0.0 };
+              { LF.lo = -0.0; hi = 1.0 }; { LF.lo = 1.0; hi = 1.0000001 };
+              { LF.lo = Float.nan; hi = 1.0 };
+              { LF.lo = Float.neg_infinity; hi = Float.infinity } ] );
+        (2, map LF.coeff_const gen_bound);
+        (2, map (fun (a, b) -> { LF.lo = a; hi = b }) (pair gen_bound gen_bound));
+      ])
+
+(* A pack of 1..6 variables, two variables outside it, an octagon over
+   the pack built from random constraints (closed, or left dirty), the
+   assigned variable (sometimes outside the pack), a form (with the
+   assigned variable in it, or the self-update [x + c]) and the oracle
+   hulls. *)
+type transfer_case = {
+  vars : F.Tast.var array;  (** the pack's, then two outside *)
+  n : int;
+  cons : (int * int * int * float) list;  (** kind, i, j, bound *)
+  closed : bool;
+  x : int;
+  terms : (int * LF.coeff) list;
+  const : LF.coeff;
+  hulls : (float * float) array;
+}
+
+let gen_transfer_case =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n ->
+    let vars = Array.init (n + 2) (fun i -> mkvar (Printf.sprintf "t%d" i)) in
+    list_size (int_bound 8)
+      (quad (int_bound 3) (int_bound (n - 1)) (int_bound (n - 1)) gen_bound)
+    >>= fun cons ->
+    bool >>= fun closed ->
+    frequency [ (6, int_bound (n - 1)); (1, return n) ] >>= fun x ->
+    list_size (int_bound 5) (pair (int_bound (n + 1)) gen_coeff) >>= fun terms ->
+    frequency [ (4, return terms); (1, return [ (x, LF.coeff_const 1.0) ]) ]
+    >>= fun terms ->
+    map (fun (a, b) -> { LF.lo = a; hi = b }) (pair gen_bound gen_bound)
+    >>= fun const ->
+    array_repeat (n + 2) (pair gen_bound gen_bound) >>= fun hulls ->
+    return { vars; n; cons; closed; x; terms; const; hulls })
+
+let print_transfer_case c =
+  Printf.sprintf "n=%d closed=%b x=%d cons=[%s] terms=[%s] const=[%h,%h] hulls=[%s]"
+    c.n c.closed c.x
+    (String.concat "; "
+       (List.map (fun (k, i, j, b) -> Printf.sprintf "%d:%d,%d<=%h" k i j b) c.cons))
+    (String.concat "; "
+       (List.map (fun (i, (k : LF.coeff)) -> Printf.sprintf "[%h,%h]*t%d" k.lo k.hi i)
+          c.terms))
+    c.const.lo c.const.hi
+    (String.concat "; "
+       (Array.to_list (Array.map (fun (a, b) -> Printf.sprintf "[%h,%h]" a b) c.hulls)))
+
+let build_case c =
+  let o = O.top (Array.sub c.vars 0 c.n) in
+  List.iter
+    (fun (kind, i, j, b) ->
+      let vi = c.vars.(i) and vj = c.vars.(j) in
+      match kind with
+      | 0 -> O.set_bounds o vi (Float.neg_infinity, b)
+      | 1 -> O.set_bounds o vi (b, Float.infinity)
+      | 2 -> O.add_diff_le o vi vj b
+      | _ -> O.add_sum_le o vi vj b)
+    c.cons;
+  if c.closed then O.close o;
+  let form =
+    {
+      LF.terms =
+        List.fold_left
+          (fun m (i, k) -> LF.VarMap.add c.vars.(i) k m)
+          LF.VarMap.empty c.terms;
+      const = c.const;
+    }
+  in
+  let oracle (v : F.Tast.var) =
+    let rec find i =
+      if i = Array.length c.vars then (Float.neg_infinity, Float.infinity)
+      else if F.Tast.Var.equal c.vars.(i) v then c.hulls.(i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  (o, form, oracle)
+
+let same_octagon (a : O.t) (b : O.t) =
+  O.is_bot a = O.is_bot b && bits_equal a.O.m b.O.m && a.O.closure = b.O.closure
+
+let prop_assign_bitwise =
+  QCheck.Test.make ~count:5000 ~name:"assign matches reference bitwise"
+    (QCheck.make ~print:print_transfer_case gen_transfer_case)
+    (fun c ->
+      let o, form, oracle = build_case c in
+      let a = O.copy o and r = O.copy o in
+      O.assign a oracle c.vars.(c.x) form;
+      Ref_transfer.assign r oracle c.vars.(c.x) form;
+      same_octagon a r)
+
+let prop_guard_bitwise =
+  QCheck.Test.make ~count:5000 ~name:"guard matches reference bitwise"
+    (QCheck.make ~print:print_transfer_case gen_transfer_case)
+    (fun c ->
+      let o, form, oracle = build_case c in
+      let a = O.copy o and r = O.copy o in
+      O.guard_le_zero a oracle form;
+      Ref_transfer.guard_le_zero r oracle form;
+      same_octagon a r)
+
 (* Deterministic instance pinning the genuinely incremental path (one
    dirty variable out of four, below the full-closure fallback
    threshold). *)
@@ -534,4 +826,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_closure_sound;
       QCheck_alcotest.to_alcotest prop_incremental_equiv;
       QCheck_alcotest.to_alcotest prop_kernels_bitwise;
+      QCheck_alcotest.to_alcotest prop_assign_bitwise;
+      QCheck_alcotest.to_alcotest prop_guard_bitwise;
     ]
