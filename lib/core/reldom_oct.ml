@@ -44,11 +44,11 @@ let writeback c ctx st (vars : var list) =
           match Ptmap.find_opt op.Packing.op_id (c.rel st).octs with
           | None -> st
           | Some o ->
+              let k = O.pos o v in
               if O.is_bot o then c.bottom
+              else if k < 0 then st
               else
-                let k = O.pos o v in
-                let lo = if k < 0 then Float.neg_infinity else O.lower o k in
-                let hi = if k < 0 then Float.infinity else O.upper o k in
+                let lo = O.lower o k and hi = O.upper o k in
                 if not (lo > Float.neg_infinity || hi < Float.infinity) then st
                 else
                   let cur = c.var_itv ctx st v in

@@ -63,11 +63,8 @@ let sub_up a b = add_up a (-.b)
 let sub_down a b = add_down a (-.b)
 
 (* inf * 0 = nan in IEEE; in exact interval arithmetic the product of a
-   zero bound with an infinite bound is 0 *)
-let mul_zero_aware a b = if a = 0.0 || b = 0.0 then 0.0 else a *. b
-
-(* the directed products test for a zero factor first, as
-   [mul_zero_aware] does, and multiply plainly after it *)
+   zero bound with an infinite bound is 0, so the directed products
+   return 0 for a zero factor first *)
 let mul_up a b =
   if a = 0.0 || b = 0.0 then 0.0
   else

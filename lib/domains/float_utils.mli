@@ -37,8 +37,6 @@ val div_down : float -> float -> float
 val sqrt_up : float -> float
 val sqrt_down : float -> float
 
-val mul_zero_aware : float -> float -> float
-
 (** {1 binary32 support} *)
 
 (** Round to binary32, to nearest. *)

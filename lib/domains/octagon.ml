@@ -95,7 +95,6 @@ let pos (o : t) (v : F.Tast.var) : int =
   in
   go 0
 
-let mem_var o (v : F.Tast.var) = pos o v >= 0
 
 (* ------------------------------------------------------------------ *)
 (* Strong closure                                                      *)

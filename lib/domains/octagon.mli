@@ -43,7 +43,6 @@ val top : Astree_frontend.Tast.var array -> t
 val bottom : Astree_frontend.Tast.var array -> t
 val is_bot : t -> bool
 val copy : t -> t
-val mem_var : t -> Astree_frontend.Tast.var -> bool
 
 (** Position of a variable in the pack, [-1] when it is not there. *)
 val pos : t -> Astree_frontend.Tast.var -> int

@@ -392,7 +392,7 @@ let print_edge (a, b) =
 
 let prop_typed_minmax =
   QCheck.Test.make ~count:2000
-    ~name:"join/meet/mul match polymorphic min/max bitwise"
+    ~name:"join/meet/mul = reference bitwise"
     (QCheck.make ~print:print_edge gen_edge_pair)
     (fun (a, b) ->
       same_itv (I.join a b) (Ref_itv.join a b)

@@ -187,7 +187,7 @@ let print_coeff (c : LF.coeff) = Printf.sprintf "[%h,%h]" c.lo c.hi
 
 let prop_coeff_mul_bitwise =
   QCheck.Test.make ~count:2000
-    ~name:"coeff_mul matches polymorphic min/max bitwise"
+    ~name:"coeff_mul = reference bitwise"
     (QCheck.make
        ~print:(fun (a, b) -> print_coeff a ^ " * " ^ print_coeff b)
        QCheck.Gen.(pair gen_edge_coeff gen_edge_coeff))

@@ -508,7 +508,7 @@ let suite =
       test_render_json_stable;
     Alcotest.test_case "metrics: reset_named" `Quick test_reset_named;
     Alcotest.test_case "metrics: --profile table" `Quick test_profile;
-    Alcotest.test_case "metrics: relational probes per domain" `Quick
+    Alcotest.test_case "metrics: per-domain rel probes" `Quick
       test_rel_probes;
     Alcotest.test_case "trace: ring eviction" `Quick test_ring_eviction;
     Alcotest.test_case "trace: eviction bumps trace.dropped" `Quick
