@@ -43,7 +43,20 @@ let meet (a : t) (b : t) : t =
       clock = D.Itv.meet a.clock b.clock;
     }
 
-let widen ~thresholds (a : t) (b : t) : t =
+(* The clock's upper bound widens straight to [max_clock] (DESIGN.md §6):
+   only [Transfer.wait] moves the clock, so an unstable upper bound at a
+   loop head means some path back to the head ticks, and every threshold
+   below [max_clock] would be passed on the next iterate anyway.  The
+   lower bound keeps the threshold widening. *)
+let widen_clock ~thresholds ~max_clock (a : D.Itv.t) (b : D.Itv.t) : D.Itv.t =
+  match (a, b) with
+  | D.Itv.Int (_, y), D.Itv.Int (x', y') when y' > y -> (
+      match D.Itv.widen ~thresholds a (D.Itv.Int (x', y)) with
+      | D.Itv.Int (x, _) -> D.Itv.Int (x, Int.max y' max_clock)
+      | w -> w)
+  | _ -> D.Itv.widen ~thresholds a b
+
+let widen ~thresholds ~max_clock (a : t) (b : t) : t =
   if a.bot then b
   else if b.bot then a
   else
@@ -51,7 +64,7 @@ let widen ~thresholds (a : t) (b : t) : t =
       bot = false;
       env = Env.widen ~thresholds a.env b.env;
       rel = Relstate.widen ~thresholds a.rel b.rel;
-      clock = D.Itv.widen ~thresholds a.clock b.clock;
+      clock = widen_clock ~thresholds ~max_clock a.clock b.clock;
     }
 
 let narrow (a : t) (b : t) : t =

@@ -16,7 +16,13 @@ val make :
 
 val join : t -> t -> t
 val meet : t -> t -> t
-val widen : thresholds:Astree_domains.Thresholds.t -> t -> t -> t
+
+(** Widening with thresholds (Sect. 7.1.2), except that an unstable
+    upper bound of the clock goes straight to [max_clock], the bound
+    {!Transfer.wait} meets it with (DESIGN.md §6). *)
+val widen :
+  thresholds:Astree_domains.Thresholds.t -> max_clock:int -> t -> t -> t
+
 val narrow : t -> t -> t
 val subset : t -> t -> bool
 val equal : t -> t -> bool

@@ -165,10 +165,11 @@ let t_widen = Metrics.timer "widen.total.time"
    whole [Astate.widen] (env + all relational packs) so --profile can
    attribute iteration cost to extrapolation separately from the
    per-domain octagon widening probe. *)
-let widen_state ~thresholds (inv : Astate.t) (next : Astate.t) : Astate.t =
+let widen_state ~thresholds ~max_clock (inv : Astate.t) (next : Astate.t) :
+    Astate.t =
   Metrics.incr c_widen;
   let t0 = Metrics.start () in
-  let r = Astate.widen ~thresholds inv next in
+  let r = Astate.widen ~thresholds ~max_clock inv next in
   Metrics.stop t_widen t0;
   r
 
@@ -316,6 +317,7 @@ and exec_loop (a : Transfer.actx) ~(stack : string list)
     ((li, c, body) : loop_info * expr * block) : outcome =
   let cfg = a.Transfer.cfg in
   let thresholds = cfg.Config.widening_thresholds in
+  let max_clock = cfg.Config.max_clock in
   let alarms = a.Transfer.alarms in
   (* Pass reuse (DESIGN.md §6): the analysis of the body is a function
      of its input state, so a pass from physically the same input as
@@ -454,7 +456,7 @@ and exec_loop (a : Transfer.actx) ~(stack : string list)
                  infinity so the fixpoint computation always terminates *)
               incr n_widens;
               iterate (i + 1) 0 unstable
-                (widen_state ~thresholds:D.Thresholds.none inv next)
+                (widen_state ~thresholds:D.Thresholds.none ~max_clock inv next)
             end
             else if i < cfg.Config.delay_widening then
               iterate (i + 1) fairness unstable (Astate.join inv next)
@@ -470,7 +472,7 @@ and exec_loop (a : Transfer.actx) ~(stack : string list)
             else begin
               incr n_widens;
               iterate (i + 1) fairness unstable
-                (widen_state ~thresholds inv next)
+                (widen_state ~thresholds ~max_clock inv next)
             end
       end
     in
