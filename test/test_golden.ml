@@ -115,7 +115,7 @@ let expected_results : (string * string * string * int) list =
   ("filter_bank.c", "e2-part", "a6595852c453e41056343269aaf27cd8", 0);
   ("filter_bank.c", "degrade-1", "a8437c25df56f37919950ac3a706088d", 0);
   ("filter_bank.c", "degrade-2", "a8437c25df56f37919950ac3a706088d", 0);
-  ("filter_bank.c", "degrade-3", "97b5ccd7ad0cb7c834a989cfad45fbac", 10);
+  ("filter_bank.c", "degrade-3", "bdbf6273d1752d38856884746e537130", 10);
   ("filter_bank.c", "no-oct", "2e65e9ab88b7a62cfd108b33a884366d", 0);
   ("filter_bank.c", "no-ell", "e27f07fff0d5004becaced80415a0283", 10);
   ("filter_bank.c", "no-dt", "a6595852c453e41056343269aaf27cd8", 0);
@@ -128,7 +128,7 @@ let expected_results : (string * string * string * int) list =
   ("mini_fbw.c", "e2-part", "322e7c3f1319a413e7a9e3718d04e9e1", 0);
   ("mini_fbw.c", "degrade-1", "0be23234c1a08f7c94832067ca20cae8", 9);
   ("mini_fbw.c", "degrade-2", "0be23234c1a08f7c94832067ca20cae8", 9);
-  ("mini_fbw.c", "degrade-3", "075fa557371381238bb199464fa145ce", 12);
+  ("mini_fbw.c", "degrade-3", "e087706cf4f84d03e2454ab1ddc42f5a", 12);
   ("mini_fbw.c", "no-oct", "86960744fa2a6e53a05727f720264369", 9);
   ("mini_fbw.c", "no-ell", "ce37abffcbd12ba1e4659120c99319d1", 10);
   ("mini_fbw.c", "no-dt", "411aadcf0ba795d0c50aefe51de92220", 8);
@@ -141,7 +141,7 @@ let expected_results : (string * string * string * int) list =
   ("gen-s11", "e2-part", "e2170d17a7a250f55736db7c52ab63b9", 0);
   ("gen-s11", "degrade-1", "09295a39003425869a9cc7be90a354f0", 22);
   ("gen-s11", "degrade-2", "09295a39003425869a9cc7be90a354f0", 22);
-  ("gen-s11", "degrade-3", "3a34281fd09febf3066908d58ae04b18", 38);
+  ("gen-s11", "degrade-3", "02ae0bdd75c04dcfb8ffb28298f1b561", 38);
   ("gen-s11", "no-oct", "a3dc204516d0e9c43e5395a446e4eb02", 22);
   ("gen-s11", "no-ell", "3b1eb5529db1cc753038fa36fcc8e883", 16);
   ("gen-s11", "no-dt", "686425e28103eddf7872f40bedf5ae72", 14);
@@ -154,7 +154,7 @@ let expected_results : (string * string * string * int) list =
   ("gen-s12-bugs", "e2-part", "93e478f7bcb9cf29dc5ead59d931d0d2", 55);
   ("gen-s12-bugs", "degrade-1", "a955bd29d29aea48318eb2333a6ce334", 69);
   ("gen-s12-bugs", "degrade-2", "a955bd29d29aea48318eb2333a6ce334", 69);
-  ("gen-s12-bugs", "degrade-3", "34b4a3dceaa6961e1501bec3856f3144", 75);
+  ("gen-s12-bugs", "degrade-3", "08c1b6790e0b91fdfe4bf978ee16f2ad", 75);
   ("gen-s12-bugs", "no-oct", "a44dda9c1581e9cf21849eca7b3b3a78", 69);
   ("gen-s12-bugs", "no-ell", "b83acb59e91c37f671c11ab4fe6f12a6", 59);
   ("gen-s12-bugs", "no-dt", "b2f759b67c9388bc27633b9fff4f9eed", 63)
@@ -168,11 +168,11 @@ let expected_results : (string * string * string * int) list =
 let expected_digests : (string * string * string) list =
   [
   ("buggy_demo.c", "main-loop", "526a6435b2eff2a3720175ec3ef7075a");
-  ("filter_bank.c", "main-loop", "d6f3a7397dcb804c0a8e7807685b1d3d");
-  ("mini_fbw.c", "main-loop", "e1d56eddfa6ab9fb18d597d59ada9bbc");
-  ("gen-s11", "main-loop", "0258e16d9ad2bb2990b6ce53e1ef195e");
-  ("gen-s12-bugs", "main-loop", "4bef2710be41876b6a6911a22d5c4b29");
-  ("gen-s4-fused", "call entries: 291", "5dfd47355e36781a66fa08273c12a860")
+  ("filter_bank.c", "main-loop", "af90cb034c684f87bba474b4f92741a6");
+  ("mini_fbw.c", "main-loop", "0393ef8ffad46b80d13a61667e910dd1");
+  ("gen-s11", "main-loop", "d2fa79fd30fe8d890dc3b4473c6466fb");
+  ("gen-s12-bugs", "main-loop", "3f51b0a8426cae3ba68e5b7a10ac2aeb");
+  ("gen-s4-fused", "call entries: 209", "d17bd93f2b62a10c4049fb11881cefda")
   ]
 
 let actual_results () =
@@ -235,12 +235,12 @@ let actual_digests () =
   ]
 
 (* The bug-injected 2 kLOC member of the one-shot benchmark (generator
-   seed 3, one shape per function, bug ratio 0.05): its main loop runs 78
-   body passes, most of them after the clock has settled, while a few
+   seed 3, one shape per function, bug ratio 0.05): its main loop runs 79
+   body passes.  The clock settles at its first widening, while a few
    overflowing cells climb the threshold ladder.  (fingerprint, alarms,
    iter.body_passes) under the default configuration with the member's
    partition markers, as the command line reads them. *)
-let expected_ladder = ("5eb179d35c376173e453b1c0f7b9a0a4", 10, 78)
+let expected_ladder = ("5eb179d35c376173e453b1c0f7b9a0a4", 10, 79)
 
 let actual_ladder () =
   let g =

@@ -360,12 +360,6 @@ let test_mem_cache_equiv () =
           Alcotest.(check string)
             "in-memory cache result identical"
             (P.Merge.fingerprint off) (P.Merge.fingerprint r);
-          (* Calls whose framed entry really repeats within one run
-             hit.  The iterator reuses a loop pass on an input it has
-             already analyzed, so mini_fbw, whose repeats all came from
-             such passes, has none.  This fused member's stage
-             functions see the same context on distinct iterates (3
-             hits at the shipped memoization threshold). *)
           C.Iterator.memo_min_stmts := shipped_min_stmts;
           let g =
             G.Generator.generate
@@ -394,8 +388,44 @@ let test_mem_cache_equiv () =
             "fused member: in-memory cache result identical"
             (P.Merge.fingerprint (C.Analysis.analyze ~cfg p))
             (P.Merge.fingerprint r);
+          (* Calls whose framed entry really repeats within one run hit.
+             The iterator reuses a loop pass on an input it has already
+             analyzed, and a loop's call slots replay a call site's
+             repeats before the memo sees them (DESIGN.md §6).  Slots are
+             per call site, though: when one callee is called from two
+             sites with the same framed entry, the memo answers the
+             second.  Here the second and third calls of [stage] see the
+             same frame ([t] is not bound yet at the first), so the
+             third call is a hit whenever the second was computed. *)
+          C.Iterator.memo_min_stmts := 0;
+          let p, _ =
+            C.Analysis.compile
+              [
+                ( "sites.c",
+                  "volatile int v;\nint x; int y;\n\
+                   void stage(void) { int t; t = x * 2; y = t + 1; }\n\
+                   int main(void) {\n\
+                  \  __astree_input_range(v, 0.0, 100.0);\n\
+                  \  while (1) {\n\
+                  \    x = v; stage(); stage(); stage();\n\
+                  \    __astree_wait_for_clock();\n\
+                  \  }\n\
+                  \  return 0;\n\
+                   }\n" );
+              ]
+          in
+          let cfg = C.Config.default in
+          let r =
+            C.Analysis.analyze
+              ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
+              p
+          in
+          Alcotest.(check string)
+            "two sites: in-memory cache result identical"
+            (P.Merge.fingerprint (C.Analysis.analyze ~cfg p))
+            (P.Merge.fingerprint r);
           Alcotest.(check bool)
-            "intra-run hits" true
+            "intra-run hits: same entry at a second site" true
             ((cache_stats_exn r).C.Analysis.c_hits > 0)))
 
 (* ---------------- store robustness ---------------- *)
