@@ -24,12 +24,15 @@
 module C = Astree_core
 module Faultsim = Astree_robust.Faultsim
 
-(* v7: one content-addressed directory of indexed files, summaries in
+(* v8: one content-addressed directory of indexed files, summaries in
    frame coordinates, octagons without a variable index (they find a
-   variable by scanning their pack).  Files of earlier versions read as
+   variable by scanning their pack), and the clock widened straight to
+   [max_clock] in every loop.  Files of earlier versions read as
    foreign: unmarshalling a v6 octagon as a v7 one would not fail, it
-   would misread the record. *)
-let magic = "astree-summary-store v7\n"
+   would misread the record, and a v7 summary of a callee with a
+   ticking loop holds the invariants of the old clock widening, which a
+   cold run no longer computes. *)
+let magic = "astree-summary-store v8\n"
 let suffix = ".sums"
 
 type key = C.Iterator.summary_key

@@ -491,7 +491,7 @@ let test_store_corruption () =
    sharing one cache directory) racing [Store.save] on one directory:
    no interleaving may ever publish a torn file, and the directory must
    end up holding the union of both writers' entries *)
-let store_magic = "astree-summary-store v7\n"
+let store_magic = "astree-summary-store v8\n"
 
 (* the file format contract: magic header, summaries, index, then a
    footer with the index length and the index's MD5.  Any complete file
@@ -1007,11 +1007,12 @@ let with_stderr_captured k =
   Sys.remove file;
   (r, err)
 
-(* a store file of the previous version, v6 (octagons still carrying
-   their variable index), must read as foreign: the run warns, degrades
-   to cold, is exact, and publishes a file of its own that the next run
-   loads.  The v6 file is a complete one of this version relabelled, so
-   only the magic keeps it from being unmarshalled *)
+(* a store file of the previous version, v7 (summaries computed while
+   the clock climbed the threshold ladder), must read as foreign: the
+   run warns, degrades to cold, is exact, and publishes a file of its
+   own that the next run loads.  The v7 file is a complete one of this
+   version relabelled, so only the magic keeps it from being
+   unmarshalled *)
 let test_old_store_is_foreign () =
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
@@ -1031,7 +1032,7 @@ let test_old_store_is_foreign () =
                   let s = In_channel.with_open_bin f In_channel.input_all in
                   let n = String.length store_magic in
                   write_file f
-                    ("astree-summary-store v6\n" ^ String.sub s n (String.length s - n)))
+                    ("astree-summary-store v7\n" ^ String.sub s n (String.length s - n)))
                 old;
               let r, err =
                 with_stderr_captured (fun () -> C.Analysis.analyze ~cfg:ccfg p)
@@ -1466,7 +1467,7 @@ let suite =
       `Quick test_moved_caller_by_ref_warm_equals_off;
     Alcotest.test_case "store: no-op warm run does not write" `Quick
       test_noop_warm_run_does_not_write;
-    Alcotest.test_case "store: v6 store reads as foreign" `Quick
+    Alcotest.test_case "store: v7 store reads as foreign" `Quick
       test_old_store_is_foreign;
     Alcotest.test_case "fingerprint: a local edit stays local" `Quick
       test_fp_edit_stays_local;
