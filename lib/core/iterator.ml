@@ -113,7 +113,7 @@ type call_memo = Transfer.call_memo = {
     Transfer.binds ->
     Astate.t ->
     (unit -> Astate.t * D.Itv.t) ->
-    Astate.t * D.Itv.t;
+    (Astate.t * D.Itv.t) * (summary * (string * F.Loc.t -> F.Loc.t)) option;
 }
 
 (** Minimal transitive inlined statement count of a callee before
@@ -640,14 +640,16 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     in
     (exit_env, retv)
   in
-  let memoized () =
+  let memo =
     match a.Transfer.session.Transfer.ses_memo with
-    | Some m when m.cm_want fname -> m.cm_call a ~fname callee_binds st compute
-    | _ -> compute ()
+    | Some m when m.cm_want fname -> Some m
+    | _ -> None
   in
-  match a.Transfer.sites with
-  | None -> memoized ()
-  | Some sites -> exec_call_slots a sites ~site ~fname callee_binds st memoized
+  match (a.Transfer.sites, memo) with
+  | None, None -> compute ()
+  | None, Some m -> fst (m.cm_call a ~fname callee_binds st compute)
+  | Some sites, _ ->
+      exec_call_slots a sites ~site ~fname ?memo callee_binds st compute
 
 (* Differential iteration (DESIGN.md §6): a call under a loop whose
    framed entry is exactly that of one of the last two calls recorded at
@@ -658,12 +660,15 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
    first compares the clock and mode with its previous call's: when
    they differ, the slots are dropped and the call is computed without
    a record, at the cost of that comparison; when they are the same,
-   the call is compared with the slots and, on a miss, computed in a
-   capture section and recorded over the older slot.  Either way its
-   callee's call sites are the current ones.  The slots die with the
-   loop. *)
+   the call is compared with the slots and, on a miss, computed and
+   recorded over the older slot.  A memoized callee's summary comes from
+   the summary cache, which replays or records one anyway; any other
+   callee is computed in a capture section and recorded here.  Either
+   way its callee's call sites are the current ones.  The slots die with
+   the loop. *)
 and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
-    ~(site : stmt) ~(fname : string) (binds : Transfer.binds) (st : Astate.t)
+    ~(site : stmt) ~(fname : string) ?(memo : call_memo option)
+    (binds : Transfer.binds) (st : Astate.t)
     (compute : unit -> Astate.t * D.Itv.t) : Astate.t * D.Itv.t =
   let clock = st.Astate.clock in
   let sites = Lazy.force outer in
@@ -693,6 +698,11 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
         a.Transfer.sites <- Some outer;
         raise e
   in
+  let memoized () =
+    match memo with
+    | Some m -> m.cm_call a ~fname binds st compute
+    | None -> (compute (), None)
+  in
   let checking = a.Transfer.alarms.Alarm.enabled in
   if
     not
@@ -703,7 +713,7 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
     cs.Transfer.cs_checking <- checking;
     cs.Transfer.cs_new <- None;
     cs.Transfer.cs_old <- None;
-    inside compute
+    fst (inside memoized)
   end
   else begin
     let fr = Frame.of_call a.Transfer.frames ~fname binds in
@@ -716,7 +726,10 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
     in
     let replay (sl : Transfer.call_slot) =
       Metrics.incr c_calls_replayed;
-      let r = Transfer.replay ~loc:snd a fr ~entry:st sl.Transfer.sl_summary in
+      let r =
+        Transfer.replay ~loc:sl.Transfer.sl_loc a fr ~entry:st
+          sl.Transfer.sl_summary
+      in
       a.Transfer.alarms.Alarm.chain <- sl.Transfer.sl_chain;
       r
     in
@@ -729,18 +742,28 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
       replay (Option.get older)
     end
     else begin
-      let cap = Transfer.capture_begin a in
-      let r =
-        try inside compute
-        with e ->
-          Transfer.capture_abort a cap;
-          raise e
+      let r, recorded =
+        if memo <> None then inside memoized
+        else begin
+          let cap = Transfer.capture_begin a in
+          let r =
+            try inside compute
+            with e ->
+              Transfer.capture_abort a cap;
+              raise e
+          in
+          let delta = Transfer.capture_end a cap in
+          (* the frame again: the call may have numbered cells of its own *)
+          let fr = Frame.of_call a.Transfer.frames ~fname binds in
+          ( r,
+            Option.map
+              (fun s -> (s, snd))
+              (Transfer.record ~loc:(fun l -> ("", l)) a fr ~entry:st r delta) )
+        end
       in
-      let delta = Transfer.capture_end a cap in
-      (* the frame again: the call may have numbered cells of its own *)
-      let fr = Frame.of_call a.Transfer.frames ~fname binds in
-      (match Transfer.record ~loc:(fun l -> ("", l)) a fr ~entry:st r delta with
-      | Some summary ->
+      (match recorded with
+      | Some (summary, loc) ->
+          let fr = Frame.of_call a.Transfer.frames ~fname binds in
           cs.Transfer.cs_old <- newer;
           cs.Transfer.cs_new <-
             Some
@@ -748,6 +771,7 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
                 Transfer.sl_entry = Frame.entry fr st;
                 sl_binds = binds;
                 sl_summary = summary;
+                sl_loc = loc;
                 sl_chain = a.Transfer.alarms.Alarm.chain;
               }
       | None -> ());

@@ -56,7 +56,9 @@ type call_memo = Transfer.call_memo = {
     Transfer.binds ->
     Astate.t ->
     (unit -> Astate.t * Astree_domains.Itv.t) ->
-    Astate.t * Astree_domains.Itv.t;
+    (Astate.t * Astree_domains.Itv.t)
+    * (summary * (string * Astree_frontend.Loc.t -> Astree_frontend.Loc.t))
+      option;
 }
 
 (** Minimal transitive inlined statement count of a callee before

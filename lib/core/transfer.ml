@@ -141,9 +141,12 @@ type call_memo = {
     binds ->
     Astate.t ->
     (unit -> Astate.t * D.Itv.t) ->
-    Astate.t * D.Itv.t;
+    (Astate.t * D.Itv.t) * (summary * (string * F.Loc.t -> F.Loc.t)) option;
       (** [cm_call a ~fname binds entry body]: the result of [body ()]
-          from the bound entry state, with its side effects on [a] *)
+          from the bound entry state, with its side effects on [a], and
+          the summary it replayed or recorded, with the map that puts its
+          alarm locations back onto the program (a loop's call slot
+          keeps both) *)
 }
 
 (** Per-analysis session: every hook and piece of cross-cutting mutable
@@ -173,12 +176,14 @@ and session = {
 and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
 
 (** One computed call as a loop's call site keeps it (DESIGN.md §6):
-    its framed entry, the by-reference bindings, its summary, and the
-    alarm call chain it left.  Its clock and alarm mode are the site's. *)
+    its framed entry, the by-reference bindings, its summary with the
+    map of its alarm locations, and the alarm call chain it left.  Its
+    clock and alarm mode are the site's. *)
 and call_slot = {
   sl_entry : Frame.entry;
   sl_binds : binds;
   sl_summary : summary;
+  sl_loc : string * F.Loc.t -> F.Loc.t;
   sl_chain : string list;
 }
 

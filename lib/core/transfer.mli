@@ -122,10 +122,11 @@ type call_memo = {
     binds ->
     Astate.t ->
     (unit -> Astate.t * D.Itv.t) ->
-    Astate.t * D.Itv.t;
+    (Astate.t * D.Itv.t) * (summary * (string * F.Loc.t -> F.Loc.t)) option;
       (** [cm_call a ~fname binds entry body]: the result of [body ()]
           from the bound entry state, with its side effects on [a] —
-          replayed from a summary or computed (and recorded) *)
+          replayed from a summary or computed (and recorded) — and that
+          summary with the map of its alarm locations *)
 }
 
 (** Per-analysis session: the hooks and cross-cutting mutable state of
@@ -148,13 +149,14 @@ and session = {
 and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
 
 (** One computed call as a loop's call site keeps it ([Iterator],
-    DESIGN.md §6): its framed entry, by-reference bindings, summary, and
-    the alarm call chain it left.  Its clock and alarm mode are the
-    site's. *)
+    DESIGN.md §6): its framed entry, by-reference bindings, summary with
+    the map of its alarm locations, and the alarm call chain it left.
+    Its clock and alarm mode are the site's. *)
 and call_slot = {
   sl_entry : Frame.entry;
   sl_binds : binds;
   sl_summary : summary;
+  sl_loc : string * F.Loc.t -> F.Loc.t;
   sl_chain : string list;
 }
 

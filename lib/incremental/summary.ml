@@ -80,6 +80,9 @@ let entry_digest (a : C.Transfer.actx) (st : C.Astate.t) : string =
 type session = {
   ss_ses : C.Transfer.session;  (** the analysis session the memo lives in *)
   ss_fps : Fingerprint.t;
+  ss_rebase : string * F.Loc.t -> F.Loc.t;
+      (** [Fingerprint.rebase ss_fps]: puts a summary's alarm locations
+          back onto the program *)
   ss_tbl : (C.Iterator.summary_key, C.Iterator.summary) Hashtbl.t;
       (** read from the store or computed this run *)
   mutable ss_new : (C.Iterator.summary_key * C.Iterator.summary) list;
@@ -115,13 +118,15 @@ let lookup (ss : session) (key : C.Iterator.summary_key) :
       | _ -> None)
 
 (* The memo's call wrapper: key the call, then replay or compute and
-   record. *)
+   record; the summary goes back to the caller with the result, so a
+   loop's call slot keeps it instead of recording the call again. *)
 let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
     (binds : C.Transfer.binds) (entry : C.Astate.t)
     (body : unit -> C.Astate.t * Astree_domains.Itv.t) :
-    C.Astate.t * Astree_domains.Itv.t =
+    (C.Astate.t * Astree_domains.Itv.t)
+    * (C.Iterator.summary * (string * F.Loc.t -> F.Loc.t)) option =
   match Fingerprint.summary_fn ss.ss_fps fname with
-  | None -> body ()
+  | None -> (body (), None)
   | Some fp -> (
       let cx = frames ss a in
       let fr = Frame.of_call cx ~fname binds in
@@ -137,7 +142,7 @@ let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
           ss.ss_hits <- ss.ss_hits + 1;
           Metrics.incr c_hits;
           if !Trace.enabled then Trace.emit "cache.hit" ~args:[ ("fn", Trace.S fname) ];
-          C.Transfer.replay ~loc:(Fingerprint.rebase ss.ss_fps) a fr ~entry s
+          (C.Transfer.replay ~loc:ss.ss_rebase a fr ~entry s, Some (s, ss.ss_rebase))
       | None ->
           ss.ss_misses <- ss.ss_misses + 1;
           Metrics.incr c_misses;
@@ -150,18 +155,19 @@ let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
               raise e
           in
           let delta = C.Transfer.capture_end a cap in
-          (match
-             C.Transfer.record ~loc:(Fingerprint.relative ss.ss_fps) a fr
-               ~entry r delta
-           with
-          | Some s ->
+          let recorded =
+            C.Transfer.record ~loc:(Fingerprint.relative ss.ss_fps) a fr
+              ~entry r delta
+          in
+          Option.iter
+            (fun s ->
               (* keep-first: a key determines its summary *)
               if not (Hashtbl.mem ss.ss_tbl key) then begin
                 Hashtbl.add ss.ss_tbl key s;
                 ss.ss_new <- (key, s) :: ss.ss_new
-              end
-          | None -> ());
-          r)
+              end)
+            recorded;
+          (r, Option.map (fun s -> (s, ss.ss_rebase)) recorded))
 
 (** Fingerprint the program, open the store under [Cache_dir] (its
     indexes only) and install the memo in the session.  Call before the
@@ -184,6 +190,7 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     {
       ss_ses = ses;
       ss_fps = fps;
+      ss_rebase = Fingerprint.rebase fps;
       ss_tbl = Hashtbl.create 1024;
       ss_new = [];
       ss_store = store;
