@@ -451,6 +451,10 @@ let entry (fr : t) (st : Astate.t) : entry =
       List.fold_left (fun acc rp -> rel_keep rp st.Astate.rel acc) Relstate.empty fr.fr_rel;
   }
 
+(* A cell that compares equal takes the state's value in place: an entry
+   then holds the cell values of the latest state it matched, which the
+   analysis mostly still holds, instead of pinning copies from the
+   iterate it was recorded in. *)
 let same_entry (fr : t) (e : entry) (st : Astate.t) : bool =
   Reldom.same_itv e.fe_clock st.Astate.clock
   && e.fe_frame == fr
@@ -460,7 +464,11 @@ let same_entry (fr : t) (e : entry) (st : Astate.t) : bool =
         i < 0
         || (match Env.find st.Astate.env cells.(i) with
            | None -> vals.(i) == absent
-           | Some v -> vals.(i) != absent && same_avalue vals.(i) v)
+           | Some v ->
+               vals.(i) != absent
+               && same_avalue vals.(i) v
+               && (vals.(i) <- v;
+                   true))
            && go (i - 1)
       in
       go (Array.length cells - 1))

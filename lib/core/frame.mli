@@ -56,7 +56,9 @@ val entry : t -> Astate.t -> entry
 (** Does a state agree with a framed entry taken with the same frame:
     bottom flag, clock, every frame cell and every frame pack, compared
     exactly (floats bit for bit, the octagon closure state included:
-    what a summary key encodes)?  The clock is compared first. *)
+    what a summary key encodes)?  The clock is compared first.  The
+    entry takes the state's value of every cell that compares equal, so
+    it does not pin copies older than the latest state it matched. *)
 val same_entry : t -> entry -> Astate.t -> bool
 
 (** [restrict fr ~entry st]: the frame part of [st] that is not
