@@ -107,6 +107,9 @@ type state = {
   mutable clock : int;
   max_ticks : int;
   on_tick : (state -> unit) option;
+  on_loop : (int -> int -> state -> unit) option;
+      (** called at every loop-head visit with the loop id and the
+          number of body passes this execution of the loop has made *)
   on_stmt : (state -> unit) option;
       (** called before every statement (and before each loop-guard
           re-evaluation) — the multi-task interleaver yields here *)
@@ -361,11 +364,14 @@ let rec exec_stmt st (s : stmt) : unit =
       (resolve_lval st lv).rset v
   | Sif (c, a, b) ->
       if truth (eval_expr st c) then exec_block st a else exec_block st b
-  | Swhile (_, c, body) -> (
+  | Swhile (li, c, body) -> (
+      let passes = ref 0 in
       let guard () =
         (* a guard re-evaluation is an atomic step of its own, so the
            interleaver can switch tasks even on empty-body loops *)
         (match st.on_stmt with None -> () | Some f -> f st);
+        (match st.on_loop with None -> () | Some f -> f li.loop_id !passes st);
+        incr passes;
         truth (eval_expr st c)
       in
       try
@@ -431,7 +437,7 @@ type outcome =
     volatile read; [max_ticks] bounds the synchronous loop (the paper's
     "maximal execution time", Sect. 4).  [on_tick] is called after each
     clock tick with the interpreter state. *)
-let run ?(max_ticks = 1000) ?on_tick
+let run ?(max_ticks = 1000) ?on_tick ?on_loop
     ?(input = fun spec -> (spec.in_lo +. spec.in_hi) /. 2.0) (p : program) :
     outcome =
   let funs = fun_table p in
@@ -444,11 +450,11 @@ let run ?(max_ticks = 1000) ?on_tick
       input;
       clock = 0;
       max_ticks;
-      on_tick = None;
+      on_tick;
+      on_loop;
       on_stmt = None;
     }
   in
-  let st = match on_tick with None -> st | Some f -> { st with on_tick = Some (fun s -> f s) } in
   (* initialize globals *)
   List.iter
     (fun (v, init) ->
@@ -512,6 +518,7 @@ let run_interleaved ?(max_ticks = 1000)
             clock = 0;
             max_ticks;
             on_tick = None;
+            on_loop = None;
             on_stmt = Some (fun _ -> Effect.perform Yield);
           }
         in
@@ -557,6 +564,8 @@ let run_interleaved ?(max_ticks = 1000)
   with Runtime_error (k, l) -> Error (k, l)
 
 (** Read a global scalar after/during a run (testing helper). *)
+let clock st = st.clock
+
 let read_global_scalar st (name : string) : value option =
   let v =
     List.find_opt (fun (v, _) -> v.v_name = name) st.prog.p_globals

@@ -36,10 +36,13 @@ type outcome =
 (** Run the program concretely.  [input] supplies a value for each
     volatile read (defaults to the spec midpoint); [max_ticks] bounds
     the synchronous loop (the paper's "maximal execution time",
-    Sect. 4); [on_tick] observes the state after each clock tick. *)
+    Sect. 4); [on_tick] observes the state after each clock tick;
+    [on_loop id k] observes it at a visit of loop [id]'s head after [k]
+    body passes of this execution of the loop. *)
 val run :
   ?max_ticks:int ->
   ?on_tick:(state -> unit) ->
+  ?on_loop:(int -> int -> state -> unit) ->
   ?input:(Tast.input_spec -> float) ->
   Tast.program ->
   outcome
@@ -61,6 +64,9 @@ val run_interleaved :
   tasks:string list ->
   Tast.program ->
   outcome
+
+(** Clock ticks so far (testing helper). *)
+val clock : state -> int
 
 (** Read a global scalar by name (testing helper). *)
 val read_global_scalar : state -> string -> value option

@@ -585,6 +585,83 @@ let test_framed_entry_exact () =
   Alcotest.(check bool) "clock" false
     (same { inv with C.Astate.clock = Astree_domains.Itv.int_range 0 7 })
 
+(* The clock widens straight to [max_clock] (DESIGN.md §6).  A memo
+   that only watches sees the clock at the loop body's call on every
+   pass that does not replay it: its upper bound grows by one tick per
+   pass through the plain joins before the first widening, then is
+   [max_clock] at every later pass, never a threshold rung below it and
+   never +oo, also under [Thresholds.none] (the safety net and
+   degradation level 3).  The loop invariant's clock is [1, max_clock]:
+   the loop's first pass is unrolled. *)
+let clock_src =
+  {|
+volatile int v;
+int x;
+void step(void) { x = v; }
+int main(void) {
+  __astree_input_range(v, 0.0, 10.0);
+  while (1) {
+    step();
+    __astree_wait_for_clock();
+  }
+  return 0;
+}
+|}
+
+let test_clock_widens_to_max_clock () =
+  let p, _ = C.Analysis.compile [ ("clock.c", clock_src) ] in
+  let check name thresholds =
+    let cfg =
+      {
+        C.Config.default with
+        C.Config.max_clock = 50;
+        widening_thresholds = thresholds;
+      }
+    in
+    let seen = ref [] in
+    let ses = C.Transfer.new_session () in
+    ses.C.Transfer.ses_memo <-
+      Some
+        {
+          C.Iterator.cm_names =
+            { C.Frame.var_name = (fun v -> v.F.Tast.v_name); loop_name = string_of_int };
+          cm_want = (fun _ -> true);
+          cm_call =
+            (fun _ ~fname:_ _ st body ->
+              seen := st.C.Astate.clock :: !seen;
+              (body (), None));
+        };
+    let r = C.Analysis.analyze ~session:ses ~cfg p in
+    let his =
+      List.rev_map
+        (function
+          | Astree_domains.Itv.Int (_, hi) -> hi
+          | i -> Alcotest.failf "%s: clock %a" name Astree_domains.Itv.pp i)
+        !seen
+    in
+    let rec widened prev = function
+      | [] -> Alcotest.failf "%s: the clock never reached max_clock" name
+      | 50 :: rest ->
+          List.iter
+            (fun hi -> Alcotest.(check int) (name ^ ": after widening") 50 hi)
+            rest
+      | hi :: rest ->
+          if hi > prev + 1 then
+            Alcotest.failf "%s: the clock jumped from %d to %d, not to 50" name
+              prev hi;
+          widened hi rest
+    in
+    widened 0 his;
+    let inv =
+      Hashtbl.fold (fun _ st _ -> st.C.Astate.clock)
+        r.C.Analysis.r_actx.C.Transfer.invariants Astree_domains.Itv.Bot
+    in
+    Alcotest.(check string) (name ^ ": loop invariant") "[1, 50]"
+      (Fmt.str "%a" Astree_domains.Itv.pp inv)
+  in
+  check "default thresholds" C.Config.default.C.Config.widening_thresholds;
+  check "Thresholds.none" Astree_domains.Thresholds.none
+
 let suite =
   [
     Alcotest.test_case "break" `Quick test_break;
@@ -610,4 +687,6 @@ let suite =
       test_framed_entry_exact;
     Alcotest.test_case "reused checking pass: explain" `Quick
       test_reused_checking_pass_explain;
+    Alcotest.test_case "clock widens to max_clock" `Quick
+      test_clock_widens_to_max_clock;
   ]

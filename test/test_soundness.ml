@@ -157,10 +157,74 @@ let prop_invariant_covers_trajectories =
           | F.Interp.Error _ -> () (* alarms cover errors; prop 1 *));
           !ok)
 
+(* Property 4: every concrete clock at a loop head lies in that loop's
+   reported clock range.  The clock widens straight to [max_clock]
+   (DESIGN.md §6); the concrete run lasts the whole operating time, so it
+   reaches [max_clock].  The inner loop ticks up to three times per pass
+   of the main loop.  A loop's invariant holds at its head after the
+   unrolled passes (Sect. 7.1.1), and the inner loop's is the one of its
+   last analysis, from the main loop's invariant: it covers the inner
+   head once the main loop is past its own unrolled passes. *)
+let ticking_src =
+  {|
+volatile int n;
+int k;
+int main(void) {
+  __astree_input_range(n, 0.0, 3.0);
+  while (1) {
+    int i;
+    k = n;
+    i = 0;
+    while (i < k) {
+      __astree_wait_for_clock();
+      i = i + 1;
+    }
+    __astree_wait_for_clock();
+  }
+  return 0;
+}
+|}
+
+let prop_clock_covered =
+  QCheck.Test.make ~name:"loop-head clocks lie in the clock range" ~count:10
+    QCheck.(pair (int_range 1 10_000) (int_range 5 60))
+    (fun (seed, max_clock) ->
+      let p = compile ticking_src in
+      let cfg = { C.Config.default with C.Config.max_clock } in
+      let r = C.Analysis.analyze ~cfg p in
+      let invs = r.C.Analysis.r_actx.C.Transfer.invariants in
+      let ok = ref true and heads = ref 0 in
+      (* the first loop visited is the main loop *)
+      let main = ref None and main_passes = ref 0 in
+      let on_loop id passes st =
+        if !main = None then main := Some id;
+        if !main = Some id then main_passes := passes;
+        let unrolled l = C.Config.unroll_for cfg l in
+        if
+          passes >= unrolled id
+          && !main_passes >= unrolled (Option.get !main)
+        then begin
+          incr heads;
+          match Hashtbl.find_opt invs id with
+          | Some inv -> (
+              let c = F.Interp.clock st in
+              match inv.C.Astate.clock with
+              | Astree_domains.Itv.Int (lo, hi) ->
+                  if c < lo || c > hi then ok := false
+              | _ -> ok := false)
+          | None -> ok := false
+        end
+      in
+      ignore
+        (F.Interp.run ~max_ticks:(max_clock + 1) ~input:(oracle_of_seed seed)
+           ~on_loop p);
+      !ok && !heads > 0)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_concrete_errors_alarmed;
       prop_no_alarm_no_error;
       prop_invariant_covers_trajectories;
+      prop_clock_covered;
     ]
