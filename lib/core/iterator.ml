@@ -698,10 +698,28 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
         a.Transfer.sites <- Some outer;
         raise e
   in
-  let memoized () =
+  (* the call, with the summary the cache replayed or recorded; a callee
+     the cache does not memoize is captured and recorded here, with
+     absolute alarm locations, when [record] *)
+  let call ~record () =
     match memo with
     | Some m -> m.cm_call a ~fname binds st compute
-    | None -> (compute (), None)
+    | None when not record -> (compute (), None)
+    | None ->
+        let cap = Transfer.capture_begin a in
+        let r =
+          try compute ()
+          with e ->
+            Transfer.capture_abort a cap;
+            raise e
+        in
+        let delta = Transfer.capture_end a cap in
+        (* the frame again: the call may have numbered cells of its own *)
+        let fr = Frame.of_call a.Transfer.frames ~fname binds in
+        ( r,
+          Option.map
+            (fun s -> (s, snd))
+            (Transfer.record ~loc:(fun l -> ("", l)) a fr ~entry:st r delta) )
   in
   let checking = a.Transfer.alarms.Alarm.enabled in
   if
@@ -713,7 +731,7 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
     cs.Transfer.cs_checking <- checking;
     cs.Transfer.cs_new <- None;
     cs.Transfer.cs_old <- None;
-    fst (inside memoized)
+    fst (inside (call ~record:false))
   end
   else begin
     let fr = Frame.of_call a.Transfer.frames ~fname binds in
@@ -742,25 +760,7 @@ and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
       replay (Option.get older)
     end
     else begin
-      let r, recorded =
-        if memo <> None then inside memoized
-        else begin
-          let cap = Transfer.capture_begin a in
-          let r =
-            try inside compute
-            with e ->
-              Transfer.capture_abort a cap;
-              raise e
-          in
-          let delta = Transfer.capture_end a cap in
-          (* the frame again: the call may have numbered cells of its own *)
-          let fr = Frame.of_call a.Transfer.frames ~fname binds in
-          ( r,
-            Option.map
-              (fun s -> (s, snd))
-              (Transfer.record ~loc:(fun l -> ("", l)) a fr ~entry:st r delta) )
-        end
-      in
+      let r, recorded = inside (call ~record:true) in
       (match recorded with
       | Some (summary, loc) ->
           let fr = Frame.of_call a.Transfer.frames ~fname binds in

@@ -80,9 +80,6 @@ let entry_digest (a : C.Transfer.actx) (st : C.Astate.t) : string =
 type session = {
   ss_ses : C.Transfer.session;  (** the analysis session the memo lives in *)
   ss_fps : Fingerprint.t;
-  ss_rebase : string * F.Loc.t -> F.Loc.t;
-      (** [Fingerprint.rebase ss_fps]: puts a summary's alarm locations
-          back onto the program *)
   ss_tbl : (C.Iterator.summary_key, C.Iterator.summary) Hashtbl.t;
       (** read from the store or computed this run *)
   mutable ss_new : (C.Iterator.summary_key * C.Iterator.summary) list;
@@ -142,7 +139,8 @@ let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
           ss.ss_hits <- ss.ss_hits + 1;
           Metrics.incr c_hits;
           if !Trace.enabled then Trace.emit "cache.hit" ~args:[ ("fn", Trace.S fname) ];
-          (C.Transfer.replay ~loc:ss.ss_rebase a fr ~entry s, Some (s, ss.ss_rebase))
+          let rebase = Fingerprint.rebase ss.ss_fps in
+          (C.Transfer.replay ~loc:rebase a fr ~entry s, Some (s, rebase))
       | None ->
           ss.ss_misses <- ss.ss_misses + 1;
           Metrics.incr c_misses;
@@ -167,7 +165,7 @@ let call (ss : session) (a : C.Transfer.actx) ~(fname : string)
                 ss.ss_new <- (key, s) :: ss.ss_new
               end)
             recorded;
-          (r, Option.map (fun s -> (s, ss.ss_rebase)) recorded))
+          (r, Option.map (fun s -> (s, Fingerprint.rebase ss.ss_fps)) recorded))
 
 (** Fingerprint the program, open the store under [Cache_dir] (its
     indexes only) and install the memo in the session.  Call before the
@@ -190,7 +188,6 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     {
       ss_ses = ses;
       ss_fps = fps;
-      ss_rebase = Fingerprint.rebase fps;
       ss_tbl = Hashtbl.create 1024;
       ss_new = [];
       ss_store = store;
