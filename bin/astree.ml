@@ -30,8 +30,8 @@ let print_json ?metrics ?interference (r : C.Analysis.result) : unit =
   print_string (Srv.Report.render ?metrics ?interference r ^ "\n")
 
 let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
-    unroll partitioned max_dt_bools useful_packs jobs cache_dir cache_mem
-    no_cache timeout max_mem connect retries no_fallback format
+    unroll partitioned max_dt_bools useful_packs jobs cache_dir no_cache
+    timeout max_mem connect retries no_fallback format
     dump_invariants dump_census slice_alarms profile trace_file metrics_file
     explain verbose =
   if files = [] then `Error (false, "no input files")
@@ -72,9 +72,7 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
           o_cache =
             (if no_cache then `Off
              else
-               match cache_dir with
-               | Some dir -> `Dir dir
-               | None -> if cache_mem then `Mem else `Default);
+               match cache_dir with Some dir -> `Dir dir | None -> `Default);
         }
       in
       let sources = List.map (fun f -> (f, read_file f)) files in
@@ -301,8 +299,7 @@ let cmd =
         $ Arg.(value & opt (list int) [] & info [ "useful-packs" ] ~doc:"Octagon pack ids to keep (Sect. 7.2.2)")
         $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Worker processes for the per-task runs of a multi-task program (0 = one per core); a single-task program is analyzed sequentially")
         $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc:"Persist function summaries in $(docv), reusing them across runs (results are unaffected)")
-        $ flag "cache-mem" "In-memory function-summary cache for this run only"
-        $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache) and $(b,--cache-mem)"
+        $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache)"
         $ Arg.(value & opt float 0. & info [ "timeout" ] ~docv:"SECS" ~doc:"Wall-clock budget for the analysis; on overrun, precision is shed soundly (degraded exit code 3) instead of aborting (0 = unbounded)")
         $ Arg.(value & opt int 0 & info [ "max-mem" ] ~docv:"MB" ~doc:"Major-heap watermark in MiB, with the same sound degradation as $(b,--timeout) (0 = unbounded)")
         $ Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCK" ~doc:"Delegate the analysis to the astreed daemon listening on $(docv) (warm caches); shed replies and connection failures are retried with backoff, then the analysis falls back in-process (exit code 4 with $(b,--no-fallback)); silently analyze in-process when no daemon was ever there")

@@ -177,7 +177,7 @@ let analyze ?session ?(prefill = false) ?(cfg = Config.default)
     let actx = Transfer.make_actx ~session cfg p in
     if
       prefill || Config.cache_enabled cfg
-      || Option.is_some session.Transfer.ses_memo
+      || Option.is_some session.Transfer.ses_keyed
     then Transfer.prefill_cells actx;
     analyze_prepared actx p
   in

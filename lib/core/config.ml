@@ -65,12 +65,11 @@ type t = {
           single-task analysis is sequential at every value *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
-      (** function-summary memoization: identical (callee fingerprint,
-          abstract entry state) pairs are analyzed once.  [Cache_mem]
-          keeps summaries for the duration of one analysis run,
-          [Cache_dir d] additionally persists them in directory [d]
-          across runs and processes.  Never affects analysis results,
-          only their cost — hence excluded from the config fingerprint *)
+      (** the call memo's keyed tier: [Cache_dir d] keeps function
+          summaries in directory [d], so identical (callee fingerprint,
+          framed entry state) pairs are analyzed once across runs and
+          processes.  Never affects analysis results, only their cost —
+          hence excluded from the config fingerprint *)
   (* ---- resource budget (Astree_robust) ------------------------------ *)
   timeout : float;
       (** wall-clock budget in seconds for the whole analysis; [0.] means
@@ -103,7 +102,7 @@ type t = {
           outer-fixpoint rounds *)
 }
 
-and cache = Cache_off | Cache_mem | Cache_dir of string
+and cache = Cache_off | Cache_dir of string
 
 let default : t =
   {

@@ -53,9 +53,9 @@ type t = {
           program; a single-task analysis is sequential at every value *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
-      (** function-summary memoization: [Cache_mem] within one run,
-          [Cache_dir d] persisted in [d] across runs; never affects
-          results, only their cost *)
+      (** the call memo's keyed tier: [Cache_dir d] keeps function
+          summaries in [d] across runs; never affects results, only
+          their cost.  The loops' call slots need no cache *)
   (* ---- resource budget (Astree_robust) ------------------------------ *)
   timeout : float;   (** wall-clock budget in seconds; [0.] = unbounded *)
   max_mem_mb : int;  (** major-heap watermark in MiB; [0] = unbounded *)
@@ -73,7 +73,7 @@ type t = {
           summaries self-identify their interference round *)
 }
 
-and cache = Cache_off | Cache_mem | Cache_dir of string
+and cache = Cache_off | Cache_dir of string
 
 (** All domains and strategies on — the fully refined analyzer. *)
 val default : t
@@ -89,5 +89,5 @@ val intervals_only : t
 (** Unrolling factor for a given loop id. *)
 val unroll_for : t -> int -> int
 
-(** Whether any summary caching (in-memory or persistent) is on. *)
+(** Whether the summary store is on. *)
 val cache_enabled : t -> bool

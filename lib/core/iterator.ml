@@ -76,51 +76,19 @@ let cap_partitions (a : Transfer.actx) (sts : Astate.t list) : Astate.t list =
     let keep, over = split (maxp - 1) [] sts in
     keep @ [ join_states over ]
 
-(* ------------------------------------------------------------------ *)
-(* Function-summary cache hook (Astree_incremental)                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Context-sensitive polyvariant inlining (Sect. 5.4) re-analyzes a
-   callee for every call context; the summary cache pays for each
-   distinct (callee, entry state restricted to the callee's frame) pair
-   once.  The iterator stays storage-agnostic: the incremental
-   subsystem installs the session's memo, which wraps the analysis of
-   a call body — no entailment shortcut, so a hit is equivalent to
-   re-analysis by construction. *)
-
-type summary = Transfer.summary = {
-  sm_exit : Astate.t;
-  sm_retv : D.Itv.t;
-  sm_alarms : (string * Alarm.t) list;
-  sm_invariants : (int * Astate.t) list;
-  sm_oct_useful : int list;
-  sm_joins : int;
-  sm_itf_writes : (int * D.Itv.t) list;
-}
-
+(** The keyed tier's key, re-exported where the store's readers have
+    always found its fields. *)
 type summary_key = Transfer.summary_key = {
   sk_fn : string;
   sk_entry : string;
   sk_checking : bool;
 }
 
-type call_memo = Transfer.call_memo = {
-  cm_names : Frame.names;
-  cm_want : string -> bool;
-  cm_call :
-    Transfer.actx ->
-    fname:string ->
-    Transfer.binds ->
-    Astate.t ->
-    (unit -> Astate.t * D.Itv.t) ->
-    (Astate.t * D.Itv.t) * (summary * (string * F.Loc.t -> F.Loc.t)) option;
-}
-
 (** Minimal transitive inlined statement count of a callee before
-    memoization is worth a key: the digest of the entry state
-    restricted to the callee's frame, the lookup and, on a miss, the
-    capture (DESIGN.md §8).  Memoizing tiny helpers is a net loss; only
-    callees whose re-analysis (including everything they inline)
+    the call memo's keyed tier is worth a key: the digest of the entry
+    state restricted to the callee's frame, the lookup and, on a miss,
+    the capture (DESIGN.md §8).  Keying tiny helpers is a net loss;
+    only callees whose re-analysis (including everything they inline)
     dwarfs that cost deserve a summary. *)
 let memo_min_stmts = ref 30
 
@@ -130,7 +98,7 @@ let memo_min_stmts = ref 30
 
 (* The resource governor (Astree_robust.Budget) needs a periodic check
    point inside the fixpoint engine without the core depending on it, so
-   — like the memo hook — it installs a session hook.  The
+   — like the call memo's keyed tier — it installs a session hook.  The
    hook is only consulted every 256 abstract statements: the common path
    is one increment, one land and one branch. *)
 
@@ -172,6 +140,195 @@ let widen_state ~thresholds ~max_clock (inv : Astate.t) (next : Astate.t) :
   let r = Astate.widen ~thresholds ~max_clock inv next in
   Metrics.stop t_widen t0;
   r
+
+(* ------------------------------------------------------------------ *)
+(* The call memo (DESIGN.md §6, §8)                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Context-sensitive polyvariant inlining (Sect. 5.4) re-analyzes a
+   callee for every call context.  The call memo replays a call whose
+   input was seen before instead, through one capture-and-replay path
+   with two tiers:
+
+   - the exact tier, with loop lifetime: the enclosing loop's two slots
+     for this call site, compared exactly with the call's framed entry
+     (differential iteration, §6);
+   - the keyed tier, with cross-run lifetime: the summary store behind
+     [session.ses_keyed], for callees of at least [memo_min_stmts]
+     inlined statements, under a key that [Astree_incremental] computes
+     (§8).
+
+   A call is replayed from a slot, else from the keyed tier, else
+   computed in one capture section and recorded once; its summary then
+   goes to the slot and to the keyed tier.  There is no entailment
+   shortcut anywhere, so a replay is equivalent to re-analysis by
+   construction. *)
+
+let c_cache_hits = Metrics.counter "cache.hits"
+let c_cache_misses = Metrics.counter "cache.misses"
+
+(* Is [fname] big enough for the keyed tier? *)
+let wanted (a : Transfer.actx) (fname : string) : bool =
+  match Hashtbl.find_opt (Lazy.force a.Transfer.inlined) fname with
+  | Some n -> n >= !memo_min_stmts
+  | None -> false
+
+(* The call site [site] of the loop whose sites are [sites], and whether
+   its slots hold calls of [st]'s clock and this alarm mode.  The clock
+   is an input of every call and moves at almost every iterate until it
+   settles, so a site first compares the clock and mode with its
+   previous call's; when they differ, no slot can match and the slots
+   are dropped. *)
+let call_site (sites : Transfer.call_sites) (site : stmt) (st : Astate.t)
+    ~(checking : bool) : Transfer.call_site * bool =
+  let cs =
+    match Transfer.Stmt_tbl.find_opt sites site with
+    | Some cs -> cs
+    | None ->
+        let cs =
+          {
+            Transfer.cs_clock = D.Itv.Bot;
+            cs_checking = false;
+            cs_new = None;
+            cs_old = None;
+            cs_inner = lazy (Transfer.Stmt_tbl.create 8);
+          }
+        in
+        Transfer.Stmt_tbl.add sites site cs;
+        cs
+  in
+  let clock = st.Astate.clock in
+  if
+    Reldom.same_itv clock cs.Transfer.cs_clock
+    && checking = cs.Transfer.cs_checking
+  then (cs, true)
+  else begin
+    cs.Transfer.cs_clock <- clock;
+    cs.Transfer.cs_checking <- checking;
+    cs.Transfer.cs_new <- None;
+    cs.Transfer.cs_old <- None;
+    (cs, false)
+  end
+
+(* Replay the slot of [cs] whose framed entry and bindings are the
+   call's, the newer slot first; a match in the older one makes it the
+   newer, so the other one goes next. *)
+let replay_slot (a : Transfer.actx) (cs : Transfer.call_site) (fr : Frame.t)
+    (binds : Transfer.binds) (st : Astate.t) : (Astate.t * D.Itv.t) option =
+  let matches = function
+    | Some (sl : Transfer.call_slot) ->
+        (sl.Transfer.sl_binds == binds
+           || VarMap.equal (fun x y -> x == y || x = y) sl.Transfer.sl_binds binds)
+        && Frame.same_entry fr sl.Transfer.sl_entry st
+    | None -> false
+  in
+  let replay (sl : Transfer.call_slot) =
+    Metrics.incr c_calls_replayed;
+    Some (Transfer.replay a fr ~entry:st sl.Transfer.sl_summary)
+  in
+  let newer = cs.Transfer.cs_new and older = cs.Transfer.cs_old in
+  if matches newer then replay (Option.get newer)
+  else if matches older then begin
+    cs.Transfer.cs_old <- newer;
+    cs.Transfer.cs_new <- older;
+    replay (Option.get older)
+  end
+  else None
+
+(* Compute a call in a capture section and record its summary, with the
+   frame it is recorded in. *)
+let record_call (a : Transfer.actx) ~(fname : string) (binds : Transfer.binds)
+    (st : Astate.t) (compute : unit -> Astate.t * D.Itv.t) :
+    (Astate.t * D.Itv.t) * Frame.t * Transfer.summary option =
+  let cap = Transfer.capture_begin a in
+  let r =
+    try compute ()
+    with e ->
+      Transfer.capture_abort a cap;
+      raise e
+  in
+  let delta = Transfer.capture_end a cap in
+  (* the frame again: without names, the call may have numbered cells of
+     its own *)
+  let fr = Frame.of_call a.Transfer.frames ~fname binds in
+  (r, fr, Transfer.record a fr ~entry:st r delta)
+
+(** The call memo: the result of [compute ()], the analysis of the body
+    of a call to [fname] at [site] from the bound entry state [st], with
+    its side effects on [a] — replayed from the site's slots or from the
+    keyed tier, or computed and recorded. *)
+let exec_call_memo (a : Transfer.actx) ~(site : stmt) ~(fname : string)
+    (binds : Transfer.binds) (st : Astate.t)
+    (compute : unit -> Astate.t * D.Itv.t) : Astate.t * D.Itv.t =
+  let keyed =
+    match a.Transfer.session.Transfer.ses_keyed with
+    | Some k when wanted a fname -> Some k
+    | _ -> None
+  in
+  (* the site's slots when they can match; a computed call runs with the
+     call sites of its own callee's body *)
+  let slots, compute =
+    match a.Transfer.sites with
+    | None -> (None, compute)
+    | Some outer ->
+        let checking = a.Transfer.alarms.Alarm.enabled in
+        let cs, live = call_site (Lazy.force outer) site st ~checking in
+        let inside () =
+          a.Transfer.sites <- Some cs.Transfer.cs_inner;
+          match compute () with
+          | r ->
+              a.Transfer.sites <- Some outer;
+              r
+          | exception e ->
+              a.Transfer.sites <- Some outer;
+              raise e
+        in
+        ((if live then Some cs else None), inside)
+  in
+  if Option.is_none slots && Option.is_none keyed then compute ()
+  else
+    let fr = Frame.of_call a.Transfer.frames ~fname binds in
+    match Option.bind slots (fun cs -> replay_slot a cs fr binds st) with
+    | Some r -> r
+    | None ->
+        let key =
+          Option.bind keyed (fun k ->
+              Option.map
+                (fun key -> (k, key))
+                (k.Transfer.kt_key a ~fname fr binds st))
+        in
+        let found = Option.bind key (fun (k, key) -> k.Transfer.kt_find key) in
+        if Option.is_some key then begin
+          let hit = Option.is_some found in
+          Metrics.incr (if hit then c_cache_hits else c_cache_misses);
+          if !Trace.enabled then
+            Trace.emit
+              (if hit then "cache.hit" else "cache.miss")
+              ~args:[ ("fn", Trace.S fname) ]
+        end;
+        let r, fr, summary =
+          match (found, key, slots) with
+          | Some s, _, _ -> (Transfer.replay a fr ~entry:st s, fr, found)
+          | None, None, None -> (compute (), fr, None)
+          | None, _, _ ->
+              let r, fr, s = record_call a ~fname binds st compute in
+              (match (key, s) with
+              | Some (k, key), Some s -> k.Transfer.kt_add key s
+              | _ -> ());
+              (r, fr, s)
+        in
+        (match (slots, summary) with
+        | Some cs, Some s ->
+            cs.Transfer.cs_old <- cs.Transfer.cs_new;
+            cs.Transfer.cs_new <-
+              Some
+                {
+                  Transfer.sl_entry = Frame.entry fr st;
+                  sl_binds = binds;
+                  sl_summary = s;
+                }
+        | _ -> ());
+        r
 
 let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
     (binds : Transfer.binds) (sts : Astate.t list) (s : stmt) : outcome =
@@ -301,7 +458,7 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     (binds : Transfer.binds) (entry : Astate.t)
     ((li, c, body) : loop_info * expr * block) : outcome =
   (* the call sites of this loop's body, for its lifetime (differential
-     iteration, [exec_call_slots]) *)
+     iteration, [exec_call_memo]) *)
   let outer = a.Transfer.sites in
   a.Transfer.sites <- Some (Lazy.from_val (Transfer.Stmt_tbl.create 64));
   match exec_loop a ~stack binds entry (li, c, body) with
@@ -570,6 +727,7 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     Trace.emit "call.inline"
       ~args:
         [ ("fn", Trace.S fname); ("depth", Trace.I (List.length stack)) ];
+  let caller = stack in
   let stack = fname :: stack in
   let partitioned =
     List.mem fname a.Transfer.cfg.Config.partitioned_functions
@@ -591,6 +749,9 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
   let exit_env, retv =
     exec_call_body a ~stack ~site ~partitioned callee_binds st fname fd
   in
+  (* the callee's statements left their call chain in the collector; a
+     loop guard evaluated next belongs to the caller *)
+  a.Transfer.alarms.Alarm.chain <- caller;
   match (dst, retv) with
   | Some d, retv when not (D.Itv.is_bot retv) ->
       let id = Transfer.var_cell a d in
@@ -610,12 +771,11 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     traces at the return point.  This is the replayed region: the
     framed entry state, the by-reference bindings and the alarm mode
     determine the result completely (the destination write-back happens
-    in the caller's scope, outside).  On a replay — from the enclosing
-    loop's slot for this call site, or from the summary cache — the
-    frame part of the recorded exit state is laid over the entry state
-    and the recorded side effects — alarms, loop invariants, useful
-    octagon packs, join count — are replayed, so a replay is
-    observationally identical to re-analysis. *)
+    in the caller's scope, outside).  On a replay by the call memo
+    ({!exec_call_memo}) the frame part of the recorded exit state is
+    laid over the entry state and the recorded side effects — alarms,
+    loop invariants, useful octagon packs, join count — are replayed,
+    so a replay is observationally identical to re-analysis. *)
 and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     ~(partitioned : bool) (callee_binds : Transfer.binds) (st : Astate.t)
     (fname : string) (fd : fundef) : Astate.t * D.Itv.t =
@@ -640,144 +800,7 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     in
     (exit_env, retv)
   in
-  let memo =
-    match a.Transfer.session.Transfer.ses_memo with
-    | Some m when m.cm_want fname -> Some m
-    | _ -> None
-  in
-  match (a.Transfer.sites, memo) with
-  | None, None -> compute ()
-  | None, Some m -> fst (m.cm_call a ~fname callee_binds st compute)
-  | Some sites, _ ->
-      exec_call_slots a sites ~site ~fname ?memo callee_binds st compute
-
-(* Differential iteration (DESIGN.md §6): a call under a loop whose
-   framed entry is exactly that of one of the last two calls recorded at
-   this call site — same frame cells and packs bit for bit, same clock,
-   bindings and alarm mode — replays it, through the same record and
-   replay path as the summary cache.  The clock is an input of every
-   call and moves at almost every iterate until it settles, so the site
-   first compares the clock and mode with its previous call's: when
-   they differ, the slots are dropped and the call is computed without
-   a record, at the cost of that comparison; when they are the same,
-   the call is compared with the slots and, on a miss, computed and
-   recorded over the older slot.  A memoized callee's summary comes from
-   the summary cache, which replays or records one anyway; any other
-   callee is computed in a capture section and recorded here.  Either
-   way its callee's call sites are the current ones.  The slots die with
-   the loop. *)
-and exec_call_slots (a : Transfer.actx) (outer : Transfer.call_sites Lazy.t)
-    ~(site : stmt) ~(fname : string) ?(memo : call_memo option)
-    (binds : Transfer.binds) (st : Astate.t)
-    (compute : unit -> Astate.t * D.Itv.t) : Astate.t * D.Itv.t =
-  let clock = st.Astate.clock in
-  let sites = Lazy.force outer in
-  let cs =
-    match Transfer.Stmt_tbl.find_opt sites site with
-    | Some cs -> cs
-    | None ->
-        let cs =
-          {
-            Transfer.cs_clock = D.Itv.Bot;
-            cs_checking = false;
-            cs_new = None;
-            cs_old = None;
-            cs_inner = lazy (Transfer.Stmt_tbl.create 8);
-          }
-        in
-        Transfer.Stmt_tbl.add sites site cs;
-        cs
-  in
-  let inside f =
-    a.Transfer.sites <- Some cs.Transfer.cs_inner;
-    match f () with
-    | r ->
-        a.Transfer.sites <- Some outer;
-        r
-    | exception e ->
-        a.Transfer.sites <- Some outer;
-        raise e
-  in
-  (* the call, with the summary the cache replayed or recorded; a callee
-     the cache does not memoize is captured and recorded here, with
-     absolute alarm locations, when [record] *)
-  let call ~record () =
-    match memo with
-    | Some m -> m.cm_call a ~fname binds st compute
-    | None when not record -> (compute (), None)
-    | None ->
-        let cap = Transfer.capture_begin a in
-        let r =
-          try compute ()
-          with e ->
-            Transfer.capture_abort a cap;
-            raise e
-        in
-        let delta = Transfer.capture_end a cap in
-        (* the frame again: the call may have numbered cells of its own *)
-        let fr = Frame.of_call a.Transfer.frames ~fname binds in
-        ( r,
-          Option.map
-            (fun s -> (s, snd))
-            (Transfer.record ~loc:(fun l -> ("", l)) a fr ~entry:st r delta) )
-  in
-  let checking = a.Transfer.alarms.Alarm.enabled in
-  if
-    not
-      (Reldom.same_itv clock cs.Transfer.cs_clock
-      && checking = cs.Transfer.cs_checking)
-  then begin
-    cs.Transfer.cs_clock <- clock;
-    cs.Transfer.cs_checking <- checking;
-    cs.Transfer.cs_new <- None;
-    cs.Transfer.cs_old <- None;
-    fst (inside (call ~record:false))
-  end
-  else begin
-    let fr = Frame.of_call a.Transfer.frames ~fname binds in
-    let matches = function
-      | Some (sl : Transfer.call_slot) ->
-          (sl.Transfer.sl_binds == binds
-             || VarMap.equal (fun x y -> x == y || x = y) sl.Transfer.sl_binds binds)
-          && Frame.same_entry fr sl.Transfer.sl_entry st
-      | None -> false
-    in
-    let replay (sl : Transfer.call_slot) =
-      Metrics.incr c_calls_replayed;
-      let r =
-        Transfer.replay ~loc:sl.Transfer.sl_loc a fr ~entry:st
-          sl.Transfer.sl_summary
-      in
-      a.Transfer.alarms.Alarm.chain <- sl.Transfer.sl_chain;
-      r
-    in
-    let newer = cs.Transfer.cs_new and older = cs.Transfer.cs_old in
-    if matches newer then replay (Option.get newer)
-    else if matches older then begin
-      (* the older slot is now the newer: the other one goes next *)
-      cs.Transfer.cs_old <- newer;
-      cs.Transfer.cs_new <- older;
-      replay (Option.get older)
-    end
-    else begin
-      let r, recorded = inside (call ~record:true) in
-      (match recorded with
-      | Some (summary, loc) ->
-          let fr = Frame.of_call a.Transfer.frames ~fname binds in
-          cs.Transfer.cs_old <- newer;
-          cs.Transfer.cs_new <-
-            Some
-              {
-                Transfer.sl_entry = Frame.entry fr st;
-                sl_binds = binds;
-                sl_summary = summary;
-                sl_loc = loc;
-                sl_chain = a.Transfer.alarms.Alarm.chain;
-              }
-      | None -> ());
-      r
-    end
-  end
+  exec_call_memo a ~site ~fname callee_binds st compute
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program analysis                                              *)

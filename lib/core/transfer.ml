@@ -30,14 +30,12 @@ end)
 (* Session types (reentrancy seam)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The iterator's extension hooks — the function-summary memo and the
+(* The iterator's extension hooks — the call memo's keyed tier and the
    resource-governor tick — used to be module-global refs, which made
    [Analysis] a process, not a value: two concurrent analyses with
    different options would clobber each other's hooks.  They now live in a per-analysis {!session} record
    carried by the context, so a resident server can run requests with
-   different configurations without any shared mutable state.  The
-   types below are pure data over [Astate]/[Alarm] and are re-exported
-   (with equations) by [Iterator], their historical home. *)
+   different configurations without any shared mutable state. *)
 
 (** A shared cell of the multi-task interference analysis, identified
     position-independently (root variable id + access path) so keys
@@ -104,7 +102,8 @@ type summary = {
   sm_alarms : (string * Alarm.t) list;
       (** each alarm with the function its location is relative to
           (line offset from that function's definition; [""] when the
-          location is absolute) *)
+          location is absolute, as in every summary the iterator holds:
+          only the store keeps them relative) *)
   sm_invariants : (int * Astate.t) list;
       (** frame loop position, frame part of the loop's invariant *)
   sm_oct_useful : int list;  (** frame octagon-pack positions *)
@@ -124,29 +123,21 @@ type summary_key = {
   sk_checking : bool;
 }
 
-(** The summary cache as the iterator sees it: a gate, and a wrapper
-    around the analysis of one call body that either replays a summary
-    or runs the body (and records one). *)
-type call_memo = {
-  cm_names : Frame.names;
+(** The keyed tier of the call memo as the iterator sees it
+    ([Iterator.exec_call_memo], DESIGN.md §8): summaries under a key
+    that only [Astree_incremental] can compute, found in and added to
+    its store.  Summaries cross this seam with absolute alarm
+    locations; the store keeps them relative. *)
+type keyed = {
+  kt_names : Frame.names;
       (** the program-stable names the context's frames are built with,
           so that the loops' call slots and the store share frames *)
-  cm_want : string -> bool;
-      (** gate: is this callee worth memoizing at all?  Computed once
-          per session from the transitive inlined size of each function
-          against [Iterator.memo_min_stmts] *)
-  cm_call :
-    actx ->
-    fname:string ->
-    binds ->
-    Astate.t ->
-    (unit -> Astate.t * D.Itv.t) ->
-    (Astate.t * D.Itv.t) * (summary * (string * F.Loc.t -> F.Loc.t)) option;
-      (** [cm_call a ~fname binds entry body]: the result of [body ()]
-          from the bound entry state, with its side effects on [a], and
-          the summary it replayed or recorded, with the map that puts its
-          alarm locations back onto the program (a loop's call slot
-          keeps both) *)
+  kt_key :
+    actx -> fname:string -> Frame.t -> binds -> Astate.t -> summary_key option;
+      (** the key of a call from a bound entry state, with the call's
+          frame; [None] when the callee cannot be keyed *)
+  kt_find : summary_key -> summary option;
+  kt_add : summary_key -> summary -> unit;
 }
 
 (** Per-analysis session: every hook and piece of cross-cutting mutable
@@ -155,8 +146,8 @@ type call_memo = {
     corrupt each other.  Created by [new_session] (or implicitly by
     [Analysis.analyze]) and carried by the context. *)
 and session = {
-  mutable ses_memo : call_memo option;
-      (** function-summary memo, installed by [Astree_incremental] *)
+  mutable ses_keyed : keyed option;
+      (** the call memo's keyed tier, installed by [Astree_incremental] *)
   mutable ses_tick_hook : (unit -> unit) option;
       (** consulted every 256 abstract statements (resource governor) *)
   mutable ses_ticks : int;
@@ -176,15 +167,12 @@ and session = {
 and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
 
 (** One computed call as a loop's call site keeps it (DESIGN.md §6):
-    its framed entry, the by-reference bindings, its summary with the
-    map of its alarm locations, and the alarm call chain it left.  Its
+    its framed entry, the by-reference bindings and its summary.  Its
     clock and alarm mode are the site's. *)
 and call_slot = {
   sl_entry : Frame.entry;
   sl_binds : binds;
   sl_summary : summary;
-  sl_loc : string * F.Loc.t -> F.Loc.t;
-  sl_chain : string list;
 }
 
 (** A call statement under one loop and one inlining stack: the clock
@@ -224,16 +212,50 @@ and actx = {
   mutable captures : int;  (** open capture sections *)
   mutable sites : call_sites Lazy.t option;
       (** the call sites of the innermost loop body being analyzed *)
+  inlined : (string, int) Hashtbl.t Lazy.t;
+      (** transitive inlined size of each function ([inlined_sizes]) *)
 }
 
 let new_session () : session =
   {
-    ses_memo = None;
+    ses_keyed = None;
     ses_tick_hook = None;
     ses_ticks = 0;
     ses_live = None;
     ses_itf = None;
   }
+
+(** Transitive inlined size of each function: own statements plus the
+    inlined statements of every (acyclic) callee.  This, not the local
+    body size, is what a replay saves: a thin wrapper around a deep call
+    tree is an excellent memoization point, a large leaf called with a
+    tiny environment a poor one.  Back edges contribute 0 (recursive
+    functions are uncacheable anyway: no fingerprint). *)
+let inlined_sizes (funs : (string, fundef) Hashtbl.t) (p : program) :
+    (string, int) Hashtbl.t =
+  let sizes : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let rec size stack fn =
+    match Hashtbl.find_opt sizes fn with
+    | Some n -> n
+    | None -> (
+        match Hashtbl.find_opt funs fn with
+        | None -> 0
+        | Some fd ->
+            if List.mem fn stack then 0
+            else begin
+              let n = ref (block_size fd.fd_body) in
+              iter_stmts
+                (fun s ->
+                  match s.sdesc with
+                  | Scall (_, callee, _) -> n := !n + size (fn :: stack) callee
+                  | _ -> ())
+                fd.fd_body;
+              Hashtbl.replace sizes fn !n;
+              !n
+            end)
+  in
+  List.iter (fun (fn, _) -> ignore (size [] fn)) p.p_funs;
+  sizes
 
 let make_actx ?session (cfg : Config.t) (p : program) : actx =
   let packs = Packing.compute cfg p in
@@ -244,7 +266,7 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     p.p_inputs;
   let funs = F.Tast.fun_table p in
   let session = match session with Some s -> s | None -> new_session () in
-  let names = Option.map (fun m -> m.cm_names) session.ses_memo in
+  let names = Option.map (fun k -> k.kt_names) session.ses_keyed in
   let intern = Cell.make_interner ~vars:(F.Tast.var_id_bound p) in
   {
     prog = p;
@@ -263,6 +285,7 @@ let make_actx ?session (cfg : Config.t) (p : program) : actx =
     journal_len = 0;
     captures = 0;
     sites = None;
+    inlined = lazy (inlined_sizes funs p);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1432,25 +1455,19 @@ let capture_replay (a : actx) (d : capture_delta) : unit =
 (* ------------------------------------------------------------------ *)
 
 (** The summary of a computed call: the exit state and the captured
-    side effects, in the coordinates of [fr]; alarm locations mapped by
-    [loc].  [None] when an effect falls outside the frame, which the
-    frame's construction rules out; such a call is simply not
+    side effects, in the coordinates of [fr], alarms at their absolute
+    locations.  [None] when an effect falls outside the frame, which
+    the frame's construction rules out; such a call is simply not
     replayed. *)
-let record ~(loc : F.Loc.t -> string * F.Loc.t) (a : actx) (fr : Frame.t)
-    ~(entry : Astate.t) ((exit_, retv) : Astate.t * D.Itv.t)
-    (d : capture_delta) : summary option =
+let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
+    ((exit_, retv) : Astate.t * D.Itv.t) (d : capture_delta) : summary option =
   let get = function Some i -> i | None -> raise Exit in
   try
     Some
       {
         sm_exit = Frame.restrict fr ~entry exit_;
         sm_retv = retv;
-        sm_alarms =
-          List.map
-            (fun (al : Alarm.t) ->
-              let owner, l = loc al.Alarm.a_loc in
-              (owner, { al with Alarm.a_loc = l }))
-            d.cd_alarms;
+        sm_alarms = List.map (fun al -> ("", al)) d.cd_alarms;
         sm_invariants =
           List.map
             (fun (id, inv) ->
@@ -1469,15 +1486,11 @@ let record ~(loc : F.Loc.t -> string * F.Loc.t) (a : actx) (fr : Frame.t)
 
 (** Replay a summary against the bound entry state [entry]: the exit
     state, with every recorded side effect applied to the context. *)
-let replay ~(loc : string * F.Loc.t -> F.Loc.t) (a : actx) (fr : Frame.t)
-    ~(entry : Astate.t) (s : summary) : Astate.t * D.Itv.t =
+let replay (a : actx) (fr : Frame.t) ~(entry : Astate.t) (s : summary) :
+    Astate.t * D.Itv.t =
   capture_replay a
     {
-      cd_alarms =
-        List.map
-          (fun (owner, (al : Alarm.t)) ->
-            { al with Alarm.a_loc = loc (owner, al.Alarm.a_loc) })
-          s.sm_alarms;
+      cd_alarms = List.map snd s.sm_alarms;
       cd_invariants =
         List.map
           (fun (i, inv) -> (Frame.loop_at fr i, Frame.overlay fr inv entry))

@@ -29,12 +29,10 @@ module Stmt_tbl : Hashtbl.S with type key = F.Tast.stmt
 
 (** {1 Session types (reentrancy seam)}
 
-    The iterator's extension hooks — function-summary memo and
-    resource-governor tick — live in a per-analysis {!session} record
-    rather than module-global refs, so concurrent analyses in one
-    process (the [astreed] daemon) cannot corrupt each other.  The data
-    types are re-exported with equations by [Iterator], their historical
-    home. *)
+    The iterator's extension hooks — the call memo's keyed tier and
+    the resource-governor tick — live in a per-analysis {!session}
+    record rather than module-global refs, so concurrent analyses in
+    one process (the [astreed] daemon) cannot corrupt each other. *)
 
 (** {1 Multi-task interference (Astree_conc seam)} *)
 
@@ -90,7 +88,8 @@ type summary = {
   sm_alarms : (string * Alarm.t) list;
       (** each alarm with the function its location is relative to
           (line offset from that function's definition; [""] when the
-          location is absolute) *)
+          location is absolute, as in every summary the iterator holds:
+          only the store keeps them relative) *)
   sm_invariants : (int * Astate.t) list;
       (** frame loop position, frame part of the loop's invariant *)
   sm_oct_useful : int list;  (** frame octagon-pack positions *)
@@ -109,31 +108,28 @@ type summary_key = {
   sk_checking : bool;
 }
 
-(** The summary cache as the iterator sees it. *)
-type call_memo = {
-  cm_names : Frame.names;
+(** The keyed tier of the call memo ([Iterator.exec_call_memo]): the
+    summaries of calls under a key that only [Astree_incremental] can
+    compute, found in and added to its store.  Summaries cross this
+    seam with absolute alarm locations. *)
+type keyed = {
+  kt_names : Frame.names;
       (** the program-stable names the context's frames are built with,
           so that the loops' call slots and the store share frames *)
-  cm_want : string -> bool;
-      (** is this callee worth memoizing at all? *)
-  cm_call :
-    actx ->
-    fname:string ->
-    binds ->
-    Astate.t ->
-    (unit -> Astate.t * D.Itv.t) ->
-    (Astate.t * D.Itv.t) * (summary * (string * F.Loc.t -> F.Loc.t)) option;
-      (** [cm_call a ~fname binds entry body]: the result of [body ()]
-          from the bound entry state, with its side effects on [a] —
-          replayed from a summary or computed (and recorded) — and that
-          summary with the map of its alarm locations *)
+  kt_key :
+    actx -> fname:string -> Frame.t -> binds -> Astate.t -> summary_key option;
+      (** [kt_key a ~fname fr binds entry]: the key of a call from the
+          bound entry state, [fr] its frame; [None] when the callee
+          cannot be keyed *)
+  kt_find : summary_key -> summary option;
+  kt_add : summary_key -> summary -> unit;
 }
 
 (** Per-analysis session: the hooks and cross-cutting mutable state of
     one analysis run.  Sessions make [Analysis] reentrant: the daemon
     creates one per request. *)
 and session = {
-  mutable ses_memo : call_memo option;
+  mutable ses_keyed : keyed option;
   mutable ses_tick_hook : (unit -> unit) option;
   mutable ses_ticks : int;
   mutable ses_live : actx option;
@@ -149,15 +145,12 @@ and session = {
 and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
 
 (** One computed call as a loop's call site keeps it ([Iterator],
-    DESIGN.md §6): its framed entry, by-reference bindings, summary with
-    the map of its alarm locations, and the alarm call chain it left.
+    DESIGN.md §6): its framed entry, by-reference bindings and summary.
     Its clock and alarm mode are the site's. *)
 and call_slot = {
   sl_entry : Frame.entry;
   sl_binds : binds;
   sl_summary : summary;
-  sl_loc : string * F.Loc.t -> F.Loc.t;
-  sl_chain : string list;
 }
 
 (** A call statement under one loop and one inlining stack: the clock
@@ -197,6 +190,10 @@ and actx = {
   mutable captures : int;  (** open capture sections *)
   mutable sites : call_sites Lazy.t option;
       (** the call sites of the innermost loop body being analyzed *)
+  inlined : (string, int) Hashtbl.t Lazy.t;
+      (** transitive inlined size of each function: own statements plus
+          the inlined statements of every acyclic callee, what a replayed
+          call saves *)
 }
 
 (** Fresh session with no hooks installed. *)
@@ -283,12 +280,12 @@ val initial_state : actx -> Astate.t
     one cell numbering. *)
 val prefill_cells : actx -> unit
 
-(** {1 Incremental-analysis support}
+(** {1 Call memo support}
 
     Capture sections isolate the exact side effects of one function call
     on the context's mutable bookkeeping (alarms, loop invariants,
-    useful octagon packs, join count), so the summary cache can store
-    them with the call's result and replay them verbatim on a hit. *)
+    useful octagon packs, join count), so the call memo can keep them
+    with the call's result and replay them verbatim. *)
 
 type capture
 
@@ -302,16 +299,11 @@ val capture_end : actx -> capture -> capture_delta
     writes are preserved). *)
 val capture_abort : actx -> capture -> unit
 
-(** Replay a delta against the context — the cache-hit path. *)
-val capture_replay : actx -> capture_delta -> unit
-
 (** The summary of a computed call from [entry]: its result and side
-    effects in the coordinates of the call's frame, each alarm location
-    mapped by [loc] to the function it is relative to and the relative
-    location.  [None] when an effect falls outside the frame, which the
-    frame's construction rules out. *)
+    effects in the coordinates of the call's frame, alarms at their
+    absolute locations.  [None] when an effect falls outside the frame,
+    which the frame's construction rules out. *)
 val record :
-  loc:(F.Loc.t -> string * F.Loc.t) ->
   actx ->
   Frame.t ->
   entry:Astate.t ->
@@ -321,11 +313,6 @@ val record :
 
 (** Replay a summary from the bound entry state [entry]: the exit state
     and return value, with every recorded side effect applied to the
-    context; [loc] maps alarm locations back. *)
+    context. *)
 val replay :
-  loc:(string * F.Loc.t -> F.Loc.t) ->
-  actx ->
-  Frame.t ->
-  entry:Astate.t ->
-  summary ->
-  Astate.t * D.Itv.t
+  actx -> Frame.t -> entry:Astate.t -> summary -> Astate.t * D.Itv.t

@@ -1,33 +1,16 @@
-(** Summary frames (DESIGN.md §8): {!Astree_core.Frame} with
-    program-stable names, and the entry digest that keys the store. *)
+(** Summary frames (DESIGN.md §8): the program-stable names
+    {!Astree_core.Frame} is built with when the keyed tier is
+    installed, and the entry digest that keys the store. *)
 
 module F = Astree_frontend
 module C = Astree_core
 open F.Tast
-
-type t = C.Frame.t
-type ctx = { cx_frames : C.Frame.ctx; cx_fps : Fingerprint.t }
 
 let names (fps : Fingerprint.t) : C.Frame.names =
   {
     C.Frame.var_name = Fingerprint.var_name fps;
     loop_name = Fingerprint.loop_name fps;
   }
-
-let ctx (fps : Fingerprint.t) (a : C.Transfer.actx) : ctx =
-  {
-    cx_frames =
-      C.Frame.ctx ~names:(names fps) a.C.Transfer.prog a.C.Transfer.funs
-        a.C.Transfer.cfg a.C.Transfer.packs a.C.Transfer.intern;
-    cx_fps = fps;
-  }
-
-let of_actx (fps : Fingerprint.t) (a : C.Transfer.actx) : ctx =
-  if C.Frame.names a.C.Transfer.frames = None then ctx fps a
-  else { cx_frames = a.C.Transfer.frames; cx_fps = fps }
-
-let of_call (cx : ctx) = C.Frame.of_call cx.cx_frames
-let whole (cx : ctx) = C.Frame.whole cx.cx_frames
 
 let add_avalue buf (c : C.Avalue.t) =
   let { Astree_domains.Clocked.v; vminus; vplus } = c in
@@ -41,9 +24,8 @@ let add_avalue buf (c : C.Avalue.t) =
     lvalue by variable names with its relative locations — a bound
     lvalue is the caller's own expression, and an alarm raised while the
     callee evaluates it carries the caller's location. *)
-let entry_digest (cx : ctx) (fr : t) (st : C.Astate.t)
+let entry_digest (fps : Fingerprint.t) (fr : C.Frame.t) (st : C.Astate.t)
     (binds : C.Transfer.binds) : string =
-  let fps = cx.cx_fps in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (C.Frame.id fr);
   Buffer.add_char buf (if st.C.Astate.bot then '1' else '0');

@@ -35,8 +35,8 @@ module Faultsim = Astree_robust.Faultsim
 let magic = "astree-summary-store v8\n"
 let suffix = ".sums"
 
-type key = C.Iterator.summary_key
-type entries = (key * C.Iterator.summary) list
+type key = C.Transfer.summary_key
+type entries = (key * C.Transfer.summary) list
 
 (* key, offset, length, MD5 of the marshalled summary *)
 type slot = key * int * int * Digest.t
@@ -144,7 +144,7 @@ let mem (st : t) (k : key) = Hashtbl.mem st.st_index k
 let loaded (st : t) = st.st_loaded
 let keys (st : t) = Hashtbl.fold (fun k _ acc -> k :: acc) st.st_index []
 
-let find (st : t) (k : key) : C.Iterator.summary option =
+let find (st : t) (k : key) : C.Transfer.summary option =
   match Hashtbl.find_opt st.st_index k with
   | None -> None
   | Some (file, off, len, md5) -> (
@@ -160,7 +160,7 @@ let find (st : t) (k : key) : C.Iterator.summary option =
         seek_in ic off;
         let bytes = really_input_string ic len in
         if Digest.string bytes <> md5 then failwith "digest mismatch";
-        let s = (Marshal.from_string bytes 0 : C.Iterator.summary) in
+        let s = (Marshal.from_string bytes 0 : C.Transfer.summary) in
         st.st_loaded <- st.st_loaded + 1;
         Some s
       with Sys_error _ | End_of_file | Failure _ | Invalid_argument _ ->
@@ -200,7 +200,7 @@ let save ~(dir : string) (entries : entries) : unit =
       Buffer.add_string body magic;
       let slots =
         List.map
-          (fun (k, (s : C.Iterator.summary)) ->
+          (fun (k, (s : C.Transfer.summary)) ->
             (* sharing-preserving marshal: a summary's states share
                structure, and expanding it would blow the file up *)
             let bytes = Marshal.to_string s [] in

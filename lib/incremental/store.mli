@@ -17,16 +17,16 @@ val open_ : dir:string -> t
     later {!open_} would index. *)
 val count : dir:string -> int
 
-val mem : t -> Astree_core.Iterator.summary_key -> bool
+val mem : t -> Astree_core.Transfer.summary_key -> bool
 
 (** The summary stored under a key, read from its file now; [None] when
     absent or when its bytes fail their digest (the key is then
     forgotten). *)
 val find :
-  t -> Astree_core.Iterator.summary_key -> Astree_core.Iterator.summary option
+  t -> Astree_core.Transfer.summary_key -> Astree_core.Transfer.summary option
 
 (** Every key the opened files hold. *)
-val keys : t -> Astree_core.Iterator.summary_key list
+val keys : t -> Astree_core.Transfer.summary_key list
 
 (** Summaries {!find} has read so far. *)
 val loaded : t -> int
@@ -41,5 +41,5 @@ val close : t -> unit
     Failures warn and leave the directory as it was. *)
 val save :
   dir:string ->
-  (Astree_core.Iterator.summary_key * Astree_core.Iterator.summary) list ->
+  (Astree_core.Transfer.summary_key * Astree_core.Transfer.summary) list ->
   unit

@@ -1,11 +1,11 @@
-(** Function-summary cache: exact-key memoization of polyvariant call
-    analyses, with optional cross-run persistence ({!Store}).  Keys are
-    (callee fingerprint with position-relative source locations, digest
-    of the entry state restricted to the call's {!Frame} with the
-    by-reference bindings, checking mode) — equality of keys proves a
-    hit equivalent to re-analysis.  Summaries are in frame coordinates,
-    so they replay in any program or revision with the same callee and
-    frame. *)
+(** The call memo's keyed tier: exact-key summaries of polyvariant call
+    analyses, persisted across runs in a {!Store}.  Keys are (callee
+    fingerprint with position-relative source locations, digest of the
+    entry state restricted to the call's frame with the by-reference
+    bindings, checking mode) — equality of keys proves a hit equivalent
+    to re-analysis.  Summaries are in frame coordinates, and the store
+    keeps their alarm locations relative to their functions, so they
+    replay in any program or revision with the same callee and frame. *)
 
 module F = Astree_frontend
 module C = Astree_core
@@ -15,23 +15,13 @@ module C = Astree_core
     processes, runs and renumberings. *)
 val entry_digest : C.Transfer.actx -> C.Astate.t -> string
 
-(** A live cache session: the fingerprints, the table, the opened store
-    and the run's counters. *)
-type session
-
-(** Fingerprint the program, open the on-disk store under [Cache_dir]
-    (indexes only: a summary is read when its key is looked up) and
-    install the memo via the session's [ses_memo]. *)
-val attach :
-  C.Transfer.session -> C.Config.t -> F.Tast.program -> session
-
-(** Uninstall the memo, publishing the summaries the run computed under
-    [Cache_dir] unless [save:false] — a run that computed none writes
-    nothing.  Returns the run's cache counters. *)
-val detach : ?save:bool -> C.Config.t -> session -> C.Analysis.cache_stats
-
-(** The [Analysis.cache_driver] implementation: attach, run, detach,
-    and fill [s_cache] in the result's statistics. *)
+(** The [Analysis.cache_driver] implementation: fingerprint the program,
+    open the store under [Cache_dir] (indexes only: a summary is read
+    when its key is looked up), install the keyed tier in the session
+    ([ses_keyed]), run, then uninstall it and publish the summaries the
+    run computed — a run that computed none writes nothing, and a failed
+    run nothing at all — and fill [s_cache] in the result's
+    statistics. *)
 val driver :
   C.Transfer.session ->
   C.Config.t ->

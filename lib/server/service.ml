@@ -21,7 +21,7 @@ type options = {
   o_jobs : int;
   o_timeout : float;
   o_max_mem : int;
-  o_cache : [ `Default | `Off | `Mem | `Dir of string ];
+  o_cache : [ `Default | `Off | `Dir of string ];
 }
 
 let default_options : options =
@@ -69,7 +69,6 @@ let options_to_json (o : options) : Json.t =
   (match o.o_cache with
   | `Default -> ()
   | `Off -> put "cache" (Json.Str "off")
-  | `Mem -> put "cache" (Json.Str "mem")
   | `Dir dir -> put "cache" (Json.Obj [ ("dir", Json.Str dir) ]));
   Json.Obj (List.rev !members)
 
@@ -91,7 +90,6 @@ let options_of_json (j : Json.t) : options =
   let cache =
     match Json.member "cache" j with
     | Json.Str "off" -> `Off
-    | Json.Str "mem" -> `Mem
     | Json.Obj _ as o -> (
         match Json.to_str (Json.member "dir" o) with
         | Some dir -> `Dir dir
@@ -119,7 +117,6 @@ let config_of (o : options) ~(sources : (string * string) list) : C.Config.t =
   let summary_cache =
     match o.o_cache with
     | `Off | `Default -> C.Config.Cache_off
-    | `Mem -> C.Config.Cache_mem
     | `Dir dir -> C.Config.Cache_dir dir
   in
   let cfg =

@@ -30,7 +30,7 @@ type options = {
   o_jobs : int;  (** [0] = one worker per core, resolved server-side *)
   o_timeout : float;
   o_max_mem : int;
-  o_cache : [ `Default | `Off | `Mem | `Dir of string ];
+  o_cache : [ `Default | `Off | `Dir of string ];
 }
 
 val default_options : options
@@ -39,7 +39,9 @@ val options_to_json : options -> Json.t
 (** Only non-default members are emitted, so requests stay small. *)
 
 val options_of_json : Json.t -> options
-(** Missing members keep their default; unknown members are ignored. *)
+(** Missing members keep their default; unknown members and values are
+    ignored (a ["cache"] of ["mem"], from older clients, reads as
+    [`Default]). *)
 
 val config_of : options -> sources:(string * string) list -> C.Config.t
 (** The flag-to-configuration mapping of the CLI, including the

@@ -1,9 +1,8 @@
 (* Incremental-subsystem tests: fingerprints are stable under
    whitespace/comment edits and invalidate through the callee closure
-   only; warm runs (in-memory and on-disk, sequential and parallel, on
-   the same program and on edited copies over one store) reproduce the
-   cache-off result exactly; corrupt stores degrade to cold, never
-   fail. *)
+   only; warm runs (sequential and parallel, on the same program and on
+   edited copies over one store) reproduce the cache-off result
+   exactly; corrupt stores degrade to cold, never fail. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -190,7 +189,7 @@ let test_fp_config_sensitivity () =
       {
         C.Config.default with
         C.Config.jobs = 4;
-        summary_cache = C.Config.Cache_mem;
+        summary_cache = C.Config.Cache_dir "unused";
       }
       p
   in
@@ -244,12 +243,28 @@ let cache_stats_exn (r : C.Analysis.result) =
   | Some c -> c
   | None -> Alcotest.fail "expected cache statistics"
 
+(* what a reader sees of a run that its fingerprint does not cover: the
+   --explain rendering of its alarms (call chains, raising domains,
+   operand values) and its invariant dump *)
+let rendering (r : C.Analysis.result) =
+  String.concat "\n"
+    (List.map (Fmt.str "%a" C.Alarm.pp_explain) r.C.Analysis.r_alarms)
+  ^ "\n" ^ C.Invariant_dump.to_string r
+
+(* a cache-off run that numbers cells as a cached run does (pre-filled
+   in program order), so that its invariant dump lists them in the same
+   order *)
+let analyze_off ~cfg p = C.Analysis.analyze ~prefill:true ~cfg p
+
+let check_rendering ~name off r =
+  Alcotest.(check string) name (rendering off) (rendering r)
+
 (* cold store run, warm store run and cache-off run must all agree on
-   the one digest that covers alarms, census and final state; the warm
-   run must be all hits *)
+   the one digest that covers alarms, census and final state, and on
+   their renderings; the warm run must be all hits *)
 let check_warm_equals_cold ~name (cfg : C.Config.t) (p : F.Tast.program) =
   with_tmpdir (fun dir ->
-      let off = C.Analysis.analyze ~cfg p in
+      let off = analyze_off ~cfg p in
       with_cache_driver (fun () ->
           let ccfg =
             { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
@@ -262,6 +277,8 @@ let check_warm_equals_cold ~name (cfg : C.Config.t) (p : F.Tast.program) =
           Alcotest.(check string)
             (name ^ ": warm = off")
             (P.Merge.fingerprint off) (P.Merge.fingerprint warm);
+          check_rendering ~name:(name ^ ": cold renders as off") off cold;
+          check_rendering ~name:(name ^ ": warm renders as off") off warm;
           let cs = cache_stats_exn warm in
           Alcotest.(check bool)
             (name ^ ": warm run hits") true
@@ -340,7 +357,14 @@ let test_warm_member_par () =
   let cfg, p = member_program () in
   check_warm_equals_cold ~name:"member -j4" { cfg with C.Config.jobs = 4 } p
 
-let test_mem_cache_equiv () =
+(* A fresh store per run: the cold run's own table answers its repeats. *)
+let cold_store_run cfg p =
+  with_private_dir (fun dir ->
+      C.Analysis.analyze
+        ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
+        p)
+
+let test_private_store_equiv () =
   let shipped_min_stmts = !C.Iterator.memo_min_stmts in
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
@@ -352,13 +376,9 @@ let test_mem_cache_equiv () =
       in
       let off = C.Analysis.analyze ~cfg p in
       with_cache_driver (fun () ->
-          let r =
-            C.Analysis.analyze
-              ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
-              p
-          in
+          let r = cold_store_run cfg p in
           Alcotest.(check string)
-            "in-memory cache result identical"
+            "private-store result identical"
             (P.Merge.fingerprint off) (P.Merge.fingerprint r);
           C.Iterator.memo_min_stmts := shipped_min_stmts;
           let g =
@@ -379,24 +399,21 @@ let test_mem_cache_equiv () =
               C.Config.partitioned_functions = g.G.Generator.partition_fns;
             }
           in
-          let r =
-            C.Analysis.analyze
-              ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
-              p
-          in
+          let r = cold_store_run cfg p in
           Alcotest.(check string)
-            "fused member: in-memory cache result identical"
+            "fused member: private-store result identical"
             (P.Merge.fingerprint (C.Analysis.analyze ~cfg p))
             (P.Merge.fingerprint r);
           (* Calls whose framed entry really repeats within one run hit.
              The iterator reuses a loop pass on an input it has already
              analyzed, and a loop's call slots replay a call site's
-             repeats before the memo sees them (DESIGN.md §6).  Slots are
-             per call site, though: when one callee is called from two
-             sites with the same framed entry, the memo answers the
-             second.  Here the second and third calls of [stage] see the
-             same frame ([t] is not bound yet at the first), so the
-             third call is a hit whenever the second was computed. *)
+             repeats before the keyed tier sees them (DESIGN.md §6).
+             Slots are per call site, though: when one callee is called
+             from two sites with the same framed entry, the run's table
+             answers the second.  Here the second and third calls of
+             [stage] see the same frame ([t] is not bound yet at the
+             first), so the third call is a hit whenever the second was
+             computed. *)
           C.Iterator.memo_min_stmts := 0;
           let p, _ =
             C.Analysis.compile
@@ -415,13 +432,9 @@ let test_mem_cache_equiv () =
               ]
           in
           let cfg = C.Config.default in
-          let r =
-            C.Analysis.analyze
-              ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
-              p
-          in
+          let r = cold_store_run cfg p in
           Alcotest.(check string)
-            "two sites: in-memory cache result identical"
+            "two sites: private-store result identical"
             (P.Merge.fingerprint (C.Analysis.analyze ~cfg p))
             (P.Merge.fingerprint r);
           Alcotest.(check bool)
@@ -644,14 +657,14 @@ let recorded_calls (cfg : C.Config.t) (p : F.Tast.program) =
         Some
           (fun ses cfg p core ->
             I.Summary.driver ses cfg p (fun () ->
-                (match ses.C.Transfer.ses_memo with
-                | Some m ->
-                    let cm_call a ~fname binds st body =
+                (match ses.C.Transfer.ses_keyed with
+                | Some k ->
+                    let kt_key a ~fname fr binds st =
                       seen := (a, fname, st, binds) :: !seen;
-                      m.C.Iterator.cm_call a ~fname binds st body
+                      k.C.Transfer.kt_key a ~fname fr binds st
                     in
-                    ses.C.Transfer.ses_memo <-
-                      Some { m with C.Iterator.cm_call }
+                    ses.C.Transfer.ses_keyed <-
+                      Some { k with C.Transfer.kt_key }
                 | None -> ());
                 core ()));
       let r =
@@ -664,11 +677,16 @@ let recorded_calls (cfg : C.Config.t) (p : F.Tast.program) =
       in
       (r, keys, List.rev !seen))
 
+(* a fresh frame context of [a], built with the store's names *)
+let named_frames fps (a : C.Transfer.actx) =
+  C.Frame.ctx ~names:(I.Frame.names fps) a.C.Transfer.prog a.C.Transfer.funs
+    a.C.Transfer.cfg a.C.Transfer.packs a.C.Transfer.intern
+
 (* the entry digest of one recorded call, from a fresh frame context *)
 let key_of cfg p (a, fname, st, binds) =
-  let cx = I.Frame.ctx (I.Fingerprint.make cfg p) a in
-  let fr = I.Frame.of_call cx ~fname binds in
-  (fr, I.Frame.entry_digest cx fr st binds)
+  let fps = I.Fingerprint.make cfg p in
+  let fr = C.Frame.of_call (named_frames fps a) ~fname binds in
+  (fr, I.Frame.entry_digest fps fr st binds)
 
 (* a state mutated after it was keyed would make the run's key stale:
    recomputing every key after the run, from scratch, catches it *)
@@ -1089,6 +1107,60 @@ let fused_member () =
      { G.Generator.default with G.Generator.seed = 4; target_lines = 2000; fuse = 16 })
     .G.Generator.source
 
+(* The three bases of perfbench's incremental workload, an edited copy
+   of the first warm over its store, a bug-injected fused member and a
+   loop guard right after a computed call: cold, warm and cache-off runs
+   render alike at the shipped memoization threshold. *)
+let test_renderings_agree () =
+  let base seed =
+    (G.Generator.generate
+       {
+         G.Generator.default with
+         G.Generator.seed;
+         target_lines = 2000;
+         fuse = 16;
+       })
+      .G.Generator.source
+  in
+  let b0 = base 4 in
+  let inputs =
+    [
+      [ ("b0.c", b0); ("e0.c", dead_block b0) ];
+      [ ("b1.c", base 5) ];
+      [ ("b2.c", base 8) ];
+      [ ("fb.c", buggy_fused_src ()) ];
+      [ ("chain.c", Test_iterator.chain_src) ];
+    ]
+  in
+  I.Summary.register ();
+  Fun.protect
+    ~finally:(fun () -> C.Analysis.cache_driver := None)
+    (fun () ->
+      Astree_robust.Faultsim.with_suppressed (fun () ->
+          List.iter
+            (fun files ->
+              with_private_dir (fun dir ->
+                  let ccfg =
+                    {
+                      C.Config.default with
+                      C.Config.summary_cache = C.Config.Cache_dir dir;
+                    }
+                  in
+                  List.iter
+                    (fun (name, src) ->
+                      let p, _ = C.Analysis.compile [ (name, src) ] in
+                      let off = analyze_off ~cfg:C.Config.default p in
+                      let first = C.Analysis.analyze ~cfg:ccfg p in
+                      let again = C.Analysis.analyze ~cfg:ccfg p in
+                      check_rendering
+                        ~name:(name ^ ": first run renders as off") off first;
+                      check_rendering
+                        ~name:(name ^ ": warm run renders as off") off again;
+                      Alcotest.(check int) (name ^ ": warm run misses") 0
+                        (cache_stats_exn again).C.Analysis.c_misses)
+                    files))
+            inputs))
+
 (* the first float literal after the header of [fn], multiplied by 2 *)
 let change_float_in ~fn src =
   let start, _ = def_of ~fn src in
@@ -1266,13 +1338,13 @@ let check_frame_oracle ~name cfg p =
     match !cx with
     | Some (a', c) when a' == a -> c
     | _ ->
-        let c = I.Frame.ctx fps a in
+        let c = named_frames fps a in
         cx := Some (a, c);
         c
   in
   List.iteri
     (fun i (a, fname, st, binds) ->
-      let fr = I.Frame.of_call (frames a) ~fname binds in
+      let fr = C.Frame.of_call (frames a) ~fname binds in
       let fd =
         match F.Tast.find_fun a.C.Transfer.prog fname with
         | Some fd -> fd
@@ -1447,8 +1519,8 @@ let suite =
       test_warm_member_seq;
     Alcotest.test_case "warm = cold: family member -j4" `Slow
       test_warm_member_par;
-    Alcotest.test_case "in-memory cache equivalence" `Quick
-      test_mem_cache_equiv;
+    Alcotest.test_case "private-store cache equivalence" `Quick
+      test_private_store_equiv;
     Alcotest.test_case "warm = cold: every example" `Quick
       test_warm_all_examples;
     Alcotest.test_case "store: corrupt files degrade to cold" `Quick
@@ -1475,6 +1547,8 @@ let suite =
       test_edit_warm_dead_block;
     Alcotest.test_case "edit-warm: every edit kind warm = off" `Slow
       test_edit_warm_kinds;
+    Alcotest.test_case "warm = cold = off: explain and invariant dump" `Quick
+      test_renderings_agree;
     Alcotest.test_case "frame locality: warm = off" `Quick
       test_frame_locality;
     Alcotest.test_case "frame oracle: the outside is neither read nor written"

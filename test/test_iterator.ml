@@ -585,9 +585,9 @@ let test_framed_entry_exact () =
   Alcotest.(check bool) "clock" false
     (same { inv with C.Astate.clock = Astree_domains.Itv.int_range 0 7 })
 
-(* The clock widens straight to [max_clock] (DESIGN.md §6).  A memo
-   that only watches sees the clock at the loop body's call on every
-   pass that does not replay it: its upper bound grows by one tick per
+(* The clock widens straight to [max_clock] (DESIGN.md §6).  A keyed
+   tier that only watches sees the clock at the loop body's call on
+   every pass that does not replay it: its upper bound grows by one tick per
    pass through the plain joins before the first widening, then is
    [max_clock] at every later pass, never a threshold rung below it and
    never +oo, also under [Thresholds.none] (the safety net and
@@ -620,18 +620,25 @@ let test_clock_widens_to_max_clock () =
     in
     let seen = ref [] in
     let ses = C.Transfer.new_session () in
-    ses.C.Transfer.ses_memo <-
+    ses.C.Transfer.ses_keyed <-
       Some
         {
-          C.Iterator.cm_names =
+          C.Transfer.kt_names =
             { C.Frame.var_name = (fun v -> v.F.Tast.v_name); loop_name = string_of_int };
-          cm_want = (fun _ -> true);
-          cm_call =
-            (fun _ ~fname:_ _ st body ->
+          kt_key =
+            (fun _ ~fname:_ _ _ st ->
               seen := st.C.Astate.clock :: !seen;
-              (body (), None));
+              None);
+          kt_find = (fun _ -> None);
+          kt_add = (fun _ _ -> ());
         };
-    let r = C.Analysis.analyze ~session:ses ~cfg p in
+    let min0 = !C.Iterator.memo_min_stmts in
+    C.Iterator.memo_min_stmts := 0;
+    let r =
+      Fun.protect
+        ~finally:(fun () -> C.Iterator.memo_min_stmts := min0)
+        (fun () -> C.Analysis.analyze ~session:ses ~cfg p)
+    in
     let his =
       List.rev_map
         (function
@@ -662,6 +669,39 @@ let test_clock_widens_to_max_clock () =
   check "default thresholds" C.Config.default.C.Config.widening_thresholds;
   check "Thresholds.none" Astree_domains.Thresholds.none
 
+(* A callee's statements set the alarm collector's call chain; the loop
+   guard evaluated right after a computed call must report the caller's
+   chain, as it does after a call replayed from a loop's slot or from
+   the summary store.  [work] reads [k0], so the call is computed again
+   on each new range of [k]; it is big enough for the store to key it. *)
+let chain_src =
+  "volatile int v;\nint y; int k0;\nvoid work(void) {\n"
+  ^ String.concat "" (List.init 36 (fun _ -> "  y = k0;\n"))
+  ^ "}\n\
+     int main(void) {\n\
+    \  int k;\n\
+    \  __astree_input_range(v, 0.0, 10.0);\n\
+    \  while (1) {\n\
+    \    k = 0;\n\
+    \    while (100 / (k - 3) != 7) { k = k + 1; k0 = k; work(); }\n\
+    \    __astree_wait_for_clock();\n\
+    \  }\n\
+    \  return 0;\n\
+     }\n"
+
+let test_chain_after_call () =
+  let r = C.Analysis.analyze_string ~file:"chain.c" chain_src in
+  let chains =
+    List.filter_map
+      (fun (al : C.Alarm.t) ->
+        if al.C.Alarm.a_kind = C.Alarm.Div_by_zero then
+          Option.map (fun pv -> pv.C.Alarm.p_chain) al.C.Alarm.a_prov
+        else None)
+      r.C.Analysis.r_alarms
+  in
+  Alcotest.(check (list (list string))) "the guard's alarm is main's"
+    [ [ "main" ] ] chains
+
 let suite =
   [
     Alcotest.test_case "break" `Quick test_break;
@@ -689,4 +729,6 @@ let suite =
       test_reused_checking_pass_explain;
     Alcotest.test_case "clock widens to max_clock" `Quick
       test_clock_widens_to_max_clock;
+    Alcotest.test_case "alarm chain after a call is the caller's" `Quick
+      test_chain_after_call;
   ]

@@ -874,20 +874,19 @@ let test_sighup_ignored () =
 
 (* ---- removed request keys ---------------------------------------- *)
 
-(* Requests written for older daemons may still carry a "backend"
-   option.  The wire options ignore it: the daemon answers ok and
-   renders the same report as for the request without the key. *)
-let test_backend_key_ignored () =
+(* Requests written for older daemons may still carry a removed option.
+   The wire options ignore it: the daemon answers ok and renders the
+   same report as for the request without the key. *)
+let check_key_ignored key value =
   let sources = [ ("calls.c", prog_calls) ] in
-  let with_backend =
+  let with_key =
     match analyze_json sources with
     | Srv.Json.Obj fields ->
         Srv.Json.Obj
           (List.map
              (function
                | "options", Srv.Json.Obj o ->
-                   ( "options",
-                     Srv.Json.Obj (("backend", Srv.Json.Str "domains") :: o) )
+                   ("options", Srv.Json.Obj ((key, value) :: o))
                | kv -> kv)
              fields)
     | _ -> Alcotest.fail "analyze request is not an object"
@@ -900,9 +899,16 @@ let test_backend_key_ignored () =
         | Some s -> scrub_time s
         | None -> Alcotest.fail "reply without report"
       in
-      let keyed = report with_backend in
+      let keyed = report with_key in
       Alcotest.(check string) "report identical without the key"
         (report (analyze_json sources)) keyed)
+
+let test_backend_key_ignored () =
+  check_key_ignored "backend" (Srv.Json.Str "domains")
+
+(* the in-memory cache mode is gone: the daemon serves such a request
+   from its store, as one that names no cache *)
+let test_cache_mem_ignored () = check_key_ignored "cache" (Srv.Json.Str "mem")
 
 (* ---- crash-recovered warm state ---------------------------------- *)
 
@@ -1643,6 +1649,8 @@ let suite =
       test_multi_task_refused;
     Alcotest.test_case "removed backend key is ignored" `Quick
       test_backend_key_ignored;
+    Alcotest.test_case "removed cache mode is ignored" `Quick
+      test_cache_mem_ignored;
     Alcotest.test_case "foreign-version store reads cold" `Quick
       test_store_foreign_version;
     Alcotest.test_case "edited request hits its base's summaries" `Slow
