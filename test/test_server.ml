@@ -1649,8 +1649,6 @@ let suite =
       test_multi_task_refused;
     Alcotest.test_case "removed backend key is ignored" `Quick
       test_backend_key_ignored;
-    Alcotest.test_case "removed cache mode is ignored" `Quick
-      test_cache_mem_ignored;
     Alcotest.test_case "foreign-version store reads cold" `Quick
       test_store_foreign_version;
     Alcotest.test_case "edited request hits its base's summaries" `Slow
@@ -1661,4 +1659,6 @@ let suite =
       test_daemon_heap_flat;
     Alcotest.test_case "private store removed at clean stop" `Quick
       test_private_store_lifecycle;
+    Alcotest.test_case "removed cache mode is ignored" `Quick
+      test_cache_mem_ignored;
   ]
