@@ -298,14 +298,19 @@ let exec_call_memo (a : Transfer.actx) ~(site : stmt) ~(fname : string)
                 (k.Transfer.kt_key a ~fname fr binds st))
         in
         let found = Option.bind key (fun (k, key) -> k.Transfer.kt_find key) in
-        if Option.is_some key then begin
-          let hit = Option.is_some found in
-          Metrics.incr (if hit then c_cache_hits else c_cache_misses);
-          if !Trace.enabled then
-            Trace.emit
-              (if hit then "cache.hit" else "cache.miss")
-              ~args:[ ("fn", Trace.S fname) ]
-        end;
+        (* the one place that counts a keyed lookup as a hit or a miss:
+           the run's cache statistics, the registry and the trace *)
+        Option.iter
+          (fun ((k : Transfer.keyed), _) ->
+            let n = k.Transfer.kt_lookups and hit = Option.is_some found in
+            if hit then n.Transfer.lk_hits <- n.Transfer.lk_hits + 1
+            else n.Transfer.lk_misses <- n.Transfer.lk_misses + 1;
+            Metrics.incr (if hit then c_cache_hits else c_cache_misses);
+            if !Trace.enabled then
+              Trace.emit
+                (if hit then "cache.hit" else "cache.miss")
+                ~args:[ ("fn", Trace.S fname) ])
+          key;
         let r, fr, summary =
           match (found, key, slots) with
           | Some s, _, _ -> (Transfer.replay a fr ~entry:st s, fr, found)

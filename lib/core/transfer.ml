@@ -138,7 +138,12 @@ type keyed = {
           frame; [None] when the callee cannot be keyed *)
   kt_find : summary_key -> summary option;
   kt_add : summary_key -> summary -> unit;
+  kt_lookups : lookups;
+      (** the run's lookups, counted by the iterator (shared by copies
+          of the record) *)
 }
+
+and lookups = { mutable lk_hits : int; mutable lk_misses : int }
 
 (** Per-analysis session: every hook and piece of cross-cutting mutable
     state one analysis run needs, bundled so that concurrent analyses

@@ -123,7 +123,13 @@ type keyed = {
           cannot be keyed *)
   kt_find : summary_key -> summary option;
   kt_add : summary_key -> summary -> unit;
+  kt_lookups : lookups;
+      (** the run's hits and misses: [Iterator.exec_call_memo] counts
+          every lookup here, and the store's cache statistics report
+          them *)
 }
+
+and lookups = { mutable lk_hits : int; mutable lk_misses : int }
 
 (** Per-analysis session: the hooks and cross-cutting mutable state of
     one analysis run.  Sessions make [Analysis] reentrant: the daemon

@@ -56,8 +56,7 @@ type session = {
   mutable ss_new : (C.Transfer.summary_key * C.Transfer.summary) list;
       (** computed this run, newest first: what a save publishes *)
   ss_store : Store.t;
-  mutable ss_hits : int;
-  mutable ss_misses : int;
+  ss_lookups : C.Transfer.lookups;  (** counted by the iterator *)
   mutable ss_load_time : float;
 }
 
@@ -79,7 +78,7 @@ let key (ss : session) (a : C.Transfer.actx) ~(fname : string)
     (Fingerprint.summary_fn ss.ss_fps fname)
 
 (* A summary of the table or the store, its alarm locations laid back
-   onto this program; the lookup is counted as a hit or a miss. *)
+   onto this program. *)
 let find (ss : session) (key : C.Transfer.summary_key) :
     C.Transfer.summary option =
   let r =
@@ -93,18 +92,11 @@ let find (ss : session) (key : C.Transfer.summary_key) :
         r
     | None -> None
   in
-  match r with
-  | Some s ->
-      ss.ss_hits <- ss.ss_hits + 1;
-      Some
-        (map_alarms
-           (fun (owner, (al : C.Alarm.t)) ->
-             let l = Fingerprint.rebase ss.ss_fps (owner, al.C.Alarm.a_loc) in
-             ("", { al with C.Alarm.a_loc = l }))
-           s)
-  | None ->
-      ss.ss_misses <- ss.ss_misses + 1;
-      None
+  Option.map
+    (map_alarms (fun (owner, (al : C.Alarm.t)) ->
+         let l = Fingerprint.rebase ss.ss_fps (owner, al.C.Alarm.a_loc) in
+         ("", { al with C.Alarm.a_loc = l })))
+    r
 
 (* A computed summary, its alarm locations made relative to their
    functions; keep-first: a key determines its summary. *)
@@ -146,8 +138,7 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
       ss_tbl = Hashtbl.create 1024;
       ss_new = [];
       ss_store = store;
-      ss_hits = 0;
-      ss_misses = 0;
+      ss_lookups = { C.Transfer.lk_hits = 0; lk_misses = 0 };
       ss_load_time = load_time;
     }
   in
@@ -158,6 +149,7 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
         kt_key = key ss;
         kt_find = find ss;
         kt_add = add ss;
+        kt_lookups = ss.ss_lookups;
       };
   ss
 
@@ -185,8 +177,8 @@ let detach ?(save = true) (ss : session) : C.Analysis.cache_stats =
     else 0.
   in
   {
-    C.Analysis.c_hits = ss.ss_hits;
-    c_misses = ss.ss_misses;
+    C.Analysis.c_hits = ss.ss_lookups.C.Transfer.lk_hits;
+    c_misses = ss.ss_lookups.C.Transfer.lk_misses;
     c_entries = Hashtbl.length ss.ss_tbl;
     c_loaded = Store.loaded ss.ss_store;
     c_load_time = ss.ss_load_time;

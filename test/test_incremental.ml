@@ -199,12 +199,12 @@ let test_fp_config_sensitivity () =
 
 (* ---------------- warm = cold = off ---------------- *)
 
-let with_cache_driver k =
+let with_cache_driver ?(min_stmts = 0) k =
   I.Summary.register ();
-  (* the test programs' helpers are tiny; memoize everything so hit
-     counters are exercised *)
+  (* the test programs' helpers are tiny; by default memoize everything
+     so hit counters are exercised *)
   let min0 = !C.Iterator.memo_min_stmts in
-  C.Iterator.memo_min_stmts := 0;
+  C.Iterator.memo_min_stmts := min_stmts;
   Fun.protect
     ~finally:(fun () ->
       C.Analysis.cache_driver := None;
@@ -243,42 +243,52 @@ let cache_stats_exn (r : C.Analysis.result) =
   | Some c -> c
   | None -> Alcotest.fail "expected cache statistics"
 
-(* what a reader sees of a run that its fingerprint does not cover: the
-   --explain rendering of its alarms (call chains, raising domains,
-   operand values) and its invariant dump *)
-let rendering (r : C.Analysis.result) =
+(* the --explain rendering of a run's alarms: call chains, raising
+   domains and operand values, none of which its fingerprint covers *)
+let explain (r : C.Analysis.result) =
   String.concat "\n"
     (List.map (Fmt.str "%a" C.Alarm.pp_explain) r.C.Analysis.r_alarms)
-  ^ "\n" ^ C.Invariant_dump.to_string r
 
-(* a cache-off run that numbers cells as a cached run does (pre-filled
-   in program order), so that its invariant dump lists them in the same
-   order *)
-let analyze_off ~cfg p = C.Analysis.analyze ~prefill:true ~cfg p
-
-let check_rendering ~name off r =
-  Alcotest.(check string) name (rendering off) (rendering r)
+(* a run's invariant dump as its sorted (loop, assertion) lines: a
+   cache-off run numbers cells in first-use order and a cached run in
+   program order, so a loop's block lists the same assertions in
+   another order *)
+let dump_assertions (r : C.Analysis.result) =
+  let loop = ref "" in
+  String.split_on_char '\n' (C.Invariant_dump.to_string r)
+  |> List.map (fun l ->
+         if String.starts_with ~prefix:"=====" l then loop := l;
+         !loop ^ " | " ^ l)
+  |> List.sort compare |> String.concat "\n"
 
 (* cold store run, warm store run and cache-off run must all agree on
-   the one digest that covers alarms, census and final state, and on
-   their renderings; the warm run must be all hits *)
-let check_warm_equals_cold ~name (cfg : C.Config.t) (p : F.Tast.program) =
-  with_tmpdir (fun dir ->
-      let off = analyze_off ~cfg p in
-      with_cache_driver (fun () ->
+   the one digest that covers alarms, census and final state, on the
+   --explain rendering and on the invariant dump; the warm run must be
+   all hits.  [min_stmts] is the memoization threshold (default 0:
+   every callee), [dir] a store shared with other checks (default: the
+   suite's store, see [with_tmpdir]). *)
+let check_warm_equals_cold ~name ?min_stmts ?dir (cfg : C.Config.t)
+    (p : F.Tast.program) =
+  let in_store k = match dir with Some dir -> k dir | None -> with_tmpdir k in
+  in_store (fun dir ->
+      let off = C.Analysis.analyze ~cfg p in
+      with_cache_driver ?min_stmts (fun () ->
           let ccfg =
             { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
           in
           let cold = C.Analysis.analyze ~cfg:ccfg p in
           let warm = C.Analysis.analyze ~cfg:ccfg p in
-          Alcotest.(check string)
-            (name ^ ": cold = off")
-            (P.Merge.fingerprint off) (P.Merge.fingerprint cold);
-          Alcotest.(check string)
-            (name ^ ": warm = off")
-            (P.Merge.fingerprint off) (P.Merge.fingerprint warm);
-          check_rendering ~name:(name ^ ": cold renders as off") off cold;
-          check_rendering ~name:(name ^ ": warm renders as off") off warm;
+          List.iter
+            (fun (run, r) ->
+              let agree what f =
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: %s %s off" name run what)
+                  (f off) (f r)
+              in
+              agree "=" P.Merge.fingerprint;
+              agree "explains as" explain;
+              agree "dumps as" dump_assertions)
+            [ ("cold", cold); ("warm", warm) ];
           let cs = cache_stats_exn warm in
           Alcotest.(check bool)
             (name ^ ": warm run hits") true
@@ -1108,10 +1118,15 @@ let fused_member () =
     .G.Generator.source
 
 (* The three bases of perfbench's incremental workload, an edited copy
-   of the first warm over its store, a bug-injected fused member and a
-   loop guard right after a computed call: cold, warm and cache-off runs
-   render alike at the shipped memoization threshold. *)
+   of the first over its store, a bug-injected fused member and a loop
+   guard right after a computed call, at the shipped memoization
+   threshold. *)
 let test_renderings_agree () =
+  let min_stmts = !C.Iterator.memo_min_stmts in
+  let check ?dir name src =
+    let p, _ = C.Analysis.compile [ (name, src) ] in
+    check_warm_equals_cold ~name ~min_stmts ?dir C.Config.default p
+  in
   let base seed =
     (G.Generator.generate
        {
@@ -1123,43 +1138,13 @@ let test_renderings_agree () =
       .G.Generator.source
   in
   let b0 = base 4 in
-  let inputs =
-    [
-      [ ("b0.c", b0); ("e0.c", dead_block b0) ];
-      [ ("b1.c", base 5) ];
-      [ ("b2.c", base 8) ];
-      [ ("fb.c", buggy_fused_src ()) ];
-      [ ("chain.c", Test_iterator.chain_src) ];
-    ]
-  in
-  I.Summary.register ();
-  Fun.protect
-    ~finally:(fun () -> C.Analysis.cache_driver := None)
-    (fun () ->
-      Astree_robust.Faultsim.with_suppressed (fun () ->
-          List.iter
-            (fun files ->
-              with_private_dir (fun dir ->
-                  let ccfg =
-                    {
-                      C.Config.default with
-                      C.Config.summary_cache = C.Config.Cache_dir dir;
-                    }
-                  in
-                  List.iter
-                    (fun (name, src) ->
-                      let p, _ = C.Analysis.compile [ (name, src) ] in
-                      let off = analyze_off ~cfg:C.Config.default p in
-                      let first = C.Analysis.analyze ~cfg:ccfg p in
-                      let again = C.Analysis.analyze ~cfg:ccfg p in
-                      check_rendering
-                        ~name:(name ^ ": first run renders as off") off first;
-                      check_rendering
-                        ~name:(name ^ ": warm run renders as off") off again;
-                      Alcotest.(check int) (name ^ ": warm run misses") 0
-                        (cache_stats_exn again).C.Analysis.c_misses)
-                    files))
-            inputs))
+  with_private_dir (fun dir ->
+      check ~dir "b0.c" b0;
+      check ~dir "e0.c" (dead_block b0));
+  check "b1.c" (base 5);
+  check "b2.c" (base 8);
+  check "fb.c" (buggy_fused_src ());
+  check "chain.c" Test_iterator.chain_src
 
 (* the first float literal after the header of [fn], multiplied by 2 *)
 let change_float_in ~fn src =

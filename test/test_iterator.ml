@@ -631,6 +631,7 @@ let test_clock_widens_to_max_clock () =
               None);
           kt_find = (fun _ -> None);
           kt_add = (fun _ _ -> ());
+          kt_lookups = { C.Transfer.lk_hits = 0; lk_misses = 0 };
         };
     let min0 = !C.Iterator.memo_min_stmts in
     C.Iterator.memo_min_stmts := 0;
