@@ -78,20 +78,31 @@ let compare (a : t) (b : t) =
     iterator maintains it so every report picks up its calling context
     for free. *)
 type collector = {
-  mutable alarms : (kind * F.Loc.t, t) Hashtbl.t;
+  mutable alarms : (kind * F.Loc.t, t) Hashtbl.t option;
+      (** [None] until the first alarm: most capture sections see none *)
   mutable enabled : bool;  (** false in iteration mode, true in checking *)
   mutable chain : string list;
 }
 
-let make_collector () =
-  { alarms = Hashtbl.create 64; enabled = false; chain = [] }
+let make_collector () = { alarms = None; enabled = false; chain = [] }
+
+let table (c : collector) =
+  match c.alarms with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Hashtbl.create 16 in
+      c.alarms <- Some tbl;
+      tbl
+
+let mem (c : collector) key =
+  match c.alarms with Some tbl -> Hashtbl.mem tbl key | None -> false
 
 let report ?(domain = "interval") ?(operands = []) (c : collector)
     (kind : kind) (loc : F.Loc.t) (msg : string) : unit =
   if c.enabled then
     let key = (kind, loc) in
-    if not (Hashtbl.mem c.alarms key) then
-      Hashtbl.replace c.alarms key
+    if not (mem c key) then
+      Hashtbl.replace (table c) key
         {
           a_kind = kind;
           a_loc = loc;
@@ -102,9 +113,13 @@ let report ?(domain = "interval") ?(operands = []) (c : collector)
         }
 
 let to_list (c : collector) : t list =
-  Hashtbl.fold (fun _ a acc -> a :: acc) c.alarms [] |> List.sort compare
+  match c.alarms with
+  | None -> []
+  | Some tbl ->
+      Hashtbl.fold (fun _ a acc -> a :: acc) tbl [] |> List.sort compare
 
-let count (c : collector) : int = Hashtbl.length c.alarms
+let count (c : collector) : int =
+  match c.alarms with Some tbl -> Hashtbl.length tbl | None -> 0
 
 (** Merge alarms recorded elsewhere (a replayed summary, a released
     capture) into [c], irrespective of [c.enabled]: the recording run
@@ -116,19 +131,20 @@ let absorb (c : collector) (delta : t list) : unit =
   List.iter
     (fun (a : t) ->
       let key = (a.a_kind, a.a_loc) in
-      if not (Hashtbl.mem c.alarms key) then Hashtbl.replace c.alarms key a)
+      if not (mem c key) then Hashtbl.replace (table c) key a)
     delta
 
 (** Capture sections, used by the summary cache to isolate the alarms of
     one function call.  [capture] swaps in a fresh table (keeping the
-    mode flag); [release] puts the saved table back, absorbs the alarms
-    recorded meanwhile (first-in wins, exactly the sequential policy)
-    and returns them.  Captures nest like a stack. *)
-type capture = (kind * F.Loc.t, t) Hashtbl.t
+    mode flag), allocated on its first alarm; [release] puts the saved
+    table back, absorbs the alarms recorded meanwhile (first-in wins,
+    exactly the sequential policy) and returns them.  Captures nest like
+    a stack. *)
+type capture = (kind * F.Loc.t, t) Hashtbl.t option
 
 let capture (c : collector) : capture =
   let saved = c.alarms in
-  c.alarms <- Hashtbl.create 16;
+  c.alarms <- None;
   saved
 
 (** [drop] ends a capture section without absorbing: the saved table

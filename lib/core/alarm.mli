@@ -46,7 +46,8 @@ val compare : t -> t -> int
 (** Alarm collector: alarms are deduplicated by (location, kind), so a
     program point reanalyzed many times reports once. *)
 type collector = {
-  mutable alarms : (kind * Astree_frontend.Loc.t, t) Hashtbl.t;
+  mutable alarms : (kind * Astree_frontend.Loc.t, t) Hashtbl.t option;
+      (** [None] until the first alarm *)
   mutable enabled : bool;
       (** false in iteration mode, true in checking mode (Sect. 5.3) *)
   mutable chain : string list;
@@ -77,7 +78,7 @@ val count : collector -> int
 val absorb : collector -> t list -> unit
 
 (** Capture section: [capture] diverts subsequent reports into a fresh
-    table; [release] restores the previous table, absorbs the diverted
+    table, allocated on the first of them; [release] restores the previous table, absorbs the diverted
     alarms back (first-in wins) and returns them.  Used by the summary
     cache to record the alarms of one function call; sections nest. *)
 type capture

@@ -11,13 +11,31 @@
 module F = Astree_frontend
 module D = Astree_domains
 
-let dump_state (a : Transfer.actx) ppf (st : Astate.t) : unit =
+(* Each cell's rank in program order ({!Transfer.program_cells}), by
+   cell id; cells outside it rank last.  A dump lists cells in this
+   order, so it does not depend on the numbering: a run that pre-filled
+   its cells and one that numbered them in first-use order dump alike. *)
+let program_rank (a : Transfer.actx) : int array =
+  let intern = a.Transfer.intern in
+  let rank = Array.make (Cell.count intern) max_int and next = ref 0 in
+  Transfer.program_cells a (fun c ->
+      match Cell.find intern c.Cell.root.F.Tast.v_id c.Cell.path with
+      | Some id when rank.(id) = max_int ->
+          rank.(id) <- !next;
+          incr next
+      | _ -> ());
+  rank
+
+let dump_ranked (a : Transfer.actx) (rank : int array) ppf (st : Astate.t) :
+    unit =
   if Astate.is_bot st then Fmt.pf ppf "unreachable@."
   else begin
     (* interval and clock assertions, cell by cell *)
     let cells =
       Env.fold (fun id av acc -> (id, av) :: acc) st.Astate.env []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.sort (fun (x, _) (y, _) ->
+             let c = Int.compare rank.(x) rank.(y) in
+             if c <> 0 then c else Int.compare x y)
     in
     List.iter
       (fun (id, (av : Avalue.t)) ->
@@ -37,6 +55,9 @@ let dump_state (a : Transfer.actx) ppf (st : Astate.t) : unit =
     Relstate.pp ppf st.Astate.rel
   end
 
+let dump_state (a : Transfer.actx) ppf (st : Astate.t) : unit =
+  dump_ranked a (program_rank a) ppf st
+
 (** Dump every recorded loop invariant to a string. *)
 let to_string (r : Analysis.result) : string =
   let buf = Buffer.create 65536 in
@@ -47,10 +68,11 @@ let to_string (r : Analysis.result) : string =
       r.Analysis.r_actx.Transfer.invariants []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
+  let rank = program_rank r.Analysis.r_actx in
   List.iter
     (fun (id, st) ->
       Fmt.pf ppf "===== loop %d invariant =====@." id;
-      dump_state r.Analysis.r_actx ppf st)
+      dump_ranked r.Analysis.r_actx rank ppf st)
     invs;
   Fmt.flush ppf ();
   Buffer.contents buf

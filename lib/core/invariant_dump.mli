@@ -1,7 +1,8 @@
 (** Textual dump of loop invariants (Sect. 5.3, 9.4.1: the paper's main
     loop invariant dump is "a textual file over 4.5 Mb"). *)
 
-(** Dump one abstract state's assertions. *)
+(** Dump one abstract state's assertions, cells in program order
+    ({!Transfer.program_cells}) whatever their numbering. *)
 val dump_state : Transfer.actx -> Format.formatter -> Astate.t -> unit
 
 (** Dump every recorded loop invariant. *)

@@ -813,19 +813,23 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
 
 (** Run the abstract interpreter from the program entry point, in
     checking mode (loops internally recompute their invariants in
-    iteration mode first, Sect. 5.4). *)
+    iteration mode first, Sect. 5.4).  The entry point is a call of the
+    memo like any other, from the initial state: with the keyed tier
+    installed, an unchanged program replays its one summary. *)
 let run (a : Transfer.actx) : Astate.t =
-  match Hashtbl.find_opt a.Transfer.funs a.Transfer.prog.p_main with
-  | None ->
-      raise
-        (Analysis_error
-           (Fmt.str "entry point %s not found" a.Transfer.prog.p_main))
+  let main = a.Transfer.prog.p_main in
+  match Hashtbl.find_opt a.Transfer.funs main with
+  | None -> raise (Analysis_error (Fmt.str "entry point %s not found" main))
   | Some fd ->
       let st0 = Transfer.initial_state a in
       a.Transfer.alarms.Alarm.enabled <- true;
-      let o =
-        exec_block a ~part:false
-          ~stack:[ a.Transfer.prog.p_main ]
-          VarMap.empty [ st0 ] fd.fd_body
+      let compute () =
+        let o =
+          exec_block a ~part:false ~stack:[ main ] VarMap.empty [ st0 ]
+            fd.fd_body
+        in
+        (Astate.join (join_states o.o_norm) o.o_ret, D.Itv.Bot)
       in
-      Astate.join (join_states o.o_norm) o.o_ret
+      (* outside any loop: the site only names the call *)
+      let site = { sdesc = Scall (None, main, []); sloc = fd.fd_loc } in
+      fst (exec_call_memo a ~site ~fname:main VarMap.empty st0 compute)

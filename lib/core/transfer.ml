@@ -1311,33 +1311,38 @@ let initial_state (a : actx) : Astate.t =
 (* Frozen cell numbering                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Intern every cell the analysis could ever touch, in deterministic
-    program order, so the numbering does not depend on the order the
-    iterator — or the summary cache building a call's frame — first
-    reaches cells.  Multi-task runs rely on it: their per-task contexts,
-    built in forked workers or in-process, are merged by cell id.
-    Summary keys do not: they name cells. *)
-let prefill_cells (a : actx) : unit =
-  let intern_var (v : var) =
-    List.iter
-      (fun c -> ignore (Cell.intern a.intern c))
+(** [f] on every cell the analysis could ever touch, in deterministic
+    program order: globals, then each function's parameters, locals and
+    call destinations.  A cell may come more than once. *)
+let program_cells (a : actx) (f : Cell.t -> unit) : unit =
+  let var_cells (v : var) =
+    List.iter f
       (Cell.cells_of_var ~structs:a.prog.p_structs
          ~expand_array_max:a.cfg.Config.expand_array_max v)
   in
-  List.iter (fun (v, _) -> intern_var v) a.prog.p_globals;
+  List.iter (fun (v, _) -> var_cells v) a.prog.p_globals;
   List.iter
     (fun ((_, fd) : string * fundef) ->
       List.iter
-        (function Pval v -> intern_var v | Pref _ -> ())
+        (function Pval v -> var_cells v | Pref _ -> ())
         fd.fd_params;
       iter_stmts
         (fun s ->
           match s.sdesc with
-          | Slocal (v, _) -> intern_var v
-          | Scall (Some v, _, _) -> intern_var v
+          | Slocal (v, _) -> var_cells v
+          | Scall (Some v, _, _) -> var_cells v
           | _ -> ())
         fd.fd_body)
     a.prog.p_funs
+
+(** Intern every cell in program order ({!program_cells}), so the
+    numbering does not depend on the order the iterator — or the
+    summary cache building a call's frame — first reaches cells.
+    Multi-task runs rely on it: their per-task contexts, built in forked
+    workers or in-process, are merged by cell id.  Summary keys do not:
+    they name cells. *)
+let prefill_cells (a : actx) : unit =
+  program_cells a (fun c -> ignore (Cell.intern a.intern c))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-analysis support                                         *)

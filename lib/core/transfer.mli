@@ -280,10 +280,14 @@ val wait : actx -> Astate.t -> Astate.t
     (Sect. 5.2). *)
 val initial_state : actx -> Astate.t
 
-(** Intern every cell the analysis could ever touch, in deterministic
-    program order, so every context of a program — per-task run in a
-    worker or in-process, with or without summary frames built — shares
-    one cell numbering. *)
+(** Every cell the analysis could ever touch, in deterministic program
+    order (globals, then each function's parameters, locals and call
+    destinations), possibly more than once. *)
+val program_cells : actx -> (Cell.t -> unit) -> unit
+
+(** Intern every cell in {!program_cells} order, so every context of a
+    program — per-task run in a worker or in-process, with or without
+    summary frames built — shares one cell numbering. *)
 val prefill_cells : actx -> unit
 
 (** {1 Call memo support}

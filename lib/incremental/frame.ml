@@ -23,10 +23,12 @@ let add_avalue buf (c : C.Avalue.t) =
     the clock, every frame cell and pack in frame order, and each bound
     lvalue by variable names with its relative locations — a bound
     lvalue is the caller's own expression, and an alarm raised while the
-    callee evaluates it carries the caller's location. *)
-let entry_digest (fps : Fingerprint.t) (fr : C.Frame.t) (st : C.Astate.t)
-    (binds : C.Transfer.binds) : string =
-  let buf = Buffer.create 1024 in
+    callee evaluates it carries the caller's location.  [buf] is
+    cleared first and keeps its capacity, so one buffer serves every key
+    of a run without growing again. *)
+let entry_digest (buf : Buffer.t) (fps : Fingerprint.t) (fr : C.Frame.t)
+    (st : C.Astate.t) (binds : C.Transfer.binds) : string =
+  Buffer.clear buf;
   Buffer.add_string buf (C.Frame.id fr);
   Buffer.add_char buf (if st.C.Astate.bot then '1' else '0');
   C.Reldom.add_itv buf st.C.Astate.clock;

@@ -11,8 +11,10 @@ val names : Fingerprint.t -> Astree_core.Frame.names
 (** Digest of the entry state restricted to a frame built with
     {!names}, with the frame's identity, bottom flag, clock and the
     by-reference bindings (by variable name, with their relative
-    locations). *)
+    locations), assembled in the given buffer, which is cleared first
+    and keeps its capacity for the next key. *)
 val entry_digest :
+  Buffer.t ->
   Fingerprint.t ->
   Astree_core.Frame.t ->
   Astree_core.Astate.t ->

@@ -196,47 +196,51 @@ let save ~(dir : string) (entries : entries) : unit =
         entries
     in
     if entries <> [] then begin
-      let body = Buffer.create 65536 in
-      Buffer.add_string body magic;
-      let slots =
-        List.map
-          (fun (k, (s : C.Transfer.summary)) ->
-            (* sharing-preserving marshal: a summary's states share
-               structure, and expanding it would blow the file up *)
-            let bytes = Marshal.to_string s [] in
-            let off = Buffer.length body in
-            Buffer.add_string body bytes;
-            (k, off, String.length bytes, Digest.string bytes))
-          entries
-      in
-      let index =
-        Marshal.to_string
-          (Sys.ocaml_version, (Array.of_list slots : slot array))
-          [ Marshal.No_sharing ]
-      in
-      let name = Digest.to_hex (Digest.string index) ^ suffix in
       let tmp = Filename.temp_file ~temp_dir:dir "summaries" ".tmp" in
       (* any failure between here and the rename (a full disk, an
          injected ENOSPC) must not leave the temporary behind *)
       try
         let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            if Faultsim.fires Faultsim.Cache_write then
-              raise (Sys_error (tmp ^ ": fault injection: no space left"));
-            Buffer.output_buffer oc body;
-            output_string oc index;
-            let len = Bytes.create 8 in
-            Bytes.set_int64_le len 0 (Int64.of_int (String.length index));
-            output_bytes oc len;
-            output_string oc (Digest.string index);
-            (* the rename publishes atomically; fsync first so a crash
-               right after it cannot leave the published name pointing
-               at data the kernel never wrote back *)
-            flush oc;
-            Unix.fsync (Unix.descr_of_out_channel oc));
-        Sys.rename tmp (Filename.concat dir name)
+        let index =
+          Fun.protect
+            ~finally:(fun () -> close_out_noerr oc)
+            (fun () ->
+              if Faultsim.fires Faultsim.Cache_write then
+                raise (Sys_error (tmp ^ ": fault injection: no space left"));
+              output_string oc magic;
+              (* each summary goes straight to the file: the run never
+                 holds the whole file in memory *)
+              let slots =
+                List.map
+                  (fun (k, (s : C.Transfer.summary)) ->
+                    (* sharing-preserving marshal: a summary's states
+                       share structure, and expanding it would blow the
+                       file up *)
+                    let bytes = Marshal.to_string s [] in
+                    let off = pos_out oc in
+                    output_string oc bytes;
+                    (k, off, String.length bytes, Digest.string bytes))
+                  entries
+              in
+              let index =
+                Marshal.to_string
+                  (Sys.ocaml_version, (Array.of_list slots : slot array))
+                  [ Marshal.No_sharing ]
+              in
+              output_string oc index;
+              let len = Bytes.create 8 in
+              Bytes.set_int64_le len 0 (Int64.of_int (String.length index));
+              output_bytes oc len;
+              output_string oc (Digest.string index);
+              (* the rename publishes atomically; fsync first so a crash
+                 right after it cannot leave the published name pointing
+                 at data the kernel never wrote back *)
+              flush oc;
+              Unix.fsync (Unix.descr_of_out_channel oc);
+              index)
+        in
+        Sys.rename tmp
+          (Filename.concat dir (Digest.to_hex (Digest.string index) ^ suffix))
       with e ->
         (try Sys.remove tmp with Sys_error _ -> ());
         raise e

@@ -41,7 +41,8 @@ let entry_digest (a : C.Transfer.actx) (st : C.Astate.t) : string =
     C.Frame.ctx ~names:(Frame.names fps) a.C.Transfer.prog a.C.Transfer.funs
       a.C.Transfer.cfg a.C.Transfer.packs a.C.Transfer.intern
   in
-  Frame.entry_digest fps (C.Frame.whole cx) st F.Tast.VarMap.empty
+  Frame.entry_digest (Buffer.create 1024) fps (C.Frame.whole cx) st
+    F.Tast.VarMap.empty
 
 (* ------------------------------------------------------------------ *)
 (* Session                                                              *)
@@ -52,11 +53,14 @@ type session = {
   ss_dir : string;
   ss_fps : Fingerprint.t;
   ss_tbl : (C.Transfer.summary_key, C.Transfer.summary) Hashtbl.t;
-      (** read from the store or computed this run, relative locations *)
+      (** computed this run, relative locations: keep-first and the
+          answers to the run's own repeats; a summary read from the
+          store is replayed, not kept *)
   mutable ss_new : (C.Transfer.summary_key * C.Transfer.summary) list;
       (** computed this run, newest first: what a save publishes *)
   ss_store : Store.t;
   ss_lookups : C.Transfer.lookups;  (** counted by the iterator *)
+  ss_buf : Buffer.t;  (** where every key's entry digest is assembled *)
   mutable ss_load_time : float;
 }
 
@@ -72,7 +76,7 @@ let key (ss : session) (a : C.Transfer.actx) ~(fname : string)
     (fun fp ->
       {
         C.Transfer.sk_fn = fp;
-        sk_entry = Frame.entry_digest ss.ss_fps fr entry binds;
+        sk_entry = Frame.entry_digest ss.ss_buf ss.ss_fps fr entry binds;
         sk_checking = a.C.Transfer.alarms.C.Alarm.enabled;
       })
     (Fingerprint.summary_fn ss.ss_fps fname)
@@ -88,7 +92,6 @@ let find (ss : session) (key : C.Transfer.summary_key) :
         let t0 = Unix.gettimeofday () in
         let r = Store.find ss.ss_store key in
         ss.ss_load_time <- ss.ss_load_time +. (Unix.gettimeofday () -. t0);
-        Option.iter (Hashtbl.replace ss.ss_tbl key) r;
         r
     | None -> None
   in
@@ -139,6 +142,7 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
       ss_new = [];
       ss_store = store;
       ss_lookups = { C.Transfer.lk_hits = 0; lk_misses = 0 };
+      ss_buf = Buffer.create 1024;
       ss_load_time = load_time;
     }
   in

@@ -696,7 +696,7 @@ let named_frames fps (a : C.Transfer.actx) =
 let key_of cfg p (a, fname, st, binds) =
   let fps = I.Fingerprint.make cfg p in
   let fr = C.Frame.of_call (named_frames fps a) ~fname binds in
-  (fr, I.Frame.entry_digest fps fr st binds)
+  (fr, I.Frame.entry_digest (Buffer.create 1024) fps fr st binds)
 
 (* a state mutated after it was keyed would make the run's key stale:
    recomputing every key after the run, from scratch, catches it *)
