@@ -172,7 +172,7 @@ let expected_digests : (string * string * string) list =
   ("mini_fbw.c", "main-loop", "0393ef8ffad46b80d13a61667e910dd1");
   ("gen-s11", "main-loop", "d2fa79fd30fe8d890dc3b4473c6466fb");
   ("gen-s12-bugs", "main-loop", "3f51b0a8426cae3ba68e5b7a10ac2aeb");
-  ("gen-s4-fused", "call entries: 209", "d17bd93f2b62a10c4049fb11881cefda")
+  ("gen-s4-fused", "call entries: 210", "e0dc4fbdbe2ddf76bcebebe68a1d7210")
   ]
 
 let actual_results () =
