@@ -249,22 +249,55 @@ let explain (r : C.Analysis.result) =
   String.concat "\n"
     (List.map (Fmt.str "%a" C.Alarm.pp_explain) r.C.Analysis.r_alarms)
 
-(* a run's invariant dump as its sorted (loop, assertion) lines: a
-   cache-off run numbers cells in first-use order and a cached run in
-   program order, so a loop's block lists the same assertions in
-   another order *)
-let dump_assertions (r : C.Analysis.result) =
-  let loop = ref "" in
-  String.split_on_char '\n' (C.Invariant_dump.to_string r)
-  |> List.map (fun l ->
-         if String.starts_with ~prefix:"=====" l then loop := l;
-         !loop ^ " | " ^ l)
-  |> List.sort compare |> String.concat "\n"
+(* what a run shows its user besides the fingerprint: the report
+   without its time and cache statistics, the --explain rendering, the
+   invariant dump and the main-loop census *)
+let renderings (r : C.Analysis.result) =
+  let stats =
+    { r.C.Analysis.r_stats with C.Analysis.s_time = 0.; s_cache = None }
+  in
+  [
+    ( "reports as",
+      Fmt.str "%a" C.Analysis.pp_result { r with C.Analysis.r_stats = stats } );
+    ("explains as", explain r);
+    ("dumps as", C.Invariant_dump.to_string r);
+    ( "census",
+      match C.Invariant_census.main_loop_census r with
+      | Some c -> Fmt.str "%a" C.Invariant_census.pp c
+      | None -> "" );
+  ]
+
+let body_passes = Astree_obs.Metrics.counter "iter.body_passes"
+
+(* [k ()] and the loop-body passes it computed *)
+let with_body_passes k =
+  let before = Astree_obs.Metrics.value body_passes in
+  let r = k () in
+  (r, Astree_obs.Metrics.value body_passes - before)
+
+(* [r] equals the cache-off run [off] in fingerprint and renderings *)
+let check_agrees ~name ~run (off : C.Analysis.result) (r : C.Analysis.result) =
+  let agree what a b =
+    Alcotest.(check string) (Printf.sprintf "%s: %s %s off" name run what) a b
+  in
+  agree "=" (P.Merge.fingerprint off) (P.Merge.fingerprint r);
+  List.iter2
+    (fun (what, a) (_, b) -> agree what a b)
+    (renderings off) (renderings r)
+
+(* a fully warm run replays one summary per task's entry point and
+   computes nothing *)
+let check_one_lookup ~name ?(tasks = 1) (warm : C.Analysis.result) passes =
+  let cs = cache_stats_exn warm in
+  Alcotest.(check (list int))
+    (name ^ ": warm hits, misses, loaded, body passes")
+    [ tasks; 0; tasks; 0 ]
+    [ cs.C.Analysis.c_hits; cs.C.Analysis.c_misses; cs.C.Analysis.c_loaded; passes ]
 
 (* cold store run, warm store run and cache-off run must all agree on
-   the one digest that covers alarms, census and final state, on the
-   --explain rendering and on the invariant dump; the warm run must be
-   all hits.  [min_stmts] is the memoization threshold (default 0:
+   the one digest that covers alarms, census and final state, and on
+   every rendering, byte for byte; the warm run must be one hit on the
+   entry point.  [min_stmts] is the memoization threshold (default 0:
    every callee), [dir] a store shared with other checks (default: the
    suite's store, see [with_tmpdir]). *)
 let check_warm_equals_cold ~name ?min_stmts ?dir (cfg : C.Config.t)
@@ -277,27 +310,12 @@ let check_warm_equals_cold ~name ?min_stmts ?dir (cfg : C.Config.t)
             { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
           in
           let cold = C.Analysis.analyze ~cfg:ccfg p in
-          let warm = C.Analysis.analyze ~cfg:ccfg p in
-          List.iter
-            (fun (run, r) ->
-              let agree what f =
-                Alcotest.(check string)
-                  (Printf.sprintf "%s: %s %s off" name run what)
-                  (f off) (f r)
-              in
-              agree "=" P.Merge.fingerprint;
-              agree "explains as" explain;
-              agree "dumps as" dump_assertions)
-            [ ("cold", cold); ("warm", warm) ];
-          let cs = cache_stats_exn warm in
-          Alcotest.(check bool)
-            (name ^ ": warm run hits") true
-            (cs.C.Analysis.c_hits > 0);
-          Alcotest.(check int) (name ^ ": warm run misses") 0
-            cs.C.Analysis.c_misses;
-          Alcotest.(check bool)
-            (name ^ ": store was loaded") true
-            (cs.C.Analysis.c_loaded > 0)))
+          let warm, passes =
+            with_body_passes (fun () -> C.Analysis.analyze ~cfg:ccfg p)
+          in
+          check_agrees ~name ~run:"cold" off cold;
+          check_agrees ~name ~run:"warm" off warm;
+          check_one_lookup ~name warm passes))
 
 (* tests run from the dune sandbox; walk up to the repository root *)
 let read_example name =
@@ -868,11 +886,13 @@ let test_moved_copy_warm_equals_off () =
                 { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
               in
               ignore (C.Analysis.analyze ~cfg:ccfg p);
-              let warm_q = C.Analysis.analyze ~cfg:ccfg q in
-              Alcotest.(check string)
-                (cname ^ ": moved copy warm = off")
-                (P.Merge.fingerprint off_q)
-                (P.Merge.fingerprint warm_q);
+              (* the copy hits the entry point and replays its alarms at
+                 its own locations *)
+              let warm_q, passes =
+                with_body_passes (fun () -> C.Analysis.analyze ~cfg:ccfg q)
+              in
+              check_agrees ~name:cname ~run:"moved copy warm" off_q warm_q;
+              check_one_lookup ~name:(cname ^ ": moved copy") warm_q passes;
               let warm_p = C.Analysis.analyze ~cfg:ccfg p in
               Alcotest.(check string)
                 (cname ^ ": original warm = off")
@@ -995,11 +1015,23 @@ let test_noop_warm_run_does_not_write () =
           Alcotest.(check int) "moved copy misses" 0 moved.C.Analysis.c_misses;
           Alcotest.(check bool) "moved copy wrote nothing" true
             (dir_state dir = s0);
-          (* an edited copy publishes one new file with its new keys only,
-             and leaves the published one alone *)
+          (* an edited copy misses its entry point and hits its
+             unchanged stages; it publishes one new file with its new
+             keys only, the entry point's among them, and leaves the
+             published one alone *)
+          let entry_published () =
+            let fn = I.Fingerprint.summary_fn (I.Fingerprint.make cfg e) "main" in
+            List.exists (fun k -> Some k.C.Iterator.sk_fn = fn) (stored_keys dir)
+          in
+          Alcotest.(check bool) "edited entry not in the store" false
+            (entry_published ());
           let edited = run e in
           Alcotest.(check bool) "edited copy misses" true
             (edited.C.Analysis.c_misses > 0);
+          Alcotest.(check bool) "edited copy hits its stages" true
+            (edited.C.Analysis.c_hits > 0);
+          Alcotest.(check bool) "edited entry published" true
+            (entry_published ());
           Alcotest.(check bool) "edited copy saved" true
             (edited.C.Analysis.c_save_time > 0.);
           let s1 = dir_state dir in
@@ -1118,14 +1150,20 @@ let fused_member () =
     .G.Generator.source
 
 (* The three bases of perfbench's incremental workload, an edited copy
-   of the first over its store, a bug-injected fused member and a loop
-   guard right after a computed call, at the shipped memoization
-   threshold. *)
+   of the first over its store, a bug-injected fused member, the
+   bug-injected 2 kLOC member of the one-shot workload and a loop guard
+   right after a computed call, at the shipped memoization threshold. *)
 let test_renderings_agree () =
   let min_stmts = !C.Iterator.memo_min_stmts in
   let check ?dir name src =
     let p, _ = C.Analysis.compile [ (name, src) ] in
-    check_warm_equals_cold ~name ~min_stmts ?dir C.Config.default p
+    let cfg =
+      {
+        C.Config.default with
+        C.Config.partitioned_functions = F.Preproc.partition_markers src;
+      }
+    in
+    check_warm_equals_cold ~name ~min_stmts ?dir cfg p
   in
   let base seed =
     (G.Generator.generate
@@ -1144,7 +1182,102 @@ let test_renderings_agree () =
   check "b1.c" (base 5);
   check "b2.c" (base 8);
   check "fb.c" (buggy_fused_src ());
+  check "m2.c"
+    (G.Generator.generate
+       {
+         G.Generator.seed = 3;
+         target_lines = 2000;
+         mix = G.Shapes.all_safe_kinds;
+         bug_ratio = 0.05;
+         fuse = 1;
+       })
+      .G.Generator.source;
   check "chain.c" Test_iterator.chain_src
+
+(* A 3-task member at -j 1 and -j 2: each task's entry point is keyed
+   under its rely, so a fully warm fixpoint replays one summary per task
+   in its last round and matches the cache-off fixpoint. *)
+let test_warm_tasks () =
+  let shipped = !C.Iterator.memo_min_stmts in
+  let g =
+    G.Generator.generate_tasks
+      { G.Generator.default with G.Generator.target_lines = 1000; bug_ratio = 1.0 }
+      ~tasks:3
+  in
+  let tasks = g.G.Generator.task_fns in
+  let p, _ = C.Analysis.compile [ ("mt.c", g.G.Generator.source) ] in
+  List.iter
+    (fun jobs ->
+      let name = Printf.sprintf "3 tasks -j %d" jobs in
+      let cfg =
+        {
+          C.Config.default with
+          C.Config.jobs;
+          partitioned_functions = g.G.Generator.partition_fns;
+        }
+      in
+      let fixpoint cfg = (Astree_conc.Fixpoint.analyze ~cfg ~tasks p).Astree_conc.Fixpoint.c_result in
+      let off = fixpoint cfg in
+      Alcotest.(check bool) (name ^ ": the member alarms") true
+        (C.Analysis.n_alarms off > 0);
+      with_private_dir (fun dir ->
+          with_cache_driver ~min_stmts:shipped (fun () ->
+              let ccfg =
+                { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
+              in
+              check_agrees ~name ~run:"cold" off (fixpoint ccfg);
+              let warm, passes = with_body_passes (fun () -> fixpoint ccfg) in
+              check_agrees ~name ~run:"warm" off warm;
+              check_one_lookup ~name ~tasks:3 warm passes)))
+    [ 1; 2 ]
+
+(* A budget trip stops the cold run inside the entry point's capture
+   section: the callee summaries computed so far are published, the
+   entry point's is not, and the next run starts from them. *)
+let test_trip_publishes_no_entry () =
+  let src = fused_member () in
+  let p, _ = C.Analysis.compile [ ("m.c", src) ] in
+  let cfg = C.Config.default in
+  let off = C.Analysis.analyze ~cfg p in
+  (* the governor's polls of a whole run, to trip half way *)
+  let polls = ref 0 in
+  let counting () = incr polls in
+  let ses = C.Transfer.new_session () in
+  ses.C.Transfer.ses_tick_hook <- Some counting;
+  ignore (C.Analysis.analyze ~session:ses ~cfg p);
+  let half = !polls / 2 in
+  let entry = I.Fingerprint.summary_fn (I.Fingerprint.make cfg p) "main" in
+  let shipped = !C.Iterator.memo_min_stmts in
+  with_private_dir (fun dir ->
+      with_cache_driver ~min_stmts:shipped (fun () ->
+          let ccfg =
+            { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
+          in
+          let ses = C.Transfer.new_session () in
+          polls := 0;
+          ses.C.Transfer.ses_tick_hook <-
+            Some
+              (fun () ->
+                counting ();
+                if !polls = half then
+                  raise (Astree_robust.Budget.Tripped Astree_robust.Budget.Timeout));
+          (match C.Analysis.analyze ~session:ses ~cfg:ccfg p with
+          | _ -> Alcotest.fail "expected a budget trip"
+          | exception Astree_robust.Budget.Tripped _ -> ());
+          let keys = stored_keys dir in
+          Alcotest.(check bool) "callee summaries published" true (keys <> []);
+          Alcotest.(check bool) "no entry summary published" false
+            (List.exists (fun k -> Some k.C.Iterator.sk_fn = entry) keys);
+          let next = C.Analysis.analyze ~cfg:ccfg p in
+          Alcotest.(check string) "the next run = off"
+            (P.Merge.fingerprint off) (P.Merge.fingerprint next);
+          Alcotest.(check bool) "the next run hits what the trip published"
+            true
+            ((cache_stats_exn next).C.Analysis.c_hits > 0);
+          Alcotest.(check bool) "and publishes the entry summary" true
+            (List.exists
+               (fun k -> Some k.C.Iterator.sk_fn = entry)
+               (stored_keys dir))))
 
 (* the first float literal after the header of [fn], multiplied by 2 *)
 let change_float_in ~fn src =
@@ -1534,6 +1667,10 @@ let suite =
       test_edit_warm_kinds;
     Alcotest.test_case "warm = cold = off: explain and invariant dump" `Quick
       test_renderings_agree;
+    Alcotest.test_case "warm = off: 3 tasks, one lookup per task" `Quick
+      test_warm_tasks;
+    Alcotest.test_case "budget trip publishes no entry summary" `Quick
+      test_trip_publishes_no_entry;
     Alcotest.test_case "frame locality: warm = off" `Quick
       test_frame_locality;
     Alcotest.test_case "frame oracle: the outside is neither read nor written"
