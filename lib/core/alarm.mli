@@ -78,9 +78,10 @@ val count : collector -> int
 val absorb : collector -> t list -> unit
 
 (** Capture section: [capture] diverts subsequent reports into a fresh
-    table, allocated on the first of them; [release] restores the previous table, absorbs the diverted
-    alarms back (first-in wins) and returns them.  Used by the summary
-    cache to record the alarms of one function call; sections nest. *)
+    table, allocated on the first of them; [release] restores the
+    previous table, absorbs the diverted alarms back (first-in wins) and
+    returns them.  Used by the summary cache to record the alarms of one
+    function call; sections nest. *)
 type capture
 
 val capture : collector -> capture

@@ -6,7 +6,7 @@
 type cache_stats = {
   c_hits : int;
   c_misses : int;
-  c_entries : int;     (** summaries in the table after the run *)
+  c_entries : int;     (** summaries this run computed *)
   c_loaded : int;      (** summaries read back from the on-disk store *)
   c_load_time : float; (** seconds spent loading the store *)
   c_save_time : float; (** seconds spent saving the store *)
