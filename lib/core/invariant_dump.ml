@@ -26,11 +26,12 @@ let program_rank (a : Transfer.actx) : int array =
       | _ -> ());
   rank
 
-let dump_ranked (a : Transfer.actx) (rank : int array) ppf (st : Astate.t) :
-    unit =
+let dump_ranked (a : Transfer.actx) (rank : int array Lazy.t) ppf
+    (st : Astate.t) : unit =
   if Astate.is_bot st then Fmt.pf ppf "unreachable@."
   else begin
     (* interval and clock assertions, cell by cell *)
+    let rank = Lazy.force rank in
     let cells =
       Env.fold (fun id av acc -> (id, av) :: acc) st.Astate.env []
       |> List.sort (fun (x, _) (y, _) ->
@@ -56,7 +57,7 @@ let dump_ranked (a : Transfer.actx) (rank : int array) ppf (st : Astate.t) :
   end
 
 let dump_state (a : Transfer.actx) ppf (st : Astate.t) : unit =
-  dump_ranked a (program_rank a) ppf st
+  dump_ranked a (lazy (program_rank a)) ppf st
 
 (** Dump every recorded loop invariant to a string. *)
 let to_string (r : Analysis.result) : string =
@@ -68,7 +69,7 @@ let to_string (r : Analysis.result) : string =
       r.Analysis.r_actx.Transfer.invariants []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  let rank = program_rank r.Analysis.r_actx in
+  let rank = lazy (program_rank r.Analysis.r_actx) in
   List.iter
     (fun (id, st) ->
       Fmt.pf ppf "===== loop %d invariant =====@." id;
