@@ -258,7 +258,8 @@ let renderings (r : C.Analysis.result) =
   in
   [
     ( "reports as",
-      Fmt.str "%a" C.Analysis.pp_result { r with C.Analysis.r_stats = stats } );
+      Fmt.str "%a" C.Analysis.pp_result
+        { r with C.Analysis.r_stats = stats } );
     ("explains as", explain r);
     ("dumps as", C.Invariant_dump.to_string r);
     ( "census",
@@ -292,7 +293,12 @@ let check_one_lookup ~name ?(tasks = 1) (warm : C.Analysis.result) passes =
   Alcotest.(check (list int))
     (name ^ ": warm hits, misses, loaded, body passes")
     [ tasks; 0; tasks; 0 ]
-    [ cs.C.Analysis.c_hits; cs.C.Analysis.c_misses; cs.C.Analysis.c_loaded; passes ]
+    [
+      cs.C.Analysis.c_hits;
+      cs.C.Analysis.c_misses;
+      cs.C.Analysis.c_loaded;
+      passes;
+    ]
 
 (* cold store run, warm store run and cache-off run must all agree on
    the one digest that covers alarms, census and final state, and on
@@ -1020,8 +1026,12 @@ let test_noop_warm_run_does_not_write () =
              keys only, the entry point's among them, and leaves the
              published one alone *)
           let entry_published () =
-            let fn = I.Fingerprint.summary_fn (I.Fingerprint.make cfg e) "main" in
-            List.exists (fun k -> Some k.C.Iterator.sk_fn = fn) (stored_keys dir)
+            let fn =
+              I.Fingerprint.summary_fn (I.Fingerprint.make cfg e) "main"
+            in
+            List.exists
+              (fun k -> Some k.C.Iterator.sk_fn = fn)
+              (stored_keys dir)
           in
           Alcotest.(check bool) "edited entry not in the store" false
             (entry_published ());
@@ -1201,7 +1211,11 @@ let test_warm_tasks () =
   let shipped = !C.Iterator.memo_min_stmts in
   let g =
     G.Generator.generate_tasks
-      { G.Generator.default with G.Generator.target_lines = 1000; bug_ratio = 1.0 }
+      {
+        G.Generator.default with
+        G.Generator.target_lines = 1000;
+        bug_ratio = 1.0;
+      }
       ~tasks:3
   in
   let tasks = g.G.Generator.task_fns in
@@ -1216,7 +1230,10 @@ let test_warm_tasks () =
           partitioned_functions = g.G.Generator.partition_fns;
         }
       in
-      let fixpoint cfg = (Astree_conc.Fixpoint.analyze ~cfg ~tasks p).Astree_conc.Fixpoint.c_result in
+      let fixpoint cfg =
+        (Astree_conc.Fixpoint.analyze ~cfg ~tasks p)
+          .Astree_conc.Fixpoint.c_result
+      in
       let off = fixpoint cfg in
       Alcotest.(check bool) (name ^ ": the member alarms") true
         (C.Analysis.n_alarms off > 0);
@@ -1260,7 +1277,8 @@ let test_trip_publishes_no_entry () =
               (fun () ->
                 counting ();
                 if !polls = half then
-                  raise (Astree_robust.Budget.Tripped Astree_robust.Budget.Timeout));
+                  raise
+                    (Astree_robust.Budget.Tripped Astree_robust.Budget.Timeout));
           (match C.Analysis.analyze ~session:ses ~cfg:ccfg p with
           | _ -> Alcotest.fail "expected a budget trip"
           | exception Astree_robust.Budget.Tripped _ -> ());
