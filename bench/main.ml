@@ -1315,223 +1315,6 @@ let e16 ~quick () =
        (speedup >= 1.5) (fp1 = fp4) recomputed)
 
 (* ------------------------------------------------------------------ *)
-(* E17: crash recovery - supervised restart on a warm summary store     *)
-(* ------------------------------------------------------------------ *)
-
-let e17 ~quick () =
-  section
-    "E17: self-healing service - supervised restart, recovered warm state\n\
-     claims checked: after kill -9, the supervisor restarts the daemon\n\
-     and the instance restarted on SOCKET.store answers its first request\n\
-     >= 1.5x faster than a cold daemon's first request; restart-to-ready\n\
-     stays under 2s; cold, warm and recovered replies all carry the\n\
-     one-shot fingerprint";
-  (* same cascade shape as E15: width 16 keeps every stage above
-     [memo_min_stmts], so the store actually carries summaries *)
-  let stages, width = if quick then (4, 16) else (8, 16) in
-  let src = cascade_source ~stages ~width in
-  let sources = [ ("e17.c", src) ] in
-  let options = Srv.Service.default_options in
-  let expected_fp =
-    let cfg = Srv.Service.config_of options ~sources in
-    let p, _ = C.Analysis.compile ~main:"main" sources in
-    P.Merge.fingerprint (R.Degrade.analyze ~cfg p)
-  in
-  let sub_from marker line =
-    let mlen = String.length marker in
-    let n = String.length line in
-    let rec find i =
-      if i + mlen > n then None
-      else if String.sub line i mlen = marker then Some (i + mlen)
-      else find (i + 1)
-    in
-    find 0
-  in
-  let report_fp report =
-    match sub_from "\"fingerprint\": \"" report with
-    | None -> None
-    | Some i ->
-        let j = String.index_from report i '"' in
-        Some (String.sub report i (j - i))
-  in
-  let int_field key line =
-    match sub_from (Printf.sprintf "\"%s\": " key) line with
-    | None -> -1
-    | Some i ->
-        let j = ref i in
-        while
-          !j < String.length line
-          && (match line.[!j] with '0' .. '9' -> true | _ -> false)
-        do
-          incr j
-        done;
-        if !j = i then -1 else int_of_string (String.sub line i (!j - i))
-  in
-  let sock = Filename.temp_file "astree-e17" ".sock" in
-  Sys.remove sock;
-  (* a supervised daemon's summary store, kept across restarts *)
-  let store = sock ^ ".store" in
-  let store_files () =
-    match Sys.readdir store with
-    | names -> List.filter (fun f -> Filename.check_suffix f ".sums") (Array.to_list names)
-    | exception Sys_error _ -> []
-  in
-  flush stdout;
-  flush stderr;
-  (* supervisor + daemon in one forked subtree, exactly the shape
-     [astreed --supervise] runs; a tight backoff ladder keeps the
-     restart bound about the supervision machinery, not the ladder *)
-  let sup_pid =
-    match Unix.fork () with
-    | 0 ->
-        let code =
-          try
-            Srv.Supervisor.run
-              ~config:
-                {
-                  Srv.Supervisor.default with
-                  Srv.Supervisor.s_policy =
-                    {
-                      R.Backoff.supervisor with
-                      R.Backoff.b_base = 0.1;
-                      b_max = 0.5;
-                    };
-                  s_verbose = false;
-                }
-              (fun ~restarts ~sup_started ->
-                Srv.Daemon.run
-                  {
-                    Srv.Daemon.default with
-                    Srv.Daemon.d_socket = sock;
-                    d_workers = 2;
-                    d_queue_depth = 16;
-                    d_restarts = restarts;
-                    d_supervised = true;
-                    d_sup_started = sup_started;
-                  })
-          with _ -> 1
-        in
-        Unix._exit code
-    | pid -> pid
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill sup_pid Sys.sigterm with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] sup_pid);
-      if Sys.file_exists sock then Sys.remove sock;
-      List.iter (fun f -> Sys.remove (Filename.concat store f))
-        (Array.to_list (try Sys.readdir store with Sys_error _ -> [||]));
-      if Sys.file_exists store then Sys.rmdir store)
-    (fun () ->
-      let rec wait_up n =
-        if n = 0 then failwith "daemon did not come up"
-        else
-          match Srv.Client.try_connect sock with
-          | Some fd -> Srv.Client.close fd
-          | None ->
-              Unix.sleepf 0.05;
-              wait_up (n - 1)
-      in
-      wait_up 100;
-      (* one analyze roundtrip: latency, fingerprint, preload count *)
-      let request () =
-        match Srv.Client.try_connect sock with
-        | None -> failwith "daemon gone"
-        | Some fd ->
-            Fun.protect
-              ~finally:(fun () -> Srv.Client.close fd)
-              (fun () ->
-                match
-                  Srv.Client.roundtrip fd
-                    (Srv.Client.analyze_request ~sources ~main:"main"
-                       ~options ())
-                with
-                | Error e -> failwith ("protocol: " ^ e)
-                | Ok line ->
-                    let rep = Srv.Client.decode line in
-                    if rep.Srv.Client.r_status <> "ok" then
-                      failwith ("daemon replied " ^ rep.Srv.Client.r_status);
-                    let fp =
-                      match rep.Srv.Client.r_report with
-                      | Some rpt -> report_fp rpt
-                      | None -> None
-                    in
-                    (fp, int_field "preloaded" line))
-      in
-      let status () =
-        match Srv.Client.try_connect sock with
-        | None -> None
-        | Some fd ->
-            Fun.protect
-              ~finally:(fun () -> Srv.Client.close fd)
-              (fun () ->
-                match Srv.Client.roundtrip fd "{\"verb\": \"status\"}" with
-                | Error _ -> None
-                | Ok line -> Some line)
-      in
-      let (fp_cold, _), t_cold = time request in
-      let (fp_warm, _), t_warm = time request in
-      let daemon_pid =
-        match status () with
-        | Some line ->
-            let pid = int_field "pid" line in
-            if pid <= 0 then failwith "status reply without pid";
-            pid
-        | None -> failwith "status request failed"
-      in
-      (* the cold request's worker published its summaries before it
-         replied: nothing to wait for before pulling the rug *)
-      if store_files () = [] then failwith "no store file published";
-      Unix.kill daemon_pid Sys.sigkill;
-      let killed_at = Unix.gettimeofday () in
-      (* ready = a fresh daemon process answers status on the re-bound
-         socket; the old pid may linger in the reply buffer race-free
-         because the listener dies with the process *)
-      let rec wait_ready n =
-        if n = 0 then failwith "daemon did not come back"
-        else
-          match status () with
-          | Some line when int_field "pid" line <> daemon_pid ->
-              (Unix.gettimeofday () -. killed_at, line)
-          | _ ->
-              Unix.sleepf 0.02;
-              wait_ready (n - 1)
-      in
-      let restart_s, status_line = wait_ready 500 in
-      let restarts = int_field "restarts" status_line in
-      let recovered = int_field "recovered" status_line in
-      let (fp_rec, preloaded), t_recovered = time request in
-      let speedup = t_cold /. Float.max t_recovered 1e-9 in
-      let fps_ok =
-        fp_cold = Some expected_fp
-        && fp_warm = Some expected_fp
-        && fp_rec = Some expected_fp
-      in
-      let warm_ok = recovered > 0 && preloaded > 0 in
-      Fmt.pr "%-38s %10s@." "request" "time(s)";
-      Fmt.pr "%-38s %10.3f@." "cold daemon, first request" t_cold;
-      Fmt.pr "%-38s %10.3f@." "same daemon, warm request" t_warm;
-      Fmt.pr "%-38s %10.3f@." "recovered daemon, first request" t_recovered;
-      Fmt.pr
-        "restart-to-ready: %.3fs (< 2s: %b)   restarts: %d   recovered \
-         store keys: %d   preloaded summaries: %d@."
-        restart_s (restart_s < 2.) restarts recovered preloaded;
-      Fmt.pr
-        "recovered/cold speedup: %.2fx   >= 1.5x: %b   fingerprints \
-         identical: %b   recovered warm: %b@."
-        speedup (speedup >= 1.5) fps_ok warm_ok;
-      json_record "e17"
-        (Printf.sprintf
-           "{\"quick\": %b, \"t_cold\": %.4f, \"t_warm\": %.4f, \
-            \"t_recovered\": %.4f, \"restart_s\": %.4f, \"restarts\": %d, \
-            \"recovered_keys\": %d, \"preloaded\": %d, \"speedup\": \
-            %.3f, \"recovered_speedup_ge_1_5x\": %b, \"restart_lt_2s\": \
-            %b, \"fingerprints_identical\": %b, \"recovered_warm\": %b}"
-           quick t_cold t_warm t_recovered restart_s restarts recovered
-           preloaded speedup (speedup >= 1.5) (restart_s < 2.) fps_ok
-           warm_ok))
-
-(* ------------------------------------------------------------------ *)
 (* E18 - operational telemetry: overhead, scrape, readiness             *)
 (* ------------------------------------------------------------------ *)
 
@@ -2001,7 +1784,6 @@ let () =
   if want "e14" then e14 ~quick ();
   if want "e15" then e15 ~quick ();
   if want "e16" then e16 ~quick ();
-  if want "e17" then e17 ~quick ();
   if want "e18" then e18 ~quick ();
   if want "micro" then micro ();
   (match json_path with Some path -> json_write path | None -> ());

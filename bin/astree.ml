@@ -9,7 +9,7 @@
    With --connect SOCK the analysis is delegated to a running astreed
    daemon (warm typed-IR and summary caches); the reply carries the same
    JSON report bytes this binary would print in-process, and when no
-   daemon listens the analysis silently runs in-process instead. *)
+   daemon answers the analysis runs in-process instead. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -31,7 +31,7 @@ let print_json ?metrics ?interference (r : C.Analysis.result) : unit =
 
 let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
     unroll partitioned max_dt_bools useful_packs jobs cache_dir no_cache
-    timeout max_mem connect retries no_fallback format
+    timeout max_mem connect format
     dump_invariants dump_census slice_alarms profile trace_file metrics_file
     explain verbose =
   if files = [] then `Error (false, "no input files")
@@ -188,35 +188,19 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
           let req =
             Srv.Client.analyze_request_json ~sources ~main ~options ()
           in
-          let policy =
-            { Astree_robust.Backoff.default with b_retries = max 0 retries }
-          in
-          match Srv.Client.request_retry ~policy sock req with
-          | Srv.Client.No_daemon ->
-              (* byte-identical output either way: only the transport
-                 differs, so the fallback is silent apart from stderr *)
-              if no_fallback then
-                `Error (false, "no daemon listening on " ^ sock)
-              else begin
-                prerr_endline
-                  ("astree: no daemon listening on " ^ sock
-                 ^ ", analyzing in-process");
-                in_process ()
-              end
-          | Srv.Client.Exhausted reason ->
-              (* the daemon exists but stayed unreachable or overloaded
-                 through the whole retry budget: exit 4, or analyze
-                 here — cold, but correct — when falling back is
-                 allowed *)
-              prerr_endline
-                ("astree: daemon unavailable after " ^ string_of_int retries
-               ^ " retries (" ^ reason ^ ")");
-              if no_fallback then `Ok 4
-              else begin
-                prerr_endline "astree: analyzing in-process";
-                in_process ()
-              end
-          | Srv.Client.Reply rep -> (
+          (* a daemon that resets the connection mid-write must not
+             kill this process: the write fails and the fallback runs *)
+          let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+          let res = Srv.Client.request sock req in
+          Sys.set_signal Sys.sigpipe sigpipe;
+          match res with
+          | Error msg ->
+              (* no listener (a stale socket file included), a reset or
+                 a torn reply: only the transport failed, and the
+                 in-process report is the same bytes *)
+              prerr_endline ("astree: " ^ msg ^ ", analyzing in-process");
+              in_process ()
+          | Ok rep -> (
               (* the echoed request id joins this invocation to the
                  daemon's trace span and access-log line *)
               if verbose then
@@ -229,8 +213,6 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
                   `Ok rep.Srv.Client.r_exit
               | "ok", None -> `Error (false, "daemon: malformed reply")
               | ("shed" | "shutting_down"), _ ->
-                  (* unreachable with retries > 0 (request_retry retries
-                     these), kept for a zero-retry policy *)
                   prerr_endline
                     ("astree: daemon refused the request ("
                     ^ rep.Srv.Client.r_status ^ ")");
@@ -302,9 +284,7 @@ let cmd =
         $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache)"
         $ Arg.(value & opt float 0. & info [ "timeout" ] ~docv:"SECS" ~doc:"Wall-clock budget for the analysis; on overrun, precision is shed soundly (degraded exit code 3) instead of aborting (0 = unbounded)")
         $ Arg.(value & opt int 0 & info [ "max-mem" ] ~docv:"MB" ~doc:"Major-heap watermark in MiB, with the same sound degradation as $(b,--timeout) (0 = unbounded)")
-        $ Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCK" ~doc:"Delegate the analysis to the astreed daemon listening on $(docv) (warm caches); shed replies and connection failures are retried with backoff, then the analysis falls back in-process (exit code 4 with $(b,--no-fallback)); silently analyze in-process when no daemon was ever there")
-        $ Arg.(value & opt int 4 & info [ "retries" ] ~docv:"N" ~doc:"Retry budget for $(b,--connect): shed replies, resets and restarting daemons are retried up to $(docv) times with jittered exponential backoff honoring the daemon's $(b,retry_after_s) hint")
-        $ flag "no-fallback" "With $(b,--connect): never analyze in-process; exit 2 when no daemon exists, 4 when the retry budget is exhausted"
+        $ Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCK" ~doc:"Delegate the analysis to the astreed daemon listening on $(docv) (warm caches); a $(b,shed) or $(b,shutting_down) reply exits 4, and when no daemon answers (no listener, a reset or a torn reply) the analysis runs in-process")
         $ Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,json) (one object with alarms, stats and the result fingerprint)")
         $ flag "dump-invariants" "Print loop invariants"
         $ flag "census" "Print the main-loop invariant census (Sect. 9.4.1)"

@@ -2,24 +2,23 @@
 
    Usage:  astreed --socket PATH [--max-inflight N] [--queue-depth N]
                    [--timeout SECS] [--max-mem MB] [--cache DIR]
-                   [--supervise] [--max-restarts N]
                    [--http PORT] [--access-log FILE] [--access-log-max BYTES]
                    [--trace FILE] [--verbose]
 
    Serves newline-delimited JSON requests (analyze / status / metrics /
    shutdown) over a Unix-domain socket.  Workers keep the typed IR
    resident across requests and share function summaries through one
-   store directory: --cache DIR, SOCKET.store under --supervise (so a
-   restarted daemon is warm), else a private directory under $TMPDIR
-   removed at clean shutdown.  Requests wait in one FIFO queue; SIGHUP
-   is ignored.  See DESIGN.md sections 12 and 15 and
+   store directory: --cache DIR (a daemon restarted on it, after a
+   crash too, is warm), else a private directory under $TMPDIR removed
+   at clean shutdown.  Requests wait in one FIFO queue; SIGHUP is
+   ignored.  See DESIGN.md sections 12 and 15 and
    README "Server mode". *)
 
 module Srv = Astree_server
 open Cmdliner
 
-let run socket workers queue_depth timeout max_mem cache_dir supervise
-    max_restarts http_port access_log access_log_max trace_file verbose =
+let run socket workers queue_depth timeout max_mem cache_dir http_port
+    access_log access_log_max trace_file verbose =
   (match trace_file with
   | None -> ()
   | Some f ->
@@ -40,26 +39,7 @@ let run socket workers queue_depth timeout max_mem cache_dir supervise
       d_access_log_max = max 4096 access_log_max;
     }
   in
-  let code =
-    if supervise then
-      Srv.Supervisor.run
-        ~config:
-          {
-            Srv.Supervisor.default with
-            Srv.Supervisor.s_max_restarts = max 0 max_restarts;
-            s_verbose = verbose;
-            s_access_log = access_log;
-          }
-        (fun ~restarts ~sup_started ->
-          Srv.Daemon.run
-            {
-              cfg with
-              Srv.Daemon.d_restarts = restarts;
-              d_supervised = true;
-              d_sup_started = sup_started;
-            })
-    else Srv.Daemon.run cfg
-  in
+  let code = Srv.Daemon.run cfg in
   Astree_obs.Trace.close ();
   code
 
@@ -107,23 +87,8 @@ let cmd =
                  request reads the summaries it hits from $(docv) and \
                  publishes the ones it computed, so they survive \
                  daemon restarts and serve astree $(b,--cache) runs \
-                 too (default: $(i,SOCKET)$(b,.store) under \
-                 $(b,--supervise), else a private directory under \
-                 $(b,TMPDIR) removed at clean shutdown)")
-      $ Arg.(
-          value & flag
-          & info [ "supervise" ]
-              ~doc:
-                "Run the daemon as a supervised child, restarted with \
-                 capped exponential backoff when it crashes; without \
-                 $(b,--cache) the store is $(i,SOCKET)$(b,.store), kept \
-                 across restarts so they come back warm")
-      $ Arg.(
-          value & opt int 0
-          & info [ "max-restarts" ] ~docv:"N"
-              ~doc:
-                "Give up supervision after $(docv) restarts (0 = keep \
-                 restarting forever)")
+                 too (default: a private directory under $(b,TMPDIR) \
+                 removed at clean shutdown)")
       $ Arg.(
           value
           & opt (some int) None
@@ -142,7 +107,7 @@ let cmd =
               ~doc:
                 "Append one JSONL record per request (rid, verb, \
                  digest, outcome, queue/service seconds, cache hits) \
-                 plus start/drain/restart events to $(docv)")
+                 plus start/drain/exit events to $(docv)")
       $ Arg.(
           value
           & opt int (8 * 1024 * 1024)

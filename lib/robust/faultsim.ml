@@ -25,14 +25,10 @@ type point =
   | Reply_truncate   (** pool worker writes half a marshalled reply, dies *)
   | Cache_corrupt    (** summary-store read behaves as a corrupt file *)
   | Cache_write      (** summary-store write fails mid-file (ENOSPC) *)
-  | Conn_drop        (** daemon drops a client connection before replying *)
-  | Reply_partial    (** daemon writes half a reply line, then drops *)
-  | Daemon_crash     (** daemon process dies abruptly at admission *)
 
 let all_points =
   [
     Worker_crash; Worker_hang; Reply_truncate; Cache_corrupt; Cache_write;
-    Conn_drop; Reply_partial; Daemon_crash;
   ]
 
 let point_name = function
@@ -41,9 +37,6 @@ let point_name = function
   | Reply_truncate -> "reply_truncate"
   | Cache_corrupt -> "cache_corrupt"
   | Cache_write -> "cache_write"
-  | Conn_drop -> "conn_drop"
-  | Reply_partial -> "reply_partial"
-  | Daemon_crash -> "daemon_crash"
 
 let point_of_name s =
   List.find_opt (fun p -> point_name p = s) all_points
@@ -161,21 +154,20 @@ let mix64 (z : int64) : int64 =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
+(* the tag seeds each point's stream: a point keeps its tag, so a spec
+   replays the same schedule it always did *)
 let point_tag = function
   | Worker_crash -> 1
   | Worker_hang -> 2
   | Reply_truncate -> 3
   | Cache_corrupt -> 4
   | Cache_write -> 5
-  | Conn_drop -> 6
-  | Reply_partial -> 7
-  | Daemon_crash -> 8
 
-(* per-point call counters; forked workers inherit the state at fork
-   time, so each process draws a reproducible stream *)
-let counters = Array.make 9 0
+(* per-point call counters, indexed by tag; forked workers inherit the
+   state at fork time, so each process draws a reproducible stream *)
+let counters = Array.make 6 0
 
-let fired = Array.make 9 0
+let fired = Array.make 6 0
 (** how often each point actually fired, for test assertions *)
 
 let fire_count (p : point) : int = fired.(point_tag p)

@@ -13,11 +13,6 @@ type point =
   | Reply_truncate   (** pool worker writes half a marshalled reply, dies *)
   | Cache_corrupt    (** summary-store read behaves as a corrupt file *)
   | Cache_write      (** summary-store write fails mid-file (ENOSPC) *)
-  | Conn_drop        (** daemon drops a client connection before replying *)
-  | Reply_partial    (** daemon writes half a reply line, then drops the
-                         connection — a torn wire write *)
-  | Daemon_crash     (** daemon process dies abruptly at admission (the
-                         supervisor's restart path) *)
 
 val point_name : point -> string
 

@@ -1,11 +1,5 @@
 (* Client side of the daemon protocol.  See client.mli. *)
 
-module Backoff = Astree_robust.Backoff
-module Metrics = Astree_obs.Metrics
-module Trace = Astree_obs.Trace
-
-let m_retries = Metrics.counter "srv.client.retries"
-
 let try_connect (path : string) : Unix.file_descr option =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   try
@@ -67,7 +61,6 @@ type reply = {
   r_status : string;
   r_exit : int;
   r_error : string option;
-  r_retry_after : float option;
   r_report : string option;
   r_rid : string option;
   r_line : string;
@@ -97,7 +90,7 @@ let decode (line : string) : reply =
   match Json.parse line with
   | Error _ ->
       { r_status = "error"; r_exit = 1; r_error = Some "unparsable reply";
-        r_retry_after = None; r_report = None; r_rid = None; r_line = line }
+        r_report = None; r_rid = None; r_line = line }
   | Ok j ->
       {
         r_status =
@@ -105,7 +98,6 @@ let decode (line : string) : reply =
             (Json.to_str (Json.member "status" j));
         r_exit = Option.value ~default:0 (Json.to_int (Json.member "exit" j));
         r_error = Json.to_str (Json.member "error" j);
-        r_retry_after = Json.to_num (Json.member "retry_after_s" j);
         r_report = reply_report line;
         r_rid = Json.to_str (Json.member "rid" j);
         r_line = line;
@@ -145,78 +137,3 @@ let request (path : string) (j : Json.t) : (reply, string) result =
       Fun.protect
         ~finally:(fun () -> close fd)
         (fun () -> Result.map decode (roundtrip fd (Json.to_string j)))
-
-(* ---- retrying requests ------------------------------------------- *)
-
-type outcome = Reply of reply | No_daemon | Exhausted of string
-
-let request_retry ?(policy = Backoff.default) ?seed (path : string)
-    (j : Json.t) : outcome =
-  let seed = match seed with Some s -> s | None -> Unix.getpid () in
-  let line = Json.to_string j in
-  let rid = Option.value ~default:"" (Json.to_str (Json.member "rid" j)) in
-  (* [attempt] counts completed tries; [hint] is the daemon's own
-     pacing suggestion (a shed reply's retry_after_s), preferred over
-     the blind backoff ladder when present.  Every retry is observable:
-     a [srv.client.retry] trace event per attempt plus the
-     [srv.client.retries] counter — a request that succeeded on its
-     third try no longer looks identical to one that succeeded on its
-     first. *)
-  let backoff ~attempt ~reason ~hint k =
-    if attempt + 1 > policy.Backoff.b_retries then Exhausted reason
-    else begin
-      Metrics.incr m_retries;
-      let d =
-        match hint with
-        | Some h when h > 0. -> Float.min h policy.Backoff.b_max
-        | _ -> Backoff.delay policy ~seed ~attempt
-      in
-      if !Trace.enabled then
-        Trace.emit "srv.client.retry"
-          ~args:
-            [
-              ("rid", Trace.S rid);
-              ("attempt", Trace.I (attempt + 1));
-              ("reason", Trace.S reason);
-              ("delay_s", Trace.F d);
-            ];
-      (try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      k (attempt + 1)
-    end
-  in
-  let rec go attempt =
-    match try_connect path with
-    | None ->
-        if attempt = 0 && not (Sys.file_exists path) then
-          (* nothing was ever listening: the caller's in-process
-             fallback applies, silently *)
-          No_daemon
-        else
-          (* a socket file with no listener is a daemon mid-restart
-             (a crashed daemon leaves its socket linked until the
-             supervisor re-binds); a vanished file may be a drain.
-             Either way the daemon asked for patience, not a fallback. *)
-          backoff ~attempt ~reason:("no daemon listening on " ^ path)
-            ~hint:None go
-    | Some fd -> (
-        match
-          Fun.protect ~finally:(fun () -> close fd) (fun () ->
-              roundtrip fd line)
-        with
-        | Error msg ->
-            (* connection reset or torn reply: the daemon (or its
-               supervisor) is recycling; retry against the fresh one *)
-            backoff ~attempt ~reason:("connection failed: " ^ msg)
-              ~hint:None go
-        | Ok reply_line -> (
-            let r = decode reply_line in
-            match r.r_status with
-            | "shed" | "shutting_down" ->
-                backoff ~attempt
-                  ~reason:
-                    (Printf.sprintf "%s: %s" r.r_status
-                       (Option.value ~default:"try again later" r.r_error))
-                  ~hint:r.r_retry_after go
-            | _ -> Reply r))
-  in
-  go 0

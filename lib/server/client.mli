@@ -32,8 +32,6 @@ type reply = {
   r_status : string;          (** ok | error | shed | shutting_down *)
   r_exit : int;               (** exit code for ok analyze replies *)
   r_error : string option;
-  r_retry_after : float option;
-      (** shed replies: the daemon's pacing hint, seconds *)
   r_report : string option;   (** raw report bytes, analyze replies *)
   r_rid : string option;      (** the daemon's echoed request id *)
   r_line : string;            (** the full reply line *)
@@ -50,10 +48,10 @@ val analyze_request_json :
   options:Service.options ->
   unit ->
   Json.t
-(** One analyze request as a JSON value (for {!request} and
-    {!request_retry}).  [rid] is the request id stamped on the daemon's
-    reply, trace span and access-log line; one is minted with
-    {!Telemetry.gen_id} when not supplied. *)
+(** One analyze request as a JSON value (for {!request}).  [rid] is
+    the request id stamped on the daemon's reply, trace span and
+    access-log line; one is minted with {!Telemetry.gen_id} when not
+    supplied. *)
 
 val analyze_request :
   ?id:int ->
@@ -67,28 +65,8 @@ val analyze_request :
 
 val request : string -> Json.t -> (reply, string) result
 (** One-shot convenience: connect to socket [path], send the request
-    object, decode the reply, close. *)
-
-(** Result of a {!request_retry}: a definitive reply, "nothing ever
-    listened here" (in-process fallback applies), or the retry budget
-    ran out while the daemon stayed unreachable or overloaded. *)
-type outcome = Reply of reply | No_daemon | Exhausted of string
-
-val request_retry :
-  ?policy:Astree_robust.Backoff.policy ->
-  ?seed:int ->
-  string ->
-  Json.t ->
-  outcome
-(** Like {!request}, but resilient: connection failures, torn replies
-    and [shed]/[shutting_down] responses are retried up to
-    [policy.b_retries] times with jittered exponential backoff
-    (default {!Astree_robust.Backoff.default}: 4 retries from 0.1s).
-    A shed reply's [retry_after_s] hint overrides the ladder for that
-    wait.  [No_daemon] is returned only when the very first connect
-    fails {e and} no socket file exists — a crashed-but-supervised
-    daemon leaves its socket linked, which reads as "restarting, be
-    patient" rather than "fall back".  Each retry bumps the
-    [srv.client.retries] metrics counter and, with tracing on, emits a
-    [srv.client.retry] event carrying the request id, attempt number,
-    reason and chosen delay. *)
+    object, decode the reply, close.  [Error] is a transport failure:
+    nothing listens at [path] (no socket file, or a stale one left by a
+    killed daemon), or the connection failed or closed before a whole
+    reply line arrived.  [astree --connect] answers each with an
+    in-process analysis; it never retries. *)

@@ -11,7 +11,6 @@
 module Pool = Astree_parallel.Pool
 module Store = Astree_incremental.Store
 module Budget = Astree_robust.Budget
-module Faultsim = Astree_robust.Faultsim
 module Metrics = Astree_obs.Metrics
 module Trace = Astree_obs.Trace
 
@@ -24,9 +23,6 @@ type config = {
   d_cache_dir : string option;
   d_grace : float;
   d_verbose : bool;
-  d_restarts : int;
-  d_supervised : bool;
-  d_sup_started : float;
   d_http_port : int option;        (* Some p: telemetry HTTP on 127.0.0.1:p *)
   d_access_log : string option;
   d_access_log_max : int;
@@ -42,9 +38,6 @@ let default : config =
     d_cache_dir = None;
     d_grace = 60.;
     d_verbose = false;
-    d_restarts = 0;
-    d_supervised = false;
-    d_sup_started = 0.;
     d_http_port = None;
     d_access_log = None;
     d_access_log_max = 8 * 1024 * 1024;
@@ -138,24 +131,8 @@ let close_conn st conn =
 
 let reply st conn (line : string) =
   if conn.c_alive then
-    if Faultsim.fires Faultsim.Conn_drop then begin
-      (* the connection dies instead of the reply arriving: the client
-         sees a reset and must retry *)
-      log st "fault injection: dropping connection before reply";
-      close_conn st conn
-    end
-    else if Faultsim.fires Faultsim.Reply_partial then begin
-      (* a torn wire write: half the line, then the connection dies.
-         The client's reader sees an unterminated line + EOF. *)
-      log st "fault injection: writing partial reply";
-      let s = line ^ "\n" in
-      (try write_all conn.c_fd (String.sub s 0 (String.length s / 2)) 0
-       with Unix.Unix_error _ -> ());
-      close_conn st conn
-    end
-    else
-      try write_all conn.c_fd (line ^ "\n") 0
-      with Unix.Unix_error _ -> close_conn st conn
+    try write_all conn.c_fd (line ^ "\n") 0
+    with Unix.Unix_error _ -> close_conn st conn
 
 (* ---- reply rendering --------------------------------------------- *)
 
@@ -195,9 +172,7 @@ let status_json st ~now =
     "{\"pid\": %d, \
      \"uptime_s\": %.3f, \"workers\": %d, \"inflight\": %d, \
      \"queued\": %d, \"served\": %d, \"shed\": %d, \"errors\": %d, \
-     \"draining\": %b, \"supervised\": %b, \
-     \"restarts\": %d, \"supervisor_uptime_s\": %.3f, \
-     \"queue_depth\": %d, \"dedup_hits\": %d, \
+     \"draining\": %b, \"queue_depth\": %d, \"dedup_hits\": %d, \
      \"recovered\": %d, \"store_entries\": %d, \"heap_words\": %d, \
      \"latency\": %s}"
     (Unix.getpid ()) (now -. st.st_started)
@@ -205,9 +180,6 @@ let status_json st ~now =
     (Hashtbl.length st.st_inflight)
     (Queue.length st.st_pending)
     st.st_served (Metrics.value m_shed) st.st_errors st.st_draining
-    st.st_cfg.d_supervised st.st_cfg.d_restarts
-    (if st.st_cfg.d_sup_started > 0. then now -. st.st_cfg.d_sup_started
-     else 0.)
     st.st_cfg.d_queue_depth (Metrics.value m_dedup) st.st_recovered
     (Store.count ~dir:st.st_store)
     (Gc.quick_stat ()).Gc.heap_words
@@ -388,9 +360,6 @@ let request_sources (j : Json.t) : ((string * string) list, string) result =
 
 let handle_analyze st conn ~rid id (j : Json.t) ~now =
   Metrics.incr m_requests;
-  (* the supervisor's reason to exist: the daemon can die abruptly at
-     the worst moment — mid-admission, request unreplied *)
-  if Faultsim.fires Faultsim.Daemon_crash then Unix._exit 70;
   match request_sources j with
   | Error msg ->
       tele_record st ~now ~verb:"analyze" ~outcome:`Error rid;
@@ -706,13 +675,12 @@ let bind_socket (path : string) : Unix.file_descr =
 (* ---- the store directory ---------------------------------------- *)
 
 (* The one summary store every worker reads and publishes to: the
-   --cache directory; SOCKET.store under supervision, so a restarted
-   daemon comes back warm; else a directory private to this daemon
-   under $TMPDIR (the [bool]), removed at clean shutdown. *)
+   --cache directory, which a daemon restarted on it finds warm; else a
+   directory private to this daemon under $TMPDIR (the [bool]), removed
+   at clean shutdown. *)
 let store_dir (dc : config) : string * bool =
   match dc.d_cache_dir with
   | Some dir -> (dir, false)
-  | None when dc.d_supervised -> (dc.d_socket ^ ".store", false)
   | None -> (Filename.temp_dir "astreed-" "", true)
 
 let remove_dir (dir : string) : unit =
@@ -816,13 +784,10 @@ let run (dc : config) : int =
               (fun c ->
                 try Unix.close c.c_fd with Unix.Unix_error _ -> ())
               st.st_conns);
-      if dc.d_restarts > 0 then
-        Metrics.set_gauge "srv.restarts" dc.d_restarts;
       Telemetry.event st.st_tele ~now:(Unix.gettimeofday ()) "start"
         ([
            ("pid", Json.Num (float_of_int (Unix.getpid ())));
            ("socket", Json.Str dc.d_socket);
-           ("restarts", Json.Num (float_of_int dc.d_restarts));
            ("store", Json.Str store);
            ("recovered", Json.Num (float_of_int st.st_recovered));
          ]

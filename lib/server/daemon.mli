@@ -30,12 +30,12 @@
     A worker crash fails the requests it was serving with an error
     reply; the pool respawns the worker.
 
-    {b Shared store.}  The store directory is [d_cache_dir] when set;
-    [SOCKET.store] under supervision; otherwise a directory private to
-    the daemon under [$TMPDIR], removed at clean shutdown.  Each request
-    publishes its new summaries as one fsynced file renamed into place
-    before its reply, so a daemon restarted after a crash on the same
-    directory is warm from its first request.  A torn, corrupt or
+    {b Shared store.}  The store directory is [d_cache_dir] when set,
+    otherwise a directory private to the daemon under [$TMPDIR],
+    removed at clean shutdown.  Each request publishes its new
+    summaries as one fsynced file renamed into place before its reply,
+    so a daemon restarted after a crash on the same directory is warm
+    from its first request.  A torn, corrupt or
     foreign store file is skipped: the request runs cold, never fails.
 
     {b Shutdown.}  SIGINT, SIGTERM and the [shutdown] verb all route
@@ -54,18 +54,12 @@ type config = {
                                  [0.] = none *)
   d_max_mem : int;           (** default per-request heap watermark *)
   d_cache_dir : string option;
-      (** the summary store directory every worker shares; [None] =
-          [SOCKET.store] when [d_supervised], else a private directory
-          under [$TMPDIR] removed at clean shutdown *)
+      (** the summary store directory every worker shares; [None] = a
+          private directory under [$TMPDIR] removed at clean shutdown *)
   d_grace : float;           (** drain bound: in-flight requests still
                                  running this many seconds after
                                  shutdown started are canceled *)
   d_verbose : bool;          (** log connections and requests on stderr *)
-  d_restarts : int;          (** supervisor restart count, surfaced in
-                                 [status] (set via [ASTREED_RESTARTS]) *)
-  d_supervised : bool;       (** running under [astreed --supervise] *)
-  d_sup_started : float;     (** supervisor start time (epoch seconds;
-                                 [0.] = not supervised) *)
   d_http_port : int option;
       (** telemetry HTTP listener on [127.0.0.1:port] serving
           [/metrics], [/healthz], [/readyz] and [/status]; [Some 0]

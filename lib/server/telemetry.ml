@@ -3,10 +3,8 @@
    Everything here is owned by the daemon's single-threaded event loop,
    so no locking: request records arrive from the loop, feed the
    per-verb latency accounting and are appended to the access log in
-   one call.  The only cross-process writer is the supervisor's
-   [append_event] (restart records), which uses O_APPEND one-shot
-   writes against the same file and never rotates — rotation is owned
-   by exactly one process, the daemon. *)
+   one call.  The daemon is the file's only writer, so rotation needs
+   no coordination with another process. *)
 
 module Metrics = Astree_obs.Metrics
 
@@ -193,30 +191,6 @@ let event t ~now (kind : string) (fields : (string * Json.t) list) : unit =
   write_line t
     (Json.to_string
        (Json.Obj (("t", Json.Num now) :: ("event", Json.Str kind) :: fields)))
-
-(* One-shot append from another process (the supervisor).  O_APPEND
-   plus a single [write] keeps concurrently appended lines whole. *)
-let append_event ~(path : string) ~now (kind : string)
-    (fields : (string * Json.t) list) : unit =
-  let line =
-    Json.to_string
-      (Json.Obj (("t", Json.Num now) :: ("event", Json.Str kind) :: fields))
-    ^ "\n"
-  in
-  match
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-  with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      let rec write_all off =
-        let n = String.length line - off in
-        if n > 0 then
-          match Unix.write_substring fd line off n with
-          | k -> write_all (off + k)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off
-      in
-      (try write_all 0 with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
 
 (* ---- quantiles ---------------------------------------------------- *)
 

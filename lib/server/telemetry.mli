@@ -5,10 +5,8 @@
 
     The daemon's event loop is the only writer of a {!t}: records and
     events are synchronous calls from the loop, so the module needs no
-    locking.  The one cross-process entry point is {!append_event}
-    (supervisor restart records): O_APPEND one-shot writes that
-    interleave whole lines with the daemon's own; rotation stays owned
-    by the daemon alone, so the two writers never race a rename.
+    locking.  The daemon is the access log's only writer, so rotation
+    never races another process.
 
     {b Exposition determinism.}  {!render_prometheus} renders families
     sorted by family name and series within a family in a fixed order
@@ -70,12 +68,6 @@ val event : t -> now:float -> string -> (string * Json.t) list -> unit
 (** Append a non-request lifecycle line
     [{"t": .., "event": KIND, ...fields}] — startup, drain begin,
     exit. *)
-
-val append_event :
-  path:string -> now:float -> string -> (string * Json.t) list -> unit
-(** Like {!event} but standalone: open [path] O_APPEND, write one line,
-    close.  For writers outside the daemon process (the supervisor's
-    restart records); never rotates. *)
 
 val close : t -> unit
 (** Close the access-log channel (records keep accumulating in memory). *)

@@ -560,10 +560,14 @@ let test_queue_full_shed () =
           Alcotest.(check (option string))
             "shed names the queue" (Some "queue full")
             first.Srv.Client.r_error;
-          (match first.Srv.Client.r_retry_after with
-          | Some t ->
+          (match
+             Result.map
+               (fun j -> Srv.Json.to_num (Srv.Json.member "retry_after_s" j))
+               (Srv.Json.parse first.Srv.Client.r_line)
+           with
+          | Ok (Some t) ->
               Alcotest.(check bool) "positive pacing hint" true (t > 0.)
-          | None -> Alcotest.fail "shed reply carries retry_after_s");
+          | _ -> Alcotest.fail "shed reply carries retry_after_s");
           Alcotest.(check string) "request 1 still served" "ok"
             second.Srv.Client.r_status);
       let server = server_status sock in
@@ -723,53 +727,68 @@ let test_multi_task_refused () =
       in
       Alcotest.(check string) "daemon survives" "ok" rep.Srv.Client.r_status)
 
-(* ---- client retry and backoff ------------------------------------ *)
+(* ---- client transport failures ---------------------------------- *)
 
-let test_request_retry_shed () =
-  (* single worker held busy, no queue: the retrying client paces
-     itself on the shed replies' retry_after_s hints until the worker
-     frees up, then gets the real reply — no in-process fallback *)
-  with_daemon ~workers:1 ~queue:0 ~hang:0.6
-    ~faults:[ (R.Faultsim.Worker_hang, 1.0) ]
-    (fun sock ->
-      let fd = Option.get (Srv.Client.try_connect sock) in
+(* [astree --connect] falls back in-process whenever [Client.request]
+   returns [Error]: a stale socket file, a hang-up and a torn reply must
+   each surface as one, at once *)
+
+let status_req = Srv.Json.Obj [ ("verb", Srv.Json.Str "status") ]
+
+let expect_error what = function
+  | Ok _ -> Alcotest.failf "%s: a reply came back" what
+  | Error _ -> ()
+
+let test_stale_socket_errors () =
+  let sock = fresh_socket () in
+  (* a socket file nothing listens on, as a killed daemon leaves it *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX sock);
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove sock)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      expect_error "stale socket" (Srv.Client.request sock status_req);
+      Alcotest.(check bool) "no wait on a stale socket" true
+        (Unix.gettimeofday () -. t0 < 0.5));
+  expect_error "no socket file" (Srv.Client.request sock status_req)
+
+(* a one-connection server: reads the request line, writes [reply]
+   (which need not end its line), hangs up *)
+let with_fake_daemon (reply : string) (k : string -> unit) : unit =
+  let sock = fresh_socket () in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX sock);
+  Unix.listen lfd 1;
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      (try
+         let cfd, _ = Unix.accept lfd in
+         ignore (Srv.Client.read_reply (Srv.Client.reader cfd));
+         ignore (Unix.write_substring cfd reply 0 (String.length reply))
+       with _ -> ());
+      Unix._exit 0
+  | pid ->
+      Unix.close lfd;
       Fun.protect
-        ~finally:(fun () -> Srv.Client.close fd)
-        (fun () ->
-          send_analyze ~id:1 fd;
-          Unix.sleepf 0.2;
-          match
-            Srv.Client.request_retry
-              ~policy:{ R.Backoff.default with R.Backoff.b_retries = 10 }
-              ~seed:7 sock
-              (analyze_json ~id:2 [ ("a.c", prog_alarm) ])
-          with
-          | Srv.Client.Reply r ->
-              Alcotest.(check string) "retried to ok" "ok"
-                r.Srv.Client.r_status
-          | Srv.Client.No_daemon -> Alcotest.fail "daemon is there"
-          | Srv.Client.Exhausted msg ->
-              Alcotest.failf "retries exhausted: %s" msg))
+        ~finally:(fun () ->
+          ignore (Unix.waitpid [] pid);
+          Sys.remove sock)
+        (fun () -> k sock)
 
-let test_request_retry_conn_drop () =
-  (* the daemon drops connections before replying about a third of the
-     time; the retrying client still lands a reply.  Deterministic:
-     both fault stream and backoff jitter are seeded. *)
-  with_daemon ~faults:[ (R.Faultsim.Conn_drop, 0.35) ]
-    (fun sock ->
-      match
-        Srv.Client.request_retry
-          ~policy:{ R.Backoff.default with R.Backoff.b_retries = 12 }
-          ~seed:3 sock
-          (analyze_json [ ("t.c", prog_simple) ])
-      with
-      | Srv.Client.Reply r ->
-          Alcotest.(check string) "survived dropped connections" "ok"
-            r.Srv.Client.r_status;
-          Alcotest.(check bool) "report delivered" true
-            (r.Srv.Client.r_report <> None)
-      | Srv.Client.No_daemon -> Alcotest.fail "daemon is there"
-      | Srv.Client.Exhausted msg -> Alcotest.failf "retries exhausted: %s" msg)
+let test_torn_reply_errors () =
+  let line = "{\"id\": null, \"rid\": \"r1\", \"status\": \"ok\"}" in
+  with_fake_daemon (String.sub line 0 (String.length line / 2)) (fun sock ->
+      expect_error "torn reply" (Srv.Client.request sock status_req));
+  with_fake_daemon "" (fun sock ->
+      expect_error "hang-up" (Srv.Client.request sock status_req));
+  (* the same line whole is a reply *)
+  with_fake_daemon (line ^ "\n") (fun sock ->
+      Alcotest.(check string) "a whole line decodes" "ok"
+        (ok_exn (Srv.Client.request sock status_req)).Srv.Client.r_status)
 
 (* ---- cross-request dedup ----------------------------------------- *)
 
@@ -940,7 +959,7 @@ let check_restart_cold ~store sources ~baseline ~why =
         (scrub_time baseline)
         (scrub_time (Option.get r.Srv.Client.r_report)))
 
-let test_checkpoint_recovery () =
+let test_store_recovery () =
   (* the second life on the same store is warm from its first request,
      and its report is byte-identical *)
   let sources = [ ("cascade.c", prog_cascade) ] in
@@ -960,7 +979,7 @@ let test_checkpoint_recovery () =
             (scrub_time baseline)
             (scrub_time (Option.get r.Srv.Client.r_report))))
 
-let test_checkpoint_torn () =
+let test_store_torn () =
   (* the published store file is torn after the fact — half of it, the
      way a write that stopped midway without the atomic rename would
      leave it: the restarted daemon must skip it and answer cold *)
@@ -976,6 +995,48 @@ let test_checkpoint_torn () =
                 (String.sub s 0 (String.length s / 2))))
         (store_files store);
       check_restart_cold ~store sources ~baseline ~why:"a torn file")
+
+let test_restart_over_stale_socket () =
+  (* kill -9 leaves the socket file behind: a client errors at once,
+     and a daemon started on the same socket path and store binds over
+     it and is warm from its first request *)
+  let sources = [ ("cascade.c", prog_cascade) ] in
+  let baseline, _ = in_process_report sources in
+  with_dir (fun store ->
+      with_daemon_ex ~store (fun sock pid ->
+          ignore (ok_exn (Srv.Client.request sock (analyze_json sources)));
+          Unix.kill pid Sys.sigkill;
+          let rec gone n =
+            match Srv.Client.try_connect sock with
+            | None -> ()
+            | Some fd ->
+                Srv.Client.close fd;
+                if n = 0 then Alcotest.fail "daemon survived SIGKILL";
+                Unix.sleepf 0.02;
+                gone (n - 1)
+          in
+          gone 250;
+          Alcotest.(check bool) "the socket file stays behind" true
+            (Sys.file_exists sock);
+          let t0 = Unix.gettimeofday () in
+          expect_error "stale socket"
+            (Srv.Client.request sock (analyze_json sources));
+          Alcotest.(check bool) "no wait on a stale socket" true
+            (Unix.gettimeofday () -. t0 < 0.5);
+          with_daemon_ex ~store ~sock (fun sock pid' ->
+              let server = server_status sock in
+              Alcotest.(check int) "the new daemon answers" pid'
+                (server_int "pid" server);
+              Alcotest.(check bool) "store keys recovered" true
+                (server_int "recovered" server > 0);
+              let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
+              Alcotest.(check string) "restarted serve ok" "ok"
+                r.Srv.Client.r_status;
+              Alcotest.(check bool) "restarted daemon is warm" true
+                (reply_preloaded r > 0);
+              Alcotest.(check string) "restarted report byte-identical"
+                (scrub_time baseline)
+                (scrub_time (Option.get r.Srv.Client.r_report)))))
 
 let test_store_foreign_version () =
   (* a store file written before the framed keys (magic v5) holds
@@ -1172,114 +1233,15 @@ let test_private_store_lifecycle () =
           Alcotest.(check (list string)) "removed after the shutdown verb" []
             (astreed_dirs tmp)))
 
-(* ---- supervision ------------------------------------------------- *)
-
-(* Fork a supervised daemon (supervisor + serving child); the body gets
-   the socket and the SUPERVISOR pid.  A fast backoff ladder keeps the
-   test snappy. *)
-let with_supervised ?(workers = 2) ?(faults = no_faults) ?(seed = 42)
-    (k : string -> int -> unit) : unit =
-  let sock = fresh_socket () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      if faults <> [] then R.Faultsim.install ~seed faults;
-      let code =
-        try
-          Srv.Supervisor.run
-            ~config:
-              {
-                Srv.Supervisor.default with
-                Srv.Supervisor.s_policy =
-                  {
-                    R.Backoff.supervisor with
-                    R.Backoff.b_base = 0.05;
-                    b_max = 0.5;
-                  };
-              }
-            (fun ~restarts ~sup_started ->
-              Srv.Daemon.run
-                {
-                  Srv.Daemon.default with
-                  Srv.Daemon.d_socket = sock;
-                  d_workers = workers;
-                  d_restarts = restarts;
-                  d_supervised = true;
-                  d_sup_started = sup_started;
-                })
-        with _ -> 1
-      in
-      Unix._exit code
-  | pid ->
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid);
-          if Sys.file_exists sock then Sys.remove sock;
-          remove_tree (sock ^ ".store"))
-        (fun () ->
-          wait_for_daemon sock;
-          k sock pid)
-
-let wait_for_revival sock =
-  let rec go n =
-    if n = 0 then Alcotest.fail "daemon did not come back"
-    else
-      match Srv.Client.try_connect sock with
-      | Some fd -> Srv.Client.close fd
-      | None ->
-          Unix.sleepf 0.1;
-          go (n - 1)
-  in
-  go 100
-
-let test_supervisor_restart () =
-  with_supervised (fun sock sup_pid ->
-      let server = server_status sock in
-      let pid1 = server_int "pid" server in
-      Alcotest.(check bool) "reports supervised" true
-        (Option.value ~default:false
-           (Srv.Json.to_bool (Srv.Json.member "supervised" server)));
-      (* the supervisor ignores SIGHUP and does not pass it on *)
-      Unix.kill sup_pid Sys.sighup;
-      Unix.sleepf 0.1;
-      let server = server_status sock in
-      Alcotest.(check int) "SIGHUP leaves the daemon be" pid1
-        (server_int "pid" server);
-      Alcotest.(check int) "no restarts yet" 0 (server_int "restarts" server);
-      let sources = [ ("cascade.c", prog_cascade) ] in
-      let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
-      Alcotest.(check string) "first life serves" "ok" r.Srv.Client.r_status;
-      let published = store_files (sock ^ ".store") in
-      Alcotest.(check bool) "SOCKET.store holds the summaries" true
-        (published <> []);
-      (* the hard way down: no drain, no unlink, nothing *)
-      Unix.kill pid1 Sys.sigkill;
-      Unix.sleepf 0.1;
-      wait_for_revival sock;
-      let server = server_status sock in
-      Alcotest.(check int) "one restart counted" 1
-        (server_int "restarts" server);
-      Alcotest.(check bool) "a fresh process" true
-        (server_int "pid" server <> pid1);
-      Alcotest.(check bool) "SOCKET.store survived the restart" true
-        (List.for_all Sys.file_exists published
-        && server_int "recovered" server > 0);
-      let r = ok_exn (Srv.Client.request sock (analyze_json sources)) in
-      Alcotest.(check string) "restarted daemon serves" "ok"
-        r.Srv.Client.r_status;
-      Alcotest.(check bool) "restarted daemon is warm" true
-        (reply_preloaded r > 0))
-
 (* ---- chaos soak -------------------------------------------------- *)
 
 let test_chaos_soak () =
-  (* a supervised daemon under deterministic chaos — crashing workers,
-     dropped connections, torn replies, abrupt daemon deaths — with
-     looping retrying clients.  The service must never die, no client
-     may hang (each is alarm-guarded), and every ok report must be
-     byte-identical to the in-process baseline. *)
+  (* a daemon under deterministic chaos — workers that crash on a job
+     or die halfway through writing its reply — with looping clients.
+     Each reply must be ok and byte-identical to the in-process
+     baseline, or a clean error; a transport error fails the test, no
+     client may hang (each is alarm-guarded), and the daemon process
+     itself never changes *)
   let seed =
     match Option.bind (Sys.getenv_opt "ASTREE_SOAK_SEED") int_of_string_opt
     with
@@ -1288,50 +1250,30 @@ let test_chaos_soak () =
   in
   let sources = [ ("t.c", prog_simple) ] in
   let baseline, _ = in_process_report sources in
-  with_supervised ~seed
-    ~faults:
-      [
-        (R.Faultsim.Worker_crash, 0.2);
-        (R.Faultsim.Conn_drop, 0.15);
-        (R.Faultsim.Reply_partial, 0.15);
-        (R.Faultsim.Daemon_crash, 0.05);
-      ]
-    (fun sock _sup_pid ->
+  with_daemon_ex ~seed
+    ~faults:[ (R.Faultsim.Worker_crash, 0.2); (R.Faultsim.Reply_truncate, 0.15) ]
+    (fun sock pid ->
       let client i =
         flush stdout;
         flush stderr;
         match Unix.fork () with
         | 0 ->
             (* a client that stops making progress is killed by the
-               alarm and fails the test as WSIGNALED.  The fast ladder
-               keeps worst-case pacing (20 retries * <=0.5s) well under
-               the alarm even if every request exhausts its budget. *)
+               alarm and fails the test as WSIGNALED *)
             ignore (Unix.alarm 120);
             let bad = ref 0 in
             for j = 1 to 6 do
               match
-                Srv.Client.request_retry
-                  ~policy:
-                    {
-                      R.Backoff.b_base = 0.05;
-                      b_factor = 2.0;
-                      b_max = 0.5;
-                      b_jitter = 0.25;
-                      b_retries = 20;
-                    }
-                  ~seed:((seed * 1009) + (i * 100) + j)
-                  sock
+                Srv.Client.request sock
                   (analyze_json ~id:((i * 100) + j) sources)
               with
-              | Srv.Client.Reply r when r.Srv.Client.r_status = "ok" -> (
+              | Ok r when r.Srv.Client.r_status = "ok" -> (
                   match r.Srv.Client.r_report with
                   | Some rep when scrub_time rep = scrub_time baseline -> ()
                   | _ -> incr bad)
-              | Srv.Client.Reply r when r.Srv.Client.r_status = "error" ->
-                  ()  (* an injected worker crash, reported cleanly *)
-              | Srv.Client.Reply _ -> incr bad
-              | Srv.Client.No_daemon -> incr bad
-              | Srv.Client.Exhausted _ -> ()  (* paced out, not hung *)
+              | Ok r when r.Srv.Client.r_status = "error" ->
+                  ()  (* an injected worker fault, reported cleanly *)
+              | Ok _ | Error _ -> incr bad
             done;
             Unix._exit (if !bad = 0 then 0 else 3)
         | pid -> pid
@@ -1347,21 +1289,8 @@ let test_chaos_soak () =
               Alcotest.failf "soak client killed by signal %d (hung?)" n
           | Unix.WSTOPPED _ -> Alcotest.fail "soak client stopped")
         pids;
-      (* the service survived the storm: status still answers (the
-         reply itself can be chaos-dropped, so ask a few times) *)
-      let rec alive n =
-        if n = 0 then Alcotest.fail "daemon unreachable after soak"
-        else
-          match
-            Srv.Client.request sock
-              (Srv.Json.Obj [ ("verb", Srv.Json.Str "status") ])
-          with
-          | Ok r when r.Srv.Client.r_status = "ok" -> ()
-          | _ ->
-              Unix.sleepf 0.2;
-              alive (n - 1)
-      in
-      alive 30)
+      Alcotest.(check int) "the daemon survived the storm" pid
+        (server_int "pid" (server_status sock)))
 
 (* ---- request ids over the wire ----------------------------------- *)
 
@@ -1622,21 +1551,21 @@ let suite =
       test_worker_crash;
     Alcotest.test_case "shutdown drains in-flight work" `Quick
       test_shutdown_drains;
-    Alcotest.test_case "client retries through shed" `Slow
-      test_request_retry_shed;
-    Alcotest.test_case "client retries through dropped connections" `Slow
-      test_request_retry_conn_drop;
+    Alcotest.test_case "stale socket file is an error" `Quick
+      test_stale_socket_errors;
+    Alcotest.test_case "torn or missing reply is an error" `Quick
+      test_torn_reply_errors;
     Alcotest.test_case "identical in-flight requests dedup" `Slow test_dedup;
     Alcotest.test_case "closed client's queued work dropped" `Quick
       test_closed_client_dropped;
     Alcotest.test_case "SIGHUP leaves the daemon serving" `Slow
       test_sighup_ignored;
-    Alcotest.test_case "checkpoint recovers warm state" `Slow
-      test_checkpoint_recovery;
-    Alcotest.test_case "torn checkpoint degrades to cold" `Slow
-      test_checkpoint_torn;
-    Alcotest.test_case "supervisor restarts a killed daemon" `Slow
-      test_supervisor_restart;
+    Alcotest.test_case "store recovers warm state" `Slow
+      test_store_recovery;
+    Alcotest.test_case "torn store file degrades to cold" `Slow
+      test_store_torn;
+    Alcotest.test_case "restart replaces a stale socket" `Slow
+      test_restart_over_stale_socket;
     Alcotest.test_case "chaos soak: service survives, replies exact" `Slow
       test_chaos_soak;
     Alcotest.test_case "request ids echo end-to-end" `Quick test_rid_echo;

@@ -41,7 +41,7 @@ let test_prom_name () =
         (Metrics.prom_name raw))
     [
       ("cache.hits", "cache_hits");
-      ("srv.client.retries", "srv_client_retries");
+      ("srv.dedup_hits", "srv_dedup_hits");
       ("iter:widen", "iter:widen");
       ("a-b c", "a_b_c");
       ("9lives", "_9lives");
@@ -246,15 +246,7 @@ let test_access_log () =
           "\"rid\": \"rff-01\"";
           "\"outcome\": \"ok\"";
           "\"cache_hits\": 7";
-        ];
-      (* the supervisor-style standalone append lands in the same file *)
-      T.append_event ~path ~now:2. "restart"
-        [ ("restart", Srv.Json.Num 1.) ];
-      let lines' =
-        read_file path |> String.split_on_char '\n'
-        |> List.filter (fun l -> l <> "")
-      in
-      Alcotest.(check int) "append_event adds a line" 3 (List.length lines'))
+        ])
 
 let test_rotation () =
   let path = Filename.temp_file "astree-telemetry" ".log" in
