@@ -66,22 +66,37 @@ type ctx = {
   cx_cfg : Config.t;
   cx_packs : Packing.t;
   cx_intern : Cell.interner;
+  cx_local : (string, fundef * reach * string list) Hashtbl.t;
+      (** a body's own facts and callees, by function *)
   cx_reach : (string, reach) Hashtbl.t;
   cx_frames : (string, t) Hashtbl.t;
   cx_all : VarSet.t Lazy.t;  (** every variable of the program *)
 }
 
-let local_facts (fd : fundef) : reach =
-  let reads, writes = F.Footprint.of_fundef ~keep:(fun _ -> true) fd in
-  let wait = ref false and loops = ref [] in
-  iter_stmts
-    (fun s ->
-      match s.sdesc with
-      | Swait -> wait := true
-      | Swhile (li, _, _) -> loops := li.loop_id :: !loops
-      | _ -> ())
-    fd.fd_body;
-  { r_vars = VarSet.union reads writes; r_wait = !wait; r_loops = !loops }
+(* The facts of one body and its callees in statement order, computed
+   once per function: every frame whose callee reaches the function
+   reuses them. *)
+let local (locals : (string, fundef * reach * string list) Hashtbl.t)
+    (fname : string) (fd : fundef) : reach * string list =
+  match Hashtbl.find_opt locals fname with
+  | Some (fd', r, calls) when fd' == fd -> (r, calls)
+  | _ ->
+      let reads, writes = F.Footprint.of_fundef ~keep:(fun _ -> true) fd in
+      let wait = ref false and loops = ref [] and calls = ref [] in
+      iter_stmts
+        (fun s ->
+          match s.sdesc with
+          | Swait -> wait := true
+          | Swhile (li, _, _) -> loops := li.loop_id :: !loops
+          | Scall (_, callee, _) -> calls := callee :: !calls
+          | _ -> ())
+        fd.fd_body;
+      let r =
+        { r_vars = VarSet.union reads writes; r_wait = !wait; r_loops = !loops }
+      in
+      let calls = List.rev !calls in
+      Hashtbl.replace locals fname (fd, r, calls);
+      (r, calls)
 
 (* The facts of [fname]'s transitive body: every function reachable
    from it through calls, each once. *)
@@ -97,22 +112,14 @@ let reach (cx : ctx) (fname : string) : reach =
           match Hashtbl.find_opt cx.cx_funs g with
           | None -> acc
           | Some fd ->
-              let l = local_facts fd in
-              let acc =
+              let l, calls = local cx.cx_local g fd in
+              List.fold_left visit
                 {
                   r_vars = VarSet.union l.r_vars acc.r_vars;
                   r_wait = l.r_wait || acc.r_wait;
                   r_loops = l.r_loops @ acc.r_loops;
                 }
-              in
-              let acc = ref acc in
-              iter_stmts
-                (fun s ->
-                  match s.sdesc with
-                  | Scall (_, callee, _) -> acc := visit !acc callee
-                  | _ -> ())
-                fd.fd_body;
-              !acc
+                calls
         end
       in
       let r =
@@ -123,6 +130,7 @@ let reach (cx : ctx) (fname : string) : reach =
 
 let ctx ?names (p : program) (funs : (string, fundef) Hashtbl.t)
     (cfg : Config.t) (packs : Packing.t) (intern : Cell.interner) : ctx =
+  let locals = Hashtbl.create 64 in
   {
     cx_names = names;
     cx_prog = p;
@@ -130,12 +138,14 @@ let ctx ?names (p : program) (funs : (string, fundef) Hashtbl.t)
     cx_cfg = cfg;
     cx_packs = packs;
     cx_intern = intern;
+    cx_local = locals;
     cx_reach = Hashtbl.create 64;
     cx_frames = Hashtbl.create 64;
     cx_all =
       lazy
         (List.fold_left
-           (fun acc (_, fd) -> VarSet.union (local_facts fd).r_vars acc)
+           (fun acc (fname, fd) ->
+             VarSet.union (fst (local locals fname fd)).r_vars acc)
            (VarSet.of_list (List.map fst p.p_globals))
            p.p_funs);
   }
@@ -151,7 +161,7 @@ let path_string (path : Cell.step list) : string =
     (List.map
        (function
          | Cell.Sfield f -> "." ^ f
-         | Cell.Selem i -> Printf.sprintf "[%d]" i
+         | Cell.Selem i -> "[" ^ string_of_int i ^ "]"
          | Cell.Sall -> "[*]")
        path)
 
@@ -232,7 +242,11 @@ let rel_keep (Rel r) (rel : Relstate.t) (acc : Relstate.t) : Relstate.t =
 (* The MD5 of each frame pack's element, in frame order, kept for the
    last element digested at that position: consecutive calls mostly pass
    the same, unchanged packs (elements are never mutated once in a map,
-   Octagon.copy). *)
+   Octagon.copy).  An element [same] as the kept one has the same
+   digest ([same] compares every field the encoding writes): loop-head
+   joins hand in new but equal elements at every iterate.  The position
+   then keeps the newer element, which the next call is likelier to
+   pass again. *)
 let rel_digest (Rel r) (buf : Buffer.t) (rel : Relstate.t) : unit =
   let module M = (val r.dom) in
   if Array.length r.last <> Array.length r.ids then
@@ -247,6 +261,9 @@ let rel_digest (Rel r) (buf : Buffer.t) (rel : Relstate.t) : unit =
           let d =
             match r.last.(i) with
             | Some (y, d) when y == x -> d
+            | Some (y, d) when M.same y x ->
+                r.last.(i) <- Some (x, d);
+                d
             | _ ->
                 let b = Buffer.create 1024 in
                 M.digest b x;
@@ -340,7 +357,7 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
         List.iter
           (fun (s, (c : Cell.t)) ->
             Reldom.add_str id s;
-            Reldom.add_str id (F.Ctypes.to_string (F.Ctypes.Tscalar c.Cell.cty));
+            Reldom.add_str id (F.Ctypes.scalar_name c.Cell.cty);
             Buffer.add_char id (if c.Cell.weak then 'w' else 's'))
           cells;
         let fr_cells =

@@ -163,7 +163,27 @@ let rec pp ppf = function
   | Tstruct s -> Fmt.pf ppf "struct %s" s
   | Tptr t -> Fmt.pf ppf "%a*" pp t
 
-let to_string t = Fmt.str "%a" pp t
+(* [pp]'s text without a formatter: fingerprints and frame identities
+   write one type name per token *)
+let scalar_name = function
+  | Tint (Bool, _) -> "_Bool"
+  | Tint (Char, Signed) -> "char"
+  | Tint (Char, Unsigned) -> "unsigned char"
+  | Tint (Short, Signed) -> "short"
+  | Tint (Short, Unsigned) -> "unsigned short"
+  | Tint (Int, Signed) -> "int"
+  | Tint (Int, Unsigned) -> "unsigned int"
+  | Tint (Long, Signed) -> "long"
+  | Tint (Long, Unsigned) -> "unsigned long"
+  | Tfloat Fsingle -> "float"
+  | Tfloat Fdouble -> "double"
+
+let rec to_string = function
+  | Tvoid -> "void"
+  | Tscalar s -> scalar_name s
+  | Tarray (t, n) -> String.concat "" [ to_string t; "["; string_of_int n; "]" ]
+  | Tstruct s -> "struct " ^ s
+  | Tptr t -> to_string t ^ "*"
 
 let equal_scalar (a : scalar) (b : scalar) = a = b
 

@@ -46,8 +46,14 @@ let is_alnum c = is_alpha c || is_digit c
 (* Skip whitespace and comments; handle line markers "# <n> \"file\"". *)
 let rec skip_trivia st =
   match peek st with
-  | ' ' | '\t' | '\r' | '\n' ->
-      advance st;
+  | ' ' | '\t' | '\r' ->
+      st.pos <- st.pos + 1;
+      st.col <- st.col + 1;
+      skip_trivia st
+  | '\n' ->
+      st.pos <- st.pos + 1;
+      st.line <- st.line + 1;
+      st.col <- 1;
       skip_trivia st
   | '/' when peek2 st = '/' ->
       while (not (at_end st)) && peek st <> '\n' do advance st done;
@@ -80,10 +86,22 @@ let rec skip_trivia st =
       skip_trivia st
   | _ -> ()
 
+(* keyword lookup by hashing: every identifier of the source goes
+   through it *)
+let keywords : (string, Token.t) Hashtbl.t =
+  let h = Hashtbl.create 64 in
+  List.iter (fun (k, t) -> Hashtbl.replace h k t) Token.keyword_table;
+  h
+
+(* an identifier holds no newline: [advance] over it only moves the
+   column *)
 let lex_ident st =
-  let start = st.pos in
-  while is_alnum (peek st) do advance st done;
-  String.sub st.src start (st.pos - start)
+  let start = st.pos and n = String.length st.src in
+  let i = ref start in
+  while !i < n && is_alnum (String.unsafe_get st.src !i) do incr i done;
+  st.pos <- !i;
+  st.col <- st.col + (!i - start);
+  String.sub st.src start (!i - start)
 
 (* Lex an integer or float literal. *)
 let lex_number st =
@@ -189,86 +207,113 @@ let lex_string_lit st =
   loop ();
   Token.STRING_LIT (Buffer.contents buf)
 
+(* a token of [n] characters on one line, starting at [tloc] *)
+let span st tloc n tok =
+  st.pos <- st.pos + n;
+  st.col <- st.col + n;
+  { Token.tok; tloc }
+
 let next_token st : Token.spanned =
   skip_trivia st;
   let tloc = loc st in
-  let mk tok = { Token.tok; tloc } in
-  let one tok = advance st; mk tok in
-  let two tok = advance st; advance st; mk tok in
-  let three tok = advance st; advance st; advance st; mk tok in
   match peek st with
-  | '\000' -> mk Token.EOF
-  | c when is_digit c -> mk (lex_number st)
-  | '.' when is_digit (peek2 st) -> mk (lex_number st)
+  | '\000' -> span st tloc 0 Token.EOF
+  | c when is_digit c -> { Token.tok = lex_number st; tloc }
+  | '.' when is_digit (peek2 st) -> { Token.tok = lex_number st; tloc }
   | c when is_alpha c ->
       let id = lex_ident st in
-      (match List.assoc_opt id Token.keyword_table with
-      | Some kw -> mk kw
-      | None -> mk (Token.IDENT id))
-  | '\'' -> mk (lex_char_lit st)
-  | '"' -> mk (lex_string_lit st)
-  | '(' -> one Token.LPAREN
-  | ')' -> one Token.RPAREN
-  | '{' -> one Token.LBRACE
-  | '}' -> one Token.RBRACE
-  | '[' -> one Token.LBRACKET
-  | ']' -> one Token.RBRACKET
-  | ';' -> one Token.SEMI
-  | ',' -> one Token.COMMA
-  | ':' -> one Token.COLON
-  | '?' -> one Token.QUESTION
-  | '.' -> one Token.DOT
-  | '~' -> one Token.TILDE
+      let tok =
+        match Hashtbl.find_opt keywords id with
+        | Some kw -> kw
+        | None -> Token.IDENT id
+      in
+      { Token.tok; tloc }
+  | '\'' -> { Token.tok = lex_char_lit st; tloc }
+  | '"' -> { Token.tok = lex_string_lit st; tloc }
+  | '(' -> span st tloc 1 Token.LPAREN
+  | ')' -> span st tloc 1 Token.RPAREN
+  | '{' -> span st tloc 1 Token.LBRACE
+  | '}' -> span st tloc 1 Token.RBRACE
+  | '[' -> span st tloc 1 Token.LBRACKET
+  | ']' -> span st tloc 1 Token.RBRACKET
+  | ';' -> span st tloc 1 Token.SEMI
+  | ',' -> span st tloc 1 Token.COMMA
+  | ':' -> span st tloc 1 Token.COLON
+  | '?' -> span st tloc 1 Token.QUESTION
+  | '.' -> span st tloc 1 Token.DOT
+  | '~' -> span st tloc 1 Token.TILDE
   | '+' -> (
       match peek2 st with
-      | '+' -> two Token.PLUSPLUS
-      | '=' -> two Token.PLUSEQ
-      | _ -> one Token.PLUS)
+      | '+' -> span st tloc 2 Token.PLUSPLUS
+      | '=' -> span st tloc 2 Token.PLUSEQ
+      | _ -> span st tloc 1 Token.PLUS)
   | '-' -> (
       match peek2 st with
-      | '-' -> two Token.MINUSMINUS
-      | '=' -> two Token.MINUSEQ
-      | '>' -> two Token.ARROW
-      | _ -> one Token.MINUS)
-  | '*' -> if peek2 st = '=' then two Token.STAREQ else one Token.STAR
-  | '/' -> if peek2 st = '=' then two Token.SLASHEQ else one Token.SLASH
-  | '%' -> if peek2 st = '=' then two Token.PERCENTEQ else one Token.PERCENT
-  | '^' -> if peek2 st = '=' then two Token.CARETEQ else one Token.CARET
-  | '!' -> if peek2 st = '=' then two Token.NEQ else one Token.BANG
-  | '=' -> if peek2 st = '=' then two Token.EQEQ else one Token.ASSIGN
+      | '-' -> span st tloc 2 Token.MINUSMINUS
+      | '=' -> span st tloc 2 Token.MINUSEQ
+      | '>' -> span st tloc 2 Token.ARROW
+      | _ -> span st tloc 1 Token.MINUS)
+  | '*' ->
+      if peek2 st = '=' then span st tloc 2 Token.STAREQ
+      else span st tloc 1 Token.STAR
+  | '/' ->
+      if peek2 st = '=' then span st tloc 2 Token.SLASHEQ
+      else span st tloc 1 Token.SLASH
+  | '%' ->
+      if peek2 st = '=' then span st tloc 2 Token.PERCENTEQ
+      else span st tloc 1 Token.PERCENT
+  | '^' ->
+      if peek2 st = '=' then span st tloc 2 Token.CARETEQ
+      else span st tloc 1 Token.CARET
+  | '!' ->
+      if peek2 st = '=' then span st tloc 2 Token.NEQ
+      else span st tloc 1 Token.BANG
+  | '=' ->
+      if peek2 st = '=' then span st tloc 2 Token.EQEQ
+      else span st tloc 1 Token.ASSIGN
   | '&' -> (
       match peek2 st with
-      | '&' -> two Token.ANDAND
-      | '=' -> two Token.AMPEQ
-      | _ -> one Token.AMP)
+      | '&' -> span st tloc 2 Token.ANDAND
+      | '=' -> span st tloc 2 Token.AMPEQ
+      | _ -> span st tloc 1 Token.AMP)
   | '|' -> (
       match peek2 st with
-      | '|' -> two Token.BARBAR
-      | '=' -> two Token.BAREQ
-      | _ -> one Token.BAR)
+      | '|' -> span st tloc 2 Token.BARBAR
+      | '=' -> span st tloc 2 Token.BAREQ
+      | _ -> span st tloc 1 Token.BAR)
   | '<' -> (
       match peek2 st with
-      | '=' -> two Token.LE
+      | '=' -> span st tloc 2 Token.LE
       | '<' ->
           if st.pos + 2 < String.length st.src && st.src.[st.pos + 2] = '='
-          then three Token.LSHIFTEQ
-          else two Token.LSHIFT
-      | _ -> one Token.LT)
+          then span st tloc 3 Token.LSHIFTEQ
+          else span st tloc 2 Token.LSHIFT
+      | _ -> span st tloc 1 Token.LT)
   | '>' -> (
       match peek2 st with
-      | '=' -> two Token.GE
+      | '=' -> span st tloc 2 Token.GE
       | '>' ->
           if st.pos + 2 < String.length st.src && st.src.[st.pos + 2] = '='
-          then three Token.RSHIFTEQ
-          else two Token.RSHIFT
-      | _ -> one Token.GT)
+          then span st tloc 3 Token.RSHIFTEQ
+          else span st tloc 2 Token.RSHIFT
+      | _ -> span st tloc 1 Token.GT)
   | c -> error st (Fmt.str "unexpected character %C" c)
 
 (** Tokenize a whole source string. *)
-let tokenize ~file src : Token.spanned list =
+let tokenize ~file src : Token.spanned array =
   let st = make_state ~file src in
-  let rec loop acc =
+  let eof = { Token.tok = Token.EOF; tloc = Loc.dummy } in
+  let toks = ref (Array.make (String.length src / 4 + 16) eof) and n = ref 0 in
+  let rec loop () =
     let t = next_token st in
-    if t.Token.tok = Token.EOF then List.rev (t :: acc) else loop (t :: acc)
+    if !n = Array.length !toks then begin
+      let bigger = Array.make (2 * !n) eof in
+      Array.blit !toks 0 bigger 0 !n;
+      toks := bigger
+    end;
+    !toks.(!n) <- t;
+    incr n;
+    match t.Token.tok with Token.EOF -> () | _ -> loop ()
   in
-  loop []
+  loop ();
+  Array.sub !toks 0 !n

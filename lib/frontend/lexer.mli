@@ -5,4 +5,4 @@
 exception Error of string * Loc.t
 
 (** Tokenize a whole source string; the result ends with [EOF]. *)
-val tokenize : file:string -> string -> Token.spanned list
+val tokenize : file:string -> string -> Token.spanned array

@@ -14,8 +14,7 @@ type state = {
   mutable typedefs : (string, unit) Hashtbl.t;
 }
 
-let make toks =
-  { toks = Array.of_list toks; pos = 0; typedefs = Hashtbl.create 16 }
+let make toks = { toks; pos = 0; typedefs = Hashtbl.create 16 }
 
 let cur st = st.toks.(st.pos).Token.tok
 let cur_loc st = st.toks.(st.pos).Token.tloc
@@ -672,7 +671,7 @@ let parse_global st : Ast.global =
   end
 
 (** Parse a whole translation unit from tokens. *)
-let parse_unit ~file (toks : Token.spanned list) : Ast.unit_ =
+let parse_unit ~file (toks : Token.spanned array) : Ast.unit_ =
   let st = make toks in
   let globals = ref [] in
   while cur st <> Token.EOF do

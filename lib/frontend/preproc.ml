@@ -47,7 +47,23 @@ let is_ident_start c = is_ident_char c && not (c >= '0' && c <= '9')
 
 (* Split a line into alternating non-identifier / identifier chunks and
    expand macros, with a recursion guard on currently-expanding names. *)
+(* Does [sub] occur in [s]? *)
+let occurs (sub : string) (s : string) : bool =
+  let n = String.length s and m = String.length sub in
+  let rec at i j = j = m || (s.[i + j] = sub.[j] && at i (j + 1)) in
+  let rec from i = i + m <= n && (at i 0 || from (i + 1)) in
+  from 0
+
+(* A line in which no macro name occurs is copied as it is: checking a
+   few names is cheaper than splitting the line into identifiers. *)
 let rec expand_line env ~loc ~active (line : string) : string =
+  if
+    List.compare_length_with env.macros 8 <= 0
+    && not (List.exists (fun (name, _) -> occurs name line) env.macros)
+  then line
+  else expand_macros env ~loc ~active line
+
+and expand_macros env ~loc ~active (line : string) : string =
   let n = String.length line in
   let buf = Buffer.create (n + 16) in
   let i = ref 0 in
@@ -227,7 +243,7 @@ let eval_condition env ~loc (text : string) : bool =
     Buffer.contents buf
   in
   (* tiny recursive-descent integer expression evaluator *)
-  let toks = Lexer.tokenize ~file:"<#if>" text in
+  let toks = Array.to_list (Lexer.tokenize ~file:"<#if>" text) in
   let toks = ref toks in
   let peek () = match !toks with t :: _ -> t.Token.tok | [] -> Token.EOF in
   let next () =
@@ -365,6 +381,16 @@ let strip s =
   while !j >= !i && (s.[!j] = ' ' || s.[!j] = '\t' || s.[!j] = '\r') do decr j done;
   String.sub s !i (!j - !i + 1)
 
+(* Is the first character after leading blanks (those [strip] drops) a
+   '#'? *)
+let is_directive (line : string) : bool =
+  let n = String.length line in
+  let rec go i =
+    i < n
+    && match line.[i] with ' ' | '\t' | '\r' -> go (i + 1) | '#' -> true | _ -> false
+  in
+  go 0
+
 (* Parse "#define NAME..." after the word define. *)
 let parse_define env ~loc rest =
   let rest = strip rest in
@@ -419,8 +445,8 @@ let rec process env ~file ~(depth : int) (src : string) : string =
     (fun idx line ->
       let lineno = idx + 1 in
       let loc = Loc.make ~file ~line:lineno ~col:1 in
-      let sline = strip line in
-      if String.length sline > 0 && sline.[0] = '#' then begin
+      if is_directive line then begin
+        let sline = strip line in
         let body = strip (String.sub sline 1 (String.length sline - 1)) in
         let directive, rest =
           let n = String.length body in
@@ -526,10 +552,11 @@ let scan_markers ~(tag : string) (src : string) : string list =
   let n = String.length src in
   let is_ws c = c = ' ' || c = '\t' || c = '\r' || c = '\n' in
   let at_close j = j + 1 < n && src.[j] = '*' && src.[j + 1] = '/' in
+  let rec tag_at i k = k = tlen || (src.[i + k] = tag.[k] && tag_at i (k + 1)) in
   let acc = ref [] in
   let i = ref 0 in
   while !i + tlen <= n do
-    if String.sub src !i tlen = tag then begin
+    if tag_at !i 0 then begin
       let j = ref (!i + tlen) in
       let stop = ref false in
       while not !stop do

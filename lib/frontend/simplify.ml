@@ -158,8 +158,9 @@ let init_const_at (init : init) (path : int list) : edesc option =
   in
   go init path
 
-(* Replace reads tab[c1][c2]... of constant arrays by their value. *)
-let replace_const_reads (p : program) : program =
+(* Replace reads tab[c1][c2]... of constant arrays by their value; also
+   the names of the functions where a read was replaced. *)
+let replace_const_reads (p : program) : program * (string, unit) Hashtbl.t =
   let assigned = assigned_roots p in
   let const_globals =
     List.filter_map
@@ -182,6 +183,7 @@ let replace_const_reads (p : program) : program =
         | _ -> None)
     | _ -> None
   in
+  let replaced = ref false in
   let rec tr_expr (e : expr) : expr =
     match e.edesc with
     | Elval lv -> (
@@ -189,7 +191,9 @@ let replace_const_reads (p : program) : program =
         | Some (root, rev_path) when Hashtbl.mem const_globals root -> (
             let init = Hashtbl.find const_globals root in
             match init_const_at init (List.rev rev_path) with
-            | Some d -> { e with edesc = d }
+            | Some d ->
+                replaced := true;
+                { e with edesc = d }
             | None -> { e with edesc = Elval (tr_lval lv) })
         | _ -> { e with edesc = Elval (tr_lval lv) })
     | Eunop (op, a) -> { e with edesc = Eunop (op, tr_expr a) }
@@ -222,22 +226,46 @@ let replace_const_reads (p : program) : program =
     | Slocal (v, Some e) -> { s with sdesc = Slocal (v, Some (tr_expr e)) }
     | _ -> s
   in
-  {
-    p with
-    p_funs =
-      List.map
-        (fun (n, fd) -> (n, { fd with fd_body = List.map tr_stmt fd.fd_body }))
-        p.p_funs;
-  }
+  (* a function without a replaced read keeps its body *)
+  let changed = Hashtbl.create 16 in
+  let p_funs =
+    List.map
+      (fun (n, fd) ->
+        replaced := false;
+        let body = List.map tr_stmt fd.fd_body in
+        if !replaced then begin
+          Hashtbl.replace changed n ();
+          (n, { fd with fd_body = body })
+        end
+        else (n, fd))
+      p.p_funs
+  in
+  ({ p with p_funs }, changed)
 
 (* ------------------------------------------------------------------ *)
 (* Unused-global deletion                                              *)
 (* ------------------------------------------------------------------ *)
 
-let used_globals (p : program) : VarSet.t =
-  let acc = ref VarSet.empty in
-  let add_expr e = acc := expr_vars e !acc in
-  let add_lval lv = acc := lval_vars lv !acc in
+(* the ids of the variables the functions read or write *)
+let used_globals (p : program) : (int, unit) Hashtbl.t =
+  let used = Hashtbl.create 256 in
+  let add v = Hashtbl.replace used v.v_id () in
+  let rec add_expr (e : expr) =
+    match e.edesc with
+    | Eint _ | Efloat _ -> ()
+    | Elval lv -> add_lval lv
+    | Eunop (_, a) | Ecast (_, a) -> add_expr a
+    | Ebinop (_, a, b) ->
+        add_expr a;
+        add_expr b
+  and add_lval (lv : lval) =
+    match lv.ldesc with
+    | Lvar v | Lderef v -> add v
+    | Lindex (a, i) ->
+        add_lval a;
+        add_expr i
+    | Lfield (a, _) -> add_lval a
+  in
   List.iter
     (fun (_, fd) ->
       iter_stmts
@@ -254,8 +282,8 @@ let used_globals (p : program) : VarSet.t =
           | _ -> ())
         fd.fd_body)
     p.p_funs;
-  List.iter (fun spec -> acc := VarSet.add spec.in_var !acc) p.p_inputs;
-  !acc
+  List.iter (fun spec -> add spec.in_var) p.p_inputs;
+  used
 
 let remove_unused_globals (p : program) : program =
   let used = used_globals p in
@@ -263,7 +291,7 @@ let remove_unused_globals (p : program) : program =
     p with
     p_globals =
       List.filter
-        (fun (v, _) -> VarSet.mem v used || v.v_volatile)
+        (fun (v, _) -> Hashtbl.mem used v.v_id || v.v_volatile)
         p.p_globals;
   }
 
@@ -287,15 +315,18 @@ let run (p : program) : program * stats =
           p.p_funs;
     }
   in
-  let p = replace_const_reads p in
-  (* fold again: constant reads may enable more folding *)
+  let p, changed = replace_const_reads p in
+  (* fold again where constant reads may enable more folding; folding is
+     idempotent elsewhere *)
   let p =
     {
       p with
       p_funs =
         List.map
           (fun (n, fd) ->
-            (n, { fd with fd_body = List.map (fold_stmt p.p_target) fd.fd_body }))
+            if Hashtbl.mem changed n then
+              (n, { fd with fd_body = List.map (fold_stmt p.p_target) fd.fd_body })
+            else (n, fd))
           p.p_funs;
     }
   in

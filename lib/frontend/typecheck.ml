@@ -79,7 +79,7 @@ let fresh_tmp env ~ty ~loc : Tast.var =
   let n = env.next_tmp in
   env.next_tmp <- n + 1;
   fresh_var env
-    ~name:(Fmt.str "__tmp%d" n)
+    ~name:("__tmp" ^ string_of_int n)
     ~orig:"<tmp>" ~ty ~kind:Tast.Ktmp ~volatile:false ~loc
 
 let fresh_loop env loc : Tast.loop_info =
@@ -814,7 +814,7 @@ and elab_local_decl env (d : Ast.decl) : Tast.stmt list =
   match d.Ast.d_storage with
   | Ast.Sto_static ->
       (* semantically a global with a fresh name (Sect. 4, footnote 2) *)
-      let name = Fmt.str "%s$%s" env.cur_fun d.Ast.d_name in
+      let name = env.cur_fun ^ "$" ^ d.Ast.d_name in
       let v =
         fresh_var env ~name ~orig:d.Ast.d_name ~ty
           ~kind:(Tast.Kstatic env.cur_fun) ~volatile:d.Ast.d_volatile ~loc
@@ -925,7 +925,7 @@ let elab_fundef env (f : Ast.fundef) : Tast.fundef =
           match pty with Ctypes.Tarray _ -> Ctypes.Tptr pty | t -> t
         in
         let v =
-          fresh_var env ~name:(Fmt.str "%s.%s" f.Ast.f_name pname) ~orig:pname
+          fresh_var env ~name:(f.Ast.f_name ^ "." ^ pname) ~orig:pname
             ~ty:pty ~kind:(Tast.Kparam f.Ast.f_name) ~volatile:false ~loc
         in
         bind_local env pname v;

@@ -34,17 +34,32 @@ let add_tok buf s =
   Buffer.add_string buf s;
   Buffer.add_char buf '\x00'
 
-let add_int buf n = add_tok buf (string_of_int n)
+(* [string_of_int n]'s digits, written without allocating *)
+let add_int buf n =
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  if n >= 0 then digits n else Buffer.add_string buf (string_of_int n);
+  Buffer.add_char buf '\x00'
 
 (* bit-exact: [string_of_float] would collapse distinct constants *)
 let add_float buf f = add_tok buf (Int64.to_string (Int64.bits_of_float f))
 let add_bool buf b = add_tok buf (if b then "1" else "0")
 let add_ty buf ty = add_tok buf (F.Ctypes.to_string ty)
-let add_scalar buf s = add_ty buf (F.Ctypes.Tscalar s)
+let add_scalar buf s = add_tok buf (F.Ctypes.scalar_name s)
 
 (* ------------------------------------------------------------------ *)
 (* Program-stable names                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Lines [sp_lo, sp_hi) of [sp_file], which one owner covers *)
+type span = {
+  sp_file : string;
+  sp_lo : int;
+  sp_hi : int;
+  sp_owner : (int * string) option;
+}
 
 type names = {
   nm_vars : (int, string) Hashtbl.t;  (** variable id -> name *)
@@ -52,6 +67,9 @@ type names = {
   nm_defs : (string, F.Loc.t) Hashtbl.t;  (** function -> definition *)
   nm_owners : (string, (int * string) array) Hashtbl.t;
       (** file -> (definition line, function), sorted by line *)
+  mutable nm_span : span;
+      (** the span of the last location looked up: consecutive
+          locations mostly lie in one function *)
 }
 
 (* Globals and statics are named by their unique source name; every
@@ -82,10 +100,29 @@ let names_of (p : F.Tast.program) : names =
                | F.Tast.Kglobal | F.Tast.Kstatic _ -> "g:" ^ v.F.Tast.v_name
                | F.Tast.Kparam _ -> "p:" ^ v.F.Tast.v_name
                | F.Tast.Klocal _ | F.Tast.Ktmp ->
-                   Printf.sprintf "l:%s:%s" fname v.F.Tast.v_orig))
+                   String.concat ":" [ "l"; fname; v.F.Tast.v_orig ]))
       in
-      let expr e = F.Tast.VarSet.iter name (F.Tast.expr_vars e F.Tast.VarSet.empty)
-      and lval lv = F.Tast.VarSet.iter name (F.Tast.lval_vars lv F.Tast.VarSet.empty) in
+      (* an expression's unnamed variables are named in id order, as a
+         [VarSet] lists them; most are named already *)
+      let rec expr_new acc (e : F.Tast.expr) =
+        match e.F.Tast.edesc with
+        | F.Tast.Eint _ | F.Tast.Efloat _ -> acc
+        | F.Tast.Elval lv -> lval_new acc lv
+        | F.Tast.Eunop (_, a) | F.Tast.Ecast (_, a) -> expr_new acc a
+        | F.Tast.Ebinop (_, a, b) -> expr_new (expr_new acc a) b
+      and lval_new acc (lv : F.Tast.lval) =
+        match lv.F.Tast.ldesc with
+        | F.Tast.Lvar v | F.Tast.Lderef v ->
+            if Hashtbl.mem vars v.F.Tast.v_id then acc else v :: acc
+        | F.Tast.Lindex (a, i) -> lval_new (expr_new acc i) a
+        | F.Tast.Lfield (a, _) -> lval_new acc a
+      in
+      let name_all = function
+        | [] -> ()
+        | vs -> List.iter name (List.sort_uniq F.Tast.Var.compare vs)
+      in
+      let expr e = name_all (expr_new [] e)
+      and lval lv = name_all (lval_new [] lv) in
       List.iter (function F.Tast.Pval v | F.Tast.Pref v -> name v) fd.F.Tast.fd_params;
       let loop = ref 0 in
       F.Tast.iter_stmts
@@ -127,7 +164,13 @@ let names_of (p : F.Tast.program) : names =
     (fun file defs ->
       Hashtbl.replace owners file (Array.of_list (List.sort compare defs)))
     by_file;
-  { nm_vars = vars; nm_loops = loops; nm_defs = defs; nm_owners = owners }
+  {
+    nm_vars = vars;
+    nm_loops = loops;
+    nm_defs = defs;
+    nm_owners = owners;
+    nm_span = { sp_file = ""; sp_lo = 0; sp_hi = 0; sp_owner = None };
+  }
 
 let var_name_in (nm : names) (v : F.Tast.var) : string =
   match Hashtbl.find_opt nm.nm_vars v.F.Tast.v_id with
@@ -137,18 +180,34 @@ let var_name_in (nm : names) (v : F.Tast.var) : string =
 (* The function a location lies in: the last one defined at or before
    it in its file; [None] before the first definition. *)
 let owner (nm : names) (l : F.Loc.t) : (int * string) option =
-  match Hashtbl.find_opt nm.nm_owners l.F.Loc.file with
-  | None -> None
-  | Some defs ->
-      let rec search lo hi best =
-        if lo > hi then best
-        else
-          let mid = (lo + hi) / 2 in
-          let line, _ = defs.(mid) in
-          if line <= l.F.Loc.line then search (mid + 1) hi (Some defs.(mid))
-          else search lo (mid - 1) best
-      in
-      if F.Loc.is_dummy l then None else search 0 (Array.length defs - 1) None
+  let line = l.F.Loc.line and sp = nm.nm_span in
+  if F.Loc.is_dummy l then None
+  else if line >= sp.sp_lo && line < sp.sp_hi && String.equal l.F.Loc.file sp.sp_file
+  then sp.sp_owner
+  else
+    let sp =
+      match Hashtbl.find_opt nm.nm_owners l.F.Loc.file with
+      | None ->
+          { sp_file = l.F.Loc.file; sp_lo = min_int; sp_hi = max_int; sp_owner = None }
+      | Some defs ->
+          (* the index of the last definition at or before [line], or -1 *)
+          let rec search lo hi best =
+            if lo > hi then best
+            else
+              let mid = (lo + hi) / 2 in
+              if fst defs.(mid) <= line then search (mid + 1) hi mid
+              else search lo (mid - 1) best
+          in
+          let i = search 0 (Array.length defs - 1) (-1) in
+          {
+            sp_file = l.F.Loc.file;
+            sp_lo = (if i < 0 then min_int else fst defs.(i));
+            sp_hi = (if i + 1 < Array.length defs then fst defs.(i + 1) else max_int);
+            sp_owner = (if i < 0 then None else Some defs.(i));
+          }
+    in
+    nm.nm_span <- sp;
+    sp.sp_owner
 
 let relative_in (nm : names) (l : F.Loc.t) : string * F.Loc.t =
   match owner nm l with
@@ -298,15 +357,15 @@ and add_block nm cfg buf calls (b : F.Tast.block) =
    first definition of its file).  The structure is pinned by the
    content fingerprint, so the bare sequence is unambiguous. *)
 let add_loc nm buf (l : F.Loc.t) =
-  match relative_in nm l with
-  | "", l ->
+  match owner nm l with
+  | None ->
       add_tok buf "A";
       add_tok buf l.F.Loc.file;
       add_int buf l.F.Loc.line;
       add_int buf l.F.Loc.col
-  | fname, l ->
+  | Some (line, fname) ->
       add_tok buf fname;
-      add_int buf l.F.Loc.line;
+      add_int buf (l.F.Loc.line - line);
       add_int buf l.F.Loc.col
 
 let rec lval_locs loc (lv : F.Tast.lval) =
@@ -328,8 +387,8 @@ and expr_locs loc (e : F.Tast.expr) =
       expr_locs loc a;
       expr_locs loc b
 
-let local_locations nm (fd : F.Tast.fundef) : string =
-  let buf = Buffer.create 1024 in
+let local_locations nm buf (fd : F.Tast.fundef) : string =
+  Buffer.clear buf;
   let loc = add_loc nm buf in
   let lval = lval_locs loc and expr = expr_locs loc in
   let arg = function F.Tast.Aval e -> expr e | F.Tast.Aref lv -> lval lv in
@@ -493,8 +552,8 @@ let summary_fn (fps : t) (fname : string) : string option =
 
 (** Local digest of one function — its own structure only — and its
     callee names. *)
-let local_digest nm cfg (fd : F.Tast.fundef) : string * string list =
-  let buf = Buffer.create 1024 in
+let local_digest nm cfg buf (fd : F.Tast.fundef) : string * string list =
+  Buffer.clear buf;
   let calls = ref [] in
   add_tok buf fd.F.Tast.fd_name;
   add_ty buf fd.F.Tast.fd_ret;
@@ -520,10 +579,11 @@ let local_digest nm cfg (fd : F.Tast.fundef) : string * string list =
 let make (cfg : C.Config.t) (p : F.Tast.program) : t =
   let nm = names_of p in
   let ctx = context_digest cfg p in
-  let locals = Hashtbl.create 64 in
+  let locals = Hashtbl.create 64 and buf = Buffer.create 4096 in
   List.iter
     (fun (fname, fd) ->
-      Hashtbl.replace locals fname (local_digest nm cfg fd, local_locations nm fd))
+      let local = local_digest nm cfg buf fd in
+      Hashtbl.replace locals fname (local, local_locations nm buf fd))
     p.F.Tast.p_funs;
   let fp_funs = Hashtbl.create 64 in
   let hash parts = Digest.to_hex (Digest.string (String.concat "\x00" parts)) in
