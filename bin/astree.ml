@@ -193,36 +193,29 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
           let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
           let res = Srv.Client.request sock req in
           Sys.set_signal Sys.sigpipe sigpipe;
-          match res with
-          | Error msg ->
-              (* no listener (a stale socket file included), a reset or
-                 a torn reply: only the transport failed, and the
-                 in-process report is the same bytes *)
-              prerr_endline ("astree: " ^ msg ^ ", analyzing in-process");
-              in_process ()
-          | Ok rep -> (
-              (* the echoed request id joins this invocation to the
-                 daemon's trace span and access-log line *)
-              if verbose then
-                Option.iter
-                  (fun rid -> prerr_endline ("astree: daemon request " ^ rid))
-                  rep.Srv.Client.r_rid;
-              match (rep.Srv.Client.r_status, rep.Srv.Client.r_report) with
-              | "ok", Some report ->
-                  print_string (report ^ "\n");
-                  `Ok rep.Srv.Client.r_exit
-              | "ok", None -> `Error (false, "daemon: malformed reply")
-              | ("shed" | "shutting_down"), _ ->
-                  prerr_endline
-                    ("astree: daemon refused the request ("
-                    ^ rep.Srv.Client.r_status ^ ")");
-                  `Ok 4
-              | _ ->
-                  `Error
-                    ( false,
-                      "daemon: "
-                      ^ Option.value ~default:"unknown error"
-                          rep.Srv.Client.r_error )))
+          (* the echoed request id joins this invocation to the
+             daemon's trace span and access-log line *)
+          (match res with
+          | Ok rep when verbose ->
+              Option.iter
+                (fun rid -> prerr_endline ("astree: daemon request " ^ rid))
+                rep.Srv.Client.r_rid
+          | _ -> ());
+          match Srv.Client.verdict res with
+          | Srv.Client.Print (report, code) ->
+              print_string (report ^ "\n");
+              `Ok code
+          | Srv.Client.Refused status ->
+              prerr_endline
+                ("astree: daemon refused the request (" ^ status ^ ")");
+              `Ok 4
+          | Srv.Client.Fallback why ->
+              (* no daemon answered (no listener, a stale socket file, a
+                 reset or a torn reply), or it answered with an error: a
+                 one-shot run gives the same report bytes and exit code,
+                 and reports bad input as a one-shot run does *)
+              prerr_endline ("astree: " ^ why ^ ", analyzing in-process");
+              in_process ())
       | Some _ ->
           (* text output and the report extras need the result value in
              this process *)
@@ -284,7 +277,7 @@ let cmd =
         $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache)"
         $ Arg.(value & opt float 0. & info [ "timeout" ] ~docv:"SECS" ~doc:"Wall-clock budget for the analysis; on overrun, precision is shed soundly (degraded exit code 3) instead of aborting (0 = unbounded)")
         $ Arg.(value & opt int 0 & info [ "max-mem" ] ~docv:"MB" ~doc:"Major-heap watermark in MiB, with the same sound degradation as $(b,--timeout) (0 = unbounded)")
-        $ Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCK" ~doc:"Delegate the analysis to the astreed daemon listening on $(docv) (warm caches); a $(b,shed) or $(b,shutting_down) reply exits 4, and when no daemon answers (no listener, a reset or a torn reply) the analysis runs in-process")
+        $ Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCK" ~doc:"Delegate the analysis to the astreed daemon listening on $(docv) (warm caches); a $(b,shed) or $(b,shutting_down) reply exits 4; when no daemon answers (no listener, a reset or a torn reply) or it answers with an error (a worker crash, a request timeout, a refused request), the analysis runs in-process, with the one-shot report and exit code")
         $ Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,json) (one object with alarms, stats and the result fingerprint)")
         $ flag "dump-invariants" "Print loop invariants"
         $ flag "census" "Print the main-loop invariant census (Sect. 9.4.1)"

@@ -55,8 +55,9 @@ type t = {
 }
 
 (* Facts of a transitive body: its footprint, whether it can reach the
-   clock tick, and its loops. *)
-type reach = { r_vars : VarSet.t; r_wait : bool; r_loops : int list }
+   clock tick, and its loops.  A body that reaches the tick frames the
+   whole state, so its footprint is only taken when asked for. *)
+type reach = { r_vars : VarSet.t Lazy.t; r_wait : bool; r_loops : int list }
 
 type ctx = {
   cx_names : names option;
@@ -92,7 +93,11 @@ let local (locals : (string, fundef * reach * string list) Hashtbl.t)
           | _ -> ())
         fd.fd_body;
       let r =
-        { r_vars = VarSet.union reads writes; r_wait = !wait; r_loops = !loops }
+        {
+          r_vars = Lazy.from_val (VarSet.union reads writes);
+          r_wait = !wait;
+          r_loops = !loops;
+        }
       in
       let calls = List.rev !calls in
       Hashtbl.replace locals fname (fd, r, calls);
@@ -105,7 +110,7 @@ let reach (cx : ctx) (fname : string) : reach =
   | Some r -> r
   | None ->
       let seen = Hashtbl.create 8 in
-      let rec visit acc g =
+      let rec visit ((vars, wait, loops) as acc) g =
         if Hashtbl.mem seen g then acc
         else begin
           Hashtbl.replace seen g ();
@@ -114,16 +119,21 @@ let reach (cx : ctx) (fname : string) : reach =
           | Some fd ->
               let l, calls = local cx.cx_local g fd in
               List.fold_left visit
-                {
-                  r_vars = VarSet.union l.r_vars acc.r_vars;
-                  r_wait = l.r_wait || acc.r_wait;
-                  r_loops = l.r_loops @ acc.r_loops;
-                }
+                (l.r_vars :: vars, l.r_wait || wait, l.r_loops @ loops)
                 calls
         end
       in
+      let vars, wait, loops = visit ([], false, []) fname in
       let r =
-        visit { r_vars = VarSet.empty; r_wait = false; r_loops = [] } fname
+        {
+          r_vars =
+            lazy
+              (List.fold_left
+                 (fun acc vs -> VarSet.union (Lazy.force vs) acc)
+                 VarSet.empty vars);
+          r_wait = wait;
+          r_loops = loops;
+        }
       in
       Hashtbl.replace cx.cx_reach fname r;
       r
@@ -145,7 +155,7 @@ let ctx ?names (p : program) (funs : (string, fundef) Hashtbl.t)
       lazy
         (List.fold_left
            (fun acc (fname, fd) ->
-             VarSet.union (fst (local locals fname fd)).r_vars acc)
+             VarSet.union (Lazy.force (fst (local locals fname fd)).r_vars) acc)
            (VarSet.of_list (List.map fst p.p_globals))
            p.p_funs);
   }
@@ -304,27 +314,66 @@ let rel_overlay (Rel r) (framed : Relstate.t) (rel : Relstate.t) : Relstate.t =
          (fun i x m -> Ptmap.add r.ids.(i) (M.rename r.packs.(i) x) m)
          fm (M.get rel))
 
-(* Close [vars] under pack membership in every domain. *)
-let rec close (packs : Packing.t) (vars : VarSet.t) : VarSet.t =
-  let more =
-    VarSet.fold
-      (fun v acc ->
-        List.fold_left
-          (fun acc (module M : Reldom.S) ->
-            List.fold_left
-              (fun acc pk -> Array.fold_right VarSet.add (M.pack_vars pk) acc)
-              acc (M.packs_of packs v))
-          acc Relstate.domains)
-      vars vars
+(* Close [vars] under pack membership in every domain: the packs of each
+   variable are visited once, those of a variable a pack added too. *)
+let close (packs : Packing.t) (vars : VarSet.t) : VarSet.t =
+  let acc = ref vars in
+  let rec visit v =
+    List.iter
+      (fun (module M : Reldom.S) ->
+        List.iter
+          (fun pk ->
+            Array.iter
+              (fun w ->
+                if not (VarSet.mem w !acc) then begin
+                  acc := VarSet.add w !acc;
+                  visit w
+                end)
+              (M.pack_vars pk))
+          (M.packs_of packs v))
+      Relstate.domains
   in
-  if VarSet.cardinal more = VarSet.cardinal vars then vars else close packs more
+  VarSet.iter visit vars;
+  !acc
+
+(* The cells of [vars] as (variable name, path string, cell), sorted by
+   [name ^ "\x00" ^ path]: with distinct names, that is by name, then by
+   path within one variable.  Names are distinct but for variables no
+   function names ({!Fingerprint}); those are sorted by the joined
+   string. *)
+let named_cells (cx : ctx) (nm : names) (vars : VarSet.t) :
+    (string * string * Cell.t) list =
+  let by_name =
+    VarSet.fold (fun v acc -> (nm.var_name v, v) :: acc) vars []
+    |> List.stable_sort (fun (x, _) (y, _) -> String.compare x y)
+  in
+  let rec distinct = function
+    | (x, _) :: ((y, _) :: _ as rest) -> (not (String.equal x y)) && distinct rest
+    | _ -> true
+  in
+  let with_paths name v =
+    List.map (fun (c : Cell.t) -> (name, path_string c.Cell.path, c)) (cells_of cx v)
+  in
+  if distinct by_name then
+    List.concat_map
+      (fun (name, v) ->
+        match with_paths name v with
+        | ([] | [ _ ]) as one -> one
+        | cells ->
+            List.stable_sort (fun (_, x, _) (_, y, _) -> String.compare x y) cells)
+      by_name
+  else
+    VarSet.fold (fun v acc -> with_paths (nm.var_name v) v @ acc) vars []
+    |> List.map (fun ((name, path, _) as c) -> (name ^ "\x00" ^ path, c))
+    |> List.stable_sort (fun (x, _) (y, _) -> String.compare x y)
+    |> List.map snd
 
 let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
   let r = reach cx fname in
   let vars =
     if r.r_wait then Lazy.force cx.cx_all
     else
-      let vars = VarSet.union r.r_vars extra in
+      let vars = VarSet.union (Lazy.force r.r_vars) extra in
       if r.r_loops <> [] && cx.cx_cfg.Config.float_iteration_epsilon > 0. then
         VarSet.union vars
           (VarSet.filter
@@ -341,28 +390,22 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
   let fr_id, fr_cells, fr_rel, loops =
     match cx.cx_names with
     | Some nm ->
-        let cells =
-          VarSet.fold
-            (fun v acc ->
-              List.map
-                (fun (c : Cell.t) ->
-                  (nm.var_name v ^ "\x00" ^ path_string c.Cell.path, c))
-                (cells_of cx v)
-              @ acc)
-            vars []
-          |> List.sort (fun (x, _) (y, _) -> String.compare x y)
-        in
+        let cells = named_cells cx nm vars in
         let id = Buffer.create 4096 in
         Reldom.add_i64 id (List.length cells);
         List.iter
-          (fun (s, (c : Cell.t)) ->
-            Reldom.add_str id s;
+          (fun (name, path, (c : Cell.t)) ->
+            (* the cell's name is [name ^ "\x00" ^ path] *)
+            Reldom.add_i64 id (String.length name + 1 + String.length path);
+            Buffer.add_string id name;
+            Buffer.add_char id '\x00';
+            Buffer.add_string id path;
             Reldom.add_str id (F.Ctypes.scalar_name c.Cell.cty);
             Buffer.add_char id (if c.Cell.weak then 'w' else 's'))
           cells;
         let fr_cells =
           Array.of_list
-            (List.map (fun (_, c) -> Cell.intern cx.cx_intern c) cells)
+            (List.map (fun (_, _, c) -> Cell.intern cx.cx_intern c) cells)
         in
         let fr_rel = List.map (rel_part cx vars (Some id)) Relstate.domains in
         let loops =

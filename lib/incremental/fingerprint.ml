@@ -576,7 +576,7 @@ let local_digest nm cfg buf (fd : F.Tast.fundef) : string * string list =
     callers: a caller's fingerprint folds its callees' fingerprints,
     recursively.  Functions on a call cycle get [None] (the analyzer
     rejects recursion anyway, Sect. 4). *)
-let make (cfg : C.Config.t) (p : F.Tast.program) : t =
+let compute (cfg : C.Config.t) (p : F.Tast.program) : t =
   let nm = names_of p in
   let ctx = context_digest cfg p in
   let locals = Hashtbl.create 64 and buf = Buffer.create 4096 in
@@ -636,3 +636,27 @@ let make (cfg : C.Config.t) (p : F.Tast.program) : t =
     fp_funs;
     fp_program = Digest.to_hex (Digest.string (Buffer.contents pbuf));
   }
+
+(* Fingerprints of recent programs, by physical identity: a daemon
+   worker keeps the typed IR of the programs it served and analyzes the
+   same program again.  Besides the program, they depend on the
+   configuration digest and on the loop unrollings, part of which
+   [config_digest] leaves out.  An entry empties once its program is
+   collected. *)
+module Recent = Ephemeron.K1.Bucket
+
+let recent : (F.Tast.program, string * (int * int) list * t) Recent.t =
+  Recent.make ()
+
+let recent_max = 32
+
+let make (cfg : C.Config.t) (p : F.Tast.program) : t =
+  let digest = config_digest cfg
+  and overrides = cfg.C.Config.loop_unroll_overrides in
+  match Recent.find recent p with
+  | Some (d, o, fps) when String.equal d digest && o = overrides -> fps
+  | _ ->
+      let fps = compute cfg p in
+      if Recent.length recent >= recent_max then Recent.clear recent;
+      Recent.add recent p (digest, overrides, fps);
+      fps

@@ -90,8 +90,10 @@ let at_child_fork : (unit -> unit) option ref = ref None
 
 (** Fork one worker.  [foreign] lists parent-side descriptors of the
     other live workers: the child closes them so that closing a job
-    pipe in the parent always delivers EOF to its worker. *)
-let spawn (f : 'a -> 'b) (foreign : Unix.file_descr list) : worker =
+    pipe in the parent always delivers EOF to its worker.  A replacement
+    worker gets its [generation]. *)
+let spawn ?generation (f : 'a -> 'b) (foreign : Unix.file_descr list) :
+    worker =
   let job_r, job_w = Unix.pipe () in
   let res_r, res_w = Unix.pipe () in
   flush stdout;
@@ -101,6 +103,7 @@ let spawn (f : 'a -> 'b) (foreign : Unix.file_descr list) : worker =
       Unix.close job_w;
       Unix.close res_r;
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) foreign;
+      Option.iter Faultsim.set_generation generation;
       (match !at_child_fork with
       | Some hook ->
           at_child_fork := None;
@@ -151,12 +154,17 @@ let dispose_worker (wk : worker) : unit =
   (try close_out_noerr wk.w_oc with _ -> ());
   try close_in_noerr wk.w_ic with _ -> ()
 
+(* replacement workers spawned by this process so far: each one's
+   generation (Faultsim.set_generation) *)
+let respawns = ref 0
+
 let respawn (p : ('a, 'b) t) (w : int) : unit =
   dispose_worker p.p_workers.(w);
   let others =
     worker_fds (List.filteri (fun i _ -> i <> w) (Array.to_list p.p_workers))
   in
-  p.p_workers.(w) <- spawn p.p_run others
+  incr respawns;
+  p.p_workers.(w) <- spawn ~generation:!respawns p.p_run others
 
 let shutdown (p : ('a, 'b) t) : unit =
   if p.p_alive then begin

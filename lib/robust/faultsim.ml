@@ -176,6 +176,15 @@ let reset_counters () =
   Array.fill counters 0 (Array.length counters) 0;
   Array.fill fired 0 (Array.length fired) 0
 
+(* The spawn generation of this process: 0 for the workers a pool starts
+   with, [n] for the [n]-th worker a pool spawned to replace a dead one.
+   It keys the stream, so a replacement draws decisions of its own
+   instead of replaying its predecessor's from the call counters both
+   inherited; generation 0 draws the schedule it always did. *)
+let generation = ref 0
+
+let set_generation (g : int) : unit = generation := g
+
 let fires (p : point) : bool =
   if !suppress_depth > 0 then false
   else
@@ -191,8 +200,10 @@ let fires (p : point) : bool =
             let h =
               mix64
                 (Int64.logxor
-                   (Int64.of_int ((sp.sp_seed * 1_000_003) + c))
-                   (Int64.mul (Int64.of_int tag) 0x9e3779b97f4a7c15L))
+                   (Int64.logxor
+                      (Int64.of_int ((sp.sp_seed * 1_000_003) + c))
+                      (Int64.mul (Int64.of_int tag) 0x9e3779b97f4a7c15L))
+                   (Int64.mul (Int64.of_int !generation) 0xd1b54a32d192ed03L))
             in
             (* 53 uniform bits -> [0, 1) *)
             let u =

@@ -26,6 +26,13 @@ val hang_seconds : float ref
 val fires : point -> bool
 
 (** Arm a spec programmatically, overriding the environment. *)
+val set_generation : int -> unit
+(** Set this process's spawn generation: 0 (the default) for the
+    workers a pool starts with, [n] for the [n]-th replacement of a dead
+    worker.  The generation keys the decision stream, so a replacement
+    does not replay the faults that killed its predecessor; generation 0
+    keeps every schedule a spec always gave. *)
+
 val install : seed:int -> (point * float) list -> unit
 
 (** Drop a programmatic spec (the environment applies again). *)

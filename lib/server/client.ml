@@ -137,3 +137,17 @@ let request (path : string) (j : Json.t) : (reply, string) result =
       Fun.protect
         ~finally:(fun () -> close fd)
         (fun () -> Result.map decode (roundtrip fd (Json.to_string j)))
+
+type verdict = Print of string * int | Refused of string | Fallback of string
+
+let verdict (res : (reply, string) result) : verdict =
+  match res with
+  | Error msg -> Fallback msg
+  | Ok rep -> (
+      match (rep.r_status, rep.r_report) with
+      | "ok", Some report -> Print (report, rep.r_exit)
+      | "ok", None -> Fallback "daemon: malformed reply"
+      | (("shed" | "shutting_down") as status), _ -> Refused status
+      | _ ->
+          Fallback
+            ("daemon: " ^ Option.value ~default:"unknown error" rep.r_error))

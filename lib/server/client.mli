@@ -70,3 +70,16 @@ val request : string -> Json.t -> (reply, string) result
     killed daemon), or the connection failed or closed before a whole
     reply line arrived.  [astree --connect] answers each with an
     in-process analysis; it never retries. *)
+
+(** What [astree --connect] does with the outcome of {!request}. *)
+type verdict =
+  | Print of string * int  (** print the daemon's report, exit with the code *)
+  | Refused of string  (** [shed] or [shutting_down]: exit 4 *)
+  | Fallback of string
+      (** analyze in-process, so the report and the exit code are those
+          of a one-shot run; the text says why *)
+
+val verdict : (reply, string) result -> verdict
+(** A transport error, an [error] reply (a worker crash, a request
+    timeout, a refused request) and a malformed reply each give
+    {!Fallback}. *)

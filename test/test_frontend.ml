@@ -2,6 +2,7 @@
    simplification, linking and the concrete interpreter (Sect. 5.1). *)
 
 module F = Astree_frontend
+module G = Astree_gen
 
 let compile ?(main = "main") src =
   let ast = F.Parser.parse_string ~file:"<test>" src in
@@ -449,6 +450,378 @@ let prop_frontend_total_tokens =
                   | F.Preproc.Error _) ->
           true)
 
+(* ------------------------------------------------------------------ *)
+(* Keyword lookup and type names                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The lexer as it was when it looked every identifier up in
+   [Token.keyword_table] with [List.assoc_opt]: the reference the
+   table-driven lexer must agree with, token for token. *)
+module Ref_lexer = struct
+
+  type state = {
+    src : string;
+    mutable pos : int;
+    mutable line : int;
+    mutable col : int;
+    mutable file : string;
+  }
+
+  let make_state ~file src = { src; pos = 0; line = 1; col = 1; file }
+
+  let loc st = F.Loc.make ~file:st.file ~line:st.line ~col:st.col
+
+  let error st msg = raise (F.Lexer.Error (msg, loc st))
+
+  let at_end st = st.pos >= String.length st.src
+
+  let peek st = if at_end st then '\000' else st.src.[st.pos]
+
+  let peek2 st =
+    if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
+
+  let advance st =
+    if not (at_end st) then begin
+      (if st.src.[st.pos] = '\n' then begin
+         st.line <- st.line + 1;
+         st.col <- 1
+       end
+       else st.col <- st.col + 1);
+      st.pos <- st.pos + 1
+    end
+
+  let is_digit c = c >= '0' && c <= '9'
+  let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+  let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_alnum c = is_alpha c || is_digit c
+
+  (* Skip whitespace and comments; handle line markers "# <n> \"file\"". *)
+  let rec skip_trivia st =
+    match peek st with
+    | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        skip_trivia st
+    | '/' when peek2 st = '/' ->
+        while (not (at_end st)) && peek st <> '\n' do advance st done;
+        skip_trivia st
+    | '/' when peek2 st = '*' ->
+        advance st; advance st;
+        let rec loop () =
+          if at_end st then error st "unterminated comment"
+          else if peek st = '*' && peek2 st = '/' then begin advance st; advance st end
+          else begin advance st; loop () end
+        in
+        loop ();
+        skip_trivia st
+    | '#' ->
+        (* line marker: "# <num> "file"" or "#line <num> "file"" *)
+        let buf = Buffer.create 32 in
+        while (not (at_end st)) && peek st <> '\n' do
+          Buffer.add_char buf (peek st);
+          advance st
+        done;
+        let s = Buffer.contents buf in
+        (* "# n \"file\"" means: the NEXT line is line n of file; the
+           newline ending the marker line will bump the counter to n *)
+        (try
+           Scanf.sscanf s "#%_[ line] %d %S" (fun n f ->
+               st.line <- n - 1;
+               st.file <- f)
+         with _ -> (
+           try Scanf.sscanf s "# %d" (fun n -> st.line <- n - 1) with _ -> ()));
+        skip_trivia st
+    | _ -> ()
+
+  let lex_ident st =
+    let start = st.pos in
+    while is_alnum (peek st) do advance st done;
+    String.sub st.src start (st.pos - start)
+
+  (* Lex an integer or float literal. *)
+  let lex_number st =
+    let start = st.pos in
+    let is_hexlit = peek st = '0' && (peek2 st = 'x' || peek2 st = 'X') in
+    if is_hexlit then begin
+      advance st; advance st;
+      while is_hex (peek st) do advance st done
+    end
+    else begin
+      while is_digit (peek st) do advance st done;
+      if peek st = '.' then begin
+        advance st;
+        while is_digit (peek st) do advance st done
+      end;
+      if peek st = 'e' || peek st = 'E' then begin
+        advance st;
+        if peek st = '+' || peek st = '-' then advance st;
+        while is_digit (peek st) do advance st done
+      end
+    end;
+    let body = String.sub st.src start (st.pos - start) in
+    (* suffixes *)
+    let suffix_start = st.pos in
+    while
+      match peek st with
+      | 'u' | 'U' | 'l' | 'L' | 'f' | 'F' -> true
+      | _ -> false
+    do advance st done;
+    let suffix = String.lowercase_ascii
+        (String.sub st.src suffix_start (st.pos - suffix_start))
+    in
+    let is_float_body =
+      String.contains body '.'
+      || ((not is_hexlit) && (String.contains body 'e' || String.contains body 'E'))
+    in
+    if is_float_body || suffix = "f" then
+      let v =
+        try float_of_string body
+        with _ -> error st ("invalid floating-point literal " ^ body)
+      in
+      let kind = if String.contains suffix 'f' then F.Ctypes.Fsingle else F.Ctypes.Fdouble in
+      (* single-precision literals are rounded to binary32 at lexing time,
+         matching the compiler of the analyzed family *)
+      let v =
+        if kind = F.Ctypes.Fsingle then Int32.float_of_bits (Int32.bits_of_float v)
+        else v
+      in
+      F.Token.FLOAT_LIT (v, kind)
+    else
+      let v =
+        try int_of_string body
+        with _ -> error st ("invalid integer literal " ^ body)
+      in
+      let unsigned = String.contains suffix 'u' in
+      let long = String.contains suffix 'l' in
+      let rank = if long then F.Ctypes.Long else F.Ctypes.Int in
+      let sign = if unsigned then F.Ctypes.Unsigned else F.Ctypes.Signed in
+      F.Token.INT_LIT (v, rank, sign)
+
+  let lex_char_lit st =
+    advance st (* opening quote *);
+    let c =
+      match peek st with
+      | '\\' ->
+          advance st;
+          let c =
+            match peek st with
+            | 'n' -> 10 | 't' -> 9 | 'r' -> 13 | '0' -> 0
+            | '\\' -> 92 | '\'' -> 39 | '"' -> 34
+            | c -> Char.code c
+          in
+          advance st;
+          c
+      | c ->
+          advance st;
+          Char.code c
+    in
+    if peek st <> '\'' then error st "unterminated character literal";
+    advance st;
+    F.Token.CHAR_LIT c
+
+  let lex_string_lit st =
+    advance st;
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      match peek st with
+      | '"' -> advance st
+      | '\000' -> error st "unterminated string literal"
+      | '\\' ->
+          advance st;
+          (match peek st with
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | c -> Buffer.add_char buf c);
+          advance st;
+          loop ()
+      | c ->
+          Buffer.add_char buf c;
+          advance st;
+          loop ()
+    in
+    loop ();
+    F.Token.STRING_LIT (Buffer.contents buf)
+
+  let next_token st : F.Token.spanned =
+    skip_trivia st;
+    let tloc = loc st in
+    let mk tok = { F.Token.tok; tloc } in
+    let one tok = advance st; mk tok in
+    let two tok = advance st; advance st; mk tok in
+    let three tok = advance st; advance st; advance st; mk tok in
+    match peek st with
+    | '\000' -> mk F.Token.EOF
+    | c when is_digit c -> mk (lex_number st)
+    | '.' when is_digit (peek2 st) -> mk (lex_number st)
+    | c when is_alpha c ->
+        let id = lex_ident st in
+        (match List.assoc_opt id F.Token.keyword_table with
+        | Some kw -> mk kw
+        | None -> mk (F.Token.IDENT id))
+    | '\'' -> mk (lex_char_lit st)
+    | '"' -> mk (lex_string_lit st)
+    | '(' -> one F.Token.LPAREN
+    | ')' -> one F.Token.RPAREN
+    | '{' -> one F.Token.LBRACE
+    | '}' -> one F.Token.RBRACE
+    | '[' -> one F.Token.LBRACKET
+    | ']' -> one F.Token.RBRACKET
+    | ';' -> one F.Token.SEMI
+    | ',' -> one F.Token.COMMA
+    | ':' -> one F.Token.COLON
+    | '?' -> one F.Token.QUESTION
+    | '.' -> one F.Token.DOT
+    | '~' -> one F.Token.TILDE
+    | '+' -> (
+        match peek2 st with
+        | '+' -> two F.Token.PLUSPLUS
+        | '=' -> two F.Token.PLUSEQ
+        | _ -> one F.Token.PLUS)
+    | '-' -> (
+        match peek2 st with
+        | '-' -> two F.Token.MINUSMINUS
+        | '=' -> two F.Token.MINUSEQ
+        | '>' -> two F.Token.ARROW
+        | _ -> one F.Token.MINUS)
+    | '*' -> if peek2 st = '=' then two F.Token.STAREQ else one F.Token.STAR
+    | '/' -> if peek2 st = '=' then two F.Token.SLASHEQ else one F.Token.SLASH
+    | '%' -> if peek2 st = '=' then two F.Token.PERCENTEQ else one F.Token.PERCENT
+    | '^' -> if peek2 st = '=' then two F.Token.CARETEQ else one F.Token.CARET
+    | '!' -> if peek2 st = '=' then two F.Token.NEQ else one F.Token.BANG
+    | '=' -> if peek2 st = '=' then two F.Token.EQEQ else one F.Token.ASSIGN
+    | '&' -> (
+        match peek2 st with
+        | '&' -> two F.Token.ANDAND
+        | '=' -> two F.Token.AMPEQ
+        | _ -> one F.Token.AMP)
+    | '|' -> (
+        match peek2 st with
+        | '|' -> two F.Token.BARBAR
+        | '=' -> two F.Token.BAREQ
+        | _ -> one F.Token.BAR)
+    | '<' -> (
+        match peek2 st with
+        | '=' -> two F.Token.LE
+        | '<' ->
+            if st.pos + 2 < String.length st.src && st.src.[st.pos + 2] = '='
+            then three F.Token.LSHIFTEQ
+            else two F.Token.LSHIFT
+        | _ -> one F.Token.LT)
+    | '>' -> (
+        match peek2 st with
+        | '=' -> two F.Token.GE
+        | '>' ->
+            if st.pos + 2 < String.length st.src && st.src.[st.pos + 2] = '='
+            then three F.Token.RSHIFTEQ
+            else two F.Token.RSHIFT
+        | _ -> one F.Token.GT)
+    | c -> error st (Fmt.str "unexpected character %C" c)
+
+  (** Tokenize a whole source string. *)
+  let tokenize ~file src : F.Token.spanned list =
+    let st = make_state ~file src in
+    let rec loop acc =
+      let t = next_token st in
+      if t.F.Token.tok = F.Token.EOF then List.rev (t :: acc) else loop (t :: acc)
+    in
+    loop []
+end
+
+let toks_of ~file src = Array.to_list (F.Lexer.tokenize ~file src)
+
+let test_keywords_lex () =
+  List.iter
+    (fun (word, kw) ->
+      match toks_of ~file:"t" word with
+      | [ { F.Token.tok; _ }; { F.Token.tok = F.Token.EOF; _ } ] ->
+          Alcotest.(check bool) (word ^ " lexes as its keyword") true (tok = kw)
+      | _ -> Alcotest.failf "%s: not one token" word)
+    F.Token.keyword_table;
+  List.iter
+    (fun word ->
+      match toks_of ~file:"t" word with
+      | [ { F.Token.tok = F.Token.IDENT s; _ }; _ ] ->
+          Alcotest.(check string) (word ^ " is an identifier") word s
+      | _ -> Alcotest.failf "%s: not an identifier" word)
+    [ "int_"; "ifx"; "_Boolean"; "whilez"; "Int"; "sizeof1"; "d"; "_" ]
+
+(* tests run from the dune sandbox; walk up to the repository root *)
+let examples_dir () =
+  let rec find dir depth =
+    let cand = Filename.concat dir "examples/data" in
+    if Sys.file_exists cand then cand
+    else if depth = 0 then Alcotest.fail "examples/data not found"
+    else find (Filename.dirname dir) (depth - 1)
+  in
+  find (Sys.getcwd ()) 6
+
+let test_lexer_matches_reference () =
+  let dir = examples_dir () in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let path = Filename.concat dir f in
+           (f, In_channel.with_open_bin path In_channel.input_all))
+  in
+  Alcotest.(check bool) "examples found" true (List.length examples >= 3);
+  let member =
+    (G.Generator.generate
+       { G.Generator.default with G.Generator.seed = 3; target_lines = 1500; fuse = 16 })
+      .G.Generator.source
+  in
+  List.iter
+    (fun (file, src) ->
+      let pp = F.Preproc.run ~file src in
+      let expect = Ref_lexer.tokenize ~file pp and got = toks_of ~file pp in
+      Alcotest.(check int) (file ^ ": token count") (List.length expect)
+        (List.length got);
+      List.iteri
+        (fun i ((e : F.Token.spanned), (g : F.Token.spanned)) ->
+          if e.F.Token.tok <> g.F.Token.tok || F.Loc.compare e.F.Token.tloc g.F.Token.tloc <> 0
+          then
+            Alcotest.failf "%s: token %d is %a at %a, the reference's %a at %a"
+              file i F.Token.pp g.F.Token.tok F.Loc.pp g.F.Token.tloc
+              F.Token.pp e.F.Token.tok F.Loc.pp e.F.Token.tloc)
+        (List.combine expect got))
+    (("member.c", member) :: examples)
+
+(* Ctypes.to_string is what fingerprints and frame identities are made
+   of: it must stay the text [Ctypes.pp] prints *)
+let gen_ctype : F.Ctypes.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let scalar =
+    oneofl
+      (List.concat_map
+         (fun r ->
+           [ F.Ctypes.Tint (r, F.Ctypes.Signed); F.Ctypes.Tint (r, F.Ctypes.Unsigned) ])
+         [ F.Ctypes.Bool; F.Ctypes.Char; F.Ctypes.Short; F.Ctypes.Int; F.Ctypes.Long ]
+      @ [ F.Ctypes.Tfloat F.Ctypes.Fsingle; F.Ctypes.Tfloat F.Ctypes.Fdouble ])
+  in
+  let name =
+    string_size ~gen:(oneofl (String.to_seq "abcxyzABC_019" |> List.of_seq))
+      (int_range 1 12)
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then
+           frequency
+             [ (6, map (fun s -> F.Ctypes.Tscalar s) scalar);
+               (1, return F.Ctypes.Tvoid);
+               (2, map (fun s -> F.Ctypes.Tstruct s) name) ]
+         else
+           frequency
+             [ (3, self 0);
+               (3, map2 (fun t k -> F.Ctypes.Tarray (t, k)) (self (n / 2))
+                     (oneof [ int_range 0 300; int; return max_int; return min_int ]));
+               (2, map (fun t -> F.Ctypes.Tptr t) (self (n / 2))) ])
+
+let prop_type_names =
+  QCheck.Test.make ~name:"Ctypes.to_string prints what Ctypes.pp prints"
+    ~count:2000
+    (QCheck.make ~print:(Fmt.str "%a" F.Ctypes.pp) gen_ctype)
+    (fun t -> String.equal (F.Ctypes.to_string t) (Fmt.str "%a" F.Ctypes.pp t))
+
 let suite =
   [
     Alcotest.test_case "lex numbers" `Quick test_lex_numbers;
@@ -491,3 +864,9 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_frontend_total; prop_frontend_total_tokens ]
+  @ [
+      Alcotest.test_case "keywords lex by table" `Quick test_keywords_lex;
+      Alcotest.test_case "lexer agrees with reference" `Quick
+        test_lexer_matches_reference;
+    ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_type_names ]

@@ -1637,6 +1637,64 @@ let test_fp_edit_stays_local () =
   Alcotest.(check bool) "override changes g" true (fn_exn a "g" <> fn_exn o "g");
   Alcotest.(check string) "override leaves f" (fn_exn a "f") (fn_exn o "f")
 
+(* Every key the keyed tier hands out equals the key of the same call
+   from a fresh frame, which has digested nothing yet: a pack digest a
+   frame reuses because the element is [same] as the one it last
+   digested at that position is exact.  The fused member runs cold,
+   then an edited copy runs over its store. *)
+let test_reused_pack_digests_exact () =
+  let src = fused_member () in
+  let p, _ = C.Analysis.compile [ ("fm.c", src) ] in
+  let e, _ =
+    C.Analysis.compile
+      [ ("fme.c", insert_in ~fn:"stage_0" "\n  { int pb_edit; pb_edit = 6; }" src) ]
+  in
+  let checked = ref 0 in
+  with_private_dir @@ fun dir ->
+  with_cache_driver ~min_stmts:!C.Iterator.memo_min_stmts (fun () ->
+      C.Analysis.cache_driver :=
+        Some
+          (fun ses cfg prog core ->
+            I.Summary.driver ses cfg prog (fun () ->
+                (match ses.C.Transfer.ses_keyed with
+                | Some k ->
+                    let kt_key a ~fname fr binds st =
+                      let key = k.C.Transfer.kt_key a ~fname fr binds st in
+                      Option.iter
+                        (fun (key : C.Transfer.summary_key) ->
+                          let fps =
+                            I.Fingerprint.make a.C.Transfer.cfg a.C.Transfer.prog
+                          in
+                          let fresh =
+                            C.Frame.of_call (named_frames fps a) ~fname binds
+                          in
+                          incr checked;
+                          Alcotest.(check string)
+                            (Printf.sprintf "key %d of %s: fresh frame" !checked
+                               fname)
+                            (I.Frame.entry_digest (Buffer.create 1024) fps fresh
+                               st binds)
+                            key.C.Transfer.sk_entry)
+                        key;
+                      key
+                    in
+                    ses.C.Transfer.ses_keyed <- Some { k with C.Transfer.kt_key }
+                | None -> ());
+                core ()));
+      let cfg =
+        { C.Config.default with C.Config.summary_cache = C.Config.Cache_dir dir }
+      in
+      let cold = cache_stats_exn (C.Analysis.analyze ~cfg p) in
+      let edited = cache_stats_exn (C.Analysis.analyze ~cfg e) in
+      Alcotest.(check bool) "the cold run keyed calls" true
+        (cold.C.Analysis.c_misses > 10);
+      Alcotest.(check bool) "the edited copy hit its stages" true
+        (edited.C.Analysis.c_hits > 0);
+      Alcotest.(check int) "every key checked"
+        (cold.C.Analysis.c_hits + cold.C.Analysis.c_misses
+        + edited.C.Analysis.c_hits + edited.C.Analysis.c_misses)
+        !checked)
+
 let suite =
   [
     Alcotest.test_case "fingerprint: deterministic" `Quick
@@ -1693,4 +1751,6 @@ let suite =
       test_frame_locality;
     Alcotest.test_case "frame oracle: the outside is neither read nor written"
       `Quick test_frame_oracle;
+    Alcotest.test_case "reused pack digests are exact" `Quick
+      test_reused_pack_digests_exact;
   ]

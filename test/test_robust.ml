@@ -606,6 +606,25 @@ let test_multitask_interrupt () =
       | _ -> Alcotest.fail "expected Tripped Interrupted"
       | exception R.Budget.Tripped R.Budget.Interrupted -> ())
 
+(* A pool respawns a worker from the coordinator, whose fault counters
+   never move: a replacement must not replay the faults that killed its
+   predecessor, or one unlucky spec fails every job of a one-worker
+   pool *)
+let test_respawned_workers_move_on () =
+  with_faults ~seed:11
+    [ (R.Faultsim.Worker_crash, 0.2); (R.Faultsim.Reply_truncate, 0.15) ]
+    (fun () ->
+      P.Pool.with_pool ~jobs:1
+        (fun x -> x + 1)
+        (fun pool ->
+          let rs = List.concat_map (fun i -> P.Pool.map pool [ i ]) (List.init 8 Fun.id) in
+          let ok = List.filter Result.is_ok rs in
+          Alcotest.(check bool) "some jobs answered" true (ok <> []);
+          Alcotest.(check bool) "the answers are right" true
+            (List.for_all2
+               (fun i r -> match r with Ok v -> v = i + 1 | Error _ -> true)
+               (List.init 8 Fun.id) rs)))
+
 let suite =
   [
     Alcotest.test_case "budget: poll trips and clears" `Quick test_budget_poll;
@@ -644,4 +663,6 @@ let suite =
       test_multitask_timeout;
     Alcotest.test_case "multi-task: interrupt at -j 1 escapes" `Quick
       test_multitask_interrupt;
+    Alcotest.test_case "inject: respawned workers move on" `Quick
+      test_respawned_workers_move_on;
   ]

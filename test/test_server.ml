@@ -1535,6 +1535,37 @@ let test_access_log_wire () =
             | None -> false))
         requests)
 
+(* [astree --connect] prints an ok reply, exits 4 on a refusal and
+   analyzes in-process on anything else: a transport failure or an
+   error reply, such as a worker crash's, must not end the run with a
+   usage error *)
+let test_error_reply_falls_back () =
+  with_daemon ~workers:1 ~faults:[ (R.Faultsim.Worker_crash, 1.0) ]
+    (fun sock ->
+      match
+        Srv.Client.verdict
+          (Srv.Client.request sock (analyze_json [ ("t.c", prog_simple) ]))
+      with
+      | Srv.Client.Fallback why ->
+          Alcotest.(check bool) ("the note names the crash: " ^ why) true
+            (has_sub why "crash")
+      | Srv.Client.Print _ -> Alcotest.fail "a crashed worker's report"
+      | Srv.Client.Refused s -> Alcotest.failf "refused (%s)" s);
+  (match Srv.Client.verdict (Srv.Client.request (fresh_socket ()) status_req) with
+  | Srv.Client.Fallback _ -> ()
+  | _ -> Alcotest.fail "no daemon: not a fallback");
+  with_daemon (fun sock ->
+      let baseline, code = in_process_report [ ("t.c", prog_simple) ] in
+      match
+        Srv.Client.verdict
+          (Srv.Client.request sock (analyze_json [ ("t.c", prog_simple) ]))
+      with
+      | Srv.Client.Print (report, c) ->
+          Alcotest.(check string) "the daemon's report" (scrub_time baseline)
+            (scrub_time report);
+          Alcotest.(check int) "its exit code" code c
+      | _ -> Alcotest.fail "a healthy daemon's reply is printed")
+
 let suite =
   [
     Alcotest.test_case "json codec round-trip" `Quick test_json_roundtrip;
@@ -1590,4 +1621,6 @@ let suite =
       test_private_store_lifecycle;
     Alcotest.test_case "removed cache mode is ignored" `Quick
       test_cache_mem_ignored;
+    Alcotest.test_case "error reply falls back in-process" `Quick
+      test_error_reply_falls_back;
   ]
