@@ -6,3 +6,12 @@ exception Error of string * Loc.t
 
 (** Tokenize a whole source string; the result ends with [EOF]. *)
 val tokenize : file:string -> string -> Token.spanned array
+
+(** {1 Token by token} *)
+
+type state
+
+val make_state : file:string -> string -> state
+
+(** The next token; at the end, [EOF] again and again. *)
+val next_token : state -> Token.spanned

@@ -8,22 +8,52 @@
 
 exception Error of string * Loc.t
 
+(* Tokens are lexed as the parser asks for them, so they die young
+   instead of all living until the unit is parsed: [ahead] holds the
+   current token and the ones looked ahead at, [ahead.(first)] first. *)
 type state = {
-  toks : Token.spanned array;
-  mutable pos : int;
+  lex : Lexer.state;
+  ahead : Token.spanned array;
+  mutable first : int;
+  mutable count : int;  (** tokens in [ahead] *)
   mutable typedefs : (string, unit) Hashtbl.t;
 }
 
-let make toks = { toks; pos = 0; typedefs = Hashtbl.create 16 }
+let window = 4
 
-let cur st = st.toks.(st.pos).Token.tok
-let cur_loc st = st.toks.(st.pos).Token.tloc
+let make lex =
+  {
+    lex;
+    ahead = Array.make window { Token.tok = Token.EOF; tloc = Loc.dummy };
+    first = 0;
+    count = 0;
+    typedefs = Hashtbl.create 16;
+  }
 
-let lookahead st k =
-  let i = st.pos + k in
-  if i < Array.length st.toks then st.toks.(i).Token.tok else Token.EOF
+(* the [k]-th token from the current one; past the end, the EOF token *)
+let peek_tok st k =
+  while st.count <= k do
+    let t =
+      if st.count > 0
+         && st.ahead.((st.first + st.count - 1) mod window).Token.tok = Token.EOF
+      then st.ahead.((st.first + st.count - 1) mod window)
+      else Lexer.next_token st.lex
+    in
+    st.ahead.((st.first + st.count) mod window) <- t;
+    st.count <- st.count + 1
+  done;
+  st.ahead.((st.first + k) mod window)
 
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+let cur st = (peek_tok st 0).Token.tok
+let cur_loc st = (peek_tok st 0).Token.tloc
+let lookahead st k = (peek_tok st k).Token.tok
+
+(* the EOF token is the last: advancing stays on it *)
+let advance st =
+  if cur st <> Token.EOF then begin
+    st.first <- (st.first + 1) mod window;
+    st.count <- st.count - 1
+  end
 
 let error st msg = raise (Error (msg, cur_loc st))
 
@@ -671,8 +701,21 @@ let parse_global st : Ast.global =
   end
 
 (** Parse a whole translation unit from tokens. *)
-let parse_unit ~file (toks : Token.spanned array) : Ast.unit_ =
-  let st = make toks in
+(* [parse st] over the tokens of [src]; a lexical error anywhere in
+   [src] wins over a parse error before it, as when the whole source was
+   lexed first *)
+let with_tokens ~file src (parse : state -> 'a) : 'a =
+  let st = make (Lexer.make_state ~file src) in
+  match parse st with
+  | r -> r
+  | exception (Lexer.Error _ as e) -> raise e
+  | exception e ->
+      while cur st <> Token.EOF do
+        advance st
+      done;
+      raise e
+
+let parse_unit ~file st : Ast.unit_ =
   let globals = ref [] in
   while cur st <> Token.EOF do
     globals := parse_global st :: !globals
@@ -682,13 +725,11 @@ let parse_unit ~file (toks : Token.spanned array) : Ast.unit_ =
 (** Convenience: preprocess, lex and parse a source string. *)
 let parse_string ?env ~file src : Ast.unit_ =
   let pp = Preproc.run ?env ~file src in
-  let toks = Lexer.tokenize ~file pp in
-  parse_unit ~file toks
+  with_tokens ~file pp (parse_unit ~file)
 
 (** Parse a single expression (used by tests and the slicer CLI). *)
 let parse_expr_string src : Ast.expr =
-  let toks = Lexer.tokenize ~file:"<expr>" src in
-  let st = make toks in
-  let e = parse_expr st in
-  if cur st <> Token.EOF then error st "trailing tokens after expression";
-  e
+  with_tokens ~file:"<expr>" src (fun st ->
+      let e = parse_expr st in
+      if cur st <> Token.EOF then error st "trailing tokens after expression";
+      e)

@@ -3,9 +3,6 @@
 
 exception Error of string * Loc.t
 
-(** Parse a token stream into a translation unit. *)
-val parse_unit : file:string -> Token.spanned array -> Ast.unit_
-
 (** Preprocess, lex and parse a source string. *)
 val parse_string : ?env:Preproc.env -> file:string -> string -> Ast.unit_
 

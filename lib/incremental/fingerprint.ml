@@ -53,6 +53,15 @@ let add_scalar buf s = add_tok buf (F.Ctypes.scalar_name s)
 (* Program-stable names                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Tables keyed by variable and loop ids, which are dense: looked up for
+   every variable occurrence *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 (* Lines [sp_lo, sp_hi) of [sp_file], which one owner covers *)
 type span = {
   sp_file : string;
@@ -62,8 +71,8 @@ type span = {
 }
 
 type names = {
-  nm_vars : (int, string) Hashtbl.t;  (** variable id -> name *)
-  nm_loops : (int, string) Hashtbl.t;  (** loop id -> name *)
+  nm_vars : string Ids.t;  (** variable id -> name *)
+  nm_loops : string Ids.t;  (** loop id -> name *)
   nm_defs : (string, F.Loc.t) Hashtbl.t;  (** function -> definition *)
   nm_owners : (string, (int * string) array) Hashtbl.t;
       (** file -> (definition line, function), sorted by line *)
@@ -78,7 +87,7 @@ type names = {
    of that name, in traversal order.  Loops are named by function and
    rank.  Only an edit of the function itself can change these. *)
 let names_of (p : F.Tast.program) : names =
-  let vars = Hashtbl.create 256 and loops = Hashtbl.create 16 in
+  let vars = Ids.create 1024 and loops = Ids.create 16 in
   let taken = Hashtbl.create 256 in
   let fresh base =
     let k = Option.value ~default:0 (Hashtbl.find_opt taken base) in
@@ -88,13 +97,13 @@ let names_of (p : F.Tast.program) : names =
   List.iter
     (fun ((v : F.Tast.var), _) ->
       let tag = match v.F.Tast.v_kind with F.Tast.Kstatic _ -> "s:" | _ -> "g:" in
-      Hashtbl.replace vars v.F.Tast.v_id (fresh (tag ^ v.F.Tast.v_name)))
+      Ids.replace vars v.F.Tast.v_id (fresh (tag ^ v.F.Tast.v_name)))
     p.F.Tast.p_globals;
   List.iter
     (fun (fname, (fd : F.Tast.fundef)) ->
       let name (v : F.Tast.var) =
-        if not (Hashtbl.mem vars v.F.Tast.v_id) then
-          Hashtbl.replace vars v.F.Tast.v_id
+        if not (Ids.mem vars v.F.Tast.v_id) then
+          Ids.replace vars v.F.Tast.v_id
             (fresh
                (match v.F.Tast.v_kind with
                | F.Tast.Kglobal | F.Tast.Kstatic _ -> "g:" ^ v.F.Tast.v_name
@@ -113,7 +122,7 @@ let names_of (p : F.Tast.program) : names =
       and lval_new acc (lv : F.Tast.lval) =
         match lv.F.Tast.ldesc with
         | F.Tast.Lvar v | F.Tast.Lderef v ->
-            if Hashtbl.mem vars v.F.Tast.v_id then acc else v :: acc
+            if Ids.mem vars v.F.Tast.v_id then acc else v :: acc
         | F.Tast.Lindex (a, i) -> lval_new (expr_new acc i) a
         | F.Tast.Lfield (a, _) -> lval_new acc a
       in
@@ -138,7 +147,7 @@ let names_of (p : F.Tast.program) : names =
               lval lv;
               expr e
           | F.Tast.Swhile (li, c, _) ->
-              Hashtbl.replace loops li.F.Tast.loop_id
+              Ids.replace loops li.F.Tast.loop_id
                 (Printf.sprintf "%s:%d" fname !loop);
               incr loop;
               expr c
@@ -173,7 +182,7 @@ let names_of (p : F.Tast.program) : names =
   }
 
 let var_name_in (nm : names) (v : F.Tast.var) : string =
-  match Hashtbl.find_opt nm.nm_vars v.F.Tast.v_id with
+  match Ids.find_opt nm.nm_vars v.F.Tast.v_id with
   | Some n -> n
   | None -> "?" ^ v.F.Tast.v_name
 
@@ -319,7 +328,7 @@ let rec add_stmt nm cfg buf calls (s : F.Tast.stmt) =
       add_tok buf "Sw";
       add_tok buf
         (Option.value ~default:"?"
-           (Hashtbl.find_opt nm.nm_loops li.F.Tast.loop_id));
+           (Ids.find_opt nm.nm_loops li.F.Tast.loop_id));
       add_int buf (C.Config.unroll_for cfg li.F.Tast.loop_id);
       add_expr nm buf c;
       block b
@@ -527,7 +536,7 @@ let program (fps : t) : string = fps.fp_program
 let var_name (fps : t) = var_name_in fps.fp_names
 
 let loop_name (fps : t) (loop_id : int) : string =
-  Option.value ~default:"?" (Hashtbl.find_opt fps.fp_names.nm_loops loop_id)
+  Option.value ~default:"?" (Ids.find_opt fps.fp_names.nm_loops loop_id)
 
 let relative (fps : t) = relative_in fps.fp_names
 

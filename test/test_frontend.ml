@@ -786,6 +786,24 @@ let test_lexer_matches_reference () =
         (List.combine expect got))
     (("member.c", member) :: examples)
 
+(* the parser lexes as it goes; a lexical error still wins over a parse
+   error before it, as when the whole source was lexed first *)
+let test_lex_error_wins () =
+  let lex_error src =
+    match F.Parser.parse_string ~file:"t" src with
+    | _ -> Alcotest.failf "%S parsed" src
+    | exception F.Lexer.Error (_, l) -> Some l.F.Loc.line
+    | exception F.Parser.Error _ -> None
+  in
+  Alcotest.(check (option int)) "parse error, then a bad character" (Some 2)
+    (lex_error "int x = ;\nint y = @;\n");
+  Alcotest.(check (option int)) "a parse error alone" None
+    (lex_error "int x = ;\nint y = 1;\n");
+  Alcotest.(check bool) "an expression with a bad character" true
+    (match F.Parser.parse_expr_string "a + ) $" with
+    | _ -> false
+    | exception F.Lexer.Error _ -> true)
+
 (* Ctypes.to_string is what fingerprints and frame identities are made
    of: it must stay the text [Ctypes.pp] prints *)
 let gen_ctype : F.Ctypes.t QCheck.Gen.t =
@@ -868,5 +886,7 @@ let suite =
       Alcotest.test_case "keywords lex by table" `Quick test_keywords_lex;
       Alcotest.test_case "lexer agrees with reference" `Quick
         test_lexer_matches_reference;
+      Alcotest.test_case "lexical errors win over parse errors" `Quick
+        test_lex_error_wins;
     ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_type_names ]
