@@ -257,6 +257,10 @@ let rel_keep (Rel r) (rel : Relstate.t) (acc : Relstate.t) : Relstate.t =
    joins hand in new but equal elements at every iterate.  The position
    then keeps the newer element, which the next call is likelier to
    pass again. *)
+(* where each pack element is encoded before its MD5: one buffer keeps
+   its capacity across the run's digests *)
+let pack_buf = Buffer.create 1024
+
 let rel_digest (Rel r) (buf : Buffer.t) (rel : Relstate.t) : unit =
   let module M = (val r.dom) in
   if Array.length r.last <> Array.length r.ids then
@@ -275,7 +279,8 @@ let rel_digest (Rel r) (buf : Buffer.t) (rel : Relstate.t) : unit =
                 r.last.(i) <- Some (x, d);
                 d
             | _ ->
-                let b = Buffer.create 1024 in
+                let b = pack_buf in
+                Buffer.clear b;
                 M.digest b x;
                 let d = Digest.string (Buffer.contents b) in
                 r.last.(i) <- Some (x, d);
