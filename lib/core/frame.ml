@@ -59,6 +59,11 @@ type t = {
    whole state, so its footprint is only taken when asked for. *)
 type reach = { r_vars : VarSet.t Lazy.t; r_wait : bool; r_loops : int list }
 
+(* What frames need of one body besides its footprint: whether it
+   reaches the clock tick, its loops and its callees in statement order.
+   Footprints are not kept: a frame's is the union of its bodies'. *)
+type local = { l_fd : fundef; l_wait : bool; l_loops : int list; l_calls : string list }
+
 type ctx = {
   cx_names : names option;
   cx_prog : program;
@@ -67,22 +72,20 @@ type ctx = {
   cx_cfg : Config.t;
   cx_packs : Packing.t;
   cx_intern : Cell.interner;
-  cx_local : (string, fundef * reach * string list) Hashtbl.t;
-      (** a body's own facts and callees, by function *)
+  cx_local : (string, local) Hashtbl.t;  (** by function, computed once *)
   cx_reach : (string, reach) Hashtbl.t;
   cx_frames : (string, t) Hashtbl.t;
   cx_all : VarSet.t Lazy.t;  (** every variable of the program *)
 }
 
-(* The facts of one body and its callees in statement order, computed
-   once per function: every frame whose callee reaches the function
-   reuses them. *)
-let local (locals : (string, fundef * reach * string list) Hashtbl.t)
-    (fname : string) (fd : fundef) : reach * string list =
-  match Hashtbl.find_opt locals fname with
-  | Some (fd', r, calls) when fd' == fd -> (r, calls)
+let footprint (fd : fundef) : VarSet.t =
+  let reads, writes = F.Footprint.of_fundef ~keep:(fun _ -> true) fd in
+  VarSet.union reads writes
+
+let local (cx : ctx) (fname : string) (fd : fundef) : local =
+  match Hashtbl.find_opt cx.cx_local fname with
+  | Some l when l.l_fd == fd -> l
   | _ ->
-      let reads, writes = F.Footprint.of_fundef ~keep:(fun _ -> true) fd in
       let wait = ref false and loops = ref [] and calls = ref [] in
       iter_stmts
         (fun s ->
@@ -92,16 +95,11 @@ let local (locals : (string, fundef * reach * string list) Hashtbl.t)
           | Scall (_, callee, _) -> calls := callee :: !calls
           | _ -> ())
         fd.fd_body;
-      let r =
-        {
-          r_vars = Lazy.from_val (VarSet.union reads writes);
-          r_wait = !wait;
-          r_loops = !loops;
-        }
+      let l =
+        { l_fd = fd; l_wait = !wait; l_loops = !loops; l_calls = List.rev !calls }
       in
-      let calls = List.rev !calls in
-      Hashtbl.replace locals fname (fd, r, calls);
-      (r, calls)
+      Hashtbl.replace cx.cx_local fname l;
+      l
 
 (* The facts of [fname]'s transitive body: every function reachable
    from it through calls, each once. *)
@@ -110,27 +108,27 @@ let reach (cx : ctx) (fname : string) : reach =
   | Some r -> r
   | None ->
       let seen = Hashtbl.create 8 in
-      let rec visit ((vars, wait, loops) as acc) g =
+      let rec visit ((fds, wait, loops) as acc) g =
         if Hashtbl.mem seen g then acc
         else begin
           Hashtbl.replace seen g ();
           match Hashtbl.find_opt cx.cx_funs g with
           | None -> acc
           | Some fd ->
-              let l, calls = local cx.cx_local g fd in
+              let l = local cx g fd in
               List.fold_left visit
-                (l.r_vars :: vars, l.r_wait || wait, l.r_loops @ loops)
-                calls
+                (fd :: fds, l.l_wait || wait, l.l_loops @ loops)
+                l.l_calls
         end
       in
-      let vars, wait, loops = visit ([], false, []) fname in
+      let fds, wait, loops = visit ([], false, []) fname in
       let r =
         {
           r_vars =
             lazy
               (List.fold_left
-                 (fun acc vs -> VarSet.union (Lazy.force vs) acc)
-                 VarSet.empty vars);
+                 (fun acc fd -> VarSet.union (footprint fd) acc)
+                 VarSet.empty fds);
           r_wait = wait;
           r_loops = loops;
         }
@@ -140,7 +138,6 @@ let reach (cx : ctx) (fname : string) : reach =
 
 let ctx ?names (p : program) (funs : (string, fundef) Hashtbl.t)
     (cfg : Config.t) (packs : Packing.t) (intern : Cell.interner) : ctx =
-  let locals = Hashtbl.create 64 in
   {
     cx_names = names;
     cx_prog = p;
@@ -148,14 +145,13 @@ let ctx ?names (p : program) (funs : (string, fundef) Hashtbl.t)
     cx_cfg = cfg;
     cx_packs = packs;
     cx_intern = intern;
-    cx_local = locals;
+    cx_local = Hashtbl.create 64;
     cx_reach = Hashtbl.create 64;
     cx_frames = Hashtbl.create 64;
     cx_all =
       lazy
         (List.fold_left
-           (fun acc (fname, fd) ->
-             VarSet.union (Lazy.force (fst (local locals fname fd)).r_vars) acc)
+           (fun acc (_, fd) -> VarSet.union (footprint fd) acc)
            (VarSet.of_list (List.map fst p.p_globals))
            p.p_funs);
   }
