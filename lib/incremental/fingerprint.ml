@@ -646,26 +646,40 @@ let compute (cfg : C.Config.t) (p : F.Tast.program) : t =
     fp_program = Digest.to_hex (Digest.string (Buffer.contents pbuf));
   }
 
-(* Fingerprints of recent programs, by physical identity: a daemon
-   worker keeps the typed IR of the programs it served and analyzes the
-   same program again.  Besides the program, they depend on the
-   configuration digest and on the loop unrollings, part of which
-   [config_digest] leaves out.  An entry empties once its program is
-   collected. *)
-module Recent = Ephemeron.K1.Bucket
+(* Fingerprints of the last programs fingerprinted, most recent first,
+   by physical identity: a daemon worker keeps the typed IR of the
+   programs it served and analyzes the same program again.  Besides the
+   program, they depend on the configuration digest and on the loop
+   unrollings, part of which [config_digest] leaves out.  An entry
+   empties once its program is collected; four entries keep a worker's
+   base programs while edited copies come and go. *)
+let recent :
+    (F.Tast.program, string * (int * int) list * t) Ephemeron.K1.t list ref =
+  ref []
 
-let recent : (F.Tast.program, string * (int * int) list * t) Recent.t =
-  Recent.make ()
-
-let recent_max = 32
+let recent_max = 4
 
 let make (cfg : C.Config.t) (p : F.Tast.program) : t =
   let digest = config_digest cfg
   and overrides = cfg.C.Config.loop_unroll_overrides in
-  match Recent.find recent p with
-  | Some (d, o, fps) when String.equal d digest && o = overrides -> fps
-  | _ ->
-      let fps = compute cfg p in
-      if Recent.length recent >= recent_max then Recent.clear recent;
-      Recent.add recent p (digest, overrides, fps);
-      fps
+  let hit e =
+    match Ephemeron.K1.query e p with
+    | Some (d, o, fps) when String.equal d digest && o = overrides -> Some fps
+    | _ -> None
+  in
+  let rec take = function
+    | [] -> None
+    | e :: rest -> (
+        match hit e with Some fps -> Some (e, fps) | None -> take rest)
+  in
+  let entry, fps =
+    match take !recent with
+    | Some (e, fps) -> (e, fps)
+    | None ->
+        let fps = compute cfg p in
+        (Ephemeron.K1.make p (digest, overrides, fps), fps)
+  in
+  recent :=
+    entry
+    :: List.filteri (fun i _ -> i < recent_max - 1) (List.filter (( != ) entry) !recent);
+  fps
