@@ -338,36 +338,19 @@ let close (packs : Packing.t) (vars : VarSet.t) : VarSet.t =
   !acc
 
 (* The cells of [vars] as (variable name, path string, cell), sorted by
-   [name ^ "\x00" ^ path]: with distinct names, that is by name, then by
-   path within one variable.  Names are distinct but for variables no
-   function names ({!Fingerprint}); those are sorted by the joined
-   string. *)
+   [name ^ "\x00" ^ path] without joining the strings: names hold no
+   NUL, so comparing names, then paths, orders them the same way. *)
 let named_cells (cx : ctx) (nm : names) (vars : VarSet.t) :
     (string * string * Cell.t) list =
-  let by_name =
-    VarSet.fold (fun v acc -> (nm.var_name v, v) :: acc) vars []
-    |> List.stable_sort (fun (x, _) (y, _) -> String.compare x y)
-  in
-  let rec distinct = function
-    | (x, _) :: ((y, _) :: _ as rest) -> (not (String.equal x y)) && distinct rest
-    | _ -> true
-  in
-  let with_paths name v =
-    List.map (fun (c : Cell.t) -> (name, path_string c.Cell.path, c)) (cells_of cx v)
-  in
-  if distinct by_name then
-    List.concat_map
-      (fun (name, v) ->
-        match with_paths name v with
-        | ([] | [ _ ]) as one -> one
-        | cells ->
-            List.stable_sort (fun (_, x, _) (_, y, _) -> String.compare x y) cells)
-      by_name
-  else
-    VarSet.fold (fun v acc -> with_paths (nm.var_name v) v @ acc) vars []
-    |> List.map (fun ((name, path, _) as c) -> (name ^ "\x00" ^ path, c))
-    |> List.stable_sort (fun (x, _) (y, _) -> String.compare x y)
-    |> List.map snd
+  VarSet.fold
+    (fun v acc ->
+      let name = nm.var_name v in
+      List.map (fun (c : Cell.t) -> (name, path_string c.Cell.path, c)) (cells_of cx v)
+      @ acc)
+    vars []
+  |> List.stable_sort (fun (n1, p1, _) (n2, p2, _) ->
+         let c = String.compare n1 n2 in
+         if c <> 0 then c else String.compare p1 p2)
 
 let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
   let r = reach cx fname in

@@ -148,31 +148,7 @@ let syntactic_linear (e : expr) : ((var * float) list * float) option =
       Some (merged, c)
   | None -> None
 
-(* [syntactic_linear e <> None], without building the form: [Some
-   vars] when it succeeds, [vars] telling whether a variable term was
-   met (a constant factor of a product has none) *)
-let rec linear_shape (e : expr) : bool option =
-  match e.edesc with
-  | Eint _ | Efloat _ -> Some false
-  | Elval { ldesc = Lvar v; _ } when F.Ctypes.is_scalar v.v_ty -> Some true
-  | Eunop (Neg, a) -> linear_shape a
-  | Ebinop ((Add | Sub), a, b) -> (
-      match (linear_shape a, linear_shape b) with
-      | Some x, Some y -> Some (x || y)
-      | _ -> None)
-  | Ebinop (Mul, a, b) -> (
-      match (linear_shape a, linear_shape b) with
-      | Some false, Some y -> Some y
-      | Some x, Some false -> Some x
-      | _ -> None)
-  | Ecast (s, a) -> (
-      match (s, a.ety) with
-      | F.Ctypes.Tint _, F.Ctypes.Tint _ | F.Ctypes.Tfloat _, F.Ctypes.Tfloat _ ->
-          linear_shape a
-      | _ -> None)
-  | _ -> None
-
-let is_linear_expr e = Option.is_some (linear_shape e)
+let is_linear_expr e = syntactic_linear e <> None
 
 (* Variables of an expression, scalars only. *)
 let scalar_vars (e : expr) : var list =
