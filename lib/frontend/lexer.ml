@@ -300,20 +300,10 @@ let next_token st : Token.spanned =
   | c -> error st (Fmt.str "unexpected character %C" c)
 
 (** Tokenize a whole source string. *)
-let tokenize ~file src : Token.spanned array =
+let tokenize ~file src : Token.spanned list =
   let st = make_state ~file src in
-  let eof = { Token.tok = Token.EOF; tloc = Loc.dummy } in
-  let toks = ref (Array.make (String.length src / 4 + 16) eof) and n = ref 0 in
-  let rec loop () =
+  let rec loop acc =
     let t = next_token st in
-    if !n = Array.length !toks then begin
-      let bigger = Array.make (2 * !n) eof in
-      Array.blit !toks 0 bigger 0 !n;
-      toks := bigger
-    end;
-    !toks.(!n) <- t;
-    incr n;
-    match t.Token.tok with Token.EOF -> () | _ -> loop ()
+    if t.Token.tok = Token.EOF then List.rev (t :: acc) else loop (t :: acc)
   in
-  loop ();
-  Array.sub !toks 0 !n
+  loop []

@@ -5,7 +5,7 @@
 exception Error of string * Loc.t
 
 (** Tokenize a whole source string; the result ends with [EOF]. *)
-val tokenize : file:string -> string -> Token.spanned array
+val tokenize : file:string -> string -> Token.spanned list
 
 (** {1 Token by token} *)
 

@@ -700,7 +700,6 @@ let parse_global st : Ast.global =
       end
   end
 
-(** Parse a whole translation unit from tokens. *)
 (* [parse st] over the tokens of [src]; a lexical error anywhere in
    [src] wins over a parse error before it, as when the whole source was
    lexed first *)
@@ -715,6 +714,7 @@ let with_tokens ~file src (parse : state -> 'a) : 'a =
       done;
       raise e
 
+(** Parse a whole translation unit from tokens. *)
 let parse_unit ~file st : Ast.unit_ =
   let globals = ref [] in
   while cur st <> Token.EOF do

@@ -45,8 +45,6 @@ let is_ident_char c =
 
 let is_ident_start c = is_ident_char c && not (c >= '0' && c <= '9')
 
-(* Split a line into alternating non-identifier / identifier chunks and
-   expand macros, with a recursion guard on currently-expanding names. *)
 (* Does [sub] occur in [s]? *)
 let occurs (sub : string) (s : string) : bool =
   let n = String.length s and m = String.length sub in
@@ -63,6 +61,8 @@ let rec expand_line env ~loc ~active (line : string) : string =
   then line
   else expand_macros env ~loc ~active line
 
+(* Split a line into alternating non-identifier / identifier chunks and
+   expand macros, with a recursion guard on currently-expanding names. *)
 and expand_macros env ~loc ~active (line : string) : string =
   let n = String.length line in
   let buf = Buffer.create (n + 16) in
@@ -243,7 +243,7 @@ let eval_condition env ~loc (text : string) : bool =
     Buffer.contents buf
   in
   (* tiny recursive-descent integer expression evaluator *)
-  let toks = Array.to_list (Lexer.tokenize ~file:"<#if>" text) in
+  let toks = Lexer.tokenize ~file:"<#if>" text in
   let toks = ref toks in
   let peek () = match !toks with t :: _ -> t.Token.tok | [] -> Token.EOF in
   let next () =

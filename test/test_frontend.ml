@@ -17,7 +17,7 @@ let compile_simplified ?(main = "main") src =
 (* ------------------------------------------------------------------ *)
 
 let test_lex_numbers () =
-  let toks = Array.to_list (F.Lexer.tokenize ~file:"t" "42 0x1F 3.5 1e3 2.5f 7u 9L") in
+  let toks = F.Lexer.tokenize ~file:"t" "42 0x1F 3.5 1e3 2.5f 7u 9L" in
   let kinds =
     List.filter_map
       (fun (t : F.Token.spanned) ->
@@ -35,11 +35,11 @@ let test_lex_numbers () =
   | _ -> Alcotest.fail "unexpected literal lexing"
 
 let test_lex_operators () =
-  let toks = Array.to_list (F.Lexer.tokenize ~file:"t" "a<<=b >>= && || -> ++ -- <= >= == !=") in
+  let toks = F.Lexer.tokenize ~file:"t" "a<<=b >>= && || -> ++ -- <= >= == !=" in
   Alcotest.(check int) "count" 14 (List.length toks) (* 13 tokens + EOF *)
 
 let test_lex_comments_and_locs () =
-  let toks = Array.to_list (F.Lexer.tokenize ~file:"t" "a /* multi\nline */ b // eol\nc") in
+  let toks = F.Lexer.tokenize ~file:"t" "a /* multi\nline */ b // eol\nc" in
   let idents =
     List.filter_map
       (fun (t : F.Token.spanned) ->
@@ -52,7 +52,7 @@ let test_lex_comments_and_locs () =
     "locations" [ ("a", 1); ("b", 2); ("c", 3) ] idents
 
 let test_lex_char_string () =
-  let toks = Array.to_list (F.Lexer.tokenize ~file:"t" {|'A' '\n' "hi\n"|}) in
+  let toks = F.Lexer.tokenize ~file:"t" {|'A' '\n' "hi\n"|} in
   match List.map (fun (t : F.Token.spanned) -> t.F.Token.tok) toks with
   | [ F.Token.CHAR_LIT 65; F.Token.CHAR_LIT 10; F.Token.STRING_LIT "hi\n";
       F.Token.EOF ] ->
@@ -726,19 +726,17 @@ module Ref_lexer = struct
     loop []
 end
 
-let toks_of ~file src = Array.to_list (F.Lexer.tokenize ~file src)
-
 let test_keywords_lex () =
   List.iter
     (fun (word, kw) ->
-      match toks_of ~file:"t" word with
+      match F.Lexer.tokenize ~file:"t" word with
       | [ { F.Token.tok; _ }; { F.Token.tok = F.Token.EOF; _ } ] ->
           Alcotest.(check bool) (word ^ " lexes as its keyword") true (tok = kw)
       | _ -> Alcotest.failf "%s: not one token" word)
     F.Token.keyword_table;
   List.iter
     (fun word ->
-      match toks_of ~file:"t" word with
+      match F.Lexer.tokenize ~file:"t" word with
       | [ { F.Token.tok = F.Token.IDENT s; _ }; _ ] ->
           Alcotest.(check string) (word ^ " is an identifier") word s
       | _ -> Alcotest.failf "%s: not an identifier" word)
@@ -773,7 +771,7 @@ let test_lexer_matches_reference () =
   List.iter
     (fun (file, src) ->
       let pp = F.Preproc.run ~file src in
-      let expect = Ref_lexer.tokenize ~file pp and got = toks_of ~file pp in
+      let expect = Ref_lexer.tokenize ~file pp and got = F.Lexer.tokenize ~file pp in
       Alcotest.(check int) (file ^ ": token count") (List.length expect)
         (List.length got);
       List.iteri
