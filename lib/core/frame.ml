@@ -245,6 +245,10 @@ let rel_keep (Rel r) (rel : Relstate.t) (acc : Relstate.t) : Relstate.t =
          | None -> out)
        Ptmap.empty r.ids)
 
+(* where each pack element is encoded before its MD5: one buffer keeps
+   its capacity across the run's digests *)
+let pack_buf = Buffer.create 1024
+
 (* The MD5 of each frame pack's element, in frame order, kept for the
    last element digested at that position: consecutive calls mostly pass
    the same, unchanged packs (elements are never mutated once in a map,
@@ -253,10 +257,6 @@ let rel_keep (Rel r) (rel : Relstate.t) (acc : Relstate.t) : Relstate.t =
    joins hand in new but equal elements at every iterate.  The position
    then keeps the newer element, which the next call is likelier to
    pass again. *)
-(* where each pack element is encoded before its MD5: one buffer keeps
-   its capacity across the run's digests *)
-let pack_buf = Buffer.create 1024
-
 let rel_digest (Rel r) (buf : Buffer.t) (rel : Relstate.t) : unit =
   let module M = (val r.dom) in
   if Array.length r.last <> Array.length r.ids then
