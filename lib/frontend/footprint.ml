@@ -24,22 +24,7 @@ let of_fundef ~(keep : var -> bool) (fd : fundef) : VarSet.t * VarSet.t =
   let reads = ref VarSet.empty and writes = ref VarSet.empty in
   let read v = if keep v then reads := VarSet.add v !reads in
   let write v = if keep v then writes := VarSet.add v !writes in
-  let rec read_expr (e : expr) =
-    match e.edesc with
-    | Eint _ | Efloat _ -> ()
-    | Elval lv -> read_lval lv
-    | Eunop (_, a) | Ecast (_, a) -> read_expr a
-    | Ebinop (_, a, b) ->
-        read_expr a;
-        read_expr b
-  and read_lval (lv : lval) =
-    match lv.ldesc with
-    | Lvar v | Lderef v -> read v
-    | Lindex (a, i) ->
-        read_lval a;
-        read_expr i
-    | Lfield (a, _) -> read_lval a
-  in
+  let read_expr = iter_expr_vars read and read_lval = iter_lval_vars read in
   let write_lval lv =
     write (lval_root lv);
     (* subscript expressions inside the written lvalue are reads *)

@@ -158,9 +158,9 @@ let init_const_at (init : init) (path : int list) : edesc option =
   in
   go init path
 
-(* Replace reads tab[c1][c2]... of constant arrays by their value; also
-   the names of the functions where a read was replaced. *)
-let replace_const_reads (p : program) : program * (string, unit) Hashtbl.t =
+(* Replace reads tab[c1][c2]... of constant arrays by their value, and
+   fold again the functions where a read was replaced. *)
+let replace_const_reads (p : program) : program =
   let assigned = assigned_roots p in
   let const_globals =
     List.filter_map
@@ -226,21 +226,19 @@ let replace_const_reads (p : program) : program * (string, unit) Hashtbl.t =
     | Slocal (v, Some e) -> { s with sdesc = Slocal (v, Some (tr_expr e)) }
     | _ -> s
   in
-  (* a function without a replaced read keeps its body *)
-  let changed = Hashtbl.create 16 in
+  (* a function without a replaced read keeps its body; folding is
+     idempotent there *)
   let p_funs =
     List.map
       (fun (n, fd) ->
         replaced := false;
         let body = List.map tr_stmt fd.fd_body in
-        if !replaced then begin
-          Hashtbl.replace changed n ();
-          (n, { fd with fd_body = body })
-        end
+        if !replaced then
+          (n, { fd with fd_body = List.map (fold_stmt p.p_target) body })
         else (n, fd))
       p.p_funs
   in
-  ({ p with p_funs }, changed)
+  { p with p_funs }
 
 (* ------------------------------------------------------------------ *)
 (* Unused-global deletion                                              *)
@@ -250,22 +248,7 @@ let replace_const_reads (p : program) : program * (string, unit) Hashtbl.t =
 let used_globals (p : program) : (int, unit) Hashtbl.t =
   let used = Hashtbl.create 256 in
   let add v = Hashtbl.replace used v.v_id () in
-  let rec add_expr (e : expr) =
-    match e.edesc with
-    | Eint _ | Efloat _ -> ()
-    | Elval lv -> add_lval lv
-    | Eunop (_, a) | Ecast (_, a) -> add_expr a
-    | Ebinop (_, a, b) ->
-        add_expr a;
-        add_expr b
-  and add_lval (lv : lval) =
-    match lv.ldesc with
-    | Lvar v | Lderef v -> add v
-    | Lindex (a, i) ->
-        add_lval a;
-        add_expr i
-    | Lfield (a, _) -> add_lval a
-  in
+  let add_expr = iter_expr_vars add and add_lval = iter_lval_vars add in
   List.iter
     (fun (_, fd) ->
       iter_stmts
@@ -315,20 +298,6 @@ let run (p : program) : program * stats =
           p.p_funs;
     }
   in
-  let p, changed = replace_const_reads p in
-  (* fold again where constant reads may enable more folding; folding is
-     idempotent elsewhere *)
-  let p =
-    {
-      p with
-      p_funs =
-        List.map
-          (fun (n, fd) ->
-            if Hashtbl.mem changed n then
-              (n, { fd with fd_body = List.map (fold_stmt p.p_target) fd.fd_body })
-            else (n, fd))
-          p.p_funs;
-    }
-  in
+  let p = replace_const_reads p in
   let p = remove_unused_globals p in
   (p, { globals_before; globals_after = List.length p.p_globals })

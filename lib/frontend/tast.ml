@@ -172,21 +172,35 @@ let find_struct p name = List.assoc_opt name p.p_structs
 (* Traversals                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** All variables syntactically read by an expression. *)
-let rec expr_vars (e : expr) (acc : VarSet.t) : VarSet.t =
+(** Apply [f] to every variable an expression syntactically reads, once
+    per occurrence, without building a set. *)
+let rec iter_expr_vars (f : var -> unit) (e : expr) : unit =
   match e.edesc with
-  | Eint _ | Efloat _ -> acc
-  | Elval lv -> lval_vars lv acc
-  | Eunop (_, a) -> expr_vars a acc
-  | Ebinop (_, a, b) -> expr_vars a (expr_vars b acc)
-  | Ecast (_, a) -> expr_vars a acc
+  | Eint _ | Efloat _ -> ()
+  | Elval lv -> iter_lval_vars f lv
+  | Eunop (_, a) | Ecast (_, a) -> iter_expr_vars f a
+  | Ebinop (_, a, b) ->
+      iter_expr_vars f a;
+      iter_expr_vars f b
 
-and lval_vars (lv : lval) (acc : VarSet.t) : VarSet.t =
+and iter_lval_vars (f : var -> unit) (lv : lval) : unit =
   match lv.ldesc with
-  | Lvar v -> VarSet.add v acc
-  | Lindex (a, i) -> lval_vars a (expr_vars i acc)
-  | Lfield (a, _) -> lval_vars a acc
-  | Lderef v -> VarSet.add v acc
+  | Lvar v | Lderef v -> f v
+  | Lindex (a, i) ->
+      iter_lval_vars f a;
+      iter_expr_vars f i
+  | Lfield (a, _) -> iter_lval_vars f a
+
+(** All variables syntactically read by an expression. *)
+let expr_vars (e : expr) (acc : VarSet.t) : VarSet.t =
+  let acc = ref acc in
+  iter_expr_vars (fun v -> acc := VarSet.add v !acc) e;
+  !acc
+
+let lval_vars (lv : lval) (acc : VarSet.t) : VarSet.t =
+  let acc = ref acc in
+  iter_lval_vars (fun v -> acc := VarSet.add v !acc) lv;
+  !acc
 
 (** Root variable of an lvalue. *)
 let rec lval_root (lv : lval) : var =

@@ -113,25 +113,24 @@ let names_of (p : F.Tast.program) : names =
       in
       (* an expression's unnamed variables are named in id order, as a
          [VarSet] lists them; most are named already *)
-      let rec expr_new acc (e : F.Tast.expr) =
-        match e.F.Tast.edesc with
-        | F.Tast.Eint _ | F.Tast.Efloat _ -> acc
-        | F.Tast.Elval lv -> lval_new acc lv
-        | F.Tast.Eunop (_, a) | F.Tast.Ecast (_, a) -> expr_new acc a
-        | F.Tast.Ebinop (_, a, b) -> expr_new (expr_new acc a) b
-      and lval_new acc (lv : F.Tast.lval) =
-        match lv.F.Tast.ldesc with
-        | F.Tast.Lvar v | F.Tast.Lderef v ->
-            if Ids.mem vars v.F.Tast.v_id then acc else v :: acc
-        | F.Tast.Lindex (a, i) -> lval_new (expr_new acc i) a
-        | F.Tast.Lfield (a, _) -> lval_new acc a
+      let unnamed = ref [] in
+      let collect (v : F.Tast.var) =
+        if not (Ids.mem vars v.F.Tast.v_id) then unnamed := v :: !unnamed
       in
-      let name_all = function
+      let name_all () =
+        match !unnamed with
         | [] -> ()
-        | vs -> List.iter name (List.sort_uniq F.Tast.Var.compare vs)
+        | vs ->
+            unnamed := [];
+            List.iter name (List.sort_uniq F.Tast.Var.compare vs)
       in
-      let expr e = name_all (expr_new [] e)
-      and lval lv = name_all (lval_new [] lv) in
+      let expr e =
+        F.Tast.iter_expr_vars collect e;
+        name_all ()
+      and lval lv =
+        F.Tast.iter_lval_vars collect lv;
+        name_all ()
+      in
       List.iter (function F.Tast.Pval v | F.Tast.Pref v -> name v) fd.F.Tast.fd_params;
       let loop = ref 0 in
       F.Tast.iter_stmts
