@@ -52,13 +52,11 @@ let occurs (sub : string) (s : string) : bool =
   let rec from i = i + m <= n && (at i 0 || from (i + 1)) in
   from 0
 
-(* A line in which no macro name occurs is copied as it is: checking a
-   few names is cheaper than splitting the line into identifiers. *)
+(* A line in which no macro name occurs is copied as it is, without
+   splitting it into identifiers. *)
 let rec expand_line env ~loc ~active (line : string) : string =
-  if
-    List.compare_length_with env.macros 8 <= 0
-    && not (List.exists (fun (name, _) -> occurs name line) env.macros)
-  then line
+  if not (List.exists (fun (name, _) -> occurs name line) env.macros) then
+    line
   else expand_macros env ~loc ~active line
 
 (* Split a line into alternating non-identifier / identifier chunks and
