@@ -1095,7 +1095,6 @@ let e15 ~quick () =
                 Srv.Daemon.default with
                 Srv.Daemon.d_socket = sock;
                 d_workers = 4;
-                d_queue_depth = 64;
               }
           with _ -> 1
         in
@@ -1315,341 +1314,6 @@ let e16 ~quick () =
        (speedup >= 1.5) (fp1 = fp4) recomputed)
 
 (* ------------------------------------------------------------------ *)
-(* E18 - operational telemetry: overhead, scrape, readiness             *)
-(* ------------------------------------------------------------------ *)
-
-let e18 ~quick () =
-  section
-    "E18: operational telemetry (lib/server/telemetry + http)\n\
-     claims checked: full telemetry (JSONL access log + HTTP exposition\n\
-     endpoint) costs <= 5% of warm-daemon throughput on the E15 cascade\n\
-     workload; reports stay byte-identical with telemetry on and off;\n\
-     GET /metrics yields well-formed Prometheus text exposition; /readyz\n\
-     answers 503 while a SIGTERM drain is in progress";
-  let stages, width = if quick then (4, 16) else (8, 16) in
-  let clients = 4 in
-  let per_client = if quick then 6 else 10 in
-  let src = cascade_source ~stages ~width in
-  let sources = [ ("e18.c", src) ] in
-  let options = Srv.Service.default_options in
-  let port =
-    let n = ref 0 in
-    fun () ->
-      incr n;
-      18000 + (((Unix.getpid () * 131) + (!n * 977)) mod 30000)
-  in
-  (* blank the volatile "time" statistic; everything else must be
-     byte-identical between the two daemons *)
-  let scrub_time (s : string) : string =
-    let marker = "\"time\": " in
-    let mlen = String.length marker in
-    let n = String.length s in
-    let b = Buffer.create n in
-    let i = ref 0 in
-    while !i < n do
-      if !i + mlen <= n && String.sub s !i mlen = marker then begin
-        Buffer.add_string b marker;
-        Buffer.add_char b 'T';
-        i := !i + mlen;
-        while
-          !i < n
-          &&
-          match s.[!i] with
-          | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
-          | _ -> false
-        do
-          incr i
-        done
-      end
-      else begin
-        Buffer.add_char b s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents b
-  in
-  let http_get port path : int * string =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        let req = "GET " ^ path ^ " HTTP/1.0\r\n\r\n" in
-        ignore (Unix.write_substring fd req 0 (String.length req));
-        let buf = Buffer.create 8192 in
-        let chunk = Bytes.create 65536 in
-        let rec drain () =
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> ()
-          | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              drain ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-        in
-        drain ();
-        let raw = Buffer.contents buf in
-        let code =
-          try Scanf.sscanf raw "HTTP/1.0 %d" (fun c -> c) with _ -> -1
-        in
-        let body =
-          let rec find i =
-            if i + 4 > String.length raw then String.length raw
-            else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-            else find (i + 1)
-          in
-          let start = find 0 in
-          String.sub raw start (String.length raw - start)
-        in
-        (code, body))
-  in
-  let rec http_get_retry ?(n = 40) p path =
-    match http_get p path with
-    | r -> r
-    | exception Unix.Unix_error _ when n > 0 ->
-        Unix.sleepf 0.05;
-        http_get_retry ~n:(n - 1) p path
-  in
-  let start_daemon ?http_port ?access_log ?(workers = 4) ?(hang = 0.)
-      sock =
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        let code =
-          try
-            if hang > 0. then begin
-              R.Faultsim.hang_seconds := hang;
-              R.Faultsim.install ~seed:1 [ (R.Faultsim.Worker_hang, 1.0) ]
-            end;
-            Srv.Daemon.run
-              {
-                Srv.Daemon.default with
-                Srv.Daemon.d_socket = sock;
-                d_workers = workers;
-                d_queue_depth = 64;
-                d_http_port = http_port;
-                d_access_log = access_log;
-              }
-          with _ -> 1
-        in
-        Unix._exit code
-    | pid -> pid
-  in
-  let wait_up sock =
-    let rec go n =
-      if n = 0 then failwith "daemon did not come up"
-      else
-        match Srv.Client.try_connect sock with
-        | Some fd -> Srv.Client.close fd
-        | None ->
-            Unix.sleepf 0.05;
-            go (n - 1)
-    in
-    go 100
-  in
-  let stop pid sock =
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    ignore (Unix.waitpid [] pid);
-    if Sys.file_exists sock then Sys.remove sock
-  in
-  let request sock : string =
-    match Srv.Client.try_connect sock with
-    | None -> failwith "daemon gone"
-    | Some fd ->
-        Fun.protect
-          ~finally:(fun () -> Srv.Client.close fd)
-          (fun () ->
-            match
-              Srv.Client.roundtrip fd
-                (Srv.Client.analyze_request ~sources ~main:"main" ~options ())
-            with
-            | Error e -> failwith ("protocol: " ^ e)
-            | Ok line ->
-                let rep = Srv.Client.decode line in
-                if rep.Srv.Client.r_status <> "ok" then
-                  failwith ("daemon replied " ^ rep.Srv.Client.r_status);
-                (match rep.Srv.Client.r_report with
-                | Some rpt -> rpt
-                | None -> failwith "daemon reply without report"))
-  in
-  (* [clients] concurrent client processes, [per_client] sequential
-     requests each, against a pre-warmed daemon: requests per second *)
-  let run_load sock : float =
-    let spawn () =
-      flush stdout;
-      flush stderr;
-      match Unix.fork () with
-      | 0 ->
-          let code =
-            try
-              for _ = 1 to per_client do
-                ignore (request sock)
-              done;
-              0
-            with _ -> 1
-          in
-          Unix._exit code
-      | pid -> pid
-    in
-    let procs = List.init clients (fun _ -> spawn ()) in
-    let (), wall =
-      time (fun () ->
-          List.iter
-            (fun pid ->
-              match Unix.waitpid [] pid with
-              | _, Unix.WEXITED 0 -> ()
-              | _ -> failwith "load client failed")
-            procs)
-    in
-    float (clients * per_client) /. wall
-  in
-  (* two daemons side by side -- telemetry off and the full stack on --
-     each warmed by one request (which also yields the report to diff).
-     Load rounds alternate between the two and each side keeps its
-     best, so machine-wide drift hits both alike instead of landing on
-     whichever daemon happened to be measured second. *)
-  let rounds = 3 in
-  let http_p = port () in
-  let log = Filename.temp_file "astree-e18" ".jsonl" in
-  let tp_off, report_off, tp_on, report_on, scrape, log_requests =
-    Fun.protect
-      ~finally:(fun () ->
-        if Sys.file_exists log then Sys.remove log;
-        if Sys.file_exists (log ^ ".1") then Sys.remove (log ^ ".1"))
-      (fun () ->
-        let sock_off = Filename.temp_file "astree-e18" ".sock" in
-        Sys.remove sock_off;
-        let sock_on = Filename.temp_file "astree-e18" ".sock" in
-        Sys.remove sock_on;
-        let pid_off = start_daemon sock_off in
-        let pid_on =
-          start_daemon ~http_port:http_p ~access_log:log sock_on
-        in
-        let tp_off, report_off, tp_on, report_on, scrape =
-          Fun.protect
-            ~finally:(fun () ->
-              stop pid_off sock_off;
-              stop pid_on sock_on)
-            (fun () ->
-              wait_up sock_off;
-              wait_up sock_on;
-              let report_off = request sock_off in
-              let report_on = request sock_on in
-              let tp_off = ref 0. and tp_on = ref 0. in
-              for _ = 1 to rounds do
-                tp_off := Float.max !tp_off (run_load sock_off);
-                tp_on := Float.max !tp_on (run_load sock_on)
-              done;
-              let code, body = http_get_retry http_p "/metrics" in
-              if code <> 200 then failwith "GET /metrics failed";
-              (!tp_off, report_off, !tp_on, report_on, body))
-        in
-        (* on-daemon reaped: count the request lines it logged *)
-        let ic = open_in log in
-        let n = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             match Srv.Json.parse line with
-             | Ok j
-               when Srv.Json.to_str (Srv.Json.member "event" j)
-                    = Some "request" ->
-                 incr n
-             | Ok _ -> ()
-             | Error e -> failwith ("torn access-log line: " ^ e)
-           done
-         with End_of_file -> close_in ic);
-        (tp_off, report_off, tp_on, report_on, scrape, !n))
-  in
-  let overhead_pct = 100. *. (1. -. (tp_on /. Float.max tp_off 1e-9)) in
-  let overhead_ok = tp_on >= 0.95 *. tp_off in
-  let reports_identical = scrub_time report_on = scrub_time report_off in
-  (* well-formed exposition: every non-comment line is NAME[{labels}]
-     VALUE with a float value, every family has a TYPE header, and the
-     series the operators dashboard on are present *)
-  let has_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let scrape_ok =
-    let lines = String.split_on_char '\n' scrape in
-    List.for_all
-      (fun l ->
-        l = ""
-        || (String.length l > 2 && String.sub l 0 2 = "# ")
-        ||
-        match String.index_opt l ' ' with
-        | None -> false
-        | Some i -> (
-            let v = String.sub l (i + 1) (String.length l - i - 1) in
-            v = "+Inf" || Float.of_string_opt v <> None))
-      lines
-    && has_sub scrape "# TYPE astreed_up gauge"
-    && has_sub scrape "astreed_up 1"
-    && has_sub scrape
-         "astreed_requests_total{outcome=\"ok\",verb=\"analyze\"}"
-    && has_sub scrape "astreed_request_duration_seconds_bucket{le=\"+Inf\""
-    && has_sub scrape "astree_cache_hits_total"
-  in
-  let log_ok = log_requests >= 1 + (rounds * clients * per_client) in
-  (* readiness during drain: a hung worker pins one request in flight,
-     SIGTERM starts the drain, /readyz must flip to 503 while /healthz
-     stays 200 *)
-  let readyz_503 =
-    let sock = Filename.temp_file "astree-e18" ".sock" in
-    Sys.remove sock;
-    let p = port () in
-    let pid = start_daemon ~workers:1 ~http_port:p ~hang:1.2 sock in
-    Fun.protect
-      ~finally:(fun () -> stop pid sock)
-      (fun () ->
-        wait_up sock;
-        let fd =
-          match Srv.Client.try_connect sock with
-          | Some fd -> fd
-          | None -> failwith "daemon gone"
-        in
-        Fun.protect
-          ~finally:(fun () -> Srv.Client.close fd)
-          (fun () ->
-            (match
-               Srv.Client.send fd
-                 (Srv.Client.analyze_request ~sources ~main:"main" ~options
-                    ())
-             with
-            | Ok () -> ()
-            | Error e -> failwith ("send: " ^ e));
-            Unix.sleepf 0.2;
-            let ready_before, _ = http_get_retry p "/readyz" in
-            Unix.kill pid Sys.sigterm;
-            Unix.sleepf 0.2;
-            let ready_during, why = http_get_retry p "/readyz" in
-            let live_during, _ = http_get_retry p "/healthz" in
-            ready_before = 200 && ready_during = 503
-            && has_sub why "draining" && live_during = 200))
-  in
-  Fmt.pr "%-38s %12s@." "configuration" "req/s";
-  Fmt.pr "%-38s %12.2f@." "warm daemon, telemetry off" tp_off;
-  Fmt.pr "%-38s %12.2f@." "warm daemon, access log + /metrics" tp_on;
-  Fmt.pr "telemetry overhead: %.1f%%   <= 5%%: %b@." overhead_pct
-    overhead_ok;
-  Fmt.pr "reports byte-identical on/off: %b@." reports_identical;
-  Fmt.pr "/metrics well-formed exposition: %b   access-log lines: %d \
-          (complete: %b)@."
-    scrape_ok log_requests log_ok;
-  Fmt.pr "/readyz 503 during drain: %b@." readyz_503;
-  json_record "e18"
-    (Printf.sprintf
-       "{\"quick\": %b, \"req_per_s_off\": %.3f, \"req_per_s_on\": %.3f, \
-        \"overhead_pct\": %.2f, \"overhead_le_5pct\": %b, \
-        \"reports_identical\": %b, \"metrics_wellformed\": %b, \
-        \"access_log_requests\": %d, \"access_log_complete\": %b, \
-        \"readyz_503_during_drain\": %b}"
-       quick tp_off tp_on overhead_pct overhead_ok reports_identical
-       scrape_ok log_requests log_ok readyz_503)
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1784,7 +1448,6 @@ let () =
   if want "e14" then e14 ~quick ();
   if want "e15" then e15 ~quick ();
   if want "e16" then e16 ~quick ();
-  if want "e18" then e18 ~quick ();
   if want "micro" then micro ();
   (match json_path with Some path -> json_write path | None -> ());
   Fmt.pr "@.done.@."

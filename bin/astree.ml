@@ -277,7 +277,7 @@ let cmd =
         $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache)"
         $ Arg.(value & opt float 0. & info [ "timeout" ] ~docv:"SECS" ~doc:"Wall-clock budget for the analysis; on overrun, precision is shed soundly (degraded exit code 3) instead of aborting (0 = unbounded)")
         $ Arg.(value & opt int 0 & info [ "max-mem" ] ~docv:"MB" ~doc:"Major-heap watermark in MiB, with the same sound degradation as $(b,--timeout) (0 = unbounded)")
-        $ Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCK" ~doc:"Delegate the analysis to the astreed daemon listening on $(docv) (warm caches); a $(b,shed) or $(b,shutting_down) reply exits 4; when no daemon answers (no listener, a reset or a torn reply) or it answers with an error (a worker crash, a request timeout, a refused request), the analysis runs in-process, with the one-shot report and exit code")
+        $ Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCK" ~doc:"Delegate the analysis to the astreed daemon listening on $(docv) (warm caches); a $(b,shutting_down) reply (the daemon is draining) exits 4; when no daemon answers (no listener, a reset or a torn reply) or it answers with an error (a worker crash, a request timeout, a refused request), the analysis runs in-process, with the one-shot report and exit code")
         $ Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,json) (one object with alarms, stats and the result fingerprint)")
         $ flag "dump-invariants" "Print loop invariants"
         $ flag "census" "Print the main-loop invariant census (Sect. 9.4.1)"

@@ -1,8 +1,7 @@
 (* The analysis daemon's command line.
 
-   Usage:  astreed --socket PATH [--max-inflight N] [--queue-depth N]
-                   [--timeout SECS] [--max-mem MB] [--cache DIR]
-                   [--http PORT] [--access-log FILE] [--access-log-max BYTES]
+   Usage:  astreed --socket PATH [--max-inflight N] [--timeout SECS]
+                   [--max-mem MB] [--cache DIR] [--access-log FILE]
                    [--trace FILE] [--verbose]
 
    Serves newline-delimited JSON requests (analyze / status / metrics /
@@ -10,15 +9,15 @@
    resident across requests and share function summaries through one
    store directory: --cache DIR (a daemon restarted on it, after a
    crash too, is warm), else a private directory under $TMPDIR removed
-   at clean shutdown.  Requests wait in one FIFO queue; SIGHUP is
-   ignored.  See DESIGN.md sections 12 and 15 and
+   at clean shutdown.  Requests no worker takes wait in one unbounded
+   FIFO queue; SIGHUP is ignored.  See DESIGN.md sections 12 and 15 and
    README "Server mode". *)
 
 module Srv = Astree_server
 open Cmdliner
 
-let run socket workers queue_depth timeout max_mem cache_dir http_port
-    access_log access_log_max trace_file verbose =
+let run socket workers timeout max_mem cache_dir access_log trace_file
+    verbose =
   (match trace_file with
   | None -> ()
   | Some f ->
@@ -29,14 +28,11 @@ let run socket workers queue_depth timeout max_mem cache_dir http_port
       Srv.Daemon.default with
       Srv.Daemon.d_socket = socket;
       d_workers = max 1 workers;
-      d_queue_depth = max 0 queue_depth;
       d_timeout = (if timeout > 0. then timeout else 0.);
       d_max_mem = max 0 max_mem;
       d_cache_dir = cache_dir;
       d_verbose = verbose;
-      d_http_port = http_port;
       d_access_log = access_log;
-      d_access_log_max = max 4096 access_log_max;
     }
   in
   let code = Srv.Daemon.run cfg in
@@ -59,13 +55,6 @@ let cmd =
           & info [ "max-inflight" ]
               ~doc:
                 "Worker processes, hence concurrently analyzed requests")
-      $ Arg.(
-          value
-          & opt int Srv.Daemon.default.Srv.Daemon.d_queue_depth
-          & info [ "queue-depth" ]
-              ~doc:
-                "Requests admitted beyond the in-flight limit; further \
-                 ones are shed with a $(b,shed) reply (0 = no queue)")
       $ Arg.(
           value & opt float 0.
           & info [ "timeout" ] ~docv:"SECS"
@@ -91,30 +80,12 @@ let cmd =
                  removed at clean shutdown)")
       $ Arg.(
           value
-          & opt (some int) None
-          & info [ "http" ] ~docv:"PORT"
-              ~doc:
-                "Serve telemetry over HTTP on 127.0.0.1:$(docv): \
-                 $(b,/metrics) (Prometheus text exposition), \
-                 $(b,/healthz) (liveness), $(b,/readyz) (503 while \
-                 draining or while the queue is full) and \
-                 $(b,/status) (the status-verb JSON); 0 picks a free \
-                 port")
-      $ Arg.(
-          value
           & opt (some string) None
           & info [ "access-log" ] ~docv:"FILE"
               ~doc:
                 "Append one JSONL record per request (rid, verb, \
                  digest, outcome, queue/service seconds, cache hits) \
                  plus start/drain/exit events to $(docv)")
-      $ Arg.(
-          value
-          & opt int (8 * 1024 * 1024)
-          & info [ "access-log-max" ] ~docv:"BYTES"
-              ~doc:
-                "Rotate the access log (atomic rename to \
-                 $(i,FILE)$(b,.1)) when it would exceed $(docv) bytes")
       $ Arg.(
           value
           & opt (some string) None

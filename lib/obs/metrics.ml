@@ -5,8 +5,7 @@
    operations (incr, add, stop) touch a single field and never re-hash
    the name.  Everything observable leaves through [snapshot] (pure,
    marshallable — the parallel delta format) and the renderers below:
-   [render_json] (the --metrics file), [render_profile] (--profile) and
-   [render_prometheus] (the daemon's /metrics body). *)
+   [render_json] (the --metrics file) and [render_profile] (--profile). *)
 
 type kind = Kcounter | Ktimer | Kgauge | Khist
 
@@ -238,84 +237,6 @@ let render_profile () : string =
       (List.filter_map
          (fun s -> if s.s_kind = Ktimer then Some (row s) else None)
          (snapshot ()))
-
-(* ---- Prometheus text exposition ---------------------------------- *)
-
-let prom_name (s : string) : string =
-  let b = Buffer.create (String.length s + 1) in
-  String.iteri
-    (fun i c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> Buffer.add_char b c
-      | '0' .. '9' ->
-          if i = 0 then Buffer.add_char b '_';
-          Buffer.add_char b c
-      | _ -> Buffer.add_char b '_')
-    s;
-  if Buffer.length b = 0 then "_" else Buffer.contents b
-
-let prom_label (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let prom_float (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-type family = string * string  (* family name, rendered block *)
-
-let prom_family (name : string) (typ : string) (lines : string list) : family =
-  ( name,
-    Printf.sprintf "# TYPE %s %s\n" name typ
-    ^ String.concat "" (List.map (fun l -> l ^ "\n") lines) )
-
-(* one registry entry under the astree_ prefix *)
-let family_of_sample (s : sample) : family =
-  let base = "astree_" ^ prom_name s.s_name in
-  match s.s_kind with
-  | Kcounter ->
-      prom_family (base ^ "_total") "counter"
-        [ Printf.sprintf "%s_total %d" base s.s_n ]
-  | Kgauge -> prom_family base "gauge" [ Printf.sprintf "%s %d" base s.s_n ]
-  | Ktimer ->
-      prom_family (base ^ "_seconds_total") "counter"
-        [ Printf.sprintf "%s_seconds_total %s" base (prom_float s.s_t) ]
-  | Khist ->
-      (* log2 buckets: bucket i counts v with 2^i <= v+1 < 2^(i+1),
-         i.e. v <= 2^(i+1)-2 — that difference is the [le] bound.
-         Trailing empty buckets are elided; +Inf carries the total.
-         No _sum: the registry does not track one. *)
-      let last = ref (-1) in
-      Array.iteri (fun i v -> if v <> 0 then last := i) s.s_buckets;
-      let cum = ref 0 in
-      let lines = ref [] in
-      for i = 0 to !last do
-        cum := !cum + s.s_buckets.(i);
-        lines :=
-          Printf.sprintf "%s_bucket{le=\"%d\"} %d" base ((1 lsl (i + 1)) - 2)
-            !cum
-          :: !lines
-      done;
-      lines :=
-        Printf.sprintf "%s_count %d" base !cum
-        :: Printf.sprintf "%s_bucket{le=\"+Inf\"} %d" base !cum
-        :: !lines;
-      prom_family base "histogram" (List.rev !lines)
-
-(* Families render sorted by family name: equal inputs yield
-   byte-identical expositions. *)
-let render_prometheus ~(families : family list) (ss : snapshot) : string =
-  families @ List.rev_map family_of_sample ss
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map snd |> String.concat ""
 
 let reset_entry (e : entry) =
   e.e_n <- 0;

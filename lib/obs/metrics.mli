@@ -3,9 +3,8 @@
 
     This is the one place analysis-wide measurements live, and the one
     module that knows how an entry is rendered: the [--metrics] file
-    ({!render_json}), the [--profile] table ({!render_profile}) and the
-    daemon's [/metrics] body ({!render_prometheus}) all read the
-    registry.  The domains, the iterator and the caches register their
+    and the daemon's [metrics] verb ({!render_json}) and the
+    [--profile] table ({!render_profile}) all read the registry.  The domains, the iterator and the caches register their
     own entries (a probe [NAME] is a counter [NAME] plus a timer
     [NAME.time]), and the parallel subsystem ships worker-side
     {!snapshot} deltas back in job replies so a [-j n] report is as
@@ -131,34 +130,6 @@ val render_profile : unit -> string
     timer, sorted by name, giving the timer's name, the value of the
     counter of the same stem (timer [NAME.time] pairs with counter
     [NAME]; 0 when there is none) and the timer's seconds. *)
-
-(** {1 Prometheus text exposition} *)
-
-val prom_name : string -> string
-(** Sanitize to the Prometheus metric-name charset: every character
-    outside [[a-zA-Z0-9_:]] becomes [_], a leading digit is prefixed
-    with [_], the empty name is [_]. *)
-
-val prom_label : string -> string
-(** Escape a label value (backslash, double quote, newline). *)
-
-val prom_float : float -> string
-(** A sample value: integral floats without a fraction, others with 9
-    significant digits. *)
-
-type family
-(** One rendered metric family: its [# TYPE] line and sample lines. *)
-
-val prom_family : string -> string -> string list -> family
-(** [prom_family name typ lines]: the family [name] of Prometheus type
-    [typ] (["counter"], ["gauge"], ...) with the given sample lines. *)
-
-val render_prometheus : families:family list -> snapshot -> string
-(** The snapshot under the [astree_] prefix (counters as [NAME_total],
-    timers as [NAME_seconds_total], gauges as [NAME], log2 histograms
-    with [le] bound [2^(i+1)-2] for bucket [i], trailing empty buckets
-    elided) merged with the caller's [families].  Families are sorted
-    by name, so equal inputs render byte-identically. *)
 
 val reset : unit -> unit
 (** Zero every entry (registrations survive). *)

@@ -147,7 +147,7 @@ let verdict (res : (reply, string) result) : verdict =
       match (rep.r_status, rep.r_report) with
       | "ok", Some report -> Print (report, rep.r_exit)
       | "ok", None -> Fallback "daemon: malformed reply"
-      | (("shed" | "shutting_down") as status), _ -> Refused status
+      | "shutting_down", _ -> Refused "shutting_down"
       | _ ->
           Fallback
             ("daemon: " ^ Option.value ~default:"unknown error" rep.r_error))

@@ -29,7 +29,7 @@ val roundtrip : Unix.file_descr -> string -> (string, string) result
 
 (** A decoded reply. *)
 type reply = {
-  r_status : string;          (** ok | error | shed | shutting_down *)
+  r_status : string;          (** ok | error | shutting_down *)
   r_exit : int;               (** exit code for ok analyze replies *)
   r_error : string option;
   r_report : string option;   (** raw report bytes, analyze replies *)
@@ -74,7 +74,7 @@ val request : string -> Json.t -> (reply, string) result
 (** What [astree --connect] does with the outcome of {!request}. *)
 type verdict =
   | Print of string * int  (** print the daemon's report, exit with the code *)
-  | Refused of string  (** [shed] or [shutting_down]: exit 4 *)
+  | Refused of string  (** [shutting_down] (the daemon is draining): exit 4 *)
   | Fallback of string
       (** analyze in-process, so the report and the exit code are those
           of a one-shot run; the text says why *)

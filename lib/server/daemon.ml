@@ -17,39 +17,32 @@ module Trace = Astree_obs.Trace
 type config = {
   d_socket : string;
   d_workers : int;
-  d_queue_depth : int;
   d_timeout : float;
   d_max_mem : int;
   d_cache_dir : string option;
   d_grace : float;
   d_verbose : bool;
-  d_http_port : int option;        (* Some p: telemetry HTTP on 127.0.0.1:p *)
   d_access_log : string option;
-  d_access_log_max : int;
 }
 
 let default : config =
   {
     d_socket = "astreed.sock";
     d_workers = 4;
-    d_queue_depth = 32;
     d_timeout = 0.;
     d_max_mem = 0;
     d_cache_dir = None;
     d_grace = 60.;
     d_verbose = false;
-    d_http_port = None;
     d_access_log = None;
-    d_access_log_max = 8 * 1024 * 1024;
   }
 
 (* ---- metrics ------------------------------------------------------ *)
 
-(* [srv.shed] and [srv.dedup_hits] are also the status verb's [shed] and
-   [dedup_hits]: only [admit] and [attach] bump them, and a daemon runs
-   in a process of its own, so they start at 0 with [run] *)
+(* [srv.dedup_hits] is also the status verb's [dedup_hits]: only
+   [attach] bumps it, and a daemon runs in a process of its own, so it
+   starts at 0 with [run] *)
 let m_requests = Metrics.counter "srv.requests"
-let m_shed = Metrics.counter "srv.shed"
 let m_dedup = Metrics.counter "srv.dedup_hits"
 
 (* ---- connections and requests ------------------------------------ *)
@@ -81,15 +74,12 @@ type state = {
   st_cfg : config;
   st_pool : (Service.work, Service.outcome) Pool.t;
   st_tele : Telemetry.t;
-  st_http : Http.t option;
   mutable st_listen : Unix.file_descr option;
   mutable st_conns : conn list;
   st_inflight : (int, pending) Hashtbl.t;       (* pool slot -> request *)
   st_keys : (string, int) Hashtbl.t;            (* dedup key -> pool slot *)
   st_pending : pending Queue.t;  (* admitted, waiting for a worker *)
   st_store : string;         (* the summary store directory *)
-  st_lat : float array;      (* ring of recent analysis times (p50) *)
-  mutable st_lat_n : int;
   st_started : float;
   mutable st_draining : bool;
   mutable st_drain_t : float;
@@ -117,8 +107,8 @@ let close_conn st conn =
     conn.c_alive <- false;
     (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
     st.st_conns <- List.filter (fun c -> c != conn) st.st_conns;
-    (* queued work of a dead client is dropped, so [queued] and /readyz
-       count only requests someone still waits for *)
+    (* queued work of a dead client is dropped, so [queued] counts only
+       requests someone still waits for *)
     let waited_for pend =
       List.exists (fun w -> w.wt_conn.c_alive) pend.p_waiters
     in
@@ -143,12 +133,6 @@ let error_reply ?(rid = "") id msg =
                   \"error\": %s}"
     id (Report.json_str rid) (Report.json_str msg)
 
-let shed_reply ~rid id ~retry_after =
-  Printf.sprintf
-    "{\"id\": %s, \"rid\": %s, \"status\": \"shed\", \
-     \"error\": \"queue full\", \"retry_after_s\": %.3f}"
-    id (Report.json_str rid) retry_after
-
 let shutting_down_reply ~rid id =
   Printf.sprintf "{\"id\": %s, \"rid\": %s, \"status\": \"shutting_down\"}" id
     (Report.json_str rid)
@@ -166,28 +150,21 @@ let ok_reply ~rid ~id ~received (sv : Service.served) ~now =
     (Metrics.render_snapshot_json ~timers:false sv.sv_metrics)
     sv.sv_report
 
-(* the status body, shared between the status verb and GET /status *)
-let status_json st ~now =
+let status_reply st ~rid id ~now =
   Printf.sprintf
-    "{\"pid\": %d, \
-     \"uptime_s\": %.3f, \"workers\": %d, \"inflight\": %d, \
-     \"queued\": %d, \"served\": %d, \"shed\": %d, \"errors\": %d, \
-     \"draining\": %b, \"queue_depth\": %d, \"dedup_hits\": %d, \
-     \"recovered\": %d, \"store_entries\": %d, \"heap_words\": %d, \
-     \"latency\": %s}"
-    (Unix.getpid ()) (now -. st.st_started)
+    "{\"id\": %s, \"rid\": %s, \"status\": \"ok\", \"server\": \
+     {\"pid\": %d, \"uptime_s\": %.3f, \"workers\": %d, \"inflight\": %d, \
+     \"queued\": %d, \"served\": %d, \"errors\": %d, \"draining\": %b, \
+     \"dedup_hits\": %d, \"recovered\": %d, \"store_entries\": %d, \
+     \"heap_words\": %d}}"
+    id (Report.json_str rid) (Unix.getpid ()) (now -. st.st_started)
     (Pool.size st.st_pool)
     (Hashtbl.length st.st_inflight)
     (Queue.length st.st_pending)
-    st.st_served (Metrics.value m_shed) st.st_errors st.st_draining
-    st.st_cfg.d_queue_depth (Metrics.value m_dedup) st.st_recovered
+    st.st_served st.st_errors st.st_draining (Metrics.value m_dedup)
+    st.st_recovered
     (Store.count ~dir:st.st_store)
     (Gc.quick_stat ()).Gc.heap_words
-    (Telemetry.quantiles_json st.st_tele)
-
-let status_reply st ~rid id ~now =
-  Printf.sprintf "{\"id\": %s, \"rid\": %s, \"status\": \"ok\", \"server\": %s}"
-    id (Report.json_str rid) (status_json st ~now)
 
 let metrics_reply ~rid id =
   Printf.sprintf "{\"id\": %s, \"rid\": %s, \"status\": \"ok\", \"metrics\": %s}"
@@ -195,45 +172,6 @@ let metrics_reply ~rid id =
     (Metrics.render_json ~timers:false ())
 
 (* ---- admission --------------------------------------------------- *)
-
-(* estimated time until a worker frees up: how much work is ahead of a
-   retrying client, paced by the recent median analysis time.  Clamped
-   to keep pathological estimates from parking clients for minutes. *)
-let retry_after st =
-  let n = min st.st_lat_n (Array.length st.st_lat) in
-  let p50 =
-    if n = 0 then 0.1
-    else begin
-      let a = Array.sub st.st_lat 0 n in
-      Array.sort compare a;
-      a.(n / 2)
-    end
-  in
-  let ahead =
-    Queue.length st.st_pending + Hashtbl.length st.st_inflight + 1
-  in
-  let est =
-    float_of_int ahead *. p50
-    /. float_of_int (max 1 (Pool.size st.st_pool))
-  in
-  Float.min 60. (Float.max 0.05 est)
-
-let record_latency st t =
-  st.st_lat.(st.st_lat_n mod Array.length st.st_lat) <- t;
-  st.st_lat_n <- st.st_lat_n + 1
-
-let tele_record st ~now ?(digest = "") ?(queue_s = 0.) ?(service_s = 0.)
-    ?(cache_hits = 0) ~verb ~outcome rid =
-  Telemetry.observe st.st_tele ~now
-    {
-      Telemetry.rc_rid = rid;
-      rc_verb = verb;
-      rc_digest = digest;
-      rc_outcome = outcome;
-      rc_queue_s = queue_s;
-      rc_service_s = service_s;
-      rc_cache_hits = cache_hits;
-    }
 
 let hard_deadline (pend : pending) =
   let t = pend.p_work.Service.w_options.Service.o_timeout in
@@ -296,8 +234,8 @@ let admit st pend ~now =
   if st.st_draining then
     List.iter
       (fun w ->
-        tele_record st ~now ~digest:pend.p_digest ~verb:"analyze"
-          ~outcome:`Shutting_down w.wt_rid;
+        Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
+          ~verb:"analyze" ~outcome:`Shutting_down w.wt_rid;
         reply st w.wt_conn (shutting_down_reply ~rid:w.wt_rid w.wt_id))
       pend.p_waiters
   else
@@ -305,22 +243,7 @@ let admit st pend ~now =
     | Some slot when Hashtbl.mem st.st_inflight slot ->
         (* an identical request is already running: share its worker *)
         attach st slot pend
-    | _ ->
-        if try_submit st pend then ()
-        else if Queue.length st.st_pending >= st.st_cfg.d_queue_depth
-        then begin
-          Metrics.incr m_shed;
-          let retry_after = retry_after st in
-          List.iter
-            (fun w ->
-              log st "shed request %s (queue full)" w.wt_id;
-              tele_record st ~now ~digest:pend.p_digest ~verb:"analyze"
-                ~outcome:`Shed w.wt_rid;
-              reply st w.wt_conn
-                (shed_reply ~rid:w.wt_rid w.wt_id ~retry_after))
-            pend.p_waiters
-        end
-        else Queue.push pend st.st_pending
+    | _ -> if not (try_submit st pend) then Queue.push pend st.st_pending
 
 (* ---- request handling -------------------------------------------- *)
 
@@ -362,7 +285,7 @@ let handle_analyze st conn ~rid id (j : Json.t) ~now =
   Metrics.incr m_requests;
   match request_sources j with
   | Error msg ->
-      tele_record st ~now ~verb:"analyze" ~outcome:`Error rid;
+      Telemetry.observe st.st_tele ~now ~verb:"analyze" ~outcome:`Error rid;
       reply st conn (error_reply ~rid id msg)
   | Ok sources -> (
       let main =
@@ -422,7 +345,8 @@ let handle_analyze st conn ~rid id (j : Json.t) ~now =
 let handle_line st conn (line : string) ~now =
   match Json.parse line with
   | Error msg ->
-      tele_record st ~now ~verb:"?" ~outcome:`Error (Telemetry.gen_id ());
+      Telemetry.observe st.st_tele ~now ~verb:"?" ~outcome:`Error
+        (Telemetry.gen_id ());
       reply st conn (error_reply "null" ("bad request: " ^ msg))
   | Ok j -> (
       let id = Json.to_string (Json.member "id" j) in
@@ -436,22 +360,22 @@ let handle_line st conn (line : string) ~now =
       match Json.to_str (Json.member "verb" j) with
       | Some "analyze" -> handle_analyze st conn ~rid id j ~now
       | Some "status" ->
-          tele_record st ~now ~verb:"status" ~outcome:`Ok rid;
+          Telemetry.observe st.st_tele ~now ~verb:"status" ~outcome:`Ok rid;
           reply st conn (status_reply st ~rid id ~now)
       | Some "metrics" ->
-          tele_record st ~now ~verb:"metrics" ~outcome:`Ok rid;
+          Telemetry.observe st.st_tele ~now ~verb:"metrics" ~outcome:`Ok rid;
           reply st conn (metrics_reply ~rid id)
       | Some "shutdown" ->
-          tele_record st ~now ~verb:"shutdown" ~outcome:`Ok rid;
+          Telemetry.observe st.st_tele ~now ~verb:"shutdown" ~outcome:`Ok rid;
           reply st conn
             (Printf.sprintf "{\"id\": %s, \"rid\": %s, \"status\": \"ok\"}" id
                (Report.json_str rid));
           Budget.interrupt ()
       | Some v ->
-          tele_record st ~now ~verb:v ~outcome:`Error rid;
+          Telemetry.observe st.st_tele ~now ~verb:v ~outcome:`Error rid;
           reply st conn (error_reply ~rid id ("unknown verb: " ^ v))
       | None ->
-          tele_record st ~now ~verb:"?" ~outcome:`Error rid;
+          Telemetry.observe st.st_tele ~now ~verb:"?" ~outcome:`Error rid;
           reply st conn (error_reply ~rid id "missing verb"))
 
 (* read whatever the connection has, split off complete lines *)
@@ -510,7 +434,6 @@ let finish st slot ~now =
             Trace.absorb sv.Service.sv_events;
             Trace.span_end "srv.request" ~args:[ ("rid", Trace.S head_rid) ]
           end;
-          record_latency st sv.Service.sv_time;
           let cache_hits =
             Option.value ~default:0
               (Metrics.find_int sv.Service.sv_metrics "cache.hits")
@@ -520,7 +443,7 @@ let finish st slot ~now =
               st.st_served <- st.st_served + 1;
               log st "served %s: exit %d, %d alarms, %.3fs" w.wt_id
                 sv.Service.sv_exit sv.Service.sv_alarms sv.Service.sv_time;
-              tele_record st ~now ~digest:pend.p_digest
+              Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
                 ~queue_s:
                   (Float.max 0. (now -. w.wt_received -. sv.Service.sv_time))
                 ~service_s:sv.Service.sv_time ~cache_hits ~verb:"analyze"
@@ -535,7 +458,7 @@ let finish st slot ~now =
           List.iter
             (fun w ->
               st.st_errors <- st.st_errors + 1;
-              tele_record st ~now ~digest:pend.p_digest
+              Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
                 ~queue_s:(Float.max 0. (now -. w.wt_received))
                 ~verb:"analyze" ~outcome:`Error w.wt_rid;
               reply st w.wt_conn (error_reply ~rid:w.wt_rid w.wt_id msg))
@@ -545,7 +468,7 @@ let finish st slot ~now =
             (fun w ->
               st.st_errors <- st.st_errors + 1;
               log st "request %s failed: %s" w.wt_id msg;
-              tele_record st ~now ~digest:pend.p_digest
+              Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
                 ~queue_s:(Float.max 0. (now -. w.wt_received))
                 ~verb:"analyze" ~outcome:`Error w.wt_rid;
               reply st w.wt_conn (error_reply ~rid:w.wt_rid w.wt_id msg))
@@ -565,7 +488,7 @@ let cancel_expired st ~now =
             (fun w ->
               st.st_errors <- st.st_errors + 1;
               log st "request %s timed out (hard limit)" w.wt_id;
-              tele_record st ~now ~digest:pend.p_digest
+              Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
                 ~queue_s:(Float.max 0. (now -. w.wt_received))
                 ~verb:"analyze" ~outcome:`Timeout w.wt_rid;
               reply st w.wt_conn
@@ -594,8 +517,8 @@ let begin_drain st ~now =
     (fun pend ->
       List.iter
         (fun w ->
-          tele_record st ~now ~digest:pend.p_digest ~verb:"analyze"
-            ~outcome:`Shutting_down w.wt_rid;
+          Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
+            ~verb:"analyze" ~outcome:`Shutting_down w.wt_rid;
           reply st w.wt_conn (shutting_down_reply ~rid:w.wt_rid w.wt_id))
         (List.rev pend.p_waiters))
     queued;
@@ -610,8 +533,8 @@ let force_cancel_inflight st ~now =
       Pool.cancel st.st_pool slot;
       List.iter
         (fun w ->
-          tele_record st ~now ~digest:pend.p_digest ~verb:"analyze"
-            ~outcome:`Error w.wt_rid;
+          Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
+            ~verb:"analyze" ~outcome:`Error w.wt_rid;
           reply st w.wt_conn
             (error_reply ~rid:w.wt_rid w.wt_id
                "canceled: daemon shutting down"))
@@ -619,32 +542,6 @@ let force_cancel_inflight st ~now =
     st.st_inflight;
   Hashtbl.reset st.st_inflight;
   Hashtbl.reset st.st_keys
-
-(* ---- telemetry HTTP endpoints ------------------------------------ *)
-
-(* readiness: able to accept an analyze request right now.  Distinct
-   from liveness — a draining or saturated daemon is alive but a load
-   balancer should stop routing to it. *)
-let readiness st : (unit, string) result =
-  if st.st_draining then Error "draining"
-  else if Queue.length st.st_pending >= st.st_cfg.d_queue_depth then
-    Error "queue full"
-  else Ok ()
-
-let http_handle st (path : string) : int * string * string =
-  let now = Unix.gettimeofday () in
-  match path with
-  | "/metrics" ->
-      ( 200,
-        "text/plain; version=0.0.4; charset=utf-8",
-        Telemetry.render_prometheus st.st_tele ~now (Metrics.snapshot ()) )
-  | "/healthz" -> (200, "text/plain", "ok\n")
-  | "/readyz" -> (
-      match readiness st with
-      | Ok () -> (200, "text/plain", "ready\n")
-      | Error why -> (503, "text/plain", "not ready: " ^ why ^ "\n"))
-  | "/status" -> (200, "application/json", status_json st ~now ^ "\n")
-  | _ -> (404, "text/plain", "not found\n")
 
 (* ---- socket setup ------------------------------------------------ *)
 
@@ -709,25 +606,14 @@ let run (dc : config) : int =
         ("astreed: cannot bind " ^ dc.d_socket ^ ": " ^ Unix.error_message e);
       1
   | listen_fd -> (
-      match
-        Result.bind
-          (match dc.d_http_port with
-          | None -> Ok None
-          | Some p -> Result.map Option.some (Http.create ~port:p))
-          (fun http ->
-            match store_dir dc with
-            | dir -> Ok (http, dir)
-            | exception Sys_error msg ->
-                Option.iter Http.close http;
-                Error ("cannot create the summary store: " ^ msg))
-      with
-      | Error msg ->
+      match store_dir dc with
+      | exception Sys_error msg ->
           (try Unix.close listen_fd with Unix.Unix_error _ -> ());
           (try Unix.unlink dc.d_socket
            with Unix.Unix_error _ | Sys_error _ -> ());
-          prerr_endline ("astreed: " ^ msg);
+          prerr_endline ("astreed: cannot create the summary store: " ^ msg);
           1
-      | Ok (http, (store, private_)) ->
+      | store, private_ ->
       (* pool workers are forks of this process: only the daemon itself
          may remove its private store *)
       let owner = Unix.getpid () in
@@ -739,19 +625,13 @@ let run (dc : config) : int =
         {
           st_cfg = dc;
           st_pool = Pool.create ~jobs:(max 1 dc.d_workers) Service.serve;
-          st_tele =
-            Telemetry.create ?access_log:dc.d_access_log
-              ~max_log_bytes:dc.d_access_log_max ~now:(Unix.gettimeofday ())
-              ();
-          st_http = http;
+          st_tele = Telemetry.create dc.d_access_log;
           st_listen = Some listen_fd;
           st_conns = [];
           st_inflight = Hashtbl.create 16;
           st_keys = Hashtbl.create 16;
           st_pending = Queue.create ();
           st_store = store;
-          st_lat = Array.make 32 0.;
-          st_lat_n = 0;
           st_started = Unix.gettimeofday ();
           st_draining = false;
           st_drain_t = 0.;
@@ -770,13 +650,6 @@ let run (dc : config) : int =
             (match st.st_listen with
             | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
             | None -> ());
-            (match st.st_http with
-            | Some h ->
-                List.iter
-                  (fun fd ->
-                    try Unix.close fd with Unix.Unix_error _ -> ())
-                  (Http.all_fds h)
-            | None -> ());
             (* the worker must not inherit the access-log channel:
                its buffered bytes belong to the daemon alone *)
             Telemetry.close st.st_tele;
@@ -785,24 +658,17 @@ let run (dc : config) : int =
                 try Unix.close c.c_fd with Unix.Unix_error _ -> ())
               st.st_conns);
       Telemetry.event st.st_tele ~now:(Unix.gettimeofday ()) "start"
-        ([
-           ("pid", Json.Num (float_of_int (Unix.getpid ())));
-           ("socket", Json.Str dc.d_socket);
-           ("store", Json.Str store);
-           ("recovered", Json.Num (float_of_int st.st_recovered));
-         ]
-        @
-        match st.st_http with
-        | Some h -> [ ("http_port", Json.Num (float_of_int (Http.port h))) ]
-        | None -> []);
-      log st "listening on %s (%d worker(s), queue depth %d%s%s)" dc.d_socket
-        (Pool.size st.st_pool) dc.d_queue_depth
+        [
+          ("pid", Json.Num (float_of_int (Unix.getpid ())));
+          ("socket", Json.Str dc.d_socket);
+          ("store", Json.Str store);
+          ("recovered", Json.Num (float_of_int st.st_recovered));
+        ];
+      log st "listening on %s (%d worker(s)%s)" dc.d_socket
+        (Pool.size st.st_pool)
         (if st.st_recovered > 0 then
            Printf.sprintf ", %d summaries in %s" st.st_recovered store
-         else "")
-        (match st.st_http with
-        | Some h -> Printf.sprintf ", http 127.0.0.1:%d" (Http.port h)
-        | None -> "");
+         else "");
       let rec loop () =
         let now = Unix.gettimeofday () in
         if Budget.interrupt_pending () && not st.st_draining then
@@ -817,11 +683,8 @@ let run (dc : config) : int =
           if st.st_draining && Hashtbl.length st.st_inflight = 0 then ()
           else begin
             let busy = Pool.busy_fds st.st_pool in
-            (* the http listener stays select-able through the drain so
-               /readyz can tell the load balancer 503 until exit *)
             let rfds =
               (match st.st_listen with Some fd -> [ fd ] | None -> [])
-              @ (match st.st_http with Some h -> Http.fds h | None -> [])
               @ List.map (fun c -> c.c_fd) st.st_conns
               @ List.map fst busy
             in
@@ -845,9 +708,6 @@ let run (dc : config) : int =
                     if conn.c_alive && List.mem conn.c_fd ready then
                       handle_readable st conn ~now)
                   st.st_conns;
-                (match st.st_http with
-                | Some h -> Http.handle_ready h ~ready (http_handle st)
-                | None -> ());
                 (match st.st_listen with
                 | Some fd when List.mem fd ready -> (
                     match Unix.accept fd with
@@ -875,14 +735,12 @@ let run (dc : config) : int =
           (try Unix.unlink dc.d_socket
            with Unix.Unix_error _ | Sys_error _ -> ())
       | None -> ());
-      (match st.st_http with Some h -> Http.close h | None -> ());
       Telemetry.event st.st_tele ~now:(Unix.gettimeofday ()) "exit"
         [
           ("served", Json.Num (float_of_int st.st_served));
-          ("shed", Json.Num (float_of_int (Metrics.value m_shed)));
           ("errors", Json.Num (float_of_int st.st_errors));
         ];
       Telemetry.close st.st_tele;
-      log st "exited cleanly (%d served, %d shed, %d errors)" st.st_served
-        (Metrics.value m_shed) st.st_errors;
+      log st "exited cleanly (%d served, %d errors)" st.st_served
+        st.st_errors;
       0)

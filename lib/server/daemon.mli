@@ -14,19 +14,17 @@
     {b Protocol} (newline-delimited JSON, one object per line):
     requests carry a [verb] ([analyze], [status], [metrics],
     [shutdown]) and an optional [id] echoed in the reply; replies carry
-    a [status] of [ok], [error], [shed] (admission refused: queue full,
-    with a [retry_after_s] pacing hint) or
-    [shutting_down].  Every reply also echoes a request id [rid]
+    a [status] of [ok], [error] or [shutting_down] (refused: the daemon
+    is draining).  Every reply also echoes a request id [rid]
     (client-minted, or assigned on arrival) that stamps the request's
-    trace span and access-log line — the join key across client,
-    daemon and telemetry.  See DESIGN.md section 12 for the full
-    grammar.
+    trace span and access-log line — the join key across client and
+    daemon.  See DESIGN.md section 12 for the full grammar.
 
     {b Admission.}  Identical concurrent requests (same source digest
     and resolved options) share one worker job and each receive the
-    full reply.  A request no idle worker takes waits in one FIFO queue
-    of at most [d_queue_depth] requests, and is shed when that queue is
-    full; the queued requests of a client that disconnects are dropped.
+    full reply.  A request no idle worker takes waits in one unbounded
+    FIFO queue; the queued requests of a client that disconnects are
+    dropped.
     A worker crash fails the requests it was serving with an error
     reply; the pool respawns the worker.
 
@@ -48,7 +46,6 @@
 type config = {
   d_socket : string;         (** path of the listening socket *)
   d_workers : int;           (** pool size = max in-flight requests *)
-  d_queue_depth : int;       (** admission queue bound; 0 = no queue *)
   d_timeout : float;         (** default per-request budget (seconds)
                                  applied when a request brings none;
                                  [0.] = none *)
@@ -60,17 +57,9 @@ type config = {
                                  running this many seconds after
                                  shutdown started are canceled *)
   d_verbose : bool;          (** log connections and requests on stderr *)
-  d_http_port : int option;
-      (** telemetry HTTP listener on [127.0.0.1:port] serving
-          [/metrics], [/healthz], [/readyz] and [/status]; [Some 0]
-          picks a free port, [None] (default) disables the listener *)
   d_access_log : string option;
       (** JSONL access log: one line per request lifecycle record plus
           start/drain/exit events; [None] = no log *)
-  d_access_log_max : int;
-      (** access-log rotation threshold in bytes: when the next line
-          would exceed it the file is atomically renamed to [FILE.1]
-          and restarted *)
 }
 
 val default : config

@@ -74,7 +74,8 @@ let json_interference (i : interference) : string =
     "{\"tasks\": %d, \"rounds\": %d, \"stabilized\": %b, \"shared_vars\": %d}"
     i.i_tasks i.i_rounds i.i_stabilized i.i_shared
 
-let render ?(metrics = false) ?interference (r : C.Analysis.result) : string =
+let render ?(metrics = false) ?interference ?fingerprint
+    (r : C.Analysis.result) : string =
   let degraded =
     match r.C.Analysis.r_stats.C.Analysis.s_degraded with
     | None -> ""
@@ -101,7 +102,10 @@ let render ?(metrics = false) ?interference (r : C.Analysis.result) : string =
     (json_stats r.C.Analysis.r_stats)
     (String.concat ", "
        (List.map string_of_int (C.Analysis.useful_octagon_packs r)))
-    (json_str (Astree_parallel.Merge.fingerprint r))
+    (json_str
+       (match fingerprint with
+       | Some fp -> fp
+       | None -> Astree_parallel.Merge.fingerprint r))
     interference degraded metrics_block
 
 let strip_cache (r : C.Analysis.result) : C.Analysis.result =

@@ -21,14 +21,20 @@ type interference = {
 }
 
 val render :
-  ?metrics:bool -> ?interference:interference -> C.Analysis.result -> string
+  ?metrics:bool ->
+  ?interference:interference ->
+  ?fingerprint:string ->
+  C.Analysis.result ->
+  string
 (** The whole result as one JSON object (no trailing newline): alarms
     (with provenance when recorded), statistics (cache counters always
     included when a cache ran), the useful-octagon-pack ids, the
     deterministic result fingerprint ([Merge.fingerprint], the digest
     the equivalence tests compare), an ["interference"] block for
     multi-task runs, for degraded or interrupted runs a ["degraded"]
-    block, and with [~metrics:true] the full metrics registry. *)
+    block, and with [~metrics:true] the full metrics registry.  A caller
+    that already holds the result's fingerprint passes it as
+    [~fingerprint] so it is not computed twice. *)
 
 val strip_cache : C.Analysis.result -> C.Analysis.result
 (** Drop the cache counters from the result's statistics.  The daemon

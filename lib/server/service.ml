@@ -257,12 +257,13 @@ let serve (w : work) : outcome =
         r.C.Analysis.r_stats.C.Analysis.s_cache
     in
     let r = if w.w_strip_cache then Report.strip_cache r else r in
+    let fingerprint = Astree_parallel.Merge.fingerprint r in
     Served
       {
-        sv_report = Report.render r;
+        sv_report = Report.render ~fingerprint r;
         sv_exit = Report.exit_code r;
         sv_alarms = C.Analysis.n_alarms r;
-        sv_fingerprint = Astree_parallel.Merge.fingerprint r;
+        sv_fingerprint = fingerprint;
         sv_degraded =
           Option.is_some r.C.Analysis.r_stats.C.Analysis.s_degraded;
         sv_loaded = loaded;

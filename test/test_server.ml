@@ -1,7 +1,7 @@
 (* Analysis-server tests: protocol round-trips, client-vs-in-process
    byte parity, concurrent requests under different configurations,
-   admission control (queue-full shedding), fault-injected worker
-   crashes, and graceful drain on shutdown.
+   admission (the FIFO queue and identical-request dedup), fault-injected
+   worker crashes, and graceful drain on shutdown.
 
    Each test forks a real daemon on a private socket and talks to it
    over the wire — the same code path [astree --connect] uses. *)
@@ -86,9 +86,8 @@ let no_faults = [ (R.Faultsim.Worker_crash, 0.0) ]
    directory its private store goes under otherwise.  The body gets the
    socket path and the daemon pid (to signal it); the daemon is
    SIGTERMed and reaped afterwards. *)
-let with_daemon_ex ?(workers = 2) ?(queue = 8) ?(grace = 10.)
-    ?faults ?(hang = 3600.) ?(seed = 42) ?store ?tmpdir
-    ?http_port ?access_log
+let with_daemon_ex ?(workers = 2) ?(grace = 10.)
+    ?faults ?(hang = 3600.) ?(seed = 42) ?store ?tmpdir ?access_log
     ?(sock = fresh_socket ()) (k : string -> int -> unit) : unit =
   let faults = Option.value ~default:no_faults faults in
   flush stdout;
@@ -106,10 +105,8 @@ let with_daemon_ex ?(workers = 2) ?(queue = 8) ?(grace = 10.)
               Srv.Daemon.default with
               Srv.Daemon.d_socket = sock;
               d_workers = workers;
-              d_queue_depth = queue;
               d_grace = grace;
               d_cache_dir = store;
-              d_http_port = http_port;
               d_access_log = access_log;
             }
         with _ -> 1
@@ -125,9 +122,8 @@ let with_daemon_ex ?(workers = 2) ?(queue = 8) ?(grace = 10.)
           wait_for_daemon sock;
           k sock pid)
 
-let with_daemon ?workers ?queue ?grace ?faults ?hang (k : string -> unit) :
-    unit =
-  with_daemon_ex ?workers ?queue ?grace ?faults ?hang (fun sock _pid ->
+let with_daemon ?workers ?grace ?faults ?hang (k : string -> unit) : unit =
+  with_daemon_ex ?workers ?grace ?faults ?hang (fun sock _pid ->
       k sock)
 
 let ok_exn = function
@@ -535,44 +531,45 @@ let test_concurrent_configs () =
 
 (* ---- admission control ------------------------------------------- *)
 
-let test_queue_full_shed () =
-  (* one worker, no queue; the worker is held busy by an injected hang,
-     so a pipelined second request must be shed immediately *)
-  with_daemon ~workers:1 ~queue:0 ~hang:0.8
+let test_queue_fifo () =
+  (* one worker, held busy by an injected hang on every job; three
+     distinct programs pipelined on one connection: the two the worker
+     cannot take wait in the queue, and all three are served, in
+     arrival order *)
+  with_daemon ~workers:1 ~hang:0.4
     ~faults:[ (R.Faultsim.Worker_hang, 1.0) ]
     (fun sock ->
       let fd = Option.get (Srv.Client.try_connect sock) in
       Fun.protect
         ~finally:(fun () -> Srv.Client.close fd)
         (fun () ->
-          send_analyze ~id:1 fd;
-          (* give the event loop time to hand request 1 to the worker *)
-          Unix.sleepf 0.2;
-          (* a different program: an identical request would share
-             request 1's worker (dedup) instead of being shed *)
-          send_analyze ~id:2 ~sources:[ ("a.c", prog_alarm) ] fd;
+          (* distinct programs: identical ones would dedup onto one job *)
+          List.iteri
+            (fun i src -> send_analyze ~id:(i + 1) ~sources:[ ("q.c", src) ] fd)
+            [ prog_simple; prog_alarm; prog_calls ];
+          Unix.sleepf 0.15;
+          let server = server_status sock in
+          Alcotest.(check int) "one in flight" 1 (server_int "inflight" server);
+          Alcotest.(check int) "two queued" 2 (server_int "queued" server);
           let reader = Srv.Client.reader fd in
-          let first = Srv.Client.decode (ok_exn (Srv.Client.read_reply reader)) in
-          let second = Srv.Client.decode (ok_exn (Srv.Client.read_reply reader)) in
-          (* the shed reply overtakes the in-flight one *)
-          Alcotest.(check string) "request 2 shed" "shed"
-            first.Srv.Client.r_status;
-          Alcotest.(check (option string))
-            "shed names the queue" (Some "queue full")
-            first.Srv.Client.r_error;
-          (match
-             Result.map
-               (fun j -> Srv.Json.to_num (Srv.Json.member "retry_after_s" j))
-               (Srv.Json.parse first.Srv.Client.r_line)
-           with
-          | Ok (Some t) ->
-              Alcotest.(check bool) "positive pacing hint" true (t > 0.)
-          | _ -> Alcotest.fail "shed reply carries retry_after_s");
-          Alcotest.(check string) "request 1 still served" "ok"
-            second.Srv.Client.r_status);
+          List.iter
+            (fun id ->
+              let line = ok_exn (Srv.Client.read_reply reader) in
+              let rep = Srv.Client.decode line in
+              Alcotest.(check string)
+                (Printf.sprintf "request %d served" id)
+                "ok" rep.Srv.Client.r_status;
+              Alcotest.(check (option int))
+                (Printf.sprintf "reply %d in arrival order" id)
+                (Some id)
+                (Result.to_option (Srv.Json.parse line)
+                |> Fun.flip Option.bind (fun j ->
+                       Srv.Json.to_int (Srv.Json.member "id" j))))
+            [ 1; 2; 3 ]);
       let server = server_status sock in
-      Alcotest.(check int) "status counts the shed request" 1
-        (server_int "shed" server))
+      Alcotest.(check int) "all three served" 3 (server_int "served" server);
+      Alcotest.(check int) "nothing failed" 0 (server_int "errors" server);
+      Alcotest.(check int) "queue empty" 0 (server_int "queued" server))
 
 (* ---- fault injection --------------------------------------------- *)
 
@@ -621,7 +618,7 @@ let test_shutdown_drains () =
   (* worker 1 is busy (hang), request 2 queued; shutdown must answer
      ok, tell the queued client shutting_down, and still deliver the
      in-flight reply before exiting *)
-  with_daemon ~workers:1 ~queue:8 ~hang:0.8
+  with_daemon ~workers:1 ~hang:0.8
     ~faults:[ (R.Faultsim.Worker_hang, 1.0) ]
     (fun sock ->
       let fd = Option.get (Srv.Client.try_connect sock) in
@@ -1344,153 +1341,93 @@ let test_rid_echo () =
       Alcotest.(check (option string))
         "error reply echoes the rid" (Some "r-err-1") rep.Srv.Client.r_rid)
 
-(* ---- telemetry HTTP endpoint ------------------------------------- *)
+(* ---- status keys ------------------------------------------------ *)
 
-(* The daemon forks before binding its HTTP port, so the test cannot
-   read a kernel-chosen port back: pick a pseudo-random high port from
-   the pid and a per-test offset instead. *)
-let test_port =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    17000 + (((Unix.getpid () * 131) + (!n * 977)) mod 40000)
+(* the status verb's server object: exactly these keys, in this order *)
+let status_keys =
+  [
+    "pid"; "uptime_s"; "workers"; "inflight"; "queued"; "served"; "errors";
+    "draining"; "dedup_hits"; "recovered"; "store_entries"; "heap_words";
+  ]
 
-(* one HTTP/1.0 GET against the daemon's telemetry listener *)
-let http_get port path : int * string =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req = "GET " ^ path ^ " HTTP/1.0\r\n\r\n" in
-      ignore (Unix.write_substring fd req 0 (String.length req));
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 65536 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            drain ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-      in
-      drain ();
-      let raw = Buffer.contents buf in
-      let code =
-        try Scanf.sscanf raw "HTTP/1.0 %d" (fun c -> c) with _ -> -1
-      in
-      let body =
-        let marker = "\r\n\r\n" in
-        let rec find i =
-          if i + 4 > String.length raw then String.length raw
-          else if String.sub raw i 4 = marker then i + 4
-          else find (i + 1)
-        in
-        let start = find 0 in
-        String.sub raw start (String.length raw - start)
-      in
-      (code, body))
+let test_status_keys () =
+  with_daemon (fun sock ->
+      let req = analyze_json [ ("t.c", prog_simple) ] in
+      ignore (ok_exn (Srv.Client.request sock req));
+      match server_status sock with
+      | Srv.Json.Obj fields ->
+          Alcotest.(check (list string)) "status keys" status_keys
+            (List.map fst fields);
+          List.iter
+            (fun gone ->
+              Alcotest.(check bool) ("no " ^ gone ^ " key") false
+                (List.mem_assoc gone fields))
+            [ "shed"; "queue_depth"; "latency" ]
+      | _ -> Alcotest.fail "status reply has no server object")
 
-let rec http_get_retry ?(n = 40) port path =
-  match http_get port path with
-  | r -> r
-  | exception Unix.Unix_error _ when n > 0 ->
-      Unix.sleepf 0.05;
-      http_get_retry ~n:(n - 1) port path
-
-let test_http_endpoints () =
-  let port = test_port () in
-  with_daemon_ex ~http_port:port (fun sock _pid ->
-      let code, body = http_get_retry port "/healthz" in
-      Alcotest.(check int) "healthz 200" 200 code;
-      Alcotest.(check string) "healthz body" "ok\n" body;
-      let code, _ = http_get_retry port "/readyz" in
-      Alcotest.(check int) "readyz 200 when idle" 200 code;
-      (* serve one request, then scrape *)
-      let rep =
-        ok_exn
-          (Srv.Client.request sock (analyze_json [ ("t.c", prog_simple) ]))
-      in
-      Alcotest.(check string) "analyze ok" "ok" rep.Srv.Client.r_status;
-      let code, body = http_get_retry port "/metrics" in
-      Alcotest.(check int) "metrics 200" 200 code;
-      List.iter
-        (fun sub ->
-          Alcotest.(check bool) ("exposition has " ^ sub) true
-            (has_sub body sub))
-        [
-          "astreed_up 1";
-          "# TYPE astreed_requests_total counter";
-          "astreed_requests_total{outcome=\"ok\",verb=\"analyze\"} 1";
-          "astreed_request_duration_seconds_bucket";
-          "quantile=\"0.99\"";
-        ];
-      (* /status serves the status verb's JSON, enriched *)
-      let code, body = http_get_retry port "/status" in
-      Alcotest.(check int) "status 200" 200 code;
-      (match Srv.Json.parse body with
-      | Error e -> Alcotest.failf "/status unparsable: %s" e
-      | Ok j ->
-          Alcotest.(check bool) "status has uptime" true
-            (Srv.Json.to_num (Srv.Json.member "uptime_s" j) <> None);
-          Alcotest.(check bool) "status counts the store's entries" true
-            (Srv.Json.to_int (Srv.Json.member "store_entries" j) <> None);
-          Alcotest.(check bool) "status counts dedup hits" true
-            (Srv.Json.to_int (Srv.Json.member "dedup_hits" j) <> None);
-          Alcotest.(check bool) "status carries latency quantiles" true
-            (Srv.Json.member "latency" j <> Srv.Json.Null));
-      let code, _ = http_get_retry port "/nothing-here" in
-      Alcotest.(check int) "unknown path 404" 404 code;
-      (* the socket protocol's status verb reports the same enrichment *)
-      let server = server_status sock in
-      Alcotest.(check bool) "verb status has latency too" true
-        (Srv.Json.member "latency" server <> Srv.Json.Null))
-
-let test_readyz_drain () =
-  (* a hung worker keeps one request in flight; SIGTERM starts the
-     drain; /readyz must flip to 503 while the daemon finishes *)
-  let port = test_port () in
-  with_daemon_ex ~workers:1 ~http_port:port ~hang:1.2
-    ~faults:[ (R.Faultsim.Worker_hang, 1.0) ]
-    (fun sock pid ->
-      let fd = Option.get (Srv.Client.try_connect sock) in
-      Fun.protect
-        ~finally:(fun () -> Srv.Client.close fd)
-        (fun () ->
-          send_analyze ~id:1 fd;
-          Unix.sleepf 0.2;
-          let code, _ = http_get_retry port "/readyz" in
-          Alcotest.(check int) "ready while serving" 200 code;
-          Unix.kill pid Sys.sigterm;
-          Unix.sleepf 0.2;
-          let code, body = http_get_retry port "/readyz" in
-          Alcotest.(check int) "draining answers 503" 503 code;
-          Alcotest.(check bool) "body names the reason" true
-            (has_sub body "draining");
-          (* liveness stays green through the drain *)
-          let code, _ = http_get_retry port "/healthz" in
-          Alcotest.(check int) "healthz still 200" 200 code;
-          (* the in-flight request is still delivered *)
-          let line = ok_exn (Srv.Client.read_reply (Srv.Client.reader fd)) in
-          Alcotest.(check string) "in-flight drained" "ok"
-            (Srv.Client.decode line).Srv.Client.r_status))
+(* [astree --connect]'s reading of each reply status: only a draining
+   daemon's [shutting_down] refuses (exit 4); an unknown status, such as
+   the [shed] an older daemon sent, falls back in-process like an error *)
+let test_verdict_statuses () =
+  let verdict status extra =
+    Srv.Client.verdict
+      (Ok
+         (Srv.Client.decode
+            (Printf.sprintf "{\"id\": 1, \"rid\": \"r1\", \"status\": %S%s}"
+               status extra)))
+  in
+  (match verdict "shutting_down" "" with
+  | Srv.Client.Refused s -> Alcotest.(check string) "refused" "shutting_down" s
+  | _ -> Alcotest.fail "shutting_down must refuse");
+  (match verdict "shed" ", \"error\": \"queue full\"" with
+  | Srv.Client.Fallback why ->
+      Alcotest.(check bool) ("fallback names the error: " ^ why) true
+        (has_sub why "queue full")
+  | _ -> Alcotest.fail "shed is no longer a refusal");
+  (match verdict "ok" ", \"exit\": 1, \"report\": {\"a\": 1}" with
+  | Srv.Client.Print (report, code) ->
+      Alcotest.(check string) "report bytes" "{\"a\": 1}" report;
+      Alcotest.(check int) "exit code" 1 code
+  | _ -> Alcotest.fail "ok must print");
+  match verdict "error" ", \"error\": \"boom\"" with
+  | Srv.Client.Fallback _ -> ()
+  | _ -> Alcotest.fail "error must fall back"
 
 let test_access_log_wire () =
-  (* every wire request leaves one structured line; outcomes include
-     the dedup of an attached duplicate *)
+  (* every wire request leaves one structured line with the keys the
+     benchmark's traced pass reads; a duplicate that attached to an
+     in-flight job logs the dedup outcome *)
   let log = Filename.temp_file "astreed-test" ".jsonl" in
   Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists log then Sys.remove log;
-      if Sys.file_exists (log ^ ".1") then Sys.remove (log ^ ".1"))
+    ~finally:(fun () -> if Sys.file_exists log then Sys.remove log)
     (fun () ->
-      with_daemon_ex ~workers:1 ~access_log:log (fun sock _pid ->
-          let rep =
-            ok_exn
-              (Srv.Client.request sock
-                 (analyze_json [ ("t.c", prog_simple) ]))
-          in
-          Alcotest.(check string) "analyze ok" "ok" rep.Srv.Client.r_status;
+      let dup_rid = ref "" in
+      with_daemon_ex ~workers:1 ~access_log:log ~hang:0.5
+        ~faults:[ (R.Faultsim.Worker_hang, 1.0) ]
+        (fun sock _pid ->
+          let fd1 = Option.get (Srv.Client.try_connect sock) in
+          let fd2 = Option.get (Srv.Client.try_connect sock) in
+          Fun.protect
+            ~finally:(fun () ->
+              Srv.Client.close fd1;
+              Srv.Client.close fd2)
+            (fun () ->
+              let req = analyze_json [ ("t.c", prog_simple) ] in
+              ok_exn (Srv.Client.send fd1 (Srv.Json.to_string req));
+              Unix.sleepf 0.2;
+              let dup = analyze_json ~id:2 [ ("t.c", prog_simple) ] in
+              dup_rid :=
+                Option.get (Srv.Json.to_str (Srv.Json.member "rid" dup));
+              ok_exn (Srv.Client.send fd2 (Srv.Json.to_string dup));
+              List.iter
+                (fun fd ->
+                  let rep =
+                    Srv.Client.decode
+                      (ok_exn (Srv.Client.read_reply (Srv.Client.reader fd)))
+                  in
+                  Alcotest.(check string) "analyze ok" "ok"
+                    rep.Srv.Client.r_status)
+                [ fd1; fd2 ]);
           let rep =
             ok_exn
               (Srv.Client.request sock
@@ -1513,27 +1450,40 @@ let test_access_log_wire () =
             | Error e -> Alcotest.failf "torn access-log line %s: %s" l e)
           !lines
       in
-      let events =
-        List.filter_map
-          (fun j -> Srv.Json.to_str (Srv.Json.member "event" j))
-          records
-      in
+      let str key j = Srv.Json.to_str (Srv.Json.member key j) in
+      let events = List.filter_map (str "event") records in
       Alcotest.(check bool) "log opens with the start event" true
         (List.mem "start" events);
       let requests =
-        List.filter
-          (fun j ->
-            Srv.Json.to_str (Srv.Json.member "event" j) = Some "request")
-          records
+        List.filter (fun j -> str "event" j = Some "request") records
       in
-      Alcotest.(check int) "one line per request" 2 (List.length requests);
+      Alcotest.(check int) "one line per request" 3 (List.length requests);
       List.iter
         (fun j ->
-          Alcotest.(check bool) "request line carries a rid" true
-            (match Srv.Json.to_str (Srv.Json.member "rid" j) with
-            | Some r -> r <> ""
-            | None -> false))
-        requests)
+          List.iter
+            (fun key ->
+              Alcotest.(check bool) ("request line carries " ^ key) true
+                (Srv.Json.member key j <> Srv.Json.Null))
+            [
+              "rid"; "verb"; "digest"; "outcome"; "queue_s"; "service_s";
+              "cache_hits";
+            ];
+          Alcotest.(check bool) "the rid is not empty" true
+            (str "rid" j <> Some ""))
+        requests;
+      let outcomes =
+        List.filter_map
+          (fun j ->
+            if str "verb" j = Some "analyze" then
+              Option.map (fun o -> (Option.get (str "rid" j), o)) (str "outcome" j)
+            else None)
+          requests
+      in
+      Alcotest.(check (list string)) "analyze outcomes" [ "ok"; "dedup" ]
+        (List.map snd outcomes);
+      Alcotest.(check (option string)) "the duplicate logs dedup"
+        (Some "dedup")
+        (List.assoc_opt !dup_rid outcomes))
 
 (* [astree --connect] prints an ok reply, exits 4 on a refusal and
    analyzes in-process on anything else: a transport failure or an
@@ -1576,8 +1526,9 @@ let suite =
       test_client_parity;
     Alcotest.test_case "concurrent configs match one-shots" `Slow
       test_concurrent_configs;
-    Alcotest.test_case "queue-full requests are shed" `Quick
-      test_queue_full_shed;
+    Alcotest.test_case
+      "requests beyond the in-flight limit queue and are served in order"
+      `Quick test_queue_fifo;
     Alcotest.test_case "worker crash is a request error" `Quick
       test_worker_crash;
     Alcotest.test_case "shutdown drains in-flight work" `Quick
@@ -1600,9 +1551,10 @@ let suite =
     Alcotest.test_case "chaos soak: service survives, replies exact" `Slow
       test_chaos_soak;
     Alcotest.test_case "request ids echo end-to-end" `Quick test_rid_echo;
-    Alcotest.test_case "http telemetry endpoints" `Quick test_http_endpoints;
-    Alcotest.test_case "readyz flips 503 during drain" `Quick
-      test_readyz_drain;
+    Alcotest.test_case "status verb reports exactly its keys" `Quick
+      test_status_keys;
+    Alcotest.test_case "only shutting_down refuses a --connect run" `Quick
+      test_verdict_statuses;
     Alcotest.test_case "access log records wire requests" `Quick
       test_access_log_wire;
     Alcotest.test_case "multi-task requests are refused" `Quick
