@@ -77,8 +77,7 @@ let useful_octagon_packs (r : result) : int list =
     hook rather than a direct call so the core library does not depend
     on the incremental subsystem. *)
 let cache_driver :
-    (Transfer.session -> Config.t -> F.Tast.program -> (unit -> result) ->
-    result)
+    (Transfer.session -> Transfer.prepared -> (unit -> result) -> result)
     option
     ref =
   ref None
@@ -167,24 +166,25 @@ end
     on when the cache builds its frames.  [?session] threads an
     existing session through (the daemon passes one per request); a
     fresh one is created otherwise, so concurrent analyses never share
-    hooks. *)
-let analyze ?session ?(prefill = false) ?(cfg = Config.default)
+    hooks.  [?prepared] is used when it was prepared for [p] and [cfg]
+    ({!Transfer.prepared_for}); the run prepares its own otherwise. *)
+let analyze ?session ?prepared ?(prefill = false) ?(cfg = Config.default)
     (p : F.Tast.program) : result =
   let session =
     match session with Some s -> s | None -> Transfer.new_session ()
   in
-  let core () =
-    let actx = Transfer.make_actx ~session cfg p in
-    if
-      prefill || Config.cache_enabled cfg
-      || Option.is_some session.Transfer.ses_keyed
-    then Transfer.prefill_cells actx;
-    analyze_prepared actx p
-  in
   in_span "phase.analyze" (fun () ->
+      let prepared = Transfer.prepared_for ?prepared cfg p in
+      let core () =
+        let actx = Transfer.make_actx ~session ~prepared cfg p in
+        if
+          prefill || Config.cache_enabled cfg
+          || Option.is_some session.Transfer.ses_keyed
+        then Transfer.prefill_cells actx;
+        analyze_prepared actx p
+      in
       match !cache_driver with
-      | Some driver when Config.cache_enabled cfg ->
-          driver session cfg p core
+      | Some driver when Config.cache_enabled cfg -> driver session prepared core
       | _ -> core ())
 
 (** Frontend pipeline: preprocess, parse, link, type-check, simplify. *)

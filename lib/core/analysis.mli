@@ -60,9 +60,13 @@ val useful_octagon_packs : result -> int list
     through (the analysis server passes one per request); a fresh
     session is created otherwise, so concurrent analyses in one process
     never share hooks.  [~prefill:true] pre-fills the cells, as a
-    cache-enabled run does, so that the {!Reply} can be attached. *)
+    cache-enabled run does, so that the {!Reply} can be attached.
+    [?prepared] is used when it was prepared for this program and
+    configuration ({!Transfer.prepared_for}); the run prepares its own
+    otherwise, so a kept record and a fresh one take one code path. *)
 val analyze :
   ?session:Transfer.session ->
+  ?prepared:Transfer.prepared ->
   ?prefill:bool ->
   ?cfg:Config.t ->
   Astree_frontend.Tast.program ->
@@ -94,13 +98,10 @@ end
 
 (** Summary-cache driver hook, installed by
     [Astree_incremental.Summary.register].  Wraps the analysis thunk
-    when [Config.cache_enabled]. *)
+    when [Config.cache_enabled], with the record the run is prepared
+    from. *)
 val cache_driver :
-  (Transfer.session ->
-  Config.t ->
-  Astree_frontend.Tast.program ->
-  (unit -> result) ->
-  result)
+  (Transfer.session -> Transfer.prepared -> (unit -> result) -> result)
   option
   ref
 

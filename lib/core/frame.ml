@@ -64,6 +64,16 @@ type reach = { r_vars : VarSet.t Lazy.t; r_wait : bool; r_loops : int list }
    Footprints are not kept: a frame's is the union of its bodies'. *)
 type local = { l_fd : fundef; l_wait : bool; l_loops : int list; l_calls : string list }
 
+(* What the frames of one program share across its analyses
+   ([Transfer.prepared]): the body facts, and the named frames built
+   over a pinned cell numbering, each without digests. *)
+type shared = {
+  sh_local : (string, local) Hashtbl.t;  (** by function, computed once *)
+  sh_named : (string, t) Hashtbl.t;
+  mutable sh_names : names option;  (** the names [sh_named] was built with *)
+  mutable sh_cells : int;  (** the cell count of its numbering *)
+}
+
 type ctx = {
   cx_names : names option;
   cx_prog : program;
@@ -72,7 +82,8 @@ type ctx = {
   cx_cfg : Config.t;
   cx_packs : Packing.t;
   cx_intern : Cell.interner;
-  cx_local : (string, local) Hashtbl.t;  (** by function, computed once *)
+  cx_shared : shared;
+  mutable cx_pinned : bool;  (** [sh_named] is over this run's numbering *)
   cx_reach : (string, reach) Hashtbl.t;
   cx_frames : (string, t) Hashtbl.t;
   cx_all : VarSet.t Lazy.t;  (** every variable of the program *)
@@ -83,7 +94,7 @@ let footprint (fd : fundef) : VarSet.t =
   VarSet.union reads writes
 
 let local (cx : ctx) (fname : string) (fd : fundef) : local =
-  match Hashtbl.find_opt cx.cx_local fname with
+  match Hashtbl.find_opt cx.cx_shared.sh_local fname with
   | Some l when l.l_fd == fd -> l
   | _ ->
       let wait = ref false and loops = ref [] and calls = ref [] in
@@ -98,7 +109,7 @@ let local (cx : ctx) (fname : string) (fd : fundef) : local =
       let l =
         { l_fd = fd; l_wait = !wait; l_loops = !loops; l_calls = List.rev !calls }
       in
-      Hashtbl.replace cx.cx_local fname l;
+      Hashtbl.replace cx.cx_shared.sh_local fname l;
       l
 
 (* The facts of [fname]'s transitive body: every function reachable
@@ -136,8 +147,17 @@ let reach (cx : ctx) (fname : string) : reach =
       Hashtbl.replace cx.cx_reach fname r;
       r
 
-let ctx ?names (p : program) (funs : (string, fundef) Hashtbl.t)
-    (cfg : Config.t) (packs : Packing.t) (intern : Cell.interner) : ctx =
+let shared () : shared =
+  {
+    sh_local = Hashtbl.create 64;
+    sh_named = Hashtbl.create 64;
+    sh_names = None;
+    sh_cells = 0;
+  }
+
+let ctx ?names ?(shared = shared ()) (p : program)
+    (funs : (string, fundef) Hashtbl.t) (cfg : Config.t) (packs : Packing.t)
+    (intern : Cell.interner) : ctx =
   {
     cx_names = names;
     cx_prog = p;
@@ -145,7 +165,8 @@ let ctx ?names (p : program) (funs : (string, fundef) Hashtbl.t)
     cx_cfg = cfg;
     cx_packs = packs;
     cx_intern = intern;
-    cx_local = Hashtbl.create 64;
+    cx_shared = shared;
+    cx_pinned = false;
     cx_reach = Hashtbl.create 64;
     cx_frames = Hashtbl.create 64;
     cx_all =
@@ -438,6 +459,23 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
 
 let whole (cx : ctx) : t = make cx "" (Lazy.force cx.cx_all)
 
+(* [fr] without the digests a run kept in it *)
+let undigested (fr : t) : t =
+  { fr with fr_rel = List.map (fun (Rel r) -> Rel { r with last = [||] }) fr.fr_rel }
+
+let pin (cx : ctx) : unit =
+  match cx.cx_names with
+  | None -> ()
+  | Some nm ->
+      let sh = cx.cx_shared and n = Cell.count cx.cx_intern in
+      (match sh.sh_names with
+      | Some nm0 when nm0 == nm && sh.sh_cells = n -> ()
+      | _ ->
+          Hashtbl.reset sh.sh_named;
+          sh.sh_names <- Some nm;
+          sh.sh_cells <- n);
+      cx.cx_pinned <- true
+
 let of_call (cx : ctx) ~(fname : string) (binds : Reldom.binds) : t =
   let extra =
     VarMap.fold (fun _ lv acc -> lval_vars lv acc) binds VarSet.empty
@@ -453,9 +491,24 @@ let of_call (cx : ctx) ~(fname : string) (binds : Reldom.binds) : t =
     when cx.cx_names <> None || fr.fr_interned = Cell.count cx.cx_intern ->
       fr
   | _ ->
-      let fr = make cx fname extra in
+      let sh = cx.cx_shared in
+      let fr =
+        match
+          if cx.cx_pinned then Hashtbl.find_opt sh.sh_named key else None
+        with
+        | Some fr -> undigested fr
+        | None ->
+            let fr = make cx fname extra in
+            (* a frame is shared only over the pinned cells: a cell this
+               run numbered later may take another id in the next run *)
+            if cx.cx_pinned && Array.for_all (fun c -> c < sh.sh_cells) fr.fr_cells
+            then Hashtbl.replace sh.sh_named key (undigested fr);
+            fr
+      in
       Hashtbl.replace cx.cx_frames key fr;
       fr
+
+let shared_frames (sh : shared) = Hashtbl.length sh.sh_named
 
 (* ------------------------------------------------------------------ *)
 (* Exact comparison                                                     *)
@@ -592,6 +645,7 @@ let position (a : int array) (x : int) : int option =
   find 0
 
 let cells (fr : t) = Array.copy fr.fr_cells
+let iter_cells f (fr : t) = Array.iter f fr.fr_cells
 let cell_pos (fr : t) (cid : int) = Hashtbl.find_opt (Lazy.force fr.fr_cell_pos) cid
 let cell_at (fr : t) (i : int) = fr.fr_cells.(i)
 let loop_pos (fr : t) = position fr.fr_loops

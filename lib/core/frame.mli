@@ -19,13 +19,27 @@ type names = {
 
 type t
 
+(** What the frames of one program share across its analyses (a
+    [Transfer.prepared] record holds it): the facts of each body, and
+    the named frames built over a pinned numbering ({!pin}).  A run's
+    frames keep their pack digests; the shared ones hold none. *)
+type shared
+
+val shared : unit -> shared
+
+(** The named frames [shared] holds. *)
+val shared_frames : shared -> int
+
 (** Frames of one analysis context, computed on demand and kept. *)
 type ctx
 
-(** [ctx ?names p funs cfg packs intern]: [funs] are [p]'s functions by
-    name, the first definition first. *)
+(** [ctx ?names ?shared p funs cfg packs intern]: [funs] are [p]'s
+    functions by name, the first definition first; [shared] defaults to
+    a fresh one.  [p], [cfg] and [packs] must be those [shared] was
+    built for. *)
 val ctx :
   ?names:names ->
+  ?shared:shared ->
   Astree_frontend.Tast.program ->
   (string, Astree_frontend.Tast.fundef) Hashtbl.t ->
   Config.t ->
@@ -34,6 +48,15 @@ val ctx :
   ctx
 
 val names : ctx -> names option
+
+(** Declare the context's cell numbering pinned: every cell of the
+    program was interned in program order into an empty interner
+    ([Transfer.prefill_cells]).  Named frames the shared part holds are
+    reused from then on if they were built with the same names over a
+    numbering of the same cell count; otherwise the shared part drops
+    them.  A frame built from then on is shared if all its cells are
+    pinned ones.  Without names, pinning does nothing. *)
+val pin : ctx -> unit
 
 (** The frame of a call to [fname] with these by-reference bindings.
     Without names, a frame lists only interned cells, so it is rebuilt
@@ -85,6 +108,7 @@ val add_packs : Buffer.t -> t -> Astate.t -> unit
 (** {1 Positions} of cells, loops and octagon packs in the frame *)
 
 val cells : t -> int array
+val iter_cells : (int -> unit) -> t -> unit
 val cell_pos : t -> int -> int option
 val cell_at : t -> int -> int
 val loop_pos : t -> int -> int option

@@ -112,6 +112,26 @@ type summary = {
       (** shared-cell writes of the call, by frame cell position *)
 }
 
+(** Facts a subsystem derives from a prepared program and keeps in it
+    ([Astree_incremental] adds the fingerprints). *)
+type extra = ..
+
+(** What an analysis of [pr_prog] under [pr_cfg] builds before it
+    iterates and that depends on nothing else: kept by a caller that
+    analyzes the same program again ([astreed]'s workers), built once
+    per run otherwise.  Per-run state — the interner, alarms,
+    invariants, journals, pack digests — is never in it. *)
+type prepared = {
+  pr_prog : program;
+  pr_cfg : Config.t;
+  pr_packs : Packing.t;
+  pr_funs : (string, fundef) Hashtbl.t;
+  pr_input_specs : (int, float * float) Hashtbl.t;
+  pr_inlined : (string, int) Hashtbl.t Lazy.t;
+  pr_frames : Frame.shared;
+  mutable pr_extra : extra option;
+}
+
 (** Cache key: callee fingerprint with the position-relative locations
     of its code (replayed alarms carry them), digest of the
     frame-restricted entry state together with the by-reference
@@ -197,6 +217,7 @@ and call_sites = call_site Stmt_tbl.t
 (** Analysis context shared by all transfer functions. *)
 and actx = {
   prog : program;
+  prepared : prepared;  (** what the context was made from *)
   funs : (string, fundef) Hashtbl.t;
       (** [prog]'s functions by name ([F.Tast.fun_table]) *)
   cfg : Config.t;
@@ -262,35 +283,54 @@ let inlined_sizes (funs : (string, fundef) Hashtbl.t) (p : program) :
   List.iter (fun (fn, _) -> ignore (size [] fn)) p.p_funs;
   sizes
 
-let make_actx ?session (cfg : Config.t) (p : program) : actx =
-  let packs = Packing.compute cfg p in
+let prepare (cfg : Config.t) (p : program) : prepared =
   let input_specs = Hashtbl.create 16 in
   List.iter
     (fun (spec : input_spec) ->
       Hashtbl.replace input_specs spec.in_var.v_id (spec.in_lo, spec.in_hi))
     p.p_inputs;
   let funs = F.Tast.fun_table p in
+  {
+    pr_prog = p;
+    pr_cfg = cfg;
+    pr_packs = Packing.compute cfg p;
+    pr_funs = funs;
+    pr_input_specs = input_specs;
+    pr_inlined = lazy (inlined_sizes funs p);
+    pr_frames = Frame.shared ();
+    pr_extra = None;
+  }
+
+let prepared_for ?prepared (cfg : Config.t) (p : program) : prepared =
+  match prepared with
+  | Some pr when pr.pr_prog == p && (pr.pr_cfg == cfg || pr.pr_cfg = cfg) -> pr
+  | _ -> prepare cfg p
+
+let make_actx ?session ?prepared (cfg : Config.t) (p : program) : actx =
+  let pr = prepared_for ?prepared cfg p in
   let session = match session with Some s -> s | None -> new_session () in
   let names = Option.map (fun k -> k.kt_names) session.ses_keyed in
   let intern = Cell.make_interner ~vars:(F.Tast.var_id_bound p) in
   {
     prog = p;
-    funs;
+    prepared = pr;
+    funs = pr.pr_funs;
     cfg;
     session;
-    packs;
+    packs = pr.pr_packs;
     intern;
     alarms = Alarm.make_collector ();
     oct_useful = Hashtbl.create 16;
     invariants = Hashtbl.create 16;
-    input_specs;
+    input_specs = pr.pr_input_specs;
     join_count = 0;
-    frames = Frame.ctx ?names p funs cfg packs intern;
+    frames =
+      Frame.ctx ?names ~shared:pr.pr_frames p pr.pr_funs cfg pr.pr_packs intern;
     journal = [];
     journal_len = 0;
     captures = 0;
     sites = None;
-    inlined = lazy (inlined_sizes funs p);
+    inlined = pr.pr_inlined;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1342,7 +1382,9 @@ let program_cells (a : actx) (f : Cell.t -> unit) : unit =
     workers or in-process, are merged by cell id.  Summary keys do not:
     they name cells. *)
 let prefill_cells (a : actx) : unit =
-  program_cells a (fun c -> ignore (Cell.intern a.intern c))
+  let empty = Cell.count a.intern = 0 in
+  program_cells a (fun c -> ignore (Cell.intern a.intern c));
+  if empty then Frame.pin a.frames
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-analysis support                                         *)

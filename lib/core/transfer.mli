@@ -98,6 +98,33 @@ type summary = {
       (** shared-cell writes of the call, by frame cell position *)
 }
 
+(** Facts a subsystem derives from a prepared program and keeps in it
+    ([Astree_incremental] adds the program's fingerprints). *)
+type extra = ..
+
+(** What an analysis of [pr_prog] under [pr_cfg] builds before it
+    iterates and that depends on nothing else: the packing, the
+    function table, the input ranges, the inlined sizes, the frames'
+    shared part and the [extra] facts.  A caller that analyzes the same
+    program again keeps it ([astreed]'s workers); otherwise it is built
+    once per run.  Per-run state — the interner, alarms, invariants,
+    journals, pack digests — is never in it. *)
+type prepared = {
+  pr_prog : F.Tast.program;
+  pr_cfg : Config.t;
+  pr_packs : Packing.t;
+  pr_funs : (string, F.Tast.fundef) Hashtbl.t;
+      (** [pr_prog]'s functions by name, first definition first *)
+  pr_input_specs : (int, float * float) Hashtbl.t;
+      (** volatile input ranges, by variable id *)
+  pr_inlined : (string, int) Hashtbl.t Lazy.t;
+      (** transitive inlined size of each function: own statements plus
+          the inlined statements of every acyclic callee, what a replayed
+          call saves *)
+  pr_frames : Frame.shared;
+  mutable pr_extra : extra option;
+}
+
 (** Cache key: callee fingerprint with the position-relative locations
     of its code (replayed alarms carry them), digest of the
     frame-restricted entry state + by-reference bindings, and the
@@ -176,8 +203,8 @@ and call_sites = call_site Stmt_tbl.t
 (** Analysis context shared by all transfer functions. *)
 and actx = {
   prog : F.Tast.program;
-  funs : (string, F.Tast.fundef) Hashtbl.t;
-      (** [prog]'s functions by name, first definition first *)
+  prepared : prepared;  (** what the context was made from *)
+  funs : (string, F.Tast.fundef) Hashtbl.t;  (** [prepared.pr_funs] *)
   cfg : Config.t;
   session : session;
   packs : Packing.t;
@@ -186,7 +213,7 @@ and actx = {
   oct_useful : (int, unit) Hashtbl.t;
       (** octagon packs that improved precision (Sect. 7.2.2) *)
   invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> head invariant *)
-  input_specs : (int, float * float) Hashtbl.t;
+  input_specs : (int, float * float) Hashtbl.t;  (** [prepared.pr_input_specs] *)
   mutable join_count : int;
   frames : Frame.ctx;  (** the call frames of this context *)
   mutable journal : journal_entry list;
@@ -196,16 +223,23 @@ and actx = {
   mutable captures : int;  (** open capture sections *)
   mutable sites : call_sites Lazy.t option;
       (** the call sites of the innermost loop body being analyzed *)
-  inlined : (string, int) Hashtbl.t Lazy.t;
-      (** transitive inlined size of each function: own statements plus
-          the inlined statements of every acyclic callee, what a replayed
-          call saves *)
+  inlined : (string, int) Hashtbl.t Lazy.t;  (** [prepared.pr_inlined] *)
 }
 
 (** Fresh session with no hooks installed. *)
 val new_session : unit -> session
 
-val make_actx : ?session:session -> Config.t -> F.Tast.program -> actx
+(** Prepare [p] for analyses under [cfg]. *)
+val prepare : Config.t -> F.Tast.program -> prepared
+
+(** [prepared] if it was prepared for [p] (physically) and [cfg]
+    (structurally), a fresh {!prepare} otherwise. *)
+val prepared_for : ?prepared:prepared -> Config.t -> F.Tast.program -> prepared
+
+(** A fresh context: a new interner, alarm collector, invariant table
+    and journal over [prepared_for ?prepared cfg p]. *)
+val make_actx :
+  ?session:session -> ?prepared:prepared -> Config.t -> F.Tast.program -> actx
 
 (** {1 Cells and values} *)
 
@@ -287,7 +321,9 @@ val program_cells : actx -> (Cell.t -> unit) -> unit
 
 (** Intern every cell in {!program_cells} order, so every context of a
     program — per-task run in a worker or in-process, with or without
-    summary frames built — shares one cell numbering. *)
+    summary frames built — shares one cell numbering.  Into an empty
+    interner, this pins the numbering for the context's frames
+    ({!Frame.pin}). *)
 val prefill_cells : actx -> unit
 
 (** {1 Call memo support}

@@ -10,7 +10,8 @@
 
 type t
 
-(** Fingerprint every function of [p] under [cfg]. *)
+(** Fingerprint every function of [p] under [cfg].  Not memoized: a
+    prepared program keeps its own ([Summary.keys]). *)
 val make : Astree_core.Config.t -> Astree_frontend.Tast.program -> t
 
 (** Digest of every result-affecting configuration field ([jobs],

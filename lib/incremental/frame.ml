@@ -32,14 +32,14 @@ let entry_digest (buf : Buffer.t) (fps : Fingerprint.t) (fr : C.Frame.t)
   Buffer.add_string buf (C.Frame.id fr);
   Buffer.add_char buf (if st.C.Astate.bot then '1' else '0');
   C.Reldom.add_itv buf st.C.Astate.clock;
-  Array.iter
+  C.Frame.iter_cells
     (fun cid ->
       match C.Env.find st.C.Astate.env cid with
       | None -> Buffer.add_char buf '-'
       | Some v ->
           Buffer.add_char buf '+';
           add_avalue buf v)
-    (C.Frame.cells fr);
+    fr;
   C.Frame.add_packs buf fr st;
   C.Reldom.add_i64 buf (VarMap.cardinal binds);
   VarMap.iter

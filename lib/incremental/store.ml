@@ -117,26 +117,40 @@ let store_files (dir : string) : string list =
 (* ------------------------------------------------------------------ *)
 
 type t = {
+  st_dir : string;
   st_index : (key, string * int * int * Digest.t) Hashtbl.t;
       (** key -> file, offset, length, MD5; first file wins *)
+  st_read : (string, unit) Hashtbl.t;  (** files whose index was read *)
+  mutable st_dropped : key list;
+      (** keys of those files whose summary was found corrupt *)
   st_open : (string, in_channel) Hashtbl.t;  (** files read from so far *)
   mutable st_loaded : int;
 }
 
-let scan ~(quiet : bool) (dir : string) : t =
-  let index = Hashtbl.create 1024 in
+(* The indexes of the store files of [dir] for which [skip] is false. *)
+let scan ?(skip = fun _ -> false) ~(quiet : bool) (dir : string) : t =
+  let index = Hashtbl.create 1024 and read = Hashtbl.create 16 in
   List.iter
     (fun file ->
-      match read_index ~quiet file with
-      | None -> ()
-      | Some slots ->
-          Array.iter
-            (fun (k, off, len, md5) ->
-              if not (Hashtbl.mem index k) then
-                Hashtbl.add index k (file, off, len, md5))
-            slots)
+      if not (skip file) then
+        match read_index ~quiet file with
+        | None -> ()
+        | Some slots ->
+            Hashtbl.replace read file ();
+            Array.iter
+              (fun (k, off, len, md5) ->
+                if not (Hashtbl.mem index k) then
+                  Hashtbl.add index k (file, off, len, md5))
+              slots)
     (store_files dir);
-  { st_index = index; st_open = Hashtbl.create 4; st_loaded = 0 }
+  {
+    st_dir = dir;
+    st_index = index;
+    st_read = read;
+    st_dropped = [];
+    st_open = Hashtbl.create 4;
+    st_loaded = 0;
+  }
 
 let open_ ~(dir : string) : t = scan ~quiet:false dir
 let count ~(dir : string) : int = Hashtbl.length (scan ~quiet:true dir).st_index
@@ -168,6 +182,7 @@ let find (st : t) (k : key) : C.Transfer.summary option =
            recomputes it and may publish it again *)
         warn "summary store file %s: corrupt summary, ignored" file;
         Hashtbl.remove st.st_index k;
+        st.st_dropped <- k :: st.st_dropped;
         None)
 
 let close (st : t) : unit =
@@ -178,17 +193,27 @@ let close (st : t) : unit =
 (* Writing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let save ~(dir : string) (entries : entries) : unit =
+let save ?opened ~(dir : string) (entries : entries) : unit =
   try
     mkdir_p dir;
     (* only what no published file holds: a concurrent writer's file
-       published since this run opened the store is honoured too *)
-    let present = (scan ~quiet:true dir).st_index in
+       published since this run opened the store is honoured too.  A
+       file's name derives from its content and files are never
+       rewritten, so the indexes the run opened still hold: only the
+       other files are read. *)
+    let known, skip =
+      match opened with
+      | Some st when st.st_dir = dir ->
+          ( (fun k -> Hashtbl.mem st.st_index k || List.mem k st.st_dropped),
+            fun file -> Hashtbl.mem st.st_read file )
+      | _ -> ((fun _ -> false), fun _ -> false)
+    in
+    let present = (scan ~quiet:true ~skip dir).st_index in
     let seen = Hashtbl.create 64 in
     let entries =
       List.filter
         (fun (k, _) ->
-          if Hashtbl.mem present k || Hashtbl.mem seen k then false
+          if known k || Hashtbl.mem present k || Hashtbl.mem seen k then false
           else begin
             Hashtbl.replace seen k ();
             true

@@ -38,8 +38,12 @@ val close : t -> unit
     whose keys no file of [dir] holds; nothing when there are none.
     The file is fsynced before an atomic rename publishes it, so a
     reader never observes a torn file and concurrent writers are safe.
-    Failures warn and leave the directory as it was. *)
+    Failures warn and leave the directory as it was.  With [opened], the
+    store of [dir] the run opened, the indexes it read stand for their
+    files (file names derive from content and files are never
+    rewritten): only files published since are read. *)
 val save :
+  ?opened:t ->
   dir:string ->
   (Astree_core.Transfer.summary_key * Astree_core.Transfer.summary) list ->
   unit

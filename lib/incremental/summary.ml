@@ -33,12 +33,27 @@ module F = Astree_frontend
 module C = Astree_core
 module Trace = Astree_obs.Trace
 
+(* The program's fingerprints and the frame names built from them, kept
+   in its prepared record: a kept record keys its next runs without
+   fingerprinting again, and its frame names stay physically the same,
+   which the frames it shares are checked against. *)
+type C.Transfer.extra += Keys of Fingerprint.t * C.Frame.names
+
+let keys (pr : C.Transfer.prepared) : Fingerprint.t * C.Frame.names =
+  match pr.C.Transfer.pr_extra with
+  | Some (Keys (fps, nm)) -> (fps, nm)
+  | _ ->
+      let fps = Fingerprint.make pr.C.Transfer.pr_cfg pr.C.Transfer.pr_prog in
+      let nm = Frame.names fps in
+      pr.C.Transfer.pr_extra <- Some (Keys (fps, nm));
+      (fps, nm)
+
 (** Digest of a whole abstract state in the key encoding: every cell and
     pack of the program, by name and frame position. *)
 let entry_digest (a : C.Transfer.actx) (st : C.Astate.t) : string =
-  let fps = Fingerprint.make a.C.Transfer.cfg a.C.Transfer.prog in
+  let fps, nm = keys a.C.Transfer.prepared in
   let cx =
-    C.Frame.ctx ~names:(Frame.names fps) a.C.Transfer.prog a.C.Transfer.funs
+    C.Frame.ctx ~names:nm a.C.Transfer.prog a.C.Transfer.funs
       a.C.Transfer.cfg a.C.Transfer.packs a.C.Transfer.intern
   in
   Frame.entry_digest (Buffer.create 1024) fps (C.Frame.whole cx) st
@@ -117,17 +132,16 @@ let add (ss : session) (key : C.Transfer.summary_key) (s : C.Transfer.summary)
     ss.ss_new <- (key, s) :: ss.ss_new
   end
 
-(** Fingerprint the program, open the store in the [Cache_dir]
-    directory (its indexes only) and install the keyed tier in the
-    session.  Call before the analysis. *)
-let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
-    : session =
+(** Fingerprint the program (once per prepared record), open the store
+    in the [Cache_dir] directory (its indexes only) and install the
+    keyed tier in the session.  Call before the analysis. *)
+let attach (ses : C.Transfer.session) (pr : C.Transfer.prepared) : session =
   let dir =
-    match cfg.C.Config.summary_cache with
+    match pr.C.Transfer.pr_cfg.C.Config.summary_cache with
     | C.Config.Cache_dir dir -> dir
     | C.Config.Cache_off -> invalid_arg "Summary.attach: no cache directory"
   in
-  let fps = Fingerprint.make cfg p in
+  let fps, names = keys pr in
   let t0 = Unix.gettimeofday () in
   let store = Store.open_ ~dir in
   let load_time = Unix.gettimeofday () -. t0 in
@@ -149,7 +163,7 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
   ses.C.Transfer.ses_keyed <-
     Some
       {
-        C.Transfer.kt_names = Frame.names fps;
+        C.Transfer.kt_names = names;
         kt_key = key ss;
         kt_find = find ss;
         kt_add = add ss;
@@ -167,7 +181,7 @@ let detach ?(save = true) (ss : session) : C.Analysis.cache_stats =
   let save_time =
     if save && ss.ss_new <> [] then begin
       let t0 = Unix.gettimeofday () in
-      Store.save ~dir:ss.ss_dir (List.rev ss.ss_new);
+      Store.save ~opened:ss.ss_store ~dir:ss.ss_dir (List.rev ss.ss_new);
       let dt = Unix.gettimeofday () -. t0 in
       if !Trace.enabled then
         Trace.emit "cache.save"
@@ -193,10 +207,9 @@ let detach ?(save = true) (ss : session) : C.Analysis.cache_stats =
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let driver (ses : C.Transfer.session) (cfg : C.Config.t)
-    (p : F.Tast.program) (core : unit -> C.Analysis.result) :
-    C.Analysis.result =
-  let ss = attach ses cfg p in
+let driver (ses : C.Transfer.session) (pr : C.Transfer.prepared)
+    (core : unit -> C.Analysis.result) : C.Analysis.result =
+  let ss = attach ses pr in
   let r =
     try core ()
     with

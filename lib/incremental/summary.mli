@@ -15,8 +15,13 @@ module C = Astree_core
     processes, runs and renumberings. *)
 val entry_digest : C.Transfer.actx -> C.Astate.t -> string
 
-(** The [Analysis.cache_driver] implementation: fingerprint the program,
-    open the store under [Cache_dir] (indexes only: a summary is read
+(** The fingerprints of a prepared program and the frame names built
+    from them: computed on first use and kept in the record, so a kept
+    record is fingerprinted once. *)
+val keys : C.Transfer.prepared -> Fingerprint.t * C.Frame.names
+
+(** The [Analysis.cache_driver] implementation: fingerprint the program
+    ({!keys}), open the store under [Cache_dir] (indexes only: a summary is read
     when its key is looked up), install the keyed tier in the session
     ([ses_keyed]), run, then uninstall it and publish the summaries the
     run computed — a run that computed none writes nothing, and a failed
@@ -24,8 +29,7 @@ val entry_digest : C.Transfer.actx -> C.Astate.t -> string
     statistics. *)
 val driver :
   C.Transfer.session ->
-  C.Config.t ->
-  F.Tast.program ->
+  C.Transfer.prepared ->
   (unit -> C.Analysis.result) ->
   C.Analysis.result
 

@@ -219,18 +219,19 @@ let govern ~(attempt : C.Config.t -> 'a)
     degradation ladder.  The returned result carries
     [stats.s_degraded = Some _] iff precision was shed or the run was
     interrupted. *)
-let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
-    C.Analysis.result =
+let analyze ?session ?prepared ?(cfg = C.Config.default) (p : F.Tast.program)
+    : C.Analysis.result =
   let ses =
     match session with Some s -> s | None -> C.Transfer.new_session ()
   in
-  if not (watching cfg) then C.Analysis.analyze ~session:ses ~cfg p
+  if not (watching cfg) then C.Analysis.analyze ~session:ses ?prepared ~cfg p
   else begin
     ses.C.Transfer.ses_tick_hook <- Some Budget.poll;
     Fun.protect
       ~finally:(fun () -> ses.C.Transfer.ses_tick_hook <- None)
       (fun () ->
         govern cfg p ~mark
-          ~attempt:(fun acfg -> C.Analysis.analyze ~session:ses ~cfg:acfg p)
+          ~attempt:(fun acfg ->
+            C.Analysis.analyze ~session:ses ?prepared ~cfg:acfg p)
           ~interrupted:(fun acfg -> interrupted_result ses acfg p))
   end

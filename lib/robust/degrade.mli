@@ -46,9 +46,11 @@ val govern :
     result is partial: alarms found so far, bottom final state).
     [?session] threads an existing analysis session through the ladder
     (every attempt, including degraded retries, runs under it); a fresh
-    one is created otherwise. *)
+    one is created otherwise.  [?prepared] goes to every attempt; only
+    the undegraded one, whose configuration is [cfg], can use it. *)
 val analyze :
   ?session:Astree_core.Transfer.session ->
+  ?prepared:Astree_core.Transfer.prepared ->
   ?cfg:Astree_core.Config.t ->
   Astree_frontend.Tast.program ->
   Astree_core.Analysis.result

@@ -3,7 +3,7 @@
 
     One process owns the listening socket and a [select] event loop;
     requests are dispatched to long-lived pool workers (which keep the
-    typed-IR cache warm), and finished requests ship back their report
+    programs they served, {!Service.prepared}), and finished requests ship back their report
     plus metrics and trace deltas, which the daemon absorbs into the
     registry served by the [metrics] verb.  Function summaries never
     cross the worker pipe: every worker reads the ones its keys hit

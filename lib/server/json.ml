@@ -11,21 +11,41 @@ type t =
 
 (* ---- printing ---------------------------------------------------- *)
 
-let escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+(* Bytes [escape] copies as they are: all but quote, backslash and
+   control bytes. *)
+let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
+
+(* The end of the run of plain bytes of [s] from [i]. *)
+let rec run s i =
+  if i < String.length s && plain (String.unsafe_get s i) then run s (i + 1)
+  else i
+
+(* [s] escaped, appended to [buf]: each run of plain bytes in one copy. *)
+let add_escaped buf (s : string) =
+  let n = String.length s in
+  let rec go i =
+    let j = run s i in
+    Buffer.add_substring buf s i (j - i);
+    if j < n then begin
+      (match String.unsafe_get s j with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      go (j + 1)
+    end
+  in
+  go 0
+
+let escape (s : string) : string =
+  if run s 0 = String.length s then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    add_escaped buf s;
+    Buffer.contents buf
+  end
 
 let num_to_string (v : float) : string =
   if Float.is_integer v && Float.abs v < 1e15 then
@@ -33,20 +53,39 @@ let num_to_string (v : float) : string =
   else if Float.is_nan v || Float.abs v = Float.infinity then "null"
   else Printf.sprintf "%.17g" v
 
-let rec to_string (j : t) : string =
+let rec add_json buf (j : t) =
   match j with
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Num v -> num_to_string v
-  | Str s -> "\"" ^ escape s ^ "\""
-  | List l -> "[" ^ String.concat ", " (List.map to_string l) ^ "]"
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Num v -> Buffer.add_string buf (num_to_string v)
+  | Str s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
+  | List l ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_json buf v)
+        l;
+      Buffer.add_char buf ']'
   | Obj members ->
-      "{"
-      ^ String.concat ", "
-          (List.map
-             (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ to_string v)
-             members)
-      ^ "}"
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_char buf '"';
+          add_escaped buf k;
+          Buffer.add_string buf "\": ";
+          add_json buf v)
+        members;
+      Buffer.add_char buf '}'
+
+let to_string (j : t) : string =
+  let buf = Buffer.create 256 in
+  add_json buf j;
+  Buffer.contents buf
 
 (* ---- parsing ----------------------------------------------------- *)
 
@@ -55,7 +94,11 @@ exception Parse_error of string
 type cursor = { s : string; mutable i : int }
 
 let fail c msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.i))
-let peek c = if c.i < String.length c.s then Some c.s.[c.i] else None
+
+(* the byte at the cursor, '\000' at the end of the input: callers that
+   accept a NUL byte there tell the two apart with [at_end] *)
+let peek c = if c.i < String.length c.s then String.unsafe_get c.s c.i else '\000'
+let at_end c = c.i >= String.length c.s
 
 let skip_ws c =
   while
@@ -66,9 +109,8 @@ let skip_ws c =
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> c.i <- c.i + 1
-  | _ -> fail c (Printf.sprintf "expected '%c'" ch)
+  if peek c = ch then c.i <- c.i + 1
+  else fail c (Printf.sprintf "expected '%c'" ch)
 
 let literal c word value =
   let n = String.length word in
@@ -102,9 +144,9 @@ let hex4 c =
   for _ = 1 to 4 do
     let d =
       match peek c with
-      | Some ch when ch >= '0' && ch <= '9' -> Char.code ch - Char.code '0'
-      | Some ch when ch >= 'a' && ch <= 'f' -> Char.code ch - Char.code 'a' + 10
-      | Some ch when ch >= 'A' && ch <= 'F' -> Char.code ch - Char.code 'A' + 10
+      | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+      | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+      | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
       | _ -> fail c "bad \\u escape"
     in
     c.i <- c.i + 1;
@@ -112,30 +154,48 @@ let hex4 c =
   done;
   !v
 
+(* The string after its opening quote, up to and past its closing one.
+   Runs of bytes that need no decoding are copied in one call. *)
 let parse_string_body c =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> c.i <- c.i + 1
-    | Some '\\' -> (
+  let s = c.s and n = String.length c.s in
+  let rec verbatim i =
+    if i < n && match String.unsafe_get s i with '"' | '\\' -> false | _ -> true
+    then verbatim (i + 1)
+    else i
+  in
+  let j = verbatim c.i in
+  if j < n && String.unsafe_get s j = '"' then begin
+    (* no escape: the common case, one copy *)
+    let r = String.sub s c.i (j - c.i) in
+    c.i <- j + 1;
+    r
+  end
+  else begin
+    let buf = Buffer.create (j - c.i + 16) in
+    (* [j]: the end of the run that starts at the cursor *)
+    let rec go j =
+      Buffer.add_substring buf s c.i (j - c.i);
+      c.i <- j;
+      if at_end c then fail c "unterminated string"
+      else if peek c = '"' then c.i <- c.i + 1
+      else begin
         c.i <- c.i + 1;
         (match peek c with
-        | Some '"' -> Buffer.add_char buf '"'; c.i <- c.i + 1
-        | Some '\\' -> Buffer.add_char buf '\\'; c.i <- c.i + 1
-        | Some '/' -> Buffer.add_char buf '/'; c.i <- c.i + 1
-        | Some 'b' -> Buffer.add_char buf '\b'; c.i <- c.i + 1
-        | Some 'f' -> Buffer.add_char buf '\012'; c.i <- c.i + 1
-        | Some 'n' -> Buffer.add_char buf '\n'; c.i <- c.i + 1
-        | Some 'r' -> Buffer.add_char buf '\r'; c.i <- c.i + 1
-        | Some 't' -> Buffer.add_char buf '\t'; c.i <- c.i + 1
-        | Some 'u' ->
+        | '"' -> Buffer.add_char buf '"'; c.i <- c.i + 1
+        | '\\' -> Buffer.add_char buf '\\'; c.i <- c.i + 1
+        | '/' -> Buffer.add_char buf '/'; c.i <- c.i + 1
+        | 'b' -> Buffer.add_char buf '\b'; c.i <- c.i + 1
+        | 'f' -> Buffer.add_char buf '\012'; c.i <- c.i + 1
+        | 'n' -> Buffer.add_char buf '\n'; c.i <- c.i + 1
+        | 'r' -> Buffer.add_char buf '\r'; c.i <- c.i + 1
+        | 't' -> Buffer.add_char buf '\t'; c.i <- c.i + 1
+        | 'u' ->
             c.i <- c.i + 1;
             let cp = hex4 c in
             (* combine a high surrogate with a following \uXXXX low one *)
             if cp >= 0xD800 && cp <= 0xDBFF
-               && c.i + 1 < String.length c.s
-               && c.s.[c.i] = '\\' && c.s.[c.i + 1] = 'u'
+               && c.i + 1 < n
+               && s.[c.i] = '\\' && s.[c.i + 1] = 'u'
             then begin
               c.i <- c.i + 2;
               let lo = hex4 c in
@@ -149,11 +209,12 @@ let parse_string_body c =
             end
             else add_utf8 buf cp
         | _ -> fail c "bad escape");
-        go ())
-    | Some ch -> Buffer.add_char buf ch; c.i <- c.i + 1; go ()
-  in
-  go ();
-  Buffer.contents buf
+        go (verbatim c.i)
+      end
+    in
+    go j;
+    Buffer.contents buf
+  end
 
 let parse_number c =
   let start = c.i in
@@ -170,30 +231,30 @@ let parse_number c =
 
 let rec parse_value c =
   skip_ws c;
+  if at_end c then fail c "unexpected end of input";
   match peek c with
-  | None -> fail c "unexpected end of input"
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' -> c.i <- c.i + 1; Str (parse_string_body c)
-  | Some '[' ->
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> c.i <- c.i + 1; Str (parse_string_body c)
+  | '[' ->
       c.i <- c.i + 1;
       skip_ws c;
-      if peek c = Some ']' then begin c.i <- c.i + 1; List [] end
+      if peek c = ']' then begin c.i <- c.i + 1; List [] end
       else
         let rec items acc =
           let v = parse_value c in
           skip_ws c;
           match peek c with
-          | Some ',' -> c.i <- c.i + 1; items (v :: acc)
-          | Some ']' -> c.i <- c.i + 1; List (List.rev (v :: acc))
+          | ',' -> c.i <- c.i + 1; items (v :: acc)
+          | ']' -> c.i <- c.i + 1; List (List.rev (v :: acc))
           | _ -> fail c "expected ',' or ']'"
         in
         items []
-  | Some '{' ->
+  | '{' ->
       c.i <- c.i + 1;
       skip_ws c;
-      if peek c = Some '}' then begin c.i <- c.i + 1; Obj [] end
+      if peek c = '}' then begin c.i <- c.i + 1; Obj [] end
       else
         let rec members acc =
           skip_ws c;
@@ -204,13 +265,13 @@ let rec parse_value c =
           let v = parse_value c in
           skip_ws c;
           match peek c with
-          | Some ',' -> c.i <- c.i + 1; members ((k, v) :: acc)
-          | Some '}' -> c.i <- c.i + 1; Obj (List.rev ((k, v) :: acc))
+          | ',' -> c.i <- c.i + 1; members ((k, v) :: acc)
+          | '}' -> c.i <- c.i + 1; Obj (List.rev ((k, v) :: acc))
           | _ -> fail c "expected ',' or '}'"
         in
         members []
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c (Printf.sprintf "unexpected '%c'" ch)
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c (Printf.sprintf "unexpected '%c'" ch)
 
 let parse (s : string) : (t, string) result =
   let c = { s; i = 0 } in

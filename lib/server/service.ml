@@ -1,6 +1,6 @@
 (* Request semantics: options wire format, the shared flag-to-config
-   mapping, the worker-resident typed-IR cache, and the per-request job
-   run inside a pool worker.  See service.mli. *)
+   mapping, the worker-resident table of served programs, and the
+   per-request job run inside a pool worker.  See service.mli. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -170,30 +170,54 @@ let source_digest ~(main : string) (sources : (string * string) list) : string
        (String.concat "\x00"
           (main :: List.concat_map (fun (n, c) -> [ n; c ]) sources)))
 
-(* typed-IR cache: workers are long-lived, so repeated requests for the
-   same program skip the frontend entirely *)
-let compile_cache : (string, F.Tast.program) Hashtbl.t = Hashtbl.create 8
-let compile_cache_max = 32
-
-let compile_cached ~(main : string) (sources : (string * string) list) :
+let compile ~(main : string) (sources : (string * string) list) :
     F.Tast.program =
+  try fst (C.Analysis.compile ~main sources) with
+  | F.Lexer.Error (m, l) | F.Parser.Error (m, l) | F.Typecheck.Error (m, l) ->
+      raise (Request_error (Fmt.str "%a: %s" F.Loc.pp l m))
+  | F.Preproc.Error (m, l) ->
+      raise (Request_error (Fmt.str "%a: preprocessor: %s" F.Loc.pp l m))
+  | C.Iterator.Analysis_error m -> raise (Request_error m)
+
+(* The programs a worker has served, by source digest: workers are
+   long-lived, so a repeated request skips the frontend, and from a
+   program's second request on also what its analysis prepares
+   ([Transfer.prepared]).  A program served once keeps only its typed
+   IR: one-off edited copies do not make a worker's memory grow. *)
+type program = {
+  pg_prog : F.Tast.program;
+  mutable pg_prepared : C.Transfer.prepared option;
+}
+
+let programs : (string, program) Hashtbl.t = Hashtbl.create 8
+let programs_max = 32
+
+let program ~(main : string) (sources : (string * string) list)
+    (cfg : C.Config.t) : F.Tast.program * C.Transfer.prepared option =
   let key = source_digest ~main sources in
-  match Hashtbl.find_opt compile_cache key with
-  | Some p -> p
-  | None -> (
-      try
-        let p, _stats = C.Analysis.compile ~main sources in
-        if Hashtbl.length compile_cache >= compile_cache_max then
-          Hashtbl.reset compile_cache;
-        Hashtbl.add compile_cache key p;
-        p
-      with
-      | F.Lexer.Error (m, l) | F.Parser.Error (m, l) | F.Typecheck.Error (m, l)
-        ->
-          raise (Request_error (Fmt.str "%a: %s" F.Loc.pp l m))
-      | F.Preproc.Error (m, l) ->
-          raise (Request_error (Fmt.str "%a: preprocessor: %s" F.Loc.pp l m))
-      | C.Iterator.Analysis_error m -> raise (Request_error m))
+  match Hashtbl.find_opt programs key with
+  | Some pg ->
+      let pr =
+        C.Transfer.prepared_for ?prepared:pg.pg_prepared cfg pg.pg_prog
+      in
+      pg.pg_prepared <- Some pr;
+      (pg.pg_prog, Some pr)
+  | None ->
+      let p = compile ~main sources in
+      if Hashtbl.length programs >= programs_max then Hashtbl.reset programs;
+      Hashtbl.add programs key { pg_prog = p; pg_prepared = None };
+      (p, None)
+
+let prepared ~(main : string) (sources : (string * string) list) :
+    C.Transfer.prepared option =
+  Option.bind
+    (Hashtbl.find_opt programs (source_digest ~main sources))
+    (fun pg -> pg.pg_prepared)
+
+let prepared_count () : int =
+  Hashtbl.fold
+    (fun _ pg n -> if Option.is_some pg.pg_prepared then n + 1 else n)
+    programs 0
 
 (* ---- worker jobs ------------------------------------------------- *)
 
@@ -247,10 +271,10 @@ let serve (w : work) : outcome =
                  supported by the analysis server; run astree without \
                  --connect"
                 (String.concat " " t))));
-    let p = compile_cached ~main:w.w_main w.w_sources in
     let cfg = config_of w.w_options ~sources:w.w_sources in
+    let p, prepared = program ~main:w.w_main w.w_sources cfg in
     if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
-    let r = Astree_robust.Degrade.analyze ~cfg p in
+    let r = Astree_robust.Degrade.analyze ?prepared ~cfg p in
     let loaded =
       Option.fold ~none:0
         ~some:(fun c -> c.C.Analysis.c_loaded)

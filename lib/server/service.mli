@@ -57,12 +57,18 @@ exception Request_error of string
 
 val source_digest : main:string -> (string * string) list -> string
 (** Hex digest identifying a compiled program (sources + entry point);
-    keys the workers' typed-IR cache and the daemon's dedup. *)
+    keys the workers' program table and the daemon's dedup. *)
 
-val compile_cached : main:string -> (string * string) list -> F.Tast.program
-(** Compile, memoized on {!source_digest} — the typed-IR cache that
-    stays resident in a long-lived worker.  Frontend failures raise
-    {!Request_error} with the CLI's error wording. *)
+val prepared :
+  main:string -> (string * string) list -> C.Transfer.prepared option
+(** The prepared record this process keeps for a program.  A worker
+    keeps the typed IR of every program it served (the 32 latest; the
+    table empties when full) and, from a program's second request on,
+    its {!Astree_core.Transfer.prepared} record for the request's
+    configuration; [None] for a program served at most once. *)
+
+val prepared_count : unit -> int
+(** Programs whose record {!prepared} keeps. *)
 
 (** {1 Worker jobs} *)
 
@@ -101,8 +107,8 @@ type served = {
 type outcome = Served of served | Refused of string
 
 val serve : work -> outcome
-(** Run one request (in a pool worker): compile through the typed-IR
-    cache, analyze under the degradation governor — under a [`Dir]
+(** Run one request (in a pool worker): compile, or take the program
+    and its prepared record from the program table, analyze under the degradation governor — under a [`Dir]
     cache, reading the summaries its keys hit from the store and
     publishing the ones it computed — and package the report with its
     deltas.

@@ -649,6 +649,44 @@ let test_store_racing_writers () =
           Alcotest.(check (list string)) "nothing left to publish" before
             (store_files dir)))
 
+(* a save reads only the files published since the run opened the
+   store: those it opened stand for themselves (names derive from
+   content, files are never rewritten), and a file published in between
+   is honoured *)
+let test_save_reads_new_files () =
+  with_mini_fbw (fun src ->
+      let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
+      let entries = harvest C.Config.default p in
+      if List.length entries < 3 then Alcotest.skip ();
+      let n = List.length entries in
+      let part lo hi = List.filteri (fun i _ -> lo <= i && i < hi) entries in
+      let a = part 0 (n / 3) and b = part (n / 3) (2 * n / 3) in
+      with_private_dir (fun dir ->
+          Astree_robust.Faultsim.with_suppressed (fun () ->
+              I.Store.save ~dir a;
+              let opened = I.Store.open_ ~dir in
+              let file_a = List.hd (store_files dir) in
+              (* another writer publishes [b] after the run opened the store *)
+              I.Store.save ~dir b;
+              let before = store_files dir in
+              Alcotest.(check int) "two files" 2 (List.length before);
+              (* were [a]'s file read again it would not parse now, and
+                 [a] would be published again, over it: same index, same
+                 name *)
+              let bytes_a = In_channel.with_open_bin file_a In_channel.input_all in
+              write_file file_a "";
+              I.Store.save ~opened ~dir (a @ b);
+              Alcotest.(check (list string)) "nothing left to publish" before
+                (store_files dir);
+              Alcotest.(check int) "the opened file was not read again" 0
+                (Unix.stat file_a).Unix.st_size;
+              I.Store.save ~opened ~dir entries;
+              Alcotest.(check int) "only the rest is published" 3
+                (List.length (store_files dir));
+              write_file file_a bytes_a;
+              Alcotest.(check bool) "the store holds every entry" true
+                (List.sort compare (List.map fst entries) = stored_keys dir))))
+
 (* every example in the repository: warm, cold and cache-less runs must
    agree on the result fingerprint (alarms + census + final state) *)
 let test_warm_all_examples () =
@@ -689,8 +727,8 @@ let recorded_calls (cfg : C.Config.t) (p : F.Tast.program) =
   with_cache_driver (fun () ->
       C.Analysis.cache_driver :=
         Some
-          (fun ses cfg p core ->
-            I.Summary.driver ses cfg p (fun () ->
+          (fun ses pr core ->
+            I.Summary.driver ses pr (fun () ->
                 (match ses.C.Transfer.ses_keyed with
                 | Some k ->
                     let kt_key a ~fname fr binds st =
@@ -1654,8 +1692,8 @@ let test_reused_pack_digests_exact () =
   with_cache_driver ~min_stmts:!C.Iterator.memo_min_stmts (fun () ->
       C.Analysis.cache_driver :=
         Some
-          (fun ses cfg prog core ->
-            I.Summary.driver ses cfg prog (fun () ->
+          (fun ses pr core ->
+            I.Summary.driver ses pr (fun () ->
                 (match ses.C.Transfer.ses_keyed with
                 | Some k ->
                     let kt_key a ~fname fr binds st =
@@ -1753,4 +1791,6 @@ let suite =
       `Quick test_frame_oracle;
     Alcotest.test_case "reused pack digests are exact" `Quick
       test_reused_pack_digests_exact;
+    Alcotest.test_case "store: a save reads only files published since open"
+      `Quick test_save_reads_new_files;
   ]

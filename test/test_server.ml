@@ -9,6 +9,7 @@
 module C = Astree_core
 module F = Astree_frontend
 module G = Astree_gen
+module I = Astree_incremental
 module R = Astree_robust
 module Srv = Astree_server
 
@@ -1516,6 +1517,238 @@ let test_error_reply_falls_back () =
           Alcotest.(check int) "its exit code" code c
       | _ -> Alcotest.fail "a healthy daemon's reply is printed")
 
+(* ---- json encoder --------------------------------------------- *)
+
+(* The encoder the codec had before its run-copying fast path, one
+   [Buffer] call per byte: the new one must print the same bytes. *)
+let reference_escape (s : string) : string =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let rec reference_to_string (j : Srv.Json.t) : string =
+  match j with
+  | Srv.Json.Str s -> "\"" ^ reference_escape s ^ "\""
+  | Srv.Json.List l ->
+      "[" ^ String.concat ", " (List.map reference_to_string l) ^ "]"
+  | Srv.Json.Obj members ->
+      "{"
+      ^ String.concat ", "
+          (List.map
+             (fun (k, v) -> "\"" ^ reference_escape k ^ "\": " ^ reference_to_string v)
+             members)
+      ^ "}"
+  | j -> Srv.Json.to_string j
+
+(* strings built from the pieces an escaper can get wrong: quotes,
+   backslashes, every control byte, DEL, multi-byte UTF-8, plain runs *)
+let json_string =
+  let piece =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl
+            [ "\""; "\\"; "\\u"; "/"; "\n"; "\r"; "\t"; "\x7f"; "\xc3\xa9";
+              "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "plain text "; "" ];
+          map (fun n -> String.make 1 (Char.chr n)) (int_bound 0x1f);
+          map (fun c -> String.make 1 c) char;
+        ])
+  in
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "%S" s)
+    QCheck.Gen.(map (String.concat "") (list_size (int_bound 24) piece))
+
+let json_string_props =
+  [
+    QCheck.Test.make ~name:"json strings round-trip" ~count:1000 json_string
+      (fun s ->
+        let v = Srv.Json.Obj [ (s, Srv.Json.List [ Srv.Json.Str s ]) ] in
+        Srv.Json.parse (Srv.Json.to_string v) = Ok v);
+    QCheck.Test.make ~name:"json escape prints the reference bytes" ~count:1000
+      json_string (fun s -> Srv.Json.escape s = reference_escape s);
+  ]
+
+(* the C files of examples/data, found from the test's directory up *)
+let example_files () =
+  let rec find dir depth =
+    let cand = Filename.concat dir "examples/data" in
+    if Sys.file_exists cand then cand
+    else if depth = 0 then Alcotest.fail "examples/data not found"
+    else find (Filename.dirname dir) (depth - 1)
+  in
+  let dir = find (Sys.getcwd ()) 6 in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".c")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let test_json_encoder_bytes () =
+  let requests =
+    List.map (fun (f, src) -> analyze_json [ (f, src) ]) (example_files ())
+    @ [ analyze_json [ ("m.c", fused_member ~lines:500 ()) ] ]
+  in
+  List.iter
+    (fun req ->
+      let line = Srv.Json.to_string req in
+      Alcotest.(check string) "the reference encoder's bytes"
+        (reference_to_string req) line;
+      Alcotest.(check bool) "the request parses back" true
+        (Srv.Json.parse line = Ok req))
+    requests
+
+(* ---- prepared programs ------------------------------------------ *)
+
+(* one request served in this process as a daemon worker serves it,
+   with [store] as the daemon's store *)
+let serve_in ~store sources : Srv.Service.served =
+  match
+    Srv.Service.serve
+      {
+        Srv.Service.w_sources = sources;
+        w_main = "main";
+        w_options = { Srv.Service.default_options with Srv.Service.o_cache = `Dir store };
+        w_preload = [];
+        w_strip_cache = true;
+      }
+  with
+  | Srv.Service.Served sv -> sv
+  | Srv.Service.Refused msg -> Alcotest.failf "refused: %s" msg
+
+let check_served ~what (report, code) (sv : Srv.Service.served) =
+  Alcotest.(check string) (what ^ ": the one-shot report") (scrub_time report)
+    (scrub_time sv.Srv.Service.sv_report);
+  Alcotest.(check int) (what ^ ": the one-shot exit code") code
+    sv.Srv.Service.sv_exit
+
+let test_one_off_programs_unprepared () =
+  with_dir (fun store ->
+      let sources i =
+        [ (Printf.sprintf "once%02d.c" i, prog_simple ^ Printf.sprintf "/* %d */\n" i) ]
+      in
+      ignore (serve_in ~store (sources 0));
+      Alcotest.(check bool) "a program served once holds no record" true
+        (Option.is_none (Srv.Service.prepared ~main:"main" (sources 0)));
+      for i = 1 to 39 do
+        ignore (serve_in ~store (sources i))
+      done;
+      Alcotest.(check int) "40 one-off programs hold no record" 0
+        (Srv.Service.prepared_count ()))
+
+let test_prepared_once () =
+  with_dir (fun store ->
+      let sources = [ ("thrice.c", prog_calls) ] in
+      let expected = in_process_report sources in
+      let prepared () = Srv.Service.prepared ~main:"main" sources in
+      let sv1 = serve_in ~store sources in
+      Alcotest.(check bool) "none after the first request" true
+        (Option.is_none (prepared ()));
+      let sv2 = serve_in ~store sources in
+      let pr = Option.get (prepared ()) in
+      Alcotest.(check bool) "the second request kept its frames" true
+        (C.Frame.shared_frames pr.C.Transfer.pr_frames > 0);
+      let sv3 = serve_in ~store sources in
+      Alcotest.(check bool) "the third request reused the record" true
+        (Option.get (prepared ()) == pr);
+      List.iteri
+        (fun i sv ->
+          let what = Printf.sprintf "request %d" (i + 1) in
+          check_served ~what expected sv;
+          Alcotest.(check string) (what ^ ": the fingerprint")
+            sv1.Srv.Service.sv_fingerprint sv.Srv.Service.sv_fingerprint)
+        [ sv1; sv2; sv3 ])
+
+let test_repeated_requests_exact () =
+  let inputs =
+    List.map (fun (f, src) -> [ (f, src) ]) (example_files ())
+    @ [
+        [ ("m.c", fused_member ()) ];
+        [ ("e.c", dead_block (fused_member ())) ];
+        [ ("a.c", prog_alarm) ];
+      ]
+  in
+  with_daemon_ex ~workers:1 (fun sock _pid ->
+      List.iter
+        (fun sources ->
+          let name = fst (List.hd sources) in
+          let report, code = in_process_report sources in
+          let replies =
+            List.init 3 (fun _ ->
+                ok_exn (Srv.Client.request sock (analyze_json sources)))
+          in
+          List.iteri
+            (fun i (r : Srv.Client.reply) ->
+              let what = Printf.sprintf "%s, request %d" name (i + 1) in
+              Alcotest.(check string) (what ^ " ok") "ok" r.Srv.Client.r_status;
+              Alcotest.(check string) (what ^ ": the one-shot report")
+                (scrub_time report)
+                (scrub_time (Option.get r.Srv.Client.r_report));
+              Alcotest.(check int) (what ^ ": the one-shot exit code") code
+                r.Srv.Client.r_exit)
+            replies)
+        inputs)
+
+let test_numbering_mismatch_rebuilds () =
+  with_dir (fun store ->
+      let sources = [ ("shift.c", prog_calls) ] in
+      let expected = in_process_report sources in
+      ignore (serve_in ~store sources);
+      ignore (serve_in ~store sources);
+      let pr = Option.get (Srv.Service.prepared ~main:"main" sources) in
+      let _, names = I.Summary.keys pr in
+      let p = pr.C.Transfer.pr_prog in
+      (* the cells of [lag]'s frame in a context of the record whose
+         numbering starts with [extra] cells *)
+      let lag_cells extra =
+        let ses = C.Transfer.new_session () in
+        ses.C.Transfer.ses_keyed <-
+          Some
+            {
+              C.Transfer.kt_names = names;
+              kt_key = (fun _ ~fname:_ _ _ _ -> None);
+              kt_find = (fun _ -> None);
+              kt_add = (fun _ _ -> ());
+              kt_lookups = { C.Transfer.lk_hits = 0; lk_misses = 0 };
+            };
+        let a =
+          C.Transfer.make_actx ~session:ses ~prepared:pr pr.C.Transfer.pr_cfg p
+        in
+        List.iter (fun c -> ignore (C.Cell.intern a.C.Transfer.intern c)) extra;
+        C.Transfer.prefill_cells a;
+        C.Frame.cells (C.Frame.of_call a.C.Transfer.frames ~fname:"lag" F.Tast.VarMap.empty)
+      in
+      let pinned = lag_cells [] in
+      let kept = C.Frame.shared_frames pr.C.Transfer.pr_frames in
+      Alcotest.(check (array int)) "a pinned context reuses the kept frame"
+        pinned (lag_cells []);
+      (* a cell no program cell is: [lag]'s parameter at a made-up path *)
+      let stray =
+        match (List.assoc "lag" p.F.Tast.p_funs).F.Tast.fd_params with
+        | F.Tast.Pval v :: _ -> (
+            match v.F.Tast.v_ty with
+            | F.Ctypes.Tscalar cty ->
+                { C.Cell.root = v; path = [ C.Cell.Selem 99 ]; cty; weak = false }
+            | _ -> Alcotest.fail "lag's parameter is not a scalar")
+        | _ -> Alcotest.fail "lag has no by-value parameter"
+      in
+      let shifted = lag_cells [ stray ] in
+      Alcotest.(check (array int)) "the shifted frame was rebuilt over its numbering"
+        (Array.map succ pinned) shifted;
+      Alcotest.(check int) "the record's frames were left alone" kept
+        (C.Frame.shared_frames pr.C.Transfer.pr_frames);
+      check_served ~what:"the next request" expected (serve_in ~store sources))
+
 let suite =
   [
     Alcotest.test_case "json codec round-trip" `Quick test_json_roundtrip;
@@ -1575,4 +1808,15 @@ let suite =
       test_cache_mem_ignored;
     Alcotest.test_case "error reply falls back in-process" `Quick
       test_error_reply_falls_back;
+    Alcotest.test_case "json encoder prints the reference bytes" `Quick
+      test_json_encoder_bytes;
+    Alcotest.test_case "one-off programs keep no prepared record" `Quick
+      test_one_off_programs_unprepared;
+    Alcotest.test_case "a program served three times is prepared once" `Quick
+      test_prepared_once;
+    Alcotest.test_case "repeated requests reply as the one-shot run" `Slow
+      test_repeated_requests_exact;
+    Alcotest.test_case "a numbering mismatch rebuilds the frames" `Quick
+      test_numbering_mismatch_rebuilds;
   ]
+  @ List.map QCheck_alcotest.to_alcotest json_string_props
