@@ -3,7 +3,8 @@
    Regenerates every table and figure of the paper's evaluation
    (Sect. 8, plus the quantified claims of Sect. 6.1.2, 7.1, 7.2 and
    9.4.1) on the synthetic program family.  See DESIGN.md for the
-   experiment index (E1-E15) and EXPERIMENTS.md for recorded results.
+   experiment index (E1-E16; E15 is retired) and EXPERIMENTS.md for
+   recorded results.
 
      dune exec bench/main.exe            # all experiments, default sizes
      dune exec bench/main.exe -- e1 e3   # selected experiments
@@ -24,7 +25,6 @@ module I = Astree_incremental
 module P = Astree_parallel
 module R = Astree_robust
 module O = Astree_obs
-module Srv = Astree_server
 
 let section title =
   Fmt.pr "@.==============================================================@.";
@@ -1015,232 +1015,6 @@ let e14 ~quick () =
        guard_ns disabled_est (disabled_est <= 0.01))
 
 (* ------------------------------------------------------------------ *)
-(* E15: analysis server - warm throughput and latency under load       *)
-(* ------------------------------------------------------------------ *)
-
-let e15 ~quick () =
-  section
-    "E15: astreed - long-lived analysis server under load\n\
-     claims checked: a warm daemon (resident typed IR + summaries)\n\
-     sustains >= 2x the request throughput of cold one-shot processes\n\
-     on the same workload; request latency p50/p99 at 1, 4 and 8\n\
-     concurrent clients; every reply carries the one-shot result\n\
-     fingerprint at every concurrency level";
-  (* width 16 keeps every stage function above [memo_min_stmts], so the
-     summary machinery engages exactly as it does on real-size code —
-     the whole point of a warm daemon is re-serving those summaries *)
-  let stages, width = if quick then (4, 16) else (8, 16) in
-  let n_cold = if quick then 4 else 6 in
-  let per_client = if quick then 6 else 10 in
-  let src = cascade_source ~stages ~width in
-  let sources = [ ("e15.c", src) ] in
-  let options = Srv.Service.default_options in
-  (* the reference result every reply must reproduce *)
-  let expected_fp =
-    let cfg = Srv.Service.config_of options ~sources in
-    let p, _ = C.Analysis.compile ~main:"main" sources in
-    P.Merge.fingerprint (R.Degrade.analyze ~cfg p)
-  in
-  let fp_marker = "\"fingerprint\": \"" in
-  let report_fp report =
-    let mlen = String.length fp_marker in
-    let n = String.length report in
-    let rec find i =
-      if i + mlen > n then None
-      else if String.sub report i mlen = fp_marker then
-        let j = String.index_from report (i + mlen) '"' in
-        Some (String.sub report (i + mlen) (j - (i + mlen)))
-      else find (i + 1)
-    in
-    find 0
-  in
-  (* cold baseline: one fresh process per request, exactly what a CI
-     loop of one-shot [astree] invocations pays (minus exec, which only
-     favors the daemon further) *)
-  let cold_once () =
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        let code =
-          try
-            let cfg = Srv.Service.config_of options ~sources in
-            let p, _ = C.Analysis.compile ~main:"main" sources in
-            if P.Merge.fingerprint (R.Degrade.analyze ~cfg p) = expected_fp
-            then 0
-            else 1
-          with _ -> 1
-        in
-        Unix._exit code
-    | pid -> (
-        match Unix.waitpid [] pid with
-        | _, Unix.WEXITED 0 -> ()
-        | _ -> failwith "cold one-shot failed")
-  in
-  cold_once () (* page in the binary before timing *);
-  let (), t_cold = time (fun () -> for _ = 1 to n_cold do cold_once () done) in
-  let cold_tp = float n_cold /. t_cold in
-  (* the daemon under test *)
-  let sock = Filename.temp_file "astree-e15" ".sock" in
-  Sys.remove sock;
-  flush stdout;
-  flush stderr;
-  let daemon_pid =
-    match Unix.fork () with
-    | 0 ->
-        let code =
-          try
-            Srv.Daemon.run
-              {
-                Srv.Daemon.default with
-                Srv.Daemon.d_socket = sock;
-                d_workers = 4;
-              }
-          with _ -> 1
-        in
-        Unix._exit code
-    | pid -> pid
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill daemon_pid Sys.sigterm with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] daemon_pid);
-      if Sys.file_exists sock then Sys.remove sock)
-    (fun () ->
-      let rec wait_up n =
-        if n = 0 then failwith "daemon did not come up"
-        else
-          match Srv.Client.try_connect sock with
-          | Some fd -> Srv.Client.close fd
-          | None ->
-              Unix.sleepf 0.05;
-              wait_up (n - 1)
-      in
-      wait_up 100;
-      let request () =
-        match Srv.Client.try_connect sock with
-        | None -> failwith "daemon gone"
-        | Some fd ->
-            Fun.protect
-              ~finally:(fun () -> Srv.Client.close fd)
-              (fun () ->
-                match
-                  Srv.Client.roundtrip fd
-                    (Srv.Client.analyze_request ~sources ~main:"main"
-                       ~options ())
-                with
-                | Error e -> failwith ("protocol: " ^ e)
-                | Ok line ->
-                    let rep = Srv.Client.decode line in
-                    if rep.Srv.Client.r_status <> "ok" then
-                      failwith ("daemon replied " ^ rep.Srv.Client.r_status);
-                    (match rep.Srv.Client.r_report with
-                    | Some rpt -> report_fp rpt = Some expected_fp
-                    | None -> false))
-      in
-      ignore (request ()) (* warm the resident caches before timing *);
-      (* one client process per connection: [clients] of them issue
-         [per_client] sequential requests each; per-request latencies
-         come back over a pipe *)
-      let run_level clients =
-        let spawn () =
-          let rd, wr = Unix.pipe () in
-          flush stdout;
-          flush stderr;
-          match Unix.fork () with
-          | 0 ->
-              Unix.close rd;
-              let code =
-                try
-                  let lats = Array.make per_client 0. in
-                  let ok = ref true in
-                  for i = 0 to per_client - 1 do
-                    let fp_ok, dt = time request in
-                    lats.(i) <- dt;
-                    ok := !ok && fp_ok
-                  done;
-                  let oc = Unix.out_channel_of_descr wr in
-                  Marshal.to_channel oc (lats, !ok) [];
-                  close_out oc;
-                  0
-                with _ -> 1
-              in
-              Unix._exit code
-          | pid ->
-              Unix.close wr;
-              (pid, rd)
-        in
-        let procs = List.init clients (fun _ -> spawn ()) in
-        let (results : (float array * bool) list), wall =
-          time (fun () ->
-              List.map
-                (fun (pid, rd) ->
-                  let ic = Unix.in_channel_of_descr rd in
-                  let v = Marshal.from_channel ic in
-                  close_in ic;
-                  (match Unix.waitpid [] pid with
-                  | _, Unix.WEXITED 0 -> ()
-                  | _ -> failwith "client process failed");
-                  v)
-                procs)
-        in
-        let lats =
-          Array.concat (List.map fst results)
-        in
-        Array.sort compare lats;
-        let pct p =
-          lats.(min
-                  (Array.length lats - 1)
-                  (int_of_float (p /. 100. *. float (Array.length lats))))
-        in
-        let fp_ok = List.for_all snd results in
-        ( float (clients * per_client) /. wall,
-          pct 50.,
-          pct 99.,
-          fp_ok )
-      in
-      let levels = List.map (fun c -> (c, run_level c)) [ 1; 4; 8 ] in
-      let warm_tp_1 =
-        match levels with (_, (tp, _, _, _)) :: _ -> tp | [] -> 0.
-      in
-      let all_fp_ok =
-        List.for_all (fun (_, (_, _, _, ok)) -> ok) levels
-      in
-      let speedup = warm_tp_1 /. cold_tp in
-      Fmt.pr "%-34s %12s %10s %10s@." "configuration" "req/s" "p50(s)"
-        "p99(s)";
-      Fmt.pr "%-34s %12.2f %10s %10s@." "cold one-shot (fresh process)"
-        cold_tp "-" "-";
-      List.iter
-        (fun (c, (tp, p50, p99, _)) ->
-          Fmt.pr "%-34s %12.2f %10.3f %10.3f@."
-            (Fmt.str "warm daemon, %d client%s" c
-               (if c = 1 then "" else "s"))
-            tp p50 p99)
-        levels;
-      Fmt.pr
-        "warm/cold throughput: %.2fx   >= 2x: %b   fingerprints identical \
-         at every level: %b@."
-        speedup (speedup >= 2.) all_fp_ok;
-      let level_json =
-        String.concat ", "
-          (List.map
-             (fun (c, (tp, p50, p99, ok)) ->
-               Printf.sprintf
-                 "{\"clients\": %d, \"req_per_s\": %.3f, \"p50_s\": %.4f, \
-                  \"p99_s\": %.4f, \"fingerprints_ok\": %b}"
-                 c tp p50 p99 ok)
-             levels)
-      in
-      json_record "e15"
-        (Printf.sprintf
-           "{\"quick\": %b, \"cold_req_per_s\": %.3f, \"warm_req_per_s\": \
-            %.3f, \"speedup\": %.3f, \"speedup_ge_2x\": %b, \
-            \"fingerprints_ok\": %b, \"levels\": [%s]}"
-           quick cold_tp warm_tp_1 speedup (speedup >= 2.) all_fp_ok
-           level_json))
-
-(* ------------------------------------------------------------------ *)
 (* E16 - multi-task interference fixpoint                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1446,7 +1220,6 @@ let () =
   if want "e12" then e12 ~quick ();
   if want "e13" then e13 ~quick ();
   if want "e14" then e14 ~quick ();
-  if want "e15" then e15 ~quick ();
   if want "e16" then e16 ~quick ();
   if want "micro" then micro ();
   (match json_path with Some path -> json_write path | None -> ());

@@ -181,7 +181,7 @@ let json_escape (s : string) : string =
     s;
   Buffer.contents buf
 
-let render_samples ~(timers : bool) (ss : snapshot) : string =
+let render_snapshot_json ?(timers = true) (ss : snapshot) : string =
   let of_kind k = List.filter (fun s -> s.s_kind = k) ss in
   let obj fmt_one samples =
     "{"
@@ -210,12 +210,7 @@ let render_samples ~(timers : bool) (ss : snapshot) : string =
      else "")
 
 let render_json ?(timers = true) () : string =
-  render_samples ~timers (snapshot ())
-
-(* Per-request deltas (the analysis server): same shape as render_json,
-   over an explicit snapshot (typically a [diff]). *)
-let render_snapshot_json ?(timers = true) (ss : snapshot) : string =
-  render_samples ~timers ss
+  render_snapshot_json ~timers (snapshot ())
 
 (* The --profile table: timer [NAME.time] pairs with counter [NAME] *)
 let render_profile () : string =

@@ -125,6 +125,12 @@ val render_snapshot_json : ?timers:bool -> snapshot -> string
     typically a {!diff}, giving a per-interval (e.g. per-request)
     metrics object. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal, without its quotes: the double
+    quote, the backslash and newline get their short escapes, other
+    control bytes [\u00XX].  The one escaper of the [--metrics] and
+    [--trace] files. *)
+
 val render_profile : unit -> string
 (** The [--profile] table: a header line, then one row per registered
     timer, sorted by name, giving the timer's name, the value of the

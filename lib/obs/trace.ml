@@ -48,22 +48,8 @@ let nth i = !buf.((!start + i) mod Array.length !buf)
 
 (* ---- serialization ----------------------------------------------- *)
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let arg_json = function
-  | S s -> "\"" ^ json_escape s ^ "\""
+  | S s -> "\"" ^ Metrics.json_escape s ^ "\""
   | I n -> string_of_int n
   | F f -> Printf.sprintf "%.6f" f
   | B b -> if b then "true" else "false"
@@ -71,14 +57,14 @@ let arg_json = function
 let to_json (e : event) : string =
   let b = Buffer.create 128 in
   Buffer.add_string b "{\"kind\": \"";
-  Buffer.add_string b (json_escape e.ev_kind);
+  Buffer.add_string b (Metrics.json_escape e.ev_kind);
   Buffer.add_string b "\", \"phase\": \"";
   Buffer.add_string b
     (match e.ev_phase with Pbegin -> "B" | Pend -> "E" | Ppoint -> "P");
   Buffer.add_string b "\"";
   if e.ev_loc <> "" then begin
     Buffer.add_string b ", \"loc\": \"";
-    Buffer.add_string b (json_escape e.ev_loc);
+    Buffer.add_string b (Metrics.json_escape e.ev_loc);
     Buffer.add_string b "\""
   end;
   Buffer.add_string b (Printf.sprintf ", \"t\": %.6f" e.ev_t);
@@ -88,7 +74,7 @@ let to_json (e : event) : string =
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string b ", ";
         Buffer.add_string b "\"";
-        Buffer.add_string b (json_escape k);
+        Buffer.add_string b (Metrics.json_escape k);
         Buffer.add_string b "\": ";
         Buffer.add_string b (arg_json v))
       e.ev_args;

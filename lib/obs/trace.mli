@@ -11,9 +11,13 @@
     {b Determinism.}  The event {e set} is a function of the analysis
     performed: a single analysis runs sequentially at every [-j], so
     sorting events by (loc, kind, args) yields the same list at [-j n]
-    as at [-j 1].  Daemon workers ship their events back inside their
-    replies ({!capture_begin}/{!capture_end}, re-emitted by {!absorb}).  Timestamps ([ev_t]) are wall-clock and
-    excluded from that guarantee; {!with_time} turns them off entirely.
+    as at [-j 1].  Pool workers, of the [-j] scheduler and of the
+    daemon alike, ship their events back inside their replies
+    ({!Observed.job}); the coordinator re-emits them in job order
+    ({!Observed.absorb}), so a multi-task run writes the same event
+    sequence at [-j n] as at [-j 1].  Timestamps ([ev_t]) are wall-clock
+    and excluded from that guarantee; {!with_time} turns them off
+    entirely.
 
     {b Span balance.}  In file mode the buffer is flushed, never
     dropped, so every [`B] (begin) line has a matching [`E] (end) line —
@@ -65,19 +69,18 @@ val set_sink : out_channel -> unit
 
 val flush : unit -> unit
 (** Write every buffered event to the sink now (no-op without one).
-    The parallel scheduler calls this before forking workers so a child
-    can never inherit half-written buffered lines. *)
+    {!Observed.job} calls this before a pool forks its workers, so a
+    child can never inherit half-written buffered lines. *)
 
 val close : unit -> unit
 (** Flush and detach the sink. *)
 
 val in_worker : unit -> unit
-(** Called by pool workers after the fork: detaches the inherited sink
-    without flushing (the coordinator owns the file) — worker events
-    stay in the ring, and daemon workers ship theirs back in their
-    replies. *)
+(** Detach the inherited sink without flushing (the coordinator owns
+    the file); {!Observed.job} calls it in a pool worker, which ships
+    its events back in its replies. *)
 
-(** {1 In-memory access (tests, daemon worker replies)} *)
+(** {1 In-memory access (tests, worker replies)} *)
 
 val events : unit -> event list
 (** The buffered events, oldest first. *)

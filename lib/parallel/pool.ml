@@ -30,9 +30,8 @@ type ('a, 'b) t = {
   p_workers : worker array;
   mutable p_alive : bool;
   p_busy : float option array;
-      (** async interface bookkeeping: [Some deadline] per in-flight
-          submitted job (infinity = no deadline); [map] keeps its own
-          tracking and ignores this *)
+      (** [Some deadline] per slot with a job in flight (infinity = no
+          deadline) *)
 }
 
 let size (p : ('a, 'b) t) = Array.length p.p_workers
@@ -193,184 +192,53 @@ let shutdown (p : ('a, 'b) t) : unit =
       p.p_workers
   end
 
-(** Run every job, returning results in job order.  [timeout] bounds
-    each job's wall-clock seconds (default: none). *)
-let map ?(timeout = infinity) (p : ('a, 'b) t) (jobs : 'a list) :
-    ('b, string) result list =
-  if not p.p_alive then invalid_arg "Pool.map: pool is shut down";
-  let jobs = Array.of_list jobs in
-  let n = Array.length jobs in
-  let results : ('b, string) result option array = Array.make n None in
-  let completed = ref 0 in
-  let next = ref 0 in
-  let nw = Array.length p.p_workers in
-  (* busy.(w) = Some (job index, deadline) *)
-  let busy : (int * float) option array = Array.make nw None in
-  let fail j msg =
-    if results.(j) = None then begin
-      results.(j) <- Some (Error msg);
-      incr completed
-    end
-  in
-  let finish j r =
-    if results.(j) = None then begin
-      results.(j) <- Some r;
-      incr completed
-    end
-  in
-  while !completed < n do
-    (* honor the resource budget even while blocked on workers: a trip
-       unwinds through [with_pool]'s finalizer, so no worker outlives it *)
-    Astree_robust.Budget.poll ();
-    (* hand a job to every idle worker *)
-    for w = 0 to nw - 1 do
-      if busy.(w) = None && !next < n then begin
-        let j = !next in
-        incr next;
-        let wk = p.p_workers.(w) in
-        match
-          Marshal.to_channel wk.w_oc jobs.(j) [];
-          flush wk.w_oc
-        with
-        | () ->
-            let dl =
-              if timeout = infinity then infinity
-              else Unix.gettimeofday () +. timeout
-            in
-            busy.(w) <- Some (j, dl)
-        | exception _ ->
-            fail j "worker pipe closed on send";
-            respawn p w
-      end
-    done;
-    let waiting =
-      let acc = ref [] in
-      Array.iteri
-        (fun w slot ->
-          if slot <> None then acc := p.p_workers.(w).w_fd :: !acc)
-        busy;
-      !acc
-    in
-    if waiting <> [] then begin
-      (* without job deadlines or a budget there is nothing to poll for:
-         block until a reply (or EOF) arrives — EINTR from a signal still
-         wakes us, and the loop header re-polls the budget.  Otherwise
-         sleep until the nearest deadline, capped at 0.1 s. *)
-      let budget_dl = Astree_robust.Budget.armed_deadline () in
-      let select_dt =
-        if timeout = infinity && budget_dl = infinity then -1.0
-        else begin
-          let nearest = ref budget_dl in
-          if timeout < infinity then
-            Array.iter
-              (function
-                | Some (_, dl) -> if dl < !nearest then nearest := dl
-                | None -> ())
-              busy;
-          max 0.0 (min 0.1 (!nearest -. Unix.gettimeofday ()))
-        end
-      in
-      let readable, _, _ =
-        try Unix.select waiting [] [] select_dt
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      Array.iteri
-        (fun w slot ->
-          match slot with
-          | Some (j, _) when List.memq p.p_workers.(w).w_fd readable -> (
-              let wk = p.p_workers.(w) in
-              match
-                (Marshal.from_channel wk.w_ic : ('b, string) result)
-              with
-              | reply ->
-                  finish j reply;
-                  busy.(w) <- None
-              | exception _ ->
-                  (* EOF or truncated reply: the worker died mid-job *)
-                  fail j "worker crashed";
-                  busy.(w) <- None;
-                  respawn p w)
-          | _ -> ())
-        busy;
-      (* enforce per-job deadlines (none exist when [timeout] is
-         infinite, so skip the clock read and the scan entirely) *)
-      if timeout < infinity then begin
-        let now = Unix.gettimeofday () in
-        Array.iteri
-          (fun w slot ->
-            match slot with
-            | Some (j, dl) when now > dl ->
-                fail j "worker timed out";
-                busy.(w) <- None;
-                respawn p w
-            | _ -> ())
-          busy
-      end
-    end
-  done;
-  Array.to_list results
-  |> List.map (function Some r -> r | None -> Error "unreachable")
-
-let with_pool ~(jobs : int) (f : 'a -> 'b) (k : ('a, 'b) t -> 'c) : 'c =
-  let p = create ~jobs f in
-  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> k p)
-
 (* ------------------------------------------------------------------ *)
-(* Async interface (one outstanding job per worker slot)               *)
+(* Slots: one outstanding job per worker                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The [map] call above owns the calling thread until every job is
-   done; an event loop (the astreed daemon) instead needs to interleave
-   worker completions with socket traffic.  The async interface exposes
-   the same one-job-per-worker discipline piecewise: [submit] hands a
-   job to an idle worker and returns its slot, the caller selects on
-   [busy_fds] alongside its own descriptors, and [reap]/[cancel] settle
-   a slot.  Crash and timeout recovery match [map]: the worker is
-   killed and respawned, the job comes back as [Error _]. *)
+(* The one dispatch path.  [submit] hands a job to the lowest idle
+   worker and returns its slot, the caller selects on [busy_fds], and
+   [reap]/[cancel] settle a slot.  [map] below drives a whole job list
+   through it; an event loop (the astreed daemon) interleaves the same
+   calls with its socket traffic. *)
+
+let all_slots (p : ('a, 'b) t) : int list = List.init (size p) Fun.id
+
+(* in-flight slots whose deadline satisfies [f], lowest first *)
+let slots (p : ('a, 'b) t) (f : float -> bool) : int list =
+  List.filter
+    (fun w -> match p.p_busy.(w) with Some dl -> f dl | None -> false)
+    (all_slots p)
 
 let idle_slots (p : ('a, 'b) t) : int =
-  Array.fold_left
-    (fun n slot -> if slot = None then n + 1 else n)
-    0 p.p_busy
+  size p - List.length (slots p (fun _ -> true))
+
+let busy_fds (p : ('a, 'b) t) : (Unix.file_descr * int) list =
+  List.map (fun w -> (p.p_workers.(w).w_fd, w)) (slots p (fun _ -> true))
+
+let expired_slots (p : ('a, 'b) t) ~(now : float) : int list =
+  slots p (fun dl -> now > dl)
 
 let submit ?(timeout = infinity) (p : ('a, 'b) t) (job : 'a) : int option =
   if not p.p_alive then invalid_arg "Pool.submit: pool is shut down";
-  let rec find w =
-    if w = Array.length p.p_workers then None
-    else if p.p_busy.(w) = None then Some w
-    else find (w + 1)
+  (* a worker found dead at send time is replaced, and the job goes to
+     its replacement, whose pipe is fresh *)
+  let rec send ~retry w =
+    let wk = p.p_workers.(w) in
+    match
+      Marshal.to_channel wk.w_oc job [];
+      flush wk.w_oc
+    with
+    | () ->
+        p.p_busy.(w) <- Some (Unix.gettimeofday () +. timeout);
+        Some w
+    | exception _ ->
+        respawn p w;
+        if retry then send ~retry:false w else None
   in
-  match find 0 with
-  | None -> None
-  | Some w -> (
-      let wk = p.p_workers.(w) in
-      match
-        Marshal.to_channel wk.w_oc job [];
-        flush wk.w_oc
-      with
-      | () ->
-          let dl =
-            if timeout = infinity then infinity
-            else Unix.gettimeofday () +. timeout
-          in
-          p.p_busy.(w) <- Some dl;
-          Some w
-      | exception _ ->
-          (* dead worker found at send time: replace it and let the
-             caller retry — the fresh worker's pipe is healthy *)
-          respawn p w;
-          None)
-
-let slot_fd (p : ('a, 'b) t) (w : int) : Unix.file_descr =
-  p.p_workers.(w).w_fd
-
-let busy_fds (p : ('a, 'b) t) : (Unix.file_descr * int) list =
-  let acc = ref [] in
-  Array.iteri
-    (fun w slot ->
-      if slot <> None then acc := (p.p_workers.(w).w_fd, w) :: !acc)
-    p.p_busy;
-  !acc
+  match List.filter (fun w -> p.p_busy.(w) = None) (all_slots p) with
+  | w :: _ -> send ~retry:true w
+  | [] -> None
 
 let reap (p : ('a, 'b) t) (w : int) : ('b, string) result =
   if p.p_busy.(w) = None then invalid_arg "Pool.reap: slot is idle";
@@ -389,16 +257,70 @@ let cancel (p : ('a, 'b) t) (w : int) : unit =
     respawn p w
   end
 
-let expired_slots (p : ('a, 'b) t) ~(now : float) : int list =
-  let acc = ref [] in
-  Array.iteri
-    (fun w slot ->
-      match slot with Some dl when now > dl -> acc := w :: !acc | _ -> ())
-    p.p_busy;
-  !acc
-
 let next_deadline (p : ('a, 'b) t) : float =
   Array.fold_left
     (fun acc slot ->
       match slot with Some dl -> min acc dl | None -> acc)
     infinity p.p_busy
+
+(* ------------------------------------------------------------------ *)
+(* Whole job lists                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** Run every job, returning results in job order.  [timeout] bounds
+    each job's wall-clock seconds (default: none). *)
+let map ?timeout (p : ('a, 'b) t) (jobs : 'a list) : ('b, string) result list =
+  let jobs = Array.of_list jobs in
+  let n = Array.length jobs in
+  let results = Array.make n None in
+  let job_of = Hashtbl.create (size p) (* in-flight slot -> job index *) in
+  let next = ref 0 in
+  let settle w r =
+    results.(Hashtbl.find job_of w) <- Some r;
+    Hashtbl.remove job_of w
+  in
+  while !next < n || Hashtbl.length job_of > 0 do
+    (* honor the resource budget even while blocked on workers: a trip
+       unwinds to the pool's owner, whose finalizer shuts it down *)
+    Astree_robust.Budget.poll ();
+    (* jobs in order, each to the lowest idle slot *)
+    while !next < n && idle_slots p > 0 do
+      let j = !next in
+      incr next;
+      match submit ?timeout p jobs.(j) with
+      | Some w -> Hashtbl.replace job_of w j
+      | None -> results.(j) <- Some (Error "worker pipe closed on send")
+    done;
+    let busy = busy_fds p in
+    if busy <> [] then begin
+      (* with no deadline to watch, block until a reply (or EOF)
+         arrives: EINTR from a signal still wakes us, and the loop
+         header re-polls the budget.  Otherwise sleep until the nearest
+         deadline, capped at 0.1 s. *)
+      let dl = min (next_deadline p) (Astree_robust.Budget.armed_deadline ()) in
+      let dt =
+        if dl = infinity then -1.0
+        else max 0.0 (min 0.1 (dl -. Unix.gettimeofday ()))
+      in
+      let ready, _, _ =
+        try Unix.select (List.map fst busy) [] [] dt
+        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+      in
+      (* replies, then overruns, settle lowest slot first, so workers
+         respawn in the same order on every run (their generation
+         seeds Faultsim) *)
+      List.iter
+        (fun (fd, w) -> if List.mem fd ready then settle w (reap p w))
+        busy;
+      List.iter
+        (fun w ->
+          cancel p w;
+          settle w (Error "worker timed out"))
+        (expired_slots p ~now:(Unix.gettimeofday ()))
+    end
+  done;
+  Array.to_list (Array.map Option.get results)
+
+let with_pool ~(jobs : int) (f : 'a -> 'b) (k : ('a, 'b) t -> 'c) : 'c =
+  let p = create ~jobs f in
+  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> k p)

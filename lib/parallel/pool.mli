@@ -3,7 +3,15 @@
     jobs over pipes.  Jobs and replies must be pure data (closure-free
     marshalling).  Crashed or timed-out workers are killed and
     respawned; their jobs come back as [Error _] and the caller decides
-    whether to retry or recompute in-process. *)
+    whether to retry or recompute in-process.
+
+    There is one dispatch path, the slot interface: each worker is a
+    slot holding at most one job, {!submit} hands a job to the lowest
+    idle slot, and {!reap}/{!cancel} settle it.  {!map} runs a whole job
+    list through those calls; an event loop (the analysis daemon)
+    interleaves them with its own descriptors.  A caller that wants a
+    job's metrics and trace events back wraps its job function in
+    {!Astree_obs.Observed.job}. *)
 
 type ('a, 'b) t
 
@@ -21,10 +29,11 @@ val create : jobs:int -> ('a -> 'b) -> ('a, 'b) t
 
 val size : ('a, 'b) t -> int
 
-(** Run every job, one outstanding job per worker, returning results in
-    job order whatever the completion order.  [timeout] bounds each
-    job's wall-clock seconds (default none); an overrun kills and
-    respawns the worker and yields [Error "worker timed out"]. *)
+(** Run every job through the slots (jobs in order, each to the lowest
+    idle slot), returning results in job order whatever the completion
+    order.  [timeout] bounds each job's wall-clock seconds (default
+    none); an overrun kills and respawns the worker and yields
+    [Error "worker timed out"]. *)
 val map : ?timeout:float -> ('a, 'b) t -> 'a list -> ('b, string) result list
 
 (** Terminate the workers (EOF, then SIGKILL after a grace period). *)
@@ -34,27 +43,18 @@ val shutdown : ('a, 'b) t -> unit
     on exit. *)
 val with_pool : jobs:int -> ('a -> 'b) -> (('a, 'b) t -> 'c) -> 'c
 
-(** {1 Async interface}
-
-    [map] owns the calling thread until every job completes; an event
-    loop (the analysis daemon) instead interleaves worker completions
-    with its own descriptors.  Same one-job-per-worker discipline,
-    exposed piecewise; do not mix with a concurrent [map] on the same
-    pool. *)
+(** {1 Slots} *)
 
 (** Number of workers with no job in flight. *)
 val idle_slots : ('a, 'b) t -> int
 
-(** Hand [job] to an idle worker; returns its slot, or [None] when all
-    workers are busy (or the chosen worker's pipe was already dead — it
-    is respawned and the caller should retry).  [timeout] sets the
-    job's wall-clock deadline, enforced by the caller via
-    {!expired_slots} + {!cancel}. *)
+(** Hand [job] to the lowest idle worker; returns its slot, or [None]
+    when all workers are busy.  A worker found dead at send time is
+    respawned and the job is sent to its replacement; [None] also when
+    that send fails too.  [timeout] sets the job's wall-clock deadline,
+    enforced by the caller via {!expired_slots} + {!cancel}.
+    @raise Invalid_argument if the pool is shut down. *)
 val submit : ?timeout:float -> ('a, 'b) t -> 'a -> int option
-
-(** Reply descriptor of a slot, for [select].  Invalidated when the
-    worker is respawned — re-query after every {!reap}/{!cancel}. *)
-val slot_fd : ('a, 'b) t -> int -> Unix.file_descr
 
 (** (reply fd, slot) of every in-flight job. *)
 val busy_fds : ('a, 'b) t -> (Unix.file_descr * int) list

@@ -6,7 +6,7 @@
 module C = Astree_core
 module F = Astree_frontend
 module Metrics = Astree_obs.Metrics
-module Trace = Astree_obs.Trace
+module Observed = Astree_obs.Observed
 
 (** Default worker count: the machine's available cores. *)
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
@@ -20,28 +20,18 @@ let analyze ?session ?cfg p = C.Analysis.analyze ?session ?cfg p
 
 type ('a, 'b) workers = {
   w_run : 'a -> 'b;  (** the job function, also the in-process fallback *)
-  w_pool : ('a, 'b * Metrics.snapshot) Pool.t option;
+  w_pool : ('a, 'b Observed.t) Pool.t option;
 }
 
-(* A worker detaches its inherited trace sink and ships each job's
-   registry delta with its reply, so pooled runs count like -j 1. *)
 let workers ~(jobs : int) (f : 'a -> 'b) : ('a, 'b) workers =
-  let worker job =
-    Trace.in_worker ();
-    let m0 = Metrics.snapshot () in
-    let r = f job in
-    (r, Metrics.diff m0)
-  in
   {
     w_run = f;
     w_pool =
-      (if jobs <= 1 then None
-       else begin
-         Trace.flush ();
-         Some (Pool.create ~jobs worker)
-       end);
+      (if jobs <= 1 then None else Some (Pool.create ~jobs (Observed.job f)));
   }
 
+(* Each job's observations are absorbed, or the job rerun in-process, in
+   job order: a pooled run counts and traces exactly like -j 1. *)
 let map (w : ('a, 'b) workers) (items : 'a list) : 'b list =
   match w.w_pool with
   | None -> List.map w.w_run items
@@ -63,9 +53,7 @@ let map (w : ('a, 'b) workers) (items : 'a list) : 'b list =
             | _ -> r
           in
           match r with
-          | Ok (v, delta) ->
-              Metrics.absorb delta;
-              v
+          | Ok o -> Observed.absorb o
           | Error _ ->
               Metrics.incr recomputed;
               w.w_run j)

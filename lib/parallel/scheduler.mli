@@ -23,8 +23,10 @@ type ('a, 'b) workers
 
 val workers : jobs:int -> ('a -> 'b) -> ('a, 'b) workers
 
-(** Results in job order; worker registry deltas are absorbed in job
-    order.  A job whose worker crashed, hung or sent a reply that does
+(** Results in job order.  Each pooled job ships its registry delta and
+    trace events ({!Astree_obs.Observed}); they are absorbed in job
+    order, so the registry and the event sequence are the [jobs = 1]
+    run's.  A job whose worker crashed, hung or sent a reply that does
     not marshal is retried once, then recomputed in-process, bumping
     the [par.recomputed] counter. *)
 val map : ('a, 'b) workers -> 'a list -> 'b list

@@ -107,8 +107,9 @@ let handlers_active () = !handlers_installed
 
 (** Install SIGINT/SIGTERM handlers that set the interrupt flag.  The
     next [poll] — iterator tick or pool loop — raises
-    [Tripped Interrupted]; unwinding tears the worker pool down
-    ([Pool.with_pool]'s finalizer), flushes the summary cache
+    [Tripped Interrupted]; unwinding tears the worker pool down (the
+    multi-task fixpoint's [Scheduler.shutdown] finalizer; the daemon
+    drains and calls [Pool.shutdown]), flushes the summary cache
     ([Summary.driver] saves on a trip) and surfaces a partial result. *)
 let install_signal_handlers () =
   if not !handlers_installed then begin

@@ -13,6 +13,7 @@ module Store = Astree_incremental.Store
 module Budget = Astree_robust.Budget
 module Metrics = Astree_obs.Metrics
 module Trace = Astree_obs.Trace
+module Observed = Astree_obs.Observed
 
 type config = {
   d_socket : string;
@@ -72,7 +73,7 @@ type pending = {
 
 type state = {
   st_cfg : config;
-  st_pool : (Service.work, Service.outcome) Pool.t;
+  st_pool : (Service.work, Service.outcome Observed.t) Pool.t;
   st_tele : Telemetry.t;
   mutable st_listen : Unix.file_descr option;
   mutable st_conns : conn list;
@@ -138,16 +139,18 @@ let shutting_down_reply ~rid id =
     (Report.json_str rid)
 
 (* the report is spliced in verbatim and kept last, so clients can
-   extract the exact bytes without reserializing *)
-let ok_reply ~rid ~id ~received (sv : Service.served) ~now =
+   extract the exact bytes without reserializing; the metrics and the
+   event count are what the worker observed while serving ([o]) *)
+let ok_reply ~rid ~id ~received (o : Service.outcome Observed.t)
+    (sv : Service.served) ~now =
   let wait = Float.max 0. (now -. received -. sv.Service.sv_time) in
   Printf.sprintf
     "{\"id\": %s, \"rid\": %s, \"status\": \"ok\", \"exit\": %d, \"server\": \
      {\"wait_s\": %.6f, \"analysis_s\": %.6f, \"preloaded\": %d, \
      \"events\": %d, \"metrics\": %s}, \"report\": %s}"
     id (Report.json_str rid) sv.sv_exit wait sv.sv_time sv.sv_loaded
-    (List.length sv.sv_events)
-    (Metrics.render_snapshot_json ~timers:false sv.sv_metrics)
+    (List.length o.Observed.events)
+    (Metrics.render_snapshot_json ~timers:false o.Observed.metrics)
     sv.sv_report
 
 let status_reply st ~rid id ~now =
@@ -180,22 +183,12 @@ let hard_deadline (pend : pending) =
   if t > 0. then (2. *. t) +. 30. else infinity
 
 let try_submit st pend : bool =
-  let rec go attempts =
-    if attempts = 0 then false
-    else
-      match
-        Pool.submit ~timeout:(hard_deadline pend) st.st_pool pend.p_work
-      with
-      | Some slot ->
-          Hashtbl.replace st.st_inflight slot pend;
-          Hashtbl.replace st.st_keys pend.p_key slot;
-          true
-      | None ->
-          (* all busy — or a dead pipe was respawned; retry in the
-             latter case *)
-          if Pool.idle_slots st.st_pool > 0 then go (attempts - 1) else false
-  in
-  go (Pool.size st.st_pool)
+  match Pool.submit ~timeout:(hard_deadline pend) st.st_pool pend.p_work with
+  | Some slot ->
+      Hashtbl.replace st.st_inflight slot pend;
+      Hashtbl.replace st.st_keys pend.p_key slot;
+      true
+  | None -> false
 
 (* attach a late identical request to the in-flight job computing it *)
 let attach st slot pend =
@@ -414,7 +407,7 @@ let finish st slot ~now =
         match waiters with w :: _ -> w.wt_rid | [] -> ""
       in
       (match Pool.reap st.st_pool slot with
-      | Ok (Service.Served sv) ->
+      | Ok ({ Observed.value = Service.Served sv; _ } as o) ->
           (* worker deltas land under a srv.request span stamped with
              the request id, so a trace consumer can attribute every
              absorbed event to the request that produced it.  The span
@@ -429,14 +422,12 @@ let finish st slot ~now =
                   ("verb", Trace.S "analyze");
                   ("digest", Trace.S pend.p_digest);
                 ];
-          Metrics.absorb sv.Service.sv_metrics;
-          if !Trace.enabled then begin
-            Trace.absorb sv.Service.sv_events;
-            Trace.span_end "srv.request" ~args:[ ("rid", Trace.S head_rid) ]
-          end;
+          ignore (Observed.absorb o);
+          if !Trace.enabled then
+            Trace.span_end "srv.request" ~args:[ ("rid", Trace.S head_rid) ];
           let cache_hits =
             Option.value ~default:0
-              (Metrics.find_int sv.Service.sv_metrics "cache.hits")
+              (Metrics.find_int o.Observed.metrics "cache.hits")
           in
           List.iter
             (fun w ->
@@ -451,9 +442,9 @@ let finish st slot ~now =
                 w.wt_rid;
               reply st w.wt_conn
                 (ok_reply ~rid:w.wt_rid ~id:w.wt_id ~received:w.wt_received
-                   sv ~now))
+                   o sv ~now))
             waiters
-      | Ok (Service.Refused msg) ->
+      | Ok { Observed.value = Service.Refused msg; _ } ->
           (* a request-level refusal is not a crash: the worker lived *)
           List.iter
             (fun w ->
@@ -624,7 +615,8 @@ let run (dc : config) : int =
       let st =
         {
           st_cfg = dc;
-          st_pool = Pool.create ~jobs:(max 1 dc.d_workers) Service.serve;
+          st_pool =
+            Pool.create ~jobs:(max 1 dc.d_workers) (Observed.job Service.serve);
           st_tele = Telemetry.create dc.d_access_log;
           st_listen = Some listen_fd;
           st_conns = [];

@@ -238,8 +238,6 @@ type served = {
   sv_fingerprint : string;
   sv_degraded : bool;
   sv_loaded : int;
-  sv_metrics : Astree_obs.Metrics.snapshot;
-  sv_events : Astree_obs.Trace.event list;
   sv_time : float;
 }
 
@@ -247,11 +245,6 @@ type outcome = Served of served | Refused of string
 
 let serve (w : work) : outcome =
   let t0 = Unix.gettimeofday () in
-  (* a worker inherits the daemon's trace sink; events must travel back
-     inside the reply instead (the daemon re-emits them in order) *)
-  Astree_obs.Trace.in_worker ();
-  let m0 = Astree_obs.Metrics.snapshot () in
-  let cmark = Astree_obs.Trace.capture_begin () in
   try
     (* the interference fixpoint drives whole analyses as sub-runs and
        owns its own pool: it does not fit the daemon's one-request =
@@ -291,14 +284,6 @@ let serve (w : work) : outcome =
         sv_degraded =
           Option.is_some r.C.Analysis.r_stats.C.Analysis.s_degraded;
         sv_loaded = loaded;
-        sv_metrics = Astree_obs.Metrics.diff m0;
-        sv_events = Astree_obs.Trace.capture_end cmark;
         sv_time = Unix.gettimeofday () -. t0;
       }
-  with
-  | Request_error msg ->
-      ignore (Astree_obs.Trace.capture_end cmark);
-      Refused msg
-  | Sys_error msg ->
-      ignore (Astree_obs.Trace.capture_end cmark);
-      Refused msg
+  with Request_error msg | Sys_error msg -> Refused msg

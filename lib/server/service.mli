@@ -90,8 +90,9 @@ type work = {
           store but strip its counters from the report (byte parity) *)
 }
 
-(** The reply: a rendered report plus the deltas the daemon absorbs
-    (metrics, trace events). *)
+(** The reply: a rendered report and what the daemon logs of it.  The
+    metrics and trace events of the run travel beside it, captured by
+    the pool's {!Astree_obs.Observed.job} wrapper. *)
 type served = {
   sv_report : string;  (** JSON report object, no trailing newline *)
   sv_exit : int;
@@ -99,8 +100,6 @@ type served = {
   sv_fingerprint : string;
   sv_degraded : bool;
   sv_loaded : int;  (** summaries the run read from the store *)
-  sv_metrics : Astree_obs.Metrics.snapshot;
-  sv_events : Astree_obs.Trace.event list;
   sv_time : float;  (** seconds spent serving, compile included *)
 }
 
@@ -108,9 +107,11 @@ type outcome = Served of served | Refused of string
 
 val serve : work -> outcome
 (** Run one request (in a pool worker): compile, or take the program
-    and its prepared record from the program table, analyze under the degradation governor — under a [`Dir]
+    and its prepared record from the program table, analyze under the
+    degradation governor — under a [`Dir]
     cache, reading the summaries its keys hit from the store and
-    publishing the ones it computed — and package the report with its
-    deltas.
+    publishing the ones it computed — and package the report.  Called
+    in-process (tests, the layer benchmark) it leaves the caller's
+    trace sink and registry as any analysis does.
     Request-level failures come back as [Refused]; anything else
     escapes and kills the worker (the pool reports a crash). *)

@@ -323,6 +323,36 @@ let test_profile () =
   Alcotest.(check (list (pair string int))) "-j 2 counts = -j 1 counts" j1
     (calls 2)
 
+(* A pooled multi-task run ships every per-task run's trace events
+   back with its reply and the coordinator re-emits them in job order:
+   at -j 2 the trace is the -j 1 trace, event for event. *)
+let test_trace_jobs () =
+  fresh @@ fun () ->
+  let g =
+    G.Generator.generate_tasks
+      { G.Generator.default with seed = 5; target_lines = 150; bug_ratio = 0.5 }
+      ~tasks:3
+  in
+  let p, _ = C.Analysis.compile [ ("tasks.c", g.G.Generator.source) ] in
+  let trace jobs =
+    T.clear ();
+    T.enabled := true;
+    T.with_time := false;
+    let mark = T.capture_begin () in
+    ignore
+      (Conc.Fixpoint.analyze
+         ~cfg:{ C.Config.default with C.Config.jobs }
+         ~tasks:g.G.Generator.task_fns p);
+    let evs = T.capture_end mark in
+    T.enabled := false;
+    List.map T.to_json evs
+  in
+  let j1 = trace 1 in
+  let kinds k = List.filter (fun l -> String.starts_with ~prefix:k l) j1 in
+  Alcotest.(check bool) "every per-task run is traced" true
+    (List.length (kinds "{\"kind\": \"phase.analyze\"") >= 6);
+  Alcotest.(check (list string)) "-j 2 trace = -j 1 trace" j1 (trace 2)
+
 (* The relational probes: --profile has one rel.assign.NAME and one
    rel.guard.NAME row per relational domain, and a multi-task run counts
    the same domain calls at -j 2 as at -j 1. *)
@@ -510,6 +540,8 @@ let suite =
     Alcotest.test_case "metrics: --profile table" `Quick test_profile;
     Alcotest.test_case "metrics: per-domain rel probes" `Quick
       test_rel_probes;
+    Alcotest.test_case "trace: -j 2 multi-task trace = -j 1" `Quick
+      test_trace_jobs;
     Alcotest.test_case "trace: ring eviction" `Quick test_ring_eviction;
     Alcotest.test_case "trace: eviction bumps trace.dropped" `Quick
       test_eviction_counter;

@@ -1632,6 +1632,67 @@ let check_served ~what (report, code) (sv : Srv.Service.served) =
   Alcotest.(check int) (what ^ ": the one-shot exit code") code
     sv.Srv.Service.sv_exit
 
+(* The daemon hands each request to the pool once: a worker that died
+   while idle (its pipe closed) is replaced at send time and the job
+   runs on the replacement, not failed back to the caller. *)
+let test_submit_replaces_dead_worker () =
+  let module Pool = Astree_parallel.Pool in
+  R.Faultsim.with_suppressed @@ fun () ->
+  Pool.with_pool ~jobs:1
+    (fun () -> Unix.getpid ())
+    (fun pool ->
+      let pid =
+        match Pool.map pool [ () ] with
+        | [ Ok pid ] -> pid
+        | _ -> Alcotest.fail "the first job failed"
+      in
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      match Pool.submit pool () with
+      | None -> Alcotest.fail "the job was not sent to a replacement"
+      | Some w -> (
+          ignore (Unix.select [ fst (List.hd (Pool.busy_fds pool)) ] [] [] 5.);
+          match Pool.reap pool w with
+          | Ok pid' ->
+              Alcotest.(check bool) "a fresh worker answered" true (pid' <> pid)
+          | Error e -> Alcotest.failf "the job failed: %s" e))
+
+(* Serving in-process is an ordinary analysis: the caller's trace sink
+   stays attached, so the run's events and the caller's next event both
+   reach the caller's file. *)
+let test_serve_keeps_trace_sink () =
+  let module T = Astree_obs.Trace in
+  with_dir (fun store ->
+      let path = Filename.temp_file "astree-serve-trace" ".jsonl" in
+      let oc = open_out path in
+      let enabled0 = !T.enabled in
+      T.clear ();
+      T.enabled := true;
+      T.set_sink oc;
+      Fun.protect
+        ~finally:(fun () ->
+          T.close ();
+          close_out_noerr oc;
+          T.enabled := enabled0;
+          T.clear ();
+          Sys.remove path)
+        (fun () ->
+          ignore (serve_in ~store [ ("sink.c", prog_calls) ]);
+          T.emit "after.serve";
+          T.flush ();
+          let lines =
+            In_channel.with_open_bin path In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          let has_kind k l =
+            String.starts_with ~prefix:(Printf.sprintf "{\"kind\": \"%s\"" k) l
+          in
+          Alcotest.(check bool) "the serve's events reach the sink" true
+            (List.exists (has_kind "phase.analyze") lines);
+          Alcotest.(check bool) "the caller's next event reaches the sink" true
+            (List.exists (has_kind "after.serve") lines)))
+
 let test_one_off_programs_unprepared () =
   with_dir (fun store ->
       let sources i =
@@ -1810,6 +1871,10 @@ let suite =
       test_error_reply_falls_back;
     Alcotest.test_case "json encoder prints the reference bytes" `Quick
       test_json_encoder_bytes;
+    Alcotest.test_case "submit replaces a dead idle worker" `Quick
+      test_submit_replaces_dead_worker;
+    Alcotest.test_case "in-process serve keeps the trace sink" `Quick
+      test_serve_keeps_trace_sink;
     Alcotest.test_case "one-off programs keep no prepared record" `Quick
       test_one_off_programs_unprepared;
     Alcotest.test_case "a program served three times is prepared once" `Quick
