@@ -175,7 +175,10 @@ let capture_end (mark : int) : event list =
   else begin
     let n = min (!total_pushed - mark) !len in
     let off = !len - n in
-    List.init n (fun i -> nth (off + i))
+    let evs = List.init n (fun i -> nth (off + i)) in
+    (* the outermost capture takes its events out: workers never evict *)
+    if !captures = 0 then len := off;
+    evs
   end
 
 let absorb (evs : event list) : unit =

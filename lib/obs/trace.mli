@@ -88,7 +88,9 @@ val events : unit -> event list
 val capture_begin : unit -> int
 val capture_end : int -> event list
 (** [capture_end (capture_begin ())] around a job returns the events it
-    emitted; ring dropping is suspended while any capture is open. *)
+    emitted; ring dropping is suspended while any capture is open.  The
+    outermost one takes them out of the buffer: a pooled worker's buffer
+    does not grow across jobs. *)
 
 val absorb : event list -> unit
 (** Re-emit events recorded in another process (a worker reply), in

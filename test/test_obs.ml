@@ -152,6 +152,32 @@ let test_capture_suspends_eviction () =
     [ "c1"; "c2"; "c3"; "c4"; "c5"; "c6"; "c7"; "c8"; "c9"; "c10" ]
     (List.map (fun e -> e.T.ev_kind) captured)
 
+(* a pooled worker captures every job, so its ring never evicts: each
+   capture must take its events out of the worker's buffer, or the
+   buffer keeps every event of every job the worker ran *)
+let test_worker_buffer_bounded () =
+  with_trace @@ fun () ->
+  Astree_robust.Faultsim.with_suppressed @@ fun () ->
+  let job k =
+    let held = List.length (T.events ()) in
+    for i = 1 to k do
+      T.emit (Printf.sprintf "w%d" i)
+    done;
+    held
+  in
+  let held =
+    P.Pool.with_pool ~jobs:1 (Astree_obs.Observed.job job) (fun pool ->
+        List.map
+          (function
+            | Ok o -> Astree_obs.Observed.absorb o
+            | Error e -> Alcotest.failf "job failed: %s" e)
+          (P.Pool.map pool [ 50; 50; 50; 50 ]))
+  in
+  Alcotest.(check (list int))
+    "the worker holds no earlier job's events" [ 0; 0; 0; 0 ] held;
+  Alcotest.(check int) "every job's events reach the coordinator" 200
+    (List.length (T.events ()))
+
 let test_to_json () =
   with_trace @@ fun () ->
   T.emit "k.point" ~loc:"a.c:3:1"
@@ -547,6 +573,8 @@ let suite =
       test_eviction_counter;
     Alcotest.test_case "trace: capture suspends eviction" `Quick
       test_capture_suspends_eviction;
+    Alcotest.test_case "trace: pooled worker buffer stays bounded" `Quick
+      test_worker_buffer_bounded;
     Alcotest.test_case "trace: JSONL serialization" `Quick test_to_json;
     Alcotest.test_case "trace: span balance" `Quick test_span_balance;
     Alcotest.test_case "determinism: -j1 = -j4" `Quick test_determinism_jobs;
