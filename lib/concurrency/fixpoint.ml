@@ -68,10 +68,10 @@ let top_rely (cfg : C.Config.t) (p : F.Tast.program)
 (* Run one task under its rely: a sequential analysis of [p] re-rooted
    at the task, against a fresh session carrying the interference
    context.  The config digests the rely, so summary-cache keys
-   self-identify the interference environment; cells are pre-filled in
-   program order, so ids (hence states and invariants) align across
-   tasks and with the combined context, to which [finish] attaches the
-   task's reply.  [tick] is the governed run's budget poll. *)
+   self-identify the interference environment; cell ids depend only on
+   the program, so states and invariants align across tasks and with
+   the combined context, to which [finish] attaches the task's reply.
+   [tick] is the governed run's budget poll. *)
 let run_job ~(cfg : C.Config.t) ~tick (p : F.Tast.program)
     (shared : F.Tast.var list) (j : job) :
     C.Analysis.Reply.t * Interference.map =
@@ -93,7 +93,7 @@ let run_job ~(cfg : C.Config.t) ~tick (p : F.Tast.program)
   ses.C.Transfer.ses_itf <- Some it;
   ses.C.Transfer.ses_tick_hook <- tick;
   let r =
-    C.Analysis.analyze ~session:ses ~prefill:true ~cfg
+    C.Analysis.analyze ~session:ses ~cfg
       { p with F.Tast.p_main = j.j_task }
   in
   (C.Analysis.Reply.detach r, Interference.of_table it.C.Transfer.itf_writes)
@@ -154,11 +154,9 @@ let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
       P.Merge.join_states
         (List.map (fun rp -> rp.C.Analysis.Reply.rp_final) per_task)
     in
-    (* combined context: same cell numbering as every per-task run
-       (pre-fill covers all functions), with every task's reply
-       attached *)
+    (* combined context: same cell numbering as every per-task run,
+       with every task's reply attached *)
     let actx = C.Transfer.make_actx cfg p in
-    C.Transfer.prefill_cells actx;
     List.iter (C.Analysis.Reply.attach actx) per_task;
     let stats =
       let s =

@@ -161,27 +161,20 @@ end
 
 (** Analyze a typed program sequentially ([cfg.jobs] does not apply to
     a single analysis), wrapping the run in the summary-cache driver
-    when caching is enabled.  With the cache on (or [prefill]), cells
-    are pre-filled in program order, so the numbering does not depend
-    on when the cache builds its frames.  [?session] threads an
-    existing session through (the daemon passes one per request); a
-    fresh one is created otherwise, so concurrent analyses never share
-    hooks.  [?prepared] is used when it was prepared for [p] and [cfg]
+    when caching is enabled.  [?session] threads an existing session
+    through (the daemon passes one per request); a fresh one is created
+    otherwise, so concurrent analyses never share hooks.  [?prepared]
+    is used when it was prepared for [p] and [cfg]
     ({!Transfer.prepared_for}); the run prepares its own otherwise. *)
-let analyze ?session ?prepared ?(prefill = false) ?(cfg = Config.default)
-    (p : F.Tast.program) : result =
+let analyze ?session ?prepared ?(cfg = Config.default) (p : F.Tast.program) :
+    result =
   let session =
     match session with Some s -> s | None -> Transfer.new_session ()
   in
   in_span "phase.analyze" (fun () ->
       let prepared = Transfer.prepared_for ?prepared cfg p in
       let core () =
-        let actx = Transfer.make_actx ~session ~prepared cfg p in
-        if
-          prefill || Config.cache_enabled cfg
-          || Option.is_some session.Transfer.ses_keyed
-        then Transfer.prefill_cells actx;
-        analyze_prepared actx p
+        analyze_prepared (Transfer.make_actx ~session ~prepared cfg p) p
       in
       match !cache_driver with
       | Some driver when Config.cache_enabled cfg -> driver session prepared core

@@ -59,15 +59,13 @@ val useful_octagon_packs : result -> int list
     [cfg.jobs].  [?session] threads an existing {!Transfer.session}
     through (the analysis server passes one per request); a fresh
     session is created otherwise, so concurrent analyses in one process
-    never share hooks.  [~prefill:true] pre-fills the cells, as a
-    cache-enabled run does, so that the {!Reply} can be attached.
-    [?prepared] is used when it was prepared for this program and
-    configuration ({!Transfer.prepared_for}); the run prepares its own
-    otherwise, so a kept record and a fresh one take one code path. *)
+    never share hooks.  [?prepared] is used when it was prepared for
+    this program and configuration ({!Transfer.prepared_for}); the run
+    prepares its own otherwise, so a kept record and a fresh one take
+    one code path. *)
 val analyze :
   ?session:Transfer.session ->
   ?prepared:Transfer.prepared ->
-  ?prefill:bool ->
   ?cfg:Config.t ->
   Astree_frontend.Tast.program ->
   result
@@ -88,11 +86,11 @@ module Reply : sig
   val detach : result -> t
 
   (** Absorb a reply into a context the receiver built with
-      {!Transfer.make_actx} and {!Transfer.prefill_cells}: invariants
-      join point-wise, useful packs union, join counts add.  Pre-filled
-      cell ids depend only on the program, so the sender's states mean
-      the same here.
-      @raise Invalid_argument if the sender interned other cells. *)
+      {!Transfer.make_actx}: invariants join point-wise, useful packs
+      union, join counts add.  Cell ids depend only on the program and
+      the configuration ({!Transfer.prepared}), so the sender's states
+      mean the same here.
+      @raise Invalid_argument if the sender numbered other cells. *)
   val attach : Transfer.actx -> t -> unit
 end
 

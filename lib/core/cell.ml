@@ -116,33 +116,37 @@ let fresh (it : interner) (c : t) : int =
 let in_scalars (it : interner) (root_id : int) =
   root_id >= 0 && root_id < Array.length it.scalars
 
+(* The id of the cell at [path] from root [root_id], or -1 if it was
+   never interned. *)
+let id_of (it : interner) (root_id : int) (path : step list) : int =
+  match path with
+  | [] when in_scalars it root_id -> Array.unsafe_get it.scalars root_id
+  | path -> (
+      match Hashtbl.find it.tbl (root_id, path) with
+      | id -> id
+      | exception Not_found -> -1)
+
 let intern (it : interner) (c : t) : int =
   let root_id = c.root.F.Tast.v_id in
-  match c.path with
-  | [] when in_scalars it root_id ->
-      let id = Array.unsafe_get it.scalars root_id in
-      if id >= 0 then id
-      else begin
-        let id = fresh it c in
-        it.scalars.(root_id) <- id;
-        id
-      end
-  | path -> (
-      let key = (root_id, path) in
-      match Hashtbl.find_opt it.tbl key with
-      | Some id -> id
-      | None ->
-          let id = fresh it c in
-          Hashtbl.replace it.tbl key id;
-          id)
+  let id = id_of it root_id c.path in
+  if id >= 0 then id
+  else begin
+    let id = fresh it c in
+    (match c.path with
+    | [] when in_scalars it root_id -> it.scalars.(root_id) <- id
+    | path -> Hashtbl.replace it.tbl (root_id, path) id);
+    id
+  end
+
+(* A shared interner never grows under an analysis: a miss is a bug. *)
+let lookup (it : interner) (c : t) : int =
+  let id = id_of it c.root.F.Tast.v_id c.path in
+  if id < 0 then invalid_arg ("Cell.lookup: no cell " ^ to_string c) else id
 
 let of_id (it : interner) (id : int) : t = it.rev.(id)
 
 let find (it : interner) (root_id : int) (path : step list) : int option =
-  match path with
-  | [] when in_scalars it root_id ->
-      let id = Array.unsafe_get it.scalars root_id in
-      if id >= 0 then Some id else None
-  | _ -> Hashtbl.find_opt it.tbl (root_id, path)
+  let id = id_of it root_id path in
+  if id < 0 then None else Some id
 
 let count (it : interner) : int = it.next

@@ -40,6 +40,11 @@ type interner
     [0 .. vars - 1]; larger ids still intern, through the table. *)
 val make_interner : vars:int -> interner
 val intern : interner -> t -> int
+
+(** The id of an interned cell.
+    @raise Invalid_argument naming the cell if it was never interned. *)
+val lookup : interner -> t -> int
+
 val of_id : interner -> int -> t
 
 (** The id of an already interned cell, by root variable id and path. *)

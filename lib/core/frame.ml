@@ -20,10 +20,9 @@
     program-stable order (by variable name and cell path, pack
     identity, loop name), so a summary stored by frame position replays
     in any program whose frame has the same identity ({!id}, part of
-    every store key).  Without names they are listed by id, and a frame
-    lists only the cells interned when it was built: building it must
-    not number cells, or the numbering, and with it the dump order,
-    would depend on when frames are built. *)
+    every store key).  Without names they are listed by id.  Either way
+    a frame only looks its cells up: the prepared program numbered
+    them all ([Transfer.prepare]). *)
 
 module F = Astree_frontend
 open F.Tast
@@ -50,8 +49,6 @@ type t = {
   fr_rel : rel_part list;  (** in {!Relstate.domains} order *)
   fr_octs : int array;  (** octagon pack ids, frame order *)
   fr_loops : int array;  (** loop ids, frame order *)
-  fr_interned : int;
-      (** cells interned when the frame was built, without names *)
 }
 
 (* Facts of a transitive body: its footprint, whether it can reach the
@@ -65,28 +62,27 @@ type reach = { r_vars : VarSet.t Lazy.t; r_wait : bool; r_loops : int list }
 type local = { l_fd : fundef; l_wait : bool; l_loops : int list; l_calls : string list }
 
 (* What the frames of one program share across its analyses
-   ([Transfer.prepared]): the body facts, and the named frames built
-   over a pinned cell numbering, each without digests. *)
+   ([Transfer.prepared]): the program, its configuration, packing and
+   cell numbering, the body facts, and the named frames, each without
+   digests. *)
 type shared = {
+  sh_prog : program;
+  sh_funs : (string, fundef) Hashtbl.t;
+      (** the program's functions by name, first definition first *)
+  sh_cfg : Config.t;
+  sh_packs : Packing.t;
+  sh_intern : Cell.interner;
+  sh_all : VarSet.t Lazy.t;  (** every variable of the program *)
   sh_local : (string, local) Hashtbl.t;  (** by function, computed once *)
   sh_named : (string, t) Hashtbl.t;
   mutable sh_names : names option;  (** the names [sh_named] was built with *)
-  mutable sh_cells : int;  (** the cell count of its numbering *)
 }
 
 type ctx = {
   cx_names : names option;
-  cx_prog : program;
-  cx_funs : (string, fundef) Hashtbl.t;
-      (** the program's functions by name, first definition first *)
-  cx_cfg : Config.t;
-  cx_packs : Packing.t;
-  cx_intern : Cell.interner;
   cx_shared : shared;
-  mutable cx_pinned : bool;  (** [sh_named] is over this run's numbering *)
   cx_reach : (string, reach) Hashtbl.t;
   cx_frames : (string, t) Hashtbl.t;
-  cx_all : VarSet.t Lazy.t;  (** every variable of the program *)
 }
 
 let footprint (fd : fundef) : VarSet.t =
@@ -123,7 +119,7 @@ let reach (cx : ctx) (fname : string) : reach =
         if Hashtbl.mem seen g then acc
         else begin
           Hashtbl.replace seen g ();
-          match Hashtbl.find_opt cx.cx_funs g with
+          match Hashtbl.find_opt cx.cx_shared.sh_funs g with
           | None -> acc
           | Some fd ->
               let l = local cx g fd in
@@ -147,41 +143,49 @@ let reach (cx : ctx) (fname : string) : reach =
       Hashtbl.replace cx.cx_reach fname r;
       r
 
-let shared () : shared =
+let shared (p : program) (funs : (string, fundef) Hashtbl.t) (cfg : Config.t)
+    (packs : Packing.t) (intern : Cell.interner) : shared =
   {
-    sh_local = Hashtbl.create 64;
-    sh_named = Hashtbl.create 64;
-    sh_names = None;
-    sh_cells = 0;
-  }
-
-let ctx ?names ?(shared = shared ()) (p : program)
-    (funs : (string, fundef) Hashtbl.t) (cfg : Config.t) (packs : Packing.t)
-    (intern : Cell.interner) : ctx =
-  {
-    cx_names = names;
-    cx_prog = p;
-    cx_funs = funs;
-    cx_cfg = cfg;
-    cx_packs = packs;
-    cx_intern = intern;
-    cx_shared = shared;
-    cx_pinned = false;
-    cx_reach = Hashtbl.create 64;
-    cx_frames = Hashtbl.create 64;
-    cx_all =
+    sh_prog = p;
+    sh_funs = funs;
+    sh_cfg = cfg;
+    sh_packs = packs;
+    sh_intern = intern;
+    sh_all =
       lazy
         (List.fold_left
            (fun acc (_, fd) -> VarSet.union (footprint fd) acc)
            (VarSet.of_list (List.map fst p.p_globals))
            p.p_funs);
+    sh_local = Hashtbl.create 64;
+    sh_named = Hashtbl.create 64;
+    sh_names = None;
+  }
+
+(* [x] is physically the bound value *)
+let is_phys x = function Some y -> y == x | None -> false
+
+(* The named frames [shared] keeps were built with its names: a context
+   with other names drops them. *)
+let ctx ?names (shared : shared) : ctx =
+  (match names with
+  | Some nm when not (is_phys nm shared.sh_names) ->
+      Hashtbl.reset shared.sh_named;
+      shared.sh_names <- Some nm
+  | _ -> ());
+  {
+    cx_names = names;
+    cx_shared = shared;
+    cx_reach = Hashtbl.create 64;
+    cx_frames = Hashtbl.create 64;
   }
 
 let names (cx : ctx) = cx.cx_names
 
 let cells_of (cx : ctx) (v : var) : Cell.t list =
-  Cell.cells_of_var ~structs:cx.cx_prog.p_structs
-    ~expand_array_max:cx.cx_cfg.Config.expand_array_max v
+  let sh = cx.cx_shared in
+  Cell.cells_of_var ~structs:sh.sh_prog.p_structs
+    ~expand_array_max:sh.sh_cfg.Config.expand_array_max v
 
 let path_string (path : Cell.step list) : string =
   String.concat ""
@@ -191,9 +195,6 @@ let path_string (path : Cell.step list) : string =
          | Cell.Selem i -> "[" ^ string_of_int i ^ "]"
          | Cell.Sall -> "[*]")
        path)
-
-(* [x] is physically the bound value *)
-let is_phys x = function Some y -> y == x | None -> false
 
 (* The frame's relational part for one domain: the packs with a frame
    variable, in frame order — by identity with names, whose identities
@@ -206,7 +207,7 @@ let rel_part (cx : ctx) (vars : VarSet.t) (id : Buffer.t option)
       (fun v ->
         List.iter
           (fun pk -> Hashtbl.replace by_id (M.pack_id pk) pk)
-          (M.packs_of cx.cx_packs v))
+          (M.packs_of cx.cx_shared.sh_packs v))
       vars;
     Hashtbl.fold (fun _ pk acc -> pk :: acc) by_id []
   in
@@ -374,12 +375,13 @@ let named_cells (cx : ctx) (nm : names) (vars : VarSet.t) :
          if c <> 0 then c else String.compare p1 p2)
 
 let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
+  let sh = cx.cx_shared in
   let r = reach cx fname in
   let vars =
-    if r.r_wait then Lazy.force cx.cx_all
+    if r.r_wait then Lazy.force sh.sh_all
     else
       let vars = VarSet.union (Lazy.force r.r_vars) extra in
-      if r.r_loops <> [] && cx.cx_cfg.Config.float_iteration_epsilon > 0. then
+      if r.r_loops <> [] && sh.sh_cfg.Config.float_iteration_epsilon > 0. then
         VarSet.union vars
           (VarSet.filter
              (fun v ->
@@ -387,11 +389,10 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
                  (fun (c : Cell.t) ->
                    match c.Cell.cty with F.Ctypes.Tfloat _ -> true | _ -> false)
                  (cells_of cx v))
-             (Lazy.force cx.cx_all))
+             (Lazy.force sh.sh_all))
       else vars
   in
-  let vars = close cx.cx_packs vars in
-  let interned = Cell.count cx.cx_intern in
+  let vars = close sh.sh_packs vars in
   let fr_id, fr_cells, fr_rel, loops =
     match cx.cx_names with
     | Some nm ->
@@ -410,7 +411,7 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
           cells;
         let fr_cells =
           Array.of_list
-            (List.map (fun (_, _, c) -> Cell.intern cx.cx_intern c) cells)
+            (List.map (fun (_, _, c) -> Cell.lookup sh.sh_intern c) cells)
         in
         let fr_rel = List.map (rel_part cx vars (Some id)) Relstate.domains in
         let loops =
@@ -425,10 +426,7 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
           VarSet.fold
             (fun v acc ->
               List.fold_left
-                (fun acc (c : Cell.t) ->
-                  match Cell.find cx.cx_intern c.Cell.root.v_id c.Cell.path with
-                  | Some cid -> cid :: acc
-                  | None -> acc)
+                (fun acc c -> Cell.lookup sh.sh_intern c :: acc)
                 acc (cells_of cx v))
             vars []
         in
@@ -454,27 +452,13 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
              M.name = Reldom_oct.name)
            fr_rel);
     fr_loops = Array.of_list loops;
-    fr_interned = interned;
   }
 
-let whole (cx : ctx) : t = make cx "" (Lazy.force cx.cx_all)
+let whole (cx : ctx) : t = make cx "" (Lazy.force cx.cx_shared.sh_all)
 
 (* [fr] without the digests a run kept in it *)
 let undigested (fr : t) : t =
   { fr with fr_rel = List.map (fun (Rel r) -> Rel { r with last = [||] }) fr.fr_rel }
-
-let pin (cx : ctx) : unit =
-  match cx.cx_names with
-  | None -> ()
-  | Some nm ->
-      let sh = cx.cx_shared and n = Cell.count cx.cx_intern in
-      (match sh.sh_names with
-      | Some nm0 when nm0 == nm && sh.sh_cells = n -> ()
-      | _ ->
-          Hashtbl.reset sh.sh_named;
-          sh.sh_names <- Some nm;
-          sh.sh_cells <- n);
-      cx.cx_pinned <- true
 
 let of_call (cx : ctx) ~(fname : string) (binds : Reldom.binds) : t =
   let extra =
@@ -487,23 +471,19 @@ let of_call (cx : ctx) ~(fname : string) (binds : Reldom.binds) : t =
         (fname :: List.map (fun v -> string_of_int v.v_id) (VarSet.elements extra))
   in
   match Hashtbl.find_opt cx.cx_frames key with
-  | Some fr
-    when cx.cx_names <> None || fr.fr_interned = Cell.count cx.cx_intern ->
-      fr
-  | _ ->
+  | Some fr -> fr
+  | None ->
       let sh = cx.cx_shared in
       let fr =
-        match
-          if cx.cx_pinned then Hashtbl.find_opt sh.sh_named key else None
-        with
-        | Some fr -> undigested fr
-        | None ->
-            let fr = make cx fname extra in
-            (* a frame is shared only over the pinned cells: a cell this
-               run numbered later may take another id in the next run *)
-            if cx.cx_pinned && Array.for_all (fun c -> c < sh.sh_cells) fr.fr_cells
-            then Hashtbl.replace sh.sh_named key (undigested fr);
-            fr
+        match cx.cx_names with
+        | None -> make cx fname extra
+        | Some _ -> (
+            match Hashtbl.find_opt sh.sh_named key with
+            | Some fr -> undigested fr
+            | None ->
+                let fr = make cx fname extra in
+                Hashtbl.replace sh.sh_named key (undigested fr);
+                fr)
       in
       Hashtbl.replace cx.cx_frames key fr;
       fr

@@ -20,12 +20,22 @@ type names = {
 type t
 
 (** What the frames of one program share across its analyses (a
-    [Transfer.prepared] record holds it): the facts of each body, and
-    the named frames built over a pinned numbering ({!pin}).  A run's
-    frames keep their pack digests; the shared ones hold none. *)
+    [Transfer.prepared] record holds it): the program, its
+    configuration, packing and cell numbering, the facts of each body,
+    and the named frames built with one set of names.  A run's frames
+    keep their pack digests; the shared ones hold none. *)
 type shared
 
-val shared : unit -> shared
+(** [shared p funs cfg packs intern]: [funs] are [p]'s functions by
+    name, the first definition first; [intern] has numbered every cell
+    a frame of [p] under [cfg] can hold. *)
+val shared :
+  Astree_frontend.Tast.program ->
+  (string, Astree_frontend.Tast.fundef) Hashtbl.t ->
+  Config.t ->
+  Packing.t ->
+  Cell.interner ->
+  shared
 
 (** The named frames [shared] holds. *)
 val shared_frames : shared -> int
@@ -33,34 +43,14 @@ val shared_frames : shared -> int
 (** Frames of one analysis context, computed on demand and kept. *)
 type ctx
 
-(** [ctx ?names ?shared p funs cfg packs intern]: [funs] are [p]'s
-    functions by name, the first definition first; [shared] defaults to
-    a fresh one.  [p], [cfg] and [packs] must be those [shared] was
-    built for. *)
-val ctx :
-  ?names:names ->
-  ?shared:shared ->
-  Astree_frontend.Tast.program ->
-  (string, Astree_frontend.Tast.fundef) Hashtbl.t ->
-  Config.t ->
-  Packing.t ->
-  Cell.interner ->
-  ctx
+(** A frame context over [shared].  With [names], it reuses the named
+    frames [shared] holds and adds the ones it builds, after dropping
+    those built with other names. *)
+val ctx : ?names:names -> shared -> ctx
 
 val names : ctx -> names option
 
-(** Declare the context's cell numbering pinned: every cell of the
-    program was interned in program order into an empty interner
-    ([Transfer.prefill_cells]).  Named frames the shared part holds are
-    reused from then on if they were built with the same names over a
-    numbering of the same cell count; otherwise the shared part drops
-    them.  A frame built from then on is shared if all its cells are
-    pinned ones.  Without names, pinning does nothing. *)
-val pin : ctx -> unit
-
-(** The frame of a call to [fname] with these by-reference bindings.
-    Without names, a frame lists only interned cells, so it is rebuilt
-    once more cells have been interned. *)
+(** The frame of a call to [fname] with these by-reference bindings. *)
 val of_call : ctx -> fname:string -> Reldom.binds -> t
 
 (** The frame of every cell and pack of the program (and no loop). *)

@@ -8,35 +8,16 @@
     assertions, octagonal constraints, ellipsoidal constraints and
     decision trees. *)
 
-module F = Astree_frontend
 module D = Astree_domains
 
-(* Each cell's rank in program order ({!Transfer.program_cells}), by
-   cell id; cells outside it rank last.  A dump lists cells in this
-   order, so it does not depend on the numbering: a run that pre-filled
-   its cells and one that numbered them in first-use order dump alike. *)
-let program_rank (a : Transfer.actx) : int array =
-  let intern = a.Transfer.intern in
-  let rank = Array.make (Cell.count intern) max_int and next = ref 0 in
-  Transfer.program_cells a (fun c ->
-      match Cell.find intern c.Cell.root.F.Tast.v_id c.Cell.path with
-      | Some id when rank.(id) = max_int ->
-          rank.(id) <- !next;
-          incr next
-      | _ -> ());
-  rank
-
-let dump_ranked (a : Transfer.actx) (rank : int array Lazy.t) ppf
-    (st : Astate.t) : unit =
+let dump_state (a : Transfer.actx) ppf (st : Astate.t) : unit =
   if Astate.is_bot st then Fmt.pf ppf "unreachable@."
   else begin
-    (* interval and clock assertions, cell by cell *)
-    let rank = Lazy.force rank in
+    (* interval and clock assertions, cell by cell: ids are in program
+       order ({!Transfer.prepared}) *)
     let cells =
       Env.fold (fun id av acc -> (id, av) :: acc) st.Astate.env []
-      |> List.sort (fun (x, _) (y, _) ->
-             let c = Int.compare rank.(x) rank.(y) in
-             if c <> 0 then c else Int.compare x y)
+      |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
     in
     List.iter
       (fun (id, (av : Avalue.t)) ->
@@ -56,9 +37,6 @@ let dump_ranked (a : Transfer.actx) (rank : int array Lazy.t) ppf
     Relstate.pp ppf st.Astate.rel
   end
 
-let dump_state (a : Transfer.actx) ppf (st : Astate.t) : unit =
-  dump_ranked a (lazy (program_rank a)) ppf st
-
 (** Dump every recorded loop invariant to a string. *)
 let to_string (r : Analysis.result) : string =
   let buf = Buffer.create 65536 in
@@ -69,11 +47,10 @@ let to_string (r : Analysis.result) : string =
       r.Analysis.r_actx.Transfer.invariants []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  let rank = lazy (program_rank r.Analysis.r_actx) in
   List.iter
     (fun (id, st) ->
       Fmt.pf ppf "===== loop %d invariant =====@." id;
-      dump_ranked r.Analysis.r_actx rank ppf st)
+      dump_state r.Analysis.r_actx ppf st)
     invs;
   Fmt.flush ppf ();
   Buffer.contents buf

@@ -1,8 +1,8 @@
 (** Textual dump of loop invariants (Sect. 5.3, 9.4.1: the paper's main
     loop invariant dump is "a textual file over 4.5 Mb"). *)
 
-(** Dump one abstract state's assertions, cells in program order
-    ({!Transfer.program_cells}) whatever their numbering. *)
+(** Dump one abstract state's assertions, cells by id, which is program
+    order ({!Transfer.prepared}). *)
 val dump_state : Transfer.actx -> Format.formatter -> Astate.t -> unit
 
 (** Dump every recorded loop invariant. *)

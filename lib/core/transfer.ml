@@ -39,7 +39,7 @@ end)
 
 (** A shared cell of the multi-task interference analysis, identified
     position-independently (root variable id + access path) so keys
-    marshal across processes and survive differing interner numberings. *)
+    marshal across processes. *)
 type itf_key = int * Cell.step list
 
 (** Interference context of one per-task analysis run (Miné's
@@ -119,12 +119,16 @@ type extra = ..
 (** What an analysis of [pr_prog] under [pr_cfg] builds before it
     iterates and that depends on nothing else: kept by a caller that
     analyzes the same program again ([astreed]'s workers), built once
-    per run otherwise.  Per-run state — the interner, alarms,
-    invariants, journals, pack digests — is never in it. *)
+    per run otherwise.  Its interner numbers every cell of the program
+    in program order, and no analysis numbers one after that: cell ids
+    are a fact of the prepared program, shared by every run of it, in
+    any process.  Per-run state — alarms, invariants, journals, pack
+    digests — is never in it. *)
 type prepared = {
   pr_prog : program;
   pr_cfg : Config.t;
   pr_packs : Packing.t;
+  pr_intern : Cell.interner;
   pr_funs : (string, fundef) Hashtbl.t;
   pr_input_specs : (int, float * float) Hashtbl.t;
   pr_inlined : (string, int) Hashtbl.t Lazy.t;
@@ -283,6 +287,30 @@ let inlined_sizes (funs : (string, fundef) Hashtbl.t) (p : program) :
   List.iter (fun (fn, _) -> ignore (size [] fn)) p.p_funs;
   sizes
 
+(* [f] on every cell the analysis could ever touch, in deterministic
+   program order: globals, then each function's parameters, locals and
+   call destinations.  A cell may come more than once. *)
+let program_cells (cfg : Config.t) (p : program) (f : Cell.t -> unit) : unit =
+  let var_cells (v : var) =
+    List.iter f
+      (Cell.cells_of_var ~structs:p.p_structs
+         ~expand_array_max:cfg.Config.expand_array_max v)
+  in
+  List.iter (fun (v, _) -> var_cells v) p.p_globals;
+  List.iter
+    (fun ((_, fd) : string * fundef) ->
+      List.iter
+        (function Pval v -> var_cells v | Pref _ -> ())
+        fd.fd_params;
+      iter_stmts
+        (fun s ->
+          match s.sdesc with
+          | Slocal (v, _) -> var_cells v
+          | Scall (Some v, _, _) -> var_cells v
+          | _ -> ())
+        fd.fd_body)
+    p.p_funs
+
 let prepare (cfg : Config.t) (p : program) : prepared =
   let input_specs = Hashtbl.create 16 in
   List.iter
@@ -290,14 +318,18 @@ let prepare (cfg : Config.t) (p : program) : prepared =
       Hashtbl.replace input_specs spec.in_var.v_id (spec.in_lo, spec.in_hi))
     p.p_inputs;
   let funs = F.Tast.fun_table p in
+  let packs = Packing.compute cfg p in
+  let intern = Cell.make_interner ~vars:(F.Tast.var_id_bound p) in
+  program_cells cfg p (fun c -> ignore (Cell.intern intern c));
   {
     pr_prog = p;
     pr_cfg = cfg;
-    pr_packs = Packing.compute cfg p;
+    pr_packs = packs;
+    pr_intern = intern;
     pr_funs = funs;
     pr_input_specs = input_specs;
     pr_inlined = lazy (inlined_sizes funs p);
-    pr_frames = Frame.shared ();
+    pr_frames = Frame.shared p funs cfg packs intern;
     pr_extra = None;
   }
 
@@ -310,7 +342,6 @@ let make_actx ?session ?prepared (cfg : Config.t) (p : program) : actx =
   let pr = prepared_for ?prepared cfg p in
   let session = match session with Some s -> s | None -> new_session () in
   let names = Option.map (fun k -> k.kt_names) session.ses_keyed in
-  let intern = Cell.make_interner ~vars:(F.Tast.var_id_bound p) in
   {
     prog = p;
     prepared = pr;
@@ -318,14 +349,13 @@ let make_actx ?session ?prepared (cfg : Config.t) (p : program) : actx =
     cfg;
     session;
     packs = pr.pr_packs;
-    intern;
+    intern = pr.pr_intern;
     alarms = Alarm.make_collector ();
     oct_useful = Hashtbl.create 16;
     invariants = Hashtbl.create 16;
     input_specs = pr.pr_input_specs;
     join_count = 0;
-    frames =
-      Frame.ctx ?names ~shared:pr.pr_frames p pr.pr_funs cfg pr.pr_packs intern;
+    frames = Frame.ctx ?names pr.pr_frames;
     journal = [];
     journal_len = 0;
     captures = 0;
@@ -341,7 +371,7 @@ let make_actx ?session ?prepared (cfg : Config.t) (p : program) : actx =
 let var_cell (a : actx) (v : var) : int =
   match v.v_ty with
   | F.Ctypes.Tscalar s ->
-      Cell.intern a.intern { Cell.root = v; path = []; cty = s; weak = false }
+      Cell.lookup a.intern { Cell.root = v; path = []; cty = s; weak = false }
   | _ -> invalid_arg "var_cell: not a scalar variable"
 
 let type_range (a : actx) (s : F.Ctypes.scalar) : D.Itv.t =
@@ -854,7 +884,7 @@ and cells_of_lval (a : actx) (st : Astate.t) (binds : binds) (err : bool ref)
         match lv.lty with
         | F.Ctypes.Tscalar s ->
             let weak = List.mem Cell.Sall path in
-            Some (Cell.intern a.intern { Cell.root = v; path; cty = s; weak })
+            Some (Cell.lookup a.intern { Cell.root = v; path; cty = s; weak })
         | _ -> None)
       paths
   in
@@ -1246,7 +1276,7 @@ let local_decl (a : actx) (st : Astate.t) (binds : binds) (v : var)
         let env =
           List.fold_left
             (fun env c ->
-              let id = Cell.intern a.intern c in
+              let id = Cell.lookup a.intern c in
               Env.set env id
                 (Avalue.of_itv ~use_clocked:false ~clock:st.Astate.clock
                    (type_range a c.Cell.cty)))
@@ -1332,7 +1362,7 @@ let initial_state (a : actx) : Astate.t =
       in
       List.iter
         (fun (c : Cell.t) ->
-          let id = Cell.intern a.intern c in
+          let id = Cell.lookup a.intern c in
           let i =
             if v.v_volatile then
               (* volatile inputs: any value of the spec range *)
@@ -1346,45 +1376,6 @@ let initial_state (a : actx) : Astate.t =
         cells)
     a.prog.p_globals;
   Astate.make ~env:!env ~rel:(Relstate.top a.packs) ~clock
-
-(* ------------------------------------------------------------------ *)
-(* Frozen cell numbering                                                *)
-(* ------------------------------------------------------------------ *)
-
-(** [f] on every cell the analysis could ever touch, in deterministic
-    program order: globals, then each function's parameters, locals and
-    call destinations.  A cell may come more than once. *)
-let program_cells (a : actx) (f : Cell.t -> unit) : unit =
-  let var_cells (v : var) =
-    List.iter f
-      (Cell.cells_of_var ~structs:a.prog.p_structs
-         ~expand_array_max:a.cfg.Config.expand_array_max v)
-  in
-  List.iter (fun (v, _) -> var_cells v) a.prog.p_globals;
-  List.iter
-    (fun ((_, fd) : string * fundef) ->
-      List.iter
-        (function Pval v -> var_cells v | Pref _ -> ())
-        fd.fd_params;
-      iter_stmts
-        (fun s ->
-          match s.sdesc with
-          | Slocal (v, _) -> var_cells v
-          | Scall (Some v, _, _) -> var_cells v
-          | _ -> ())
-        fd.fd_body)
-    a.prog.p_funs
-
-(** Intern every cell in program order ({!program_cells}), so the
-    numbering does not depend on the order the iterator — or the
-    summary cache building a call's frame — first reaches cells.
-    Multi-task runs rely on it: their per-task contexts, built in forked
-    workers or in-process, are merged by cell id.  Summary keys do not:
-    they name cells. *)
-let prefill_cells (a : actx) : unit =
-  let empty = Cell.count a.intern = 0 in
-  program_cells a (fun c -> ignore (Cell.intern a.intern c));
-  if empty then Frame.pin a.frames
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-analysis support                                         *)

@@ -37,8 +37,7 @@ module Stmt_tbl : Hashtbl.S with type key = F.Tast.stmt
 (** {1 Multi-task interference (Astree_conc seam)} *)
 
 (** A shared cell, identified position-independently: root variable id
-    and access path.  Marshals across processes and is stable across
-    differing interner numberings. *)
+    and access path.  Marshals across processes. *)
 type itf_key = int * Cell.step list
 
 (** Interference context of one per-task run of a multi-task analysis
@@ -103,16 +102,22 @@ type summary = {
 type extra = ..
 
 (** What an analysis of [pr_prog] under [pr_cfg] builds before it
-    iterates and that depends on nothing else: the packing, the
-    function table, the input ranges, the inlined sizes, the frames'
-    shared part and the [extra] facts.  A caller that analyzes the same
-    program again keeps it ([astreed]'s workers); otherwise it is built
-    once per run.  Per-run state — the interner, alarms, invariants,
-    journals, pack digests — is never in it. *)
+    iterates and that depends on nothing else: the packing, the cell
+    numbering, the function table, the input ranges, the inlined sizes,
+    the frames' shared part and the [extra] facts.  A caller that
+    analyzes the same program again keeps it ([astreed]'s workers);
+    otherwise it is built once per run.  Per-run state — alarms,
+    invariants, journals, pack digests — is never in it. *)
 type prepared = {
   pr_prog : F.Tast.program;
   pr_cfg : Config.t;
   pr_packs : Packing.t;
+  pr_intern : Cell.interner;
+      (** every cell the analysis can touch, numbered in program order
+          (globals, then each function's parameters, locals and call
+          destinations): cell ids are a function of the program and
+          the configuration alone, shared by every run of the record
+          and never extended by one *)
   pr_funs : (string, F.Tast.fundef) Hashtbl.t;
       (** [pr_prog]'s functions by name, first definition first *)
   pr_input_specs : (int, float * float) Hashtbl.t;
@@ -208,7 +213,7 @@ and actx = {
   cfg : Config.t;
   session : session;
   packs : Packing.t;
-  intern : Cell.interner;
+  intern : Cell.interner;  (** [prepared.pr_intern]: look cells up only *)
   alarms : Alarm.collector;
   oct_useful : (int, unit) Hashtbl.t;
       (** octagon packs that improved precision (Sect. 7.2.2) *)
@@ -236,14 +241,14 @@ val prepare : Config.t -> F.Tast.program -> prepared
     (structurally), a fresh {!prepare} otherwise. *)
 val prepared_for : ?prepared:prepared -> Config.t -> F.Tast.program -> prepared
 
-(** A fresh context: a new interner, alarm collector, invariant table
-    and journal over [prepared_for ?prepared cfg p]. *)
+(** A fresh context: a new alarm collector, invariant table and journal
+    over [prepared_for ?prepared cfg p] and its cell numbering. *)
 val make_actx :
   ?session:session -> ?prepared:prepared -> Config.t -> F.Tast.program -> actx
 
 (** {1 Cells and values} *)
 
-(** Interned cell id of a scalar variable. *)
+(** Cell id of a scalar variable. *)
 val var_cell : actx -> F.Tast.var -> int
 
 (** Clock-reduced interval of a cell.  Under an interference context,
@@ -313,18 +318,6 @@ val wait : actx -> Astate.t -> Astate.t
 (** Initial abstract state: globals bound to their static initializers
     (Sect. 5.2). *)
 val initial_state : actx -> Astate.t
-
-(** Every cell the analysis could ever touch, in deterministic program
-    order (globals, then each function's parameters, locals and call
-    destinations), possibly more than once. *)
-val program_cells : actx -> (Cell.t -> unit) -> unit
-
-(** Intern every cell in {!program_cells} order, so every context of a
-    program — per-task run in a worker or in-process, with or without
-    summary frames built — shares one cell numbering.  Into an empty
-    interner, this pins the numbering for the context's frames
-    ({!Frame.pin}). *)
-val prefill_cells : actx -> unit
 
 (** {1 Call memo support}
 

@@ -52,10 +52,7 @@ let keys (pr : C.Transfer.prepared) : Fingerprint.t * C.Frame.names =
     pack of the program, by name and frame position. *)
 let entry_digest (a : C.Transfer.actx) (st : C.Astate.t) : string =
   let fps, nm = keys a.C.Transfer.prepared in
-  let cx =
-    C.Frame.ctx ~names:nm a.C.Transfer.prog a.C.Transfer.funs
-      a.C.Transfer.cfg a.C.Transfer.packs a.C.Transfer.intern
-  in
+  let cx = C.Frame.ctx ~names:nm a.C.Transfer.prepared.C.Transfer.pr_frames in
   Frame.entry_digest (Buffer.create 1024) fps (C.Frame.whole cx) st
     F.Tast.VarMap.empty
 

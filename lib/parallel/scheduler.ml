@@ -75,10 +75,9 @@ let batch_job ?(label = "") ?(cfg = C.Config.default) (p : F.Tast.program) :
     batch_job =
   { bj_label = label; bj_cfg = cfg; bj_program = p }
 
-(** Run one batch job sequentially, cells pre-filled so that its reply
-    attaches to the parent's pre-filled context of the program. *)
+(** Run one batch job sequentially. *)
 let run_batch_job (bj : batch_job) : C.Analysis.result =
-  C.Analysis.analyze ~prefill:true ~cfg:bj.bj_cfg bj.bj_program
+  C.Analysis.analyze ~cfg:bj.bj_cfg bj.bj_program
 
 (** Run a batch of whole-program analyses on [jobs] workers, results in
     job order. *)
@@ -100,7 +99,6 @@ let analyze_batch ?(jobs = default_jobs ()) (items : batch_job list) :
     List.map2
       (fun bj rp ->
         let actx = C.Transfer.make_actx bj.bj_cfg bj.bj_program in
-        C.Transfer.prefill_cells actx;
         C.Analysis.Reply.attach actx rp;
         ( bj.bj_label,
           {

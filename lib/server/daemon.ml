@@ -395,6 +395,20 @@ let handle_readable st conn ~now =
 
 (* ---- worker completions ------------------------------------------ *)
 
+(* A job failed: each waiter, in arrival order, counts an error, is
+   logged ([why], when given, follows the request id) and is replied
+   [msg]. *)
+let fail_waiters st pend ~now ~outcome ?why msg =
+  List.iter
+    (fun w ->
+      st.st_errors <- st.st_errors + 1;
+      Option.iter (log st "request %s %s" w.wt_id) why;
+      Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
+        ~queue_s:(Float.max 0. (now -. w.wt_received))
+        ~verb:"analyze" ~outcome w.wt_rid;
+      reply st w.wt_conn (error_reply ~rid:w.wt_rid w.wt_id msg))
+    (List.rev pend.p_waiters)
+
 let finish st slot ~now =
   match Hashtbl.find_opt st.st_inflight slot with
   | None -> ignore (Pool.reap st.st_pool slot)
@@ -446,24 +460,9 @@ let finish st slot ~now =
             waiters
       | Ok { Observed.value = Service.Refused msg; _ } ->
           (* a request-level refusal is not a crash: the worker lived *)
-          List.iter
-            (fun w ->
-              st.st_errors <- st.st_errors + 1;
-              Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
-                ~queue_s:(Float.max 0. (now -. w.wt_received))
-                ~verb:"analyze" ~outcome:`Error w.wt_rid;
-              reply st w.wt_conn (error_reply ~rid:w.wt_rid w.wt_id msg))
-            waiters
+          fail_waiters st pend ~now ~outcome:`Error msg
       | Error msg ->
-          List.iter
-            (fun w ->
-              st.st_errors <- st.st_errors + 1;
-              log st "request %s failed: %s" w.wt_id msg;
-              Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
-                ~queue_s:(Float.max 0. (now -. w.wt_received))
-                ~verb:"analyze" ~outcome:`Error w.wt_rid;
-              reply st w.wt_conn (error_reply ~rid:w.wt_rid w.wt_id msg))
-            waiters);
+          fail_waiters st pend ~now ~outcome:`Error ~why:("failed: " ^ msg) msg);
       drain_queue st
 
 let cancel_expired st ~now =
@@ -475,16 +474,8 @@ let cancel_expired st ~now =
           Hashtbl.remove st.st_inflight slot;
           Hashtbl.remove st.st_keys pend.p_key;
           Pool.cancel st.st_pool slot;
-          List.iter
-            (fun w ->
-              st.st_errors <- st.st_errors + 1;
-              log st "request %s timed out (hard limit)" w.wt_id;
-              Telemetry.observe st.st_tele ~now ~digest:pend.p_digest
-                ~queue_s:(Float.max 0. (now -. w.wt_received))
-                ~verb:"analyze" ~outcome:`Timeout w.wt_rid;
-              reply st w.wt_conn
-                (error_reply ~rid:w.wt_rid w.wt_id "request timed out"))
-            (List.rev pend.p_waiters))
+          fail_waiters st pend ~now ~outcome:`Timeout
+            ~why:"timed out (hard limit)" "request timed out")
     (Pool.expired_slots st.st_pool ~now);
   drain_queue st
 

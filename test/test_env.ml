@@ -138,6 +138,10 @@ let test_interner_lookup () =
   check "find far" (Some id_far) (C.Cell.find it 40 []);
   check "absent scalar" None (C.Cell.find it 4 []);
   check "absent field" None (C.Cell.find it 3 [ C.Cell.Sfield "a" ]);
+  Alcotest.(check int) "lookup field" id_field (C.Cell.lookup it field);
+  Alcotest.check_raises "lookup of a cell never interned"
+    (Invalid_argument "Cell.lookup: no cell v4") (fun () ->
+      ignore (C.Cell.lookup it (cell (var 4 F.Ctypes.t_int) [])));
   Alcotest.(check (list int)) "dense ids in order" [ 0; 1; 2; 3; 4 ]
     [ id_x; id_field; id_elem; id_far; id_s ];
   Alcotest.(check int) "count" 5 (C.Cell.count it);

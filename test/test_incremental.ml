@@ -751,8 +751,7 @@ let recorded_calls (cfg : C.Config.t) (p : F.Tast.program) =
 
 (* a fresh frame context of [a], built with the store's names *)
 let named_frames fps (a : C.Transfer.actx) =
-  C.Frame.ctx ~names:(I.Frame.names fps) a.C.Transfer.prog a.C.Transfer.funs
-    a.C.Transfer.cfg a.C.Transfer.packs a.C.Transfer.intern
+  C.Frame.ctx ~names:(I.Frame.names fps) a.C.Transfer.prepared.C.Transfer.pr_frames
 
 (* the entry digest of one recorded call, from a fresh frame context *)
 let key_of cfg p (a, fname, st, binds) =

@@ -1760,55 +1760,71 @@ let test_repeated_requests_exact () =
             replies)
         inputs)
 
-let test_numbering_mismatch_rebuilds () =
+(* Cell ids are a fact of the prepared program: every run of a kept
+   record analyzes with the record's interner, and no run, under any
+   configuration, numbers a cell its preparation did not. *)
+let test_one_numbering_per_prepared () =
   with_dir (fun store ->
-      let sources = [ ("shift.c", prog_calls) ] in
-      let expected = in_process_report sources in
-      ignore (serve_in ~store sources);
-      ignore (serve_in ~store sources);
-      let pr = Option.get (Srv.Service.prepared ~main:"main" sources) in
-      let _, names = I.Summary.keys pr in
-      let p = pr.C.Transfer.pr_prog in
-      (* the cells of [lag]'s frame in a context of the record whose
-         numbering starts with [extra] cells *)
-      let lag_cells extra =
-        let ses = C.Transfer.new_session () in
-        ses.C.Transfer.ses_keyed <-
-          Some
-            {
-              C.Transfer.kt_names = names;
-              kt_key = (fun _ ~fname:_ _ _ _ -> None);
-              kt_find = (fun _ -> None);
-              kt_add = (fun _ _ -> ());
-              kt_lookups = { C.Transfer.lk_hits = 0; lk_misses = 0 };
-            };
-        let a =
-          C.Transfer.make_actx ~session:ses ~prepared:pr pr.C.Transfer.pr_cfg p
-        in
-        List.iter (fun c -> ignore (C.Cell.intern a.C.Transfer.intern c)) extra;
-        C.Transfer.prefill_cells a;
-        C.Frame.cells (C.Frame.of_call a.C.Transfer.frames ~fname:"lag" F.Tast.VarMap.empty)
+      let sources = [ ("once.c", prog_calls) ] in
+      let counts =
+        List.init 3 (fun _ ->
+            ignore (serve_in ~store sources);
+            match Srv.Service.prepared ~main:"main" sources with
+            | None -> None
+            | Some pr ->
+                let a =
+                  C.Transfer.make_actx ~prepared:pr pr.C.Transfer.pr_cfg
+                    pr.C.Transfer.pr_prog
+                in
+                Alcotest.(check bool) "a serve analyzes with the kept interner" true
+                  (a.C.Transfer.intern == pr.C.Transfer.pr_intern);
+                Some (pr, C.Cell.count pr.C.Transfer.pr_intern))
       in
-      let pinned = lag_cells [] in
-      let kept = C.Frame.shared_frames pr.C.Transfer.pr_frames in
-      Alcotest.(check (array int)) "a pinned context reuses the kept frame"
-        pinned (lag_cells []);
-      (* a cell no program cell is: [lag]'s parameter at a made-up path *)
-      let stray =
-        match (List.assoc "lag" p.F.Tast.p_funs).F.Tast.fd_params with
-        | F.Tast.Pval v :: _ -> (
-            match v.F.Tast.v_ty with
-            | F.Ctypes.Tscalar cty ->
-                { C.Cell.root = v; path = [ C.Cell.Selem 99 ]; cty; weak = false }
-            | _ -> Alcotest.fail "lag's parameter is not a scalar")
-        | _ -> Alcotest.fail "lag has no by-value parameter"
+      (match counts with
+      | [ None; Some (pr2, n2); Some (pr3, n3) ] ->
+          Alcotest.(check bool) "the third serve kept the second's record" true
+            (pr2 == pr3);
+          Alcotest.(check int) "the third serve numbered no cell" n2 n3
+      | _ -> Alcotest.fail "the record was not kept from the second serve on"));
+  I.Summary.register ();
+  with_dir (fun dir ->
+      let tasks =
+        G.Generator.generate_tasks
+          { G.Generator.default with seed = 5; target_lines = 120; bug_ratio = 1.0 }
+          ~tasks:3
       in
-      let shifted = lag_cells [ stray ] in
-      Alcotest.(check (array int)) "the shifted frame was rebuilt over its numbering"
-        (Array.map succ pinned) shifted;
-      Alcotest.(check int) "the record's frames were left alone" kept
-        (C.Frame.shared_frames pr.C.Transfer.pr_frames);
-      check_served ~what:"the next request" expected (serve_in ~store sources))
+      let programs =
+        List.map (fun (f, src) -> (f, [], src)) (example_files ())
+        @ [ ("tasks.c", tasks.G.Generator.task_fns, tasks.G.Generator.source) ]
+      in
+      List.iter
+        (fun (name, task_fns, src) ->
+          let p, _ = C.Analysis.compile ~main:"main" [ (name, src) ] in
+          let configs =
+            [
+              ("default", C.Config.default);
+              ("baseline", C.Config.baseline);
+              ( "partitioned",
+                {
+                  C.Config.default with
+                  C.Config.partitioned_functions = List.map fst p.F.Tast.p_funs;
+                } );
+              ( "cache",
+                { C.Config.default with C.Config.summary_cache = C.Config.Cache_dir dir } );
+            ]
+          in
+          List.iter
+            (fun (what, cfg) ->
+              let r =
+                if task_fns = [] then C.Analysis.analyze ~cfg p
+                else (Astree_conc.Fixpoint.analyze ~cfg ~tasks:task_fns p).c_result
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s, %s: the prepared numbering" name what)
+                (C.Cell.count (C.Transfer.prepare cfg p).C.Transfer.pr_intern)
+                (C.Cell.count r.C.Analysis.r_actx.C.Transfer.intern))
+            configs)
+        programs)
 
 let suite =
   [
@@ -1881,7 +1897,7 @@ let suite =
       test_prepared_once;
     Alcotest.test_case "repeated requests reply as the one-shot run" `Slow
       test_repeated_requests_exact;
-    Alcotest.test_case "a numbering mismatch rebuilds the frames" `Quick
-      test_numbering_mismatch_rebuilds;
+    Alcotest.test_case "one numbering per prepared program" `Quick
+      test_one_numbering_per_prepared;
   ]
   @ List.map QCheck_alcotest.to_alcotest json_string_props
