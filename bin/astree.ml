@@ -7,9 +7,10 @@
    tree pack bounds, and the useful-octagon-pack reuse of Sect. 7.2.2.
 
    With --connect SOCK the analysis is delegated to a running astreed
-   daemon (warm typed-IR and summary caches); the reply carries the same
-   JSON report bytes this binary would print in-process, and when no
-   daemon answers the analysis runs in-process instead. *)
+   daemon, whose workers keep a table of prepared programs and whose
+   summary store outlives requests; the reply carries the same JSON
+   report bytes this binary would print in-process, and when no daemon
+   answers the analysis runs in-process instead. *)
 
 module C = Astree_core
 module F = Astree_frontend

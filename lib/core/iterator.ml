@@ -235,11 +235,11 @@ let replay_slot (a : Transfer.actx) (cs : Transfer.call_site) (fr : Frame.t)
   end
   else None
 
-(* Compute a call in a capture section and record its summary, with the
-   frame it is recorded in. *)
-let record_call (a : Transfer.actx) ~(fname : string) (binds : Transfer.binds)
-    (st : Astate.t) (compute : unit -> Astate.t * D.Itv.t) :
-    (Astate.t * D.Itv.t) * Frame.t * Transfer.summary option =
+(* Compute a call in a capture section and record its summary in the
+   call's frame [fr]. *)
+let record_call (a : Transfer.actx) (fr : Frame.t) (st : Astate.t)
+    (compute : unit -> Astate.t * D.Itv.t) :
+    (Astate.t * D.Itv.t) * Transfer.summary option =
   let cap = Transfer.capture_begin a in
   let r =
     try compute ()
@@ -248,10 +248,7 @@ let record_call (a : Transfer.actx) ~(fname : string) (binds : Transfer.binds)
       raise e
   in
   let delta = Transfer.capture_end a cap in
-  (* the frame again: without names, the call may have numbered cells of
-     its own *)
-  let fr = Frame.of_call a.Transfer.frames ~fname binds in
-  (r, fr, Transfer.record a fr ~entry:st r delta)
+  (r, Transfer.record a fr ~entry:st r delta)
 
 (** The call memo: the result of [compute ()], the analysis of the body
     of a call to [fname] at [site] from the bound entry state [st], with
@@ -311,16 +308,16 @@ let exec_call_memo (a : Transfer.actx) ~(site : stmt) ~(fname : string)
                 (if hit then "cache.hit" else "cache.miss")
                 ~args:[ ("fn", Trace.S fname) ])
           key;
-        let r, fr, summary =
+        let r, summary =
           match (found, key, slots) with
-          | Some s, _, _ -> (Transfer.replay a fr ~entry:st s, fr, found)
-          | None, None, None -> (compute (), fr, None)
+          | Some s, _, _ -> (Transfer.replay a fr ~entry:st s, found)
+          | None, None, None -> (compute (), None)
           | None, _, _ ->
-              let r, fr, s = record_call a ~fname binds st compute in
+              let r, s = record_call a fr st compute in
               (match (key, s) with
               | Some (k, key), Some s -> k.Transfer.kt_add key s
               | _ -> ());
-              (r, fr, s)
+              (r, s)
         in
         (match (slots, summary) with
         | Some cs, Some s ->

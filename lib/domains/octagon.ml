@@ -284,11 +284,8 @@ let popcount =
   let rec go acc s = if s = 0 then acc else go (acc + (s land 1)) (s lsr 1) in
   fun s -> go 0 s
 
-let force_full_close = ref false
-
 let close_incremental (o : t) : unit =
-  if !force_full_close then close o
-  else if o.bot then o.closure <- Closed
+  if o.bot then o.closure <- Closed
   else
     match o.closure with
     | Closed -> Metrics.incr c_close_skip

@@ -63,10 +63,6 @@ val close : t -> unit
     test). *)
 val close_incremental : t -> unit
 
-(** Benchmark hook: when set, [close_incremental] always performs the
-    full cubic closure, reproducing the pre-optimization cost model. *)
-val force_full_close : bool ref
-
 (** {1 Lattice operations} (on closed arguments) *)
 
 val join : t -> t -> t

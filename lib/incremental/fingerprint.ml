@@ -442,38 +442,69 @@ let local_locations nm buf (fd : F.Tast.fundef) : string =
     instead.  [timeout] and [max_mem_mb] are likewise excluded: the
     budget never changes a run that completes, only whether a coarser
     configuration (whose own fingerprint differs via
-    [shed_packs_above]) is tried instead.  Written as one explicit
-    tuple so adding a [Config] field breaks this function until the
-    field is classified. *)
+    [shed_packs_above]) is tried instead.  The record pattern names
+    every field, so adding a [Config] field breaks this function
+    (warning 9) until the field is classified. *)
 let config_digest (cfg : C.Config.t) : string =
-  let open C.Config in
+  let {
+    C.Config.use_clocked;
+    use_octagons;
+    use_ellipsoids;
+    use_decision_trees;
+    use_linearization;
+    widening_thresholds;
+    delay_widening;
+    widening_fairness;
+    loop_unroll;
+    loop_unroll_overrides = _;
+    narrowing_iterations;
+    float_iteration_epsilon;
+    partitioned_functions;
+    max_partitions;
+    max_octagon_pack;
+    max_dtree_bools;
+    max_dtree_nums;
+    useful_packs_only;
+    max_clock;
+    expand_array_max;
+    naive_environments;
+    jobs = _;
+    summary_cache = _;
+    timeout = _;
+    max_mem_mb = _;
+    shed_packs_above;
+    conc_shared;
+    conc_rely_digest;
+  } =
+    cfg
+  in
   let repr =
-    ( ( cfg.use_clocked,
-        cfg.use_octagons,
-        cfg.use_ellipsoids,
-        cfg.use_decision_trees,
-        cfg.use_linearization ),
-      ( cfg.widening_thresholds,
-        cfg.delay_widening,
-        cfg.widening_fairness,
-        cfg.loop_unroll,
-        cfg.narrowing_iterations,
-        cfg.float_iteration_epsilon,
-        cfg.partitioned_functions,
-        cfg.max_partitions ),
-      ( cfg.max_octagon_pack,
-        cfg.max_dtree_bools,
-        cfg.max_dtree_nums,
-        cfg.useful_packs_only,
-        cfg.max_clock,
-        cfg.expand_array_max,
-        cfg.naive_environments,
-        cfg.shed_packs_above ),
+    ( ( use_clocked,
+        use_octagons,
+        use_ellipsoids,
+        use_decision_trees,
+        use_linearization ),
+      ( widening_thresholds,
+        delay_widening,
+        widening_fairness,
+        loop_unroll,
+        narrowing_iterations,
+        float_iteration_epsilon,
+        partitioned_functions,
+        max_partitions ),
+      ( max_octagon_pack,
+        max_dtree_bools,
+        max_dtree_nums,
+        useful_packs_only,
+        max_clock,
+        expand_array_max,
+        naive_environments,
+        shed_packs_above ),
       (* result-affecting: conc_shared changes the packing, and the rely
          digest identifies the interference environment of a per-task
          run — summaries must not cross interference rounds whose rely
          sets differ *)
-      (cfg.conc_shared, cfg.conc_rely_digest) )
+      (conc_shared, conc_rely_digest) )
   in
   Digest.to_hex (Digest.string (Marshal.to_string repr [ Marshal.No_sharing ]))
 

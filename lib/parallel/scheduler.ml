@@ -1,7 +1,6 @@
-(** The parallel scheduler: whole-program batch jobs, and the one job
-    path and fault policy that they and the per-task runs of
-    [Astree_conc.Fixpoint] share.  [-j n] can lose speed, never results,
-    and never silently. *)
+(** The parallel scheduler: the one job path and fault policy of the
+    per-task runs of [Astree_conc.Fixpoint].  [-j n] can lose speed,
+    never results, and never silently. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -60,52 +59,3 @@ let map (w : ('a, 'b) workers) (items : 'a list) : 'b list =
         items first
 
 let shutdown (w : ('a, 'b) workers) : unit = Option.iter Pool.shutdown w.w_pool
-
-(* ------------------------------------------------------------------ *)
-(* Whole-program batch jobs                                            *)
-(* ------------------------------------------------------------------ *)
-
-type batch_job = {
-  bj_label : string;
-  bj_cfg : C.Config.t;
-  bj_program : F.Tast.program;
-}
-
-let batch_job ?(label = "") ?(cfg = C.Config.default) (p : F.Tast.program) :
-    batch_job =
-  { bj_label = label; bj_cfg = cfg; bj_program = p }
-
-(** Run one batch job sequentially. *)
-let run_batch_job (bj : batch_job) : C.Analysis.result =
-  C.Analysis.analyze ~cfg:bj.bj_cfg bj.bj_program
-
-(** Run a batch of whole-program analyses on [jobs] workers, results in
-    job order. *)
-let analyze_batch ?(jobs = default_jobs ()) (items : batch_job list) :
-    (string * C.Analysis.result) list =
-  let jobs = min jobs (List.length items) in
-  if jobs <= 1 then List.map (fun bj -> (bj.bj_label, run_batch_job bj)) items
-  else begin
-    (* workers inherit [items]: a job is its index, not its program *)
-    let arr = Array.of_list items in
-    let w =
-      workers ~jobs (fun i -> C.Analysis.Reply.detach (run_batch_job arr.(i)))
-    in
-    let replies =
-      Fun.protect
-        ~finally:(fun () -> shutdown w)
-        (fun () -> map w (List.init (Array.length arr) Fun.id))
-    in
-    List.map2
-      (fun bj rp ->
-        let actx = C.Transfer.make_actx bj.bj_cfg bj.bj_program in
-        C.Analysis.Reply.attach actx rp;
-        ( bj.bj_label,
-          {
-            C.Analysis.r_alarms = rp.C.Analysis.Reply.rp_alarms;
-            r_final = rp.rp_final;
-            r_actx = actx;
-            r_stats = rp.rp_stats;
-          } ))
-      items replies
-  end

@@ -1,5 +1,5 @@
 (** Parallel scheduler: the one job path of [-j] (worker wrapper and
-    fault policy) and whole-program batch jobs on it. *)
+    fault policy), on which a multi-task program's per-task runs go. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -32,19 +32,3 @@ val workers : jobs:int -> ('a -> 'b) -> ('a, 'b) workers
 val map : ('a, 'b) workers -> 'a list -> 'b list
 
 val shutdown : ('a, 'b) workers -> unit
-
-type batch_job = {
-  bj_label : string;
-  bj_cfg : C.Config.t;
-  bj_program : F.Tast.program;
-}
-
-val batch_job : ?label:string -> ?cfg:C.Config.t -> F.Tast.program -> batch_job
-
-(** Run one batch job sequentially in-process. *)
-val run_batch_job : batch_job -> C.Analysis.result
-
-(** Run whole-program analyses on [jobs] workers; returns
-    (label, result) pairs in job order. *)
-val analyze_batch :
-  ?jobs:int -> batch_job list -> (string * C.Analysis.result) list

@@ -1196,17 +1196,57 @@ let fused_member () =
      { G.Generator.default with G.Generator.seed = 4; target_lines = 2000; fuse = 16 })
     .G.Generator.source
 
+(* [stages] stage functions, each a cascade of [width] rate-limited
+   first-order lags.  Every tap is linearly coupled to its predecessor,
+   so at [max_octagon_pack = width] packing puts a whole cascade in one
+   octagon pack.  Each stage raises one overflow alarm (its [o] register
+   is scaled out of range; [p] is not). *)
+let cascade_src ~stages ~width =
+  let b = Buffer.create 8192 in
+  let add fmt = Printf.bprintf b fmt in
+  for s = 0 to stages - 1 do
+    add "volatile float u%d;\n" s;
+    for v = 0 to width - 1 do
+      add "float x%d_%d;\n" s v
+    done;
+    add "short o%d;\nshort p%d;\n" s s
+  done;
+  for s = 0 to stages - 1 do
+    add "void stage%d(void) {\n  x%d_0 = u%d;\n" s s s;
+    for v = 1 to width - 1 do
+      add "  x%d_%d = 0.5f * x%d_%d + 0.5f * x%d_%d;\n" s v s v s (v - 1);
+      add "  if (x%d_%d - x%d_%d > 0.25f) { x%d_%d = x%d_%d + 0.25f; }\n" s v
+        s (v - 1) s v s (v - 1)
+    done;
+    add "  o%d = (short)(x%d_%d * 65536.0f);\n" s s (width - 1);
+    add "  p%d = (short)(x%d_%d * 128.0f);\n}\n" s s (width - 1)
+  done;
+  add "int main(void) {\n";
+  for s = 0 to stages - 1 do
+    add "  __astree_input_range(u%d, -1.0, 1.0);\n" s;
+    for v = 0 to width - 1 do
+      add "  x%d_%d = 0.0f;\n" s v
+    done
+  done;
+  add "  while (1) {\n";
+  for s = 0 to stages - 1 do
+    add "    stage%d();\n" s
+  done;
+  add "    __astree_wait_for_clock();\n  }\n  return 0;\n}\n";
+  Buffer.contents b
+
 (* The three bases of perfbench's incremental workload, an edited copy
    of the first over its store, a bug-injected fused member, the
-   bug-injected 2 kLOC member of the one-shot workload and a loop guard
-   right after a computed call, at the shipped memoization threshold. *)
+   bug-injected 2 kLOC member of the one-shot workload, a loop guard
+   right after a computed call and a cascade of 8-wide octagon packs,
+   at the shipped memoization threshold. *)
 let test_renderings_agree () =
   let min_stmts = !C.Iterator.memo_min_stmts in
-  let check ?dir name src =
+  let check ?dir ?(cfg = C.Config.default) name src =
     let p, _ = C.Analysis.compile [ (name, src) ] in
     let cfg =
       {
-        C.Config.default with
+        cfg with
         C.Config.partitioned_functions = F.Preproc.partition_markers src;
       }
     in
@@ -1239,7 +1279,11 @@ let test_renderings_agree () =
          fuse = 1;
        })
       .G.Generator.source;
-  check "chain.c" Test_iterator.chain_src
+  check "chain.c" Test_iterator.chain_src;
+  check
+    ~cfg:{ C.Config.default with C.Config.max_octagon_pack = 8 }
+    "cascade.c"
+    (cascade_src ~stages:6 ~width:8)
 
 (* A 3-task member at -j 1 and -j 2: each task's entry point is keyed
    under its rely, so a fully warm fixpoint replays one summary per task

@@ -253,7 +253,9 @@ let observe ?(drop_kinds = []) (f : unit -> C.Analysis.result) =
 
 (* -j4 must report exactly the sequential run's counters, histograms
    and gauges, with no exclusion list, and the same event multiset
-   sorted by canonical line (kind, loc and args included). *)
+   sorted by canonical line (kind, loc and args included).  Observing
+   (tracing, timers) must not change the result, and an unobserved run
+   records no event and evicts none. *)
 let test_determinism_jobs () =
   with_mini_fbw @@ fun src ->
   fresh @@ fun () ->
@@ -264,12 +266,32 @@ let test_determinism_jobs () =
       C.Config.partitioned_functions = [ "select_gain" ];
     }
   in
+  let timed f =
+    let timing0 = !M.timing in
+    M.timing := true;
+    Fun.protect ~finally:(fun () -> M.timing := timing0) f
+  in
   let r1, ev1, m1 =
-    observe (fun () -> C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 1 } p)
+    timed (fun () ->
+        observe (fun () ->
+            C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 1 } p))
   in
   let r4, ev4, m4 =
-    observe (fun () -> C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p)
+    timed (fun () ->
+        observe (fun () ->
+            C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p))
   in
+  T.clear ();
+  let dropped = M.counter "trace.dropped" in
+  let dropped0 = M.value dropped in
+  let r0 = C.Analysis.analyze ~cfg p in
+  Alcotest.(check int) "an unobserved run records no event" 0
+    (List.length (T.events ()));
+  Alcotest.(check int) "an unobserved run evicts no event" dropped0
+    (M.value dropped);
+  Alcotest.(check string)
+    "observing leaves the result" (P.Merge.fingerprint r0)
+    (P.Merge.fingerprint r1);
   Alcotest.(check string)
     "same result" (P.Merge.fingerprint r1) (P.Merge.fingerprint r4);
   Alcotest.(check bool) "the -j1 run produced events" true (ev1 <> []);

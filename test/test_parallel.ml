@@ -1,37 +1,18 @@
 (* Parallel-subsystem tests: the worker pool survives exceptions,
-   crashes and timeouts; the deterministic merge reproduces the
-   sequential collector's policy; and batch runs on the pool produce
-   exactly the alarms, invariants and final states of sequential runs —
-   including when workers are killed under foot. *)
+   crashes and timeouts, and the deterministic merge reproduces the
+   sequential collector's policy.  The pooled analysis path is checked
+   where it runs, on multi-task programs (test_concurrency,
+   test_robust). *)
 
 module C = Astree_core
 module F = Astree_frontend
-module G = Astree_gen
 module P = Astree_parallel
 module R = Astree_robust
 
 (* The pool unit tests below assert exact Ok/Error patterns, so they
    mask fault injection ([Faultsim.with_suppressed]): the suite stays
-   green under a global ASTREE_FAULTS chaos run, while the equivalence
-   tests keep the faults live — those must hold whatever is injected. *)
+   green under a global ASTREE_FAULTS chaos run. *)
 let no_faults = R.Faultsim.with_suppressed
-
-(* every forked worker dies on every job *)
-let with_chaos k =
-  R.Faultsim.install ~seed:0 [ (R.Faultsim.Worker_crash, 1.0) ];
-  Fun.protect
-    ~finally:(fun () ->
-      R.Faultsim.clear ();
-      R.Faultsim.reset_counters ())
-    k
-
-(* jobs recomputed in-process by the scheduler's fallback while [k]
-   runs *)
-let recomputed_by k =
-  let c = Astree_obs.Metrics.counter "par.recomputed" in
-  let v0 = Astree_obs.Metrics.value c in
-  let r = k () in
-  (r, Astree_obs.Metrics.value c - v0)
 
 (* ---------------- pool ---------------- *)
 
@@ -137,69 +118,6 @@ let test_merge_states () =
   Alcotest.(check bool) "bottom is the unit" true
     (C.Astate.is_bot (P.Merge.join_states [ C.Astate.bottom; C.Astate.bottom ]))
 
-(* ---------------- batch ---------------- *)
-
-let member_job ?cfg ~label source =
-  let p, _ = C.Analysis.compile [ (label ^ ".c", source) ] in
-  P.Scheduler.batch_job ~label ?cfg p
-
-let test_batch_equiv () =
-  let items =
-    List.map
-      (fun (seed, lines, label) ->
-        let g =
-          G.Generator.generate
-            { G.Generator.default with G.Generator.seed; target_lines = lines }
-        in
-        let cfg =
-          {
-            C.Config.default with
-            C.Config.partitioned_functions = g.G.Generator.partition_fns;
-          }
-        in
-        member_job ~cfg ~label g.G.Generator.source)
-      [ (11, 200, "m11"); (12, 250, "m12"); (13, 300, "m13") ]
-  in
-  let seq = List.map (fun bj -> P.Scheduler.run_batch_job bj) items in
-  let par, recomputed =
-    recomputed_by (fun () -> P.Scheduler.analyze_batch ~jobs:3 items)
-  in
-  if R.Faultsim.describe () = "faults: off" then
-    Alcotest.(check int) "no job recomputed in-process" 0 recomputed;
-  Alcotest.(check (list string))
-    "labels in job order" [ "m11"; "m12"; "m13" ] (List.map fst par);
-  List.iter2
-    (fun s (label, r) ->
-      Alcotest.(check string)
-        (label ^ ": batch result identical")
-        (P.Merge.fingerprint s) (P.Merge.fingerprint r))
-    seq par
-
-let test_batch_chaos_fallback () =
-  let items =
-    List.map
-      (fun (seed, label) ->
-        let g =
-          G.Generator.generate
-            { G.Generator.default with G.Generator.seed; target_lines = 150 }
-        in
-        member_job ~label g.G.Generator.source)
-      [ (21, "a"); (22, "b") ]
-  in
-  let seq = List.map (fun bj -> P.Scheduler.run_batch_job bj) items in
-  let par, recomputed =
-    with_chaos (fun () ->
-        recomputed_by (fun () -> P.Scheduler.analyze_batch ~jobs:2 items))
-  in
-  Alcotest.(check int) "every job recomputed in-process, counted" 2
-    recomputed;
-  List.iter2
-    (fun s (label, r) ->
-      Alcotest.(check string)
-        (label ^ ": identical despite chaos")
-        (P.Merge.fingerprint s) (P.Merge.fingerprint r))
-    seq par
-
 let suite =
   [
     Alcotest.test_case "pool: ordered map" `Quick test_pool_order;
@@ -208,8 +126,6 @@ let suite =
     Alcotest.test_case "pool: timeout" `Quick test_pool_timeout;
     Alcotest.test_case "merge: alarm dedup + sort" `Quick test_merge_alarms;
     Alcotest.test_case "merge: state join" `Quick test_merge_states;
-    Alcotest.test_case "batch: -j3 equivalence" `Slow test_batch_equiv;
-    Alcotest.test_case "batch: chaos fallback" `Quick test_batch_chaos_fallback;
     Alcotest.test_case "pool: closure reply -> Error" `Quick
       test_pool_unmarshallable_reply;
   ]

@@ -63,6 +63,16 @@ let member_program () =
     },
     p )
 
+(* a 3-task member with shared variables *)
+let tasks_member () =
+  let g =
+    G.Generator.generate_tasks
+      { G.Generator.default with seed = 5; target_lines = 300; bug_ratio = 0.5 }
+      ~tasks:3
+  in
+  (fst (C.Analysis.compile [ ("mt.c", g.G.Generator.source) ]),
+   g.G.Generator.task_fns)
+
 let with_env var value k =
   let saved = Option.value (Sys.getenv_opt var) ~default:"" in
   Unix.putenv var value;
@@ -179,7 +189,14 @@ let test_timeout_degrades () =
     (is_superset ~big:(alarm_keys r) ~small:(alarm_keys full));
   (* no budget, no degradation marker *)
   Alcotest.(check bool) "unconstrained run is not degraded" true
-    (full.C.Analysis.r_stats.C.Analysis.s_degraded = None)
+    (full.C.Analysis.r_stats.C.Analysis.s_degraded = None);
+  (* an armed budget that never trips changes nothing *)
+  let armed = R.Degrade.analyze ~cfg:{ cfg with C.Config.timeout = 3600. } p in
+  Alcotest.(check string) "armed, untripped run = plain analysis"
+    (P.Merge.fingerprint (C.Analysis.analyze ~cfg p))
+    (P.Merge.fingerprint armed);
+  Alcotest.(check bool) "armed, untripped run is not degraded" true
+    (armed.C.Analysis.r_stats.C.Analysis.s_degraded = None)
 
 let test_memory_degrades () =
   let cfg, p = member_program () in
@@ -378,46 +395,56 @@ let test_inject_reply_truncate () =
               Alcotest.(check string) "short read = crash" "worker crashed" e
           | _ -> Alcotest.fail "expected the truncated reply to fail"))
 
-(* injected faults or none, a batch on the pool must still match the
-   sequential results: crashed workers and truncated replies end in a
-   retry or an in-process recompute, never in a different result.
-   Every worker is forked with the coordinator's (reset) fault counters,
-   so each worker lifetime replays one schedule: under fault seed 1 it
-   crashes on its second job, under fault seed 6 it truncates its
-   second reply — with four items on two workers, both fire. *)
+(* workers forked while [k] runs: the pool's own, plus one replacement
+   per worker that died *)
+let forks_during k =
+  let file = Filename.temp_file "astree-forks" "" in
+  P.Pool.at_child_fork :=
+    Some
+      (fun () ->
+        Out_channel.with_open_gen [ Open_append; Open_wronly ] 0o600 file
+          (fun oc -> Out_channel.output_char oc 'x'));
+  Fun.protect
+    ~finally:(fun () ->
+      P.Pool.at_child_fork := None;
+      Sys.remove file)
+    (fun () ->
+      k ();
+      (Unix.stat file).Unix.st_size)
+
+(* injected faults or none, a pooled multi-task run must still match
+   the -j 1 run: crashed workers and truncated replies end in a retry or
+   an in-process recompute, never in a different result.  Both faults
+   kill their worker, so a replacement fork shows that one fired. *)
 let test_equiv_under_injection () =
-  let items =
-    List.map
-      (fun seed ->
-        let g =
-          G.Generator.generate
-            { G.Generator.default with G.Generator.seed; target_lines = 200 }
-        in
-        let label = Fmt.str "m%d" seed in
-        P.Scheduler.batch_job ~label
-          ~cfg:
-            {
-              C.Config.default with
-              C.Config.partitioned_functions = g.G.Generator.partition_fns;
-            }
-          (fst (C.Analysis.compile [ (label ^ ".c", g.G.Generator.source) ])))
-      [ 31; 32; 33; 34 ]
-  in
-  let seq = List.map P.Scheduler.run_batch_job items in
+  let p, tasks = tasks_member () in
+  let fp r = P.Merge.fingerprint r.Conc.Fixpoint.c_result in
+  let seq = fp (Conc.Fixpoint.analyze ~tasks p) in
   List.iter
     (fun fault_seed ->
-      with_faults ~seed:fault_seed
-        [ (R.Faultsim.Worker_crash, 0.3); (R.Faultsim.Reply_truncate, 0.2) ]
-        (fun () ->
-          R.Faultsim.reset_counters ();
-          let par = P.Scheduler.analyze_batch ~jobs:2 items in
-          List.iter2
-            (fun s (label, r) ->
-              Alcotest.(check string)
-                (Fmt.str "%s, fault seed %d: identical despite the injected \
-                          fault" label fault_seed)
-                (P.Merge.fingerprint s) (P.Merge.fingerprint r))
-            seq par))
+      let forks =
+        forks_during (fun () ->
+            with_faults ~seed:fault_seed
+              [
+                (R.Faultsim.Worker_crash, 0.3);
+                (R.Faultsim.Reply_truncate, 0.2);
+              ]
+              (fun () ->
+                R.Faultsim.reset_counters ();
+                let par =
+                  Conc.Fixpoint.analyze
+                    ~cfg:{ C.Config.default with C.Config.jobs = 2 }
+                    ~tasks p
+                in
+                Alcotest.(check string)
+                  (Fmt.str "fault seed %d: identical despite the injected \
+                            faults" fault_seed)
+                  seq (fp par)))
+      in
+      Alcotest.(check bool)
+        (Fmt.str "fault seed %d: a fault killed a worker (%d forks)"
+           fault_seed forks)
+        true (forks > 2))
     [ 1; 6 ]
 
 (* ---------------- faultsim: store injection points ---------------- *)
@@ -547,15 +574,6 @@ let test_store_corrupt_and_truncated () =
               check_degraded "truncated" ~loaded:0))
 
 (* ---------------- multi-task runs under the budget ---------------- *)
-
-let tasks_member () =
-  let g =
-    G.Generator.generate_tasks
-      { G.Generator.default with seed = 5; target_lines = 300; bug_ratio = 0.5 }
-      ~tasks:3
-  in
-  (fst (C.Analysis.compile [ ("mt.c", g.G.Generator.source) ]),
-   g.G.Generator.task_fns)
 
 (* A multi-task run honours --timeout like a single-task one: the
    fixpoint is rerun down the ladder and the result is marked degraded,
