@@ -25,18 +25,18 @@ let c_calls_inlined = Metrics.counter "iter.calls_inlined"
 let c_loops = Metrics.counter "iter.loops"
 let c_body_passes = Metrics.counter "iter.body_passes"
 let c_passes_reused = Metrics.counter "iter.passes_reused"
-let c_calls_replayed = Metrics.counter "iter.calls_replayed"
 let h_loop_iters = Metrics.histogram "loop.iters"
 
-(* Same entry as the one bumped inside Itv.widen: read around a loop's
-   fixpoint to attribute threshold catches to that loop head. *)
+(* Same entries as the ones bumped inside Itv.widen and by a slot
+   replay in [Memo]: read around a loop's fixpoint to attribute
+   threshold catches and replayed calls to that loop head. *)
 let c_threshold_hits = Metrics.counter "widen.threshold_hits"
+let c_calls_replayed = Metrics.counter "iter.calls_replayed"
 
 (** Flow-separated analysis outcome of a statement or block.  [o_norm]
     is a disjunction of abstract states (a singleton except under trace
-    partitioning).  Defined in [Transfer] (with the other session data
-    types) and re-exported here, its historical home. *)
-type outcome = Transfer.outcome = {
+    partitioning). *)
+type outcome = {
   o_norm : Astate.t list;
   o_brk : Astate.t;
   o_cont : Astate.t;
@@ -75,22 +75,6 @@ let cap_partitions (a : Transfer.actx) (sts : Astate.t list) : Astate.t list =
     in
     let keep, over = split (maxp - 1) [] sts in
     keep @ [ join_states over ]
-
-(** The keyed tier's key, re-exported where the store's readers have
-    always found its fields. *)
-type summary_key = Transfer.summary_key = {
-  sk_fn : string;
-  sk_entry : string;
-  sk_checking : bool;
-}
-
-(** Minimal transitive inlined statement count of a callee before
-    the call memo's keyed tier is worth a key: the digest of the entry
-    state restricted to the callee's frame, the lookup and, on a miss,
-    the capture (DESIGN.md §8).  Keying tiny helpers is a net loss;
-    only callees whose re-analysis (including everything they inline)
-    dwarfs that cost deserve a summary. *)
-let memo_min_stmts = ref 30
 
 (* ------------------------------------------------------------------ *)
 (* Statement tick                                                       *)
@@ -141,199 +125,8 @@ let widen_state ~thresholds ~max_clock (inv : Astate.t) (next : Astate.t) :
   Metrics.stop t_widen t0;
   r
 
-(* ------------------------------------------------------------------ *)
-(* The call memo (DESIGN.md §6, §8)                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Context-sensitive polyvariant inlining (Sect. 5.4) re-analyzes a
-   callee for every call context.  The call memo replays a call whose
-   input was seen before instead, through one capture-and-replay path
-   with two tiers:
-
-   - the exact tier, with loop lifetime: the enclosing loop's two slots
-     for this call site, compared exactly with the call's framed entry
-     (differential iteration, §6);
-   - the keyed tier, with cross-run lifetime: the summary store behind
-     [session.ses_keyed], for callees of at least [memo_min_stmts]
-     inlined statements, under a key that [Astree_incremental] computes
-     (§8).
-
-   A call is replayed from a slot, else from the keyed tier, else
-   computed in one capture section and recorded once; its summary then
-   goes to the slot and to the keyed tier.  There is no entailment
-   shortcut anywhere, so a replay is equivalent to re-analysis by
-   construction. *)
-
-let c_cache_hits = Metrics.counter "cache.hits"
-let c_cache_misses = Metrics.counter "cache.misses"
-
-(* Is [fname] big enough for the keyed tier? *)
-let wanted (a : Transfer.actx) (fname : string) : bool =
-  match Hashtbl.find_opt (Lazy.force a.Transfer.inlined) fname with
-  | Some n -> n >= !memo_min_stmts
-  | None -> false
-
-(* The call site [site] of the loop whose sites are [sites], and whether
-   its slots hold calls of [st]'s clock and this alarm mode.  The clock
-   is an input of every call and moves at almost every iterate until it
-   settles, so a site first compares the clock and mode with its
-   previous call's; when they differ, no slot can match and the slots
-   are dropped. *)
-let call_site (sites : Transfer.call_sites) (site : stmt) (st : Astate.t)
-    ~(checking : bool) : Transfer.call_site * bool =
-  let cs =
-    match Transfer.Stmt_tbl.find_opt sites site with
-    | Some cs -> cs
-    | None ->
-        let cs =
-          {
-            Transfer.cs_clock = D.Itv.Bot;
-            cs_checking = false;
-            cs_new = None;
-            cs_old = None;
-            cs_inner = lazy (Transfer.Stmt_tbl.create 8);
-          }
-        in
-        Transfer.Stmt_tbl.add sites site cs;
-        cs
-  in
-  let clock = st.Astate.clock in
-  if
-    Reldom.same_itv clock cs.Transfer.cs_clock
-    && checking = cs.Transfer.cs_checking
-  then (cs, true)
-  else begin
-    cs.Transfer.cs_clock <- clock;
-    cs.Transfer.cs_checking <- checking;
-    cs.Transfer.cs_new <- None;
-    cs.Transfer.cs_old <- None;
-    (cs, false)
-  end
-
-(* Replay the slot of [cs] whose framed entry and bindings are the
-   call's, the newer slot first; a match in the older one makes it the
-   newer, so the other one goes next. *)
-let replay_slot (a : Transfer.actx) (cs : Transfer.call_site) (fr : Frame.t)
-    (binds : Transfer.binds) (st : Astate.t) : (Astate.t * D.Itv.t) option =
-  let matches = function
-    | Some (sl : Transfer.call_slot) ->
-        (sl.Transfer.sl_binds == binds
-           || VarMap.equal (fun x y -> x == y || x = y) sl.Transfer.sl_binds binds)
-        && Frame.same_entry fr sl.Transfer.sl_entry st
-    | None -> false
-  in
-  let replay (sl : Transfer.call_slot) =
-    Metrics.incr c_calls_replayed;
-    Some (Transfer.replay a fr ~entry:st sl.Transfer.sl_summary)
-  in
-  let newer = cs.Transfer.cs_new and older = cs.Transfer.cs_old in
-  if matches newer then replay (Option.get newer)
-  else if matches older then begin
-    cs.Transfer.cs_old <- newer;
-    cs.Transfer.cs_new <- older;
-    replay (Option.get older)
-  end
-  else None
-
-(* Compute a call in a capture section and record its summary in the
-   call's frame [fr]. *)
-let record_call (a : Transfer.actx) (fr : Frame.t) (st : Astate.t)
-    (compute : unit -> Astate.t * D.Itv.t) :
-    (Astate.t * D.Itv.t) * Transfer.summary option =
-  let cap = Transfer.capture_begin a in
-  let r =
-    try compute ()
-    with e ->
-      Transfer.capture_abort a cap;
-      raise e
-  in
-  let delta = Transfer.capture_end a cap in
-  (r, Transfer.record a fr ~entry:st r delta)
-
-(** The call memo: the result of [compute ()], the analysis of the body
-    of a call to [fname] at [site] from the bound entry state [st], with
-    its side effects on [a] — replayed from the site's slots or from the
-    keyed tier, or computed and recorded. *)
-let exec_call_memo (a : Transfer.actx) ~(site : stmt) ~(fname : string)
-    (binds : Transfer.binds) (st : Astate.t)
-    (compute : unit -> Astate.t * D.Itv.t) : Astate.t * D.Itv.t =
-  let keyed =
-    match a.Transfer.session.Transfer.ses_keyed with
-    | Some k when wanted a fname -> Some k
-    | _ -> None
-  in
-  (* the site's slots when they can match; a computed call runs with the
-     call sites of its own callee's body *)
-  let slots, compute =
-    match a.Transfer.sites with
-    | None -> (None, compute)
-    | Some outer ->
-        let checking = a.Transfer.alarms.Alarm.enabled in
-        let cs, live = call_site (Lazy.force outer) site st ~checking in
-        let inside () =
-          a.Transfer.sites <- Some cs.Transfer.cs_inner;
-          match compute () with
-          | r ->
-              a.Transfer.sites <- Some outer;
-              r
-          | exception e ->
-              a.Transfer.sites <- Some outer;
-              raise e
-        in
-        ((if live then Some cs else None), inside)
-  in
-  if Option.is_none slots && Option.is_none keyed then compute ()
-  else
-    let fr = Frame.of_call a.Transfer.frames ~fname binds in
-    match Option.bind slots (fun cs -> replay_slot a cs fr binds st) with
-    | Some r -> r
-    | None ->
-        let key =
-          Option.bind keyed (fun k ->
-              Option.map
-                (fun key -> (k, key))
-                (k.Transfer.kt_key a ~fname fr binds st))
-        in
-        let found = Option.bind key (fun (k, key) -> k.Transfer.kt_find key) in
-        (* the one place that counts a keyed lookup as a hit or a miss:
-           the run's cache statistics, the registry and the trace *)
-        Option.iter
-          (fun ((k : Transfer.keyed), _) ->
-            let n = k.Transfer.kt_lookups and hit = Option.is_some found in
-            if hit then n.Transfer.lk_hits <- n.Transfer.lk_hits + 1
-            else n.Transfer.lk_misses <- n.Transfer.lk_misses + 1;
-            Metrics.incr (if hit then c_cache_hits else c_cache_misses);
-            if !Trace.enabled then
-              Trace.emit
-                (if hit then "cache.hit" else "cache.miss")
-                ~args:[ ("fn", Trace.S fname) ])
-          key;
-        let r, summary =
-          match (found, key, slots) with
-          | Some s, _, _ -> (Transfer.replay a fr ~entry:st s, found)
-          | None, None, None -> (compute (), None)
-          | None, _, _ ->
-              let r, s = record_call a fr st compute in
-              (match (key, s) with
-              | Some (k, key), Some s -> k.Transfer.kt_add key s
-              | _ -> ());
-              (r, s)
-        in
-        (match (slots, summary) with
-        | Some cs, Some s ->
-            cs.Transfer.cs_old <- cs.Transfer.cs_new;
-            cs.Transfer.cs_new <-
-              Some
-                {
-                  Transfer.sl_entry = Frame.entry fr st;
-                  sl_binds = binds;
-                  sl_summary = s;
-                }
-        | _ -> ());
-        r
-
 let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
-    (binds : Transfer.binds) (sts : Astate.t list) (s : stmt) : outcome =
+    ~(sites : Memo.sites) (binds : Transfer.binds) (sts : Astate.t list) (s : stmt) : outcome =
   tick a;
   (* keep the collector's inlining context in sync with the iterator's
      stack, so every alarm reported below picks up its call chain (one
@@ -395,8 +188,8 @@ let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
           let run_both st =
             let st_t = Transfer.guard a st binds c true in
             let st_f = Transfer.guard a st binds c false in
-            let ot = exec_block a ~part ~stack binds [ st_t ] tb in
-            let of_ = exec_block a ~part ~stack binds [ st_f ] fb in
+            let ot = exec_block a ~part ~stack ~sites binds [ st_t ] tb in
+            let of_ = exec_block a ~part ~stack ~sites binds [ st_f ] fb in
             (ot, of_)
           in
           let pairs = List.map run_both sts in
@@ -432,16 +225,16 @@ let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
           let st = join_states sts in
           exec_while a ~stack binds st (li, c, body)
       | Scall (dst, fname, args) ->
-          exec_call a ~stack ~site:s binds sts dst fname args)
+          exec_call a ~stack ~sites ~site:s binds sts dst fname args)
 
 and exec_block (a : Transfer.actx) ~(part : bool) ~(stack : string list)
-    (binds : Transfer.binds) (sts : Astate.t list) (b : block) : outcome =
+    ~(sites : Memo.sites) (binds : Transfer.binds) (sts : Astate.t list) (b : block) : outcome =
   List.fold_left
     (fun acc stmt ->
       match live acc.o_norm with
       | [] -> acc
       | sts ->
-          let o = exec_stmt a ~part ~stack binds sts stmt in
+          let o = exec_stmt a ~part ~stack ~sites binds sts stmt in
           {
             o_norm = o.o_norm;
             o_brk = Astate.join acc.o_brk o.o_brk;
@@ -460,20 +253,8 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     (binds : Transfer.binds) (entry : Astate.t)
     ((li, c, body) : loop_info * expr * block) : outcome =
   (* the call sites of this loop's body, for its lifetime (differential
-     iteration, [exec_call_memo]) *)
-  let outer = a.Transfer.sites in
-  a.Transfer.sites <- Some (Lazy.from_val (Transfer.Stmt_tbl.create 64));
-  match exec_loop a ~stack binds entry (li, c, body) with
-  | o ->
-      a.Transfer.sites <- outer;
-      o
-  | exception e ->
-      a.Transfer.sites <- outer;
-      raise e
-
-and exec_loop (a : Transfer.actx) ~(stack : string list)
-    (binds : Transfer.binds) (entry : Astate.t)
-    ((li, c, body) : loop_info * expr * block) : outcome =
+     iteration, [Memo.call]) *)
+  let sites = Memo.loop_sites () in
   let cfg = a.Transfer.cfg in
   let thresholds = cfg.Config.widening_thresholds in
   let max_clock = cfg.Config.max_clock in
@@ -501,7 +282,7 @@ and exec_loop (a : Transfer.actx) ~(stack : string list)
         Metrics.incr c_body_passes;
         let run () =
           let body_in = Transfer.guard a st binds c true in
-          exec_block a ~part:false ~stack binds [ body_in ] body
+          exec_block a ~part:false ~stack ~sites binds [ body_in ] body
         in
         let o, set_aside =
           if checking && aside then begin
@@ -702,7 +483,8 @@ and exec_loop (a : Transfer.actx) ~(stack : string list)
 (* Function calls (Sect. 5.4)                                          *)
 (* ------------------------------------------------------------------ *)
 
-and exec_call (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
+and exec_call (a : Transfer.actx) ~(stack : string list)
+    ~(sites : Memo.sites) ~(site : stmt)
     (binds : Transfer.binds) (sts : Astate.t list) (dst : var option)
     (fname : string) (args : arg list) : outcome =
   match Hashtbl.find_opt a.Transfer.funs fname with
@@ -714,14 +496,17 @@ and exec_call (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
           (Analysis_error
              (Fmt.str "recursion detected through %s (not in the subset)"
                 fname));
-      let run st = exec_call_one a ~stack ~site binds st dst fname fd args in
+      let run st =
+        exec_call_one a ~stack ~sites ~site binds st dst fname fd args
+      in
       { no_flow with o_norm = List.map run (live sts) }
 
 (** Polyvariant analysis of one call from one entry state: bind the
     parameters, analyze the callee body (with trace partitioning if the
     function is selected), merge the traces at the return point and
     write the return value into [dst]. *)
-and exec_call_one (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
+and exec_call_one (a : Transfer.actx) ~(stack : string list)
+    ~(sites : Memo.sites) ~(site : stmt)
     (binds : Transfer.binds) (st : Astate.t) (dst : var option)
     (fname : string) (fd : fundef) (args : arg list) : Astate.t =
   Metrics.incr c_calls_inlined;
@@ -749,7 +534,7 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
       (st, VarMap.empty) fd.fd_params args
   in
   let exit_env, retv =
-    exec_call_body a ~stack ~site ~partitioned callee_binds st fname fd
+    exec_call_body a ~stack ~sites ~site ~partitioned callee_binds st fname fd
   in
   (* the callee's statements left their call chain in the collector; a
      loop guard evaluated next belongs to the caller *)
@@ -774,16 +559,18 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     framed entry state, the by-reference bindings and the alarm mode
     determine the result completely (the destination write-back happens
     in the caller's scope, outside).  On a replay by the call memo
-    ({!exec_call_memo}) the frame part of the recorded exit state is
+    ({!Memo.call}) the frame part of the recorded exit state is
     laid over the entry state and the recorded side effects — alarms,
     loop invariants, useful octagon packs, join count — are replayed,
     so a replay is observationally identical to re-analysis. *)
-and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
-    ~(partitioned : bool) (callee_binds : Transfer.binds) (st : Astate.t)
-    (fname : string) (fd : fundef) : Astate.t * D.Itv.t =
-  let compute () =
+and exec_call_body (a : Transfer.actx) ~(stack : string list)
+    ~(sites : Memo.sites) ~(site : stmt) ~(partitioned : bool)
+    (callee_binds : Transfer.binds) (st : Astate.t) (fname : string)
+    (fd : fundef) : Astate.t * D.Itv.t =
+  let compute sites =
     let o =
-      exec_block a ~part:partitioned ~stack callee_binds [ st ] fd.fd_body
+      exec_block a ~part:partitioned ~stack ~sites callee_binds [ st ]
+        fd.fd_body
     in
     (* the traces are merged at the return point of the function
        (Sect. 7.1.5) *)
@@ -802,7 +589,7 @@ and exec_call_body (a : Transfer.actx) ~(stack : string list) ~(site : stmt)
     in
     (exit_env, retv)
   in
-  exec_call_memo a ~site ~fname callee_binds st compute
+  Memo.call a sites ~site ~fname callee_binds st compute
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program analysis                                              *)
@@ -820,13 +607,13 @@ let run (a : Transfer.actx) : Astate.t =
   | Some fd ->
       let st0 = Transfer.initial_state a in
       a.Transfer.alarms.Alarm.enabled <- true;
-      let compute () =
+      let compute sites =
         let o =
-          exec_block a ~part:false ~stack:[ main ] VarMap.empty [ st0 ]
+          exec_block a ~part:false ~stack:[ main ] ~sites VarMap.empty [ st0 ]
             fd.fd_body
         in
         (Astate.join (join_states o.o_norm) o.o_ret, D.Itv.Bot)
       in
       (* outside any loop: the site only names the call *)
       let site = { sdesc = Scall (None, main, []); sloc = fd.fd_loc } in
-      fst (exec_call_memo a ~site ~fname:main VarMap.empty st0 compute)
+      fst (Memo.call a Memo.no_sites ~site ~fname:main VarMap.empty st0 compute)

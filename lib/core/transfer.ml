@@ -18,14 +18,6 @@ type binds = lval VarMap.t
 (** bindings of by-reference parameters to actual lvalues (function
     inlining, Sect. 5.4) *)
 
-(** Tables keyed by a statement itself, not by its contents. *)
-module Stmt_tbl = Hashtbl.Make (struct
-  type t = stmt
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 (* ------------------------------------------------------------------ *)
 (* Session types (reentrancy seam)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -57,35 +49,13 @@ type itf_key = int * Cell.step list
       rely).
     - [itf_writes]: the guarantee collector — every abstract write to a
       shared cell joins its value here, keyed position-independently.
-      A capture section swaps in a fresh table, so a call's own writes
-      are recorded apart and joined back when it ends. *)
+      A memo section ([Memo.record]) swaps in a fresh table, so a
+      call's own writes are recorded apart and joined back when it
+      ends. *)
 type itf = {
   itf_rely : (itf_key, D.Itv.t) Hashtbl.t;
   itf_shared : (int, unit) Hashtbl.t;
   mutable itf_writes : (itf_key, D.Itv.t) Hashtbl.t;
-}
-
-(** The side effects of one captured call, in replayable form (the
-    summary cache records these; see the capture functions below). *)
-type capture_delta = {
-  cd_alarms : Alarm.t list;
-  cd_invariants : (int * Astate.t) list;  (** sorted by loop id *)
-  cd_oct_useful : int list;               (** sorted *)
-  cd_joins : int;
-  cd_itf_writes : (itf_key * D.Itv.t) list;
-      (** the call's own shared-cell writes (sorted by key), so summary
-          replay keeps the interference guarantee complete *)
-}
-
-(** Flow-separated analysis outcome of a statement or block.  [o_norm]
-    is a disjunction of abstract states (a singleton except under trace
-    partitioning). *)
-type outcome = {
-  o_norm : Astate.t list;
-  o_brk : Astate.t;
-  o_cont : Astate.t;
-  o_ret : Astate.t;
-  o_retv : D.Itv.t;
 }
 
 (** A call's summary, stored in the coordinates of the call's frame
@@ -147,10 +117,10 @@ type summary_key = {
   sk_checking : bool;
 }
 
-(** The keyed tier of the call memo as the iterator sees it
-    ([Iterator.exec_call_memo], DESIGN.md §8): summaries under a key
-    that only [Astree_incremental] can compute, found in and added to
-    its store.  Summaries cross this seam with absolute alarm
+(** The keyed tier of the call memo as [Memo.call] sees it (DESIGN.md
+    §8): summaries under a key that only [Astree_incremental] can
+    compute, found in and added to its store, which counts the run's
+    hits and misses.  Summaries cross this seam with absolute alarm
     locations; the store keeps them relative. *)
 type keyed = {
   kt_names : Frame.names;
@@ -162,12 +132,7 @@ type keyed = {
           frame; [None] when the callee cannot be keyed *)
   kt_find : summary_key -> summary option;
   kt_add : summary_key -> summary -> unit;
-  kt_lookups : lookups;
-      (** the run's lookups, counted by the iterator (shared by copies
-          of the record) *)
 }
-
-and lookups = { mutable lk_hits : int; mutable lk_misses : int }
 
 (** Per-analysis session: every hook and piece of cross-cutting mutable
     state one analysis run needs, bundled so that concurrent analyses
@@ -190,33 +155,11 @@ and session = {
           every transfer function on its single-task path *)
 }
 
-(** A write to the context's bookkeeping tables made while a capture
+(** A write to the context's bookkeeping tables made while a memo
     section is open: the previous invariant of a loop, or a pack that
-    became useful.  {!capture_end} reads its section's writes back. *)
+    became useful.  The section reads its own writes back when it
+    closes ([Memo.record]). *)
 and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
-
-(** One computed call as a loop's call site keeps it (DESIGN.md §6):
-    its framed entry, the by-reference bindings and its summary.  Its
-    clock and alarm mode are the site's. *)
-and call_slot = {
-  sl_entry : Frame.entry;
-  sl_binds : binds;
-  sl_summary : summary;
-}
-
-(** A call statement under one loop and one inlining stack: the clock
-    and alarm mode of its latest call, its last two recorded calls
-    under them, the newer first, and the call statements of its
-    callee's body. *)
-and call_site = {
-  mutable cs_clock : D.Itv.t;
-  mutable cs_checking : bool;
-  mutable cs_new : call_slot option;
-  mutable cs_old : call_slot option;
-  cs_inner : call_sites Lazy.t;
-}
-
-and call_sites = call_site Stmt_tbl.t
 
 (** Analysis context shared by all transfer functions. *)
 and actx = {
@@ -236,12 +179,10 @@ and actx = {
   mutable join_count : int;  (** statistics *)
   frames : Frame.ctx;  (** the call frames of this context *)
   mutable journal : journal_entry list;
-      (** writes to [invariants] and [oct_useful] under an open capture
+      (** writes to [invariants] and [oct_useful] under an open memo
           section, newest first; emptied when the last one closes *)
   mutable journal_len : int;
-  mutable captures : int;  (** open capture sections *)
-  mutable sites : call_sites Lazy.t option;
-      (** the call sites of the innermost loop body being analyzed *)
+  mutable sections : int;  (** open memo sections *)
   inlined : (string, int) Hashtbl.t Lazy.t;
       (** transitive inlined size of each function ([inlined_sizes]) *)
 }
@@ -358,8 +299,7 @@ let make_actx ?session ?prepared (cfg : Config.t) (p : program) : actx =
     frames = Frame.ctx ?names pr.pr_frames;
     journal = [];
     journal_len = 0;
-    captures = 0;
-    sites = None;
+    sections = 0;
     inlined = pr.pr_inlined;
   }
 
@@ -441,9 +381,9 @@ let var_itv (a : actx) (st : Astate.t) (v : var) : D.Itv.t =
 (* ------------------------------------------------------------------ *)
 
 (* Writes to [invariants] and [oct_useful] go through these two, which
-   journal them while a capture section is open. *)
+   journal them while a memo section is open. *)
 let journal (a : actx) (e : journal_entry) =
-  if a.captures > 0 then begin
+  if a.sections > 0 then begin
     a.journal <- e :: a.journal;
     a.journal_len <- a.journal_len + 1
   end
@@ -1376,175 +1316,3 @@ let initial_state (a : actx) : Astate.t =
         cells)
     a.prog.p_globals;
   Astate.make ~env:!env ~rel:(Relstate.top a.packs) ~clock
-
-(* ------------------------------------------------------------------ *)
-(* Incremental-analysis support                                         *)
-(* ------------------------------------------------------------------ *)
-
-(** An open capture section, taken at the entry of a call so that the
-    call's exact contribution — alarms, loop invariants, useful octagon
-    packs, join count, shared-cell writes — can be extracted afterwards
-    and replayed verbatim.  Opening one is O(1): the bookkeeping tables
-    are not copied, their writes are journaled while a section is open
-    ([journal]) and the section reads its own back. *)
-type capture = {
-  cap_alarms : Alarm.capture;
-  cap_journal : int;  (** journal length at entry *)
-  cap_joins : int;
-  cap_itf : (itf_key, D.Itv.t) Hashtbl.t option;
-      (** the guarantee collector in force at entry, set aside while the
-          call's own writes go to a fresh one; [None] outside multi-task
-          runs *)
-}
-
-let capture_begin (a : actx) : capture =
-  a.captures <- a.captures + 1;
-  {
-    cap_alarms = Alarm.capture a.alarms;
-    cap_journal = a.journal_len;
-    cap_joins = a.join_count;
-    cap_itf =
-      Option.map
-        (fun it ->
-          let saved = it.itf_writes in
-          it.itf_writes <- Hashtbl.create 16;
-          saved)
-        a.session.ses_itf;
-  }
-
-(* Put the entry collector back and join the call's writes into it:
-   the guarantee is a union, so the collector ends as if the writes had
-   gone to it directly.  Returns the call's writes, sorted by key. *)
-let itf_release (a : actx) (c : capture) : (itf_key * D.Itv.t) list =
-  match (a.session.ses_itf, c.cap_itf) with
-  | Some it, Some saved ->
-      let own = it.itf_writes in
-      it.itf_writes <- saved;
-      Hashtbl.fold (fun key v acc -> (key, v) :: acc) own []
-      |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
-      |> List.map (fun (key, v) ->
-             itf_record it key v;
-             (key, v))
-  | _ -> []
-
-(* Close a section's journal: the section's writes, oldest first; the
-   journal is emptied once no section is open. *)
-let journal_close (a : actx) (c : capture) : journal_entry list =
-  let rec take n l acc =
-    match l with x :: l when n > 0 -> take (n - 1) l (x :: acc) | _ -> acc
-  in
-  let own = take (a.journal_len - c.cap_journal) a.journal [] in
-  a.captures <- a.captures - 1;
-  if a.captures = 0 then begin
-    a.journal <- [];
-    a.journal_len <- 0
-  end;
-  own
-
-(** Close a capture section: restore the alarm collector (absorbing the
-    captured alarms, so the surrounding analysis is unaffected) and read
-    the section's writes to the invariant and pack tables back.  An
-    invariant is part of the delta iff the call left it physically
-    different from what it was at entry (the oldest journaled previous
-    value), which replay reproduces with [Hashtbl.replace] in loop-id
-    order; a pack is part of it iff the call made it useful. *)
-let capture_end (a : actx) (c : capture) : capture_delta =
-  let alarms = Alarm.release a.alarms c.cap_alarms in
-  let own = journal_close a c in
-  let invariants, oct_useful, _ =
-    List.fold_left
-      (fun (invs, octs, seen) -> function
-        | Jinvariant (id, _) when List.mem id seen -> (invs, octs, seen)
-        | Jinvariant (id, prev) -> (
-            let seen = id :: seen in
-            match (prev, Hashtbl.find_opt a.invariants id) with
-            | Some old, Some st when old == st -> (invs, octs, seen)
-            | _, Some st -> ((id, st) :: invs, octs, seen)
-            | _, None -> (invs, octs, seen))
-        | Juseful id -> (invs, id :: octs, seen))
-      ([], [], []) own
-  in
-  {
-    cd_alarms = alarms;
-    cd_invariants = List.sort (fun (x, _) (y, _) -> Int.compare x y) invariants;
-    cd_oct_useful = List.sort Int.compare oct_useful;
-    cd_joins = a.join_count - c.cap_joins;
-    cd_itf_writes = itf_release a c;
-  }
-
-(** Abandon a capture section on an exceptional exit: the alarm table
-    and the guarantee collector are restored (captured alarms and
-    writes are absorbed, not lost) and no delta is produced. *)
-let capture_abort (a : actx) (c : capture) : unit =
-  ignore (Alarm.release a.alarms c.cap_alarms);
-  ignore (journal_close a c);
-  ignore (itf_release a c)
-
-(** Replay a captured delta against the context — the cache-hit path.
-    By construction this performs exactly the bookkeeping updates the
-    skipped re-analysis would have performed. *)
-let capture_replay (a : actx) (d : capture_delta) : unit =
-  Alarm.absorb a.alarms d.cd_alarms;
-  List.iter (fun (id, st) -> set_invariant a id st) d.cd_invariants;
-  List.iter (mark_useful a) d.cd_oct_useful;
-  a.join_count <- a.join_count + d.cd_joins;
-  match a.session.ses_itf with
-  | None -> ()
-  | Some it ->
-      List.iter (fun (key, v) -> itf_record it key v) d.cd_itf_writes
-
-(* ------------------------------------------------------------------ *)
-(* Summaries in frame coordinates                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** The summary of a computed call: the exit state and the captured
-    side effects, in the coordinates of [fr], alarms at their absolute
-    locations.  [None] when an effect falls outside the frame, which
-    the frame's construction rules out; such a call is simply not
-    replayed. *)
-let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
-    ((exit_, retv) : Astate.t * D.Itv.t) (d : capture_delta) : summary option =
-  let get = function Some i -> i | None -> raise Exit in
-  try
-    Some
-      {
-        sm_exit = Frame.restrict fr ~entry exit_;
-        sm_retv = retv;
-        sm_alarms = List.map (fun al -> ("", al)) d.cd_alarms;
-        sm_invariants =
-          List.map
-            (fun (id, inv) ->
-              (get (Frame.loop_pos fr id), Frame.restrict fr ~entry inv))
-            d.cd_invariants;
-        sm_oct_useful =
-          List.map (fun id -> get (Frame.oct_pos fr id)) d.cd_oct_useful;
-        sm_joins = d.cd_joins;
-        sm_itf_writes =
-          List.map
-            (fun ((root, path), v) ->
-              (get (Option.bind (Cell.find a.intern root path) (Frame.cell_pos fr)), v))
-            d.cd_itf_writes;
-      }
-  with Exit -> None
-
-(** Replay a summary against the bound entry state [entry]: the exit
-    state, with every recorded side effect applied to the context. *)
-let replay (a : actx) (fr : Frame.t) ~(entry : Astate.t) (s : summary) :
-    Astate.t * D.Itv.t =
-  capture_replay a
-    {
-      cd_alarms = List.map snd s.sm_alarms;
-      cd_invariants =
-        List.map
-          (fun (i, inv) -> (Frame.loop_at fr i, Frame.overlay fr inv entry))
-          s.sm_invariants;
-      cd_oct_useful = List.map (Frame.oct_at fr) s.sm_oct_useful;
-      cd_joins = s.sm_joins;
-      cd_itf_writes =
-        List.map
-          (fun (i, v) ->
-            let c = Cell.of_id a.intern (Frame.cell_at fr i) in
-            ((c.Cell.root.v_id, c.Cell.path), v))
-          s.sm_itf_writes;
-    };
-  (Frame.overlay fr s.sm_exit entry, s.sm_retv)

@@ -23,10 +23,6 @@ module D = Astree_domains
     inlining, Sect. 5.4). *)
 type binds = F.Tast.lval F.Tast.VarMap.t
 
-(** Tables keyed by a statement itself (physical equality), not by its
-    contents. *)
-module Stmt_tbl : Hashtbl.S with type key = F.Tast.stmt
-
 (** {1 Session types (reentrancy seam)}
 
     The iterator's extension hooks — the call memo's keyed tier and
@@ -50,28 +46,7 @@ type itf = {
   itf_rely : (itf_key, D.Itv.t) Hashtbl.t;
   itf_shared : (int, unit) Hashtbl.t;
   mutable itf_writes : (itf_key, D.Itv.t) Hashtbl.t;
-      (** swapped for a fresh table inside a capture section *)
-}
-
-(** Replayable side effects of one captured call (see the capture
-    functions at the bottom of this interface). *)
-type capture_delta = {
-  cd_alarms : Alarm.t list;
-  cd_invariants : (int * Astate.t) list;  (** sorted by loop id *)
-  cd_oct_useful : int list;               (** sorted *)
-  cd_joins : int;
-  cd_itf_writes : (itf_key * D.Itv.t) list;
-      (** the call's own shared-cell writes (sorted by key), replayed
-          into the guarantee collector on a cache hit *)
-}
-
-(** Flow-separated analysis outcome of a statement or block. *)
-type outcome = {
-  o_norm : Astate.t list;
-  o_brk : Astate.t;
-  o_cont : Astate.t;
-  o_ret : Astate.t;
-  o_retv : D.Itv.t;
+      (** swapped for a fresh table inside a memo section *)
 }
 
 (** A call's summary in the coordinates of its frame (the cells, packs
@@ -140,10 +115,10 @@ type summary_key = {
   sk_checking : bool;
 }
 
-(** The keyed tier of the call memo ([Iterator.exec_call_memo]): the
-    summaries of calls under a key that only [Astree_incremental] can
-    compute, found in and added to its store.  Summaries cross this
-    seam with absolute alarm locations. *)
+(** The keyed tier of the call memo ([Memo.call]): the summaries of
+    calls under a key that only [Astree_incremental] can compute, found
+    in and added to its store, which counts the run's hits and misses.
+    Summaries cross this seam with absolute alarm locations. *)
 type keyed = {
   kt_names : Frame.names;
       (** the program-stable names the context's frames are built with,
@@ -155,13 +130,7 @@ type keyed = {
           cannot be keyed *)
   kt_find : summary_key -> summary option;
   kt_add : summary_key -> summary -> unit;
-  kt_lookups : lookups;
-      (** the run's hits and misses: [Iterator.exec_call_memo] counts
-          every lookup here, and the store's cache statistics report
-          them *)
 }
-
-and lookups = { mutable lk_hits : int; mutable lk_misses : int }
 
 (** Per-analysis session: the hooks and cross-cutting mutable state of
     one analysis run.  Sessions make [Analysis] reentrant: the daemon
@@ -177,33 +146,10 @@ and session = {
           keeps every transfer function on its single-task path *)
 }
 
-(** A write to [invariants] or [oct_useful] made while a capture
-    section is open: a loop's previous invariant, or a pack that became
-    useful. *)
+(** A write to [invariants] or [oct_useful] made while a memo section
+    ([Memo.record]) is open: a loop's previous invariant, or a pack that
+    became useful. *)
 and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
-
-(** One computed call as a loop's call site keeps it ([Iterator],
-    DESIGN.md §6): its framed entry, by-reference bindings and summary.
-    Its clock and alarm mode are the site's. *)
-and call_slot = {
-  sl_entry : Frame.entry;
-  sl_binds : binds;
-  sl_summary : summary;
-}
-
-(** A call statement under one loop and one inlining stack: the clock
-    and alarm mode of its latest call, its last two recorded calls
-    under them, the newer first, and the call statements of its
-    callee's body. *)
-and call_site = {
-  mutable cs_clock : D.Itv.t;
-  mutable cs_checking : bool;
-  mutable cs_new : call_slot option;
-  mutable cs_old : call_slot option;
-  cs_inner : call_sites Lazy.t;
-}
-
-and call_sites = call_site Stmt_tbl.t
 
 (** Analysis context shared by all transfer functions. *)
 and actx = {
@@ -222,12 +168,10 @@ and actx = {
   mutable join_count : int;
   frames : Frame.ctx;  (** the call frames of this context *)
   mutable journal : journal_entry list;
-      (** writes to [invariants] and [oct_useful] under an open capture
+      (** writes to [invariants] and [oct_useful] under an open memo
           section, newest first; emptied when the last one closes *)
   mutable journal_len : int;
-  mutable captures : int;  (** open capture sections *)
-  mutable sites : call_sites Lazy.t option;
-      (** the call sites of the innermost loop body being analyzed *)
+  mutable sections : int;  (** open memo sections *)
   inlined : (string, int) Hashtbl.t Lazy.t;  (** [prepared.pr_inlined] *)
 }
 
@@ -261,10 +205,14 @@ val var_itv : actx -> Astate.t -> F.Tast.var -> D.Itv.t
 
 
 (** {1 Bookkeeping} through which every write to [invariants] and
-    [oct_useful] goes, so that capture sections see them *)
+    [oct_useful] goes, so that memo sections see them *)
 
 val set_invariant : actx -> int -> Astate.t -> unit
 val mark_useful : actx -> int -> unit
+
+(** Join a write of a value to the shared cell with this key into the
+    guarantee collector [itf_writes]. *)
+val itf_record : itf -> itf_key -> D.Itv.t -> unit
 
 (** {1 Lvalues and expressions} *)
 
@@ -318,40 +266,3 @@ val wait : actx -> Astate.t -> Astate.t
 (** Initial abstract state: globals bound to their static initializers
     (Sect. 5.2). *)
 val initial_state : actx -> Astate.t
-
-(** {1 Call memo support}
-
-    Capture sections isolate the exact side effects of one function call
-    on the context's mutable bookkeeping (alarms, loop invariants,
-    useful octagon packs, join count), so the call memo can keep them
-    with the call's result and replay them verbatim. *)
-
-type capture
-
-(** Open a section: O(1), the bookkeeping tables are journaled, not
-    copied. *)
-val capture_begin : actx -> capture
-
-val capture_end : actx -> capture -> capture_delta
-
-(** Abandon a section on an exceptional exit (alarms and shared-cell
-    writes are preserved). *)
-val capture_abort : actx -> capture -> unit
-
-(** The summary of a computed call from [entry]: its result and side
-    effects in the coordinates of the call's frame, alarms at their
-    absolute locations.  [None] when an effect falls outside the frame,
-    which the frame's construction rules out. *)
-val record :
-  actx ->
-  Frame.t ->
-  entry:Astate.t ->
-  Astate.t * D.Itv.t ->
-  capture_delta ->
-  summary option
-
-(** Replay a summary from the bound entry state [entry]: the exit state
-    and return value, with every recorded side effect applied to the
-    context. *)
-val replay :
-  actx -> Frame.t -> entry:Astate.t -> summary -> Astate.t * D.Itv.t

@@ -11,10 +11,11 @@
     weaker-entry hit could change the computed invariants, so equality
     of keys is the proof that a hit is equivalent to re-analysis.
 
-    The iterator computes, records and replays summaries
-    ([Iterator.exec_call_memo]); this module supplies only what it
-    cannot compute: the key, the program-stable frame names, and
-    find/add against the run's table and the store.  A summary holds
+    The call memo computes, records and replays summaries
+    ([Astree_core.Memo.call]); this module supplies only what it cannot
+    compute: the key, the program-stable frame names, and find/add
+    against the run's table and the store, where [find] counts the
+    run's hits and misses.  A summary holds
     the frame part of the exit state and of the in-callee loop
     invariants, and the call's side effects, all in frame coordinates,
     so nothing in a key or a summary names a dense id.  The store owns
@@ -71,7 +72,8 @@ type session = {
   mutable ss_new : (C.Transfer.summary_key * C.Transfer.summary) list;
       (** computed this run, newest first: what a save publishes *)
   ss_store : Store.t;
-  ss_lookups : C.Transfer.lookups;  (** counted by the iterator *)
+  mutable ss_hits : int;  (** lookups {!find} answered this run *)
+  mutable ss_misses : int;  (** lookups it did not *)
   ss_buf : Buffer.t;  (** where every key's entry digest is assembled *)
   mutable ss_load_time : float;
 }
@@ -94,7 +96,7 @@ let key (ss : session) (a : C.Transfer.actx) ~(fname : string)
     (Fingerprint.summary_fn ss.ss_fps fname)
 
 (* A summary of the table or the store, its alarm locations laid back
-   onto this program. *)
+   onto this program; every call is one of the run's lookups. *)
 let find (ss : session) (key : C.Transfer.summary_key) :
     C.Transfer.summary option =
   let r =
@@ -107,6 +109,8 @@ let find (ss : session) (key : C.Transfer.summary_key) :
         r
     | None -> None
   in
+  if Option.is_some r then ss.ss_hits <- ss.ss_hits + 1
+  else ss.ss_misses <- ss.ss_misses + 1;
   Option.map
     (map_alarms (fun (owner, (al : C.Alarm.t)) ->
          let l = Fingerprint.rebase ss.ss_fps (owner, al.C.Alarm.a_loc) in
@@ -152,7 +156,8 @@ let attach (ses : C.Transfer.session) (pr : C.Transfer.prepared) : session =
       ss_tbl = Hashtbl.create 1024;
       ss_new = [];
       ss_store = store;
-      ss_lookups = { C.Transfer.lk_hits = 0; lk_misses = 0 };
+      ss_hits = 0;
+      ss_misses = 0;
       ss_buf = Buffer.create 1024;
       ss_load_time = load_time;
     }
@@ -164,7 +169,6 @@ let attach (ses : C.Transfer.session) (pr : C.Transfer.prepared) : session =
         kt_key = key ss;
         kt_find = find ss;
         kt_add = add ss;
-        kt_lookups = ss.ss_lookups;
       };
   ss
 
@@ -192,8 +196,8 @@ let detach ?(save = true) (ss : session) : C.Analysis.cache_stats =
     else 0.
   in
   {
-    C.Analysis.c_hits = ss.ss_lookups.C.Transfer.lk_hits;
-    c_misses = ss.ss_lookups.C.Transfer.lk_misses;
+    C.Analysis.c_hits = ss.ss_hits;
+    c_misses = ss.ss_misses;
     c_entries = Hashtbl.length ss.ss_tbl;
     c_loaded = Store.loaded ss.ss_store;
     c_load_time = ss.ss_load_time;

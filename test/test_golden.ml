@@ -225,7 +225,7 @@ let actual_digests () =
             I.Store.keys (I.Store.open_ ~dir)))
   in
   let entries =
-    List.map (fun k -> k.C.Iterator.sk_entry) keys
+    List.map (fun k -> k.C.Transfer.sk_entry) keys
     |> List.sort_uniq String.compare
   in
   [

@@ -203,12 +203,12 @@ let with_cache_driver ?(min_stmts = 0) k =
   I.Summary.register ();
   (* the test programs' helpers are tiny; by default memoize everything
      so hit counters are exercised *)
-  let min0 = !C.Iterator.memo_min_stmts in
-  C.Iterator.memo_min_stmts := min_stmts;
+  let min0 = !C.Memo.memo_min_stmts in
+  C.Memo.memo_min_stmts := min_stmts;
   Fun.protect
     ~finally:(fun () ->
       C.Analysis.cache_driver := None;
-      C.Iterator.memo_min_stmts := min0)
+      C.Memo.memo_min_stmts := min0)
     (fun () ->
       (* counter assertions (hits > 0, loaded > 0, misses = 0) only hold
          without injected store faults: mask them so the suite stays
@@ -399,7 +399,7 @@ let cold_store_run cfg p =
         p)
 
 let test_private_store_equiv () =
-  let shipped_min_stmts = !C.Iterator.memo_min_stmts in
+  let shipped_min_stmts = !C.Memo.memo_min_stmts in
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
       let cfg =
@@ -414,7 +414,7 @@ let test_private_store_equiv () =
           Alcotest.(check string)
             "private-store result identical"
             (P.Merge.fingerprint off) (P.Merge.fingerprint r);
-          C.Iterator.memo_min_stmts := shipped_min_stmts;
+          C.Memo.memo_min_stmts := shipped_min_stmts;
           let g =
             G.Generator.generate
               {
@@ -448,7 +448,7 @@ let test_private_store_equiv () =
              [stage] see the same frame ([t] is not bound yet at the
              first), so the third call is a hit whenever the second was
              computed. *)
-          C.Iterator.memo_min_stmts := 0;
+          C.Memo.memo_min_stmts := 0;
           let p, _ =
             C.Analysis.compile
               [
@@ -745,7 +745,7 @@ let recorded_calls (cfg : C.Config.t) (p : F.Tast.program) =
           p
       in
       let keys =
-        List.map (fun k -> k.C.Iterator.sk_entry) (stored_keys dir)
+        List.map (fun k -> k.C.Transfer.sk_entry) (stored_keys dir)
       in
       (r, keys, List.rev !seen))
 
@@ -1067,7 +1067,7 @@ let test_noop_warm_run_does_not_write () =
               I.Fingerprint.summary_fn (I.Fingerprint.make cfg e) "main"
             in
             List.exists
-              (fun k -> Some k.C.Iterator.sk_fn = fn)
+              (fun k -> Some k.C.Transfer.sk_fn = fn)
               (stored_keys dir)
           in
           Alcotest.(check bool) "edited entry not in the store" false
@@ -1241,7 +1241,7 @@ let cascade_src ~stages ~width =
    right after a computed call and a cascade of 8-wide octagon packs,
    at the shipped memoization threshold. *)
 let test_renderings_agree () =
-  let min_stmts = !C.Iterator.memo_min_stmts in
+  let min_stmts = !C.Memo.memo_min_stmts in
   let check ?dir ?(cfg = C.Config.default) name src =
     let p, _ = C.Analysis.compile [ (name, src) ] in
     let cfg =
@@ -1289,7 +1289,7 @@ let test_renderings_agree () =
    under its rely, so a fully warm fixpoint replays one summary per task
    in its last round and matches the cache-off fixpoint. *)
 let test_warm_tasks () =
-  let shipped = !C.Iterator.memo_min_stmts in
+  let shipped = !C.Memo.memo_min_stmts in
   let g =
     G.Generator.generate_tasks
       {
@@ -1345,7 +1345,7 @@ let test_trip_publishes_no_entry () =
   ignore (C.Analysis.analyze ~session:ses ~cfg p);
   let half = !polls / 2 in
   let entry = I.Fingerprint.summary_fn (I.Fingerprint.make cfg p) "main" in
-  let shipped = !C.Iterator.memo_min_stmts in
+  let shipped = !C.Memo.memo_min_stmts in
   with_private_dir (fun dir ->
       with_cache_driver ~min_stmts:shipped (fun () ->
           let ccfg =
@@ -1366,7 +1366,7 @@ let test_trip_publishes_no_entry () =
           let keys = stored_keys dir in
           Alcotest.(check bool) "callee summaries published" true (keys <> []);
           Alcotest.(check bool) "no entry summary published" false
-            (List.exists (fun k -> Some k.C.Iterator.sk_fn = entry) keys);
+            (List.exists (fun k -> Some k.C.Transfer.sk_fn = entry) keys);
           let next = C.Analysis.analyze ~cfg:ccfg p in
           Alcotest.(check string) "the next run = off"
             (P.Merge.fingerprint off) (P.Merge.fingerprint next);
@@ -1375,7 +1375,7 @@ let test_trip_publishes_no_entry () =
             ((cache_stats_exn next).C.Analysis.c_hits > 0);
           Alcotest.(check bool) "and publishes the entry summary" true
             (List.exists
-               (fun k -> Some k.C.Iterator.sk_fn = entry)
+               (fun k -> Some k.C.Transfer.sk_fn = entry)
                (stored_keys dir))))
 
 (* the first float literal after the header of [fn], multiplied by 2 *)
@@ -1401,7 +1401,7 @@ let test_edit_warm_dead_block () =
   let src = fused_member () in
   let cs =
     with_cache_driver (fun () ->
-        C.Iterator.memo_min_stmts := 30;
+        C.Memo.memo_min_stmts := 30;
         check_edit_warm ~name:"dead block, new file name" ("m.c", src)
           ("e0_005.c", dead_block src))
   in
@@ -1415,7 +1415,7 @@ let test_edit_warm_dead_block () =
 let test_edit_warm_kinds () =
   let src = fused_member () in
   with_cache_driver (fun () ->
-      C.Iterator.memo_min_stmts := 30;
+      C.Memo.memo_min_stmts := 30;
       List.iter
         (fun (name, edit) ->
           ignore (check_edit_warm ~name ("m.c", src) ("m.c", edit src)))
@@ -1572,7 +1572,8 @@ let check_frame_oracle ~name cfg p =
         let o =
           C.Iterator.exec_block a
             ~part:(List.mem fname cfg.C.Config.partitioned_functions)
-            ~stack:[ fname ] binds [ st ] fd.F.Tast.fd_body
+            ~stack:[ fname ] ~sites:C.Memo.no_sites binds [ st ]
+            fd.F.Tast.fd_body
         in
         C.Astate.join
           (List.fold_left C.Astate.join C.Astate.bottom o.C.Iterator.o_norm)
@@ -1732,7 +1733,7 @@ let test_reused_pack_digests_exact () =
   in
   let checked = ref 0 in
   with_private_dir @@ fun dir ->
-  with_cache_driver ~min_stmts:!C.Iterator.memo_min_stmts (fun () ->
+  with_cache_driver ~min_stmts:!C.Memo.memo_min_stmts (fun () ->
       C.Analysis.cache_driver :=
         Some
           (fun ses pr core ->
@@ -1765,8 +1766,23 @@ let test_reused_pack_digests_exact () =
       let cfg =
         { C.Config.default with C.Config.summary_cache = C.Config.Cache_dir dir }
       in
-      let cold = cache_stats_exn (C.Analysis.analyze ~cfg p) in
-      let edited = cache_stats_exn (C.Analysis.analyze ~cfg e) in
+      (* the store's own tally of a run is the registry's: [Memo] counts
+         every keyed lookup in it, [Summary.find] in the run's report *)
+      let counted name prog =
+        let hits = Astree_obs.Metrics.counter "cache.hits"
+        and misses = Astree_obs.Metrics.counter "cache.misses" in
+        let h0 = Astree_obs.Metrics.value hits
+        and m0 = Astree_obs.Metrics.value misses in
+        let c = cache_stats_exn (C.Analysis.analyze ~cfg prog) in
+        Alcotest.(check (pair int int))
+          (name ^ ": registry hits, misses = the report's")
+          (c.C.Analysis.c_hits, c.C.Analysis.c_misses)
+          ( Astree_obs.Metrics.value hits - h0,
+            Astree_obs.Metrics.value misses - m0 );
+        c
+      in
+      let cold = counted "cold" p in
+      let edited = counted "edited" e in
       Alcotest.(check bool) "the cold run keyed calls" true
         (cold.C.Analysis.c_misses > 10);
       Alcotest.(check bool) "the edited copy hit its stages" true

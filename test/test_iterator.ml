@@ -631,13 +631,12 @@ let test_clock_widens_to_max_clock () =
               None);
           kt_find = (fun _ -> None);
           kt_add = (fun _ _ -> ());
-          kt_lookups = { C.Transfer.lk_hits = 0; lk_misses = 0 };
         };
-    let min0 = !C.Iterator.memo_min_stmts in
-    C.Iterator.memo_min_stmts := 0;
+    let min0 = !C.Memo.memo_min_stmts in
+    C.Memo.memo_min_stmts := 0;
     let r =
       Fun.protect
-        ~finally:(fun () -> C.Iterator.memo_min_stmts := min0)
+        ~finally:(fun () -> C.Memo.memo_min_stmts := min0)
         (fun () -> C.Analysis.analyze ~session:ses ~cfg p)
     in
     let his =

@@ -18,6 +18,7 @@ let () =
       ("packing", Test_packing.suite);
       ("transfer", Test_transfer.suite);
       ("prewrite", Test_transfer.prewrite_suite);
+      ("memo", Test_memo.suite);
       ("iterator", Test_iterator.suite);
       ("analysis", Test_analysis.suite);
       ("generator", Test_gen.suite);

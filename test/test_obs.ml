@@ -445,12 +445,12 @@ let test_rel_probes () =
 
 let with_cache_driver k =
   I.Summary.register ();
-  let min0 = !C.Iterator.memo_min_stmts in
-  C.Iterator.memo_min_stmts := 0;
+  let min0 = !C.Memo.memo_min_stmts in
+  C.Memo.memo_min_stmts := 0;
   Fun.protect
     ~finally:(fun () ->
       C.Analysis.cache_driver := None;
-      C.Iterator.memo_min_stmts := min0)
+      C.Memo.memo_min_stmts := min0)
     (fun () -> Astree_robust.Faultsim.with_suppressed k)
 
 (* two warm runs from the same store perform the same hits in the same

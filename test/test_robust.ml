@@ -93,12 +93,12 @@ let with_tmpdir k =
 
 let with_cache_driver k =
   I.Summary.register ();
-  let min0 = !C.Iterator.memo_min_stmts in
-  C.Iterator.memo_min_stmts := 0;
+  let min0 = !C.Memo.memo_min_stmts in
+  C.Memo.memo_min_stmts := 0;
   Fun.protect
     ~finally:(fun () ->
       C.Analysis.cache_driver := None;
-      C.Iterator.memo_min_stmts := min0)
+      C.Memo.memo_min_stmts := min0)
     k
 
 (* the store files of a directory *)

@@ -240,7 +240,7 @@ let store_files dir =
   | exception Sys_error _ -> []
 
 (* A two-stage filter cascade whose stage functions sit above
-   [Iterator.memo_min_stmts], so the analysis actually produces
+   [Memo.memo_min_stmts], so the analysis actually produces
    function summaries — the tiny inline programs above analyze without
    any, which makes them useless for warm-state tests.  Same shape as
    the E15 bench workload. *)
