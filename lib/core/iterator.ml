@@ -126,7 +126,8 @@ let widen_state ~thresholds ~max_clock (inv : Astate.t) (next : Astate.t) :
   r
 
 let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
-    ~(sites : Memo.sites) (binds : Transfer.binds) (sts : Astate.t list) (s : stmt) : outcome =
+    ~(sites : Memo.sites) (binds : Transfer.binds) (sts : Astate.t list)
+    (s : stmt) : outcome =
   tick a;
   (* keep the collector's inlining context in sync with the iterator's
      stack, so every alarm reported below picks up its call chain (one
@@ -228,7 +229,8 @@ let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
           exec_call a ~stack ~sites ~site:s binds sts dst fname args)
 
 and exec_block (a : Transfer.actx) ~(part : bool) ~(stack : string list)
-    ~(sites : Memo.sites) (binds : Transfer.binds) (sts : Astate.t list) (b : block) : outcome =
+    ~(sites : Memo.sites) (binds : Transfer.binds) (sts : Astate.t list)
+    (b : block) : outcome =
   List.fold_left
     (fun acc stmt ->
       match live acc.o_norm with
