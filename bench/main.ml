@@ -423,8 +423,8 @@ int main(void) {
   let r = C.Analysis.analyze_string src in
   Fmt.pr "alarms on the filter: %d@." (C.Analysis.n_alarms r);
   let proven = ref Float.infinity in
-  Hashtbl.iter
-    (fun _ (inv : C.Astate.t) ->
+  List.iter
+    (fun (_, (inv : C.Astate.t)) ->
       C.Env.iter
         (fun cid av ->
           let c = C.Cell.of_id r.C.Analysis.r_actx.C.Transfer.intern cid in
@@ -434,7 +434,7 @@ int main(void) {
                 proven := Float.max (Float.abs lo) (Float.abs hi)
             | _ -> ())
         inv.C.Astate.env)
-    r.C.Analysis.r_actx.C.Transfer.invariants;
+    (C.Analysis.invariants r);
   Fmt.pr "proven |X| bound: %g@." !proven;
   let k_star = (1.0 /. (1.0 -. sqrt b_c)) ** 2.0 in
   let ideal = 2.0 *. sqrt (b_c *. k_star /. ((4.0 *. b_c) -. (a_c *. a_c))) in

@@ -82,10 +82,9 @@ let () =
          dangerous value or is very wide *)
       let actx = r.C.Analysis.r_actx in
       let inv =
-        Hashtbl.fold
-          (fun _ st acc ->
-            match acc with None -> Some st | some -> some)
-          actx.C.Transfer.invariants None
+        match C.Analysis.invariants r with
+        | (_, st) :: _ -> Some st
+        | [] -> None
       in
       let interesting (v : F.Tast.var) =
         match inv with

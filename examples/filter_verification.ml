@@ -58,15 +58,15 @@ let () =
   (* extract the proven range of the filter state X *)
   let actx = r.C.Analysis.r_actx in
   let x_bound = ref None in
-  Hashtbl.iter
-    (fun _ (inv : C.Astate.t) ->
+  List.iter
+    (fun (_, (inv : C.Astate.t)) ->
       C.Env.iter
         (fun cell_id av ->
           let cell = C.Cell.of_id actx.C.Transfer.intern cell_id in
           if cell.C.Cell.root.F.Tast.v_name = "X" then
             x_bound := Some (C.Avalue.itv av))
         inv.C.Astate.env)
-    actx.C.Transfer.invariants;
+    (C.Analysis.invariants r);
   (match !x_bound with
   | Some i -> Fmt.pr "proven loop invariant: X in %a@." D.Itv.pp i
   | None -> Fmt.pr "no bound recorded for X@.");

@@ -39,15 +39,15 @@ let () =
 
   (* 2. look at the invariant the analyzer found for the main loop *)
   let actx = result.C.Analysis.r_actx in
-  Hashtbl.iter
-    (fun loop_id (inv : C.Astate.t) ->
+  List.iter
+    (fun (loop_id, (inv : C.Astate.t)) ->
       Fmt.pr "loop %d invariant:@." loop_id;
       C.Env.iter
         (fun cell_id av ->
           let cell = C.Cell.of_id actx.C.Transfer.intern cell_id in
           Fmt.pr "  %a in %a@." C.Cell.pp cell D.Itv.pp (C.Avalue.itv av))
         inv.C.Astate.env)
-    actx.C.Transfer.invariants;
+    (C.Analysis.invariants result);
 
   (* 3. contrast with the baseline analyzer of [5] (intervals only,
      no thresholds): the same program now raises false alarms *)

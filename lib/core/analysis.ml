@@ -67,8 +67,14 @@ let n_alarms r = List.length r.r_alarms
 (** The list of useful octagon packs, reusable via
     [Config.useful_packs_only] (Sect. 7.2.2). *)
 let useful_octagon_packs (r : result) : int list =
-  Hashtbl.fold (fun id () acc -> id :: acc) r.r_actx.Transfer.oct_useful []
-  |> List.sort Int.compare
+  List.sort Int.compare
+    (List.map fst (Ptmap.bindings r.r_actx.Transfer.oct_useful))
+
+(** The recorded loop invariants, sorted by loop id. *)
+let invariants (r : result) : (int * Astate.t) list =
+  List.sort
+    (fun (x, _) (y, _) -> Int.compare x y)
+    (Ptmap.bindings r.r_actx.Transfer.invariants)
 
 (** Installed by [Astree_incremental.Summary.register]: when
     [Config.cache_enabled cfg], the driver fingerprints the program,
@@ -92,7 +98,7 @@ let context_stats (actx : Transfer.actx) (p : F.Tast.program) : stats =
     s_cells = Cell.count actx.Transfer.intern;
     s_stmts = F.Tast.program_size p;
     s_oct_packs = List.length pk.Packing.octs;
-    s_oct_useful = Hashtbl.length actx.Transfer.oct_useful;
+    s_oct_useful = Ptmap.cardinal actx.Transfer.oct_useful;
     s_ell_packs = List.length pk.Packing.ells;
     s_dt_packs = List.length pk.Packing.dts;
     s_time = 0.;
@@ -129,8 +135,8 @@ module Reply = struct
     rp_alarms : Alarm.t list;
     rp_final : Astate.t;
     rp_stats : stats;
-    rp_invariants : (int, Astate.t) Hashtbl.t;
-    rp_oct_useful : (int, unit) Hashtbl.t;
+    rp_invariants : Astate.t Ptmap.t;
+    rp_oct_useful : unit Ptmap.t;
     rp_joins : int;
   }
 
@@ -148,14 +154,12 @@ module Reply = struct
   let attach (a : Transfer.actx) (rp : t) : unit =
     if Cell.count a.Transfer.intern <> rp.rp_stats.s_cells then
       invalid_arg "Analysis.Reply.attach: cell numberings differ";
-    Hashtbl.iter
-      (fun id st ->
-        Hashtbl.replace a.Transfer.invariants id
-          (match Hashtbl.find_opt a.Transfer.invariants id with
-          | None -> st
-          | Some st0 -> Astate.join st0 st))
-      rp.rp_invariants;
-    Hashtbl.iter (Hashtbl.replace a.Transfer.oct_useful) rp.rp_oct_useful;
+    a.Transfer.invariants <-
+      Ptmap.union_idem
+        (fun _ st0 st -> Astate.join st0 st)
+        a.Transfer.invariants rp.rp_invariants;
+    a.Transfer.oct_useful <-
+      Ptmap.union_idem (fun _ () () -> ()) a.Transfer.oct_useful rp.rp_oct_useful;
     a.Transfer.join_count <- a.Transfer.join_count + rp.rp_joins
 end
 

@@ -55,6 +55,9 @@ val context_stats : Transfer.actx -> Astree_frontend.Tast.program -> stats
     [Config.useful_packs_only] (Sect. 7.2.2). *)
 val useful_octagon_packs : result -> int list
 
+(** The recorded loop invariants, sorted by loop id. *)
+val invariants : result -> (int * Astate.t) list
+
 (** Analyze an already-compiled program, sequentially at every
     [cfg.jobs].  [?session] threads an existing {!Transfer.session}
     through (the analysis server passes one per request); a fresh
@@ -78,18 +81,19 @@ module Reply : sig
     rp_alarms : Alarm.t list;
     rp_final : Astate.t;
     rp_stats : stats;
-    rp_invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> invariant *)
-    rp_oct_useful : (int, unit) Hashtbl.t;
+    rp_invariants : Astate.t Ptmap.t;  (** loop id -> invariant *)
+    rp_oct_useful : unit Ptmap.t;
     rp_joins : int;
   }
 
   val detach : result -> t
 
   (** Absorb a reply into a context the receiver built with
-      {!Transfer.make_actx}: invariants join point-wise, useful packs
-      union, join counts add.  Cell ids depend only on the program and
-      the configuration ({!Transfer.prepared}), so the sender's states
-      mean the same here.
+      {!Transfer.make_actx}: invariants join point-wise and useful packs
+      union, each map by {!Ptmap.union_idem}; join counts add.  Cell ids
+      depend only on the program and the configuration
+      ({!Transfer.prepared}), so the sender's states mean the same
+      here.
       @raise Invalid_argument if the sender numbered other cells. *)
   val attach : Transfer.actx -> t -> unit
 end

@@ -41,17 +41,6 @@ let set (e : t) (id : int) (v : Avalue.t) : t =
       b.(id) <- Some v;
       Naive b
 
-let remove (e : t) (id : int) : t =
-  match e with
-  | Shared m -> Shared (Ptmap.remove id m)
-  | Naive a ->
-      if id < Array.length a then begin
-        let b = Array.copy a in
-        b.(id) <- None;
-        Naive b
-      end
-      else e
-
 (** Apply [f] to every cell (used by the clock tick, Sect. 6.2.1). *)
 let map_all (f : Avalue.t -> Avalue.t) (e : t) : t =
   match e with
@@ -75,6 +64,18 @@ let cardinal = function
   | Shared m -> Ptmap.cardinal m
   | Naive a ->
       Array.fold_left (fun n v -> if v = None then n else n + 1) 0 a
+
+(** [diff ~base e]: the cells of [e] whose value is not physically
+    [base]'s, with their values; the shared representation skips
+    physically shared subtrees. *)
+let diff ~(base : t) (e : t) : (int * Avalue.t) list =
+  match (base, e) with
+  | Shared b, Shared m -> Ptmap.diff ~base:b m
+  | _ ->
+      fold
+        (fun id v acc ->
+          match find base id with Some w when w == v -> acc | _ -> (id, v) :: acc)
+        e []
 
 (* ------------------------------------------------------------------ *)
 (* Lattice operations (cell-wise, Sect. 6.1.3)                         *)

@@ -17,7 +17,12 @@ val empty : naive:bool -> ncells:int -> t
 
 val find : t -> int -> Avalue.t option
 val set : t -> int -> Avalue.t -> t
-val remove : t -> int -> t
+
+(** [diff ~base e]: the cells of [e] whose value is not physically
+    [base]'s, with their values (cells only [base] binds left out);
+    with the shared representation, in time proportional to the cells
+    that differ. *)
+val diff : base:t -> t -> (int * Avalue.t) list
 
 (** Apply to every cell (used by the clock tick, Sect. 6.2.1). *)
 val map_all : (Avalue.t -> Avalue.t) -> t -> t

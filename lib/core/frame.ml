@@ -37,6 +37,7 @@ type rel_part =
   | Rel : {
       dom : (module Reldom.S with type t = 'e and type pack = 'p);
       ids : int array;  (** pack ids *)
+      by_id : int array Lazy.t;  (** positions in pack id order *)
       packs : 'p array;
       mutable last : ('e * string) option array;
     }
@@ -45,7 +46,7 @@ type rel_part =
 type t = {
   fr_id : string option;  (** digest of the frame's identity, with names *)
   fr_cells : int array;  (** cell ids, frame order *)
-  fr_cell_pos : (int, int) Hashtbl.t Lazy.t;  (** cell id -> position *)
+  fr_by_id : int array Lazy.t;  (** positions in cell id order *)
   fr_rel : rel_part list;  (** in {!Relstate.domains} order *)
   fr_octs : int array;  (** octagon pack ids, frame order *)
   fr_loops : int array;  (** loop ids, frame order *)
@@ -196,6 +197,24 @@ let path_string (path : Cell.step list) : string =
          | Cell.Sall -> "[*]")
        path)
 
+(* The positions of [ids] in increasing id order. *)
+let id_order (ids : int array) : int array =
+  let p = Array.init (Array.length ids) Fun.id in
+  Array.sort (fun i j -> Int.compare ids.(i) ids.(j)) p;
+  p
+
+(* The position of [id] in [ids], [p] their positions in id order. *)
+let find_pos (ids : int array) (p : int array Lazy.t) (id : int) : int option =
+  let p = Lazy.force p in
+  let rec search lo hi =
+    let mid = (lo + hi) / 2 in
+    if lo >= hi then None
+    else if ids.(p.(mid)) = id then Some p.(mid)
+    else if ids.(p.(mid)) < id then search (mid + 1) hi
+    else search lo mid
+  in
+  search 0 (Array.length p)
+
 (* The frame's relational part for one domain: the packs with a frame
    variable, in frame order — by identity with names, whose identities
    then go into [id], else by pack id. *)
@@ -231,10 +250,12 @@ let rel_part (cx : ctx) (vars : VarSet.t) (id : Buffer.t option)
         List.sort (fun x y -> Int.compare (M.pack_id x) (M.pack_id y)) packs
   in
   let packs = Array.of_list packs in
+  let ids = Array.map M.pack_id packs in
   Rel
     {
       dom = (module M : Reldom.S with type t = M.t and type pack = M.pack);
-      ids = Array.map M.pack_id packs;
+      ids;
+      by_id = lazy (id_order ids);
       packs;
       last = [||];
     }
@@ -307,23 +328,26 @@ let rel_digest (Rel r) (buf : Buffer.t) (rel : Relstate.t) : unit =
           Buffer.add_string buf d)
     r.ids
 
-(* [rel_restrict ~entry rel acc]: the frame packs of [rel] that are not
-   physically those of [entry], by frame position, added to [acc]. *)
+(* The bindings of [diff] keyed by the position of their id in [ids]
+   ([p] as in {!find_pos}); [Exit] when an id is not in [ids]. *)
+let by_position (ids : int array) (p : int array Lazy.t)
+    (diff : (int * 'a) list) : 'a Ptmap.t =
+  List.fold_left
+    (fun m (id, x) ->
+      match find_pos ids p id with
+      | Some i -> Ptmap.add i x m
+      | None -> raise Exit)
+    Ptmap.empty diff
+
+(* [rel_restrict ~entry rel acc]: the packs of [rel] that are not
+   physically those of [entry], by frame position, added to [acc];
+   [Exit] when one is outside the frame. *)
 let rel_restrict (Rel r) ~(entry : Relstate.t) (rel : Relstate.t)
     (acc : Relstate.t) : Relstate.t =
   let module M = (val r.dom) in
   let m0 = M.get entry and m = M.get rel in
   if m == m0 then acc
-  else
-    let out = ref (M.get acc) in
-    Array.iteri
-      (fun i pid ->
-        match Ptmap.find_opt pid m with
-        | Some x when not (is_phys x (Ptmap.find_opt pid m0)) ->
-            out := Ptmap.add i x !out
-        | _ -> ())
-      r.ids;
-    M.set acc !out
+  else M.set acc (by_position r.ids r.by_id (Ptmap.diff ~base:m0 m))
 
 (* [rel_overlay framed rel]: [rel] with the framed packs laid over it,
    renamed to this program's variables. *)
@@ -438,11 +462,7 @@ let make (cx : ctx) (fname : string) (extra : VarSet.t) : t =
   {
     fr_id;
     fr_cells;
-    fr_cell_pos =
-      lazy
-        (let h = Hashtbl.create (Array.length fr_cells) in
-         Array.iteri (fun i cid -> Hashtbl.replace h cid i) fr_cells;
-         h);
+    fr_by_id = lazy (id_order fr_cells);
     fr_rel;
     fr_octs =
       rel_ids
@@ -556,32 +576,22 @@ let same_entry (fr : t) (e : entry) (st : Astate.t) : bool =
 (* ------------------------------------------------------------------ *)
 
 (** The frame part of [st] that differs from [entry]: the cells and
-    packs of [st] that are not physically those of [entry], keyed by
-    frame position, with [st]'s bottom flag and clock.  Everything else
-    of [st] is [entry]'s own. *)
-let restrict (fr : t) ~(entry : Astate.t) (st : Astate.t) : Astate.t =
-  if st.Astate.bot then Astate.bottom
+    packs of [st] that are not physically those of [entry] ({!Env.diff},
+    {!Ptmap.diff}), keyed by frame position, with [st]'s bottom flag and
+    clock; [None] when one of them is outside the frame.  Everything
+    else of [st] is [entry]'s own. *)
+let restrict (fr : t) ~(entry : Astate.t) (st : Astate.t) : Astate.t option =
+  if st.Astate.bot then Some Astate.bottom
   else
-    let env =
-      if st.Astate.env == entry.Astate.env then Ptmap.empty
-      else begin
-        let m = ref Ptmap.empty in
-        Array.iteri
-          (fun i cid ->
-            match Env.find st.Astate.env cid with
-            | Some v when not (is_phys v (Env.find entry.Astate.env cid)) ->
-                m := Ptmap.add i v !m
-            | _ -> ())
-          fr.fr_cells;
-        !m
-      end
-    in
-    Astate.make ~env:(Env.Shared env)
-      ~rel:
-        (List.fold_left
-           (fun acc rp -> rel_restrict rp ~entry:entry.Astate.rel st.Astate.rel acc)
-           Relstate.empty fr.fr_rel)
-      ~clock:st.Astate.clock
+    match
+      ( by_position fr.fr_cells fr.fr_by_id
+          (Env.diff ~base:entry.Astate.env st.Astate.env),
+        List.fold_left
+          (fun acc rp -> rel_restrict rp ~entry:entry.Astate.rel st.Astate.rel acc)
+          Relstate.empty fr.fr_rel )
+    with
+    | env, rel -> Some (Astate.make ~env:(Env.Shared env) ~rel ~clock:st.Astate.clock)
+    | exception Exit -> None
 
 (** Inverse of {!restrict}: [entry] with the framed cells and packs laid
     over it.  Cells are never removed by the analysis, so a frame cell
@@ -626,7 +636,7 @@ let position (a : int array) (x : int) : int option =
 
 let cells (fr : t) = Array.copy fr.fr_cells
 let iter_cells f (fr : t) = Array.iter f fr.fr_cells
-let cell_pos (fr : t) (cid : int) = Hashtbl.find_opt (Lazy.force fr.fr_cell_pos) cid
+let cell_pos (fr : t) (cid : int) = find_pos fr.fr_cells fr.fr_by_id cid
 let cell_at (fr : t) (i : int) = fr.fr_cells.(i)
 let loop_pos (fr : t) = position fr.fr_loops
 let loop_at (fr : t) (i : int) = fr.fr_loops.(i)

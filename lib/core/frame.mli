@@ -74,10 +74,12 @@ val entry : t -> Astate.t -> entry
     it does not pin copies older than the latest state it matched. *)
 val same_entry : t -> entry -> Astate.t -> bool
 
-(** [restrict fr ~entry st]: the frame part of [st] that is not
-    physically [entry]'s, keyed by frame position (cells and packs),
-    with [st]'s bottom flag and clock. *)
-val restrict : t -> entry:Astate.t -> Astate.t -> Astate.t
+(** [restrict fr ~entry st]: the part of [st] that is not physically
+    [entry]'s, keyed by frame position (cells and packs), with [st]'s
+    bottom flag and clock; [None] when a cell or pack outside the frame
+    differs.  It costs what the states' difference costs ({!Env.diff},
+    {!Ptmap.diff}), not what the frame holds. *)
+val restrict : t -> entry:Astate.t -> Astate.t -> Astate.t option
 
 (** [overlay fr framed entry]: [entry] with a {!restrict}ed state laid
     over it, packs renamed to this program's variables; bottom when

@@ -87,12 +87,7 @@ let census (a : Transfer.actx) (st : Astate.t) : t =
 (** Census of the invariant of the program's outermost loop (the main
     synchronous loop), i.e. the loop with the smallest id in [main]. *)
 let main_loop_census (r : Analysis.result) : t option =
-  let invs =
-    Hashtbl.fold
-      (fun id st acc -> (id, st) :: acc)
-      r.Analysis.r_actx.Transfer.invariants []
-  in
-  match List.sort (fun (a, _) (b, _) -> Int.compare a b) invs with
+  match Analysis.invariants r with
   | (_, st) :: _ -> Some (census r.Analysis.r_actx st)
   | [] -> None
 

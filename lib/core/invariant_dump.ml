@@ -41,17 +41,11 @@ let dump_state (a : Transfer.actx) ppf (st : Astate.t) : unit =
 let to_string (r : Analysis.result) : string =
   let buf = Buffer.create 65536 in
   let ppf = Fmt.with_buffer buf in
-  let invs =
-    Hashtbl.fold
-      (fun id st acc -> (id, st) :: acc)
-      r.Analysis.r_actx.Transfer.invariants []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
   List.iter
     (fun (id, st) ->
       Fmt.pf ppf "===== loop %d invariant =====@." id;
       dump_state r.Analysis.r_actx ppf st)
-    invs;
+    (Analysis.invariants r);
   Fmt.flush ppf ();
   Buffer.contents buf
 

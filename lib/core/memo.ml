@@ -104,21 +104,6 @@ let holds (cs : call_site) (st : Astate.t) ~(checking : bool) : bool =
 (* Sections: record and replay                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Close a section opened at journal length [start]: the section's
-   writes, oldest first; the journal is emptied once no section is
-   open. *)
-let journal_close (a : actx) (start : int) : journal_entry list =
-  let rec take n l acc =
-    match l with x :: l when n > 0 -> take (n - 1) l (x :: acc) | _ -> acc
-  in
-  let own = take (a.journal_len - start) a.journal [] in
-  a.sections <- a.sections - 1;
-  if a.sections = 0 then begin
-    a.journal <- [];
-    a.journal_len <- 0
-  end;
-  own
-
 (* Put the guarantee collector [saved] at entry back and join the
    call's writes into it: the guarantee is a union, so the collector
    ends as if the writes had gone to it directly.  Returns the call's
@@ -136,33 +121,16 @@ let itf_release (a : actx) (saved : (itf_key, D.Itv.t) Hashtbl.t option) :
              (key, v))
   | _ -> []
 
-(* The loop invariants and useful packs of a section's writes, each
-   sorted by id: an invariant the call left physically different from
-   its value at entry (the oldest journaled previous value), a pack the
-   call made useful. *)
-let effects (a : actx) (own : journal_entry list) :
-    (int * Astate.t) list * int list =
-  let invariants, oct_useful, _ =
-    List.fold_left
-      (fun (invs, octs, seen) -> function
-        | Jinvariant (id, _) when List.mem id seen -> (invs, octs, seen)
-        | Jinvariant (id, prev) -> (
-            let seen = id :: seen in
-            match (prev, Hashtbl.find_opt a.invariants id) with
-            | Some old, Some st when old == st -> (invs, octs, seen)
-            | _, Some st -> ((id, st) :: invs, octs, seen)
-            | _, None -> (invs, octs, seen))
-        | Juseful id -> (invs, id :: octs, seen))
-      ([], [], []) own
-  in
-  ( List.sort (fun (x, _) (y, _) -> Int.compare x y) invariants,
-    List.sort Int.compare oct_useful )
+(* The bindings of [m] that are not physically [base]'s, sorted by
+   id. *)
+let changed ~(base : 'a Ptmap.t) (m : 'a Ptmap.t) : (int * 'a) list =
+  List.sort (fun (x, _) (y, _) -> Int.compare x y) (Ptmap.diff ~base m)
 
 let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
     (compute : 'a -> Astate.t * D.Itv.t) (x : 'a) :
     (Astate.t * D.Itv.t) * summary option =
-  a.sections <- a.sections + 1;
-  let start = a.journal_len and joins = a.join_count in
+  let invariants = a.invariants and oct_useful = a.oct_useful
+  and joins = a.join_count in
   let alarms = Alarm.capture a.alarms in
   let itf =
     match a.session.ses_itf with
@@ -175,12 +143,10 @@ let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
   match compute x with
   | exception e ->
       ignore (Alarm.release a.alarms alarms);
-      ignore (journal_close a start);
       ignore (itf_release a itf);
       raise e
   | (exit_, retv) as r ->
       let alarms = Alarm.release a.alarms alarms in
-      let invariants, oct_useful = effects a (journal_close a start) in
       let joins = a.join_count - joins in
       let writes = itf_release a itf in
       let get = function Some i -> i | None -> raise Exit in
@@ -188,16 +154,19 @@ let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
         try
           Some
             {
-              sm_exit = Frame.restrict fr ~entry exit_;
+              sm_exit = get (Frame.restrict fr ~entry exit_);
               sm_retv = retv;
               sm_alarms = List.map (fun al -> ("", al)) alarms;
               sm_invariants =
                 List.map
                   (fun (id, inv) ->
-                    (get (Frame.loop_pos fr id), Frame.restrict fr ~entry inv))
-                  invariants;
+                    ( get (Frame.loop_pos fr id),
+                      get (Frame.restrict fr ~entry inv) ))
+                  (changed ~base:invariants a.invariants);
               sm_oct_useful =
-                List.map (fun id -> get (Frame.oct_pos fr id)) oct_useful;
+                List.map
+                  (fun (id, ()) -> get (Frame.oct_pos fr id))
+                  (changed ~base:oct_useful a.oct_useful);
               sm_joins = joins;
               sm_itf_writes =
                 List.map

@@ -46,17 +46,20 @@ val call :
     context's bookkeeping — alarms, loop invariants, useful octagon
     packs, join count, shared-cell writes — so that the call's summary
     holds them and replay applies them verbatim.  Opening one is O(1):
-    the bookkeeping tables are journaled ({!Transfer.journal_entry}),
-    not copied, and sections nest. *)
+    it takes the context's invariant and useful-pack maps, which are
+    functional, and closing it compares them with the maps at exit
+    ({!Ptmap.diff}).  Sections nest. *)
 
 (** [record a fr ~entry compute x]: [compute x] in a section, and the
     call's summary in the coordinates of its frame [fr], alarms at their
     absolute locations.  An invariant is in it iff the call left it
     physically different from its value at entry; a pack iff the call
     made it useful.  The summary is [None] when an effect falls outside
-    the frame, which the frame's construction rules out.  When [compute]
-    raises, the section is closed, its alarms and shared-cell writes are
-    kept in the context, and the exception is re-raised. *)
+    the frame: a loop, a pack, a shared-cell write, or a cell or pack
+    of the exit state or of an invariant that differs from [entry]
+    outside the frame ({!Frame.restrict}).  When [compute] raises, the
+    section is closed, its alarms, bookkeeping and shared-cell writes
+    are kept in the context, and the exception is re-raised. *)
 val record :
   Transfer.actx ->
   Frame.t ->

@@ -70,19 +70,6 @@ let rec add k v = function
 let branch p m l r =
   match (l, r) with Empty, t | t, Empty -> t | _ -> mk p m l r
 
-let rec remove k = function
-  | Empty -> Empty
-  | Leaf (j, _) as t -> if j = k then Empty else t
-  | Branch { p; m; l; r; _ } as t ->
-      if match_prefix k p m then
-        if zero_bit k m then
-          let l' = remove k l in
-          if l' == l then t else branch p m l' r
-        else
-          let r' = remove k r in
-          if r' == r then t else branch p m l r'
-      else t
-
 let rec cardinal = function
   | Empty -> 0
   | Leaf _ -> 1
@@ -178,6 +165,35 @@ let rec union_idem (f : int -> 'a -> 'a -> 'a) (s : 'a t) (t : 'a t) : 'a t =
             let r = union_idem f s t1 in
             if r == t1 then t else mk q n t0 r
         else join p s q t
+
+(** [diff ~base t]: the bindings of [t] whose value is not physically
+    [base]'s binding of the same key, keys [base] lacks included, in
+    the order of {!bindings}.  Physically shared subtrees are skipped in
+    O(1), and the tree shape follows the key set alone, so when [t]'s
+    keys include [base]'s the cost follows the bindings that differ. *)
+let diff ~(base : 'a t) (t : 'a t) : (int * 'a) list =
+  let cons k v acc = (k, v) :: acc in
+  let rec go base t acc =
+    if base == t then acc
+    else
+      match (base, t) with
+      | Branch { p; m; l = b0; r = b1 }, Branch { p = q; m = n; l = t0; r = t1 }
+        when m = n && p = q ->
+          go b1 t1 (go b0 t0 acc)
+      | Branch { p; m; _ }, Branch { p = q; m = n; l = t0; r = t1 }
+        when m > n && match_prefix p q n ->
+          (* [base] lies in one half of [t]: the other half is all new *)
+          if zero_bit p n then fold cons t1 (go base t0 acc)
+          else go base t1 (fold cons t0 acc)
+      | _ ->
+          fold
+            (fun k v acc ->
+              match find_opt k base with
+              | Some w when w == v -> acc
+              | _ -> (k, v) :: acc)
+            t acc
+  in
+  go base t []
 
 (** [inter_keys f a b]: keys present in BOTH maps, combined with [f].
     Same idempotence requirement and short-cut as {!union_idem}. *)

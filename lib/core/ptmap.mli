@@ -18,7 +18,6 @@ val mem : int -> 'a t -> bool
     (physically) [v]. *)
 val add : int -> 'a -> 'a t -> 'a t
 
-val remove : int -> 'a t -> 'a t
 val cardinal : 'a t -> int
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
@@ -33,6 +32,13 @@ val exists : (int -> 'a -> bool) -> 'a t -> bool
     REQUIREMENT for the short-cut: [f k v v] must be semantically [v]
     (true of joins, meets, widenings, narrowings). *)
 val union_idem : (int -> 'a -> 'a -> 'a) -> 'a t -> 'a t -> 'a t
+
+(** [diff ~base t]: the bindings of [t] whose value is not physically
+    [base]'s binding of the same key (keys only [t] has included, keys
+    only [base] has left out), in the order of {!bindings}.  Physically
+    shared subtrees are skipped, so when [t]'s keys include [base]'s the
+    cost follows the bindings that differ. *)
+val diff : base:'a t -> 'a t -> (int * 'a) list
 
 (** [inter_keys f a b]: keys present in both maps. *)
 val inter_keys : (int -> 'a -> 'a -> 'a option) -> 'a t -> 'a t -> 'a t

@@ -92,8 +92,8 @@ type extra = ..
     per run otherwise.  Its interner numbers every cell of the program
     in program order, and no analysis numbers one after that: cell ids
     are a fact of the prepared program, shared by every run of it, in
-    any process.  Per-run state — alarms, invariants, journals, pack
-    digests — is never in it. *)
+    any process.  Per-run state — alarms, invariants, pack digests —
+    is never in it. *)
 type prepared = {
   pr_prog : program;
   pr_cfg : Config.t;
@@ -155,12 +155,6 @@ and session = {
           every transfer function on its single-task path *)
 }
 
-(** A write to the context's bookkeeping tables made while a memo
-    section is open: the previous invariant of a loop, or a pack that
-    became useful.  The section reads its own writes back when it
-    closes ([Memo.record]). *)
-and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
-
 (** Analysis context shared by all transfer functions. *)
 and actx = {
   prog : program;
@@ -172,17 +166,12 @@ and actx = {
   packs : Packing.t;
   intern : Cell.interner;
   alarms : Alarm.collector;
-  oct_useful : (int, unit) Hashtbl.t;
+  mutable oct_useful : unit Ptmap.t;
       (** octagon packs that improved precision (Sect. 7.2.2) *)
-  invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> head invariant *)
+  mutable invariants : Astate.t Ptmap.t;  (** loop id -> head invariant *)
   input_specs : (int, float * float) Hashtbl.t;  (** volatile input ranges *)
   mutable join_count : int;  (** statistics *)
   frames : Frame.ctx;  (** the call frames of this context *)
-  mutable journal : journal_entry list;
-      (** writes to [invariants] and [oct_useful] under an open memo
-          section, newest first; emptied when the last one closes *)
-  mutable journal_len : int;
-  mutable sections : int;  (** open memo sections *)
   inlined : (string, int) Hashtbl.t Lazy.t;
       (** transitive inlined size of each function ([inlined_sizes]) *)
 }
@@ -292,14 +281,11 @@ let make_actx ?session ?prepared (cfg : Config.t) (p : program) : actx =
     packs = pr.pr_packs;
     intern = pr.pr_intern;
     alarms = Alarm.make_collector ();
-    oct_useful = Hashtbl.create 16;
-    invariants = Hashtbl.create 16;
+    oct_useful = Ptmap.empty;
+    invariants = Ptmap.empty;
     input_specs = pr.pr_input_specs;
     join_count = 0;
     frames = Frame.ctx ?names pr.pr_frames;
-    journal = [];
-    journal_len = 0;
-    sections = 0;
     inlined = pr.pr_inlined;
   }
 
@@ -380,25 +366,13 @@ let var_itv (a : actx) (st : Astate.t) (v : var) : D.Itv.t =
 (* Bookkeeping tables                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes to [invariants] and [oct_useful] go through these two, which
-   journal them while a memo section is open. *)
-let journal (a : actx) (e : journal_entry) =
-  if a.sections > 0 then begin
-    a.journal <- e :: a.journal;
-    a.journal_len <- a.journal_len + 1
-  end
-
 (** Record a loop's head invariant. *)
 let set_invariant (a : actx) (loop_id : int) (inv : Astate.t) : unit =
-  journal a (Jinvariant (loop_id, Hashtbl.find_opt a.invariants loop_id));
-  Hashtbl.replace a.invariants loop_id inv
+  a.invariants <- Ptmap.add loop_id inv a.invariants
 
 (** Record that an octagon pack improved precision (Sect. 7.2.2). *)
 let mark_useful (a : actx) (pid : int) : unit =
-  if not (Hashtbl.mem a.oct_useful pid) then begin
-    journal a (Juseful pid);
-    Hashtbl.replace a.oct_useful pid ()
-  end
+  a.oct_useful <- Ptmap.add pid () a.oct_useful
 
 (* ------------------------------------------------------------------ *)
 (* Lvalue resolution                                                   *)

@@ -82,7 +82,7 @@ type extra = ..
     the frames' shared part and the [extra] facts.  A caller that
     analyzes the same program again keeps it ([astreed]'s workers);
     otherwise it is built once per run.  Per-run state — alarms,
-    invariants, journals, pack digests — is never in it. *)
+    invariants, pack digests — is never in it. *)
 type prepared = {
   pr_prog : F.Tast.program;
   pr_cfg : Config.t;
@@ -146,11 +146,6 @@ and session = {
           keeps every transfer function on its single-task path *)
 }
 
-(** A write to [invariants] or [oct_useful] made while a memo section
-    ([Memo.record]) is open: a loop's previous invariant, or a pack that
-    became useful. *)
-and journal_entry = Jinvariant of int * Astate.t option | Juseful of int
-
 (** Analysis context shared by all transfer functions. *)
 and actx = {
   prog : F.Tast.program;
@@ -161,17 +156,12 @@ and actx = {
   packs : Packing.t;
   intern : Cell.interner;  (** [prepared.pr_intern]: look cells up only *)
   alarms : Alarm.collector;
-  oct_useful : (int, unit) Hashtbl.t;
+  mutable oct_useful : unit Ptmap.t;
       (** octagon packs that improved precision (Sect. 7.2.2) *)
-  invariants : (int, Astate.t) Hashtbl.t;  (** loop id -> head invariant *)
+  mutable invariants : Astate.t Ptmap.t;  (** loop id -> head invariant *)
   input_specs : (int, float * float) Hashtbl.t;  (** [prepared.pr_input_specs] *)
   mutable join_count : int;
   frames : Frame.ctx;  (** the call frames of this context *)
-  mutable journal : journal_entry list;
-      (** writes to [invariants] and [oct_useful] under an open memo
-          section, newest first; emptied when the last one closes *)
-  mutable journal_len : int;
-  mutable sections : int;  (** open memo sections *)
   inlined : (string, int) Hashtbl.t Lazy.t;  (** [prepared.pr_inlined] *)
 }
 
@@ -185,7 +175,7 @@ val prepare : Config.t -> F.Tast.program -> prepared
     (structurally), a fresh {!prepare} otherwise. *)
 val prepared_for : ?prepared:prepared -> Config.t -> F.Tast.program -> prepared
 
-(** A fresh context: a new alarm collector, invariant table and journal
+(** A fresh context: a new alarm collector and empty bookkeeping maps
     over [prepared_for ?prepared cfg p] and its cell numbering. *)
 val make_actx :
   ?session:session -> ?prepared:prepared -> Config.t -> F.Tast.program -> actx
@@ -204,8 +194,11 @@ val cell_itv : actx -> Astate.t -> int -> D.Itv.t
 val var_itv : actx -> Astate.t -> F.Tast.var -> D.Itv.t
 
 
-(** {1 Bookkeeping} through which every write to [invariants] and
-    [oct_useful] goes, so that memo sections see them *)
+(** {1 Bookkeeping}
+
+    Both maps are functional and held in mutable fields: a memo section
+    ([Memo.record]) takes them when it opens and compares them with
+    {!Ptmap.diff} when it closes. *)
 
 val set_invariant : actx -> int -> Astate.t -> unit
 val mark_useful : actx -> int -> unit

@@ -38,6 +38,7 @@ let total_pushed = ref 0         (* events ever buffered; capture marks *)
 let sink : out_channel option ref = ref None
 let captures = ref 0             (* open capture sections *)
 let t0 = ref 0.                  (* trace epoch, set lazily *)
+let last_t = ref 0.              (* latest [ev_t] buffered *)
 
 let flush_chunk = 512            (* events buffered before a sink write *)
 
@@ -103,6 +104,10 @@ let flush () =
 
 let push (e : event) =
   incr total_pushed;
+  (* one timeline: an event stamped before the latest one (a worker's,
+     on its own clock) takes the latest one's time *)
+  let e = if e.ev_t < !last_t then { e with ev_t = !last_t } else e in
+  last_t := e.ev_t;
   (* ring mode (no sink, no open capture): at capacity, evict the oldest
      event instead of growing — keyed on !capacity, not the array size,
      so shrinking the capacity between runs takes effect immediately *)
@@ -190,4 +195,5 @@ let clear () =
   start := 0;
   len := 0;
   total_pushed := 0;
-  t0 := 0.
+  t0 := 0.;
+  last_t := 0.

@@ -17,7 +17,10 @@
     ({!Observed.absorb}), so a multi-task run writes the same event
     sequence at [-j n] as at [-j 1].  Timestamps ([ev_t]) are wall-clock
     and excluded from that guarantee; {!with_time} turns them off
-    entirely.
+    entirely.  They form one timeline: an event stamped before the
+    latest buffered one, as a worker's events on its own clock can be,
+    takes the latest one's time, so [ev_t] never decreases along the
+    buffer or the file.
 
     {b Span balance.}  In file mode the buffer is flushed, never
     dropped, so every [`B] (begin) line has a matching [`E] (end) line —
@@ -94,7 +97,8 @@ val capture_end : int -> event list
 
 val absorb : event list -> unit
 (** Re-emit events recorded in another process (a worker reply), in
-    order, through the local buffer/sink.  No-op when tracing is off. *)
+    order, through the local buffer/sink, each no earlier than the
+    latest event buffered.  No-op when tracing is off. *)
 
 val to_json : event -> string
 (** One JSONL line (no trailing newline):

@@ -80,9 +80,10 @@ let armed_deadline () = !deadline
 (* ------------------------------------------------------------------ *)
 
 (** Raise {!Tripped} if any budget is exhausted or an interrupt is
-    pending.  Called from [Iterator.tick_hook] every few hundred
-    abstract statements and from the pool's dispatch loop; when nothing
-    is armed the cost is three flag reads. *)
+    pending.  Installed as the session hook
+    [Transfer.session.ses_tick_hook], which [Iterator.tick] calls every
+    256 abstract statements, and called from the pool's dispatch loop;
+    when nothing is armed the cost is three flag reads. *)
 let poll () =
   if !interrupt_flag then raise (Tripped Interrupted);
   if

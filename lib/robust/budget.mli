@@ -21,8 +21,10 @@ val disarm : unit -> unit
 val armed_deadline : unit -> float
 
 (** Raise {!Tripped} if a budget is exhausted or an interrupt is
-    pending; three flag reads when nothing is armed.  Installed as
-    [Iterator.tick_hook] and called from the pool's dispatch loop. *)
+    pending; three flag reads when nothing is armed.  Installed as the
+    session hook [Transfer.session.ses_tick_hook], which [Iterator.tick]
+    calls every 256 abstract statements, and called from the pool's
+    dispatch loop. *)
 val poll : unit -> unit
 
 (** Flag an interrupt: the next {!poll} raises [Tripped Interrupted].

@@ -204,8 +204,8 @@ let test_integrator_thresholds () =
   let r = C.Analysis.analyze_string integrator_src in
   Alcotest.(check int) "no alarms" 0 (C.Analysis.n_alarms r);
   let bound = ref Float.infinity in
-  Hashtbl.iter
-    (fun _ (inv : C.Astate.t) ->
+  List.iter
+    (fun (_, (inv : C.Astate.t)) ->
       C.Env.iter
         (fun cid av ->
           let c = C.Cell.of_id r.C.Analysis.r_actx.C.Transfer.intern cid in
@@ -214,7 +214,7 @@ let test_integrator_thresholds () =
             | D.Itv.Float (_, hi) -> bound := hi
             | _ -> ())
         inv.C.Astate.env)
-    r.C.Analysis.r_actx.C.Transfer.invariants;
+    (C.Analysis.invariants r);
   Alcotest.(check bool) "tight bound" true (!bound <= 1000.0);
   let r' = C.Analysis.analyze_string ~cfg:no_thresholds integrator_src in
   ignore r'

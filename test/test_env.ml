@@ -91,13 +91,24 @@ let test_map_all_tick () =
         (D.Itv.equal av.D.Clocked.vminus (D.Itv.int_range (-1) 4))
   | None -> Alcotest.fail "cell lost"
 
-let test_set_find_remove () =
-  let e = C.Env.empty ~naive:false ~ncells:4 in
-  let e = C.Env.set e 42 (av_of_range 1 2) in
-  Alcotest.(check bool) "found" true (C.Env.find e 42 <> None);
-  Alcotest.(check int) "card" 1 (C.Env.cardinal e);
-  let e = C.Env.remove e 42 in
-  Alcotest.(check bool) "removed" true (C.Env.find e 42 = None)
+(* [diff] lists the cells written since [base], new cells included,
+   whichever the representation; a write of the value already there is
+   no difference. *)
+let test_set_find_diff () =
+  List.iter
+    (fun naive ->
+      let e = C.Env.empty ~naive ~ncells:4 in
+      let e = C.Env.set e 42 (av_of_range 1 2) in
+      Alcotest.(check bool) "found" true (C.Env.find e 42 <> None);
+      Alcotest.(check int) "card" 1 (C.Env.cardinal e);
+      let base = C.Env.set e 7 (av_of_range 0 0) in
+      let v3 = av_of_range 3 3 in
+      let e = C.Env.set (C.Env.set base 42 v3) 99 v3 in
+      let e = C.Env.set e 7 (Option.get (C.Env.find base 7)) in
+      Alcotest.(check (list int)) "diff" [ 42; 99 ]
+        (List.sort compare (List.map fst (C.Env.diff ~base e)));
+      Alcotest.(check int) "no diff" 0 (List.length (C.Env.diff ~base base)))
+    [ false; true ]
 
 (* The interner finds a scalar variable's cell through its array and
    every other cell through its table; both must hand out the same ids
@@ -151,7 +162,7 @@ let test_interner_lookup () =
 let suite =
   [
     Alcotest.test_case "map_all / tick" `Quick test_map_all_tick;
-    Alcotest.test_case "set/find/remove" `Quick test_set_find_remove;
+    Alcotest.test_case "set/find/diff" `Quick test_set_find_diff;
     Alcotest.test_case "interner lookups" `Quick test_interner_lookup;
   ]
   @ List.map QCheck_alcotest.to_alcotest

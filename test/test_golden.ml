@@ -190,11 +190,7 @@ let actual_digests () =
     (fun (row, src, _) ->
       let r = analyze C.Config.default src in
       let digest st = I.Summary.entry_digest r.C.Analysis.r_actx st in
-      Hashtbl.fold
-        (fun id st acc -> (id, st) :: acc)
-        r.C.Analysis.r_actx.C.Transfer.invariants []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> function
+      C.Analysis.invariants r |> function
       | (_, st) :: _ -> [ (row, "main-loop", digest st) ]
       | [] -> [])
     (Lazy.force rows)

@@ -552,11 +552,10 @@ let test_framed_entry_exact () =
   let r = C.Analysis.analyze_string ~file:"replay.c" replay_src in
   let a = r.C.Analysis.r_actx in
   let inv =
-    Hashtbl.fold
-      (fun _ st acc ->
-        if C.Ptmap.is_empty st.C.Astate.rel.C.Relstate.octs then acc else Some st)
-      a.C.Transfer.invariants None
-    |> Option.get
+    List.find
+      (fun (_, st) -> not (C.Ptmap.is_empty st.C.Astate.rel.C.Relstate.octs))
+      (C.Analysis.invariants r)
+    |> snd
   in
   let fr = C.Frame.whole a.C.Transfer.frames in
   let e = C.Frame.entry fr inv in
@@ -660,8 +659,9 @@ let test_clock_widens_to_max_clock () =
     in
     widened 0 his;
     let inv =
-      Hashtbl.fold (fun _ st _ -> st.C.Astate.clock)
-        r.C.Analysis.r_actx.C.Transfer.invariants Astree_domains.Itv.Bot
+      List.fold_left
+        (fun _ (_, st) -> st.C.Astate.clock)
+        Astree_domains.Itv.Bot (C.Analysis.invariants r)
     in
     Alcotest.(check string) (name ^ ": loop invariant") "[1, 50]"
       (Fmt.str "%a" Astree_domains.Itv.pp inv)

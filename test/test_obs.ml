@@ -401,6 +401,42 @@ let test_trace_jobs () =
     (List.length (kinds "{\"kind\": \"phase.analyze\"") >= 6);
   Alcotest.(check (list string)) "-j 2 trace = -j 1 trace" j1 (trace 2)
 
+(* One timeline: pooled workers stamp their events on their own
+   clocks, and the coordinator re-emits them, so at -j 2 the time of
+   the trace of [genfamily --kloc 1 --tasks 3 --seed 5] must still
+   never decrease; without timestamps its events are the -j 1 ones. *)
+let test_trace_monotone () =
+  fresh @@ fun () ->
+  let g =
+    G.Generator.generate_tasks { G.Generator.default with seed = 5 } ~tasks:3
+  in
+  let p, _ = C.Analysis.compile [ ("tasks.c", g.G.Generator.source) ] in
+  let trace ~with_time jobs =
+    T.clear ();
+    T.enabled := true;
+    T.with_time := with_time;
+    let mark = T.capture_begin () in
+    ignore
+      (Conc.Fixpoint.analyze
+         ~cfg:{ C.Config.default with C.Config.jobs }
+         ~tasks:g.G.Generator.task_fns p);
+    let evs = T.capture_end mark in
+    T.enabled := false;
+    evs
+  in
+  let timed = trace ~with_time:true 2 in
+  let backs, _ =
+    List.fold_left
+      (fun (n, prev) (e : T.event) ->
+        ((if e.T.ev_t < prev then n + 1 else n), e.T.ev_t))
+      (0, 0.) timed
+  in
+  Alcotest.(check bool) "events traced" true (List.length timed > 1000);
+  Alcotest.(check int) "steps back in time" 0 backs;
+  let untimed jobs = List.map T.to_json (trace ~with_time:false jobs) in
+  Alcotest.(check (list string)) "-j 2 events = -j 1 events" (untimed 1)
+    (untimed 2)
+
 (* The relational probes: --profile has one rel.assign.NAME and one
    rel.guard.NAME row per relational domain, and a multi-task run counts
    the same domain calls at -j 2 as at -j 1. *)
@@ -590,6 +626,8 @@ let suite =
       test_rel_probes;
     Alcotest.test_case "trace: -j 2 multi-task trace = -j 1" `Quick
       test_trace_jobs;
+    Alcotest.test_case "trace: -j 2 timeline never steps back" `Quick
+      test_trace_monotone;
     Alcotest.test_case "trace: ring eviction" `Quick test_ring_eviction;
     Alcotest.test_case "trace: eviction bumps trace.dropped" `Quick
       test_eviction_counter;

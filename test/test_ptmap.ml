@@ -24,15 +24,78 @@ let prop_model_find =
       M.for_all (fun k v -> P.find_opt k p = Some v) m
       && P.for_all (fun k v -> M.find_opt k m = Some v) p)
 
-let prop_model_remove =
-  QCheck.Test.make ~name:"remove agrees with Map"
-    (QCheck.pair arb_ops (QCheck.int_range 0 200))
-    (fun (ops, k) ->
-      let p, m = build_both ops in
-      let p = P.remove k p and m = M.remove k m in
-      P.find_opt k p = None
-      && M.for_all (fun k v -> P.find_opt k p = Some v) m
-      && P.cardinal p = M.cardinal m)
+(* [diff] against a naive model: the bindings of [t], in the order of
+   [bindings], whose value is not physically [base]'s.  Values are boxed
+   so that an equal value written again is a new one.  [t] derives from
+   [base] by shared edits (new values, added keys, a value written back
+   as it was), by [map], which rebuilds every node, by rebuilding the
+   map from its bindings, which keeps no node, and by dropped keys. *)
+type box = { n : int }
+
+type edit =
+  | Set of int * int
+  | Write_back of int
+  | Drop of int
+  | Map_same
+  | Map_fresh
+  | Rebuild
+
+let arb_edits =
+  let open QCheck.Gen in
+  let edit =
+    frequency
+      [
+        (6, map2 (fun k v -> Set (k, v)) (int_range 0 200) small_nat);
+        (2, map (fun k -> Write_back k) (int_range 0 200));
+        (1, map (fun k -> Drop k) (int_range 0 200));
+        (1, return Map_same);
+        (1, return Map_fresh);
+        (1, return Rebuild);
+      ]
+  in
+  QCheck.make
+    ~print:(fun l ->
+      String.concat ";"
+        (List.map
+           (function
+             | Set (k, v) -> Fmt.str "%d->%d" k v
+             | Write_back k -> Fmt.str "%d" k
+             | Drop k -> Fmt.str "-%d" k
+             | Map_same -> "map"
+             | Map_fresh -> "map-fresh"
+             | Rebuild -> "rebuild")
+           l))
+    (list_size (int_range 0 30) edit)
+
+let prop_diff_model =
+  QCheck.Test.make ~name:"diff agrees with a physical model"
+    (QCheck.pair arb_ops arb_edits)
+    (fun (ops, edits) ->
+      let base =
+        List.fold_left (fun p (k, v) -> P.add k { n = v } p) P.empty ops
+      in
+      let t =
+        List.fold_left
+          (fun t -> function
+            | Set (k, v) -> P.add k { n = v } t
+            | Write_back k -> (
+                match P.find_opt k base with Some v -> P.add k v t | None -> t)
+            | Drop k -> P.filter_map (fun j v -> if j = k then None else Some v) t
+            | Map_same -> P.map (fun v -> v) t
+            | Map_fresh -> P.map (fun v -> { n = v.n }) t
+            | Rebuild -> P.fold P.add t P.empty)
+          base edits
+      in
+      let model =
+        List.filter
+          (fun (k, v) ->
+            match P.find_opt k base with Some w -> w != v | None -> true)
+          (P.bindings t)
+      in
+      let got = P.diff ~base t in
+      List.length got = List.length model
+      && List.for_all2 (fun (k, v) (j, w) -> k = j && v == w) got model
+      && P.diff ~base:t t = [])
 
 let prop_union_model =
   QCheck.Test.make ~name:"union_idem agrees with Map.union"
@@ -112,6 +175,6 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
-        prop_model_find; prop_model_remove; prop_union_model;
-        prop_inter_model; prop_subset;
+        prop_model_find; prop_union_model; prop_inter_model; prop_subset;
+        prop_diff_model;
       ]

@@ -117,12 +117,9 @@ let prop_invariant_covers_trajectories =
       let actx = r.C.Analysis.r_actx in
       (* take the outermost loop invariant *)
       let inv =
-        Hashtbl.fold
-          (fun id st acc ->
-            match acc with
-            | Some (best, _) when best <= id -> acc
-            | _ -> Some (id, st))
-          actx.C.Transfer.invariants None
+        match C.Analysis.invariants r with
+        | first :: _ -> Some first
+        | [] -> None
       in
       match inv with
       | None -> true
@@ -205,7 +202,7 @@ let prop_clock_covered =
           && !main_passes >= unrolled (Option.get !main)
         then begin
           incr heads;
-          match Hashtbl.find_opt invs id with
+          match C.Ptmap.find_opt id invs with
           | Some inv -> (
               let c = F.Interp.clock st in
               match inv.C.Astate.clock with
