@@ -108,7 +108,7 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
                   i_shared = List.length cr.Conc.Fixpoint.c_shared;
                 } )
           end
-          else (Astree_robust.Degrade.analyze ~cfg p, None)
+          else (Astree_parallel.Scheduler.analyze ~cfg p, None)
         in
         (match metrics_file with
         | None -> ()
@@ -273,7 +273,7 @@ let cmd =
         $ Arg.(value & opt (list string) [] & info [ "partition" ] ~doc:"Functions analyzed with trace partitioning (Sect. 7.1.5)")
         $ Arg.(value & opt int 3 & info [ "max-dtree-bools" ] ~doc:"Booleans per decision-tree pack (Sect. 7.2.3)")
         $ Arg.(value & opt (list int) [] & info [ "useful-packs" ] ~doc:"Octagon pack ids to keep (Sect. 7.2.2)")
-        $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Worker processes for the per-task runs of a multi-task program (0 = one per core); a single-task program is analyzed sequentially")
+        $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Worker processes for the per-task runs of a multi-task program (0 = one per core); at 2 and more, a single-task program's main loop runs as two processes, each with half of its calls and of the state (results are unaffected)")
         $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc:"Persist function summaries in $(docv), reusing them across runs (results are unaffected)")
         $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache)"
         $ Arg.(value & opt float 0. & info [ "timeout" ] ~docv:"SECS" ~doc:"Wall-clock budget for the analysis; on overrun, precision is shed soundly (degraded exit code 3) instead of aborting (0 = unbounded)")

@@ -163,9 +163,10 @@ module Reply = struct
     a.Transfer.join_count <- a.Transfer.join_count + rp.rp_joins
 end
 
-(** Analyze a typed program sequentially ([cfg.jobs] does not apply to
-    a single analysis), wrapping the run in the summary-cache driver
-    when caching is enabled.  [?session] threads an existing session
+(** Analyze a typed program, wrapping the run in the summary-cache
+    driver when caching is enabled.  The main loop runs as two processes
+    when the session carries the split hook and [cfg.jobs >= 2]
+    ([Iterator.exec_while]).  [?session] threads an existing session
     through (the daemon passes one per request); a fresh one is created
     otherwise, so concurrent analyses never share hooks.  [?prepared]
     is used when it was prepared for [p] and [cfg]

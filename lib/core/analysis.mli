@@ -58,8 +58,11 @@ val useful_octagon_packs : result -> int list
 (** The recorded loop invariants, sorted by loop id. *)
 val invariants : result -> (int * Astate.t) list
 
-(** Analyze an already-compiled program, sequentially at every
-    [cfg.jobs].  [?session] threads an existing {!Transfer.session}
+(** Analyze an already-compiled program.  The run is sequential unless
+    the session carries the split hook ([Astree_parallel.Scheduler.analyze]
+    installs it) and [cfg.jobs >= 2]: then the main loop may run as two
+    processes, with the same result ({!Iterator}, DESIGN.md §7).
+    [?session] threads an existing {!Transfer.session}
     through (the analysis server passes one per request); a fresh
     session is created otherwise, so concurrent analyses in one process
     never share hooks.  [?prepared] is used when it was prepared for

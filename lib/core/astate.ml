@@ -33,6 +33,20 @@ let join (a : t) (b : t) : t =
       clock = D.Itv.join a.clock b.clock;
     }
 
+(* Two halves over disjoint cells and packs, with one clock: their
+   maps side by side.  The relational join never meets a pack on both
+   sides, so it only unites the maps. *)
+let union (a : t) (b : t) : t =
+  if a.bot then b
+  else if b.bot then a
+  else
+    {
+      bot = false;
+      env = Env.union a.env b.env;
+      rel = Relstate.join a.rel b.rel;
+      clock = a.clock;
+    }
+
 let meet (a : t) (b : t) : t =
   if a.bot || b.bot then bottom
   else

@@ -15,6 +15,12 @@ val make :
   env:Env.t -> rel:Relstate.t -> clock:Astree_domains.Itv.t -> t
 
 val join : t -> t -> t
+
+(** The union of two states over disjoint cells and packs and with one
+    clock, such as the halves of a split loop ({!Frame.part}): no join
+    is counted. *)
+val union : t -> t -> t
+
 val meet : t -> t -> t
 
 (** Widening with thresholds (Sect. 7.1.2), except that an unstable

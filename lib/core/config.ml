@@ -59,10 +59,11 @@ type t = {
           functional maps — only for the E5 ablation *)
   (* ---- parallel analysis (Astree_parallel) ------------------------- *)
   jobs : int;
-      (** number of worker processes for whole analyses: [n > 1] runs
-          the per-task analyses of a multi-task program on a fork-based
-          pool whose results are merged deterministically.  A
-          single-task analysis is sequential at every value *)
+      (** number of worker processes: [n > 1] runs the per-task
+          analyses of a multi-task program on a fork-based pool whose
+          results are merged deterministically, and a single-task
+          analysis under the split hook runs its main loop as two
+          processes with the same result *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
       (** the call memo's keyed tier: [Cache_dir d] keeps function

@@ -50,7 +50,8 @@ type t = {
   (* ---- parallel analysis (Astree_parallel) ------------------------- *)
   jobs : int;
       (** worker processes for the per-task runs of a multi-task
-          program; a single-task analysis is sequential at every value *)
+          program; at [2] and more, a single-task analysis under the
+          split hook runs its main loop as two processes *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
       (** the call memo's keyed tier: [Cache_dir d] keeps function

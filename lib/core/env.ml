@@ -77,6 +77,12 @@ let diff ~(base : t) (e : t) : (int * Avalue.t) list =
           match find base id with Some w when w == v -> acc | _ -> (id, v) :: acc)
         e []
 
+(** The cells that satisfy [keep]. *)
+let filter (keep : int -> bool) (e : t) : t =
+  match e with
+  | Shared m -> Shared (Ptmap.filter_map (fun id v -> if keep id then Some v else None) m)
+  | Naive a -> Naive (Array.mapi (fun id v -> if keep id then v else None) a)
+
 (* ------------------------------------------------------------------ *)
 (* Lattice operations (cell-wise, Sect. 6.1.3)                         *)
 (* ------------------------------------------------------------------ *)
@@ -117,6 +123,15 @@ let join (a : t) (b : t) : t =
   in
   Metrics.stop t_join t0;
   r
+
+(* The cells of both sides, which bind disjoint cells: uncounted, since
+   it puts halves together ({!Astate.union}) rather than joining
+   flows. *)
+let union (a : t) (b : t) : t =
+  match (a, b) with
+  | Shared ma, Shared mb -> Shared (Ptmap.union_idem (fun _ x _ -> x) ma mb)
+  | Naive ma, Naive mb -> lift2_naive (fun x _ -> x) ma mb
+  | _ -> invalid_arg "Env.union: mixed representations"
 
 let meet (a : t) (b : t) : t =
   match (a, b) with

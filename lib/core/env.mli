@@ -24,6 +24,9 @@ val set : t -> int -> Avalue.t -> t
     that differ. *)
 val diff : base:t -> t -> (int * Avalue.t) list
 
+(** The cells whose id satisfies the predicate. *)
+val filter : (int -> bool) -> t -> t
+
 (** Apply to every cell (used by the clock tick, Sect. 6.2.1). *)
 val map_all : (Avalue.t -> Avalue.t) -> t -> t
 
@@ -36,6 +39,11 @@ val cardinal : t -> int
     Cells present on one side only are kept as-is. *)
 
 val join : t -> t -> t
+
+(** The cells of two environments that bind disjoint cells (the halves
+    of a split loop); not counted as a join. *)
+val union : t -> t -> t
+
 val meet : t -> t -> t
 val widen : thresholds:Astree_domains.Thresholds.t -> t -> t -> t
 val narrow : t -> t -> t

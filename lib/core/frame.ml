@@ -614,6 +614,37 @@ let overlay (fr : t) (framed : Astate.t) (entry : Astate.t) : Astate.t =
            entry.Astate.rel fr.fr_rel)
       ~clock:framed.Astate.clock
 
+(** [part frs ~inside st]: [st]'s part in the cells and packs of the
+    frames [frs] ([inside]) or outside them, with [st]'s bottom flag and
+    clock. *)
+let part (frs : t list) ~(inside : bool) (st : Astate.t) : Astate.t =
+  if st.Astate.bot then st
+  else begin
+    let cells = Hashtbl.create 1024 and packs = Hashtbl.create 64 in
+    List.iter
+      (fun fr ->
+        Array.iter (fun c -> Hashtbl.replace cells c ()) fr.fr_cells;
+        List.iter
+          (fun (Rel r) ->
+            let module M = (val r.dom) in
+            Array.iter (fun pid -> Hashtbl.replace packs (M.name, pid) ()) r.ids)
+          fr.fr_rel)
+      frs;
+    Astate.make
+      ~env:(Env.filter (fun c -> Hashtbl.mem cells c = inside) st.Astate.env)
+      ~rel:
+        (List.fold_left
+           (fun rel (module M : Reldom.S) ->
+             M.set rel
+               (Ptmap.filter_map
+                  (fun pid x ->
+                    if Hashtbl.mem packs (M.name, pid) = inside then Some x
+                    else None)
+                  (M.get rel)))
+           st.Astate.rel Relstate.domains)
+      ~clock:st.Astate.clock
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Keys and positions                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -638,6 +669,7 @@ let cells (fr : t) = Array.copy fr.fr_cells
 let iter_cells f (fr : t) = Array.iter f fr.fr_cells
 let cell_pos (fr : t) (cid : int) = find_pos fr.fr_cells fr.fr_by_id cid
 let cell_at (fr : t) (i : int) = fr.fr_cells.(i)
+let has_loops (fr : t) = fr.fr_loops <> [||]
 let loop_pos (fr : t) = position fr.fr_loops
 let loop_at (fr : t) (i : int) = fr.fr_loops.(i)
 let oct_pos (fr : t) = position fr.fr_octs

@@ -86,6 +86,12 @@ val restrict : t -> entry:Astate.t -> Astate.t -> Astate.t option
     [framed] is. *)
 val overlay : t -> Astate.t -> Astate.t -> Astate.t
 
+(** [part frs ~inside st]: [st]'s part in the cells and packs of the
+    frames [frs] ([inside]) or outside them, with [st]'s bottom flag and
+    clock.  Frames are closed under packs, so a pack is on one side
+    with all its cells. *)
+val part : t list -> inside:bool -> Astate.t -> Astate.t
+
 (** {1 Keys} *)
 
 (** The frame's identity: its cells' names and types, its packs' and
@@ -103,6 +109,7 @@ val cells : t -> int array
 val iter_cells : (int -> unit) -> t -> unit
 val cell_pos : t -> int -> int option
 val cell_at : t -> int -> int
+val has_loops : t -> bool
 val loop_pos : t -> int -> int option
 val loop_at : t -> int -> int
 val oct_pos : t -> int -> int option

@@ -116,14 +116,189 @@ let t_widen = Metrics.timer "widen.total.time"
 (* Metered widening for the fixpoint loop below: one probe around the
    whole [Astate.widen] (env + all relational packs) so --profile can
    attribute iteration cost to extrapolation separately from the
-   per-domain octagon widening probe. *)
-let widen_state ~thresholds ~max_clock (inv : Astate.t) (next : Astate.t) :
-    Astate.t =
-  Metrics.incr c_widen;
+   per-domain octagon widening probe.  [lead] is false on the helper of
+   a split loop, which leaves the count to the parent. *)
+let widen_state ~lead ~thresholds ~max_clock (inv : Astate.t)
+    (next : Astate.t) : Astate.t =
+  if lead then Metrics.incr c_widen;
   let t0 = Metrics.start () in
   let r = Astate.widen ~thresholds ~max_clock inv next in
   Metrics.stop t_widen t0;
   r
+
+(* ------------------------------------------------------------------ *)
+(* Split main loop (DESIGN.md §7)                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* At [-j 2] and more, a main loop whose body calls independent
+   functions runs as two processes, each with one contiguous run of the
+   calls and the part of the state their frames hold.  Every lattice
+   operation and predicate of the fixpoint works cell by cell or pack by
+   pack, and only the clock tick writes the clock, the same on both
+   sides; so each half computes exactly its part of the one-process
+   iterates as long as both take the same decisions.  They exchange
+   their parts of each predicate ([Transfer.vote]) and combine them. *)
+
+(* One half of a split loop: its peer, whether it is the helper, and
+   the counts the loop's trace events sum over both halves. *)
+type lockstep = {
+  ls_peer : Transfer.peer;
+  ls_helper : bool;
+  ls_replayed0 : int;  (* this half's counters at the split *)
+  ls_thr_hits0 : int;
+  mutable ls_peer_replayed : int;  (* the other half's, at its last vote *)
+  mutable ls_peer_thr_hits : int;
+}
+
+let c_env_join = Metrics.counter "env.join"
+
+let vote : Transfer.vote =
+  {
+    vt_subset = true;
+    vt_equal = true;
+    vt_unstable = 0;
+    vt_reuse = true;
+    vt_bot = false;
+    vt_replayed = 0;
+    vt_thr_hits = 0;
+    vt_inv = Astate.bottom;
+  }
+
+(* This half's vote combined with the other half's; a loop run alone
+   keeps its own.  Either half at bottom ends the split: the one-process
+   pass would have skipped the other half's calls. *)
+let agree (ls : lockstep option) (v : Transfer.vote) : Transfer.vote =
+  match ls with
+  | None -> v
+  | Some ls ->
+      let v =
+        {
+          v with
+          vt_replayed = Metrics.value c_calls_replayed - ls.ls_replayed0;
+          vt_thr_hits = Metrics.value c_threshold_hits - ls.ls_thr_hits0;
+        }
+      in
+      let w = ls.ls_peer.Transfer.pe_exchange v in
+      ls.ls_peer_replayed <- w.vt_replayed;
+      ls.ls_peer_thr_hits <- w.vt_thr_hits;
+      if v.vt_bot || w.vt_bot then raise (Transfer.Peer_lost "bottom");
+      {
+        v with
+        vt_subset = v.vt_subset && w.vt_subset;
+        vt_equal = v.vt_equal && w.vt_equal;
+        vt_unstable =
+          (if v.vt_unstable > max_int - w.vt_unstable then max_int
+           else v.vt_unstable + w.vt_unstable);
+        vt_reuse = v.vt_reuse && w.vt_reuse;
+        vt_inv = Astate.union v.vt_inv w.vt_inv;
+      }
+
+(* The calls replayed and the threshold hits of both halves: this
+   half's, plus the other half's as of its last vote. *)
+let replayed (ls : lockstep option) : int =
+  Metrics.value c_calls_replayed
+  + match ls with Some ls -> ls.ls_peer_replayed | None -> 0
+
+let thr_hits (ls : lockstep option) : int =
+  Metrics.value c_threshold_hits
+  + match ls with Some ls -> ls.ls_peer_thr_hits | None -> 0
+
+(* The calls of a body that is argument-less calls of known functions
+   and then the clock tick, with the tick. *)
+let calls_then_wait (a : Transfer.actx) (body : block) : (stmt list * stmt) option =
+  let rec go acc = function
+    | [ ({ sdesc = Swait; _ } as w) ] -> Some (List.rev acc, w)
+    | ({ sdesc = Scall (None, f, []); _ } as s) :: rest
+      when Hashtbl.mem a.Transfer.funs f ->
+        go (s :: acc) rest
+    | _ -> None
+  in
+  go [] body
+
+let callee (s : stmt) = match s.sdesc with Scall (_, f, _) -> f | _ -> ""
+
+(* The cut after the first [k] calls, closest to even by inlined size,
+   such that the frames before it and those after it share no cell;
+   [None] when there is none, or when a frame holds a loop (its
+   invariant would be a whole state, which no half has). *)
+let cut (a : Transfer.actx) (calls : stmt list) (frames : Frame.t list) :
+    int option =
+  if List.exists Frame.has_loops frames then None
+  else begin
+    let n = List.length frames in
+    let first = Hashtbl.create 4096 and last = Hashtbl.create 4096 in
+    List.iteri
+      (fun i fr ->
+        Frame.iter_cells
+          (fun c ->
+            if not (Hashtbl.mem first c) then Hashtbl.add first c i;
+            Hashtbl.replace last c i)
+          fr)
+      frames;
+    (* a cell of calls [i] and [j > i] rules out the cuts [i+1 .. j] *)
+    let crossed = Array.make (n + 1) 0 in
+    Hashtbl.iter
+      (fun c i ->
+        let j = Hashtbl.find last c in
+        if i < j then begin
+          crossed.(i + 1) <- crossed.(i + 1) + 1;
+          crossed.(j + 1) <- crossed.(j + 1) - 1
+        end)
+      first;
+    let sizes = Lazy.force a.Transfer.inlined in
+    let w =
+      Array.of_list
+        (List.map
+           (fun s -> Option.value ~default:1 (Hashtbl.find_opt sizes (callee s)))
+           calls)
+    in
+    let total = Array.fold_left ( + ) 0 w in
+    let best = ref None and open_ = ref 0 and before = ref 0 in
+    for k = 1 to n - 1 do
+      open_ := !open_ + crossed.(k);
+      before := !before + w.(k - 1);
+      let gap = abs ((2 * !before) - total) in
+      match !best with
+      | Some (_, g) when g <= gap -> ()
+      | _ -> if !open_ = 0 then best := Some (k, gap)
+    done;
+    Option.map fst !best
+  end
+
+(* The split of the loop [c, body] with entry state [entry] when it has
+   one (DESIGN.md §7): at [cfg.jobs >= 2], with the split hook and
+   neither a keyed tier nor an interference context installed, for a
+   loop directly in the entry function whose guard is a non-zero
+   constant and whose body is argument-less calls, then the clock
+   tick.  The hook, each half's body and the second half's frames. *)
+let split_of (a : Transfer.actx) ~(stack : string list) (entry : Astate.t)
+    (c : expr) (body : block) :
+    (Transfer.split * block * block * Frame.t list) option =
+  let s = a.Transfer.session in
+  match (s.Transfer.ses_split, c.edesc) with
+  | Some sp, Eint n
+    when n <> 0
+         && a.Transfer.cfg.Config.jobs >= 2
+         && s.Transfer.ses_keyed = None
+         && s.Transfer.ses_itf = None
+         && stack = [ a.Transfer.prog.p_main ]
+         && not (Astate.is_bot entry) -> (
+      match calls_then_wait a body with
+      | None -> None
+      | Some (calls, wait) ->
+          let frames =
+            List.map
+              (fun s -> Frame.of_call a.Transfer.frames ~fname:(callee s) VarMap.empty)
+              calls
+          in
+          Option.map
+            (fun k ->
+              ( sp,
+                List.filteri (fun i _ -> i < k) calls @ [ wait ],
+                List.filteri (fun i _ -> i >= k) calls @ [ wait ],
+                List.filteri (fun i _ -> i >= k) frames ))
+            (cut a calls frames))
+  | _ -> None
 
 let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
     ~(sites : Memo.sites) (binds : Transfer.binds) (sts : Astate.t list)
@@ -254,6 +429,88 @@ and exec_block (a : Transfer.actx) ~(part : bool) ~(stack : string list)
 and exec_while (a : Transfer.actx) ~(stack : string list)
     (binds : Transfer.binds) (entry : Astate.t)
     ((li, c, body) : loop_info * expr * block) : outcome =
+  match split_of a ~stack entry c body with
+  | None -> loop_fixpoint a ~stack binds entry (li, c, body)
+  | Some split -> exec_split a ~stack binds entry (li, c, body) split
+
+(* The loop as two halves in lock-step (DESIGN.md §7): the helper runs
+   the second half from its part of [entry] and ships what its calls
+   changed; the parent runs the first half from the rest and unites
+   both.  When the helper is lost or a half reaches bottom, the loop
+   runs again alone, from the bookkeeping it started with. *)
+and exec_split (a : Transfer.actx) ~(stack : string list)
+    (binds : Transfer.binds) (entry : Astate.t)
+    ((li, c, body) : loop_info * expr * block)
+    ((sp, first, second, frames) : Transfer.split * block * block * Frame.t list)
+    : outcome =
+  let invariants = a.Transfer.invariants and oct_useful = a.Transfer.oct_useful
+  and joins = a.Transfer.join_count in
+  let alarms = Alarm.capture a.Transfer.alarms in
+  let run peer ~helper body =
+    let ls =
+      {
+        ls_peer = peer;
+        ls_helper = helper;
+        ls_replayed0 = Metrics.value c_calls_replayed;
+        ls_thr_hits0 = Metrics.value c_threshold_hits;
+        ls_peer_replayed = 0;
+        ls_peer_thr_hits = 0;
+      }
+    in
+    loop_fixpoint ~ls a ~stack binds
+      (Frame.part frames ~inside:helper entry)
+      (li, c, body)
+  in
+  let helper peer =
+    let o = run peer ~helper:true second in
+    {
+      Transfer.hf_norm = join_states o.o_norm;
+      hf_ret = o.o_ret;
+      hf_retv = o.o_retv;
+      hf_alarms = Alarm.drop a.Transfer.alarms alarms;
+      hf_invariants = Ptmap.diff ~base:invariants a.Transfer.invariants;
+      hf_oct_useful =
+        List.map fst (Ptmap.diff ~base:oct_useful a.Transfer.oct_useful);
+      hf_joins = a.Transfer.join_count - joins;
+    }
+  in
+  match
+    sp.Transfer.sp_run ~helper (fun peer ->
+        let o = run peer ~helper:false first in
+        (o, peer.Transfer.pe_finish ()))
+  with
+  | exception e ->
+      ignore (Alarm.release a.Transfer.alarms alarms);
+      raise e
+  | Some (o, h) ->
+      ignore (Alarm.release a.Transfer.alarms alarms);
+      Alarm.absorb a.Transfer.alarms h.Transfer.hf_alarms;
+      List.iter
+        (fun (id, inv) -> Transfer.set_invariant a id inv)
+        h.Transfer.hf_invariants;
+      List.iter (Transfer.mark_useful a) h.Transfer.hf_oct_useful;
+      a.Transfer.join_count <- a.Transfer.join_count + h.Transfer.hf_joins;
+      {
+        no_flow with
+        o_norm = [ Astate.union (join_states o.o_norm) h.Transfer.hf_norm ];
+        o_ret = Astate.union o.o_ret h.Transfer.hf_ret;
+        o_retv = join_itv o.o_retv h.Transfer.hf_retv;
+      }
+  | None ->
+      ignore (Alarm.drop a.Transfer.alarms alarms);
+      a.Transfer.invariants <- invariants;
+      a.Transfer.oct_useful <- oct_useful;
+      a.Transfer.join_count <- joins;
+      loop_fixpoint a ~stack binds entry (li, c, body)
+
+(* The loop's fixpoint, alone or as one half of a split loop [ls]: the
+   helper's half takes every decision with the parent's, but leaves the
+   counts of what both halves do once per state — passes, loop-head
+   joins and widenings, the loop itself — and the loop's trace events to
+   the parent. *)
+and loop_fixpoint ?(ls : lockstep option) (a : Transfer.actx)
+    ~(stack : string list) (binds : Transfer.binds) (entry : Astate.t)
+    ((li, c, body) : loop_info * expr * block) : outcome =
   (* the call sites of this loop's body, for its lifetime (differential
      iteration, [Memo.call]) *)
   let sites = Memo.loop_sites () in
@@ -261,6 +518,13 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
   let thresholds = cfg.Config.widening_thresholds in
   let max_clock = cfg.Config.max_clock in
   let alarms = a.Transfer.alarms in
+  let lead = match ls with Some { ls_helper = true; _ } -> false | _ -> true in
+  (* a loop-head join; the helper takes back its count *)
+  let join x y =
+    if not (lead || Astate.is_bot x || Astate.is_bot y) then
+      Metrics.add c_env_join (-1);
+    Astate.join x y
+  in
   (* Pass reuse (DESIGN.md §6): the analysis of the body is a function
      of its input state, so a pass from physically the same input as
      the latest one is that pass again and is reused, not recomputed.
@@ -272,16 +536,23 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
   let last = ref None in
   let body_pass ?(aside = false) st =
     let checking = alarms.Alarm.enabled in
-    match !last with
-    | Some p
-      when p.p_in == st && (aside || (not checking) || p.p_alarms <> None) ->
-        Metrics.incr c_passes_reused;
+    let reuse =
+      match !last with
+      | Some p
+        when p.p_in == st && (aside || (not checking) || p.p_alarms <> None) ->
+          Some p
+      | _ -> None
+    in
+    match reuse with
+    | Some p when (agree ls { vote with vt_reuse = true }).vt_reuse ->
+        if lead then Metrics.incr c_passes_reused;
         if checking && not aside then
           Option.iter (Alarm.absorb alarms) p.p_alarms;
         p
     | _ ->
+        if Option.is_none reuse then ignore (agree ls { vote with vt_reuse = false });
         last := None;
-        Metrics.incr c_body_passes;
+        if lead then Metrics.incr c_body_passes;
         let run () =
           let body_in = Transfer.guard a st binds c true in
           exec_block a ~part:false ~stack ~sites binds [ body_in ] body
@@ -307,8 +578,12 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
             p_alarms = set_aside;
           }
         in
+        ignore (agree ls { vote with vt_bot = Astate.is_bot p.p_after });
         last := Some p;
         p
+  in
+  let subset next inv =
+    (agree ls { vote with vt_subset = Astate.subset next inv }).vt_subset
   in
   (* ---- semantic unrolling (Sect. 7.1.1) ---- *)
   let unroll = Config.unroll_for cfg li.loop_id in
@@ -331,10 +606,10 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     { no_flow with o_norm = [ exits0 ]; o_ret = rets0; o_retv = retv0 }
   else begin
     (* ---- fixpoint in iteration mode (Sect. 5.5) ---- *)
-    Metrics.incr c_loops;
+    if lead then Metrics.incr c_loops;
     let n_widens = ref 0 and n_narrows = ref 0 and n_iters = ref 0 in
-    let thr_hits0 = Metrics.value c_threshold_hits in
-    let replayed0 = Metrics.value c_calls_replayed in
+    let thr_hits0 = thr_hits ls in
+    let replayed0 = replayed ls in
     let saved_mode = alarms.Alarm.enabled in
     alarms.Alarm.enabled <- false;
     let count_unstable (old_ : Astate.t) (next : Astate.t) : int =
@@ -354,28 +629,31 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     let eps = cfg.Config.float_iteration_epsilon in
     (* one [loop.iterate] event per iterate under --trace: how many cells
        are still climbing *)
-    let trace_iterate i unstable replayed =
-      if !Trace.enabled then
+    let trace_iterate i unstable replayed_i =
+      if lead && !Trace.enabled then
         Trace.emit "loop.iterate"
           ~args:
             [
               ("loop", Trace.I li.loop_id);
               ("iter", Trace.I i);
               ("unstable", Trace.I unstable);
-              ("replayed", Trace.I (Metrics.value c_calls_replayed - replayed));
+              ("replayed", Trace.I (replayed ls - replayed_i));
             ]
     in
     let rec iterate i fairness prev_unstable (inv : Astate.t) : Astate.t =
       n_iters := i;
-      let replayed = Metrics.value c_calls_replayed in
-      let next = Astate.join st0 (body_pass inv).p_after in
-      if Astate.subset next inv then begin
-        trace_iterate i 0 replayed;
+      let replayed_i = replayed ls in
+      let next = join st0 (body_pass inv).p_after in
+      if subset next inv then begin
+        trace_iterate i 0 replayed_i;
         inv
       end
       else begin
-        let unstable = count_unstable inv next in
-        trace_iterate i unstable replayed;
+        let unstable =
+          (agree ls { vote with vt_unstable = count_unstable inv next })
+            .vt_unstable
+        in
+        trace_iterate i unstable replayed_i;
         (* floating iteration perturbation (Sect. 7.1.4): when the iterate
            is almost stable (abstract rounding noise only), try the
            epsilon-enlarged candidate F-hat before widening any further;
@@ -383,10 +661,9 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
         let try_hat () =
           if unstable > 4 || eps <= 0.0 then None
           else begin
-            let inv_hat = Astate.perturb eps (Astate.join inv next) in
+            let inv_hat = Astate.perturb eps (join inv next) in
             let after_hat = (body_pass inv_hat).p_after in
-            if Astate.subset (Astate.join st0 after_hat) inv_hat then
-              Some inv_hat
+            if subset (join st0 after_hat) inv_hat then Some inv_hat
             else None
           end
         in
@@ -398,10 +675,11 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
                  infinity so the fixpoint computation always terminates *)
               incr n_widens;
               iterate (i + 1) 0 unstable
-                (widen_state ~thresholds:D.Thresholds.none ~max_clock inv next)
+                (widen_state ~lead ~thresholds:D.Thresholds.none ~max_clock
+                   inv next)
             end
             else if i < cfg.Config.delay_widening then
-              iterate (i + 1) fairness unstable (Astate.join inv next)
+              iterate (i + 1) fairness unstable (join inv next)
             else if
               (unstable < prev_unstable || unstable = 0) && fairness > 0
             then
@@ -410,11 +688,11 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
                  [unstable = 0] means only relational constraints are
                  still settling (they converge a couple of iterations
                  after the cells do): give them the same grace. *)
-              iterate (i + 1) (fairness - 1) unstable (Astate.join inv next)
+              iterate (i + 1) (fairness - 1) unstable (join inv next)
             else begin
               incr n_widens;
               iterate (i + 1) fairness unstable
-                (widen_state ~thresholds ~max_clock inv next)
+                (widen_state ~lead ~thresholds ~max_clock inv next)
             end
       end
     in
@@ -430,10 +708,15 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     let rec narrow k inv =
       if k = 0 then inv
       else begin
-        let next = Astate.join st0 (body_pass ~aside:true inv).p_after in
-        if Astate.subset next inv && not (Astate.equal next inv) then begin
+        let next = join st0 (body_pass ~aside:true inv).p_after in
+        let sub = Astate.subset next inv in
+        let v =
+          agree ls
+            { vote with vt_subset = sub; vt_equal = sub && Astate.equal next inv }
+        in
+        if v.vt_subset && not v.vt_equal then begin
           let check = (body_pass ~aside:true next).p_after in
-          if Astate.subset (Astate.join st0 check) next then begin
+          if subset (join st0 check) next then begin
             incr n_narrows;
             narrow (k - 1) next
           end
@@ -441,7 +724,7 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
             (* fall back to the classical narrowing on infinite bounds *)
             let narrowed = Astate.narrow inv next in
             let check = (body_pass ~aside:true narrowed).p_after in
-            if Astate.subset (Astate.join st0 check) narrowed then begin
+            if subset (join st0 check) narrowed then begin
               incr n_narrows;
               narrowed
             end
@@ -452,23 +735,35 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
     in
     alarms.Alarm.enabled <- saved_mode;
     let inv = narrow cfg.Config.narrowing_iterations inv in
-    Metrics.observe h_loop_iters !n_iters;
-    if !Trace.enabled then
-      Trace.emit "loop.fixpoint"
-        ~loc:(Fmt.str "%a" F.Loc.pp c.eloc)
-        ~args:
-          [
-            ("loop", Trace.I li.loop_id);
-            ("iters", Trace.I !n_iters);
-            ("widens", Trace.I !n_widens);
-            ("narrows", Trace.I !n_narrows);
-            ("stabilized_at", Trace.I !n_iters);
-            ( "threshold_hits",
-              Trace.I (Metrics.value c_threshold_hits - thr_hits0) );
-            ("replayed", Trace.I (Metrics.value c_calls_replayed - replayed0));
-          ];
-    (* save the loop invariant for examination (Sect. 5.3) *)
-    Transfer.set_invariant a li.loop_id inv;
+    (* the helper's half of the invariant, for the parent to record *)
+    let inv_all =
+      match ls with
+      | None -> inv
+      | Some ls ->
+          Astate.union inv
+            (agree (Some ls)
+               { vote with vt_inv = (if ls.ls_helper then inv else Astate.bottom) })
+              .vt_inv
+    in
+    if lead then begin
+      Metrics.observe h_loop_iters !n_iters;
+      if !Trace.enabled then
+        Trace.emit "loop.fixpoint"
+          ~loc:(Fmt.str "%a" F.Loc.pp c.eloc)
+          ~args:
+            [
+              ("loop", Trace.I li.loop_id);
+              ("iters", Trace.I !n_iters);
+              ("widens", Trace.I !n_widens);
+              ("narrows", Trace.I !n_narrows);
+              ("stabilized_at", Trace.I !n_iters);
+              ( "threshold_hits",
+                Trace.I (thr_hits ls - thr_hits0) );
+              ("replayed", Trace.I (replayed ls - replayed0));
+            ];
+      (* save the loop invariant for examination (Sect. 5.3) *)
+      Transfer.set_invariant a li.loop_id inv_all
+    end;
     (* ---- extra pass, in checking mode if enabled (Sect. 5.4); the
        narrowing pass on [inv], when it is the latest ---- *)
     let p = body_pass inv in

@@ -1,7 +1,10 @@
 (** The iterator (Sect. 5.3–5.5): abstract execution by induction on the
     abstract syntax, with iteration and checking modes, least-fixpoint
     approximation with widening and narrowing, loop unrolling, trace
-    partitioning and polyvariant function inlining. *)
+    partitioning and polyvariant function inlining.  Under the split
+    hook ([Transfer.session.ses_split]) at [cfg.jobs >= 2], a main loop
+    whose calls have disjoint frames runs as two processes in lock-step,
+    with the one-process result (DESIGN.md §7). *)
 
 (** Raised on programs outside the subset's analyzable fragment
     (recursion, calls to unknown functions, ...). *)

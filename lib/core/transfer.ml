@@ -117,6 +117,59 @@ type summary_key = {
   sk_checking : bool;
 }
 
+(** What one half of a split main loop (DESIGN.md §7) tells the other
+    at a decision of the fixpoint: its part of each global predicate.
+    [Iterator] combines two votes: [vt_subset], [vt_equal] and
+    [vt_reuse] by AND, [vt_unstable] by sum, [vt_bot] by OR; the counts
+    and the invariant are the sender's own.  Plain data. *)
+type vote = {
+  vt_subset : bool;
+  vt_equal : bool;
+  vt_unstable : int;
+  vt_reuse : bool;
+  vt_bot : bool;
+  vt_replayed : int;  (** calls the sender replayed since the split *)
+  vt_thr_hits : int;  (** widening threshold hits since the split *)
+  vt_inv : Astate.t;
+      (** the helper's half of the loop invariant, when the loop is
+          about to record it; bottom otherwise *)
+}
+
+(** What the helper of a split loop ships when the loop ends: its half
+    of the loop's outcome and the bookkeeping its calls changed.  The
+    parent's keys and the helper's are disjoint.  Plain data. *)
+type half = {
+  hf_norm : Astate.t;
+  hf_ret : Astate.t;
+  hf_retv : D.Itv.t;
+  hf_alarms : Alarm.t list;
+  hf_invariants : (int * Astate.t) list;
+  hf_oct_useful : int list;
+  hf_joins : int;
+}
+
+(** The other half of a split loop is gone: its process died, sent a
+    torn or out-of-step message, or one half reached bottom. *)
+exception Peer_lost of string
+
+(** The other half of a split loop, as one half sees it. *)
+type peer = {
+  pe_exchange : vote -> vote;
+      (** send this half's vote, return the other half's *)
+  pe_finish : unit -> half;
+      (** the parent's side, once its loop has ended: the helper's
+          half, with its registry delta and trace events absorbed *)
+}
+
+(** The split hook that [Astree_parallel] installs.  [sp_run ~helper
+    parent] forks one helper process that runs [helper] and ships what
+    it returns, runs [parent] here, and reaps the helper on every
+    path.  [None] when no helper could be forked or when one half
+    raised {!Peer_lost}; any other exception is re-raised. *)
+type split = {
+  sp_run : 'a. helper:(peer -> half) -> (peer -> 'a) -> 'a option;
+}
+
 (** The keyed tier of the call memo as [Memo.call] sees it (DESIGN.md
     §8): summaries under a key that only [Astree_incremental] can
     compute, found in and added to its store, which counts the run's
@@ -153,6 +206,9 @@ and session = {
       (** interference context of a multi-task per-task run, installed
           by the outer fixpoint driver ([Astree_conc]); [None] keeps
           every transfer function on its single-task path *)
+  mutable ses_split : split option;
+      (** the main loop's split into two processes, installed by
+          [Astree_parallel]; used at [cfg.jobs >= 2] *)
 }
 
 (** Analysis context shared by all transfer functions. *)
@@ -183,6 +239,7 @@ let new_session () : session =
     ses_ticks = 0;
     ses_live = None;
     ses_itf = None;
+    ses_split = None;
   }
 
 (** Transitive inlined size of each function: own statements plus the

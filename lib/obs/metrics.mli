@@ -20,8 +20,10 @@
     applications, widenings, threshold hits, loops, inlined calls, cache
     traffic), gauges and histograms are functions of the analysis
     performed, and {!render_json} with [~timers:false] is byte-stable
-    across equivalent runs.  A single analysis runs sequentially at
-    every [-j], so its registry is exactly the [-j 1] one.  The
+    across equivalent runs.  A single analysis whose main loop runs
+    as two processes at [-j 2] reports exactly the [-j 1] registry
+    plus [par.split_loops]: the helper ships its delta, without the
+    counts of what both halves do once per state.  The
     multi-task interference fixpoint reports under [conc.*]: the
     [conc.rounds] counter (outer rounds run) and the [conc.tasks] /
     [conc.interference_vars] gauges (task and shared-variable count of

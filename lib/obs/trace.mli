@@ -9,9 +9,10 @@
     {!capacity} events.
 
     {b Determinism.}  The event {e set} is a function of the analysis
-    performed: a single analysis runs sequentially at every [-j], so
-    sorting events by (loc, kind, args) yields the same list at [-j n]
-    as at [-j 1].  Pool workers, of the [-j] scheduler and of the
+    performed, so sorting events by (loc, kind, args) yields the same
+    list at [-j n] as at [-j 1]: a main loop run as two processes
+    writes the helper's events after the parent's, when the loop
+    ends.  Pool workers, of the [-j] scheduler and of the
     daemon alike, ship their events back inside their replies
     ({!Observed.job}); the coordinator re-emits them in job order
     ({!Observed.absorb}), so a multi-task run writes the same event

@@ -1,6 +1,7 @@
-(** The parallel scheduler: the one job path and fault policy of the
-    per-task runs of [Astree_conc.Fixpoint].  [-j n] can lose speed,
-    never results, and never silently. *)
+(** The parallel scheduler: one program's analysis, whose main loop may
+    run as two processes ({!Split}), and the one job path and fault
+    policy of the per-task runs of [Astree_conc.Fixpoint].  [-j n] can
+    lose speed, never results, and never silently. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -14,8 +15,14 @@ let default_jobs () = max 1 (Domain.recommended_domain_count ())
 let job_timeout = 3600.
 let recomputed = Metrics.counter "par.recomputed"
 
-(** Alias of [Analysis.analyze], kept for existing callers. *)
-let analyze ?session ?cfg p = C.Analysis.analyze ?session ?cfg p
+(* One program: the session gets the split hook, which the iterator
+   uses at [cfg.jobs >= 2]. *)
+let analyze ?session ?prepared ?cfg p =
+  let session =
+    match session with Some s -> s | None -> C.Transfer.new_session ()
+  in
+  session.C.Transfer.ses_split <- Some Split.split;
+  Astree_robust.Degrade.analyze ~session ?prepared ?cfg p
 
 type ('a, 'b) workers = {
   w_run : 'a -> 'b;  (** the job function, also the in-process fallback *)

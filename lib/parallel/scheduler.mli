@@ -1,5 +1,7 @@
-(** Parallel scheduler: the one job path of [-j] (worker wrapper and
-    fault policy), on which a multi-task program's per-task runs go. *)
+(** Parallel scheduler: one program's analysis, whose main loop may run
+    as two processes at [-j 2] and more ({!Split}), and the one job path
+    of [-j] (worker wrapper and fault policy), on which a multi-task
+    program's per-task runs go. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -7,11 +9,15 @@ module F = Astree_frontend
 (** Worker count matching the machine's available cores. *)
 val default_jobs : unit -> int
 
-(** Alias of {!Astree_core.Analysis.analyze}: one program is analyzed
-    sequentially at every [cfg.jobs].  Kept for existing callers (the
-    layer benchmark uses it); new code should call [Analysis.analyze]. *)
+(** One program's analysis under the resource budget of [cfg]
+    ({!Astree_robust.Degrade.analyze}), with the split hook ({!Split})
+    installed in the session: at [cfg.jobs >= 2], a main loop whose
+    body calls functions with disjoint frames runs as two processes in
+    lock-step, with the [-j 1] result, registry and alarms (DESIGN.md
+    §7).  [?session] and [?prepared] are passed on. *)
 val analyze :
   ?session:C.Transfer.session ->
+  ?prepared:C.Transfer.prepared ->
   ?cfg:C.Config.t ->
   F.Tast.program ->
   C.Analysis.result

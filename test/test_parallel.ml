@@ -1,8 +1,9 @@
 (* Parallel-subsystem tests: the worker pool survives exceptions,
-   crashes and timeouts, and the deterministic merge reproduces the
-   sequential collector's policy.  The pooled analysis path is checked
-   where it runs, on multi-task programs (test_concurrency,
-   test_robust). *)
+   crashes and timeouts, the deterministic merge reproduces the
+   sequential collector's policy, and a main loop split in two
+   processes reports what one process reports.  The pooled analysis
+   path is checked where it runs, on multi-task programs
+   (test_concurrency, test_robust). *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -118,6 +119,121 @@ let test_merge_states () =
   Alcotest.(check bool) "bottom is the unit" true
     (C.Astate.is_bot (P.Merge.join_states [ C.Astate.bottom; C.Astate.bottom ]))
 
+(* ---------------- split main loop ---------------- *)
+
+module G = Astree_gen
+module Srv = Astree_server
+module Metrics = Astree_obs.Metrics
+
+(* [genfamily --kloc kloc --seed seed --bugs bugs --fuse fuse] *)
+let genfamily ?(bugs = 0.0) ?(fuse = 1) ~kloc ~seed () =
+  (G.Generator.generate
+     {
+       G.Generator.seed;
+       target_lines = int_of_float (kloc *. 1000.);
+       mix = G.Shapes.all_safe_kinds;
+       bug_ratio = bugs;
+       fuse;
+     })
+    .G.Generator.source
+
+(* What [astree -j jobs] reports on [src]: the JSON report without its
+   time, the --explain lines, the --dump-invariants --census text and
+   every counter but the [par.*] ones; and the [par.*] counters. *)
+let observe ?(timeout = 0.) ~jobs src =
+  let sources = [ ("m.c", src) ] in
+  let cfg =
+    {
+      (Srv.Service.config_of Srv.Service.default_options ~sources) with
+      C.Config.jobs;
+      timeout;
+    }
+  in
+  let p, _ = C.Analysis.compile sources in
+  let m0 = Metrics.snapshot () in
+  let r = P.Scheduler.analyze ~cfg p in
+  let delta = Metrics.diff m0 in
+  let count n = Option.value ~default:0 (Metrics.find_int delta n) in
+  let report =
+    Srv.Report.render
+      {
+        r with
+        C.Analysis.r_stats = { r.C.Analysis.r_stats with C.Analysis.s_time = 0. };
+      }
+  in
+  let explain = List.map (Fmt.str "%a" C.Alarm.pp_explain) r.C.Analysis.r_alarms in
+  let dump =
+    Fmt.str "%a%s"
+      Fmt.(option C.Invariant_census.pp)
+      (C.Invariant_census.main_loop_census r)
+      (C.Invariant_dump.to_string r)
+  in
+  let counters =
+    List.filter_map
+      (fun n ->
+        if String.starts_with ~prefix:"par." n then None
+        else Option.map (fun v -> (n, v)) (Metrics.find_int delta n))
+      (Metrics.names delta)
+  in
+  ( (report, explain, dump),
+    counters,
+    (count "par.split_loops", count "par.recomputed"),
+    Srv.Report.exit_code r )
+
+let same_report what (r1, e1, d1) (r2, e2, d2) =
+  Alcotest.(check string) (what ^ ": JSON report") r1 r2;
+  Alcotest.(check (list string)) (what ^ ": --explain") e1 e2;
+  Alcotest.(check string) (what ^ ": --dump-invariants --census") d1 d2
+
+let test_split_equal () =
+  no_faults @@ fun () ->
+  List.iter
+    (fun (what, src, splits) ->
+      let o1, c1, _, _ = observe ~jobs:1 src in
+      let o2, c2, (split, recomputed), _ = observe ~jobs:2 src in
+      same_report what o1 o2;
+      Alcotest.(check (list (pair string int))) (what ^ ": counters") c1 c2;
+      Alcotest.(check int) (what ^ ": par.split_loops") splits split;
+      Alcotest.(check int) (what ^ ": par.recomputed") 0 recomputed)
+    [
+      ("--kloc 1 --seed 1", genfamily ~kloc:1. ~seed:1 (), 1);
+      ("--kloc 2 --seed 3 --bugs 0.05", genfamily ~bugs:0.05 ~kloc:2. ~seed:3 (), 1);
+      (* the stage functions of a fused member have disjoint frames as
+         well: its main loop splits too *)
+      ("--kloc 2 --seed 1 --fuse 16", genfamily ~fuse:16 ~kloc:2. ~seed:1 (), 1);
+    ]
+
+(* A helper that dies at once: the loop runs again in the parent, which
+   reports the -j 1 result and counts the recomputation. *)
+let test_split_crash () =
+  let src = genfamily ~bugs:0.05 ~kloc:2. ~seed:3 () in
+  let o1, _, _, _ = no_faults (fun () -> observe ~jobs:1 src) in
+  R.Faultsim.install ~seed:0 [ (R.Faultsim.Worker_crash, 1.0) ];
+  let o2, _, (split, recomputed), _ =
+    Fun.protect ~finally:R.Faultsim.clear (fun () -> observe ~jobs:2 src)
+  in
+  same_report "crashed helper" o1 o2;
+  Alcotest.(check int) "par.split_loops" 1 split;
+  Alcotest.(check int) "par.recomputed" 1 recomputed
+
+(* The children of this process, where Linux lists them. *)
+let children () =
+  let pid = Unix.getpid () in
+  match open_in (Printf.sprintf "/proc/%d/task/%d/children" pid pid) with
+  | ic ->
+      let line = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic) in
+      List.sort compare (String.split_on_char ' ' (String.trim line))
+  | exception Sys_error _ -> []
+
+(* A budget that trips mid-loop: the split run degrades or finishes, and
+   its helper is reaped. *)
+let test_split_timeout () =
+  let src = genfamily ~kloc:4. ~seed:2 () in
+  let before = children () in
+  let _, _, _, code = observe ~timeout:0.05 ~jobs:2 src in
+  Alcotest.(check bool) "exit 0 or 3" true (code = 0 || code = 3);
+  Alcotest.(check (list string)) "no helper left" before (children ())
+
 let suite =
   [
     Alcotest.test_case "pool: ordered map" `Quick test_pool_order;
@@ -128,4 +244,9 @@ let suite =
     Alcotest.test_case "merge: state join" `Quick test_merge_states;
     Alcotest.test_case "pool: closure reply -> Error" `Quick
       test_pool_unmarshallable_reply;
+    Alcotest.test_case "split main loop: -j 2 = -j 1" `Quick test_split_equal;
+    Alcotest.test_case "split main loop: crashed helper" `Quick
+      test_split_crash;
+    Alcotest.test_case "split main loop: timeout reaps the helper" `Quick
+      test_split_timeout;
   ]
