@@ -22,13 +22,13 @@ let is_bot (s : t) = s.bot
 
 let make ~env ~rel ~clock = { bot = false; env; rel; clock }
 
-let join (a : t) (b : t) : t =
+let join ?count (a : t) (b : t) : t =
   if a.bot then b
   else if b.bot then a
   else
     {
       bot = false;
-      env = Env.join a.env b.env;
+      env = Env.join ?count a.env b.env;
       rel = Relstate.join a.rel b.rel;
       clock = D.Itv.join a.clock b.clock;
     }

@@ -14,7 +14,9 @@ val is_bot : t -> bool
 val make :
   env:Env.t -> rel:Relstate.t -> clock:Astree_domains.Itv.t -> t
 
-val join : t -> t -> t
+(** [~count:false] leaves the join out of [env.join]: the helper of a
+    split loop, whose loop-head joins the parent counts (DESIGN.md §7). *)
+val join : ?count:bool -> t -> t -> t
 
 (** The union of two states over disjoint cells and packs and with one
     clock, such as the halves of a split loop ({!Frame.part}): no join

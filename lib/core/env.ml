@@ -108,8 +108,8 @@ let lift2_naive (f : Avalue.t -> Avalue.t -> Avalue.t) a b =
 let c_join = Metrics.counter "env.join"
 let t_join = Metrics.timer "env.join.time"
 
-let join (a : t) (b : t) : t =
-  Metrics.incr c_join;
+let join ?(count = true) (a : t) (b : t) : t =
+  if count then Metrics.incr c_join;
   let t0 = Metrics.start () in
   let r =
     match (a, b) with

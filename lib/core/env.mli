@@ -38,7 +38,8 @@ val cardinal : t -> int
 
     Cells present on one side only are kept as-is. *)
 
-val join : t -> t -> t
+(** Counted in [env.join], unless [~count:false]. *)
+val join : ?count:bool -> t -> t -> t
 
 (** The cells of two environments that bind disjoint cells (the halves
     of a split loop); not counted as a join. *)

@@ -139,8 +139,9 @@ let widen_state ~lead ~thresholds ~max_clock (inv : Astate.t)
    iterates as long as both take the same decisions.  They exchange
    their parts of each predicate ([Transfer.vote]) and combine them. *)
 
-(* One half of a split loop: its peer, whether it is the helper, and
-   the counts the loop's trace events sum over both halves. *)
+(* One half of a split loop: its peer, whether it is the helper, the
+   counts the loop's trace events sum over both halves, and this half's
+   loop invariant once the fixpoint has it. *)
 type lockstep = {
   ls_peer : Transfer.peer;
   ls_helper : bool;
@@ -148,9 +149,8 @@ type lockstep = {
   ls_thr_hits0 : int;
   mutable ls_peer_replayed : int;  (* the other half's, at its last vote *)
   mutable ls_peer_thr_hits : int;
+  mutable ls_inv : Astate.t;
 }
-
-let c_env_join = Metrics.counter "env.join"
 
 let vote : Transfer.vote =
   {
@@ -161,12 +161,11 @@ let vote : Transfer.vote =
     vt_bot = false;
     vt_replayed = 0;
     vt_thr_hits = 0;
-    vt_inv = Astate.bottom;
   }
 
 (* This half's vote combined with the other half's; a loop run alone
-   keeps its own.  Either half at bottom ends the split: the one-process
-   pass would have skipped the other half's calls. *)
+   keeps its own.  Either half at bottom ends the split
+   ([Transfer.Half_bottom]). *)
 let agree (ls : lockstep option) (v : Transfer.vote) : Transfer.vote =
   match ls with
   | None -> v
@@ -181,7 +180,7 @@ let agree (ls : lockstep option) (v : Transfer.vote) : Transfer.vote =
       let w = ls.ls_peer.Transfer.pe_exchange v in
       ls.ls_peer_replayed <- w.vt_replayed;
       ls.ls_peer_thr_hits <- w.vt_thr_hits;
-      if v.vt_bot || w.vt_bot then raise (Transfer.Peer_lost "bottom");
+      if v.vt_bot || w.vt_bot then raise Transfer.Half_bottom;
       {
         v with
         vt_subset = v.vt_subset && w.vt_subset;
@@ -190,7 +189,6 @@ let agree (ls : lockstep option) (v : Transfer.vote) : Transfer.vote =
           (if v.vt_unstable > max_int - w.vt_unstable then max_int
            else v.vt_unstable + w.vt_unstable);
         vt_reuse = v.vt_reuse && w.vt_reuse;
-        vt_inv = Astate.union v.vt_inv w.vt_inv;
       }
 
 (* The calls replayed and the threshold hits of both halves: this
@@ -435,16 +433,18 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
 
 (* The loop as two halves in lock-step (DESIGN.md §7): the helper runs
    the second half from its part of [entry] and ships what its calls
-   changed; the parent runs the first half from the rest and unites
-   both.  When the helper is lost or a half reaches bottom, the loop
-   runs again alone, from the bookkeeping it started with. *)
+   changed; the parent runs the first half from the rest, unites both
+   halves of the invariant and absorbs the rest.  When the helper is
+   lost or a half reaches bottom, the loop runs again alone, from the
+   bookkeeping and the alarm mode it started with. *)
 and exec_split (a : Transfer.actx) ~(stack : string list)
     (binds : Transfer.binds) (entry : Astate.t)
     ((li, c, body) : loop_info * expr * block)
     ((sp, first, second, frames) : Transfer.split * block * block * Frame.t list)
     : outcome =
   let invariants = a.Transfer.invariants and oct_useful = a.Transfer.oct_useful
-  and joins = a.Transfer.join_count in
+  and joins = a.Transfer.join_count
+  and checking = a.Transfer.alarms.Alarm.enabled in
   let alarms = Alarm.capture a.Transfer.alarms in
   let run peer ~helper body =
     let ls =
@@ -455,20 +455,21 @@ and exec_split (a : Transfer.actx) ~(stack : string list)
         ls_thr_hits0 = Metrics.value c_threshold_hits;
         ls_peer_replayed = 0;
         ls_peer_thr_hits = 0;
+        ls_inv = Astate.bottom;
       }
     in
-    loop_fixpoint ~ls a ~stack binds
-      (Frame.part frames ~inside:helper entry)
-      (li, c, body)
+    let o =
+      loop_fixpoint ~ls a ~stack binds
+        (Frame.part frames ~inside:helper entry)
+        (li, c, body)
+    in
+    (o, ls.ls_inv)
   in
   let helper peer =
-    let o = run peer ~helper:true second in
+    let _, inv = run peer ~helper:true second in
     {
-      Transfer.hf_norm = join_states o.o_norm;
-      hf_ret = o.o_ret;
-      hf_retv = o.o_retv;
+      Transfer.hf_inv = inv;
       hf_alarms = Alarm.drop a.Transfer.alarms alarms;
-      hf_invariants = Ptmap.diff ~base:invariants a.Transfer.invariants;
       hf_oct_useful =
         List.map fst (Ptmap.diff ~base:oct_useful a.Transfer.oct_useful);
       hf_joins = a.Transfer.join_count - joins;
@@ -482,22 +483,18 @@ and exec_split (a : Transfer.actx) ~(stack : string list)
   | exception e ->
       ignore (Alarm.release a.Transfer.alarms alarms);
       raise e
-  | Some (o, h) ->
+  | Some ((o, inv), h) ->
       ignore (Alarm.release a.Transfer.alarms alarms);
       Alarm.absorb a.Transfer.alarms h.Transfer.hf_alarms;
-      List.iter
-        (fun (id, inv) -> Transfer.set_invariant a id inv)
-        h.Transfer.hf_invariants;
+      Transfer.set_invariant a li.loop_id (Astate.union inv h.Transfer.hf_inv);
       List.iter (Transfer.mark_useful a) h.Transfer.hf_oct_useful;
       a.Transfer.join_count <- a.Transfer.join_count + h.Transfer.hf_joins;
-      {
-        no_flow with
-        o_norm = [ Astate.union (join_states o.o_norm) h.Transfer.hf_norm ];
-        o_ret = Astate.union o.o_ret h.Transfer.hf_ret;
-        o_retv = join_itv o.o_retv h.Transfer.hf_retv;
-      }
+      (* the helper's half of the outcome is bottom, as is the parent's *)
+      o
   | None ->
       ignore (Alarm.drop a.Transfer.alarms alarms);
+      (* the half may have stopped in iteration mode *)
+      a.Transfer.alarms.Alarm.enabled <- checking;
       a.Transfer.invariants <- invariants;
       a.Transfer.oct_useful <- oct_useful;
       a.Transfer.join_count <- joins;
@@ -519,12 +516,8 @@ and loop_fixpoint ?(ls : lockstep option) (a : Transfer.actx)
   let max_clock = cfg.Config.max_clock in
   let alarms = a.Transfer.alarms in
   let lead = match ls with Some { ls_helper = true; _ } -> false | _ -> true in
-  (* a loop-head join; the helper takes back its count *)
-  let join x y =
-    if not (lead || Astate.is_bot x || Astate.is_bot y) then
-      Metrics.add c_env_join (-1);
-    Astate.join x y
-  in
+  (* a loop-head join, which the helper leaves uncounted *)
+  let join x y = Astate.join ~count:lead x y in
   (* Pass reuse (DESIGN.md §6): the analysis of the body is a function
      of its input state, so a pass from physically the same input as
      the latest one is that pass again and is reused, not recomputed.
@@ -735,16 +728,6 @@ and loop_fixpoint ?(ls : lockstep option) (a : Transfer.actx)
     in
     alarms.Alarm.enabled <- saved_mode;
     let inv = narrow cfg.Config.narrowing_iterations inv in
-    (* the helper's half of the invariant, for the parent to record *)
-    let inv_all =
-      match ls with
-      | None -> inv
-      | Some ls ->
-          Astate.union inv
-            (agree (Some ls)
-               { vote with vt_inv = (if ls.ls_helper then inv else Astate.bottom) })
-              .vt_inv
-    in
     if lead then begin
       Metrics.observe h_loop_iters !n_iters;
       if !Trace.enabled then
@@ -760,10 +743,13 @@ and loop_fixpoint ?(ls : lockstep option) (a : Transfer.actx)
               ( "threshold_hits",
                 Trace.I (thr_hits ls - thr_hits0) );
               ("replayed", Trace.I (replayed ls - replayed0));
-            ];
-      (* save the loop invariant for examination (Sect. 5.3) *)
-      Transfer.set_invariant a li.loop_id inv_all
+            ]
     end;
+    (* save the loop invariant for examination (Sect. 5.3); a split
+       loop's halves are united by [exec_split] *)
+    (match ls with
+    | None -> Transfer.set_invariant a li.loop_id inv
+    | Some ls -> ls.ls_inv <- inv);
     (* ---- extra pass, in checking mode if enabled (Sect. 5.4); the
        narrowing pass on [inv], when it is the latest ---- *)
     let p = body_pass inv in

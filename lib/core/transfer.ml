@@ -121,7 +121,7 @@ type summary_key = {
     at a decision of the fixpoint: its part of each global predicate.
     [Iterator] combines two votes: [vt_subset], [vt_equal] and
     [vt_reuse] by AND, [vt_unstable] by sum, [vt_bot] by OR; the counts
-    and the invariant are the sender's own.  Plain data. *)
+    are the sender's own.  Plain data. *)
 type vote = {
   vt_subset : bool;
   vt_equal : bool;
@@ -130,27 +130,30 @@ type vote = {
   vt_bot : bool;
   vt_replayed : int;  (** calls the sender replayed since the split *)
   vt_thr_hits : int;  (** widening threshold hits since the split *)
-  vt_inv : Astate.t;
-      (** the helper's half of the loop invariant, when the loop is
-          about to record it; bottom otherwise *)
 }
 
 (** What the helper of a split loop ships when the loop ends: its half
-    of the loop's outcome and the bookkeeping its calls changed.  The
-    parent's keys and the helper's are disjoint.  Plain data. *)
+    of the loop invariant and the bookkeeping its calls changed.  The
+    parent's keys and the helper's are disjoint.  Its half of the
+    loop's outcome is not shipped: a split loop has no exit, no
+    [break] and no [return], so both halves leave it at bottom.  Plain
+    data. *)
 type half = {
-  hf_norm : Astate.t;
-  hf_ret : Astate.t;
-  hf_retv : D.Itv.t;
+  hf_inv : Astate.t;
   hf_alarms : Alarm.t list;
-  hf_invariants : (int * Astate.t) list;
   hf_oct_useful : int list;
   hf_joins : int;
 }
 
-(** The other half of a split loop is gone: its process died, sent a
-    torn or out-of-step message, or one half reached bottom. *)
+(** The other half of a split loop is gone: its process died, or sent
+    a torn or out-of-step message. *)
 exception Peer_lost of string
+
+(** One half of a split loop reached bottom.  The one-process pass
+    would have skipped the calls after the one that reached it, so the
+    split ends and the loop runs again alone: an outcome of the
+    analysis, not a fault. *)
+exception Half_bottom
 
 (** The other half of a split loop, as one half sees it. *)
 type peer = {
@@ -165,7 +168,9 @@ type peer = {
     parent] forks one helper process that runs [helper] and ships what
     it returns, runs [parent] here, and reaps the helper on every
     path.  [None] when no helper could be forked or when one half
-    raised {!Peer_lost}; any other exception is re-raised. *)
+    raised {!Peer_lost} or {!Half_bottom}; then the registry and the
+    trace are as they were before the split, but for the split's own
+    counters.  Any other exception is re-raised. *)
 type split = {
   sp_run : 'a. helper:(peer -> half) -> (peer -> 'a) -> 'a option;
 }

@@ -115,6 +115,66 @@ type summary_key = {
   sk_checking : bool;
 }
 
+(** {1 Split main loop (Astree_parallel seam)} *)
+
+(** What one half of a split main loop (DESIGN.md §7) tells the other
+    at a decision of the fixpoint: its part of each global predicate.
+    [Iterator] combines two votes: [vt_subset], [vt_equal] and
+    [vt_reuse] by AND, [vt_unstable] by sum, [vt_bot] by OR; the counts
+    are the sender's own.  Plain data. *)
+type vote = {
+  vt_subset : bool;
+  vt_equal : bool;
+  vt_unstable : int;
+  vt_reuse : bool;
+  vt_bot : bool;
+  vt_replayed : int;  (** calls the sender replayed since the split *)
+  vt_thr_hits : int;  (** widening threshold hits since the split *)
+}
+
+(** What the helper of a split loop ships when the loop ends: its half
+    of the loop invariant and the bookkeeping its calls changed.  The
+    parent's keys and the helper's are disjoint.  Its half of the
+    loop's outcome is not shipped: a split loop has no exit, no
+    [break] and no [return], so both halves leave it at bottom.  Plain
+    data. *)
+type half = {
+  hf_inv : Astate.t;
+  hf_alarms : Alarm.t list;
+  hf_oct_useful : int list;
+  hf_joins : int;
+}
+
+(** The other half of a split loop is gone: its process died, or sent
+    a torn or out-of-step message. *)
+exception Peer_lost of string
+
+(** One half of a split loop reached bottom.  The one-process pass
+    would have skipped the calls after the one that reached it, so the
+    split ends and the loop runs again alone: an outcome of the
+    analysis, not a fault. *)
+exception Half_bottom
+
+(** The other half of a split loop, as one half sees it. *)
+type peer = {
+  pe_exchange : vote -> vote;
+      (** send this half's vote, return the other half's *)
+  pe_finish : unit -> half;
+      (** the parent's side, once its loop has ended: the helper's
+          half, with its registry delta and trace events absorbed *)
+}
+
+(** The split hook that [Astree_parallel] installs.  [sp_run ~helper
+    parent] forks one helper process that runs [helper] and ships what
+    it returns, runs [parent] here, and reaps the helper on every
+    path.  [None] when no helper could be forked or when one half
+    raised {!Peer_lost} or {!Half_bottom}; then the registry and the
+    trace are as they were before the split, but for the split's own
+    counters.  Any other exception is re-raised. *)
+type split = {
+  sp_run : 'a. helper:(peer -> half) -> (peer -> 'a) -> 'a option;
+}
+
 (** The keyed tier of the call memo ([Memo.call]): the summaries of
     calls under a key that only [Astree_incremental] can compute, found
     in and added to its store, which counts the run's hits and misses.
@@ -144,6 +204,9 @@ and session = {
   mutable ses_itf : itf option;
       (** interference context of a multi-task per-task run; [None]
           keeps every transfer function on its single-task path *)
+  mutable ses_split : split option;
+      (** the main loop's split into two processes, installed by
+          [Astree_parallel]; used at [cfg.jobs >= 2] *)
 }
 
 (** Analysis context shared by all transfer functions. *)

@@ -240,6 +240,19 @@ let reset_entry (e : entry) =
 
 let reset () = Hashtbl.iter (fun _ e -> reset_entry e) registry
 
+let restore (earlier : snapshot) : unit =
+  let base = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace base s.s_name s) earlier;
+  Hashtbl.iter
+    (fun name e ->
+      match (e.e_kind, Hashtbl.find_opt base name) with
+      | (Ktimer | Kgauge), _ -> ()
+      | (Kcounter | Khist), None -> reset_entry e
+      | (Kcounter | Khist), Some s ->
+          e.e_n <- s.s_n;
+          Array.blit s.s_buckets 0 e.e_buckets 0 (Array.length e.e_buckets))
+    registry
+
 let reset_named name =
   match Hashtbl.find_opt registry name with
   | Some e -> reset_entry e

@@ -23,7 +23,9 @@
     across equivalent runs.  A single analysis whose main loop runs
     as two processes at [-j 2] reports exactly the [-j 1] registry
     plus [par.split_loops]: the helper ships its delta, without the
-    counts of what both halves do once per state.  The
+    counts of what both halves do once per state; a split that ends
+    early is rolled back ({!restore}) and only a lost helper adds to
+    [par.recomputed].  The
     multi-task interference fixpoint reports under [conc.*]: the
     [conc.rounds] counter (outer rounds run) and the [conc.tasks] /
     [conc.interference_vars] gauges (task and shared-variable count of
@@ -141,6 +143,13 @@ val render_profile : unit -> string
 
 val reset : unit -> unit
 (** Zero every entry (registrations survive). *)
+
+val restore : snapshot -> unit
+(** Set counters and histograms back to their values in an earlier
+    {!snapshot} (zero for an entry created since): the work of an
+    interval that is thrown away and redone (a split loop's fallback)
+    is not counted twice.  Timers keep the time spent, gauges their
+    latest value. *)
 
 val reset_named : string -> unit
 (** Zero one entry by name (no-op if unregistered). *)

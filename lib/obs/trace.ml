@@ -132,7 +132,7 @@ let push (e : event) =
     end;
   !buf.((!start + !len) mod Array.length !buf) <- e;
   incr len;
-  if !sink <> None && !len >= flush_chunk then
+  if !sink <> None && !captures = 0 && !len >= flush_chunk then
     match !sink with Some oc -> write_out oc !len | None -> ()
 
 let now () =
@@ -167,8 +167,9 @@ let in_worker () = sink := None
 (* Capture marks are values of [total_pushed]: ring eviction and sink
    flushes move the buffer head but never change how many events exist
    past the mark, so the job's events are always the newest
-   (total_pushed - mark) buffered ones.  Workers detach their sink
-   first, so nothing past the mark is ever flushed away. *)
+   (total_pushed - mark) buffered ones.  Neither evicts nor writes out
+   while a capture is open, so nothing past the mark is ever flushed
+   away. *)
 
 let capture_begin () =
   incr captures;
@@ -185,6 +186,14 @@ let capture_end (mark : int) : event list =
     if !captures = 0 then len := off;
     evs
   end
+
+let capture_keep (_ : int) : unit = decr captures
+
+let capture_drop (mark : int) : unit =
+  decr captures;
+  let n = min (!total_pushed - mark) !len in
+  len := !len - n;
+  total_pushed := !total_pushed - n
 
 let absorb (evs : event list) : unit =
   if !enabled then List.iter push evs

@@ -92,9 +92,17 @@ val events : unit -> event list
 val capture_begin : unit -> int
 val capture_end : int -> event list
 (** [capture_end (capture_begin ())] around a job returns the events it
-    emitted; ring dropping is suspended while any capture is open.  The
-    outermost one takes them out of the buffer: a pooled worker's buffer
-    does not grow across jobs. *)
+    emitted; ring dropping and chunked sink writes are suspended while
+    any capture is open ({!flush} still writes).  The outermost one
+    takes them out of the buffer: a pooled worker's buffer does not
+    grow across jobs. *)
+
+val capture_keep : int -> unit
+(** Close a capture and leave its events in the buffer, in order. *)
+
+val capture_drop : int -> unit
+(** Close a capture and drop its events, as if they were never
+    emitted: a split loop's half that is thrown away and run again. *)
 
 val absorb : event list -> unit
 (** Re-emit events recorded in another process (a worker reply), in

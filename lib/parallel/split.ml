@@ -8,6 +8,7 @@ module C = Astree_core
 module T = C.Transfer
 module Metrics = Astree_obs.Metrics
 module Observed = Astree_obs.Observed
+module Trace = Astree_obs.Trace
 module Faultsim = Astree_robust.Faultsim
 module Budget = Astree_robust.Budget
 
@@ -127,16 +128,26 @@ let run ~(helper : T.peer -> T.half) (parent : T.peer -> 'a) : 'a option =
               | Vote _ -> lost "out of step");
         }
       in
+      (* the parent's half is thrown away when the split ends early: its
+         counts and events with it *)
+      let m0 = Metrics.snapshot () and mark = Trace.capture_begin () in
+      let fallback ~fault =
+        reap ~kill:true;
+        Trace.capture_drop mark;
+        Metrics.restore m0;
+        if fault then Metrics.incr recomputed;
+        None
+      in
       match parent peer with
       | r ->
           reap ~kill:false;
+          Trace.capture_keep mark;
           Some r
-      | exception T.Peer_lost _ ->
-          reap ~kill:true;
-          Metrics.incr recomputed;
-          None
+      | exception T.Peer_lost _ -> fallback ~fault:true
+      | exception T.Half_bottom -> fallback ~fault:false
       | exception e ->
           reap ~kill:true;
+          Trace.capture_keep mark;
           raise e)
 
 let split : T.split = { T.sp_run = run }

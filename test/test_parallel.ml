@@ -124,6 +124,7 @@ let test_merge_states () =
 module G = Astree_gen
 module Srv = Astree_server
 module Metrics = Astree_obs.Metrics
+module Trace = Astree_obs.Trace
 
 (* [genfamily --kloc kloc --seed seed --bugs bugs --fuse fuse] *)
 let genfamily ?(bugs = 0.0) ?(fuse = 1) ~kloc ~seed () =
@@ -139,19 +140,28 @@ let genfamily ?(bugs = 0.0) ?(fuse = 1) ~kloc ~seed () =
 
 (* What [astree -j jobs] reports on [src]: the JSON report without its
    time, the --explain lines, the --dump-invariants --census text and
-   every counter but the [par.*] ones; and the [par.*] counters. *)
-let observe ?(timeout = 0.) ~jobs src =
+   every counter but the [par.*] ones; and the [par.*] counters.  [tweak]
+   edits the configuration; [split] replaces the split hook. *)
+let observe ?(timeout = 0.) ?(tweak = Fun.id) ?split ~jobs src =
   let sources = [ ("m.c", src) ] in
   let cfg =
-    {
-      (Srv.Service.config_of Srv.Service.default_options ~sources) with
-      C.Config.jobs;
-      timeout;
-    }
+    tweak
+      {
+        (Srv.Service.config_of Srv.Service.default_options ~sources) with
+        C.Config.jobs;
+        timeout;
+      }
   in
   let p, _ = C.Analysis.compile sources in
   let m0 = Metrics.snapshot () in
-  let r = P.Scheduler.analyze ~cfg p in
+  let r =
+    match split with
+    | None -> P.Scheduler.analyze ~cfg p
+    | Some sp ->
+        let session = C.Transfer.new_session () in
+        session.C.Transfer.ses_split <- Some sp;
+        R.Degrade.analyze ~session ~cfg p
+  in
   let delta = Metrics.diff m0 in
   let count n = Option.value ~default:0 (Metrics.find_int delta n) in
   let report =
@@ -203,18 +213,96 @@ let test_split_equal () =
       ("--kloc 2 --seed 1 --fuse 16", genfamily ~fuse:16 ~kloc:2. ~seed:1 (), 1);
     ]
 
+(* [f ()] and the trace events it emitted, without their time. *)
+let traced f =
+  let en0 = !Trace.enabled and wt0 = !Trace.with_time in
+  Trace.enabled := true;
+  Trace.with_time := false;
+  let mark = Trace.capture_begin () in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.enabled := en0;
+        Trace.with_time := wt0)
+      f
+  in
+  (r, List.map Trace.to_json (Trace.capture_end mark))
+
+(* A split that ends early runs the loop again alone: the report, every
+   counter and the trace are the -j 1 ones, and [par.*] read [splits]
+   and [recomputed]. *)
+let check_fallback what ?tweak ?split ~recomputed src =
+  let (o1, c1, _, _), t1 =
+    no_faults (fun () -> traced (fun () -> observe ?tweak ~jobs:1 src))
+  in
+  let (o2, c2, (s, r), _), t2 = traced (fun () -> observe ?tweak ?split ~jobs:2 src) in
+  same_report what o1 o2;
+  Alcotest.(check (list (pair string int))) (what ^ ": counters") c1 c2;
+  Alcotest.(check (list string)) (what ^ ": trace") t1 t2;
+  Alcotest.(check int) (what ^ ": par.split_loops") 1 s;
+  Alcotest.(check int) (what ^ ": par.recomputed") recomputed r
+
 (* A helper that dies at once: the loop runs again in the parent, which
-   reports the -j 1 result and counts the recomputation. *)
+   reports the -j 1 result and counts the recomputation.  Without
+   unrolling, the parent first hears of it in the fixpoint's iteration
+   mode, whose alarms are off. *)
 let test_split_crash () =
   let src = genfamily ~bugs:0.05 ~kloc:2. ~seed:3 () in
-  let o1, _, _, _ = no_faults (fun () -> observe ~jobs:1 src) in
   R.Faultsim.install ~seed:0 [ (R.Faultsim.Worker_crash, 1.0) ];
-  let o2, _, (split, recomputed), _ =
-    Fun.protect ~finally:R.Faultsim.clear (fun () -> observe ~jobs:2 src)
-  in
-  same_report "crashed helper" o1 o2;
-  Alcotest.(check int) "par.split_loops" 1 split;
-  Alcotest.(check int) "par.recomputed" 1 recomputed
+  Fun.protect ~finally:R.Faultsim.clear (fun () ->
+      check_fallback "crashed helper" ~recomputed:1 src;
+      check_fallback "crashed helper, --unroll 0"
+        ~tweak:(fun cfg -> { cfg with C.Config.loop_unroll = 0 })
+        ~recomputed:1 src)
+
+(* The split hook, with a helper that dies before its [n]th vote. *)
+let dying_after n : C.Transfer.split =
+  {
+    C.Transfer.sp_run =
+      (fun ~helper parent ->
+        P.Split.split.C.Transfer.sp_run
+          ~helper:(fun peer ->
+            let votes = ref 0 in
+            helper
+              {
+                peer with
+                C.Transfer.pe_exchange =
+                  (fun v ->
+                    incr votes;
+                    if !votes >= n then Unix._exit 9;
+                    peer.C.Transfer.pe_exchange v);
+              })
+          parent);
+  }
+
+(* A helper lost in the middle of the widening iterations. *)
+let test_split_lost () =
+  no_faults @@ fun () ->
+  check_fallback "helper lost at its 8th vote" ~split:(dying_after 8)
+    ~recomputed:1
+    (genfamily ~bugs:0.05 ~kloc:2. ~seed:3 ())
+
+(* A main loop whose body reaches bottom (a call fails an assertion on
+   every path) ends the split in both halves: the loop runs again alone,
+   and as no fault did it, [par.recomputed] stays 0. *)
+let test_split_bottom () =
+  no_faults @@ fun () ->
+  check_fallback "body at bottom" ~recomputed:0
+    {|int a;
+int b;
+int c;
+void f(void) { a = a + 1; if (a > 100) { a = 0; } }
+void g(void) { b = 1; __astree_assert(b == 0); }
+void h(void) { c = c + 2; if (c > 50) { c = 0; } }
+void main(void) {
+  while (1) {
+    f();
+    h();
+    g();
+    __astree_wait_for_clock();
+  }
+}
+|}
 
 (* The children of this process, where Linux lists them. *)
 let children () =
@@ -230,7 +318,8 @@ let children () =
 let test_split_timeout () =
   let src = genfamily ~kloc:4. ~seed:2 () in
   let before = children () in
-  let _, _, _, code = observe ~timeout:0.05 ~jobs:2 src in
+  let _, _, (split, _), code = observe ~timeout:0.05 ~jobs:2 src in
+  Alcotest.(check bool) "a helper was forked" true (split >= 1);
   Alcotest.(check bool) "exit 0 or 3" true (code = 0 || code = 3);
   Alcotest.(check (list string)) "no helper left" before (children ())
 
@@ -247,6 +336,10 @@ let suite =
     Alcotest.test_case "split main loop: -j 2 = -j 1" `Quick test_split_equal;
     Alcotest.test_case "split main loop: crashed helper" `Quick
       test_split_crash;
+    Alcotest.test_case "split main loop: helper lost mid-fixpoint" `Quick
+      test_split_lost;
+    Alcotest.test_case "split main loop: body at bottom" `Quick
+      test_split_bottom;
     Alcotest.test_case "split main loop: timeout reaps the helper" `Quick
       test_split_timeout;
   ]
