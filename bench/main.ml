@@ -21,7 +21,6 @@ module C = Astree_core
 module D = Astree_domains
 module F = Astree_frontend
 module G = Astree_gen
-module I = Astree_incremental
 module P = Astree_parallel
 module O = Astree_obs
 
@@ -60,8 +59,12 @@ let json_write path =
   close_out oc;
   Fmt.pr "@.results written to %s@." path
 
-let analyze ?(cfg = C.Config.default) (g : G.Generator.generated) =
-  C.Analysis.analyze_string ~cfg g.G.Generator.source
+(* Every experiment starts its analyses where the analyzer does. *)
+let analyze_string ?cfg (src : string) =
+  P.Scheduler.analyze ?cfg (fst (C.Analysis.compile [ ("<input>", src) ]))
+
+let analyze ?cfg (g : G.Generator.generated) =
+  analyze_string ?cfg g.G.Generator.source
 
 let cfg_with_partitions (g : G.Generator.generated) =
   {
@@ -302,7 +305,7 @@ let e6 () =
   List.iter
     (fun (name, th) ->
       let cfg = { C.Config.default with C.Config.widening_thresholds = th } in
-      let r = C.Analysis.analyze_string ~cfg src in
+      let r = analyze_string ~cfg src in
       Fmt.pr "%-34s %8d@." name (C.Analysis.n_alarms r))
     sets
 
@@ -357,7 +360,7 @@ let e7 () =
     (fun n ->
       let cfg = { C.Config.default with C.Config.loop_unroll = n } in
       let r, dt =
-        time (fun () -> C.Analysis.analyze_string ~cfg scan_src)
+        time (fun () -> analyze_string ~cfg scan_src)
       in
       Fmt.pr "%-24d %8d %9.2f@." n (C.Analysis.n_alarms r) dt)
     [ 0; 1; 2; 4; 6 ]
@@ -420,7 +423,7 @@ int main(void) {
 |}
       a_c b_c
   in
-  let r = C.Analysis.analyze_string src in
+  let r = analyze_string src in
   Fmt.pr "alarms on the filter: %d@." (C.Analysis.n_alarms r);
   let proven = ref Float.infinity in
   List.iter
@@ -473,12 +476,10 @@ let e11 () =
      claims checked: warm fingerprints identical to cold and to the\n\
      cache-less analyzer; warm re-analysis of an unchanged program is\n\
      >= 2x faster";
-  I.Summary.register ();
   let dir = Filename.temp_file "astree-e11" "" in
   Sys.remove dir;
   Fun.protect
     ~finally:(fun () ->
-      C.Analysis.cache_driver := None;
       if Sys.file_exists dir then begin
         Array.iter
           (fun f -> Sys.remove (Filename.concat dir f))
@@ -504,10 +505,10 @@ let e11 () =
         { base with C.Config.summary_cache = C.Config.Cache_dir dir }
       in
       let p, _ = C.Analysis.compile [ ("member.c", g.G.Generator.source) ] in
-      let off, t_off = time (fun () -> C.Analysis.analyze ~cfg:base p) in
+      let off, t_off = time (fun () -> P.Scheduler.analyze ~cfg:base p) in
       let f_off = P.Merge.fingerprint off in
-      let cold, t_cold = time (fun () -> C.Analysis.analyze ~cfg:ccfg p) in
-      let warm, t_warm = time (fun () -> C.Analysis.analyze ~cfg:ccfg p) in
+      let cold, t_cold = time (fun () -> P.Scheduler.analyze ~cfg:ccfg p) in
+      let warm, t_warm = time (fun () -> P.Scheduler.analyze ~cfg:ccfg p) in
       Fmt.pr "@.single member (%.1f kLOC), -j 1:@."
         (float_of_int g.G.Generator.n_lines /. 1000.);
       Fmt.pr "%12s %10s %9s %10s   %s@." "run" "time(s)" "speedup"

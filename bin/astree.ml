@@ -94,7 +94,6 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
       let multi_task = List.compare_length_with tasks 1 > 0 in
       let in_process () =
         let cfg = Srv.Service.config_of options ~sources in
-        if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
         let p, _stats = C.Analysis.compile ~main sources in
         let r, interference =
           if multi_task then begin
@@ -229,14 +228,9 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
       (* flush whatever the trace ring holds — a trace that stops at the
          failing phase is exactly what one wants for a post-mortem *)
       Astree_obs.Trace.close ();
-      match e with
-      | F.Lexer.Error (m, l) | F.Parser.Error (m, l)
-      | F.Typecheck.Error (m, l) ->
-          `Error (false, Fmt.str "%a: %s" F.Loc.pp l m)
-      | F.Preproc.Error (m, l) ->
-          `Error (false, Fmt.str "%a: preprocessor: %s" F.Loc.pp l m)
-      | C.Iterator.Analysis_error m -> `Error (false, m)
-      | Astree_robust.Budget.Tripped Astree_robust.Budget.Interrupted ->
+      match (C.Analysis.diagnosis e, e) with
+      | Some m, _ -> `Error (false, m)
+      | None, Astree_robust.Budget.Tripped Astree_robust.Budget.Interrupted ->
           (* only the multi-task fixpoint lets a trip escape (a single
              analysis degrades to a partial result); its worker pool is
              already torn down by the time the trip reaches here *)
@@ -244,8 +238,8 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
             "astree: interrupted; a multi-task analysis has no partial \
              result";
           `Ok 130
-      | Sys_error msg -> `Error (false, msg)
-      | e -> raise e)
+      | None, Sys_error msg -> `Error (false, msg)
+      | None, e -> raise e)
 
 let files_arg =
   Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc:"C source files")

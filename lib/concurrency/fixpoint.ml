@@ -19,11 +19,11 @@
     its full type range) is reported — strictly coarser than any
     fixpoint, hence still sound.
 
-    Per-task runs are plain sequential analyses against a fresh
-    session, so they compose with the summary cache (the per-task
-    config digests the rely: summaries never leak across interference
-    environments) and dispatch to the parallel scheduler's workers as
-    pure-data jobs with pure-data replies. *)
+    Per-task runs go through [Scheduler.analyze] with the task's
+    interference context, so they compose with the summary cache (the
+    per-task config digests the rely: summaries never leak across
+    interference environments) and dispatch to the parallel scheduler's
+    workers as pure-data jobs with pure-data replies. *)
 
 module C = Astree_core
 module D = Astree_domains
@@ -66,39 +66,33 @@ let top_rely (cfg : C.Config.t) (p : F.Tast.program)
   |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
 
 (* Run one task under its rely: a sequential analysis of [p] re-rooted
-   at the task, against a fresh session carrying the interference
-   context.  The config digests the rely, so summary-cache keys
-   self-identify the interference environment; cell ids depend only on
-   the program, so states and invariants align across tasks and with
-   the combined context, to which [finish] attaches the task's reply.
-   [tick] is the governed run's budget poll. *)
-let run_job ~(cfg : C.Config.t) ~tick (p : F.Tast.program)
+   at the task, whose session carries the interference context.  The
+   config digests the rely, so summary-cache keys self-identify the
+   interference environment; cell ids depend only on the program, so
+   states and invariants align across tasks and with the combined
+   context, to which [finish] attaches the task's reply. *)
+let run_job ~(cfg : C.Config.t) (p : F.Tast.program)
     (shared : F.Tast.var list) (j : job) :
     C.Analysis.Reply.t * Interference.map =
   let cfg =
     { cfg with C.Config.conc_rely_digest = Interference.digest j.j_rely }
   in
-  let ses = C.Transfer.new_session () in
-  let shared_ids = Hashtbl.create 16 in
-  List.iter
-    (fun (v : F.Tast.var) -> Hashtbl.replace shared_ids v.F.Tast.v_id ())
-    shared;
   let it =
     {
       C.Transfer.itf_rely = Interference.to_table j.j_rely;
-      itf_shared = shared_ids;
+      itf_shared =
+        Hashtbl.of_seq
+          (List.to_seq
+             (List.map (fun (v : F.Tast.var) -> (v.F.Tast.v_id, ())) shared));
       itf_writes = Hashtbl.create 32;
     }
   in
-  ses.C.Transfer.ses_itf <- Some it;
-  ses.C.Transfer.ses_tick_hook <- tick;
   let r =
-    C.Analysis.analyze ~session:ses ~cfg
-      { p with F.Tast.p_main = j.j_task }
+    P.Scheduler.analyze ~itf:it ~cfg { p with F.Tast.p_main = j.j_task }
   in
   (C.Analysis.Reply.detach r, Interference.of_table it.C.Transfer.itf_writes)
 
-let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
+let fixpoint (cfg : C.Config.t) ~(tasks : string list)
     (p : F.Tast.program) : t =
   let t0 = Unix.gettimeofday () in
   let tm = Taskmodel.build p tasks in
@@ -112,7 +106,7 @@ let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
   let workers =
     P.Scheduler.workers
       ~jobs:(min cfg.C.Config.jobs (List.length tasks))
-      (run_job ~cfg ~tick p shared)
+      (run_job ~cfg p shared)
   in
   let round_of ~round (writes : Interference.map list) :
       (C.Analysis.Reply.t * Interference.map) list =
@@ -165,14 +159,14 @@ let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
       in
       { s with C.Analysis.s_time = Unix.gettimeofday () -. t0 }
     in
+    let c_result =
+      { C.Analysis.r_alarms = alarms; r_final = final; r_actx = actx;
+        r_stats = stats }
+    in
+    (* at any -j: pooled runs set gauges in workers, whose deltas drop them *)
+    C.Analysis.set_gauges c_result;
     {
-      c_result =
-        {
-          C.Analysis.r_alarms = alarms;
-          r_final = final;
-          r_actx = actx;
-          r_stats = stats;
-        };
+      c_result;
       c_tasks = tasks;
       c_shared = shared_names;
       c_rounds = rounds;
@@ -221,9 +215,7 @@ let fixpoint ~tick (cfg : C.Config.t) ~(tasks : string list)
     multi-task run has no partial result. *)
 let analyze ?(cfg = C.Config.default) ~(tasks : string list)
     (p : F.Tast.program) : t =
-  if not (R.Degrade.watching cfg) then fixpoint ~tick:None cfg ~tasks p
-  else
-    R.Degrade.govern cfg p
-      ~attempt:(fun acfg -> fixpoint ~tick:(Some R.Budget.poll) acfg ~tasks p)
-      ~mark:(fun t dg -> { t with c_result = R.Degrade.mark t.c_result dg })
-      ~interrupted:(fun _ -> raise (R.Budget.Tripped R.Budget.Interrupted))
+  R.Degrade.govern cfg p
+    ~attempt:(fun acfg -> fixpoint acfg ~tasks p)
+    ~mark:(fun t dg -> { t with c_result = R.Degrade.mark t.c_result dg })
+    ~interrupted:(fun _ -> raise (R.Budget.Tripped R.Budget.Interrupted))

@@ -28,13 +28,13 @@ type t = {
 
 (** Analyze [p] as a multi-task program with the given entry points.
     [cfg.jobs > 1] dispatches per-task runs to a process pool; results
-    are identical to the sequential run.  Each per-task run is an
-    {!Astree_core.Analysis.analyze}, so the summary cache, when enabled
-    and registered, is attached per task run with the rely digest
-    folded into its keys.  Under a budget ([cfg.timeout],
-    [cfg.max_mem_mb], signal handlers) it is governed like a
-    single-task analysis: a timeout or memory trip reruns the fixpoint
-    one {!Astree_robust.Degrade} step down and sets
+    and gauges are identical to the sequential run's.  Each per-task run
+    is a {!Astree_parallel.Scheduler.analyze} under the task's
+    interference, so the summary cache, when enabled, is attached per
+    task run with the rely digest folded into its keys.  Under a budget
+    ([cfg.timeout], [cfg.max_mem_mb], signal handlers) it is governed
+    like a single-task analysis: a timeout or memory trip reruns the
+    fixpoint one {!Astree_robust.Degrade} step down and sets
     [stats.s_degraded].
     @raise Invalid_argument on fewer than two tasks, unknown task
     names, or tasks taking parameters.

@@ -106,29 +106,28 @@ let context_stats (actx : Transfer.actx) (p : F.Tast.program) : stats =
     s_degraded = None;
   }
 
-(* Run the iterator on a prepared context and collect the result. *)
-let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
-  let t0 = Unix.gettimeofday () in
-  actx.Transfer.session.Transfer.ses_live <- Some actx;
-  let final = in_span "phase.iterate" (fun () -> Iterator.run actx) in
-  let t1 = Unix.gettimeofday () in
-  let alarms = Alarm.to_list actx.Transfer.alarms in
-  (* point-in-time program/result measures for the --metrics report
-     (gauges: coordinator-set, excluded from worker deltas) *)
-  let s = context_stats actx p in
+(* --metrics gauges: set by the coordinator, excluded from worker deltas *)
+let set_gauges (r : result) : unit =
+  let s = r.r_stats in
   Metrics.set_gauge "analysis.cells" s.s_cells;
   Metrics.set_gauge "analysis.stmts" s.s_stmts;
   Metrics.set_gauge "analysis.oct_packs" s.s_oct_packs;
   Metrics.set_gauge "analysis.oct_useful" s.s_oct_useful;
   Metrics.set_gauge "analysis.ell_packs" s.s_ell_packs;
   Metrics.set_gauge "analysis.dt_packs" s.s_dt_packs;
-  Metrics.set_gauge "analysis.alarms" (List.length alarms);
-  {
-    r_alarms = alarms;
-    r_final = final;
-    r_actx = actx;
-    r_stats = { s with s_time = t1 -. t0 };
-  }
+  Metrics.set_gauge "analysis.alarms" (List.length r.r_alarms)
+
+(* Run the iterator on a prepared context and collect the result. *)
+let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
+  let t0 = Unix.gettimeofday () in
+  actx.Transfer.session.Transfer.ses_live <- Some actx;
+  let r_final = in_span "phase.iterate" (fun () -> Iterator.run actx) in
+  let s_time = Unix.gettimeofday () -. t0 in
+  let r_alarms = Alarm.to_list actx.Transfer.alarms in
+  let r_stats = { (context_stats actx p) with s_time } in
+  let r = { r_alarms; r_final; r_actx = actx; r_stats } in
+  set_gauges r;
+  r
 
 module Reply = struct
   type t = {
@@ -163,14 +162,10 @@ module Reply = struct
     a.Transfer.join_count <- a.Transfer.join_count + rp.rp_joins
 end
 
-(** Analyze a typed program, wrapping the run in the summary-cache
-    driver when caching is enabled.  The main loop runs as two processes
-    when the session carries the split hook and [cfg.jobs >= 2]
-    ([Iterator.exec_while]).  [?session] threads an existing session
-    through (the daemon passes one per request); a fresh one is created
-    otherwise, so concurrent analyses never share hooks.  [?prepared]
-    is used when it was prepared for [p] and [cfg]
-    ({!Transfer.prepared_for}); the run prepares its own otherwise. *)
+(** Analyze a typed program under the hooks of [?session] (a fresh
+    session has none), wrapping the run in the summary-cache driver
+    when caching is enabled.  [?prepared] is used when it was prepared
+    for [p] and [cfg] ({!Transfer.prepared_for}). *)
 let analyze ?session ?prepared ?(cfg = Config.default) (p : F.Tast.program) :
     result =
   let session =
@@ -184,6 +179,15 @@ let analyze ?session ?prepared ?(cfg = Config.default) (p : F.Tast.program) :
       match !cache_driver with
       | Some driver when Config.cache_enabled cfg -> driver session prepared core
       | _ -> core ())
+
+(* What the CLI prints and the daemon refuses a request with. *)
+let diagnosis : exn -> string option = function
+  | F.Lexer.Error (m, l) | F.Parser.Error (m, l) | F.Typecheck.Error (m, l) ->
+      Some (Fmt.str "%a: %s" F.Loc.pp l m)
+  | F.Preproc.Error (m, l) ->
+      Some (Fmt.str "%a: preprocessor: %s" F.Loc.pp l m)
+  | Iterator.Analysis_error m -> Some m
+  | _ -> None
 
 (** Frontend pipeline: preprocess, parse, link, type-check, simplify. *)
 let compile ?(target = F.Ctypes.default_target) ?(main = "main")

@@ -58,17 +58,14 @@ val useful_octagon_packs : result -> int list
 (** The recorded loop invariants, sorted by loop id. *)
 val invariants : result -> (int * Astate.t) list
 
-(** Analyze an already-compiled program.  The run is sequential unless
-    the session carries the split hook ([Astree_parallel.Scheduler.analyze]
-    installs it) and [cfg.jobs >= 2]: then the main loop may run as two
-    processes, with the same result ({!Iterator}, DESIGN.md §7).
-    [?session] threads an existing {!Transfer.session}
-    through (the analysis server passes one per request); a fresh
-    session is created otherwise, so concurrent analyses in one process
-    never share hooks.  [?prepared] is used when it was prepared for
-    this program and configuration ({!Transfer.prepared_for}); the run
-    prepares its own otherwise, so a kept record and a fresh one take
-    one code path. *)
+(** Analyze an already-compiled program under the hooks of [?session]
+    (the split, the tick, the interference context), which
+    [Astree_parallel.Scheduler.analyze] decides for every analysis the
+    analyzer starts; a fresh session, with none, is created otherwise.
+    Under [Config.cache_enabled cfg] the run goes through
+    {!cache_driver} when it is set.  [?prepared] is used when it was
+    prepared for this program and configuration
+    ({!Transfer.prepared_for}); the run prepares its own otherwise. *)
 val analyze :
   ?session:Transfer.session ->
   ?prepared:Transfer.prepared ->
@@ -101,14 +98,22 @@ module Reply : sig
   val attach : Transfer.actx -> t -> unit
 end
 
-(** Summary-cache driver hook, installed by
-    [Astree_incremental.Summary.register].  Wraps the analysis thunk
-    when [Config.cache_enabled], with the record the run is prepared
-    from. *)
+(** Set the [analysis.*] gauges from a result: every analysis does, and
+    the multi-task fixpoint does from its combined result. *)
+val set_gauges : result -> unit
+
+(** The one bridge to the keyed tier: set by
+    [Astree_incremental.Summary.register] (see there who calls it), it
+    wraps the analysis thunk when [Config.cache_enabled], with the
+    record the run is prepared from. *)
 val cache_driver :
   (Transfer.session -> Transfer.prepared -> (unit -> result) -> result)
   option
   ref
+
+(** The one-line diagnosis of a lexer, parser, type or preprocessor
+    error or an [Iterator.Analysis_error]; [None] for other exceptions. *)
+val diagnosis : exn -> string option
 
 (** Frontend pipeline: preprocess, parse, link, type-check, simplify.
     Sources are (filename, contents) pairs. *)

@@ -264,11 +264,11 @@ let cut (a : Transfer.actx) (calls : stmt list) (frames : Frame.t list) :
   end
 
 (* The split of the loop [c, body] with entry state [entry] when it has
-   one (DESIGN.md §7): at [cfg.jobs >= 2], with the split hook and
-   neither a keyed tier nor an interference context installed, for a
-   loop directly in the entry function whose guard is a non-zero
-   constant and whose body is argument-less calls, then the clock
-   tick.  The hook, each half's body and the second half's frames. *)
+   one (DESIGN.md §7): at [cfg.jobs >= 2], with the split hook (never
+   given to a per-task run) and no keyed tier installed, for a loop
+   directly in the entry function whose guard is a non-zero constant
+   and whose body is argument-less calls, then the clock tick.  The
+   hook, each half's body and the second half's frames. *)
 let split_of (a : Transfer.actx) ~(stack : string list) (entry : Astate.t)
     (c : expr) (body : block) :
     (Transfer.split * block * block * Frame.t list) option =
@@ -278,7 +278,6 @@ let split_of (a : Transfer.actx) ~(stack : string list) (entry : Astate.t)
     when n <> 0
          && a.Transfer.cfg.Config.jobs >= 2
          && s.Transfer.ses_keyed = None
-         && s.Transfer.ses_itf = None
          && stack = [ a.Transfer.prog.p_main ]
          && not (Astate.is_bot entry) -> (
       match calls_then_wait a body with

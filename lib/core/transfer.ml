@@ -199,21 +199,14 @@ type keyed = {
     [Analysis.analyze]) and carried by the context. *)
 and session = {
   mutable ses_keyed : keyed option;
-      (** the call memo's keyed tier, installed by [Astree_incremental] *)
-  mutable ses_tick_hook : (unit -> unit) option;
-      (** consulted every 256 abstract statements (resource governor) *)
+  ses_tick_hook : (unit -> unit) option;
   mutable ses_ticks : int;
   mutable ses_live : actx option;
       (** the context currently being analyzed under this session, set
           by [Analysis.analyze]; the robust subsystem reads it
           to assemble a partial result on interrupt *)
-  mutable ses_itf : itf option;
-      (** interference context of a multi-task per-task run, installed
-          by the outer fixpoint driver ([Astree_conc]); [None] keeps
-          every transfer function on its single-task path *)
-  mutable ses_split : split option;
-      (** the main loop's split into two processes, installed by
-          [Astree_parallel]; used at [cfg.jobs >= 2] *)
+  ses_itf : itf option;
+  ses_split : split option;
 }
 
 (** Analysis context shared by all transfer functions. *)
@@ -237,14 +230,14 @@ and actx = {
       (** transitive inlined size of each function ([inlined_sizes]) *)
 }
 
-let new_session () : session =
+let new_session ?split ?itf ?tick () : session =
   {
     ses_keyed = None;
-    ses_tick_hook = None;
+    ses_tick_hook = tick;
     ses_ticks = 0;
     ses_live = None;
-    ses_itf = None;
-    ses_split = None;
+    ses_itf = itf;
+    ses_split = split;
   }
 
 (** Transitive inlined size of each function: own statements plus the

@@ -40,8 +40,8 @@ type itf_key = int * Cell.step list
     (Miné's rely/guarantee iteration): [itf_rely] is joined into every
     read of a shared cell, [itf_shared] gates the read join and the
     value-copy fast paths, [itf_writes] collects the task's abstract
-    writes to shared cells (the guarantee).  Installed via
-    [session.ses_itf] by the outer fixpoint driver. *)
+    writes to shared cells (the guarantee).  A per-task run's session
+    carries it ([session.ses_itf]). *)
 type itf = {
   itf_rely : (itf_key, D.Itv.t) Hashtbl.t;
   itf_shared : (int, unit) Hashtbl.t;
@@ -197,16 +197,18 @@ type keyed = {
     creates one per request. *)
 and session = {
   mutable ses_keyed : keyed option;
-  mutable ses_tick_hook : (unit -> unit) option;
+      (** installed by the summary-cache driver for one attempt *)
+  ses_tick_hook : (unit -> unit) option;
+      (** called every 256 abstract statements (resource governor) *)
   mutable ses_ticks : int;
   mutable ses_live : actx option;
       (** context currently analyzed under this session *)
-  mutable ses_itf : itf option;
+  ses_itf : itf option;
       (** interference context of a multi-task per-task run; [None]
           keeps every transfer function on its single-task path *)
-  mutable ses_split : split option;
-      (** the main loop's split into two processes, installed by
-          [Astree_parallel]; used at [cfg.jobs >= 2] *)
+  ses_split : split option;
+      (** the main loop's split into two processes; used at
+          [cfg.jobs >= 2] *)
 }
 
 (** Analysis context shared by all transfer functions. *)
@@ -228,8 +230,9 @@ and actx = {
   inlined : (string, int) Hashtbl.t Lazy.t;  (** [prepared.pr_inlined] *)
 }
 
-(** Fresh session with no hooks installed. *)
-val new_session : unit -> session
+(** Fresh session with these hooks ([Scheduler.analyze] decides them). *)
+val new_session :
+  ?split:split -> ?itf:itf -> ?tick:(unit -> unit) -> unit -> session
 
 (** Prepare [p] for analyses under [cfg]. *)
 val prepare : Config.t -> F.Tast.program -> prepared

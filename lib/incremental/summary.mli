@@ -33,5 +33,7 @@ val driver :
   (unit -> C.Analysis.result) ->
   C.Analysis.result
 
-(** Install {!driver} as [Analysis.cache_driver]. *)
+(** Install {!driver} as [Analysis.cache_driver].  In the analyzer only
+    [Scheduler.analyze] calls it; the ref stays for [perfbench/layers.ml]
+    and the golden tests, which call it and then [Analysis.analyze]. *)
 val register : unit -> unit

@@ -1,5 +1,5 @@
-(** The parallel scheduler: one program's analysis, whose main loop may
-    run as two processes ({!Split}), and the one job path and fault
+(** The parallel scheduler: the entry of every analysis, whose main loop
+    may run as two processes ({!Split}), and the one job path and fault
     policy of the per-task runs of [Astree_conc.Fixpoint].  [-j n] can
     lose speed, never results, and never silently. *)
 
@@ -15,14 +15,20 @@ let default_jobs () = max 1 (Domain.recommended_domain_count ())
 let job_timeout = 3600.
 let recomputed = Metrics.counter "par.recomputed"
 
-(* One program: the session gets the split hook, which the iterator
-   uses at [cfg.jobs >= 2]. *)
-let analyze ?session ?prepared ?cfg p =
-  let session =
-    match session with Some s -> s | None -> C.Transfer.new_session ()
-  in
-  session.C.Transfer.ses_split <- Some Split.split;
-  Astree_robust.Degrade.analyze ~session ?prepared ?cfg p
+(* Every hook follows from [cfg]; a per-task run ([itf]) is governed by
+   its fixpoint and does not split. *)
+let analyze ?prepared ?itf ?(cfg = C.Config.default) p =
+  if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
+  let tick = Astree_robust.Degrade.tick cfg in
+  match itf with
+  | Some itf ->
+      C.Analysis.analyze
+        ~session:(C.Transfer.new_session ~itf ?tick ())
+        ?prepared ~cfg p
+  | None ->
+      Astree_robust.Degrade.analyze
+        ~session:(C.Transfer.new_session ~split:Split.split ?tick ())
+        ?prepared ~cfg p
 
 type ('a, 'b) workers = {
   w_run : 'a -> 'b;  (** the job function, also the in-process fallback *)

@@ -1,7 +1,7 @@
-(** Parallel scheduler: one program's analysis, whose main loop may run
-    as two processes at [-j 2] and more ({!Split}), and the one job path
-    of [-j] (worker wrapper and fault policy), on which a multi-task
-    program's per-task runs go. *)
+(** Parallel scheduler: the entry of every analysis, whose main loop may
+    run as two processes at [-j 2] and more ({!Split}), and the one job
+    path of [-j] (worker wrapper and fault policy), on which a
+    multi-task program's per-task runs go. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -9,15 +9,17 @@ module F = Astree_frontend
 (** Worker count matching the machine's available cores. *)
 val default_jobs : unit -> int
 
-(** One program's analysis under the resource budget of [cfg]
-    ({!Astree_robust.Degrade.analyze}), with the split hook ({!Split})
-    installed in the session: at [cfg.jobs >= 2], a main loop whose
-    body calls functions with disjoint frames runs as two processes in
-    lock-step, with the [-j 1] result, registry and alarms (DESIGN.md
-    §7).  [?session] and [?prepared] are passed on. *)
+(** The entry of every analysis (CLI, daemon worker, per-task run,
+    bench); its session's hooks follow from [cfg]: the keyed tier under
+    [Config.cache_enabled] (the one call of [Summary.register]) and the
+    tick {!Astree_robust.Degrade.tick}.  Without [?itf], the run goes
+    through {!Astree_robust.Degrade.analyze} with the split hook: at
+    [cfg.jobs >= 2] a main loop whose calls have disjoint frames runs
+    as two processes, with the [-j 1] result (DESIGN.md §7).  With
+    [?itf], a per-task run: no split, no ladder, only the tick. *)
 val analyze :
-  ?session:C.Transfer.session ->
   ?prepared:C.Transfer.prepared ->
+  ?itf:C.Transfer.itf ->
   ?cfg:C.Config.t ->
   F.Tast.program ->
   C.Analysis.result

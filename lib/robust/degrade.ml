@@ -153,85 +153,85 @@ let govern ~(attempt : C.Config.t -> 'a)
     ~(mark : 'a -> C.Analysis.degraded -> 'a)
     ~(interrupted : C.Config.t -> 'a) (cfg : C.Config.t) (p : F.Tast.program)
     : 'a =
-  Fun.protect ~finally:Budget.disarm (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let timeout = cfg.C.Config.timeout in
-      let hard = if timeout > 0. then t0 +. (2.0 *. timeout) else infinity in
-      (* deadline for the attempt at [level]: the full run gets the
-         budget itself; degraded retries split what is left of the 2x
-         envelope so the last step always has time to finish *)
-      let deadline_at level =
-        if timeout <= 0. then infinity
-        else if level = 0 then t0 +. timeout
-        else begin
-          let now = Unix.gettimeofday () in
-          let left = max 0.05 (hard -. now) in
-          match level with
-          | 1 -> now +. (0.35 *. left)
-          | 2 -> now +. (0.5 *. left)
-          | _ -> hard
-        end
-      in
-      let last_reason = ref Budget.Timeout in
-      let rec run level =
-        Budget.arm ~deadline:(deadline_at level)
-          ~max_mem_mb:cfg.C.Config.max_mem_mb ();
-        let acfg = config_at ~level cfg in
-        match attempt acfg with
-        | r ->
-            if level = 0 then r
-            else mark r (degraded_record cfg p ~reason:!last_reason ~level)
-        | exception Budget.Tripped Budget.Interrupted ->
-            if !Astree_obs.Trace.enabled then
-              Astree_obs.Trace.emit "budget.interrupt"
-                ~args:[ ("level", Astree_obs.Trace.I level) ];
-            interrupted acfg
-        | exception Budget.Tripped reason ->
-            last_reason := reason;
-            if !Astree_obs.Trace.enabled then
-              Astree_obs.Trace.emit "degrade.trip"
-                ~args:
-                  [
-                    ("reason", Astree_obs.Trace.S
-                                 (Budget.reason_to_string reason));
-                    ("level", Astree_obs.Trace.I level);
-                    ("next_level", Astree_obs.Trace.I (min (level + 1) max_level));
-                  ];
-            Astree_obs.Metrics.incr
-              (Astree_obs.Metrics.counter "degrade.trips");
-            if reason = Budget.Memory then Gc.compact ();
-            if level >= max_level then begin
-              (* even the interval-speed step blew the envelope: run it
-                 once more unbudgeted so the user still gets a sound
-                 (if coarse) result rather than nothing *)
-              Budget.disarm ();
-              mark
-                (attempt (config_at ~level:max_level cfg))
-                (degraded_record cfg p ~reason ~level:max_level)
-            end
-            else run (level + 1)
-      in
-      run 0)
+  if not (watching cfg) then attempt cfg
+  else
+    Fun.protect ~finally:Budget.disarm (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let timeout = cfg.C.Config.timeout in
+        let hard = if timeout > 0. then t0 +. (2.0 *. timeout) else infinity in
+        (* deadline for the attempt at [level]: the full run gets the
+           budget itself; degraded retries split what is left of the 2x
+           envelope so the last step always has time to finish *)
+        let deadline_at level =
+          if timeout <= 0. then infinity
+          else if level = 0 then t0 +. timeout
+          else begin
+            let now = Unix.gettimeofday () in
+            let left = max 0.05 (hard -. now) in
+            match level with
+            | 1 -> now +. (0.35 *. left)
+            | 2 -> now +. (0.5 *. left)
+            | _ -> hard
+          end
+        in
+        let last_reason = ref Budget.Timeout in
+        let rec run level =
+          Budget.arm ~deadline:(deadline_at level)
+            ~max_mem_mb:cfg.C.Config.max_mem_mb ();
+          let acfg = config_at ~level cfg in
+          match attempt acfg with
+          | r ->
+              if level = 0 then r
+              else mark r (degraded_record cfg p ~reason:!last_reason ~level)
+          | exception Budget.Tripped Budget.Interrupted ->
+              if !Astree_obs.Trace.enabled then
+                Astree_obs.Trace.emit "budget.interrupt"
+                  ~args:[ ("level", Astree_obs.Trace.I level) ];
+              interrupted acfg
+          | exception Budget.Tripped reason ->
+              last_reason := reason;
+              if !Astree_obs.Trace.enabled then
+                Astree_obs.Trace.emit "degrade.trip"
+                  ~args:
+                    [
+                      ("reason", Astree_obs.Trace.S
+                                   (Budget.reason_to_string reason));
+                      ("level", Astree_obs.Trace.I level);
+                      ("next_level", Astree_obs.Trace.I (min (level + 1) max_level));
+                    ];
+              Astree_obs.Metrics.incr
+                (Astree_obs.Metrics.counter "degrade.trips");
+              if reason = Budget.Memory then Gc.compact ();
+              if level >= max_level then begin
+                (* even the interval-speed step blew the envelope: run it
+                   once more unbudgeted so the user still gets a sound
+                   (if coarse) result rather than nothing *)
+                Budget.disarm ();
+                mark
+                  (attempt (config_at ~level:max_level cfg))
+                  (degraded_record cfg p ~reason ~level:max_level)
+              end
+              else run (level + 1)
+        in
+        run 0)
+
+(* The budget poll of an analysis under [cfg], if it must watch. *)
+let tick (cfg : C.Config.t) : (unit -> unit) option =
+  if watching cfg then Some Budget.poll else None
 
 (** Analyze [p] under the resource budget of [cfg].  Without a budget
     and without signal handlers this is exactly [Analysis.analyze];
-    otherwise the iterator tick polls the budget, and a trip walks the
-    degradation ladder.  The returned result carries
+    otherwise the session's tick polls the budget, and a trip walks
+    the degradation ladder.  The returned result carries
     [stats.s_degraded = Some _] iff precision was shed or the run was
     interrupted. *)
 let analyze ?session ?prepared ?(cfg = C.Config.default) (p : F.Tast.program)
     : C.Analysis.result =
   let ses =
-    match session with Some s -> s | None -> C.Transfer.new_session ()
+    match session with
+    | Some s -> s
+    | None -> C.Transfer.new_session ?tick:(tick cfg) ()
   in
-  if not (watching cfg) then C.Analysis.analyze ~session:ses ?prepared ~cfg p
-  else begin
-    ses.C.Transfer.ses_tick_hook <- Some Budget.poll;
-    Fun.protect
-      ~finally:(fun () -> ses.C.Transfer.ses_tick_hook <- None)
-      (fun () ->
-        govern cfg p ~mark
-          ~attempt:(fun acfg ->
-            C.Analysis.analyze ~session:ses ?prepared ~cfg:acfg p)
-          ~interrupted:(fun acfg -> interrupted_result ses acfg p))
-  end
+  govern cfg p ~mark
+    ~attempt:(fun acfg -> C.Analysis.analyze ~session:ses ?prepared ~cfg:acfg p)
+    ~interrupted:(fun acfg -> interrupted_result ses acfg p)

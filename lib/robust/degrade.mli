@@ -19,18 +19,14 @@ val max_level : int
 val mark : Astree_core.Analysis.result -> Astree_core.Analysis.degraded ->
   Astree_core.Analysis.result
 
-(** Must an analysis under [cfg] poll the budget: a timeout or memory
-    bound is set, signal handlers are installed or an interrupt is
-    pending. *)
-val watching : Astree_core.Config.t -> bool
-
 (** [govern ~attempt ~mark ~interrupted cfg p] runs [attempt] under the
     budget of [cfg] — it gets each ladder step's configuration and must
     poll {!Budget.poll} while it runs.  A trip restarts it at the next
     step within the 2x envelope and [mark]s the result with the
     {!Astree_core.Analysis.degraded} record; an interrupt returns
-    [interrupted] of the interrupted step's configuration.  {!analyze}
-    governs one analysis; the multi-task fixpoint governs its rounds. *)
+    [interrupted] of the interrupted step's configuration.  Without a
+    budget, signal handlers or a pending interrupt it is [attempt cfg].
+    {!analyze} governs one analysis; the multi-task fixpoint its rounds. *)
 val govern :
   attempt:(Astree_core.Config.t -> 'a) ->
   mark:('a -> Astree_core.Analysis.degraded -> 'a) ->
@@ -39,15 +35,18 @@ val govern :
   Astree_frontend.Tast.program ->
   'a
 
+(** {!Budget.poll} when an analysis under [cfg] must poll the budget. *)
+val tick : Astree_core.Config.t -> (unit -> unit) option
+
 (** Analyze under the budget of [cfg] ([timeout] / [max_mem_mb]);
     identical to [Analysis.analyze] when no budget is armed and no
     signal handlers are installed.  [stats.s_degraded] is [Some _] iff
     precision was shed or the run was interrupted (in which case the
     result is partial: alarms found so far, bottom final state).
-    [?session] threads an existing analysis session through the ladder
-    (every attempt, including degraded retries, runs under it); a fresh
-    one is created otherwise.  [?prepared] goes to every attempt; only
-    the undegraded one, whose configuration is [cfg], can use it. *)
+    Every attempt runs under [?session], whose tick polls the budget;
+    a fresh session with {!tick}[ cfg] is created otherwise.
+    [?prepared] goes to every attempt; only the undegraded one, whose
+    configuration is [cfg], can use it. *)
 val analyze :
   ?session:Astree_core.Transfer.session ->
   ?prepared:Astree_core.Transfer.prepared ->

@@ -172,12 +172,10 @@ let source_digest ~(main : string) (sources : (string * string) list) : string
 
 let compile ~(main : string) (sources : (string * string) list) :
     F.Tast.program =
-  try fst (C.Analysis.compile ~main sources) with
-  | F.Lexer.Error (m, l) | F.Parser.Error (m, l) | F.Typecheck.Error (m, l) ->
-      raise (Request_error (Fmt.str "%a: %s" F.Loc.pp l m))
-  | F.Preproc.Error (m, l) ->
-      raise (Request_error (Fmt.str "%a: preprocessor: %s" F.Loc.pp l m))
-  | C.Iterator.Analysis_error m -> raise (Request_error m)
+  try fst (C.Analysis.compile ~main sources)
+  with e ->
+    raise
+      (match C.Analysis.diagnosis e with Some m -> Request_error m | None -> e)
 
 (* The programs a worker has served, by source digest: workers are
    long-lived, so a repeated request skips the frontend, and from a
@@ -264,10 +262,12 @@ let serve (w : work) : outcome =
                  supported by the analysis server; run astree without \
                  --connect"
                 (String.concat " " t))));
-    let cfg = config_of w.w_options ~sources:w.w_sources in
+    (* one core per worker: the daemon's pool is its parallelism *)
+    let cfg =
+      { (config_of w.w_options ~sources:w.w_sources) with C.Config.jobs = 1 }
+    in
     let p, prepared = program ~main:w.w_main w.w_sources cfg in
-    if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
-    let r = Astree_robust.Degrade.analyze ?prepared ~cfg p in
+    let r = Astree_parallel.Scheduler.analyze ?prepared ~cfg p in
     let loaded =
       Option.fold ~none:0
         ~some:(fun c -> c.C.Analysis.c_loaded)

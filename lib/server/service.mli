@@ -83,8 +83,8 @@ type work = {
   w_main : string;
   w_options : options;
   w_preload : never list;
-      (** always [[]]; kept so existing constructions of the record
-          compile *)
+      (** always [[]]; kept because the layer benchmark
+          ([perfbench/layers.ml]) builds the record *)
   w_strip_cache : bool;
       (** the request did not ask for a cache: run with the daemon's
           store but strip its counters from the report (byte parity) *)
@@ -107,11 +107,11 @@ type outcome = Served of served | Refused of string
 
 val serve : work -> outcome
 (** Run one request (in a pool worker): compile, or take the program
-    and its prepared record from the program table, analyze under the
-    degradation governor — under a [`Dir]
-    cache, reading the summaries its keys hit from the store and
-    publishing the ones it computed — and package the report.  Called
-    in-process (tests, the layer benchmark) it leaves the caller's
-    trace sink and registry as any analysis does.
+    and its prepared record from the program table, analyze through
+    {!Astree_parallel.Scheduler.analyze} on one core ([jobs = 1]) —
+    under a [`Dir] cache, reading the summaries its keys hit from the
+    store and publishing the ones it computed — and package the
+    report.  Called in-process (tests, the layer benchmark) it leaves
+    the caller's trace sink and registry as any analysis does.
     Request-level failures come back as [Refused]; anything else
     escapes and kills the worker (the pool reports a crash). *)

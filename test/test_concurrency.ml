@@ -236,6 +236,56 @@ let test_jobs_parity () =
   Alcotest.(check int) "same round count" r1.Conc.Fixpoint.c_rounds
     r4.Conc.Fixpoint.c_rounds
 
+(* The [analysis.*] gauges of [genfamily --kloc 1 --tasks 3 --bugs 1.0
+   --seed 5] describe the combined result at -j 1 and at -j 2, where
+   the per-task runs set theirs in the workers, whose deltas drop
+   gauges.  Each run starts from zeroed gauges, as a fresh process
+   starts without them. *)
+let test_gauges_combined () =
+  let g =
+    G.Generator.generate_tasks
+      {
+        G.Generator.seed = 5;
+        target_lines = 1000;
+        mix = G.Shapes.all_safe_kinds;
+        bug_ratio = 1.0;
+        fuse = 1;
+      }
+      ~tasks:3
+  in
+  let p = compile g.G.Generator.source in
+  let module M = Astree_obs.Metrics in
+  let analysis_gauges () =
+    let s = M.snapshot () in
+    List.filter_map
+      (fun n ->
+        if String.starts_with ~prefix:"analysis." n then
+          Some (n, Option.value ~default:0 (M.find_int s n))
+        else None)
+      (M.names s)
+  in
+  let run jobs =
+    List.iter (fun (n, _) -> M.reset_named n) (analysis_gauges ());
+    let r =
+      Conc.Fixpoint.analyze
+        ~cfg:{ C.Config.default with C.Config.jobs }
+        ~tasks:g.G.Generator.task_fns p
+    in
+    (r.Conc.Fixpoint.c_result, analysis_gauges ())
+  in
+  let r1, g1 = run 1 in
+  let _, g2 = run 2 in
+  Alcotest.(check (list (pair string int))) "-j 1 = -j 2" g1 g2;
+  Alcotest.(check (list (pair string int)))
+    "the combined result's measures"
+    [
+      ("analysis.alarms", C.Analysis.n_alarms r1);
+      ("analysis.cells", r1.C.Analysis.r_stats.C.Analysis.s_cells);
+    ]
+    (List.filter
+       (fun (n, _) -> n = "analysis.alarms" || n = "analysis.cells")
+       g1)
+
 (* An interrupt during a pooled run (the flag preset: the pool's first
    budget poll sees it, the same path a SIGINT mid-run takes) escapes
    as [Tripped Interrupted] — there is no partial multi-task result —
@@ -298,4 +348,6 @@ let suite =
       test_interrupt_reaps_workers;
     Alcotest.test_case "generator determinism + markers" `Quick
       test_generator_deterministic;
+    Alcotest.test_case "analysis gauges: combined at -j 1 and -j 2" `Quick
+      test_gauges_combined;
   ]

@@ -1340,8 +1340,7 @@ let test_trip_publishes_no_entry () =
   (* the governor's polls of a whole run, to trip half way *)
   let polls = ref 0 in
   let counting () = incr polls in
-  let ses = C.Transfer.new_session () in
-  ses.C.Transfer.ses_tick_hook <- Some counting;
+  let ses = C.Transfer.new_session ~tick:counting () in
   ignore (C.Analysis.analyze ~session:ses ~cfg p);
   let half = !polls / 2 in
   let entry = I.Fingerprint.summary_fn (I.Fingerprint.make cfg p) "main" in
@@ -1351,15 +1350,16 @@ let test_trip_publishes_no_entry () =
           let ccfg =
             { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
           in
-          let ses = C.Transfer.new_session () in
           polls := 0;
-          ses.C.Transfer.ses_tick_hook <-
-            Some
-              (fun () ->
+          let ses =
+            C.Transfer.new_session
+              ~tick:(fun () ->
                 counting ();
                 if !polls = half then
                   raise
-                    (Astree_robust.Budget.Tripped Astree_robust.Budget.Timeout));
+                    (Astree_robust.Budget.Tripped Astree_robust.Budget.Timeout))
+              ()
+          in
           (match C.Analysis.analyze ~session:ses ~cfg:ccfg p with
           | _ -> Alcotest.fail "expected a budget trip"
           | exception Astree_robust.Budget.Tripped _ -> ());

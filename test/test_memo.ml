@@ -30,7 +30,19 @@ int main(void) {
    later section reports only its own. *)
 let test_sections () =
   let p, _ = C.Analysis.compile [ ("memo.c", memo_src) ] in
-  let a = C.Transfer.make_actx C.Config.default p in
+  (* an empty interference context: no cell is shared, so only the
+     shared writes the abort path records below reach it *)
+  let it =
+    {
+      C.Transfer.itf_rely = Hashtbl.create 1;
+      itf_shared = Hashtbl.create 1;
+      itf_writes = Hashtbl.create 1;
+    }
+  in
+  let a =
+    C.Transfer.make_actx ~session:(C.Transfer.new_session ~itf:it ())
+      C.Config.default p
+  in
   let fr = C.Frame.of_call a.C.Transfer.frames ~fname:"main" F.Tast.VarMap.empty in
   let l1 = C.Frame.loop_at fr 0 and l2 = C.Frame.loop_at fr 1 in
   let p4 = C.Frame.oct_at fr 0 and p7 = C.Frame.oct_at fr 1 in
@@ -71,14 +83,6 @@ let test_sections () =
   Alcotest.(check (list int)) "a later section" [ l1 ]
     (loops (section (fun () -> C.Transfer.set_invariant a l1 st')));
   (* the abort path *)
-  let it =
-    {
-      C.Transfer.itf_rely = Hashtbl.create 1;
-      itf_shared = Hashtbl.create 1;
-      itf_writes = Hashtbl.create 1;
-    }
-  in
-  a.C.Transfer.session.C.Transfer.ses_itf <- Some it;
   C.Transfer.itf_record it (0, []) (D.Itv.int_range 0 1);
   a.C.Transfer.alarms.C.Alarm.enabled <- true;
   C.Alarm.report a.C.Transfer.alarms C.Alarm.Assert_failure
@@ -108,7 +112,6 @@ let test_sections () =
        (fun (root, _) v acc -> Fmt.str "%d: %a" root D.Itv.pp v :: acc)
        it.C.Transfer.itf_writes []
     |> List.sort compare);
-  a.C.Transfer.session.C.Transfer.ses_itf <- None;
   let after =
     section (fun () ->
         C.Transfer.mark_useful a p7;

@@ -158,8 +158,9 @@ let observe ?(timeout = 0.) ?(tweak = Fun.id) ?split ~jobs src =
     match split with
     | None -> P.Scheduler.analyze ~cfg p
     | Some sp ->
-        let session = C.Transfer.new_session () in
-        session.C.Transfer.ses_split <- Some sp;
+        let session =
+          C.Transfer.new_session ~split:sp ?tick:(R.Degrade.tick cfg) ()
+        in
         R.Degrade.analyze ~session ~cfg p
   in
   let delta = Metrics.diff m0 in
@@ -323,6 +324,33 @@ let test_split_timeout () =
   Alcotest.(check bool) "exit 0 or 3" true (code = 0 || code = 3);
   Alcotest.(check (list string)) "no helper left" before (children ())
 
+(* A per-task run does not split: [Scheduler.analyze ~itf] at jobs 2
+   forks no helper, even under an interference context that shares
+   nothing, and finds what the split run finds. *)
+let test_itf_unsplit () =
+  no_faults @@ fun () ->
+  let p, _ = C.Analysis.compile [ ("m.c", genfamily ~kloc:1. ~seed:1 ()) ] in
+  let cfg = { C.Config.default with C.Config.jobs = 2 } in
+  let run ?itf () =
+    let m0 = Metrics.snapshot () in
+    let r = P.Scheduler.analyze ?itf ~cfg p in
+    ( P.Merge.fingerprint r,
+      Option.value ~default:0
+        (Metrics.find_int (Metrics.diff m0) "par.split_loops") )
+  in
+  let f_split, split = run () in
+  Alcotest.(check int) "without ~itf: par.split_loops" 1 split;
+  let itf =
+    {
+      C.Transfer.itf_rely = Hashtbl.create 1;
+      itf_shared = Hashtbl.create 1;
+      itf_writes = Hashtbl.create 1;
+    }
+  in
+  let f_itf, split = run ~itf () in
+  Alcotest.(check int) "with ~itf: par.split_loops" 0 split;
+  Alcotest.(check string) "the same fingerprint" f_split f_itf
+
 let suite =
   [
     Alcotest.test_case "pool: ordered map" `Quick test_pool_order;
@@ -342,4 +370,5 @@ let suite =
       test_split_bottom;
     Alcotest.test_case "split main loop: timeout reaps the helper" `Quick
       test_split_timeout;
+    Alcotest.test_case "per-task run: no split" `Quick test_itf_unsplit;
   ]

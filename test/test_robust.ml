@@ -144,8 +144,7 @@ let test_tick_hook_fires () =
   | Some src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
       let ticks = ref 0 in
-      let ses = C.Transfer.new_session () in
-      ses.C.Transfer.ses_tick_hook <- Some (fun () -> incr ticks);
+      let ses = C.Transfer.new_session ~tick:(fun () -> incr ticks) () in
       ignore (C.Analysis.analyze ~session:ses p);
       Alcotest.(check bool) "hook called during analysis" true (!ticks > 0)
 

@@ -10,6 +10,7 @@ module C = Astree_core
 module F = Astree_frontend
 module G = Astree_gen
 module I = Astree_incremental
+module P = Astree_parallel
 module R = Astree_robust
 module Srv = Astree_server
 
@@ -142,7 +143,7 @@ let in_process_report ?(options = Srv.Service.default_options) sources :
     string * int =
   let cfg = Srv.Service.config_of options ~sources in
   let p, _ = C.Analysis.compile ~main:"main" sources in
-  let r = R.Degrade.analyze ~cfg p in
+  let r = P.Scheduler.analyze ~cfg p in
   (Srv.Report.render r, Srv.Report.exit_code r)
 
 (* blank the volatile "time" statistic; everything else must be
@@ -1632,6 +1633,99 @@ let check_served ~what (report, code) (sv : Srv.Service.served) =
   Alcotest.(check int) (what ^ ": the one-shot exit code") code
     sv.Srv.Service.sv_exit
 
+(* A daemon worker analyzes on one core: a request at jobs 2, cache
+   off, for a member whose main loop splits one-shot ([genfamily --kloc 1
+   --seed 1]) is served unsplit, with the -j 1 one-shot report. *)
+let test_serve_one_core () =
+  R.Faultsim.with_suppressed @@ fun () ->
+  let module Metrics = Astree_obs.Metrics in
+  let sources =
+    [
+      ( "m.c",
+        (G.Generator.generate
+           {
+             G.Generator.seed = 1;
+             target_lines = 1000;
+             mix = G.Shapes.all_safe_kinds;
+             bug_ratio = 0.;
+             fuse = 1;
+           })
+          .G.Generator.source );
+    ]
+  in
+  let off = { Srv.Service.default_options with Srv.Service.o_cache = `Off } in
+  let j2 = { off with Srv.Service.o_jobs = 2 } in
+  let splits f =
+    let m0 = Metrics.snapshot () in
+    let x = f () in
+    ( x,
+      Option.value ~default:0
+        (Metrics.find_int (Metrics.diff m0) "par.split_loops") )
+  in
+  let expected = in_process_report ~options:off sources in
+  let _, split = splits (fun () -> in_process_report ~options:j2 sources) in
+  Alcotest.(check int) "one-shot -j 2: par.split_loops" 1 split;
+  let served, split =
+    splits (fun () ->
+        Srv.Service.serve
+          {
+            Srv.Service.w_sources = sources;
+            w_main = "main";
+            w_options = j2;
+            w_preload = [];
+            w_strip_cache = false;
+          })
+  in
+  Alcotest.(check int) "worker: par.split_loops" 0 split;
+  match served with
+  | Srv.Service.Served sv -> check_served ~what:"jobs 2, cache off" expected sv
+  | Srv.Service.Refused msg -> Alcotest.failf "refused: %s" msg
+
+(* One diagnosis per class of program the analyzer cannot take: the
+   line the CLI prints after "astree: " (exit 124) and the message a
+   daemon worker refuses the request with. *)
+let test_one_diagnosis () =
+  List.iter
+    (fun (file, src, msg) ->
+      let sources = [ (file, src) ] in
+      (match C.Analysis.compile sources with
+      | _ -> Alcotest.failf "%s compiled" file
+      | exception e ->
+          Alcotest.(check (option string)) (file ^ ": diagnosis") (Some msg)
+            (C.Analysis.diagnosis e));
+      match
+        Srv.Service.serve
+          {
+            Srv.Service.w_sources = sources;
+            w_main = "main";
+            w_options = Srv.Service.default_options;
+            w_preload = [];
+            w_strip_cache = false;
+          }
+      with
+      | Srv.Service.Refused m -> Alcotest.(check string) (file ^ ": refusal") msg m
+      | Srv.Service.Served _ -> Alcotest.failf "%s served" file)
+    [
+      ( "lex.c",
+        "int main(void) { int x = 1 ` 2; return x; }\n",
+        "lex.c:1:28: unexpected character '`'" );
+      ("parse.c", "int main(void) { return 0 }\n", "parse.c:1:27: expected ; but found }");
+      ("type.c", "int main(void) { return y; }\n", "type.c:1:25: unbound variable y");
+      ( "pre.c",
+        "#if 1\nint main(void) { return 0; }\n",
+        "pre.c:3:1: preprocessor: unterminated #if" );
+    ];
+  (* a callee without a body compiles; its analysis stops *)
+  let p, _ =
+    C.Analysis.compile
+      [ ("anal.c", "int g(int a);\nint main(void) { return g(1); }\n") ]
+  in
+  match P.Scheduler.analyze p with
+  | _ -> Alcotest.fail "anal.c analyzed"
+  | exception e ->
+      Alcotest.(check (option string)) "anal.c: diagnosis"
+        (Some "call to unknown function g") (C.Analysis.diagnosis e)
+
 (* The daemon hands each request to the pool once: a worker that died
    while idle (its pipe closed) is replaced at send time and the job
    runs on the replacement, not failed back to the caller. *)
@@ -1899,5 +1993,9 @@ let suite =
       test_repeated_requests_exact;
     Alcotest.test_case "one numbering per prepared program" `Quick
       test_one_numbering_per_prepared;
+    Alcotest.test_case "a worker analyzes on one core" `Quick
+      test_serve_one_core;
+    Alcotest.test_case "one diagnosis per error class" `Quick
+      test_one_diagnosis;
   ]
   @ List.map QCheck_alcotest.to_alcotest json_string_props
