@@ -13,10 +13,8 @@
    answers the analysis runs in-process instead. *)
 
 module C = Astree_core
-module F = Astree_frontend
 module S = Astree_slicer
 module Srv = Astree_server
-module Conc = Astree_conc
 open Cmdliner
 
 let read_file path =
@@ -30,7 +28,7 @@ let read_file path =
 let print_json ?metrics ?interference (r : C.Analysis.result) : unit =
   print_string (Srv.Report.render ?metrics ?interference r ^ "\n")
 
-let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
+let run files main tasks no_oct no_ell no_dt no_clock no_lin no_thresholds
     unroll partitioned max_dt_bools useful_packs jobs cache_dir no_cache
     timeout max_mem connect format
     dump_invariants dump_census slice_alarms profile trace_file metrics_file
@@ -65,6 +63,7 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
           o_no_thresholds = no_thresholds;
           o_unroll = unroll;
           o_partition = partitioned;
+          o_tasks = tasks;
           o_max_dtree_bools = max_dt_bools;
           o_useful_packs = useful_packs;
           o_jobs = jobs;
@@ -77,38 +76,10 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
         }
       in
       let sources = List.map (fun f -> (f, read_file f)) files in
-      (* task entry points: --tasks wins; otherwise the astree-task
-         markers of the sources, in document order (first occurrence) *)
-      let tasks =
-        if tasks_opt <> [] then tasks_opt
-        else
-          let seen = Hashtbl.create 8 in
-          List.concat_map (fun (_, src) -> F.Preproc.task_markers src) sources
-          |> List.filter (fun t ->
-                 if Hashtbl.mem seen t then false
-                 else begin
-                   Hashtbl.replace seen t ();
-                   true
-                 end)
-      in
-      let multi_task = List.compare_length_with tasks 1 > 0 in
       let in_process () =
-        let cfg = Srv.Service.config_of options ~sources in
-        let p, _stats = C.Analysis.compile ~main sources in
-        let r, interference =
-          if multi_task then begin
-            let cr = Conc.Fixpoint.analyze ~cfg ~tasks p in
-            ( cr.Conc.Fixpoint.c_result,
-              Some
-                {
-                  Srv.Report.i_tasks = List.length tasks;
-                  i_rounds = cr.Conc.Fixpoint.c_rounds;
-                  i_stabilized = cr.Conc.Fixpoint.c_stabilized;
-                  i_shared = List.length cr.Conc.Fixpoint.c_shared;
-                } )
-          end
-          else (Astree_parallel.Scheduler.analyze ~cfg p, None)
-        in
+        let a = Srv.Service.analyze options ~main sources in
+        let r = a.Srv.Service.a_result
+        and interference = a.Srv.Service.a_interference in
         (match metrics_file with
         | None -> ()
         | Some f ->
@@ -124,16 +95,7 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
                analyzer (JSON always carries them) *)
             let r = if verbose then r else Srv.Report.strip_cache r in
             Fmt.pr "%a@." C.Analysis.pp_result r;
-            (match interference with
-            | None -> ()
-            | Some i ->
-                Fmt.pr
-                  "interference fixpoint: %d tasks, %d shared variables, %d \
-                   rounds%s@."
-                  i.Srv.Report.i_tasks i.Srv.Report.i_shared
-                  i.Srv.Report.i_rounds
-                  (if i.Srv.Report.i_stabilized then ""
-                   else " (round budget hit: everything-top fallback)"));
+            Option.iter (Fmt.pr "%a@." Srv.Report.pp_interference) interference;
             if explain && r.C.Analysis.r_alarms <> [] then begin
               Fmt.pr "--- alarm provenance ---@.";
               List.iter
@@ -158,7 +120,7 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
            the regular (text or JSON) output stays byte-identical *)
         if profile then prerr_string (Astree_obs.Metrics.render_profile ());
         if slice_alarms && r.C.Analysis.r_alarms <> [] then begin
-          let g = S.Depgraph.build p in
+          let g = S.Depgraph.build a.Srv.Service.a_prog in
           List.iter
             (fun (al : C.Alarm.t) ->
               Fmt.pr "--- slice for %a ---@." C.Alarm.pp al;
@@ -177,13 +139,6 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
         || trace_file <> None || metrics_file <> None
       in
       (match connect with
-      | Some _ when multi_task ->
-          (* the daemon's one-request = one-analysis worker model does
-             not fit the interference fixpoint; it would refuse anyway *)
-          prerr_endline
-            "astree: multi-task programs are analyzed in-process (the \
-             daemon does not serve the interference fixpoint)";
-          in_process ()
       | Some sock when format = `Json && not local_only -> (
           let req =
             Srv.Client.analyze_request_json ~sources ~main ~options ()

@@ -152,12 +152,32 @@ let fixpoint (cfg : C.Config.t) ~(tasks : string list)
        with every task's reply attached *)
     let actx = C.Transfer.make_actx cfg p in
     List.iter (C.Analysis.Reply.attach actx) per_task;
+    (* the program's measures, once: every run numbers the same cells;
+       only the cache counters and the degradation record combine *)
+    let runs = List.map (fun rp -> rp.C.Analysis.Reply.rp_stats) per_task in
     let stats =
-      let s =
-        P.Merge.sum_stats
-          (List.map (fun rp -> rp.C.Analysis.Reply.rp_stats) per_task)
-      in
-      { s with C.Analysis.s_time = Unix.gettimeofday () -. t0 }
+      {
+        (C.Analysis.context_stats actx p) with
+        C.Analysis.s_time = Unix.gettimeofday () -. t0;
+        s_cache =
+          List.fold_left
+            (fun acc (s : C.Analysis.stats) ->
+              match (acc, s.C.Analysis.s_cache) with
+              | None, c | c, None -> c
+              | Some x, Some y ->
+                  Some
+                    {
+                      C.Analysis.c_hits =
+                        x.C.Analysis.c_hits + y.C.Analysis.c_hits;
+                      c_misses = x.c_misses + y.c_misses;
+                      c_entries = x.c_entries + y.c_entries;
+                      c_loaded = x.c_loaded + y.c_loaded;
+                      c_load_time = x.c_load_time +. y.c_load_time;
+                      c_save_time = x.c_save_time +. y.c_save_time;
+                    })
+            None runs;
+        s_degraded = List.find_map (fun s -> s.C.Analysis.s_degraded) runs;
+      }
     in
     let c_result =
       { C.Analysis.r_alarms = alarms; r_final = final; r_actx = actx;

@@ -17,7 +17,8 @@ val widen_delay : int ref
 type t = {
   c_result : C.Analysis.result;
       (** combined: merged alarms, joined final state, combined context
-          with merged invariants, aggregate statistics *)
+          with merged invariants; statistics with the program's measures
+          (counted once) and the runs' summed cache counters *)
   c_tasks : string list;
   c_shared : string list;  (** shared-variable names, sorted *)
   c_rounds : int;          (** analysis rounds run (each = all tasks) *)

@@ -2,8 +2,8 @@
 
     Whatever order workers finish in, the parent combines their outputs
     with order-insensitive operations — first-wins alarm dedup over
-    job-ordered lists, abstract-state joins, stat sums — so [-j n]
-    output is byte-identical to [-j 1]. *)
+    job-ordered lists, abstract-state joins — so [-j n] output is
+    byte-identical to [-j 1]. *)
 
 module C = Astree_core
 
@@ -27,63 +27,6 @@ let alarms (groups : C.Alarm.t list list) : C.Alarm.t list =
     and commutative, so grouping does not matter). *)
 let join_states (sts : C.Astate.t list) : C.Astate.t =
   List.fold_left C.Astate.join C.Astate.bottom sts
-
-(** Aggregate statistics of a batch of runs: integer fields and times
-    are summed (an aggregate total, not a per-run average).  Cache
-    counters sum member-wise; the aggregate carries [Some] as soon as
-    any member enabled the cache ([None] counts as all-zero), so a
-    cache-less batch prints exactly as before. *)
-let sum_cache_stats (a : C.Analysis.cache_stats option)
-    (b : C.Analysis.cache_stats option) : C.Analysis.cache_stats option =
-  match (a, b) with
-  | None, c | c, None -> c
-  | Some x, Some y ->
-      Some
-        {
-          C.Analysis.c_hits = x.C.Analysis.c_hits + y.C.Analysis.c_hits;
-          c_misses = x.c_misses + y.c_misses;
-          c_entries = x.c_entries + y.c_entries;
-          c_loaded = x.c_loaded + y.c_loaded;
-          c_load_time = x.c_load_time +. y.c_load_time;
-          c_save_time = x.c_save_time +. y.c_save_time;
-        }
-
-let sum_stats (ss : C.Analysis.stats list) : C.Analysis.stats =
-  List.fold_left
-    (fun (acc : C.Analysis.stats) (s : C.Analysis.stats) ->
-      {
-        C.Analysis.s_globals_before =
-          acc.C.Analysis.s_globals_before + s.C.Analysis.s_globals_before;
-        s_globals_after = acc.s_globals_after + s.s_globals_after;
-        s_cells = acc.s_cells + s.s_cells;
-        s_stmts = acc.s_stmts + s.s_stmts;
-        s_oct_packs = acc.s_oct_packs + s.s_oct_packs;
-        s_oct_useful = acc.s_oct_useful + s.s_oct_useful;
-        s_ell_packs = acc.s_ell_packs + s.s_ell_packs;
-        s_dt_packs = acc.s_dt_packs + s.s_dt_packs;
-        s_time = acc.s_time +. s.s_time;
-        s_cache = sum_cache_stats acc.s_cache s.s_cache;
-        (* a batch is degraded as soon as any member degraded; the first
-           member's record is representative (keep-first) *)
-        s_degraded =
-          (match acc.s_degraded with
-          | Some _ as d -> d
-          | None -> s.s_degraded);
-      })
-    {
-      C.Analysis.s_globals_before = 0;
-      s_globals_after = 0;
-      s_cells = 0;
-      s_stmts = 0;
-      s_oct_packs = 0;
-      s_oct_useful = 0;
-      s_ell_packs = 0;
-      s_dt_packs = 0;
-      s_time = 0.;
-      s_cache = None;
-      s_degraded = None;
-    }
-    ss
 
 (** Digest of everything a run asserts — alarms, main-loop invariant
     census, final-state assertions — used by the equivalence tests and

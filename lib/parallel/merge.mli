@@ -11,9 +11,6 @@ val alarms : C.Alarm.t list list -> C.Alarm.t list
 (** Join a disjunction of final states. *)
 val join_states : C.Astate.t list -> C.Astate.t
 
-(** Sum the statistics of a batch of runs into an aggregate total. *)
-val sum_stats : C.Analysis.stats list -> C.Analysis.stats
-
 (** Digest of a run's semantic output (alarms, census, final-state
     assertions; excludes timings), for exact equivalence checks. *)
 val fingerprint : C.Analysis.result -> string

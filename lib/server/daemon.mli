@@ -3,13 +3,16 @@
 
     One process owns the listening socket and a [select] event loop;
     requests are dispatched to long-lived pool workers (which keep the
-    programs they served, {!Service.prepared}), and finished requests ship back their report
-    plus metrics and trace deltas, which the daemon absorbs into the
-    registry served by the [metrics] verb.  Function summaries never
-    cross the worker pipe: every worker reads the ones its keys hit
-    from one content-addressed summary store directory and publishes
-    the ones it computed there, exactly as an [astree --cache] run
-    does, so an edited copy of a program hits its base's summaries.
+    programs they served, {!Service.prepared}), each of which analyzes
+    through the CLI's own entry, {!Service.analyze}, on one core — a
+    multi-task program's interference fixpoint included — and finished
+    requests ship back their report plus metrics and trace deltas,
+    which the daemon absorbs into the registry served by the [metrics]
+    verb.  Function summaries never cross the worker pipe: every
+    worker reads the ones its keys hit from one content-addressed
+    summary store directory and publishes the ones it computed there,
+    exactly as an [astree --cache] run does, so an edited copy of a
+    program hits its base's summaries.
 
     {b Protocol} (newline-delimited JSON, one object per line):
     requests carry a [verb] ([analyze], [status], [metrics],
@@ -25,8 +28,10 @@
     full reply.  A request no idle worker takes waits in one unbounded
     FIFO queue; the queued requests of a client that disconnects are
     dropped.
-    A worker crash fails the requests it was serving with an error
-    reply; the pool respawns the worker.
+    A request {!Service.serve} refuses (bad input, an analysis error)
+    gets an error reply carrying the diagnosis.  A worker crash fails
+    the requests it was serving with an error reply; the pool respawns
+    the worker.
 
     {b Shared store.}  The store directory is [d_cache_dir] when set,
     otherwise a directory private to the daemon under [$TMPDIR],

@@ -74,6 +74,12 @@ let json_interference (i : interference) : string =
     "{\"tasks\": %d, \"rounds\": %d, \"stabilized\": %b, \"shared_vars\": %d}"
     i.i_tasks i.i_rounds i.i_stabilized i.i_shared
 
+let pp_interference ppf (i : interference) =
+  Fmt.pf ppf "interference fixpoint: %d tasks, %d shared variables, %d rounds%s"
+    i.i_tasks i.i_shared i.i_rounds
+    (if i.i_stabilized then ""
+     else " (round budget hit: everything-top fallback)")
+
 let render ?(metrics = false) ?interference ?fingerprint
     (r : C.Analysis.result) : string =
   let degraded =

@@ -20,6 +20,9 @@ type interference = {
   i_shared : int;  (** shared-variable count *)
 }
 
+val pp_interference : Format.formatter -> interference -> unit
+(** The text report's [interference fixpoint: ...] line (no newline). *)
+
 val render :
   ?metrics:bool ->
   ?interference:interference ->

@@ -1,6 +1,7 @@
 (* Request semantics: options wire format, the shared flag-to-config
-   mapping, the worker-resident table of served programs, and the
-   per-request job run inside a pool worker.  See service.mli. *)
+   mapping, the table of analyzed programs, the one analysis entry of
+   the CLI and the daemon, and the per-request job run inside a pool
+   worker.  See service.mli. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -16,6 +17,7 @@ type options = {
   o_no_thresholds : bool;
   o_unroll : int;
   o_partition : string list;
+  o_tasks : string list;
   o_max_dtree_bools : int;
   o_useful_packs : int list;
   o_jobs : int;
@@ -34,6 +36,7 @@ let default_options : options =
     o_no_thresholds = false;
     o_unroll = 1;
     o_partition = [];
+    o_tasks = [];
     o_max_dtree_bools = 3;
     o_useful_packs = [];
     o_jobs = 1;
@@ -57,6 +60,8 @@ let options_to_json (o : options) : Json.t =
   if o.o_unroll <> d.o_unroll then put "unroll" (Json.Num (float_of_int o.o_unroll));
   if o.o_partition <> [] then
     put "partition" (Json.List (List.map (fun f -> Json.Str f) o.o_partition));
+  if o.o_tasks <> [] then
+    put "tasks" (Json.List (List.map (fun f -> Json.Str f) o.o_tasks));
   if o.o_max_dtree_bools <> d.o_max_dtree_bools then
     put "max_dtree_bools" (Json.Num (float_of_int o.o_max_dtree_bools));
   if o.o_useful_packs <> [] then
@@ -105,6 +110,7 @@ let options_of_json (j : Json.t) : options =
     o_no_thresholds = bool_m "no_thresholds" d.o_no_thresholds;
     o_unroll = int_m "unroll" d.o_unroll;
     o_partition = strs "partition";
+    o_tasks = strs "tasks";
     o_max_dtree_bools = int_m "max_dtree_bools" d.o_max_dtree_bools;
     o_useful_packs = ints "useful_packs";
     o_jobs = int_m "jobs" d.o_jobs;
@@ -159,29 +165,36 @@ let config_of (o : options) ~(sources : (string * string) list) : C.Config.t =
     if marked = [] then cfg
     else { cfg with C.Config.partitioned_functions = marked }
 
-(* ---- compilation ------------------------------------------------- *)
+(* the task entry points: the explicit list, else the sources'
+   "/* astree-task: t u */" markers in document order, the first
+   occurrence winning; two or more make the program multi-task *)
+let tasks_of (o : options) ~(sources : (string * string) list) : string list =
+  if o.o_tasks <> [] then o.o_tasks
+  else
+    List.concat_map (fun (_, src) -> F.Preproc.task_markers src) sources
+    |> List.fold_left (fun acc t -> if List.mem t acc then acc else t :: acc) []
+    |> List.rev
 
-exception Request_error of string
+(* ---- the program table ------------------------------------------- *)
 
+(* each source is digested in place: concatenating the sources first
+   would copy them into one large block, which a one-shot run's peak
+   heap pays for *)
 let source_digest ~(main : string) (sources : (string * string) list) : string
     =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          (main :: List.concat_map (fun (n, c) -> [ n; c ]) sources)))
+          (main
+          :: List.concat_map (fun (n, c) -> [ n; Digest.string c ]) sources)))
 
-let compile ~(main : string) (sources : (string * string) list) :
-    F.Tast.program =
-  try fst (C.Analysis.compile ~main sources)
-  with e ->
-    raise
-      (match C.Analysis.diagnosis e with Some m -> Request_error m | None -> e)
-
-(* The programs a worker has served, by source digest: workers are
-   long-lived, so a repeated request skips the frontend, and from a
-   program's second request on also what its analysis prepares
-   ([Transfer.prepared]).  A program served once keeps only its typed
-   IR: one-off edited copies do not make a worker's memory grow. *)
+(* The programs a process has analyzed, by source digest: daemon
+   workers are long-lived, so a repeated request skips the frontend,
+   and from a program's second request on also what its analysis
+   prepares ([Transfer.prepared]).  A program served once keeps only
+   its typed IR: one-off edited copies do not make a worker's memory
+   grow.  So does a multi-task program, whose per-task runs re-root
+   [p_main] and could never use a record ([~prepare:false]). *)
 type program = {
   pg_prog : F.Tast.program;
   mutable pg_prepared : C.Transfer.prepared option;
@@ -190,18 +203,20 @@ type program = {
 let programs : (string, program) Hashtbl.t = Hashtbl.create 8
 let programs_max = 32
 
-let program ~(main : string) (sources : (string * string) list)
-    (cfg : C.Config.t) : F.Tast.program * C.Transfer.prepared option =
+let program ~(prepare : bool) ~(main : string)
+    (sources : (string * string) list) (cfg : C.Config.t) :
+    F.Tast.program * C.Transfer.prepared option =
   let key = source_digest ~main sources in
   match Hashtbl.find_opt programs key with
-  | Some pg ->
+  | Some pg when prepare ->
       let pr =
         C.Transfer.prepared_for ?prepared:pg.pg_prepared cfg pg.pg_prog
       in
       pg.pg_prepared <- Some pr;
       (pg.pg_prog, Some pr)
+  | Some pg -> (pg.pg_prog, None)
   | None ->
-      let p = compile ~main sources in
+      let p = fst (C.Analysis.compile ~main sources) in
       if Hashtbl.length programs >= programs_max then Hashtbl.reset programs;
       Hashtbl.add programs key { pg_prog = p; pg_prepared = None };
       (p, None)
@@ -216,6 +231,44 @@ let prepared_count () : int =
   Hashtbl.fold
     (fun _ pg n -> if Option.is_some pg.pg_prepared then n + 1 else n)
     programs 0
+
+(* ---- one analysis ------------------------------------------------ *)
+
+type analyzed = {
+  a_prog : F.Tast.program;
+  a_result : C.Analysis.result;
+  a_interference : Report.interference option;
+}
+
+let analyze (o : options) ~(main : string) (sources : (string * string) list)
+    : analyzed =
+  let cfg = config_of o ~sources in
+  match tasks_of o ~sources with
+  | _ :: _ :: _ as tasks ->
+      let p, _ = program ~prepare:false ~main sources cfg in
+      let { Astree_conc.Fixpoint.c_result; c_rounds; c_stabilized; c_shared;
+            _ } =
+        Astree_conc.Fixpoint.analyze ~cfg ~tasks p
+      in
+      {
+        a_prog = p;
+        a_result = c_result;
+        a_interference =
+          Some
+            {
+              Report.i_tasks = List.length tasks;
+              i_rounds = c_rounds;
+              i_stabilized = c_stabilized;
+              i_shared = List.length c_shared;
+            };
+      }
+  | _ ->
+      let p, prepared = program ~prepare:true ~main sources cfg in
+      {
+        a_prog = p;
+        a_result = Astree_parallel.Scheduler.analyze ?prepared ~cfg p;
+        a_interference = None;
+      }
 
 (* ---- worker jobs ------------------------------------------------- *)
 
@@ -243,47 +296,27 @@ type outcome = Served of served | Refused of string
 
 let serve (w : work) : outcome =
   let t0 = Unix.gettimeofday () in
-  try
-    (* the interference fixpoint drives whole analyses as sub-runs and
-       owns its own pool: it does not fit the daemon's one-request =
-       one-analysis worker model.  Refuse cleanly instead of failing
-       worker-side partway through. *)
-    (match
-       List.concat_map
-         (fun (_, src) -> F.Preproc.task_markers src)
-         w.w_sources
-     with
-    | [] | [ _ ] -> ()
-    | t ->
-        raise
-          (Request_error
-             (Fmt.str
-                "multi-task program (astree-task markers: %s): not \
-                 supported by the analysis server; run astree without \
-                 --connect"
-                (String.concat " " t))));
-    (* one core per worker: the daemon's pool is its parallelism *)
-    let cfg =
-      { (config_of w.w_options ~sources:w.w_sources) with C.Config.jobs = 1 }
-    in
-    let p, prepared = program ~main:w.w_main w.w_sources cfg in
-    let r = Astree_parallel.Scheduler.analyze ?prepared ~cfg p in
-    let loaded =
-      Option.fold ~none:0
-        ~some:(fun c -> c.C.Analysis.c_loaded)
-        r.C.Analysis.r_stats.C.Analysis.s_cache
-    in
-    let r = if w.w_strip_cache then Report.strip_cache r else r in
-    let fingerprint = Astree_parallel.Merge.fingerprint r in
-    Served
-      {
-        sv_report = Report.render ~fingerprint r;
-        sv_exit = Report.exit_code r;
-        sv_alarms = C.Analysis.n_alarms r;
-        sv_fingerprint = fingerprint;
-        sv_degraded =
-          Option.is_some r.C.Analysis.r_stats.C.Analysis.s_degraded;
-        sv_loaded = loaded;
-        sv_time = Unix.gettimeofday () -. t0;
-      }
-  with Request_error msg | Sys_error msg -> Refused msg
+  (* one core per worker: the daemon's pool is its parallelism *)
+  match analyze { w.w_options with o_jobs = 1 } ~main:w.w_main w.w_sources with
+  | exception Sys_error msg -> Refused msg
+  | exception e -> (
+      match C.Analysis.diagnosis e with Some m -> Refused m | None -> raise e)
+  | { a_result = r; a_interference = interference; _ } ->
+      let loaded =
+        Option.fold ~none:0
+          ~some:(fun c -> c.C.Analysis.c_loaded)
+          r.C.Analysis.r_stats.C.Analysis.s_cache
+      in
+      let r = if w.w_strip_cache then Report.strip_cache r else r in
+      let fingerprint = Astree_parallel.Merge.fingerprint r in
+      Served
+        {
+          sv_report = Report.render ?interference ~fingerprint r;
+          sv_exit = Report.exit_code r;
+          sv_alarms = C.Analysis.n_alarms r;
+          sv_fingerprint = fingerprint;
+          sv_degraded =
+            Option.is_some r.C.Analysis.r_stats.C.Analysis.s_degraded;
+          sv_loaded = loaded;
+          sv_time = Unix.gettimeofday () -. t0;
+        }

@@ -1,11 +1,12 @@
 (** Request semantics of the analysis server: the analyze-request
-    options, their mapping to {!Astree_core.Config.t}, and the job a
-    daemon worker runs for one request.
+    options, their mapping to {!Astree_core.Config.t}, the one analysis
+    entry of the CLI and the daemon ({!analyze}), and the job a daemon
+    worker runs for one request.
 
-    The one-shot CLI builds its configuration through {!config_of} too,
-    so a request forwarded to the daemon and the same invocation run
-    in-process resolve to the same analysis — the foundation of the
-    client-mode byte-parity guarantee. *)
+    The one-shot CLI analyzes through {!analyze} too, so a request
+    forwarded to the daemon and the same invocation run in-process
+    resolve to the same analysis, multi-task programs included — the
+    foundation of the client-mode byte-parity guarantee. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -13,9 +14,9 @@ module F = Astree_frontend
 (** {1 Options} *)
 
 (** Mirror of the [astree] analysis flags (domain toggles, iteration
-    parameters, budget, cache selection).  [`Default] cache means "the
-    caller did not say": the one-shot CLI resolves it to [Cache_off],
-    the daemon to its summary store directory. *)
+    parameters, task entry points, budget, cache selection).  [`Default]
+    cache means "the caller did not say": the one-shot CLI resolves it
+    to [Cache_off], the daemon to its summary store directory. *)
 type options = {
   o_no_oct : bool;
   o_no_ell : bool;
@@ -25,6 +26,9 @@ type options = {
   o_no_thresholds : bool;
   o_unroll : int;
   o_partition : string list;
+  o_tasks : string list;
+      (** [--tasks]: the entry points of a multi-task program; [[]] =
+          the sources' ["/* astree-task: ... */"] markers *)
   o_max_dtree_bools : int;
   o_useful_packs : int list;
   o_jobs : int;  (** [0] = one worker per core, resolved server-side *)
@@ -36,7 +40,8 @@ type options = {
 val default_options : options
 
 val options_to_json : options -> Json.t
-(** Only non-default members are emitted, so requests stay small. *)
+(** Only non-default members are emitted, so requests stay small
+    ([o_tasks] as ["tasks"] when non-empty). *)
 
 val options_of_json : Json.t -> options
 (** Missing members keep their default; unknown members and values are
@@ -48,27 +53,45 @@ val config_of : options -> sources:(string * string) list -> C.Config.t
     ["/* astree-partition: ... */"] marker scan of the sources when no
     explicit partition list is given. *)
 
-(** {1 Compilation} *)
-
-exception Request_error of string
-(** A request that cannot be served (unreadable file, parse or type
-    error); the daemon turns it into an error reply, the worker
-    survives. *)
+(** {1 Programs and analyses} *)
 
 val source_digest : main:string -> (string * string) list -> string
 (** Hex digest identifying a compiled program (sources + entry point);
-    keys the workers' program table and the daemon's dedup. *)
+    keys the program table and the daemon's dedup. *)
 
 val prepared :
   main:string -> (string * string) list -> C.Transfer.prepared option
-(** The prepared record this process keeps for a program.  A worker
-    keeps the typed IR of every program it served (the 32 latest; the
-    table empties when full) and, from a program's second request on,
-    its {!Astree_core.Transfer.prepared} record for the request's
-    configuration; [None] for a program served at most once. *)
+(** The prepared record this process keeps for a program.  The process
+    keeps the typed IR of every program it analyzed (the 32 latest; the
+    table empties when full) and, from a single-task program's second
+    analysis on, its {!Astree_core.Transfer.prepared} record for the
+    latest configuration; [None] for a program analyzed at most once
+    and for a multi-task program, whose per-task runs re-root
+    [p_main]. *)
 
 val prepared_count : unit -> int
 (** Programs whose record {!prepared} keeps. *)
+
+(** One analysis: the typed program, the result and, for a multi-task
+    program, its interference block. *)
+type analyzed = {
+  a_prog : F.Tast.program;
+  a_result : C.Analysis.result;
+  a_interference : Report.interference option;
+}
+
+val analyze : options -> main:string -> (string * string) list -> analyzed
+(** The one analysis of the CLI and the daemon: resolve the
+    configuration ({!config_of}) and the task list ([o_tasks], else the
+    sources' ["/* astree-task: ... */"] markers in document order, the
+    first occurrence winning), take the program from the program table
+    (compiling it on a miss), then run
+    {!Astree_conc.Fixpoint.analyze} for two or more tasks and
+    {!Astree_parallel.Scheduler.analyze} with the kept prepared record
+    otherwise.  Frontend and analysis errors escape as raised
+    ({!Astree_core.Analysis.diagnosis} names them), and so do an
+    interrupt of a multi-task run ([Budget.Tripped Interrupted]) and
+    bad task names ([Invalid_argument]). *)
 
 (** {1 Worker jobs} *)
 
@@ -106,12 +129,14 @@ type served = {
 type outcome = Served of served | Refused of string
 
 val serve : work -> outcome
-(** Run one request (in a pool worker): compile, or take the program
-    and its prepared record from the program table, analyze through
-    {!Astree_parallel.Scheduler.analyze} on one core ([jobs = 1]) —
-    under a [`Dir] cache, reading the summaries its keys hit from the
-    store and publishing the ones it computed — and package the
-    report.  Called in-process (tests, the layer benchmark) it leaves
-    the caller's trace sink and registry as any analysis does.
-    Request-level failures come back as [Refused]; anything else
-    escapes and kills the worker (the pool reports a crash). *)
+(** Run one request (in a pool worker): {!analyze} on one core
+    ([o_jobs = 1]; a multi-task program's fixpoint runs its per-task
+    runs in-process) — under a [`Dir] cache, reading the summaries its
+    keys hit from the store and publishing the ones it computed — and
+    package the report, with its ["interference"] block for a
+    multi-task program.  Called in-process (tests, the layer benchmark)
+    it leaves the caller's trace sink and registry as any analysis
+    does.  An error that {!Astree_core.Analysis.diagnosis} names (bad
+    input, a call without a body) and a [Sys_error] come back as
+    [Refused] with that message; anything else escapes, and the pool
+    replies with its text. *)

@@ -286,6 +286,40 @@ let test_gauges_combined () =
        (fun (n, _) -> n = "analysis.alarms" || n = "analysis.cells")
        g1)
 
+(* A multi-task report states the program's measures once, though
+   every task's run numbers the same cells: the racy member of
+   [genfamily --kloc 1 --tasks 3 --bugs 1.0 --seed 5] has 416 cells,
+   720 statements and 90 octagon packs, not three times as many, at
+   -j 1 and at -j 2. *)
+let test_program_measures_once () =
+  let g =
+    G.Generator.generate_tasks
+      {
+        G.Generator.seed = 5;
+        target_lines = 1000;
+        mix = G.Shapes.all_safe_kinds;
+        bug_ratio = 1.0;
+        fuse = 1;
+      }
+      ~tasks:3
+  in
+  let p = compile g.G.Generator.source in
+  List.iter
+    (fun jobs ->
+      let s =
+        (Conc.Fixpoint.analyze
+           ~cfg:{ C.Config.default with C.Config.jobs }
+           ~tasks:g.G.Generator.task_fns p)
+          .Conc.Fixpoint.c_result.C.Analysis.r_stats
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "-j %d: cells, statements, octagon packs" jobs)
+        [ 416; 720; 90 ]
+        [
+          s.C.Analysis.s_cells; s.C.Analysis.s_stmts; s.C.Analysis.s_oct_packs;
+        ])
+    [ 1; 2 ]
+
 (* An interrupt during a pooled run (the flag preset: the pool's first
    budget poll sees it, the same path a SIGINT mid-run takes) escapes
    as [Tripped Interrupted] — there is no partial multi-task result —
@@ -350,4 +384,6 @@ let suite =
       test_generator_deterministic;
     Alcotest.test_case "analysis gauges: combined at -j 1 and -j 2" `Quick
       test_gauges_combined;
+    Alcotest.test_case "program measures counted once" `Quick
+      test_program_measures_once;
   ]

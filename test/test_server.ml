@@ -665,10 +665,10 @@ let test_shutdown_drains () =
       Alcotest.(check bool) "socket unlinked after drain" false
         (Sys.file_exists sock))
 
-(* ---- multi-task rejection ---------------------------------------- *)
+(* ---- multi-task requests ----------------------------------------- *)
 
-(* a two-task program: the daemon must refuse it with a clean error
-   reply pointing at the one-shot CLI, not fail worker-side *)
+(* a two-task program: the daemon runs its interference fixpoint in
+   the worker, on one core, and replies with the one-shot report *)
 let prog_multi_task =
   "/* astree-task: t1 t2 */\n\
    int g;\n\
@@ -676,55 +676,125 @@ let prog_multi_task =
    void t2(void) { while (1) { int x = g; __astree_wait_for_clock(); } }\n\
    int main(void) { while (1) { __astree_wait_for_clock(); } }\n"
 
-let test_multi_task_refused () =
-  (* worker-side behavior, without a daemon round-trip *)
+(* what a one-shot [astree --format json] prints for a two-task
+   program, built from the fixpoint directly *)
+let multi_task_report sources : string * int =
+  let cfg = Srv.Service.config_of Srv.Service.default_options ~sources in
+  let p, _ = C.Analysis.compile ~main:"main" sources in
+  let cr = Astree_conc.Fixpoint.analyze ~cfg ~tasks:[ "t1"; "t2" ] p in
+  let r = cr.Astree_conc.Fixpoint.c_result in
+  ( Srv.Report.render
+      ~interference:
+        {
+          Srv.Report.i_tasks = 2;
+          i_rounds = cr.Astree_conc.Fixpoint.c_rounds;
+          i_stabilized = cr.Astree_conc.Fixpoint.c_stabilized;
+          i_shared = List.length cr.Astree_conc.Fixpoint.c_shared;
+        }
+      r,
+    Srv.Report.exit_code r )
+
+let test_multi_task_served () =
+  let marked = [ ("m.c", prog_multi_task) ] in
+  (* the same program without its marker, the tasks named instead *)
+  let unmarked =
+    let marker = String.length "/* astree-task: t1 t2 */" in
+    let n = String.length prog_multi_task in
+    [ ("m.c", String.sub prog_multi_task marker (n - marker)) ]
+  in
+  let named =
+    { Srv.Service.default_options with Srv.Service.o_tasks = [ "t1"; "t2" ] }
+  in
+  let report, code = multi_task_report marked in
+  Alcotest.(check bool) "the one-shot report has an interference block" true
+    (has_sub report "\"interference\": {\"tasks\": 2");
+  Alcotest.(check string) "the unmarked copy's one-shot report"
+    (scrub_time report) (scrub_time (fst (multi_task_report unmarked)));
+  let cases =
+    [
+      ("markers", Srv.Service.default_options, marked);
+      ("tasks", named, unmarked);
+    ]
+  in
+  (* worker-side, without a daemon round-trip *)
+  List.iter
+    (fun (what, options, sources) ->
+      match
+        Srv.Service.serve
+          {
+            Srv.Service.w_sources = sources;
+            w_main = "main";
+            w_options = options;
+            w_preload = [];
+            w_strip_cache = true;
+          }
+      with
+      | Srv.Service.Served sv ->
+          Alcotest.(check string) (what ^ ": the one-shot report")
+            (scrub_time report) (scrub_time sv.Srv.Service.sv_report);
+          Alcotest.(check int) (what ^ ": the one-shot exit code") code
+            sv.Srv.Service.sv_exit
+      | Srv.Service.Refused m -> Alcotest.failf "%s: refused (%s)" what m)
+    cases;
+  (* over the wire, under the daemon's store and with the cache off *)
+  with_daemon (fun sock ->
+      List.iter
+        (fun (what, options, sources) ->
+          List.iter
+            (fun (cache, options) ->
+              let what = what ^ ", " ^ cache in
+              let rep =
+                ok_exn (Srv.Client.request sock (analyze_json ~options sources))
+              in
+              Alcotest.(check string) (what ^ ": ok") "ok"
+                rep.Srv.Client.r_status;
+              Alcotest.(check string) (what ^ ": the one-shot report")
+                (scrub_time report)
+                (scrub_time (Option.get rep.Srv.Client.r_report));
+              Alcotest.(check int) (what ^ ": the one-shot exit code") code
+                rep.Srv.Client.r_exit)
+            [
+              ("daemon store", options);
+              ("cache off", { options with o_cache = `Off });
+            ])
+        cases);
+  Alcotest.(check (list string)) "tasks wire round-trip" [ "t1"; "t2" ]
+    (Srv.Service.options_of_json (Srv.Service.options_to_json named))
+      .Srv.Service.o_tasks
+
+(* An error the analysis raises (a call to a function without a body)
+   is refused with its diagnosis, as a compile error is: the client
+   falls back in-process with that diagnosis in its note. *)
+let test_analysis_error_refused () =
+  let sources =
+    [ ("anal.c", "int g(int a);\nint main(void) { return g(1); }\n") ]
+  in
   (match
      Srv.Service.serve
        {
-         Srv.Service.w_sources = [ ("m.c", prog_multi_task) ];
+         Srv.Service.w_sources = sources;
          w_main = "main";
          w_options = Srv.Service.default_options;
          w_preload = [];
          w_strip_cache = true;
        }
    with
-  | Srv.Service.Refused msg ->
-      Alcotest.(check bool) "refusal names the markers" true
-        (let has sub =
-          let n = String.length sub in
-          let rec go i =
-            i + n <= String.length msg
-            && (String.sub msg i n = sub || go (i + 1))
-          in
-          go 0
-        in
-        has "multi-task" && has "t1 t2" && has "--connect")
-  | Srv.Service.Served _ ->
-      Alcotest.fail "multi-task request must be refused");
-  (* over the wire: a clean error reply, and the daemon stays up *)
+  | Srv.Service.Refused m ->
+      Alcotest.(check string) "the refusal" "call to unknown function g" m
+  | Srv.Service.Served _ -> Alcotest.fail "anal.c served");
   with_daemon (fun sock ->
+      (match
+         Srv.Client.verdict (Srv.Client.request sock (analyze_json sources))
+       with
+      | Srv.Client.Fallback why ->
+          Alcotest.(check string) "the client's note"
+            "daemon: call to unknown function g" why
+      | _ -> Alcotest.fail "an analysis error is not a fallback");
       let rep =
-        ok_exn
-          (Srv.Client.request sock
-             (Srv.Json.parse
-                (Srv.Client.analyze_request
-                   ~sources:[ ("m.c", prog_multi_task) ]
-                   ~main:"main" ~options:Srv.Service.default_options ())
-             |> Result.get_ok))
+        ok_exn (Srv.Client.request sock (analyze_json [ ("t.c", prog_simple) ]))
       in
-      Alcotest.(check string) "multi-task refused" "error"
-        rep.Srv.Client.r_status;
-      (* the daemon still serves sequential requests afterwards *)
-      let rep =
-        ok_exn
-          (Srv.Client.request sock
-             (Srv.Json.parse
-                (Srv.Client.analyze_request
-                   ~sources:[ ("t.c", prog_simple) ]
-                   ~main:"main" ~options:Srv.Service.default_options ())
-             |> Result.get_ok))
-      in
-      Alcotest.(check string) "daemon survives" "ok" rep.Srv.Client.r_status)
+      Alcotest.(check string) "the daemon still serves" "ok"
+        rep.Srv.Client.r_status)
 
 (* ---- client transport failures ---------------------------------- *)
 
@@ -1961,8 +2031,8 @@ let suite =
       test_verdict_statuses;
     Alcotest.test_case "access log records wire requests" `Quick
       test_access_log_wire;
-    Alcotest.test_case "multi-task requests are refused" `Quick
-      test_multi_task_refused;
+    Alcotest.test_case "multi-task requests are served" `Quick
+      test_multi_task_served;
     Alcotest.test_case "removed backend key is ignored" `Quick
       test_backend_key_ignored;
     Alcotest.test_case "foreign-version store reads cold" `Quick
@@ -1997,5 +2067,7 @@ let suite =
       test_serve_one_core;
     Alcotest.test_case "one diagnosis per error class" `Quick
       test_one_diagnosis;
+    Alcotest.test_case "an analysis error is a refusal" `Quick
+      test_analysis_error_refused;
   ]
   @ List.map QCheck_alcotest.to_alcotest json_string_props
