@@ -33,8 +33,10 @@ module R = Astree_robust
 module Metrics = Astree_obs.Metrics
 module Trace = Astree_obs.Trace
 
-let max_rounds = ref 8
-let widen_delay = ref 2
+(* the round budget before the everything-top round, and the rounds of
+   plain join before widening *)
+let max_rounds = 8
+let widen_delay = 2
 let rounds_counter = Metrics.counter "conc.rounds"
 
 type t = {
@@ -201,7 +203,7 @@ let fixpoint (cfg : C.Config.t) ~(tasks : string list)
       (* nothing new: these runs were analyzed under a rely that
          over-approximates every concurrent write — report them *)
       finish results ~rounds:round ~stabilized:true
-    else if round >= !max_rounds then begin
+    else if round >= max_rounds then begin
       (* budget exhausted: one last, everything-top round *)
       let top = top_rely cfg p shared in
       let results =
@@ -211,7 +213,7 @@ let fixpoint (cfg : C.Config.t) ~(tasks : string list)
     end
     else
       let writes'' =
-        if round <= !widen_delay then List.map2 Interference.join writes writes'
+        if round <= widen_delay then List.map2 Interference.join writes writes'
         else List.map2 Interference.widen writes writes'
       in
       iterate ~round:(round + 1) writes''

@@ -6,14 +6,6 @@
 module C = Astree_core
 module F = Astree_frontend
 
-(** Round budget before the everything-top fallback round (default 8,
-    exposed for tests). *)
-val max_rounds : int ref
-
-(** Rounds of plain interference-map join before widening kicks in
-    (default 2, exposed for tests). *)
-val widen_delay : int ref
-
 type t = {
   c_result : C.Analysis.result;
       (** combined: merged alarms, joined final state, combined context
@@ -37,7 +29,7 @@ type t = {
     like a single-task analysis: a timeout or memory trip reruns the
     fixpoint one {!Astree_robust.Degrade} step down and sets
     [stats.s_degraded].
-    @raise Invalid_argument on fewer than two tasks, unknown task
-    names, or tasks taking parameters.
+    @raise Astree_core.Iterator.Analysis_error on fewer than two
+    tasks, unknown or duplicate task names, or tasks taking parameters.
     @raise Astree_robust.Budget.Tripped [Interrupted] on an interrupt. *)
 val analyze : ?cfg:C.Config.t -> tasks:string list -> F.Tast.program -> t

@@ -27,22 +27,21 @@ let is_global_tbl (p : F.Tast.program) : (int, unit) Hashtbl.t =
   tbl
 
 let validate (p : F.Tast.program) (tasks : string list) : unit =
+  let fail fmt =
+    Printf.ksprintf (fun m -> raise (Astree_core.Iterator.Analysis_error m)) fmt
+  in
   (match tasks with
-  | [] | [ _ ] ->
-      invalid_arg "Taskmodel: a multi-task program needs at least two tasks"
+  | [] | [ _ ] -> fail "a multi-task program needs at least two tasks"
   | _ -> ());
   let seen = Hashtbl.create 8 in
   List.iter
     (fun t ->
-      if Hashtbl.mem seen t then
-        invalid_arg (Printf.sprintf "Taskmodel: duplicate task %S" t);
+      if Hashtbl.mem seen t then fail "duplicate task %S" t;
       Hashtbl.replace seen t ();
       match F.Tast.find_fun p t with
-      | None -> invalid_arg (Printf.sprintf "Taskmodel: unknown task %S" t)
+      | None -> fail "unknown task %S" t
       | Some fd ->
-          if fd.F.Tast.fd_params <> [] then
-            invalid_arg
-              (Printf.sprintf "Taskmodel: task %S takes parameters" t))
+          if fd.F.Tast.fd_params <> [] then fail "task %S takes parameters" t)
     tasks
 
 let reachable = F.Footprint.reachable

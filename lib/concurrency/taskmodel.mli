@@ -15,8 +15,9 @@ type t = {
 }
 
 (** Check that every task names a distinct, parameterless function.
-    @raise Invalid_argument otherwise, or when fewer than two tasks are
-    given. *)
+    @raise Astree_core.Iterator.Analysis_error otherwise, or when fewer
+    than two tasks are given ({!Astree_core.Analysis.diagnosis} names
+    it). *)
 val validate : F.Tast.program -> string list -> unit
 
 (** Function names reachable from [entry] through direct calls

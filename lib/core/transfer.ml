@@ -145,10 +145,6 @@ type half = {
   hf_joins : int;
 }
 
-(** The other half of a split loop is gone: its process died, or sent
-    a torn or out-of-step message. *)
-exception Peer_lost of string
-
 (** One half of a split loop reached bottom.  The one-process pass
     would have skipped the calls after the one that reached it, so the
     split ends and the loop runs again alone: an outcome of the
@@ -167,10 +163,11 @@ type peer = {
 (** The split hook that [Astree_parallel] installs.  [sp_run ~helper
     parent] forks one helper process that runs [helper] and ships what
     it returns, runs [parent] here, and reaps the helper on every
-    path.  [None] when no helper could be forked or when one half
-    raised {!Peer_lost} or {!Half_bottom}; then the registry and the
-    trace are as they were before the split, but for the split's own
-    counters.  Any other exception is re-raised. *)
+    path.  [None] when no helper could be forked, when the helper was
+    lost (it died, or sent a torn or out-of-step message) or when one
+    half raised {!Half_bottom}; then the registry and the trace are as
+    they were before the split, but for the split's own counters.  Any
+    other exception is re-raised. *)
 type split = {
   sp_run : 'a. helper:(peer -> half) -> (peer -> 'a) -> 'a option;
 }

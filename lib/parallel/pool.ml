@@ -1,33 +1,24 @@
 (** Fork-based worker pool.
 
-    The pool forks [jobs] worker processes that each inherit the
-    caller's heap (in particular a fully-built analysis context) by
-    copy-on-write, then serve marshalled jobs over a pair of pipes:
+    The pool forks [jobs] workers ({!Child}) that each serve one job at
+    a time over their pipes:
 
-    {v  parent --(Marshal job)--> worker --(Marshal reply)--> parent  v}
+    {v  parent --(job)--> worker --(reply)--> parent  v}
 
-    Jobs and replies must be pure data: marshalling uses the default
-    (closure-free) flags, so an accidentally captured closure fails the
-    job instead of silently shipping stale code: the reply becomes
+    Jobs and replies must be pure data: a reply that captured a closure
+    fails the job instead of silently shipping stale code: it becomes
     [Error "reply does not marshal: ..."] and the worker serves on.
 
-    Robustness: a worker that crashes (EOF on its pipe) or overruns the
+    Robustness: a worker that crashes (a lost child) or overruns the
     per-job timeout is killed and respawned transparently; its job is
     reported as [Error _] and the caller decides whether to retry or to
     recompute in-process.  [map] always returns one result per job, in
     job order, whatever the completion order — the deterministic-merge
     guarantee of the subsystem starts here. *)
 
-type worker = {
-  w_pid : int;
-  w_oc : out_channel;  (** job channel, parent -> worker *)
-  w_ic : in_channel;   (** reply channel, worker -> parent *)
-  w_fd : Unix.file_descr;  (** raw reply fd, for [select] *)
-}
-
 type ('a, 'b) t = {
   p_run : 'a -> 'b;
-  p_workers : worker array;
+  p_workers : Child.t array;
   mutable p_alive : bool;
   p_busy : float option array;
       (** [Some deadline] per slot with a job in flight (infinity = no
@@ -36,109 +27,45 @@ type ('a, 'b) t = {
 
 let size (p : ('a, 'b) t) = Array.length p.p_workers
 
-(* Fault injection (Astree_robust.Faultsim): the crash / hang /
-   truncated-reply recovery paths are exercised by seed-driven injection
-   points here. *)
+(* Fault injection (Astree_robust.Faultsim): a worker draws its crash
+   and hang points per job, before running it; [Child.send] tears the
+   reply. *)
 module Faultsim = Astree_robust.Faultsim
 
-let worker_loop (f : 'a -> 'b) (ic : in_channel) (oc : out_channel) : unit =
+let serve (f : 'a -> 'b) (link : Child.link) : unit =
   let rec loop () =
-    match (try Some (Marshal.from_channel ic : 'a) with End_of_file -> None) with
-    | None -> ()
-    | Some job ->
-        if Faultsim.fires Faultsim.Worker_crash then Unix._exit 3;
+    match (Child.recv link : 'a) with
+    | exception Child.Lost _ -> () (* the pool closed the job pipe *)
+    | job ->
+        Child.crash_point ();
         if Faultsim.fires Faultsim.Worker_hang then
           Unix.sleepf !Faultsim.hang_seconds;
         let reply : ('b, string) result =
           try Ok (f job) with e -> Error (Printexc.to_string e)
         in
-        (* the reply is serialized exactly once, whichever path writes
-           it: the truncation fault takes a string to cut in half, the
-           normal path streams straight to the channel *)
-        if Faultsim.fires Faultsim.Reply_truncate then begin
-          (* half a marshalled reply, then die: the parent must treat the
-             short read as a crash, not deliver garbage *)
-          let s = Marshal.to_string reply [] in
-          output_string oc (String.sub s 0 (max 1 (String.length s / 2)));
-          flush oc;
-          Unix._exit 3
-        end
-        else begin
-          (* Marshal refuses a closure before it writes a byte, so the
-             error reply goes out on a clean channel *)
-          (try Marshal.to_channel oc reply []
-           with Invalid_argument _ as e ->
-             Marshal.to_channel oc
-               (Error ("reply does not marshal: " ^ Printexc.to_string e)
-                 : ('b, string) result)
-               []);
-          flush oc
-        end;
+        (try Child.send link reply
+         with Invalid_argument _ as e ->
+           Child.send link
+             (Error ("reply does not marshal: " ^ Printexc.to_string e)
+               : ('b, string) result));
         loop ()
   in
   loop ()
 
-(* An event-loop caller holds descriptors a worker must not inherit:
-   the daemon's client sockets in particular, where a worker's stale
-   copy keeps the kernel from delivering EOF after the daemon closes a
-   connection, wedging the peer.  The hook runs once in each freshly
-   forked child and is cleared there first, so a worker that builds a
-   nested pool cannot re-close descriptor numbers its own process has
-   since reused. *)
-let at_child_fork : (unit -> unit) option ref = ref None
+let at_child_fork = Child.at_fork
 
-(** Fork one worker.  [foreign] lists parent-side descriptors of the
-    other live workers: the child closes them so that closing a job
-    pipe in the parent always delivers EOF to its worker.  A replacement
-    worker gets its [generation]. *)
-let spawn ?generation (f : 'a -> 'b) (foreign : Unix.file_descr list) :
-    worker =
-  let job_r, job_w = Unix.pipe () in
-  let res_r, res_w = Unix.pipe () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      Unix.close job_w;
-      Unix.close res_r;
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) foreign;
-      Option.iter Faultsim.set_generation generation;
-      (match !at_child_fork with
-      | Some hook ->
-          at_child_fork := None;
-          (try hook () with _ -> ())
-      | None -> ());
-      (* a worker runs one whole sequential analysis per job and never
-         opens a pool of its own *)
-      let ic = Unix.in_channel_of_descr job_r in
-      let oc = Unix.out_channel_of_descr res_w in
-      (try worker_loop f ic oc with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close job_r;
-      Unix.close res_w;
-      {
-        w_pid = pid;
-        w_oc = Unix.out_channel_of_descr job_w;
-        w_ic = Unix.in_channel_of_descr res_r;
-        w_fd = res_r;
-      }
-
-let worker_fds (workers : worker list) : Unix.file_descr list =
-  List.concat_map
-    (fun w -> [ Unix.descr_of_out_channel w.w_oc; w.w_fd ])
-    workers
+(* a worker runs one whole sequential analysis per job and never opens
+   a pool of its own *)
+let spawn ?generation f others = Child.fork ?generation ~others (serve f)
 
 let create ~(jobs : int) (f : 'a -> 'b) : ('a, 'b) t =
   if jobs < 1 then invalid_arg "Pool.create: jobs < 1";
-  (* a worker dying mid-write must surface as EPIPE, not kill us *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* build the worker list first (each child closing the pipes of the
      already-spawned workers), then freeze it into the array: no
      placeholder element exists at any point, so [spawn] raising
      mid-loop leaves a well-typed (if short-lived) list behind *)
   let rec go acc w =
-    if w = jobs then List.rev acc else go (spawn f (worker_fds acc) :: acc) (w + 1)
+    if w = jobs then List.rev acc else go (spawn f acc :: acc) (w + 1)
   in
   {
     p_run = f;
@@ -147,21 +74,13 @@ let create ~(jobs : int) (f : 'a -> 'b) : ('a, 'b) t =
     p_busy = Array.make jobs None;
   }
 
-let dispose_worker (wk : worker) : unit =
-  (try Unix.kill wk.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] wk.w_pid) with Unix.Unix_error _ -> ());
-  (try close_out_noerr wk.w_oc with _ -> ());
-  try close_in_noerr wk.w_ic with _ -> ()
-
 (* replacement workers spawned by this process so far: each one's
    generation (Faultsim.set_generation) *)
 let respawns = ref 0
 
 let respawn (p : ('a, 'b) t) (w : int) : unit =
-  dispose_worker p.p_workers.(w);
-  let others =
-    worker_fds (List.filteri (fun i _ -> i <> w) (Array.to_list p.p_workers))
-  in
+  Child.reap [ p.p_workers.(w) ];
+  let others = List.filteri (fun i _ -> i <> w) (Array.to_list p.p_workers) in
   incr respawns;
   p.p_workers.(w) <- spawn ~generation:!respawns p.p_run others
 
@@ -169,27 +88,7 @@ let shutdown (p : ('a, 'b) t) : unit =
   if p.p_alive then begin
     p.p_alive <- false;
     (* closing the job pipes makes healthy workers exit on EOF *)
-    Array.iter (fun wk -> try close_out wk.w_oc with _ -> ()) p.p_workers;
-    let deadline = Unix.gettimeofday () +. 1.0 in
-    Array.iter
-      (fun wk ->
-        let rec wait () =
-          match Unix.waitpid [ Unix.WNOHANG ] wk.w_pid with
-          | 0, _ ->
-              if Unix.gettimeofday () < deadline then begin
-                ignore (Unix.select [] [] [] 0.01);
-                wait ()
-              end
-              else begin
-                (try Unix.kill wk.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-                try ignore (Unix.waitpid [] wk.w_pid) with Unix.Unix_error _ -> ()
-              end
-          | _ -> ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        wait ();
-        try close_in_noerr wk.w_ic with _ -> ())
-      p.p_workers
+    Child.reap ~until:(Unix.gettimeofday () +. 1.0) (Array.to_list p.p_workers)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -214,7 +113,7 @@ let idle_slots (p : ('a, 'b) t) : int =
   size p - List.length (slots p (fun _ -> true))
 
 let busy_fds (p : ('a, 'b) t) : (Unix.file_descr * int) list =
-  List.map (fun w -> (p.p_workers.(w).w_fd, w)) (slots p (fun _ -> true))
+  List.map (fun w -> (Child.fd p.p_workers.(w), w)) (slots p (fun _ -> true))
 
 let expired_slots (p : ('a, 'b) t) ~(now : float) : int list =
   slots p (fun dl -> now > dl)
@@ -224,15 +123,11 @@ let submit ?(timeout = infinity) (p : ('a, 'b) t) (job : 'a) : int option =
   (* a worker found dead at send time is replaced, and the job goes to
      its replacement, whose pipe is fresh *)
   let rec send ~retry w =
-    let wk = p.p_workers.(w) in
-    match
-      Marshal.to_channel wk.w_oc job [];
-      flush wk.w_oc
-    with
+    match Child.send (Child.link p.p_workers.(w)) job with
     | () ->
         p.p_busy.(w) <- Some (Unix.gettimeofday () +. timeout);
         Some w
-    | exception _ ->
+    | exception Child.Lost _ ->
         respawn p w;
         if retry then send ~retry:false w else None
   in
@@ -243,11 +138,12 @@ let submit ?(timeout = infinity) (p : ('a, 'b) t) (job : 'a) : int option =
 let reap (p : ('a, 'b) t) (w : int) : ('b, string) result =
   if p.p_busy.(w) = None then invalid_arg "Pool.reap: slot is idle";
   p.p_busy.(w) <- None;
-  let wk = p.p_workers.(w) in
-  match (Marshal.from_channel wk.w_ic : ('b, string) result) with
+  (* blocks without polling the budget: an event loop's wait for a
+     signal must not unwind from here *)
+  match (Child.recv (Child.link p.p_workers.(w)) : ('b, string) result) with
   | reply -> reply
-  | exception _ ->
-      (* EOF or truncated reply: the worker died mid-job *)
+  | exception Child.Lost _ ->
+      (* EOF or torn reply: the worker died mid-job *)
       respawn p w;
       Error "worker crashed"
 

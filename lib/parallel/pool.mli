@@ -1,9 +1,10 @@
-(** Fork-based worker pool: workers inherit the caller's heap (the
-    prepared analysis context) by copy-on-write and serve marshalled
-    jobs over pipes.  Jobs and replies must be pure data (closure-free
+(** Fork-based worker pool: each worker is a {!Child} that serves one
+    job at a time.  Jobs and replies must be pure data (closure-free
     marshalling).  Crashed or timed-out workers are killed and
     respawned; their jobs come back as [Error _] and the caller decides
-    whether to retry or recompute in-process.
+    whether to retry or recompute in-process.  A worker draws
+    [Faultsim]'s [Worker_crash] and [Worker_hang] per job, before
+    running it, and its reply may be torn ([Reply_truncate]).
 
     There is one dispatch path, the slot interface: each worker is a
     slot holding at most one job, {!submit} hands a job to the lowest
@@ -16,12 +17,10 @@
 type ('a, 'b) t
 
 val at_child_fork : (unit -> unit) option ref
-(** Hook run once inside every freshly forked worker, cleared there
-    before it runs.  An event-loop caller (the analysis daemon)
+(** {!Child.at_fork}.  An event-loop caller (the analysis daemon)
     registers a closure that closes its listening and client sockets:
     a worker outliving a connection would otherwise hold the write
-    side open and keep the peer from ever seeing EOF.  Exceptions from
-    the hook are swallowed. *)
+    side open and keep the peer from ever seeing EOF. *)
 
 (** Fork [jobs] workers, each serving jobs with [f].
     @raise Invalid_argument if [jobs < 1]. *)
@@ -60,8 +59,9 @@ val submit : ?timeout:float -> ('a, 'b) t -> 'a -> int option
 val busy_fds : ('a, 'b) t -> (Unix.file_descr * int) list
 
 (** Read the reply of slot [w] (call when its fd is readable; blocks
-    until the marshalled reply is complete).  A worker that died
-    mid-job is respawned and its job returns [Error "worker crashed"].
+    until the reply is complete, and never polls the budget).  A worker
+    that died mid-job or tore its reply is respawned and its job
+    returns [Error "worker crashed"].
     @raise Invalid_argument if the slot is idle. *)
 val reap : ('a, 'b) t -> int -> ('b, string) result
 

@@ -33,14 +33,14 @@ module F = Astree_frontend
     have exactly 3 variables and digital filters are the flagship
     precision story (Sect. 6.2.3), so the default keeps them while
     dropping every wider octagon and decision-tree pack. *)
-let shed_threshold = ref 3
+let shed_threshold = 3
 
 (** The configuration at ladder step [level] (1..3); steps are
     cumulative.  Exposed for the soundness property test. *)
 let config_at ~(level : int) (cfg : C.Config.t) : C.Config.t =
   let cfg =
     if level >= 1 then
-      { cfg with C.Config.shed_packs_above = Some !shed_threshold }
+      { cfg with C.Config.shed_packs_above = Some shed_threshold }
     else cfg
   in
   let cfg =

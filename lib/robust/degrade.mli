@@ -3,12 +3,9 @@
     instead of aborting.  Every step only removes refinements, so a
     degraded run's alarms are a superset of the full run's. *)
 
-(** Widest relational pack kept by ladder step 1 (default 3: ellipsoid
-    packs survive, wider octagon/decision-tree packs are shed). *)
-val shed_threshold : int ref
-
 (** The configuration at ladder step [level] (1..3, cumulative):
-    1 = shed packs wider than {!shed_threshold}, 2 = + no trace
+    1 = shed packs wider than 3 variables (ellipsoid packs survive,
+    wider octagon and decision-tree packs are shed), 2 = + no trace
     partitioning, 3 = + immediate threshold-less widening.  Exposed for
     the soundness property test. *)
 val config_at : level:int -> Astree_core.Config.t -> Astree_core.Config.t

@@ -20,9 +20,9 @@
     keep the faults live. *)
 
 type point =
-  | Worker_crash     (** pool worker self-kills before running a job *)
+  | Worker_crash     (** a forked child self-kills (Child.crash_point) *)
   | Worker_hang      (** pool worker sleeps [hang_seconds] before a job *)
-  | Reply_truncate   (** pool worker writes half a marshalled reply, dies *)
+  | Reply_truncate   (** a forked child writes half a message, then dies *)
   | Cache_corrupt    (** summary-store read behaves as a corrupt file *)
   | Cache_write      (** summary-store write fails mid-file (ENOSPC) *)
 
@@ -167,14 +167,8 @@ let point_tag = function
    state at fork time, so each process draws a reproducible stream *)
 let counters = Array.make 6 0
 
-let fired = Array.make 6 0
-(** how often each point actually fired, for test assertions *)
-
-let fire_count (p : point) : int = fired.(point_tag p)
-
 let reset_counters () =
-  Array.fill counters 0 (Array.length counters) 0;
-  Array.fill fired 0 (Array.length fired) 0
+  Array.fill counters 0 (Array.length counters) 0
 
 (* The spawn generation of this process: 0 for the workers a pool starts
    with, [n] for the [n]-th worker a pool spawned to replace a dead one.
@@ -209,9 +203,7 @@ let fires (p : point) : bool =
             let u =
               Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
             in
-            let yes = u < prob in
-            if yes then fired.(tag) <- fired.(tag) + 1;
-            yes)
+            u < prob)
 
 let describe () : string =
   match active () with

@@ -1,20 +1,19 @@
 (** Deterministic, seed-driven fault injection.
 
     A fault specification ([ASTREE_FAULTS=seed:point=prob,...] or a
-    programmatic {!install}) arms named injection points in the worker
-    pool and the summary store.  Firing decisions are drawn from a
-    counter-based stream seeded by (seed, point, call number): the same
-    spec replays the same fault schedule, so every degradation and
-    recovery path is exercisable deterministically in tests and CI. *)
+    programmatic {!install}) arms named injection points in the forked
+    children (pool workers, a split loop's helper) and the summary
+    store.  Firing decisions are drawn from a counter-based stream
+    seeded by (seed, point, call number): the same spec replays the
+    same fault schedule, so every degradation and recovery path is
+    exercisable deterministically in tests and CI. *)
 
 type point =
-  | Worker_crash     (** pool worker self-kills before running a job *)
+  | Worker_crash     (** pool worker before a job, split helper at birth: dies *)
   | Worker_hang      (** pool worker sleeps {!hang_seconds} before a job *)
-  | Reply_truncate   (** pool worker writes half a marshalled reply, dies *)
+  | Reply_truncate   (** a forked child writes half a message, then dies *)
   | Cache_corrupt    (** summary-store read behaves as a corrupt file *)
   | Cache_write      (** summary-store write fails mid-file (ENOSPC) *)
-
-val point_name : point -> string
 
 (** Sleep length of a [Worker_hang] fault (default one hour: the
     coordinator's per-job timeout is what ends a hang, not the sleep). *)
@@ -43,10 +42,7 @@ val clear : unit -> unit
     under a global chaos run. *)
 val with_suppressed : (unit -> 'a) -> 'a
 
-(** How often a point actually fired in this process (test assertions). *)
-val fire_count : point -> int
-
-(** Reset call and fire counters (replay a schedule from the start). *)
+(** Reset the call counters (replay a schedule from the start). *)
 val reset_counters : unit -> unit
 
 (** Human-readable description of the active spec. *)

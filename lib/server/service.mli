@@ -89,9 +89,9 @@ val analyze : options -> main:string -> (string * string) list -> analyzed
     {!Astree_conc.Fixpoint.analyze} for two or more tasks and
     {!Astree_parallel.Scheduler.analyze} with the kept prepared record
     otherwise.  Frontend and analysis errors escape as raised
-    ({!Astree_core.Analysis.diagnosis} names them), and so do an
-    interrupt of a multi-task run ([Budget.Tripped Interrupted]) and
-    bad task names ([Invalid_argument]). *)
+    ({!Astree_core.Analysis.diagnosis} names them, bad task names
+    included), and so does an interrupt of a multi-task run
+    ([Budget.Tripped Interrupted]). *)
 
 (** {1 Worker jobs} *)
 

@@ -64,12 +64,20 @@ let test_taskmodel () =
     "shared = written by one, read by another" [ "g" ]
     (List.map (fun (v : F.Tast.var) -> v.F.Tast.v_name)
        tm.Conc.Taskmodel.tm_shared);
-  Alcotest.check_raises "unknown task rejected"
-    (Invalid_argument "Taskmodel: unknown task \"nope\"") (fun () ->
-      ignore (Conc.Taskmodel.build p [ "t1"; "nope" ]));
-  Alcotest.check_raises "single task rejected"
-    (Invalid_argument "Taskmodel: a multi-task program needs at least two tasks")
-    (fun () -> ignore (Conc.Taskmodel.build p [ "t1" ]))
+  (* a bad task list is an analysis error: the CLI prints its one-line
+     diagnosis and exits 124, the daemon refuses the request with it *)
+  List.iter
+    (fun (what, tasks, msg) ->
+      match Conc.Taskmodel.build p tasks with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception e ->
+          Alcotest.(check (option string)) (what ^ " rejected") (Some msg)
+            (C.Analysis.diagnosis e))
+    [
+      ("unknown task", [ "t1"; "nope" ], "unknown task \"nope\"");
+      ("duplicate task", [ "t1"; "t1" ], "duplicate task \"t1\"");
+      ("single task", [ "t1" ], "a multi-task program needs at least two tasks");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint: precision and soundness on the canonical race            *)

@@ -256,6 +256,14 @@ let test_split_crash () =
         ~tweak:(fun cfg -> { cfg with C.Config.loop_unroll = 0 })
         ~recomputed:1 src)
 
+(* A helper that tears its first message (a vote, half written before it
+   dies): the parent reads a lost helper, never a garbled vote. *)
+let test_split_torn () =
+  let src = genfamily ~bugs:0.05 ~kloc:2. ~seed:3 () in
+  R.Faultsim.install ~seed:0 [ (R.Faultsim.Reply_truncate, 1.0) ];
+  Fun.protect ~finally:R.Faultsim.clear (fun () ->
+      check_fallback "torn helper message" ~recomputed:1 src)
+
 (* The split hook, with a helper that dies before its [n]th vote. *)
 let dying_after n : C.Transfer.split =
   {
@@ -364,6 +372,8 @@ let suite =
     Alcotest.test_case "split main loop: -j 2 = -j 1" `Quick test_split_equal;
     Alcotest.test_case "split main loop: crashed helper" `Quick
       test_split_crash;
+    Alcotest.test_case "split main loop: torn helper message" `Quick
+      test_split_torn;
     Alcotest.test_case "split main loop: helper lost mid-fixpoint" `Quick
       test_split_lost;
     Alcotest.test_case "split main loop: body at bottom" `Quick

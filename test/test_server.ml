@@ -96,7 +96,9 @@ let with_daemon_ex ?(workers = 2) ?(grace = 10.)
   flush stderr;
   match Unix.fork () with
   | 0 ->
-      (* daemon process: never return into the test runner *)
+      (* daemon process: never return into the test runner, nor keep
+         its garbage, so the daemon's heap measures are its own *)
+      Gc.compact ();
       R.Faultsim.hang_seconds := hang;
       if faults <> [] then R.Faultsim.install ~seed faults;
       Option.iter Filename.set_temp_dir_name tmpdir;
@@ -762,26 +764,39 @@ let test_multi_task_served () =
     (Srv.Service.options_of_json (Srv.Service.options_to_json named))
       .Srv.Service.o_tasks
 
-(* An error the analysis raises (a call to a function without a body)
-   is refused with its diagnosis, as a compile error is: the client
-   falls back in-process with that diagnosis in its note. *)
+(* An error the analysis raises (a call to a function without a body,
+   a task list naming no function) is refused with its diagnosis, as a
+   compile error is: the client falls back in-process with that
+   diagnosis in its note. *)
 let test_analysis_error_refused () =
   let sources =
     [ ("anal.c", "int g(int a);\nint main(void) { return g(1); }\n") ]
   in
-  (match
-     Srv.Service.serve
-       {
-         Srv.Service.w_sources = sources;
-         w_main = "main";
-         w_options = Srv.Service.default_options;
-         w_preload = [];
-         w_strip_cache = true;
-       }
-   with
-  | Srv.Service.Refused m ->
-      Alcotest.(check string) "the refusal" "call to unknown function g" m
-  | Srv.Service.Served _ -> Alcotest.fail "anal.c served");
+  List.iter
+    (fun (what, w_options, w_sources, msg) ->
+      match
+        Srv.Service.serve
+          {
+            Srv.Service.w_sources;
+            w_main = "main";
+            w_options;
+            w_preload = [];
+            w_strip_cache = true;
+          }
+      with
+      | Srv.Service.Refused m ->
+          Alcotest.(check string) (what ^ ": the refusal") msg m
+      | Srv.Service.Served _ -> Alcotest.failf "%s served" what)
+    [
+      ( "anal.c",
+        Srv.Service.default_options,
+        sources,
+        "call to unknown function g" );
+      ( "an unknown task",
+        { Srv.Service.default_options with o_tasks = [ "t1"; "bogus" ] },
+        [ ("m.c", prog_multi_task) ],
+        "unknown task \"bogus\"" );
+    ];
   with_daemon (fun sock ->
       (match
          Srv.Client.verdict (Srv.Client.request sock (analyze_json sources))
