@@ -67,15 +67,19 @@ let top_rely (cfg : C.Config.t) (p : F.Tast.program)
     shared
   |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
 
+(* What a per-task run returns: its final state, its stats and the
+   delta of its whole run (alarms, invariants, useful packs and its
+   guarantee); pure data, marshals back from pool workers. *)
+type run = C.Astate.t * C.Analysis.stats * C.Transfer.delta
+
 (* Run one task under its rely: a sequential analysis of [p] re-rooted
    at the task, whose session carries the interference context.  The
    config digests the rely, so summary-cache keys self-identify the
    interference environment; cell ids depend only on the program, so
    states and invariants align across tasks and with the combined
-   context, to which [finish] attaches the task's reply. *)
+   context, which [finish] absorbs the task's delta into. *)
 let run_job ~(cfg : C.Config.t) (p : F.Tast.program)
-    (shared : F.Tast.var list) (j : job) :
-    C.Analysis.Reply.t * Interference.map =
+    (shared : F.Tast.var list) (j : job) : run =
   let cfg =
     { cfg with C.Config.conc_rely_digest = Interference.digest j.j_rely }
   in
@@ -86,13 +90,17 @@ let run_job ~(cfg : C.Config.t) (p : F.Tast.program)
         Hashtbl.of_seq
           (List.to_seq
              (List.map (fun (v : F.Tast.var) -> (v.F.Tast.v_id, ())) shared));
-      itf_writes = Hashtbl.create 32;
     }
   in
   let r =
     P.Scheduler.analyze ~itf:it ~cfg { p with F.Tast.p_main = j.j_task }
   in
-  (C.Analysis.Reply.detach r, Interference.of_table it.C.Transfer.itf_writes)
+  (r.C.Analysis.r_final, r.r_stats, C.Transfer.run_delta r.r_actx)
+
+(* A run's guarantee as an interference map: its bottom writes
+   dropped. *)
+let guarantee ((_, _, d) : run) : Interference.map =
+  List.filter (fun (_, v) -> not (D.Itv.is_bot v)) d.C.Transfer.d_guarantee
 
 let fixpoint (cfg : C.Config.t) ~(tasks : string list)
     (p : F.Tast.program) : t =
@@ -110,8 +118,7 @@ let fixpoint (cfg : C.Config.t) ~(tasks : string list)
       ~jobs:(min cfg.C.Config.jobs (List.length tasks))
       (run_job ~cfg p shared)
   in
-  let round_of ~round (writes : Interference.map list) :
-      (C.Analysis.Reply.t * Interference.map) list =
+  let round_of ~round (writes : Interference.map list) : run list =
     Metrics.incr rounds_counter;
     if !Trace.enabled then
       Trace.span_begin "conc.round" ~args:[ ("round", Trace.I round) ];
@@ -134,29 +141,20 @@ let fixpoint (cfg : C.Config.t) ~(tasks : string list)
             ( "interference_cells",
               Trace.I
                 (List.fold_left
-                   (fun n (_, w) -> n + Interference.cardinal w)
+                   (fun n r -> n + Interference.cardinal (guarantee r))
                    0 rs) );
           ];
     rs
   in
-  let finish (results : (C.Analysis.Reply.t * Interference.map) list)
-      ~(rounds : int) ~(stabilized : bool) : t =
-    let per_task = List.map fst results in
-    let alarms =
-      P.Merge.alarms
-        (List.map (fun rp -> rp.C.Analysis.Reply.rp_alarms) per_task)
-    in
-    let final =
-      P.Merge.join_states
-        (List.map (fun rp -> rp.C.Analysis.Reply.rp_final) per_task)
-    in
-    (* combined context: same cell numbering as every per-task run,
-       with every task's reply attached *)
+  let finish (runs : run list) ~(rounds : int) ~(stabilized : bool) : t =
+    let final = P.Merge.join_states (List.map (fun (st, _, _) -> st) runs) in
+    (* combined context: same cell numbering as every per-task run, with
+       every run's delta absorbed in job order, invariants joined; its
+       collector keeps the first alarm per kind and location *)
     let actx = C.Transfer.make_actx cfg p in
-    List.iter (C.Analysis.Reply.attach actx) per_task;
+    List.iter (fun (_, _, d) -> C.Transfer.absorb ~join:true actx d) runs;
     (* the program's measures, once: every run numbers the same cells;
        only the cache counters and the degradation record combine *)
-    let runs = List.map (fun rp -> rp.C.Analysis.Reply.rp_stats) per_task in
     let stats =
       {
         (C.Analysis.context_stats actx p) with
@@ -177,13 +175,19 @@ let fixpoint (cfg : C.Config.t) ~(tasks : string list)
                       c_load_time = x.c_load_time +. y.c_load_time;
                       c_save_time = x.c_save_time +. y.c_save_time;
                     })
-            None runs;
-        s_degraded = List.find_map (fun s -> s.C.Analysis.s_degraded) runs;
+            None
+            (List.map (fun (_, s, _) -> s) runs);
+        s_degraded =
+          List.find_map (fun (_, s, _) -> s.C.Analysis.s_degraded) runs;
       }
     in
     let c_result =
-      { C.Analysis.r_alarms = alarms; r_final = final; r_actx = actx;
-        r_stats = stats }
+      {
+        C.Analysis.r_alarms = C.Alarm.to_list actx.C.Transfer.alarms;
+        r_final = final;
+        r_actx = actx;
+        r_stats = stats;
+      }
     in
     (* at any -j: pooled runs set gauges in workers, whose deltas drop them *)
     C.Analysis.set_gauges c_result;
@@ -198,7 +202,7 @@ let fixpoint (cfg : C.Config.t) ~(tasks : string list)
   (* round 1 under the empty rely, then iterate *)
   let rec iterate ~round (writes : Interference.map list) : t =
     let results = round_of ~round writes in
-    let writes' = List.map snd results in
+    let writes' = List.map guarantee results in
     if List.for_all2 Interference.subset writes' writes then
       (* nothing new: these runs were analyzed under a rely that
          over-approximates every concurrent write — report them *)

@@ -8,9 +8,12 @@ module F = Astree_frontend
 
 type t = {
   c_result : C.Analysis.result;
-      (** combined: merged alarms, joined final state, combined context
-          with merged invariants; statistics with the program's measures
-          (counted once) and the runs' summed cache counters *)
+      (** combined: the joined final state, and a context into which
+          every per-task run's bookkeeping delta is absorbed in job
+          order ({!Astree_core.Transfer.absorb} [~join:true]), whose
+          collector gives the alarms; statistics with the program's
+          measures (counted once) and the runs' summed cache
+          counters *)
   c_tasks : string list;
   c_shared : string list;  (** shared-variable names, sorted *)
   c_rounds : int;          (** analysis rounds run (each = all tasks) *)

@@ -17,11 +17,6 @@ type map = (key * D.Itv.t) list
 
 let empty : map = []
 
-let of_table (tbl : (key, D.Itv.t) Hashtbl.t) : map =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.filter (fun (_, v) -> not (D.Itv.is_bot v))
-  |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
-
 let to_table (m : map) : (key, D.Itv.t) Hashtbl.t =
   let tbl = Hashtbl.create (List.length m + 1) in
   List.iter (fun (k, v) -> Hashtbl.replace tbl k v) m;

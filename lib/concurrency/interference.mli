@@ -12,9 +12,6 @@ type map = (key * D.Itv.t) list
 
 val empty : map
 
-(** Canonicalize a guarantee collector into a map. *)
-val of_table : (key, D.Itv.t) Hashtbl.t -> map
-
 (** Rely map as the hash table the transfer functions read. *)
 val to_table : map -> (key, D.Itv.t) Hashtbl.t
 

@@ -134,8 +134,10 @@ let absorb (c : collector) (delta : t list) : unit =
       if not (mem c key) then Hashtbl.replace (table c) key a)
     delta
 
-(** Capture sections, used by the summary cache to isolate the alarms of
-    one function call.  [capture] swaps in a fresh table (keeping the
+(** Capture sections, used by [Transfer]'s bookkeeping sections to
+    isolate the alarms of one stretch of the analysis (a call, a half
+    of a split loop) and by the iterator to set a narrowing pass's
+    alarms aside.  [capture] swaps in a fresh table (keeping the
     mode flag), allocated on its first alarm; [release] puts the saved
     table back, absorbs the alarms recorded meanwhile (first-in wins,
     exactly the sequential policy) and returns them.  Captures nest like

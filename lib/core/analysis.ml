@@ -129,39 +129,6 @@ let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
   set_gauges r;
   r
 
-module Reply = struct
-  type t = {
-    rp_alarms : Alarm.t list;
-    rp_final : Astate.t;
-    rp_stats : stats;
-    rp_invariants : Astate.t Ptmap.t;
-    rp_oct_useful : unit Ptmap.t;
-    rp_joins : int;
-  }
-
-  let detach (r : result) : t =
-    let a = r.r_actx in
-    {
-      rp_alarms = r.r_alarms;
-      rp_final = r.r_final;
-      rp_stats = r.r_stats;
-      rp_invariants = a.Transfer.invariants;
-      rp_oct_useful = a.Transfer.oct_useful;
-      rp_joins = a.Transfer.join_count;
-    }
-
-  let attach (a : Transfer.actx) (rp : t) : unit =
-    if Cell.count a.Transfer.intern <> rp.rp_stats.s_cells then
-      invalid_arg "Analysis.Reply.attach: cell numberings differ";
-    a.Transfer.invariants <-
-      Ptmap.union_idem
-        (fun _ st0 st -> Astate.join st0 st)
-        a.Transfer.invariants rp.rp_invariants;
-    a.Transfer.oct_useful <-
-      Ptmap.union_idem (fun _ () () -> ()) a.Transfer.oct_useful rp.rp_oct_useful;
-    a.Transfer.join_count <- a.Transfer.join_count + rp.rp_joins
-end
-
 (** Analyze a typed program under the hooks of [?session] (a fresh
     session has none), wrapping the run in the summary-cache driver
     when caching is enabled.  [?prepared] is used when it was prepared

@@ -41,7 +41,9 @@ type stats = {
 type result = {
   r_alarms : Alarm.t list;   (** deduplicated, sorted by location *)
   r_final : Astate.t;        (** abstract state at program exit *)
-  r_actx : Transfer.actx;    (** analysis context: invariants, packs, ... *)
+  r_actx : Transfer.actx;
+      (** analysis context: invariants, packs, ...; a pool worker ships
+          its bookkeeping as one delta ({!Transfer.run_delta}) *)
   r_stats : stats;
 }
 
@@ -72,31 +74,6 @@ val analyze :
   ?cfg:Config.t ->
   Astree_frontend.Tast.program ->
   result
-
-(** The plain-data part of a result: what a pool worker ships instead
-    of the result, whose context holds lazies, first-class modules and
-    session hooks. *)
-module Reply : sig
-  type t = {
-    rp_alarms : Alarm.t list;
-    rp_final : Astate.t;
-    rp_stats : stats;
-    rp_invariants : Astate.t Ptmap.t;  (** loop id -> invariant *)
-    rp_oct_useful : unit Ptmap.t;
-    rp_joins : int;
-  }
-
-  val detach : result -> t
-
-  (** Absorb a reply into a context the receiver built with
-      {!Transfer.make_actx}: invariants join point-wise and useful packs
-      union, each map by {!Ptmap.union_idem}; join counts add.  Cell ids
-      depend only on the program and the configuration
-      ({!Transfer.prepared}), so the sender's states mean the same
-      here.
-      @raise Invalid_argument if the sender numbered other cells. *)
-  val attach : Transfer.actx -> t -> unit
-end
 
 (** Set the [analysis.*] gauges from a result: every analysis does, and
     the multi-task fixpoint does from its combined result. *)

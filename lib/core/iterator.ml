@@ -369,7 +369,6 @@ let rec exec_stmt (a : Transfer.actx) ~(part : bool) ~(stack : string list)
           let outs =
             List.map
               (fun (ot, of_) ->
-                a.Transfer.join_count <- a.Transfer.join_count + 1;
                 {
                   o_norm =
                     (if part then cap_partitions a (ot.o_norm @ of_.o_norm)
@@ -430,21 +429,19 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
   | None -> loop_fixpoint a ~stack binds entry (li, c, body)
   | Some split -> exec_split a ~stack binds entry (li, c, body) split
 
-(* The loop as two halves in lock-step (DESIGN.md §7): the helper runs
-   the second half from its part of [entry] and ships what its calls
-   changed; the parent runs the first half from the rest, unites both
-   halves of the invariant and absorbs the rest.  When the helper is
-   lost or a half reaches bottom, the loop runs again alone, from the
-   bookkeeping and the alarm mode it started with. *)
+(* The loop as two halves in lock-step (DESIGN.md §7), in one section
+   on each side: the helper runs the second half from its part of
+   [entry] and ships its half of the invariant and its section's delta;
+   the parent runs the first half from the rest, unites both halves of
+   the invariant and absorbs the delta.  When the helper is lost or a
+   half reaches bottom, the parent's section is rolled back and the
+   loop runs again alone. *)
 and exec_split (a : Transfer.actx) ~(stack : string list)
     (binds : Transfer.binds) (entry : Astate.t)
     ((li, c, body) : loop_info * expr * block)
     ((sp, first, second, frames) : Transfer.split * block * block * Frame.t list)
     : outcome =
-  let invariants = a.Transfer.invariants and oct_useful = a.Transfer.oct_useful
-  and joins = a.Transfer.join_count
-  and checking = a.Transfer.alarms.Alarm.enabled in
-  let alarms = Alarm.capture a.Transfer.alarms in
+  let section = Transfer.open_section a in
   let run peer ~helper body =
     let ls =
       {
@@ -466,13 +463,7 @@ and exec_split (a : Transfer.actx) ~(stack : string list)
   in
   let helper peer =
     let _, inv = run peer ~helper:true second in
-    {
-      Transfer.hf_inv = inv;
-      hf_alarms = Alarm.drop a.Transfer.alarms alarms;
-      hf_oct_useful =
-        List.map fst (Ptmap.diff ~base:oct_useful a.Transfer.oct_useful);
-      hf_joins = a.Transfer.join_count - joins;
-    }
+    (inv, Transfer.close a section)
   in
   match
     sp.Transfer.sp_run ~helper (fun peer ->
@@ -480,23 +471,16 @@ and exec_split (a : Transfer.actx) ~(stack : string list)
         (o, peer.Transfer.pe_finish ()))
   with
   | exception e ->
-      ignore (Alarm.release a.Transfer.alarms alarms);
+      ignore (Transfer.close a section);
       raise e
-  | Some ((o, inv), h) ->
-      ignore (Alarm.release a.Transfer.alarms alarms);
-      Alarm.absorb a.Transfer.alarms h.Transfer.hf_alarms;
-      Transfer.set_invariant a li.loop_id (Astate.union inv h.Transfer.hf_inv);
-      List.iter (Transfer.mark_useful a) h.Transfer.hf_oct_useful;
-      a.Transfer.join_count <- a.Transfer.join_count + h.Transfer.hf_joins;
+  | Some ((o, inv), (h_inv, h)) ->
+      ignore (Transfer.close a section);
+      Transfer.absorb a h;
+      Transfer.set_invariant a li.loop_id (Astate.union inv h_inv);
       (* the helper's half of the outcome is bottom, as is the parent's *)
       o
   | None ->
-      ignore (Alarm.drop a.Transfer.alarms alarms);
-      (* the half may have stopped in iteration mode *)
-      a.Transfer.alarms.Alarm.enabled <- checking;
-      a.Transfer.invariants <- invariants;
-      a.Transfer.oct_useful <- oct_useful;
-      a.Transfer.join_count <- joins;
+      Transfer.rollback a section;
       loop_fixpoint a ~stack binds entry (li, c, body)
 
 (* The loop's fixpoint, alone or as one half of a split loop [ls]: the
@@ -843,7 +827,7 @@ and exec_call_one (a : Transfer.actx) ~(stack : string list)
     in the caller's scope, outside).  On a replay by the call memo
     ({!Memo.call}) the frame part of the recorded exit state is
     laid over the entry state and the recorded side effects — alarms,
-    loop invariants, useful octagon packs, join count — are replayed,
+    loop invariants, useful octagon packs, shared-cell writes — are replayed,
     so a replay is observationally identical to re-analysis. *)
 and exec_call_body (a : Transfer.actx) ~(stack : string list)
     ~(sites : Memo.sites) ~(site : stmt) ~(partitioned : bool)

@@ -14,10 +14,11 @@
       (§8).
 
     A call is replayed from a slot, else from the keyed tier, else
-    computed in one section and recorded once; its summary then goes to
-    the slot and to the keyed tier.  There is no entailment shortcut
-    anywhere, so a replay is equivalent to re-analysis by
-    construction. *)
+    computed in one bookkeeping section ([Transfer.open_section]) and
+    recorded once; its summary, the section's delta in the coordinates
+    of the call's frame, then goes to the slot and to the keyed tier.
+    There is no entailment shortcut anywhere, so a replay is equivalent
+    to re-analysis by construction. *)
 
 module F = Astree_frontend
 module D = Astree_domains
@@ -104,51 +105,18 @@ let holds (cs : call_site) (st : Astate.t) ~(checking : bool) : bool =
 (* Sections: record and replay                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Put the guarantee collector [saved] at entry back and join the
-   call's writes into it: the guarantee is a union, so the collector
-   ends as if the writes had gone to it directly.  Returns the call's
-   writes, sorted by key. *)
-let itf_release (a : actx) (saved : (itf_key, D.Itv.t) Hashtbl.t option) :
-    (itf_key * D.Itv.t) list =
-  match (a.session.ses_itf, saved) with
-  | Some it, Some saved ->
-      let own = it.itf_writes in
-      it.itf_writes <- saved;
-      Hashtbl.fold (fun key v acc -> (key, v) :: acc) own []
-      |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
-      |> List.map (fun (key, v) ->
-             itf_record it key v;
-             (key, v))
-  | _ -> []
-
-(* The bindings of [m] that are not physically [base]'s, sorted by
-   id. *)
-let changed ~(base : 'a Ptmap.t) (m : 'a Ptmap.t) : (int * 'a) list =
-  List.sort (fun (x, _) (y, _) -> Int.compare x y) (Ptmap.diff ~base m)
-
+(* A section ([Transfer.open_section]) around [compute], its delta
+   translated into the coordinates of the frame. *)
 let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
     (compute : 'a -> Astate.t * D.Itv.t) (x : 'a) :
     (Astate.t * D.Itv.t) * summary option =
-  let invariants = a.invariants and oct_useful = a.oct_useful
-  and joins = a.join_count in
-  let alarms = Alarm.capture a.alarms in
-  let itf =
-    match a.session.ses_itf with
-    | None -> None
-    | Some it ->
-        let saved = it.itf_writes in
-        it.itf_writes <- Hashtbl.create 16;
-        Some saved
-  in
+  let s = open_section a in
   match compute x with
   | exception e ->
-      ignore (Alarm.release a.alarms alarms);
-      ignore (itf_release a itf);
+      ignore (close a s);
       raise e
   | (exit_, retv) as r ->
-      let alarms = Alarm.release a.alarms alarms in
-      let joins = a.join_count - joins in
-      let writes = itf_release a itf in
+      let d = close a s in
       let get = function Some i -> i | None -> raise Exit in
       ( r,
         try
@@ -156,18 +124,15 @@ let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
             {
               sm_exit = get (Frame.restrict fr ~entry exit_);
               sm_retv = retv;
-              sm_alarms = List.map (fun al -> ("", al)) alarms;
+              sm_alarms = List.map (fun al -> ("", al)) d.d_alarms;
               sm_invariants =
                 List.map
                   (fun (id, inv) ->
                     ( get (Frame.loop_pos fr id),
                       get (Frame.restrict fr ~entry inv) ))
-                  (changed ~base:invariants a.invariants);
+                  d.d_invariants;
               sm_oct_useful =
-                List.map
-                  (fun (id, ()) -> get (Frame.oct_pos fr id))
-                  (changed ~base:oct_useful a.oct_useful);
-              sm_joins = joins;
+                List.map (fun id -> get (Frame.oct_pos fr id)) d.d_oct_useful;
               sm_itf_writes =
                 List.map
                   (fun ((root, path), v) ->
@@ -175,27 +140,29 @@ let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
                         (Option.bind (Cell.find a.intern root path)
                            (Frame.cell_pos fr)),
                       v ))
-                  writes;
+                  d.d_guarantee;
             }
         with Exit -> None )
 
+(* The summary's delta in the context's coordinates, absorbed: a loop's
+   invariant is replaced, as recomputing the call would. *)
 let replay (a : actx) (fr : Frame.t) ~(entry : Astate.t) (s : summary) :
     Astate.t * D.Itv.t =
-  Alarm.absorb a.alarms (List.map snd s.sm_alarms);
-  List.iter
-    (fun (i, inv) ->
-      set_invariant a (Frame.loop_at fr i) (Frame.overlay fr inv entry))
-    s.sm_invariants;
-  List.iter (fun i -> mark_useful a (Frame.oct_at fr i)) s.sm_oct_useful;
-  a.join_count <- a.join_count + s.sm_joins;
-  (match a.session.ses_itf with
-  | None -> ()
-  | Some it ->
-      List.iter
-        (fun (i, v) ->
-          let c = Cell.of_id a.intern (Frame.cell_at fr i) in
-          itf_record it (c.Cell.root.v_id, c.Cell.path) v)
-        s.sm_itf_writes);
+  absorb a
+    {
+      d_alarms = List.map snd s.sm_alarms;
+      d_invariants =
+        List.map
+          (fun (i, inv) -> (Frame.loop_at fr i, Frame.overlay fr inv entry))
+          s.sm_invariants;
+      d_oct_useful = List.map (Frame.oct_at fr) s.sm_oct_useful;
+      d_guarantee =
+        List.map
+          (fun (i, v) ->
+            let c = Cell.of_id a.intern (Frame.cell_at fr i) in
+            ((c.Cell.root.v_id, c.Cell.path), v))
+          s.sm_itf_writes;
+    };
   (Frame.overlay fr s.sm_exit entry, s.sm_retv)
 
 (* ------------------------------------------------------------------ *)

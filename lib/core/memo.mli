@@ -42,13 +42,12 @@ val call :
 
 (** {1 Sections}
 
-    A section isolates the exact side effects of one call on the
-    context's bookkeeping — alarms, loop invariants, useful octagon
-    packs, join count, shared-cell writes — so that the call's summary
-    holds them and replay applies them verbatim.  Opening one is O(1):
-    it takes the context's invariant and useful-pack maps, which are
-    functional, and closing it compares them with the maps at exit
-    ({!Ptmap.diff}).  Sections nest. *)
+    A computed call runs in one bookkeeping section
+    ({!Transfer.open_section}), which isolates its exact effects on the
+    context — alarms, loop invariants, useful octagon packs, shared-cell
+    writes — so that the call's summary holds them and replay absorbs
+    them verbatim ({!Transfer.absorb}).  The memo only translates the
+    section's delta to and from the coordinates of the call's frame. *)
 
 (** [record a fr ~entry compute x]: [compute x] in a section, and the
     call's summary in the coordinates of its frame [fr], alarms at their
@@ -58,8 +57,8 @@ val call :
     the frame: a loop, a pack, a shared-cell write, or a cell or pack
     of the exit state or of an invariant that differs from [entry]
     outside the frame ({!Frame.restrict}).  When [compute] raises, the
-    section is closed, its alarms, bookkeeping and shared-cell writes
-    are kept in the context, and the exception is re-raised. *)
+    section is closed, its effects kept in the context, and the
+    exception is re-raised. *)
 val record :
   Transfer.actx ->
   Frame.t ->
@@ -69,8 +68,9 @@ val record :
   (Astate.t * Astree_domains.Itv.t) * Transfer.summary option
 
 (** Replay a summary from the bound entry state [entry]: the exit state
-    and return value, with every recorded side effect applied to the
-    context. *)
+    and return value, with every recorded side effect absorbed into the
+    context; an inner loop's invariant is replaced, as recomputing the
+    call would. *)
 val replay :
   Transfer.actx ->
   Frame.t ->

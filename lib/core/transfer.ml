@@ -38,7 +38,9 @@ type itf_key = int * Cell.step list
     rely/guarantee iteration around this analyzer's design).  Installed
     by the outer fixpoint driver ([Astree_conc]) through the session;
     [None] — the default — leaves every transfer function byte-for-byte
-    on its single-task path.
+    on its single-task path.  Neither table is written during the run:
+    the task's own writes go to its context's guarantee collector
+    ([actx.guarantee]).
 
     - [itf_rely]: the rely map, joined into every read of a shared cell
       ([cell_itv]): between any two statements another task may have
@@ -46,16 +48,26 @@ type itf_key = int * Cell.step list
     - [itf_shared]: root variable ids of the shared variables; gates
       both the read join and the value-copy fast paths of [assign]
       (copying a shared source's own-flow value would silently drop the
-      rely).
-    - [itf_writes]: the guarantee collector — every abstract write to a
-      shared cell joins its value here, keyed position-independently.
-      A memo section ([Memo.record]) swaps in a fresh table, so a
-      call's own writes are recorded apart and joined back when it
-      ends. *)
+      rely), and the guarantee's writes. *)
 type itf = {
   itf_rely : (itf_key, D.Itv.t) Hashtbl.t;
   itf_shared : (int, unit) Hashtbl.t;
-  mutable itf_writes : (itf_key, D.Itv.t) Hashtbl.t;
+}
+
+module Itf_map = Map.Make (struct
+  type t = itf_key
+
+  let compare = compare
+end)
+
+(** The effects of a run, or of a section of one, on a context's
+    bookkeeping (DESIGN.md §8): what a summary replays, what the helper
+    of a split loop and a per-task run ship.  Plain data. *)
+type delta = {
+  d_alarms : Alarm.t list;  (** sorted by location *)
+  d_invariants : (int * Astate.t) list;  (** by loop id *)
+  d_oct_useful : int list;  (** useful octagon packs, by id *)
+  d_guarantee : (itf_key * D.Itv.t) list;  (** joined writes, by key *)
 }
 
 (** A call's summary, stored in the coordinates of the call's frame
@@ -77,7 +89,6 @@ type summary = {
   sm_invariants : (int * Astate.t) list;
       (** frame loop position, frame part of the loop's invariant *)
   sm_oct_useful : int list;  (** frame octagon-pack positions *)
-  sm_joins : int;
   sm_itf_writes : (int * D.Itv.t) list;
       (** shared-cell writes of the call, by frame cell position *)
 }
@@ -132,19 +143,6 @@ type vote = {
   vt_thr_hits : int;  (** widening threshold hits since the split *)
 }
 
-(** What the helper of a split loop ships when the loop ends: its half
-    of the loop invariant and the bookkeeping its calls changed.  The
-    parent's keys and the helper's are disjoint.  Its half of the
-    loop's outcome is not shipped: a split loop has no exit, no
-    [break] and no [return], so both halves leave it at bottom.  Plain
-    data. *)
-type half = {
-  hf_inv : Astate.t;
-  hf_alarms : Alarm.t list;
-  hf_oct_useful : int list;
-  hf_joins : int;
-}
-
 (** One half of a split loop reached bottom.  The one-process pass
     would have skipped the calls after the one that reached it, so the
     split ends and the loop runs again alone: an outcome of the
@@ -155,9 +153,10 @@ exception Half_bottom
 type peer = {
   pe_exchange : vote -> vote;
       (** send this half's vote, return the other half's *)
-  pe_finish : unit -> half;
-      (** the parent's side, once its loop has ended: the helper's
-          half, with its registry delta and trace events absorbed *)
+  pe_finish : unit -> Astate.t * delta;
+      (** the parent's side, once its loop has ended: the helper's half
+          of the loop invariant and the delta of its calls, with its
+          registry delta and trace events absorbed *)
 }
 
 (** The split hook that [Astree_parallel] installs.  [sp_run ~helper
@@ -169,7 +168,7 @@ type peer = {
     they were before the split, but for the split's own counters.  Any
     other exception is re-raised. *)
 type split = {
-  sp_run : 'a. helper:(peer -> half) -> (peer -> 'a) -> 'a option;
+  sp_run : 'a. helper:(peer -> Astate.t * delta) -> (peer -> 'a) -> 'a option;
 }
 
 (** The keyed tier of the call memo as [Memo.call] sees it (DESIGN.md
@@ -220,8 +219,10 @@ and actx = {
   mutable oct_useful : unit Ptmap.t;
       (** octagon packs that improved precision (Sect. 7.2.2) *)
   mutable invariants : Astate.t Ptmap.t;  (** loop id -> head invariant *)
+  mutable guarantee : D.Itv.t Itf_map.t;
+      (** the task's joined writes to shared cells, under an
+          interference context *)
   input_specs : (int, float * float) Hashtbl.t;  (** volatile input ranges *)
-  mutable join_count : int;  (** statistics *)
   frames : Frame.ctx;  (** the call frames of this context *)
   inlined : (string, int) Hashtbl.t Lazy.t;
       (** transitive inlined size of each function ([inlined_sizes]) *)
@@ -335,8 +336,8 @@ let make_actx ?session ?prepared (cfg : Config.t) (p : program) : actx =
     alarms = Alarm.make_collector ();
     oct_useful = Ptmap.empty;
     invariants = Ptmap.empty;
+    guarantee = Itf_map.empty;
     input_specs = pr.pr_input_specs;
-    join_count = 0;
     frames = Frame.ctx ?names pr.pr_frames;
     inlined = pr.pr_inlined;
   }
@@ -374,17 +375,6 @@ let itf_tracked_var (a : actx) (v : var) : bool =
   | None -> false
   | Some it -> Hashtbl.mem it.itf_shared v.v_id
 
-(** Record an abstract write of [value] to the shared cell keyed [key]
-    into the guarantee collector (join-on-add: the collector
-    over-approximates the union of every value this task may store). *)
-let itf_record (it : itf) (key : itf_key) (value : D.Itv.t) : unit =
-  let joined =
-    match Hashtbl.find_opt it.itf_writes key with
-    | Some old -> D.Itv.join old value
-    | None -> value
-  in
-  Hashtbl.replace it.itf_writes key joined
-
 (** Read a cell's interval from the state (clock-reduced).  Under an
     interference context, reads of shared cells return the join of the
     own-flow value with the rely set: between any two statements another
@@ -415,7 +405,7 @@ let var_itv (a : actx) (st : Astate.t) (v : var) : D.Itv.t =
   cell_itv a st (var_cell a v)
 
 (* ------------------------------------------------------------------ *)
-(* Bookkeeping tables                                                   *)
+(* Bookkeeping                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (** Record a loop's head invariant. *)
@@ -425,6 +415,81 @@ let set_invariant (a : actx) (loop_id : int) (inv : Astate.t) : unit =
 (** Record that an octagon pack improved precision (Sect. 7.2.2). *)
 let mark_useful (a : actx) (pid : int) : unit =
   a.oct_useful <- Ptmap.add pid () a.oct_useful
+
+(** Join a write of [value] to the shared cell keyed [key] into the
+    guarantee collector: it over-approximates the union of every value
+    this task may store. *)
+let itf_record (a : actx) (key : itf_key) (value : D.Itv.t) : unit =
+  a.guarantee <-
+    Itf_map.update key
+      (function Some old -> Some (D.Itv.join old value) | None -> Some value)
+      a.guarantee
+
+(* A section keeps the bookkeeping it opened on: the alarm table and
+   the guarantee, which it swaps for fresh ones, and the two maps,
+   which are functional and stay in place. *)
+type section = {
+  se_alarms : Alarm.capture;
+  se_checking : bool;
+  se_invariants : Astate.t Ptmap.t;
+  se_oct_useful : unit Ptmap.t;
+  se_guarantee : D.Itv.t Itf_map.t;
+}
+
+let open_section (a : actx) : section =
+  let se_guarantee = a.guarantee in
+  a.guarantee <- Itf_map.empty;
+  {
+    se_alarms = Alarm.capture a.alarms;
+    se_checking = a.alarms.Alarm.enabled;
+    se_invariants = a.invariants;
+    se_oct_useful = a.oct_useful;
+    se_guarantee;
+  }
+
+(* The bindings of [m] that are not physically [base]'s, sorted by
+   id. *)
+let changed ~(base : 'a Ptmap.t) (m : 'a Ptmap.t) : (int * 'a) list =
+  List.sort (fun (x, _) (y, _) -> Int.compare x y) (Ptmap.diff ~base m)
+
+let close (a : actx) (s : section) : delta =
+  let own = a.guarantee in
+  a.guarantee <-
+    Itf_map.union (fun _ old v -> Some (D.Itv.join old v)) s.se_guarantee own;
+  {
+    d_alarms = Alarm.release a.alarms s.se_alarms;
+    d_invariants = changed ~base:s.se_invariants a.invariants;
+    d_oct_useful =
+      List.map fst (changed ~base:s.se_oct_useful a.oct_useful);
+    d_guarantee = Itf_map.bindings own;
+  }
+
+let rollback (a : actx) (s : section) : unit =
+  ignore (Alarm.drop a.alarms s.se_alarms);
+  a.alarms.Alarm.enabled <- s.se_checking;
+  a.invariants <- s.se_invariants;
+  a.oct_useful <- s.se_oct_useful;
+  a.guarantee <- s.se_guarantee
+
+let absorb ?(join = false) (a : actx) (d : delta) : unit =
+  Alarm.absorb a.alarms d.d_alarms;
+  List.iter
+    (fun (id, inv) ->
+      set_invariant a id
+        (match Ptmap.find_opt id a.invariants with
+        | Some old when join -> Astate.join old inv
+        | _ -> inv))
+    d.d_invariants;
+  List.iter (mark_useful a) d.d_oct_useful;
+  List.iter (fun (key, v) -> itf_record a key v) d.d_guarantee
+
+let run_delta (a : actx) : delta =
+  {
+    d_alarms = Alarm.to_list a.alarms;
+    d_invariants = changed ~base:Ptmap.empty a.invariants;
+    d_oct_useful = List.map fst (changed ~base:Ptmap.empty a.oct_useful);
+    d_guarantee = Itf_map.bindings a.guarantee;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Lvalue resolution                                                   *)
@@ -1204,7 +1269,7 @@ let assign (a : actx) (st : Astate.t) (binds : binds) (lv : lval) (rhs : expr)
             (fun id ->
               let c = Cell.of_id a.intern id in
               if Hashtbl.mem it.itf_shared c.Cell.root.v_id then
-                itf_record it (c.Cell.root.v_id, c.Cell.path) rhs_itv)
+                itf_record a (c.Cell.root.v_id, c.Cell.path) rhs_itv)
             cells);
       (* relational updates only for exact scalar-variable assignments *)
       match lv.ldesc with

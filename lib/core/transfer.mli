@@ -38,15 +38,26 @@ type itf_key = int * Cell.step list
 
 (** Interference context of one per-task run of a multi-task analysis
     (Miné's rely/guarantee iteration): [itf_rely] is joined into every
-    read of a shared cell, [itf_shared] gates the read join and the
-    value-copy fast paths, [itf_writes] collects the task's abstract
-    writes to shared cells (the guarantee).  A per-task run's session
-    carries it ([session.ses_itf]). *)
+    read of a shared cell, [itf_shared] gates the read join, the
+    value-copy fast paths and the guarantee.  Neither is written during
+    the run; the task's writes go to its context's guarantee collector
+    ([actx.guarantee]).  A per-task run's session carries it
+    ([session.ses_itf]). *)
 type itf = {
   itf_rely : (itf_key, D.Itv.t) Hashtbl.t;
   itf_shared : (int, unit) Hashtbl.t;
-  mutable itf_writes : (itf_key, D.Itv.t) Hashtbl.t;
-      (** swapped for a fresh table inside a memo section *)
+}
+
+module Itf_map : Map.S with type key = itf_key
+
+(** The effects of a run, or of a section of one, on a context's
+    bookkeeping ({!section}): what a summary replays, what the helper
+    of a split loop and a per-task run ship.  Plain data. *)
+type delta = {
+  d_alarms : Alarm.t list;  (** sorted by location *)
+  d_invariants : (int * Astate.t) list;  (** by loop id *)
+  d_oct_useful : int list;  (** useful octagon packs, by id *)
+  d_guarantee : (itf_key * D.Itv.t) list;  (** joined writes, by key *)
 }
 
 (** A call's summary in the coordinates of its frame (the cells, packs
@@ -67,7 +78,6 @@ type summary = {
   sm_invariants : (int * Astate.t) list;
       (** frame loop position, frame part of the loop's invariant *)
   sm_oct_useful : int list;  (** frame octagon-pack positions *)
-  sm_joins : int;
   sm_itf_writes : (int * D.Itv.t) list;
       (** shared-cell writes of the call, by frame cell position *)
 }
@@ -132,19 +142,6 @@ type vote = {
   vt_thr_hits : int;  (** widening threshold hits since the split *)
 }
 
-(** What the helper of a split loop ships when the loop ends: its half
-    of the loop invariant and the bookkeeping its calls changed.  The
-    parent's keys and the helper's are disjoint.  Its half of the
-    loop's outcome is not shipped: a split loop has no exit, no
-    [break] and no [return], so both halves leave it at bottom.  Plain
-    data. *)
-type half = {
-  hf_inv : Astate.t;
-  hf_alarms : Alarm.t list;
-  hf_oct_useful : int list;
-  hf_joins : int;
-}
-
 (** One half of a split loop reached bottom.  The one-process pass
     would have skipped the calls after the one that reached it, so the
     split ends and the loop runs again alone: an outcome of the
@@ -155,9 +152,14 @@ exception Half_bottom
 type peer = {
   pe_exchange : vote -> vote;
       (** send this half's vote, return the other half's *)
-  pe_finish : unit -> half;
-      (** the parent's side, once its loop has ended: the helper's
-          half, with its registry delta and trace events absorbed *)
+  pe_finish : unit -> Astate.t * delta;
+      (** the parent's side, once its loop has ended: the helper's half
+          of the loop invariant and the delta of its calls, with its
+          registry delta and trace events absorbed.  The parent's keys
+          and the helper's are disjoint.  The helper's half of the
+          loop's outcome is not shipped: a split loop has no exit, no
+          [break] and no [return], so both halves leave it at
+          bottom. *)
 }
 
 (** The split hook that [Astree_parallel] installs.  [sp_run ~helper
@@ -169,7 +171,7 @@ type peer = {
     they were before the split, but for the split's own counters.  Any
     other exception is re-raised. *)
 type split = {
-  sp_run : 'a. helper:(peer -> half) -> (peer -> 'a) -> 'a option;
+  sp_run : 'a. helper:(peer -> Astate.t * delta) -> (peer -> 'a) -> 'a option;
 }
 
 (** The keyed tier of the call memo ([Memo.call]): the summaries of
@@ -221,8 +223,10 @@ and actx = {
   mutable oct_useful : unit Ptmap.t;
       (** octagon packs that improved precision (Sect. 7.2.2) *)
   mutable invariants : Astate.t Ptmap.t;  (** loop id -> head invariant *)
+  mutable guarantee : D.Itv.t Itf_map.t;
+      (** the task's joined writes to shared cells, under an
+          interference context (the guarantee) *)
   input_specs : (int, float * float) Hashtbl.t;  (** [prepared.pr_input_specs] *)
-  mutable join_count : int;
   frames : Frame.ctx;  (** the call frames of this context *)
   inlined : (string, int) Hashtbl.t Lazy.t;  (** [prepared.pr_inlined] *)
 }
@@ -259,16 +263,51 @@ val var_itv : actx -> Astate.t -> F.Tast.var -> D.Itv.t
 
 (** {1 Bookkeeping}
 
-    Both maps are functional and held in mutable fields: a memo section
-    ([Memo.record]) takes them when it opens and compares them with
-    {!Ptmap.diff} when it closes. *)
+    A context's bookkeeping sits beside the abstract state: the alarms
+    of checking mode (Sect. 5.3), the loop invariants, the useful
+    octagon packs (Sect. 7.2.2) and the guarantee.  The fields are
+    assigned here only. *)
 
 val set_invariant : actx -> int -> Astate.t -> unit
 val mark_useful : actx -> int -> unit
 
 (** Join a write of a value to the shared cell with this key into the
-    guarantee collector [itf_writes]. *)
-val itf_record : itf -> itf_key -> D.Itv.t -> unit
+    guarantee collector. *)
+val itf_record : actx -> itf_key -> D.Itv.t -> unit
+
+(** {2 Sections}
+
+    A section isolates the bookkeeping effects of a stretch of the
+    analysis: a memo call ([Memo.record]), the parent's or the helper's
+    half of a split loop.  Opening one is O(1): the alarm table and the
+    guarantee are swapped for fresh ones, and the invariant and
+    useful-pack maps, which are functional, are taken as they are.
+    Sections nest. *)
+
+type section
+
+val open_section : actx -> section
+
+(** End the section, keeping its effects in the context: its alarms
+    (the first one per kind and location wins, as everywhere) and its
+    writes are merged back.  Returns them as a delta: its alarms, the
+    invariants it left physically different from their value at
+    opening, the packs it made useful and its own joined writes.  A
+    section left by an exception is closed too. *)
+val close : actx -> section -> delta
+
+(** End the section, dropping its effects: the alarms, the alarm mode,
+    the maps and the guarantee are as they were when it opened. *)
+val rollback : actx -> section -> unit
+
+(** Apply a delta to a context: alarms first-in-wins, packs and writes
+    joined in.  A loop's invariant is replaced, or with [~join:true]
+    joined with the one the context holds. *)
+val absorb : ?join:bool -> actx -> delta -> unit
+
+(** The delta of the context's whole run: what absorbing into a fresh
+    context gives back. *)
+val run_delta : actx -> delta
 
 (** {1 Lvalues and expressions} *)
 

@@ -14,7 +14,8 @@
     *different valid* summary and silently poison a warm run.
 
     Writes go through a temporary file, fsync and an atomic rename to a
-    name derived from the index, so concurrent batch workers and
+    name derived from the index, so concurrent writers (daemon workers,
+    pooled per-task runs, separate processes on one directory) and
     interrupted runs never leave a half-written file.  Reading is
     strictly best-effort: a missing, truncated, corrupt or foreign file
     is skipped, and a summary whose bytes do not match its digest is a
@@ -24,15 +25,16 @@
 module C = Astree_core
 module Faultsim = Astree_robust.Faultsim
 
-(* v8: one content-addressed directory of indexed files, summaries in
-   frame coordinates, octagons without a variable index (they find a
-   variable by scanning their pack), and the clock widened straight to
-   [max_clock] in every loop.  Files of earlier versions read as
-   foreign: unmarshalling a v6 octagon as a v7 one would not fail, it
-   would misread the record, and a v7 summary of a callee with a
-   ticking loop holds the invariants of the old clock widening, which a
-   cold run no longer computes. *)
-let magic = "astree-summary-store v8\n"
+(* v9: one content-addressed directory of indexed files, summaries in
+   frame coordinates with no join count, octagons without a variable
+   index (they find a variable by scanning their pack), and the clock
+   widened straight to [max_clock] in every loop.  Files of earlier
+   versions read as foreign: unmarshalling a v8 summary as a v9 one
+   would not fail, it would misread the record (v8 has one more
+   field), as would a v6 octagon read as a v7 one, and a v7 summary of
+   a callee with a ticking loop holds the invariants of the old clock
+   widening, which a cold run no longer computes. *)
+let magic = "astree-summary-store v9\n"
 let suffix = ".sums"
 
 type key = C.Transfer.summary_key

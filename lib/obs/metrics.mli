@@ -30,12 +30,15 @@
     [conc.rounds] counter (outer rounds run) and the [conc.tasks] /
     [conc.interference_vars] gauges (task and shared-variable count of
     the last multi-task run); its per-round trace spans are named
-    [conc.round].  One exception sits outside the contract, and only
-    where results come back from pool workers (batch and multi-task
-    runs): [oct.join] counts {e performed} pack joins, and the merge of
-    marshalled results cannot skip the joins that the Ptmap
-    physical-sharing short-cut elides in-process.  Timer values are
-    wall-clock and never deterministic. *)
+    [conc.round]; its per-task runs report the same registry at every
+    [-j].  One exception sits outside the contract: under injected
+    faults ([ASTREE_FAULTS]), a multi-task run at [-j 2] and more with
+    [--cache] can read different [cache.*] counters, and different
+    counts of the work a hit saves ([iter.*], the domains' counters),
+    from run to run, with the same results.  A worker that dies or
+    tears its reply has already published its summaries, so whether
+    the job's retry hits them depends on which worker ran first.
+    Timer values are wall-clock and never deterministic. *)
 
 (** {1 Global switches} *)
 

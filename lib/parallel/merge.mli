@@ -4,10 +4,6 @@
 
 module C = Astree_core
 
-(** Union alarm groups (in job order), first report per (kind, location)
-    wins — the sequential collector's policy — sorted by location. *)
-val alarms : C.Alarm.t list list -> C.Alarm.t list
-
 (** Join a disjunction of final states. *)
 val join_states : C.Astate.t list -> C.Astate.t
 

@@ -25,7 +25,8 @@ val analyze :
   C.Analysis.result
 
 (** Forked workers running one job function, whose replies must be
-    plain data (an analysis ships a {!C.Analysis.Reply.t}); with
+    plain data (a per-task run ships its final state, its stats and a
+    {!C.Transfer.delta}); with
     [jobs <= 1], jobs run in-process and nothing is forked. *)
 type ('a, 'b) workers
 

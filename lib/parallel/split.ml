@@ -1,8 +1,9 @@
 (** The helper process of a split main loop (DESIGN.md §7): the
     [Transfer.split] hook.  One {!Child} forked at loop entry; the
     helper runs its half of the loop, sends a vote at each decision
-    and, when the loop ends, its half with its registry delta and trace
-    events ({!Astree_obs.Observed}); the parent reaps it on every
+    and, when the loop ends, its half of the invariant and its
+    bookkeeping delta ([Transfer.close]) with its registry delta and
+    trace events ({!Astree_obs.Observed}); the parent reaps it on every
     path. *)
 
 module C = Astree_core
@@ -16,11 +17,12 @@ let split_loops = Metrics.counter "par.split_loops"
 let recomputed = Metrics.counter "par.recomputed"
 
 (* What the helper sends: a vote, or its half when the loop ends. *)
-type from_helper = Vote of T.vote | Done of T.half Observed.t
+type from_helper = Vote of T.vote | Done of (C.Astate.t * T.delta) Observed.t
 
 let out_of_step () = raise (Child.Lost "out of step")
 
-let run ~(helper : T.peer -> T.half) (parent : T.peer -> 'a) : 'a option =
+let run ~(helper : T.peer -> C.Astate.t * T.delta) (parent : T.peer -> 'a) :
+    'a option =
   (* [Observed.job] flushes the trace sink: the helper inherits no
      half-written line *)
   let job = Observed.job helper in

@@ -41,8 +41,14 @@ let test_map_ops () =
   Alcotest.(check bool) "digest distinguishes maps" true
     (Conc.Interference.digest m1 <> Conc.Interference.digest m2);
   let tbl = Conc.Interference.to_table m2 in
-  Alcotest.(check bool) "table round-trip" true
-    (Conc.Interference.equal m2 (Conc.Interference.of_table tbl))
+  Alcotest.(check bool) "table holds the map" true
+    (Hashtbl.length tbl = Conc.Interference.cardinal m2
+    && List.for_all
+         (fun (k, v) ->
+           match Hashtbl.find_opt tbl k with
+           | Some v' -> D.Itv.equal v v'
+           | None -> false)
+         m2)
 
 (* ------------------------------------------------------------------ *)
 (* Task model                                                          *)
@@ -218,6 +224,10 @@ let test_differential_families () =
 (* Per-task runs on the worker pool                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A run at -j 1 and one at -j 4 report the same: fingerprint, rounds,
+   every loop's invariant (which the combined context joins from the
+   per-task deltas), the --explain lines, the useful packs and every
+   counter but [par.*]. *)
 let test_jobs_parity () =
   let g =
     G.Generator.generate_tasks
@@ -226,23 +236,42 @@ let test_jobs_parity () =
   in
   let p = compile g.G.Generator.source in
   let tasks = g.G.Generator.task_fns in
-  let r1 = Conc.Fixpoint.analyze ~cfg:C.Config.default ~tasks p in
-  let recomputed = Astree_obs.Metrics.counter "par.recomputed" in
-  let v0 = Astree_obs.Metrics.value recomputed in
-  let r4 =
-    Conc.Fixpoint.analyze
-      ~cfg:{ C.Config.default with C.Config.jobs = 4 }
-      ~tasks p
+  let module M = Astree_obs.Metrics in
+  let run jobs =
+    let m0 = M.snapshot () in
+    let r =
+      Conc.Fixpoint.analyze ~cfg:{ C.Config.default with C.Config.jobs } ~tasks p
+    in
+    let d = M.diff m0 in
+    let counters =
+      List.filter_map
+        (fun n ->
+          match M.find_int d n with
+          | Some v when not (String.starts_with ~prefix:"par." n) -> Some (n, v)
+          | _ -> None)
+        (M.names d)
+    in
+    (r, counters, Option.value ~default:0 (M.find_int d "par.recomputed"))
   in
+  let r1, m1, _ = run 1 in
+  let r4, m4, recomputed = run 4 in
   (* on a healthy run every per-task reply comes back from a worker *)
   if R.Faultsim.describe () = "faults: off" then
-    Alcotest.(check int) "no per-task run recomputed in-process" 0
-      (Astree_obs.Metrics.value recomputed - v0);
+    Alcotest.(check int) "no per-task run recomputed in-process" 0 recomputed;
+  let c1 = r1.Conc.Fixpoint.c_result and c4 = r4.Conc.Fixpoint.c_result in
   Alcotest.(check string) "-j1 and -j4 fingerprints agree"
-    (P.Merge.fingerprint r1.Conc.Fixpoint.c_result)
-    (P.Merge.fingerprint r4.Conc.Fixpoint.c_result);
+    (P.Merge.fingerprint c1) (P.Merge.fingerprint c4);
   Alcotest.(check int) "same round count" r1.Conc.Fixpoint.c_rounds
-    r4.Conc.Fixpoint.c_rounds
+    r4.Conc.Fixpoint.c_rounds;
+  Alcotest.(check string) "same invariants" (C.Invariant_dump.to_string c1)
+    (C.Invariant_dump.to_string c4);
+  let explain (r : C.Analysis.result) =
+    List.map (Fmt.str "%a" C.Alarm.pp_explain) r.C.Analysis.r_alarms
+  in
+  Alcotest.(check (list string)) "same --explain lines" (explain c1) (explain c4);
+  let useful (r : C.Analysis.result) = r.C.Analysis.r_stats.C.Analysis.s_oct_useful in
+  Alcotest.(check int) "same useful packs" (useful c1) (useful c4);
+  Alcotest.(check (list (pair string int))) "same counters but par.*" m1 m4
 
 (* The [analysis.*] gauges of [genfamily --kloc 1 --tasks 3 --bugs 1.0
    --seed 5] describe the combined result at -j 1 and at -j 2, where

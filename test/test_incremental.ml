@@ -538,7 +538,7 @@ let test_store_corruption () =
    sharing one cache directory) racing [Store.save] on one directory:
    no interleaving may ever publish a torn file, and the directory must
    end up holding the union of both writers' entries *)
-let store_magic = "astree-summary-store v8\n"
+let store_magic = "astree-summary-store v9\n"
 
 (* the file format contract: magic header, summaries, index, then a
    footer with the index length and the index's MD5.  Any complete file
@@ -1114,12 +1114,12 @@ let with_stderr_captured k =
   Sys.remove file;
   (r, err)
 
-(* a store file of the previous version, v7 (summaries computed while
-   the clock climbed the threshold ladder), must read as foreign: the
-   run warns, degrades to cold, is exact, and publishes a file of its
-   own that the next run loads.  The v7 file is a complete one of this
-   version relabelled, so only the magic keeps it from being
-   unmarshalled *)
+(* a store file of an earlier version, v7 (summaries computed while
+   the clock climbed the threshold ladder) or v8 (summaries with a join
+   count), must read as foreign: the run warns, degrades to cold, is
+   exact, and publishes a file of its own that the next run loads.  The
+   old file is a complete one of this version relabelled, so only the
+   magic keeps it from being unmarshalled *)
 let test_old_store_is_foreign () =
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
@@ -1131,39 +1131,44 @@ let test_old_store_is_foreign () =
                 { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
               in
               ignore (C.Analysis.analyze ~cfg:ccfg p);
-              let old = store_files dir in
               Alcotest.(check int) "the cold run published a file" 1
-                (List.length old);
+                (List.length (store_files dir));
               List.iter
-                (fun f ->
-                  let s = In_channel.with_open_bin f In_channel.input_all in
-                  let n = String.length store_magic in
-                  write_file f
-                    ("astree-summary-store v7\n" ^ String.sub s n (String.length s - n)))
-                old;
-              let r, err =
-                with_stderr_captured (fun () -> C.Analysis.analyze ~cfg:ccfg p)
-              in
-              Alcotest.(check string)
-                "result identical" (P.Merge.fingerprint off)
-                (P.Merge.fingerprint r);
-              Alcotest.(check int) "nothing loaded" 0
-                (cache_stats_exn r).C.Analysis.c_loaded;
-              let contains sub s =
-                let n = String.length sub in
-                let rec go i =
-                  i + n <= String.length s
-                  && (String.sub s i n = sub || go (i + 1))
-                in
-                go 0
-              in
-              Alcotest.(check bool) "a bad-magic warning" true
-                (contains "bad magic, ignored" err);
-              (* the republished file has the same index, hence the
-                 same name: it replaces the foreign one *)
-              let now = store_files dir in
-              Alcotest.(check bool) "a file of its own" true (now <> []);
-              List.iter check_file_intact now;
+                (fun version ->
+                  List.iter
+                    (fun f ->
+                      let s = In_channel.with_open_bin f In_channel.input_all in
+                      let n = String.length store_magic in
+                      write_file f
+                        (Printf.sprintf "astree-summary-store %s\n" version
+                        ^ String.sub s n (String.length s - n)))
+                    (store_files dir);
+                  let r, err =
+                    with_stderr_captured (fun () ->
+                        C.Analysis.analyze ~cfg:ccfg p)
+                  in
+                  Alcotest.(check string)
+                    (version ^ ": result identical") (P.Merge.fingerprint off)
+                    (P.Merge.fingerprint r);
+                  Alcotest.(check int) (version ^ ": nothing loaded") 0
+                    (cache_stats_exn r).C.Analysis.c_loaded;
+                  let contains sub s =
+                    let n = String.length sub in
+                    let rec go i =
+                      i + n <= String.length s
+                      && (String.sub s i n = sub || go (i + 1))
+                    in
+                    go 0
+                  in
+                  Alcotest.(check bool) (version ^ ": a bad-magic warning") true
+                    (contains "bad magic, ignored" err);
+                  (* the republished file has the same index, hence the
+                     same name: it replaces the foreign one *)
+                  let now = store_files dir in
+                  Alcotest.(check bool) (version ^ ": a file of its own") true
+                    (now <> []);
+                  List.iter check_file_intact now)
+                [ "v7"; "v8" ];
               Alcotest.(check bool) "the next run loads it" true
                 ((cache_stats_exn (C.Analysis.analyze ~cfg:ccfg p))
                    .C.Analysis.c_loaded > 0))))
@@ -1311,22 +1316,32 @@ let test_warm_tasks () =
           partitioned_functions = g.G.Generator.partition_fns;
         }
       in
-      let fixpoint cfg =
-        (Astree_conc.Fixpoint.analyze ~cfg ~tasks p)
-          .Astree_conc.Fixpoint.c_result
-      in
+      let fixpoint cfg = Astree_conc.Fixpoint.analyze ~cfg ~tasks p in
       let off = fixpoint cfg in
+      (* the rounds follow the guarantees, which replayed summaries
+         re-record *)
+      let rounds ~run (t : Astree_conc.Fixpoint.t) =
+        Alcotest.(check (pair int bool))
+          (Printf.sprintf "%s: %s rounds, stabilized" name run)
+          (off.Astree_conc.Fixpoint.c_rounds, off.c_stabilized)
+          (t.Astree_conc.Fixpoint.c_rounds, t.c_stabilized)
+      in
+      let off_r = off.Astree_conc.Fixpoint.c_result in
       Alcotest.(check bool) (name ^ ": the member alarms") true
-        (C.Analysis.n_alarms off > 0);
+        (C.Analysis.n_alarms off_r > 0);
       with_private_dir (fun dir ->
           with_cache_driver ~min_stmts:shipped (fun () ->
               let ccfg =
                 { cfg with C.Config.summary_cache = C.Config.Cache_dir dir }
               in
-              check_agrees ~name ~run:"cold" off (fixpoint ccfg);
+              let cold = fixpoint ccfg in
+              check_agrees ~name ~run:"cold" off_r cold.Astree_conc.Fixpoint.c_result;
+              rounds ~run:"cold" cold;
               let warm, passes = with_body_passes (fun () -> fixpoint ccfg) in
-              check_agrees ~name ~run:"warm" off warm;
-              check_one_lookup ~name ~tasks:3 warm passes)))
+              check_agrees ~name ~run:"warm" off_r warm.Astree_conc.Fixpoint.c_result;
+              rounds ~run:"warm" warm;
+              check_one_lookup ~name ~tasks:3 warm.Astree_conc.Fixpoint.c_result
+                passes)))
     [ 1; 2 ]
 
 (* A budget trip stops the cold run inside the entry point's capture

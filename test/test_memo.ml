@@ -27,22 +27,11 @@ int main(void) {
    at entry and the packs it made useful, nested sections each their
    own.  A section left by an exception keeps its alarms, its
    bookkeeping writes and its shared-cell writes in the context, and a
-   later section reports only its own. *)
+   later section reports only its own; a rolled-back one leaves
+   nothing. *)
 let test_sections () =
   let p, _ = C.Analysis.compile [ ("memo.c", memo_src) ] in
-  (* an empty interference context: no cell is shared, so only the
-     shared writes the abort path records below reach it *)
-  let it =
-    {
-      C.Transfer.itf_rely = Hashtbl.create 1;
-      itf_shared = Hashtbl.create 1;
-      itf_writes = Hashtbl.create 1;
-    }
-  in
-  let a =
-    C.Transfer.make_actx ~session:(C.Transfer.new_session ~itf:it ())
-      C.Config.default p
-  in
+  let a = C.Transfer.make_actx C.Config.default p in
   let fr = C.Frame.of_call a.C.Transfer.frames ~fname:"main" F.Tast.VarMap.empty in
   let l1 = C.Frame.loop_at fr 0 and l2 = C.Frame.loop_at fr 1 in
   let p4 = C.Frame.oct_at fr 0 and p7 = C.Frame.oct_at fr 1 in
@@ -83,7 +72,7 @@ let test_sections () =
   Alcotest.(check (list int)) "a later section" [ l1 ]
     (loops (section (fun () -> C.Transfer.set_invariant a l1 st')));
   (* the abort path *)
-  C.Transfer.itf_record it (0, []) (D.Itv.int_range 0 1);
+  C.Transfer.itf_record a (0, []) (D.Itv.int_range 0 1);
   a.C.Transfer.alarms.C.Alarm.enabled <- true;
   C.Alarm.report a.C.Transfer.alarms C.Alarm.Assert_failure
     (F.Loc.make ~file:"memo.c" ~line:1 ~col:1) "before";
@@ -93,8 +82,8 @@ let test_sections () =
        (fun () ->
          C.Transfer.set_invariant a l2 st';
          C.Transfer.mark_useful a p7;
-         C.Transfer.itf_record it (0, []) (D.Itv.int_range 5 6);
-         C.Transfer.itf_record it (1, []) (D.Itv.int_range 2 3);
+         C.Transfer.itf_record a (0, []) (D.Itv.int_range 5 6);
+         C.Transfer.itf_record a (1, []) (D.Itv.int_range 2 3);
          C.Alarm.report a.C.Transfer.alarms C.Alarm.Assert_failure
            F.Loc.dummy "aborted";
          raise Exit)
@@ -108,9 +97,9 @@ let test_sections () =
     (C.Ptmap.bindings a.C.Transfer.oct_useful |> List.map fst |> List.sort compare);
   Alcotest.(check (list string)) "abort: shared writes joined back"
     [ "0: [0, 6]"; "1: [2, 3]" ]
-    (Hashtbl.fold
+    (C.Transfer.Itf_map.fold
        (fun (root, _) v acc -> Fmt.str "%d: %a" root D.Itv.pp v :: acc)
-       it.C.Transfer.itf_writes []
+       a.C.Transfer.guarantee []
     |> List.sort compare);
   let after =
     section (fun () ->
@@ -119,7 +108,23 @@ let test_sections () =
   in
   Alcotest.(check (list int)) "after an abort: own invariant only" [ l1 ]
     (loops after);
-  Alcotest.(check (list int)) "after an abort: no useful pack" [] (packs after)
+  Alcotest.(check (list int)) "after an abort: no useful pack" [] (packs after);
+  (* a rollback drops a section's effects and restores the alarm mode *)
+  let inv0 = a.C.Transfer.invariants and g0 = a.C.Transfer.guarantee in
+  let alarms0 = C.Alarm.count a.C.Transfer.alarms in
+  let s = C.Transfer.open_section a in
+  C.Transfer.set_invariant a l2 st;
+  C.Transfer.itf_record a (2, []) (D.Itv.int_range 7 7);
+  C.Alarm.report a.C.Transfer.alarms C.Alarm.Assert_failure
+    (F.Loc.make ~file:"memo.c" ~line:2 ~col:1) "rolled back";
+  a.C.Transfer.alarms.C.Alarm.enabled <- false;
+  C.Transfer.rollback a s;
+  Alcotest.(check bool) "rollback: invariants and guarantee" true
+    (a.C.Transfer.invariants == inv0 && a.C.Transfer.guarantee == g0);
+  Alcotest.(check int) "rollback: alarms" alarms0
+    (C.Alarm.count a.C.Transfer.alarms);
+  Alcotest.(check bool) "rollback: alarm mode" true
+    a.C.Transfer.alarms.C.Alarm.enabled
 
 (* A call that changes a cell outside its frame has no summary, so it
    is never replayed: its every call is computed.  The same call

@@ -1,5 +1,5 @@
 (* Parallel-subsystem tests: the worker pool survives exceptions,
-   crashes and timeouts, the deterministic merge reproduces the
+   crashes and timeouts, absorbing alarms in job order reproduces the
    sequential collector's policy, and a main loop split in two
    processes reports what one process reports.  The pooled analysis
    path is checked where it runs, on multi-task programs
@@ -97,14 +97,16 @@ let loc line = F.Loc.make ~file:"t.c" ~line ~col:1
 let al kind line msg : C.Alarm.t =
   { C.Alarm.a_kind = kind; a_loc = loc line; a_msg = msg; a_prov = None }
 
+(* The combined context of a multi-task run absorbs each run's alarms
+   in job order into its collector ([Transfer.absorb]). *)
 let test_merge_alarms () =
-  let merged =
-    P.Merge.alarms
-      [
-        [ al C.Alarm.Div_by_zero 9 "first"; al C.Alarm.Int_overflow 3 "a" ];
-        [ al C.Alarm.Div_by_zero 9 "second"; al C.Alarm.Float_overflow 1 "b" ];
-      ]
-  in
+  let c = C.Alarm.make_collector () in
+  List.iter (C.Alarm.absorb c)
+    [
+      [ al C.Alarm.Div_by_zero 9 "first"; al C.Alarm.Int_overflow 3 "a" ];
+      [ al C.Alarm.Div_by_zero 9 "second"; al C.Alarm.Float_overflow 1 "b" ];
+    ];
+  let merged = C.Alarm.to_list c in
   Alcotest.(check (list string))
     "sorted by location, first duplicate wins"
     [ "b@1"; "a@3"; "first@9" ]
@@ -352,7 +354,6 @@ let test_itf_unsplit () =
     {
       C.Transfer.itf_rely = Hashtbl.create 1;
       itf_shared = Hashtbl.create 1;
-      itf_writes = Hashtbl.create 1;
     }
   in
   let f_itf, split = run ~itf () in
