@@ -6,11 +6,13 @@
    thresholds, unrolling factors, trace-partitioned functions, decision-
    tree pack bounds, and the useful-octagon-pack reuse of Sect. 7.2.2.
 
-   With --connect SOCK the analysis is delegated to a running astreed
-   daemon, whose workers keep a table of prepared programs and whose
-   summary store outlives requests; the reply carries the same JSON
-   report bytes this binary would print in-process, and when no daemon
-   answers the analysis runs in-process instead. *)
+   With --cache DIR a repeated request is answered from the report
+   record DIR holds for it, without compiling anything.  With --connect
+   SOCK the analysis is delegated to a running astreed daemon, whose
+   summary store and report records outlive requests; the reply
+   carries the same JSON report bytes this binary would print
+   in-process, and when no daemon answers the analysis runs in-process
+   instead. *)
 
 module C = Astree_core
 module S = Astree_slicer
@@ -22,11 +24,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-(* JSON rendering is shared with the daemon workers (Astree_server.Report)
-   so client-mode and in-process output are byte-identical *)
-let print_json ?metrics ?interference (r : C.Analysis.result) : unit =
-  print_string (Srv.Report.render ?metrics ?interference r ^ "\n")
 
 let run files main tasks no_oct no_ell no_dt no_clock no_lin no_thresholds
     unroll partitioned max_dt_bools useful_packs jobs cache_dir no_cache
@@ -76,10 +73,15 @@ let run files main tasks no_oct no_ell no_dt no_clock no_lin no_thresholds
         }
       in
       let sources = List.map (fun f -> (f, read_file f)) files in
+      let local_only =
+        dump_invariants || dump_census || slice_alarms || profile
+        || trace_file <> None || metrics_file <> None
+      in
       let in_process () =
-        let a = Srv.Service.analyze options ~main sources in
-        let r = a.Srv.Service.a_result
-        and interference = a.Srv.Service.a_interference in
+        (* the report extras need the result itself, so such a run
+           analyzes even when a report record could answer it *)
+        let a = Srv.Service.analyze ~reuse:(not local_only) options ~main sources in
+        let rep = a.Srv.Service.a_report in
         (match metrics_file with
         | None -> ()
         | Some f ->
@@ -87,56 +89,45 @@ let run files main tasks no_oct no_ell no_dt no_clock no_lin no_thresholds
             output_string oc (Astree_obs.Metrics.render_json ());
             output_char oc '\n';
             close_out oc);
+        (* rendering is shared with the daemon workers
+           (Astree_server.Report), so client-mode and in-process output
+           are byte-identical *)
         (match format with
-        | `Json -> print_json ~metrics:(metrics_file <> None) ?interference r
-        | `Text ->
-            (* cache counters are a --verbose detail of the text report:
-               default output stays byte-identical to the cache-less
-               analyzer (JSON always carries them) *)
-            let r = if verbose then r else Srv.Report.strip_cache r in
-            Fmt.pr "%a@." C.Analysis.pp_result r;
-            Option.iter (Fmt.pr "%a@." Srv.Report.pp_interference) interference;
-            if explain && r.C.Analysis.r_alarms <> [] then begin
-              Fmt.pr "--- alarm provenance ---@.";
+        | `Json ->
+            print_string
+              (Srv.Report.to_json ~metrics:(metrics_file <> None) rep ^ "\n")
+        | `Text -> Srv.Report.pp_text ~explain ~verbose Fmt.stdout rep);
+        Option.iter (fun (p, r) ->
+            if dump_census then begin
+              match C.Invariant_census.main_loop_census r with
+              | Some c ->
+                  Fmt.pr
+                    "--- main loop invariant census (Sect. 9.4.1) ---@.%a@."
+                    C.Invariant_census.pp c
+              | None -> Fmt.pr "no loop invariant recorded@."
+            end;
+            if dump_invariants then
+              print_string (C.Invariant_dump.to_string r);
+            (* the registry's timers with their call counts, on stderr
+               so the regular (text or JSON) output stays
+               byte-identical *)
+            if profile then
+              prerr_string (Astree_obs.Metrics.render_profile ());
+            if slice_alarms && r.C.Analysis.r_alarms <> [] then begin
+              let g = S.Depgraph.build p in
               List.iter
                 (fun (al : C.Alarm.t) ->
-                  Fmt.pr "%a@." C.Alarm.pp_explain al)
+                  Fmt.pr "--- slice for %a ---@." C.Alarm.pp al;
+                  let sl =
+                    S.Slicer.slice g
+                      { S.Slicer.c_loc = al.C.Alarm.a_loc; c_vars = None }
+                  in
+                  Fmt.pr "%a@." S.Slicer.pp_slice sl)
                 r.C.Analysis.r_alarms
-            end;
-            if verbose then
-              Fmt.pr "useful octagon packs: %a@."
-                Fmt.(list ~sep:comma int)
-                (C.Analysis.useful_octagon_packs r));
-        if dump_census then begin
-          match C.Invariant_census.main_loop_census r with
-          | Some c ->
-              Fmt.pr "--- main loop invariant census (Sect. 9.4.1) ---@.%a@."
-                C.Invariant_census.pp c
-          | None -> Fmt.pr "no loop invariant recorded@."
-        end;
-        if dump_invariants then
-          print_string (C.Invariant_dump.to_string r);
-        (* the registry's timers with their call counts, on stderr so
-           the regular (text or JSON) output stays byte-identical *)
-        if profile then prerr_string (Astree_obs.Metrics.render_profile ());
-        if slice_alarms && r.C.Analysis.r_alarms <> [] then begin
-          let g = S.Depgraph.build a.Srv.Service.a_prog in
-          List.iter
-            (fun (al : C.Alarm.t) ->
-              Fmt.pr "--- slice for %a ---@." C.Alarm.pp al;
-              let sl =
-                S.Slicer.slice g
-                  { S.Slicer.c_loc = al.C.Alarm.a_loc; c_vars = None }
-              in
-              Fmt.pr "%a@." S.Slicer.pp_slice sl)
-            r.C.Analysis.r_alarms
-        end;
+            end)
+          a.Srv.Service.a_run;
         Astree_obs.Trace.close ();
-        `Ok (Srv.Report.exit_code r)
-      in
-      let local_only =
-        dump_invariants || dump_census || slice_alarms || profile
-        || trace_file <> None || metrics_file <> None
+        `Ok rep.Srv.Report.exit
       in
       (match connect with
       | Some sock when format = `Json && not local_only -> (
@@ -223,7 +214,7 @@ let cmd =
         $ Arg.(value & opt int 3 & info [ "max-dtree-bools" ] ~doc:"Booleans per decision-tree pack (Sect. 7.2.3)")
         $ Arg.(value & opt (list int) [] & info [ "useful-packs" ] ~doc:"Octagon pack ids to keep (Sect. 7.2.2)")
         $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Worker processes for the per-task runs of a multi-task program (0 = one per core); at 2 and more, a single-task program's main loop runs as two processes, each with half of its calls and of the state (results are unaffected)")
-        $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc:"Persist function summaries in $(docv), reusing them across runs (results are unaffected)")
+        $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc:"Persist function summaries and reports in $(docv), reusing them across runs: a repeated request is answered from its report without analyzing (results are unaffected)")
         $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache)"
         $ Arg.(value & opt float 0. & info [ "timeout" ] ~docv:"SECS" ~doc:"Wall-clock budget for the analysis; on overrun, precision is shed soundly (degraded exit code 3) instead of aborting (0 = unbounded)")
         $ Arg.(value & opt int 0 & info [ "max-mem" ] ~docv:"MB" ~doc:"Major-heap watermark in MiB, with the same sound degradation as $(b,--timeout) (0 = unbounded)")

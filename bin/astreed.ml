@@ -5,11 +5,10 @@
                    [--trace FILE] [--verbose]
 
    Serves newline-delimited JSON requests (analyze / status / metrics /
-   shutdown) over a Unix-domain socket.  Workers keep a program table
-   of prepared records across requests and share function summaries
-   through one store directory: --cache DIR (a daemon restarted on it, after a
-   crash too, is warm), else a private directory under $TMPDIR removed
-   at clean shutdown.  Requests no worker takes wait in one unbounded
+   shutdown) over a Unix-domain socket.  Workers share function
+   summaries and report records through one store directory: --cache
+   DIR (a daemon restarted on it, after a crash too, is warm), else a
+   private directory under $TMPDIR removed at clean shutdown.  Requests no worker takes wait in one unbounded
    FIFO queue; SIGHUP is ignored.  See DESIGN.md sections 12 and 15 and
    README "Server mode". *)
 

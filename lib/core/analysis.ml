@@ -131,15 +131,13 @@ let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
 
 (** Analyze a typed program under the hooks of [?session] (a fresh
     session has none), wrapping the run in the summary-cache driver
-    when caching is enabled.  [?prepared] is used when it was prepared
-    for [p] and [cfg] ({!Transfer.prepared_for}). *)
-let analyze ?session ?prepared ?(cfg = Config.default) (p : F.Tast.program) :
-    result =
+    when caching is enabled. *)
+let analyze ?session ?(cfg = Config.default) (p : F.Tast.program) : result =
   let session =
     match session with Some s -> s | None -> Transfer.new_session ()
   in
   in_span "phase.analyze" (fun () ->
-      let prepared = Transfer.prepared_for ?prepared cfg p in
+      let prepared = Transfer.prepare cfg p in
       let core () =
         analyze_prepared (Transfer.make_actx ~session ~prepared cfg p) p
       in
@@ -217,7 +215,9 @@ let pp_stats ppf (s : stats) =
         (if d.dg_partitioning_disabled then "; partitioning_disabled" else "")
         (if d.dg_widening_accelerated then "; widening_accelerated" else "")
 
-let pp_result ppf (r : result) =
-  Fmt.pf ppf "%d alarm(s)@\n%a@\n%a" (n_alarms r)
+let pp_report ppf ((alarms, stats) : Alarm.t list * stats) =
+  Fmt.pf ppf "%d alarm(s)@\n%a@\n%a" (List.length alarms)
     Fmt.(list ~sep:(any "@\n") Alarm.pp)
-    r.r_alarms pp_stats r.r_stats
+    alarms pp_stats stats
+
+let pp_result ppf (r : result) = pp_report ppf (r.r_alarms, r.r_stats)

@@ -65,12 +65,10 @@ val invariants : result -> (int * Astate.t) list
     [Astree_parallel.Scheduler.analyze] decides for every analysis the
     analyzer starts; a fresh session, with none, is created otherwise.
     Under [Config.cache_enabled cfg] the run goes through
-    {!cache_driver} when it is set.  [?prepared] is used when it was
-    prepared for this program and configuration
-    ({!Transfer.prepared_for}); the run prepares its own otherwise. *)
+    {!cache_driver} when it is set, with the record the run prepares
+    ({!Transfer.prepare}). *)
 val analyze :
   ?session:Transfer.session ->
-  ?prepared:Transfer.prepared ->
   ?cfg:Config.t ->
   Astree_frontend.Tast.program ->
   result
@@ -110,4 +108,9 @@ val analyze_string :
 
 val pp_cache_stats : Format.formatter -> cache_stats -> unit
 val pp_stats : Format.formatter -> stats -> unit
+val pp_report : Format.formatter -> Alarm.t list * stats -> unit
+(** The text report of these alarms and statistics: the alarm count,
+    one line per alarm, then {!pp_stats}. *)
+
 val pp_result : Format.formatter -> result -> unit
+(** {!pp_report} of the result's alarms and statistics. *)

@@ -508,8 +508,6 @@ let of_call (cx : ctx) ~(fname : string) (binds : Reldom.binds) : t =
       Hashtbl.replace cx.cx_frames key fr;
       fr
 
-let shared_frames (sh : shared) = Hashtbl.length sh.sh_named
-
 (* ------------------------------------------------------------------ *)
 (* Exact comparison                                                     *)
 (* ------------------------------------------------------------------ *)

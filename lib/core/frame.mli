@@ -37,9 +37,6 @@ val shared :
   Cell.interner ->
   shared
 
-(** The named frames [shared] holds. *)
-val shared_frames : shared -> int
-
 (** Frames of one analysis context, computed on demand and kept. *)
 type ctx
 

@@ -145,24 +145,29 @@ let record (a : actx) (fr : Frame.t) ~(entry : Astate.t)
         with Exit -> None )
 
 (* The summary's delta in the context's coordinates, absorbed: a loop's
-   invariant is replaced, as recomputing the call would. *)
+   invariant is replaced, as recomputing the call would.  Most summaries
+   have no effect to absorb, and absorbing nothing changes nothing. *)
 let replay (a : actx) (fr : Frame.t) ~(entry : Astate.t) (s : summary) :
     Astate.t * D.Itv.t =
-  absorb a
-    {
-      d_alarms = List.map snd s.sm_alarms;
-      d_invariants =
-        List.map
-          (fun (i, inv) -> (Frame.loop_at fr i, Frame.overlay fr inv entry))
-          s.sm_invariants;
-      d_oct_useful = List.map (Frame.oct_at fr) s.sm_oct_useful;
-      d_guarantee =
-        List.map
-          (fun (i, v) ->
-            let c = Cell.of_id a.intern (Frame.cell_at fr i) in
-            ((c.Cell.root.v_id, c.Cell.path), v))
-          s.sm_itf_writes;
-    };
+  if
+    s.sm_alarms <> [] || s.sm_invariants <> [] || s.sm_oct_useful <> []
+    || s.sm_itf_writes <> []
+  then
+    absorb a
+      {
+        d_alarms = List.map snd s.sm_alarms;
+        d_invariants =
+          List.map
+            (fun (i, inv) -> (Frame.loop_at fr i, Frame.overlay fr inv entry))
+            s.sm_invariants;
+        d_oct_useful = List.map (Frame.oct_at fr) s.sm_oct_useful;
+        d_guarantee =
+          List.map
+            (fun (i, v) ->
+              let c = Cell.of_id a.intern (Frame.cell_at fr i) in
+              ((c.Cell.root.v_id, c.Cell.path), v))
+            s.sm_itf_writes;
+      };
   (Frame.overlay fr s.sm_exit entry, s.sm_retv)
 
 (* ------------------------------------------------------------------ *)

@@ -316,13 +316,8 @@ let prepare (cfg : Config.t) (p : program) : prepared =
     pr_extra = None;
   }
 
-let prepared_for ?prepared (cfg : Config.t) (p : program) : prepared =
-  match prepared with
-  | Some pr when pr.pr_prog == p && (pr.pr_cfg == cfg || pr.pr_cfg = cfg) -> pr
-  | _ -> prepare cfg p
-
 let make_actx ?session ?prepared (cfg : Config.t) (p : program) : actx =
-  let pr = prepared_for ?prepared cfg p in
+  let pr = match prepared with Some pr -> pr | None -> prepare cfg p in
   let session = match session with Some s -> s | None -> new_session () in
   let names = Option.map (fun k -> k.kt_names) session.ses_keyed in
   {

@@ -89,10 +89,9 @@ type extra = ..
 (** What an analysis of [pr_prog] under [pr_cfg] builds before it
     iterates and that depends on nothing else: the packing, the cell
     numbering, the function table, the input ranges, the inlined sizes,
-    the frames' shared part and the [extra] facts.  A caller that
-    analyzes the same program again keeps it ([astreed]'s workers);
-    otherwise it is built once per run.  Per-run state — alarms,
-    invariants, pack digests — is never in it. *)
+    the frames' shared part and the [extra] facts.  Built once per run
+    ({!Analysis.analyze}); per-run state — alarms, invariants, pack
+    digests — is never in it. *)
 type prepared = {
   pr_prog : F.Tast.program;
   pr_cfg : Config.t;
@@ -238,12 +237,9 @@ val new_session :
 (** Prepare [p] for analyses under [cfg]. *)
 val prepare : Config.t -> F.Tast.program -> prepared
 
-(** [prepared] if it was prepared for [p] (physically) and [cfg]
-    (structurally), a fresh {!prepare} otherwise. *)
-val prepared_for : ?prepared:prepared -> Config.t -> F.Tast.program -> prepared
-
 (** A fresh context: a new alarm collector and empty bookkeeping maps
-    over [prepared_for ?prepared cfg p] and its cell numbering. *)
+    over [prepared] (which must have been prepared for [p] and [cfg]),
+    else a fresh {!prepare}, and its cell numbering. *)
 val make_actx :
   ?session:session -> ?prepared:prepared -> Config.t -> F.Tast.program -> actx
 

@@ -46,6 +46,32 @@ type slot = key * int * int * Digest.t
 let warn fmt =
   Format.kasprintf (fun s -> prerr_endline ("astree: warning: " ^ s)) fmt
 
+(* Write a file of [dir] (created if needed) through a temporary file,
+   fsync and an atomic rename to [name], so a reader never observes a
+   torn file and concurrent writers are safe; [write] fills the
+   channel.  Any failure removes the temporary and re-raises. *)
+let publish ~(dir : string) ~(name : 'a -> string)
+    (write : out_channel -> 'a) : unit =
+  let tmp = Filename.temp_file ~temp_dir:dir "astree" ".tmp" in
+  try
+    let oc = open_out_bin tmp in
+    let x =
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          let x = write oc in
+          (* the rename publishes atomically; fsync first so a crash
+             right after it cannot leave the published name pointing
+             at data the kernel never wrote back *)
+          flush oc;
+          Unix.fsync (Unix.descr_of_out_channel oc);
+          x)
+    in
+    Sys.rename tmp (Filename.concat dir (name x))
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 let rec mkdir_p (dir : string) : unit =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -222,55 +248,92 @@ let save ?opened ~(dir : string) (entries : entries) : unit =
           end)
         entries
     in
-    if entries <> [] then begin
-      let tmp = Filename.temp_file ~temp_dir:dir "summaries" ".tmp" in
-      (* any failure between here and the rename (a full disk, an
-         injected ENOSPC) must not leave the temporary behind *)
-      try
-        let oc = open_out_bin tmp in
-        let index =
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () ->
-              if Faultsim.fires Faultsim.Cache_write then
-                raise (Sys_error (tmp ^ ": fault injection: no space left"));
-              output_string oc magic;
-              (* each summary goes straight to the file: the run never
-                 holds the whole file in memory *)
-              let slots =
-                List.map
-                  (fun (k, (s : C.Transfer.summary)) ->
-                    (* sharing-preserving marshal: a summary's states
-                       share structure, and expanding it would blow the
-                       file up *)
-                    let bytes = Marshal.to_string s [] in
-                    let off = pos_out oc in
-                    output_string oc bytes;
-                    (k, off, String.length bytes, Digest.string bytes))
-                  entries
-              in
-              let index =
-                Marshal.to_string
-                  (Sys.ocaml_version, (Array.of_list slots : slot array))
-                  [ Marshal.No_sharing ]
-              in
-              output_string oc index;
-              let len = Bytes.create 8 in
-              Bytes.set_int64_le len 0 (Int64.of_int (String.length index));
-              output_bytes oc len;
-              output_string oc (Digest.string index);
-              (* the rename publishes atomically; fsync first so a crash
-                 right after it cannot leave the published name pointing
-                 at data the kernel never wrote back *)
-              flush oc;
-              Unix.fsync (Unix.descr_of_out_channel oc);
-              index)
-        in
-        Sys.rename tmp
-          (Filename.concat dir (Digest.to_hex (Digest.string index) ^ suffix))
-      with e ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        raise e
-    end
+    if entries <> [] then
+      publish ~dir
+        ~name:(fun index -> Digest.to_hex (Digest.string index) ^ suffix)
+        (fun oc ->
+          if Faultsim.fires Faultsim.Cache_write then
+            raise (Sys_error (dir ^ ": fault injection: no space left"));
+          output_string oc magic;
+          (* each summary goes straight to the file: the run never
+             holds the whole file in memory *)
+          let slots =
+            List.map
+              (fun (k, (s : C.Transfer.summary)) ->
+                (* sharing-preserving marshal: a summary's states share
+                   structure, and expanding it would blow the file up *)
+                let bytes = Marshal.to_string s [] in
+                let off = pos_out oc in
+                output_string oc bytes;
+                (k, off, String.length bytes, Digest.string bytes))
+              entries
+          in
+          let index =
+            Marshal.to_string
+              (Sys.ocaml_version, (Array.of_list slots : slot array))
+              [ Marshal.No_sharing ]
+          in
+          output_string oc index;
+          let len = Bytes.create 8 in
+          Bytes.set_int64_le len 0 (Int64.of_int (String.length index));
+          output_bytes oc len;
+          output_string oc (Digest.string index);
+          index)
   with Sys_error msg | Unix.Unix_error (_, msg, _) ->
     warn "summary store not saved in %s: %s" dir msg
+
+(* ------------------------------------------------------------------ *)
+(* Report records                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A record is the header (magic, the caller's format version, the
+   OCaml version), the payload, and the MD5 of both: a truncated or
+   bit-flipped file fails the digest, and a file of another version
+   fails the header.  Records are small (a report), so they are read
+   whole. *)
+let record_magic = "astree-report-record\n"
+let record_suffix = ".report"
+
+let record_header ~(version : string) : string =
+  record_magic ^ version ^ " " ^ Sys.ocaml_version ^ "\n"
+
+let record_file ~(dir : string) (key : string) : string =
+  Filename.concat dir (key ^ record_suffix)
+
+let find_record ~(dir : string) ~(version : string) (key : string) :
+    string option =
+  let file = record_file ~dir key in
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error _ when not (Sys.file_exists file) -> None
+  | exception Sys_error msg ->
+      warn "report record %s: %s, ignored" file msg;
+      None
+  | bytes ->
+      let n = String.length bytes and header = record_header ~version in
+      let h = String.length header in
+      if
+        n < String.length record_magic + 16
+        || Digest.string (String.sub bytes 0 (n - 16))
+           <> String.sub bytes (n - 16) 16
+      then begin
+        warn "report record %s: truncated or corrupt, ignored" file;
+        None
+      end
+      else if n < h + 16 || String.sub bytes 0 h <> header then begin
+        warn "report record %s: written by another version, ignored" file;
+        None
+      end
+      else Some (String.sub bytes h (n - h - 16))
+
+let publish_record ~(dir : string) ~(version : string) (key : string)
+    (payload : string) : unit =
+  try
+    mkdir_p dir;
+    publish ~dir
+      ~name:(fun () -> key ^ record_suffix)
+      (fun oc ->
+        let body = record_header ~version ^ payload in
+        output_string oc body;
+        output_string oc (Digest.string body))
+  with Sys_error msg | Unix.Unix_error (_, msg, _) ->
+    warn "report record not saved in %s: %s" dir msg

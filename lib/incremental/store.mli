@@ -1,10 +1,12 @@
 (** On-disk summary store: one content-addressed directory shared by
     every program and revision, keyed by summary key.  Each run
-    publishes at most one new file, atomically, holding only keys the
-    directory lacked; opening reads only the indexes, and a summary is
-    read and unmarshalled when its key is looked up.  A missing,
-    truncated, corrupt or foreign file or summary degrades to a miss
-    with a warning on stderr, never an error. *)
+    publishes at most one new summary file ([*.sums]), atomically,
+    holding only keys the directory lacked; opening reads only the
+    indexes, and a summary is read and unmarshalled when its key is
+    looked up.  The same directory holds report records ([*.report],
+    {!find_record}), which {!open_} never lists.  A missing, truncated,
+    corrupt or foreign file, summary or record degrades to a miss with
+    a warning on stderr, never an error. *)
 
 (** An opened store: the index of every readable file of a directory. *)
 type t
@@ -47,3 +49,21 @@ val save :
   dir:string ->
   (Astree_core.Transfer.summary_key * Astree_core.Transfer.summary) list ->
   unit
+
+(** {1 Report records}
+
+    One file per key, [DIR/<key>.report]: a header naming the caller's
+    record format [version] and the OCaml version, an opaque payload,
+    and the MD5 of both.  The caller derives [key] from everything the
+    payload is a function of. *)
+
+(** The payload published under [key]: [None], silently, when there is
+    no such file, and with one warning on stderr when the file is
+    truncated, corrupt or of another [version]. *)
+val find_record : dir:string -> version:string -> string -> string option
+
+(** Publish [payload] under [key] as {!save} publishes a file:
+    temporary file, fsync, atomic rename (replacing a record of the
+    same key, which holds the same payload).  Failures warn and leave
+    no temporary file behind. *)
+val publish_record : dir:string -> version:string -> string -> string -> unit

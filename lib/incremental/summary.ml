@@ -35,9 +35,9 @@ module C = Astree_core
 module Trace = Astree_obs.Trace
 
 (* The program's fingerprints and the frame names built from them, kept
-   in its prepared record: a kept record keys its next runs without
-   fingerprinting again, and its frame names stay physically the same,
-   which the frames it shares are checked against. *)
+   in its prepared record: a run fingerprints once, and its frame names
+   stay physically the same, which the frames it shares are checked
+   against. *)
 type C.Transfer.extra += Keys of Fingerprint.t * C.Frame.names
 
 let keys (pr : C.Transfer.prepared) : Fingerprint.t * C.Frame.names =
@@ -133,7 +133,7 @@ let add (ss : session) (key : C.Transfer.summary_key) (s : C.Transfer.summary)
     ss.ss_new <- (key, s) :: ss.ss_new
   end
 
-(** Fingerprint the program (once per prepared record), open the store
+(** Fingerprint the program (once per run: {!keys}), open the store
     in the [Cache_dir] directory (its indexes only) and install the
     keyed tier in the session.  Call before the analysis. *)
 let attach (ses : C.Transfer.session) (pr : C.Transfer.prepared) : session =

@@ -16,8 +16,8 @@ module C = Astree_core
 val entry_digest : C.Transfer.actx -> C.Astate.t -> string
 
 (** The fingerprints of a prepared program and the frame names built
-    from them: computed on first use and kept in the record, so a kept
-    record is fingerprinted once. *)
+    from them: computed on first use and kept in the record, so a run
+    fingerprints its program once. *)
 val keys : C.Transfer.prepared -> Fingerprint.t * C.Frame.names
 
 (** The [Analysis.cache_driver] implementation: fingerprint the program

@@ -17,18 +17,18 @@ let recomputed = Metrics.counter "par.recomputed"
 
 (* Every hook follows from [cfg]; a per-task run ([itf]) is governed by
    its fixpoint and does not split. *)
-let analyze ?prepared ?itf ?(cfg = C.Config.default) p =
+let analyze ?itf ?(cfg = C.Config.default) p =
   if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
   let tick = Astree_robust.Degrade.tick cfg in
   match itf with
   | Some itf ->
       C.Analysis.analyze
         ~session:(C.Transfer.new_session ~itf ?tick ())
-        ?prepared ~cfg p
+        ~cfg p
   | None ->
       Astree_robust.Degrade.analyze
         ~session:(C.Transfer.new_session ~split:Split.split ?tick ())
-        ?prepared ~cfg p
+        ~cfg p
 
 type ('a, 'b) workers = {
   w_run : 'a -> 'b;  (** the job function, also the in-process fallback *)

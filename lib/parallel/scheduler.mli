@@ -18,7 +18,6 @@ val default_jobs : unit -> int
     as two processes, with the [-j 1] result (DESIGN.md §7).  With
     [?itf], a per-task run: no split, no ladder, only the tick. *)
 val analyze :
-  ?prepared:C.Transfer.prepared ->
   ?itf:C.Transfer.itf ->
   ?cfg:C.Config.t ->
   F.Tast.program ->

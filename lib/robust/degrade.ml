@@ -225,7 +225,7 @@ let tick (cfg : C.Config.t) : (unit -> unit) option =
     the degradation ladder.  The returned result carries
     [stats.s_degraded = Some _] iff precision was shed or the run was
     interrupted. *)
-let analyze ?session ?prepared ?(cfg = C.Config.default) (p : F.Tast.program)
+let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program)
     : C.Analysis.result =
   let ses =
     match session with
@@ -233,5 +233,5 @@ let analyze ?session ?prepared ?(cfg = C.Config.default) (p : F.Tast.program)
     | None -> C.Transfer.new_session ?tick:(tick cfg) ()
   in
   govern cfg p ~mark
-    ~attempt:(fun acfg -> C.Analysis.analyze ~session:ses ?prepared ~cfg:acfg p)
+    ~attempt:(fun acfg -> C.Analysis.analyze ~session:ses ~cfg:acfg p)
     ~interrupted:(fun acfg -> interrupted_result ses acfg p)

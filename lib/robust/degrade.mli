@@ -41,12 +41,9 @@ val tick : Astree_core.Config.t -> (unit -> unit) option
     precision was shed or the run was interrupted (in which case the
     result is partial: alarms found so far, bottom final state).
     Every attempt runs under [?session], whose tick polls the budget;
-    a fresh session with {!tick}[ cfg] is created otherwise.
-    [?prepared] goes to every attempt; only the undegraded one, whose
-    configuration is [cfg], can use it. *)
+    a fresh session with {!tick}[ cfg] is created otherwise. *)
 val analyze :
   ?session:Astree_core.Transfer.session ->
-  ?prepared:Astree_core.Transfer.prepared ->
   ?cfg:Astree_core.Config.t ->
   Astree_frontend.Tast.program ->
   Astree_core.Analysis.result

@@ -2,7 +2,7 @@
     the tests: connect to the socket, send one newline-delimited JSON
     request, read one reply line.
 
-    The daemon renders the report with the same {!Report.render} the
+    The daemon renders the report with the same {!Report.to_json} the
     one-shot CLI uses and splices it verbatim as the {e last} member of
     the reply, so {!reply_report} can recover the exact bytes without
     reserializing — that is what makes client-mode output

@@ -2,17 +2,17 @@
     concurrent analyze requests over the fork pool.
 
     One process owns the listening socket and a [select] event loop;
-    requests are dispatched to long-lived pool workers (which keep the
-    programs they served, {!Service.prepared}), each of which analyzes
-    through the CLI's own entry, {!Service.analyze}, on one core — a
-    multi-task program's interference fixpoint included — and finished
-    requests ship back their report plus metrics and trace deltas,
-    which the daemon absorbs into the registry served by the [metrics]
-    verb.  Function summaries never cross the worker pipe: every
-    worker reads the ones its keys hit from one content-addressed
+    requests are dispatched to long-lived pool workers, each of which
+    analyzes through the CLI's own entry, {!Service.analyze}, on one
+    core — a multi-task program's interference fixpoint included — and
+    finished requests ship back their report plus metrics and trace
+    deltas, which the daemon absorbs into the registry served by the
+    [metrics] verb.  Function summaries never cross the worker pipe:
+    every worker reads the ones its keys hit from one content-addressed
     summary store directory and publishes the ones it computed there,
     exactly as an [astree --cache] run does, so an edited copy of a
-    program hits its base's summaries.
+    program hits its base's summaries, and a repeated request is
+    answered from the report record its first run published there.
 
     {b Protocol} (newline-delimited JSON, one object per line):
     requests carry a [verb] ([analyze], [status], [metrics],

@@ -1,5 +1,6 @@
-(* JSON report rendering, shared by bin/astree.ml (--format json) and
-   the daemon workers.  See report.mli for the parity contract. *)
+(* The report record and its JSON and text renderings, shared by
+   bin/astree.ml and the daemon workers.  See report.mli for the parity
+   contract. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -80,15 +81,52 @@ let pp_interference ppf (i : interference) =
     (if i.i_stabilized then ""
      else " (round budget hit: everything-top fallback)")
 
-let render ?(metrics = false) ?interference ?fingerprint
-    (r : C.Analysis.result) : string =
+(* exit codes: 0 clean, 1 alarms, 3 degraded-but-complete,
+   130 interrupted (the usual 128+SIGINT convention) *)
+let exit_code (r : C.Analysis.result) : int =
+  match r.C.Analysis.r_stats.C.Analysis.s_degraded with
+  | Some d when d.C.Analysis.dg_reason = "interrupted" -> 130
+  | Some _ -> 3
+  | None -> if C.Analysis.n_alarms r = 0 then 0 else 1
+
+(* ---- the report record ------------------------------------------- *)
+
+type t = {
+  alarms : C.Alarm.t list;
+  stats : C.Analysis.stats;
+  useful_packs : int list;
+  fingerprint : string;
+  interference : interference option;
+  exit : int;
+}
+
+(* bump whenever [t] or a type it holds changes, so that a record of
+   another version never unmarshals as this one, and, like the summary
+   store's magic, whenever the analyzer can report differently on the
+   same sources and options *)
+let version = "1"
+
+let of_result ?interference (r : C.Analysis.result) : t =
+  {
+    alarms = r.C.Analysis.r_alarms;
+    stats = r.C.Analysis.r_stats;
+    useful_packs = C.Analysis.useful_octagon_packs r;
+    fingerprint = Astree_parallel.Merge.fingerprint r;
+    interference;
+    exit = exit_code r;
+  }
+
+let strip_cache (t : t) : t =
+  { t with stats = { t.stats with C.Analysis.s_cache = None } }
+
+let to_json ?(metrics = false) (t : t) : string =
   let degraded =
-    match r.C.Analysis.r_stats.C.Analysis.s_degraded with
+    match t.stats.C.Analysis.s_degraded with
     | None -> ""
     | Some d -> Printf.sprintf ", \"degraded\": %s" (json_degraded d)
   in
   let interference =
-    match interference with
+    match t.interference with
     | None -> ""
     | Some i -> Printf.sprintf ", \"interference\": %s" (json_interference i)
   in
@@ -104,27 +142,22 @@ let render ?(metrics = false) ?interference ?fingerprint
   Printf.sprintf
     "{\"alarms\": [%s], \"stats\": %s, \"octagon_useful_ids\": [%s], \
      \"fingerprint\": %s%s%s%s}"
-    (String.concat ", " (List.map json_alarm r.C.Analysis.r_alarms))
-    (json_stats r.C.Analysis.r_stats)
-    (String.concat ", "
-       (List.map string_of_int (C.Analysis.useful_octagon_packs r)))
-    (json_str
-       (match fingerprint with
-       | Some fp -> fp
-       | None -> Astree_parallel.Merge.fingerprint r))
-    interference degraded metrics_block
+    (String.concat ", " (List.map json_alarm t.alarms))
+    (json_stats t.stats)
+    (String.concat ", " (List.map string_of_int t.useful_packs))
+    (json_str t.fingerprint) interference degraded metrics_block
 
-let strip_cache (r : C.Analysis.result) : C.Analysis.result =
-  {
-    r with
-    C.Analysis.r_stats =
-      { r.C.Analysis.r_stats with C.Analysis.s_cache = None };
-  }
-
-(* exit codes: 0 clean, 1 alarms, 3 degraded-but-complete,
-   130 interrupted (the usual 128+SIGINT convention) *)
-let exit_code (r : C.Analysis.result) : int =
-  match r.C.Analysis.r_stats.C.Analysis.s_degraded with
-  | Some d when d.C.Analysis.dg_reason = "interrupted" -> 130
-  | Some _ -> 3
-  | None -> if C.Analysis.n_alarms r = 0 then 0 else 1
+let pp_text ~(explain : bool) ~(verbose : bool) ppf (t : t) : unit =
+  (* cache counters are a --verbose detail of the text report: default
+     output stays byte-identical to the cache-less analyzer (JSON
+     always carries them) *)
+  let t = if verbose then t else strip_cache t in
+  Fmt.pf ppf "%a@." C.Analysis.pp_report (t.alarms, t.stats);
+  Option.iter (Fmt.pf ppf "%a@." pp_interference) t.interference;
+  if explain && t.alarms <> [] then begin
+    Fmt.pf ppf "--- alarm provenance ---@.";
+    List.iter (Fmt.pf ppf "%a@." C.Alarm.pp_explain) t.alarms
+  end;
+  if verbose then
+    Fmt.pf ppf "useful octagon packs: %a@." Fmt.(list ~sep:comma int)
+      t.useful_packs

@@ -1,10 +1,11 @@
 (* Request semantics: options wire format, the shared flag-to-config
-   mapping, the table of analyzed programs, the one analysis entry of
-   the CLI and the daemon, and the per-request job run inside a pool
-   worker.  See service.mli. *)
+   mapping, the one analysis entry of the CLI and the daemon with its
+   report records, and the per-request job run inside a pool worker.
+   See service.mli. *)
 
 module C = Astree_core
 module F = Astree_frontend
+module Store = Astree_incremental.Store
 
 (* ---- options ----------------------------------------------------- *)
 
@@ -119,43 +120,43 @@ let options_of_json (j : Json.t) : options =
     o_cache = cache;
   }
 
-let config_of (o : options) ~(sources : (string * string) list) : C.Config.t =
+(* The configuration the options name, before the sources' markers. *)
+let base_config (o : options) : C.Config.t =
   let summary_cache =
     match o.o_cache with
     | `Off | `Default -> C.Config.Cache_off
     | `Dir dir -> C.Config.Cache_dir dir
   in
-  let cfg =
-    {
-      C.Config.default with
-      (* jobs = 0 means "one worker per available core", resolved
-         wherever the analysis actually runs (a daemon worker detects
-         its own host) *)
-      C.Config.jobs =
-        (if o.o_jobs = 0 then Astree_parallel.Scheduler.default_jobs ()
-         else max 1 o.o_jobs);
-      summary_cache;
-      timeout = (if o.o_timeout > 0. then o.o_timeout else 0.);
-      max_mem_mb = max 0 o.o_max_mem;
-      use_octagons = not o.o_no_oct;
-      use_ellipsoids = not o.o_no_ell;
-      use_decision_trees = not o.o_no_dt;
-      use_clocked = not o.o_no_clock;
-      use_linearization = not o.o_no_lin;
-      widening_thresholds =
-        (if o.o_no_thresholds then Astree_domains.Thresholds.none
-         else Astree_domains.Thresholds.default);
-      loop_unroll = o.o_unroll;
-      partitioned_functions = o.o_partition;
-      max_dtree_bools = o.o_max_dtree_bools;
-      useful_packs_only =
-        (match o.o_useful_packs with
-        | [] -> None
-        | ids -> Some ("cli", ids));
-    }
-  in
-  (* honor "/* astree-partition: f g ... */" markers unless the user
-     supplied an explicit partition list *)
+  {
+    C.Config.default with
+    (* jobs = 0 means "one worker per available core", resolved
+       wherever the analysis actually runs (a daemon worker detects its
+       own host) *)
+    C.Config.jobs =
+      (if o.o_jobs = 0 then Astree_parallel.Scheduler.default_jobs ()
+       else max 1 o.o_jobs);
+    summary_cache;
+    timeout = (if o.o_timeout > 0. then o.o_timeout else 0.);
+    max_mem_mb = max 0 o.o_max_mem;
+    use_octagons = not o.o_no_oct;
+    use_ellipsoids = not o.o_no_ell;
+    use_decision_trees = not o.o_no_dt;
+    use_clocked = not o.o_no_clock;
+    use_linearization = not o.o_no_lin;
+    widening_thresholds =
+      (if o.o_no_thresholds then Astree_domains.Thresholds.none
+       else Astree_domains.Thresholds.default);
+    loop_unroll = o.o_unroll;
+    partitioned_functions = o.o_partition;
+    max_dtree_bools = o.o_max_dtree_bools;
+    useful_packs_only =
+      (match o.o_useful_packs with [] -> None | ids -> Some ("cli", ids));
+  }
+
+(* honor "/* astree-partition: f g ... */" markers unless the user
+   supplied an explicit partition list *)
+let with_markers (o : options) ~(sources : (string * string) list)
+    (cfg : C.Config.t) : C.Config.t =
   if o.o_partition <> [] then cfg
   else
     let marked =
@@ -164,6 +165,9 @@ let config_of (o : options) ~(sources : (string * string) list) : C.Config.t =
     in
     if marked = [] then cfg
     else { cfg with C.Config.partitioned_functions = marked }
+
+let config_of (o : options) ~(sources : (string * string) list) : C.Config.t =
+  with_markers o ~sources (base_config o)
 
 (* the task entry points: the explicit list, else the sources'
    "/* astree-task: t u */" markers in document order, the first
@@ -175,7 +179,7 @@ let tasks_of (o : options) ~(sources : (string * string) list) : string list =
     |> List.fold_left (fun acc t -> if List.mem t acc then acc else t :: acc) []
     |> List.rev
 
-(* ---- the program table ------------------------------------------- *)
+(* ---- one analysis ------------------------------------------------ *)
 
 (* each source is digested in place: concatenating the sources first
    would copy them into one large block, which a one-shot run's peak
@@ -188,87 +192,106 @@ let source_digest ~(main : string) (sources : (string * string) list) : string
           (main
           :: List.concat_map (fun (n, c) -> [ n; Digest.string c ]) sources)))
 
-(* The programs a process has analyzed, by source digest: daemon
-   workers are long-lived, so a repeated request skips the frontend,
-   and from a program's second request on also what its analysis
-   prepares ([Transfer.prepared]).  A program served once keeps only
-   its typed IR: one-off edited copies do not make a worker's memory
-   grow.  So does a multi-task program, whose per-task runs re-root
-   [p_main] and could never use a record ([~prepare:false]). *)
-type program = {
-  pg_prog : F.Tast.program;
-  mutable pg_prepared : C.Transfer.prepared option;
-}
+(* The key of a report record: everything the report is a function of.
+   The configuration enters before the markers, which follow from the
+   sources, so a hit scans nothing; jobs, budget and cache directory
+   are result-neutral and [config_digest] leaves them out. *)
+let record_key (o : options) (cfg : C.Config.t) ~(main : string)
+    (sources : (string * string) list) : string =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( Report.version,
+            Sys.ocaml_version,
+            main,
+            o.o_tasks,
+            Astree_incremental.Fingerprint.config_digest cfg,
+            List.map (fun (n, c) -> (n, Digest.string c)) sources )
+          [ Marshal.No_sharing ]))
 
-let programs : (string, program) Hashtbl.t = Hashtbl.create 8
-let programs_max = 32
+let c_cache_hits = Astree_obs.Metrics.counter "cache.hits"
 
-let program ~(prepare : bool) ~(main : string)
-    (sources : (string * string) list) (cfg : C.Config.t) :
-    F.Tast.program * C.Transfer.prepared option =
-  let key = source_digest ~main sources in
-  match Hashtbl.find_opt programs key with
-  | Some pg when prepare ->
-      let pr =
-        C.Transfer.prepared_for ?prepared:pg.pg_prepared cfg pg.pg_prog
-      in
-      pg.pg_prepared <- Some pr;
-      (pg.pg_prog, Some pr)
-  | Some pg -> (pg.pg_prog, None)
-  | None ->
-      let p = fst (C.Analysis.compile ~main sources) in
-      if Hashtbl.length programs >= programs_max then Hashtbl.reset programs;
-      Hashtbl.add programs key { pg_prog = p; pg_prepared = None };
-      (p, None)
-
-let prepared ~(main : string) (sources : (string * string) list) :
-    C.Transfer.prepared option =
-  Option.bind
-    (Hashtbl.find_opt programs (source_digest ~main sources))
-    (fun pg -> pg.pg_prepared)
-
-let prepared_count () : int =
-  Hashtbl.fold
-    (fun _ pg n -> if Option.is_some pg.pg_prepared then n + 1 else n)
-    programs 0
-
-(* ---- one analysis ------------------------------------------------ *)
-
-type analyzed = {
-  a_prog : F.Tast.program;
-  a_result : C.Analysis.result;
-  a_interference : Report.interference option;
-}
-
-let analyze (o : options) ~(main : string) (sources : (string * string) list)
-    : analyzed =
-  let cfg = config_of o ~sources in
-  match tasks_of o ~sources with
-  | _ :: _ :: _ as tasks ->
-      let p, _ = program ~prepare:false ~main sources cfg in
-      let { Astree_conc.Fixpoint.c_result; c_rounds; c_stabilized; c_shared;
-            _ } =
-        Astree_conc.Fixpoint.analyze ~cfg ~tasks p
-      in
-      {
-        a_prog = p;
-        a_result = c_result;
-        a_interference =
+(* The report recorded under [key], with the counters a fully warm
+   summary-store run reports: one hit (the entry point), nothing
+   computed or saved. *)
+let recorded ~(dir : string) (key : string) : Report.t option =
+  let t0 = Unix.gettimeofday () in
+  Option.bind (Store.find_record ~dir ~version:Report.version key)
+    (fun payload ->
+      match (Marshal.from_string payload 0 : Report.t) with
+      | exception (Failure _ | Invalid_argument _) ->
+          prerr_endline
+            ("astree: warning: report record " ^ key
+           ^ ": does not unmarshal, ignored");
+          None
+      | rep ->
+          Astree_obs.Metrics.incr c_cache_hits;
+          let dt = Unix.gettimeofday () -. t0 in
           Some
             {
-              Report.i_tasks = List.length tasks;
-              i_rounds = c_rounds;
-              i_stabilized = c_stabilized;
-              i_shared = List.length c_shared;
-            };
-      }
+              rep with
+              Report.stats =
+                {
+                  rep.Report.stats with
+                  C.Analysis.s_time = dt;
+                  s_cache =
+                    Some
+                      {
+                        C.Analysis.c_hits = 1;
+                        c_misses = 0;
+                        c_entries = 0;
+                        c_loaded = 1;
+                        c_load_time = dt;
+                        c_save_time = 0.;
+                      };
+                };
+            })
+
+type analyzed = {
+  a_report : Report.t;
+  a_run : (F.Tast.program * C.Analysis.result) option;
+}
+
+let run (o : options) (cfg : C.Config.t) ~(main : string)
+    (sources : (string * string) list) : analyzed =
+  let cfg = with_markers o ~sources cfg in
+  let p = fst (C.Analysis.compile ~main sources) in
+  match tasks_of o ~sources with
+  | _ :: _ :: _ as tasks ->
+      let { Astree_conc.Fixpoint.c_result = r; c_rounds; c_stabilized;
+            c_shared; _ } =
+        Astree_conc.Fixpoint.analyze ~cfg ~tasks p
+      in
+      let interference =
+        {
+          Report.i_tasks = List.length tasks;
+          i_rounds = c_rounds;
+          i_stabilized = c_stabilized;
+          i_shared = List.length c_shared;
+        }
+      in
+      { a_report = Report.of_result ~interference r; a_run = Some (p, r) }
   | _ ->
-      let p, prepared = program ~prepare:true ~main sources cfg in
-      {
-        a_prog = p;
-        a_result = Astree_parallel.Scheduler.analyze ?prepared ~cfg p;
-        a_interference = None;
-      }
+      let r = Astree_parallel.Scheduler.analyze ~cfg p in
+      { a_report = Report.of_result r; a_run = Some (p, r) }
+
+let analyze ?(reuse = true) (o : options) ~(main : string)
+    (sources : (string * string) list) : analyzed =
+  let cfg = base_config o in
+  match cfg.C.Config.summary_cache with
+  | C.Config.Cache_dir dir when reuse -> (
+      let key = record_key o cfg ~main sources in
+      match recorded ~dir key with
+      | Some rep -> { a_report = rep; a_run = None }
+      | None ->
+          let a = run o cfg ~main sources in
+          (* a degraded or interrupted report is not the program's *)
+          if Option.is_none a.a_report.Report.stats.C.Analysis.s_degraded
+          then
+            Store.publish_record ~dir ~version:Report.version key
+              (Marshal.to_string a.a_report []);
+          a)
+  | _ -> run o cfg ~main sources
 
 (* ---- worker jobs ------------------------------------------------- *)
 
@@ -301,22 +324,19 @@ let serve (w : work) : outcome =
   | exception Sys_error msg -> Refused msg
   | exception e -> (
       match C.Analysis.diagnosis e with Some m -> Refused m | None -> raise e)
-  | { a_result = r; a_interference = interference; _ } ->
-      let loaded =
-        Option.fold ~none:0
-          ~some:(fun c -> c.C.Analysis.c_loaded)
-          r.C.Analysis.r_stats.C.Analysis.s_cache
-      in
-      let r = if w.w_strip_cache then Report.strip_cache r else r in
-      let fingerprint = Astree_parallel.Merge.fingerprint r in
+  | { a_report = rep; _ } ->
+      let stats = rep.Report.stats in
       Served
         {
-          sv_report = Report.render ?interference ~fingerprint r;
-          sv_exit = Report.exit_code r;
-          sv_alarms = C.Analysis.n_alarms r;
-          sv_fingerprint = fingerprint;
-          sv_degraded =
-            Option.is_some r.C.Analysis.r_stats.C.Analysis.s_degraded;
-          sv_loaded = loaded;
+          sv_report =
+            Report.to_json (if w.w_strip_cache then Report.strip_cache rep else rep);
+          sv_exit = rep.Report.exit;
+          sv_alarms = List.length rep.Report.alarms;
+          sv_fingerprint = rep.Report.fingerprint;
+          sv_degraded = Option.is_some stats.C.Analysis.s_degraded;
+          sv_loaded =
+            Option.fold ~none:0
+              ~some:(fun c -> c.C.Analysis.c_loaded)
+              stats.C.Analysis.s_cache;
           sv_time = Unix.gettimeofday () -. t0;
         }

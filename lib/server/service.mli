@@ -5,8 +5,9 @@
 
     The one-shot CLI analyzes through {!analyze} too, so a request
     forwarded to the daemon and the same invocation run in-process
-    resolve to the same analysis, multi-task programs included — the
-    foundation of the client-mode byte-parity guarantee. *)
+    resolve to the same analysis, or to the same report record,
+    multi-task programs included — the foundation of the client-mode
+    byte-parity guarantee. *)
 
 module C = Astree_core
 module F = Astree_frontend
@@ -53,45 +54,44 @@ val config_of : options -> sources:(string * string) list -> C.Config.t
     ["/* astree-partition: ... */"] marker scan of the sources when no
     explicit partition list is given. *)
 
-(** {1 Programs and analyses} *)
+(** {1 Analyses} *)
 
 val source_digest : main:string -> (string * string) list -> string
 (** Hex digest identifying a compiled program (sources + entry point);
-    keys the program table and the daemon's dedup. *)
+    keys the daemon's dedup. *)
 
-val prepared :
-  main:string -> (string * string) list -> C.Transfer.prepared option
-(** The prepared record this process keeps for a program.  The process
-    keeps the typed IR of every program it analyzed (the 32 latest; the
-    table empties when full) and, from a single-task program's second
-    analysis on, its {!Astree_core.Transfer.prepared} record for the
-    latest configuration; [None] for a program analyzed at most once
-    and for a multi-task program, whose per-task runs re-root
-    [p_main]. *)
-
-val prepared_count : unit -> int
-(** Programs whose record {!prepared} keeps. *)
-
-(** One analysis: the typed program, the result and, for a multi-task
-    program, its interference block. *)
+(** One request's report and, when this call analyzed, the typed
+    program and the result it came from. *)
 type analyzed = {
-  a_prog : F.Tast.program;
-  a_result : C.Analysis.result;
-  a_interference : Report.interference option;
+  a_report : Report.t;
+  a_run : (F.Tast.program * C.Analysis.result) option;
+      (** [None] when a report record answered *)
 }
 
-val analyze : options -> main:string -> (string * string) list -> analyzed
-(** The one analysis of the CLI and the daemon: resolve the
-    configuration ({!config_of}) and the task list ([o_tasks], else the
-    sources' ["/* astree-task: ... */"] markers in document order, the
-    first occurrence winning), take the program from the program table
-    (compiling it on a miss), then run
-    {!Astree_conc.Fixpoint.analyze} for two or more tasks and
-    {!Astree_parallel.Scheduler.analyze} with the kept prepared record
-    otherwise.  Frontend and analysis errors escape as raised
+val analyze :
+  ?reuse:bool -> options -> main:string -> (string * string) list -> analyzed
+(** The one analysis of the CLI and the daemon.  Under a [`Dir DIR]
+    cache the report is first looked up as a report record
+    ([DIR/<key>.report], {!Astree_incremental.Store.find_record}),
+    keyed by the sources' names and bytes, the entry point, the
+    explicit task list, [Fingerprint.config_digest] of the
+    configuration before the sources' markers, {!Report.version} and
+    the OCaml version: a hit compiles nothing and reports this run's
+    [time] and the cache block of a fully warm run (1 hit, 0 misses,
+    0 entries, 1 loaded, [save_time] 0), bumping [cache.hits].  With
+    [~reuse:false] (a run that needs the result itself: the CLI's
+    report extras) no record is read or published.
+
+    Otherwise it resolves the configuration ({!config_of}) and the task
+    list ([o_tasks], else the sources' ["/* astree-task: ... */"]
+    markers in document order, the first occurrence winning), compiles
+    the program, runs {!Astree_conc.Fixpoint.analyze} for two or more
+    tasks and {!Astree_parallel.Scheduler.analyze} otherwise, and under
+    a [`Dir] cache publishes the report as the key's record unless the
+    run degraded or [~reuse:false].  Frontend and analysis errors escape as raised
     ({!Astree_core.Analysis.diagnosis} names them, bad task names
     included), and so does an interrupt of a multi-task run
-    ([Budget.Tripped Interrupted]). *)
+    ([Budget.Tripped Interrupted]); neither publishes a record. *)
 
 (** {1 Worker jobs} *)
 
@@ -131,10 +131,10 @@ type outcome = Served of served | Refused of string
 val serve : work -> outcome
 (** Run one request (in a pool worker): {!analyze} on one core
     ([o_jobs = 1]; a multi-task program's fixpoint runs its per-task
-    runs in-process) — under a [`Dir] cache, reading the summaries its
-    keys hit from the store and publishing the ones it computed — and
-    package the report, with its ["interference"] block for a
-    multi-task program.  Called in-process (tests, the layer benchmark)
+    runs in-process) — under a [`Dir] cache, answering from the
+    request's report record when there is one, else reading the
+    summaries its keys hit from the store and publishing the ones it
+    computed and the record — and package the report.  Called in-process (tests, the layer benchmark)
     it leaves the caller's trace sink and registry as any analysis
     does.  An error that {!Astree_core.Analysis.diagnosis} names (bad
     input, a call without a body) and a [Sys_error] come back as

@@ -1807,6 +1807,308 @@ let test_reused_pack_digests_exact () =
         + edited.C.Analysis.c_hits + edited.C.Analysis.c_misses)
         !checked)
 
+(* ---------------- report records ---------------- *)
+
+module Srv = Astree_server
+
+let example name =
+  match read_example name with
+  | Some src -> src
+  | None -> Alcotest.failf "examples/data/%s not found" name
+
+let itv_transfers = Astree_obs.Metrics.counter "itv.transfer"
+
+let record_files dir =
+  match Sys.readdir dir with
+  | names ->
+      Array.to_list names
+      |> List.filter (fun f -> Filename.check_suffix f ".report")
+      |> List.map (Filename.concat dir)
+  | exception Sys_error _ -> []
+
+(* [s] with the number after each of [keys] blanked *)
+let mask_numbers keys (s : string) : string =
+  let n = String.length s in
+  let b = Buffer.create n in
+  let rec go i =
+    if i >= n then ()
+    else
+      match
+        List.find_opt
+          (fun k ->
+            let l = String.length k in
+            i + l <= n && String.sub s i l = k)
+          keys
+      with
+      | Some k ->
+          Buffer.add_string b k;
+          let j = ref (i + String.length k) in
+          while
+            !j < n
+            && (match s.[!j] with '0' .. '9' | '.' | 'e' | '+' | '-' -> true | _ -> false)
+          do
+            incr j
+          done;
+          go !j
+      | None ->
+          Buffer.add_char b s.[i];
+          go (i + 1)
+  in
+  go 0;
+  Buffer.contents b
+
+let mask_times =
+  mask_numbers
+    [ "\"time\": "; "\"load_time\": "; "\"save_time\": "; "time: "; "load_time: "; "save_time: " ]
+
+(* the JSON and the --explain --verbose text of a report, times masked *)
+let rendered (rep : Srv.Report.t) : string * string =
+  ( mask_times (Srv.Report.to_json rep),
+    mask_times (Fmt.str "%a" (Srv.Report.pp_text ~explain:true ~verbose:true) rep) )
+
+let options ?(jobs = 1) ?(tasks = []) dir =
+  {
+    Srv.Service.default_options with
+    Srv.Service.o_jobs = jobs;
+    o_tasks = tasks;
+    o_cache = `Dir dir;
+  }
+
+let hit_cache =
+  {
+    C.Analysis.c_hits = 1;
+    c_misses = 0;
+    c_entries = 0;
+    c_loaded = 1;
+    c_load_time = 0.;
+    c_save_time = 0.;
+  }
+
+let tasks_src () =
+  (G.Generator.generate_tasks
+     { G.Generator.default with seed = 5; target_lines = 1000; bug_ratio = 1.0 }
+     ~tasks:3)
+    .G.Generator.source
+
+(* A record hit compiles nothing and reports what the run that
+   published it reported: JSON and --explain --verbose text equal the
+   cold run's with the times masked, the cache block aside, which is
+   a fully warm run's; a second, summary-replaying run (no record read)
+   reports exactly that block on a program whose entry point is
+   memoized.  Over examples, a fused member, a bug-injected member and
+   a three-task member, at -j 1 and -j 2. *)
+let test_record_hits_equal_cold () =
+  Astree_robust.Faultsim.with_suppressed @@ fun () ->
+  let inputs =
+    List.map
+      (fun f -> (f, example f))
+      [ "mini_fbw.c"; "buggy_demo.c"; "filter_bank.c" ]
+    @ [
+        ("fused.c", fused_member ());
+        ("bugs.c", buggy_fused_src ());
+        ("tasks.c", tasks_src ());
+      ]
+  in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (name, src) ->
+          let what = Printf.sprintf "%s -j %d" name jobs in
+          let sources = [ (name, src) ] in
+          with_private_dir (fun dir ->
+              let o = options ~jobs dir in
+              let cold = Srv.Service.analyze o ~main:"main" sources in
+              Alcotest.(check bool) (what ^ ": the cold run analyzes") true
+                (Option.is_some cold.Srv.Service.a_run);
+              Alcotest.(check int) (what ^ ": one record") 1
+                (List.length (record_files dir));
+              let hit, transfers =
+                let before = Astree_obs.Metrics.value itv_transfers in
+                let a = Srv.Service.analyze o ~main:"main" sources in
+                (a, Astree_obs.Metrics.value itv_transfers - before)
+              in
+              Alcotest.(check bool) (what ^ ": the record answers") true
+                (Option.is_none hit.Srv.Service.a_run && transfers = 0);
+              let rep = hit.Srv.Service.a_report in
+              let json, text = rendered (Srv.Report.strip_cache rep) in
+              let cold_json, cold_text =
+                rendered (Srv.Report.strip_cache cold.Srv.Service.a_report)
+              in
+              Alcotest.(check string) (what ^ ": JSON = cold") cold_json json;
+              Alcotest.(check string) (what ^ ": text = cold") cold_text text;
+              Alcotest.(check int) (what ^ ": exit = cold")
+                cold.Srv.Service.a_report.Srv.Report.exit rep.Srv.Report.exit;
+              Alcotest.(check bool) (what ^ ": a fully warm run's cache block") true
+                (Option.map
+                   (fun c -> { c with C.Analysis.c_load_time = 0. })
+                   rep.Srv.Report.stats.C.Analysis.s_cache
+                = Some hit_cache);
+              if name = "fused.c" then begin
+                let warm = Srv.Service.analyze ~reuse:false o ~main:"main" sources in
+                Alcotest.(check (pair string string))
+                  (what ^ ": = the summary-replaying warm run")
+                  (rendered warm.Srv.Service.a_report) (rendered rep)
+              end))
+        inputs)
+    [ 1; 2 ]
+
+(* What a report is a function of misses; what it is not still hits. *)
+let test_record_key () =
+  Astree_robust.Faultsim.with_suppressed @@ fun () ->
+  let src = example "mini_fbw.c" in
+  let two_mains = src ^ "\nint alt_main(void) { return 0; }\n" in
+  let multi =
+    "/* astree-task: t1 t2 */\n\
+     int g;\n\
+     void t1(void) { while (1) { g = g + 1; __astree_wait_for_clock(); } }\n\
+     void t2(void) { while (1) { int x = g; __astree_wait_for_clock(); } }\n\
+     int main(void) { while (1) { __astree_wait_for_clock(); } }\n"
+  in
+  with_private_dir (fun dir ->
+      let run ?(main = "main") o sources =
+        Option.is_none (Srv.Service.analyze o ~main sources).Srv.Service.a_run
+      in
+      let o = options dir in
+      let base = [ ("fbw.c", two_mains) ] in
+      ignore (run o base);
+      ignore (run o [ ("m.c", multi) ]);
+      let flip s i = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s in
+      List.iter
+        (fun (what, hits, (main, o, sources)) ->
+          Alcotest.(check bool) what hits (run ~main o sources))
+        [
+          ("the same request hits", true, ("main", o, base));
+          ("one source byte misses", false,
+            ("main", o, [ ("fbw.c", flip two_mains (String.rindex two_mains '0')) ]));
+          ("a renamed file misses", false, ("main", o, [ ("fbw2.c", two_mains) ]));
+          ("another --main misses", false, ("alt_main", o, base));
+          ("--tasks misses", false, ("main", options ~tasks:[ "t1"; "t2" ] dir, [ ("m.c", multi) ]));
+          ("--unroll misses", false, ("main", { o with Srv.Service.o_unroll = 2 }, base));
+          ("--no-octagons misses", false, ("main", { o with Srv.Service.o_no_oct = true }, base));
+          ("a partition marker misses", false,
+            ("main", o, [ ("fbw.c", "/* astree-partition: alt_main */\n" ^ two_mains) ]));
+          ("-j 2 hits", true, ("main", options ~jobs:2 dir, base));
+          ("--timeout hits", true, ("main", { o with Srv.Service.o_timeout = 100. }, base));
+          ("--max-mem hits", true, ("main", { o with Srv.Service.o_max_mem = 4096 }, base));
+        ])
+
+(* A degraded run and an interrupted run publish no record. *)
+let test_record_not_degraded () =
+  Astree_robust.Faultsim.with_suppressed @@ fun () ->
+  let sources = [ ("fused.c", fused_member ()) ] in
+  with_private_dir (fun dir ->
+      let o = { (options dir) with Srv.Service.o_timeout = 1e-6 } in
+      let a = Srv.Service.analyze o ~main:"main" sources in
+      Alcotest.(check bool) "the run degraded" true
+        (a.Srv.Service.a_report.Srv.Report.stats.C.Analysis.s_degraded <> None);
+      Alcotest.(check int) "no record" 0 (List.length (record_files dir));
+      Astree_robust.Budget.interrupt ();
+      Fun.protect ~finally:Astree_robust.Budget.clear_interrupt (fun () ->
+          let a = Srv.Service.analyze (options dir) ~main:"main" sources in
+          Alcotest.(check int) "interrupted" 130 a.Srv.Service.a_report.Srv.Report.exit);
+      Alcotest.(check int) "still no record" 0 (List.length (record_files dir));
+      Astree_robust.Budget.interrupt ();
+      Fun.protect ~finally:Astree_robust.Budget.clear_interrupt (fun () ->
+          match
+            Srv.Service.analyze (options dir) ~main:"main" [ ("tasks.c", tasks_src ()) ]
+          with
+          | _ -> Alcotest.fail "the multi-task run was not interrupted"
+          | exception Astree_robust.Budget.Tripped _ -> ());
+      Alcotest.(check int) "no record of a multi-task interrupt" 0
+        (List.length (record_files dir)))
+
+(* A truncated, bit-flipped or foreign-version record is a miss with one
+   warning, and the run publishes a fresh record the next run hits. *)
+let test_record_damaged () =
+  Astree_robust.Faultsim.with_suppressed @@ fun () ->
+  let sources = [ ("mini_fbw.c", example "mini_fbw.c") ] in
+  List.iter
+    (fun (what, damage) ->
+      with_private_dir (fun dir ->
+          let o = options dir in
+          let cold = Srv.Service.analyze o ~main:"main" sources in
+          let file = List.hd (record_files dir) in
+          let bytes = In_channel.with_open_bin file In_channel.input_all in
+          write_file file (damage bytes);
+          let a, err =
+            with_stderr_captured (fun () -> Srv.Service.analyze o ~main:"main" sources)
+          in
+          let warnings =
+            List.filter (fun l -> l <> "") (String.split_on_char '\n' err)
+          in
+          Alcotest.(check int) (what ^ ": one warning") 1 (List.length warnings);
+          Alcotest.(check bool) (what ^ ": a miss") true (Option.is_some a.Srv.Service.a_run);
+          Alcotest.(check string) (what ^ ": the cold report")
+            (fst (rendered (Srv.Report.strip_cache cold.Srv.Service.a_report)))
+            (fst (rendered (Srv.Report.strip_cache a.Srv.Service.a_report)));
+          let again = Srv.Service.analyze o ~main:"main" sources in
+          Alcotest.(check bool) (what ^ ": a fresh record hits") true
+            (Option.is_none again.Srv.Service.a_run)))
+    [
+      ("truncated", fun b -> String.sub b 0 (String.length b / 2));
+      ("bit-flipped", fun b ->
+          String.mapi (fun i c -> if i = String.length b / 2 then Char.chr (Char.code c lxor 4) else c) b);
+      ("wrong version", fun b ->
+          (* the header names another format version, the digest is
+             recomputed: only the version check stands in the way *)
+          let hdr = "astree-report-record\n" ^ Srv.Report.version ^ " " in
+          let body = String.sub b 0 (String.length b - 16) in
+          let rest = String.sub body (String.length hdr) (String.length body - String.length hdr) in
+          let body = "astree-report-record\n0 " ^ rest in
+          body ^ Digest.string body);
+    ]
+
+(* A record write that fails — here the record's name is taken by a
+   directory, so the rename fails after the temporary file was written —
+   leaves no temporary file, and the report and exit code are the cold
+   run's. *)
+let test_record_write_fails () =
+  Astree_robust.Faultsim.with_suppressed @@ fun () ->
+  let sources = [ ("buggy_demo.c", example "buggy_demo.c") ] in
+  with_private_dir (fun dir ->
+      let cold = (Srv.Service.analyze (options dir) ~main:"main" sources).Srv.Service.a_report in
+      let record = List.hd (record_files dir) in
+      Sys.remove record;
+      Unix.mkdir record 0o755;
+      let a, err =
+        with_stderr_captured (fun () -> Srv.Service.analyze (options dir) ~main:"main" sources)
+      in
+      let rep = a.Srv.Service.a_report in
+      Alcotest.(check bool) "a warning" true (err <> "");
+      Alcotest.(check string) "the cold report"
+        (fst (rendered (Srv.Report.strip_cache cold)))
+        (fst (rendered (Srv.Report.strip_cache rep)));
+      Alcotest.(check int) "the cold exit code" cold.Srv.Report.exit rep.Srv.Report.exit;
+      Array.iter
+        (fun f ->
+          Alcotest.(check bool) (f ^ ": no temporary file") false
+            (Filename.check_suffix f ".tmp"))
+        (Sys.readdir dir);
+      Unix.rmdir record)
+
+(* Two processes publishing the same key leave one valid record. *)
+let test_record_racing_writers () =
+  with_private_dir (fun dir ->
+      let payload i = String.make (1 lsl 16) (Char.chr (65 + i)) in
+      let pids =
+        List.init 2 (fun i ->
+            match Unix.fork () with
+            | 0 ->
+                for _ = 1 to 20 do
+                  I.Store.publish_record ~dir ~version:"v" "k" (payload i)
+                done;
+                Unix._exit 0
+            | pid -> pid)
+      in
+      List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+      (match I.Store.find_record ~dir ~version:"v" "k" with
+      | Some p ->
+          Alcotest.(check bool) "one writer's payload, whole" true
+            (p = payload 0 || p = payload 1)
+      | None -> Alcotest.fail "no valid record");
+      Alcotest.(check (list string)) "one file" [ "k.report" ]
+        (Array.to_list (Sys.readdir dir)))
+
 let suite =
   [
     Alcotest.test_case "fingerprint: deterministic" `Quick
@@ -1865,6 +2167,18 @@ let suite =
       `Quick test_frame_oracle;
     Alcotest.test_case "reused pack digests are exact" `Quick
       test_reused_pack_digests_exact;
+    Alcotest.test_case "record: a hit equals the cold run" `Slow
+      test_record_hits_equal_cold;
+    Alcotest.test_case "record: what misses and what hits" `Quick
+      test_record_key;
+    Alcotest.test_case "record: degraded and interrupted runs publish none"
+      `Quick test_record_not_degraded;
+    Alcotest.test_case "record: a damaged record is one warning and a miss"
+      `Quick test_record_damaged;
+    Alcotest.test_case "record: a failed write leaves no temporary" `Quick
+      test_record_write_fails;
+    Alcotest.test_case "record: racing writers leave one valid record" `Quick
+      test_record_racing_writers;
     Alcotest.test_case "store: a save reads only files published since open"
       `Quick test_save_reads_new_files;
   ]

@@ -168,11 +168,13 @@ let observe ?(timeout = 0.) ?(tweak = Fun.id) ?split ~jobs src =
   let delta = Metrics.diff m0 in
   let count n = Option.value ~default:0 (Metrics.find_int delta n) in
   let report =
-    Srv.Report.render
-      {
-        r with
-        C.Analysis.r_stats = { r.C.Analysis.r_stats with C.Analysis.s_time = 0. };
-      }
+    Srv.Report.to_json
+      (Srv.Report.of_result
+         {
+           r with
+           C.Analysis.r_stats =
+             { r.C.Analysis.r_stats with C.Analysis.s_time = 0. };
+         })
   in
   let explain = List.map (Fmt.str "%a" C.Alarm.pp_explain) r.C.Analysis.r_alarms in
   let dump =

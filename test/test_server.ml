@@ -146,7 +146,7 @@ let in_process_report ?(options = Srv.Service.default_options) sources :
   let cfg = Srv.Service.config_of options ~sources in
   let p, _ = C.Analysis.compile ~main:"main" sources in
   let r = P.Scheduler.analyze ~cfg p in
-  (Srv.Report.render r, Srv.Report.exit_code r)
+  (Srv.Report.to_json (Srv.Report.of_result r), Srv.Report.exit_code r)
 
 (* blank the volatile "time" statistic; everything else must be
    byte-identical between client mode and in-process *)
@@ -234,13 +234,16 @@ let with_dir k =
   let dir = Filename.temp_dir "astreed-test-dir" "" in
   Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> k dir)
 
-let store_files dir =
+let files_with suffix dir =
   match Sys.readdir dir with
   | names ->
       Array.to_list names
-      |> List.filter (fun f -> Filename.check_suffix f ".sums")
+      |> List.filter (fun f -> Filename.check_suffix f suffix)
       |> List.map (Filename.concat dir)
   | exception Sys_error _ -> []
+
+let store_files = files_with ".sums"
+let record_files = files_with ".report"
 
 (* A two-stage filter cascade whose stage functions sit above
    [Memo.memo_min_stmts], so the analysis actually produces
@@ -685,15 +688,16 @@ let multi_task_report sources : string * int =
   let p, _ = C.Analysis.compile ~main:"main" sources in
   let cr = Astree_conc.Fixpoint.analyze ~cfg ~tasks:[ "t1"; "t2" ] p in
   let r = cr.Astree_conc.Fixpoint.c_result in
-  ( Srv.Report.render
-      ~interference:
-        {
-          Srv.Report.i_tasks = 2;
-          i_rounds = cr.Astree_conc.Fixpoint.c_rounds;
-          i_stabilized = cr.Astree_conc.Fixpoint.c_stabilized;
-          i_shared = List.length cr.Astree_conc.Fixpoint.c_shared;
-        }
-      r,
+  ( Srv.Report.to_json
+      (Srv.Report.of_result
+         ~interference:
+           {
+             Srv.Report.i_tasks = 2;
+             i_rounds = cr.Astree_conc.Fixpoint.c_rounds;
+             i_stabilized = cr.Astree_conc.Fixpoint.c_stabilized;
+             i_shared = List.length cr.Astree_conc.Fixpoint.c_shared;
+           }
+         r),
     Srv.Report.exit_code r )
 
 let test_multi_task_served () =
@@ -754,9 +758,13 @@ let test_multi_task_served () =
                 (scrub_time report)
                 (scrub_time (Option.get rep.Srv.Client.r_report));
               Alcotest.(check int) (what ^ ": the one-shot exit code") code
-                rep.Srv.Client.r_exit)
+                rep.Srv.Client.r_exit;
+              if cache = "daemon store again" then
+                Alcotest.(check int) (what ^ ": the record answers") 0
+                  (reply_counter "itv.transfer" rep))
             [
               ("daemon store", options);
+              ("daemon store again", options);
               ("cache off", { options with o_cache = `Off });
             ])
         cases);
@@ -1064,9 +1072,10 @@ let test_store_recovery () =
             (scrub_time (Option.get r.Srv.Client.r_report))))
 
 let test_store_torn () =
-  (* the published store file is torn after the fact — half of it, the
-     way a write that stopped midway without the atomic rename would
-     leave it: the restarted daemon must skip it and answer cold *)
+  (* the published store file and report record are torn after the
+     fact — half of each, the way a write that stopped midway without
+     the atomic rename would leave it: the restarted daemon must skip
+     them and answer cold *)
   let sources = [ ("cascade.c", prog_cascade) ] in
   let baseline, _ = in_process_report sources in
   with_dir (fun store ->
@@ -1077,7 +1086,7 @@ let test_store_torn () =
           Out_channel.with_open_bin f (fun oc ->
               Out_channel.output_string oc
                 (String.sub s 0 (String.length s / 2))))
-        (store_files store);
+        (store_files store @ record_files store);
       check_restart_cold ~store sources ~baseline ~why:"a torn file")
 
 let test_restart_over_stale_socket () =
@@ -1694,7 +1703,7 @@ let test_json_encoder_bytes () =
         (Srv.Json.parse line = Ok req))
     requests
 
-(* ---- prepared programs ------------------------------------------ *)
+(* ---- serving in-process ----------------------------------------- *)
 
 (* one request served in this process as a daemon worker serves it,
    with [store] as the daemon's store *)
@@ -1872,42 +1881,57 @@ let test_serve_keeps_trace_sink () =
           Alcotest.(check bool) "the caller's next event reaches the sink" true
             (List.exists (has_kind "after.serve") lines)))
 
-let test_one_off_programs_unprepared () =
+(* the registry's counter [name] moved by [f] *)
+let counted name f =
+  let module Metrics = Astree_obs.Metrics in
+  let m0 = Metrics.snapshot () in
+  let x = f () in
+  (x, Option.value ~default:0 (Metrics.find_int (Metrics.diff m0) name))
+
+(* A worker keeps nothing of the programs it served: each one-off
+   program leaves one report record in the store and no live data in
+   the process. *)
+let test_one_off_programs_keep_nothing () =
+  R.Faultsim.with_suppressed @@ fun () ->
   with_dir (fun store ->
       let sources i =
-        [ (Printf.sprintf "once%02d.c" i, prog_simple ^ Printf.sprintf "/* %d */\n" i) ]
+        [ (Printf.sprintf "once%02d.c" i, prog_calls ^ Printf.sprintf "/* %d */\n" i) ]
       in
-      ignore (serve_in ~store (sources 0));
-      Alcotest.(check bool) "a program served once holds no record" true
-        (Option.is_none (Srv.Service.prepared ~main:"main" (sources 0)));
-      for i = 1 to 39 do
+      let live () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      for i = 0 to 9 do
         ignore (serve_in ~store (sources i))
       done;
-      Alcotest.(check int) "40 one-off programs hold no record" 0
-        (Srv.Service.prepared_count ()))
+      let before = live () in
+      for i = 10 to 39 do
+        ignore (serve_in ~store (sources i))
+      done;
+      let grown = live () - before in
+      let one = Obj.reachable_words (Obj.repr (C.Analysis.compile (sources 0))) in
+      Alcotest.(check int) "one record per program" 40
+        (List.length (record_files store));
+      if grown >= 30 * one / 4 then
+        Alcotest.failf "30 more programs grew the live heap by %d words (%d per program)"
+          grown one)
 
-let test_prepared_once () =
+(* A program served three times is analyzed once: the second and third
+   requests are answered from its report record, each with the
+   one-shot report and exit code. *)
+let test_served_thrice_analyzed_once () =
+  R.Faultsim.with_suppressed @@ fun () ->
   with_dir (fun store ->
       let sources = [ ("thrice.c", prog_calls) ] in
       let expected = in_process_report sources in
-      let prepared () = Srv.Service.prepared ~main:"main" sources in
-      let sv1 = serve_in ~store sources in
-      Alcotest.(check bool) "none after the first request" true
-        (Option.is_none (prepared ()));
-      let sv2 = serve_in ~store sources in
-      let pr = Option.get (prepared ()) in
-      Alcotest.(check bool) "the second request kept its frames" true
-        (C.Frame.shared_frames pr.C.Transfer.pr_frames > 0);
-      let sv3 = serve_in ~store sources in
-      Alcotest.(check bool) "the third request reused the record" true
-        (Option.get (prepared ()) == pr);
+      let served = List.init 3 (fun _ -> counted "itv.transfer" (fun () -> serve_in ~store sources)) in
       List.iteri
-        (fun i sv ->
+        (fun i (sv, transfers) ->
           let what = Printf.sprintf "request %d" (i + 1) in
           check_served ~what expected sv;
-          Alcotest.(check string) (what ^ ": the fingerprint")
-            sv1.Srv.Service.sv_fingerprint sv.Srv.Service.sv_fingerprint)
-        [ sv1; sv2; sv3 ])
+          Alcotest.(check bool) (what ^ ": analyzed iff first") (i = 0) (transfers > 0))
+        served;
+      Alcotest.(check int) "one record" 1 (List.length (record_files store)))
 
 let test_repeated_requests_exact () =
   let inputs =
@@ -1918,14 +1942,18 @@ let test_repeated_requests_exact () =
         [ ("a.c", prog_alarm) ];
       ]
   in
+  let budgeted = { Srv.Service.default_options with Srv.Service.o_timeout = 100. } in
   with_daemon_ex ~workers:1 (fun sock _pid ->
       List.iter
         (fun sources ->
           let name = fst (List.hd sources) in
           let report, code = in_process_report sources in
+          (* each request gets its own request id; the fourth also
+             brings a budget: neither is in a record's key *)
           let replies =
-            List.init 3 (fun _ ->
-                ok_exn (Srv.Client.request sock (analyze_json sources)))
+            List.init 4 (fun i ->
+                let options = if i = 3 then budgeted else Srv.Service.default_options in
+                ok_exn (Srv.Client.request sock (analyze_json ~options sources)))
           in
           List.iteri
             (fun i (r : Srv.Client.reply) ->
@@ -1935,36 +1963,21 @@ let test_repeated_requests_exact () =
                 (scrub_time report)
                 (scrub_time (Option.get r.Srv.Client.r_report));
               Alcotest.(check int) (what ^ ": the one-shot exit code") code
-                r.Srv.Client.r_exit)
+                r.Srv.Client.r_exit;
+              if i = 0 then
+                Alcotest.(check bool) (what ^ ": analyzed") true
+                  (reply_counter "itv.transfer" r > 0)
+              else
+                Alcotest.(check (pair int int))
+                  (what ^ ": the record answers (one hit, no transfer)")
+                  (1, 0)
+                  (reply_counter "cache.hits" r, reply_counter "itv.transfer" r))
             replies)
         inputs)
 
-(* Cell ids are a fact of the prepared program: every run of a kept
-   record analyzes with the record's interner, and no run, under any
+(* Cell ids are a fact of the prepared program: no run, under any
    configuration, numbers a cell its preparation did not. *)
 let test_one_numbering_per_prepared () =
-  with_dir (fun store ->
-      let sources = [ ("once.c", prog_calls) ] in
-      let counts =
-        List.init 3 (fun _ ->
-            ignore (serve_in ~store sources);
-            match Srv.Service.prepared ~main:"main" sources with
-            | None -> None
-            | Some pr ->
-                let a =
-                  C.Transfer.make_actx ~prepared:pr pr.C.Transfer.pr_cfg
-                    pr.C.Transfer.pr_prog
-                in
-                Alcotest.(check bool) "a serve analyzes with the kept interner" true
-                  (a.C.Transfer.intern == pr.C.Transfer.pr_intern);
-                Some (pr, C.Cell.count pr.C.Transfer.pr_intern))
-      in
-      (match counts with
-      | [ None; Some (pr2, n2); Some (pr3, n3) ] ->
-          Alcotest.(check bool) "the third serve kept the second's record" true
-            (pr2 == pr3);
-          Alcotest.(check int) "the third serve numbered no cell" n2 n3
-      | _ -> Alcotest.fail "the record was not kept from the second serve on"));
   I.Summary.register ();
   with_dir (fun dir ->
       let tasks =
@@ -2070,10 +2083,10 @@ let suite =
       test_submit_replaces_dead_worker;
     Alcotest.test_case "in-process serve keeps the trace sink" `Quick
       test_serve_keeps_trace_sink;
-    Alcotest.test_case "one-off programs keep no prepared record" `Quick
-      test_one_off_programs_unprepared;
-    Alcotest.test_case "a program served three times is prepared once" `Quick
-      test_prepared_once;
+    Alcotest.test_case "one-off programs keep nothing in the worker" `Quick
+      test_one_off_programs_keep_nothing;
+    Alcotest.test_case "a program served three times is analyzed once" `Quick
+      test_served_thrice_analyzed_once;
     Alcotest.test_case "repeated requests reply as the one-shot run" `Slow
       test_repeated_requests_exact;
     Alcotest.test_case "one numbering per prepared program" `Quick
